@@ -5,8 +5,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use cpm_core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-use cpm_core::constrained::{ConstrainedQuery, CpmConstrainedMonitor};
+use cpm_core::{AggregateFn, AnnQuery, ConstrainedQuery, ShardedCpmEngine};
 use cpm_geom::{Point, QueryId, Rect};
 use cpm_sim::{SimParams, SimulationInput, WorkloadKind};
 use rand::rngs::StdRng;
@@ -53,10 +52,10 @@ fn bench_ann(c: &mut Criterion) {
             |b, input| {
                 b.iter(|| {
                     let mut rng = StdRng::seed_from_u64(9);
-                    let mut m = CpmAnnMonitor::new(input.params.grid_dim);
+                    let mut m = ShardedCpmEngine::new(input.params.grid_dim, 1);
                     m.populate(input.initial_objects.iter().copied());
                     for (i, q) in ann_queries(&mut rng, f, 20).into_iter().enumerate() {
-                        m.install_query(QueryId(i as u32), q, 4);
+                        m.install(QueryId(i as u32), q, 4).unwrap();
                     }
                     for tick in &input.ticks {
                         m.process_cycle(&tick.object_events, &[]);
@@ -79,13 +78,14 @@ fn bench_constrained(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("zone", "0.3"), &input, |b, input| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(11);
-            let mut m = CpmConstrainedMonitor::new(input.params.grid_dim);
+            let mut m = ShardedCpmEngine::new(input.params.grid_dim, 1);
             m.populate(input.initial_objects.iter().copied());
             for i in 0..20u32 {
                 let q = Point::new(rng.gen(), rng.gen());
                 let lo = Point::new((q.x - 0.15).clamp(0.0, 0.7), (q.y - 0.15).clamp(0.0, 0.7));
                 let hi = Point::new(lo.x + 0.3, lo.y + 0.3);
-                m.install_query(QueryId(i), ConstrainedQuery::new(q, Rect::new(lo, hi)), 4);
+                m.install(QueryId(i), ConstrainedQuery::new(q, Rect::new(lo, hi)), 4)
+                    .unwrap();
             }
             for tick in &input.ticks {
                 m.process_cycle(&tick.object_events, &[]);

@@ -8,15 +8,15 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 
 use cpm_core::heap::SearchHeap;
 use cpm_core::partition::{Direction, Pinwheel};
-use cpm_core::CpmKnnMonitor;
+use cpm_core::{PointQuery, ShardedCpmEngine};
 use cpm_geom::{FastHashSet, ObjectId, Point, QueryId};
 use cpm_grid::{CellCoord, ObjectEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn populated_monitor(n: usize, dim: u32, seed: u64) -> CpmKnnMonitor {
+fn populated_monitor(n: usize, dim: u32, seed: u64) -> ShardedCpmEngine<PointQuery> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut m = CpmKnnMonitor::new(dim);
+    let mut m = ShardedCpmEngine::new(dim, 1);
     m.populate((0..n as u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
     m
 }
@@ -32,7 +32,8 @@ fn bench_nn_computation(c: &mut Criterion) {
             b.iter_batched(
                 || populated_monitor(10_000, 128, 1),
                 |mut m| {
-                    m.install_query(QueryId(0), Point::new(0.431, 0.557), k);
+                    m.install(QueryId(0), PointQuery(Point::new(0.431, 0.557)), k)
+                        .unwrap();
                     m
                 },
                 BatchSize::LargeInput,
@@ -65,7 +66,8 @@ fn bench_update_cycle(c: &mut Criterion) {
                         let mut rng = StdRng::seed_from_u64(4);
                         let mut m = populated_monitor(10_000, 128, 2);
                         for q in 0..50u32 {
-                            m.install_query(QueryId(q), Point::new(rng.gen(), rng.gen()), 16);
+                            m.install(QueryId(q), PointQuery(Point::new(rng.gen(), rng.gen())), 16)
+                                .unwrap();
                         }
                         m
                     },

@@ -7,7 +7,7 @@
 //!   table2_1 table6_1
 //!   fig6_1 fig6_2a fig6_2b fig6_3 fig6_4a fig6_4b fig6_5a fig6_5b
 //!   fig6_6a fig6_6b
-//!   space analysis ablation ann constrained skew drift index shards
+//!   space analysis ann constrained skew drift index shards
 //!   deltas mixed rnn pipeline
 //!   all          (everything above)
 //!
@@ -81,7 +81,6 @@ fn main() {
             "fig6_6b",
             "space",
             "analysis",
-            "ablation",
             "ann",
             "constrained",
             "skew",
@@ -125,7 +124,6 @@ fn run_experiment(name: &str, scale: f64, shards: &[usize]) {
         "fig6_6b" => figures::fig6_6b(scale).print(),
         "space" => figures::space(scale).print(),
         "analysis" => figures::analysis(scale).print(),
-        "ablation" => figures::ablation(scale).print(),
         "ann" => {
             figures::ann(scale).print();
             figures::ann_moving_sets(scale).print();
@@ -227,7 +225,7 @@ fn print_help() {
     println!(
         "usage: experiments <name>... [--scale X | --paper] [--shards LIST]\n\
          names: table2_1 table6_1 fig6_1 fig6_2a fig6_2b fig6_3 fig6_4a fig6_4b\n\
-         \u{20}      fig6_5a fig6_5b fig6_6a fig6_6b space analysis ablation ann\n\
+         \u{20}      fig6_5a fig6_5b fig6_6a fig6_6b space analysis ann\n\
          \u{20}      constrained skew drift index shards deltas mixed rnn pipeline\n\
          \u{20}      all\n\
          --shards LIST  comma-separated shard counts for the `shards`\n\

@@ -1,5 +1,5 @@
 //! Delta-emission benchmark: cycle cost of the delta-streaming result
-//! path ([`cpm_core::CpmEngine::process_cycle_with_deltas`]) versus
+//! path ([`cpm_core::ShardedCpmEngine::process_cycle_with_deltas`]) versus
 //! handing callers full result lists, on the subscription workload the
 //! `cpm-sub` front end serves (default: 100K uniform objects, 1K k-NN
 //! subscriptions, k = 16, 128² grid, 10% movers per cycle).

@@ -1,6 +1,6 @@
 //! The experiments of Section 6 (Figures 6.1–6.6, the footnote-6 space
 //! comparison), the Section 4.1 analysis validation (Figure 4.1), and the
-//! extension/ablation studies. Each function reproduces one figure as a
+//! extension studies. Each function reproduces one figure as a
 //! [`Table`] whose rows match the paper's x axis.
 //!
 //! `scale ∈ (0, 1]` multiplies the population/query counts and the
@@ -10,14 +10,14 @@
 
 use std::time::Instant;
 
-use cpm_core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-use cpm_core::constrained::{ConstrainedQuery, CpmConstrainedMonitor};
-use cpm_core::{CpmConfig, CpmKnnMonitor, SpecEvent};
+use cpm_core::{
+    AggregateFn, AnnQuery, ConstrainedQuery, CpmServerBuilder, PointQuery, RegridPolicy,
+    ShardedCpmEngine, SpecEvent,
+};
 use cpm_gen::SpeedClass;
 use cpm_geom::{Point, QueryId, Rect};
-use cpm_sim::{
-    run, run_boxed, run_contenders, AlgoKind, RunReport, SimParams, SimulationInput, WorkloadKind,
-};
+use cpm_grid::ObjectEvent;
+use cpm_sim::{run, run_contenders, AlgoKind, RunReport, SimParams, SimulationInput, WorkloadKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -340,13 +340,17 @@ pub fn analysis(scale: f64) -> Table {
         let input = SimulationInput::generate(&params);
         let model = params.cost_model();
 
-        let mut monitor = CpmKnnMonitor::new(dim);
+        let mut monitor = ShardedCpmEngine::<PointQuery>::new(dim, 1);
         monitor.populate(input.initial_objects.iter().copied());
         for &(qid, pos, k) in &input.initial_queries {
-            monitor.install_query(qid, pos, k);
+            monitor
+                .install(qid, PointQuery(pos), k)
+                .expect("generated ids are fresh");
         }
         for tick in &input.ticks {
-            monitor.process_cycle(&tick.object_events, &tick.query_events);
+            let query_events: Vec<SpecEvent<PointQuery>> =
+                tick.query_events.iter().map(|&ev| ev.into()).collect();
+            monitor.process_cycle(&tick.object_events, &query_events);
         }
 
         let mut bd = 0.0f64;
@@ -354,7 +358,7 @@ pub fn analysis(scale: f64) -> Table {
         let mut o_inf = 0.0f64;
         let mut c_sh = 0.0f64;
         let mut counted = 0usize;
-        for qid in monitor.query_ids().collect::<Vec<_>>() {
+        for qid in monitor.query_ids() {
             let st = monitor.query_state(qid).expect("installed");
             if !st.best.is_full() {
                 continue;
@@ -385,55 +389,6 @@ pub fn analysis(scale: f64) -> Table {
     }
     note_params(&mut t, &base_params(scale));
     t.note("Figure 4.1 shape: δ↓ ⇒ C_inf↑, O_inf→k; δ↑ ⇒ few cells, many objects");
-    t
-}
-
-/// Ablation: what the Figure 3.8 merge optimization and the Figure 3.6
-/// visit-list reuse buy, across k.
-pub fn ablation(scale: f64) -> Table {
-    let mut t = Table::new(
-        "Ablation — CPM book-keeping optimizations",
-        "k",
-        "ms total",
-        vec![
-            "full CPM".into(),
-            "no merge".into(),
-            "no visit reuse".into(),
-            "neither".into(),
-        ],
-    );
-    let configs = [
-        CpmConfig::default(),
-        CpmConfig {
-            merge_optimization: false,
-            reuse_visit_list: true,
-        },
-        CpmConfig {
-            merge_optimization: true,
-            reuse_visit_list: false,
-        },
-        CpmConfig {
-            merge_optimization: false,
-            reuse_visit_list: false,
-        },
-    ];
-    for k in [4usize, 16, 64] {
-        let mut params = base_params(scale);
-        params.k = k;
-        let input = SimulationInput::generate(&params);
-        let cells: Vec<f64> = configs
-            .iter()
-            .map(|&cfg| {
-                let mut m = CpmKnnMonitor::with_config(params.grid_dim, cfg);
-                total_ms(&run_boxed(&mut m, &input))
-            })
-            .collect();
-        t.push_row(format!("{k}"), cells);
-    }
-    note_params(&mut t, &base_params(scale));
-    t.note(
-        "'no merge': every affected query searches; 'no visit reuse': Figure 3.4 instead of 3.6",
-    );
     t
 }
 
@@ -471,10 +426,12 @@ pub fn ann(scale: f64) -> Table {
             .collect();
 
         // CPM-ANN.
-        let mut monitor = CpmAnnMonitor::new(params.grid_dim);
+        let mut monitor = ShardedCpmEngine::new(params.grid_dim, 1);
         monitor.populate(input.initial_objects.iter().copied());
         for (i, q) in specs.iter().enumerate() {
-            monitor.install_query(QueryId(i as u32), q.clone(), params.k.min(8));
+            monitor
+                .install(QueryId(i as u32), q.clone(), params.k.min(8))
+                .expect("fresh query id");
         }
         let start = Instant::now();
         for tick in &input.ticks {
@@ -557,10 +514,12 @@ pub fn constrained(scale: f64) -> Table {
         vec!["ms".into()],
     );
 
-    let mut monitor = CpmConstrainedMonitor::new(params.grid_dim);
+    let mut monitor = ShardedCpmEngine::new(params.grid_dim, 1);
     monitor.populate(input.initial_objects.iter().copied());
     for (i, q) in specs.iter().enumerate() {
-        monitor.install_query(QueryId(i as u32), q.clone(), params.k.min(8));
+        monitor
+            .install(QueryId(i as u32), q.clone(), params.k.min(8))
+            .expect("fresh query id");
     }
     let start = Instant::now();
     for tick in &input.ticks {
@@ -677,32 +636,45 @@ pub fn drift(scale: f64) -> Table {
             "final dim".into(),
         ],
     );
-    let mut fixed = cpm_core::ShardedKnnMonitor::new(params.grid_dim, 1);
-    let fixed_report = run_boxed(&mut fixed, &input);
+    // (ms/cycle, cell accesses, regrids, final dim) of one lane.
+    let lane = |policy: RegridPolicy| -> Vec<f64> {
+        let mut engine = ShardedCpmEngine::<PointQuery>::new(params.grid_dim, 1);
+        engine.set_regrid_policy(policy);
+        engine.populate(input.initial_objects.iter().copied());
+        for &(qid, pos, k) in &input.initial_queries {
+            engine
+                .install(qid, PointQuery(pos), k)
+                .expect("generated ids are fresh");
+        }
+        let query_events: Vec<Vec<SpecEvent<PointQuery>>> = input
+            .ticks
+            .iter()
+            .map(|t| t.query_events.iter().map(|&ev| ev.into()).collect())
+            .collect();
+        let start = Instant::now();
+        for (tick, qev) in input.ticks.iter().zip(&query_events) {
+            engine.process_cycle(&tick.object_events, qev);
+        }
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        let metrics = engine.take_metrics();
+        vec![
+            ms / input.ticks.len().max(1) as f64,
+            metrics.cell_accesses as f64,
+            metrics.regrids as f64,
+            engine.grid().dim() as f64,
+        ]
+    };
     t.push_row(
         format!("fixed {}²", params.grid_dim),
-        vec![
-            fixed_report.millis_per_cycle(),
-            fixed_report.metrics.cell_accesses as f64,
-            0.0,
-            params.grid_dim as f64,
-        ],
+        lane(RegridPolicy::Manual),
     );
-    let mut adaptive = cpm_core::ShardedKnnMonitor::new(params.grid_dim, 1);
-    adaptive.set_regrid_policy(cpm_core::RegridPolicy::Auto(cpm_core::AutoRegridConfig {
-        check_every: 4,
-        cooldown: 8,
-        ..cpm_core::AutoRegridConfig::default()
-    }));
-    let adaptive_report = run_boxed(&mut adaptive, &input);
     t.push_row(
         "adaptive",
-        vec![
-            adaptive_report.millis_per_cycle(),
-            adaptive_report.metrics.cell_accesses as f64,
-            adaptive_report.metrics.regrids as f64,
-            adaptive.grid().dim() as f64,
-        ],
+        lane(RegridPolicy::Auto(cpm_core::AutoRegridConfig {
+            check_every: 4,
+            cooldown: 8,
+            ..cpm_core::AutoRegridConfig::default()
+        })),
     );
     note_params(&mut t, &params);
     t.note(format!(
@@ -936,8 +908,14 @@ pub fn mixed(scale: f64) -> Table {
     let movers = ((cfg.n_objects as f64 * cfg.move_fraction) as usize).max(1);
     for _ in 0..cfg.cycles {
         let mut events = Vec::with_capacity(movers);
+        // The server admits one event per object per batch: an object
+        // drawn twice keeps its first move.
+        let mut moved = std::collections::HashSet::with_capacity(movers);
         for _ in 0..movers {
             let i = rng.gen_range(0..positions.len());
+            if !moved.insert(i) {
+                continue;
+            }
             let step = 0.02;
             let p = positions[i];
             let to = Point::new(
@@ -950,9 +928,9 @@ pub fn mixed(scale: f64) -> Table {
                 to,
             });
         }
-        // Duplicate movers in one batch are fine for the engine, but keep
-        // the stream canonical: last write wins anyway.
-        let _ = server.process_cycle(&events, &[]).expect("no query events");
+        let _ = server
+            .process_cycle(&events, &[])
+            .expect("well-formed batch");
     }
     let metrics = server.take_metrics();
 
@@ -1032,14 +1010,40 @@ pub fn rnn(scale: f64) -> Table {
         vec!["ms".into()],
     );
 
-    let mut monitor = cpm_core::rnn::CpmRnnMonitor::new(params.grid_dim);
-    monitor.populate(input.initial_objects.iter().copied());
+    let mut server = CpmServerBuilder::new(params.grid_dim).build();
+    server.populate(input.initial_objects.iter().copied());
     for (i, &q) in query_points.iter().enumerate() {
-        monitor.install_query(QueryId(i as u32), q);
+        let _ = server
+            .install_rnn(QueryId(i as u32), q)
+            .expect("fresh query id");
     }
+    // RNN is composed by the server, which admits one event per object
+    // per batch: the generator's same-tick `Disappear` + `Appear` respawn
+    // of one id is a jump, i.e. a `Move`.
+    let batches: Vec<Vec<ObjectEvent>> = input
+        .ticks
+        .iter()
+        .map(|tick| {
+            let mut out: Vec<ObjectEvent> = Vec::with_capacity(tick.object_events.len());
+            for &ev in &tick.object_events {
+                match (out.last_mut(), ev) {
+                    (
+                        Some(last @ ObjectEvent::Disappear { .. }),
+                        ObjectEvent::Appear { id, pos },
+                    ) if last.id() == id => {
+                        *last = ObjectEvent::Move { id, to: pos };
+                    }
+                    _ => out.push(ev),
+                }
+            }
+            out
+        })
+        .collect();
     let start = Instant::now();
-    for tick in &input.ticks {
-        monitor.process_cycle(&tick.object_events, &[]);
+    for batch in &batches {
+        server
+            .process_cycle(batch, &[])
+            .expect("generated batches are well-formed");
     }
     t.push_row("CPM six-region", vec![start.elapsed().as_secs_f64() * 1e3]);
 
@@ -1102,9 +1106,11 @@ pub fn ann_moving_sets(scale: f64) -> Table {
     });
     let mut rng = StdRng::seed_from_u64(77);
     let mut pts: Vec<Point> = (0..3).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-    let mut monitor = CpmAnnMonitor::new(params.grid_dim);
+    let mut monitor = ShardedCpmEngine::new(params.grid_dim, 1);
     monitor.populate(input.initial_objects.iter().copied());
-    monitor.install_query(QueryId(0), AnnQuery::new(pts.clone(), AggregateFn::Sum), 4);
+    monitor
+        .install(QueryId(0), AnnQuery::new(pts.clone(), AggregateFn::Sum), 4)
+        .expect("fresh query id");
 
     let start = Instant::now();
     for tick in &input.ticks {

@@ -4,7 +4,7 @@
 //!
 //! Three lanes replay the identical pre-generated stream:
 //!
-//! * **uniform-mono** — [`cpm_core::ShardedKnnMonitor`] on the
+//! * **uniform-mono** — [`cpm_core::ShardedCpmEngine`] on the
 //!   monomorphic [`cpm_grid::CellIndex`] grid at the resolution a
 //!   capacity plan provisions for the *base* population
 //!   ([`cpm_core::CostModel::optimal_dim`] at `n_base`). This is the
@@ -37,7 +37,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use cpm_core::{CostModel, PointQuery, ShardedCpmEngine, ShardedKnnMonitor, SpecEvent};
+use cpm_core::{CostModel, PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_gen::{DriftConfig, DriftingHotspotWorkload, TickEvents, WorkloadConfig};
 use cpm_geom::QueryId;
 use cpm_grid::{DynIndex, GridBuilder, IndexKind, QueryEvent};
@@ -180,26 +180,10 @@ fn median_ratio(numer: &[Duration], denom: &[Duration]) -> f64 {
     ratios.get(ratios.len() / 2).copied().unwrap_or(1.0)
 }
 
-/// The [`QueryEvent`] → [`SpecEvent`] translation the legacy monitor
-/// does internally, done once per tick for the two engine lanes (it is
-/// O(query events) — negligible next to a cycle — and sharing it keeps
-/// the lanes' timed work identical).
+/// The tick's query events in the engine's vocabulary, translated once
+/// and shared by all three lanes so their timed work is identical.
 fn translate(query_events: &[QueryEvent]) -> Vec<SpecEvent<PointQuery>> {
-    query_events
-        .iter()
-        .map(|ev| match *ev {
-            QueryEvent::Install { id, pos, k } => SpecEvent::Install {
-                id,
-                spec: PointQuery(pos),
-                k,
-            },
-            QueryEvent::Move { id, to } => SpecEvent::Update {
-                id,
-                spec: PointQuery(to),
-            },
-            QueryEvent::Terminate { id } => SpecEvent::Terminate { id },
-        })
-        .collect()
+    query_events.iter().map(|&ev| ev.into()).collect()
 }
 
 /// Run all three lanes over the identical pre-generated drift stream and
@@ -233,10 +217,11 @@ pub fn run(cfg: &IndexBenchConfig) -> IndexBenchRun {
     let uniform_dim = cfg.uniform_dim();
     let quadtree_dim = cfg.quadtree_dim();
 
-    let mut mono = ShardedKnnMonitor::new(uniform_dim, cfg.shards);
+    let mut mono: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(uniform_dim, cfg.shards);
     mono.populate(initial_objects.iter().copied());
     for &(qid, pos, k) in &initial_queries {
-        mono.install_query(qid, pos, k);
+        mono.install(qid, PointQuery(pos), k)
+            .expect("fresh query id");
     }
     let build_dyn = |kind: IndexKind, dim: u32| {
         let grid = GridBuilder::new(dim).index(kind).build();
@@ -256,7 +241,7 @@ pub fn run(cfg: &IndexBenchConfig) -> IndexBenchRun {
     let (warmup, measured) = ticks.split_at(cfg.warmup_cycles.min(ticks.len()));
     for tick in warmup {
         let spec_events = translate(&tick.query_events);
-        mono.process_cycle(&tick.object_events, &tick.query_events);
+        mono.process_cycle(&tick.object_events, &spec_events);
         dynamic.process_cycle(&tick.object_events, &spec_events);
         quad.process_cycle(&tick.object_events, &spec_events);
     }
@@ -270,9 +255,9 @@ pub fn run(cfg: &IndexBenchConfig) -> IndexBenchRun {
 
     for (i, tick) in measured.iter().enumerate() {
         let spec_events = translate(&tick.query_events);
-        let mut run_mono = |mono: &mut ShardedKnnMonitor| -> Vec<QueryId> {
+        let mut run_mono = |mono: &mut ShardedCpmEngine<PointQuery>| -> Vec<QueryId> {
             let start = Instant::now();
-            let changed = mono.process_cycle(&tick.object_events, &tick.query_events);
+            let changed = mono.process_cycle(&tick.object_events, &spec_events);
             mono_times.push(start.elapsed());
             mono_changes += changed.len();
             changed

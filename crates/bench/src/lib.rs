@@ -1,10 +1,9 @@
 //! Benchmark harness reproducing every table and figure of the CPM paper
-//! (SIGMOD 2005), plus the extension and ablation studies of this suite.
+//! (SIGMOD 2005), plus the extension studies of this suite.
 //!
 //! * [`figures`] — one function per paper figure (6.1–6.6), the space
-//!   footnote, the Section 4.1 analysis validation, the Section 5
-//!   extensions and the ablation study. Each returns a printable
-//!   [`Table`].
+//!   footnote, the Section 4.1 analysis validation and the Section 5
+//!   extensions. Each returns a printable [`Table`].
 //! * [`table`] — the plain-text table type experiment output uses.
 //! * [`grid_storage`] / [`shards`] / [`deltas`] / [`server`] / [`regrid`]
 //!   / [`recovery`] / [`index`] / [`kernels`] / [`cluster`] /

@@ -5,7 +5,7 @@
 //! `peak_factor ×` that base while a single Gaussian hotspot sweeps the
 //! workspace — so the Section 4.1 cost-model optimum moves mid-run. Both
 //! lanes replay the identical pre-generated stream on
-//! [`cpm_core::ShardedKnnMonitor`]:
+//! [`cpm_core::ShardedCpmEngine`] over point queries:
 //!
 //! * **fixed** — the grid resolution a capacity plan would have
 //!   provisioned for the *base* population
@@ -37,7 +37,9 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use cpm_core::{AutoRegridConfig, CostModel, RegridPolicy, ShardedKnnMonitor};
+use cpm_core::{
+    AutoRegridConfig, CostModel, PointQuery, RegridPolicy, ShardedCpmEngine, SpecEvent,
+};
 use cpm_gen::{DriftConfig, DriftingHotspotWorkload, TickEvents, WorkloadConfig};
 
 /// Workload parameters for one fixed-vs-adaptive run.
@@ -195,10 +197,16 @@ pub fn run(cfg: &RegridBenchConfig) -> RegridBenchRun {
     let initial_objects: Vec<_> = workload.initial_objects().collect();
     let initial_queries: Vec<_> = workload.initial_queries().collect();
     let ticks: Vec<TickEvents> = (0..total_cycles).map(|_| workload.tick()).collect();
+    // Each tick's query events in the engine's vocabulary, translated
+    // once outside the timed sections and shared by both lanes.
+    let cycles: Vec<(&TickEvents, Vec<SpecEvent<PointQuery>>)> = ticks
+        .iter()
+        .map(|t| (t, t.query_events.iter().map(|&ev| ev.into()).collect()))
+        .collect();
 
     let fixed_dim = cfg.provisioned_dim();
     let build = |adaptive: bool| {
-        let mut m = ShardedKnnMonitor::new(fixed_dim, cfg.shards);
+        let mut m = ShardedCpmEngine::<PointQuery>::new(fixed_dim, cfg.shards);
         if adaptive {
             m.set_regrid_policy(RegridPolicy::Auto(AutoRegridConfig {
                 check_every: cfg.check_every,
@@ -208,17 +216,17 @@ pub fn run(cfg: &RegridBenchConfig) -> RegridBenchRun {
         }
         m.populate(initial_objects.iter().copied());
         for &(qid, pos, k) in &initial_queries {
-            m.install_query(qid, pos, k);
+            m.install(qid, PointQuery(pos), k).expect("fresh query id");
         }
         m
     };
     let mut fixed = build(false);
     let mut adaptive = build(true);
 
-    let (warmup, measured) = ticks.split_at(cfg.warmup_cycles.min(ticks.len()));
-    for tick in warmup {
-        fixed.process_cycle(&tick.object_events, &tick.query_events);
-        adaptive.process_cycle(&tick.object_events, &tick.query_events);
+    let (warmup, measured) = cycles.split_at(cfg.warmup_cycles.min(cycles.len()));
+    for (tick, query_events) in warmup {
+        fixed.process_cycle(&tick.object_events, query_events);
+        adaptive.process_cycle(&tick.object_events, query_events);
     }
     // Warmup work (including any early re-grid) is not part of the
     // measured migration accounting.
@@ -232,17 +240,17 @@ pub fn run(cfg: &RegridBenchConfig) -> RegridBenchRun {
     let mut regrid_cycle_ms: Vec<f64> = Vec::new();
     let mut regrids_seen = 0u64;
 
-    for (i, tick) in measured.iter().enumerate() {
-        let mut run_fixed = |fixed: &mut ShardedKnnMonitor| {
+    for (i, (tick, query_events)) in measured.iter().enumerate() {
+        let mut run_fixed = |fixed: &mut ShardedCpmEngine<PointQuery>| {
             let start = Instant::now();
-            let changed = fixed.process_cycle(&tick.object_events, &tick.query_events);
+            let changed = fixed.process_cycle(&tick.object_events, query_events);
             fixed_times.push(start.elapsed());
             fixed_changes += changed.len();
             changed
         };
-        let mut run_adaptive = |adaptive: &mut ShardedKnnMonitor| {
+        let mut run_adaptive = |adaptive: &mut ShardedCpmEngine<PointQuery>| {
             let start = Instant::now();
-            let changed = adaptive.process_cycle(&tick.object_events, &tick.query_events);
+            let changed = adaptive.process_cycle(&tick.object_events, query_events);
             let elapsed = start.elapsed();
             adaptive_times.push(elapsed);
             adaptive_changes += changed.len();

@@ -1,5 +1,5 @@
 //! Shard-scaling benchmark: cycle throughput of the sharded parallel
-//! engine ([`cpm_core::ShardedKnnMonitor`]) versus the sequential engine
+//! engine ([`cpm_core::ShardedCpmEngine`]) versus the sequential engine
 //! (1 shard), on the paper's default workload shape (100K uniform objects,
 //! 5K queries, k = 16, 128² grid, 10% of objects moving per cycle).
 //!
@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use cpm_core::ShardedKnnMonitor;
+use cpm_core::{PointQuery, ShardedCpmEngine};
 use cpm_geom::{ObjectId, Point, QueryId};
 use cpm_grid::ObjectEvent;
 use rand::rngs::StdRng;
@@ -149,10 +149,12 @@ pub fn run(cfg: &ShardBenchConfig) -> Vec<ShardMeasurement> {
     let w = build_workload(cfg);
     let mut out: Vec<ShardMeasurement> = Vec::new();
     for &shards in &cfg.shard_counts {
-        let mut monitor = ShardedKnnMonitor::new(cfg.grid_dim, shards);
+        let mut monitor = ShardedCpmEngine::new(cfg.grid_dim, shards);
         monitor.populate(w.objects.iter().copied());
         for &(qid, pos) in &w.queries {
-            monitor.install_query(qid, pos, cfg.k);
+            monitor
+                .install(qid, PointQuery(pos), cfg.k)
+                .expect("fresh query id");
         }
         let (warmup, measured) = w.cycles.split_at(cfg.warmup_cycles.min(w.cycles.len()));
         for events in warmup {

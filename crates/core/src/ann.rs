@@ -13,15 +13,15 @@
 //! per-point `mindist`s, a lower bound of `adist` for any object inside).
 //! Corollary 5.1 (`sum`): consecutive rectangles of one direction differ by
 //! `m·δ`; Corollary 5.2 (`min`/`max`): by `δ`. Update handling is the
-//! machinery of Section 3 with `adist` in place of the Euclidean distance —
-//! provided here by instantiating the generic engine (sharded across
-//! worker threads when requested, [`crate::ShardedCpmEngine`]).
+//! machinery of Section 3 with `adist` in place of the Euclidean distance:
+//! [`AnnQuery`] is a [`QuerySpec`] of the one engine
+//! ([`crate::ShardedCpmEngine`]`<AnnQuery>`, or
+//! [`crate::CpmServer::install_ann`] next to every other kind).
 
-use cpm_geom::{Point, QueryId};
-use cpm_grid::{CellCoord, Grid, GridGeom, Metrics, ObjectEvent};
+use cpm_geom::Point;
+use cpm_grid::{CellCoord, GridGeom};
 
-use crate::engine::{QuerySpec, SpecEvent, SpecQueryState};
-use crate::neighbors::Neighbor;
+use crate::engine::QuerySpec;
 use crate::partition::{Direction, Pinwheel};
 
 /// The aggregate function of an ANN query.
@@ -163,194 +163,23 @@ impl QuerySpec for AnnQuery {
     }
 }
 
-/// Continuous aggregate-NN monitor — a single-kind **compatibility shim**
-/// over [`crate::CpmServer`]. New code should use the server directly
-/// ([`crate::CpmServer::install_ann`]), which hosts aggregate queries next
-/// to every other kind on one shared grid; this type keeps the original
-/// per-kind surface (panicking on registry misuse where the server
-/// returns [`crate::CpmError`]).
-///
-/// User query ids must stay below the server's reserved internal band
-/// (`2³¹`, [`crate::server::RESERVED_ID_BASE`]) — ids above it are
-/// rejected, where the old dedicated engines accepted the full `u32`
-/// range.
-///
-/// # Example
-///
-/// ```
-/// use cpm_core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-/// use cpm_geom::{ObjectId, Point, QueryId};
-///
-/// let mut monitor = CpmAnnMonitor::new(64);
-/// monitor.populate([
-///     (ObjectId(0), Point::new(0.30, 0.52)), // central meeting candidate
-///     (ObjectId(1), Point::new(0.05, 0.90)),
-/// ]);
-/// let users = vec![
-///     Point::new(0.1, 0.5),
-///     Point::new(0.5, 0.5),
-///     Point::new(0.3, 0.8),
-/// ];
-/// monitor.install_query(QueryId(0), AnnQuery::new(users, AggregateFn::Sum), 1);
-/// let best = monitor.result(QueryId(0)).unwrap();
-/// assert_eq!(best[0].id, ObjectId(0));
-/// ```
-#[derive(Debug)]
-pub struct CpmAnnMonitor {
-    server: crate::CpmServer,
-    /// Scratch: this cycle's events lifted to the unified vocabulary.
-    event_buf: Vec<SpecEvent<crate::AnyQuerySpec>>,
-}
-
-impl CpmAnnMonitor {
-    /// Create a sequential monitor over an empty `dim × dim` grid.
-    pub fn new(dim: u32) -> Self {
-        Self::new_sharded(dim, 1)
-    }
-
-    /// Create a monitor whose per-cycle maintenance runs across
-    /// `shards ≥ 1` worker threads (`shards = 1` is sequential; results
-    /// are bit-identical for every shard count — see
-    /// [`crate::ShardedCpmEngine`]).
-    pub fn new_sharded(dim: u32, shards: usize) -> Self {
-        Self {
-            server: crate::CpmServerBuilder::new(dim).shards(shards).build(),
-            event_buf: Vec::new(),
-        }
-    }
-
-    /// Bulk-load objects before any query is installed.
-    pub fn populate<I: IntoIterator<Item = (cpm_geom::ObjectId, Point)>>(&mut self, objects: I) {
-        self.server.populate(objects);
-    }
-
-    /// Install a continuous k-ANN query and compute its initial result.
-    ///
-    /// # Panics
-    /// Panics if `id` is already installed or `k == 0`.
-    pub fn install_query(&mut self, id: QueryId, query: AnnQuery, k: usize) -> &[Neighbor] {
-        let h = self
-            .server
-            .install_ann(id, query, k)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.server.result(h).expect("just installed")
-    }
-
-    /// Terminate a query; `true` if it was installed.
-    pub fn terminate_query(&mut self, id: QueryId) -> bool {
-        self.server.terminate(id).is_ok()
-    }
-
-    /// Replace the point set of a query (some users moved): terminate +
-    /// reinstall, as in Section 3.3.
-    ///
-    /// # Panics
-    /// Panics if the query is not installed.
-    pub fn move_query(&mut self, id: QueryId, query: AnnQuery) -> &[Neighbor] {
-        self.server
-            .update_spec(id, crate::AnyQuerySpec::Ann(query))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Run one processing cycle over object and query events.
-    pub fn process_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<AnnQuery>],
-    ) -> Vec<QueryId> {
-        self.event_buf.clear();
-        // Legacy surface: a batched terminate of an id that is already
-        // gone stays a benign no-op (the server's typed surface reports
-        // it as `UnknownQuery`).
-        self.event_buf.extend(
-            query_events
-                .iter()
-                .filter(|ev| {
-                    !matches!(ev, SpecEvent::Terminate { id }
-                        if self.server.kind_of(*id).is_none())
-                })
-                .map(crate::any::wrap_event),
-        );
-        let events = std::mem::take(&mut self.event_buf);
-        // Legacy monitor surface: clamp stray coordinates and keep each
-        // object's final event, as sequential application always did,
-        // before the server's strict ingest validation.
-        let object_events = crate::server::sanitize_object_events(object_events);
-        let changed = self
-            .server
-            .process_cycle(&object_events, &events)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.event_buf = events;
-        changed
-    }
-
-    /// Current result of query `id`, ascending by aggregate distance.
-    #[must_use]
-    pub fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        self.server.result(id)
-    }
-
-    /// Full book-keeping state of query `id`.
-    #[must_use]
-    pub fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<crate::AnyQuerySpec>> {
-        self.server.query_state(id)
-    }
-
-    /// The object index.
-    #[must_use]
-    pub fn grid(&self) -> &Grid<cpm_grid::DynIndex> {
-        self.server.grid()
-    }
-
-    /// Number of installed queries.
-    #[must_use]
-    pub fn query_count(&self) -> usize {
-        self.server.query_count()
-    }
-
-    /// Merged snapshot of the work counters.
-    #[must_use]
-    pub fn metrics(&self) -> Metrics {
-        self.server.metrics()
-    }
-
-    /// Take and reset the work counters.
-    pub fn take_metrics(&mut self) -> Metrics {
-        self.server.take_metrics()
-    }
-
-    /// Verify internal invariants (test helper).
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.server.check_invariants();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpm_geom::ObjectId;
+    use crate::ShardedCpmEngine;
+    use cpm_geom::{ObjectId, QueryId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn brute_force(monitor: &CpmAnnMonitor, q: &AnnQuery, k: usize) -> Vec<f64> {
-        let mut d: Vec<f64> = monitor
+    fn assert_matches(engine: &ShardedCpmEngine<AnnQuery>, qid: QueryId) {
+        let st = engine.query_state(qid).unwrap();
+        let mut expect: Vec<f64> = engine
             .grid()
             .iter_objects()
-            .map(|(_, p)| q.adist(p))
+            .map(|(_, p)| st.spec.adist(p))
             .collect();
-        d.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        d.truncate(k);
-        d
-    }
-
-    fn assert_matches(monitor: &CpmAnnMonitor, qid: QueryId) {
-        let st = monitor.query_state(qid).unwrap();
-        let expect = brute_force(
-            monitor,
-            st.spec.as_ann().expect("ann monitor query"),
-            st.k(),
-        );
+        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        expect.truncate(st.k());
         let got: Vec<f64> = st.result().iter().map(|n| n.dist).collect();
         assert_eq!(got.len(), expect.len());
         for (g, e) in got.iter().zip(&expect) {
@@ -368,7 +197,7 @@ mod tests {
 
     #[test]
     fn sum_ann_finds_meeting_object_fig_5_1() {
-        let mut m = CpmAnnMonitor::new(16);
+        let mut m = ShardedCpmEngine::<AnnQuery>::new(16, 1);
         m.populate([
             (ObjectId(1), Point::new(0.15, 0.85)),
             (ObjectId(2), Point::new(0.42, 0.48)), // near the centroid
@@ -384,7 +213,7 @@ mod tests {
             ],
             AggregateFn::Sum,
         );
-        m.install_query(QueryId(0), q, 1);
+        m.install(QueryId(0), q, 1).unwrap();
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
         assert_matches(&m, QueryId(0));
         m.check_invariants();
@@ -394,119 +223,13 @@ mod tests {
     fn min_and_max_agree_with_brute_force() {
         let mut rng = StdRng::seed_from_u64(42);
         for f in [AggregateFn::Min, AggregateFn::Max, AggregateFn::Sum] {
-            let mut m = CpmAnnMonitor::new(32);
+            let mut m = ShardedCpmEngine::<AnnQuery>::new(32, 1);
             m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
             let pts = (0..4).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-            m.install_query(QueryId(0), AnnQuery::new(pts, f), 3);
+            m.install(QueryId(0), AnnQuery::new(pts, f), 3).unwrap();
             assert_matches(&m, QueryId(0));
             m.check_invariants();
         }
-    }
-
-    #[test]
-    fn single_point_ann_equals_plain_nn() {
-        // With |Q| = 1 every aggregate degenerates to the Euclidean NN.
-        let mut rng = StdRng::seed_from_u64(7);
-        let objs: Vec<(ObjectId, Point)> = (0..40u32)
-            .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
-            .collect();
-        let qp = Point::new(0.4, 0.6);
-
-        let mut plain = crate::CpmKnnMonitor::new(16);
-        plain.populate(objs.iter().copied());
-        plain.install_query(QueryId(0), qp, 5);
-
-        for f in [AggregateFn::Sum, AggregateFn::Min, AggregateFn::Max] {
-            let mut ann = CpmAnnMonitor::new(16);
-            ann.populate(objs.iter().copied());
-            ann.install_query(QueryId(0), AnnQuery::new(vec![qp], f), 5);
-            let a: Vec<_> = ann
-                .result(QueryId(0))
-                .unwrap()
-                .iter()
-                .map(|n| n.id)
-                .collect();
-            let p: Vec<_> = plain
-                .result(QueryId(0))
-                .unwrap()
-                .iter()
-                .map(|n| n.id)
-                .collect();
-            assert_eq!(a, p, "aggregate {f:?}");
-        }
-    }
-
-    #[test]
-    fn updates_maintain_ann_results() {
-        let mut rng = StdRng::seed_from_u64(0xA55);
-        for f in [AggregateFn::Sum, AggregateFn::Min, AggregateFn::Max] {
-            let mut m = CpmAnnMonitor::new(16);
-            m.populate((0..40u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
-            let pts: Vec<Point> = (0..3).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-            m.install_query(QueryId(0), AnnQuery::new(pts, f), 2);
-
-            let mut live: Vec<u32> = (0..40).collect();
-            let mut next = 40u32;
-            for _ in 0..25 {
-                let mut evs = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                for _ in 0..rng.gen_range(0..8) {
-                    match rng.gen_range(0..8) {
-                        0 if live.len() > 3 => {
-                            let id = live.swap_remove(rng.gen_range(0..live.len()));
-                            if seen.insert(id) {
-                                evs.push(ObjectEvent::Disappear { id: ObjectId(id) });
-                            } else {
-                                live.push(id);
-                            }
-                        }
-                        1 => {
-                            live.push(next);
-                            seen.insert(next);
-                            evs.push(ObjectEvent::Appear {
-                                id: ObjectId(next),
-                                pos: Point::new(rng.gen(), rng.gen()),
-                            });
-                            next += 1;
-                        }
-                        _ => {
-                            let id = live[rng.gen_range(0..live.len())];
-                            if seen.insert(id) {
-                                evs.push(ObjectEvent::Move {
-                                    id: ObjectId(id),
-                                    to: Point::new(rng.gen(), rng.gen()),
-                                });
-                            }
-                        }
-                    }
-                }
-                m.process_cycle(&evs, &[]);
-                m.check_invariants();
-                assert_matches(&m, QueryId(0));
-            }
-        }
-    }
-
-    #[test]
-    fn moving_the_query_set_recomputes() {
-        let mut m = CpmAnnMonitor::new(16);
-        m.populate([
-            (ObjectId(0), Point::new(0.2, 0.2)),
-            (ObjectId(1), Point::new(0.8, 0.8)),
-        ]);
-        let q0 = AnnQuery::new(
-            vec![Point::new(0.1, 0.1), Point::new(0.3, 0.3)],
-            AggregateFn::Max,
-        );
-        m.install_query(QueryId(0), q0, 1);
-        assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(0));
-        let q1 = AnnQuery::new(
-            vec![Point::new(0.7, 0.9), Point::new(0.9, 0.7)],
-            AggregateFn::Max,
-        );
-        m.move_query(QueryId(0), q1);
-        assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
-        m.check_invariants();
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! geometry, which is exactly what the [`crate::CpmServer`] facade and the
 //! mixed-kind subscription hub run on. Dispatch only forwards — every
 //! arithmetic path is the concrete spec's own — so results are
-//! **bit-identical** to the dedicated single-kind engines (asserted by
-//! `tests/unified_server.rs`).
+//! **bit-identical** to a single-kind engine over the concrete spec
+//! (asserted by `tests/unified_server.rs`).
 
 use cpm_geom::{ObjectId, Point};
 use cpm_grid::{CellCoord, Coords, GridGeom, QueryKind};
@@ -117,26 +117,6 @@ impl From<RnnQuery> for AnyQuerySpec {
     }
 }
 
-/// Lift a concrete-spec query event into the unified vocabulary (used by
-/// the per-kind compat monitors to drive a [`crate::CpmServer`]).
-pub fn wrap_event<S: Clone + Into<AnyQuerySpec>>(
-    ev: &crate::SpecEvent<S>,
-) -> crate::SpecEvent<AnyQuerySpec> {
-    use crate::SpecEvent;
-    match ev {
-        SpecEvent::Install { id, spec, k } => SpecEvent::Install {
-            id: *id,
-            spec: spec.clone().into(),
-            k: *k,
-        },
-        SpecEvent::Update { id, spec } => SpecEvent::Update {
-            id: *id,
-            spec: spec.clone().into(),
-        },
-        SpecEvent::Terminate { id } => SpecEvent::Terminate { id: *id },
-    }
-}
-
 /// Forward one [`QuerySpec`] method to the wrapped concrete spec.
 macro_rules! dispatch {
     ($self:expr, $q:ident => $body:expr) => {
@@ -200,7 +180,7 @@ mod tests {
 
     /// Dispatch must agree with the wrapped spec on every trait method —
     /// this is what makes unified-engine results bit-identical to the
-    /// dedicated engines.
+    /// single-kind engines.
     #[test]
     fn dispatch_forwards_every_method_exactly() {
         let grid = cpm_grid::GridBuilder::new(32).build_uniform();

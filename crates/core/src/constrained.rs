@@ -9,13 +9,14 @@
 //! levels may re-enter the region), while objects outside the region are
 //! excluded by an infinite distance. Update handling is untouched: an
 //! object leaving the region is an outgoing NN, one entering it is an
-//! incomer.
+//! incomer. Run it on [`crate::ShardedCpmEngine`]`<ConstrainedQuery>`, or
+//! through [`crate::CpmServer::install_constrained`] next to every other
+//! kind.
 
-use cpm_geom::{Point, QueryId, Rect};
-use cpm_grid::{CellCoord, Grid, GridGeom, Metrics, ObjectEvent};
+use cpm_geom::{Point, Rect};
+use cpm_grid::{CellCoord, GridGeom};
 
-use crate::engine::{QuerySpec, SpecEvent, SpecQueryState};
-use crate::neighbors::Neighbor;
+use crate::engine::QuerySpec;
 use crate::partition::{Direction, Pinwheel};
 
 /// A point query with a rectangular constraint region: report the k objects
@@ -82,183 +83,23 @@ impl QuerySpec for ConstrainedQuery {
     }
 }
 
-/// Continuous constrained-NN monitor — a single-kind **compatibility
-/// shim** over [`crate::CpmServer`]. New code should use the server
-/// directly ([`crate::CpmServer::install_constrained`]), which hosts
-/// constrained queries next to every other kind on one shared grid; this
-/// type keeps the original per-kind surface (panicking on registry misuse
-/// where the server returns [`crate::CpmError`]).
-///
-/// User query ids must stay below the server's reserved internal band
-/// (`2³¹`, [`crate::server::RESERVED_ID_BASE`]) — ids above it are
-/// rejected, where the old dedicated engines accepted the full `u32`
-/// range.
-///
-/// # Example
-///
-/// ```
-/// use cpm_core::constrained::{ConstrainedQuery, CpmConstrainedMonitor};
-/// use cpm_geom::{ObjectId, Point, QueryId};
-///
-/// let mut monitor = CpmConstrainedMonitor::new(64);
-/// monitor.populate([
-///     (ObjectId(0), Point::new(0.49, 0.49)), // closest, but south-west
-///     (ObjectId(1), Point::new(0.60, 0.60)), // the constrained NN
-/// ]);
-/// let q = ConstrainedQuery::northeast_of(Point::new(0.5, 0.5));
-/// monitor.install_query(QueryId(0), q, 1);
-/// assert_eq!(monitor.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
-/// ```
-#[derive(Debug)]
-pub struct CpmConstrainedMonitor {
-    server: crate::CpmServer,
-    /// Scratch: this cycle's events lifted to the unified vocabulary.
-    event_buf: Vec<SpecEvent<crate::AnyQuerySpec>>,
-}
-
-impl CpmConstrainedMonitor {
-    /// Create a sequential monitor over an empty `dim × dim` grid.
-    pub fn new(dim: u32) -> Self {
-        Self::new_sharded(dim, 1)
-    }
-
-    /// Create a monitor whose per-cycle maintenance runs across
-    /// `shards ≥ 1` worker threads (`shards = 1` is sequential; results
-    /// are bit-identical for every shard count — see
-    /// [`crate::ShardedCpmEngine`]).
-    pub fn new_sharded(dim: u32, shards: usize) -> Self {
-        Self {
-            server: crate::CpmServerBuilder::new(dim).shards(shards).build(),
-            event_buf: Vec::new(),
-        }
-    }
-
-    /// Bulk-load objects before any query is installed.
-    pub fn populate<I: IntoIterator<Item = (cpm_geom::ObjectId, Point)>>(&mut self, objects: I) {
-        self.server.populate(objects);
-    }
-
-    /// Install a continuous constrained k-NN query.
-    ///
-    /// # Panics
-    /// Panics if `id` is already installed or `k == 0`.
-    pub fn install_query(&mut self, id: QueryId, query: ConstrainedQuery, k: usize) -> &[Neighbor] {
-        let h = self
-            .server
-            .install_constrained(id, query, k)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.server.result(h).expect("just installed")
-    }
-
-    /// Terminate a query; `true` if it was installed.
-    pub fn terminate_query(&mut self, id: QueryId) -> bool {
-        self.server.terminate(id).is_ok()
-    }
-
-    /// Replace the query point and/or constraint region.
-    ///
-    /// # Panics
-    /// Panics if the query is not installed.
-    pub fn move_query(&mut self, id: QueryId, query: ConstrainedQuery) -> &[Neighbor] {
-        self.server
-            .update_spec(id, crate::AnyQuerySpec::Constrained(query))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Run one processing cycle over object and query events.
-    pub fn process_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<ConstrainedQuery>],
-    ) -> Vec<QueryId> {
-        self.event_buf.clear();
-        // Legacy surface: a batched terminate of an id that is already
-        // gone stays a benign no-op (the server's typed surface reports
-        // it as `UnknownQuery`).
-        self.event_buf.extend(
-            query_events
-                .iter()
-                .filter(|ev| {
-                    !matches!(ev, SpecEvent::Terminate { id }
-                        if self.server.kind_of(*id).is_none())
-                })
-                .map(crate::any::wrap_event),
-        );
-        let events = std::mem::take(&mut self.event_buf);
-        // Legacy monitor surface: clamp stray coordinates and keep each
-        // object's final event, as sequential application always did,
-        // before the server's strict ingest validation.
-        let object_events = crate::server::sanitize_object_events(object_events);
-        let changed = self
-            .server
-            .process_cycle(&object_events, &events)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.event_buf = events;
-        changed
-    }
-
-    /// Current result of query `id`.
-    #[must_use]
-    pub fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        self.server.result(id)
-    }
-
-    /// Full book-keeping state of query `id`.
-    #[must_use]
-    pub fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<crate::AnyQuerySpec>> {
-        self.server.query_state(id)
-    }
-
-    /// The object index.
-    #[must_use]
-    pub fn grid(&self) -> &Grid<cpm_grid::DynIndex> {
-        self.server.grid()
-    }
-
-    /// Merged snapshot of the work counters.
-    #[must_use]
-    pub fn metrics(&self) -> Metrics {
-        self.server.metrics()
-    }
-
-    /// Take and reset the work counters.
-    pub fn take_metrics(&mut self) -> Metrics {
-        self.server.take_metrics()
-    }
-
-    /// Verify internal invariants (test helper).
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.server.check_invariants();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpm_geom::ObjectId;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::ShardedCpmEngine;
+    use cpm_geom::{ObjectId, QueryId};
+    use cpm_grid::ObjectEvent;
 
-    fn brute_force(m: &CpmConstrainedMonitor, q: &ConstrainedQuery, k: usize) -> Vec<f64> {
-        let mut d: Vec<f64> = m
+    fn assert_matches(m: &ShardedCpmEngine<ConstrainedQuery>, qid: QueryId) {
+        let st = m.query_state(qid).unwrap();
+        let mut expect: Vec<f64> = m
             .grid()
             .iter_objects()
-            .filter(|&(_, p)| q.region.contains(p))
-            .map(|(_, p)| q.q.dist(p))
+            .filter(|&(_, p)| st.spec.region.contains(p))
+            .map(|(_, p)| st.spec.q.dist(p))
             .collect();
-        d.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        d.truncate(k);
-        d
-    }
-
-    fn assert_matches(m: &CpmConstrainedMonitor, qid: QueryId) {
-        let st = m.query_state(qid).unwrap();
-        let expect = brute_force(
-            m,
-            st.spec.as_constrained().expect("constrained monitor query"),
-            st.k(),
-        );
+        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        expect.truncate(st.k());
         let got: Vec<f64> = st.result().iter().map(|n| n.dist).collect();
         assert_eq!(got.len(), expect.len());
         for (g, e) in got.iter().zip(&expect) {
@@ -270,14 +111,14 @@ mod tests {
     /// unconstrained NN (west of q) must not be reported.
     #[test]
     fn northeast_constraint_fig_5_3() {
-        let mut m = CpmConstrainedMonitor::new(8);
+        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, 1);
         m.populate([
             (ObjectId(1), Point::new(0.45, 0.55)), // p1: unconstrained NN, NW
             (ObjectId(2), Point::new(0.58, 0.45)), // p2: east but south
             (ObjectId(3), Point::new(0.70, 0.70)), // p3: the constrained NN
         ]);
         let q = ConstrainedQuery::northeast_of(Point::new(0.52, 0.52));
-        m.install_query(QueryId(0), q, 1);
+        m.install(QueryId(0), q, 1).unwrap();
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(3));
         assert_matches(&m, QueryId(0));
         m.check_invariants();
@@ -285,13 +126,13 @@ mod tests {
 
     #[test]
     fn object_leaving_region_is_outgoing() {
-        let mut m = CpmConstrainedMonitor::new(8);
+        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, 1);
         m.populate([
             (ObjectId(1), Point::new(0.6, 0.6)),
             (ObjectId(2), Point::new(0.8, 0.8)),
         ]);
         let q = ConstrainedQuery::northeast_of(Point::new(0.5, 0.5));
-        m.install_query(QueryId(0), q, 1);
+        m.install(QueryId(0), q, 1).unwrap();
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
         // The NN drifts out of the constraint region (still near q!).
         m.process_cycle(
@@ -308,13 +149,13 @@ mod tests {
 
     #[test]
     fn object_entering_region_is_incoming() {
-        let mut m = CpmConstrainedMonitor::new(8);
+        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, 1);
         m.populate([
             (ObjectId(1), Point::new(0.9, 0.9)),
             (ObjectId(2), Point::new(0.45, 0.55)),
         ]);
         let q = ConstrainedQuery::northeast_of(Point::new(0.5, 0.5));
-        m.install_query(QueryId(0), q, 1);
+        m.install(QueryId(0), q, 1).unwrap();
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
         m.process_cycle(
             &[ObjectEvent::Move {
@@ -330,50 +171,14 @@ mod tests {
 
     #[test]
     fn region_with_too_few_objects_returns_partial_result() {
-        let mut m = CpmConstrainedMonitor::new(8);
+        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, 1);
         m.populate([
             (ObjectId(1), Point::new(0.1, 0.1)),
             (ObjectId(2), Point::new(0.7, 0.7)),
         ]);
         let q = ConstrainedQuery::northeast_of(Point::new(0.5, 0.5));
-        m.install_query(QueryId(0), q, 4);
+        m.install(QueryId(0), q, 4).unwrap();
         assert_eq!(m.result(QueryId(0)).unwrap().len(), 1);
         m.check_invariants();
-    }
-
-    #[test]
-    fn randomized_stream_matches_filtered_oracle() {
-        let mut rng = StdRng::seed_from_u64(0xBEEF);
-        let region = Rect::new(Point::new(0.3, 0.2), Point::new(0.8, 0.7));
-        let mut m = CpmConstrainedMonitor::new(16);
-        m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
-        m.install_query(
-            QueryId(0),
-            ConstrainedQuery::new(Point::new(0.5, 0.5), region),
-            3,
-        );
-        // A second query whose point lies *outside* its region.
-        m.install_query(
-            QueryId(1),
-            ConstrainedQuery::new(Point::new(0.05, 0.95), region),
-            2,
-        );
-        for _ in 0..25 {
-            let mut evs = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for _ in 0..rng.gen_range(1..8) {
-                let id = rng.gen_range(0..50u32);
-                if seen.insert(id) {
-                    evs.push(ObjectEvent::Move {
-                        id: ObjectId(id),
-                        to: Point::new(rng.gen(), rng.gen()),
-                    });
-                }
-            }
-            m.process_cycle(&evs, &[]);
-            m.check_invariants();
-            assert_matches(&m, QueryId(0));
-            assert_matches(&m, QueryId(1));
-        }
     }
 }

@@ -32,15 +32,17 @@
 //!    batch concurrently — that is exactly what
 //!    [`crate::ShardedCpmEngine`] does with `std::thread::scope`.
 //!
-//! [`crate::CpmKnnMonitor`] remains the specialized, paper-exact point-query
-//! implementation used in the head-to-head benchmarks against YPK-CNN and
-//! SEA-CNN; the aggregate and constrained monitors are instantiations of
-//! this engine ([`crate::ann`], [`crate::constrained`]).
+//! `EngineCore` is the only implementation of Figures 3.4–3.9 in the
+//! suite: the paper's k-NN workload is the [`PointQuery`] geometry, and
+//! the Section 5 variants ([`crate::ann`], [`crate::constrained`],
+//! [`crate::range`], [`crate::rnn`]) are further [`QuerySpec`]s. It is
+//! driven by [`crate::ShardedCpmEngine`] (one core per shard; one shard is
+//! the sequential engine) and, through it, by [`crate::CpmServer`].
 
 use cpm_geom::{FastHashMap, FastHashSet, ObjectId, Point, QueryId};
 use cpm_grid::{
-    apply_events, kernels, CellCoord, CellIndex, Coords, Grid, GridGeom, InfluenceTable, Metrics,
-    ObjectEvent, QueryKind, SpatialIndex, UpdateRecord,
+    kernels, CellCoord, Coords, Grid, GridGeom, InfluenceTable, Metrics, QueryEvent, QueryKind,
+    SpatialIndex, UpdateRecord,
 };
 
 use crate::delta::{DeltaBuf, NeighborDelta};
@@ -49,7 +51,6 @@ use crate::heap::{HeapEntry, SearchHeap};
 use crate::inlist::InList;
 use crate::neighbors::{Neighbor, NeighborList};
 use crate::partition::{Direction, Pinwheel};
-use crate::regrid::{RegridController, RegridPolicy};
 
 /// Query geometry: everything the CPM machinery needs to know about a
 /// query in order to search for it and maintain its result.
@@ -120,11 +121,8 @@ pub trait QuerySpec: std::fmt::Debug + Clone {
 }
 
 /// The plain point k-NN query as an engine geometry: Euclidean distance,
-/// `mindist` cell keys, the query cell as base block (Section 3).
-///
-/// [`crate::CpmKnnMonitor`] is the hand-specialized equivalent; this spec
-/// exists so the generic machinery — in particular the sharded engine —
-/// can serve the paper's core workload.
+/// `mindist` cell keys, the query cell as base block (Section 3) — the
+/// paper's core workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointQuery(pub Point);
 
@@ -198,8 +196,28 @@ impl<S> SpecEvent<S> {
     }
 }
 
-/// Book-keeping for one engine-managed query (mirrors
-/// [`crate::KnnQueryState`], with the point replaced by a [`QuerySpec`]).
+/// The paper's k-NN event vocabulary ([`QueryEvent`], what the workload
+/// generators emit) lifted to the engine's: a query move is a geometry
+/// update.
+impl From<QueryEvent> for SpecEvent<PointQuery> {
+    fn from(ev: QueryEvent) -> Self {
+        match ev {
+            QueryEvent::Install { id, pos, k } => SpecEvent::Install {
+                id,
+                spec: PointQuery(pos),
+                k,
+            },
+            QueryEvent::Move { id, to } => SpecEvent::Update {
+                id,
+                spec: PointQuery(to),
+            },
+            QueryEvent::Terminate { id } => SpecEvent::Terminate { id },
+        }
+    }
+}
+
+/// Book-keeping for one engine-managed query: the query-table entry of
+/// Figure 3.3a, with the query point generalized to a [`QuerySpec`].
 #[derive(Debug, Clone)]
 pub struct SpecQueryState<S> {
     /// Query identifier.
@@ -297,8 +315,8 @@ pub(crate) struct EngineCore<S: QuerySpec> {
     qid_buf: Vec<QueryId>,
     snapshot: Vec<Neighbor>,
     /// When set, every cycle's result changes are also captured as
-    /// [`NeighborDelta`]s (cleared at cycle start, drained by the engine
-    /// wrappers' `process_cycle_with_deltas`).
+    /// [`NeighborDelta`]s (cleared at cycle start, drained by
+    /// [`crate::ShardedCpmEngine::process_cycle_with_deltas`]).
     collect_deltas: bool,
     deltas: Vec<(QueryId, NeighborDelta)>,
     /// Queries whose result changed during a re-grid re-registration
@@ -377,10 +395,6 @@ impl<S: QuerySpec> EngineCore<S> {
 
     pub(crate) fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    pub(crate) fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     pub(crate) fn take_metrics(&mut self) -> Metrics {
@@ -971,296 +985,185 @@ impl<S: QuerySpec> EngineCore<S> {
     }
 }
 
-/// The generic conceptual-partitioning monitor.
-///
-/// All queries in one engine share the same [`QuerySpec`] type (one engine
-/// per query class); heterogeneous workloads use several engines over
-/// separate grids or share a grid externally. Internally the engine is a
-/// [`Grid`] plus a single `EngineCore` — the sharded variant
-/// ([`crate::ShardedCpmEngine`]) pairs the same grid with several cores.
-///
-/// The second type parameter selects the [`SpatialIndex`] backend and
-/// defaults to the paper-exact [`CellIndex`]; results are backend-
-/// independent (specs only consume [`GridGeom`]), so the choice is purely
-/// a performance knob. Runtime selection goes through
-/// [`CpmEngine::with_grid`] and a [`cpm_grid::DynIndex`] grid.
-#[derive(Debug)]
-pub struct CpmEngine<S: QuerySpec, I: SpatialIndex = CellIndex> {
-    grid: Grid<I>,
-    core: EngineCore<S>,
-    records: Vec<UpdateRecord>,
-    regrid: RegridController,
-}
+#[cfg(test)]
+mod tests {
+    //! The worked examples of Section 3 (Figures 3.2, 3.5, 3.7), driven
+    //! through the `S = 1` engine over plain point queries.
 
-impl<S: QuerySpec> CpmEngine<S> {
-    /// Create an engine over an empty `dim × dim` grid with the default
-    /// uniform backend.
-    pub fn new(dim: u32) -> Self {
-        Self::with_grid(cpm_grid::GridBuilder::new(dim).build_uniform())
+    use super::*;
+    use crate::ShardedCpmEngine;
+    use cpm_grid::ObjectEvent;
+
+    type Engine = ShardedCpmEngine<PointQuery>;
+    const Q: QueryId = QueryId(0);
+    /// δ of the 8×8 grid the figures are drawn on.
+    const D: f64 = 1.0 / 8.0;
+
+    fn pt(x: f64, y: f64) -> Point {
+        Point::new(x * D, y * D)
     }
-}
 
-impl<S: QuerySpec, I: SpatialIndex> CpmEngine<S, I> {
-    /// Create an engine over a pre-built (typically empty) grid, keeping
-    /// whatever index backend it was configured with.
-    pub fn with_grid(grid: Grid<I>) -> Self {
-        let dim = grid.dim();
-        Self {
-            grid,
-            core: EngineCore::new(dim),
-            records: Vec::new(),
-            regrid: RegridController::new(RegridPolicy::Manual),
+    fn mv(id: u32, x: f64, y: f64) -> ObjectEvent {
+        ObjectEvent::Move {
+            id: ObjectId(id),
+            to: pt(x, y),
         }
     }
 
-    /// Replace the re-grid policy (default: [`RegridPolicy::Manual`]).
-    /// With [`RegridPolicy::Auto`], the policy is evaluated at the start
-    /// of every processing cycle against the observed workload.
-    pub fn set_regrid_policy(&mut self, policy: RegridPolicy) {
-        self.regrid.set_policy(policy);
-    }
-
-    /// The active re-grid policy.
-    #[must_use]
-    pub fn regrid_policy(&self) -> &RegridPolicy {
-        self.regrid.policy()
-    }
-
-    /// Re-grid to a new resolution *now*: rebuild the cell index from the
-    /// (untouched) object store and re-register every query against the
-    /// new δ, in one deterministic pass. Results, changed lists and delta
-    /// streams stay bit-identical to an engine built at `new_dim` from
-    /// scratch. Returns the number of objects migrated (0 if `new_dim` is
-    /// the current dimension).
-    ///
-    /// # Errors
-    /// [`CpmError::InvalidDim`] if the active backend rejects `new_dim`
-    /// (out of `1..=4096`, or not a power of two for a quadtree index).
-    pub fn regrid_to(&mut self, new_dim: u32) -> Result<usize, CpmError> {
-        if new_dim == self.grid.dim() {
-            return Ok(0);
-        }
-        self.grid
-            .index()
-            .kind()
-            .check_dim(new_dim)
-            .map_err(CpmError::from)?;
-        let migrated = self.grid.regrid(new_dim);
-        let metrics = self.core.metrics_mut();
-        metrics.regrids += 1;
-        metrics.regrid_objects_migrated += migrated as u64;
-        self.core.rebind_grid(&self.grid);
-        Ok(migrated)
-    }
-
-    /// Evaluate the automatic policy at the cycle boundary (phase 0 of a
-    /// processing cycle). Free under the default [`RegridPolicy::Manual`]
-    /// — the observation and the O(queries) `k` sweep only run when a
-    /// policy could act on them.
-    fn maybe_auto_regrid(&mut self, object_events: usize, query_events: usize) {
-        if !self.regrid.policy().is_auto() {
-            return;
-        }
-        self.regrid.observe_cycle(
-            object_events,
-            query_events,
-            self.grid.len(),
-            self.core.query_count(),
-        );
-        self.regrid.observe_occupancy(self.grid.stats());
-        let (n_queries, sum_k) = self.core.k_stats();
-        let avg_k = sum_k / n_queries.max(1);
-        if let Some(dim) = self.regrid.decide(
-            self.core.epoch(),
-            self.grid.len(),
-            n_queries,
-            avg_k,
-            self.grid.dim(),
-        ) {
-            // The controller's dims come from the validated policy range;
-            // a backend that rejects one (non-pow2 on a quadtree) simply
-            // skips this adjustment and re-evaluates next period.
-            let _ = self.regrid_to(dim);
+    fn move_query(x: f64, y: f64) -> SpecEvent<PointQuery> {
+        SpecEvent::Update {
+            id: Q,
+            spec: PointQuery(pt(x, y)),
         }
     }
 
-    /// Bulk-load objects before any query is installed.
-    ///
-    /// # Panics
-    /// Panics if queries are already installed.
-    pub fn populate<It: IntoIterator<Item = (ObjectId, Point)>>(&mut self, objects: It) {
-        assert!(
-            self.core.query_count() == 0,
-            "populate() is only valid before queries are installed"
-        );
-        for (oid, pos) in objects {
-            self.grid.insert(oid, pos);
+    /// The Figure 3.2 layout (coordinates in units of δ): q = (4.2, 4.9)
+    /// in cell c4,4; p1 ∈ c3,3; p2 ∈ c2,4 is the NN.
+    fn fig_3_2() -> Engine {
+        let mut m = Engine::new(8, 1);
+        m.populate([
+            (ObjectId(1), pt(3.3, 3.5)), // p1
+            (ObjectId(2), pt(2.9, 4.5)), // p2 (the NN)
+            (ObjectId(3), pt(2.2, 6.5)), // p3, farther
+            (ObjectId(4), pt(5.5, 6.6)), // p4, farther
+        ]);
+        m.install(Q, PointQuery(pt(4.2, 4.9)), 1).unwrap();
+        m.take_metrics();
+        m
+    }
+
+    fn nn(m: &Engine) -> ObjectId {
+        m.result(Q).unwrap()[0].id
+    }
+
+    fn assert_matches_oracle(m: &Engine) {
+        let st = m.query_state(Q).unwrap();
+        let mut expect: Vec<f64> = m
+            .grid()
+            .iter_objects()
+            .map(|(_, p)| st.spec.0.dist(p))
+            .collect();
+        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        expect.truncate(st.k());
+        let got: Vec<f64> = st.result().iter().map(|n| n.dist).collect();
+        assert_eq!(got.len(), expect.len(), "result size");
+        for (g, e) in got.iter().zip(&expect) {
+            assert!((g - e).abs() < 1e-9, "{got:?} vs {expect:?}");
         }
+        m.check_invariants();
     }
 
-    /// The object index.
-    #[must_use]
-    pub fn grid(&self) -> &Grid<I> {
-        &self.grid
+    #[test]
+    fn nn_computation_example_fig_3_2() {
+        let m = fig_3_2();
+        assert_eq!(nn(&m), ObjectId(2));
+        assert_matches_oracle(&m);
+        let st = m.query_state(Q).unwrap();
+        // The search processed only a neighborhood, not the whole grid.
+        assert!(st.visit_list.len() < 30, "visited {}", st.visit_list.len());
+        assert!(st.heap.boundary_boxes() <= 4);
     }
 
-    /// Number of installed queries.
-    #[must_use]
-    pub fn query_count(&self) -> usize {
-        self.core.query_count()
+    #[test]
+    fn update_outside_best_dist_changes_nothing_fig_3_5a() {
+        let mut m = fig_3_2();
+        // p4 moves from c5,6 into the influence region's vicinity (c5,3)
+        // but farther than best_dist: no result change, no recomputation.
+        assert!(m.process_cycle(&[mv(4, 5.5, 3.4)], &[]).is_empty());
+        assert_eq!(m.metrics().recomputations, 0);
+        assert_eq!(nn(&m), ObjectId(2));
+        m.check_invariants();
     }
 
-    /// The current result of query `id`.
-    #[must_use]
-    pub fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        self.core.query_state(id).map(|st| st.result())
+    #[test]
+    fn outgoing_nn_triggers_recomputation_fig_3_5b() {
+        let mut m = fig_3_2();
+        // First p4 comes nearer (as in Figure 3.5a): outside best_dist but
+        // closer to q than p1, so it becomes the NN once p2 departs.
+        m.process_cycle(&[mv(4, 4.6, 3.5)], &[]);
+        m.take_metrics();
+        // Then the current NN p2 moves far away: q is affected and the
+        // re-computation module must find p4 as the new NN.
+        assert_eq!(m.process_cycle(&[mv(2, 0.5, 6.5)], &[]), vec![Q]);
+        assert_eq!(m.metrics().recomputations, 1);
+        assert_eq!(nn(&m), ObjectId(4));
+        assert_matches_oracle(&m);
     }
 
-    /// Full book-keeping state of query `id`.
-    #[must_use]
-    pub fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<S>> {
-        self.core.query_state(id)
+    #[test]
+    fn incomer_covers_outgoer_without_recomputation_fig_3_7() {
+        let mut m = fig_3_2();
+        // p2 (the NN) leaves; p3 moves closer than best_dist in the same
+        // batch. CPM must resolve this by merging, without grid search.
+        let changed = m.process_cycle(&[mv(2, 0.5, 6.5), mv(3, 3.6, 4.5)], &[]);
+        assert_eq!(changed, vec![Q]);
+        assert_eq!(m.metrics().recomputations, 0);
+        assert_eq!(m.metrics().merge_resolutions, 1);
+        assert_eq!(nn(&m), ObjectId(3));
+        assert_matches_oracle(&m);
     }
 
-    /// Work counters accumulated since the last [`CpmEngine::take_metrics`].
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        self.core.metrics()
+    #[test]
+    fn offline_nn_is_treated_as_outgoing() {
+        let mut m = fig_3_2();
+        let changed = m.process_cycle(&[ObjectEvent::Disappear { id: ObjectId(2) }], &[]);
+        assert_eq!(changed, vec![Q]);
+        assert_eq!(nn(&m), ObjectId(1));
+        assert_matches_oracle(&m);
     }
 
-    /// Take and reset the work counters.
-    pub fn take_metrics(&mut self) -> Metrics {
-        self.core.take_metrics()
+    #[test]
+    fn appearing_object_can_become_nn() {
+        let mut m = fig_3_2();
+        let appear = ObjectEvent::Appear {
+            id: ObjectId(9),
+            pos: pt(4.3, 4.8),
+        };
+        assert_eq!(m.process_cycle(&[appear], &[]), vec![Q]);
+        assert_eq!(nn(&m), ObjectId(9));
+        assert_matches_oracle(&m);
     }
 
-    /// Install a new query and compute its initial result.
-    ///
-    /// # Errors
-    /// [`CpmError::DuplicateQuery`] if `id` is already installed,
-    /// [`CpmError::InvalidK`] if `k == 0`.
-    pub fn install(&mut self, id: QueryId, spec: S, k: usize) -> Result<&[Neighbor], CpmError> {
-        self.core.install(&self.grid, id, spec, k)
+    #[test]
+    fn query_move_recomputes_from_scratch() {
+        let mut m = fig_3_2();
+        assert_eq!(m.process_cycle(&[], &[move_query(5.4, 6.4)]), vec![Q]);
+        assert_eq!(m.metrics().computations, 1);
+        assert_eq!(nn(&m), ObjectId(4));
+        assert_matches_oracle(&m);
     }
 
-    /// Terminate query `id`.
-    ///
-    /// # Errors
-    /// [`CpmError::UnknownQuery`] if `id` is not installed.
-    pub fn terminate(&mut self, id: QueryId) -> Result<(), CpmError> {
-        self.core.terminate(id)
+    #[test]
+    fn moving_query_is_ignored_during_object_updates() {
+        let mut m = fig_3_2();
+        // The NN departs *and* the query moves in the same cycle; the
+        // object update must not trigger work for the obsolete query.
+        let changed = m.process_cycle(&[mv(2, 0.5, 6.5)], &[move_query(5.4, 6.4)]);
+        assert_eq!(changed, vec![Q]);
+        assert_eq!(m.metrics().recomputations, 0, "obsolete query recomputed");
+        assert_eq!(m.metrics().computations, 1);
+        assert_matches_oracle(&m);
     }
 
-    /// Replace the geometry of query `id` (terminate + reinstall).
-    ///
-    /// # Errors
-    /// [`CpmError::UnknownQuery`] if `id` is not installed.
-    pub fn update_spec(&mut self, id: QueryId, spec: S) -> Result<&[Neighbor], CpmError> {
-        self.core.update_spec(&self.grid, id, spec)
-    }
-
-    /// Run one processing cycle: object events (batched update handling),
-    /// then query events. Returns ids of queries whose result changed.
-    pub fn process_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
-    ) -> Vec<QueryId> {
-        assert!(
-            !self.core.collects_deltas(),
-            "this engine collects deltas: use process_cycle_with_deltas, or the delta \
-             stream silently loses this cycle's changes"
-        );
-        let mut changed = Vec::new();
-        self.run_cycle(object_events, query_events, &mut changed);
-        changed
-    }
-
-    /// The cycle body shared by [`CpmEngine::process_cycle`] and the
-    /// delta-returning variants; changed ids are appended to the caller's
-    /// buffer so recycling callers allocate nothing per cycle.
-    fn run_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
-        changed: &mut Vec<QueryId>,
-    ) {
-        // Phase 0: adaptive re-grid at the cycle boundary.
-        self.maybe_auto_regrid(object_events.len(), query_events.len());
-
-        self.core.begin_cycle(query_events.iter().map(|ev| ev.id()));
-
-        // Phase 1: sequential grid ingest.
-        self.records.clear();
-        self.core.metrics_mut().updates_applied +=
-            apply_events(&mut self.grid, object_events, &mut self.records);
-
-        // Phase 2: query maintenance over the immutable grid.
-        self.core.apply_records(&self.grid, &self.records, changed);
-        self.core
-            .apply_query_events(&self.grid, query_events, changed);
-        self.core.finish_regrid(changed);
-    }
-
-    /// Turn per-cycle delta capture on (see
-    /// [`CpmEngine::process_cycle_with_deltas`]). Capture costs one
-    /// O(result) snapshot per touched query per cycle and is off by
-    /// default.
-    pub fn enable_deltas(&mut self) {
-        self.core.set_collect_deltas(true);
-    }
-
-    /// The processing-cycle counter: 0 before any cycle, incremented by
-    /// every `process_cycle` call. Delta epochs carry this value.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.core.epoch()
-    }
-
-    /// Run one processing cycle and return the per-query result deltas
-    /// alongside the changed-query list (both ascending by query id).
-    ///
-    /// # Panics
-    /// Panics if delta capture was not enabled with
-    /// [`CpmEngine::enable_deltas`] — silently returning an empty batch
-    /// would break replay losslessness.
-    pub fn process_cycle_with_deltas(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
-    ) -> crate::delta::CycleDeltas {
-        let mut out = crate::delta::CycleDeltas::default();
-        self.process_cycle_with_deltas_into(object_events, query_events, &mut out);
-        out
-    }
-
-    /// [`CpmEngine::process_cycle_with_deltas`], but refilling a
-    /// caller-owned batch so a steady-state caller that recycles the same
-    /// [`crate::CycleDeltas`] pays no per-cycle batch allocation.
-    ///
-    /// # Panics
-    /// Panics if delta capture was not enabled with
-    /// [`CpmEngine::enable_deltas`].
-    pub fn process_cycle_with_deltas_into(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
-        out: &mut crate::delta::CycleDeltas,
-    ) {
-        assert!(
-            self.core.collect_deltas,
-            "enable_deltas() must be called before processing cycles with deltas"
-        );
-        out.changed.clear();
-        self.run_cycle(object_events, query_events, &mut out.changed);
-        out.changed.sort_unstable();
-        out.deltas.clear();
-        self.core.drain_deltas_into(&mut out.deltas);
-        out.canonicalize(self.core.epoch());
-    }
-
-    /// Verify all cross-structure invariants (test helper).
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.core.check_invariants(&self.grid);
+    #[test]
+    fn k_larger_than_population_and_empty_grid() {
+        let mut m = Engine::new(16, 1);
+        assert!(m
+            .install(Q, PointQuery(Point::new(0.5, 0.5)), 3)
+            .unwrap()
+            .is_empty());
+        m.check_invariants();
+        // Objects appear one by one and must join the (unfull) result.
+        for (i, x) in [0.1, 0.9, 0.51].into_iter().enumerate() {
+            let appear = ObjectEvent::Appear {
+                id: ObjectId(i as u32),
+                pos: Point::new(x, x),
+            };
+            assert_eq!(m.process_cycle(&[appear], &[]), vec![Q]);
+            assert_eq!(m.result(Q).unwrap().len(), i + 1);
+            assert_eq!(m.query_state(Q).unwrap().best_dist().is_infinite(), i < 2);
+            assert_matches_oracle(&m);
+        }
+        assert_eq!(nn(&m), ObjectId(2));
     }
 }

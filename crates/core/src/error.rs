@@ -47,8 +47,8 @@ pub enum CpmError {
     /// before any state changes.
     NonFiniteCoordinate(ObjectId),
     /// An object event placed an object outside the unit workspace. The
-    /// legacy single-kind monitors clamp such positions to the boundary;
-    /// the server surface treats them as hostile input and rejects the
+    /// bare engine clamps such positions to the boundary; the server
+    /// surface treats them as hostile input and rejects the
     /// batch before any state changes.
     OutOfWorkspace(ObjectId),
     /// One batch contained two object events for the same id. Per-cycle

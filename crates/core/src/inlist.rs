@@ -1,6 +1,5 @@
 //! The capped incoming-object list of batched update handling
-//! (`q.in_list`, Figure 3.8). Shared by the specialized k-NN monitor and
-//! the generic CPM engine.
+//! (`q.in_list`, Figure 3.8).
 
 use cpm_geom::ObjectId;
 
@@ -77,5 +76,46 @@ impl InList {
             self.entries.pop();
             self.evicted = true;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn keeps_best_cap_by_distance() {
+        let mut l = InList::with_cap(2);
+        l.update(ObjectId(1), 0.5);
+        l.update(ObjectId(2), 0.3);
+        l.update(ObjectId(3), 0.4); // evicts 0.5
+        assert_eq!(l.len(), 2);
+        assert!(l.evicted_since_clear());
+        let ids: Vec<u32> = l.entries().iter().map(|e| e.id.0).collect();
+        assert_eq!(ids, vec![2, 3]);
+    }
+
+    #[test]
+    fn replaces_on_repeated_update() {
+        let mut l = InList::with_cap(4);
+        l.update(ObjectId(1), 0.5);
+        l.update(ObjectId(1), 0.1);
+        assert_eq!(l.len(), 1);
+        assert_eq!(l.entries()[0].dist, 0.1);
+        assert!(l.remove(ObjectId(1)));
+        assert!(!l.remove(ObjectId(1)));
+        assert!(!l.evicted_since_clear());
+    }
+
+    #[test]
+    fn worse_than_full_list_sets_evicted() {
+        let mut l = InList::with_cap(1);
+        l.update(ObjectId(1), 0.1);
+        l.update(ObjectId(2), 0.9);
+        assert_eq!(l.len(), 1);
+        assert_eq!(l.entries()[0].id, ObjectId(1));
+        assert!(l.evicted_since_clear());
+        l.clear();
+        assert!(!l.evicted_since_clear());
     }
 }

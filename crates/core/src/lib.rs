@@ -6,29 +6,27 @@
 //! * [`partition`] — the conceptual space partitioning into direction/level
 //!   rectangles around a query (Section 3.1, Lemma 3.1), generalized to
 //!   rectangular bases for aggregate queries (Section 5).
-//! * [`knn`] — continuous k-NN monitoring: NN computation (Fig. 3.4),
-//!   re-computation (Fig. 3.6), batched update handling with the
-//!   incoming/outgoing optimization (Fig. 3.8), and the complete monitoring
-//!   cycle (Fig. 3.9). Entry point: [`CpmKnnMonitor`].
-//! * [`ann`] — continuous aggregate-NN monitoring for `sum`, `min` and
-//!   `max` (Section 5). Entry point: [`CpmAnnMonitor`].
-//! * [`constrained`] — constrained NN monitoring restricted to a
-//!   rectangular region (Section 5). Entry point: [`CpmConstrainedMonitor`].
-//! * [`range`] — continuous range monitoring (rectangle/circle
-//!   membership), the subscription shape of location-aware pub/sub. Entry
-//!   point: [`CpmRangeMonitor`].
-//! * [`server`] — the **unified multi-query facade**: every kind above on
-//!   one shared grid with a single per-cycle ingest, typed handles, and a
-//!   [`CpmError`]-based registry surface. Entry point: [`CpmServer`] via
-//!   [`CpmServerBuilder`]. The per-kind monitors are kept as thin
-//!   compatibility shims over it.
+//! * [`engine`] — the **one** implementation of the maintenance
+//!   algorithm: NN computation (Fig. 3.4), re-computation (Fig. 3.6),
+//!   batched update handling with the incoming/outgoing optimization
+//!   (Fig. 3.8) and the monitoring cycle (Fig. 3.9), written once over a
+//!   [`QuerySpec`]. The paper's k-NN query is the [`PointQuery`] spec.
+//! * [`shard`] — [`ShardedCpmEngine`], the engine every algorithm, figure
+//!   and test drives: a grid plus `S ≥ 1` query shards maintained on
+//!   worker threads, bit-identical for every `S`. `S = 1` is the
+//!   sequential engine (no threads, no routing).
+//! * [`server`] — [`CpmServer`] (via [`CpmServerBuilder`]), the
+//!   validating production surface: every query kind on one shared grid
+//!   with a single per-cycle ingest, typed handles, and a
+//!   [`CpmError`]-based registry that rejects malformed batches before
+//!   any state changes.
+//! * [`ann`], [`constrained`], [`range`], [`rnn`] — the Section 5 query
+//!   geometries ([`AnnQuery`] for `sum`/`min`/`max` aggregates,
+//!   [`ConstrainedQuery`], [`RangeQuery`], and the reverse-NN sector
+//!   candidates [`RnnQuery`]), each a [`QuerySpec`] of the same engine.
 //! * [`any`] — [`AnyQuerySpec`], the enum over every query geometry that
 //!   lets the generic engines run heterogeneous query sets unchanged.
 //! * [`error`] — the typed error surface ([`CpmError`]).
-//! * [`shard`] — sharded parallel cycle processing: queries partitioned
-//!   across worker threads over one shared grid, bit-identical to the
-//!   sequential engine. Entry points: [`ShardedCpmEngine`],
-//!   [`ShardedKnnMonitor`].
 //! * [`delta`] — per-cycle result deltas ([`NeighborDelta`]), extracted
 //!   inside the maintenance phase and merged deterministically across
 //!   shards; the wire format of the [`cpm-sub`] subscription layer.
@@ -47,6 +45,9 @@
 //!
 //! The substrate (grid index, influence lists, metrics) lives in
 //! [`cpm_grid`]; geometry primitives in [`cpm_geom`].
+//!
+//! Start from the example on [`ShardedCpmEngine`] (algorithms, figures,
+//! tests) or on [`CpmServer`] (anything fed from outside the program).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -61,7 +62,6 @@ pub mod engine;
 pub mod error;
 pub mod heap;
 mod inlist;
-pub mod knn;
 pub mod neighbors;
 pub mod partition;
 pub mod range;
@@ -72,23 +72,22 @@ pub mod shard;
 pub mod snapshot;
 
 pub use analysis::CostModel;
-pub use ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
+pub use ann::{AggregateFn, AnnQuery};
 pub use any::AnyQuerySpec;
-pub use constrained::{ConstrainedQuery, CpmConstrainedMonitor};
+pub use constrained::ConstrainedQuery;
 pub use delta::{CycleDeltas, NeighborDelta};
-pub use engine::{CpmEngine, PointQuery, QuerySpec, SpecEvent, SpecQueryState};
+pub use engine::{PointQuery, QuerySpec, SpecEvent, SpecQueryState};
 pub use error::CpmError;
-pub use knn::{CpmConfig, CpmKnnMonitor, KnnQueryState};
 pub use neighbors::{Neighbor, NeighborList};
 pub use partition::{Direction, Pinwheel, Strip};
-pub use range::{CpmRangeMonitor, RangeQuery, Region};
+pub use range::{RangeQuery, Region};
 pub use regrid::{AutoRegridConfig, RegridController, RegridPolicy};
-pub use rnn::{CpmRnnMonitor, RnnQuery};
+pub use rnn::RnnQuery;
 pub use server::{
     AnnHandle, ConstrainedHandle, CpmServer, CpmServerBuilder, KnnHandle, QueryHandle, RangeHandle,
     RnnHandle,
 };
-pub use shard::{shard_of, ShardedCpmEngine, ShardedKnnMonitor};
+pub use shard::{shard_of, ShardedCpmEngine};
 pub use snapshot::{
     DurableCpmServer, EngineSnapshot, JournalRecord, RecoveryError, RecoveryReport, Snapshot,
 };

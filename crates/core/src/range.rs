@@ -24,15 +24,16 @@
 //! Results are ordered ascending by `(distance to the region's anchor
 //! point, id)` — the same canonical order every other monitor uses — so
 //! deltas, sharding and replay behave identically for range and k-NN
-//! subscriptions.
+//! subscriptions. Run it on [`crate::ShardedCpmEngine`]`<RangeQuery>`
+//! (install with `k =` [`RangeQuery::UNBOUNDED_K`]), or through
+//! [`crate::CpmServer::install_range`] next to every other kind.
 //!
 //! [`cpm-sub`]: ../../cpm_sub/index.html
 
-use cpm_geom::{ObjectId, Point, QueryId, Rect};
-use cpm_grid::{CellCoord, Grid, GridGeom, Metrics, ObjectEvent};
+use cpm_geom::{Point, Rect};
+use cpm_grid::{CellCoord, GridGeom};
 
-use crate::engine::{QuerySpec, SpecEvent, SpecQueryState};
-use crate::neighbors::Neighbor;
+use crate::engine::QuerySpec;
 use crate::partition::{Direction, Pinwheel};
 
 /// The monitored region of a [`RangeQuery`].
@@ -163,173 +164,22 @@ impl QuerySpec for RangeQuery {
     }
 }
 
-/// Continuous range monitor — a single-kind **compatibility shim** over
-/// [`crate::CpmServer`]. New code should use the server directly
-/// ([`crate::CpmServer::install_range`]), which hosts range queries next
-/// to every other kind on one shared grid; this type keeps the original
-/// per-kind surface (panicking on registry misuse where the server
-/// returns [`crate::CpmError`]).
-///
-/// User query ids must stay below the server's reserved internal band
-/// (`2³¹`, [`crate::server::RESERVED_ID_BASE`]) — ids above it are
-/// rejected, where the old dedicated engines accepted the full `u32`
-/// range.
-///
-/// # Example
-///
-/// ```
-/// use cpm_core::range::{CpmRangeMonitor, RangeQuery};
-/// use cpm_geom::{ObjectId, Point, QueryId, Rect};
-/// use cpm_grid::ObjectEvent;
-///
-/// let mut monitor = CpmRangeMonitor::new(64);
-/// monitor.populate([
-///     (ObjectId(0), Point::new(0.40, 0.40)), // inside
-///     (ObjectId(1), Point::new(0.90, 0.90)), // outside
-/// ]);
-/// let region = Rect::new(Point::new(0.25, 0.25), Point::new(0.75, 0.75));
-/// monitor.install_query(QueryId(0), RangeQuery::rect(region));
-/// assert_eq!(monitor.result(QueryId(0)).unwrap().len(), 1);
-///
-/// // The outsider drives into the region.
-/// let changed = monitor.process_cycle(
-///     &[ObjectEvent::Move { id: ObjectId(1), to: Point::new(0.6, 0.6) }],
-///     &[],
-/// );
-/// assert_eq!(changed, vec![QueryId(0)]);
-/// assert_eq!(monitor.result(QueryId(0)).unwrap().len(), 2);
-/// ```
-#[derive(Debug)]
-pub struct CpmRangeMonitor {
-    server: crate::CpmServer,
-    /// Scratch: this cycle's events lifted to the unified vocabulary.
-    event_buf: Vec<SpecEvent<crate::AnyQuerySpec>>,
-}
-
-impl CpmRangeMonitor {
-    /// Create a sequential monitor over an empty `dim × dim` grid.
-    pub fn new(dim: u32) -> Self {
-        Self::new_sharded(dim, 1)
-    }
-
-    /// Create a monitor whose per-cycle maintenance runs across
-    /// `shards ≥ 1` worker threads (`shards = 1` is sequential).
-    pub fn new_sharded(dim: u32, shards: usize) -> Self {
-        Self {
-            server: crate::CpmServerBuilder::new(dim).shards(shards).build(),
-            event_buf: Vec::new(),
-        }
-    }
-
-    /// Bulk-load objects before any query is installed.
-    pub fn populate<I: IntoIterator<Item = (ObjectId, Point)>>(&mut self, objects: I) {
-        self.server.populate(objects);
-    }
-
-    /// Install a continuous range query and compute its initial result.
-    ///
-    /// # Panics
-    /// Panics if `id` is already installed.
-    pub fn install_query(&mut self, id: QueryId, query: RangeQuery) -> &[Neighbor] {
-        let h = self
-            .server
-            .install_range(id, query)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.server.result(h).expect("just installed")
-    }
-
-    /// Terminate a query; `true` if it was installed.
-    pub fn terminate_query(&mut self, id: QueryId) -> bool {
-        self.server.terminate(id).is_ok()
-    }
-
-    /// Run one processing cycle over object and query events. Install
-    /// events should carry `k =` [`RangeQuery::UNBOUNDED_K`]; any other
-    /// `k` is normalized to it by the underlying server (range results
-    /// are membership sets, never capped).
-    pub fn process_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<RangeQuery>],
-    ) -> Vec<QueryId> {
-        self.event_buf.clear();
-        // Legacy surface: a batched terminate of an id that is already
-        // gone stays a benign no-op (the server's typed surface reports
-        // it as `UnknownQuery`).
-        self.event_buf.extend(
-            query_events
-                .iter()
-                .filter(|ev| {
-                    !matches!(ev, SpecEvent::Terminate { id }
-                        if self.server.kind_of(*id).is_none())
-                })
-                .map(crate::any::wrap_event),
-        );
-        let events = std::mem::take(&mut self.event_buf);
-        // Legacy monitor surface: clamp stray coordinates and keep each
-        // object's final event, as sequential application always did,
-        // before the server's strict ingest validation.
-        let object_events = crate::server::sanitize_object_events(object_events);
-        let changed = self
-            .server
-            .process_cycle(&object_events, &events)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.event_buf = events;
-        changed
-    }
-
-    /// Current result of query `id`: every object inside the region,
-    /// ascending by `(distance to the region anchor, id)`.
-    #[must_use]
-    pub fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        self.server.result(id)
-    }
-
-    /// Full book-keeping state of query `id`.
-    #[must_use]
-    pub fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<crate::AnyQuerySpec>> {
-        self.server.query_state(id)
-    }
-
-    /// The object index.
-    #[must_use]
-    pub fn grid(&self) -> &Grid<cpm_grid::DynIndex> {
-        self.server.grid()
-    }
-
-    /// Number of installed queries.
-    #[must_use]
-    pub fn query_count(&self) -> usize {
-        self.server.query_count()
-    }
-
-    /// Merged snapshot of the work counters.
-    #[must_use]
-    pub fn metrics(&self) -> Metrics {
-        self.server.metrics()
-    }
-
-    /// Take and reset the work counters.
-    pub fn take_metrics(&mut self) -> Metrics {
-        self.server.take_metrics()
-    }
-
-    /// Verify internal invariants (test helper).
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.server.check_invariants();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::neighbors::Neighbor;
+    use crate::ShardedCpmEngine;
+    use cpm_geom::{ObjectId, QueryId};
+
+    type RangeEngine = ShardedCpmEngine<RangeQuery>;
+
+    fn install(m: &mut RangeEngine, id: QueryId, q: RangeQuery) {
+        m.install(id, q, RangeQuery::UNBOUNDED_K).unwrap();
+    }
 
     /// Ground truth: objects inside the region, ascending by
     /// `(anchor distance, id)`.
-    fn brute_force(m: &CpmRangeMonitor, q: &RangeQuery) -> Vec<Neighbor> {
+    fn brute_force(m: &RangeEngine, q: &RangeQuery) -> Vec<Neighbor> {
         let anchor = q.region.anchor();
         let mut out: Vec<Neighbor> = m
             .grid()
@@ -348,15 +198,15 @@ mod tests {
         out
     }
 
-    fn assert_matches(m: &CpmRangeMonitor, qid: QueryId) {
+    fn assert_matches(m: &RangeEngine, qid: QueryId) {
         let st = m.query_state(qid).unwrap();
-        let expect = brute_force(m, st.spec.as_range().expect("range monitor query"));
+        let expect = brute_force(m, &st.spec);
         assert_eq!(st.result(), expect.as_slice(), "query {qid}");
     }
 
     #[test]
     fn rect_region_reports_exact_membership() {
-        let mut m = CpmRangeMonitor::new(16);
+        let mut m = RangeEngine::new(16, 1);
         m.populate([
             (ObjectId(0), Point::new(0.3, 0.3)),
             (ObjectId(1), Point::new(0.5, 0.5)),
@@ -364,7 +214,7 @@ mod tests {
             (ObjectId(3), Point::new(0.76, 0.76)), // just outside
         ]);
         let q = RangeQuery::rect(Rect::new(Point::new(0.25, 0.25), Point::new(0.75, 0.75)));
-        m.install_query(QueryId(0), q);
+        install(&mut m, QueryId(0), q);
         let ids: Vec<ObjectId> = m.result(QueryId(0)).unwrap().iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![ObjectId(1), ObjectId(0), ObjectId(2)]);
         assert_matches(&m, QueryId(0));
@@ -373,22 +223,26 @@ mod tests {
 
     #[test]
     fn circle_region_boundary_is_closed() {
-        let mut m = CpmRangeMonitor::new(16);
+        let mut m = RangeEngine::new(16, 1);
         m.populate([
             (ObjectId(0), Point::new(0.5, 0.7)), // exactly on the boundary
             (ObjectId(1), Point::new(0.5, 0.71)),
         ]);
-        m.install_query(QueryId(0), RangeQuery::circle(Point::new(0.5, 0.5), 0.2));
+        install(
+            &mut m,
+            QueryId(0),
+            RangeQuery::circle(Point::new(0.5, 0.5), 0.2),
+        );
         let ids: Vec<ObjectId> = m.result(QueryId(0)).unwrap().iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![ObjectId(0)]);
     }
 
     #[test]
     fn influence_region_is_the_region_cover() {
-        let mut m = CpmRangeMonitor::new(8);
+        let mut m = RangeEngine::new(8, 1);
         m.populate([(ObjectId(0), Point::new(0.4, 0.4))]);
         let region = Rect::new(Point::new(0.30, 0.30), Point::new(0.60, 0.60));
-        m.install_query(QueryId(0), RangeQuery::rect(region));
+        install(&mut m, QueryId(0), RangeQuery::rect(region));
         let st = m.query_state(QueryId(0)).unwrap();
         // Every visited cell is influence-registered (best_dist = +∞) and
         // intersects the region.
@@ -403,88 +257,14 @@ mod tests {
     }
 
     #[test]
-    fn randomized_churn_tracks_brute_force() {
-        let mut rng = StdRng::seed_from_u64(0x7A4);
-        for shards in [1usize, 4] {
-            let mut m = CpmRangeMonitor::new_sharded(16, shards);
-            m.populate((0..60u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
-            m.install_query(
-                QueryId(0),
-                RangeQuery::rect(Rect::new(Point::new(0.2, 0.3), Point::new(0.7, 0.8))),
-            );
-            m.install_query(QueryId(1), RangeQuery::circle(Point::new(0.6, 0.4), 0.25));
-            let mut live: Vec<u32> = (0..60).collect();
-            let mut next = 60u32;
-            for _ in 0..30 {
-                let mut evs = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                for _ in 0..rng.gen_range(0..10) {
-                    match rng.gen_range(0..8) {
-                        0 if live.len() > 3 => {
-                            let id = live.swap_remove(rng.gen_range(0..live.len()));
-                            if seen.insert(id) {
-                                evs.push(ObjectEvent::Disappear { id: ObjectId(id) });
-                            } else {
-                                live.push(id);
-                            }
-                        }
-                        1 => {
-                            live.push(next);
-                            seen.insert(next);
-                            evs.push(ObjectEvent::Appear {
-                                id: ObjectId(next),
-                                pos: Point::new(rng.gen(), rng.gen()),
-                            });
-                            next += 1;
-                        }
-                        _ => {
-                            let id = live[rng.gen_range(0..live.len())];
-                            if seen.insert(id) {
-                                evs.push(ObjectEvent::Move {
-                                    id: ObjectId(id),
-                                    to: Point::new(rng.gen(), rng.gen()),
-                                });
-                            }
-                        }
-                    }
-                }
-                m.process_cycle(&evs, &[]);
-                m.check_invariants();
-                assert_matches(&m, QueryId(0));
-                assert_matches(&m, QueryId(1));
-            }
-        }
-    }
-
-    #[test]
-    fn moving_the_region_recomputes() {
-        let mut m = CpmRangeMonitor::new(16);
-        m.populate([
-            (ObjectId(0), Point::new(0.2, 0.2)),
-            (ObjectId(1), Point::new(0.8, 0.8)),
-        ]);
-        m.install_query(
-            QueryId(0),
-            RangeQuery::rect(Rect::new(Point::new(0.1, 0.1), Point::new(0.3, 0.3))),
-        );
-        assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(0));
-        m.process_cycle(
-            &[],
-            &[SpecEvent::Update {
-                id: QueryId(0),
-                spec: RangeQuery::rect(Rect::new(Point::new(0.7, 0.7), Point::new(0.9, 0.9))),
-            }],
-        );
-        assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
-        assert_matches(&m, QueryId(0));
-        m.check_invariants();
-    }
-
-    #[test]
     fn empty_region_yields_empty_result() {
-        let mut m = CpmRangeMonitor::new(8);
+        let mut m = RangeEngine::new(8, 1);
         m.populate([(ObjectId(0), Point::new(0.9, 0.9))]);
-        m.install_query(QueryId(0), RangeQuery::circle(Point::new(0.1, 0.1), 0.05));
+        install(
+            &mut m,
+            QueryId(0),
+            RangeQuery::circle(Point::new(0.1, 0.1), 0.05),
+        );
         assert!(m.result(QueryId(0)).unwrap().is_empty());
         m.check_invariants();
     }

@@ -321,67 +321,6 @@ pub(crate) type ExportedRegistry = (
     Metrics,
 );
 
-/// Sanitize an object-event batch the way the legacy per-kind monitors
-/// always behaved: out-of-range coordinates are clamped into the
-/// workspace (a simulator convenience) and each object's events are
-/// folded into their net effect, exactly what sequential application
-/// produced — `Disappear` then `Appear` is a net `Move`, `Appear` then
-/// `Disappear` cancels, later positions win. Results are only computed
-/// after the whole batch lands, so the net event yields the same state
-/// while satisfying the server's one-event-per-object ingest rule. The
-/// server's own typed validation stays strict; this shim-side pass is
-/// what keeps the compatibility monitors' forgiving surface. Non-finite
-/// coordinates have no sensible clamp and still reach the server's
-/// typed rejection (a documented monitor panic).
-pub(crate) fn sanitize_object_events(events: &[ObjectEvent]) -> Vec<ObjectEvent> {
-    use cpm_geom::clamp_coord;
-    /// Net effect of an object's events so far within the batch.
-    #[derive(Clone, Copy)]
-    enum Net {
-        Moved(Point),
-        Appeared(Point),
-        Disappeared,
-        /// Appeared then disappeared: emit nothing.
-        Cancelled,
-    }
-    let mut order: Vec<ObjectId> = Vec::new();
-    let mut net: FastHashMap<ObjectId, Net> = FastHashMap::default();
-    for ev in events {
-        let id = ev.id();
-        let so_far = net.get(&id).copied();
-        let next = match (*ev, so_far) {
-            (ObjectEvent::Move { to, .. }, Some(Net::Appeared(_))) => Net::Appeared(to),
-            (ObjectEvent::Move { to, .. }, _) => Net::Moved(to),
-            (ObjectEvent::Appear { pos, .. }, None | Some(Net::Cancelled)) => Net::Appeared(pos),
-            // The object was live at batch start and transiently removed;
-            // reappearing nets out to a move.
-            (ObjectEvent::Appear { pos, .. }, _) => Net::Moved(pos),
-            (ObjectEvent::Disappear { .. }, Some(Net::Appeared(_))) => Net::Cancelled,
-            (ObjectEvent::Disappear { .. }, _) => Net::Disappeared,
-        };
-        if so_far.is_none() {
-            order.push(id);
-        }
-        net.insert(id, next);
-    }
-    let mut out = Vec::with_capacity(order.len());
-    for id in order {
-        out.push(match net[&id] {
-            Net::Moved(p) => ObjectEvent::Move {
-                id,
-                to: Point::new(clamp_coord(p.x), clamp_coord(p.y)),
-            },
-            Net::Appeared(p) => ObjectEvent::Appear {
-                id,
-                pos: Point::new(clamp_coord(p.x), clamp_coord(p.y)),
-            },
-            Net::Disappeared => ObjectEvent::Disappear { id },
-            Net::Cancelled => continue,
-        });
-    }
-    out
-}
-
 impl CpmServer {
     pub(crate) fn sector_id(id: QueryId, sector: u32) -> QueryId {
         QueryId(RESERVED_ID_BASE + id.0 * SECTORS + sector)
@@ -769,21 +708,6 @@ impl CpmServer {
     /// See [`CpmServer::update_knn`].
     pub fn update_rnn(&mut self, h: RnnHandle, pos: Point) -> Result<&[ObjectId], CpmError> {
         let id = h.id();
-        self.move_rnn_sectors(id, pos)?;
-        let result = Self::verify_rnn(&self.engine, &mut self.verify_metrics, id);
-        let st = self.rnn.get_mut(&id).expect("kind-checked RNN state");
-        st.result = result;
-        Ok(&st.result)
-    }
-
-    /// Move the six sector candidates of RNN query `id` without the
-    /// verification pass. The cached RNN set is left stale on purpose —
-    /// only for callers that run a cycle (whose end-of-cycle
-    /// re-verification refreshes it) before the result is read again;
-    /// the [`CpmRnnMonitor`] compat shim's `Move` path.
-    ///
-    /// [`CpmRnnMonitor`]: crate::CpmRnnMonitor
-    pub(crate) fn move_rnn_sectors(&mut self, id: QueryId, pos: Point) -> Result<(), CpmError> {
         self.check_kind(id, QueryKind::Rnn)?;
         for sector in 0..SECTORS {
             self.engine
@@ -793,8 +717,11 @@ impl CpmServer {
                 )
                 .expect("sector queries track the registration");
         }
-        self.rnn.get_mut(&id).expect("kind-checked RNN state").q = pos;
-        Ok(())
+        let result = Self::verify_rnn(&self.engine, &mut self.verify_metrics, id);
+        let st = self.rnn.get_mut(&id).expect("kind-checked RNN state");
+        st.q = pos;
+        st.result = result;
+        Ok(&st.result)
     }
 
     // ---- untyped registry surface ----
@@ -964,13 +891,13 @@ impl CpmServer {
         Ok(())
     }
 
-    /// Validate an object-event batch before any state changes. The
-    /// legacy single-kind monitors clamp out-of-range coordinates (a
-    /// simulator convenience); the server is the production surface, so a
-    /// NaN/infinite coordinate, a position outside the unit workspace, or
-    /// two events for one object in a batch are typed errors and the
-    /// whole batch is rejected — a corrupted producer cannot half-apply a
-    /// cycle.
+    /// Validate an object-event batch before any state changes. The bare
+    /// engine trusts its caller (the grid clamps out-of-range coordinates
+    /// and events apply in order — a simulator convenience); the server is
+    /// the production surface, so a NaN/infinite coordinate, a position
+    /// outside the unit workspace, or two events for one object in a batch
+    /// are typed errors and the whole batch is rejected — a corrupted
+    /// producer cannot half-apply a cycle.
     fn validate_object_events(object_events: &[ObjectEvent]) -> Result<(), CpmError> {
         let mut seen: FastHashSet<ObjectId> = FastHashSet::default();
         for ev in object_events {

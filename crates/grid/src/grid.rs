@@ -409,18 +409,6 @@ impl GridBuilder {
     }
 }
 
-impl Grid {
-    /// Create an empty grid with `dim × dim` cells over the unit square
-    /// and the default [`CellIndex`] backend.
-    ///
-    /// # Panics
-    /// Panics if `dim == 0` or `dim > 4096` (see [`CellIndex::new`]).
-    #[deprecated(note = "construct through `GridBuilder` (validated, index-kind aware) instead")]
-    pub fn new(dim: u32) -> Self {
-        GridBuilder::new(dim).build_uniform()
-    }
-}
-
 impl<I: SpatialIndex> Grid<I> {
     /// Compose an (empty or pre-built) index backend with a fresh object
     /// store. Most callers go through [`GridBuilder`].
@@ -685,13 +673,6 @@ mod tests {
         let _ = GridBuilder::new(64)
             .index(IndexKind::quadtree())
             .build_uniform();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_still_works() {
-        let g = Grid::new(8);
-        assert_eq!(g.dim(), 8);
     }
 
     #[test]

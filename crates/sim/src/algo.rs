@@ -8,7 +8,7 @@ use cpm_geom::{ObjectId, Point, QueryId};
 use cpm_grid::{Metrics, ObjectEvent, QueryEvent};
 
 use cpm_baselines::{SeaCnnMonitor, YpkCnnMonitor};
-use cpm_core::{CpmKnnMonitor, Neighbor, ShardedKnnMonitor};
+use cpm_core::{Neighbor, PointQuery, ShardedCpmEngine, SpecEvent};
 
 use crate::oracle::OracleMonitor;
 
@@ -42,7 +42,7 @@ impl AlgoKind {
     /// Instantiate a monitor over an empty `dim × dim` grid.
     pub fn build(self, dim: u32) -> Box<dyn KnnMonitorAlgo> {
         match self {
-            AlgoKind::Cpm => Box::new(CpmKnnMonitor::new(dim)),
+            AlgoKind::Cpm => Box::new(CpmMonitor::new(dim, 1)),
             AlgoKind::Ypk => Box::new(YpkCnnMonitor::new(dim)),
             AlgoKind::Sea => Box::new(SeaCnnMonitor::new(dim)),
             AlgoKind::Oracle => Box::new(OracleMonitor::new()),
@@ -79,17 +79,37 @@ pub trait KnnMonitorAlgo {
     fn space_units(&self) -> usize;
 }
 
-impl KnnMonitorAlgo for CpmKnnMonitor {
+/// CPM behind the harness vocabulary: the engine over plain point queries
+/// (`S = 1` is the paper's sequential algorithm) plus the
+/// [`QueryEvent`] → [`SpecEvent`] lift.
+pub(crate) struct CpmMonitor {
+    pub(crate) engine: ShardedCpmEngine<PointQuery>,
+    /// Scratch: the cycle's query events in the engine's vocabulary.
+    events: Vec<SpecEvent<PointQuery>>,
+}
+
+impl CpmMonitor {
+    pub(crate) fn new(dim: u32, shards: usize) -> Self {
+        Self {
+            engine: ShardedCpmEngine::new(dim, shards),
+            events: Vec::new(),
+        }
+    }
+}
+
+impl KnnMonitorAlgo for CpmMonitor {
     fn name(&self) -> &'static str {
         AlgoKind::Cpm.label()
     }
 
     fn populate(&mut self, objects: &[(ObjectId, Point)]) {
-        CpmKnnMonitor::populate(self, objects.iter().copied());
+        self.engine.populate(objects.iter().copied());
     }
 
     fn install_query(&mut self, id: QueryId, pos: Point, k: usize) {
-        CpmKnnMonitor::install_query(self, id, pos, k);
+        self.engine
+            .install(id, PointQuery(pos), k)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     fn process_cycle(
@@ -97,53 +117,22 @@ impl KnnMonitorAlgo for CpmKnnMonitor {
         object_events: &[ObjectEvent],
         query_events: &[QueryEvent],
     ) -> Vec<QueryId> {
-        CpmKnnMonitor::process_cycle(self, object_events, query_events)
+        self.events.clear();
+        self.events
+            .extend(query_events.iter().map(|&ev| SpecEvent::from(ev)));
+        self.engine.process_cycle(object_events, &self.events)
     }
 
     fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        CpmKnnMonitor::result(self, id)
+        self.engine.result(id)
     }
 
     fn take_metrics(&mut self) -> Metrics {
-        CpmKnnMonitor::take_metrics(self)
+        self.engine.take_metrics()
     }
 
     fn space_units(&self) -> usize {
-        CpmKnnMonitor::space_units(self)
-    }
-}
-
-impl KnnMonitorAlgo for ShardedKnnMonitor {
-    fn name(&self) -> &'static str {
-        "CPM-sharded"
-    }
-
-    fn populate(&mut self, objects: &[(ObjectId, Point)]) {
-        ShardedKnnMonitor::populate(self, objects.iter().copied());
-    }
-
-    fn install_query(&mut self, id: QueryId, pos: Point, k: usize) {
-        ShardedKnnMonitor::install_query(self, id, pos, k);
-    }
-
-    fn process_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[QueryEvent],
-    ) -> Vec<QueryId> {
-        ShardedKnnMonitor::process_cycle(self, object_events, query_events)
-    }
-
-    fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        ShardedKnnMonitor::result(self, id)
-    }
-
-    fn take_metrics(&mut self) -> Metrics {
-        ShardedKnnMonitor::take_metrics(self)
-    }
-
-    fn space_units(&self) -> usize {
-        ShardedKnnMonitor::space_units(self)
+        self.engine.space_units()
     }
 }
 

@@ -15,8 +15,8 @@ use crate::algo::{AlgoKind, KnnMonitorAlgo};
 
 /// Ground truth for a continuous range query over an explicit object
 /// population: every object inside the region, ascending by `(distance to
-/// the region anchor, id)` — the exact order
-/// [`cpm_core::CpmRangeMonitor`] and range subscriptions report.
+/// the region anchor, id)` — the exact order the engine's
+/// [`RangeQuery`] results and range subscriptions report.
 pub fn brute_force_range<I: IntoIterator<Item = (ObjectId, Point)>>(
     objects: I,
     query: &RangeQuery,

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use cpm_grid::Metrics;
 
-use crate::algo::{AlgoKind, KnnMonitorAlgo};
+use crate::algo::{AlgoKind, CpmMonitor, KnnMonitorAlgo};
 use crate::stream::SimulationInput;
 
 /// Aggregated statistics of one simulation run.
@@ -107,15 +107,15 @@ pub fn run_boxed(monitor: &mut dyn KnnMonitorAlgo, input: &SimulationInput) -> R
     }
 }
 
-/// Run the sharded CPM monitor with `shards` query shards over `input`
-/// (`shards = 1` is the sequential engine path — no worker threads).
+/// Run CPM with `shards` query shards over `input` (`shards = 1` is the
+/// sequential engine — what [`AlgoKind::Cpm`] builds).
 pub fn run_sharded(input: &SimulationInput, shards: usize) -> RunReport {
-    let mut monitor = cpm_core::ShardedKnnMonitor::new(input.params.grid_dim, shards);
+    let mut monitor = CpmMonitor::new(input.params.grid_dim, shards);
     run_boxed(&mut monitor, input)
 }
 
 /// Replay `input` into the sequential engine (one shard) and into a
-/// sharded monitor per entry of `shard_counts`, asserting after every
+/// sharded engine per entry of `shard_counts`, asserting after every
 /// cycle that:
 ///
 /// * each query's reported result is **bit-identical** (same object ids,
@@ -127,17 +127,15 @@ pub fn run_sharded(input: &SimulationInput, shards: usize) -> RunReport {
 /// and, at the end of the run, that the sequential results match the
 /// brute-force oracle by distance. Panics on any divergence.
 pub fn verify_sharded_determinism(input: &SimulationInput, shard_counts: &[usize]) {
-    use cpm_core::ShardedKnnMonitor;
-
-    let mut sequential = ShardedKnnMonitor::new(input.params.grid_dim, 1);
-    let mut sharded: Vec<ShardedKnnMonitor> = shard_counts
+    let mut sequential = CpmMonitor::new(input.params.grid_dim, 1);
+    let mut sharded: Vec<CpmMonitor> = shard_counts
         .iter()
-        .map(|&s| ShardedKnnMonitor::new(input.params.grid_dim, s))
+        .map(|&s| CpmMonitor::new(input.params.grid_dim, s))
         .collect();
 
-    sequential.populate(input.initial_objects.iter().copied());
+    sequential.populate(&input.initial_objects);
     for m in sharded.iter_mut() {
-        m.populate(input.initial_objects.iter().copied());
+        m.populate(&input.initial_objects);
     }
     for &(qid, pos, k) in &input.initial_queries {
         sequential.install_query(qid, pos, k);
@@ -176,11 +174,11 @@ pub fn verify_sharded_determinism(input: &SimulationInput, shard_counts: &[usize
                 assert_eq!(
                     sequential.result(qid).expect("sequential tracks query"),
                     m.result(qid)
-                        .unwrap_or_else(|| panic!("{shards}-shard monitor lost query {qid}")),
+                        .unwrap_or_else(|| panic!("{shards}-shard engine lost query {qid}")),
                     "results diverged for {qid} at t={t} with {shards} shards"
                 );
             }
-            m.check_invariants();
+            m.engine.check_invariants();
         }
     }
 
@@ -188,9 +186,11 @@ pub fn verify_sharded_determinism(input: &SimulationInput, shard_counts: &[usize
     // final object population must agree with the sequential engine.
     for &qid in &tracked {
         let st = sequential
+            .engine
             .query_state(qid)
             .expect("tracked query installed");
         let mut truth: Vec<f64> = sequential
+            .engine
             .grid()
             .iter_objects()
             .map(|(_, p)| st.spec.0.dist(p))
@@ -349,21 +349,7 @@ pub fn verify_regrid(input: &SimulationInput, regrid_at: &[(usize, u32)], shard_
     use std::collections::BTreeMap;
 
     let translate = |events: &[cpm_grid::QueryEvent]| -> Vec<SpecEvent<PointQuery>> {
-        events
-            .iter()
-            .map(|ev| match *ev {
-                cpm_grid::QueryEvent::Install { id, pos, k } => SpecEvent::Install {
-                    id,
-                    spec: PointQuery(pos),
-                    k,
-                },
-                cpm_grid::QueryEvent::Move { id, to } => SpecEvent::Update {
-                    id,
-                    spec: PointQuery(to),
-                },
-                cpm_grid::QueryEvent::Terminate { id } => SpecEvent::Terminate { id },
-            })
-            .collect()
+        events.iter().map(|&ev| ev.into()).collect()
     };
 
     let mut lanes: Vec<ShardedCpmEngine<PointQuery>> = shard_counts
@@ -494,21 +480,7 @@ pub fn verify_index(
     use std::collections::BTreeMap;
 
     let translate = |events: &[cpm_grid::QueryEvent]| -> Vec<SpecEvent<PointQuery>> {
-        events
-            .iter()
-            .map(|ev| match *ev {
-                cpm_grid::QueryEvent::Install { id, pos, k } => SpecEvent::Install {
-                    id,
-                    spec: PointQuery(pos),
-                    k,
-                },
-                cpm_grid::QueryEvent::Move { id, to } => SpecEvent::Update {
-                    id,
-                    spec: PointQuery(to),
-                },
-                cpm_grid::QueryEvent::Terminate { id } => SpecEvent::Terminate { id },
-            })
-            .collect()
+        events.iter().map(|&ev| ev.into()).collect()
     };
 
     struct Lane {
@@ -1151,7 +1123,6 @@ mod tests {
         let input = SimulationInput::generate(&tiny_params());
         let seq = run_sharded(&input, 1);
         let par = run_sharded(&input, 4);
-        assert_eq!(seq.algo, "CPM-sharded");
         assert_eq!(seq.metrics, par.metrics, "sharding changed the work done");
         assert_eq!(seq.result_changes, par.result_changes);
     }

@@ -5,7 +5,7 @@
 //! reaches past the influence circle. These renderers print exactly the
 //! diagrams the paper draws (Figures 3.2, 3.5, 4.1) from live state.
 
-use cpm_core::CpmKnnMonitor;
+use cpm_core::{PointQuery, ShardedCpmEngine};
 use cpm_geom::QueryId;
 use cpm_grid::{CellCoord, Grid};
 
@@ -53,9 +53,9 @@ pub fn render_density(grid: &Grid, max_side: u32) -> String {
 ///
 /// Intended for small grids (≤ 64²); returns `None` if the query is not
 /// installed.
-pub fn render_query(monitor: &CpmKnnMonitor, id: QueryId) -> Option<String> {
-    let st = monitor.query_state(id)?;
-    let grid = monitor.grid();
+pub fn render_query(engine: &ShardedCpmEngine<PointQuery>, id: QueryId) -> Option<String> {
+    let st = engine.query_state(id)?;
+    let grid = engine.grid();
     let dim = grid.dim();
     let mut glyphs = vec![b'\0'; (dim as usize) * (dim as usize)];
     let at = |c: CellCoord| (c.row as usize) * dim as usize + c.col as usize;
@@ -63,7 +63,7 @@ pub fn render_query(monitor: &CpmKnnMonitor, id: QueryId) -> Option<String> {
     for (i, &(cell, _)) in st.visit_list.iter().enumerate() {
         glyphs[at(cell)] = if i < st.influence_len { b'#' } else { b'+' };
     }
-    glyphs[at(grid.cell_of(st.q))] = b'Q';
+    glyphs[at(grid.cell_of(st.spec.0))] = b'Q';
 
     let mut out = String::with_capacity(((dim + 1) * dim) as usize);
     for row in (0..dim).rev() {
@@ -91,14 +91,15 @@ mod tests {
     use super::*;
     use cpm_geom::{ObjectId, Point};
 
-    fn monitor() -> CpmKnnMonitor {
-        let mut m = CpmKnnMonitor::new(8);
+    fn monitor() -> ShardedCpmEngine<PointQuery> {
+        let mut m = ShardedCpmEngine::new(8, 1);
         m.populate([
             (ObjectId(0), Point::new(0.32, 0.55)),
             (ObjectId(1), Point::new(0.51, 0.50)),
             (ObjectId(2), Point::new(0.92, 0.93)),
         ]);
-        m.install_query(QueryId(0), Point::new(0.5, 0.55), 1);
+        m.install(QueryId(0), PointQuery(Point::new(0.5, 0.55)), 1)
+            .unwrap();
         m
     }
 

@@ -1,0 +1,67 @@
+//! Decoding hostile input must not reserve memory out of proportion to
+//! the input. This file holds exactly one test: the counting allocator
+//! below is process-global, and a second test running beside it would
+//! pollute the peak.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use cpm_geom::QueryId;
+use cpm_wire::{Decode, Reader, WireError};
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator plus live/peak byte counters (statistics only,
+/// hence `Relaxed`).
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters never influence a returned
+// pointer or layout.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+        PEAK.fetch_max(live, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` was returned by `System.alloc` with this `layout`
+        // (the only allocator behind `alloc` above).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Shaped like `(QueryId, NeighborDelta)`: 4 wire bytes minimum per
+/// vector, 24 in-memory bytes each.
+type Wide = (QueryId, (Vec<u32>, Vec<u32>, Vec<u32>));
+
+#[test]
+fn hostile_length_prefix_on_a_wide_element_cannot_amplify() {
+    // A length prefix equal to the remaining byte count passes the
+    // one-byte-per-element floor; the 0xFF body then fails the first
+    // element's own inner prefix.
+    const BODY: usize = 1 << 20;
+    let mut input = Vec::with_capacity(4 + BODY);
+    input.extend_from_slice(&(BODY as u32).to_le_bytes());
+    input.resize(4 + BODY, 0xFF);
+    assert!(std::mem::size_of::<Wide>() >= 64, "element must be wide");
+
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let got = Vec::<Wide>::decode(&mut Reader::new(&input));
+    let reserved = PEAK.load(Ordering::Relaxed) - before;
+
+    assert!(matches!(got, Err(WireError::Invalid { .. })), "{got:?}");
+    assert!(
+        reserved <= 4 * input.len(),
+        "decode reserved {reserved} bytes for {} input bytes",
+        input.len()
+    );
+}

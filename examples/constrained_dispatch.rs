@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example constrained_dispatch`
 
-use cpm_suite::core::constrained::{ConstrainedQuery, CpmConstrainedMonitor};
+use cpm_suite::core::{ConstrainedQuery, ShardedCpmEngine};
 use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
 use cpm_suite::grid::ObjectEvent;
 use rand::rngs::StdRng;
@@ -20,7 +20,7 @@ fn main() {
     // 80 couriers around the city.
     let mut couriers: Vec<Point> = (0..80).map(|_| Point::new(rng.gen(), rng.gen())).collect();
 
-    let mut monitor = CpmConstrainedMonitor::new(64);
+    let mut monitor = ShardedCpmEngine::<ConstrainedQuery>::new(64, 1);
     monitor.populate(
         couriers
             .iter()
@@ -33,7 +33,9 @@ fn main() {
     let hub = Point::new(0.55, 0.55);
     let zone = Rect::new(Point::new(0.5, 0.5), Point::new(0.95, 0.95));
     let q = QueryId(0);
-    monitor.install_query(q, ConstrainedQuery::new(hub, zone), 2);
+    monitor
+        .install(q, ConstrainedQuery::new(hub, zone), 2)
+        .expect("fresh query id");
 
     println!("hub at ({:.2}, {:.2}), zone [0.50,0.95]²", hub.x, hub.y);
     print_assignment(&monitor, q);
@@ -64,7 +66,7 @@ fn main() {
     );
 }
 
-fn print_assignment(monitor: &CpmConstrainedMonitor, q: QueryId) {
+fn print_assignment(monitor: &ShardedCpmEngine<ConstrainedQuery>, q: QueryId) {
     let result = monitor.result(q).unwrap();
     if result.is_empty() {
         println!("  no couriers inside the service zone!");

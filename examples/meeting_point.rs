@@ -7,11 +7,13 @@
 //!
 //! Run with: `cargo run --release --example meeting_point`
 
-use cpm_suite::core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-use cpm_suite::core::SpecEvent;
+use cpm_suite::core::{AggregateFn, AnnQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The engine over aggregate queries (one shard: sequential).
+type AnnMonitor = ShardedCpmEngine<AnnQuery>;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -24,9 +26,9 @@ fn main() {
     // One monitor per aggregate (each owns its grid; cafes are static so
     // the update streams are query-side only).
     let mut monitors = [
-        (AggregateFn::Sum, CpmAnnMonitor::new(64)),
-        (AggregateFn::Max, CpmAnnMonitor::new(64)),
-        (AggregateFn::Min, CpmAnnMonitor::new(64)),
+        (AggregateFn::Sum, AnnMonitor::new(64, 1)),
+        (AggregateFn::Max, AnnMonitor::new(64, 1)),
+        (AggregateFn::Min, AnnMonitor::new(64, 1)),
     ];
 
     // Four friends start in different corners.
@@ -40,7 +42,8 @@ fn main() {
     let qid = QueryId(0);
     for (f, m) in monitors.iter_mut() {
         m.populate(cafes.iter().copied());
-        m.install_query(qid, AnnQuery::new(friends.clone(), *f), 1);
+        m.install(qid, AnnQuery::new(friends.clone(), *f), 1)
+            .expect("fresh query id");
     }
 
     println!("step | best sum-cafe (total walk) | best max-cafe (latest arrival) | best min-cafe");
@@ -80,7 +83,7 @@ fn main() {
     }
 }
 
-fn report(step: usize, monitors: &[(AggregateFn, CpmAnnMonitor); 3], qid: QueryId) {
+fn report(step: usize, monitors: &[(AggregateFn, AnnMonitor); 3], qid: QueryId) {
     let cell = |i: usize| {
         let (_, m) = &monitors[i];
         let n = &m.result(qid).unwrap()[0];

@@ -3,15 +3,19 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use cpm_suite::core::CpmKnnMonitor;
+use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
-use cpm_suite::grid::{ObjectEvent, QueryEvent};
+use cpm_suite::grid::ObjectEvent;
+
+/// The engine over plain k-NN queries; one shard is the sequential
+/// algorithm of the paper.
+type Monitor = ShardedCpmEngine<PointQuery>;
 
 fn main() {
     // 1. A monitor over a 16×16 grid covering the unit-square city (a
     //    coarse grid keeps the book-keeping snapshot below readable; use
     //    128+ for realistic workloads).
-    let mut monitor = CpmKnnMonitor::new(16);
+    let mut monitor = Monitor::new(16, 1);
 
     // 2. Initial vehicle positions (a small diagonal convoy plus strays).
     monitor.populate((0..10u32).map(|i| {
@@ -21,7 +25,9 @@ fn main() {
 
     // 3. A continuous 3-NN query at the city center.
     let poi = QueryId(0);
-    monitor.install_query(poi, Point::new(0.5, 0.5), 3);
+    monitor
+        .install(poi, PointQuery(Point::new(0.5, 0.5)), 3)
+        .expect("fresh query id");
     println!("initial 3-NN around (0.50, 0.50):");
     print_result(&monitor, poi);
 
@@ -47,9 +53,9 @@ fn main() {
     // 5. The point of interest itself relocates (rush hour moves east).
     monitor.process_cycle(
         &[],
-        &[QueryEvent::Move {
+        &[SpecEvent::Update {
             id: poi,
-            to: Point::new(0.75, 0.55),
+            spec: PointQuery(Point::new(0.75, 0.55)),
         }],
     );
     println!("\nafter the query moved to (0.75, 0.55):");
@@ -71,7 +77,7 @@ fn main() {
     );
 }
 
-fn print_result(monitor: &CpmKnnMonitor, id: QueryId) {
+fn print_result(monitor: &Monitor, id: QueryId) {
     for (rank, n) in monitor.result(id).unwrap().iter().enumerate() {
         println!("  #{}: {} at distance {:.4}", rank + 1, n.id, n.dist);
     }

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example taxi_fleet`
 
-use cpm_suite::core::CpmKnnMonitor;
+use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::gen::{NetworkWorkload, RoadNetwork, SpeedClass, WorkloadConfig};
 use cpm_suite::geom::QueryId;
 
@@ -31,10 +31,12 @@ fn main() {
     );
     let mut workload = NetworkWorkload::new(network, config);
 
-    let mut monitor = CpmKnnMonitor::new(128);
+    let mut monitor = ShardedCpmEngine::<PointQuery>::new(128, 1);
     monitor.populate(workload.initial_objects());
     for (qid, pos, k) in workload.initial_queries() {
-        monitor.install_query(qid, pos, k);
+        monitor
+            .install(qid, PointQuery(pos), k)
+            .expect("fresh query id");
     }
     println!(
         "installed {} dispatch terminals monitoring {}-NN over {} taxis\n",
@@ -44,7 +46,11 @@ fn main() {
     let mut total_changes = 0usize;
     for minute in 1..=30 {
         let tick = workload.tick();
-        let changed = monitor.process_cycle(&tick.object_events, &tick.query_events);
+        // The generator speaks the paper's k-NN vocabulary; a query move
+        // is a geometry update to the engine.
+        let query_events: Vec<SpecEvent<PointQuery>> =
+            tick.query_events.iter().map(|&ev| ev.into()).collect();
+        let changed = monitor.process_cycle(&tick.object_events, &query_events);
         total_changes += changed.len();
         if minute % 10 == 0 {
             let m = monitor.take_metrics();
@@ -65,7 +71,7 @@ fn main() {
     let st = monitor.query_state(sample).unwrap();
     println!(
         "\nterminal {sample} at ({:.3}, {:.3}) — nearest taxis:",
-        st.q.x, st.q.y
+        st.spec.0.x, st.spec.0.y
     );
     for (rank, n) in monitor.result(sample).unwrap().iter().enumerate() {
         println!("  #{}: taxi {} at {:.4}", rank + 1, n.id.0, n.dist);

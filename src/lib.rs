@@ -10,10 +10,12 @@
 //! * [`grid`] — the main-memory object index with pluggable
 //!   [`SpatialIndex`] backends (uniform cells or adaptive quadtree,
 //!   selected via [`GridBuilder`]/[`IndexKind`]) ([`cpm_grid`]).
-//! * [`core`] — CPM itself: the unified multi-query [`core::CpmServer`]
-//!   facade (every query kind on one grid with one ingest pass per
-//!   cycle), continuous k-NN, aggregate-NN, constrained-NN, reverse-NN
-//!   and range monitoring, plus per-cycle result deltas ([`cpm_core`]).
+//! * [`core`] — CPM itself: one engine ([`core::ShardedCpmEngine`],
+//!   generic over the query geometry — k-NN, aggregate-NN,
+//!   constrained-NN, range, reverse-NN sectors) and the validating
+//!   multi-kind [`core::CpmServer`] on top of it (every query kind on
+//!   one grid with one ingest pass per cycle), plus per-cycle result
+//!   deltas ([`cpm_core`]).
 //! * [`sub`] — the delta-streaming subscription layer: epoch-numbered
 //!   hubs, per-subscription mailboxes, client-side replicas
 //!   ([`cpm_sub`]).
@@ -32,26 +34,34 @@
 //! ## Quickstart
 //!
 //! ```
-//! use cpm_suite::core::CpmKnnMonitor;
+//! use cpm_suite::core::{CpmServerBuilder, PointQuery, ShardedCpmEngine};
 //! use cpm_suite::geom::{ObjectId, Point, QueryId};
 //! use cpm_suite::grid::ObjectEvent;
 //!
-//! // A 128×128 grid over the unit square, three taxis, one query.
-//! let mut monitor = CpmKnnMonitor::new(128);
-//! monitor.populate([
+//! let taxis = [
 //!     (ObjectId(0), Point::new(0.21, 0.35)),
 //!     (ObjectId(1), Point::new(0.57, 0.60)),
 //!     (ObjectId(2), Point::new(0.80, 0.10)),
-//! ]);
-//! monitor.install_query(QueryId(0), Point::new(0.5, 0.5), 2);
-//!
+//! ];
 //! // Taxi 2 drives next to the query point.
-//! monitor.process_cycle(
-//!     &[ObjectEvent::Move { id: ObjectId(2), to: Point::new(0.52, 0.48) }],
-//!     &[],
-//! );
-//! let result = monitor.result(QueryId(0)).unwrap();
-//! assert_eq!(result[0].id, ObjectId(2));
+//! let update = [ObjectEvent::Move { id: ObjectId(2), to: Point::new(0.52, 0.48) }];
+//!
+//! // The engine (what algorithms, figures and tests drive): a 128×128
+//! // grid over the unit square, one shard = the sequential algorithm.
+//! let mut engine = ShardedCpmEngine::<PointQuery>::new(128, 1);
+//! engine.populate(taxis);
+//! engine.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)?;
+//! engine.process_cycle(&update, &[]);
+//! assert_eq!(engine.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
+//!
+//! // The server (what production traffic goes through): every query
+//! // kind on one grid, malformed batches rejected as typed errors.
+//! let mut server = CpmServerBuilder::new(128).build();
+//! server.populate(taxis);
+//! let q = server.install_knn(QueryId(0), Point::new(0.5, 0.5), 2)?;
+//! server.process_cycle(&update, &[])?;
+//! assert_eq!(server.result(q).unwrap()[0].id, ObjectId(2));
+//! # Ok::<(), cpm_suite::core::CpmError>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -1,24 +1,36 @@
-//! Book-keeping invariants of the CPM monitor under sustained load:
+//! Book-keeping invariants of the CPM engine under sustained load:
 //! sorted visit lists, influence-region prefixes in lockstep with the
 //! influence table, ≤ 4 boundary boxes, live and distance-fresh results.
 
-use cpm_suite::core::CpmKnnMonitor;
+use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::gen::{NetworkWorkload, RoadNetwork, SpeedClass, WorkloadConfig};
 use cpm_suite::geom::QueryId;
 use cpm_suite::grid::QueryEvent;
 
-fn run_with_invariants(config: WorkloadConfig, grid_dim: u32, ticks: usize) -> CpmKnnMonitor {
-    let net = RoadNetwork::grid_city(10, 10, 0.25, 0.15, 5, config.seed);
-    let mut w = NetworkWorkload::new(net, config);
-    let mut m = CpmKnnMonitor::new(grid_dim);
+type Engine = ShardedCpmEngine<PointQuery>;
+
+/// The sequential engine loaded with the workload's objects and queries.
+fn installed(w: &NetworkWorkload, grid_dim: u32) -> Engine {
+    let mut m = Engine::new(grid_dim, 1);
     m.populate(w.initial_objects());
     for (qid, pos, k) in w.initial_queries() {
-        m.install_query(qid, pos, k);
+        m.install(qid, PointQuery(pos), k).unwrap();
     }
+    m
+}
+
+fn lift(events: &[QueryEvent]) -> Vec<SpecEvent<PointQuery>> {
+    events.iter().map(|&ev| ev.into()).collect()
+}
+
+fn run_with_invariants(config: WorkloadConfig, grid_dim: u32, ticks: usize) -> Engine {
+    let net = RoadNetwork::grid_city(10, 10, 0.25, 0.15, 5, config.seed);
+    let mut w = NetworkWorkload::new(net, config);
+    let mut m = installed(&w, grid_dim);
     m.check_invariants();
     for _ in 0..ticks {
         let tick = w.tick();
-        m.process_cycle(&tick.object_events, &tick.query_events);
+        m.process_cycle(&tick.object_events, &lift(&tick.query_events));
         m.check_invariants();
     }
     m
@@ -73,30 +85,25 @@ fn query_churn_leaves_no_dangling_bookkeeping() {
     };
     let net = RoadNetwork::grid_city(8, 8, 0.2, 0.1, 4, 9);
     let mut w = NetworkWorkload::new(net, config);
-    let mut m = CpmKnnMonitor::new(64);
-    m.populate(w.initial_objects());
-    for (qid, pos, k) in w.initial_queries() {
-        m.install_query(qid, pos, k);
-    }
+    let mut m = installed(&w, 64);
     // Terminate and re-install queries while objects stream.
     for round in 0..10u32 {
         let tick = w.tick();
         let mut qev = tick.query_events.clone();
         let victim = QueryId(round % 10);
         qev.push(QueryEvent::Terminate { id: victim });
-        m.process_cycle(&tick.object_events, &qev);
+        m.process_cycle(&tick.object_events, &lift(&qev));
         m.check_invariants();
         let st = w
             .initial_queries()
             .nth(victim.index())
             .expect("query exists");
-        m.install_query(victim, st.1, st.2);
+        m.install(victim, PointQuery(st.1), st.2).unwrap();
         m.check_invariants();
     }
     // Tear everything down: all book-keeping must vanish.
-    let all: Vec<QueryId> = m.query_ids().collect();
-    for qid in all {
-        assert!(m.terminate_query(qid));
+    for qid in m.query_ids() {
+        m.terminate(qid).unwrap();
     }
     assert_eq!(m.query_count(), 0);
     assert_eq!(m.space_units(), m.grid().space_units());
@@ -115,10 +122,11 @@ fn influence_region_is_exactly_the_circle_cover() {
 
     let mut rng = StdRng::seed_from_u64(0x1F1);
     for dim in [8u32, 16, 32] {
-        let mut m = CpmKnnMonitor::new(dim);
+        let mut m = Engine::new(dim, 1);
         m.populate((0..60u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
         for qi in 0..5u32 {
-            m.install_query(QueryId(qi), Point::new(rng.gen(), rng.gen()), 4);
+            m.install(QueryId(qi), PointQuery(Point::new(rng.gen(), rng.gen())), 4)
+                .unwrap();
         }
         // Also exercise the region after maintenance, not just after the
         // initial computation.
@@ -141,12 +149,12 @@ fn influence_region_is_exactly_the_circle_cover() {
             for row in 0..dim {
                 for col in 0..dim {
                     let cell = cpm_suite::grid::CellCoord::new(col, row);
-                    let inside = m.grid().mindist(cell, st.q) <= bd;
+                    let inside = m.grid().mindist(cell, st.spec.0) <= bd;
                     assert_eq!(
                         registered.contains(&cell),
                         inside,
                         "dim {dim} q{qi} cell {cell}: mindist {} vs bd {bd}",
-                        m.grid().mindist(cell, st.q),
+                        m.grid().mindist(cell, st.spec.0),
                     );
                 }
             }

@@ -1,12 +1,13 @@
-//! The generic CPM engine and the specialized k-NN monitor implement the
-//! same algorithm: a constrained query whose region is the whole workspace
-//! must report exactly the same result distances as the dedicated
-//! `CpmKnnMonitor` on identical streams — and a single-point aggregate
-//! query likewise, for every aggregate function.
+//! Section 5 presents its variants as the k-NN algorithm under a
+//! different `mindist`/`dist`; the degenerate cases must therefore agree
+//! with plain k-NN on identical streams: a constrained query whose region
+//! is the whole workspace reports the same result distances and does the
+//! same work, and a single-point aggregate query reports the same
+//! neighbors, for every aggregate function.
 
-use cpm_suite::core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-use cpm_suite::core::constrained::{ConstrainedQuery, CpmConstrainedMonitor};
-use cpm_suite::core::CpmKnnMonitor;
+use cpm_suite::core::{
+    AggregateFn, AnnQuery, ConstrainedQuery, PointQuery, QuerySpec, ShardedCpmEngine,
+};
 use cpm_suite::geom::{Point, QueryId, Rect};
 use cpm_suite::sim::{SimParams, SimulationInput, WorkloadKind};
 
@@ -30,21 +31,30 @@ fn query_points(seed: u64) -> Vec<Point> {
     (0..8).map(|_| Point::new(rng.gen(), rng.gen())).collect()
 }
 
+/// The sequential engine over `input`'s objects with one query per point,
+/// each built by `spec`.
+fn engine<S: QuerySpec + Send + Sync>(
+    input: &SimulationInput,
+    points: &[Point],
+    k: usize,
+    spec: impl Fn(Point) -> S,
+) -> ShardedCpmEngine<S> {
+    let mut e = ShardedCpmEngine::new(input.params.grid_dim, 1);
+    e.populate(input.initial_objects.iter().copied());
+    for (i, &p) in points.iter().enumerate() {
+        e.install(QueryId(i as u32), spec(p), k).unwrap();
+    }
+    e
+}
+
 #[test]
 fn workspace_constrained_equals_plain_knn() {
     let input = SimulationInput::generate(&params(42));
     let points = query_points(7);
-
-    let mut plain = CpmKnnMonitor::new(input.params.grid_dim);
-    let mut constrained = CpmConstrainedMonitor::new(input.params.grid_dim);
-    plain.populate(input.initial_objects.iter().copied());
-    constrained.populate(input.initial_objects.iter().copied());
-
-    for (i, &p) in points.iter().enumerate() {
-        let qid = QueryId(i as u32);
-        plain.install_query(qid, p, 5);
-        constrained.install_query(qid, ConstrainedQuery::new(p, Rect::WORKSPACE), 5);
-    }
+    let mut plain = engine(&input, &points, 5, PointQuery);
+    let mut constrained = engine(&input, &points, 5, |p| {
+        ConstrainedQuery::new(p, Rect::WORKSPACE)
+    });
 
     for tick in &input.ticks {
         plain.process_cycle(&tick.object_events, &[]);
@@ -70,22 +80,34 @@ fn workspace_constrained_equals_plain_knn() {
     }
 }
 
+/// A constraint that excludes nothing also costs nothing: the same
+/// searches over the same cells as plain k-NN.
+#[test]
+fn workspace_constraint_does_the_same_work() {
+    let input = SimulationInput::generate(&params(44));
+    let points = query_points(13);
+    let mut plain = engine(&input, &points, 5, PointQuery);
+    let mut constrained = engine(&input, &points, 5, |p| {
+        ConstrainedQuery::new(p, Rect::WORKSPACE)
+    });
+    for tick in &input.ticks {
+        plain.process_cycle(&tick.object_events, &[]);
+        constrained.process_cycle(&tick.object_events, &[]);
+    }
+    let (a, b) = (plain.metrics(), constrained.metrics());
+    assert_eq!(a.computations, b.computations);
+    assert_eq!(a.recomputations, b.recomputations);
+    assert_eq!(a.merge_resolutions, b.merge_resolutions);
+    assert_eq!(a.cell_accesses, b.cell_accesses);
+}
+
 #[test]
 fn singleton_aggregate_equals_plain_knn() {
     for f in [AggregateFn::Sum, AggregateFn::Min, AggregateFn::Max] {
         let input = SimulationInput::generate(&params(43));
         let points = query_points(11);
-
-        let mut plain = CpmKnnMonitor::new(input.params.grid_dim);
-        let mut ann = CpmAnnMonitor::new(input.params.grid_dim);
-        plain.populate(input.initial_objects.iter().copied());
-        ann.populate(input.initial_objects.iter().copied());
-
-        for (i, &p) in points.iter().enumerate() {
-            let qid = QueryId(i as u32);
-            plain.install_query(qid, p, 4);
-            ann.install_query(qid, AnnQuery::new(vec![p], f), 4);
-        }
+        let mut plain = engine(&input, &points, 4, PointQuery);
+        let mut ann = engine(&input, &points, 4, |p| AnnQuery::new(vec![p], f));
 
         for tick in &input.ticks {
             plain.process_cycle(&tick.object_events, &[]);
@@ -107,36 +129,4 @@ fn singleton_aggregate_equals_plain_knn() {
             }
         }
     }
-}
-
-#[test]
-fn engine_metrics_match_specialized_shape() {
-    // Work counters need not be identical (the generic engine en-heaps
-    // base blocks differently), but the big picture must agree: same
-    // searches, same order of magnitude of cell accesses.
-    let input = SimulationInput::generate(&params(44));
-    let points = query_points(13);
-
-    let mut plain = CpmKnnMonitor::new(input.params.grid_dim);
-    let mut constrained = CpmConstrainedMonitor::new(input.params.grid_dim);
-    plain.populate(input.initial_objects.iter().copied());
-    constrained.populate(input.initial_objects.iter().copied());
-    for (i, &p) in points.iter().enumerate() {
-        plain.install_query(QueryId(i as u32), p, 5);
-        constrained.install_query(
-            QueryId(i as u32),
-            ConstrainedQuery::new(p, Rect::WORKSPACE),
-            5,
-        );
-    }
-    for tick in &input.ticks {
-        plain.process_cycle(&tick.object_events, &[]);
-        constrained.process_cycle(&tick.object_events, &[]);
-    }
-    let a = plain.metrics();
-    let b = constrained.metrics();
-    assert_eq!(a.computations, b.computations);
-    assert_eq!(a.recomputations, b.recomputations);
-    assert_eq!(a.merge_resolutions, b.merge_resolutions);
-    assert_eq!(a.cell_accesses, b.cell_accesses);
 }

@@ -2,8 +2,7 @@
 //! monitoring (sum/min/max) and constrained NN, driven by the network
 //! workload generator and validated against brute force every timestamp.
 
-use cpm_suite::core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-use cpm_suite::core::constrained::{ConstrainedQuery, CpmConstrainedMonitor};
+use cpm_suite::core::{AggregateFn, AnnQuery, ConstrainedQuery, ShardedCpmEngine};
 use cpm_suite::gen::{NetworkWorkload, RoadNetwork, WorkloadConfig};
 use cpm_suite::geom::{Point, QueryId, Rect};
 use rand::rngs::StdRng;
@@ -32,7 +31,7 @@ fn ann_monitors_track_brute_force_over_network_streams() {
     ] {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA11);
         let mut w = workload(seed);
-        let mut monitor = CpmAnnMonitor::new(64);
+        let mut monitor = ShardedCpmEngine::<AnnQuery>::new(64, 1);
         monitor.populate(w.initial_objects());
 
         // Three ANN queries with 2-5 member points each.
@@ -45,7 +44,7 @@ fn ann_monitors_track_brute_force_over_network_streams() {
             })
             .collect();
         for (qid, q) in &queries {
-            monitor.install_query(*qid, q.clone(), 3);
+            monitor.install(*qid, q.clone(), 3).unwrap();
         }
 
         for _ in 0..15 {
@@ -78,7 +77,7 @@ fn ann_monitors_track_brute_force_over_network_streams() {
 #[test]
 fn constrained_monitor_tracks_filtered_brute_force() {
     let mut w = workload(11);
-    let mut monitor = CpmConstrainedMonitor::new(64);
+    let mut monitor = ShardedCpmEngine::<ConstrainedQuery>::new(64, 1);
     monitor.populate(w.initial_objects());
 
     let zones = [
@@ -96,7 +95,7 @@ fn constrained_monitor_tracks_filtered_brute_force() {
         })
         .collect();
     for (qid, q) in &queries {
-        monitor.install_query(*qid, q.clone(), 2);
+        monitor.install(*qid, q.clone(), 2).unwrap();
     }
 
     for _ in 0..15 {
@@ -130,11 +129,13 @@ fn constrained_monitor_tracks_filtered_brute_force() {
 fn ann_query_set_updates_stay_correct() {
     let mut rng = StdRng::seed_from_u64(0xF00D);
     let mut w = workload(21);
-    let mut monitor = CpmAnnMonitor::new(64);
+    let mut monitor = ShardedCpmEngine::<AnnQuery>::new(64, 1);
     monitor.populate(w.initial_objects());
     let qid = QueryId(0);
     let mut pts: Vec<Point> = (0..3).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-    monitor.install_query(qid, AnnQuery::new(pts.clone(), AggregateFn::Sum), 2);
+    monitor
+        .install(qid, AnnQuery::new(pts.clone(), AggregateFn::Sum), 2)
+        .unwrap();
 
     for _ in 0..10 {
         let tick = w.tick();

@@ -3,7 +3,7 @@
 //! out-of-range coordinates, and malformed event batches rejected at the
 //! unified server's ingest boundary.
 
-use cpm_suite::core::{CpmError, CpmKnnMonitor, CpmServer, CpmServerBuilder};
+use cpm_suite::core::{CpmError, CpmServer, CpmServerBuilder, PointQuery, ShardedCpmEngine};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{ObjectEvent, QueryEvent};
 use cpm_suite::sim::{run, AlgoKind, KnnMonitorAlgo, OracleMonitor};
@@ -198,10 +198,12 @@ fn queries_on_corners_edges_and_cell_boundaries() {
 
 #[test]
 fn out_of_range_coordinates_are_clamped_not_fatal() {
-    let mut m = CpmKnnMonitor::new(16);
+    // The bare engine trusts its caller; the grid snaps an update wildly
+    // outside the workspace to the boundary (the server rejects it, below).
+    let mut m = ShardedCpmEngine::<PointQuery>::new(16, 1);
     m.populate([(ObjectId(0), Point::new(0.5, 0.5))]);
-    m.install_query(QueryId(0), Point::new(0.5, 0.5), 1);
-    // An update wildly outside the workspace is snapped to the boundary.
+    m.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 1)
+        .unwrap();
     m.process_cycle(
         &[ObjectEvent::Move {
             id: ObjectId(0),

@@ -9,9 +9,7 @@
 //! exactly the pre-kernel code path. The batched lane is the stock
 //! [`PointQuery`], whose `dist_batch` is the kernel.
 
-use cpm_suite::core::{
-    CpmEngine, Direction, Pinwheel, PointQuery, QuerySpec, ShardedCpmEngine, SpecEvent,
-};
+use cpm_suite::core::{Direction, Pinwheel, PointQuery, QuerySpec, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{CellCoord, GridBuilder, GridGeom, IndexKind, ObjectEvent};
 
@@ -97,7 +95,7 @@ fn batched_kernel_is_observationally_identical_to_scalar() {
     let mut rng = StdRng::seed_from_u64(0xD157);
     let objs = objects(&mut rng);
 
-    let mut scalar: CpmEngine<ScalarPoint> = CpmEngine::new(32);
+    let mut scalar: ShardedCpmEngine<ScalarPoint> = ShardedCpmEngine::new(32, 1);
     scalar.enable_deltas();
     scalar.populate(objs.iter().copied());
 

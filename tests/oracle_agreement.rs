@@ -2,7 +2,9 @@
 //! the ground-truth k-NN distances at every timestamp, on every workload
 //! shape the paper varies (Table 6.1 sweeps, scaled down).
 
-use cpm_suite::gen::SpeedClass;
+use cpm_suite::gen::{SpeedClass, TickEvents};
+use cpm_suite::geom::{ObjectId, Point};
+use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{verify_against_oracle, SimParams, SimulationInput, WorkloadKind};
 
 fn base() -> SimParams {
@@ -107,12 +109,26 @@ fn constantly_moving_queries() {
 #[test]
 fn tiny_population_large_k() {
     // k exceeds the population: all monitors must return partial results.
-    check(SimParams {
+    let mut input = SimulationInput::generate(&SimParams {
         n_objects: 3,
         n_queries: 5,
         k: 8,
         ..base()
     });
+    // Every object is then a member of every result, so one more batch
+    // respawns a current result member: `Disappear` then `Appear` of the
+    // same id (the generator's Brinkhoff life cycle), applied in order.
+    input.ticks.push(TickEvents {
+        object_events: vec![
+            ObjectEvent::Disappear { id: ObjectId(0) },
+            ObjectEvent::Appear {
+                id: ObjectId(0),
+                pos: Point::new(0.9, 0.1),
+            },
+        ],
+        query_events: Vec::new(),
+    });
+    verify_against_oracle(&input);
 }
 
 #[test]

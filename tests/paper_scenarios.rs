@@ -4,9 +4,15 @@
 //! relation must hold.
 
 use cpm_suite::baselines::{SeaCnnMonitor, YpkCnnMonitor};
-use cpm_suite::core::CpmKnnMonitor;
+use cpm_suite::core::{PointQuery, ShardedCpmEngine};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{ObjectEvent, QueryEvent};
+
+/// CPM as the paper describes it: the engine over point queries, one
+/// shard (sequential).
+fn cpm_monitor(dim: u32) -> ShardedCpmEngine<PointQuery> {
+    ShardedCpmEngine::new(dim, 1)
+}
 
 /// Figure 4.3a: the only update is an object moving *inside* the
 /// best_dist circle. CPM compares one distance and touches no cells;
@@ -20,11 +26,11 @@ fn incomer_within_best_dist_fig_4_3a() {
     ];
     let q = (QueryId(0), Point::new(0.5, 0.5), 1);
 
-    let mut cpm = CpmKnnMonitor::new(16);
+    let mut cpm = cpm_monitor(16);
     let mut sea = SeaCnnMonitor::new(16);
     cpm.populate(objects);
     sea.populate(objects);
-    cpm.install_query(q.0, q.1, q.2);
+    cpm.install(q.0, PointQuery(q.1), q.2).unwrap();
     sea.install_query(q.0, q.1, q.2);
     cpm.take_metrics();
     sea.take_metrics();
@@ -66,11 +72,12 @@ fn outgoing_nn_cost_grows_with_distance_for_baselines_fig_4_2b() {
         (ObjectId(5), Point::new(0.70, 0.35)),
     ];
     let run = |dest: Point| {
-        let mut cpm = CpmKnnMonitor::new(32);
+        let mut cpm = cpm_monitor(32);
         let mut ypk = YpkCnnMonitor::new(32);
         cpm.populate(objects);
         ypk.populate(objects);
-        cpm.install_query(QueryId(0), Point::new(0.5, 0.5), 1);
+        cpm.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 1)
+            .unwrap();
         ypk.install_query(QueryId(0), Point::new(0.5, 0.5), 1);
         cpm.take_metrics();
         ypk.take_metrics();
@@ -118,11 +125,12 @@ fn query_displacement_cost_fig_4_3b() {
         })
         .collect();
     let run = |dest: Point| {
-        let mut cpm = CpmKnnMonitor::new(32);
+        let mut cpm = cpm_monitor(32);
         let mut sea = SeaCnnMonitor::new(32);
         cpm.populate(objects.iter().copied());
         sea.populate(objects.iter().copied());
-        cpm.install_query(QueryId(0), Point::new(0.5, 0.5), 2);
+        cpm.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
+            .unwrap();
         sea.install_query(QueryId(0), Point::new(0.5, 0.5), 2);
         cpm.take_metrics();
         sea.take_metrics();
@@ -130,7 +138,7 @@ fn query_displacement_cost_fig_4_3b() {
             id: QueryId(0),
             to: dest,
         }];
-        cpm.process_cycle(&[], &mv);
+        cpm.process_cycle(&[], &mv.map(Into::into));
         sea.process_cycle(&[], &mv);
         (
             cpm.metrics().objects_processed,
@@ -156,9 +164,10 @@ fn far_updates_are_completely_ignored() {
         (ObjectId(2), Point::new(0.48, 0.47)),
         (ObjectId(3), Point::new(0.05, 0.05)), // far away
     ];
-    let mut cpm = CpmKnnMonitor::new(32);
+    let mut cpm = cpm_monitor(32);
     cpm.populate(objects);
-    cpm.install_query(QueryId(0), Point::new(0.5, 0.5), 2);
+    cpm.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
+        .unwrap();
     cpm.take_metrics();
     // The far object jumps across the whole workspace, far from q.
     for dest in [Point::new(0.95, 0.05), Point::new(0.05, 0.95)] {

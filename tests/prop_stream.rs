@@ -3,7 +3,7 @@
 //! agreement with the brute-force oracle, with all internal invariants
 //! intact at every step.
 
-use cpm_suite::core::CpmKnnMonitor;
+use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{ObjectEvent, QueryEvent};
 use cpm_suite::sim::{KnnMonitorAlgo, OracleMonitor};
@@ -44,7 +44,7 @@ proptest! {
         batches in proptest::collection::vec(
             proptest::collection::vec(action_strategy(), 0..8), 1..12),
     ) {
-        let mut cpm = CpmKnnMonitor::new(dim);
+        let mut cpm = ShardedCpmEngine::<PointQuery>::new(dim, 1);
         let mut oracle = OracleMonitor::new();
         let objects: Vec<(ObjectId, Point)> = initial
             .iter()
@@ -59,7 +59,7 @@ proptest! {
             .enumerate()
             .map(|(i, &(x, y))| {
                 let qid = QueryId(i as u32);
-                cpm.install_query(qid, Point::new(x, y), k);
+                cpm.install(qid, PointQuery(Point::new(x, y)), k).unwrap();
                 KnnMonitorAlgo::install_query(&mut oracle, qid, Point::new(x, y), k);
                 qid
             })
@@ -114,7 +114,9 @@ proptest! {
                     _ => {}
                 }
             }
-            cpm.process_cycle(&obj_events, &qry_events);
+            let lifted: Vec<SpecEvent<PointQuery>> =
+                qry_events.iter().map(|&ev| ev.into()).collect();
+            cpm.process_cycle(&obj_events, &lifted);
             KnnMonitorAlgo::process_cycle(&mut oracle, &obj_events, &qry_events);
             cpm.check_invariants();
 

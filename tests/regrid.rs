@@ -10,12 +10,14 @@
 
 use std::collections::BTreeMap;
 
-use cpm_suite::core::{AutoRegridConfig, RegridPolicy, ShardedKnnMonitor};
+use cpm_suite::core::{AutoRegridConfig, PointQuery, RegridPolicy, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
-use cpm_suite::grid::{ObjectEvent, QueryEvent};
+use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{verify_regrid, SimParams, SimulationInput, WorkloadKind};
 use cpm_suite::sub::KnnSubscriptionHub;
 use proptest::prelude::*;
+
+type Engine = ShardedCpmEngine<PointQuery>;
 
 /// Shard counts the re-gridding lanes run at (the satellite spec's
 /// `S ∈ {1, 4}`).
@@ -105,11 +107,8 @@ proptest! {
         n_queries in 2usize..8,
     ) {
         let dims = [8u32, 16, 32, 64, 128];
-        let mut pinned = ShardedKnnMonitor::new(16, 1);
-        let mut lanes: Vec<ShardedKnnMonitor> = SHARD_COUNTS
-            .iter()
-            .map(|&s| ShardedKnnMonitor::new(16, s))
-            .collect();
+        let mut pinned = Engine::new(16, 1);
+        let mut lanes: Vec<Engine> = SHARD_COUNTS.iter().map(|&s| Engine::new(16, s)).collect();
 
         // Initial population and queries.
         let mut model: BTreeMap<u32, Point> = BTreeMap::new();
@@ -128,27 +127,27 @@ proptest! {
         for m in lanes.iter_mut().chain([&mut pinned]) {
             m.populate(model.iter().map(|(&id, &p)| (ObjectId(id), p)));
             for &(qid, q, k) in &queries {
-                m.install_query(qid, q, k);
+                m.install(qid, PointQuery(q), k).unwrap();
             }
         }
 
         let mut object_events: Vec<ObjectEvent> = Vec::new();
-        let mut query_events: Vec<QueryEvent> = Vec::new();
+        let mut query_events: Vec<SpecEvent<PointQuery>> = Vec::new();
         let mut touched: std::collections::HashSet<u32> = std::collections::HashSet::new();
         let mut touched_queries: std::collections::HashSet<u32> = std::collections::HashSet::new();
 
         fn run_cycle(
             object_events: &mut Vec<ObjectEvent>,
-            query_events: &mut Vec<QueryEvent>,
+            query_events: &mut Vec<SpecEvent<PointQuery>>,
             regrid_dim: Option<u32>,
-            pinned: &mut ShardedKnnMonitor,
-            lanes: &mut [ShardedKnnMonitor],
+            pinned: &mut Engine,
+            lanes: &mut [Engine],
             model: &BTreeMap<u32, Point>,
             queries: &[(QueryId, Point, usize)],
         ) -> Result<(), proptest::test_runner::TestCaseError> {
             if let Some(dim) = regrid_dim {
                 for lane in lanes.iter_mut() {
-                    let migrated = lane.regrid_to(dim);
+                    let migrated = lane.regrid_to(dim).unwrap();
                     // A genuine dim change migrates exactly the live set.
                     prop_assert!(migrated == 0 || migrated == lane.grid().len());
                     lane.check_invariants();
@@ -225,7 +224,7 @@ proptest! {
                     if touched_queries.insert(qid.0) {
                         let to = Point::new(x, y);
                         queries[at].1 = to;
-                        query_events.push(QueryEvent::Move { id: qid, to });
+                        query_events.push(SpecEvent::Update { id: qid, spec: PointQuery(to) });
                     }
                 }
                 Action::Regrid { slot } => {
@@ -309,7 +308,7 @@ fn auto_policy_adapts_and_stays_bit_identical() {
     let input = SimulationInput::generate(&params);
 
     let build = |auto: bool| {
-        let mut m = ShardedKnnMonitor::new(params.grid_dim, 2);
+        let mut m = Engine::new(params.grid_dim, 2);
         if auto {
             m.set_regrid_policy(RegridPolicy::Auto(AutoRegridConfig {
                 check_every: 3,
@@ -320,7 +319,7 @@ fn auto_policy_adapts_and_stays_bit_identical() {
         }
         m.populate(input.initial_objects.iter().copied());
         for &(qid, pos, k) in &input.initial_queries {
-            m.install_query(qid, pos, k);
+            m.install(qid, PointQuery(pos), k).unwrap();
         }
         m
     };
@@ -328,8 +327,10 @@ fn auto_policy_adapts_and_stays_bit_identical() {
     let mut adaptive = build(true);
     let mut dims_seen = std::collections::BTreeSet::new();
     for (t, tick) in input.ticks.iter().enumerate() {
-        let a = fixed.process_cycle(&tick.object_events, &tick.query_events);
-        let b = adaptive.process_cycle(&tick.object_events, &tick.query_events);
+        let query_events: Vec<SpecEvent<PointQuery>> =
+            tick.query_events.iter().map(|&ev| ev.into()).collect();
+        let a = fixed.process_cycle(&tick.object_events, &query_events);
+        let b = adaptive.process_cycle(&tick.object_events, &query_events);
         dims_seen.insert(adaptive.grid().dim());
         assert_eq!(a, b, "changed lists diverged at t={t}");
         for &(qid, _, _) in &input.initial_queries {

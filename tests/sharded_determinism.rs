@@ -1,9 +1,10 @@
 //! Determinism of the sharded parallel engine: for random workloads, the
-//! sharded monitor (`S ∈ {2, 4, 8}`) must report **bit-identical** results,
-//! changed sets, and per-cycle metrics totals to the sequential engine —
-//! parallelism may move work between threads, never change it.
+//! engine at `S ∈ {2, 4, 8}` must report **bit-identical** results,
+//! changed sets, and per-cycle metrics totals to the sequential engine
+//! (`S = 1`: no routing, no worker threads) — parallelism may move work
+//! between threads, never change it.
 
-use cpm_suite::core::{CpmEngine, PointQuery, ShardedCpmEngine, SpecEvent};
+use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{verify_sharded_determinism, SimParams, SimulationInput, WorkloadKind};
@@ -24,7 +25,7 @@ fn sharded_matches_sequential_under_heavy_query_movement() {
         let mut rng = StdRng::seed_from_u64(0x5EEA_0000 + trial);
         let dim = [8u32, 16, 64][trial as usize % 3];
 
-        let mut sequential: CpmEngine<PointQuery> = CpmEngine::new(dim);
+        let mut sequential: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(dim, 1);
         let mut sharded: Vec<ShardedCpmEngine<PointQuery>> = shard_counts
             .iter()
             .map(|&s| ShardedCpmEngine::new(dim, s))
@@ -80,8 +81,7 @@ fn sharded_matches_sequential_under_heavy_query_movement() {
                 }
             }
 
-            let mut changed_seq = sequential.process_cycle(&object_events, &query_events);
-            changed_seq.sort_unstable();
+            let changed_seq = sequential.process_cycle(&object_events, &query_events);
             let metrics_seq = sequential.take_metrics();
             for (m, &shards) in sharded.iter_mut().zip(&shard_counts) {
                 let changed = m.process_cycle(&object_events, &query_events);
@@ -134,7 +134,7 @@ fn sharded_matches_sequential_on_generated_workloads() {
 /// Engine-level property test over the full event vocabulary, including
 /// object appear/disappear and query install/update/terminate (which the
 /// generated workloads do not exercise): random streams into the
-/// sequential `CpmEngine` and sharded engines must agree on every query's
+/// sequential (`S = 1`) and sharded engines must agree on every query's
 /// result (ids *and* distance bits), on the changed sets, and on the
 /// metrics totals at every cycle.
 #[test]
@@ -144,7 +144,7 @@ fn random_streams_with_churn_are_shard_invariant() {
         let mut rng = StdRng::seed_from_u64(0xD17E_0000 + trial);
         let dim = [8u32, 16, 64][trial as usize % 3];
 
-        let mut sequential: CpmEngine<PointQuery> = CpmEngine::new(dim);
+        let mut sequential: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(dim, 1);
         let mut sharded: Vec<ShardedCpmEngine<PointQuery>> = shard_counts
             .iter()
             .map(|&s| ShardedCpmEngine::new(dim, s))
@@ -240,8 +240,7 @@ fn random_streams_with_churn_are_shard_invariant() {
                 }
             }
 
-            let mut changed_seq = sequential.process_cycle(&object_events, &query_events);
-            changed_seq.sort_unstable();
+            let changed_seq = sequential.process_cycle(&object_events, &query_events);
             let metrics_seq = sequential.take_metrics();
 
             for (m, &shards) in sharded.iter_mut().zip(&shard_counts) {

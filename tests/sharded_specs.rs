@@ -1,19 +1,19 @@
-//! Conformance of the non-point query specs — aggregate-NN, constrained,
-//! range, and reverse-NN — running under [`ShardedCpmEngine`]: for every
-//! shard count the results must be **bit-identical** to the sequential
-//! engine and correct against brute force, under object churn and moving
-//! queries. (The point-query/k-NN spec is covered by
-//! `tests/sharded_determinism.rs`.)
+//! Conformance of the non-point query specs — aggregate-NN, constrained
+//! and range on [`ShardedCpmEngine`], reverse-NN through the
+//! [`CpmServer`] that composes it: for every shard count the results must
+//! be **bit-identical** to the sequential (`S = 1`) engine and correct
+//! against brute force, under object churn and moving queries. (The
+//! point-query/k-NN spec is covered by `tests/sharded_determinism.rs`.)
 //!
 //! [`ShardedCpmEngine`]: cpm_suite::core::ShardedCpmEngine
+//! [`CpmServer`]: cpm_suite::core::CpmServer
 
-use cpm_suite::core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-use cpm_suite::core::constrained::{ConstrainedQuery, CpmConstrainedMonitor};
-use cpm_suite::core::range::{CpmRangeMonitor, RangeQuery};
-use cpm_suite::core::rnn::CpmRnnMonitor;
-use cpm_suite::core::{Neighbor, SpecEvent};
+use cpm_suite::core::{
+    AggregateFn, AnnQuery, ConstrainedQuery, CpmServer, CpmServerBuilder, Neighbor, QuerySpec,
+    RangeQuery, RnnHandle, ShardedCpmEngine, SpecEvent,
+};
 use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
-use cpm_suite::grid::{ObjectEvent, QueryEvent};
+use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::brute_force_range;
 
 use rand::rngs::StdRng;
@@ -59,6 +59,19 @@ fn churn(rng: &mut StdRng, live: &mut Vec<u32>, next: &mut u32) -> Vec<ObjectEve
     events
 }
 
+/// The sequential reference plus one engine per entry of
+/// [`SHARD_COUNTS`], all loaded with `objects`.
+fn lanes<S: QuerySpec + Send + Sync>(
+    objects: &[(ObjectId, Point)],
+) -> (ShardedCpmEngine<S>, Vec<ShardedCpmEngine<S>>) {
+    let build = |shards| {
+        let mut e = ShardedCpmEngine::new(16, shards);
+        e.populate(objects.iter().copied());
+        e
+    };
+    (build(1), SHARD_COUNTS.iter().map(|&s| build(s)).collect())
+}
+
 fn assert_dists_match(got: &[Neighbor], expect: &[f64], ctx: &str) {
     assert_eq!(got.len(), expect.len(), "{ctx}: result size");
     for (g, e) in got.iter().zip(expect) {
@@ -77,15 +90,7 @@ fn ann_specs_are_shard_invariant_and_correct() {
         let objects: Vec<(ObjectId, Point)> = (0..n_obj)
             .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
             .collect();
-        let mut sequential = CpmAnnMonitor::new(16);
-        let mut sharded: Vec<CpmAnnMonitor> = SHARD_COUNTS
-            .iter()
-            .map(|&s| CpmAnnMonitor::new_sharded(16, s))
-            .collect();
-        sequential.populate(objects.iter().copied());
-        for m in sharded.iter_mut() {
-            m.populate(objects.iter().copied());
-        }
+        let (mut sequential, mut sharded) = lanes::<AnnQuery>(&objects);
 
         let mut point_sets: Vec<Vec<Point>> = Vec::new();
         for qi in 0..6u32 {
@@ -93,9 +98,9 @@ fn ann_specs_are_shard_invariant_and_correct() {
                 .map(|_| Point::new(rng.gen(), rng.gen()))
                 .collect();
             let k = 1 + qi as usize % 3;
-            sequential.install_query(QueryId(qi), AnnQuery::new(pts.clone(), f), k);
-            for m in sharded.iter_mut() {
-                m.install_query(QueryId(qi), AnnQuery::new(pts.clone(), f), k);
+            for m in sharded.iter_mut().chain([&mut sequential]) {
+                m.install(QueryId(qi), AnnQuery::new(pts.clone(), f), k)
+                    .unwrap();
             }
             point_sets.push(pts);
         }
@@ -118,8 +123,7 @@ fn ann_specs_are_shard_invariant_and_correct() {
                 });
             }
 
-            let mut changed_seq = sequential.process_cycle(&events, &query_events);
-            changed_seq.sort_unstable();
+            let changed_seq = sequential.process_cycle(&events, &query_events);
             for (m, &shards) in sharded.iter_mut().zip(&SHARD_COUNTS) {
                 let changed = m.process_cycle(&events, &query_events);
                 assert_eq!(
@@ -141,7 +145,7 @@ fn ann_specs_are_shard_invariant_and_correct() {
                 let mut truth: Vec<f64> = sequential
                     .grid()
                     .iter_objects()
-                    .map(|(_, p)| st.spec.as_ann().expect("ann query").adist(p))
+                    .map(|(_, p)| st.spec.adist(p))
                     .collect();
                 truth.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 truth.truncate(st.k());
@@ -160,15 +164,7 @@ fn constrained_specs_are_shard_invariant_and_correct() {
     let objects: Vec<(ObjectId, Point)> = (0..n_obj)
         .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
         .collect();
-    let mut sequential = CpmConstrainedMonitor::new(16);
-    let mut sharded: Vec<CpmConstrainedMonitor> = SHARD_COUNTS
-        .iter()
-        .map(|&s| CpmConstrainedMonitor::new_sharded(16, s))
-        .collect();
-    sequential.populate(objects.iter().copied());
-    for m in sharded.iter_mut() {
-        m.populate(objects.iter().copied());
-    }
+    let (mut sequential, mut sharded) = lanes::<ConstrainedQuery>(&objects);
 
     fn random_query(rng: &mut StdRng) -> ConstrainedQuery {
         let lo = Point::new(rng.gen_range(0.0..0.6), rng.gen_range(0.0..0.6));
@@ -186,9 +182,8 @@ fn constrained_specs_are_shard_invariant_and_correct() {
     for qi in 0..8u32 {
         let q = random_query(&mut rng);
         let k = 1 + qi as usize % 4;
-        sequential.install_query(QueryId(qi), q.clone(), k);
-        for m in sharded.iter_mut() {
-            m.install_query(QueryId(qi), q.clone(), k);
+        for m in sharded.iter_mut().chain([&mut sequential]) {
+            m.install(QueryId(qi), q.clone(), k).unwrap();
         }
         queries.push(q);
     }
@@ -208,8 +203,7 @@ fn constrained_specs_are_shard_invariant_and_correct() {
             });
         }
 
-        let mut changed_seq = sequential.process_cycle(&events, &query_events);
-        changed_seq.sort_unstable();
+        let changed_seq = sequential.process_cycle(&events, &query_events);
         for (m, &shards) in sharded.iter_mut().zip(&SHARD_COUNTS) {
             let changed = m.process_cycle(&events, &query_events);
             assert_eq!(
@@ -250,15 +244,7 @@ fn range_specs_are_shard_invariant_and_correct() {
     let objects: Vec<(ObjectId, Point)> = (0..n_obj)
         .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
         .collect();
-    let mut sequential = CpmRangeMonitor::new(16);
-    let mut sharded: Vec<CpmRangeMonitor> = SHARD_COUNTS
-        .iter()
-        .map(|&s| CpmRangeMonitor::new_sharded(16, s))
-        .collect();
-    sequential.populate(objects.iter().copied());
-    for m in sharded.iter_mut() {
-        m.populate(objects.iter().copied());
-    }
+    let (mut sequential, mut sharded) = lanes::<RangeQuery>(&objects);
 
     let mut queries: Vec<RangeQuery> = Vec::new();
     for qi in 0..8u32 {
@@ -274,9 +260,8 @@ fn range_specs_are_shard_invariant_and_correct() {
                 ),
             ))
         };
-        sequential.install_query(QueryId(qi), q);
-        for m in sharded.iter_mut() {
-            m.install_query(QueryId(qi), q);
+        for m in sharded.iter_mut().chain([&mut sequential]) {
+            m.install(QueryId(qi), q, RangeQuery::UNBOUNDED_K).unwrap();
         }
         queries.push(q);
     }
@@ -296,8 +281,7 @@ fn range_specs_are_shard_invariant_and_correct() {
             });
         }
 
-        let mut changed_seq = sequential.process_cycle(&events, &query_events);
-        changed_seq.sort_unstable();
+        let changed_seq = sequential.process_cycle(&events, &query_events);
         for (m, &shards) in sharded.iter_mut().zip(&SHARD_COUNTS) {
             let changed = m.process_cycle(&events, &query_events);
             assert_eq!(
@@ -324,12 +308,12 @@ fn range_specs_are_shard_invariant_and_correct() {
     }
 }
 
-/// Reverse-NN under sharding: the six sector-constrained candidate
-/// queries per RNN query are distributed across shards, and the verified
-/// RNN sets must match both the sequential monitor and brute force, with
-/// moving queries.
+/// Reverse-NN under sharding: the server distributes the six
+/// sector-constrained candidate queries per RNN registration across
+/// shards, and the verified RNN sets must match both the sequential
+/// server and brute force, with moving queries.
 #[test]
-fn rnn_monitor_is_shard_invariant_and_correct() {
+fn rnn_composition_is_shard_invariant_and_correct() {
     fn brute_rnn(objects: &[(ObjectId, Point)], q: Point) -> Vec<ObjectId> {
         let mut out = Vec::new();
         for &(id, p) in objects {
@@ -347,64 +331,69 @@ fn rnn_monitor_is_shard_invariant_and_correct() {
     let objects: Vec<(ObjectId, Point)> = (0..n_obj)
         .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
         .collect();
-    let mut sequential = CpmRnnMonitor::new(16);
-    let mut sharded: Vec<CpmRnnMonitor> = SHARD_COUNTS
-        .iter()
-        .map(|&s| CpmRnnMonitor::new_sharded(16, s))
-        .collect();
-    sequential.populate(objects.iter().copied());
-    for m in sharded.iter_mut() {
-        m.populate(objects.iter().copied());
-    }
-
     let mut qpos = [
         Point::new(rng.gen(), rng.gen()),
         Point::new(rng.gen(), rng.gen()),
         Point::new(rng.gen(), rng.gen()),
     ];
-    for (qi, &p) in qpos.iter().enumerate() {
-        sequential.install_query(QueryId(qi as u32), p);
-        for m in sharded.iter_mut() {
-            m.install_query(QueryId(qi as u32), p);
-        }
-    }
+    // Lane 0 is the sequential reference.
+    let mut servers: Vec<(CpmServer, Vec<RnnHandle>)> = [1usize]
+        .iter()
+        .chain(&SHARD_COUNTS)
+        .map(|&shards| {
+            let mut s = CpmServerBuilder::new(16).shards(shards).build();
+            s.populate(objects.iter().copied());
+            let handles = qpos
+                .iter()
+                .enumerate()
+                .map(|(qi, &p)| s.install_rnn(QueryId(qi as u32), p).unwrap())
+                .collect();
+            (s, handles)
+        })
+        .collect();
 
     let mut live: Vec<u32> = (0..n_obj).collect();
     let mut next = n_obj;
     for cycle in 0..20 {
         let events = churn(&mut rng, &mut live, &mut next);
-        let mut query_events: Vec<QueryEvent> = Vec::new();
-        if rng.gen_bool(0.4) {
-            let qi = rng.gen_range(0..3u32);
-            qpos[qi as usize] = Point::new(rng.gen(), rng.gen());
-            query_events.push(QueryEvent::Move {
-                id: QueryId(qi),
-                to: qpos[qi as usize],
-            });
+        let moved: Option<usize> = rng.gen_bool(0.4).then(|| rng.gen_range(0..3));
+        if let Some(qi) = moved {
+            qpos[qi] = Point::new(rng.gen(), rng.gen());
         }
 
-        let mut changed_seq = sequential.process_cycle(&events, &query_events);
-        changed_seq.sort_unstable();
-        for (m, &shards) in sharded.iter_mut().zip(&SHARD_COUNTS) {
-            let changed = m.process_cycle(&events, &query_events);
-            assert_eq!(
-                changed_seq, changed,
-                "changed diverged at cycle {cycle} with {shards} shards"
-            );
-            for qi in 0..3u32 {
-                assert_eq!(
-                    sequential.result(QueryId(qi)).unwrap(),
-                    m.result(QueryId(qi)).unwrap(),
-                    "RNN set diverged for q{qi} at cycle {cycle} with {shards} shards"
-                );
+        let mut reference: Option<(Vec<QueryId>, Vec<Vec<ObjectId>>)> = None;
+        for (s, handles) in servers.iter_mut() {
+            if let Some(qi) = moved {
+                s.update_rnn(handles[qi], qpos[qi]).unwrap();
+            }
+            let changed = s.process_cycle(&events, &[]).unwrap();
+            s.check_invariants();
+            let sets: Vec<Vec<ObjectId>> = handles
+                .iter()
+                .map(|&h| s.rnn_result(h).unwrap().to_vec())
+                .collect();
+            let shards = s.shard_count();
+            match &reference {
+                None => reference = Some((changed, sets)),
+                Some((changed_seq, sets_seq)) => {
+                    assert_eq!(
+                        changed_seq, &changed,
+                        "changed diverged at cycle {cycle} with {shards} shards"
+                    );
+                    assert_eq!(
+                        sets_seq, &sets,
+                        "RNN sets diverged at cycle {cycle} with {shards} shards"
+                    );
+                }
             }
         }
+        let (sequential, handles) = &servers[0];
         let live_objs: Vec<(ObjectId, Point)> = sequential.grid().iter_objects().collect();
-        for (qi, &p) in qpos.iter().enumerate() {
+        for (&h, &p) in handles.iter().zip(&qpos) {
             assert_eq!(
-                sequential.result(QueryId(qi as u32)).unwrap(),
+                sequential.rnn_result(h).unwrap(),
                 brute_rnn(&live_objs, p),
-                "RNN oracle mismatch for q{qi} at cycle {cycle}"
+                "RNN oracle mismatch at cycle {cycle}"
             );
         }
     }

@@ -1,18 +1,18 @@
 //! Mixed-kind conformance for the unified [`CpmServer`] facade: one
 //! server hosting k-NN, range, aggregate-NN, constrained and reverse-NN
-//! queries on **one grid with one ingest pass per cycle** must be
-//! bit-identical to the dedicated per-kind monitors/engines and correct
-//! against brute-force oracles — for shard counts S ∈ {1, 4}, with moving
-//! queries and mid-stream install/terminate.
+//! queries on **one grid with one ingest pass per cycle** (unified
+//! `AnyQuerySpec` dispatch, runtime-selected `DynIndex`) must be
+//! bit-identical to dedicated single-kind `ShardedCpmEngine<Spec>`s on the
+//! monomorphic `CellIndex` and correct against brute-force oracles — for
+//! shard counts S ∈ {1, 4}, with moving queries and mid-stream
+//! install/terminate.
 //!
 //! [`CpmServer`]: cpm_suite::core::CpmServer
 
-use cpm_suite::core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-use cpm_suite::core::constrained::{ConstrainedQuery, CpmConstrainedMonitor};
-use cpm_suite::core::range::{CpmRangeMonitor, RangeQuery};
 use cpm_suite::core::server::QueryHandle;
 use cpm_suite::core::{
-    AnyQuerySpec, CpmError, CpmKnnMonitor, CpmServerBuilder, PointQuery, SpecEvent,
+    AggregateFn, AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServerBuilder, PointQuery,
+    QuerySpec, RangeQuery, ShardedCpmEngine, SpecEvent,
 };
 use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
 use cpm_suite::grid::{ObjectEvent, QueryKind};
@@ -22,6 +22,22 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SHARD_COUNTS: [usize; 2] = [1, 4];
+
+/// A dedicated single-kind engine (monomorphic `CellIndex`) hosting one
+/// query.
+fn dedicated<S: QuerySpec + Send + Sync>(
+    dim: u32,
+    shards: usize,
+    objects: &[(ObjectId, Point)],
+    id: QueryId,
+    spec: S,
+    k: usize,
+) -> ShardedCpmEngine<S> {
+    let mut e = ShardedCpmEngine::new(dim, shards);
+    e.populate(objects.iter().copied());
+    e.install(id, spec, k).unwrap();
+    e
+}
 
 /// The full sim-harness sweep: server vs dedicated single-kind engines vs
 /// brute force, with object churn, moving queries of every kind, and a
@@ -97,20 +113,28 @@ fn one_cycle_one_ingest_regardless_of_kind_count() {
             "one server cycle must ingest the batch exactly once (shards={shards})"
         );
 
-        // Contrast: one dedicated monitor per kind pays the ingest per
+        // Contrast: one dedicated engine per kind pays the ingest per
         // kind. (This is the workload the server exists to collapse.)
-        let mut knn = CpmKnnMonitor::new(32);
-        let mut range = CpmRangeMonitor::new(32);
-        let mut con = CpmConstrainedMonitor::new(32);
-        knn.populate(objects.iter().copied());
-        range.populate(objects.iter().copied());
-        con.populate(objects.iter().copied());
-        knn.install_query(QueryId(0), Point::new(0.4, 0.4), 4);
-        range.install_query(
+        let mut knn = dedicated(
+            32,
+            1,
+            &objects,
+            QueryId(0),
+            PointQuery(Point::new(0.4, 0.4)),
+            4,
+        );
+        let mut range = dedicated(
+            32,
+            1,
+            &objects,
             QueryId(1),
             RangeQuery::rect(Rect::new(Point::new(0.1, 0.1), Point::new(0.5, 0.5))),
+            RangeQuery::UNBOUNDED_K,
         );
-        con.install_query(
+        let mut con = dedicated(
+            32,
+            1,
+            &objects,
             QueryId(2),
             ConstrainedQuery::northeast_of(Point::new(0.5, 0.5)),
             4,
@@ -127,44 +151,42 @@ fn one_cycle_one_ingest_regardless_of_kind_count() {
         assert_eq!(
             split.updates_applied,
             3 * events.len() as u64,
-            "three dedicated monitors pay the ingest three times"
+            "three dedicated engines pay the ingest three times"
         );
     }
 }
 
-/// Server results must be bit-identical to the per-kind monitors (the
-/// compat shims the old API exposed) on a shared random stream.
+/// Server results must be bit-identical to dedicated single-kind engines
+/// on a shared random stream.
 #[test]
-fn server_results_match_per_kind_monitors() {
+fn server_results_match_dedicated_engines() {
     let mut rng = StdRng::seed_from_u64(0x0DD);
     for shards in SHARD_COUNTS {
         let objects: Vec<(ObjectId, Point)> = (0..70u32)
             .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
             .collect();
         let mut server = CpmServerBuilder::new(16).shards(shards).build();
-        let mut knn = CpmKnnMonitor::new(16);
-        let mut range = CpmRangeMonitor::new_sharded(16, shards);
-        let mut ann = CpmAnnMonitor::new_sharded(16, shards);
-        let mut con = CpmConstrainedMonitor::new_sharded(16, shards);
         server.populate(objects.iter().copied());
-        knn.populate(objects.iter().copied());
-        range.populate(objects.iter().copied());
-        ann.populate(objects.iter().copied());
-        con.populate(objects.iter().copied());
 
-        let knn_h = server
-            .install_knn(QueryId(0), Point::new(0.35, 0.65), 5)
-            .unwrap();
-        knn.install_query(QueryId(0), Point::new(0.35, 0.65), 5);
+        let knn_q = PointQuery(Point::new(0.35, 0.65));
+        let knn_h = server.install_knn(QueryId(0), knn_q.0, 5).unwrap();
+        let mut knn = dedicated(16, shards, &objects, QueryId(0), knn_q, 5);
         let range_q = RangeQuery::circle(Point::new(0.5, 0.5), 0.25);
         let range_h = server.install_range(QueryId(1), range_q).unwrap();
-        range.install_query(QueryId(1), range_q);
+        let mut range = dedicated(
+            16,
+            shards,
+            &objects,
+            QueryId(1),
+            range_q,
+            RangeQuery::UNBOUNDED_K,
+        );
         let ann_q = AnnQuery::new(
             vec![Point::new(0.2, 0.2), Point::new(0.8, 0.6)],
             AggregateFn::Sum,
         );
         let ann_h = server.install_ann(QueryId(2), ann_q.clone(), 3).unwrap();
-        ann.install_query(QueryId(2), ann_q, 3);
+        let mut ann = dedicated(16, shards, &objects, QueryId(2), ann_q, 3);
         let con_q = ConstrainedQuery::new(
             Point::new(0.5, 0.5),
             Rect::new(Point::new(0.4, 0.0), Point::new(1.0, 0.6)),
@@ -172,7 +194,7 @@ fn server_results_match_per_kind_monitors() {
         let con_h = server
             .install_constrained(QueryId(3), con_q.clone(), 3)
             .unwrap();
-        con.install_query(QueryId(3), con_q, 3);
+        let mut con = dedicated(16, shards, &objects, QueryId(3), con_q, 3);
 
         for _cycle in 0..25 {
             let mut events = Vec::new();
@@ -194,7 +216,7 @@ fn server_results_match_per_kind_monitors() {
             assert_eq!(
                 server.result(knn_h).unwrap(),
                 knn.result(QueryId(0)).unwrap(),
-                "k-NN diverged from CpmKnnMonitor (shards={shards})"
+                "k-NN diverged (shards={shards})"
             );
             assert_eq!(
                 server.result(range_h).unwrap(),
