@@ -1,346 +1,35 @@
 //! The CI benchmark-regression gate, reproducible locally:
 //!
 //! ```text
-//! cargo run --release -p cpm-bench --bin bench_check
+//! cargo run --release -p cpm-bench --features simd --bin bench_check
 //! ```
 //!
-//! Re-runs the micro-benchmarks at reduced scale and compares them
-//! against the checked-in `BENCH_*.json` baselines (see
-//! [`cpm_bench::check`] for exactly what each gate enforces). Exits
-//! non-zero on any regression; baseline-hygiene problems (e.g. an
-//! under-threaded `BENCH_shards.json`) print loud `WARN` lines without
-//! failing.
-//!
-//! The tolerance (default +25%) can be widened for noisy hosts via the
-//! `BENCH_CHECK_TOLERANCE` environment variable (e.g. `0.40`).
+//! Runs every micro-benchmark at its gate scale and judges it by the
+//! rows of [`cpm_bench::gates::GATES`] — that table is the complete list
+//! of what is enforced and why. Exits non-zero if any row fails.
 
-use cpm_bench::check::{
-    check_cluster, check_deltas, check_grid, check_index, check_kernels, check_pipeline,
-    check_recovery, check_regrid, check_server, check_shards, parse_cluster_baseline,
-    parse_deltas_baseline, parse_grid_baseline, parse_index_baseline, parse_kernels_baseline,
-    parse_pipeline_baseline, parse_recovery_baseline, parse_regrid_baseline, parse_server_baseline,
-    parse_shards_baseline, GateReport, DEFAULT_TOLERANCE,
-};
-use cpm_bench::{
-    cluster, deltas, grid_storage, index, kernels, pipeline, recovery, regrid, server, shards,
-};
+use cpm_bench::gates::{evaluate, GATES};
+use cpm_bench::{BenchRecord, BENCHES};
 
 fn main() {
-    let tolerance = std::env::var("BENCH_CHECK_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| *t >= 0.0)
-        .unwrap_or(DEFAULT_TOLERANCE);
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-
-    println!("bench_check: tolerance +{:.0}%\n", tolerance * 100.0);
-    let mut failed = false;
-
-    // Gate 1: grid-storage ns-per-op vs BENCH_grid.json.
-    let grid_baseline_path = format!("{root}/BENCH_grid.json");
-    match std::fs::read_to_string(&grid_baseline_path) {
-        Ok(json) => {
-            let baseline = parse_grid_baseline(&json);
-            assert!(
-                !baseline.is_empty(),
-                "no dense-bucket entries in {grid_baseline_path}"
-            );
-            let cfg = grid_storage::GridStorageConfig::reduced();
-            println!(
-                "## grid storage (reduced: N={}, dims {:?})",
-                cfg.n_objects, cfg.dims
-            );
-            let measured = grid_storage::run(&cfg);
-            failed |= print_report(check_grid(&baseline, &measured, tolerance));
+    let mut failed = 0;
+    for bench in BENCHES {
+        let measured = (bench.gate)();
+        print!("{measured}");
+        let recorded = std::fs::read_to_string(bench.path())
+            .ok()
+            .and_then(|text| BenchRecord::parse(&text).ok());
+        for gate in GATES.iter().filter(|g| g.bench == bench.name) {
+            for verdict in evaluate(gate, &measured, recorded.as_ref()) {
+                println!("   {}", verdict.line);
+                failed += usize::from(!verdict.passed);
+            }
         }
-        Err(e) => {
-            eprintln!("cannot read {grid_baseline_path}: {e}");
-            failed = true;
-        }
+        println!();
     }
-
-    // Gate 2: shard scaling property vs the host's parallelism, plus the
-    // checked-in scaling curve when the baseline host could scale too.
-    let cfg = shards::ShardBenchConfig::reduced();
-    let threads = shards::available_threads();
-    let shards_baseline = std::fs::read_to_string(format!("{root}/BENCH_shards.json"))
-        .ok()
-        .as_deref()
-        .and_then(parse_shards_baseline);
-    println!(
-        "\n## shard scaling (reduced: N={}, n={}, shards {:?}, host threads {})",
-        cfg.n_objects, cfg.n_queries, cfg.shard_counts, threads
-    );
-    let measured = shards::run(&cfg);
-    for m in &measured {
-        println!(
-            "   shards {:>2}: {:>8.3} ms/cycle   speedup {:>5.2}x",
-            m.shards, m.ms_per_cycle, m.speedup
-        );
-    }
-    failed |= print_report(check_shards(&measured, threads, shards_baseline, tolerance));
-
-    // Gate 3: delta-emission overhead vs full-list results. Both modes
-    // run in this process, so the ratio is machine-independent; the hard
-    // bar (the < 10% acceptance criterion, plus fixed control headroom)
-    // is never widened by BENCH_CHECK_TOLERANCE.
-    let cfg = deltas::DeltaBenchConfig::reduced();
-    let deltas_baseline = std::fs::read_to_string(format!("{root}/BENCH_deltas.json"))
-        .ok()
-        .as_deref()
-        .and_then(parse_deltas_baseline);
-    println!(
-        "\n## delta emission (reduced: N={}, subscriptions={}, {} cycles)",
-        cfg.n_objects, cfg.n_subscriptions, cfg.cycles
-    );
-    let run = deltas::run(&cfg);
-    for m in &run.modes {
-        println!(
-            "   {:>9}: {:>8.3} ms/cycle   {:>8} entries shipped",
-            m.mode, m.ms_per_cycle, m.entries_shipped
-        );
-    }
-    failed |= print_report(check_deltas(&run, deltas_baseline, tolerance));
-
-    // Gate 4: unified-server speedup over three dedicated engines. Both
-    // modes run in this process under the paired protocol, so the >= 1.3x
-    // acceptance bar (minus a fixed noise margin) is machine-independent
-    // and never widened by BENCH_CHECK_TOLERANCE.
-    let cfg = server::ServerBenchConfig::reduced();
-    let server_baseline = std::fs::read_to_string(format!("{root}/BENCH_server.json"))
-        .ok()
-        .as_deref()
-        .and_then(parse_server_baseline);
-    println!(
-        "\n## unified server (reduced: N={}, queries {}+{}+{}, {} cycles)",
-        cfg.n_objects, cfg.knn_queries, cfg.range_queries, cfg.constrained_queries, cfg.cycles
-    );
-    let run = server::run(&cfg);
-    for m in &run.modes {
-        println!(
-            "   {:>8}: {:>8.3} ms/cycle   {:>6} result changes",
-            m.mode, m.ms_per_cycle, m.result_changes
-        );
-    }
-    println!("   unified speedup: {:.2}x", run.unified_speedup);
-    failed |= print_report(check_server(&run, server_baseline, tolerance));
-
-    // Gate 5: adaptive re-gridding vs a fixed provisioned δ on the
-    // drifting-hotspot stream. Both lanes run in this process under the
-    // paired protocol, so the >= 1.2x acceptance bar (minus a fixed noise
-    // margin) and the migration-pause bound are machine-independent and
-    // never widened by BENCH_CHECK_TOLERANCE.
-    let cfg = regrid::RegridBenchConfig::reduced();
-    let regrid_baseline = std::fs::read_to_string(format!("{root}/BENCH_regrid.json"))
-        .ok()
-        .as_deref()
-        .and_then(parse_regrid_baseline);
-    println!(
-        "\n## adaptive re-grid (reduced: N={}->{}, queries={}, {} cycles, provisioned {}²)",
-        cfg.n_base,
-        (cfg.n_base as f64 * cfg.peak_factor) as usize,
-        cfg.n_queries,
-        cfg.cycles,
-        cfg.provisioned_dim()
-    );
-    let run = regrid::run(&cfg);
-    for m in &run.modes {
-        println!(
-            "   {:>8}: {:>8.3} ms/cycle   {:>6} result changes",
-            m.mode, m.ms_per_cycle, m.result_changes
-        );
-    }
-    println!(
-        "   adaptive speedup: {:.2}x ({} regrid(s), dim {} -> {})",
-        run.adaptive_speedup, run.regrids, run.fixed_dim, run.final_dim
-    );
-    failed |= print_report(check_regrid(&run, cfg.n_base, regrid_baseline, tolerance));
-
-    // Gate 6: crash-recovery restart pause vs the cycle cost it
-    // interrupts. Cycle and recovery are timed in this process seconds
-    // apart, so the <= 25-median-cycles pause bound is machine-independent
-    // and never widened by BENCH_CHECK_TOLERANCE.
-    let cfg = recovery::RecoveryBenchConfig::reduced();
-    let recovery_baseline = std::fs::read_to_string(format!("{root}/BENCH_recovery.json"))
-        .ok()
-        .as_deref()
-        .and_then(parse_recovery_baseline);
-    println!(
-        "\n## crash recovery (reduced: N={}, queries {}+{}+{}+{}, {} cycles journaled)",
-        cfg.n_objects,
-        cfg.knn_queries,
-        cfg.range_queries,
-        cfg.constrained_queries,
-        cfg.rnn_queries,
-        cfg.cycles
-    );
-    let run = recovery::run(&cfg);
-    println!(
-        "   cycle {:.3} ms (max {:.3}), recovery {:.3} ms = {:.2} median cycles",
-        run.median_cycle_ms, run.max_cycle_ms, run.recovery_ms, run.recovery_over_cycle
-    );
-    failed |= print_report(check_recovery(
-        &run,
-        cfg.n_objects,
-        recovery_baseline,
-        tolerance,
-    ));
-
-    // Gate 7: quadtree backend vs the uniform grid frozen at the
-    // base-provisioned δ, plus the dyn-dispatch overhead bound. All
-    // three lanes run in this process under the paired rotation
-    // protocol, so the >= 1.15x and <= 1.10x bars (each with a fixed
-    // noise margin) are machine-independent and never widened by
-    // BENCH_CHECK_TOLERANCE.
-    let cfg = index::IndexBenchConfig::reduced();
-    let index_baseline = std::fs::read_to_string(format!("{root}/BENCH_index.json"))
-        .ok()
-        .as_deref()
-        .and_then(parse_index_baseline);
-    println!(
-        "\n## spatial-index backends (reduced: N={}->{}, queries={}, {} cycles, \
-         uniform {}² vs quadtree {}²)",
-        cfg.n_base,
-        (cfg.n_base as f64 * cfg.peak_factor) as usize,
-        cfg.n_queries,
-        cfg.cycles,
-        cfg.uniform_dim(),
-        cfg.quadtree_dim()
-    );
-    let run = index::run(&cfg);
-    for m in &run.modes {
-        println!(
-            "   {:>12}: {:>8.3} ms/cycle   {:>6} result changes",
-            m.mode, m.ms_per_cycle, m.result_changes
-        );
-    }
-    println!(
-        "   quadtree speedup: {:.2}x, dyn overhead: {:.2}x",
-        run.quadtree_speedup, run.dyn_overhead
-    );
-    failed |= print_report(check_index(&run, cfg.n_base, index_baseline, tolerance));
-
-    // Gate 8: batched distance kernel vs the scalar per-object idiom.
-    // Both lanes run in this process under the paired protocol with
-    // bit-identical outputs asserted, so the >= 1.3x acceptance bar
-    // (minus a fixed noise margin) is machine-independent and never
-    // widened by BENCH_CHECK_TOLERANCE.
-    let cfg = kernels::KernelBenchConfig::reduced();
-    let kernels_baseline = std::fs::read_to_string(format!("{root}/BENCH_kernels.json"))
-        .ok()
-        .as_deref()
-        .and_then(parse_kernels_baseline);
-    println!(
-        "\n## distance kernels (reduced: dims {:?}, buckets {:?}, simd feature: {})",
-        cfg.dims,
-        cfg.buckets,
-        cfg!(feature = "simd"),
-    );
-    let measured = kernels::run(&cfg);
-    for m in &measured {
-        println!(
-            "   dim {:>4} bucket {:>3}: scalar {:>6.2} ns/obj vs batched {:>6.2} ns/obj \
-             ({:>4.2}x)",
-            m.dim, m.bucket, m.scalar_ns, m.batched_ns, m.speedup
-        );
-    }
-    failed |= print_report(check_kernels(
-        &measured,
-        cfg!(feature = "simd"),
-        kernels_baseline,
-        tolerance,
-    ));
-
-    // Gate 9: coordinator merge overhead vs the single node. Both lanes
-    // run in this process under the paired protocol with per-cycle
-    // bit-identical merged deltas asserted; the gated statistic is the
-    // coordinator's *serial merge slice* (the only part of a cluster
-    // cycle that cannot be bought back with cores), so the <= 1.25x
-    // bound (plus a fixed noise margin) is machine-independent and never
-    // widened by BENCH_CHECK_TOLERANCE. The full-cycle ratio prints as
-    // a host diagnostic.
-    let cfg = cluster::ClusterBenchConfig::reduced();
-    let cluster_baseline = std::fs::read_to_string(format!("{root}/BENCH_cluster.json"))
-        .ok()
-        .as_deref()
-        .and_then(parse_cluster_baseline);
-    println!(
-        "\n## cluster merge (reduced: N={}, queries={}, {} cycles, {} workers, overlap {})",
-        cfg.n_objects, cfg.n_queries, cfg.cycles, cfg.workers, cfg.overlap
-    );
-    let run = cluster::run(&cfg);
-    for m in &run.modes {
-        println!(
-            "   {:>11}: {:>8.3} ms/cycle   {:>6} result changes",
-            m.mode, m.ms_per_cycle, m.result_changes
-        );
-    }
-    println!(
-        "   merge {:.4} ms/cycle ({:.3}x of a single-node cycle); full-cycle ratio {:.3}x",
-        run.merge_ms_per_cycle, run.merge_over_single, run.cluster_over_single
-    );
-    failed |= print_report(check_cluster(
-        &run,
-        cfg.n_objects,
-        cluster_baseline,
-        tolerance,
-    ));
-
-    // Gate 10: pipelined coordinator vs the serial cycle. The routing
-    // bound (serial route slice <= 1.25x a single-node cycle, plus a
-    // fixed noise margin) is machine-independent and never widened by
-    // BENCH_CHECK_TOLERANCE; the >= 1.15x pipelined-over-serial speedup
-    // needs real cores to overlap on, so it binds only on >= 4-thread
-    // hosts and is loudly waived (WARN, never a silent skip) below —
-    // the same pattern as the shard gate. Every run re-proves per-cycle
-    // bit-identical merges across all three lanes.
-    let cfg = pipeline::PipelineBenchConfig::reduced();
-    let pipeline_baseline = std::fs::read_to_string(format!("{root}/BENCH_pipeline.json"))
-        .ok()
-        .as_deref()
-        .and_then(parse_pipeline_baseline);
-    println!(
-        "\n## pipelined coordinator (reduced: N={}, queries={}, {} cycles in chunks of {}, \
-         {} workers, host threads {})",
-        cfg.n_objects, cfg.n_queries, cfg.cycles, cfg.chunk, cfg.workers, threads
-    );
-    let run = pipeline::run(&cfg);
-    for m in &run.modes {
-        println!(
-            "   {:>11}: {:>8.3} ms/cycle   {:>6} result changes",
-            m.mode, m.ms_per_cycle, m.result_changes
-        );
-    }
-    println!(
-        "   route/single {:.3}x; pipelined/serial {:.2}x",
-        run.route_over_single, run.pipelined_over_serial
-    );
-    failed |= print_report(check_pipeline(
-        &run,
-        threads,
-        cfg.n_objects,
-        pipeline_baseline,
-        tolerance,
-    ));
-
-    if failed {
-        eprintln!("\nbench_check FAILED (widen with BENCH_CHECK_TOLERANCE if this host is noisy)");
+    if failed > 0 {
+        eprintln!("bench_check FAILED: {failed} gate row(s)");
         std::process::exit(1);
     }
-    println!("\nbench_check passed");
-}
-
-/// Print a gate's comparisons; returns `true` if it failed. Warnings are
-/// loud (stderr, `WARN` prefix) but do not fail the gate.
-fn print_report(report: GateReport) -> bool {
-    for line in &report.lines {
-        println!("   {line}");
-    }
-    for warning in &report.warnings {
-        eprintln!("   WARN: {warning}");
-    }
-    for failure in &report.failures {
-        eprintln!("   FAIL: {failure}");
-    }
-    !report.passed()
+    println!("bench_check passed");
 }

@@ -145,32 +145,36 @@ fn run_experiment(name: &str, scale: f64, shards: &[usize]) {
 /// Per-stage coordinator timings (route / worker wait / merge) for the
 /// serial and pipelined cluster cycles at `W = 4`, from the
 /// coordinator's own [`CoordinatorMetrics`] instrumentation — the same
-/// numbers bench gate 10 bounds. Runs at the gate's reduced scale so it
-/// finishes in seconds; `bench_pipeline` records the acceptance scale.
+/// numbers the `pipeline` gate rows bound. Runs at the gate's reduced
+/// scale so it finishes in seconds; `bench_record pipeline` records the
+/// acceptance scale.
 ///
 /// [`CoordinatorMetrics`]: cpm_cluster::CoordinatorMetrics
 fn print_pipeline_stages() {
-    let cfg = cpm_bench::pipeline::PipelineBenchConfig::reduced();
-    let run = cpm_bench::pipeline::run(&cfg);
+    let cfg = cpm_bench::pipeline::Config::gate();
+    let run = cpm_bench::pipeline::measure(&cfg);
     println!(
         "## Pipelined coordinator stage timings (N={}, queries={}, {} workers)\n",
         cfg.n_objects, cfg.n_queries, cfg.workers
     );
     println!("lane        | route ms | wait ms  | merge ms | ms/cycle");
     println!("------------+----------+----------+----------+---------");
-    for (lane, stages, ms) in [
-        ("serial", run.serial_stages, run.modes[1].ms_per_cycle),
-        ("pipelined", run.pipelined_stages, run.modes[2].ms_per_cycle),
-    ] {
+    for lane in ["serial", "pipelined"] {
+        let stage = |stage: &str| run.median(&format!("{lane}_{stage}_ms"));
         println!(
             "{lane:<11} | {:>8.3} | {:>8.3} | {:>8.3} | {:>8.3}",
-            stages.route_ms, stages.wait_ms, stages.merge_ms, ms
+            stage("route"),
+            stage("wait"),
+            stage("merge"),
+            run.lane_num(lane, "ms_quiet")
         );
     }
     println!(
         "\nsingle-node reference: {:.3} ms/cycle; route/single {:.3}x; \
          pipelined/serial {:.2}x\n",
-        run.modes[0].ms_per_cycle, run.route_over_single, run.pipelined_over_serial
+        run.lane_num("single-node", "ms_quiet"),
+        run.median("route_over_single"),
+        run.median("pipelined_over_serial")
     );
 }
 

@@ -13,85 +13,55 @@
 //!   of [`ClusterCoordinator::last_cycle_timings`]) over the single-node
 //!   cycle. The merge is the only part of the distributed cycle that is
 //!   *serial on the coordinator no matter how many cores the workers
-//!   get*, so this is the machine-independent statistic the acceptance
-//!   bar bounds: at `W = 4` it may cost at most
-//!   [`crate::check::CLUSTER_MERGE_LIMIT`]× the single-node cycle it
-//!   coordinates (both lanes timed in one process under the paired-cycle
-//!   protocol).
+//!   get* — a merge that outweighs the cycle it merges caps scale-out at
+//!   `W = 1` on any hardware — so this is the machine-independent
+//!   statistic the gate bounds at `W = 4`.
 //! * **`cluster_over_single`** — the full cluster cycle over the
 //!   single-node cycle. Recorded as honest diagnostics next to the
-//!   host's thread count (like the shard bench), **not** gated: on a
-//!   1-thread container the workers time-slice one core, so routing +
-//!   wakeup costs show with zero parallel payback, while a `≥ W`-core
-//!   host can push this below 1.
+//!   host's thread count, **not** gated: on an under-threaded host the
+//!   workers time-slice the cores, so routing + wakeup costs show with
+//!   no parallel payback, while a `≥ W`-core host can push this below 1.
 //!
-//! Every measured cycle doubles as a conformance check: the merged
-//! cluster deltas are asserted **bit-identical** to the single-node
-//! batch before the next pair runs.
-//!
-//! The `bench_cluster` binary records `BENCH_cluster.json`; the CI gate
-//! (`bench_check`) re-runs [`ClusterBenchConfig::reduced`] and enforces
-//! the merge bound (see [`crate::check::check_cluster`]).
+//! Every cycle doubles as a conformance check: the merged cluster deltas
+//! must be **bit-identical** to the single-node batch.
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use cpm_cluster::{ChannelTransport, ClusterConfig, ClusterCoordinator, WorkerHandle};
+use cpm_core::{CpmServerBuilder, CycleDeltas};
 
-use cpm_cluster::{ClusterConfig, ClusterCoordinator};
-use cpm_core::{AnyQuerySpec, CpmServerBuilder, CycleDeltas, PointQuery, SpecEvent};
-use cpm_geom::{ObjectId, QueryId};
-use cpm_grid::ObjectEvent;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::paired::{timed, Paired, Stat, REPS};
+use crate::record::BenchRecord;
+use crate::workload::{bench_config, cluster_stream};
 
-/// Workload parameters for one cluster-vs-single-node run.
-#[derive(Debug, Clone)]
-pub struct ClusterBenchConfig {
-    /// Object population `N`.
-    pub n_objects: usize,
-    /// Installed k-NN queries (anchors uniform over the workspace).
-    pub n_queries: usize,
-    /// Neighbors per query.
-    pub k: usize,
-    /// Fraction of objects moving per cycle.
-    pub move_fraction: f64,
-    /// Measured processing cycles.
-    pub cycles: usize,
-    /// Unmeasured warmup cycles replayed first (after the bootstrap
-    /// populate/install cycles, which are also unmeasured).
-    pub warmup_cycles: usize,
-    /// Grid granularity per axis.
-    pub grid_dim: u32,
-    /// In-process cluster workers.
-    pub workers: u32,
-    /// Boundary-overlap margin in cells.
-    pub overlap: u32,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ClusterBenchConfig {
-    /// The acceptance-scale configuration recorded in
-    /// `BENCH_cluster.json`: enough objects and queries that cycle cost
-    /// is dominated by maintenance work, not per-message fixed costs.
-    fn default() -> Self {
-        Self {
-            n_objects: 10_000,
-            n_queries: 96,
-            k: 16,
-            move_fraction: 0.10,
-            cycles: 40,
-            warmup_cycles: 2,
-            grid_dim: 32,
-            workers: 4,
-            overlap: 4,
-            seed: 2005,
-        }
+bench_config! {
+    /// Workload parameters for one cluster-vs-single-node run.
+    Config {
+        /// Object population `N`.
+        n_objects: usize = 10_000,
+        /// Installed k-NN queries (anchors uniform over the workspace).
+        n_queries: usize = 96,
+        /// Neighbors per query.
+        k: usize = 16,
+        /// Fraction of objects moving per cycle.
+        move_fraction: f64 = 0.10,
+        /// Measured processing cycles.
+        cycles: usize = 40,
+        /// Unmeasured warm-up cycles (after the two bootstrap
+        /// populate/install cycles, which are also unmeasured).
+        warmup_cycles: usize = 2,
+        /// Grid granularity per axis.
+        grid_dim: u32 = 32,
+        /// In-process cluster workers.
+        workers: u32 = 4,
+        /// Boundary-overlap margin in cells.
+        overlap: u32 = 4,
+        /// RNG seed.
+        seed: u64 = 2005,
     }
 }
 
-impl ClusterBenchConfig {
-    /// The reduced-scale configuration the CI bench gate runs on every PR.
-    pub fn reduced() -> Self {
+impl Config {
+    /// The reduced scale `bench_check` runs.
+    pub fn gate() -> Self {
         Self {
             n_objects: 4_000,
             n_queries: 48,
@@ -101,305 +71,96 @@ impl ClusterBenchConfig {
     }
 }
 
-/// Timings for one execution lane.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterMeasurement {
-    /// `"single-node"` or `"cluster"`.
-    pub mode: &'static str,
-    /// **Median** wall time per measured cycle, ms.
-    pub ms_per_cycle: f64,
-    /// Slowest single measured cycle, ms.
-    pub max_cycle_ms: f64,
-    /// Total result changes over the measured cycles (identical across
-    /// lanes — asserted per cycle by [`run`]).
-    pub result_changes: usize,
-}
-
-/// Outcome of one cluster-vs-single-node run.
-#[derive(Debug, Clone)]
-pub struct ClusterBenchRun {
-    /// Per-lane measurements: `[single-node, cluster]`.
-    pub modes: [ClusterMeasurement; 2],
-    /// Median coordinator routing cost per cycle, ms (per-worker event
-    /// translation + batch framing + send), from
-    /// [`ClusterCoordinator::last_cycle_timings`].
-    pub route_ms_per_cycle: f64,
-    /// Median coordinator blocking-receive time per cycle, ms — the
-    /// window the workers spend computing while the coordinator waits.
-    pub worker_wait_ms_per_cycle: f64,
-    /// Median coordinator merge cost per cycle, ms (the serial
-    /// reassembly + decode + canonical-interleave step).
-    pub merge_ms_per_cycle: f64,
-    /// Median per-cycle-pair `merge ms / single-node ms`: the
-    /// machine-independent coordinator overhead. The PR acceptance bar
-    /// is ≤ [`crate::check::CLUSTER_MERGE_LIMIT`] at `W = 4`.
-    pub merge_over_single: f64,
-    /// Median per-cycle-pair `cluster ms / single-node ms`: the full
-    /// price of the distributed path **on this host** — diagnostic
-    /// only, since it depends on how many cores the workers get (see
-    /// the [module docs](self)).
-    pub cluster_over_single: f64,
-}
-
-fn median_ms(mut times: Vec<Duration>) -> (f64, f64) {
-    times.sort_unstable();
-    let median = times
-        .get(times.len() / 2)
-        .copied()
-        .unwrap_or(Duration::ZERO);
-    let max = times.last().copied().unwrap_or(Duration::ZERO);
-    (median.as_secs_f64() * 1e3, max.as_secs_f64() * 1e3)
-}
-
-/// Run both lanes over the identical pre-generated workload and report
-/// the cycle-cost ratio.
-///
-/// Paired-cycle protocol (see [`crate::deltas::run`] for why): each
-/// event batch is processed by both lanes back to back in an order that
-/// alternates every cycle, and the ratio is the **median of per-pair
-/// ratios**, so transient host stalls inflate both sides of their pair
-/// and cancel. After every measured pair the merged cluster deltas are
-/// asserted bit-identical to the single-node batch (outside the timed
-/// sections).
+/// Shut a coordinator's workers down and join them.
 ///
 /// # Panics
-/// On any cluster protocol error, or if the merged deltas ever diverge
-/// from the single-node reference.
-pub fn run(cfg: &ClusterBenchConfig) -> ClusterBenchRun {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut positions = crate::movers::uniform_points(&mut rng, cfg.n_objects);
-    let appears: Vec<ObjectEvent> = positions
-        .iter()
-        .enumerate()
-        .map(|(i, &pos)| ObjectEvent::Appear {
-            id: ObjectId(i as u32),
-            pos,
-        })
-        .collect();
-    let installs: Vec<SpecEvent<AnyQuerySpec>> =
-        crate::movers::uniform_points(&mut rng, cfg.n_queries)
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| SpecEvent::Install {
-                id: QueryId(i as u32),
-                spec: AnyQuerySpec::Knn(PointQuery(p)),
-                k: cfg.k,
-            })
-            .collect();
-    let movers = ((cfg.n_objects as f64 * cfg.move_fraction) as usize).max(1);
-    let total_cycles = cfg.warmup_cycles + cfg.cycles;
-    let move_cycles: Vec<Vec<ObjectEvent>> =
-        crate::movers::random_walk_cycles(&mut rng, &mut positions, total_cycles, movers)
-            .into_iter()
-            .map(|batch| {
-                // Last-wins dedup: both lanes reject duplicate ids in a
-                // batch.
-                let mut seen = std::collections::HashSet::new();
-                let mut events: Vec<ObjectEvent> = batch
-                    .into_iter()
-                    .rev()
-                    .filter(|(i, _)| seen.insert(*i))
-                    .map(|(i, to)| ObjectEvent::Move {
-                        id: ObjectId(i as u32),
-                        to,
-                    })
-                    .collect();
-                events.reverse();
-                events
-            })
-            .collect();
-
-    let mut single = CpmServerBuilder::new(cfg.grid_dim)
-        .deltas(true)
-        .try_build()
-        .expect("single-node server");
-    let cluster_cfg = ClusterConfig::new(cfg.grid_dim, cfg.workers).overlap(cfg.overlap);
-    let (mut coord, handles) =
-        ClusterCoordinator::spawn_in_process(cluster_cfg).expect("spawn workers");
-
-    // Bootstrap (unmeasured): objects appear, then queries install —
-    // k-NN results must be fillable before any finite coverage can
-    // certify them.
-    let mut single_out = CycleDeltas::default();
-    for (objects, queries) in [(&appears[..], &[][..]), (&[][..], &installs[..])] {
-        single
-            .process_cycle_with_deltas_into(objects, queries, &mut single_out)
-            .expect("bootstrap cycle");
-        let merged = coord
-            .process_cycle(objects, queries)
-            .expect("cluster bootstrap cycle");
-        assert_eq!(merged, single_out, "bootstrap deltas diverged");
-    }
-
-    let warmup_n = cfg.warmup_cycles.min(move_cycles.len());
-    let (warmup, measured) = move_cycles.split_at(warmup_n);
-    for events in warmup {
-        single
-            .process_cycle_with_deltas_into(events, &[], &mut single_out)
-            .expect("warmup cycle");
-        coord.process_cycle(events, &[]).expect("warmup cycle");
-    }
-
-    let mut single_times = Vec::with_capacity(measured.len());
-    let mut single_changes = 0usize;
-    let mut cluster_times = Vec::with_capacity(measured.len());
-    let mut route_times = Vec::with_capacity(measured.len());
-    let mut wait_times = Vec::with_capacity(measured.len());
-    let mut merge_times = Vec::with_capacity(measured.len());
-    let mut cluster_changes = 0usize;
-    for (i, events) in measured.iter().enumerate() {
-        let mut merged = None;
-        let mut time_single = |single: &mut cpm_core::CpmServer| {
-            let start = Instant::now();
-            single
-                .process_cycle_with_deltas_into(events, &[], &mut single_out)
-                .expect("measured cycle");
-            single_times.push(start.elapsed());
-            single_changes += single_out.changed.len();
-        };
-        let mut time_cluster = |coord: &mut ClusterCoordinator<_>| {
-            let start = Instant::now();
-            let out = coord.process_cycle(events, &[]).expect("measured cycle");
-            cluster_times.push(start.elapsed());
-            let stage = coord.last_cycle_timings();
-            route_times.push(stage.route);
-            wait_times.push(stage.worker_wait);
-            merge_times.push(stage.merge);
-            cluster_changes += out.changed.len();
-            merged = Some(out);
-        };
-        if i % 2 == 0 {
-            time_single(&mut single);
-            time_cluster(&mut coord);
-        } else {
-            time_cluster(&mut coord);
-            time_single(&mut single);
-        }
-        // Conformance, outside the timed sections: every merged batch is
-        // bit-identical to the single-node one.
-        assert_eq!(
-            merged.expect("cluster lane ran"),
-            single_out,
-            "merged deltas diverged at measured cycle {i}"
-        );
-    }
+/// If a worker already hung up or exits with an error.
+pub(crate) fn stop(coord: ClusterCoordinator<ChannelTransport>, handles: Vec<WorkerHandle>) {
     coord.shutdown().expect("clean shutdown");
     for h in handles {
         h.join().expect("worker thread").expect("worker exit");
     }
-
-    let median_ratio = |others: &[Duration], singles: &[Duration]| {
-        let mut ratios: Vec<f64> = singles
-            .iter()
-            .zip(others)
-            .map(|(s, c)| c.as_secs_f64() / s.as_secs_f64())
-            .collect();
-        ratios.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        ratios[ratios.len() / 2]
-    };
-    let cluster_over_single = median_ratio(&cluster_times, &single_times);
-    let merge_over_single = median_ratio(&merge_times, &single_times);
-    let (route_ms, _) = median_ms(route_times);
-    let (wait_ms, _) = median_ms(wait_times);
-    let (merge_ms, _) = median_ms(merge_times);
-
-    let (single_ms, single_max) = median_ms(single_times);
-    let (cluster_ms, cluster_max) = median_ms(cluster_times);
-    assert_eq!(
-        single_changes, cluster_changes,
-        "lanes did different work on the same stream"
-    );
-    ClusterBenchRun {
-        modes: [
-            ClusterMeasurement {
-                mode: "single-node",
-                ms_per_cycle: single_ms,
-                max_cycle_ms: single_max,
-                result_changes: single_changes,
-            },
-            ClusterMeasurement {
-                mode: "cluster",
-                ms_per_cycle: cluster_ms,
-                max_cycle_ms: cluster_max,
-                result_changes: cluster_changes,
-            },
-        ],
-        route_ms_per_cycle: route_ms,
-        worker_wait_ms_per_cycle: wait_ms,
-        merge_ms_per_cycle: merge_ms,
-        merge_over_single,
-        cluster_over_single,
-    }
 }
 
-/// Render the `BENCH_cluster.json` document for a run.
-pub fn render_json(cfg: &ClusterBenchConfig, run: &ClusterBenchRun) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"bench_cluster\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"n_objects\": {}, \"n_queries\": {}, \"k\": {}, \
-         \"move_fraction\": {}, \"cycles\": {}, \"warmup_cycles\": {}, \"grid_dim\": {}, \
-         \"workers\": {}, \"overlap\": {}}},",
+/// Run both lanes over the identical stream under the paired protocol.
+///
+/// # Panics
+/// On any cluster protocol error, or if the merged deltas ever diverge
+/// from the single-node reference.
+pub fn measure(cfg: &Config) -> BenchRecord {
+    let warmup = 2 + cfg.warmup_cycles;
+    let stream = cluster_stream(
+        cfg.seed,
         cfg.n_objects,
         cfg.n_queries,
         cfg.k,
         cfg.move_fraction,
-        cfg.cycles,
-        cfg.warmup_cycles,
-        cfg.grid_dim,
-        cfg.workers,
-        cfg.overlap
+        cfg.warmup_cycles + cfg.cycles,
     );
-    let _ = writeln!(
-        json,
-        "  \"machine\": {{\"threads_available\": {}, \"os\": \"{}\", \"arch\": \"{}\"}},",
-        crate::shards::available_threads(),
-        std::env::consts::OS,
-        std::env::consts::ARCH
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, m) in run.modes.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"ms_per_cycle\": {:.3}, \"max_cycle_ms\": {:.3}, \
-             \"result_changes\": {}}}",
-            m.mode, m.ms_per_cycle, m.max_cycle_ms, m.result_changes
+
+    let mut paired = Paired::default();
+    let mut changes = 0;
+    for _ in 0..REPS {
+        let mut single = CpmServerBuilder::new(cfg.grid_dim)
+            .deltas(true)
+            .try_build()
+            .expect("single-node server");
+        let cluster_cfg = ClusterConfig::new(cfg.grid_dim, cfg.workers).overlap(cfg.overlap);
+        let (mut coord, handles) =
+            ClusterCoordinator::spawn_in_process(cluster_cfg).expect("spawn workers");
+
+        changes = 0;
+        let mut single_out = CycleDeltas::default();
+        let mut single_lane = |i: usize| {
+            let (objects, queries) = &stream[i];
+            let (spent, result) =
+                timed(|| single.process_cycle_with_deltas_into(objects, queries, &mut single_out));
+            result.expect("single-node cycle");
+            changes += if i >= warmup {
+                single_out.changed.len()
+            } else {
+                0
+            };
+            (spent, single_out.clone())
+        };
+        let (mut route, mut wait, mut merge) = (vec![], vec![], vec![]);
+        let mut cluster_lane = |i: usize| {
+            let (objects, queries) = &stream[i];
+            let (spent, merged) = timed(|| coord.process_cycle(objects, queries));
+            if i >= warmup {
+                let stage = coord.last_cycle_timings();
+                route.push(stage.route.as_secs_f64() * 1e3);
+                wait.push(stage.worker_wait.as_secs_f64() * 1e3);
+                merge.push(stage.merge.as_secs_f64() * 1e3);
+            }
+            (spent, merged.expect("cluster cycle"))
+        };
+        // `check`: every merged batch, bootstrap and warm-up included, is
+        // bit-identical to the single-node one.
+        paired.repetition(
+            warmup,
+            cfg.cycles,
+            true,
+            &mut [
+                ("single-node", &mut single_lane),
+                ("cluster", &mut cluster_lane),
+            ],
         );
-        json.push_str(if i + 1 == run.modes.len() {
-            "\n"
-        } else {
-            ",\n"
-        });
+        paired.derive("route", route);
+        paired.derive("worker-wait", wait);
+        paired.derive("merge", merge);
+        stop(coord, handles);
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"route_ms_per_cycle\": {:.4},",
-        run.route_ms_per_cycle
+
+    let mut record = BenchRecord::new("cluster", cfg.fields());
+    record.lane_rows(&paired, |_| Vec::new());
+    record.put("result_changes", Stat::exact(changes as f64));
+    record.put("merge_over_single", paired.ratio("merge", "single-node"));
+    record.put(
+        "cluster_over_single",
+        paired.ratio("cluster", "single-node"),
     );
-    let _ = writeln!(
-        json,
-        "  \"worker_wait_ms_per_cycle\": {:.4},",
-        run.worker_wait_ms_per_cycle
-    );
-    let _ = writeln!(
-        json,
-        "  \"merge_ms_per_cycle\": {:.4},",
-        run.merge_ms_per_cycle
-    );
-    let _ = writeln!(
-        json,
-        "  \"merge_over_single\": {:.4},",
-        run.merge_over_single
-    );
-    let _ = writeln!(
-        json,
-        "  \"cluster_over_single\": {:.4}",
-        run.cluster_over_single
-    );
-    json.push_str("}\n");
-    json
+    record
 }
 
 #[cfg(test)]
@@ -408,7 +169,7 @@ mod tests {
 
     #[test]
     fn tiny_run_measures_both_lanes_consistently() {
-        let cfg = ClusterBenchConfig {
+        let cfg = Config {
             n_objects: 400,
             n_queries: 12,
             k: 3,
@@ -416,24 +177,16 @@ mod tests {
             warmup_cycles: 1,
             grid_dim: 16,
             workers: 2,
-            overlap: 4,
-            ..ClusterBenchConfig::default()
+            ..Config::default()
         };
-        // `run` itself asserts per-cycle bit-identical merged deltas.
-        let run = run(&cfg);
-        assert_eq!(run.modes[0].mode, "single-node");
-        assert_eq!(run.modes[1].mode, "cluster");
-        assert_eq!(run.modes[0].result_changes, run.modes[1].result_changes);
-        assert!(run.cluster_over_single > 0.0);
+        // `measure` itself asserts per-cycle bit-identical merged deltas.
+        let record = measure(&cfg);
+        assert_eq!(record.rows.len(), 5);
+        assert!(record.median("result_changes") > 0.0);
         // The merge is one slice of the cluster cycle, so its ratio is
         // positive and can't exceed the whole cycle's.
-        assert!(run.merge_over_single > 0.0);
-        assert!(run.merge_over_single <= run.cluster_over_single);
-        let json = render_json(&cfg, &run);
-        assert!(json.contains("\"mode\": \"cluster\""));
-        assert!(json.contains("merge_over_single"));
-        assert!(json.contains("cluster_over_single"));
-        assert!(json.contains("route_ms_per_cycle"));
-        assert!(json.contains("worker_wait_ms_per_cycle"));
+        assert!(record.median("merge_over_single") > 0.0);
+        assert!(record.median("merge_over_single") <= record.median("cluster_over_single"));
+        assert!(record.lane_num("route", "ms_quiet") > 0.0);
     }
 }

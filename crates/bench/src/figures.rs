@@ -693,8 +693,8 @@ pub fn drift(scale: f64) -> Table {
 /// for the *peak* — the point of the adaptive backend is that fine
 /// conceptual resolution costs nothing where the space is empty.
 pub fn index_backends(scale: f64) -> Table {
-    let full = crate::index::IndexBenchConfig::default();
-    let cfg = crate::index::IndexBenchConfig {
+    let full = crate::index::Config::default();
+    let cfg = crate::index::Config {
         n_base: ((full.n_base as f64 * scale) as usize).max(300),
         n_queries: ((full.n_queries as f64 * scale) as usize).max(30),
         cycles: 30,
@@ -715,33 +715,24 @@ pub fn index_backends(scale: f64) -> Table {
     // the backends run at matched provisioning; `drift` breathes to the
     // peak, where only the quadtree can afford the peak-tuned δ.
     for (label, peak_factor) in [("steady", 1.0), ("drift", cfg.peak_factor)] {
-        let cfg = crate::index::IndexBenchConfig {
+        let cfg = crate::index::Config {
             peak_factor,
             ..cfg.clone()
         };
-        let run = crate::index::run(&cfg);
-        for m in &run.modes {
-            let dim = if m.mode == "quadtree" {
-                run.quadtree_dim
-            } else {
-                run.uniform_dim
-            };
+        let run = crate::index::measure(&cfg);
+        for lane in ["uniform-mono", "uniform-dyn", "quadtree"] {
+            let cells = ["ms_quiet", "max_ms", "dim", "result_changes"];
             t.push_row(
-                format!("{} · {label}", m.mode),
-                vec![
-                    m.ms_per_cycle,
-                    m.max_cycle_ms,
-                    f64::from(dim),
-                    m.result_changes as f64,
-                ],
+                format!("{lane} · {label}"),
+                cells.map(|key| run.lane_num(lane, key)).to_vec(),
             );
         }
         t.note(format!(
             "{label}: N {}→{}, quadtree speedup {:.2}x, dyn-dispatch overhead {:.2}x",
             cfg.n_base,
-            (cfg.n_base as f64 * cfg.peak_factor) as usize,
-            run.quadtree_speedup,
-            run.dyn_overhead
+            cfg.n_peak(),
+            run.median("quadtree_speedup"),
+            run.median("dyn_overhead")
         ));
     }
     t.note(format!(
@@ -787,7 +778,7 @@ pub fn shards(scale: f64, shard_counts: &[usize]) -> Table {
     note_params(&mut t, &params);
     t.note(format!(
         "host parallelism: {} thread(s); results are bit-identical across shard counts",
-        crate::shards::available_threads()
+        crate::record::Machine::this_host().threads_available
     ));
     t
 }
@@ -796,7 +787,7 @@ pub fn shards(scale: f64, shard_counts: &[usize]) -> Table {
 /// delta streaming versus full result lists, across subscription counts
 /// (the `cpm-sub` workload; see [`crate::deltas`]).
 pub fn deltas(scale: f64) -> Table {
-    let base = crate::deltas::DeltaBenchConfig::default();
+    let base = crate::deltas::Config::default();
     let n_objects = ((base.n_objects as f64 * scale) as usize).max(500);
     let full_subs = ((base.n_subscriptions as f64 * scale) as usize).max(20);
     let mut t = Table::new(
@@ -812,21 +803,21 @@ pub fn deltas(scale: f64) -> Table {
         ],
     );
     for subs in [full_subs / 4, full_subs / 2, full_subs] {
-        let cfg = crate::deltas::DeltaBenchConfig {
+        let cfg = crate::deltas::Config {
             n_objects,
             n_subscriptions: subs.max(5),
             cycles: 5,
-            ..crate::deltas::DeltaBenchConfig::default()
+            ..crate::deltas::Config::default()
         };
-        let run = crate::deltas::run(&cfg);
+        let run = crate::deltas::measure(&cfg);
         t.push_row(
             cfg.n_subscriptions.to_string(),
             vec![
-                run.modes[0].ms_per_cycle,
-                run.modes[1].ms_per_cycle,
-                run.overhead_vs_full * 100.0,
-                run.modes[0].entries_shipped as f64 / cfg.cycles as f64,
-                run.modes[1].entries_shipped as f64 / cfg.cycles as f64,
+                run.lane_num("full-list", "ms_quiet"),
+                run.lane_num("delta", "ms_quiet"),
+                (run.median("delta_over_full") - 1.0) * 100.0,
+                run.lane_num("full-list", "entries_shipped") / cfg.cycles as f64,
+                run.lane_num("delta", "entries_shipped") / cfg.cycles as f64,
             ],
         );
     }
@@ -843,12 +834,12 @@ pub fn deltas(scale: f64) -> Table {
 /// **mixed** run (k-NN + range + aggregate + constrained + reverse-NN on
 /// a single [`cpm_core::CpmServer`]), via [`cpm_grid::Metrics::by_kind`],
 /// plus the unified-vs-split cycle-time comparison of
-/// [`crate::server::run`].
+/// [`crate::server::measure`].
 pub fn mixed(scale: f64) -> Table {
     use cpm_grid::QueryKind;
 
-    let base = crate::server::ServerBenchConfig::default();
-    let cfg = crate::server::ServerBenchConfig {
+    let base = crate::server::Config::default();
+    let cfg = crate::server::Config {
         n_objects: ((base.n_objects as f64 * scale) as usize).max(500),
         knn_queries: ((base.knn_queries as f64 * scale) as usize).max(5),
         range_queries: ((base.range_queries as f64 * scale) as usize).max(5),
@@ -969,7 +960,7 @@ pub fn mixed(scale: f64) -> Table {
     );
 
     // The headline comparison: one shared grid vs three dedicated ones.
-    let run = crate::server::run(&crate::server::ServerBenchConfig {
+    let run = crate::server::measure(&crate::server::Config {
         cycles: 6,
         ..cfg.clone()
     });
@@ -983,8 +974,10 @@ pub fn mixed(scale: f64) -> Table {
     ));
     t.note(format!(
         "unified {:.3} ms/cycle vs split-engines {:.3} ms/cycle: {:.2}x speedup \
-         (bench_server records the full-scale baseline)",
-        run.modes[0].ms_per_cycle, run.modes[1].ms_per_cycle, run.unified_speedup
+         (`bench_record server` records the full-scale number)",
+        run.lane_num("unified", "ms_quiet"),
+        run.lane_num("split", "ms_quiet"),
+        run.median("unified_speedup")
     ));
     t
 }

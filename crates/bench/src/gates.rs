@@ -1,0 +1,280 @@
+//! The one way a micro-benchmark is judged: [`GATES`], a table of
+//! bounds on summary metrics, evaluated by [`evaluate`].
+//!
+//! Every bound is a ratio (or a count) measured **inside one run** of
+//! `bench_check`: lanes paired per cycle in one process, the median over
+//! [`crate::paired::REPS`] repetitions. So a bound carries only the
+//! fixed same-process [`MARGIN`], and no row compares absolute times
+//! against a file recorded on another host. A row marked `curve`
+//! additionally holds the metric within [`CURVE_TOLERANCE`] of the
+//! checked-in `BENCH_<bench>.json` — a ratio again, and binding only
+//! when that file was recorded at the configuration being measured
+//! (same scale, same kernel lane). A row with `min_threads` above the
+//! host's thread count states a property the host cannot exhibit and is
+//! reported as not applicable there; CI runners with four threads
+//! enforce it.
+
+use crate::paired::Stat;
+use crate::record::BenchRecord;
+
+/// Which side of the bound is a failure.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The metric's median may be at most this.
+    AtMost(f64),
+    /// The metric's median must be at least this.
+    AtLeast(f64),
+}
+
+/// One gate row.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// Benchmark whose record holds the metric.
+    pub bench: &'static str,
+    /// Summary metric judged.
+    pub metric: &'static str,
+    /// What the bound protects, for the report line.
+    pub what: &'static str,
+    /// The enforced bound, margin included.
+    pub bound: Bound,
+    /// Host threads below which the row is not applicable.
+    pub min_threads: usize,
+    /// Also hold the metric within [`CURVE_TOLERANCE`] of the checked-in
+    /// record, when that was measured at the same configuration.
+    pub curve: bool,
+}
+
+/// Allowance on every acceptance bar for same-process scatter of the
+/// run-level medians: a speedup bar `b` is enforced as `b / MARGIN`, a
+/// cost ceiling `c` as `c * MARGIN`.
+pub const MARGIN: f64 = 1.10;
+
+/// How far a `curve` metric may fall behind its checked-in value.
+pub const CURVE_TOLERANCE: f64 = 0.25;
+
+const fn gate(bench: &'static str, metric: &'static str, what: &'static str, bound: Bound) -> Gate {
+    Gate {
+        bench,
+        metric,
+        what,
+        bound,
+        min_threads: 1,
+        curve: false,
+    }
+}
+
+/// Every gate `bench_check` enforces. The acceptance bars are the ones
+/// each subsystem landed with; see the `what` text and the README.
+pub const GATES: &[Gate] = &[
+    // Dense buckets exist to beat the seed's hash-set layout; losing to
+    // the in-run control is a regression on any host.
+    gate(
+        "grid",
+        "update_vs_hashset",
+        "dense update cost / in-run hash-set control, worst dim",
+        Bound::AtMost(1.0 * MARGIN),
+    ),
+    gate(
+        "grid",
+        "scan_vs_hashset",
+        "dense scan cost / in-run hash-set control, worst dim",
+        Bound::AtMost(1.0 * MARGIN),
+    ),
+    // Sharding must never collapse throughput, and must scale where the
+    // host has the threads to scale on.
+    gate(
+        "shards",
+        "speedup_4_shards",
+        "4-shard throughput / sequential (coordination overhead bound)",
+        Bound::AtLeast(0.5),
+    ),
+    Gate {
+        min_threads: 4,
+        ..gate(
+            "shards",
+            "speedup_4_shards",
+            "4-shard speedup on >= 4 threads",
+            Bound::AtLeast(1.5),
+        )
+    },
+    // The 10% acceptance bar plus a 10-point allowance: sub-millisecond
+    // cycles at gate scale centre at 1.10–1.15.
+    gate(
+        "deltas",
+        "delta_over_full",
+        "delta emission cycle time / full result lists",
+        Bound::AtMost(1.10 + 0.10),
+    ),
+    Gate {
+        curve: true,
+        ..gate(
+            "server",
+            "unified_speedup",
+            "one CpmServer vs three dedicated engines",
+            Bound::AtLeast(1.3 / MARGIN),
+        )
+    },
+    gate(
+        "regrid",
+        "regrids",
+        "adaptive lane re-gridded on the drift stream",
+        Bound::AtLeast(1.0),
+    ),
+    gate(
+        "regrid",
+        "adaptive_speedup",
+        "adaptive vs fixed provisioned resolution",
+        Bound::AtLeast(1.2 / MARGIN),
+    ),
+    gate(
+        "regrid",
+        "regrid_pause_cycles",
+        "slowest re-grid cycle / quiet adaptive cycle",
+        Bound::AtMost(25.0),
+    ),
+    gate(
+        "recovery",
+        "replayed",
+        "journal records replayed by recovery",
+        Bound::AtLeast(1.0),
+    ),
+    gate(
+        "recovery",
+        "recovery_over_cycle",
+        "full recovery / quiet cycle (restart pause)",
+        Bound::AtMost(25.0),
+    ),
+    gate(
+        "index",
+        "quadtree_dim_over_uniform",
+        "quadtree provisioned finer than the uniform lanes",
+        Bound::AtLeast(2.0),
+    ),
+    gate(
+        "index",
+        "quadtree_speedup",
+        "quadtree vs uniform grid at the base-provisioned resolution",
+        Bound::AtLeast(1.15 / MARGIN),
+    ),
+    gate(
+        "index",
+        "dyn_overhead",
+        "runtime-dispatched / monomorphic uniform grid",
+        Bound::AtMost(1.10 * MARGIN),
+    ),
+    // The explicit-SIMD lane carries the 1.3x acceptance bar; the
+    // portable lane must merely never lose to the scalar idiom.
+    Gate {
+        curve: true,
+        ..gate(
+            "kernels",
+            "speedup_dim64_bucket32plus",
+            "batched kernel vs scalar idiom, worst dim-64 cell with bucket >= 32",
+            Bound::AtLeast(if cfg!(feature = "simd") { 1.3 } else { 1.0 } / MARGIN),
+        )
+    },
+    gate(
+        "cluster",
+        "result_changes",
+        "result changes over the measured cycles",
+        Bound::AtLeast(1.0),
+    ),
+    gate(
+        "cluster",
+        "merge_over_single",
+        "coordinator merge slice / single-node cycle at W = 4",
+        Bound::AtMost(1.25 * MARGIN),
+    ),
+    gate(
+        "pipeline",
+        "result_changes",
+        "result changes over the measured cycles",
+        Bound::AtLeast(1.0),
+    ),
+    gate(
+        "pipeline",
+        "route_over_single",
+        "serial routing slice / single-node cycle at W = 4",
+        Bound::AtMost(1.25 * MARGIN),
+    ),
+    Gate {
+        min_threads: 4,
+        ..gate(
+            "pipeline",
+            "pipelined_over_serial",
+            "pipelined vs serial coordinator on >= 4 threads",
+            Bound::AtLeast(1.15 / MARGIN),
+        )
+    },
+];
+
+/// One judged comparison.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Verdict {
+    /// The report line.
+    pub line: String,
+    /// `false` fails `bench_check`.
+    pub passed: bool,
+}
+
+fn judge(what: &str, stat: Stat, bound: Bound) -> Verdict {
+    let (passed, relation, limit) = match bound {
+        Bound::AtMost(limit) => (stat.median <= limit, "<=", limit),
+        Bound::AtLeast(limit) => (stat.median >= limit, ">=", limit),
+    };
+    let verdict = if passed { "ok" } else { "FAILED" };
+    Verdict {
+        line: format!(
+            "{what}: {:.3} ± {:.3} MAD, required {relation} {limit:.3} … {verdict}",
+            stat.median, stat.mad
+        ),
+        passed,
+    }
+}
+
+/// Judge `gate` on `measured` (a record of `gate.bench` from this run)
+/// against its bound and, for a `curve` row, against `recorded` (the
+/// checked-in record, `None` if unreadable — which fails a curve row).
+pub fn evaluate(
+    gate: &Gate,
+    measured: &BenchRecord,
+    recorded: Option<&BenchRecord>,
+) -> Vec<Verdict> {
+    let threads = measured.machine.threads_available;
+    if threads < gate.min_threads {
+        let line = format!(
+            "{}: needs >= {} threads, host has {threads} — not applicable here",
+            gate.what, gate.min_threads
+        );
+        return vec![Verdict { line, passed: true }];
+    }
+    let Some(stat) = measured.metric(gate.metric) else {
+        let line = format!("{}: metric {} missing from the run", gate.what, gate.metric);
+        return vec![Verdict {
+            line,
+            passed: false,
+        }];
+    };
+    let mut verdicts = vec![judge(gate.what, stat, gate.bound)];
+    if gate.curve {
+        let what = format!("{} vs BENCH_{}.json", gate.metric, gate.bench);
+        verdicts.push(match recorded.map(|r| (r, r.metric(gate.metric))) {
+            Some((r, Some(was))) if r.config == measured.config => {
+                let bound = match gate.bound {
+                    Bound::AtMost(_) => Bound::AtMost(was.median * (1.0 + CURVE_TOLERANCE)),
+                    Bound::AtLeast(_) => Bound::AtLeast(was.median / (1.0 + CURVE_TOLERANCE)),
+                };
+                judge(&what, stat, bound)
+            }
+            Some((_, Some(_))) => Verdict {
+                line: format!("{what}: recorded at another configuration — does not bind"),
+                passed: true,
+            },
+            _ => Verdict {
+                line: format!("{what}: checked-in record unreadable or without the metric"),
+                passed: false,
+            },
+        });
+    }
+    verdicts
+}

@@ -2,80 +2,63 @@
 //! `cpm_grid::Grid` storage layer) vs the seed's hash-set-per-cell layout.
 //!
 //! Measures the two hot paths of the Section 4.1 cost model on uniform
-//! data — by default at the paper's scale (100K objects, 10% of objects
-//! moving per cycle at medium speed), across grid granularities 64² /
-//! 256² / 1024²:
+//! data at the paper's scale (100K objects, 10% of objects moving per
+//! cycle at medium speed), per grid granularity:
 //!
-//! * **update throughput** — `Time_ind = 2` location updates (delete from
-//!   the old cell, insert into the new one);
-//! * **scan throughput** — cell accesses (full scans of cell object
-//!   lists), the unit Figure 6.3b counts, over the 5×5 neighborhoods of
-//!   random query points.
+//! * **update** — `Time_ind = 2` location updates (delete from the old
+//!   cell, insert into the new one), one paired cycle per move batch;
+//! * **scan** — full scans of cell object lists (the unit Figure 6.3b
+//!   counts) over the 5×5 neighborhoods of random query points, one
+//!   paired cycle per block of 50 queries. Every block's
+//!   `(checksum, count)` must be equal between the layouts.
 //!
-//! The `bench_grid_storage` binary runs [`GridStorageConfig::default`] and
-//! records `BENCH_grid.json`; the CI regression gate (`bench_check`) runs
-//! [`GridStorageConfig::reduced`] and compares against that baseline.
-
-use std::fmt::Write as _;
-use std::time::Instant;
+//! The gated statistics are the dense / hash-set cost ratios: the
+//! hash-set layout is the in-run, machine-independent control.
 
 use cpm_geom::{clamp_coord, FastHashMap, FastHashSet, ObjectId, Point};
 use cpm_grid::CellCoord;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// Workload parameters for one grid-storage benchmark run.
-#[derive(Debug, Clone)]
-pub struct GridStorageConfig {
-    /// Object population `N`.
-    pub n_objects: usize,
-    /// Fraction of objects moving per cycle.
-    pub move_fraction: f64,
-    /// Update cycles measured.
-    pub cycles: usize,
-    /// Query points whose neighborhoods are scanned.
-    pub queries: usize,
-    /// Cells per axis either side of the query cell in the scanned block
-    /// (2 → the typical 5×5 influence-region footprint).
-    pub scan_half: i64,
-    /// Grid granularities measured.
-    pub dims: Vec<u32>,
-    /// RNG seed.
-    pub seed: u64,
-}
+use crate::paired::{timed, Paired, Stat, REPS};
+use crate::record::BenchRecord;
+use crate::workload::{bench_config, random_walk_cycles, uniform_points};
 
-impl Default for GridStorageConfig {
-    /// The paper-scale configuration recorded in `BENCH_grid.json`.
-    fn default() -> Self {
-        Self {
-            n_objects: 100_000,
-            move_fraction: 0.10,
-            cycles: 20,
-            queries: 2_000,
-            scan_half: 2,
-            dims: vec![64, 256, 1024],
-            seed: 2005,
-        }
+bench_config! {
+    /// Workload parameters for one grid-storage run.
+    Config {
+        /// Object population `N`.
+        n_objects: usize = 100_000,
+        /// Fraction of objects moving per cycle.
+        move_fraction: f64 = 0.10,
+        /// Update cycles measured.
+        cycles: usize = 20,
+        /// Query points whose neighborhoods are scanned.
+        queries: usize = 2_000,
+        /// Cells per axis either side of the query cell in the scanned
+        /// block (2 → the typical 5×5 influence-region footprint).
+        scan_half: u32 = 2,
+        /// Grid granularities measured.
+        dims: Vec<u32> = vec![64, 256, 1024],
+        /// RNG seed.
+        seed: u64 = 2005,
     }
 }
 
-impl GridStorageConfig {
-    /// The reduced configuration the CI bench gate runs on every PR: the
-    /// full object population (per-cell occupancy — and therefore ns-per-op
-    /// — depends on it, so shrinking `N` would break comparability with the
-    /// baseline) but fewer cycles, queries and grid granularities; a few
-    /// seconds of wall time.
-    pub fn reduced() -> Self {
+impl Config {
+    /// What `bench_check` runs: the full object population (per-cell
+    /// occupancy, and so every ratio, depends on it) without the 1024²
+    /// grid.
+    pub fn gate() -> Self {
         Self {
-            cycles: 8,
-            queries: 500,
             dims: vec![64, 256],
             ..Self::default()
         }
     }
 }
 
-/// The seed's storage layout, kept verbatim for comparison: one
+/// Queries per paired scan cycle.
+const SCAN_CHUNK: usize = 50;
+
+/// The seed's storage layout, kept verbatim as the control: one
 /// `FastHashSet<ObjectId>` per occupied cell, updates via hashed
 /// remove/insert of the object id.
 struct HashSetGrid {
@@ -130,232 +113,140 @@ impl HashSetGrid {
     }
 }
 
-/// One pre-generated experiment input, identical for both layouts.
-struct Workload {
-    initial: Vec<(ObjectId, Point)>,
-    /// Per cycle: `(oid, new_position)` moves.
-    cycles: Vec<Vec<(ObjectId, Point)>>,
-    queries: Vec<Point>,
-}
-
-fn build_workload(cfg: &GridStorageConfig) -> Workload {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut positions = crate::movers::uniform_points(&mut rng, cfg.n_objects);
-    let initial: Vec<(ObjectId, Point)> = positions
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (ObjectId(i as u32), p))
-        .collect();
-    let movers = ((cfg.n_objects as f64 * cfg.move_fraction) as usize).max(1);
-    let cycles = crate::movers::random_walk_cycles(&mut rng, &mut positions, cfg.cycles, movers)
-        .into_iter()
-        .map(|batch| {
-            batch
-                .into_iter()
-                .map(|(i, to)| (ObjectId(i as u32), to))
-                .collect()
-        })
-        .collect();
-    let queries = crate::movers::uniform_points(&mut rng, cfg.queries);
-    Workload {
-        initial,
-        cycles,
-        queries,
-    }
-}
-
-/// Read-only scan passes per lane; each lane reports its fastest pass.
-const BENCH_PASSES: usize = 3;
-
 /// Cells of the (clipped) `(2·scan_half+1)²` block around `center`.
-fn scan_block(center: CellCoord, dim: u32, scan_half: i64) -> impl Iterator<Item = CellCoord> {
+fn scan_block(center: CellCoord, dim: u32, scan_half: u32) -> impl Iterator<Item = CellCoord> {
+    let scan_half = i64::from(scan_half);
     (-scan_half..=scan_half).flat_map(move |dr| {
         (-scan_half..=scan_half).filter_map(move |dc| center.offset(dc, dr, dim))
     })
 }
 
-/// One layout's timings at one grid granularity.
-#[derive(Debug, Clone, Copy)]
-pub struct Measurement {
-    /// Storage-layout label (`"dense-buckets"` / `"hash-sets"`).
-    pub layout: &'static str,
-    /// Grid granularity per axis.
-    pub dim: u32,
-    /// Nanoseconds per location update.
-    pub update_ns: f64,
-    /// Nanoseconds per object visited during neighborhood scans.
-    pub scan_ns_per_obj: f64,
-    /// Total objects visited by the scan phase.
-    pub objects_scanned: u64,
-    /// XOR checksum of scanned ids (validates both layouts saw the same
-    /// object sets).
-    pub checksum: u64,
+/// Fold one scanned id into a block's `(xor checksum, count)`.
+fn fold(acc: &mut (u64, u64), oid: ObjectId) {
+    acc.0 ^= u64::from(oid.0);
+    acc.1 += 1;
 }
 
-fn bench_dense(dim: u32, cfg: &GridStorageConfig, w: &Workload) -> Measurement {
-    let mut g = cpm_grid::GridBuilder::new(dim).build_uniform();
-    for &(oid, p) in &w.initial {
-        g.insert(oid, p);
-    }
-    // Best-of-passes, like the scan phase below: replaying the same
-    // pre-generated cycles is the same workload (every transition after
-    // each object's first move is identical), and the min discards
-    // passes a scheduler preemption landed in.
-    let mut update_total_ns = f64::INFINITY;
-    for _ in 0..BENCH_PASSES {
-        let start = Instant::now();
-        for cycle in &w.cycles {
-            for &(oid, to) in cycle {
-                g.update_position(oid, to);
-            }
-        }
-        update_total_ns = update_total_ns.min(start.elapsed().as_nanos() as f64);
-    }
-    let update_ns = update_total_ns / (w.cycles.len() as f64 * w.cycles[0].len() as f64);
+/// Run the benchmark: per granularity, both layouts replay the identical
+/// pre-generated moves and scans under the paired protocol.
+///
+/// # Panics
+/// If the layouts ever scan different object sets.
+pub fn measure(cfg: &Config) -> BenchRecord {
+    let mut rng = rand::SeedableRng::seed_from_u64(cfg.seed);
+    let mut positions = uniform_points(&mut rng, cfg.n_objects);
+    let initial: Vec<(ObjectId, Point)> = (0..).map(ObjectId).zip(positions.clone()).collect();
+    let movers = ((cfg.n_objects as f64 * cfg.move_fraction) as usize).max(1);
+    let moves = random_walk_cycles(&mut rng, &mut positions, cfg.cycles, movers);
+    let queries = uniform_points(&mut rng, cfg.queries);
+    let blocks: Vec<&[Point]> = queries.chunks(SCAN_CHUNK).collect();
 
-    // The scan phase is read-only, so run it BENCH_PASSES times and keep
-    // the fastest pass: a single scheduler preemption landing inside one
-    // lane's only timed window would otherwise dominate the control
-    // ratio on a busy host. Checksums/counts accumulate on pass 0 only.
-    let mut checksum = 0u64;
-    let mut objects_scanned = 0u64;
-    let mut scan_ns = f64::INFINITY;
-    for pass in 0..BENCH_PASSES {
-        let start = Instant::now();
-        for &q in &w.queries {
-            for cell in scan_block(g.cell_of(q), dim, cfg.scan_half) {
-                for &oid in g.objects_in(cell) {
-                    if pass == 0 {
-                        checksum ^= oid.0 as u64;
-                        objects_scanned += 1;
-                    } else {
-                        std::hint::black_box(oid);
+    let mut record = BenchRecord::new("grid", cfg.fields());
+    let mut worst = [Stat::exact(0.0); 2];
+    for &dim in &cfg.dims {
+        let (mut updates, mut scans) = (Paired::default(), Paired::default());
+        let mut scanned = 0u64;
+        for _ in 0..REPS {
+            let mut dense = cpm_grid::GridBuilder::new(dim).build_uniform();
+            let mut hash = HashSetGrid::new(dim);
+            for &(oid, p) in &initial {
+                dense.insert(oid, p);
+                hash.insert(oid, p);
+            }
+            let mut dense_update = |i: usize| {
+                timed(|| {
+                    for &(oid, to) in &moves[i] {
+                        dense.update_position(oid, to);
                     }
-                }
-            }
-        }
-        scan_ns = scan_ns.min(start.elapsed().as_nanos() as f64);
-    }
-    Measurement {
-        layout: "dense-buckets",
-        dim,
-        update_ns,
-        scan_ns_per_obj: scan_ns / objects_scanned.max(1) as f64,
-        objects_scanned,
-        checksum,
-    }
-}
-
-fn bench_hashset(dim: u32, cfg: &GridStorageConfig, w: &Workload) -> Measurement {
-    let mut g = HashSetGrid::new(dim);
-    for &(oid, p) in &w.initial {
-        g.insert(oid, p);
-    }
-    // Same best-of-passes protocol as the dense lane (see above).
-    let mut update_total_ns = f64::INFINITY;
-    for _ in 0..BENCH_PASSES {
-        let start = Instant::now();
-        for cycle in &w.cycles {
-            for &(oid, to) in cycle {
-                g.update_position(oid, to);
-            }
-        }
-        update_total_ns = update_total_ns.min(start.elapsed().as_nanos() as f64);
-    }
-    let update_ns = update_total_ns / (w.cycles.len() as f64 * w.cycles[0].len() as f64);
-
-    // Same best-of-passes protocol as the dense lane (see above).
-    let mut checksum = 0u64;
-    let mut objects_scanned = 0u64;
-    let mut scan_ns = f64::INFINITY;
-    for pass in 0..BENCH_PASSES {
-        let start = Instant::now();
-        for &q in &w.queries {
-            for cell in scan_block(g.cell_of(q), dim, cfg.scan_half) {
-                if let Some(objects) = g.objects_in(cell) {
-                    for &oid in objects {
-                        if pass == 0 {
-                            checksum ^= oid.0 as u64;
-                            objects_scanned += 1;
-                        } else {
-                            std::hint::black_box(oid);
+                })
+            };
+            let mut hash_update = |i: usize| {
+                timed(|| {
+                    for &(oid, to) in &moves[i] {
+                        hash.update_position(oid, to);
+                    }
+                })
+            };
+            updates.repetition(
+                0,
+                moves.len(),
+                false,
+                &mut [
+                    ("dense", &mut dense_update),
+                    ("hash-sets", &mut hash_update),
+                ],
+            );
+            scanned = 0;
+            let mut dense_scan = |i: usize| {
+                timed(|| {
+                    let mut acc = (0, 0);
+                    for &q in blocks[i] {
+                        for cell in scan_block(dense.cell_of(q), dim, cfg.scan_half) {
+                            dense
+                                .objects_in(cell)
+                                .iter()
+                                .for_each(|&o| fold(&mut acc, o));
                         }
                     }
-                }
+                    acc
+                })
+            };
+            let mut hash_scan = |i: usize| {
+                let (spent, acc) = timed(|| {
+                    let mut acc = (0, 0);
+                    for &q in blocks[i] {
+                        for cell in scan_block(hash.cell_of(q), dim, cfg.scan_half) {
+                            let objects = hash.objects_in(cell);
+                            objects
+                                .into_iter()
+                                .flatten()
+                                .for_each(|&o| fold(&mut acc, o));
+                        }
+                    }
+                    acc
+                });
+                scanned += acc.1;
+                (spent, acc)
+            };
+            // `check`: both layouts must scan identical object sets.
+            scans.repetition(
+                0,
+                blocks.len(),
+                true,
+                &mut [("dense", &mut dense_scan), ("hash-sets", &mut hash_scan)],
+            );
+        }
+        let ratios = [
+            updates.ratio("dense", "hash-sets"),
+            scans.ratio("dense", "hash-sets"),
+        ];
+        for (w, r) in worst.iter_mut().zip(ratios) {
+            if r.median > w.median {
+                *w = r;
             }
         }
-        scan_ns = scan_ns.min(start.elapsed().as_nanos() as f64);
-    }
-    Measurement {
-        layout: "hash-sets",
-        dim,
-        update_ns,
-        scan_ns_per_obj: scan_ns / objects_scanned.max(1) as f64,
-        objects_scanned,
-        checksum,
-    }
-}
-
-/// Run the benchmark: per grid granularity, `(dense, hash-set)` timings.
-/// Both layouts replay the identical pre-generated workload; their scan
-/// checksums are asserted equal.
-pub fn run(cfg: &GridStorageConfig) -> Vec<(Measurement, Measurement)> {
-    let w = build_workload(cfg);
-    cfg.dims
-        .iter()
-        .map(|&dim| {
-            let dense = bench_dense(dim, cfg, &w);
-            let hash = bench_hashset(dim, cfg, &w);
-            assert_eq!(
-                dense.checksum, hash.checksum,
-                "layouts scanned different object sets at dim {dim}"
-            );
-            assert_eq!(dense.objects_scanned, hash.objects_scanned);
-            (dense, hash)
-        })
-        .collect()
-}
-
-/// Render the `BENCH_grid.json` document for a run.
-pub fn render_json(cfg: &GridStorageConfig, results: &[(Measurement, Measurement)]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"bench_grid_storage\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"n_objects\": {}, \"move_fraction\": {}, \
-         \"cycles\": {}, \"queries\": {}, \"scan_block\": {}}},",
-        cfg.n_objects,
-        cfg.move_fraction,
-        cfg.cycles,
-        cfg.queries,
-        2 * cfg.scan_half + 1
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, (dense, hash)) in results.iter().enumerate() {
-        for m in [dense, hash] {
-            let _ = write!(
-                json,
-                "    {{\"dim\": {}, \"layout\": \"{}\", \"update_ns_per_op\": {:.1}, \
-                 \"scan_ns_per_object\": {:.3}, \"objects_scanned\": {}}}",
-                m.dim, m.layout, m.update_ns, m.scan_ns_per_obj, m.objects_scanned
-            );
-            let last = i + 1 == results.len() && m.layout == hash.layout;
-            json.push_str(if last { "\n" } else { ",\n" });
+        let per_block = scanned as f64 / blocks.len() as f64;
+        for layout in ["dense", "hash-sets"] {
+            record.rows.push(crate::fields! {
+                "dim" => dim,
+                "layout" => layout,
+                "update_ns_per_op" => updates.quiet_ms(layout).median * 1e6 / movers as f64,
+                "scan_ns_per_object" => scans.quiet_ms(layout).median * 1e6 / per_block.max(1.0),
+                "objects_scanned" => scanned,
+            });
         }
+        record.rows.push(crate::fields! {
+            "dim" => dim,
+            "layout" => "dense / hash-sets",
+            "update_ratio" => ratios[0].median,
+            "update_ratio_mad" => ratios[0].mad,
+            "scan_ratio" => ratios[1].median,
+            "scan_ratio_mad" => ratios[1].mad,
+        });
     }
-    json.push_str("  ],\n  \"speedup_dense_over_hashset\": [\n");
-    for (i, (dense, hash)) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"dim\": {}, \"update\": {:.2}, \"scan\": {:.2}}}",
-            dense.dim,
-            hash.update_ns / dense.update_ns,
-            hash.scan_ns_per_obj / dense.scan_ns_per_obj
-        );
-        json.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ]\n}\n");
-    json
+    record.put("update_vs_hashset", worst[0]);
+    record.put("scan_vs_hashset", worst[1]);
+    record
 }
 
 #[cfg(test)]
@@ -364,20 +255,18 @@ mod tests {
 
     #[test]
     fn tiny_run_produces_consistent_measurements() {
-        let cfg = GridStorageConfig {
+        let cfg = Config {
             n_objects: 500,
             cycles: 2,
-            queries: 20,
+            queries: 120,
             dims: vec![16],
-            ..GridStorageConfig::default()
+            ..Config::default()
         };
-        let results = run(&cfg);
-        assert_eq!(results.len(), 1);
-        let (dense, hash) = &results[0];
-        assert_eq!(dense.objects_scanned, hash.objects_scanned);
-        assert!(dense.update_ns > 0.0 && hash.update_ns > 0.0);
-        let json = render_json(&cfg, &results);
-        assert!(json.contains("\"dim\": 16"));
-        assert!(json.contains("dense-buckets"));
+        // `measure` itself asserts per-block scan equality.
+        let record = measure(&cfg);
+        assert_eq!(record.rows.len(), 3);
+        assert!(record.median("update_vs_hashset") > 0.0);
+        assert!(record.median("scan_vs_hashset") > 0.0);
+        assert!(record.render().contains("\"layout\": \"dense\""));
     }
 }

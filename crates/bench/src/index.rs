@@ -1,19 +1,19 @@
 //! Spatial-index backend benchmark: uniform `CellIndex` vs adaptive
 //! `QuadtreeIndex` behind the [`cpm_grid::SpatialIndex`] facade, on the
-//! drifting-hotspot stream ([`cpm_gen::drift`]).
+//! drifting-hotspot stream ([`crate::workload::DriftBench`], the re-grid
+//! benchmark's stream, so the two records are comparable).
 //!
-//! Three lanes replay the identical pre-generated stream:
+//! Three lanes replay the identical stream:
 //!
 //! * **uniform-mono** — [`cpm_core::ShardedCpmEngine`] on the
 //!   monomorphic [`cpm_grid::CellIndex`] grid at the resolution a
-//!   capacity plan provisions for the *base* population
-//!   ([`cpm_core::CostModel::optimal_dim`] at `n_base`). This is the
+//!   capacity plan provisions for the *base* population. This is the
 //!   pre-trait fast path and the baseline both ratios divide against.
 //! * **uniform-dyn** — the same uniform backend at the same resolution,
 //!   but routed through the runtime-selected [`cpm_grid::DynIndex`]
-//!   dispatch ([`cpm_grid::GridBuilder`] + [`cpm_grid::IndexKind`]).
-//!   Its only difference from uniform-mono is the enum indirection, so
-//!   the `dyn / mono` ratio *is* the cost of the pluggable-index layer.
+//!   dispatch. Its only difference from uniform-mono is the enum
+//!   indirection, so the `dyn / mono` ratio *is* the cost of the
+//!   pluggable-index layer, which must be provably (near-)free.
 //! * **quadtree** — [`cpm_grid::IndexKind::quadtree`] at the (power-of-
 //!   two) resolution provisioned for the *peak* population. A uniform
 //!   grid at that δ would pay for `dim²` mostly-empty cells; the
@@ -21,378 +21,95 @@
 //!   the fine conceptual δ the hotspot wants while the empty space
 //!   costs nothing.
 //!
-//! The protocol is the paired rotation of [`crate::regrid`]: each event
-//! batch is processed by all three lanes back to back in rotating order
-//! (`i % 3` picks who goes first), and each headline number is the
-//! **median of per-cycle ratios** — robust to noisy-neighbor stalls,
-//! which every lane of a cycle shares. Every cycle's changed-query list
-//! is asserted equal across all three lanes: the backend is an
-//! implementation detail results cannot observe.
-//!
-//! The `bench_index` binary runs [`IndexBenchConfig::default`] and
-//! records `BENCH_index.json`; the CI gate (`bench_check`) re-runs
-//! [`IndexBenchConfig::reduced`] and enforces the ≥ 1.15× quadtree bar
-//! and the ≤ 1.10× dyn-dispatch bound (see [`crate::check::check_index`]).
+//! Every cycle's changed-query list must be equal across all three
+//! lanes: the backend is an implementation detail results cannot
+//! observe.
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use cpm_core::{PointQuery, ShardedCpmEngine};
+use cpm_grid::{DynIndex, GridBuilder, IndexKind};
 
-use cpm_core::{CostModel, PointQuery, ShardedCpmEngine, SpecEvent};
-use cpm_gen::{DriftConfig, DriftingHotspotWorkload, TickEvents, WorkloadConfig};
-use cpm_geom::QueryId;
-use cpm_grid::{DynIndex, GridBuilder, IndexKind, QueryEvent};
+use crate::paired::{timed, Paired, Stat, REPS};
+use crate::record::BenchRecord;
 
-/// Workload parameters for one three-lane backend run.
-#[derive(Debug, Clone)]
-pub struct IndexBenchConfig {
-    /// Base object population (the stream breathes up to
-    /// `n_base × peak_factor`).
-    pub n_base: usize,
-    /// Peak population as a multiple of `n_base`.
-    pub peak_factor: f64,
-    /// Installed k-NN queries (they track the hotspot).
-    pub n_queries: usize,
-    /// Neighbors per query.
-    pub k: usize,
-    /// Object agility `f_obj`.
-    pub f_obj: f64,
-    /// Query agility `f_qry`.
-    pub f_qry: f64,
-    /// Measured processing cycles (the population ramp spans half of
-    /// them up, half down).
-    pub cycles: usize,
-    /// Unmeasured warmup cycles replayed first per lane.
-    pub warmup_cycles: usize,
-    /// Query shards per lane (1 = sequential maintenance).
-    pub shards: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Workload parameters: the drift stream itself (`Config::gate()` is the
+/// reduced scale `bench_check` runs).
+pub type Config = crate::workload::DriftBench;
 
-impl Default for IndexBenchConfig {
-    /// The acceptance-scale configuration recorded in `BENCH_index.json`
-    /// (10K → 100K objects, 500 tracking queries — the re-grid
-    /// benchmark's stream, so the two baselines are comparable).
-    fn default() -> Self {
-        Self {
-            n_base: 10_000,
-            peak_factor: 10.0,
-            n_queries: 500,
-            k: 16,
-            f_obj: 0.5,
-            f_qry: 0.3,
-            cycles: 60,
-            warmup_cycles: 2,
-            shards: 1,
-            seed: 2005,
-        }
-    }
-}
-
-impl IndexBenchConfig {
-    /// The reduced-scale configuration the CI bench gate runs on every PR.
-    pub fn reduced() -> Self {
-        Self {
-            n_base: 2_000,
-            n_queries: 100,
-            cycles: 40,
-            ..Self::default()
-        }
-    }
-
-    fn cost_model(&self, n_objects: usize) -> CostModel {
-        CostModel {
-            n_objects,
-            n_queries: self.n_queries,
-            k: self.k,
-            delta: 0.0, // ignored by optimal_dim
-            f_obj: self.f_obj,
-            f_qry: self.f_qry,
-            skew: 1.0,
-        }
-    }
-
-    /// The resolution a capacity plan provisions for the *base*
-    /// population — both uniform lanes run here, frozen.
-    pub fn uniform_dim(&self) -> u32 {
-        self.cost_model(self.n_base).optimal_dim(16, 1024)
-    }
-
-    /// The resolution a capacity plan provisions for the *peak*
-    /// population — the quadtree lane's conceptual δ. Always a power of
-    /// two (the sweep doubles from 16), so the quadtree accepts it.
-    pub fn quadtree_dim(&self) -> u32 {
-        self.cost_model((self.n_base as f64 * self.peak_factor) as usize)
-            .optimal_dim(16, 1024)
-    }
-}
-
-/// Timings for one lane.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexMeasurement {
-    /// `"uniform-mono"`, `"uniform-dyn"` or `"quadtree"`.
-    pub mode: &'static str,
-    /// **Median** wall time per measured cycle, in milliseconds.
-    pub ms_per_cycle: f64,
-    /// Slowest single measured cycle, in milliseconds.
-    pub max_cycle_ms: f64,
-    /// Total result changes over the measured cycles (asserted identical
-    /// across lanes — the backend is observationally invisible).
-    pub result_changes: usize,
-}
-
-/// Outcome of one three-lane backend run.
-#[derive(Debug, Clone)]
-pub struct IndexBenchRun {
-    /// Per-lane measurements: `[uniform-mono, uniform-dyn, quadtree]`.
-    pub modes: [IndexMeasurement; 3],
-    /// Median per-cycle `uniform-mono ms / quadtree ms`: what the
-    /// adaptive backend buys on the skewed stream. The PR acceptance bar
-    /// is ≥ 1.15 on this workload.
-    pub quadtree_speedup: f64,
-    /// Median per-cycle `uniform-dyn ms / uniform-mono ms`: the price of
-    /// the runtime-pluggable dispatch. The acceptance bound is ≤ 1.10 —
-    /// the trait indirection must be provably (near-)free.
-    pub dyn_overhead: f64,
-    /// The uniform lanes' (base-provisioned) resolution.
-    pub uniform_dim: u32,
-    /// The quadtree lane's (peak-provisioned) conceptual resolution.
-    pub quadtree_dim: u32,
-}
-
-fn median_ms(mut times: Vec<Duration>) -> (f64, f64) {
-    times.sort_unstable();
-    let median = times
-        .get(times.len() / 2)
-        .copied()
-        .unwrap_or(Duration::ZERO);
-    let max = times.last().copied().unwrap_or(Duration::ZERO);
-    (median.as_secs_f64() * 1e3, max.as_secs_f64() * 1e3)
-}
-
-fn median_ratio(numer: &[Duration], denom: &[Duration]) -> f64 {
-    let mut ratios: Vec<f64> = numer
-        .iter()
-        .zip(denom)
-        .map(|(n, d)| n.as_secs_f64() / d.as_secs_f64())
-        .collect();
-    ratios.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    ratios.get(ratios.len() / 2).copied().unwrap_or(1.0)
-}
-
-/// The tick's query events in the engine's vocabulary, translated once
-/// and shared by all three lanes so their timed work is identical.
-fn translate(query_events: &[QueryEvent]) -> Vec<SpecEvent<PointQuery>> {
-    query_events.iter().map(|&ev| ev.into()).collect()
-}
-
-/// Run all three lanes over the identical pre-generated drift stream and
-/// report both headline ratios.
+/// Run all three lanes over the identical drift stream under the paired
+/// protocol.
 ///
-/// Panics if the per-cycle changed-query lists ever differ between the
-/// lanes: results are backend-independent, so any divergence means a
-/// backend broke conformance.
-pub fn run(cfg: &IndexBenchConfig) -> IndexBenchRun {
-    let total_cycles = cfg.warmup_cycles + cfg.cycles;
-    let mut workload = DriftingHotspotWorkload::new(
-        WorkloadConfig {
-            n_objects: cfg.n_base,
-            n_queries: cfg.n_queries,
-            k: cfg.k,
-            f_obj: cfg.f_obj,
-            f_qry: cfg.f_qry,
-            seed: cfg.seed,
-            ..WorkloadConfig::default()
-        },
-        DriftConfig {
-            peak_factor: cfg.peak_factor,
-            ramp_ticks: (total_cycles / 2).max(1),
-            ..DriftConfig::default()
-        },
-    );
-    let initial_objects: Vec<_> = workload.initial_objects().collect();
-    let initial_queries: Vec<_> = workload.initial_queries().collect();
-    let ticks: Vec<TickEvents> = (0..total_cycles).map(|_| workload.tick()).collect();
-
-    let uniform_dim = cfg.uniform_dim();
-    let quadtree_dim = cfg.quadtree_dim();
-
-    let mut mono: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(uniform_dim, cfg.shards);
-    mono.populate(initial_objects.iter().copied());
-    for &(qid, pos, k) in &initial_queries {
-        mono.install(qid, PointQuery(pos), k)
-            .expect("fresh query id");
-    }
+/// # Panics
+/// If the per-cycle changed-query lists ever differ between the lanes.
+pub fn measure(cfg: &Config) -> BenchRecord {
+    let drift = cfg.stream();
+    let uniform_dim = cfg.provisioned_dim(cfg.n_base);
+    let quadtree_dim = cfg.provisioned_dim(cfg.n_peak());
     let build_dyn = |kind: IndexKind, dim: u32| {
         let grid = GridBuilder::new(dim).index(kind).build();
-        let mut engine: ShardedCpmEngine<PointQuery, DynIndex> =
-            ShardedCpmEngine::with_grid(grid, cfg.shards);
-        engine.populate(initial_objects.iter().copied());
-        for &(qid, pos, k) in &initial_queries {
-            engine
-                .install(qid, PointQuery(pos), k)
-                .expect("fresh query id");
-        }
-        engine
+        ShardedCpmEngine::<PointQuery, DynIndex>::with_grid(grid, cfg.shards)
     };
-    let mut dynamic = build_dyn(IndexKind::Uniform, uniform_dim);
-    let mut quad = build_dyn(IndexKind::quadtree(), quadtree_dim);
 
-    let (warmup, measured) = ticks.split_at(cfg.warmup_cycles.min(ticks.len()));
-    for tick in warmup {
-        let spec_events = translate(&tick.query_events);
-        mono.process_cycle(&tick.object_events, &spec_events);
-        dynamic.process_cycle(&tick.object_events, &spec_events);
-        quad.process_cycle(&tick.object_events, &spec_events);
-    }
-
-    let mut mono_times = Vec::with_capacity(measured.len());
-    let mut dyn_times = Vec::with_capacity(measured.len());
-    let mut quad_times = Vec::with_capacity(measured.len());
-    let mut mono_changes = 0usize;
-    let mut dyn_changes = 0usize;
-    let mut quad_changes = 0usize;
-
-    for (i, tick) in measured.iter().enumerate() {
-        let spec_events = translate(&tick.query_events);
-        let mut run_mono = |mono: &mut ShardedCpmEngine<PointQuery>| -> Vec<QueryId> {
-            let start = Instant::now();
-            let changed = mono.process_cycle(&tick.object_events, &spec_events);
-            mono_times.push(start.elapsed());
-            mono_changes += changed.len();
-            changed
+    let mut paired = Paired::default();
+    let mut changes = 0;
+    for _ in 0..REPS {
+        let mut mono = ShardedCpmEngine::<PointQuery>::new(uniform_dim, cfg.shards);
+        let mut dynamic = build_dyn(IndexKind::Uniform, uniform_dim);
+        let mut quad = build_dyn(IndexKind::quadtree(), quadtree_dim);
+        mono.populate(drift.objects.iter().copied());
+        dynamic.populate(drift.objects.iter().copied());
+        quad.populate(drift.objects.iter().copied());
+        for &(qid, pos, k) in &drift.queries {
+            mono.install(qid, PointQuery(pos), k).expect("fresh id");
+            dynamic.install(qid, PointQuery(pos), k).expect("fresh id");
+            quad.install(qid, PointQuery(pos), k).expect("fresh id");
+        }
+        changes = 0;
+        let mut mono_lane = |i: usize| {
+            let (tick, query_events) = &drift.ticks[i];
+            let (spent, changed) = timed(|| mono.process_cycle(&tick.object_events, query_events));
+            changes += if i >= cfg.warmup_cycles {
+                changed.len()
+            } else {
+                0
+            };
+            (spent, changed)
         };
-        let mut run_dyn = |dynamic: &mut ShardedCpmEngine<PointQuery, DynIndex>| {
-            let start = Instant::now();
-            let changed = dynamic.process_cycle(&tick.object_events, &spec_events);
-            dyn_times.push(start.elapsed());
-            dyn_changes += changed.len();
-            changed
+        let mut dyn_lane = |i: usize| {
+            let (tick, query_events) = &drift.ticks[i];
+            timed(|| dynamic.process_cycle(&tick.object_events, query_events))
         };
-        let mut run_quad = |quad: &mut ShardedCpmEngine<PointQuery, DynIndex>| {
-            let start = Instant::now();
-            let changed = quad.process_cycle(&tick.object_events, &spec_events);
-            quad_times.push(start.elapsed());
-            quad_changes += changed.len();
-            changed
+        let mut quad_lane = |i: usize| {
+            let (tick, query_events) = &drift.ticks[i];
+            timed(|| quad.process_cycle(&tick.object_events, query_events))
         };
-        // Rotate who goes first so no lane systematically inherits warm
-        // or cold caches from its neighbors.
-        let (c_mono, c_dyn, c_quad) = match i % 3 {
-            0 => {
-                let m = run_mono(&mut mono);
-                let d = run_dyn(&mut dynamic);
-                let q = run_quad(&mut quad);
-                (m, d, q)
-            }
-            1 => {
-                let d = run_dyn(&mut dynamic);
-                let q = run_quad(&mut quad);
-                let m = run_mono(&mut mono);
-                (m, d, q)
-            }
-            _ => {
-                let q = run_quad(&mut quad);
-                let m = run_mono(&mut mono);
-                let d = run_dyn(&mut dynamic);
-                (m, d, q)
-            }
-        };
-        assert_eq!(
-            c_mono, c_dyn,
-            "cycle {i}: changed lists diverged between uniform-mono and uniform-dyn"
-        );
-        assert_eq!(
-            c_mono, c_quad,
-            "cycle {i}: changed lists diverged between uniform-mono and quadtree"
+        paired.repetition(
+            cfg.warmup_cycles,
+            cfg.cycles,
+            true,
+            &mut [
+                ("uniform-mono", &mut mono_lane),
+                ("uniform-dyn", &mut dyn_lane),
+                ("quadtree", &mut quad_lane),
+            ],
         );
     }
 
-    let quadtree_speedup = median_ratio(&mono_times, &quad_times);
-    let dyn_overhead = median_ratio(&dyn_times, &mono_times);
-    let (mono_ms, mono_max) = median_ms(mono_times);
-    let (dyn_ms, dyn_max) = median_ms(dyn_times);
-    let (quad_ms, quad_max) = median_ms(quad_times);
-    IndexBenchRun {
-        modes: [
-            IndexMeasurement {
-                mode: "uniform-mono",
-                ms_per_cycle: mono_ms,
-                max_cycle_ms: mono_max,
-                result_changes: mono_changes,
-            },
-            IndexMeasurement {
-                mode: "uniform-dyn",
-                ms_per_cycle: dyn_ms,
-                max_cycle_ms: dyn_max,
-                result_changes: dyn_changes,
-            },
-            IndexMeasurement {
-                mode: "quadtree",
-                ms_per_cycle: quad_ms,
-                max_cycle_ms: quad_max,
-                result_changes: quad_changes,
-            },
-        ],
-        quadtree_speedup,
-        dyn_overhead,
-        uniform_dim,
-        quadtree_dim,
-    }
-}
-
-/// Render the `BENCH_index.json` document for a run.
-pub fn render_json(cfg: &IndexBenchConfig, run: &IndexBenchRun) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"bench_index\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"n_base\": {}, \"peak_factor\": {}, \"n_queries\": {}, \"k\": {}, \
-         \"f_obj\": {}, \"f_qry\": {}, \"cycles\": {}, \"warmup_cycles\": {}, \"shards\": {}}},",
-        cfg.n_base,
-        cfg.peak_factor,
-        cfg.n_queries,
-        cfg.k,
-        cfg.f_obj,
-        cfg.f_qry,
-        cfg.cycles,
-        cfg.warmup_cycles,
-        cfg.shards
-    );
-    let _ = writeln!(
-        json,
-        "  \"machine\": {{\"threads_available\": {}, \"os\": \"{}\", \"arch\": \"{}\"}},",
-        crate::shards::available_threads(),
-        std::env::consts::OS,
-        std::env::consts::ARCH
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, m) in run.modes.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"ms_per_cycle\": {:.3}, \"max_cycle_ms\": {:.3}, \
-             \"result_changes\": {}}}",
-            m.mode, m.ms_per_cycle, m.max_cycle_ms, m.result_changes
-        );
-        json.push_str(if i + 1 == run.modes.len() {
-            "\n"
+    let mut record = BenchRecord::new("index", cfg.fields());
+    record.lane_rows(&paired, |lane| {
+        let dim = if lane == "quadtree" {
+            quadtree_dim
         } else {
-            ",\n"
-        });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"uniform_dim\": {}, \"quadtree_dim\": {},",
-        run.uniform_dim, run.quadtree_dim
-    );
-    let _ = writeln!(
-        json,
-        "  \"quadtree_speedup\": {:.4}, \"dyn_overhead\": {:.4}",
-        run.quadtree_speedup, run.dyn_overhead
-    );
-    json.push_str("}\n");
-    json
+            uniform_dim
+        };
+        crate::fields! { "dim" => dim, "result_changes" => changes }
+    });
+    // Below 2 the quadtree lane is no finer than the uniform lanes and
+    // the run compares a backend with itself.
+    let finer = f64::from(quadtree_dim) / f64::from(uniform_dim);
+    record.put("quadtree_dim_over_uniform", Stat::exact(finer));
+    record.put("quadtree_speedup", paired.ratio("uniform-mono", "quadtree"));
+    record.put("dyn_overhead", paired.ratio("uniform-dyn", "uniform-mono"));
+    record
 }
 
 #[cfg(test)]
@@ -401,29 +118,20 @@ mod tests {
 
     #[test]
     fn tiny_run_is_conformant_across_backends() {
-        let cfg = IndexBenchConfig {
+        let cfg = Config {
             n_base: 300,
             peak_factor: 8.0,
             n_queries: 100,
             k: 4,
             cycles: 12,
-            warmup_cycles: 2,
-            ..IndexBenchConfig::default()
+            ..Config::default()
         };
-        assert!(cfg.quadtree_dim().is_power_of_two());
-        assert!(cfg.quadtree_dim() > cfg.uniform_dim());
-        // `run` itself asserts per-cycle changed-list equality.
-        let run = run(&cfg);
-        assert_eq!(run.modes[0].mode, "uniform-mono");
-        assert_eq!(run.modes[1].mode, "uniform-dyn");
-        assert_eq!(run.modes[2].mode, "quadtree");
-        assert_eq!(run.modes[0].result_changes, run.modes[1].result_changes);
-        assert_eq!(run.modes[0].result_changes, run.modes[2].result_changes);
-        assert!(run.quadtree_speedup > 0.0);
-        assert!(run.dyn_overhead > 0.0);
-        let json = render_json(&cfg, &run);
-        assert!(json.contains("quadtree_speedup"));
-        assert!(json.contains("dyn_overhead"));
-        assert!(json.contains("\"uniform_dim\""));
+        assert!(cfg.provisioned_dim(cfg.n_peak()).is_power_of_two());
+        // `measure` itself asserts per-cycle changed-list equality.
+        let record = measure(&cfg);
+        assert_eq!(record.rows.len(), 3);
+        assert!(record.median("quadtree_dim_over_uniform") >= 2.0);
+        assert!(record.median("quadtree_speedup") > 0.0);
+        assert!(record.median("dyn_overhead") > 0.0);
     }
 }

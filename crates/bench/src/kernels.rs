@@ -3,90 +3,65 @@
 //! array-of-`Option<Point>` lookup plus one `Point::dist` per object —
 //! the exact inner loop every monitor ran before the SoA refactor).
 //!
-//! Both lanes replay identical pre-generated bucket scans under a paired
-//! protocol (lanes alternate per timed block, so host drift hits both
-//! equally, and each lane reports its fastest block so scheduler
-//! preemptions don't pollute the ratio) and their outputs are folded
-//! into checksums that must match **bit-for-bit** — the bench doubles as
-//! an end-to-end smoke test of the kernel-conformance guarantee.
+//! Both lanes replay identical pre-generated bucket scans under the
+//! paired protocol — one paired cycle is a block of scans over every
+//! bucket of the cell, lanes alternating per block — and their outputs
+//! are folded into checksums that must match **bit-for-bit** before
+//! anything is timed: the bench doubles as an end-to-end smoke test of
+//! the kernel-conformance guarantee.
 //!
 //! The sweep covers position-table sizes 64 / 256 / 1024 (spanning
 //! cache-resident to gather-heavy) × bucket sizes 1–256 (including an
-//! odd size for the SIMD tail lane). The `bench_kernels` binary runs
-//! [`KernelBenchConfig::default`] and records `BENCH_kernels.json`; the
-//! CI gate (`bench_check`) runs [`KernelBenchConfig::reduced`] and
-//! enforces the ≥ 1.3× acceptance bar on dim-64 buckets of ≥ 32 objects
-//! (`check_kernels`).
-
-use std::fmt::Write as _;
-use std::time::Instant;
+//! odd size for the SIMD tail lane). The gated statistic is the worst
+//! speedup over the dim-64 cells with buckets of ≥ 32 objects; the
+//! record says which kernel lane (`simd_feature`) it measured.
 
 use cpm_geom::{ObjectId, Point};
 use cpm_grid::kernels::{self, Coords};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Workload parameters for one kernel benchmark run.
-#[derive(Debug, Clone)]
-pub struct KernelBenchConfig {
-    /// Position-table sizes (slot counts) measured.
-    pub dims: Vec<usize>,
-    /// Bucket sizes measured (objects per cell scan).
-    pub buckets: Vec<usize>,
-    /// Distinct pre-generated buckets per (dim, bucket-size) cell.
-    pub n_buckets: usize,
-    /// Target distance evaluations per lane per cell (repetitions are
-    /// derived from this so small buckets are not under-sampled).
-    pub target_ops: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
+use crate::paired::{quiet_tenth, timed, Paired, Stat, REPS};
+use crate::record::BenchRecord;
+use crate::workload::bench_config;
 
-impl Default for KernelBenchConfig {
-    /// The full sweep recorded in `BENCH_kernels.json`.
-    fn default() -> Self {
-        Self {
-            dims: vec![64, 256, 1024],
-            buckets: vec![1, 2, 4, 8, 16, 32, 33, 64, 128, 256],
-            n_buckets: 64,
-            target_ops: 8_000_000,
-            seed: 2005,
-        }
+bench_config! {
+    /// Workload parameters for one kernel run. `bench_check` runs this
+    /// very configuration, so the checked-in curve binds. The run is
+    /// long on purpose (~8 s): it has to outlast the host's disturbed
+    /// phases to see the undisturbed state at all.
+    Config {
+        /// Position-table sizes (slot counts) measured.
+        dims: Vec<usize> = vec![64, 256, 1024],
+        /// Bucket sizes measured (objects per cell scan).
+        buckets: Vec<usize> = vec![1, 2, 4, 8, 16, 32, 33, 64, 128, 256],
+        /// Distinct pre-generated buckets per (dim, bucket-size) cell.
+        n_buckets: usize = 64,
+        /// Target distance evaluations per lane per timed block (scans
+        /// per block are derived from this so small buckets are not
+        /// under-sampled).
+        block_ops: usize = 100_000,
+        /// Timed blocks per cell per lane per repetition.
+        blocks: usize = 90,
+        /// RNG seed.
+        seed: u64 = 2005,
+        /// Whether the explicit-SIMD kernel lane is compiled in.
+        simd_feature: bool = cfg!(feature = "simd"),
     }
 }
 
-impl KernelBenchConfig {
-    /// The reduced configuration the CI bench gate runs on every PR:
-    /// only the gated cells (dim 64, buckets ≥ 32 including the odd
-    /// tail-lane size) at a lighter sampling budget.
-    pub fn reduced() -> Self {
-        Self {
-            dims: vec![64],
-            buckets: vec![32, 33, 64],
-            target_ops: 1_500_000,
-            ..Self::default()
-        }
+impl Config {
+    /// What `bench_check` runs: the acceptance configuration itself.
+    pub fn gate() -> Self {
+        Self::default()
     }
-}
-
-/// Paired scalar/batched timings of one (table size, bucket size) cell.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelMeasurement {
-    /// Position-table slot count.
-    pub dim: usize,
-    /// Objects per bucket scan.
-    pub bucket: usize,
-    /// Nanoseconds per distance evaluation, scalar `Option<Point>` lane.
-    pub scalar_ns: f64,
-    /// Nanoseconds per distance evaluation, batched SoA-kernel lane.
-    pub batched_ns: f64,
-    /// `scalar_ns / batched_ns`.
-    pub speedup: f64,
 }
 
 /// One (dim, bucket) cell's pre-generated inputs, identical for both
 /// lanes: the position table in both layouts plus the gather patterns.
 struct Cell {
+    dim: usize,
+    bucket: usize,
     aos: Vec<Option<Point>>,
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -109,6 +84,8 @@ fn build_cell(rng: &mut StdRng, dim: usize, bucket: usize, n_buckets: usize) -> 
         })
         .collect();
     Cell {
+        dim,
+        bucket,
         aos,
         xs,
         ys,
@@ -134,137 +111,133 @@ fn fold(checksum: &mut u64, out: &[f64]) {
     }
 }
 
-/// Measure one (dim, bucket) cell under the paired protocol.
-fn bench_cell(
-    rng: &mut StdRng,
-    cfg: &KernelBenchConfig,
-    dim: usize,
-    bucket: usize,
-) -> KernelMeasurement {
-    let cell = build_cell(rng, dim, bucket, cfg.n_buckets);
-    let coords = Coords::from_columns(&cell.xs, &cell.ys);
-    let ops_per_rep = cfg.n_buckets * bucket;
-    let reps = (cfg.target_ops / ops_per_rep.max(1)).clamp(50, 400_000);
-
-    // Conformance first (outside timing): every bucket's outputs must
-    // match bit-for-bit between the lanes, and the folded checksums pin
-    // that for the whole cell. The inputs never change across
-    // repetitions, so checking once covers every timed scan below.
-    let mut out = Vec::new();
-    let mut scalar_sum = 0u64;
-    let mut batched_sum = 0u64;
-    for (q, oids) in cell.queries.iter().zip(&cell.buckets) {
-        scalar_scan(&cell.aos, *q, oids, &mut out);
-        fold(&mut scalar_sum, &out);
-        kernels::dist_into(coords, *q, oids, &mut out);
-        fold(&mut batched_sum, &out);
-    }
-    assert_eq!(
-        scalar_sum, batched_sum,
-        "lanes diverged bitwise at dim {dim}, bucket {bucket}"
-    );
-
-    // Timed repetitions: the scans alone, with `black_box` keeping each
-    // bucket's output live (folding checksums inside the timed region
-    // would add a constant per-object cost to both lanes and compress
-    // the measured ratio). The reps are split into blocks with the lanes
-    // alternating per block, and each lane reports its *fastest* block:
-    // one lane's timed window is only microseconds, so a single
-    // millisecond-scale scheduler preemption landing inside it would
-    // dominate a summed total, while the min statistic discards every
-    // block a preemption hit. Block 0 is an untimed warm-up.
-    const BLOCKS: usize = 25;
-    let reps_per_block = (reps / BLOCKS).max(1);
-    let block_ops = (reps_per_block * ops_per_rep).max(1) as f64;
-    let mut scalar_ns = f64::INFINITY;
-    let mut batched_ns = f64::INFINITY;
-    for block in 0..BLOCKS + 1 {
-        let start = Instant::now();
-        for _ in 0..reps_per_block {
-            for (q, oids) in cell.queries.iter().zip(&cell.buckets) {
-                scalar_scan(&cell.aos, *q, oids, &mut out);
-                std::hint::black_box(&mut out);
-            }
-        }
-        if block > 0 {
-            scalar_ns = scalar_ns.min(start.elapsed().as_nanos() as f64);
-        }
-
-        let start = Instant::now();
-        for _ in 0..reps_per_block {
-            for (q, oids) in cell.queries.iter().zip(&cell.buckets) {
-                kernels::dist_into(coords, *q, oids, &mut out);
-                std::hint::black_box(&mut out);
-            }
-        }
-        if block > 0 {
-            batched_ns = batched_ns.min(start.elapsed().as_nanos() as f64);
-        }
-    }
-    let scalar = scalar_ns / block_ops;
-    let batched = batched_ns / block_ops;
-    KernelMeasurement {
-        dim,
-        bucket,
-        scalar_ns: scalar,
-        batched_ns: batched,
-        speedup: scalar / batched,
-    }
-}
-
-/// Run the sweep: one paired measurement per (dim, bucket-size) cell.
-pub fn run(cfg: &KernelBenchConfig) -> Vec<KernelMeasurement> {
+/// Run the sweep under the paired protocol, every (dim, bucket-size)
+/// cell sampled across the whole run.
+///
+/// # Panics
+/// If the lanes' outputs ever differ bitwise.
+pub fn measure(cfg: &Config) -> BenchRecord {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut results = Vec::new();
+    let mut cells = Vec::new();
     for &dim in &cfg.dims {
         for &bucket in &cfg.buckets {
-            results.push(bench_cell(&mut rng, cfg, dim, bucket));
+            cells.push(build_cell(&mut rng, dim, bucket, cfg.n_buckets));
         }
     }
-    results
-}
-
-/// The gate statistic: the *minimum* batched-vs-scalar speedup over the
-/// dim-64 cells with buckets of ≥ 32 objects (the acceptance-bar cells).
-/// `None` if the sweep measured no such cell.
-pub fn gate_speedup(results: &[KernelMeasurement]) -> Option<f64> {
-    results
-        .iter()
-        .filter(|m| m.dim == 64 && m.bucket >= 32)
-        .map(|m| m.speedup)
-        .min_by(|a, b| a.total_cmp(b))
-}
-
-/// Render the `BENCH_kernels.json` document for a run.
-pub fn render_json(cfg: &KernelBenchConfig, results: &[KernelMeasurement]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"bench_kernels\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"n_buckets\": {}, \"target_ops\": {}, \"seed\": {}, \
-         \"simd_feature\": {}}},",
-        cfg.n_buckets,
-        cfg.target_ops,
-        cfg.seed,
-        cfg!(feature = "simd"),
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"dim\": {}, \"bucket\": {}, \"scalar_ns_per_obj\": {:.3}, \
-             \"batched_ns_per_obj\": {:.3}, \"speedup\": {:.2}}}",
-            m.dim, m.bucket, m.scalar_ns, m.batched_ns, m.speedup
+    // Conformance first (outside timing): every bucket's outputs must
+    // match bit-for-bit between the lanes. The inputs never change, so
+    // checking once covers every timed scan below.
+    let mut out = Vec::new();
+    for cell in &cells {
+        let coords = Coords::from_columns(&cell.xs, &cell.ys);
+        let (mut scalar_sum, mut batched_sum) = (0u64, 0u64);
+        for (q, oids) in cell.queries.iter().zip(&cell.buckets) {
+            scalar_scan(&cell.aos, *q, oids, &mut out);
+            fold(&mut scalar_sum, &out);
+            kernels::dist_into(coords, *q, oids, &mut out);
+            fold(&mut batched_sum, &out);
+        }
+        assert_eq!(
+            scalar_sum, batched_sum,
+            "lanes diverged bitwise at dim {}, bucket {}",
+            cell.dim, cell.bucket
         );
-        json.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"gate_speedup_dim64_bucket32plus\": {:.2}\n}}",
-        gate_speedup(results).unwrap_or(0.0)
-    );
-    json
+
+    // Timed blocks: the scans alone, with `black_box` keeping each
+    // bucket's output live (folding checksums inside the timed region
+    // would add a constant per-object cost to both lanes and compress
+    // the measured ratio). One paired cycle is one block of one cell and
+    // consecutive cycles walk the cells, so every cell is sampled over
+    // the whole run; each block follows one untimed scan that brings the
+    // cell's tables back into cache after the other cells' blocks.
+    let n = cells.len();
+    let scans: Vec<usize> = cells
+        .iter()
+        .map(|cell| (cfg.block_ops / (cfg.n_buckets * cell.bucket)).max(1))
+        .collect();
+    let mut paired = Paired::default();
+    // Per repetition, per lane, per cell: the quiet tenth of the cell's
+    // block times (cell `c` sits at stream positions `c + k·n`).
+    let mut quiets: Vec<[Vec<f64>; 2]> = Vec::new();
+    for _ in 0..REPS {
+        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+        let mut scalar = |i: usize| {
+            let cell = &cells[i % n];
+            let mut pass = |scans: usize| {
+                for _ in 0..scans {
+                    for (q, oids) in cell.queries.iter().zip(&cell.buckets) {
+                        scalar_scan(&cell.aos, *q, oids, &mut out_a);
+                        std::hint::black_box(&mut out_a);
+                    }
+                }
+            };
+            pass(1);
+            timed(|| pass(scans[i % n]))
+        };
+        let mut batched = |i: usize| {
+            let cell = &cells[i % n];
+            let coords = Coords::from_columns(&cell.xs, &cell.ys);
+            let mut pass = |scans: usize| {
+                for _ in 0..scans {
+                    for (q, oids) in cell.queries.iter().zip(&cell.buckets) {
+                        kernels::dist_into(coords, *q, oids, &mut out_b);
+                        std::hint::black_box(&mut out_b);
+                    }
+                }
+            };
+            pass(1);
+            timed(|| pass(scans[i % n]))
+        };
+        let lanes = &mut [("scalar", &mut scalar as _), ("batched", &mut batched as _)];
+        paired.repetition(n, n * cfg.blocks, false, lanes);
+        quiets.push(["scalar", "batched"].map(|lane| {
+            let of_cell = |c| paired.last(lane).iter().skip(c).step_by(n).copied();
+            (0..n)
+                .map(|c| quiet_tenth(&of_cell(c).collect::<Vec<_>>()))
+                .collect()
+        }));
+    }
+
+    // The host alternates, for seconds at a time, between an
+    // undisturbed state and states where the sibling hardware thread is
+    // busy, which cost the packed kernel more than the latency-bound
+    // scalar loop. The reproducible number is the undisturbed one: per
+    // lane the quiet tenth of each repetition's blocks, of the quietest
+    // repetition (`Stat::quietest`, as `Paired::quiet_ms`); the MAD of
+    // the per-repetition ratios says how far the host moved it.
+    let mut record = BenchRecord::new("kernels", cfg.fields());
+    let mut worst: Option<Stat> = None;
+    for (c, cell) in cells.iter().enumerate() {
+        let per_rep = |lane: usize| -> Vec<f64> { quiets.iter().map(|rep| rep[lane][c]).collect() };
+        let (scalar, batched) = (per_rep(0), per_rep(1));
+        let ratios: Vec<f64> = scalar.iter().zip(&batched).map(|(s, b)| s / b).collect();
+        let (scalar, batched) = (
+            Stat::quietest(&scalar).median,
+            Stat::quietest(&batched).median,
+        );
+        let speedup = Stat {
+            median: scalar / batched,
+            mad: Stat::of(&ratios).mad,
+        };
+        let ops = (scans[c] * cfg.n_buckets * cell.bucket) as f64;
+        record.rows.push(crate::fields! {
+            "dim" => cell.dim,
+            "bucket" => cell.bucket,
+            "scalar_ns_per_obj" => scalar * 1e6 / ops,
+            "batched_ns_per_obj" => batched * 1e6 / ops,
+            "speedup" => speedup.median,
+            "speedup_mad" => speedup.mad,
+        });
+        let gated = cell.dim == 64 && cell.bucket >= 32;
+        if gated && worst.is_none_or(|w| speedup.median < w.median) {
+            worst = Some(speedup);
+        }
+    }
+    if let Some(worst) = worst {
+        record.put("speedup_dim64_bucket32plus", worst);
+    }
+    record
 }
 
 #[cfg(test)]
@@ -272,41 +245,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_run_is_consistent_and_renders() {
-        let cfg = KernelBenchConfig {
+    fn tiny_run_is_consistent_and_gates_the_worst_cell() {
+        let cfg = Config {
             dims: vec![64],
-            buckets: vec![3, 32],
+            buckets: vec![3, 32, 64],
             n_buckets: 4,
-            target_ops: 2_000,
-            ..KernelBenchConfig::default()
+            block_ops: 500,
+            blocks: 3,
+            ..Config::default()
         };
-        let results = run(&cfg);
-        assert_eq!(results.len(), 2);
-        for m in &results {
-            assert!(m.scalar_ns > 0.0 && m.batched_ns > 0.0);
-        }
-        assert!(gate_speedup(&results).is_some());
-        let json = render_json(&cfg, &results);
-        assert!(json.contains("\"bucket\": 32"));
-        assert!(json.contains("gate_speedup_dim64_bucket32plus"));
-    }
-
-    #[test]
-    fn gate_speedup_is_the_minimum_over_gated_cells() {
-        let m = |dim, bucket, speedup| KernelMeasurement {
-            dim,
-            bucket,
-            scalar_ns: 1.0,
-            batched_ns: 1.0,
-            speedup,
+        let record = measure(&cfg);
+        assert_eq!(record.rows.len(), 3);
+        let speedup = |row: usize| match &record.rows[row][4] {
+            (_, crate::record::Value::Num(x)) => *x,
+            _ => panic!("speedup is numeric"),
         };
-        let results = [
-            m(64, 16, 0.9),
-            m(64, 32, 1.6),
-            m(64, 64, 1.4),
-            m(256, 64, 9.0),
-        ];
-        assert_eq!(gate_speedup(&results), Some(1.4));
-        assert_eq!(gate_speedup(&[m(256, 64, 2.0)]), None);
+        // The gate statistic is the minimum over the bucket >= 32 cells.
+        let gated = record.median("speedup_dim64_bucket32plus");
+        assert_eq!(gated, speedup(1).min(speedup(2)));
+        // No gated cell measured → no metric (the gate row then fails).
+        let ungated = measure(&Config {
+            buckets: vec![3],
+            ..cfg
+        });
+        assert!(ungated.metric("speedup_dim64_bucket32plus").is_none());
     }
 }

@@ -5,51 +5,94 @@
 //!   footnote, the Section 4.1 analysis validation and the Section 5
 //!   extensions. Each returns a printable [`Table`].
 //! * [`table`] — the plain-text table type experiment output uses.
-//! * [`grid_storage`] / [`shards`] / [`deltas`] / [`server`] / [`regrid`]
-//!   / [`recovery`] / [`index`] / [`kernels`] / [`cluster`] /
-//!   [`pipeline`] — the micro-benchmarks behind the `BENCH_grid.json` /
-//!   `BENCH_shards.json` / `BENCH_deltas.json` / `BENCH_server.json` /
-//!   `BENCH_regrid.json` / `BENCH_recovery.json` / `BENCH_index.json` /
-//!   `BENCH_kernels.json` / `BENCH_cluster.json` / `BENCH_pipeline.json`
-//!   baselines.
-//! * [`check`] — the benchmark-regression gate (`bench_check`) CI runs on
-//!   every PR against those baselines.
+//! * [`BENCHES`] — the ten micro-benchmarks behind the `BENCH_*.json`
+//!   files at the repository root. Each module is a `Config`, its lanes
+//!   with their in-run conformance assertions, and one
+//!   `measure(&Config) -> BenchRecord`; how a benchmark is executed,
+//!   serialized and judged lives once, in [`paired`], [`record`] and
+//!   [`gates`].
 //!
-//! Two front ends consume this library: the `experiments` binary
-//! (`cargo run --release -p cpm-bench --bin experiments -- all`) prints
-//! the paper-style series; the Criterion benches (`cargo bench`) measure
-//! the same configurations at micro scale with statistical rigor.
+//! Three binaries consume this library: `experiments` prints the
+//! paper-style series, `bench_record <name>…|all` re-records the
+//! `BENCH_*.json` files at acceptance scale, and `bench_check` is the
+//! regression gate CI runs on every PR.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod check;
 pub mod cluster;
 pub mod deltas;
 pub mod figures;
+pub mod gates;
 pub mod grid_storage;
 pub mod index;
 pub mod kernels;
-mod movers;
+pub mod paired;
 pub mod pipeline;
+pub mod record;
 pub mod recovery;
 pub mod regrid;
 pub mod server;
 pub mod shards;
 pub mod table;
+pub mod workload;
 
+pub use record::BenchRecord;
 pub use table::Table;
 
 /// The default scale for interactive runs: keeps every sweep's shape while
 /// finishing in minutes on a laptop. `--paper` (1.0) reproduces Table 6.1.
 pub const DEFAULT_SCALE: f64 = 0.1;
 
+/// One registered micro-benchmark.
+#[derive(Debug, Clone, Copy)]
+pub struct Bench {
+    /// Name: the gate table's `bench` column and `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// Measure at the scale `bench_check` gates.
+    pub gate: fn() -> BenchRecord,
+    /// Measure at the acceptance scale `bench_record` writes.
+    pub record: fn() -> BenchRecord,
+}
+
+impl Bench {
+    /// Path of this benchmark's checked-in record.
+    pub fn path(&self) -> String {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        format!("{root}/BENCH_{}.json", self.name)
+    }
+}
+
+macro_rules! bench {
+    ($name:literal, $module:ident) => {
+        Bench {
+            name: $name,
+            gate: || $module::measure(&$module::Config::gate()),
+            record: || $module::measure(&$module::Config::default()),
+        }
+    };
+}
+
+/// Every micro-benchmark, in the order `bench_check` runs them.
+pub const BENCHES: [Bench; 10] = [
+    bench!("grid", grid_storage),
+    bench!("shards", shards),
+    bench!("deltas", deltas),
+    bench!("server", server),
+    bench!("regrid", regrid),
+    bench!("recovery", recovery),
+    bench!("index", index),
+    bench!("kernels", kernels),
+    bench!("cluster", cluster),
+    bench!("pipeline", pipeline),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Smoke-test the cheap figures end to end at a very small scale; the
-    /// expensive ones run in the experiments binary / benches.
+    /// expensive ones run in the experiments binary.
     #[test]
     fn figures_produce_well_formed_tables() {
         let t = figures::space(0.005);

@@ -7,493 +7,209 @@
 //! route, wait for workers, merge — so its wall time is their sum. The
 //! pipelined coordinator overlaps them across epochs: while the workers
 //! compute epoch *e*, the coordinator routes *e+1*, so route time hides
-//! behind worker compute and only the merge stays exposed. Two ratios
-//! come out of a run:
+//! behind worker compute and only the merge stays exposed. A depth-1
+//! pipeline's per-cycle times overlap and only whole-pass wall time is
+//! meaningful, so one paired cycle here is a **chunk** of
+//! [`Config::chunk`] stream cycles processed by each of three lanes
+//! (single node, serial coordinator, pipelined coordinator), charged per
+//! stream cycle. Two ratios come out of a run:
 //!
 //! * **`route_over_single`** — the serial coordinator's routing slice
 //!   (per-worker event translation + framing + send, the `route` field
 //!   of [`ClusterCoordinator::last_cycle_timings`]) over the single-node
-//!   cycle, median of per-cycle pairs. Routing is coordinator-serial
-//!   work in the *un*pipelined cycle, so this bounds how much latency
-//!   the pipeline has to hide: the acceptance bar holds it at
-//!   ≤ [`crate::check::PIPELINE_ROUTE_LIMIT`]× at `W = 4`, and it is
-//!   machine-independent (both lanes timed in one process under the
-//!   paired-cycle protocol).
-//! * **`pipelined_over_serial`** — serial chunk wall time over pipelined
-//!   chunk wall time on the same event stream (median of alternating
-//!   chunk pairs), i.e. the pipeline's throughput speedup. The overlap
-//!   only pays when the coordinator and workers run on different cores,
-//!   so the ≥ [`crate::check::REQUIRED_PIPELINE_SPEEDUP`]× bar is gated
-//!   on ≥ 4-thread hosts and loudly waived below (like the shard gate).
+//!   cycle. Routing is the slice the pipeline hides behind worker
+//!   compute — a route that outweighs the cycle it routes cannot be
+//!   hidden by any pipeline depth — and the ratio is machine-independent.
+//! * **`pipelined_over_serial`** — serial over pipelined chunk time,
+//!   i.e. the pipeline's throughput speedup. The overlap only pays when
+//!   the coordinator and workers run on different cores, so its bar
+//!   binds on ≥ 4-thread hosts only.
 //!
-//! Every measured cycle doubles as a conformance check: the serial merge
-//! is asserted **bit-identical** to the single-node batch, and every
-//! batch the pipeline yields is asserted bit-identical to the serial
-//! coordinator's, so a completed run already proves the pipeline changed
-//! *when* batches surface, never their bytes.
-//!
-//! The `bench_pipeline` binary records `BENCH_pipeline.json`; the CI
-//! gate (`bench_check`) re-runs [`PipelineBenchConfig::reduced`] and
-//! enforces the bars (see [`crate::check::check_pipeline`]).
+//! Every chunk doubles as a conformance check: the batches all three
+//! lanes yield must be **bit-identical**, so a completed run proves the
+//! pipeline changed *when* batches surface, never their bytes.
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cpm_cluster::{ClusterConfig, ClusterCoordinator, CoordinatorMetrics};
-use cpm_core::{AnyQuerySpec, CpmServerBuilder, CycleDeltas, PointQuery, SpecEvent};
-use cpm_geom::{ObjectId, QueryId};
-use cpm_grid::ObjectEvent;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use cpm_core::{CpmServerBuilder, CycleDeltas};
 
-/// Workload parameters for one serial-vs-pipelined run.
-#[derive(Debug, Clone)]
-pub struct PipelineBenchConfig {
-    /// Object population `N`.
-    pub n_objects: usize,
-    /// Installed k-NN queries (anchors uniform over the workspace).
-    pub n_queries: usize,
-    /// Neighbors per query.
-    pub k: usize,
-    /// Fraction of objects moving per cycle.
-    pub move_fraction: f64,
-    /// Measured processing cycles (split into chunks of `chunk`).
-    pub cycles: usize,
-    /// Cycles per timed chunk: the serial and pipelined lanes each
-    /// process a whole chunk back to back (order alternating per chunk),
-    /// because a depth-1 pipeline's per-cycle times overlap and only
-    /// whole-pass wall time is meaningful.
-    pub chunk: usize,
-    /// Unmeasured warmup cycles replayed first (after the bootstrap
-    /// populate/install cycles, which are also unmeasured).
-    pub warmup_cycles: usize,
-    /// Grid granularity per axis.
-    pub grid_dim: u32,
-    /// In-process cluster workers.
-    pub workers: u32,
-    /// Boundary-overlap margin in cells.
-    pub overlap: u32,
-    /// RNG seed.
-    pub seed: u64,
-}
+use crate::paired::{timed, Paired, Stat, REPS};
+use crate::record::BenchRecord;
+use crate::workload::{bench_config, cluster_stream, ClusterCycle};
 
-impl Default for PipelineBenchConfig {
-    /// The acceptance-scale configuration recorded in
-    /// `BENCH_pipeline.json`.
-    fn default() -> Self {
-        Self {
-            n_objects: 10_000,
-            n_queries: 96,
-            k: 16,
-            move_fraction: 0.10,
-            cycles: 48,
-            chunk: 8,
-            warmup_cycles: 2,
-            grid_dim: 32,
-            workers: 4,
-            overlap: 4,
-            seed: 2005,
-        }
+bench_config! {
+    /// Workload parameters for one serial-vs-pipelined run.
+    Config {
+        /// Object population `N`.
+        n_objects: usize = 10_000,
+        /// Installed k-NN queries (anchors uniform over the workspace).
+        n_queries: usize = 96,
+        /// Neighbors per query.
+        k: usize = 16,
+        /// Fraction of objects moving per cycle.
+        move_fraction: f64 = 0.10,
+        /// Measured processing cycles (split into chunks of `chunk`).
+        cycles: usize = 48,
+        /// Stream cycles per paired chunk.
+        chunk: usize = 8,
+        /// Unmeasured warm-up cycles (one chunk, after the two bootstrap
+        /// populate/install cycles, which are also unmeasured).
+        warmup_cycles: usize = 2,
+        /// Grid granularity per axis.
+        grid_dim: u32 = 32,
+        /// In-process cluster workers.
+        workers: u32 = 4,
+        /// Boundary-overlap margin in cells.
+        overlap: u32 = 4,
+        /// RNG seed.
+        seed: u64 = 2005,
     }
 }
 
-impl PipelineBenchConfig {
-    /// The reduced-scale configuration the CI bench gate runs on every PR.
-    pub fn reduced() -> Self {
+impl Config {
+    /// The reduced scale `bench_check` runs.
+    pub fn gate() -> Self {
         Self {
             n_objects: 4_000,
             n_queries: 48,
-            cycles: 24,
+            cycles: 48,
             chunk: 6,
             ..Self::default()
         }
     }
 }
 
-/// Timings for one execution lane.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineMeasurement {
-    /// `"single-node"`, `"serial"` or `"pipelined"`.
-    pub mode: &'static str,
-    /// **Median** wall time per measured cycle, ms (for the pipelined
-    /// lane: chunk wall time over the chunk's cycle count — individual
-    /// pipelined cycles overlap and have no standalone wall time).
-    pub ms_per_cycle: f64,
-    /// Total result changes over the measured cycles (identical across
-    /// lanes — asserted per cycle by [`run`]).
-    pub result_changes: usize,
+/// Per-cycle share of `total` over a chunk of `len` cycles.
+fn per_cycle(total: Duration, len: usize) -> Duration {
+    total / len.max(1) as u32
 }
 
-/// Mean per-cycle stage split of one coordinator lane, ms, from its
-/// [`CoordinatorMetrics`] accumulators.
-#[derive(Debug, Clone, Copy)]
-pub struct StageSplit {
-    /// Routing: per-worker translation + framing + send.
-    pub route_ms: f64,
-    /// Blocking receive while workers compute.
-    pub wait_ms: f64,
-    /// Barrier offer + canonical merge.
-    pub merge_ms: f64,
+/// Mean per-cycle `[route, wait, merge]` ms of a coordinator's
+/// accumulators.
+fn stage_ms(m: &CoordinatorMetrics) -> [f64; 3] {
+    [m.route, m.worker_wait, m.merge].map(|d| d.as_secs_f64() * 1e3 / m.cycles.max(1) as f64)
 }
 
-fn stage_split(m: &CoordinatorMetrics) -> StageSplit {
-    let per = |d: Duration| {
-        if m.cycles == 0 {
-            0.0
-        } else {
-            d.as_secs_f64() * 1e3 / m.cycles as f64
-        }
-    };
-    StageSplit {
-        route_ms: per(m.route),
-        wait_ms: per(m.worker_wait),
-        merge_ms: per(m.merge),
-    }
-}
-
-/// Outcome of one serial-vs-pipelined run.
-#[derive(Debug, Clone)]
-pub struct PipelineBenchRun {
-    /// Per-lane measurements: `[single-node, serial, pipelined]`.
-    pub modes: [PipelineMeasurement; 3],
-    /// Median per-cycle-pair `serial routing ms / single-node ms`: the
-    /// machine-independent routing overhead. The PR acceptance bar is
-    /// ≤ [`crate::check::PIPELINE_ROUTE_LIMIT`] at `W = 4`.
-    pub route_over_single: f64,
-    /// Median per-chunk-pair `serial wall / pipelined wall`: the
-    /// pipeline's throughput speedup **on this host** — it needs real
-    /// parallelism to exceed 1, so the
-    /// ≥ [`crate::check::REQUIRED_PIPELINE_SPEEDUP`] bar only binds on
-    /// ≥ 4-thread hosts.
-    pub pipelined_over_serial: f64,
-    /// The serial coordinator's per-cycle stage split.
-    pub serial_stages: StageSplit,
-    /// The pipelined coordinator's per-cycle stage split. Route and
-    /// merge cost about the same work per cycle as the serial lane's;
-    /// `wait_ms` is what shrinks when routing overlaps worker compute.
-    pub pipelined_stages: StageSplit,
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    xs.get(xs.len() / 2).copied().unwrap_or(0.0)
-}
-
-/// Run the three lanes over the identical pre-generated workload.
-///
-/// Per chunk of [`PipelineBenchConfig::chunk`] cycles, in an order that
-/// alternates every chunk: (a) the single-node server and the serial
-/// coordinator process each cycle back to back (paired-cycle protocol,
-/// per-cycle route timings recorded), then (b) the pipelined coordinator
-/// processes the whole chunk through `submit_cycle` + `flush` under one
-/// wall-clock. Ratios are medians over pairs so transient host stalls
-/// inflate both sides and cancel.
+/// Run the three lanes over the identical stream under the paired
+/// protocol, chunk by chunk.
 ///
 /// # Panics
 /// On any cluster protocol error, or if any lane's deltas diverge.
-pub fn run(cfg: &PipelineBenchConfig) -> PipelineBenchRun {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut positions = crate::movers::uniform_points(&mut rng, cfg.n_objects);
-    let appears: Vec<ObjectEvent> = positions
-        .iter()
-        .enumerate()
-        .map(|(i, &pos)| ObjectEvent::Appear {
-            id: ObjectId(i as u32),
-            pos,
-        })
-        .collect();
-    let installs: Vec<SpecEvent<AnyQuerySpec>> =
-        crate::movers::uniform_points(&mut rng, cfg.n_queries)
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| SpecEvent::Install {
-                id: QueryId(i as u32),
-                spec: AnyQuerySpec::Knn(PointQuery(p)),
-                k: cfg.k,
-            })
-            .collect();
-    let movers = ((cfg.n_objects as f64 * cfg.move_fraction) as usize).max(1);
-    let total_cycles = cfg.warmup_cycles + cfg.cycles;
-    let move_cycles: Vec<Vec<ObjectEvent>> =
-        crate::movers::random_walk_cycles(&mut rng, &mut positions, total_cycles, movers)
-            .into_iter()
-            .map(|batch| {
-                let mut seen = std::collections::HashSet::new();
-                let mut events: Vec<ObjectEvent> = batch
-                    .into_iter()
-                    .rev()
-                    .filter(|(i, _)| seen.insert(*i))
-                    .map(|(i, to)| ObjectEvent::Move {
-                        id: ObjectId(i as u32),
-                        to,
-                    })
-                    .collect();
-                events.reverse();
-                events
-            })
-            .collect();
-
-    let mut single = CpmServerBuilder::new(cfg.grid_dim)
-        .deltas(true)
-        .try_build()
-        .expect("single-node server");
-    let serial_cfg = ClusterConfig::new(cfg.grid_dim, cfg.workers).overlap(cfg.overlap);
-    let pipelined_cfg = serial_cfg.pipelined(true);
-    let (mut serial, serial_handles) =
-        ClusterCoordinator::spawn_in_process(serial_cfg).expect("spawn serial workers");
-    let (mut pipelined, pipelined_handles) =
-        ClusterCoordinator::spawn_in_process(pipelined_cfg).expect("spawn pipelined workers");
-
-    // Bootstrap (unmeasured): objects appear, then queries install.
-    let mut single_out = CycleDeltas::default();
-    for (objects, queries) in [(&appears[..], &[][..]), (&[][..], &installs[..])] {
-        single
-            .process_cycle_with_deltas_into(objects, queries, &mut single_out)
-            .expect("bootstrap cycle");
-        let merged = serial
-            .process_cycle(objects, queries)
-            .expect("serial bootstrap cycle");
-        assert_eq!(merged, single_out, "serial bootstrap deltas diverged");
-        let merged = pipelined
-            .process_cycle(objects, queries)
-            .expect("pipelined bootstrap cycle");
-        assert_eq!(merged, single_out, "pipelined bootstrap deltas diverged");
-    }
-
-    let warmup_n = cfg.warmup_cycles.min(move_cycles.len());
-    let (warmup, measured) = move_cycles.split_at(warmup_n);
-    for events in warmup {
-        single
-            .process_cycle_with_deltas_into(events, &[], &mut single_out)
-            .expect("warmup cycle");
-        serial.process_cycle(events, &[]).expect("warmup cycle");
-        pipelined.process_cycle(events, &[]).expect("warmup cycle");
-    }
-    // Warmup ran before the measured window so the metrics accumulators
-    // only average measured cycles.
-    serial.take_metrics();
-    pipelined.take_metrics();
-
-    let mut single_times = Vec::with_capacity(measured.len());
-    let mut single_changes = 0usize;
-    let mut serial_times = Vec::with_capacity(measured.len());
-    let mut route_times = Vec::with_capacity(measured.len());
-    let mut serial_changes = 0usize;
-    let mut pipelined_chunk_ms = Vec::new();
-    let mut serial_chunk_ms = Vec::new();
-    let mut chunk_ratios = Vec::new();
-    let mut pipelined_changes = 0usize;
-
-    for (c, chunk) in measured.chunks(cfg.chunk).enumerate() {
-        let mut serial_outputs: Vec<CycleDeltas> = Vec::with_capacity(chunk.len());
-        let mut serial_total = Duration::ZERO;
-        let mut run_serial_lane =
-            |single: &mut cpm_core::CpmServer, serial: &mut ClusterCoordinator<_>| {
-                for (i, events) in chunk.iter().enumerate() {
-                    let time_single =
-                        |single: &mut cpm_core::CpmServer,
-                         out: &mut CycleDeltas,
-                         changes: &mut usize,
-                         times: &mut Vec<Duration>| {
-                            let start = Instant::now();
-                            single
-                                .process_cycle_with_deltas_into(events, &[], out)
-                                .expect("measured cycle");
-                            times.push(start.elapsed());
-                            *changes += out.changed.len();
-                        };
-                    let mut time_serial =
-                        |serial: &mut ClusterCoordinator<_>,
-                         outputs: &mut Vec<CycleDeltas>,
-                         changes: &mut usize| {
-                            let start = Instant::now();
-                            let out = serial.process_cycle(events, &[]).expect("measured cycle");
-                            let spent = start.elapsed();
-                            serial_total += spent;
-                            serial_times.push(spent);
-                            route_times.push(serial.last_cycle_timings().route);
-                            *changes += out.changed.len();
-                            outputs.push(out);
-                        };
-                    if i % 2 == 0 {
-                        time_single(
-                            single,
-                            &mut single_out,
-                            &mut single_changes,
-                            &mut single_times,
-                        );
-                        time_serial(serial, &mut serial_outputs, &mut serial_changes);
-                    } else {
-                        time_serial(serial, &mut serial_outputs, &mut serial_changes);
-                        time_single(
-                            single,
-                            &mut single_out,
-                            &mut single_changes,
-                            &mut single_times,
-                        );
-                    }
-                    // Conformance, outside the timed sections.
-                    assert_eq!(
-                        serial_outputs.last().expect("serial lane ran"),
-                        &single_out,
-                        "serial merge diverged from the single node"
-                    );
-                }
-            };
-        let mut run_pipelined_lane = |pipelined: &mut ClusterCoordinator<_>| {
-            let mut outputs: Vec<CycleDeltas> = Vec::with_capacity(chunk.len());
-            let start = Instant::now();
-            for events in chunk {
-                if let Some(merged) = pipelined
-                    .submit_cycle(events, &[])
-                    .expect("pipelined measured cycle")
-                {
-                    outputs.push(merged);
-                }
-            }
-            outputs.extend(pipelined.flush().expect("pipelined flush"));
-            let spent = start.elapsed();
-            for out in &outputs {
-                pipelined_changes += out.changed.len();
-            }
-            spent.as_secs_f64() * 1e3
-        };
-        // Alternate which lane goes first each chunk so host drift
-        // inflates both sides of a pair equally often.
-        let pipelined_ms = if c % 2 == 0 {
-            run_serial_lane(&mut single, &mut serial);
-            run_pipelined_lane(&mut pipelined)
-        } else {
-            let ms = run_pipelined_lane(&mut pipelined);
-            run_serial_lane(&mut single, &mut serial);
-            ms
-        };
-        let serial_ms = serial_total.as_secs_f64() * 1e3;
-        serial_chunk_ms.push(serial_ms / chunk.len() as f64);
-        pipelined_chunk_ms.push(pipelined_ms / chunk.len() as f64);
-        chunk_ratios.push(serial_ms / pipelined_ms);
-    }
-    // The pipelined lane saw the same stream, so the merged bytes are
-    // already proven identical transitively (each serial merge equals
-    // the single node; the pipelined coordinator's conformance with the
-    // serial one is the verify_cluster_pipelined lane's job — here we
-    // assert the cheap invariant that both did identical work).
-    assert_eq!(
-        single_changes, serial_changes,
-        "serial lane did different work on the same stream"
-    );
-    assert_eq!(
-        single_changes, pipelined_changes,
-        "pipelined lane did different work on the same stream"
-    );
-    let serial_stages = stage_split(&serial.take_metrics());
-    let pipelined_stages = stage_split(&pipelined.take_metrics());
-    for (coord, handles) in [(serial, serial_handles), (pipelined, pipelined_handles)] {
-        coord.shutdown().expect("clean shutdown");
-        for h in handles {
-            h.join().expect("worker thread").expect("worker exit");
-        }
-    }
-
-    let route_over_single = median(
-        route_times
-            .iter()
-            .zip(&single_times)
-            .map(|(r, s)| r.as_secs_f64() / s.as_secs_f64())
-            .collect(),
-    );
-    let pipelined_over_serial = median(chunk_ratios);
-    let per_cycle_ms =
-        |times: &[Duration]| median(times.iter().map(|t| t.as_secs_f64() * 1e3).collect());
-    PipelineBenchRun {
-        modes: [
-            PipelineMeasurement {
-                mode: "single-node",
-                ms_per_cycle: per_cycle_ms(&single_times),
-                result_changes: single_changes,
-            },
-            PipelineMeasurement {
-                mode: "serial",
-                ms_per_cycle: median(serial_chunk_ms),
-                result_changes: serial_changes,
-            },
-            PipelineMeasurement {
-                mode: "pipelined",
-                ms_per_cycle: median(pipelined_chunk_ms),
-                result_changes: pipelined_changes,
-            },
-        ],
-        route_over_single,
-        pipelined_over_serial,
-        serial_stages,
-        pipelined_stages,
-    }
-}
-
-/// Render the `BENCH_pipeline.json` document for a run.
-pub fn render_json(cfg: &PipelineBenchConfig, run: &PipelineBenchRun) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"bench_pipeline\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"n_objects\": {}, \"n_queries\": {}, \"k\": {}, \
-         \"move_fraction\": {}, \"cycles\": {}, \"chunk\": {}, \"warmup_cycles\": {}, \
-         \"grid_dim\": {}, \"workers\": {}, \"overlap\": {}}},",
+pub fn measure(cfg: &Config) -> BenchRecord {
+    let stream = cluster_stream(
+        cfg.seed,
         cfg.n_objects,
         cfg.n_queries,
         cfg.k,
         cfg.move_fraction,
-        cfg.cycles,
-        cfg.chunk,
-        cfg.warmup_cycles,
-        cfg.grid_dim,
-        cfg.workers,
-        cfg.overlap
+        cfg.warmup_cycles + cfg.cycles,
     );
-    let _ = writeln!(
-        json,
-        "  \"machine\": {{\"threads_available\": {}, \"os\": \"{}\", \"arch\": \"{}\"}},",
-        crate::shards::available_threads(),
-        std::env::consts::OS,
-        std::env::consts::ARCH
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, m) in run.modes.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"ms_per_cycle\": {:.3}, \"result_changes\": {}}}",
-            m.mode, m.ms_per_cycle, m.result_changes
+    // Bootstrap cycles are chunks of their own (queries install only
+    // once every object appeared), then one warm-up chunk.
+    let (bootstrap, moves) = stream.split_at(2);
+    let (warm, measured) = moves.split_at(cfg.warmup_cycles);
+    let mut chunks: Vec<&[ClusterCycle]> = bootstrap.chunks(1).collect();
+    chunks.extend((!warm.is_empty()).then_some(warm));
+    let warmup = chunks.len();
+    chunks.extend(measured.chunks(cfg.chunk.max(1)));
+
+    let mut paired = Paired::default();
+    let mut changes = 0;
+    let (mut serial_stages, mut pipelined_stages) = (Vec::new(), Vec::new());
+    for _ in 0..REPS {
+        let mut single = CpmServerBuilder::new(cfg.grid_dim)
+            .deltas(true)
+            .try_build()
+            .expect("single-node server");
+        let serial_cfg = ClusterConfig::new(cfg.grid_dim, cfg.workers).overlap(cfg.overlap);
+        let (mut serial, serial_handles) =
+            ClusterCoordinator::spawn_in_process(serial_cfg).expect("spawn serial workers");
+        let (mut pipelined, pipelined_handles) =
+            ClusterCoordinator::spawn_in_process(serial_cfg.pipelined(true))
+                .expect("spawn pipelined workers");
+
+        changes = 0;
+        let mut single_lane = |i: usize| {
+            let (mut spent, mut outputs) = (Duration::ZERO, Vec::new());
+            let mut out = CycleDeltas::default();
+            for (objects, queries) in chunks[i] {
+                let (t, result) =
+                    timed(|| single.process_cycle_with_deltas_into(objects, queries, &mut out));
+                result.expect("single-node cycle");
+                spent += t;
+                changes += if i >= warmup { out.changed.len() } else { 0 };
+                outputs.push(out.clone());
+            }
+            (per_cycle(spent, chunks[i].len()), outputs)
+        };
+        let mut route = Vec::new();
+        let mut serial_lane = |i: usize| {
+            if i == warmup {
+                // The stage accumulators average measured cycles only.
+                serial.take_metrics();
+            }
+            let (mut spent, mut routed, mut outputs) = (Duration::ZERO, Duration::ZERO, vec![]);
+            for (objects, queries) in chunks[i] {
+                let (t, merged) = timed(|| serial.process_cycle(objects, queries));
+                spent += t;
+                routed += serial.last_cycle_timings().route;
+                outputs.push(merged.expect("serial cycle"));
+            }
+            if i >= warmup {
+                route.push(per_cycle(routed, chunks[i].len()).as_secs_f64() * 1e3);
+            }
+            (per_cycle(spent, chunks[i].len()), outputs)
+        };
+        let mut pipelined_lane = |i: usize| {
+            if i == warmup {
+                pipelined.take_metrics();
+            }
+            let (spent, outputs) = timed(|| {
+                let mut outputs = Vec::with_capacity(chunks[i].len());
+                for (objects, queries) in chunks[i] {
+                    let merged = pipelined.submit_cycle(objects, queries);
+                    outputs.extend(merged.expect("pipelined cycle"));
+                }
+                outputs.extend(pipelined.flush().expect("pipelined flush"));
+                outputs
+            });
+            (per_cycle(spent, chunks[i].len()), outputs)
+        };
+        // `check`: every chunk's batches are bit-identical across the
+        // single node, the serial and the pipelined coordinator.
+        paired.repetition(
+            warmup,
+            chunks.len() - warmup,
+            true,
+            &mut [
+                ("single-node", &mut single_lane),
+                ("serial", &mut serial_lane),
+                ("pipelined", &mut pipelined_lane),
+            ],
         );
-        json.push_str(if i + 1 == run.modes.len() {
-            "\n"
-        } else {
-            ",\n"
-        });
+        paired.derive("serial-route", route);
+        serial_stages.push(stage_ms(&serial.take_metrics()));
+        pipelined_stages.push(stage_ms(&pipelined.take_metrics()));
+        crate::cluster::stop(serial, serial_handles);
+        crate::cluster::stop(pipelined, pipelined_handles);
     }
-    json.push_str("  ],\n");
-    for (lane, s) in [
-        ("serial", run.serial_stages),
-        ("pipelined", run.pipelined_stages),
-    ] {
-        let _ = writeln!(
-            json,
-            "  \"{lane}_stages\": {{\"route_ms\": {:.4}, \"wait_ms\": {:.4}, \
-             \"merge_ms\": {:.4}}},",
-            s.route_ms, s.wait_ms, s.merge_ms
-        );
+
+    let mut record = BenchRecord::new("pipeline", cfg.fields());
+    record.lane_rows(&paired, |_| Vec::new());
+    record.put("result_changes", Stat::exact(changes as f64));
+    for (lane, stages) in [("serial", &serial_stages), ("pipelined", &pipelined_stages)] {
+        for (s, stage) in ["route", "wait", "merge"].into_iter().enumerate() {
+            let per_rep: Vec<f64> = stages.iter().map(|ms| ms[s]).collect();
+            record.put(&format!("{lane}_{stage}_ms"), Stat::of(&per_rep));
+        }
     }
-    let _ = writeln!(
-        json,
-        "  \"route_over_single\": {:.4},",
-        run.route_over_single
+    record.put(
+        "route_over_single",
+        paired.ratio("serial-route", "single-node"),
     );
-    let _ = writeln!(
-        json,
-        "  \"pipelined_over_serial\": {:.4}",
-        run.pipelined_over_serial
-    );
-    json.push_str("}\n");
-    json
+    record.put("pipelined_over_serial", paired.ratio("serial", "pipelined"));
+    record
 }
 
 #[cfg(test)]
@@ -502,7 +218,7 @@ mod tests {
 
     #[test]
     fn tiny_run_measures_all_three_lanes_consistently() {
-        let cfg = PipelineBenchConfig {
+        let cfg = Config {
             n_objects: 400,
             n_queries: 12,
             k: 3,
@@ -511,26 +227,16 @@ mod tests {
             warmup_cycles: 1,
             grid_dim: 16,
             workers: 2,
-            overlap: 4,
-            ..PipelineBenchConfig::default()
+            ..Config::default()
         };
-        // `run` itself asserts per-cycle bit-identical serial merges and
-        // identical work across all three lanes.
-        let run = run(&cfg);
-        assert_eq!(run.modes[0].mode, "single-node");
-        assert_eq!(run.modes[1].mode, "serial");
-        assert_eq!(run.modes[2].mode, "pipelined");
-        assert_eq!(run.modes[0].result_changes, run.modes[1].result_changes);
-        assert_eq!(run.modes[0].result_changes, run.modes[2].result_changes);
-        assert!(run.route_over_single > 0.0);
-        assert!(run.pipelined_over_serial > 0.0);
-        assert!(run.serial_stages.route_ms > 0.0);
-        assert!(run.serial_stages.merge_ms > 0.0);
-        let json = render_json(&cfg, &run);
-        assert!(json.contains("\"mode\": \"pipelined\""));
-        assert!(json.contains("route_over_single"));
-        assert!(json.contains("pipelined_over_serial"));
-        assert!(json.contains("serial_stages"));
-        assert!(json.contains("threads_available"));
+        // `measure` itself asserts bit-identical batches across all
+        // three lanes, chunk by chunk.
+        let record = measure(&cfg);
+        assert_eq!(record.rows.len(), 4);
+        assert!(record.median("result_changes") > 0.0);
+        assert!(record.median("route_over_single") > 0.0);
+        assert!(record.median("pipelined_over_serial") > 0.0);
+        assert!(record.median("serial_route_ms") > 0.0);
+        assert!(record.median("serial_merge_ms") > 0.0);
     }
 }

@@ -1,95 +1,68 @@
 //! Crash-recovery benchmark: full [`cpm_core::DurableCpmServer::recover`]
 //! wall time versus the steady-state cycle cost it interrupts.
 //!
-//! The workload mirrors [`crate::server`]'s pub/sub shape (default: 100K
-//! uniform objects, 10% movers per cycle, a mixed k-NN + range +
-//! constrained + RNN query set). The run journals every cycle under the
-//! default checkpoint policy (`checkpoint_every = 8`), so at the crash
-//! point the artifacts have the shape a real deployment recovers from: a
-//! recent checkpoint plus a bounded journal tail. Recovery then does the
-//! full work — decode + cross-validate the snapshot, rebuild the grid and
-//! every influence table from scratch, replay the tail.
+//! The workload mirrors [`crate::server`]'s pub/sub shape (100K uniform
+//! objects, 10% movers per cycle, a mixed k-NN + range + constrained +
+//! RNN query set). Every repetition journals its cycles under the
+//! default checkpoint policy, so at the crash point the artifacts have
+//! the shape a real deployment recovers from: a recent checkpoint plus a
+//! bounded journal tail. Recovery then does the full work — decode +
+//! cross-validate the snapshot, rebuild the grid and every influence
+//! table from scratch, replay the tail.
 //!
-//! Recovery is a restart pause, so the acceptance bar is relative — like
-//! the re-grid migration bound, a recovery may cost at most
-//! [`crate::check::RECOVERY_PAUSE_FACTOR`] median cycles. Both numbers
-//! are measured in one process seconds apart, making the ratio
-//! machine-independent; the ratio (not absolute ms) is what the gate
-//! compares against the checked-in curve.
+//! Recovery is a restart pause, so the gated number is relative: the
+//! recovery time in units of the median cycle of the same repetition. A
+//! monitoring server that takes longer than about one checkpoint
+//! interval of cycles to come back has effectively lost the stream it
+//! was monitoring.
 //!
-//! The `bench_recovery` binary records `BENCH_recovery.json`; the CI gate
-//! (`bench_check`) re-runs [`RecoveryBenchConfig::reduced`] and enforces
-//! the pause bound (see [`crate::check::check_recovery`]).
+//! Each repetition doubles as an at-scale conformance check: the
+//! recovered server must agree with the crashed one on epoch, every
+//! tracked result and every RNN set.
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use cpm_core::{CpmServerBuilder, DurableCpmServer};
+use cpm_geom::{Point, QueryId};
+use rand::Rng;
 
-use cpm_core::{ConstrainedQuery, CpmServerBuilder, DurableCpmServer, RangeQuery};
-use cpm_geom::{ObjectId, Point, QueryId, Rect};
-use cpm_grid::ObjectEvent;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::paired::{median, timed, Paired, Stat, REPS};
+use crate::record::BenchRecord;
+use crate::workload::{bench_config, mixed_queries, uniform_stream};
 
-/// Workload parameters for one journal-then-recover run.
-#[derive(Debug, Clone)]
-pub struct RecoveryBenchConfig {
-    /// Object population `N`.
-    pub n_objects: usize,
-    /// Installed k-NN queries.
-    pub knn_queries: usize,
-    /// Installed range queries.
-    pub range_queries: usize,
-    /// Installed constrained queries.
-    pub constrained_queries: usize,
-    /// Installed reverse-NN registrations.
-    pub rnn_queries: usize,
-    /// Neighbors per k-NN / constrained query.
-    pub k: usize,
-    /// Fraction of objects moving per cycle.
-    pub move_fraction: f64,
-    /// Timed processing cycles before the simulated crash.
-    pub cycles: usize,
-    /// Checkpoint interval in cycles; the journal tail recovery replays
-    /// is `cycles` modulo this. Must not divide `cycles` evenly (an
-    /// empty tail would measure snapshot restore only).
-    pub checkpoint_every: u64,
-    /// Grid granularity per axis.
-    pub grid_dim: u32,
-    /// Query shards (1 = sequential maintenance).
-    pub shards: usize,
-    /// Recovery timing repetitions (the median is reported; recovery is
-    /// pure deserialization + recompute, so repeats are cheap and iid).
-    pub recover_trials: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for RecoveryBenchConfig {
-    /// The acceptance-scale configuration recorded in
-    /// `BENCH_recovery.json` (100K objects, the server benchmark's query
-    /// mix plus a handful of RNN registrations).
-    fn default() -> Self {
-        Self {
-            n_objects: 100_000,
-            knn_queries: 60,
-            range_queries: 60,
-            constrained_queries: 60,
-            rnn_queries: 4,
-            k: 8,
-            move_fraction: 0.10,
-            cycles: 30,
-            checkpoint_every: 8,
-            grid_dim: 128,
-            shards: 1,
-            recover_trials: 3,
-            seed: 2005,
-        }
+bench_config! {
+    /// Workload parameters for one journal-then-recover run.
+    Config {
+        /// Object population `N`.
+        n_objects: usize = 100_000,
+        /// Installed k-NN queries.
+        knn_queries: usize = 60,
+        /// Installed range queries.
+        range_queries: usize = 60,
+        /// Installed constrained queries.
+        constrained_queries: usize = 60,
+        /// Installed reverse-NN registrations.
+        rnn_queries: usize = 4,
+        /// Neighbors per k-NN / constrained query.
+        k: usize = 8,
+        /// Fraction of objects moving per cycle.
+        move_fraction: f64 = 0.10,
+        /// Timed processing cycles before the simulated crash.
+        cycles: usize = 30,
+        /// Checkpoint interval in cycles; the journal tail recovery
+        /// replays is `cycles` modulo this. Must not divide `cycles`
+        /// evenly (an empty tail would measure snapshot restore only).
+        checkpoint_every: u64 = 8,
+        /// Grid granularity per axis.
+        grid_dim: u32 = 128,
+        /// Query shards (1 = sequential maintenance).
+        shards: usize = 1,
+        /// RNG seed.
+        seed: u64 = 2005,
     }
 }
 
-impl RecoveryBenchConfig {
-    /// The reduced-scale configuration the CI bench gate runs on every PR.
-    pub fn reduced() -> Self {
+impl Config {
+    /// The reduced scale `bench_check` runs.
+    pub fn gate() -> Self {
         Self {
             n_objects: 10_000,
             knn_queries: 20,
@@ -101,139 +74,80 @@ impl RecoveryBenchConfig {
     }
 }
 
-/// Outcome of one journal-then-recover run.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryBenchRun {
-    /// **Median** wall time per journaled cycle, ms.
-    pub median_cycle_ms: f64,
-    /// Slowest single journaled cycle, ms.
-    pub max_cycle_ms: f64,
-    /// Median wall time of a full recovery (snapshot restore + journal
-    /// replay), ms.
-    pub recovery_ms: f64,
-    /// `recovery_ms / median_cycle_ms` — the restart pause in cycle
-    /// units, the number the acceptance bar bounds.
-    pub recovery_over_cycle: f64,
-    /// Snapshot frame size at the checkpoint, bytes.
-    pub snapshot_bytes: usize,
-    /// Journal size at the crash point, bytes.
-    pub journal_bytes: usize,
-    /// Journal records replayed by each recovery.
-    pub replayed: usize,
-    /// Total result changes over the journaled cycles.
-    pub result_changes: usize,
-}
-
-fn median_ms(mut times: Vec<Duration>) -> (f64, f64) {
-    times.sort_unstable();
-    let median = times
-        .get(times.len() / 2)
-        .copied()
-        .unwrap_or(Duration::ZERO);
-    let max = times.last().copied().unwrap_or(Duration::ZERO);
-    (median.as_secs_f64() * 1e3, max.as_secs_f64() * 1e3)
-}
-
-/// Journal `cfg.cycles` cycles against a post-install checkpoint, then
-/// time a full recovery from the captured artifacts.
+/// Per repetition: journal `cfg.cycles` cycles against a post-install
+/// checkpoint, then time one full recovery from the captured artifacts.
 ///
-/// Panics if the recovered server disagrees with the crashed one on
-/// epoch, any tracked result, or any RNN set — the benchmark doubles as
-/// an at-scale conformance check.
-pub fn run(cfg: &RecoveryBenchConfig) -> RecoveryBenchRun {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut positions = crate::movers::uniform_points(&mut rng, cfg.n_objects);
-    let objects: Vec<(ObjectId, Point)> = positions
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (ObjectId(i as u32), p))
-        .collect();
-
-    let mut server = CpmServerBuilder::new(cfg.grid_dim)
-        .shards(cfg.shards)
-        .build();
-    server.populate(objects.iter().copied());
-    let mut durable = DurableCpmServer::new(server, cfg.checkpoint_every);
-
-    let mut query_ids: Vec<QueryId> = Vec::new();
-    for i in 0..cfg.knn_queries {
-        let id = QueryId(i as u32);
-        let pos = Point::new(rng.gen(), rng.gen());
-        let _ = durable.install_knn(id, pos, cfg.k).expect("fresh id");
-        query_ids.push(id);
-    }
-    for i in 0..cfg.range_queries {
-        let id = QueryId(1_000_000 + i as u32);
-        let center = Point::new(rng.gen(), rng.gen());
-        let radius = 0.015 + rng.gen::<f64>() * 0.02;
-        let _ = durable
-            .install_range(id, RangeQuery::circle(center, radius))
-            .expect("fresh id");
-        query_ids.push(id);
-    }
-    for i in 0..cfg.constrained_queries {
-        let id = QueryId(2_000_000 + i as u32);
-        let q = Point::new(rng.gen(), rng.gen());
-        let w = 0.05 + rng.gen::<f64>() * 0.07;
-        let lo = Point::new((q.x - w / 2.0).max(0.0), (q.y - w / 2.0).max(0.0));
-        let hi = Point::new((lo.x + w).min(1.0), (lo.y + w).min(1.0));
-        let _ = durable
-            .install_constrained(id, ConstrainedQuery::new(q, Rect::new(lo, hi)), cfg.k)
-            .expect("fresh id");
-        query_ids.push(id);
-    }
-    let rnn_ids: Vec<QueryId> = (0..cfg.rnn_queries)
+/// # Panics
+/// If a recovered server disagrees with the crashed one.
+pub fn measure(cfg: &Config) -> BenchRecord {
+    let mut w = uniform_stream(
+        cfg.seed,
+        cfg.n_objects,
+        cfg.knn_queries,
+        cfg.move_fraction,
+        cfg.cycles,
+    );
+    let (ranges, constrained) =
+        mixed_queries(&mut w.rng, cfg.range_queries, cfg.constrained_queries);
+    let rnn: Vec<(QueryId, Point)> = (0..cfg.rnn_queries)
         .map(|i| {
-            let id = QueryId(3_000_000 + i as u32);
-            let pos = Point::new(rng.gen(), rng.gen());
-            let _ = durable.install_rnn(id, pos).expect("fresh id");
-            id
+            let pos = Point::new(w.rng.gen(), w.rng.gen());
+            (QueryId(3_000_000 + i as u32), pos)
         })
         .collect();
-    // Fold the installs into the baseline snapshot: from here the journal
-    // holds pure cycle traffic, and the auto-checkpoint policy keeps the
-    // tail bounded the way a long-running deployment would.
-    durable.checkpoint();
 
-    let movers = ((cfg.n_objects as f64 * cfg.move_fraction) as usize).max(1);
-    let cycles = crate::movers::random_walk_cycles(&mut rng, &mut positions, cfg.cycles, movers);
+    let mut paired = Paired::default();
+    let (mut recovery_ms, mut pauses) = (Vec::new(), Vec::new());
+    let (mut replayed, mut snapshot_bytes, mut journal_bytes, mut changes) = (0, 0, 0, 0);
+    for _ in 0..REPS {
+        let mut server = CpmServerBuilder::new(cfg.grid_dim)
+            .shards(cfg.shards)
+            .build();
+        server.populate(w.objects.iter().copied());
+        let mut durable = DurableCpmServer::new(server, cfg.checkpoint_every);
+        let mut query_ids = Vec::new();
+        for &(id, pos) in &w.queries {
+            let _ = durable.install_knn(id, pos, cfg.k).expect("fresh id");
+            query_ids.push(id);
+        }
+        for &(id, q) in &ranges {
+            let _ = durable.install_range(id, q).expect("fresh id");
+            query_ids.push(id);
+        }
+        for (id, q) in &constrained {
+            let _ = durable
+                .install_constrained(*id, q.clone(), cfg.k)
+                .expect("fresh id");
+            query_ids.push(*id);
+        }
+        for &(id, pos) in &rnn {
+            let _ = durable.install_rnn(id, pos).expect("fresh id");
+        }
+        // Fold the installs into the baseline snapshot: from here the
+        // journal holds pure cycle traffic, and the auto-checkpoint
+        // policy keeps the tail bounded the way a long-running
+        // deployment would.
+        durable.checkpoint();
 
-    let mut cycle_times = Vec::with_capacity(cfg.cycles);
-    let mut result_changes = 0usize;
-    for batch in cycles {
-        // Last-wins dedup: the server rejects duplicate ids in a batch.
-        let mut seen = std::collections::HashSet::new();
-        let mut events: Vec<ObjectEvent> = batch
-            .into_iter()
-            .rev()
-            .filter(|(i, _)| seen.insert(*i))
-            .map(|(i, to)| ObjectEvent::Move {
-                id: ObjectId(i as u32),
-                to,
-            })
-            .collect();
-        events.reverse();
-        let start = Instant::now();
-        let changed = durable.process_cycle(&events, &[]).expect("valid batch");
-        cycle_times.push(start.elapsed());
-        result_changes += changed.len();
-    }
+        changes = 0;
+        let mut cycle = |i: usize| {
+            let run = || {
+                durable
+                    .process_cycle(&w.cycles[i], &[])
+                    .expect("valid batch")
+            };
+            let (spent, changed) = timed(run);
+            changes += changed.len();
+            (spent, ())
+        };
+        paired.repetition(0, cfg.cycles, false, &mut [("cycle", &mut cycle)]);
 
-    let snapshot = durable.snapshot_bytes().to_vec();
-    let journal = durable.journal_bytes().to_vec();
-
-    let mut recover_times = Vec::with_capacity(cfg.recover_trials.max(1));
-    let mut replayed = 0usize;
-    for _ in 0..cfg.recover_trials.max(1) {
-        let start = Instant::now();
-        let (recovered, report) =
-            DurableCpmServer::recover(&snapshot, &journal, cfg.checkpoint_every)
-                .expect("intact artifacts");
-        recover_times.push(start.elapsed());
+        let (snapshot, journal) = (durable.snapshot_bytes(), durable.journal_bytes());
+        let (spent, (recovered, report)) = timed(|| {
+            DurableCpmServer::recover(snapshot, journal, cfg.checkpoint_every)
+                .expect("intact artifacts")
+        });
         assert!(report.tail_error.is_none(), "intact journal has no tail");
-        replayed = report.replayed;
-        // Conformance at scale: the recovered server answers exactly like
-        // the one that "crashed".
         assert_eq!(recovered.server().epoch(), durable.server().epoch());
         for &id in &query_ids {
             assert_eq!(
@@ -242,76 +156,29 @@ pub fn run(cfg: &RecoveryBenchConfig) -> RecoveryBenchRun {
                 "recovered result diverged for {id:?}"
             );
         }
-        for &id in &rnn_ids {
+        for &(id, _) in &rnn {
             assert_eq!(
                 recovered.server().rnn_result(id),
                 durable.server().rnn_result(id)
             );
         }
+        (replayed, snapshot_bytes, journal_bytes) =
+            (report.replayed, snapshot.len(), journal.len());
+        recovery_ms.push(spent.as_secs_f64() * 1e3);
+        pauses.push(spent.as_secs_f64() * 1e3 / median(paired.last("cycle")));
     }
 
-    let (median_cycle_ms, max_cycle_ms) = median_ms(cycle_times);
-    let (recovery_ms, _) = median_ms(recover_times);
-    RecoveryBenchRun {
-        median_cycle_ms,
-        max_cycle_ms,
-        recovery_ms,
-        recovery_over_cycle: recovery_ms / median_cycle_ms.max(f64::MIN_POSITIVE),
-        snapshot_bytes: snapshot.len(),
-        journal_bytes: journal.len(),
-        replayed,
-        result_changes,
-    }
-}
-
-/// Render the `BENCH_recovery.json` document for a run.
-pub fn render_json(cfg: &RecoveryBenchConfig, run: &RecoveryBenchRun) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"bench_recovery\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"n_objects\": {}, \"knn_queries\": {}, \"range_queries\": {}, \
-         \"constrained_queries\": {}, \"rnn_queries\": {}, \"k\": {}, \"move_fraction\": {}, \
-         \"cycles\": {}, \"grid_dim\": {}, \"shards\": {}, \"recover_trials\": {}}},",
-        cfg.n_objects,
-        cfg.knn_queries,
-        cfg.range_queries,
-        cfg.constrained_queries,
-        cfg.rnn_queries,
-        cfg.k,
-        cfg.move_fraction,
-        cfg.cycles,
-        cfg.grid_dim,
-        cfg.shards,
-        cfg.recover_trials
-    );
-    let _ = writeln!(
-        json,
-        "  \"machine\": {{\"threads_available\": {}, \"os\": \"{}\", \"arch\": \"{}\"}},",
-        crate::shards::available_threads(),
-        std::env::consts::OS,
-        std::env::consts::ARCH
-    );
-    let _ = writeln!(
-        json,
-        "  \"results\": {{\"median_cycle_ms\": {:.3}, \"max_cycle_ms\": {:.3}, \
-         \"recovery_ms\": {:.3}, \"snapshot_bytes\": {}, \"journal_bytes\": {}, \
-         \"replayed\": {}, \"result_changes\": {}}},",
-        run.median_cycle_ms,
-        run.max_cycle_ms,
-        run.recovery_ms,
-        run.snapshot_bytes,
-        run.journal_bytes,
-        run.replayed,
-        run.result_changes
-    );
-    let _ = writeln!(
-        json,
-        "  \"recovery_over_cycle\": {:.4}",
-        run.recovery_over_cycle
-    );
-    json.push_str("}\n");
-    json
+    let mut record = BenchRecord::new("recovery", cfg.fields());
+    record.lane_rows(&paired, |_| crate::fields! { "result_changes" => changes });
+    record.rows.push(crate::fields! {
+        "lane" => "recovery",
+        "snapshot_bytes" => snapshot_bytes,
+        "journal_bytes" => journal_bytes,
+    });
+    record.put("replayed", Stat::exact(replayed as f64));
+    record.put("recovery_ms", Stat::of(&recovery_ms));
+    record.put("recovery_over_cycle", Stat::of(&pauses));
+    record
 }
 
 #[cfg(test)]
@@ -320,7 +187,7 @@ mod tests {
 
     #[test]
     fn tiny_run_recovers_and_reports() {
-        let cfg = RecoveryBenchConfig {
+        let cfg = Config {
             n_objects: 500,
             knn_queries: 4,
             range_queries: 4,
@@ -329,20 +196,15 @@ mod tests {
             k: 3,
             cycles: 5,
             grid_dim: 16,
-            recover_trials: 2,
-            ..RecoveryBenchConfig::default()
+            ..Config::default()
         };
-        // `run` itself asserts epoch/result/RNN conformance after every
-        // recovery trial.
-        let run = run(&cfg);
+        // `measure` itself asserts epoch/result/RNN conformance after
+        // every recovery.
+        let record = measure(&cfg);
         // cycles < checkpoint_every: the whole run is the journal tail.
-        assert_eq!(run.replayed, cfg.cycles, "one journal record per cycle");
-        assert!(run.snapshot_bytes > 0);
-        assert!(run.journal_bytes > 0);
-        assert!(run.recovery_ms > 0.0);
-        assert!(run.recovery_over_cycle > 0.0);
-        let json = render_json(&cfg, &run);
-        assert!(json.contains("recovery_over_cycle"));
-        assert!(json.contains("\"replayed\""));
+        assert_eq!(record.median("replayed"), cfg.cycles as f64);
+        assert!(record.median("recovery_ms") > 0.0);
+        assert!(record.median("recovery_over_cycle") > 0.0);
+        assert!(record.render().contains("\"snapshot_bytes\""));
     }
 }

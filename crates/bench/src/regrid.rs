@@ -1,374 +1,163 @@
 //! Re-grid benchmark: fixed-δ vs cost-model-driven adaptive resolution on
-//! the drifting-hotspot stream ([`cpm_gen::drift`]).
+//! the drifting-hotspot stream ([`crate::workload::DriftBench`]).
 //!
-//! The workload breathes its population between a base count and
-//! `peak_factor ×` that base while a single Gaussian hotspot sweeps the
-//! workspace — so the Section 4.1 cost-model optimum moves mid-run. Both
-//! lanes replay the identical pre-generated stream on
+//! Both lanes replay the identical stream on
 //! [`cpm_core::ShardedCpmEngine`] over point queries:
 //!
 //! * **fixed** — the grid resolution a capacity plan would have
-//!   provisioned for the *base* population
-//!   ([`cpm_core::CostModel::optimal_dim`] at `n_base`), frozen for the
-//!   whole run;
+//!   provisioned for the *base* population, frozen for the whole run;
 //! * **adaptive** — the same starting resolution under
 //!   [`cpm_core::RegridPolicy::Auto`], free to re-grid at cycle
 //!   boundaries.
 //!
-//! The protocol is the paired order-alternating one of
-//! [`crate::deltas`]: each event batch is processed by both lanes back to
-//! back in alternating order, and the headline speedup is the **median of
-//! per-cycle-pair `fixed ms / adaptive ms` ratios** — robust both to
-//! noisy-neighbor stalls (both sides of a pair share them) and to the
-//! adaptive lane's re-grid spikes (a handful of outlier pairs cannot move
-//! the median). Migration cost is reported separately: the slowest
-//! re-grid cycle, which the `check_regrid` gate bounds against the
-//! adaptive lane's steady-state cycle time.
+//! The headline speedup is the median of per-cycle `fixed / adaptive`
+//! ratios — robust to the adaptive lane's re-grid spikes (a handful of
+//! outlier pairs cannot move a median). Migration cost is reported
+//! separately: the slowest re-grid cycle in units of the adaptive lane's
+//! median cycle, which must stay amortizable over the cooldown window (a
+//! re-grid migrates every object and recomputes every query, so it is
+//! never free — but a pause an order of magnitude above the 8–16 cycle
+//! cooldown stops being "online").
 //!
-//! Every cycle's changed-query list is asserted **equal between the
-//! lanes**: k-NN results are δ-independent, so the adaptive lane must do
-//! less work while reporting exactly the same answers.
-//!
-//! The `bench_regrid` binary runs [`RegridBenchConfig::default`] and
-//! records `BENCH_regrid.json`; the CI gate (`bench_check`) re-runs
-//! [`RegridBenchConfig::reduced`] and enforces the ≥ 1.2× acceptance bar
-//! (see [`crate::check::check_regrid`]).
+//! Every cycle's changed-query list must be **equal between the lanes**:
+//! k-NN results are δ-independent, so the adaptive lane must do less
+//! work while reporting exactly the same answers.
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use cpm_core::{AutoRegridConfig, PointQuery, RegridPolicy, ShardedCpmEngine};
 
-use cpm_core::{
-    AutoRegridConfig, CostModel, PointQuery, RegridPolicy, ShardedCpmEngine, SpecEvent,
-};
-use cpm_gen::{DriftConfig, DriftingHotspotWorkload, TickEvents, WorkloadConfig};
+use crate::paired::{median, timed, Paired, Stat, REPS};
+use crate::record::BenchRecord;
+use crate::workload::DriftBench;
 
 /// Workload parameters for one fixed-vs-adaptive run.
 #[derive(Debug, Clone)]
-pub struct RegridBenchConfig {
-    /// Base object population (the stream breathes up to
-    /// `n_base × peak_factor`).
-    pub n_base: usize,
-    /// Peak population as a multiple of `n_base`.
-    pub peak_factor: f64,
-    /// Installed k-NN queries (they track the hotspot).
-    pub n_queries: usize,
-    /// Neighbors per query.
-    pub k: usize,
-    /// Object agility `f_obj`.
-    pub f_obj: f64,
-    /// Query agility `f_qry`.
-    pub f_qry: f64,
-    /// Measured processing cycles (the population ramp spans half of
-    /// them up, half down).
-    pub cycles: usize,
-    /// Unmeasured warmup cycles replayed first per lane.
-    pub warmup_cycles: usize,
-    /// Query shards (1 = sequential maintenance).
-    pub shards: usize,
+pub struct Config {
+    /// The drift stream.
+    pub stream: DriftBench,
     /// How often the adaptive lane evaluates the model, in cycles.
     pub check_every: u64,
     /// Minimum cycles between the adaptive lane's re-grids.
     pub cooldown: u64,
-    /// RNG seed.
-    pub seed: u64,
 }
 
-impl Default for RegridBenchConfig {
-    /// The acceptance-scale configuration recorded in `BENCH_regrid.json`
-    /// (10K → 100K objects, 500 tracking queries).
+impl Default for Config {
+    /// The acceptance scale: 10K → 100K objects, 500 tracking queries.
     fn default() -> Self {
         Self {
-            n_base: 10_000,
-            peak_factor: 10.0,
-            n_queries: 500,
-            k: 16,
-            f_obj: 0.5,
-            f_qry: 0.3,
-            cycles: 60,
-            warmup_cycles: 2,
-            shards: 1,
+            stream: DriftBench::default(),
             check_every: 4,
             cooldown: 8,
-            seed: 2005,
         }
     }
 }
 
-impl RegridBenchConfig {
-    /// The reduced-scale configuration the CI bench gate runs on every PR.
-    pub fn reduced() -> Self {
+impl Config {
+    /// The reduced scale `bench_check` runs.
+    pub fn gate() -> Self {
         Self {
-            n_base: 2_000,
-            n_queries: 100,
-            cycles: 40,
+            stream: DriftBench::gate(),
             ..Self::default()
         }
     }
-
-    /// The resolution a capacity plan would provision for the base
-    /// population — the fixed lane's (and the adaptive lane's starting)
-    /// grid dimension.
-    pub fn provisioned_dim(&self) -> u32 {
-        CostModel {
-            n_objects: self.n_base,
-            n_queries: self.n_queries,
-            k: self.k,
-            delta: 0.0, // ignored by optimal_dim
-            f_obj: self.f_obj,
-            f_qry: self.f_qry,
-            skew: 1.0,
-        }
-        .optimal_dim(16, 1024)
-    }
 }
 
-/// Timings for one lane.
-#[derive(Debug, Clone, Copy)]
-pub struct RegridMeasurement {
-    /// `"fixed"` or `"adaptive"`.
-    pub mode: &'static str,
-    /// **Median** wall time per measured cycle, in milliseconds.
-    pub ms_per_cycle: f64,
-    /// Slowest single measured cycle, in milliseconds.
-    pub max_cycle_ms: f64,
-    /// Total result changes over the measured cycles (asserted identical
-    /// across lanes — re-grids are observationally invisible).
-    pub result_changes: usize,
-}
-
-/// Outcome of one fixed-vs-adaptive run.
-#[derive(Debug, Clone)]
-pub struct RegridBenchRun {
-    /// Per-lane measurements: `[fixed, adaptive]`.
-    pub modes: [RegridMeasurement; 2],
-    /// Median per-cycle-pair `fixed ms / adaptive ms`: the steady-state
-    /// benefit of adapting the resolution. The PR acceptance bar is
-    /// ≥ 1.2 on this workload.
-    pub adaptive_speedup: f64,
-    /// The provisioned (fixed-lane) resolution.
-    pub fixed_dim: u32,
-    /// The adaptive lane's resolution at the end of the run.
-    pub final_dim: u32,
-    /// Re-grids the adaptive lane applied during the measured cycles.
-    pub regrids: u64,
-    /// Objects migrated across those re-grids.
-    pub regrid_objects_migrated: u64,
-    /// Slowest adaptive cycle that applied a re-grid, in milliseconds
-    /// (0 when no re-grid happened). The gate bounds this against the
-    /// adaptive lane's median cycle: migration pauses must stay
-    /// amortizable.
-    pub max_regrid_cycle_ms: f64,
-}
-
-fn median_ms(mut times: Vec<Duration>) -> (f64, f64) {
-    times.sort_unstable();
-    let median = times
-        .get(times.len() / 2)
-        .copied()
-        .unwrap_or(Duration::ZERO);
-    let max = times.last().copied().unwrap_or(Duration::ZERO);
-    (median.as_secs_f64() * 1e3, max.as_secs_f64() * 1e3)
-}
-
-/// Run both lanes over the identical pre-generated drift stream and
-/// report the speedup plus migration-cost numbers.
+/// Run both lanes over the identical drift stream under the paired
+/// protocol.
 ///
-/// Panics if the per-cycle changed-query lists ever differ between the
-/// lanes: results are δ-independent, so any divergence means the re-grid
-/// machinery broke conformance.
-pub fn run(cfg: &RegridBenchConfig) -> RegridBenchRun {
-    let total_cycles = cfg.warmup_cycles + cfg.cycles;
-    let mut workload = DriftingHotspotWorkload::new(
-        WorkloadConfig {
-            n_objects: cfg.n_base,
-            n_queries: cfg.n_queries,
-            k: cfg.k,
-            f_obj: cfg.f_obj,
-            f_qry: cfg.f_qry,
-            seed: cfg.seed,
-            ..WorkloadConfig::default()
-        },
-        DriftConfig {
-            peak_factor: cfg.peak_factor,
-            ramp_ticks: (total_cycles / 2).max(1),
-            ..DriftConfig::default()
-        },
-    );
-    let initial_objects: Vec<_> = workload.initial_objects().collect();
-    let initial_queries: Vec<_> = workload.initial_queries().collect();
-    let ticks: Vec<TickEvents> = (0..total_cycles).map(|_| workload.tick()).collect();
-    // Each tick's query events in the engine's vocabulary, translated
-    // once outside the timed sections and shared by both lanes.
-    let cycles: Vec<(&TickEvents, Vec<SpecEvent<PointQuery>>)> = ticks
-        .iter()
-        .map(|t| (t, t.query_events.iter().map(|&ev| ev.into()).collect()))
-        .collect();
-
-    let fixed_dim = cfg.provisioned_dim();
-    let build = |adaptive: bool| {
-        let mut m = ShardedCpmEngine::<PointQuery>::new(fixed_dim, cfg.shards);
-        if adaptive {
-            m.set_regrid_policy(RegridPolicy::Auto(AutoRegridConfig {
-                check_every: cfg.check_every,
-                cooldown: cfg.cooldown,
-                ..AutoRegridConfig::default()
-            }));
+/// # Panics
+/// If the per-cycle changed-query lists ever differ between the lanes:
+/// any divergence means the re-grid machinery broke conformance.
+pub fn measure(cfg: &Config) -> BenchRecord {
+    let s = &cfg.stream;
+    let drift = s.stream();
+    let fixed_dim = s.provisioned_dim(s.n_base);
+    let build = |policy: Option<RegridPolicy>| {
+        let mut m = ShardedCpmEngine::<PointQuery>::new(fixed_dim, s.shards);
+        if let Some(policy) = policy {
+            m.set_regrid_policy(policy);
         }
-        m.populate(initial_objects.iter().copied());
-        for &(qid, pos, k) in &initial_queries {
+        m.populate(drift.objects.iter().copied());
+        for &(qid, pos, k) in &drift.queries {
             m.install(qid, PointQuery(pos), k).expect("fresh query id");
         }
         m
     };
-    let mut fixed = build(false);
-    let mut adaptive = build(true);
+    let auto = RegridPolicy::Auto(AutoRegridConfig {
+        check_every: cfg.check_every,
+        cooldown: cfg.cooldown,
+        ..AutoRegridConfig::default()
+    });
 
-    let (warmup, measured) = cycles.split_at(cfg.warmup_cycles.min(cycles.len()));
-    for (tick, query_events) in warmup {
-        fixed.process_cycle(&tick.object_events, query_events);
-        adaptive.process_cycle(&tick.object_events, query_events);
-    }
-    // Warmup work (including any early re-grid) is not part of the
-    // measured migration accounting.
-    fixed.take_metrics();
-    adaptive.take_metrics();
-
-    let mut fixed_times = Vec::with_capacity(measured.len());
-    let mut adaptive_times = Vec::with_capacity(measured.len());
-    let mut fixed_changes = 0usize;
-    let mut adaptive_changes = 0usize;
-    let mut regrid_cycle_ms: Vec<f64> = Vec::new();
-    let mut regrids_seen = 0u64;
-
-    for (i, (tick, query_events)) in measured.iter().enumerate() {
-        let mut run_fixed = |fixed: &mut ShardedCpmEngine<PointQuery>| {
-            let start = Instant::now();
-            let changed = fixed.process_cycle(&tick.object_events, query_events);
-            fixed_times.push(start.elapsed());
-            fixed_changes += changed.len();
-            changed
+    let mut paired = Paired::default();
+    let (mut regrids, mut migrated, mut pauses, mut slowest) = (vec![], vec![], vec![], vec![]);
+    let (mut final_dim, mut changes) = (fixed_dim, 0);
+    for _ in 0..REPS {
+        let (mut fixed, mut adaptive) = (build(None), build(Some(auto)));
+        let mut regrids_seen = 0;
+        let mut slowest_regrid_ms = 0.0f64;
+        changes = 0;
+        let mut fixed_lane = |i: usize| {
+            let (tick, query_events) = &drift.ticks[i];
+            timed(|| fixed.process_cycle(&tick.object_events, query_events))
         };
-        let mut run_adaptive = |adaptive: &mut ShardedCpmEngine<PointQuery>| {
-            let start = Instant::now();
-            let changed = adaptive.process_cycle(&tick.object_events, query_events);
-            let elapsed = start.elapsed();
-            adaptive_times.push(elapsed);
-            adaptive_changes += changed.len();
-            // Metrics snapshots are cheap counter sums; reading them here
-            // (outside the timed section) identifies re-grid cycles.
-            let regrids_now = adaptive.metrics().regrids;
-            if regrids_now > regrids_seen {
-                regrids_seen = regrids_now;
-                regrid_cycle_ms.push(elapsed.as_secs_f64() * 1e3);
+        let mut adaptive_lane = |i: usize| {
+            if i == s.warmup_cycles {
+                // Warm-up work (including any early re-grid) is not part
+                // of the measured migration accounting.
+                adaptive.take_metrics();
+                regrids_seen = 0;
             }
-            changed
+            let (tick, query_events) = &drift.ticks[i];
+            let (spent, changed) =
+                timed(|| adaptive.process_cycle(&tick.object_events, query_events));
+            // Metrics snapshots are cheap counter sums; reading them
+            // outside the timed section identifies re-grid cycles.
+            let regrids_now = adaptive.metrics().regrids;
+            if i >= s.warmup_cycles {
+                changes += changed.len();
+                if regrids_now > regrids_seen {
+                    slowest_regrid_ms = slowest_regrid_ms.max(spent.as_secs_f64() * 1e3);
+                }
+            }
+            regrids_seen = regrids_now;
+            (spent, changed)
         };
-        let (changed_fixed, changed_adaptive) = if i % 2 == 0 {
-            let f = run_fixed(&mut fixed);
-            let a = run_adaptive(&mut adaptive);
-            (f, a)
-        } else {
-            let a = run_adaptive(&mut adaptive);
-            let f = run_fixed(&mut fixed);
-            (f, a)
-        };
-        assert_eq!(
-            changed_fixed, changed_adaptive,
-            "cycle {i}: changed lists diverged between fixed and adaptive lanes"
+        paired.repetition(
+            s.warmup_cycles,
+            s.cycles,
+            true,
+            &mut [("fixed", &mut fixed_lane), ("adaptive", &mut adaptive_lane)],
         );
+        let metrics = adaptive.metrics();
+        regrids.push(metrics.regrids as f64);
+        migrated.push(metrics.regrid_objects_migrated as f64);
+        slowest.push(slowest_regrid_ms);
+        pauses.push(slowest_regrid_ms / median(paired.last("adaptive")));
+        final_dim = adaptive.grid().dim();
     }
 
-    let mut ratios: Vec<f64> = fixed_times
-        .iter()
-        .zip(&adaptive_times)
-        .map(|(f, a)| f.as_secs_f64() / a.as_secs_f64())
-        .collect();
-    ratios.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let adaptive_speedup = ratios[ratios.len() / 2];
-
-    let metrics = adaptive.metrics();
-    let (fixed_ms, fixed_max) = median_ms(fixed_times);
-    let (adaptive_ms, adaptive_max) = median_ms(adaptive_times);
-    RegridBenchRun {
-        modes: [
-            RegridMeasurement {
-                mode: "fixed",
-                ms_per_cycle: fixed_ms,
-                max_cycle_ms: fixed_max,
-                result_changes: fixed_changes,
-            },
-            RegridMeasurement {
-                mode: "adaptive",
-                ms_per_cycle: adaptive_ms,
-                max_cycle_ms: adaptive_max,
-                result_changes: adaptive_changes,
-            },
-        ],
-        adaptive_speedup,
-        fixed_dim,
-        final_dim: adaptive.grid().dim(),
-        regrids: metrics.regrids,
-        regrid_objects_migrated: metrics.regrid_objects_migrated,
-        max_regrid_cycle_ms: regrid_cycle_ms.iter().copied().fold(0.0, f64::max),
-    }
-}
-
-/// Render the `BENCH_regrid.json` document for a run.
-pub fn render_json(cfg: &RegridBenchConfig, run: &RegridBenchRun) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"bench_regrid\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"n_base\": {}, \"peak_factor\": {}, \"n_queries\": {}, \"k\": {}, \
-         \"f_obj\": {}, \"f_qry\": {}, \"cycles\": {}, \"warmup_cycles\": {}, \"shards\": {}, \
-         \"check_every\": {}, \"cooldown\": {}}},",
-        cfg.n_base,
-        cfg.peak_factor,
-        cfg.n_queries,
-        cfg.k,
-        cfg.f_obj,
-        cfg.f_qry,
-        cfg.cycles,
-        cfg.warmup_cycles,
-        cfg.shards,
-        cfg.check_every,
-        cfg.cooldown
-    );
-    let _ = writeln!(
-        json,
-        "  \"machine\": {{\"threads_available\": {}, \"os\": \"{}\", \"arch\": \"{}\"}},",
-        crate::shards::available_threads(),
-        std::env::consts::OS,
-        std::env::consts::ARCH
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, m) in run.modes.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"ms_per_cycle\": {:.3}, \"max_cycle_ms\": {:.3}, \
-             \"result_changes\": {}}}",
-            m.mode, m.ms_per_cycle, m.max_cycle_ms, m.result_changes
-        );
-        json.push_str(if i + 1 == run.modes.len() {
-            "\n"
-        } else {
-            ",\n"
+    let mut record = BenchRecord::new("regrid", {
+        let mut fields = s.fields();
+        fields.extend(crate::fields! {
+            "check_every" => cfg.check_every,
+            "cooldown" => cfg.cooldown,
         });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"fixed_dim\": {}, \"final_dim\": {}, \"regrids\": {}, \
-         \"regrid_objects_migrated\": {}, \"max_regrid_cycle_ms\": {:.3},",
-        run.fixed_dim,
-        run.final_dim,
-        run.regrids,
-        run.regrid_objects_migrated,
-        run.max_regrid_cycle_ms
-    );
-    let _ = writeln!(json, "  \"adaptive_speedup\": {:.4}", run.adaptive_speedup);
-    json.push_str("}\n");
-    json
+        fields
+    });
+    record.lane_rows(&paired, |lane| {
+        let dim = if lane == "adaptive" {
+            final_dim
+        } else {
+            fixed_dim
+        };
+        crate::fields! { "result_changes" => changes, "final_dim" => dim }
+    });
+    record.put("regrids", Stat::of(&regrids));
+    record.put("regrid_objects_migrated", Stat::of(&migrated));
+    record.put("slowest_regrid_cycle_ms", Stat::of(&slowest));
+    record.put("regrid_pause_cycles", Stat::of(&pauses));
+    record.put("adaptive_speedup", paired.ratio("fixed", "adaptive"));
+    record
 }
 
 #[cfg(test)]
@@ -382,30 +171,29 @@ mod tests {
         // swings (with a dozen queries over thousands of objects, the
         // δ-independent ingest term dominates and staying put is
         // genuinely optimal — also worth knowing, but not this test).
-        let cfg = RegridBenchConfig {
-            n_base: 300,
-            peak_factor: 8.0,
-            n_queries: 100,
-            k: 4,
-            cycles: 24,
-            warmup_cycles: 2,
+        let cfg = Config {
+            stream: DriftBench {
+                n_base: 300,
+                peak_factor: 8.0,
+                n_queries: 100,
+                k: 4,
+                cycles: 24,
+                ..DriftBench::default()
+            },
             check_every: 2,
             cooldown: 4,
-            ..RegridBenchConfig::default()
         };
-        // `run` itself asserts per-cycle changed-list equality.
-        let run = run(&cfg);
-        assert_eq!(run.modes[0].mode, "fixed");
-        assert_eq!(run.modes[1].mode, "adaptive");
-        assert_eq!(run.modes[0].result_changes, run.modes[1].result_changes);
+        // `measure` itself asserts per-cycle changed-list equality.
+        let record = measure(&cfg);
+        assert_eq!(
+            record.lane_num("fixed", "result_changes"),
+            record.lane_num("adaptive", "result_changes")
+        );
         assert!(
-            run.regrids >= 1,
+            record.median("regrids") >= 1.0,
             "an 8x population swing must trigger a re-grid"
         );
-        assert!(run.final_dim != 0);
-        assert!(run.max_regrid_cycle_ms > 0.0);
-        let json = render_json(&cfg, &run);
-        assert!(json.contains("adaptive_speedup"));
-        assert!(json.contains("\"regrids\""));
+        assert!(record.median("slowest_regrid_cycle_ms") > 0.0);
+        assert!(record.median("adaptive_speedup") > 0.0);
     }
 }

@@ -3,388 +3,143 @@
 //! versus three dedicated single-kind engines over three separate grids —
 //! the deployment shape the old one-engine-per-kind API forced.
 //!
-//! The workload is deliberately **update-ingest-bound** (default: 100K
-//! uniform objects, 10% movers per cycle, a few hundred queries per
-//! kind): the per-cycle grid ingest is the cost the server collapses from
-//! three passes to one, while query maintenance is identical work on both
-//! sides. Both modes replay the identical pre-generated stream under the
-//! paired, order-alternating cycle protocol of [`crate::deltas`] (the
-//! naive sequential-phase protocol swings ±15pp on a shared 1-vCPU box);
-//! the reported speedup is the **median of per-cycle-pair ratios**.
-//!
-//! The `bench_server` binary records `BENCH_server.json`; the CI gate
-//! (`bench_check`) re-runs [`ServerBenchConfig::reduced`] and enforces
-//! the ≥ 1.3× acceptance bar (see [`crate::check::check_server`]).
+//! The workload is deliberately **update-ingest-bound** (100K uniform
+//! objects, 10% movers per cycle, 60 queries per kind, k = 8 — the
+//! pub/sub shape: a large moving population, a comparatively small
+//! continuous-query set): the per-cycle grid ingest is the cost the
+//! server collapses from three passes to one, while query maintenance is
+//! identical work on both sides. Every cycle's result-change count must
+//! be equal between the lanes.
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use cpm_core::{CpmServerBuilder, PointQuery, RangeQuery, ShardedCpmEngine};
 
-use cpm_core::{
-    ConstrainedQuery, CpmServer, CpmServerBuilder, PointQuery, RangeQuery, ShardedCpmEngine,
-};
-use cpm_geom::{ObjectId, Point, QueryId, Rect};
-use cpm_grid::ObjectEvent;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::paired::{timed, Paired, REPS};
+use crate::record::BenchRecord;
+use crate::workload::{bench_config, mixed_queries, uniform_stream};
 
-/// Workload parameters for one unified-vs-split run.
-#[derive(Debug, Clone)]
-pub struct ServerBenchConfig {
-    /// Object population `N`.
-    pub n_objects: usize,
-    /// Installed k-NN queries.
-    pub knn_queries: usize,
-    /// Installed range queries.
-    pub range_queries: usize,
-    /// Installed constrained queries.
-    pub constrained_queries: usize,
-    /// Neighbors per k-NN / constrained query.
-    pub k: usize,
-    /// Fraction of objects moving per cycle.
-    pub move_fraction: f64,
-    /// Measured processing cycles.
-    pub cycles: usize,
-    /// Unmeasured warmup cycles replayed first per mode.
-    pub warmup_cycles: usize,
-    /// Grid granularity per axis.
-    pub grid_dim: u32,
-    /// Query shards (1 = sequential maintenance) — applied to the server
-    /// and to each dedicated engine alike.
-    pub shards: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ServerBenchConfig {
-    /// The acceptance-scale configuration recorded in `BENCH_server.json`
-    /// (100K objects, 60 queries per kind, k = 8 — the pub/sub shape:
-    /// a large moving population, a comparatively small continuous-query
-    /// set, so the per-cycle cost is dominated by the ingest + record
-    /// routing the server collapses from three passes to one).
-    fn default() -> Self {
-        Self {
-            n_objects: 100_000,
-            knn_queries: 60,
-            range_queries: 60,
-            constrained_queries: 60,
-            k: 8,
-            move_fraction: 0.10,
-            cycles: 30,
-            warmup_cycles: 2,
-            grid_dim: 128,
-            shards: 1,
-            seed: 2005,
-        }
+bench_config! {
+    /// Workload parameters for one unified-vs-split run.
+    Config {
+        /// Object population `N`.
+        n_objects: usize = 100_000,
+        /// Installed k-NN queries.
+        knn_queries: usize = 60,
+        /// Installed range queries.
+        range_queries: usize = 60,
+        /// Installed constrained queries.
+        constrained_queries: usize = 60,
+        /// Neighbors per k-NN / constrained query.
+        k: usize = 8,
+        /// Fraction of objects moving per cycle.
+        move_fraction: f64 = 0.10,
+        /// Measured processing cycles.
+        cycles: usize = 30,
+        /// Unmeasured warm-up cycles.
+        warmup_cycles: usize = 2,
+        /// Grid granularity per axis.
+        grid_dim: u32 = 128,
+        /// Query shards, applied to the server and to each dedicated
+        /// engine alike (1 = sequential maintenance).
+        shards: usize = 1,
+        /// RNG seed.
+        seed: u64 = 2005,
     }
 }
 
-impl ServerBenchConfig {
-    /// The reduced-scale configuration the CI bench gate runs on every PR.
-    pub fn reduced() -> Self {
-        Self {
-            n_objects: 10_000,
-            knn_queries: 20,
-            range_queries: 20,
-            constrained_queries: 20,
-            cycles: 30,
-            ..Self::default()
-        }
+impl Config {
+    /// What `bench_check` runs: the acceptance scale itself (a cycle is
+    /// a few ms), so the checked-in curve binds.
+    pub fn gate() -> Self {
+        Self::default()
     }
 }
 
-/// Timings for one result-serving mode.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerMeasurement {
-    /// `"unified"` (one `CpmServer`) or `"split"` (three engines).
-    pub mode: &'static str,
-    /// **Median** wall time per measured cycle (warmup excluded), ms.
-    pub ms_per_cycle: f64,
-    /// Slowest single measured cycle, ms.
-    pub max_cycle_ms: f64,
-    /// Total result changes over the measured cycles (identical across
-    /// modes — asserted by [`run`]).
-    pub result_changes: usize,
-}
-
-/// Outcome of one unified-vs-split run.
-#[derive(Debug, Clone)]
-pub struct ServerBenchRun {
-    /// Per-mode measurements: `[unified, split]`.
-    pub modes: [ServerMeasurement; 2],
-    /// Median per-cycle-pair `split ms / unified ms`: how much faster one
-    /// shared grid + one ingest is than three grids + three ingests. The
-    /// PR acceptance bar is ≥ 1.3 on this ingest-bound workload.
-    pub unified_speedup: f64,
-}
-
-struct Workload {
-    objects: Vec<(ObjectId, Point)>,
-    knn: Vec<(QueryId, Point)>,
-    ranges: Vec<(QueryId, RangeQuery)>,
-    constrained: Vec<(QueryId, ConstrainedQuery)>,
-    cycles: Vec<Vec<ObjectEvent>>,
-}
-
-fn build_workload(cfg: &ServerBenchConfig) -> Workload {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut positions = crate::movers::uniform_points(&mut rng, cfg.n_objects);
-    let objects: Vec<(ObjectId, Point)> = positions
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (ObjectId(i as u32), p))
-        .collect();
-    // Disjoint id bands per kind, far below the server's reserved band.
-    let knn = crate::movers::uniform_points(&mut rng, cfg.knn_queries)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| (QueryId(i as u32), p))
-        .collect();
-    let ranges = (0..cfg.range_queries)
-        .map(|i| {
-            let center = Point::new(rng.gen(), rng.gen());
-            // Geofence-sized zones: a few tens of grid cells each, so the
-            // influence tables stay sparse and the cycle stays
-            // ingest-bound (the regime the server accelerates).
-            let radius = 0.015 + rng.gen::<f64>() * 0.02;
-            (
-                QueryId(1_000_000 + i as u32),
-                RangeQuery::circle(center, radius),
-            )
-        })
-        .collect();
-    let constrained = (0..cfg.constrained_queries)
-        .map(|i| {
-            let q = Point::new(rng.gen(), rng.gen());
-            let w = 0.05 + rng.gen::<f64>() * 0.07;
-            let lo = Point::new((q.x - w / 2.0).max(0.0), (q.y - w / 2.0).max(0.0));
-            let hi = Point::new((lo.x + w).min(1.0), (lo.y + w).min(1.0));
-            (
-                QueryId(2_000_000 + i as u32),
-                ConstrainedQuery::new(q, Rect::new(lo, hi)),
-            )
-        })
-        .collect();
-    let movers = ((cfg.n_objects as f64 * cfg.move_fraction) as usize).max(1);
-    let total_cycles = cfg.warmup_cycles + cfg.cycles;
-    let cycles = crate::movers::random_walk_cycles(&mut rng, &mut positions, total_cycles, movers)
-        .into_iter()
-        .map(|batch| {
-            // The walk may step one object twice in a cycle; the server's
-            // ingest validation rejects duplicate ids in a batch, so keep
-            // only each object's final position — exactly what sequential
-            // last-wins application produced before.
-            let mut seen = std::collections::HashSet::new();
-            let mut events: Vec<ObjectEvent> = batch
-                .into_iter()
-                .rev()
-                .filter(|(i, _)| seen.insert(*i))
-                .map(|(i, to)| ObjectEvent::Move {
-                    id: ObjectId(i as u32),
-                    to,
-                })
-                .collect();
-            events.reverse();
-            events
-        })
-        .collect();
-    Workload {
-        objects,
-        knn,
-        ranges,
-        constrained,
-        cycles,
-    }
-}
-
-fn median_ms(mut times: Vec<Duration>) -> (f64, f64) {
-    times.sort_unstable();
-    let median = times
-        .get(times.len() / 2)
-        .copied()
-        .unwrap_or(Duration::ZERO);
-    let max = times.last().copied().unwrap_or(Duration::ZERO);
-    (median.as_secs_f64() * 1e3, max.as_secs_f64() * 1e3)
-}
-
-/// The three dedicated single-kind engines of the pre-server API shape.
-struct SplitEngines {
-    knn: ShardedCpmEngine<PointQuery>,
-    range: ShardedCpmEngine<RangeQuery>,
-    constrained: ShardedCpmEngine<ConstrainedQuery>,
-}
-
-impl SplitEngines {
-    fn cycle(&mut self, events: &[ObjectEvent]) -> usize {
-        self.knn.process_cycle(events, &[]).len()
-            + self.range.process_cycle(events, &[]).len()
-            + self.constrained.process_cycle(events, &[]).len()
-    }
-}
-
-/// Run both deployment shapes over the identical pre-generated workload
-/// and report the unified-server speedup (median of per-cycle-pair
-/// ratios; see the [module docs](self) for the pairing rationale).
+/// Run both deployment shapes over the identical stream under the
+/// paired protocol.
 ///
-/// Panics if the two modes report different result-change totals.
-pub fn run(cfg: &ServerBenchConfig) -> ServerBenchRun {
-    let w = build_workload(cfg);
-    let warmup_n = cfg.warmup_cycles.min(w.cycles.len());
-
-    let mut unified: CpmServer = CpmServerBuilder::new(cfg.grid_dim)
-        .shards(cfg.shards)
-        .build();
-    unified.populate(w.objects.iter().copied());
-    for &(qid, pos) in &w.knn {
-        let _ = unified.install_knn(qid, pos, cfg.k).expect("fresh id");
-    }
-    for &(qid, q) in &w.ranges {
-        let _ = unified.install_range(qid, q).expect("fresh id");
-    }
-    for (qid, q) in &w.constrained {
-        let _ = unified
-            .install_constrained(*qid, q.clone(), cfg.k)
-            .expect("fresh id");
-    }
-
-    let mut split = SplitEngines {
-        knn: ShardedCpmEngine::new(cfg.grid_dim, cfg.shards),
-        range: ShardedCpmEngine::new(cfg.grid_dim, cfg.shards),
-        constrained: ShardedCpmEngine::new(cfg.grid_dim, cfg.shards),
-    };
-    split.knn.populate(w.objects.iter().copied());
-    split.range.populate(w.objects.iter().copied());
-    split.constrained.populate(w.objects.iter().copied());
-    for &(qid, pos) in &w.knn {
-        split
-            .knn
-            .install(qid, PointQuery(pos), cfg.k)
-            .expect("fresh id");
-    }
-    for &(qid, q) in &w.ranges {
-        split
-            .range
-            .install(qid, q, RangeQuery::UNBOUNDED_K)
-            .expect("fresh id");
-    }
-    for (qid, q) in &w.constrained {
-        split
-            .constrained
-            .install(*qid, q.clone(), cfg.k)
-            .expect("fresh id");
-    }
-
-    let (warmup, measured) = w.cycles.split_at(warmup_n);
-    for events in warmup {
-        let _ = unified.process_cycle(events, &[]).expect("no query events");
-        split.cycle(events);
-    }
-
-    let mut unified_changes = 0usize;
-    let mut unified_times = Vec::with_capacity(measured.len());
-    let mut split_changes = 0usize;
-    let mut split_times = Vec::with_capacity(measured.len());
-    for (i, events) in measured.iter().enumerate() {
-        let mut run_unified = |u: &mut CpmServer| {
-            let start = Instant::now();
-            let changed = u.process_cycle(events, &[]).expect("no query events");
-            unified_times.push(start.elapsed());
-            unified_changes += changed.len();
-        };
-        let mut run_split = |s: &mut SplitEngines| {
-            let start = Instant::now();
-            let changed = s.cycle(events);
-            split_times.push(start.elapsed());
-            split_changes += changed;
-        };
-        if i % 2 == 0 {
-            run_unified(&mut unified);
-            run_split(&mut split);
-        } else {
-            run_split(&mut split);
-            run_unified(&mut unified);
-        }
-    }
-
-    // Per-pair ratios: both sides of a pair share transient host
-    // conditions, so noisy-neighbor stalls cancel in the ratio.
-    let mut ratios: Vec<f64> = unified_times
-        .iter()
-        .zip(&split_times)
-        .map(|(u, s)| s.as_secs_f64() / u.as_secs_f64())
-        .collect();
-    ratios.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let unified_speedup = ratios[ratios.len() / 2];
-
-    assert_eq!(
-        unified_changes, split_changes,
-        "modes did different work on the same stream"
-    );
-    let (u_ms, u_max) = median_ms(unified_times);
-    let (s_ms, s_max) = median_ms(split_times);
-    ServerBenchRun {
-        modes: [
-            ServerMeasurement {
-                mode: "unified",
-                ms_per_cycle: u_ms,
-                max_cycle_ms: u_max,
-                result_changes: unified_changes,
-            },
-            ServerMeasurement {
-                mode: "split",
-                ms_per_cycle: s_ms,
-                max_cycle_ms: s_max,
-                result_changes: split_changes,
-            },
-        ],
-        unified_speedup,
-    }
-}
-
-/// Render the `BENCH_server.json` document for a run.
-pub fn render_json(cfg: &ServerBenchConfig, run: &ServerBenchRun) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"bench_server\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"n_objects\": {}, \"knn_queries\": {}, \"range_queries\": {}, \
-         \"constrained_queries\": {}, \"k\": {}, \"move_fraction\": {}, \"cycles\": {}, \
-         \"warmup_cycles\": {}, \"grid_dim\": {}, \"shards\": {}}},",
+/// # Panics
+/// If the shapes ever report different result-change counts for a cycle.
+pub fn measure(cfg: &Config) -> BenchRecord {
+    let mut w = uniform_stream(
+        cfg.seed,
         cfg.n_objects,
         cfg.knn_queries,
-        cfg.range_queries,
-        cfg.constrained_queries,
-        cfg.k,
         cfg.move_fraction,
-        cfg.cycles,
-        cfg.warmup_cycles,
-        cfg.grid_dim,
-        cfg.shards
+        cfg.warmup_cycles + cfg.cycles,
     );
-    let _ = writeln!(
-        json,
-        "  \"machine\": {{\"threads_available\": {}, \"os\": \"{}\", \"arch\": \"{}\"}},",
-        crate::shards::available_threads(),
-        std::env::consts::OS,
-        std::env::consts::ARCH
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, m) in run.modes.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"ms_per_cycle\": {:.3}, \"max_cycle_ms\": {:.3}, \
-             \"result_changes\": {}}}",
-            m.mode, m.ms_per_cycle, m.max_cycle_ms, m.result_changes
+    let (ranges, constrained) =
+        mixed_queries(&mut w.rng, cfg.range_queries, cfg.constrained_queries);
+
+    let mut paired = Paired::default();
+    let mut changes = 0;
+    for _ in 0..REPS {
+        let mut server = CpmServerBuilder::new(cfg.grid_dim)
+            .shards(cfg.shards)
+            .build();
+        server.populate(w.objects.iter().copied());
+        let mut knn_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.shards);
+        let mut range_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.shards);
+        let mut constrained_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.shards);
+        knn_engine.populate(w.objects.iter().copied());
+        range_engine.populate(w.objects.iter().copied());
+        constrained_engine.populate(w.objects.iter().copied());
+        for &(qid, pos) in &w.queries {
+            let _ = server.install_knn(qid, pos, cfg.k).expect("fresh id");
+            knn_engine
+                .install(qid, PointQuery(pos), cfg.k)
+                .expect("fresh id");
+        }
+        for &(qid, q) in &ranges {
+            let _ = server.install_range(qid, q).expect("fresh id");
+            range_engine
+                .install(qid, q, RangeQuery::UNBOUNDED_K)
+                .expect("fresh id");
+        }
+        for (qid, q) in &constrained {
+            let _ = server
+                .install_constrained(*qid, q.clone(), cfg.k)
+                .expect("fresh id");
+            constrained_engine
+                .install(*qid, q.clone(), cfg.k)
+                .expect("fresh id");
+        }
+
+        changes = 0;
+        let mut unified = |i: usize| {
+            let run = || {
+                server
+                    .process_cycle(&w.cycles[i], &[])
+                    .expect("no query events")
+            };
+            let (spent, changed) = timed(run);
+            changes += if i >= cfg.warmup_cycles {
+                changed.len()
+            } else {
+                0
+            };
+            (spent, changed.len())
+        };
+        let mut split = |i: usize| {
+            let events = &w.cycles[i];
+            timed(|| {
+                knn_engine.process_cycle(events, &[]).len()
+                    + range_engine.process_cycle(events, &[]).len()
+                    + constrained_engine.process_cycle(events, &[]).len()
+            })
+        };
+        // `check`: both shapes report the same number of result changes.
+        paired.repetition(
+            cfg.warmup_cycles,
+            cfg.cycles,
+            true,
+            &mut [("unified", &mut unified), ("split", &mut split)],
         );
-        json.push_str(if i + 1 == run.modes.len() {
-            "\n"
-        } else {
-            ",\n"
-        });
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"unified_speedup\": {:.4}", run.unified_speedup);
-    json.push_str("}\n");
-    json
+
+    let mut record = BenchRecord::new("server", cfg.fields());
+    record.lane_rows(&paired, |_| crate::fields! { "result_changes" => changes });
+    record.put("unified_speedup", paired.ratio("split", "unified"));
+    record
 }
 
 #[cfg(test)]
@@ -393,7 +148,7 @@ mod tests {
 
     #[test]
     fn tiny_run_measures_both_modes_consistently() {
-        let cfg = ServerBenchConfig {
+        let cfg = Config {
             n_objects: 400,
             knn_queries: 6,
             range_queries: 6,
@@ -402,15 +157,12 @@ mod tests {
             cycles: 3,
             warmup_cycles: 1,
             grid_dim: 16,
-            ..ServerBenchConfig::default()
+            ..Config::default()
         };
-        let run = run(&cfg);
-        assert_eq!(run.modes[0].mode, "unified");
-        assert_eq!(run.modes[1].mode, "split");
-        assert_eq!(run.modes[0].result_changes, run.modes[1].result_changes);
-        assert!(run.unified_speedup > 0.0);
-        let json = render_json(&cfg, &run);
-        assert!(json.contains("\"mode\": \"unified\""));
-        assert!(json.contains("unified_speedup"));
+        // `measure` itself asserts equal per-cycle change counts.
+        let record = measure(&cfg);
+        assert_eq!(record.rows.len(), 2);
+        assert!(record.lane_num("unified", "ms_quiet") > 0.0);
+        assert!(record.median("unified_speedup") > 0.0);
     }
 }

@@ -12,6 +12,8 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 
+use cpm_wire::{WireError, FRAME_MAGIC, WIRE_VERSION};
+
 use crate::transport::{Transport, TransportError};
 
 /// Bytes before the `len` field in a `cpm-wire` frame header
@@ -25,6 +27,9 @@ const TRAILER: usize = 4;
 /// not trigger a giant allocation; a snapshot of millions of objects
 /// fits comfortably).
 const MAX_FRAME: usize = 1 << 30;
+/// Reserved up front for a frame body; anything longer grows as its
+/// bytes arrive.
+const EAGER_RESERVE: usize = 1 << 20;
 
 fn io_err(e: std::io::Error) -> TransportError {
     if e.kind() == std::io::ErrorKind::UnexpectedEof {
@@ -72,21 +77,41 @@ impl Transport for TcpTransport {
             // EOF on a frame boundary is a clean hang-up.
             return Err(io_err(e));
         }
-        let len = u32::from_le_bytes(
-            header[LEN_OFFSET..HEADER]
-                .try_into()
-                .expect("fixed 4-byte slice"),
-        ) as usize;
-        if len > MAX_FRAME {
+        let field = |at: usize, len: usize| &header[at..at + len];
+        // Refuse what is not a frame of this wire version before its
+        // length prefix is believed.
+        let magic = u32::from_le_bytes(field(0, 4).try_into().expect("4-byte field"));
+        if magic != FRAME_MAGIC {
+            return Err(TransportError::BadFrame(WireError::BadMagic {
+                offset: 0,
+                found: magic,
+            }));
+        }
+        let version = u16::from_le_bytes(field(4, 2).try_into().expect("2-byte field"));
+        if version != WIRE_VERSION {
+            return Err(TransportError::BadFrame(WireError::UnsupportedVersion {
+                offset: 4,
+                version,
+            }));
+        }
+        let len = u32::from_le_bytes(field(LEN_OFFSET, 4).try_into().expect("4-byte field"));
+        let body = len as usize + TRAILER;
+        if len as usize > MAX_FRAME {
             return Err(TransportError::Io(format!(
                 "frame length {len} exceeds the {MAX_FRAME}-byte cap"
             )));
         }
-        let mut frame = vec![0u8; HEADER + len + TRAILER];
-        frame[..HEADER].copy_from_slice(&header);
-        self.stream
-            .read_exact(&mut frame[HEADER..])
+        // Memory grows with the bytes the peer actually sends, not with
+        // the length it claims.
+        let mut frame = Vec::with_capacity(HEADER + body.min(EAGER_RESERVE));
+        frame.extend_from_slice(&header);
+        let got = (&mut self.stream)
+            .take(body as u64)
+            .read_to_end(&mut frame)
             .map_err(io_err)?;
+        if got < body {
+            return Err(TransportError::Closed);
+        }
         Ok(frame)
     }
 }

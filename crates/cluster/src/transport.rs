@@ -23,6 +23,9 @@ pub enum TransportError {
     Closed,
     /// An I/O error (TCP backend), rendered.
     Io(String),
+    /// The peer sent something that is not a frame of this wire version
+    /// (TCP backend: refused from the header, before any body is read).
+    BadFrame(cpm_wire::WireError),
 }
 
 impl std::fmt::Display for TransportError {
@@ -30,6 +33,7 @@ impl std::fmt::Display for TransportError {
         match self {
             TransportError::Closed => write!(f, "peer closed the transport"),
             TransportError::Io(e) => write!(f, "i/o error: {e}"),
+            TransportError::BadFrame(e) => write!(f, "not a frame: {e}"),
         }
     }
 }

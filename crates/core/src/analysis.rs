@@ -16,10 +16,9 @@
 //! (`Time_CPM = 2·N·f_obj + n·f_qry·(C_SH·log C_SH + O_inf·log k + 2·C_inf)
 //! + n·(1−f_qry)·k·log k` abstract operations).
 //!
-//! The `analysis` experiment (`experiments analysis`) and the
-//! `bench_analysis` Criterion target compare these predictions against
-//! measured values from live monitors — the Figure 4.1 discussion made
-//! quantitative.
+//! The `analysis` experiment (`experiments analysis`) compares these
+//! predictions against measured values from live monitors — the Figure
+//! 4.1 discussion made quantitative.
 
 /// Parameters of the analytical model (Table 6.1 symbols).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -254,7 +254,12 @@ impl<S: Decode> Decode for EngineSnapshot<S> {
         }
         let queries_at = r.offset();
         let n_queries = r.take_len(8)?;
-        let mut queries = Vec::with_capacity(n_queries);
+        // `take_len` only proves eight bytes per record; reserve at most
+        // twice the input bytes left (the `Vec<T>::decode` rule), so a
+        // hostile count on these wide records cannot amplify.
+        let record_size = std::mem::size_of::<(QueryId, S, usize, Vec<Neighbor>)>();
+        let fits = r.remaining().saturating_mul(2) / record_size.max(1);
+        let mut queries = Vec::with_capacity(n_queries.min(fits));
         for i in 0..n_queries {
             let id = QueryId::decode(r)?;
             let spec = S::decode(r)?;

@@ -11,10 +11,10 @@
 //! resolution right for the base population is badly mismatched at the
 //! peak. Queries track the hotspot, as real monitoring queries would.
 //!
-//! Used by the `drift` experiment and by `bench_regrid` (fixed-δ vs
-//! adaptive), where a realistic stream that *changes its own optimal
-//! resolution* is exactly what the re-grid policy needs to prove itself
-//! against.
+//! Used by the `drift` experiment and by the `regrid` micro-benchmark
+//! (fixed-δ vs adaptive), where a realistic stream that *changes its own
+//! optimal resolution* is exactly what the re-grid policy needs to prove
+//! itself against.
 
 use cpm_geom::{clamp_coord, ObjectId, Point, QueryId};
 use rand::rngs::StdRng;

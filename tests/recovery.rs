@@ -11,9 +11,49 @@ use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::verify_recovery;
 use cpm_suite::sub::{KnnSubscriptionHub, Replica, SubscriptionHub};
-use cpm_suite::wire::{decode_framed, encode_framed, Decode, WireError, FRAME_SNAPSHOT};
+use cpm_suite::wire::{
+    decode_framed, encode_framed, write_frame, Decode, Encode, WireError, FRAME_SNAPSHOT,
+};
 
 use proptest::prelude::*;
+
+thread_local! {
+    /// Bytes the current thread holds / has held at most, per the
+    /// allocator below.
+    static LIVE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The system allocator plus per-thread live/peak counters (the tests of
+/// this file run on parallel threads; a process-wide peak would count
+/// their allocations too).
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters never influence a returned
+// pointer or layout, and the `const`-initialized, destructor-free thread
+// locals they live in never allocate themselves.
+unsafe impl std::alloc::GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        let live = LIVE.get() + layout.size();
+        LIVE.set(live);
+        PEAK.set(PEAK.get().max(live));
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // Saturating: a block may be freed by another thread than the
+        // one that allocated it.
+        LIVE.set(LIVE.get().saturating_sub(layout.size()));
+        // SAFETY: `ptr` was returned by `System.alloc` with this `layout`
+        // (the only allocator behind `alloc` above).
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
 
 /// Case budget capped by `PROPTEST_CASES` (the CI conformance job's
 /// wall-time bound), mirroring the delta-replay suite.
@@ -284,6 +324,37 @@ fn snapshot_decode_rejects_inconsistent_registries() {
         }
         other => panic!("expected Invalid, got {other:?}"),
     }
+}
+
+/// A checksum-valid snapshot whose query count equals the bytes left / 8
+/// passes the eight-bytes-per-record floor; the records are an order of
+/// magnitude wider in memory, so the reservation must follow the bytes,
+/// not the count. The first (garbage) record is then a typed error.
+#[test]
+fn snapshot_decode_does_not_amplify_a_hostile_query_count() {
+    const RECORDS: usize = 1 << 17;
+    let durable = durable_fixture(true);
+    let mut snap = Snapshot::from_frame(durable.snapshot_bytes()).unwrap();
+    snap.engine.queries.clear();
+    // An engine snapshot ends with its query table: count, then records.
+    let mut payload = snap.engine.encode_to_vec();
+    let count_at = payload.len() - 4;
+    assert_eq!(payload[count_at..], [0; 4], "empty query table");
+    payload[count_at..].copy_from_slice(&(RECORDS as u32).to_le_bytes());
+    payload.resize(count_at + 4 + 8 * RECORDS, 0xFF);
+    let mut frame = Vec::new();
+    write_frame(&mut frame, FRAME_SNAPSHOT, &payload);
+
+    let before = LIVE.get();
+    PEAK.set(before);
+    let got = Snapshot::from_frame(&frame);
+    let reserved = PEAK.get() - before;
+    assert!(matches!(got, Err(WireError::Invalid { .. })), "{got:?}");
+    assert!(
+        reserved <= 4 * frame.len(),
+        "decode reserved {reserved} bytes for {} input bytes",
+        frame.len()
+    );
 }
 
 /// End-to-end byte stability: capture → encode → decode → restore →
