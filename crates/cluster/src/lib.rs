@@ -22,10 +22,11 @@
 //!   transfer, and the merged delta stream (which feeds the `cpm-sub`
 //!   fan-out unchanged).
 //!
-//! The correctness bar is the house one: `cpm_sim::verify_cluster`
-//! proves the merged cross-node delta stream and changed lists
+//! The correctness bar is the house one: `cpm_sim::verify` over cluster
+//! lanes proves the merged cross-node delta stream and changed lists
 //! **bit-identical** to a single-node server across worker counts,
-//! transports, index backends and a mid-run worker restart.
+//! transports, cycle schedules, index backends and a mid-run worker
+//! restart.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -31,7 +31,7 @@
 //! a property the determinism suite (`tests/sharded_determinism.rs`) and
 //! [`cpm_sim`'s oracle cross-check] assert on random workloads.
 //!
-//! [`cpm_sim`'s oracle cross-check]: ../../cpm_sim/runner/fn.verify_sharded_determinism.html
+//! [`cpm_sim`'s oracle cross-check]: ../../cpm_sim/verify/fn.verify.html
 
 use cpm_geom::{ObjectId, Point, QueryId};
 use cpm_grid::{apply_events, CellIndex, Grid, Metrics, ObjectEvent, SpatialIndex, UpdateRecord};

@@ -3,11 +3,11 @@
 //! A [`FaultPlan`] is the seeded "adversary schedule" of one recovery
 //! trial: *when* the server crashes (which processing cycle loses its
 //! in-memory state) and *how* the on-disk artifacts it left behind are
-//! damaged. The harness (`cpm_sim::verify_recovery`) derives the plan
-//! from a seed, applies the corruption to the snapshot/journal bytes,
-//! recovers, and asserts the recovered server is bit-identical to one
-//! that never crashed — so every plan is reproducible from its seed
-//! alone.
+//! damaged. A durable lane of the conformance harness (`cpm_sim::verify`
+//! on a stream carrying `Control::Crash(plan)`) applies the corruption to
+//! the snapshot/journal bytes, recovers, and asserts the recovered server
+//! is bit-identical to one that never crashed — so every plan is
+//! reproducible from its seed alone.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

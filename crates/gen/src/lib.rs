@@ -14,7 +14,7 @@
 //! * [`skewed`] — Gaussian-hotspot data with drifting centers, the skewed
 //!   regime the paper points at hierarchical grids for.
 //! * [`faults`] — seeded crash/corruption schedules ([`FaultPlan`]) for
-//!   the recovery chaos harness (`cpm_sim::verify_recovery`).
+//!   the conformance harness's durable lanes (`cpm_sim::Control::Crash`).
 //! * [`drift`] — a single hotspot whose center moves **every** tick while
 //!   the population breathes between a base and a peak count: the stream
 //!   whose cost-model-optimal grid resolution changes mid-run, built as

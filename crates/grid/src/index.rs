@@ -7,9 +7,9 @@
 //! cells of side `δ = 1/dim`), so query results are a function of the
 //! object population and the geometry alone — switching backends can
 //! change *how fast* a cell scan is, never *what it returns*. The
-//! index-matrix conformance harness (`cpm_sim::verify_index`) asserts
-//! precisely this: bit-identical results, changed-lists and delta streams
-//! across backends.
+//! conformance harness (`cpm_sim::verify`, whose lanes vary the backend)
+//! asserts precisely this: bit-identical results, changed-lists and delta
+//! streams across backends.
 //!
 //! Backends:
 //!

@@ -8,40 +8,47 @@
 use cpm_geom::{FastHashMap, ObjectId, Point, QueryId};
 use cpm_grid::{Metrics, ObjectEvent, QueryEvent};
 
-use cpm_core::neighbors::{Neighbor, NeighborList};
-use cpm_core::RangeQuery;
+use cpm_core::neighbors::NeighborList;
+use cpm_core::{Neighbor, PointQuery, QuerySpec};
 
 use crate::algo::{AlgoKind, KnnMonitorAlgo};
 
-/// Ground truth for a continuous range query over an explicit object
-/// population: every object inside the region, ascending by `(distance to
-/// the region anchor, id)` — the exact order the engine's
-/// [`RangeQuery`] results and range subscriptions report.
-pub fn brute_force_range<I: IntoIterator<Item = (ObjectId, Point)>>(
-    objects: I,
-    query: &RangeQuery,
+/// Ground truth for any query geometry over an explicit object
+/// population: the `k` objects of smallest finite (aggregate) distance,
+/// ascending by `(distance, id)` — the order the engine reports, with
+/// distances computed by the spec's own [`QuerySpec::dist`], so k-NN and
+/// range results can be compared bit for bit. An infinite distance means
+/// "never qualifies" (outside a range or constraint region).
+pub fn brute_force<S: QuerySpec>(
+    objects: impl IntoIterator<Item = (ObjectId, Point)>,
+    spec: &S,
+    k: usize,
 ) -> Vec<Neighbor> {
-    let anchor = query.region.anchor();
-    let mut out: Vec<Neighbor> = objects
-        .into_iter()
-        .filter(|&(_, p)| query.region.contains(p))
-        .map(|(id, p)| Neighbor {
-            id,
-            dist: anchor.dist(p),
-        })
-        .collect();
-    out.sort_unstable_by(|a, b| {
-        (a.dist, a.id)
-            .partial_cmp(&(b.dist, b.id))
-            .expect("finite distances")
-    });
-    out
+    // Bounded by k, not by the population: the oracle also runs over
+    // 100K-object streams, one query after another.
+    let mut best = NeighborList::new(k);
+    for (id, p) in objects {
+        let dist = spec.dist(p);
+        if dist.is_finite() {
+            best.offer(id, dist);
+        }
+    }
+    best.neighbors().to_vec()
+}
+
+/// Equal length and pairwise distances within `1e-9`: agreement for
+/// geometries whose distance ties may resolve to different ids (or whose
+/// aggregate distance sums in a different order).
+pub fn same_distances(got: &[Neighbor], want: &[Neighbor]) -> bool {
+    let close = |(g, w): (&Neighbor, &Neighbor)| (g.dist - w.dist).abs() < 1e-9;
+    got.len() == want.len() && got.iter().zip(want).all(close)
 }
 
 #[derive(Debug)]
 struct OracleQuery {
     q: Point,
-    best: NeighborList,
+    k: usize,
+    best: Vec<Neighbor>,
 }
 
 /// The brute-force monitor.
@@ -67,14 +74,11 @@ impl OracleMonitor {
     }
 
     fn evaluate(positions: &[Option<Point>], st: &mut OracleQuery) {
-        let k = st.best.k();
-        let mut best = NeighborList::new(k);
-        for (i, p) in positions.iter().enumerate() {
-            if let Some(p) = p {
-                best.offer(ObjectId(i as u32), st.q.dist(*p));
-            }
-        }
-        st.best = best;
+        let live = positions
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.map(|p| (ObjectId(i as u32), p)));
+        st.best = brute_force(live, &PointQuery(st.q), st.k);
     }
 }
 
@@ -92,7 +96,8 @@ impl KnnMonitorAlgo for OracleMonitor {
     fn install_query(&mut self, id: QueryId, pos: Point, k: usize) {
         let mut st = OracleQuery {
             q: pos,
-            best: NeighborList::new(k),
+            k,
+            best: Vec::new(),
         };
         Self::evaluate(&self.positions, &mut st);
         self.queries.insert(id, st);
@@ -126,7 +131,8 @@ impl KnnMonitorAlgo for OracleMonitor {
                         id,
                         OracleQuery {
                             q: pos,
-                            best: NeighborList::new(k),
+                            k,
+                            best: Vec::new(),
                         },
                     );
                 }
@@ -134,9 +140,9 @@ impl KnnMonitorAlgo for OracleMonitor {
         }
         let mut changed = Vec::new();
         for (&qid, st) in self.queries.iter_mut() {
-            let old: Vec<Neighbor> = st.best.neighbors().to_vec();
+            let old = std::mem::take(&mut st.best);
             Self::evaluate(&self.positions, st);
-            if old != st.best.neighbors() {
+            if old != st.best {
                 changed.push(qid);
             }
         }
@@ -145,7 +151,7 @@ impl KnnMonitorAlgo for OracleMonitor {
     }
 
     fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        self.queries.get(&id).map(|st| st.best.neighbors())
+        self.queries.get(&id).map(|st| st.best.as_slice())
     }
 
     fn take_metrics(&mut self) -> Metrics {
@@ -154,11 +160,7 @@ impl KnnMonitorAlgo for OracleMonitor {
 
     fn space_units(&self) -> usize {
         3 * self.positions.iter().flatten().count()
-            + self
-                .queries
-                .values()
-                .map(|st| 3 + 2 * st.best.k())
-                .sum::<usize>()
+            + self.queries.values().map(|st| 3 + 2 * st.k).sum::<usize>()
     }
 }
 

@@ -1,19 +1,21 @@
-//! Engine-less delta fan-out: the hub's mailbox delivery model fed from
-//! an externally produced [`CycleDeltas`] stream instead of a local
-//! engine.
+//! The server side of the subscription layer: per-query mailbox
+//! delivery of an epoch-numbered [`CycleDeltas`] stream.
 //!
-//! A [`SubscriptionHub`](crate::SubscriptionHub) runs the engine itself;
-//! a [`DeltaFanout`] sits one layer downstream and only *distributes* —
-//! a cluster coordinator publishes each merged cross-worker
-//! `CycleDeltas` batch into it and subscribers drain per-query mailboxes
-//! exactly as they would from a hub. Because the merged batches are
-//! bit-identical to a single-node engine's, everything downstream of the
-//! hub boundary (mailboxes, lag accounting, [`Replica`] folding, resync)
-//! carries over unchanged.
+//! A [`DeltaFanout`] runs no engine — it only *distributes*. Whatever
+//! produces the cycle's batch (a delta-capturing [`cpm_core::CpmServer`],
+//! a durable server, a cluster coordinator's epoch-aligned merge)
+//! publishes it here, and subscribers drain per-query mailboxes and fold
+//! the deltas with [`Replica`]. Because every producer's batches are
+//! bit-identical to a single node's, nothing downstream of this boundary
+//! can tell the deployments apart.
 //!
-//! The fan-out keeps one authoritative [`Replica`] per subscription, so
-//! a lagged subscriber can [`resync`](DeltaFanout::resync) from the
-//! fan-out itself without reaching back to the delta producer.
+//! Mailboxes are bounded ([`DeltaFanout::set_mailbox_capacity`]): a slow
+//! consumer loses the *oldest* deltas first and is flagged as
+//! [`lagged`](DeltaFanout::lagged), at which point replaying is no longer
+//! lossless and the client must [`resync`](DeltaFanout::resync) — the
+//! standard recovery path of log-shipping systems. The fan-out keeps one
+//! authoritative [`Replica`] per subscription for exactly that, so a
+//! resync never reaches back to the delta producer.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -22,8 +24,21 @@ use cpm_core::{CycleDeltas, Neighbor, NeighborDelta};
 use cpm_geom::{FastHashMap, QueryId};
 use cpm_wire::{Decode, Encode, Writer};
 
-use crate::hub::CycleReceipt;
 use crate::replica::Replica;
+
+/// Summary of one published cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CycleReceipt {
+    /// The epoch of the published batch (1-based).
+    pub epoch: u64,
+    /// Queries whose result changed this cycle.
+    pub changed: usize,
+    /// Deltas the batch carried (subscribed or not).
+    pub deltas: usize,
+    /// Total delta entries (adds + removes + reorders) across them — the
+    /// "wire size" of the cycle.
+    pub entries: usize,
+}
 
 /// One queued delivery: the cycle's shared encoded batch plus the byte
 /// range of this subscription's delta inside it. Every subscriber of a
@@ -52,9 +67,20 @@ struct Mailbox {
     dropped: u64,
 }
 
+impl Mailbox {
+    /// Evict oldest-first until at most `cap` deltas are buffered,
+    /// counting every eviction as lag.
+    fn enforce(&mut self, cap: usize) {
+        while self.queue.len() > cap {
+            self.queue.pop_front();
+            self.dropped += 1;
+        }
+    }
+}
+
 /// Per-query mailbox delivery over an external epoch-numbered
 /// [`CycleDeltas`] stream; see the [module docs](self).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DeltaFanout {
     epoch: u64,
     subs: FastHashMap<QueryId, (Mailbox, Replica)>,
@@ -63,23 +89,27 @@ pub struct DeltaFanout {
     encodes: u64,
 }
 
+impl Default for DeltaFanout {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl DeltaFanout {
     /// An empty fan-out at epoch 0 with unbounded mailboxes.
     pub fn new() -> Self {
-        Self {
-            epoch: 0,
-            subs: FastHashMap::default(),
-            mailbox_cap: usize::MAX,
-            encodes: 0,
-        }
+        Self::from_epoch(0)
     }
 
-    /// A fan-out that resumes at `epoch` (a coordinator restarted from a
-    /// snapshot publishes its next cycle as `epoch + 1`).
+    /// A fan-out that resumes at `epoch` (a producer recovered or
+    /// restarted from a snapshot publishes its next cycle as
+    /// `epoch + 1`).
     pub fn from_epoch(epoch: u64) -> Self {
         Self {
             epoch,
-            ..Self::new()
+            subs: FastHashMap::default(),
+            mailbox_cap: usize::MAX,
+            encodes: 0,
         }
     }
 
@@ -90,29 +120,44 @@ impl DeltaFanout {
 
     /// Bound every mailbox to `cap ≥ 1` buffered deltas; on overflow the
     /// **oldest** delta is evicted and the subscriber flagged as lagged.
+    /// Lowering the cap applies to existing backlogs immediately, exactly
+    /// as on overflow.
     ///
     /// # Panics
     /// Panics if `cap == 0`.
     pub fn set_mailbox_capacity(&mut self, cap: usize) {
         assert!(cap >= 1, "a mailbox must hold at least one delta");
         self.mailbox_cap = cap;
+        for (mailbox, _) in self.subs.values_mut() {
+            mailbox.enforce(cap);
+        }
     }
 
-    /// Register a subscription. Returns `false` (and changes nothing) if
+    /// Register a subscription on a query that has no result yet — one
+    /// installed by a *later* cycle, whose initial result then arrives as
+    /// an all-additions delta. Returns `false` (and changes nothing) if
     /// `id` is already registered. Registration only opens the delivery
     /// channel — installing the query where results are computed is the
     /// producer's job.
     pub fn subscribe(&mut self, id: QueryId) -> bool {
+        self.subscribe_from(id, &[])
+    }
+
+    /// Register a subscription on a query that already has a `result` as
+    /// of the fan-out's current epoch — installed outside a cycle, or
+    /// live on a producer this fan-out was rebuilt beside
+    /// ([`DeltaFanout::from_epoch`]). The authoritative replica starts
+    /// from `result`, so the next published delta folds onto the state it
+    /// was computed against; the subscriber starts its own
+    /// [`Replica::from_snapshot`] from the same result (or from
+    /// [`resync`](Self::resync)). Returns `false` (and changes nothing)
+    /// if `id` is already registered.
+    pub fn subscribe_from(&mut self, id: QueryId, result: &[Neighbor]) -> bool {
         if self.subs.contains_key(&id) {
             return false;
         }
-        self.subs.insert(
-            id,
-            (
-                Mailbox::default(),
-                Replica::from_snapshot(self.epoch, Vec::new()),
-            ),
-        );
+        let replica = Replica::from_snapshot(self.epoch, result.to_vec());
+        self.subs.insert(id, (Mailbox::default(), replica));
         true
     }
 
@@ -159,10 +204,6 @@ impl DeltaFanout {
                 continue;
             };
             replica.apply(delta);
-            if mailbox.queue.len() >= self.mailbox_cap {
-                mailbox.queue.pop_front();
-                mailbox.dropped += 1;
-            }
             let (frame, ranges) = encoded
                 .as_ref()
                 .expect("a subscribed delta means the batch was encoded");
@@ -172,6 +213,7 @@ impl DeltaFanout {
                 start,
                 end,
             });
+            mailbox.enforce(self.mailbox_cap);
         }
         CycleReceipt {
             epoch: batch.epoch,
@@ -294,6 +336,11 @@ mod tests {
             f.resync(QueryId(7)).unwrap(),
             (1, vec![n(1, 0.2), n(2, 0.5)])
         );
+        // Unsubscribing discards the mailbox with the registration.
+        f.publish(&batch(2, 7, vec![n(3, 0.7)]));
+        assert!(f.unsubscribe(QueryId(7)) && !f.unsubscribe(QueryId(7)));
+        assert!(f.drain(QueryId(7)).is_empty() && f.resync(QueryId(7)).is_none());
+        assert_eq!(f.subscriptions(), 0);
     }
 
     #[test]
@@ -310,6 +357,59 @@ mod tests {
         assert_eq!(result, vec![n(2, 0.1), n(1, 0.2)]);
         assert!(!f.lagged(QueryId(3)));
         assert!(f.drain(QueryId(3)).is_empty());
+    }
+
+    /// Lowering the cap under an existing backlog re-establishes the
+    /// bound at once (oldest dropped first, every drop counted as lag),
+    /// and it holds across later publishes.
+    #[test]
+    fn lowering_the_cap_trims_an_existing_backlog() {
+        let mut f = DeltaFanout::new();
+        f.subscribe(QueryId(3));
+        for epoch in 1..=11 {
+            f.publish(&batch(epoch, 3, vec![n(epoch as u32, 0.5)]));
+        }
+        assert!(!f.lagged(QueryId(3)));
+        f.set_mailbox_capacity(2);
+        assert!(f.lagged(QueryId(3)), "the trimmed deltas are lag");
+        for epoch in 12..=14 {
+            f.publish(&batch(epoch, 3, vec![n(epoch as u32, 0.5)]));
+        }
+        let drained = f.drain(QueryId(3));
+        let epochs: Vec<u64> = drained.iter().map(|d| d.epoch).collect();
+        assert_eq!(epochs, [13, 14], "the two newest deltas survive");
+    }
+
+    /// A subscription opened on a query that already has a result must
+    /// fold the next delta onto that result, not onto an empty list.
+    #[test]
+    fn late_subscriptions_are_seeded_from_the_current_result() {
+        let mut f = DeltaFanout::from_epoch(4);
+        assert!(f.subscribe_from(QueryId(7), &[n(1, 0.2), n(2, 0.5)]));
+        assert!(!f.subscribe_from(QueryId(7), &[]));
+        // Object 2 closes in: a pure reorder of an existing entry.
+        let receipt = f.publish(&CycleDeltas {
+            epoch: 5,
+            changed: vec![QueryId(7)],
+            deltas: vec![(
+                QueryId(7),
+                NeighborDelta {
+                    epoch: 5,
+                    reordered: vec![n(2, 0.1)].into(),
+                    ..NeighborDelta::default()
+                },
+            )],
+        });
+        assert_eq!(receipt.epoch, 5);
+        let mut replica = Replica::from_snapshot(4, vec![n(1, 0.2), n(2, 0.5)]);
+        for d in f.drain(QueryId(7)) {
+            replica.apply(&d);
+        }
+        assert_eq!(replica.result(), &[n(2, 0.1), n(1, 0.2)]);
+        assert_eq!(
+            f.resync(QueryId(7)).unwrap(),
+            (5, replica.result().to_vec())
+        );
     }
 
     #[test]

@@ -28,7 +28,9 @@ impl Replica {
     }
 
     /// A replica primed from an authoritative snapshot (the
-    /// [`resync`](crate::SubscriptionHub::resync) recovery path).
+    /// [`resync`](crate::DeltaFanout::resync) recovery path, or the start
+    /// of a subscription opened with
+    /// [`subscribe_from`](crate::DeltaFanout::subscribe_from)).
     pub fn from_snapshot(epoch: u64, result: Vec<Neighbor>) -> Self {
         Self { epoch, result }
     }

@@ -16,9 +16,9 @@
 //!   multi-kind [`core::CpmServer`] on top of it (every query kind on
 //!   one grid with one ingest pass per cycle), plus per-cycle result
 //!   deltas ([`cpm_core`]).
-//! * [`sub`] — the delta-streaming subscription layer: epoch-numbered
-//!   hubs, per-subscription mailboxes, client-side replicas
-//!   ([`cpm_sub`]).
+//! * [`sub`] — the delta-streaming subscription layer: the
+//!   epoch-numbered delta fan-out with per-subscription mailboxes, and
+//!   client-side replicas ([`cpm_sub`]).
 //! * [`wire`] — the versioned, checksummed binary codec under the
 //!   durability layer: framing, the append-only journal, typed decode
 //!   errors ([`cpm_wire`]); snapshots and crash recovery live in

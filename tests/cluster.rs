@@ -3,51 +3,77 @@
 //! surface (misrouted batches, version skew, escaped influence regions,
 //! composite-query refusal).
 
+mod common;
+
+use common::lanes;
 use cpm_suite::cluster::{
     duplex, run_worker, ClusterConfig, ClusterCoordinator, ClusterError, Transport,
 };
 use cpm_suite::core::{AnyQuerySpec, PointQuery, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
-use cpm_suite::grid::ObjectEvent;
-use cpm_suite::sim::{
-    verify_cluster, verify_cluster_pipelined, verify_cluster_tcp, verify_cluster_tcp_pipelined,
-};
+use cpm_suite::grid::{IndexKind, ObjectEvent};
+use cpm_suite::sim::{verify, Anchors, Control, Deploy, LaneConfig, OpStream, Regrid};
 use cpm_suite::sub::DeltaFanout;
 use cpm_suite::wire::cluster::{ClusterMsg, ClusterReject, TileRect};
 use cpm_suite::wire::{Encode, WIRE_VERSION};
 
-/// The headline conformance run: seeded mixed-kind workloads over
-/// W ∈ {1, 2, 4} in-process workers × both index backends, each lane
-/// with a mid-run snapshot-transfer worker restart and an out-of-band
-/// install. Every merged delta batch, changed list and replicated final
+/// Replay seeded mixed-kind streams — anchors pinned to the ownership
+/// strips, a worker hot-swapped by snapshot transfer before cycle 5, a
+/// k-NN installed out of band before cycle 6 — into one cluster per
+/// worker count × index backend over the given transport and schedule.
+fn run(tcp: bool, pipelined: bool, seeds: &[u64], worker_counts: &[u32]) {
+    let extra = Control::InstallOutOfBand {
+        id: QueryId(5000),
+        pos: Point::new(0.375, 0.5),
+        k: 2,
+    };
+    let clusters: Vec<LaneConfig> = worker_counts
+        .iter()
+        .flat_map(|&workers| {
+            let deploy = Deploy::Cluster {
+                workers,
+                tcp,
+                pipelined,
+            };
+            let backends = [IndexKind::Uniform, IndexKind::quadtree()];
+            lanes(&backends, &[1], Regrid::Pinned, deploy)
+        })
+        .collect();
+    for &seed in seeds {
+        let stream = OpStream::mixed(seed, 120, 12, Anchors::Strips)
+            .control(5, Control::RestartWorker(seed as usize))
+            .control(6, extra);
+        verify(&stream, &clusters);
+    }
+}
+
+/// The headline conformance run: W ∈ {1, 2, 4} in-process workers × both
+/// index backends. Every merged delta batch, changed list and replicated
 /// result must be bit-identical to the single-node reference.
 #[test]
 fn cluster_is_bit_identical_to_single_node() {
-    verify_cluster(120, 10, 16, &[1, 5], &[1, 2, 4]);
+    run(false, false, &[1, 5], &[1, 2, 4]);
 }
 
 /// The same protocol over real `std::net::TcpStream` loopback links.
 #[test]
 fn tcp_loopback_cluster_is_bit_identical_to_single_node() {
-    verify_cluster_tcp(100, 8, 16, 9, 2);
+    run(true, false, &[9], &[2]);
 }
 
-/// The headline run again with the coordinator in **pipelined** mode:
-/// routing for epoch *e+1* overlaps the merge of epoch *e*, yet every
-/// merged batch, changed list and replicated result must still be
-/// bit-identical to the single-node reference — including across the
-/// mid-run restart, which must drain the pipeline before its snapshot
-/// transfer.
+/// The headline run with the coordinator **pipelined**: routing for
+/// epoch *e+1* overlaps the merge of epoch *e*, so batches surface one
+/// cycle late and the tail through `flush` — bit-identical all the same,
+/// across a restart that must drain the pipeline first.
 #[test]
 fn pipelined_cluster_is_bit_identical_to_single_node() {
-    verify_cluster_pipelined(120, 10, 16, &[1, 5], &[1, 2, 4]);
+    run(false, true, &[1, 5], &[1, 2, 4]);
 }
 
-/// The pipelined protocol over TCP loopback links, with a mid-run
-/// pipeline-draining restart over TCP.
+/// Pipelined over TCP loopback, restart included.
 #[test]
 fn pipelined_tcp_loopback_cluster_is_bit_identical_to_single_node() {
-    verify_cluster_tcp_pipelined(100, 8, 16, 9, 2);
+    run(true, true, &[9], &[2]);
 }
 
 /// The pipelined submission surface itself: the priming `submit_cycle`
@@ -113,7 +139,7 @@ fn misrouted_update_is_rejected_without_state_change() {
         version: WIRE_VERSION,
         worker: 0,
         dim: 16,
-        index: cpm_suite::IndexKind::Uniform,
+        index: IndexKind::Uniform,
         tile,
         coverage: tile,
     };
@@ -183,7 +209,7 @@ fn version_skew_is_refused_on_both_ends() {
         version: WIRE_VERSION + 1,
         worker: 0,
         dim: 16,
-        index: cpm_suite::IndexKind::Uniform,
+        index: IndexKind::Uniform,
         tile,
         coverage: tile,
     };

@@ -1,39 +1,23 @@
 //! Delta-replay conformance: folding the subscription layer's delta
-//! stream over the initial result must reconstruct the full per-epoch
-//! results **bit-identically** — against the hub's authoritative
-//! snapshots, against brute-force ground truth, and identically across
-//! shard counts (sequential and S ∈ {2, 4, 8}) — under object, query,
-//! and moving-query churn, for both k-NN and range subscriptions.
+//! stream (`CpmServer` → `DeltaFanout` → `Replica`) over the initial
+//! result must reconstruct the full per-epoch results **bit-identically**
+//! — against the server's own results, against brute-force ground truth,
+//! and identically across shard counts (sequential and S ∈ {2, 4, 8}) —
+//! under object, query, and moving-query churn, k-NN and range alike.
 
-use cpm_suite::core::{Neighbor, NeighborDelta, RangeQuery};
-use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
-use cpm_suite::grid::ObjectEvent;
-use cpm_suite::sim::{
-    brute_force_range, verify_delta_replay, SimParams, SimulationInput, WorkloadKind,
-};
-use cpm_suite::sub::{KnnSubscriptionHub, RangeSubscriptionHub, Replica};
+mod common;
+
+use common::{case_budget, events_of, paper_stream, shard_lanes};
+use cpm_suite::grid::QueryKind;
+use cpm_suite::sim::{verify, Anchors, OpStream, SimParams, WorkloadKind};
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Per-test case budget: `PROPTEST_CASES` (the CI conformance job's
-/// wall-time bound) can only *cap* these heavyweight properties — each
-/// case replays 20 cycles across four shard lanes with per-epoch oracle
-/// checks, so raising the global budget must not multiply them.
-fn case_budget(default_cases: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map_or(default_cases, |cap: u32| cap.min(default_cases))
-}
-
-/// The sim-level harness on the paper's workload shapes (network, uniform,
-/// skewed — all with moving queries): replicas must equal the brute-force
-/// oracle at every epoch, and the delta streams must be identical across
-/// shard counts.
+/// The paper's workload shapes (network, uniform, skewed — all with
+/// moving queries): replicas must equal the brute-force oracle at every
+/// epoch, and the delta batches must be identical across shard counts.
 #[test]
 fn delta_replay_matches_oracle_on_generated_workloads() {
     for (seed, workload) in [
@@ -51,335 +35,39 @@ fn delta_replay_matches_oracle_on_generated_workloads() {
             workload,
             ..SimParams::default()
         };
-        verify_delta_replay(&SimulationInput::generate(&params), &SHARD_COUNTS);
+        verify(&paper_stream(&params), &shard_lanes(&SHARD_COUNTS));
     }
 }
 
-/// Random object-event batch over `live`: moves, appearances,
-/// disappearances, each object at most once per batch.
-fn random_object_events(
-    rng: &mut StdRng,
-    live: &mut Vec<u32>,
-    next_oid: &mut u32,
-    max_events: usize,
-) -> Vec<ObjectEvent> {
-    let mut events = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for _ in 0..rng.gen_range(0..=max_events) {
-        match rng.gen_range(0..10) {
-            0 if live.len() > 4 => {
-                let at = rng.gen_range(0..live.len());
-                let id = live.swap_remove(at);
-                if seen.insert(id) {
-                    events.push(ObjectEvent::Disappear { id: ObjectId(id) });
-                } else {
-                    live.push(id);
-                }
-            }
-            1 => {
-                let id = *next_oid;
-                *next_oid += 1;
-                live.push(id);
-                seen.insert(id);
-                events.push(ObjectEvent::Appear {
-                    id: ObjectId(id),
-                    pos: Point::new(rng.gen(), rng.gen()),
-                });
-            }
-            _ if !live.is_empty() => {
-                let id = live[rng.gen_range(0..live.len())];
-                if seen.insert(id) {
-                    events.push(ObjectEvent::Move {
-                        id: ObjectId(id),
-                        to: Point::new(rng.gen(), rng.gen()),
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    events
-}
-
-/// Brute-force k-NN over a hub's live population, in the engine's
-/// canonical `(dist, id)` order with distances computed the same way —
-/// so equality can be asserted bit-for-bit.
-fn brute_force_knn(hub: &KnnSubscriptionHub, q: Point, k: usize) -> Vec<Neighbor> {
-    let mut all: Vec<Neighbor> = hub
-        .grid()
-        .iter_objects()
-        .map(|(id, p)| Neighbor {
-            id,
-            dist: q.dist(p),
-        })
-        .collect();
-    all.sort_unstable_by(|a, b| {
-        (a.dist, a.id)
-            .partial_cmp(&(b.dist, b.id))
-            .expect("finite distances")
-    });
-    all.truncate(k);
-    all
+/// One case of the two properties below: 22 cycles of full churn — random
+/// object streams plus subscribe / move / unsubscribe of every kind — in
+/// which every epoch's folded replicas must equal the server's results,
+/// brute force, and the sequential lane's delta batches.
+fn replay_under_churn(seed: u64, dim: u32, n_obj: u32, kind: QueryKind) {
+    let stream = OpStream::mixed(seed, n_obj, 22, Anchors::Free).dim(dim);
+    assert!(events_of(&stream, kind) >= 2, "no {kind:?} subscription");
+    verify(&stream, &shard_lanes(&SHARD_COUNTS));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: case_budget(8), ..ProptestConfig::default() })]
 
-    /// Engine-level k-NN replay under full churn: random object streams
-    /// plus subscribe/move/unsubscribe subscription churn. Every epoch,
-    /// every lane's folded replica must equal the hub snapshot, the
-    /// brute-force k-NN, and lane 0's delta stream.
     #[test]
     fn knn_delta_replay_reconstructs_results_under_churn(
         seed in 0u64..1 << 32,
         dim_ix in 0usize..3,
         n_obj in 60u32..140,
     ) {
-        let dim = [8u32, 16, 64][dim_ix];
-        let mut rng = StdRng::seed_from_u64(0xDE17A ^ seed);
-        let objects: Vec<(ObjectId, Point)> = (0..n_obj)
-            .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
-            .collect();
-
-        struct Lane {
-            hub: KnnSubscriptionHub,
-            replicas: std::collections::BTreeMap<QueryId, Replica>,
-        }
-        let mut lanes: Vec<Lane> = SHARD_COUNTS
-            .iter()
-            .map(|&s| {
-                let mut hub = KnnSubscriptionHub::new(dim, s);
-                hub.populate(objects.iter().copied());
-                Lane { hub, replicas: std::collections::BTreeMap::new() }
-            })
-            .collect();
-
-        let mut live_objects: Vec<u32> = (0..n_obj).collect();
-        let mut next_oid = n_obj;
-        // Live subscriptions and their current (position, k).
-        let mut subs: std::collections::BTreeMap<u32, (Point, usize)> =
-            std::collections::BTreeMap::new();
-        let mut next_qid = 0u32;
-
-        for cycle in 0..20 {
-            let object_events =
-                random_object_events(&mut rng, &mut live_objects, &mut next_oid, 10);
-
-            // Subscription churn: subscribe / move / unsubscribe, at most
-            // one event per subscription per cycle (hub contract).
-            let mut touched: Vec<u32> = Vec::new();
-            for _ in 0..rng.gen_range(0..4) {
-                match rng.gen_range(0..4) {
-                    0 | 1 => {
-                        let id = next_qid;
-                        next_qid += 1;
-                        let pos = Point::new(rng.gen(), rng.gen());
-                        let k = 1 + rng.gen_range(0..5);
-                        subs.insert(id, (pos, k));
-                        touched.push(id);
-                        for lane in lanes.iter_mut() {
-                            lane.hub.subscribe_knn(QueryId(id), pos, k);
-                            lane.replicas.insert(QueryId(id), Replica::new());
-                        }
-                    }
-                    2 if !subs.is_empty() => {
-                        let &id = subs.keys().nth(rng.gen_range(0..subs.len())).unwrap();
-                        if touched.contains(&id) {
-                            continue;
-                        }
-                        touched.push(id);
-                        let pos = Point::new(rng.gen(), rng.gen());
-                        subs.get_mut(&id).unwrap().0 = pos;
-                        for lane in lanes.iter_mut() {
-                            lane.hub.move_knn(QueryId(id), pos);
-                        }
-                    }
-                    3 if !subs.is_empty() => {
-                        let &id = subs.keys().nth(rng.gen_range(0..subs.len())).unwrap();
-                        if touched.contains(&id) {
-                            continue;
-                        }
-                        touched.push(id);
-                        subs.remove(&id);
-                        for lane in lanes.iter_mut() {
-                            lane.hub.unsubscribe(QueryId(id));
-                            lane.replicas.remove(&QueryId(id));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-
-            let mut reference: Option<Vec<(QueryId, Vec<NeighborDelta>)>> = None;
-            for (lane, &shards) in lanes.iter_mut().zip(&SHARD_COUNTS) {
-                lane.hub.push_updates(object_events.iter().copied());
-                lane.hub.commit();
-                let mut drained = Vec::new();
-                for (&qid, replica) in lane.replicas.iter_mut() {
-                    let deltas = lane.hub.drain(qid);
-                    for d in &deltas {
-                        replica.apply(d);
-                    }
-                    let (_, snapshot) = lane.hub.snapshot(qid).expect("subscribed");
-                    prop_assert_eq!(
-                        replica.result(), snapshot,
-                        "replica != hub for {} at cycle {} with {} shards",
-                        qid, cycle, shards
-                    );
-                    let (pos, k) = subs[&qid.0];
-                    let truth = brute_force_knn(&lane.hub, pos, k);
-                    prop_assert_eq!(
-                        replica.result(), truth.as_slice(),
-                        "replica != brute force for {} at cycle {} with {} shards",
-                        qid, cycle, shards
-                    );
-                    drained.push((qid, deltas));
-                }
-                lane.hub.check_invariants();
-                match &reference {
-                    None => reference = Some(drained),
-                    Some(first) => prop_assert_eq!(
-                        first, &drained,
-                        "delta streams diverged at cycle {} with {} shards",
-                        cycle, shards
-                    ),
-                }
-            }
-        }
+        replay_under_churn(0xDE17A ^ seed, [8, 16, 64][dim_ix], n_obj, QueryKind::Knn);
     }
 
-    /// Range-subscription replay under the same churn model, with moving
-    /// regions (rectangles and circles): replicas must equal the hub
-    /// snapshot and the range oracle at every epoch, across shard counts.
+    /// Moving regions, rectangles and circles.
     #[test]
     fn range_delta_replay_reconstructs_results_under_churn(
         seed in 0u64..1 << 32,
         dim_ix in 0usize..3,
         n_obj in 60u32..140,
     ) {
-        let dim = [8u32, 16, 64][dim_ix];
-        let mut rng = StdRng::seed_from_u64(0x4A46E ^ seed);
-        let objects: Vec<(ObjectId, Point)> = (0..n_obj)
-            .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
-            .collect();
-
-        fn random_region(rng: &mut StdRng) -> RangeQuery {
-            if rng.gen_bool(0.5) {
-                let lo = Point::new(rng.gen_range(0.0..0.7), rng.gen_range(0.0..0.7));
-                let w = rng.gen_range(0.05..0.3);
-                let h = rng.gen_range(0.05..0.3);
-                RangeQuery::rect(Rect::new(
-                    lo,
-                    Point::new((lo.x + w).min(1.0), (lo.y + h).min(1.0)),
-                ))
-            } else {
-                RangeQuery::circle(
-                    Point::new(rng.gen_range(0.1..0.9), rng.gen_range(0.1..0.9)),
-                    rng.gen_range(0.02..0.25),
-                )
-            }
-        }
-
-        struct Lane {
-            hub: RangeSubscriptionHub,
-            replicas: std::collections::BTreeMap<QueryId, Replica>,
-        }
-        let mut lanes: Vec<Lane> = SHARD_COUNTS
-            .iter()
-            .map(|&s| {
-                let mut hub = RangeSubscriptionHub::new(dim, s);
-                hub.populate(objects.iter().copied());
-                Lane { hub, replicas: std::collections::BTreeMap::new() }
-            })
-            .collect();
-
-        let mut live_objects: Vec<u32> = (0..n_obj).collect();
-        let mut next_oid = n_obj;
-        let mut subs: std::collections::BTreeMap<u32, RangeQuery> =
-            std::collections::BTreeMap::new();
-        let mut next_qid = 0u32;
-
-        for cycle in 0..20 {
-            let object_events =
-                random_object_events(&mut rng, &mut live_objects, &mut next_oid, 10);
-
-            let mut touched: Vec<u32> = Vec::new();
-            for _ in 0..rng.gen_range(0..4) {
-                match rng.gen_range(0..4) {
-                    0 | 1 => {
-                        let id = next_qid;
-                        next_qid += 1;
-                        let query = random_region(&mut rng);
-                        subs.insert(id, query);
-                        touched.push(id);
-                        for lane in lanes.iter_mut() {
-                            lane.hub.subscribe_region(QueryId(id), query);
-                            lane.replicas.insert(QueryId(id), Replica::new());
-                        }
-                    }
-                    2 if !subs.is_empty() => {
-                        let &id = subs.keys().nth(rng.gen_range(0..subs.len())).unwrap();
-                        if touched.contains(&id) {
-                            continue;
-                        }
-                        touched.push(id);
-                        let query = random_region(&mut rng);
-                        subs.insert(id, query);
-                        for lane in lanes.iter_mut() {
-                            lane.hub.move_region(QueryId(id), query);
-                        }
-                    }
-                    3 if !subs.is_empty() => {
-                        let &id = subs.keys().nth(rng.gen_range(0..subs.len())).unwrap();
-                        if touched.contains(&id) {
-                            continue;
-                        }
-                        touched.push(id);
-                        subs.remove(&id);
-                        for lane in lanes.iter_mut() {
-                            lane.hub.unsubscribe(QueryId(id));
-                            lane.replicas.remove(&QueryId(id));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-
-            let mut reference: Option<Vec<(QueryId, Vec<NeighborDelta>)>> = None;
-            for (lane, &shards) in lanes.iter_mut().zip(&SHARD_COUNTS) {
-                lane.hub.push_updates(object_events.iter().copied());
-                lane.hub.commit();
-                let mut drained = Vec::new();
-                for (&qid, replica) in lane.replicas.iter_mut() {
-                    let deltas = lane.hub.drain(qid);
-                    for d in &deltas {
-                        replica.apply(d);
-                    }
-                    let (_, snapshot) = lane.hub.snapshot(qid).expect("subscribed");
-                    prop_assert_eq!(
-                        replica.result(), snapshot,
-                        "replica != hub for {} at cycle {} with {} shards",
-                        qid, cycle, shards
-                    );
-                    let truth =
-                        brute_force_range(lane.hub.grid().iter_objects(), &subs[&qid.0]);
-                    prop_assert_eq!(
-                        replica.result(), truth.as_slice(),
-                        "replica != range oracle for {} at cycle {} with {} shards",
-                        qid, cycle, shards
-                    );
-                    drained.push((qid, deltas));
-                }
-                lane.hub.check_invariants();
-                match &reference {
-                    None => reference = Some(drained),
-                    Some(first) => prop_assert_eq!(
-                        first, &drained,
-                        "delta streams diverged at cycle {} with {} shards",
-                        cycle, shards
-                    ),
-                }
-            }
-        }
+        replay_under_churn(0x4A46E ^ seed, [8, 16, 64][dim_ix], n_obj, QueryKind::Range);
     }
 }

@@ -7,31 +7,29 @@
 //! snapshot → restore round-trip, and for *every* exact query kind via
 //! the unified server sweep.
 
+mod common;
+
+use common::{case_budget, lanes, paper_stream};
 use cpm_suite::core::{CpmError, CpmServerBuilder, EngineSnapshot, PointQuery, ShardedCpmEngine};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{GridBuilder, IndexKind, SpatialIndex};
-use cpm_suite::sim::{
-    verify_index, verify_unified_server_with, SimParams, SimulationInput, WorkloadKind,
-};
+use cpm_suite::sim::{verify, Anchors, Control, Deploy, OpStream, Regrid, SimParams, WorkloadKind};
 use proptest::prelude::*;
 
 /// Shard counts each backend runs at (the acceptance spec's S ∈ {1, 4}).
 const SHARD_COUNTS: [usize; 2] = [1, 4];
-
 /// The full backend matrix every suite below sweeps.
 const BACKENDS: [IndexKind; 2] = [IndexKind::Uniform, IndexKind::quadtree()];
 
-/// Per-test case budget, capped by `PROPTEST_CASES` (the CI conformance
-/// job's wall-time bound) but never raised by it.
-fn case_budget(default_cases: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map_or(default_cases, |cap: u32| cap.min(default_cases))
-}
-
-fn drift_params() -> SimParams {
-    SimParams {
+/// The acceptance sweep: both backends × S ∈ {1, 4} on the drifting
+/// hotspot workload, re-gridding mid-run (refine then coarsen) and
+/// round-tripping every lane through a snapshot between the two re-grid
+/// points (a restore under the other backend must be refused with
+/// `IndexMismatch`) — all bit-identical to the uniform reference and
+/// anchored to the brute-force oracle.
+#[test]
+fn index_matrix_is_bit_identical_across_regrids_and_snapshots() {
+    let params = SimParams {
         n_objects: 250,
         n_queries: 10,
         k: 4,
@@ -39,48 +37,51 @@ fn drift_params() -> SimParams {
         grid_dim: 32,
         workload: WorkloadKind::Drift { peak_factor: 4.0 },
         ..SimParams::default()
-    }
-}
-
-/// The acceptance sweep: both backends × S ∈ {1, 4} on the drifting
-/// hotspot workload, re-gridding mid-run (refine then coarsen) and
-/// round-tripping every lane through a snapshot between the two re-grid
-/// points — all bit-identical to the uniform reference and anchored to
-/// the brute-force oracle.
-#[test]
-fn index_matrix_is_bit_identical_across_regrids_and_snapshots() {
-    let input = SimulationInput::generate(&drift_params());
-    verify_index(
-        &input,
-        &BACKENDS,
-        &[(3, 64), (8, 16)],
-        &SHARD_COUNTS,
-        Some(5),
-    );
+    };
+    let stream = paper_stream(&params)
+        .control(5, Control::Regrid(64))
+        .control(7, Control::SnapshotRoundTrip)
+        .control(10, Control::Regrid(16));
+    let matrix = lanes(&BACKENDS, &SHARD_COUNTS, Regrid::Scheduled, Deploy::Single);
+    let ran = verify(&stream, &matrix);
+    assert_eq!(ran.regrids, 2 * matrix.len(), "every lane re-grids twice");
 }
 
 /// Every exact query kind — k-NN, range, aggregate-NN, constrained and
-/// reverse-NN — on a quadtree-backed unified server matches the dedicated
-/// uniform-grid engines bit-for-bit and the brute-force oracles, at
-/// S ∈ {1, 4}. This is the cross-backend leg of the unified-server
-/// conformance sweep (`tests/unified_server.rs` runs the uniform leg).
+/// reverse-NN — on a quadtree-backed unified server matches the uniform
+/// reference bit-for-bit and the brute-force oracles, at S ∈ {1, 4}. This
+/// is the cross-backend leg of the unified-server conformance sweep
+/// (`tests/unified_server.rs` runs the uniform leg).
 #[test]
 fn unified_server_on_quadtree_matches_uniform_dedicated_engines() {
-    verify_unified_server_with(IndexKind::quadtree(), 90, 14, 16, &SHARD_COUNTS);
+    let quadtree = lanes(
+        &BACKENDS[1..],
+        &SHARD_COUNTS,
+        Regrid::Pinned,
+        Deploy::Single,
+    );
+    verify(&OpStream::mixed(0x0CF5, 90, 16, Anchors::Free), &quadtree);
 }
 
 /// A denser grid sharpens the quadtree's bucket structure (deeper splits,
 /// more partially-occupied internal nodes); results must not care.
 #[test]
 fn unified_server_on_quadtree_conformance_on_fine_grid() {
-    verify_unified_server_with(IndexKind::quadtree(), 220, 6, 64, &SHARD_COUNTS);
+    let quadtree = lanes(
+        &BACKENDS[1..],
+        &SHARD_COUNTS,
+        Regrid::Pinned,
+        Deploy::Single,
+    );
+    let stream = OpStream::mixed(0x0CF5, 220, 8, Anchors::Free).dim(64);
+    verify(&stream, &quadtree);
 }
 
 /// Restoring a snapshot under a different configured backend is a typed
 /// refusal at every API level; restoring under the recorded backend
-/// resumes bit-identically (the engine-level round-trip inside
-/// [`verify_index`] covers mid-stream state — this covers the error
-/// surface end to end, including a non-default split threshold).
+/// resumes bit-identically (the harness's `SnapshotRoundTrip` control
+/// covers mid-stream state — this covers the error surface end to end,
+/// including a non-default split threshold).
 #[test]
 fn snapshot_restore_refuses_backend_swaps() {
     let kind = IndexKind::Quadtree {
@@ -159,8 +160,10 @@ proptest! {
             seed,
             ..SimParams::default()
         };
-        let input = SimulationInput::generate(&params);
-        let snapshot_at = (snapshot == 1).then_some(3);
-        verify_index(&input, &BACKENDS, &[], &[1], snapshot_at);
+        let mut stream = paper_stream(&params);
+        if snapshot == 1 {
+            stream = stream.control(5, Control::SnapshotRoundTrip);
+        }
+        verify(&stream, &lanes(&BACKENDS, &[1], Regrid::Scheduled, Deploy::Single));
     }
 }

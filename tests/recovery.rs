@@ -1,19 +1,22 @@
-//! Crash-recovery conformance: the seeded chaos schedules of
-//! `cpm_sim::verify_recovery`, fuzzed corruption of snapshot and journal
+//! Crash-recovery conformance: seeded chaos schedules through the
+//! harness's durable lanes, fuzzed corruption of snapshot and journal
 //! artifacts (typed errors with offset context, never a panic), and
-//! continuity of the subscription layer across a restore.
+//! continuity of the subscription layer across a recovery.
 
+mod common;
+
+use common::{case_budget, lanes};
 use cpm_suite::core::snapshot::{JournalRecord, Snapshot};
 use cpm_suite::core::{
-    CpmServerBuilder, DurableCpmServer, EngineSnapshot, Neighbor, PointQuery, RecoveryError,
+    AnyQuerySpec, CpmServerBuilder, CycleDeltas, DurableCpmServer, Neighbor, PointQuery,
+    RecoveryError, SpecEvent,
 };
+use cpm_suite::gen::FaultPlan;
 use cpm_suite::geom::{ObjectId, Point, QueryId};
-use cpm_suite::grid::ObjectEvent;
-use cpm_suite::sim::verify_recovery;
-use cpm_suite::sub::{KnnSubscriptionHub, Replica, SubscriptionHub};
-use cpm_suite::wire::{
-    decode_framed, encode_framed, write_frame, Decode, Encode, WireError, FRAME_SNAPSHOT,
-};
+use cpm_suite::grid::{IndexKind, ObjectEvent};
+use cpm_suite::sim::{verify, Anchors, Control, Deploy, OpStream, Regrid};
+use cpm_suite::sub::{DeltaFanout, Replica};
+use cpm_suite::wire::{encode_framed, write_frame, Decode, Encode, WireError, FRAME_SNAPSHOT};
 
 use proptest::prelude::*;
 
@@ -55,31 +58,31 @@ unsafe impl std::alloc::GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Case budget capped by `PROPTEST_CASES` (the CI conformance job's
-/// wall-time bound), mirroring the delta-replay suite.
-fn case_budget(default_cases: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map_or(default_cases, |cap: u32| cap.min(default_cases))
-}
-
 /// The headline chaos run: seeded crash schedules spanning every
 /// corruption class (clean crash, torn tail, duplicated and reordered
-/// frames, flipped bits in journal and snapshot), sequential and at four
-/// shards. Every trial must recover to a server bit-identical to one
-/// that never crashed — results, changed lists, delta streams.
+/// frames, flipped bits in journal and snapshot), at one and four shards.
+/// Every trial must recover to a server bit-identical to the reference
+/// that never crashed, with the lost window redelivered.
 #[test]
 fn chaos_schedules_recover_bit_identically() {
-    let seeds: Vec<u64> = (0..24).collect();
-    // Sanity: this seed range must actually exercise every corruption
-    // class, or the suite silently shrinks.
-    let classes: std::collections::HashSet<_> = seeds
-        .iter()
-        .map(|&s| cpm_suite::gen::FaultPlan::from_seed(s, 10).corruption)
-        .collect();
+    const CYCLES: usize = 12;
+    let durable = lanes(
+        &[IndexKind::Uniform],
+        &[1, 4],
+        Regrid::Pinned,
+        Deploy::Durable,
+    );
+    let mut classes = std::collections::HashSet::new();
+    for seed in 0..24 {
+        // Crash after cycle `crash_cycle`, i.e. before the next one runs.
+        let plan = FaultPlan::from_seed(seed, CYCLES as u32 - 1);
+        classes.insert(plan.corruption);
+        let stream = OpStream::mixed(seed, 80, CYCLES, Anchors::Free)
+            .control(plan.crash_cycle as usize + 1, Control::Crash(plan));
+        verify(&stream, &durable);
+    }
+    // Or the suite silently shrinks:
     assert_eq!(classes.len(), 6, "seed range misses classes: {classes:?}");
-    verify_recovery(80, 10, 16, &seeds, &[1, 4]);
 }
 
 /// `checkpointed = true` folds the installs and cycles into the snapshot
@@ -220,93 +223,104 @@ fn torn_tail_loses_only_the_final_record() {
     );
 }
 
-/// A restored subscription hub resumes epoch numbering exactly one past
-/// the captured epoch, streams deltas bit-identical to an uninterrupted
-/// hub, and a replica that lost its backlog in the crash recovers via the
-/// ordinary resync path.
+/// A fan-out rebuilt beside a recovered server resumes epoch numbering
+/// exactly one past the recovered epoch and streams deltas bit-identical
+/// to an uninterrupted deployment's, and a subscriber whose backlog died
+/// with the crash recovers via the ordinary resync path.
 #[test]
 fn restored_hub_resumes_epochs_and_replicas_resync() {
+    let knn = |id, x, k| SpecEvent::Install {
+        id: QueryId(id),
+        spec: AnyQuerySpec::Knn(PointQuery(Point::new(x, 0.5))),
+        k,
+    };
     let build = || {
-        let mut hub = KnnSubscriptionHub::new(16, 2);
-        hub.populate(
+        let mut server = CpmServerBuilder::new(16).shards(2).deltas(true).build();
+        server.populate(
             (0..12u32).map(|i| (ObjectId(i), Point::new((f64::from(i) + 0.5) / 12.0, 0.5))),
         );
-        hub.subscribe_knn(QueryId(0), Point::new(0.1, 0.5), 3);
-        hub.subscribe_knn(QueryId(1), Point::new(0.9, 0.5), 2);
-        hub
+        let mut fanout = DeltaFanout::new();
+        fanout.subscribe(QueryId(0));
+        fanout.subscribe(QueryId(1));
+        (DurableCpmServer::new(server, 4), fanout)
     };
-    let mut lane_a = build();
-    let mut lane_b = build();
+    // One cycle moving object `id` to `x`, published into the fan-out.
+    let cycle = |(lane, fanout): &mut (DurableCpmServer, DeltaFanout), id, x, queries: &[_]| {
+        let events = [ObjectEvent::Move {
+            id: ObjectId(id),
+            to: Point::new(x, 0.5),
+        }];
+        let mut batch = CycleDeltas::default();
+        lane.process_cycle_with_deltas_into(&events, queries, &mut batch)
+            .unwrap();
+        fanout.publish(&batch)
+    };
+    let (mut lane_a, mut lane_b) = (build(), build());
     let mut replica = Replica::new();
-    for step in 0..6u32 {
-        let ev = ObjectEvent::Move {
-            id: ObjectId(step % 12),
-            to: Point::new(0.08 + f64::from(step) * 0.03, 0.5),
-        };
-        for hub in [&mut lane_a, &mut lane_b] {
-            hub.push_update(ev);
-            hub.commit();
+    for step in 0..7u32 {
+        // Cycle 0 carries the two subscriptions' installs.
+        let installs = [knn(0, 0.1, 3), knn(1, 0.9, 2)];
+        let queries = if step == 0 { &installs[..] } else { &[] };
+        for lane in [&mut lane_a, &mut lane_b] {
+            cycle(lane, step % 12, 0.08 + f64::from(step) * 0.03, queries);
         }
-        let _ = lane_a.drain(QueryId(1));
-        let _ = lane_b.drain(QueryId(1));
-        for d in lane_b.drain(QueryId(0)) {
+        for d in lane_b.1.drain(QueryId(0)) {
             replica.apply(&d);
         }
-        lane_a.drain(QueryId(0));
+        lane_a.1.drain(QueryId(0));
     }
-    let epoch_before = lane_b.epoch();
+    let epoch_before = lane_b.0.server().epoch();
     // Quiet cycles emit no delta, so the replica's epoch may trail the
-    // hub's; its *result* is nonetheless current.
+    // server's; its *result* is nonetheless current.
     assert!(replica.epoch() <= epoch_before);
 
-    // Crash lane B; restore its engine from a serialized snapshot.
-    let frame = encode_framed(FRAME_SNAPSHOT, &EngineSnapshot::capture(lane_b.engine()));
+    // Crash lane B: server and fan-out (with query 1's never-drained
+    // backlog) are gone; recover from the snapshot and journal bytes.
+    let (durable, report) =
+        DurableCpmServer::recover(lane_b.0.snapshot_bytes(), lane_b.0.journal_bytes(), 4).unwrap();
     drop(lane_b);
-    let snap: EngineSnapshot<PointQuery> = decode_framed(FRAME_SNAPSHOT, &frame).unwrap();
-    let mut restored = SubscriptionHub::from_engine(snap.restore().unwrap());
-    assert_eq!(restored.epoch(), epoch_before);
-    assert_eq!(restored.subscription_count(), 2);
-    restored.check_invariants();
+    assert_eq!(report.epoch, epoch_before);
+    durable.server().check_invariants();
+    // Rebuild the fan-out at the recovered epoch, every live query's
+    // subscription seeded from its current result — an empty seed would
+    // corrupt the authoritative replica on the next reorder delta.
+    let mut fanout = DeltaFanout::from_epoch(report.epoch);
+    for id in [QueryId(0), QueryId(1)] {
+        assert!(fanout.subscribe_from(id, durable.server().result(id).unwrap()));
+    }
+    let mut restored = (durable, fanout);
 
     // Epoch numbering and the delta stream continue exactly where the
-    // uninterrupted hub's do.
-    let ev = ObjectEvent::Move {
-        id: ObjectId(7),
-        to: Point::new(0.12, 0.5),
-    };
-    // `restored` runs on the snapshot's recorded backend (`DynIndex`), so
-    // the two hubs are distinct types; the streams must still match.
-    lane_a.push_update(ev);
-    restored.push_update(ev);
-    let receipt_a = lane_a.commit();
-    let receipt_b = restored.commit();
+    // uninterrupted deployment's do.
+    let receipt_a = cycle(&mut lane_a, 7, 0.12, &[]);
+    let receipt_b = cycle(&mut restored, 7, 0.12, &[]);
     assert_eq!(receipt_b.epoch, epoch_before + 1);
     assert_eq!(receipt_a, receipt_b);
-    let stream_a = lane_a.drain(QueryId(0));
-    let stream_b = restored.drain(QueryId(0));
-    assert_eq!(stream_a, stream_b, "post-restore delta streams diverged");
+    let stream_b = restored.1.drain(QueryId(0));
+    assert!(!stream_b.is_empty(), "the move must reach query 0");
+    assert_eq!(
+        lane_a.1.drain(QueryId(0)),
+        stream_b,
+        "delta streams diverged"
+    );
     for d in &stream_b {
         replica.apply(d);
     }
-    let (epoch, authoritative) = restored.snapshot(QueryId(0)).unwrap();
-    assert_eq!(replica.epoch(), epoch);
-    assert_eq!(replica.result(), authoritative);
+    let server = restored.0.server();
+    assert_eq!(replica.epoch(), server.epoch());
+    assert_eq!(replica.result(), server.result(QueryId(0)).unwrap());
 
     // A subscriber whose undrained backlog died with the crash (query 1
     // was never drained into a replica) resyncs from the authoritative
-    // snapshot and folds losslessly from there on.
-    let (epoch, result) = restored.resync(QueryId(1));
-    let mut lagged: Replica = Replica::from_snapshot(epoch, result);
-    restored.push_update(ObjectEvent::Move {
-        id: ObjectId(11),
-        to: Point::new(0.88, 0.5),
-    });
-    restored.commit();
-    for d in restored.drain(QueryId(1)) {
+    // result and folds losslessly from there on.
+    let (epoch, result) = restored.1.resync(QueryId(1)).unwrap();
+    let mut lagged = Replica::from_snapshot(epoch, result);
+    cycle(&mut restored, 11, 0.88, &[]);
+    for d in restored.1.drain(QueryId(1)) {
         lagged.apply(&d);
     }
-    assert_eq!(lagged.result(), restored.snapshot(QueryId(1)).unwrap().1);
-    restored.check_invariants();
+    let authoritative = restored.0.server().result(QueryId(1)).unwrap();
+    assert_eq!(lagged.result(), authoritative);
 }
 
 /// The snapshot's structural cross-validation rejects checksum-valid but

@@ -9,6 +9,9 @@
 //!
 //! [`CpmServer`]: cpm_suite::core::CpmServer
 
+mod common;
+
+use common::shard_lanes;
 use cpm_suite::core::server::QueryHandle;
 use cpm_suite::core::{
     AggregateFn, AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServerBuilder, PointQuery,
@@ -16,7 +19,7 @@ use cpm_suite::core::{
 };
 use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
 use cpm_suite::grid::{ObjectEvent, QueryKind};
-use cpm_suite::sim::verify_unified_server;
+use cpm_suite::sim::{verify, Anchors, OpStream};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,24 +42,26 @@ fn dedicated<S: QuerySpec + Send + Sync>(
     e
 }
 
-/// The full sim-harness sweep: server vs dedicated single-kind engines vs
-/// brute force, with object churn, moving queries of every kind, and a
-/// transient mid-stream k-NN query — at S ∈ {1, 4}.
+/// The full harness sweep: one server hosting every kind vs brute force,
+/// with object churn, moving queries and mid-stream install/terminate of
+/// every kind, at S ∈ {1, 4}. (Bit-identity to the dedicated single-kind
+/// engines is `server_results_match_dedicated_engines` below.)
 #[test]
 fn unified_server_matches_dedicated_engines_and_oracles() {
-    verify_unified_server(90, 28, 16, &SHARD_COUNTS);
+    let stream = OpStream::mixed(0x0CF5, 90, 30, Anchors::Free);
+    verify(&stream, &shard_lanes(&SHARD_COUNTS));
 }
 
 /// A denser grid and larger population, fewer cycles (CI budget).
 #[test]
 fn unified_server_conformance_on_fine_grid() {
-    verify_unified_server(220, 10, 64, &SHARD_COUNTS);
+    let stream = OpStream::mixed(0x0CF5, 220, 12, Anchors::Free).dim(64);
+    verify(&stream, &shard_lanes(&SHARD_COUNTS));
 }
 
 /// The acceptance criterion, asserted via metrics: a cycle over a server
-/// hosting every kind performs exactly one `apply_events` pass — the
-/// ingest counter equals the event count, while three dedicated monitors
-/// together pay it three times.
+/// hosting every kind performs exactly one `apply_events` pass — not one
+/// per kind. (The harness asserts it on every single-node lane, too.)
 #[test]
 fn one_cycle_one_ingest_regardless_of_kind_count() {
     for shards in SHARD_COUNTS {
@@ -112,52 +117,11 @@ fn one_cycle_one_ingest_regardless_of_kind_count() {
             events.len() as u64,
             "one server cycle must ingest the batch exactly once (shards={shards})"
         );
-
-        // Contrast: one dedicated engine per kind pays the ingest per
-        // kind. (This is the workload the server exists to collapse.)
-        let mut knn = dedicated(
-            32,
-            1,
-            &objects,
-            QueryId(0),
-            PointQuery(Point::new(0.4, 0.4)),
-            4,
-        );
-        let mut range = dedicated(
-            32,
-            1,
-            &objects,
-            QueryId(1),
-            RangeQuery::rect(Rect::new(Point::new(0.1, 0.1), Point::new(0.5, 0.5))),
-            RangeQuery::UNBOUNDED_K,
-        );
-        let mut con = dedicated(
-            32,
-            1,
-            &objects,
-            QueryId(2),
-            ConstrainedQuery::northeast_of(Point::new(0.5, 0.5)),
-            4,
-        );
-        knn.take_metrics();
-        range.take_metrics();
-        con.take_metrics();
-        knn.process_cycle(&events, &[]);
-        range.process_cycle(&events, &[]);
-        con.process_cycle(&events, &[]);
-        let mut split = knn.take_metrics();
-        split.merge(&range.take_metrics());
-        split.merge(&con.take_metrics());
-        assert_eq!(
-            split.updates_applied,
-            3 * events.len() as u64,
-            "three dedicated engines pay the ingest three times"
-        );
     }
 }
 
 /// Server results must be bit-identical to dedicated single-kind engines
-/// on a shared random stream.
+/// on a shared random stream, and its changed list the union of theirs.
 #[test]
 fn server_results_match_dedicated_engines() {
     let mut rng = StdRng::seed_from_u64(0x0DD);
@@ -208,11 +172,12 @@ fn server_results_match_dedicated_engines() {
                     });
                 }
             }
-            server.process_cycle(&events, &[]).unwrap();
-            knn.process_cycle(&events, &[]);
-            range.process_cycle(&events, &[]);
-            ann.process_cycle(&events, &[]);
-            con.process_cycle(&events, &[]);
+            let changed = server.process_cycle(&events, &[]).unwrap();
+            let mut dedicated = knn.process_cycle(&events, &[]);
+            dedicated.extend(range.process_cycle(&events, &[]));
+            dedicated.extend(ann.process_cycle(&events, &[]));
+            dedicated.extend(con.process_cycle(&events, &[]));
+            assert_eq!(changed, dedicated, "changed lists (shards={shards})");
             assert_eq!(
                 server.result(knn_h).unwrap(),
                 knn.result(QueryId(0)).unwrap(),
@@ -274,6 +239,17 @@ fn registry_errors_and_midstream_churn() {
         Err(CpmError::UnknownQuery(QueryId(1)))
     );
 
+    // One event per query per batch — a subscriber that moves twice in a
+    // cycle is a typed refusal, and the cycle did not run.
+    let moved = |x| SpecEvent::Update {
+        id: QueryId(0),
+        spec: AnyQuerySpec::Knn(PointQuery(Point::new(x, 0.5))),
+    };
+    assert_eq!(
+        server.process_cycle(&[], &[moved(0.2), moved(0.3)]),
+        Err(CpmError::DuplicateQuery(QueryId(0)))
+    );
+
     // Kind confusion through the untyped surface.
     assert_eq!(
         server.update_spec(
@@ -289,9 +265,8 @@ fn registry_errors_and_midstream_churn() {
     server.check_invariants();
 }
 
-/// A unified server with delta capture streams mixed-kind deltas whose
-/// folds match the authoritative snapshots (the hub-level path is covered
-/// in `cpm-sub`; this exercises the server's own delta cycle).
+/// Mixed-kind deltas fold to the authoritative results (the harness does
+/// this for every lane through a fan-out; this is the delta cycle, bare).
 #[test]
 fn unified_delta_cycles_fold_losslessly() {
     use cpm_suite::core::CycleDeltas;
@@ -327,23 +302,16 @@ fn unified_delta_cycles_fold_losslessly() {
             replicas[qid.0 as usize].apply(delta);
         }
         for _ in 0..15 {
-            let events: Vec<ObjectEvent> = (0..6)
-                .map(|_| ObjectEvent::Move {
-                    id: ObjectId(rng.gen_range(0..40u32)),
-                    to: Point::new(rng.gen(), rng.gen()),
-                })
-                .collect();
-            let mut dedup = events.clone();
-            dedup.sort_by_key(|e| match e {
-                ObjectEvent::Move { id, .. } => id.0,
-                _ => u32::MAX,
-            });
-            dedup.dedup_by_key(|e| match e {
-                ObjectEvent::Move { id, .. } => id.0,
-                _ => u32::MAX,
-            });
+            let mut ids: Vec<u32> = (0..6).map(|_| rng.gen_range(0..40)).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let moved = |id| ObjectEvent::Move {
+                id: ObjectId(id),
+                to: Point::new(rng.gen(), rng.gen()),
+            };
+            let events: Vec<ObjectEvent> = ids.into_iter().map(moved).collect();
             server
-                .process_cycle_with_deltas_into(&dedup, &[], &mut out)
+                .process_cycle_with_deltas_into(&events, &[], &mut out)
                 .unwrap();
             for (qid, delta) in &out.deltas {
                 replicas[qid.0 as usize].apply(delta);
