@@ -567,8 +567,9 @@ pub struct CycleDeltas {
 
 impl CycleDeltas {
     /// Canonicalize a freshly filled batch: sort the deltas by query id
-    /// (they are born sorted unless query-event deltas were appended
-    /// after the finalize pass — deltas are fat, so only sort when
+    /// (a core emits them in query-table slot order — id order for
+    /// queries installed in ascending id order into never-reused slots —
+    /// then the query-event deltas; deltas are fat, so only sort when
     /// actually needed) and stamp the epoch. Used by both engines so the
     /// canonical-order contract cannot drift between them.
     ///

@@ -16,7 +16,7 @@
 //!   point query, the cells covering the MBR `M` for an aggregate query),
 //! * optional admission predicates for constrained variants.
 //!
-//! # Two-phase processing cycle
+//! # Processing cycle: ingest, then route → group → resolve
 //!
 //! The engine is structured so a cycle splits cleanly into a *mutating*
 //! and an *immutable* phase:
@@ -24,12 +24,20 @@
 //! 1. **Grid ingest** ([`cpm_grid::apply_events`]): the update batch is
 //!    applied to the grid sequentially, producing one
 //!    [`cpm_grid::UpdateRecord`] per event.
-//! 2. **Query maintenance** (`EngineCore`): departures/arrivals,
-//!    merge-or-recompute resolution and query events run against an
-//!    immutable `&Grid`. All per-query state (query table, influence
-//!    table, metrics, scratch buffers) lives in the `EngineCore`, so
-//!    several cores over *disjoint query sets* can process the same record
-//!    batch concurrently — that is exactly what
+//! 2. **Query maintenance** (`EngineCore`), against an immutable `&Grid`.
+//!    Figure 3.8 handles a timestamp's updates per query ("for each query
+//!    q … affected by updates in U_P"), and so does
+//!    `EngineCore::apply_records`: it *routes* the records through the
+//!    influence lists into `(query, record, departure | arrival)` pairs,
+//!    *groups* the pairs by query with a counting sort over the dense
+//!    query-table slots the lists hold, and *resolves* one query at a
+//!    time — its departures and arrivals in batch order, then
+//!    merge-or-recompute and change detection — so each query's ~2 KB of
+//!    state is pulled into cache once per cycle rather than once per
+//!    pair. Query events run afterwards. All per-query state (query
+//!    table, influence table, metrics, scratch buffers) lives in the
+//!    `EngineCore`, so several cores over *disjoint query sets* can
+//!    process the same record batch concurrently — that is exactly what
 //!    [`crate::ShardedCpmEngine`] does with `std::thread::scope`.
 //!
 //! `EngineCore` is the only implementation of Figures 3.4–3.9 in the
@@ -235,12 +243,12 @@ pub struct SpecQueryState<S> {
     pub heap: SearchHeap,
     /// Pinwheel around the base block.
     pub pinwheel: Pinwheel,
-    epoch: u64,
-    bd_orig: f64,
-    out_count: usize,
+    /// This query's slot in its core's query table — the handle its
+    /// influence registrations carry.
+    slot: u32,
+    /// Incomers of the cycle being resolved (cleared per cycle; a field
+    /// only so its allocation is reused).
     in_list: InList,
-    in_removed: bool,
-    dirty: bool,
     /// Reused output buffer for [`QuerySpec::dist_batch`] bucket scans;
     /// scratch only, never part of the observable query state.
     dist_buf: Vec<f64>,
@@ -253,21 +261,17 @@ pub struct SpecQueryState<S> {
 }
 
 impl<S: QuerySpec> SpecQueryState<S> {
-    fn new(id: QueryId, spec: S, k: usize, dim: u32) -> Self {
+    fn new(id: QueryId, slot: u32, spec: S, k: usize, dim: u32) -> Self {
         Self {
             id,
+            slot,
             spec,
             best: NeighborList::new(k),
             visit_list: Vec::new(),
             influence_len: 0,
             heap: SearchHeap::new(),
             pinwheel: Pinwheel::around_cell(CellCoord::new(0, 0), dim),
-            epoch: 0,
-            bd_orig: f64::INFINITY,
-            out_count: 0,
             in_list: InList::with_cap(k),
-            in_removed: false,
-            dirty: false,
             dist_buf: Vec::new(),
             delta_log: DeltaBuf::new(),
         }
@@ -306,14 +310,28 @@ impl<S: QuerySpec> SpecQueryState<S> {
 /// sets can run concurrently against one shared grid.
 #[derive(Debug)]
 pub(crate) struct EngineCore<S: QuerySpec> {
-    influence: InfluenceTable,
-    queries: FastHashMap<QueryId, SpecQueryState<S>>,
+    /// Influence lists, holding query-table slots: update handling goes
+    /// from a cell to the affected states without hashing a query id.
+    influence: InfluenceTable<u32>,
+    /// The query table (Figure 3.3a): a slab of states, vacant slots
+    /// listed in `free`.
+    queries: Vec<Option<SpecQueryState<S>>>,
+    free: Vec<u32>,
+    /// `QueryId → slot`, for the id-addressed calls (install, update,
+    /// terminate, reads).
+    slot_of: FastHashMap<QueryId, u32>,
     metrics: Metrics,
     epoch: u64,
-    touched: Vec<QueryId>,
     ignored: FastHashSet<QueryId>,
-    qid_buf: Vec<QueryId>,
+    /// The cycle's `(query, record, departure | arrival)` pairs grouped
+    /// by query slot, each packed `record index << 1 | arrival`; slot
+    /// `s`'s group ends at `group_ends[s]` and starts where the previous
+    /// slot's ends. Both recycled across cycles.
+    pairs: Vec<u32>,
+    group_ends: Vec<usize>,
     snapshot: Vec<Neighbor>,
+    /// Scratch for merge resolutions (result ∪ incomers), recycled.
+    merge_buf: Vec<Neighbor>,
     /// When set, every cycle's result changes are also captured as
     /// [`NeighborDelta`]s (cleared at cycle start, drained by
     /// [`crate::ShardedCpmEngine::process_cycle_with_deltas`]).
@@ -335,13 +353,16 @@ impl<S: QuerySpec> EngineCore<S> {
     pub(crate) fn new(dim: u32) -> Self {
         Self {
             influence: InfluenceTable::new(dim),
-            queries: FastHashMap::default(),
+            queries: Vec::new(),
+            free: Vec::new(),
+            slot_of: FastHashMap::default(),
             metrics: Metrics::default(),
             epoch: 0,
-            touched: Vec::new(),
             ignored: FastHashSet::default(),
-            qid_buf: Vec::new(),
+            pairs: Vec::new(),
+            group_ends: Vec::new(),
             snapshot: Vec::new(),
+            merge_buf: Vec::new(),
             collect_deltas: false,
             deltas: Vec::new(),
             regrid_changed: Vec::new(),
@@ -382,15 +403,15 @@ impl<S: QuerySpec> EngineCore<S> {
     }
 
     pub(crate) fn query_count(&self) -> usize {
-        self.queries.len()
+        self.slot_of.len()
     }
 
     pub(crate) fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<S>> {
-        self.queries.get(&id)
+        self.queries[*self.slot_of.get(&id)? as usize].as_ref()
     }
 
     pub(crate) fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.queries.keys().copied()
+        self.slot_of.keys().copied()
     }
 
     pub(crate) fn metrics(&self) -> &Metrics {
@@ -406,9 +427,10 @@ impl<S: QuerySpec> EngineCore<S> {
     /// monitors' unbounded-result sentinel cannot poison the cost model's
     /// average.
     pub(crate) fn k_stats(&self) -> (usize, usize) {
+        let installed = self.queries.iter().flatten();
         (
-            self.queries.len(),
-            self.queries.values().map(|st| st.k().min(256)).sum(),
+            self.slot_of.len(),
+            installed.map(|st| st.k().min(256)).sum(),
         )
     }
 
@@ -428,12 +450,10 @@ impl<S: QuerySpec> EngineCore<S> {
     /// [`EngineCore::finish_regrid`].
     pub(crate) fn rebind_grid<I: SpatialIndex>(&mut self, grid: &Grid<I>) {
         self.influence.reset(grid.dim());
-        self.qid_buf.clear();
-        self.qid_buf.extend(self.queries.keys().copied());
-        self.qid_buf.sort_unstable();
-        let qids = std::mem::take(&mut self.qid_buf);
-        for &qid in &qids {
-            let st = self.queries.get_mut(&qid).expect("listed query");
+        let mut qids: Vec<(QueryId, u32)> = self.slot_of.iter().map(|(&q, &s)| (q, s)).collect();
+        qids.sort_unstable();
+        for (qid, slot) in qids {
+            let st = self.queries[slot as usize].as_mut().expect("listed query");
             st.influence_len = 0;
             let prev: Vec<Neighbor> = st.best.neighbors().to_vec();
             Self::compute_from_scratch(grid, &mut self.influence, st, &mut self.metrics);
@@ -446,7 +466,6 @@ impl<S: QuerySpec> EngineCore<S> {
                 }
             }
         }
-        self.qid_buf = qids;
     }
 
     /// Fold any re-grid-induced result changes into the finishing cycle's
@@ -462,7 +481,7 @@ impl<S: QuerySpec> EngineCore<S> {
         }
         for (qid, pre) in std::mem::take(&mut self.regrid_prelists) {
             // `[]` if the query was terminated by this cycle's events.
-            let cur: &[Neighbor] = self.queries.get(&qid).map_or(&[], |st| st.best.neighbors());
+            let cur: &[Neighbor] = self.query_state(qid).map_or(&[], |st| st.best.neighbors());
             let delta = NeighborDelta::diff(self.epoch, &pre, cur);
             if let Some(at) = self.deltas.iter().position(|(q, _)| *q == qid) {
                 if delta.is_empty() {
@@ -475,7 +494,7 @@ impl<S: QuerySpec> EngineCore<S> {
             }
         }
         for qid in std::mem::take(&mut self.regrid_changed) {
-            if self.queries.contains_key(&qid) && !changed.contains(&qid) {
+            if self.slot_of.contains_key(&qid) && !changed.contains(&qid) {
                 changed.push(qid);
             }
         }
@@ -483,11 +502,8 @@ impl<S: QuerySpec> EngineCore<S> {
 
     /// Query-table memory units of all managed queries (Section 4.1).
     pub(crate) fn query_space_units(&self) -> usize {
-        self.queries
-            .values()
-            .map(|st| st.space_units())
-            .sum::<usize>()
-            + self.influence.total_entries()
+        let installed = self.queries.iter().flatten();
+        installed.map(|st| st.space_units()).sum::<usize>() + self.influence.total_entries()
     }
 
     /// Note which queries have pending query events this cycle; they are
@@ -509,12 +525,17 @@ impl<S: QuerySpec> EngineCore<S> {
         if k == 0 {
             return Err(CpmError::InvalidK(id));
         }
-        if self.queries.contains_key(&id) {
+        if self.slot_of.contains_key(&id) {
             return Err(CpmError::DuplicateQuery(id));
         }
-        let mut st = SpecQueryState::new(id, spec, k, grid.dim());
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.queries.push(None);
+            (self.queries.len() - 1) as u32
+        });
+        let mut st = SpecQueryState::new(id, slot, spec, k, grid.dim());
         Self::compute_from_scratch(grid, &mut self.influence, &mut st, &mut self.metrics);
-        Ok(self.queries.entry(id).or_insert(st).result())
+        self.slot_of.insert(id, slot);
+        Ok(self.queries[slot as usize].insert(st).result())
     }
 
     /// Overwrite the cycle counter during snapshot restore, after the
@@ -544,7 +565,7 @@ impl<S: QuerySpec> EngineCore<S> {
         captured: &[Neighbor],
     ) -> Result<(), CpmError> {
         self.install(grid, id, spec, k)?;
-        let st = &self.queries[&id];
+        let st = self.query_state(id).expect("just installed");
         if st.best.neighbors() != captured {
             self.regrid_changed.push(id);
             if self.collect_deltas {
@@ -555,15 +576,13 @@ impl<S: QuerySpec> EngineCore<S> {
     }
 
     pub(crate) fn terminate(&mut self, id: QueryId) -> Result<(), CpmError> {
-        match self.queries.remove(&id) {
-            Some(st) => {
-                for &(cell, _) in &st.visit_list[..st.influence_len] {
-                    self.influence.remove(cell, id);
-                }
-                Ok(())
-            }
-            None => Err(CpmError::UnknownQuery(id)),
+        let slot = self.slot_of.remove(&id).ok_or(CpmError::UnknownQuery(id))?;
+        let st = self.queries[slot as usize].take().expect("mapped slot");
+        for &(cell, _) in &st.visit_list[..st.influence_len] {
+            self.influence.remove(cell, slot);
         }
+        self.free.push(slot);
+        Ok(())
     }
 
     pub(crate) fn update_spec<I: SpatialIndex>(
@@ -572,12 +591,10 @@ impl<S: QuerySpec> EngineCore<S> {
         id: QueryId,
         spec: S,
     ) -> Result<&[Neighbor], CpmError> {
-        let st = self
-            .queries
-            .get_mut(&id)
-            .ok_or(CpmError::UnknownQuery(id))?;
+        let slot = *self.slot_of.get(&id).ok_or(CpmError::UnknownQuery(id))?;
+        let st = self.queries[slot as usize].as_mut().expect("mapped slot");
         for &(cell, _) in &st.visit_list[..st.influence_len] {
-            self.influence.remove(cell, id);
+            self.influence.remove(cell, slot);
         }
         st.influence_len = 0;
         st.spec = spec;
@@ -586,9 +603,27 @@ impl<S: QuerySpec> EngineCore<S> {
     }
 
     /// Run the batched update handling (Figure 3.8) for an already-ingested
-    /// record batch. Only queries managed by *this* core are affected: each
-    /// record is routed through this core's influence table, so records that
-    /// touch no influenced cell are skipped for free.
+    /// record batch, query-major — "for each query q affected by updates
+    /// in U_P" — in three steps:
+    ///
+    /// 1. **Route**: walk the records, reading nothing but this core's
+    ///    influence lists, once to count the `(query, record, departure |
+    ///    arrival)` pairs per query slot and once to scatter them. A
+    ///    record that touches no influenced cell costs two directory
+    ///    reads per walk.
+    /// 2. **Group**: the scatter *is* the grouping — a counting sort over
+    ///    the dense slots, stable by construction: each query's events
+    ///    stay in batch order, a record's departure before its arrival.
+    /// 3. **Resolve**: per query, apply its events and finish it
+    ///    ([`EngineCore::resolve`]) while its state is the only one in
+    ///    cache.
+    ///
+    /// A query's outcome depends on its own event sequence, on the
+    /// post-ingest grid and on its own influence registrations — none of
+    /// which another query's resolution writes — so results, `changed`,
+    /// deltas and `Metrics` are those of walking the batch record by
+    /// record. Queries resolve in slot order; the callers put `changed`
+    /// and the deltas into canonical id order.
     pub(crate) fn apply_records<I: SpatialIndex>(
         &mut self,
         grid: &Grid<I>,
@@ -596,18 +631,57 @@ impl<S: QuerySpec> EngineCore<S> {
         changed: &mut Vec<QueryId>,
     ) {
         self.epoch += 1;
-        self.touched.clear();
+        assert!(
+            records.len() <= (u32::MAX >> 1) as usize,
+            "record index must fit the packed pair"
+        );
 
-        for rec in records {
-            if let Some(old_cell) = rec.old_cell {
-                self.process_departure(rec.id, old_cell, rec.new_pos);
-            }
-            if let (Some(new_cell), Some(new_pos)) = (rec.new_cell, rec.new_pos) {
-                self.process_arrival(rec.id, new_cell, new_pos);
-            }
+        let mut ends = std::mem::take(&mut self.group_ends);
+        ends.clear();
+        ends.resize(self.queries.len(), 0);
+        self.for_each_pair(records, |slot, _| ends[slot] += 1);
+        let mut total = 0;
+        for end in &mut ends {
+            let count = *end;
+            *end = total; // the group's start; the scatter advances it to its end
+            total += count;
         }
 
-        self.finalize_touched(grid, changed);
+        let mut pairs = std::mem::take(&mut self.pairs);
+        pairs.clear();
+        pairs.resize(total, 0);
+        self.for_each_pair(records, |slot, pair| {
+            pairs[ends[slot]] = pair;
+            ends[slot] += 1;
+        });
+
+        let mut start = 0;
+        for (slot, &end) in ends.iter().enumerate() {
+            if end > start {
+                self.resolve(grid, records, slot, &pairs[start..end], changed);
+            }
+            start = end;
+        }
+        self.pairs = pairs;
+        self.group_ends = ends;
+    }
+
+    /// Visit every `(query slot, packed pair)` of the batch in batch
+    /// order, a record's departure before its arrival.
+    fn for_each_pair(&self, records: &[UpdateRecord], mut visit: impl FnMut(usize, u32)) {
+        for (i, rec) in records.iter().enumerate() {
+            let at = (i as u32) << 1;
+            if let Some(old_cell) = rec.old_cell {
+                for &slot in self.influence.queries_at(old_cell) {
+                    visit(slot as usize, at);
+                }
+            }
+            if let (Some(new_cell), Some(_)) = (rec.new_cell, rec.new_pos) {
+                for &slot in self.influence.queries_at(new_cell) {
+                    visit(slot as usize, at | 1);
+                }
+            }
+        }
     }
 
     /// Apply this core's share of the cycle's query events, in batch order.
@@ -629,8 +703,7 @@ impl<S: QuerySpec> EngineCore<S> {
                     let epoch = self.epoch;
                     if self.collect_deltas {
                         let st = self
-                            .queries
-                            .get_mut(id)
+                            .query_state(*id)
                             .unwrap_or_else(|| panic!("update of unknown query {id}"));
                         // Query events are rare relative to object
                         // updates; a plain owned snapshot is fine here.
@@ -676,7 +749,7 @@ impl<S: QuerySpec> EngineCore<S> {
 
     fn compute_from_scratch<I: SpatialIndex>(
         grid: &Grid<I>,
-        inf: &mut InfluenceTable,
+        inf: &mut InfluenceTable<u32>,
         st: &mut SpecQueryState<S>,
         metrics: &mut Metrics,
     ) {
@@ -711,7 +784,7 @@ impl<S: QuerySpec> EngineCore<S> {
 
     fn recompute<I: SpatialIndex>(
         grid: &Grid<I>,
-        inf: &mut InfluenceTable,
+        inf: &mut InfluenceTable<u32>,
         st: &mut SpecQueryState<S>,
         metrics: &mut Metrics,
     ) {
@@ -785,7 +858,7 @@ impl<S: QuerySpec> EngineCore<S> {
         }
     }
 
-    fn sync_influence(inf: &mut InfluenceTable, st: &mut SpecQueryState<S>) {
+    fn sync_influence(inf: &mut InfluenceTable<u32>, st: &mut SpecQueryState<S>) {
         let bd = st.best.best_dist();
         let new_len = if bd.is_finite() {
             st.visit_list.partition_point(|&(_, key)| key <= bd)
@@ -793,43 +866,71 @@ impl<S: QuerySpec> EngineCore<S> {
             st.visit_list.len()
         };
         for i in st.influence_len..new_len {
-            inf.add(st.visit_list[i].0, st.id);
+            inf.add(st.visit_list[i].0, st.slot);
         }
         for i in new_len..st.influence_len {
-            inf.remove(st.visit_list[i].0, st.id);
+            inf.remove(st.visit_list[i].0, st.slot);
         }
         st.influence_len = new_len;
     }
 
     // ---- update handling (Figure 3.8, aggregate distances) ----
 
-    fn process_departure(&mut self, id: ObjectId, old_cell: CellCoord, new_pos: Option<Point>) {
-        let qids = self.influence.queries_at(old_cell);
-        if qids.is_empty() {
+    /// One query's share of a cycle: its departures and arrivals
+    /// (`events`, packed as in `EngineCore::pairs`) in batch order, then
+    /// merge-or-recompute resolution and change detection. A query with a
+    /// pending query event is skipped ("to avoid waste of computations
+    /// for obsolete queries", Section 3.3).
+    fn resolve<I: SpatialIndex>(
+        &mut self,
+        grid: &Grid<I>,
+        records: &[UpdateRecord],
+        slot: usize,
+        events: &[u32],
+        changed: &mut Vec<QueryId>,
+    ) {
+        let st = self.queries[slot].as_mut().expect("influence list in sync");
+        let qid = st.id;
+        if self.ignored.contains(&qid) {
             return;
         }
-        self.qid_buf.clear();
-        self.qid_buf
-            .extend(qids.iter().copied().filter(|q| !self.ignored.contains(q)));
-        for i in 0..self.qid_buf.len() {
-            let qid = self.qid_buf[i];
-            let st = self.queries.get_mut(&qid).expect("influence list in sync");
-            Self::touch(st, self.epoch, &mut self.touched);
+        let bd_orig = st.best_dist();
+        let mut out_count = 0usize;
+        // An incomer left again — with an eviction, `in_list` is unsound.
+        let mut in_removed = false;
+        // A result entry was mutated in place by a departure.
+        let mut dirty = false;
+        st.in_list.clear();
+        st.delta_log.clear();
+
+        for &ev in events {
+            let rec = &records[(ev >> 1) as usize];
+            let id = rec.id;
+            if ev & 1 == 1 {
+                let d = st
+                    .spec
+                    .dist(rec.new_pos.expect("arrivals carry a position"));
+                if d <= bd_orig && d.is_finite() && !st.best.contains(id) {
+                    st.in_list.update(id, d);
+                }
+                continue;
+            }
             if st.in_list.remove(id) {
-                st.in_removed = true;
+                in_removed = true;
             }
             if st.best.contains(id) {
                 // `is_finite` mirrors the arrival guard: with an unfull
                 // result `bd_orig` is +∞, and a member moving somewhere it
                 // can never qualify (outside a constraint/range region,
                 // dist = +∞) must be outgoing, not kept at rank ∞.
-                let still_in = new_pos
+                let still_in = rec
+                    .new_pos
                     .map(|p| st.spec.dist(p))
-                    .filter(|d| d.is_finite() && *d <= st.bd_orig);
+                    .filter(|d| d.is_finite() && *d <= bd_orig);
                 let old_entry = match still_in {
                     Some(d) => st.best.update_dist(id, d),
                     None => {
-                        st.out_count += 1;
+                        out_count += 1;
                         st.best.remove(id).expect("member just checked")
                     }
                 };
@@ -839,130 +940,82 @@ impl<S: QuerySpec> EngineCore<S> {
                 if self.collect_deltas && !st.delta_log.iter().any(|&(l, _)| l == old_entry.id) {
                     st.delta_log.push((old_entry.id, old_entry.dist));
                 }
-                st.dirty = true;
+                dirty = true;
             }
         }
-    }
 
-    fn process_arrival(&mut self, id: ObjectId, new_cell: CellCoord, new_pos: Point) {
-        let qids = self.influence.queries_at(new_cell);
-        if qids.is_empty() {
-            return;
+        let unsound_in_list = st.in_list.evicted_since_clear() && in_removed;
+        let mut resolved = false;
+        if unsound_in_list || st.in_list.len() < out_count {
+            self.snapshot.clear();
+            self.snapshot.extend_from_slice(st.best.neighbors());
+            Self::recompute(grid, &mut self.influence, st, &mut self.metrics);
+            resolved = true;
+        } else if out_count > 0 || st.in_list.len() > 0 {
+            self.snapshot.clear();
+            self.snapshot.extend_from_slice(st.best.neighbors());
+            self.merge_buf.clear();
+            self.merge_buf.extend_from_slice(&self.snapshot);
+            self.merge_buf.extend_from_slice(st.in_list.entries());
+            st.best.rebuild_from(&mut self.merge_buf);
+            self.metrics.merge_resolutions += 1;
+            self.metrics.by_kind[st.spec.kind() as usize].merge_resolutions += 1;
+            resolved = true;
+            Self::sync_influence(&mut self.influence, st);
+        } else if dirty {
+            Self::sync_influence(&mut self.influence, st);
         }
-        self.qid_buf.clear();
-        self.qid_buf
-            .extend(qids.iter().copied().filter(|q| !self.ignored.contains(q)));
-        for i in 0..self.qid_buf.len() {
-            let qid = self.qid_buf[i];
-            let st = self.queries.get_mut(&qid).expect("influence list in sync");
-            Self::touch(st, self.epoch, &mut self.touched);
-            let d = st.spec.dist(new_pos);
-            if d <= st.bd_orig && d.is_finite() && !st.best.contains(id) {
-                st.in_list.update(id, d);
-            }
-        }
-    }
 
-    fn touch(st: &mut SpecQueryState<S>, epoch: u64, touched: &mut Vec<QueryId>) {
-        if st.epoch != epoch {
-            st.epoch = epoch;
-            st.bd_orig = st.best_dist();
-            st.out_count = 0;
-            st.in_list.clear();
-            st.in_removed = false;
-            st.dirty = false;
-            st.delta_log.clear();
-            touched.push(st.id);
-        }
-    }
-
-    fn finalize_touched<I: SpatialIndex>(&mut self, grid: &Grid<I>, changed: &mut Vec<QueryId>) {
-        let mut touched = std::mem::take(&mut self.touched);
-        // Each query's resolution is independent, so the finalize order is
-        // free to choose. With delta capture on, walking in ascending id
-        // order makes the emitted delta list born-canonical — sorting the
-        // 4-byte ids here is far cheaper than sorting materialized deltas
-        // afterwards.
+        // Change detection. `dirty` covers in-place departure mutations:
+        // the snapshot is *post*-departure, so a result that shrank and
+        // refilled nothing compares equal to it even though it changed
+        // versus the cycle start.
         if self.collect_deltas {
-            touched.sort_unstable();
-        }
-        for &qid in &touched {
-            let st = self.queries.get_mut(&qid).expect("touched query installed");
-            let unsound_in_list = st.in_list.evicted_since_clear() && st.in_removed;
-
-            let mut resolved = false;
-            if unsound_in_list || st.in_list.len() < st.out_count {
-                self.snapshot.clear();
-                self.snapshot.extend_from_slice(st.best.neighbors());
-                Self::recompute(grid, &mut self.influence, st, &mut self.metrics);
-                resolved = true;
-            } else if st.out_count > 0 || st.in_list.len() > 0 {
-                self.snapshot.clear();
-                self.snapshot.extend_from_slice(st.best.neighbors());
-                let mut candidates = Vec::with_capacity(self.snapshot.len() + st.in_list.len());
-                candidates.extend_from_slice(&self.snapshot);
-                candidates.extend_from_slice(st.in_list.entries());
-                st.best.rebuild_from(candidates);
-                self.metrics.merge_resolutions += 1;
-                self.metrics.by_kind[st.spec.kind() as usize].merge_resolutions += 1;
-                resolved = true;
-                Self::sync_influence(&mut self.influence, st);
-            } else if st.dirty {
-                Self::sync_influence(&mut self.influence, st);
-            }
-
-            // Change detection. `dirty` covers in-place departure
-            // mutations: the snapshot is *post*-departure, so a result
-            // that shrank and refilled nothing compares equal to it even
-            // though it changed versus the cycle start.
-            if self.collect_deltas {
-                if resolved || st.dirty {
-                    // Everything the delta needs is cache-hot right here:
-                    // the pre-resolution snapshot (just written above; the
-                    // final list itself when no merge/recompute ran), the
-                    // final list, and the in-place mutation log pinning
-                    // down the cycle-start distances. The delta subsumes
-                    // the plain path's snapshot comparison: for non-dirty
-                    // queries an empty delta means bitwise-equal lists
-                    // (distances are never NaN or -0.0, so bit equality
-                    // and `==` agree), keeping `changed` identical with
-                    // capture on or off.
-                    let pre: &[Neighbor] = if resolved {
-                        &self.snapshot
-                    } else {
-                        st.best.neighbors()
-                    };
-                    let delta = NeighborDelta::from_log(
-                        self.epoch,
-                        pre,
-                        st.delta_log.as_slice(),
-                        st.best.neighbors(),
-                    );
-                    if st.dirty || !delta.is_empty() {
-                        changed.push(qid);
-                    }
-                    if !delta.is_empty() {
-                        self.deltas.push((qid, delta));
-                    }
+            if resolved || dirty {
+                // Everything the delta needs is cache-hot right here: the
+                // pre-resolution snapshot (just written above; the final
+                // list itself when no merge/recompute ran), the final
+                // list, and the in-place mutation log pinning down the
+                // cycle-start distances. The delta subsumes the plain
+                // path's snapshot comparison: for non-dirty queries an
+                // empty delta means bitwise-equal lists (distances are
+                // never NaN or -0.0, so bit equality and `==` agree),
+                // keeping `changed` identical with capture on or off.
+                let pre: &[Neighbor] = if resolved {
+                    &self.snapshot
+                } else {
+                    st.best.neighbors()
+                };
+                let delta = NeighborDelta::from_log(
+                    self.epoch,
+                    pre,
+                    st.delta_log.as_slice(),
+                    st.best.neighbors(),
+                );
+                if dirty || !delta.is_empty() {
+                    changed.push(qid);
                 }
-            } else if st.dirty || (resolved && self.snapshot != st.best.neighbors()) {
-                changed.push(qid);
+                if !delta.is_empty() {
+                    self.deltas.push((qid, delta));
+                }
             }
+        } else if dirty || (resolved && self.snapshot != st.best.neighbors()) {
+            changed.push(qid);
         }
-        self.touched = touched;
     }
 
     /// Verify all cross-structure invariants against `grid` (test helper).
     pub(crate) fn check_invariants<I: SpatialIndex>(&self, grid: &Grid<I>) {
-        for (qid, st) in &self.queries {
-            assert_eq!(*qid, st.id);
+        for (qid, &slot) in &self.slot_of {
+            let st = self.queries[slot as usize].as_ref().expect("mapped slot");
+            assert_eq!((*qid, slot), (st.id, st.slot));
             st.best.check_invariants();
             for w in st.visit_list.windows(2) {
                 assert!(w[0].1 <= w[1].1, "visit list out of order");
             }
             let bd = st.best_dist();
             for (i, &(cell, key)) in st.visit_list.iter().enumerate() {
-                let registered = self.influence.contains(cell, *qid);
+                let registered = self.influence.contains(cell, slot);
                 assert_eq!(registered, i < st.influence_len, "registration mismatch");
                 if bd.is_finite() {
                     assert_eq!(key <= bd, i < st.influence_len, "prefix mismatch");
@@ -980,8 +1033,14 @@ impl<S: QuerySpec> EngineCore<S> {
             }
             assert!(st.heap.boundary_boxes() <= 4);
         }
-        let total: usize = self.queries.values().map(|st| st.influence_len).sum();
+        let installed = self.queries.iter().flatten();
+        let total: usize = installed.map(|st| st.influence_len).sum();
         assert_eq!(self.influence.total_entries(), total);
+        assert!(self
+            .free
+            .iter()
+            .all(|&s| self.queries[s as usize].is_none()));
+        assert_eq!(self.slot_of.len() + self.free.len(), self.queries.len());
     }
 }
 

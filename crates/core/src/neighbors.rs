@@ -153,22 +153,22 @@ impl NeighborList {
         old
     }
 
-    /// Rebuild from an iterator of candidates, keeping the best `k`.
-    /// Used by the merge step of update handling (Figure 3.8 lines 19–20).
-    pub fn rebuild_from<I: IntoIterator<Item = Neighbor>>(&mut self, candidates: I) {
+    /// Rebuild from `candidates`, keeping the best `k`. Used by the merge
+    /// step of update handling (Figure 3.8 lines 19–20). `candidates` is
+    /// the caller's scratch: it is sorted and de-duplicated in place, and
+    /// the list's own buffers are refilled rather than replaced, so a
+    /// merge allocates nothing.
+    pub fn rebuild_from(&mut self, candidates: &mut Vec<Neighbor>) {
         self.clear();
-        let mut all: Vec<Neighbor> = candidates.into_iter().collect();
-        all.sort_unstable_by(|a, b| {
+        candidates.sort_unstable_by(|a, b| {
             (a.dist, a.id)
                 .partial_cmp(&(b.dist, b.id))
                 .expect("distances are never NaN")
         });
-        all.dedup_by_key(|n| n.id);
-        all.truncate(self.k);
-        for n in &all {
-            self.members.insert(n.id);
-        }
-        self.entries = all;
+        candidates.dedup_by_key(|n| n.id);
+        candidates.truncate(self.k);
+        self.members.extend(candidates.iter().map(|n| n.id));
+        self.entries.extend_from_slice(candidates);
     }
 
     /// Verify internal invariants (test helper).
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn rebuild_keeps_best_k_and_dedups() {
         let mut l = NeighborList::new(2);
-        l.rebuild_from(vec![
+        l.rebuild_from(&mut vec![
             Neighbor {
                 id: ObjectId(1),
                 dist: 0.9,

@@ -244,6 +244,8 @@ impl CpmServerBuilder {
             rnn: FastHashMap::default(),
             verify_metrics: Metrics::default(),
             event_scratch: Vec::new(),
+            seen_objects: FastHashSet::default(),
+            seen_queries: FastHashSet::default(),
         })
     }
 
@@ -310,6 +312,10 @@ pub struct CpmServer {
     verify_metrics: Metrics,
     /// Scratch: validated + normalized query events, reused per cycle.
     event_scratch: Vec<SpecEvent<AnyQuerySpec>>,
+    /// Scratch: the ids a batch has named so far (duplicate detection),
+    /// cleared per cycle so a steady batch size never rehashes.
+    seen_objects: FastHashSet<ObjectId>,
+    seen_queries: FastHashSet<QueryId>,
 }
 
 /// The registry state [`CpmServer::export_registry`] hands to snapshot
@@ -371,6 +377,8 @@ impl CpmServer {
                 .collect(),
             verify_metrics,
             event_scratch: Vec::new(),
+            seen_objects: FastHashSet::default(),
+            seen_queries: FastHashSet::default(),
         }
     }
 
@@ -821,13 +829,14 @@ impl CpmServer {
         let Self {
             kinds,
             event_scratch,
+            seen_queries: seen,
             ..
         } = self;
         event_scratch.clear();
         // One event per query per batch (the subscription hub's rule,
         // promoted to a typed error): a second event for the same id
         // would make changed-list and delta ordering ambiguous.
-        let mut seen: FastHashSet<QueryId> = FastHashSet::default();
+        seen.clear();
         for ev in query_events {
             if !seen.insert(ev.id()) {
                 return Err(CpmError::DuplicateQuery(ev.id()));
@@ -898,8 +907,9 @@ impl CpmServer {
     /// outside the unit workspace, or two events for one object in a batch
     /// are typed errors and the whole batch is rejected — a corrupted
     /// producer cannot half-apply a cycle.
-    fn validate_object_events(object_events: &[ObjectEvent]) -> Result<(), CpmError> {
-        let mut seen: FastHashSet<ObjectId> = FastHashSet::default();
+    fn validate_object_events(&mut self, object_events: &[ObjectEvent]) -> Result<(), CpmError> {
+        let seen = &mut self.seen_objects;
+        seen.clear();
         for ev in object_events {
             let id = ev.id();
             if !seen.insert(id) {
@@ -974,7 +984,7 @@ impl CpmServer {
         object_events: &[ObjectEvent],
         query_events: &[SpecEvent<AnyQuerySpec>],
     ) -> Result<Vec<QueryId>, CpmError> {
-        Self::validate_object_events(object_events)?;
+        self.validate_object_events(object_events)?;
         self.stage_events(query_events)?;
         let events = std::mem::take(&mut self.event_scratch);
         let mut changed = self.engine.process_cycle(object_events, &events);
@@ -1005,7 +1015,7 @@ impl CpmServer {
         query_events: &[SpecEvent<AnyQuerySpec>],
         out: &mut CycleDeltas,
     ) -> Result<(), CpmError> {
-        Self::validate_object_events(object_events)?;
+        self.validate_object_events(object_events)?;
         self.stage_events(query_events)?;
         let events = std::mem::take(&mut self.event_scratch);
         self.engine

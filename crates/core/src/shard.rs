@@ -14,22 +14,27 @@
 //!    shared grid once, producing read-only [`UpdateRecord`]s
 //!    ([`cpm_grid::apply_events`]). This is the only step that mutates the
 //!    grid and it is cheap (`Time_ind = 2` per update).
-//! 2. **Parallel per-shard maintenance.** Every shard, on its own
-//!    `std::thread::scope` worker, derives its slice of the batch by
-//!    probing its influence table at each record's old/new cell (records
-//!    that touch no influenced cell are skipped for free), runs the
-//!    departure/arrival and merge-or-recompute machinery against the now
-//!    immutable grid, and applies its share of the query events.
+//! 2. **Parallel per-shard maintenance: route → group → resolve.** Every
+//!    shard, on its own `std::thread::scope` worker, *routes* the batch
+//!    through its influence table (a record that touches no cell this
+//!    shard's queries are influenced by costs only directory reads),
+//!    *groups* the resulting `(query, record)` pairs by query, and
+//!    *resolves* one query at a time — departures and arrivals in batch
+//!    order, then merge-or-recompute — against the now immutable grid;
+//!    then it applies its share of the query events. The code is the
+//!    same at every `S`; one shard simply owns every query.
 //!
 //! Results are merged deterministically: the changed-query lists are
 //! concatenated in shard order and canonicalized by query id, and the
 //! per-shard [`Metrics`] are summed with [`Metrics::merge`] (u64 addition —
 //! associative and commutative, so totals are independent of scheduling).
-//! Because each query's processing depends only on its own state, the
-//! record batch in order, and the post-ingest grid, the per-query results
-//! are **bit-identical** to the `S = 1` engine's for every shard count —
-//! a property the determinism suite (`tests/sharded_determinism.rs`) and
-//! [`cpm_sim`'s oracle cross-check] assert on random workloads.
+//! Because each query's processing depends only on its own state, its own
+//! events in batch order, and the post-ingest grid — the same fact that
+//! lets a shard handle the batch query by query instead of record by
+//! record — the per-query results are **bit-identical** to the `S = 1`
+//! engine's for every shard count, a property the determinism suite
+//! (`tests/sharded_determinism.rs`) and [`cpm_sim`'s oracle cross-check]
+//! assert on random workloads.
 //!
 //! [`cpm_sim`'s oracle cross-check]: ../../cpm_sim/verify/fn.verify.html
 

@@ -1,8 +1,9 @@
 //! The uniform cell-index backend and the composed grid facade.
 //!
 //! [`CellIndex`] is the paper-exact backend of the [`SpatialIndex`]
-//! layer: dense per-cell buckets in a sparse hash map, keyed by the
-//! conceptual cell geometry ([`GridGeom`]). [`Grid`] composes **any**
+//! layer: dense per-cell buckets behind a `dim²` directory of `u32`
+//! slots, addressed by the conceptual cell geometry ([`GridGeom`]) — a
+//! cell access is an array read, never a hash probe. [`Grid`] composes **any**
 //! backend with the δ-independent [`ObjectStore`] (positions +
 //! back-pointers) and presents the classic single-type index surface the
 //! monitors were written against — plus [`Grid::regrid`], which rebuilds
@@ -11,45 +12,43 @@
 //! which validates the dimension / [`IndexKind`] combination at build
 //! time.
 
-use cpm_geom::{FastHashMap, ObjectId, Point, Rect};
+use cpm_geom::{ObjectId, Point, Rect};
 
+use crate::directory::CellDirectory;
 use crate::index::OccupancyHistogram;
 use crate::store::BackRef;
 use crate::{CellCoord, DynIndex, GridConfigError, GridGeom, IndexKind, ObjectStore, SpatialIndex};
 
-/// Spare-bucket pool cap: empty cells hand their allocation back for reuse
-/// so steady-state update churn allocates nothing, but the pool never
-/// hoards more than this many vectors.
-const BUCKET_POOL_CAP: usize = 4096;
-
-/// Largest per-vector capacity worth pooling. A hot cell under skewed data
-/// can grow a huge bucket; once it empties, recycling that allocation into
-/// ordinary few-object cells would pin the memory forever, so oversized
-/// spares are dropped instead.
-const POOLED_VEC_CAP: usize = 256;
-
 /// The uniform-grid [`SpatialIndex`] backend: cell buckets plus the
 /// conceptual cell geometry. The paper-exact default.
 ///
-/// # Storage layout (dense slot-based buckets)
+/// # Storage layout (directory + dense slot-based buckets)
 ///
-/// Occupied cells are stored sparsely (hash map keyed by packed cell id —
-/// at the paper's largest granularity of 1024², one million cells, only
-/// ~10% are occupied by the default 100K objects), but each occupied cell
-/// owns a **contiguous `Vec<ObjectId>` bucket** rather than a hash set:
+/// `cell.id(dim)` is row-major and dense, so the per-cell lookup is a
+/// **directory**: one `u32` per conceptual cell, `0` for an empty cell,
+/// `s + 1` for a cell whose objects live in slot `s` of a bucket slab.
+/// It costs 4 bytes per cell whatever the occupancy — 64 KiB at 128²,
+/// 1 MiB at 512², 4 MiB at the paper's largest granularity of 1024²
+/// (where ~10 % of the cells are occupied by the default 100K objects),
+/// 64 MiB at the 4096² ceiling — and is allocated zeroed, so the pages of
+/// never-occupied regions are not resident. A workspace far too sparse
+/// for that trade belongs on [`crate::QuadtreeIndex`]. Only occupied
+/// cells own storage beyond their directory entry, a **contiguous
+/// `Vec<ObjectId>` bucket** rather than a hash set:
 ///
 /// * a cell scan — the unit the experiments count as one *cell access*
-///   (Section 6, Figure 6.3b) — is a linear sweep over contiguous memory,
-///   with none of the control-byte hopping of a hash set;
+///   (Section 6, Figure 6.3b) — is one directory read and a linear sweep
+///   over contiguous memory;
 /// * the per-object back-pointer table (`oid → (cell_id, slot)`, stored in
 ///   [`ObjectStore`] because its shape is δ-independent) makes removal
 ///   O(1) via *swap-remove*: the last bucket element is moved into the
-///   vacated slot and its back-pointer is patched. No object id is ever
-///   hashed on the update path (the only hash per step is the cell id),
-///   and `Time_ind = 2` of the Section 4.1 cost model — one deletion plus
-///   one insertion per location update — is preserved exactly;
-/// * buckets that empty return their allocation to a small pool, so
-///   steady-state update churn is allocation-free.
+///   vacated slot and its back-pointer is patched. Nothing is hashed on
+///   the update path, and `Time_ind = 2` of the Section 4.1 cost model —
+///   one deletion plus one insertion per location update — is preserved
+///   exactly;
+/// * a bucket that empties leaves its slab slot vacant with its
+///   allocation in place (up to a pool cap), so steady-state update churn
+///   is allocation-free.
 ///
 /// Swap-remove reorders bucket contents, which is invisible to the
 /// monitoring algorithms: the paper treats cell object lists as unordered
@@ -61,12 +60,9 @@ const POOLED_VEC_CAP: usize = 256;
 #[derive(Debug, Clone)]
 pub struct CellIndex {
     geom: GridGeom,
-    /// Sparse map: packed cell id → dense bucket of objects in the cell.
+    /// Packed cell id → dense bucket of the objects in the cell.
     /// Invariant: every stored bucket is non-empty.
-    cells: FastHashMap<u64, Vec<ObjectId>>,
-    /// Recycled bucket allocations (all empty), capped at
-    /// [`BUCKET_POOL_CAP`].
-    bucket_pool: Vec<Vec<ObjectId>>,
+    cells: CellDirectory<ObjectId>,
     /// Incremental occupancy statistics (occupied cells, hot-cell max).
     hist: OccupancyHistogram,
 }
@@ -79,10 +75,10 @@ impl CellIndex {
     /// clamping assumptions hold for `δ ≥ 1/4096`; the paper uses at most
     /// 1024).
     pub fn new(dim: u32) -> Self {
+        let geom = GridGeom::new(dim);
         Self {
-            geom: GridGeom::new(dim),
-            cells: FastHashMap::default(),
-            bucket_pool: Vec::new(),
+            geom,
+            cells: CellDirectory::new(geom.total_cells()),
             hist: OccupancyHistogram::default(),
         }
     }
@@ -102,7 +98,7 @@ impl CellIndex {
     /// Number of non-empty cells.
     #[inline]
     pub fn occupied_count(&self) -> usize {
-        self.cells.len()
+        self.cells.occupied()
     }
 
     /// The cell containing point `p` (see [`GridGeom::cell_of`]).
@@ -134,16 +130,14 @@ impl CellIndex {
     /// if the cell is unoccupied).
     #[inline]
     pub fn objects_in(&self, c: CellCoord) -> &[ObjectId] {
-        self.cells
-            .get(&c.id(self.geom.dim()))
-            .map_or(&[], |bucket| bucket.as_slice())
+        self.cells.get(c.id(self.geom.dim()))
     }
 
     /// Iterate over the coordinates of all non-empty cells, in
     /// unspecified order.
     pub fn occupied_cells(&self) -> impl Iterator<Item = CellCoord> + '_ {
         let geom = self.geom;
-        self.cells.keys().map(move |&id| geom.cell_from_id(id))
+        self.cells.iter().map(move |(id, _)| geom.cell_from_id(id))
     }
 
     /// Iterate, in row-major order and without allocating, over all cells
@@ -172,10 +166,7 @@ impl CellIndex {
     fn attach_inner(&mut self, backrefs: &mut [BackRef], oid: ObjectId, p: Point) -> CellCoord {
         let cell = self.geom.cell_of(p);
         let cell_id = cell.id(self.geom.dim());
-        let bucket = self
-            .cells
-            .entry(cell_id)
-            .or_insert_with(|| self.bucket_pool.pop().unwrap_or_default());
+        let bucket = self.cells.occupy(cell_id);
         bucket.push(oid);
         let len = bucket.len();
         backrefs[oid.index()] = BackRef {
@@ -199,7 +190,7 @@ impl SpatialIndex for CellIndex {
 
     #[inline]
     fn occupied_count(&self) -> usize {
-        self.cells.len()
+        CellIndex::occupied_count(self)
     }
 
     #[inline]
@@ -226,7 +217,7 @@ impl SpatialIndex for CellIndex {
         let BackRef { cell_id, slot } = store.backrefs[oid.index()];
         let bucket = self
             .cells
-            .get_mut(&cell_id)
+            .get_mut(cell_id)
             .expect("indexed object must have a cell entry");
         debug_assert_eq!(bucket.get(slot as usize), Some(&oid), "back-pointer desync");
         let old_len = bucket.len();
@@ -235,22 +226,17 @@ impl SpatialIndex for CellIndex {
         if let Some(&moved) = bucket.get(slot as usize) {
             store.backrefs[moved.index()].slot = slot;
         }
-        let emptied = bucket.is_empty();
+        self.cells.release_if_empty(cell_id);
         self.hist.on_detach(old_len);
-        if emptied {
-            let spare = self.cells.remove(&cell_id).expect("bucket just accessed");
-            if self.bucket_pool.len() < BUCKET_POOL_CAP && spare.capacity() <= POOLED_VEC_CAP {
-                self.bucket_pool.push(spare);
-            }
-        }
         self.geom.cell_from_id(cell_id)
     }
 
     fn rebuild(&mut self, store: &mut ObjectStore, new_dim: u32) {
+        // A fresh directory (allocated zeroed, so only the pages the
+        // population lands on become resident) and a fresh slab: slots are
+        // handed out in ascending object-id order, exactly as in an index
+        // populated from scratch at `new_dim`.
         let mut fresh = CellIndex::new(new_dim);
-        // Pre-size the bucket map to the old occupied-cell count: the same
-        // population lands in a comparable number of buckets.
-        fresh.cells.reserve(self.cells.len());
         for i in 0..store.backrefs.len() {
             let oid = ObjectId(i as u32);
             let Some(p) = store.position(oid) else {
@@ -262,9 +248,9 @@ impl SpatialIndex for CellIndex {
     }
 
     fn check_integrity(&self, store: &ObjectStore) {
+        self.cells.check_integrity(self.geom.total_cells());
         let mut bucket_total = 0usize;
-        for (&cell_id, bucket) in &self.cells {
-            assert!(!bucket.is_empty(), "empty bucket left in map");
+        for (cell_id, bucket) in self.cells.iter() {
             bucket_total += bucket.len();
             for (slot, &oid) in bucket.iter().enumerate() {
                 let p = store
@@ -281,9 +267,14 @@ impl SpatialIndex for CellIndex {
             }
         }
         assert_eq!(bucket_total, store.len(), "bucket population != live count");
-        assert!(self.bucket_pool.iter().all(|b| b.is_empty()));
-        assert_eq!(self.hist.occupied(), self.cells.len(), "occupied drift");
-        self.hist.check_against(self.cells.values().map(Vec::len));
+        assert_eq!(
+            self.hist.occupied(),
+            self.occupied_count(),
+            "occupied drift"
+        );
+        let buckets = self.cells.iter();
+        self.hist
+            .check_against(buckets.map(|(_, bucket)| bucket.len()));
     }
 }
 
@@ -748,6 +739,46 @@ mod tests {
     }
 
     #[test]
+    fn emptied_cell_hands_its_slot_to_the_next_occupied_cell() {
+        let mut g = grid8();
+        let a = g.insert(ObjectId(0), Point::new(0.1, 0.1));
+        g.remove(ObjectId(0)).unwrap();
+        let b = g.insert(ObjectId(1), Point::new(0.9, 0.9));
+        assert!(g.objects_in(a).is_empty());
+        assert_eq!(g.objects_in(b), &[ObjectId(1)]);
+        assert_eq!(g.stats().occupied_cells, 1);
+        g.check_integrity();
+        // Re-occupying the first cell must not alias the second.
+        g.insert(ObjectId(2), Point::new(0.1, 0.1));
+        assert_eq!(g.objects_in(a), &[ObjectId(2)]);
+        assert_eq!(g.objects_in(b), &[ObjectId(1)]);
+        assert_eq!(g.occupied_cells().count(), 2);
+        g.check_integrity();
+    }
+
+    #[test]
+    fn last_row_and_column_are_addressable() {
+        // dim 1 (the only cell is the last one) and an odd dim.
+        for dim in [1u32, 7] {
+            let mut g = uniform(dim);
+            let corner = g.insert(ObjectId(0), Point::new(1.0, 1.0));
+            let edge = g.insert(ObjectId(1), Point::new(1.0, 0.0));
+            assert_eq!(corner, CellCoord::new(dim - 1, dim - 1));
+            assert_eq!(edge, CellCoord::new(dim - 1, 0));
+            assert!(g.objects_in(corner).contains(&ObjectId(0)));
+            assert!(g.objects_in(edge).contains(&ObjectId(1)));
+            g.check_integrity();
+            g.update_position(ObjectId(0), Point::new(0.0, 1.0));
+            assert!(g
+                .objects_in(CellCoord::new(0, dim - 1))
+                .contains(&ObjectId(0)));
+            g.remove(ObjectId(1)).unwrap();
+            g.check_integrity();
+            assert_eq!(g.stats().occupied_cells, 1);
+        }
+    }
+
+    #[test]
     fn objects_in_returns_empty_slice_for_empty_cells() {
         let g = grid8();
         assert!(g.objects_in(CellCoord::new(3, 3)).is_empty());
@@ -971,7 +1002,9 @@ mod tests {
             steps in proptest::collection::vec(
                 (0u32..24, 0.0..1.0f64, 0.0..1.0f64, 0u32..10), 1..120),
         ) {
-            let dims = [4u32, 8, 16, 64, 256];
+            // Grows and shrinks of the directory, dim 1 and an odd dim
+            // (whose last row and column the 0..1 coordinates do reach).
+            let dims = [1u32, 4, 7, 16, 64, 256];
             let mut g = uniform(16);
             let mut model = std::collections::HashMap::new();
             for (id, x, y, op) in steps {

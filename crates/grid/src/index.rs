@@ -14,7 +14,7 @@
 //! Backends:
 //!
 //! * [`crate::CellIndex`] — the paper-exact uniform grid (default): one
-//!   dense bucket per occupied cell in a sparse hash map.
+//!   dense bucket per occupied cell behind a `dim²` directory.
 //! * [`crate::QuadtreeIndex`] — an adaptive region quadtree for skewed
 //!   populations: sparse regions collapse into shallow leaves while
 //!   hotspots split down to single-cell leaves, bounding storage by
@@ -139,7 +139,7 @@ pub const DEFAULT_SPLIT_THRESHOLD: u32 = 32;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexKind {
     /// The paper-exact uniform grid ([`CellIndex`]): one dense bucket per
-    /// occupied cell in a sparse hash map. The default.
+    /// occupied cell behind a `dim²` directory. The default.
     #[default]
     Uniform,
     /// An adaptive region quadtree ([`QuadtreeIndex`]) over the same

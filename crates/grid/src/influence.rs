@@ -6,47 +6,44 @@
 //! list can be affected — this is the mechanism that lets CPM (and SEA-CNN's
 //! answer-region variant) ignore irrelevant updates entirely.
 //!
-//! Like the grid's cell buckets, the lists are dense `Vec<QueryId>`s with
-//! dedup-on-insert rather than hash sets: the table is probed once per
-//! object update per touched cell, and that probe's result is immediately
-//! scanned in full — a contiguous slice is both smaller and faster to walk.
-//! Per-cell lists are short (`n · C_inf / cells` queries on average, see
-//! Section 4.1), so the linear dedup scan on registration is cheap, and
-//! removal swap-removes by value.
+//! Like the grid's cell buckets, the lists are dense `Vec`s with
+//! dedup-on-insert rather than hash sets, found through the same `dim²`
+//! directory of `u32` slots rather than a hash map (4 bytes per
+//! conceptual cell — see [`crate::CellIndex`] for the sizes): the table is
+//! read twice per object update (old and new cell) whether or not any
+//! query is registered there, and a hit is immediately scanned in full —
+//! an array read and a contiguous slice are both smaller and faster than
+//! a probe. Per-cell lists are short (`n · C_inf / cells` queries on
+//! average, see Section 4.1), so the linear dedup scan on registration is
+//! cheap, and removal swap-removes by value.
 
-use cpm_geom::{FastHashMap, QueryId};
+use cpm_geom::QueryId;
 
+use crate::directory::CellDirectory;
 use crate::CellCoord;
 
-/// Spare-list pool cap (see `Grid`'s bucket pool for rationale).
-const LIST_POOL_CAP: usize = 4096;
-
-/// Largest per-list capacity worth pooling; oversized spares are dropped
-/// so one pathological cell can't pin memory in the pool.
-const POOLED_LIST_CAP: usize = 256;
-
-/// A sparse table mapping grid cells to the list of queries whose
-/// influence region covers them.
+/// A table mapping grid cells to the list of queries whose influence
+/// region covers them.
 ///
 /// Kept outside [`crate::Grid`] so that independent monitors (k-NN,
 /// aggregate-NN, constrained-NN, SEA-CNN) can each maintain their own lists
-/// over one shared object index.
-#[derive(Debug, Default, Clone)]
-pub struct InfluenceTable {
+/// over one shared object index — a sharded engine holds one table, and
+/// therefore one directory, per shard. `Q` is how the owner names a query
+/// in the lists: its [`QueryId`] by default, or any small `Copy` handle
+/// (the CPM engine registers its dense query-table slots).
+#[derive(Debug, Clone)]
+pub struct InfluenceTable<Q = QueryId> {
     dim: u32,
     /// Invariant: every stored list is non-empty and duplicate-free.
-    lists: FastHashMap<u64, Vec<QueryId>>,
-    /// Recycled list allocations (all empty).
-    pool: Vec<Vec<QueryId>>,
+    lists: CellDirectory<Q>,
 }
 
-impl InfluenceTable {
+impl<Q: Copy + PartialEq> InfluenceTable<Q> {
     /// Create an empty table for a `dim × dim` grid.
     pub fn new(dim: u32) -> Self {
         Self {
             dim,
-            lists: FastHashMap::default(),
-            pool: Vec::new(),
+            lists: CellDirectory::new(dim as usize * dim as usize),
         }
     }
 
@@ -56,29 +53,22 @@ impl InfluenceTable {
         self.dim
     }
 
-    /// Drop every registration and re-key the table for a `dim × dim`
-    /// grid, keeping the map and pool allocations. Used when the engine
-    /// re-grids: packed cell ids from the old resolution are meaningless
-    /// at the new one, so the table starts empty and queries re-register.
+    /// Drop every registration and re-size the table for a `dim × dim`
+    /// grid, keeping a pool's worth of list allocations. Used when the
+    /// engine re-grids: packed cell ids from the old resolution are
+    /// meaningless at the new one, so the table starts empty and queries
+    /// re-register.
     pub fn reset(&mut self, dim: u32) {
         self.dim = dim;
-        for (_, mut list) in self.lists.drain() {
-            list.clear();
-            if self.pool.len() < LIST_POOL_CAP && list.capacity() <= POOLED_LIST_CAP {
-                self.pool.push(list);
-            }
-        }
+        self.lists.reset(dim as usize * dim as usize);
     }
 
     /// Register query `q` in the influence list of `cell`.
     /// Idempotent: re-registration is a no-op (the NN re-computation module
     /// re-scans visit-list cells that are already registered).
     #[inline]
-    pub fn add(&mut self, cell: CellCoord, q: QueryId) {
-        let list = self
-            .lists
-            .entry(cell.id(self.dim))
-            .or_insert_with(|| self.pool.pop().unwrap_or_default());
+    pub fn add(&mut self, cell: CellCoord, q: Q) {
+        let list = self.lists.occupy(cell.id(self.dim));
         if !list.contains(&q) {
             list.push(q);
         }
@@ -86,17 +76,15 @@ impl InfluenceTable {
 
     /// Remove query `q` from the influence list of `cell` (no-op if absent).
     #[inline]
-    pub fn remove(&mut self, cell: CellCoord, q: QueryId) {
-        let id = cell.id(self.dim);
-        if let Some(list) = self.lists.get_mut(&id) {
+    pub fn remove(&mut self, cell: CellCoord, q: Q) {
+        self.remove_at(cell.id(self.dim), q);
+    }
+
+    fn remove_at(&mut self, cell_id: u64, q: Q) {
+        if let Some(list) = self.lists.get_mut(cell_id) {
             if let Some(at) = list.iter().position(|&x| x == q) {
                 list.swap_remove(at);
-                if list.is_empty() {
-                    let spare = self.lists.remove(&id).expect("list just accessed");
-                    if self.pool.len() < LIST_POOL_CAP && spare.capacity() <= POOLED_LIST_CAP {
-                        self.pool.push(spare);
-                    }
-                }
+                self.lists.release_if_empty(cell_id);
             }
         }
     }
@@ -104,39 +92,37 @@ impl InfluenceTable {
     /// The queries influenced by `cell`, as a contiguous slice (empty if
     /// none are registered).
     #[inline]
-    pub fn queries_at(&self, cell: CellCoord) -> &[QueryId] {
-        self.lists
-            .get(&cell.id(self.dim))
-            .map_or(&[], |list| list.as_slice())
+    pub fn queries_at(&self, cell: CellCoord) -> &[Q] {
+        self.lists.get(cell.id(self.dim))
     }
 
     /// `true` if `q` is registered at `cell`.
     #[inline]
-    pub fn contains(&self, cell: CellCoord, q: QueryId) -> bool {
+    pub fn contains(&self, cell: CellCoord, q: Q) -> bool {
         self.queries_at(cell).contains(&q)
     }
 
     /// Total number of `(cell, query)` registrations — `n · C_inf` in the
     /// space analysis of Section 4.1.
     pub fn total_entries(&self) -> usize {
-        self.lists.values().map(|list| list.len()).sum()
+        self.lists.iter().map(|(_, list)| list.len()).sum()
     }
 
     /// Number of cells with a non-empty influence list.
     pub fn occupied_cells(&self) -> usize {
-        self.lists.len()
+        self.lists.occupied()
     }
 
     /// Remove every registration of `q` (used when a query terminates and
-    /// the caller does not track its influence region — O(cells); the
-    /// monitors prefer targeted [`InfluenceTable::remove`] calls).
-    pub fn purge_query(&mut self, q: QueryId) {
-        self.lists.retain(|_, list| {
-            if let Some(at) = list.iter().position(|&x| x == q) {
-                list.swap_remove(at);
-            }
-            !list.is_empty()
-        });
+    /// the caller does not track its influence region — O(occupied
+    /// cells); the monitors prefer targeted [`InfluenceTable::remove`]
+    /// calls).
+    pub fn purge_query(&mut self, q: Q) {
+        let holds_q = |(id, list): (u64, &[Q])| list.contains(&q).then_some(id);
+        let cells: Vec<u64> = self.lists.iter().filter_map(holds_q).collect();
+        for id in cells {
+            self.remove_at(id, q);
+        }
     }
 }
 
@@ -199,10 +185,58 @@ mod tests {
         let a = CellCoord::new(1, 1);
         let b = CellCoord::new(2, 2);
         t.add(a, QueryId(1));
-        t.remove(a, QueryId(1)); // list returns to the pool
-        t.add(b, QueryId(2)); // reuses the pooled allocation
+        t.remove(a, QueryId(1)); // the slot falls vacant
+        t.add(b, QueryId(2)); // and is handed to another cell
         assert_eq!(t.queries_at(b), &[QueryId(2)]);
         assert!(t.queries_at(a).is_empty());
         assert_eq!(t.total_entries(), 1);
+        assert_eq!(t.occupied_cells(), 1);
+        // Re-registering at the first cell must not alias the second.
+        t.add(a, QueryId(3));
+        assert_eq!(t.queries_at(a), &[QueryId(3)]);
+        assert_eq!(t.queries_at(b), &[QueryId(2)]);
+        assert_eq!(t.occupied_cells(), 2);
+    }
+
+    #[test]
+    fn last_row_and_column_are_addressable() {
+        // dim 1 (the only cell is the last one) and an odd dim.
+        for dim in [1u32, 7] {
+            let mut t = InfluenceTable::new(dim);
+            let corner = CellCoord::new(dim - 1, dim - 1);
+            let edge = CellCoord::new(dim - 1, 0);
+            t.add(corner, QueryId(1));
+            t.add(edge, QueryId(2));
+            assert!(t.contains(corner, QueryId(1)));
+            assert!(t.contains(edge, QueryId(2)));
+            assert_eq!(t.occupied_cells(), if dim == 1 { 1 } else { 2 });
+            t.purge_query(QueryId(1));
+            t.remove(edge, QueryId(2));
+            assert_eq!((t.total_entries(), t.occupied_cells()), (0, 0));
+        }
+    }
+
+    #[test]
+    fn reset_resizes_the_directory() {
+        let mut t = InfluenceTable::new(4);
+        for i in 0..4 {
+            t.add(CellCoord::new(i, 3 - i), QueryId(i));
+        }
+        // Grow: cells that did not exist at dim 4 are addressable, and no
+        // old registration survives under a re-interpreted id.
+        t.reset(9);
+        assert_eq!((t.dim(), t.total_entries(), t.occupied_cells()), (9, 0, 0));
+        let far = CellCoord::new(8, 8);
+        t.add(far, QueryId(5));
+        t.add(CellCoord::new(0, 3), QueryId(6));
+        assert_eq!(t.queries_at(far), &[QueryId(5)]);
+        assert!(t.queries_at(CellCoord::new(3, 0)).is_empty());
+        assert_eq!(t.total_entries(), 2);
+        // Shrink.
+        t.reset(2);
+        assert_eq!((t.dim(), t.total_entries()), (2, 0));
+        t.add(CellCoord::new(1, 1), QueryId(7));
+        assert_eq!(t.queries_at(CellCoord::new(1, 1)), &[QueryId(7)]);
+        assert_eq!((t.total_entries(), t.occupied_cells()), (1, 1));
     }
 }

@@ -22,9 +22,10 @@
 //!   conceptual cell space is fixed by the geometry; the backend only
 //!   decides how the buckets are stored:
 //!   - [`CellIndex`] (default, [`IndexKind::Uniform`]) — the paper-exact
-//!     sparse hash map of dense `Vec<ObjectId>` buckets with O(1)
-//!     swap-remove deletion through the store's back-pointers, keeping the
-//!     `Time_ind = 2` update cost of the Section 4.1 model;
+//!     uniform grid: a `dim²` directory of `u32` slots into dense
+//!     `Vec<ObjectId>` buckets with O(1) swap-remove deletion through
+//!     the store's back-pointers, keeping the `Time_ind = 2` update cost
+//!     of the Section 4.1 model;
 //!   - [`QuadtreeIndex`] ([`IndexKind::Quadtree`]) — an adaptive region
 //!     quadtree over the same conceptual cells: sparse regions collapse
 //!     into coarse leaves, hotspots split down to per-cell buckets, so
@@ -60,6 +61,7 @@
 #![deny(unsafe_code)]
 
 mod coord;
+mod directory;
 pub mod events;
 mod geom;
 mod grid;
