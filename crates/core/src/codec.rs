@@ -45,8 +45,8 @@ impl Decode for Neighbor {
     }
 }
 
-/// `DeltaBuf` encodes exactly like the slice it wraps; decoding pushes
-/// entries back one by one (re-spilling past the inline capacity).
+/// `DeltaBuf` encodes exactly like the slice it wraps; decoding reserves
+/// once from the length prefix and pushes the entries back.
 impl<T: Copy + Default + Encode> Encode for DeltaBuf<T> {
     fn encode(&self, w: &mut Writer) {
         w.put_u32(u32::try_from(self.len()).expect("delta component fits a u32 length prefix"));
@@ -60,6 +60,7 @@ impl<T: Copy + Default + Decode> Decode for DeltaBuf<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = r.take_len(1)?;
         let mut buf = DeltaBuf::new();
+        buf.reserve(r.reservable::<T>(len));
         for _ in 0..len {
             buf.push(T::decode(r)?);
         }

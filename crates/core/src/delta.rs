@@ -1,11 +1,16 @@
 //! Per-cycle result deltas: the incremental view of a query's result that
-//! the CPM maintenance phase computes for free.
+//! the CPM maintenance phase computes almost for free.
 //!
 //! Each processing cycle touches a query's `best` list in place (Figure
-//! 3.8), so the cycle-start and cycle-end lists are adjacent in memory at
-//! the moment maintenance finishes. [`NeighborDelta::diff`] captures the
-//! difference as three canonical components; [`NeighborDelta::apply_to`]
-//! folds a delta back onto a result replica. The two are exact inverses —
+//! 3.8) and resolves one query at a time, so the engine keeps one scratch
+//! copy of the cycle-start list — taken just before the query's first
+//! change — and both lists are cache-hot when its resolution ends.
+//! [`NeighborDelta::diff`] captures the difference as three canonical
+//! components; [`NeighborDelta::apply_to`] folds a delta back onto a
+//! result replica. Both lists ascend by `(dist, id)`, which makes both
+//! operations linear in the list lengths (expected: ids are joined
+//! through a small hash table), with one code path for a k = 1 result
+//! and a range result of hundreds. The two are exact inverses —
 //! folding the delta stream over the initial result reconstructs every
 //! per-epoch result **bit-identically** (same ids, same `f64` distance
 //! bits, same order), the property the delta-replay suite asserts against
@@ -18,6 +23,8 @@
 //! cycle.
 //!
 //! [`cpm-sub`]: ../../cpm_sub/index.html
+
+use std::cell::Cell;
 
 use cpm_geom::{ObjectId, QueryId};
 
@@ -83,10 +90,21 @@ impl<T: Copy + Default> DeltaBuf<T> {
                 self.len += 1;
                 return;
             }
-            self.spill.reserve(DELTA_BUF_INLINE * 2);
+            if self.spill.capacity() == 0 {
+                self.spill.reserve(DELTA_BUF_INLINE * 2);
+            }
             self.spill.extend_from_slice(&self.inline);
         }
         self.spill.push(value);
+    }
+
+    /// Make room for `additional` more entries, so that pushing them
+    /// allocates at most once (not at all while they fit inline).
+    pub fn reserve(&mut self, additional: usize) {
+        let len = self.len();
+        if len + additional > DELTA_BUF_INLINE {
+            self.spill.reserve(len + additional - self.spill.len());
+        }
     }
 
     /// The entries as a slice.
@@ -164,26 +182,23 @@ impl<T: Copy + Default + PartialEq> PartialEq<&[T]> for DeltaBuf<T> {
 
 impl<T: Copy + Default> From<Vec<T>> for DeltaBuf<T> {
     fn from(values: Vec<T>) -> Self {
-        let mut buf = Self::new();
-        for v in values {
-            buf.push(v);
-        }
-        buf
+        values.into_iter().collect()
     }
 }
 
 impl<T: Copy + Default> FromIterator<T> for DeltaBuf<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut buf = Self::new();
-        for v in iter {
-            buf.push(v);
-        }
+        buf.extend(iter);
         buf
     }
 }
 
 impl<T: Copy + Default> Extend<T> for DeltaBuf<T> {
+    /// Reserves the iterator's lower size bound first.
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        self.reserve(iter.size_hint().0);
         for v in iter {
             self.push(v);
         }
@@ -213,335 +228,228 @@ impl NeighborDelta {
     }
 
     /// Compute the delta from `old` to `new`, both ascending by
-    /// `(dist, id)` as [`crate::NeighborList`] maintains them. Distances
-    /// compare by bit pattern, so a retained object whose recomputed
-    /// distance is bit-identical produces no entry.
+    /// `(dist, id)` and duplicate-free by id, as [`crate::NeighborList`]
+    /// maintains them. Distances compare by bit pattern, so a retained
+    /// object whose recomputed distance is bit-identical produces no entry.
     ///
-    /// Cost is O(result length + window²) where the *window* is the
-    /// changed region after trimming the bitwise-equal common prefix and
-    /// suffix — typically one or two entries per cycle, so the hot path
-    /// is a linear scan. This runs once per changed query per cycle on
-    /// the engine's delta path, where the acceptance budget is < 10%
-    /// cycle overhead versus full-list results.
+    /// One merge walk over the two lists pairs every entry that is equal
+    /// in both (id and distance bits); what it leaves unmatched is joined
+    /// by id through a small hash table and handed out in list order, which
+    /// is the canonical order of all three components. Expected cost is
+    /// O(|old| + |new|) for every list length, with no allocation beyond
+    /// the delta's own components — this runs once per affected query per
+    /// cycle on the engine's delta path.
     pub fn diff(epoch: u64, old: &[Neighbor], new: &[Neighbor]) -> Self {
         let mut delta = NeighborDelta {
             epoch,
             ..Self::default()
         };
-        // Both lists are sorted by (dist, id), so churn is localized:
-        // trim the bitwise-equal common prefix and suffix. Ids outside
-        // the windows appear identically in both lists, so the membership
-        // diff below only needs to look inside them.
-        let (old_w, new_w) = trim_common(old, new);
-        if old_w.is_empty() && new_w.is_empty() {
-            return delta; // bit-identical lists — the hot quiet case
+        // The walk. Both lists ascend by (dist, id), so an entry that is
+        // bitwise equal in both meets itself; the indices of all others
+        // are kept, each side in its list's order. An index's top bit is
+        // free for the join below to mark a match in.
+        const MATCHED: u32 = 1 << 31;
+        assert!(old.len().max(new.len()) < MATCHED as usize);
+        let (mut i, mut j) = (0, 0);
+        let mut scratch = SCRATCH.take();
+        let Scratch {
+            slots,
+            un_old,
+            un_new,
+        } = &mut scratch;
+        un_old.clear();
+        un_new.clear();
+        while i < old.len() && j < new.len() {
+            let (o, n) = (&old[i], &new[j]);
+            if o.id == n.id && o.dist.to_bits() == n.dist.to_bits() {
+                i += 1;
+                j += 1;
+            } else if (o.dist, o.id) < (n.dist, n.id) {
+                un_old.push(i as u32);
+                i += 1;
+            } else {
+                un_new.push(j as u32);
+                j += 1;
+            }
+        }
+        un_old.extend(i as u32..old.len() as u32);
+        un_new.extend(j as u32..new.len() as u32);
+
+        // The join: an id left over on both sides was reordered, on one
+        // side only it was removed or added.
+        let table = IdTable::new(
+            slots,
+            un_old.len(),
+            un_old.iter().map(|&i| old[i as usize].id),
+        );
+        let mut reordered = 0;
+        for j in un_new.iter_mut() {
+            if let Some(at) = table.position(new[*j as usize].id) {
+                un_old[at] |= MATCHED;
+                *j |= MATCHED;
+                reordered += 1;
+            }
         }
 
-        if old_w.len().max(new_w.len()) <= 32 {
-            // Small window: direct membership scans.
-            for o in old_w {
-                if !new_w.iter().any(|n| n.id == o.id) {
-                    delta.removed.push(o.id);
-                }
-            }
-            for n in new_w {
-                match old_w.iter().find(|o| o.id == n.id) {
-                    None => delta.added.push(*n),
-                    Some(o) if o.dist.to_bits() != n.dist.to_bits() => delta.reordered.push(*n),
-                    Some(_) => {}
-                }
-            }
-        } else {
-            // Wide window (bulk churn, e.g. a moved range region):
-            // id-sorted merge instead of the quadratic scan. Removed
-            // entries keep their old distance so the canonical (old-order)
-            // sort below is a single O(r log r) pass.
-            let mut old_ids: Vec<Neighbor> = old_w.to_vec();
-            old_ids.sort_unstable_by_key(|n| n.id);
-            let mut new_ids: Vec<Neighbor> = new_w.to_vec();
-            new_ids.sort_unstable_by_key(|n| n.id);
-            let mut removed_pairs: Vec<Neighbor> = Vec::new();
-            let (mut i, mut j) = (0, 0);
-            while i < old_ids.len() || j < new_ids.len() {
-                match (old_ids.get(i), new_ids.get(j)) {
-                    (Some(o), Some(n)) if o.id == n.id => {
-                        if o.dist.to_bits() != n.dist.to_bits() {
-                            delta.reordered.push(*n);
-                        }
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(o), Some(n)) if o.id < n.id => {
-                        removed_pairs.push(*o);
-                        i += 1;
-                    }
-                    (Some(_), Some(n)) => {
-                        delta.added.push(*n);
-                        j += 1;
-                    }
-                    (Some(o), None) => {
-                        removed_pairs.push(*o);
-                        i += 1;
-                    }
-                    (None, Some(n)) => {
-                        delta.added.push(*n);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
-            }
-            // Canonicalize to the documented orders (the merge walked in
-            // id order; the old-list order is ascending (old dist, id)).
-            delta
-                .added
-                .sort_unstable_by(|a, b| cmp_dist_id(a, b).expect("distances are never NaN"));
-            delta
-                .reordered
-                .sort_unstable_by(|a, b| cmp_dist_id(a, b).expect("distances are never NaN"));
-            removed_pairs
-                .sort_unstable_by(|a, b| cmp_dist_id(a, b).expect("distances are never NaN"));
-            delta.removed.extend(removed_pairs.iter().map(|n| n.id));
+        delta.removed.reserve(un_old.len() - reordered);
+        delta.reordered.reserve(reordered);
+        delta.added.reserve(un_new.len() - reordered);
+        for &i in un_old.iter().filter(|&&i| i & MATCHED == 0) {
+            delta.removed.push(old[i as usize].id);
         }
+        for &j in un_new.iter() {
+            let entry = new[(j & !MATCHED) as usize];
+            if j & MATCHED != 0 {
+                delta.reordered.push(entry);
+            } else {
+                delta.added.push(entry);
+            }
+        }
+        SCRATCH.set(scratch);
         delta
     }
 
     /// Fold this delta onto `result` (ascending by `(dist, id)`),
-    /// producing the cycle-end list bit-identically.
+    /// producing the cycle-end list bit-identically. `added` and
+    /// `reordered` must ascend by `(dist, id)`, as [`NeighborDelta::diff`]
+    /// emits them; `removed` may come in any order and may name ids that
+    /// are not in `result`.
+    ///
+    /// One pass drops the removed and the reordered ids (looked up in a
+    /// small hash table), then the survivors, `reordered` and `added` —
+    /// three sorted runs — are merged back to front in place: expected
+    /// O(|result| + |delta|), with no sort and no allocation unless
+    /// `result` itself has to grow.
     ///
     /// Replays are order-sensitive: apply deltas in epoch order onto the
     /// result the first delta's cycle started from.
+    ///
+    /// # Panics
+    /// Panics if a `reordered` id is not in `result`.
     pub fn apply_to(&self, result: &mut Vec<Neighbor>) {
         if self.is_empty() {
             return;
         }
-        result.retain(|n| !self.removed.contains(&n.id));
-        for r in &self.reordered {
-            let entry = result
-                .iter_mut()
-                .find(|e| e.id == r.id)
-                .expect("reordered entry must be in the replayed result");
-            entry.dist = r.dist;
-        }
-        result.extend_from_slice(&self.added);
-        result.sort_unstable_by(|a, b| cmp_dist_id(a, b).expect("distances are never NaN"));
-    }
-}
-
-impl NeighborDelta {
-    /// Compute the delta of one maintenance cycle **without materializing
-    /// the cycle-start list** — the engine's hot path.
-    ///
-    /// The cycle-start ("old") list is defined implicitly by two pieces
-    /// that are both cache-hot at finalize time:
-    ///
-    /// * `pre` — the query's post-departure, pre-resolution result (the
-    ///   engine's finalize-phase snapshot, or the final list itself when
-    ///   no merge/recompute ran);
-    /// * `log` — `(id, cycle-start distance)` for every entry mutated *in
-    ///   place* during departure handling, first mutation wins (a handful
-    ///   of entries, recorded for free from the values `remove` /
-    ///   `update_dist` already return).
-    ///
-    /// Old ids = pre ids ∪ log ids; an id's old distance is its logged
-    /// value if present, else its `pre` distance. `fin` is the cycle-end
-    /// list. Equivalent to `diff(materialized_old, fin)` (property-tested
-    /// below) while never touching the cold cycle-start buffer a
-    /// materializing implementation would have to keep around.
-    pub(crate) fn from_log(
-        epoch: u64,
-        pre: &[Neighbor],
-        log: &[(ObjectId, f64)],
-        fin: &[Neighbor],
-    ) -> Self {
-        if log.is_empty() {
-            // No in-place mutations: the pre-resolution list *is* the
-            // cycle-start list.
-            return Self::diff(epoch, pre, fin);
-        }
-        // Windows of positional churn between pre and fin. Ids outside the
-        // windows form bitwise-equal pairs, so only logged ids can carry a
-        // change there (handled in the dedicated log pass below).
-        let (pre_w, fin_w) = trim_common(pre, fin);
-        const SMALL: usize = 32;
-        const LOG_SMALL: usize = 8;
-        if pre_w.len() <= SMALL && fin_w.len() <= SMALL && log.len() <= LOG_SMALL {
-            return Self::from_log_small(epoch, pre, log, pre_w, fin_w);
-        }
-        Self::from_log_general(epoch, pre, log, pre_w, fin_w)
-    }
-
-    /// The k-NN-sized hot path of [`NeighborDelta::from_log`]: membership
-    /// tests run on stack-resident `u32` id arrays and the `removed`
-    /// component is ordered on the stack with its old distances in hand,
-    /// so the only heap traffic is the delta's own component vectors.
-    fn from_log_small(
-        epoch: u64,
-        pre: &[Neighbor],
-        log: &[(ObjectId, f64)],
-        pre_w: &[Neighbor],
-        fin_w: &[Neighbor],
-    ) -> Self {
-        let mut delta = NeighborDelta {
-            epoch,
-            ..Self::default()
-        };
-        let logged = |id: ObjectId| log.iter().find(|&&(l, _)| l == id).map(|&(_, d)| d);
-
-        let mut pre_ids = [0u32; 32];
-        for (i, o) in pre_w.iter().enumerate() {
-            pre_ids[i] = o.id.0;
-        }
-        let pre_ids = &pre_ids[..pre_w.len()];
-        let mut fin_ids = [0u32; 32];
-        for (i, f) in fin_w.iter().enumerate() {
-            fin_ids[i] = f.id.0;
-        }
-        let fin_ids = &fin_ids[..fin_w.len()];
-
-        // Removed entries carry their cycle-start distance so the
-        // canonical (old-order) sort below needs no lookups.
-        let mut removed = [Neighbor {
-            id: ObjectId(0),
-            dist: 0.0,
-        }; 40];
-        let mut n_removed = 0usize;
-
-        for f in fin_w {
-            let old_dist = logged(f.id).or_else(|| {
-                pre_ids
-                    .iter()
-                    .position(|&x| x == f.id.0)
-                    .map(|i| pre_w[i].dist)
-            });
-            match old_dist {
-                None => delta.added.push(*f),
-                Some(od) if od.to_bits() != f.dist.to_bits() => delta.reordered.push(*f),
-                Some(_) => {}
+        // The components as plain slices: a `DeltaBuf` decides between its
+        // inline and its spilled storage on every dereference.
+        let (removed, reordered, added): (&[ObjectId], &[Neighbor], &[Neighbor]) =
+            (&self.removed, &self.reordered, &self.added);
+        let mut scratch = SCRATCH.take();
+        let leaving = IdTable::new(
+            &mut scratch.slots,
+            removed.len() + reordered.len(),
+            (removed.iter().copied()).chain(reordered.iter().map(|r| r.id)),
+        );
+        let mut reordered_found = 0;
+        result.retain(|n| match leaving.position(n.id) {
+            Some(at) => {
+                reordered_found += usize::from(at >= removed.len());
+                false
             }
-        }
-        for o in pre_w {
-            if !fin_ids.contains(&o.id.0) {
-                removed[n_removed] = Neighbor {
-                    id: o.id,
-                    dist: logged(o.id).unwrap_or(o.dist),
-                };
-                n_removed += 1;
-            }
-        }
-        // Logged ids the windows did not see: either they sit in the
-        // common region (survived with an unchanged post-departure
-        // distance — still reordered versus their cycle-start distance),
-        // or they were removed in place and never resurfaced.
-        let mut appended_reorder = false;
-        for &(lid, ld) in log {
-            if pre_ids.contains(&lid.0) || fin_ids.contains(&lid.0) {
-                continue;
-            }
-            match pre.iter().find(|o| o.id == lid) {
-                Some(o) if o.dist.to_bits() != ld.to_bits() => {
-                    delta.reordered.push(*o);
-                    appended_reorder = true;
-                }
-                Some(_) => {}
-                None => {
-                    removed[n_removed] = Neighbor { id: lid, dist: ld };
-                    n_removed += 1;
+            None => true,
+        });
+        assert!(
+            reordered_found == reordered.len(),
+            "reordered entry must be in the replayed result"
+        );
+        SCRATCH.set(scratch);
+
+        // Back to front, the largest of the three tails goes last; the
+        // write position never overtakes the survivors still to be moved.
+        let after = |a: &Neighbor, b: &Neighbor| (a.dist, a.id) > (b.dist, b.id);
+        let (mut s, mut r, mut a) = (result.len(), reordered.len(), added.len());
+        result.resize(s + r + a, Neighbor::default());
+        while r + a > 0 {
+            let from_reordered = a == 0 || (r > 0 && after(&reordered[r - 1], &added[a - 1]));
+            let incoming = if from_reordered {
+                reordered[r - 1]
+            } else {
+                added[a - 1]
+            };
+            let at = s + r + a - 1;
+            if s > 0 && after(&result[s - 1], &incoming) {
+                result[at] = result[s - 1];
+                s -= 1;
+            } else {
+                result[at] = incoming;
+                if from_reordered {
+                    r -= 1;
+                } else {
+                    a -= 1;
                 }
             }
         }
-        if appended_reorder {
-            delta
-                .reordered
-                .sort_unstable_by(|a, b| cmp_dist_id(a, b).expect("distances are never NaN"));
-        }
-        // Canonical removed order = the old list's order, i.e. ascending
-        // by (cycle-start distance, id).
-        let removed = &mut removed[..n_removed];
-        removed.sort_unstable_by(|a, b| cmp_dist_id(a, b).expect("distances are never NaN"));
-        delta.removed.extend(removed.iter().map(|n| n.id));
-        delta
-    }
-
-    /// Fallback for wide windows or long logs (bulk churn on range
-    /// subscriptions): plain slice scans, no stack caps.
-    fn from_log_general(
-        epoch: u64,
-        pre: &[Neighbor],
-        log: &[(ObjectId, f64)],
-        pre_w: &[Neighbor],
-        fin_w: &[Neighbor],
-    ) -> Self {
-        let mut delta = NeighborDelta {
-            epoch,
-            ..Self::default()
-        };
-        let logged = |id: ObjectId| log.iter().find(|&&(l, _)| l == id).map(|&(_, d)| d);
-
-        for f in fin_w {
-            let old_dist =
-                logged(f.id).or_else(|| pre_w.iter().find(|o| o.id == f.id).map(|o| o.dist));
-            match old_dist {
-                None => delta.added.push(*f),
-                Some(od) if od.to_bits() != f.dist.to_bits() => delta.reordered.push(*f),
-                Some(_) => {}
-            }
-        }
-        // Removed entries carry their cycle-start distance so the
-        // canonical (old-order) sort below is a single O(r log r) pass.
-        let mut removed_pairs: Vec<Neighbor> = Vec::new();
-        for o in pre_w {
-            if !fin_w.iter().any(|f| f.id == o.id) {
-                removed_pairs.push(Neighbor {
-                    id: o.id,
-                    dist: logged(o.id).unwrap_or(o.dist),
-                });
-            }
-        }
-        let mut appended_reorder = false;
-        for &(lid, ld) in log {
-            if pre_w.iter().any(|o| o.id == lid) || fin_w.iter().any(|f| f.id == lid) {
-                continue;
-            }
-            match pre.iter().find(|o| o.id == lid) {
-                Some(o) if o.dist.to_bits() != ld.to_bits() => {
-                    delta.reordered.push(*o);
-                    appended_reorder = true;
-                }
-                Some(_) => {}
-                None => removed_pairs.push(Neighbor { id: lid, dist: ld }),
-            }
-        }
-        if appended_reorder {
-            delta
-                .reordered
-                .sort_unstable_by(|a, b| cmp_dist_id(a, b).expect("distances are never NaN"));
-        }
-        removed_pairs.sort_unstable_by(|a, b| cmp_dist_id(a, b).expect("distances are never NaN"));
-        delta.removed.extend(removed_pairs.iter().map(|n| n.id));
-        delta
     }
 }
 
-/// Trim the bitwise-equal common prefix and suffix of two `(dist, id)`
-/// sorted result lists, returning the changed windows.
-#[inline]
-fn trim_common<'a>(old: &'a [Neighbor], new: &'a [Neighbor]) -> (&'a [Neighbor], &'a [Neighbor]) {
-    let eq = |o: &Neighbor, n: &Neighbor| o.id == n.id && o.dist.to_bits() == n.dist.to_bits();
-    let mut start = 0;
-    while start < old.len() && start < new.len() && eq(&old[start], &new[start]) {
-        start += 1;
-    }
-    let (mut old_end, mut new_end) = (old.len(), new.len());
-    while old_end > start && new_end > start && eq(&old[old_end - 1], &new[new_end - 1]) {
-        old_end -= 1;
-        new_end -= 1;
-    }
-    (&old[start..old_end], &new[start..new_end])
+/// Buffers of [`NeighborDelta::diff`] and [`NeighborDelta::apply_to`],
+/// recycled per thread so that neither allocates in the steady state:
+/// taken at entry and put back at exit (a call that panics loses them and
+/// the next one starts from empty buffers).
+#[derive(Default)]
+struct Scratch {
+    /// Slot storage of the call's [`IdTable`].
+    slots: Vec<u64>,
+    /// `diff`: indices of the entries the walk left unmatched, per list.
+    un_old: Vec<u32>,
+    un_new: Vec<u32>,
 }
 
-#[inline]
-fn cmp_dist_id(a: &Neighbor, b: &Neighbor) -> Option<std::cmp::Ordering> {
-    (a.dist, a.id).partial_cmp(&(b.dist, b.id))
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+}
+
+/// `id ↦ position` over a short id sequence: open addressing with linear
+/// probing at a load of at most one half, so a lookup is O(1) expected.
+/// A slot holds `id << 32 | position + 1`; zero is vacant. With a
+/// repeated id the first position wins.
+struct IdTable<'a> {
+    slots: &'a [u64],
+    /// `32 - log2(slots.len())`: the home slot is the top bits of a
+    /// multiplicative hash.
+    shift: u32,
+}
+
+impl<'a> IdTable<'a> {
+    /// A table in `storage` over `ids`, which yields `count` ids.
+    fn new(storage: &'a mut Vec<u64>, count: usize, ids: impl Iterator<Item = ObjectId>) -> Self {
+        assert!(count < u32::MAX as usize, "position + 1 must fit a slot");
+        let len = (2 * count).next_power_of_two().max(2);
+        let shift = 32 - len.trailing_zeros();
+        storage.clear();
+        storage.resize(len, 0);
+        for (position, id) in ids.enumerate() {
+            let mut at = Self::home(id, shift);
+            while storage[at] != 0 {
+                at = (at + 1) & (len - 1);
+            }
+            storage[at] = u64::from(id.0) << 32 | (position as u64 + 1);
+        }
+        IdTable {
+            slots: storage,
+            shift,
+        }
+    }
+
+    #[inline]
+    fn home(id: ObjectId, shift: u32) -> usize {
+        (id.0.wrapping_mul(0x9E37_79B9) >> shift) as usize
+    }
+
+    #[inline]
+    fn position(&self, id: ObjectId) -> Option<usize> {
+        let mut at = Self::home(id, self.shift);
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return None;
+            }
+            if (slot >> 32) as u32 == id.0 {
+                return Some((slot as u32 - 1) as usize);
+            }
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+    }
 }
 
 /// One processing cycle's full delta output, as returned by
@@ -600,6 +508,71 @@ mod tests {
         }
     }
 
+    fn cmp_dist_id(a: &Neighbor, b: &Neighbor) -> Option<std::cmp::Ordering> {
+        (a.dist, a.id).partial_cmp(&(b.dist, b.id))
+    }
+
+    /// A duplicate-free result list ordered as `NeighborList` orders it,
+    /// over eight distinct distances — most entries tie with many others.
+    fn tie_heavy_list(ids: &[u32], eighths: &[u32]) -> Vec<Neighbor> {
+        let dists = eighths.iter().cycle().map(|&e| f64::from(e) / 8.0);
+        let mut out: Vec<Neighbor> = ids.iter().zip(dists).map(|(&id, d)| n(id, d)).collect();
+        out.sort_unstable_by_key(|e| e.id);
+        out.dedup_by_key(|e| e.id);
+        out.sort_unstable_by(|a, b| cmp_dist_id(a, b).unwrap());
+        out
+    }
+
+    /// Two tie-heavy lists of 0–300 entries over one id universe.
+    #[allow(clippy::type_complexity)]
+    fn list_pairs() -> impl Strategy<Value = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>)> {
+        (
+            proptest::collection::vec(0u32..400, 0..300),
+            proptest::collection::vec(0u32..8, 1..300),
+            proptest::collection::vec(0u32..400, 0..300),
+            proptest::collection::vec(0u32..8, 1..300),
+        )
+    }
+
+    /// The membership diff by nested scans: what `diff` must equal.
+    fn diff_reference(epoch: u64, old: &[Neighbor], new: &[Neighbor]) -> NeighborDelta {
+        let mut delta = NeighborDelta {
+            epoch,
+            ..NeighborDelta::default()
+        };
+        for o in old {
+            if !new.iter().any(|n| n.id == o.id) {
+                delta.removed.push(o.id);
+            }
+        }
+        for n in new {
+            match old.iter().find(|o| o.id == n.id) {
+                None => delta.added.push(*n),
+                Some(o) if o.dist.to_bits() != n.dist.to_bits() => delta.reordered.push(*n),
+                Some(_) => {}
+            }
+        }
+        delta
+    }
+
+    /// The fold as `retain` × `contains`, a `find` per reordered entry and
+    /// a full sort: what `apply_to` must equal.
+    fn apply_reference(delta: &NeighborDelta, result: &mut Vec<Neighbor>) {
+        if delta.is_empty() {
+            return;
+        }
+        result.retain(|n| !delta.removed.contains(&n.id));
+        for r in &delta.reordered {
+            let entry = result
+                .iter_mut()
+                .find(|e| e.id == r.id)
+                .expect("reordered entry must be in the replayed result");
+            entry.dist = r.dist;
+        }
+        result.extend_from_slice(&delta.added);
+        result.sort_unstable_by(|a, b| cmp_dist_id(a, b).expect("distances are never NaN"));
+    }
+
     #[test]
     fn diff_classifies_add_remove_reorder() {
         let old = [n(1, 0.1), n(2, 0.2), n(3, 0.3)];
@@ -625,122 +598,108 @@ mod tests {
         assert_eq!(replica, list);
     }
 
-    /// `from_log` must agree exactly with the reference semantics:
-    /// materialize the cycle-start list from (pre, log) and diff it.
     #[test]
-    fn from_log_matches_materialized_diff() {
-        fn canon(ids: &[u32], dists: &[f64]) -> Vec<Neighbor> {
-            let mut out: Vec<Neighbor> = ids
-                .iter()
-                .zip(dists.iter().cycle())
-                .map(|(&id, &d)| n(id, d))
-                .collect();
-            out.sort_unstable_by_key(|e| e.id);
-            out.dedup_by_key(|e| e.id);
-            out.sort_unstable_by(|a, b| cmp_dist_id(a, b).unwrap());
-            out
-        }
+    fn reserve_sizes_the_spill_once() {
+        let mut buf: DeltaBuf<u32> = DeltaBuf::new();
+        buf.reserve(DELTA_BUF_INLINE);
+        assert_eq!(buf.spill.capacity(), 0, "inline entries need no heap");
+        buf.extend(0..3);
+        buf.reserve(40);
+        let cap = buf.spill.capacity();
+        assert!(cap >= 43);
+        buf.extend(3..43);
+        assert_eq!(buf.spill.capacity(), cap);
+        assert_eq!(buf.as_slice(), (0..43).collect::<Vec<u32>>());
+        // A cleared buffer keeps its capacity and refills through the
+        // inline entries without touching the allocator.
+        buf.clear();
+        buf.extend(0..43);
+        assert_eq!(buf.spill.capacity(), cap);
+        assert_eq!(buf.len(), 43);
+    }
+
+    /// Random old/new pairs of up to 300 entries must produce the
+    /// reference delta, in canonical order, and round-trip bit-identically
+    /// through diff + apply.
+    #[test]
+    fn diff_apply_roundtrip_property() {
+        let mut runner = proptest::test_runner::TestRunner::default();
+        runner
+            .run(&list_pairs(), |(old_ids, old_d, new_ids, new_d)| {
+                let old = tie_heavy_list(&old_ids, &old_d);
+                let new = tie_heavy_list(&new_ids, &new_d);
+                let d = NeighborDelta::diff(3, &old, &new);
+                prop_assert_eq!(&d, &diff_reference(3, &old, &new), "old {:?}", old);
+                let mut replica = old.clone();
+                d.apply_to(&mut replica);
+                prop_assert_eq!(&replica, &new, "delta {:?} old {:?}", d, old);
+                prop_assert_eq!(d.is_empty(), old == new);
+                // Components are disjoint by id.
+                for a in &d.added {
+                    prop_assert!(!d.removed.contains(&a.id));
+                    prop_assert!(d.reordered.iter().all(|r| r.id != a.id));
+                }
+                Ok(())
+            })
+            .unwrap();
+    }
+
+    /// `apply_to` against the reference fold, with `removed` also naming
+    /// ids the result never held and arriving in shuffled order.
+    #[test]
+    fn apply_to_matches_the_reference_fold() {
         let mut runner = proptest::test_runner::TestRunner::default();
         runner
             .run(
                 &(
-                    proptest::collection::vec(0u32..60, 0..40),
-                    proptest::collection::vec(0.0..1.0f64, 1..40),
-                    proptest::collection::vec(0u32..60, 0..40),
-                    proptest::collection::vec(0.0..1.0f64, 1..40),
-                    proptest::collection::vec((0u32..60, 0.0..1.0f64), 0..8),
+                    list_pairs(),
+                    proptest::collection::vec(400u32..500, 0..20),
+                    any::<u32>(),
                 ),
-                |(pre_ids, pre_d, fin_ids, fin_d, raw_log)| {
-                    let pre = canon(&pre_ids, &pre_d);
-                    let fin = canon(&fin_ids, &fin_d);
-                    let mut log: Vec<(ObjectId, f64)> = Vec::new();
-                    for (id, d) in raw_log {
-                        if log.iter().all(|&(l, _)| l != ObjectId(id)) {
-                            log.push((ObjectId(id), d));
-                        }
-                    }
-                    // Reference: the cycle-start list implied by (pre, log).
-                    let mut old: Vec<Neighbor> = pre
-                        .iter()
-                        .map(|o| Neighbor {
-                            id: o.id,
-                            dist: log
-                                .iter()
-                                .find(|&&(l, _)| l == o.id)
-                                .map(|&(_, d)| d)
-                                .unwrap_or(o.dist),
-                        })
-                        .collect();
-                    for &(lid, ld) in &log {
-                        if pre.iter().all(|o| o.id != lid) {
-                            old.push(Neighbor { id: lid, dist: ld });
-                        }
-                    }
-                    old.sort_unstable_by(|a, b| cmp_dist_id(a, b).unwrap());
+                |((old_ids, old_d, new_ids, new_d), absent, salt)| {
+                    let old = tie_heavy_list(&old_ids, &old_d);
+                    let new = tie_heavy_list(&new_ids, &new_d);
+                    let mut d = NeighborDelta::diff(3, &old, &new);
+                    let mut removed: Vec<ObjectId> = d.removed.to_vec();
+                    removed.extend(absent.into_iter().map(ObjectId));
+                    removed.sort_unstable_by_key(|id| id.0.wrapping_mul(salt | 1));
+                    d.removed = removed.into();
 
-                    let fast = NeighborDelta::from_log(5, &pre, &log, &fin);
-                    let reference = NeighborDelta::diff(5, &old, &fin);
-                    prop_assert_eq!(
-                        &fast,
-                        &reference,
-                        "pre {:?} log {:?} fin {:?} old {:?}",
-                        pre,
-                        log,
-                        fin,
-                        old
-                    );
-                    // And the fast delta folds the old list onto fin.
-                    let mut replica = old.clone();
-                    fast.apply_to(&mut replica);
-                    prop_assert_eq!(replica, fin);
+                    let mut expected = old.clone();
+                    apply_reference(&d, &mut expected);
+                    let mut folded = old.clone();
+                    d.apply_to(&mut folded);
+                    prop_assert_eq!(&folded, &expected, "delta {:?} old {:?}", d, old);
+                    prop_assert_eq!(&folded, &new);
                     Ok(())
                 },
             )
             .unwrap();
     }
 
-    /// Random old/new pairs — including the >32-entry merge path — must
-    /// round-trip bit-identically through diff + apply.
+    /// A `reordered` id the result does not hold is a protocol violation:
+    /// same panic, same message as the reference fold.
     #[test]
-    fn diff_apply_roundtrip_property() {
-        fn build(ids: &[u32], dists: &[f64]) -> Vec<Neighbor> {
-            let mut out: Vec<Neighbor> = ids
-                .iter()
-                .zip(dists.iter().cycle())
-                .map(|(&id, &d)| n(id, d))
-                .collect();
-            // Result lists hold each id at most once; dedup by id first,
-            // then order by (dist, id) as NeighborList does.
-            out.sort_unstable_by_key(|e| e.id);
-            out.dedup_by_key(|e| e.id);
-            out.sort_unstable_by(|a, b| cmp_dist_id(a, b).unwrap());
-            out
-        }
-        let mut runner = proptest::test_runner::TestRunner::default();
-        runner
-            .run(
-                &(
-                    proptest::collection::vec(0u32..120, 0..64),
-                    proptest::collection::vec(0.0..1.0f64, 1..64),
-                    proptest::collection::vec(0u32..120, 0..64),
-                    proptest::collection::vec(0.0..1.0f64, 1..64),
-                ),
-                |(old_ids, old_d, new_ids, new_d)| {
-                    let old = build(&old_ids, &old_d);
-                    let new = build(&new_ids, &new_d);
-                    let d = NeighborDelta::diff(3, &old, &new);
-                    let mut replica = old.clone();
-                    d.apply_to(&mut replica);
-                    prop_assert_eq!(&replica, &new, "delta {:?} old {:?}", d, old);
-                    prop_assert_eq!(d.is_empty(), old == new);
-                    // Components are disjoint by id.
-                    for a in &d.added {
-                        prop_assert!(!d.removed.contains(&a.id));
-                        prop_assert!(d.reordered.iter().all(|r| r.id != a.id));
-                    }
-                    Ok(())
-                },
-            )
-            .unwrap();
+    fn missing_reordered_id_panics_like_the_reference() {
+        let delta = NeighborDelta {
+            epoch: 1,
+            reordered: vec![n(2, 0.25), n(9, 0.5)].into(),
+            ..NeighborDelta::default()
+        };
+        let message = |fold: fn(&NeighborDelta, &mut Vec<Neighbor>)| {
+            let delta = delta.clone();
+            let panic = std::panic::catch_unwind(move || {
+                fold(&delta, &mut vec![n(1, 0.125), n(2, 0.375), n(3, 0.5)]);
+            })
+            .expect_err("the fold must refuse an absent reordered id");
+            panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .expect("a string panic payload")
+        };
+        let expected = message(apply_reference);
+        assert_eq!(expected, "reordered entry must be in the replayed result");
+        assert_eq!(message(NeighborDelta::apply_to), expected);
     }
 }

@@ -53,7 +53,7 @@ use cpm_grid::{
     SpatialIndex, UpdateRecord,
 };
 
-use crate::delta::{DeltaBuf, NeighborDelta};
+use crate::delta::NeighborDelta;
 use crate::error::CpmError;
 use crate::heap::{HeapEntry, SearchHeap};
 use crate::inlist::InList;
@@ -252,12 +252,6 @@ pub struct SpecQueryState<S> {
     /// Reused output buffer for [`QuerySpec::dist_batch`] bucket scans;
     /// scratch only, never part of the observable query state.
     dist_buf: Vec<f64>,
-    /// Delta log: `(id, cycle-start distance)` of every result entry
-    /// mutated in place this cycle (first mutation wins), recorded only
-    /// when delta collection is on. Together with the finalize-phase
-    /// snapshot this pins down the cycle-start list without ever copying
-    /// it ([`NeighborDelta::from_log`]).
-    delta_log: DeltaBuf<(ObjectId, f64)>,
 }
 
 impl<S: QuerySpec> SpecQueryState<S> {
@@ -273,7 +267,6 @@ impl<S: QuerySpec> SpecQueryState<S> {
             pinwheel: Pinwheel::around_cell(CellCoord::new(0, 0), dim),
             in_list: InList::with_cap(k),
             dist_buf: Vec::new(),
-            delta_log: DeltaBuf::new(),
         }
     }
 
@@ -329,7 +322,9 @@ pub(crate) struct EngineCore<S: QuerySpec> {
     /// slot's ends. Both recycled across cycles.
     pairs: Vec<u32>,
     group_ends: Vec<usize>,
-    snapshot: Vec<Neighbor>,
+    /// The cycle-start result of the query being resolved, copied from
+    /// its `best` list just before the cycle first changes it (recycled).
+    cycle_start: Vec<Neighbor>,
     /// Scratch for merge resolutions (result ∪ incomers), recycled.
     merge_buf: Vec<Neighbor>,
     /// When set, every cycle's result changes are also captured as
@@ -361,7 +356,7 @@ impl<S: QuerySpec> EngineCore<S> {
             ignored: FastHashSet::default(),
             pairs: Vec::new(),
             group_ends: Vec::new(),
-            snapshot: Vec::new(),
+            cycle_start: Vec::new(),
             merge_buf: Vec::new(),
             collect_deltas: false,
             deltas: Vec::new(),
@@ -371,7 +366,8 @@ impl<S: QuerySpec> EngineCore<S> {
     }
 
     /// Turn per-cycle delta capture on or off (off by default — capture
-    /// costs one O(result) snapshot per touched query per cycle).
+    /// costs one O(result) copy and one O(result) diff per affected query
+    /// per cycle).
     pub(crate) fn set_collect_deltas(&mut self, on: bool) {
         self.collect_deltas = on;
     }
@@ -901,7 +897,6 @@ impl<S: QuerySpec> EngineCore<S> {
         // A result entry was mutated in place by a departure.
         let mut dirty = false;
         st.in_list.clear();
-        st.delta_log.clear();
 
         for &ev in events {
             let rec = &records[(ev >> 1) as usize];
@@ -919,6 +914,13 @@ impl<S: QuerySpec> EngineCore<S> {
                 in_removed = true;
             }
             if st.best.contains(id) {
+                // The delta is taken against the cycle-start list: keep a
+                // copy from just before the first in-place mutation (it
+                // stays hot for the whole of this query's resolution).
+                if self.collect_deltas && !dirty {
+                    self.cycle_start.clear();
+                    self.cycle_start.extend_from_slice(st.best.neighbors());
+                }
                 // `is_finite` mirrors the arrival guard: with an unfull
                 // result `bd_orig` is +∞, and a member moving somewhere it
                 // can never qualify (outside a constraint/range region,
@@ -927,79 +929,58 @@ impl<S: QuerySpec> EngineCore<S> {
                     .new_pos
                     .map(|p| st.spec.dist(p))
                     .filter(|d| d.is_finite() && *d <= bd_orig);
-                let old_entry = match still_in {
+                match still_in {
                     Some(d) => st.best.update_dist(id, d),
                     None => {
                         out_count += 1;
-                        st.best.remove(id).expect("member just checked")
+                        st.best.remove(id).expect("member just checked");
                     }
-                };
-                // The replaced entry carries the cycle-start distance the
-                // delta needs: log it (first mutation wins), and the
-                // cycle-start list never has to be copied anywhere.
-                if self.collect_deltas && !st.delta_log.iter().any(|&(l, _)| l == old_entry.id) {
-                    st.delta_log.push((old_entry.id, old_entry.dist));
                 }
                 dirty = true;
             }
         }
 
         let unsound_in_list = st.in_list.evicted_since_clear() && in_removed;
-        let mut resolved = false;
-        if unsound_in_list || st.in_list.len() < out_count {
-            self.snapshot.clear();
-            self.snapshot.extend_from_slice(st.best.neighbors());
+        let recompute = unsound_in_list || st.in_list.len() < out_count;
+        let resolved = recompute || out_count > 0 || st.in_list.len() > 0;
+        if !(resolved || dirty) {
+            return;
+        }
+        if !dirty {
+            // Nothing was mutated in place: the list about to be resolved
+            // still is the cycle-start list.
+            self.cycle_start.clear();
+            self.cycle_start.extend_from_slice(st.best.neighbors());
+        }
+        if recompute {
             Self::recompute(grid, &mut self.influence, st, &mut self.metrics);
-            resolved = true;
-        } else if out_count > 0 || st.in_list.len() > 0 {
-            self.snapshot.clear();
-            self.snapshot.extend_from_slice(st.best.neighbors());
-            self.merge_buf.clear();
-            self.merge_buf.extend_from_slice(&self.snapshot);
-            self.merge_buf.extend_from_slice(st.in_list.entries());
-            st.best.rebuild_from(&mut self.merge_buf);
-            self.metrics.merge_resolutions += 1;
-            self.metrics.by_kind[st.spec.kind() as usize].merge_resolutions += 1;
-            resolved = true;
-            Self::sync_influence(&mut self.influence, st);
-        } else if dirty {
+        } else {
+            if resolved {
+                self.merge_buf.clear();
+                self.merge_buf.extend_from_slice(st.best.neighbors());
+                self.merge_buf.extend_from_slice(st.in_list.entries());
+                st.best.rebuild_from(&mut self.merge_buf);
+                self.metrics.merge_resolutions += 1;
+                self.metrics.by_kind[st.spec.kind() as usize].merge_resolutions += 1;
+            }
             Self::sync_influence(&mut self.influence, st);
         }
 
-        // Change detection. `dirty` covers in-place departure mutations:
-        // the snapshot is *post*-departure, so a result that shrank and
-        // refilled nothing compares equal to it even though it changed
-        // versus the cycle start.
+        // Change detection. A `dirty` query changed whatever the lists
+        // say: a result that shrank and refilled, or an entry that moved
+        // and came back to the same distance bits, still counts. Otherwise
+        // an empty delta means bitwise-equal lists (distances are never
+        // NaN or -0.0, so bit equality and `==` agree), which keeps
+        // `changed` identical with capture on or off.
         if self.collect_deltas {
-            if resolved || dirty {
-                // Everything the delta needs is cache-hot right here: the
-                // pre-resolution snapshot (just written above; the final
-                // list itself when no merge/recompute ran), the final
-                // list, and the in-place mutation log pinning down the
-                // cycle-start distances. The delta subsumes the plain
-                // path's snapshot comparison: for non-dirty queries an
-                // empty delta means bitwise-equal lists (distances are
-                // never NaN or -0.0, so bit equality and `==` agree),
-                // keeping `changed` identical with capture on or off.
-                let pre: &[Neighbor] = if resolved {
-                    &self.snapshot
-                } else {
-                    st.best.neighbors()
-                };
-                let delta = NeighborDelta::from_log(
-                    self.epoch,
-                    pre,
-                    st.delta_log.as_slice(),
-                    st.best.neighbors(),
-                );
-                if dirty || !delta.is_empty() {
-                    changed.push(qid);
-                }
-                if !delta.is_empty() {
-                    self.deltas.push((qid, delta));
-                }
+            let delta = NeighborDelta::diff(self.epoch, &self.cycle_start, st.best.neighbors());
+            if dirty || !delta.is_empty() {
+                changed.push(qid);
             }
-        } else if dirty || (resolved && self.snapshot != st.best.neighbors()) {
+            if !delta.is_empty() {
+                self.deltas.push((qid, delta));
+            }
+        } else if dirty || self.cycle_start != st.best.neighbors() {
             changed.push(qid);
         }
     }

@@ -140,17 +140,14 @@ impl NeighborList {
 
     /// Update the stored distance of a member that moved but remains in the
     /// result ("update the order in `q.best_NN`", Figure 3.8 line 9).
-    /// Returns the replaced entry (with its previous distance) — the delta
-    /// path logs it as the cycle-start state.
     ///
     /// # Panics
     /// Panics if `id` is not a member.
-    pub fn update_dist(&mut self, id: ObjectId, dist: f64) -> Neighbor {
-        let old = self.remove(id).expect("update_dist of non-member");
+    pub fn update_dist(&mut self, id: ObjectId, dist: f64) {
+        self.remove(id).expect("update_dist of non-member");
         let at = self.insertion_point(Neighbor { id, dist });
         self.entries.insert(at, Neighbor { id, dist });
         self.members.insert(id);
-        old
     }
 
     /// Rebuild from `candidates`, keeping the best `k`. Used by the merge

@@ -485,10 +485,11 @@ impl<S: QuerySpec + Send + Sync, I: SpatialIndex> ShardedCpmEngine<S, I> {
     }
 
     /// [`ShardedCpmEngine::process_cycle_with_deltas`], but refilling a
-    /// caller-owned batch: `out`'s buffers are cleared and reused, so a
-    /// steady-state caller that recycles the same [`CycleDeltas`] (the
-    /// subscription hub, the delta benchmark) pays no per-cycle batch
-    /// allocation.
+    /// caller-owned batch: `out`'s two vectors are cleared and reused, so
+    /// a steady-state caller that recycles the same [`CycleDeltas`] (the
+    /// subscription front end, the benchmark) does not re-grow them. The
+    /// deltas themselves are not recycled: a component of more than four
+    /// entries owns a heap buffer, freed here and allocated by capture.
     ///
     /// # Panics
     /// Panics if delta capture was not enabled with
@@ -518,8 +519,8 @@ impl<S: QuerySpec + Send + Sync, I: SpatialIndex> ShardedCpmEngine<S, I> {
     /// and [`ShardedCpmEngine::process_cycle_with_deltas`]. Changed ids
     /// are appended to `changed` (left sorted); captured deltas are
     /// appended to `deltas_out` in shard order (nothing is appended
-    /// unless capture is on). Both buffers are the caller's, so recycling
-    /// callers allocate nothing per cycle.
+    /// unless capture is on). Both buffers are the caller's, so a
+    /// recycling caller does not re-grow them.
     fn run_cycle(
         &mut self,
         object_events: &[ObjectEvent],

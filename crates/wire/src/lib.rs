@@ -356,6 +356,17 @@ impl<'a> Reader<'a> {
         }
         Ok(len)
     }
+
+    /// How many of the `len` elements a [`Reader::take_len`] prefix
+    /// announced a decoder may reserve room for up front. `take_len` only
+    /// proves one byte per element, so this is at most twice the input
+    /// bytes left: a hostile prefix on a wide `T` cannot amplify, and
+    /// honest batches stay exact-sized (a `Neighbor` is 16 bytes in memory
+    /// for 12 on the wire, an `ObjectEvent` 24 for 21); growth covers
+    /// anything wider.
+    pub fn reservable<T>(&self, len: usize) -> usize {
+        len.min(self.remaining().saturating_mul(2) / std::mem::size_of::<T>().max(1))
+    }
 }
 
 /// Serialize a value into a [`Writer`].
@@ -479,13 +490,7 @@ impl<T: Encode> Encode for Vec<T> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = r.take_len(1)?;
-        // `take_len` only proves one byte per element; reserve at most
-        // twice the input bytes left, so a hostile prefix on a wide `T`
-        // cannot amplify. The factor two keeps honest batches exact-sized
-        // (a `Neighbor` is 16 bytes in memory for 12 on the wire, an
-        // `ObjectEvent` 24 for 21); growth covers anything wider.
-        let fits = r.remaining().saturating_mul(2) / std::mem::size_of::<T>().max(1);
-        let mut out = Vec::with_capacity(len.min(fits));
+        let mut out = Vec::with_capacity(r.reservable::<T>(len));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }

@@ -8,7 +8,8 @@
 //! trusting engine applies them in order, and they are the only inputs
 //! for which the order update handling visits a query's events in could
 //! matter: it decides `InList` eviction, the "an incomer left again" flag
-//! and which mutation of a result entry the delta log keeps.
+//! and which in-place mutation is the first (the cycle-start copy the
+//! delta is taken against is made just before it).
 
 use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
