@@ -7,7 +7,7 @@
 //!   table2_1 table6_1
 //!   fig6_1 fig6_2a fig6_2b fig6_3 fig6_4a fig6_4b fig6_5a fig6_5b
 //!   fig6_6a fig6_6b
-//!   space analysis ann constrained skew drift index shards
+//!   space analysis ann constrained skew drift shards
 //!   deltas mixed rnn pipeline
 //!   all          (everything above)
 //!
@@ -85,7 +85,6 @@ fn main() {
             "constrained",
             "skew",
             "drift",
-            "index",
             "shards",
             "deltas",
             "mixed",
@@ -131,7 +130,6 @@ fn run_experiment(name: &str, scale: f64, shards: &[usize]) {
         "constrained" => figures::constrained(scale).print(),
         "skew" => figures::skew(scale).print(),
         "drift" => figures::drift(scale).print(),
-        "index" => figures::index_backends(scale).print(),
         "shards" => figures::shards(scale, shards).print(),
         "deltas" => figures::deltas(scale).print(),
         "mixed" => figures::mixed(scale).print(),
@@ -230,7 +228,7 @@ fn print_help() {
         "usage: experiments <name>... [--scale X | --paper] [--shards LIST]\n\
          names: table2_1 table6_1 fig6_1 fig6_2a fig6_2b fig6_3 fig6_4a fig6_4b\n\
          \u{20}      fig6_5a fig6_5b fig6_6a fig6_6b space analysis ann\n\
-         \u{20}      constrained skew drift index shards deltas mixed rnn pipeline\n\
+         \u{20}      constrained skew drift shards deltas mixed rnn pipeline\n\
          \u{20}      all\n\
          --shards LIST  comma-separated shard counts for the `shards`\n\
          \u{20}              experiment (default 1,2,4,8)"

@@ -686,62 +686,6 @@ pub fn drift(scale: f64) -> Table {
     t
 }
 
-/// Spatial-index backend study: uniform `CellIndex` (monomorphic and
-/// through the runtime [`cpm_grid::DynIndex`] dispatch) vs the adaptive
-/// quadtree, on the drifting-hotspot stream (see [`crate::index`]). The
-/// uniform lanes are provisioned for the *base* population, the quadtree
-/// for the *peak* — the point of the adaptive backend is that fine
-/// conceptual resolution costs nothing where the space is empty.
-pub fn index_backends(scale: f64) -> Table {
-    let full = crate::index::Config::default();
-    let cfg = crate::index::Config {
-        n_base: ((full.n_base as f64 * scale) as usize).max(300),
-        n_queries: ((full.n_queries as f64 * scale) as usize).max(30),
-        cycles: 30,
-        ..full
-    };
-    let mut t = Table::new(
-        "Spatial-index backends — uniform vs quadtree (steady vs drifting hotspot)",
-        "backend · workload",
-        "per cycle",
-        vec![
-            "ms/cycle".into(),
-            "p100 ms".into(),
-            "dim".into(),
-            "result changes".into(),
-        ],
-    );
-    // `steady` pins the population at the base count (no breathing), so
-    // the backends run at matched provisioning; `drift` breathes to the
-    // peak, where only the quadtree can afford the peak-tuned δ.
-    for (label, peak_factor) in [("steady", 1.0), ("drift", cfg.peak_factor)] {
-        let cfg = crate::index::Config {
-            peak_factor,
-            ..cfg.clone()
-        };
-        let run = crate::index::measure(&cfg);
-        for lane in ["uniform-mono", "uniform-dyn", "quadtree"] {
-            let cells = ["ms_quiet", "max_ms", "dim", "result_changes"];
-            t.push_row(
-                format!("{lane} · {label}"),
-                cells.map(|key| run.lane_num(lane, key)).to_vec(),
-            );
-        }
-        t.note(format!(
-            "{label}: N {}→{}, quadtree speedup {:.2}x, dyn-dispatch overhead {:.2}x",
-            cfg.n_base,
-            cfg.n_peak(),
-            run.median("quadtree_speedup"),
-            run.median("dyn_overhead")
-        ));
-    }
-    t.note(format!(
-        "{} queries, k={}; results are bit-identical across backends (asserted per cycle)",
-        cfg.n_queries, cfg.k
-    ));
-    t
-}
-
 /// Shard-scaling study: CPU time per cycle vs shard count for the sharded
 /// parallel engine, with the sequential engine (1 shard) as baseline. The
 /// speedup column is machine-dependent — the note records the host's

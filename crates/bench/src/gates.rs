@@ -144,24 +144,6 @@ pub const GATES: &[Gate] = &[
         "full recovery / quiet cycle (restart pause)",
         Bound::AtMost(25.0),
     ),
-    gate(
-        "index",
-        "quadtree_dim_over_uniform",
-        "quadtree provisioned finer than the uniform lanes",
-        Bound::AtLeast(2.0),
-    ),
-    gate(
-        "index",
-        "quadtree_speedup",
-        "quadtree vs uniform grid at the base-provisioned resolution",
-        Bound::AtLeast(1.15 / MARGIN),
-    ),
-    gate(
-        "index",
-        "dyn_overhead",
-        "runtime-dispatched / monomorphic uniform grid",
-        Bound::AtMost(1.10 * MARGIN),
-    ),
     // The explicit-SIMD lane carries the 1.3x acceptance bar; the
     // portable lane must merely never lose to the scalar idiom.
     Gate {

@@ -5,7 +5,7 @@
 //!   footnote, the Section 4.1 analysis validation and the Section 5
 //!   extensions. Each returns a printable [`Table`].
 //! * [`table`] — the plain-text table type experiment output uses.
-//! * [`BENCHES`] — the ten micro-benchmarks behind the `BENCH_*.json`
+//! * [`BENCHES`] — the nine micro-benchmarks behind the `BENCH_*.json`
 //!   files at the repository root. Each module is a `Config`, its lanes
 //!   with their in-run conformance assertions, and one
 //!   `measure(&Config) -> BenchRecord`; how a benchmark is executed,
@@ -25,7 +25,6 @@ pub mod deltas;
 pub mod figures;
 pub mod gates;
 pub mod grid_storage;
-pub mod index;
 pub mod kernels;
 pub mod paired;
 pub mod pipeline;
@@ -74,14 +73,13 @@ macro_rules! bench {
 }
 
 /// Every micro-benchmark, in the order `bench_check` runs them.
-pub const BENCHES: [Bench; 10] = [
+pub const BENCHES: [Bench; 9] = [
     bench!("grid", grid_storage),
     bench!("shards", shards),
     bench!("deltas", deltas),
     bench!("server", server),
     bench!("regrid", regrid),
     bench!("recovery", recovery),
-    bench!("index", index),
     bench!("kernels", kernels),
     bench!("cluster", cluster),
     bench!("pipeline", pipeline),

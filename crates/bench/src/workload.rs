@@ -159,8 +159,8 @@ pub(crate) fn mixed_queries(
 }
 
 bench_config! {
-    /// The drifting-hotspot stream ([`cpm_gen::drift`]) the re-grid and
-    /// spatial-index benchmarks share: the population breathes between
+    /// The drifting-hotspot stream ([`cpm_gen::drift`]) of the re-grid
+    /// benchmark: the population breathes between
     /// `n_base` and `peak_factor ×` that while one Gaussian hotspot
     /// sweeps the workspace, so the Section 4.1 optimum moves mid-run.
     DriftBench {

@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use cpm_core::{AnyQuerySpec, CycleDeltas, SpecEvent};
 use cpm_geom::{FastHashMap, ObjectId, Point, QueryId};
-use cpm_grid::{IndexKind, ObjectEvent};
+use cpm_grid::ObjectEvent;
 use cpm_sub::{CycleReceipt, DeltaFanout};
 use cpm_wire::cluster::{BatchRef, ClusterMsg};
 use cpm_wire::{Encode, WIRE_VERSION};
@@ -69,8 +69,8 @@ use crate::tcp::TcpTransport;
 use crate::transport::{duplex, ChannelTransport, Transport};
 use crate::worker::run_worker;
 
-/// Static cluster shape: grid resolution, worker count, overlap margin,
-/// index backend (every worker runs the same one) and cycle schedule.
+/// Static cluster shape: grid resolution, worker count, overlap margin
+/// and cycle schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Grid resolution (`dim × dim` cells), shared by every worker.
@@ -81,8 +81,6 @@ pub struct ClusterConfig {
     /// margins certify larger influence regions at the cost of more
     /// object replication.
     pub overlap: u32,
-    /// Spatial-index backend each worker builds.
-    pub index: IndexKind,
     /// Run the depth-1 epoch pipeline (route epoch *e+1* while workers
     /// compute *e*) and fan per-worker routing out across threads on
     /// multi-core hosts. Default `false`: fully serial cycles. The
@@ -91,14 +89,13 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A `workers`-way split of a `dim × dim` grid with a 2-cell overlap
-    /// and the uniform-grid index, serial cycles.
+    /// A `workers`-way split of a `dim × dim` grid with a 2-cell overlap,
+    /// serial cycles.
     pub fn new(dim: u32, workers: u32) -> Self {
         Self {
             dim,
             workers,
             overlap: 2,
-            index: IndexKind::Uniform,
             pipeline: false,
         }
     }
@@ -106,12 +103,6 @@ impl ClusterConfig {
     /// Builder-style overlap margin override.
     pub fn overlap(mut self, cells: u32) -> Self {
         self.overlap = cells;
-        self
-    }
-
-    /// Builder-style index backend override.
-    pub fn index(mut self, index: IndexKind) -> Self {
-        self.index = index;
         self
     }
 
@@ -298,8 +289,8 @@ impl ClusterCoordinator<TcpTransport> {
 
 impl<T: Transport> ClusterCoordinator<T> {
     /// Handshake with `links.len() == config.workers` already-serving
-    /// workers: send each its `Hello` (worker index, grid, index
-    /// backend, tile, coverage) and check the `HelloAck`.
+    /// workers: send each its `Hello` (worker index, grid, tile,
+    /// coverage) and check the `HelloAck`.
     ///
     /// # Errors
     /// [`ClusterError::VersionSkew`] / typed worker rejections /
@@ -353,7 +344,6 @@ impl<T: Transport> ClusterCoordinator<T> {
             version: WIRE_VERSION,
             worker: w,
             dim: config.dim,
-            index: config.index,
             tile: partition.tile(w as usize),
             coverage: partition.coverage(w as usize),
         };
@@ -385,7 +375,9 @@ impl<T: Transport> ClusterCoordinator<T> {
                 }
                 Ok(())
             }
-            ClusterMsg::Reject { worker, reject } => Err(ClusterError::from_reject(worker, reject)),
+            // The link names the worker: one that could not read its
+            // `Hello` does not know its index.
+            ClusterMsg::Reject { reject, .. } => Err(ClusterError::from_reject(w, reject)),
             _ => Err(ClusterError::Protocol {
                 what: "handshake expected a HelloAck",
             }),

@@ -25,8 +25,7 @@
 //! The correctness bar is the house one: `cpm_sim::verify` over cluster
 //! lanes proves the merged cross-node delta stream and changed lists
 //! **bit-identical** to a single-node server across worker counts,
-//! transports, cycle schedules, index backends and a mid-run worker
-//! restart.
+//! transports, cycle schedules and a mid-run worker restart.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -2,7 +2,7 @@
 //! validate-then-run message handler, and the blocking serve loop.
 //!
 //! A worker is deliberately stateless beyond its engine: everything it
-//! knows (tile, coverage, grid resolution, index backend) arrived in the
+//! knows (tile, coverage, grid resolution) arrived in the
 //! coordinator's `Hello`, and its full query/object state fits in one
 //! snapshot frame — which is exactly how a crashed worker's replacement
 //! is seeded ([`ClusterMsg::SnapshotXfer`]).
@@ -17,7 +17,7 @@
 //! can no longer be certified globally correct.
 
 use cpm_core::{AnyQuerySpec, CpmError, CpmServer, CpmServerBuilder, CycleDeltas, SpecEvent};
-use cpm_grid::{GridGeom, IndexKind, ObjectEvent};
+use cpm_grid::{GridGeom, ObjectEvent};
 use cpm_wire::cluster::{ClusterMsg, ClusterReject, DeltasRef, TileRect};
 use cpm_wire::{Decode, Encode, WIRE_VERSION};
 
@@ -31,7 +31,6 @@ pub struct ClusterWorker {
     id: u32,
     server: CpmServer,
     geom: GridGeom,
-    index: IndexKind,
     tile: TileRect,
     coverage: TileRect,
     /// Recycled per-cycle delta batch (the engine's `_into` idiom).
@@ -46,23 +45,15 @@ impl ClusterWorker {
     ///
     /// # Errors
     /// [`CpmError::InvalidDim`] for an unusable grid resolution.
-    pub fn new(
-        id: u32,
-        dim: u32,
-        index: IndexKind,
-        tile: TileRect,
-        coverage: TileRect,
-    ) -> Result<Self, CpmError> {
+    pub fn new(id: u32, dim: u32, tile: TileRect, coverage: TileRect) -> Result<Self, CpmError> {
         let server = CpmServerBuilder::new(dim)
             .shards(1)
             .deltas(true)
-            .index(index)
             .try_build()?;
         Ok(Self {
             id,
             server,
             geom: GridGeom::new(dim),
-            index,
             tile,
             coverage,
             cycle_out: CycleDeltas::default(),
@@ -319,7 +310,7 @@ impl ClusterWorker {
                 })
             }
         };
-        match CpmServer::restore_expecting(&snap, self.index) {
+        match CpmServer::restore(&snap) {
             Ok(server) => {
                 self.server = server;
                 ClusterMsg::Ack {
@@ -338,19 +329,35 @@ impl ClusterWorker {
 /// down or hangs up: handshake (`Hello` → `HelloAck`, with a typed
 /// version-skew refusal), then handle messages one at a time.
 ///
+/// A first frame that does not decode — a `Hello` naming the removed
+/// quadtree index, say — is answered with a `Reject` carrying the wire
+/// error, and the worker exits cleanly: it was never assigned anything.
+///
 /// # Errors
 /// [`ClusterError::VersionSkew`] on a mismatched `Hello`,
 /// [`ClusterError::Protocol`] if the first message is not a `Hello`,
 /// transport/wire errors as typed values. A peer hang-up after the
 /// handshake is a clean exit.
 pub fn run_worker<T: Transport>(mut transport: T) -> Result<(), ClusterError> {
-    let first = ClusterMsg::from_frame(&transport.recv()?)?;
+    let first = match ClusterMsg::from_frame(&transport.recv()?) {
+        Ok(msg) => msg,
+        Err(e) => {
+            let reject = ClusterMsg::Reject {
+                // Unknown: it was in the frame. The peer knows the link.
+                worker: u32::MAX,
+                reject: ClusterReject::Engine {
+                    detail: format!("hello decode: {e}"),
+                },
+            };
+            transport.send(&reject.to_frame())?;
+            return Ok(());
+        }
+    };
     let mut worker = match first {
         ClusterMsg::Hello {
             version,
             worker,
             dim,
-            index,
             tile,
             coverage,
         } => {
@@ -369,7 +376,7 @@ pub fn run_worker<T: Transport>(mut transport: T) -> Result<(), ClusterError> {
                     theirs: version,
                 });
             }
-            match ClusterWorker::new(worker, dim, index, tile, coverage) {
+            match ClusterWorker::new(worker, dim, tile, coverage) {
                 Ok(w) => w,
                 Err(e) => {
                     let reject = ClusterMsg::Reject {

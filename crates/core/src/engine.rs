@@ -50,7 +50,7 @@
 use cpm_geom::{FastHashMap, FastHashSet, ObjectId, Point, QueryId};
 use cpm_grid::{
     kernels, CellCoord, Coords, Grid, GridGeom, InfluenceTable, Metrics, QueryEvent, QueryKind,
-    SpatialIndex, UpdateRecord,
+    UpdateRecord,
 };
 
 use crate::delta::NeighborDelta;
@@ -64,8 +64,7 @@ use crate::partition::{Direction, Pinwheel};
 /// query in order to search for it and maintain its result.
 ///
 /// Specs consume only the conceptual cell geometry ([`GridGeom`]) — never
-/// the index backend — which is what makes engine results
-/// backend-independent by construction.
+/// the index that stores the objects.
 ///
 /// Implementations must uphold two contracts, both property-tested by the
 /// monitors built on the engine:
@@ -444,7 +443,7 @@ impl<S: QuerySpec> EngineCore<S> {
     /// the change is parked in `regrid_changed`/`regrid_prelists` and
     /// folded into the next cycle's changed list and delta stream by
     /// [`EngineCore::finish_regrid`].
-    pub(crate) fn rebind_grid<I: SpatialIndex>(&mut self, grid: &Grid<I>) {
+    pub(crate) fn rebind_grid(&mut self, grid: &Grid) {
         self.influence.reset(grid.dim());
         let mut qids: Vec<(QueryId, u32)> = self.slot_of.iter().map(|(&q, &s)| (q, s)).collect();
         qids.sort_unstable();
@@ -511,9 +510,9 @@ impl<S: QuerySpec> EngineCore<S> {
         self.deltas.clear();
     }
 
-    pub(crate) fn install<I: SpatialIndex>(
+    pub(crate) fn install(
         &mut self,
-        grid: &Grid<I>,
+        grid: &Grid,
         id: QueryId,
         spec: S,
         k: usize,
@@ -552,9 +551,9 @@ impl<S: QuerySpec> EngineCore<S> {
     /// parked through the same `regrid_changed`/`regrid_prelists`
     /// machinery a re-grid uses, and surfaces in the next cycle's changed
     /// list and delta stream instead of being silently dropped.
-    pub(crate) fn restore_query<I: SpatialIndex>(
+    pub(crate) fn restore_query(
         &mut self,
-        grid: &Grid<I>,
+        grid: &Grid,
         id: QueryId,
         spec: S,
         k: usize,
@@ -581,9 +580,9 @@ impl<S: QuerySpec> EngineCore<S> {
         Ok(())
     }
 
-    pub(crate) fn update_spec<I: SpatialIndex>(
+    pub(crate) fn update_spec(
         &mut self,
-        grid: &Grid<I>,
+        grid: &Grid,
         id: QueryId,
         spec: S,
     ) -> Result<&[Neighbor], CpmError> {
@@ -620,9 +619,9 @@ impl<S: QuerySpec> EngineCore<S> {
     /// deltas and `Metrics` are those of walking the batch record by
     /// record. Queries resolve in slot order; the callers put `changed`
     /// and the deltas into canonical id order.
-    pub(crate) fn apply_records<I: SpatialIndex>(
+    pub(crate) fn apply_records(
         &mut self,
-        grid: &Grid<I>,
+        grid: &Grid,
         records: &[UpdateRecord],
         changed: &mut Vec<QueryId>,
     ) {
@@ -681,9 +680,9 @@ impl<S: QuerySpec> EngineCore<S> {
     }
 
     /// Apply this core's share of the cycle's query events, in batch order.
-    pub(crate) fn apply_query_events<I: SpatialIndex>(
+    pub(crate) fn apply_query_events(
         &mut self,
-        grid: &Grid<I>,
+        grid: &Grid,
         events: &[SpecEvent<S>],
         changed: &mut Vec<QueryId>,
     ) {
@@ -743,8 +742,8 @@ impl<S: QuerySpec> EngineCore<S> {
 
     // ---- search ----
 
-    fn compute_from_scratch<I: SpatialIndex>(
-        grid: &Grid<I>,
+    fn compute_from_scratch(
+        grid: &Grid,
         inf: &mut InfluenceTable<u32>,
         st: &mut SpecQueryState<S>,
         metrics: &mut Metrics,
@@ -778,8 +777,8 @@ impl<S: QuerySpec> EngineCore<S> {
         Self::sync_influence(inf, st);
     }
 
-    fn recompute<I: SpatialIndex>(
-        grid: &Grid<I>,
+    fn recompute(
+        grid: &Grid,
         inf: &mut InfluenceTable<u32>,
         st: &mut SpecQueryState<S>,
         metrics: &mut Metrics,
@@ -812,11 +811,7 @@ impl<S: QuerySpec> EngineCore<S> {
         Self::sync_influence(inf, st);
     }
 
-    fn drain_heap<I: SpatialIndex>(
-        grid: &Grid<I>,
-        st: &mut SpecQueryState<S>,
-        metrics: &mut Metrics,
-    ) {
+    fn drain_heap(grid: &Grid, st: &mut SpecQueryState<S>, metrics: &mut Metrics) {
         let increment = st.spec.strip_increment(grid.delta());
         while let Some(key) = st.heap.peek_key() {
             if key > st.best.best_dist() {
@@ -877,9 +872,9 @@ impl<S: QuerySpec> EngineCore<S> {
     /// merge-or-recompute resolution and change detection. A query with a
     /// pending query event is skipped ("to avoid waste of computations
     /// for obsolete queries", Section 3.3).
-    fn resolve<I: SpatialIndex>(
+    fn resolve(
         &mut self,
-        grid: &Grid<I>,
+        grid: &Grid,
         records: &[UpdateRecord],
         slot: usize,
         events: &[u32],
@@ -986,7 +981,7 @@ impl<S: QuerySpec> EngineCore<S> {
     }
 
     /// Verify all cross-structure invariants against `grid` (test helper).
-    pub(crate) fn check_invariants<I: SpatialIndex>(&self, grid: &Grid<I>) {
+    pub(crate) fn check_invariants(&self, grid: &Grid) {
         for (qid, &slot) in &self.slot_of {
             let st = self.queries[slot as usize].as_ref().expect("mapped slot");
             assert_eq!((*qid, slot), (st.id, st.slot));

@@ -10,7 +10,7 @@
 //! runtime conditions to handle.
 
 use cpm_geom::{ObjectId, QueryId};
-use cpm_grid::{GridConfigError, IndexKind, QueryKind};
+use cpm_grid::{GridConfigError, QueryKind};
 
 /// Why a query-registry operation was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,19 +57,9 @@ pub enum CpmError {
     /// duplicate means the producer double-sent; the batch is rejected
     /// before any state changes.
     DuplicateObject(ObjectId),
-    /// A `regrid_to` named a resolution the active index backend rejects
-    /// (out of `1..=4096`, or not a power of two under a quadtree index).
-    /// Wraps the grid layer's [`GridConfigError`].
+    /// A builder or a `regrid_to` named a grid resolution out of
+    /// `1..=4096`. Wraps the grid layer's [`GridConfigError`].
     InvalidDim(GridConfigError),
-    /// A snapshot was restored under a different [`IndexKind`] than it was
-    /// captured with. Recovery must rebuild the same structure the durable
-    /// state describes; re-capture under the new kind instead.
-    IndexMismatch {
-        /// The kind recorded in the snapshot.
-        expected: IndexKind,
-        /// The kind the restoring server/engine is configured with.
-        actual: IndexKind,
-    },
 }
 
 impl From<GridConfigError> for CpmError {
@@ -112,11 +102,6 @@ impl std::fmt::Display for CpmError {
                 write!(f, "object {id} appears more than once in the event batch")
             }
             CpmError::InvalidDim(e) => write!(f, "{e}"),
-            CpmError::IndexMismatch { expected, actual } => write!(
-                f,
-                "snapshot was captured under the {expected} index but is being restored \
-                 under {actual}"
-            ),
         }
     }
 }

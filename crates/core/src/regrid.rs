@@ -30,7 +30,7 @@
 //! `N·δ²`, so a concentration spike that leaves `N` unchanged looks free.
 //! The controller therefore also folds the grid's occupancy signals
 //! ([`cpm_grid::GridStats`]: hot-cell maximum and occupied-cell count,
-//! both maintained incrementally by the index backends) into a **skew
+//! both maintained incrementally by the index) into a **skew
 //! EMA** via [`RegridController::observe_occupancy`]. Only skew beyond
 //! [`AutoRegridConfig::skew_threshold`] reaches the model — a dead band
 //! that keeps mildly non-uniform workloads on the paper-exact uniform
@@ -264,7 +264,7 @@ impl RegridController {
     /// instantaneous observation is the hot cell's population over the
     /// uniform per-cell expectation `live / total_cells`, clamped to
     /// `[1, 64]` so a near-empty grid cannot swing the average; empty
-    /// grids are skipped. Index backends maintain [`GridStats`]
+    /// grids are skipped. The index maintains [`GridStats`]
     /// incrementally, so engines can afford to call this every cycle.
     pub fn observe_occupancy(&mut self, stats: GridStats) {
         if stats.live_objects == 0 || stats.total_cells == 0 {

@@ -40,7 +40,7 @@
 //! [`cpm_grid::apply_events`]: cpm_grid::apply_events
 
 use cpm_geom::{FastHashMap, FastHashSet, ObjectId, Point, QueryId};
-use cpm_grid::{DynIndex, Grid, IndexKind, Metrics, ObjectEvent, QueryKind, SpatialIndex};
+use cpm_grid::{Grid, Metrics, ObjectEvent, QueryKind};
 
 use crate::any::AnyQuerySpec;
 use crate::delta::CycleDeltas;
@@ -143,42 +143,18 @@ pub struct CpmServerBuilder {
     shards: usize,
     deltas: bool,
     regrid: RegridPolicy,
-    index: IndexKind,
 }
 
 impl CpmServerBuilder {
     /// Start configuring a server over an empty `dim × dim` grid
-    /// (sequential maintenance, delta capture off, manual re-gridding,
-    /// uniform dense-bucket index).
+    /// (sequential maintenance, delta capture off, manual re-gridding).
     pub fn new(dim: u32) -> Self {
         Self {
             dim,
             shards: 1,
             deltas: false,
             regrid: RegridPolicy::Manual,
-            index: IndexKind::Uniform,
         }
-    }
-
-    /// Select the spatial-index backend behind the shared grid (default:
-    /// [`IndexKind::Uniform`], the paper-exact dense-bucket cell index).
-    /// Every exact query kind returns **bit-identical** results,
-    /// changed lists and delta streams on every backend; the choice is
-    /// purely a performance/space trade-off (see the
-    /// [`cpm_grid::SpatialIndex`] docs).
-    ///
-    /// ```
-    /// use cpm_core::CpmServerBuilder;
-    /// use cpm_grid::IndexKind;
-    ///
-    /// let server = CpmServerBuilder::new(64)
-    ///     .index(IndexKind::quadtree())
-    ///     .build();
-    /// assert_eq!(server.index_kind(), IndexKind::quadtree());
-    /// ```
-    pub fn index(mut self, kind: IndexKind) -> Self {
-        self.index = kind;
-        self
     }
 
     /// Run per-cycle query maintenance across `shards ≥ 1` worker threads
@@ -222,16 +198,12 @@ impl CpmServerBuilder {
         self
     }
 
-    /// Build the server, validating the grid configuration against the
-    /// selected index backend.
+    /// Build the server, validating the grid dimension.
     ///
     /// # Errors
-    /// [`CpmError::InvalidDim`] when the backend rejects `dim` (out of
-    /// range, or not a power of two under [`IndexKind::Quadtree`]).
+    /// [`CpmError::InvalidDim`] when `dim` is out of `1..=4096`.
     pub fn try_build(self) -> Result<CpmServer, CpmError> {
-        let grid = cpm_grid::GridBuilder::new(self.dim)
-            .index(self.index)
-            .try_build()?;
+        let grid = cpm_grid::GridBuilder::new(self.dim).try_build()?;
         let mut engine = ShardedCpmEngine::with_grid(grid, self.shards);
         if self.deltas {
             engine.enable_deltas();
@@ -252,9 +224,8 @@ impl CpmServerBuilder {
     /// Build the server.
     ///
     /// # Panics
-    /// Panics when the selected index backend rejects the configured
-    /// grid dimension; use [`CpmServerBuilder::try_build`] to handle the
-    /// error instead.
+    /// Panics when the configured grid dimension is out of `1..=4096`;
+    /// use [`CpmServerBuilder::try_build`] to handle the error instead.
     pub fn build(self) -> CpmServer {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -299,7 +270,7 @@ struct RnnState {
 /// ```
 #[derive(Debug)]
 pub struct CpmServer {
-    engine: ShardedCpmEngine<AnyQuerySpec, DynIndex>,
+    engine: ShardedCpmEngine<AnyQuerySpec>,
     /// Whether the engine captures per-cycle deltas (build-time choice).
     collects: bool,
     /// Kind registry of every *user-visible* query (RNN registrations
@@ -338,7 +309,7 @@ impl CpmServer {
     /// restore path read it directly).
     #[doc(hidden)]
     #[must_use]
-    pub fn engine(&self) -> &ShardedCpmEngine<AnyQuerySpec, DynIndex> {
+    pub fn engine(&self) -> &ShardedCpmEngine<AnyQuerySpec> {
         &self.engine
     }
 
@@ -361,7 +332,7 @@ impl CpmServer {
     /// Reassemble a server from restored parts (the snapshot restore
     /// path; the decode layer has already cross-validated them).
     pub(crate) fn assemble(
-        engine: ShardedCpmEngine<AnyQuerySpec, DynIndex>,
+        engine: ShardedCpmEngine<AnyQuerySpec>,
         collects: bool,
         kinds: Vec<(QueryId, QueryKind)>,
         rnn: Vec<(QueryId, Point, Vec<ObjectId>)>,
@@ -416,16 +387,8 @@ impl CpmServer {
 
     /// The shared object index.
     #[must_use]
-    pub fn grid(&self) -> &Grid<DynIndex> {
+    pub fn grid(&self) -> &Grid {
         self.engine.grid()
-    }
-
-    /// The spatial-index backend the server was built with (via
-    /// [`CpmServerBuilder::index`]). Snapshots record it; restoring under
-    /// a different kind is [`CpmError::IndexMismatch`].
-    #[must_use]
-    pub fn index_kind(&self) -> IndexKind {
-        self.engine.grid().index().kind()
     }
 
     /// Number of query shards.
@@ -446,9 +409,8 @@ impl CpmServer {
     /// objects migrated.
     ///
     /// # Errors
-    /// [`CpmError::InvalidDim`] when the active index backend rejects
-    /// `new_dim` (out of range, or not a power of two under a quadtree
-    /// index); the grid is untouched on error.
+    /// [`CpmError::InvalidDim`] when `new_dim` is out of `1..=4096`; the
+    /// grid is untouched on error.
     pub fn regrid_to(&mut self, new_dim: u32) -> Result<usize, CpmError> {
         self.engine.regrid_to(new_dim)
     }
@@ -1032,7 +994,7 @@ impl CpmServer {
     /// Collect the sector candidates of RNN query `id` and keep those
     /// whose verification circle contains no other object.
     fn verify_rnn(
-        engine: &ShardedCpmEngine<AnyQuerySpec, DynIndex>,
+        engine: &ShardedCpmEngine<AnyQuerySpec>,
         metrics: &mut Metrics,
         id: QueryId,
     ) -> Vec<ObjectId> {
@@ -1059,7 +1021,7 @@ impl CpmServer {
     /// `true` if no object other than `exclude` lies strictly within
     /// `radius` of `center`.
     fn circle_is_empty(
-        grid: &Grid<DynIndex>,
+        grid: &Grid,
         metrics: &mut Metrics,
         center: Point,
         radius: f64,

@@ -39,7 +39,7 @@
 //! [`cpm_sim`'s oracle cross-check]: ../../cpm_sim/verify/fn.verify.html
 
 use cpm_geom::{ObjectId, Point, QueryId};
-use cpm_grid::{apply_events, CellIndex, Grid, Metrics, ObjectEvent, SpatialIndex, UpdateRecord};
+use cpm_grid::{apply_events, Grid, GridGeom, Metrics, ObjectEvent, UpdateRecord};
 
 use crate::delta::{CycleDeltas, NeighborDelta};
 use crate::engine::{EngineCore, QuerySpec, SpecEvent, SpecQueryState};
@@ -64,9 +64,9 @@ pub fn shard_of(id: QueryId, shards: usize) -> usize {
 /// One shard's share of a processing cycle: batched update handling over
 /// the shared (now immutable) grid, then this shard's query events.
 /// The returned delta list is empty unless the core collects deltas.
-fn run_shard<S: QuerySpec, I: SpatialIndex>(
+fn run_shard<S: QuerySpec>(
     core: &mut EngineCore<S>,
-    grid: &Grid<I>,
+    grid: &Grid,
     records: &[UpdateRecord],
     events: &[SpecEvent<S>],
 ) -> (Vec<QueryId>, Vec<(QueryId, NeighborDelta)>) {
@@ -95,13 +95,6 @@ fn run_shard<S: QuerySpec, I: SpatialIndex>(
 /// canonical (ascending id) order; work counters are read through merged
 /// snapshots ([`ShardedCpmEngine::metrics`]).
 ///
-/// The second type parameter selects the [`SpatialIndex`] backend and
-/// defaults to the paper-exact [`CellIndex`]; results are
-/// backend-independent (specs only consume [`cpm_grid::GridGeom`]), so
-/// the choice is purely a performance knob. Runtime-selected backends go
-/// through [`ShardedCpmEngine::with_grid`] and a [`cpm_grid::DynIndex`]
-/// grid.
-///
 /// # Example
 ///
 /// ```
@@ -126,8 +119,8 @@ fn run_shard<S: QuerySpec, I: SpatialIndex>(
 /// # Ok::<(), cpm_core::CpmError>(())
 /// ```
 #[derive(Debug)]
-pub struct ShardedCpmEngine<S: QuerySpec, I: SpatialIndex = CellIndex> {
-    grid: Grid<I>,
+pub struct ShardedCpmEngine<S: QuerySpec> {
+    grid: Grid,
     shards: Vec<EngineCore<S>>,
     /// Counters owned by the ingest phase (currently `updates_applied`),
     /// kept separate so the shared grid's work is counted exactly once no
@@ -144,25 +137,22 @@ pub struct ShardedCpmEngine<S: QuerySpec, I: SpatialIndex = CellIndex> {
 }
 
 impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
-    /// Create an engine over an empty `dim × dim` grid (default uniform
-    /// backend) with `shards ≥ 1` query shards. `shards = 1` is the
-    /// sequential engine (no worker threads are spawned).
+    /// Create an engine over an empty `dim × dim` grid with `shards ≥ 1`
+    /// query shards. `shards = 1` is the sequential engine (no worker
+    /// threads are spawned).
     ///
     /// # Panics
-    /// Panics if `shards == 0`.
+    /// Panics if `shards == 0` or `dim` is out of `1..=4096`.
     pub fn new(dim: u32, shards: usize) -> Self {
         Self::with_grid(cpm_grid::GridBuilder::new(dim).build_uniform(), shards)
     }
-}
 
-impl<S: QuerySpec + Send + Sync, I: SpatialIndex> ShardedCpmEngine<S, I> {
-    /// Create an engine over a pre-built (typically empty) grid, keeping
-    /// whatever index backend it was configured with, with `shards ≥ 1`
-    /// query shards.
+    /// Create an engine over a pre-built (typically empty) grid with
+    /// `shards ≥ 1` query shards.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
-    pub fn with_grid(grid: Grid<I>, shards: usize) -> Self {
+    pub fn with_grid(grid: Grid, shards: usize) -> Self {
         assert!(shards >= 1, "at least one shard is required");
         let dim = grid.dim();
         Self {
@@ -199,17 +189,12 @@ impl<S: QuerySpec + Send + Sync, I: SpatialIndex> ShardedCpmEngine<S, I> {
     /// the current dimension).
     ///
     /// # Errors
-    /// [`CpmError::InvalidDim`] if the active backend rejects `new_dim`
-    /// (out of `1..=4096`, or not a power of two for a quadtree index).
+    /// [`CpmError::InvalidDim`] if `new_dim` is out of `1..=4096`.
     pub fn regrid_to(&mut self, new_dim: u32) -> Result<usize, CpmError> {
         if new_dim == self.grid.dim() {
             return Ok(0);
         }
-        self.grid
-            .index()
-            .kind()
-            .check_dim(new_dim)
-            .map_err(CpmError::from)?;
+        GridGeom::check_dim(new_dim)?;
         let migrated = self.grid.regrid(new_dim);
         // Grid-side work is owned by the ingest phase: one re-grid, one
         // migration count, no matter how many shards re-register.
@@ -251,9 +236,8 @@ impl<S: QuerySpec + Send + Sync, I: SpatialIndex> ShardedCpmEngine<S, I> {
             self.regrid
                 .decide(self.epoch(), n_objects, n_queries, avg_k, self.grid.dim())
         {
-            // Backend-rejected dims (non-pow2 on a quadtree) are skipped;
-            // the policy re-evaluates next period.
-            let _ = self.regrid_to(dim);
+            self.regrid_to(dim)
+                .expect("the policy proposes dimensions in range");
         }
     }
 
@@ -271,7 +255,7 @@ impl<S: QuerySpec + Send + Sync, I: SpatialIndex> ShardedCpmEngine<S, I> {
 
     /// The shared object index.
     #[must_use]
-    pub fn grid(&self) -> &Grid<I> {
+    pub fn grid(&self) -> &Grid {
         &self.grid
     }
 

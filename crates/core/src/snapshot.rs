@@ -32,10 +32,10 @@
 //! around; corruption anywhere load-bearing is a hard [`RecoveryError`].
 
 use cpm_geom::{ObjectId, Point, QueryId};
-use cpm_grid::{DynIndex, IndexKind, Metrics, ObjectEvent, QueryKind, SpatialIndex};
+use cpm_grid::{GridGeom, Metrics, ObjectEvent, QueryKind};
 use cpm_wire::{
-    decode_framed, encode_framed, Decode, Encode, Journal, Reader, WireError, Writer,
-    FRAME_SNAPSHOT,
+    decode_framed, encode_framed, put_index_tag, take_index_tag, Decode, Encode, Journal, Reader,
+    WireError, Writer, FRAME_SNAPSHOT,
 };
 
 use crate::any::AnyQuerySpec;
@@ -52,11 +52,6 @@ use crate::shard::ShardedCpmEngine;
 pub struct EngineSnapshot<S> {
     /// Grid resolution (cells per axis).
     pub dim: u32,
-    /// The spatial-index backend the grid was built with. Restore
-    /// rebuilds the same structure; [`EngineSnapshot::restore_expecting`]
-    /// rejects a mismatched deployment with
-    /// [`CpmError::IndexMismatch`].
-    pub index: IndexKind,
     /// Worker-shard count.
     pub shards: usize,
     /// Whether the engine captures per-cycle deltas.
@@ -78,9 +73,9 @@ pub struct EngineSnapshot<S> {
 }
 
 impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
-    /// Capture the engine's durable state (any index backend).
+    /// Capture the engine's durable state.
     #[must_use]
-    pub fn capture<I: SpatialIndex>(engine: &ShardedCpmEngine<S, I>) -> Self {
+    pub fn capture(engine: &ShardedCpmEngine<S>) -> Self {
         let mut objects: Vec<(ObjectId, Point)> = engine.grid().iter_objects().collect();
         objects.sort_unstable_by_key(|&(id, _)| id);
         let queries = engine
@@ -93,7 +88,6 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
             .collect();
         EngineSnapshot {
             dim: engine.grid().dim(),
-            index: engine.grid().index().kind(),
             shards: engine.shard_count(),
             collects_deltas: engine.collects_deltas(),
             policy: *engine.regrid_policy(),
@@ -105,8 +99,8 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
         }
     }
 
-    /// Rebuild an engine from this snapshot: rebuild the grid under the
-    /// recorded index backend, populate it, then re-register every query
+    /// Rebuild an engine from this snapshot: rebuild the grid at the
+    /// recorded resolution, populate it, then re-register every query
     /// from scratch in ascending id order (the re-grid discipline, so the
     /// result is bit-identical to the captured engine), then restore
     /// counters and the epoch.
@@ -114,10 +108,8 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
     /// # Errors
     /// Propagates the registry error if a query cannot be re-installed
     /// (impossible for a snapshot that passed `Decode` validation).
-    pub fn restore(&self) -> Result<ShardedCpmEngine<S, DynIndex>, CpmError> {
-        let grid = cpm_grid::GridBuilder::new(self.dim)
-            .index(self.index)
-            .try_build()?;
+    pub fn restore(&self) -> Result<ShardedCpmEngine<S>, CpmError> {
+        let grid = cpm_grid::GridBuilder::new(self.dim).try_build()?;
         let mut engine = ShardedCpmEngine::with_grid(grid, self.shards);
         engine.set_regrid_policy(self.policy);
         engine
@@ -134,32 +126,12 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
         engine.set_epoch_all(self.epoch);
         Ok(engine)
     }
-
-    /// [`EngineSnapshot::restore`], guarded by the deployment's
-    /// configured index backend: a snapshot captured under one
-    /// [`IndexKind`] must not silently come back as another.
-    ///
-    /// # Errors
-    /// [`CpmError::IndexMismatch`] when `configured` differs from the
-    /// recorded kind; otherwise as [`EngineSnapshot::restore`].
-    pub fn restore_expecting(
-        &self,
-        configured: IndexKind,
-    ) -> Result<ShardedCpmEngine<S, DynIndex>, CpmError> {
-        if self.index != configured {
-            return Err(CpmError::IndexMismatch {
-                expected: self.index,
-                actual: configured,
-            });
-        }
-        self.restore()
-    }
 }
 
 impl<S: Encode> Encode for EngineSnapshot<S> {
     fn encode(&self, w: &mut Writer) {
         w.put_u32(self.dim);
-        self.index.encode(w);
+        put_index_tag(w);
         self.shards.encode(w);
         self.collects_deltas.encode(w);
         self.policy.encode(w);
@@ -186,19 +158,11 @@ impl<S: Decode> Decode for EngineSnapshot<S> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let dim_at = r.offset();
         let dim = r.take_u32()?;
-        if !(1..=4096).contains(&dim) {
-            return Err(WireError::Invalid {
-                offset: dim_at,
-                what: "grid dimension outside 1..=4096",
-            });
-        }
-        let index = IndexKind::decode(r)?;
-        if index.check_dim(dim).is_err() {
-            return Err(WireError::Invalid {
-                offset: dim_at,
-                what: "grid dimension rejected by the recorded index backend",
-            });
-        }
+        GridGeom::check_dim(dim).map_err(|e| WireError::Invalid {
+            offset: dim_at,
+            what: e.reason,
+        })?;
+        take_index_tag(r)?;
         let shards_at = r.offset();
         let shards = usize::decode(r)?;
         if !(1..=4096).contains(&shards) {
@@ -285,7 +249,6 @@ impl<S: Decode> Decode for EngineSnapshot<S> {
         }
         Ok(EngineSnapshot {
             dim,
-            index,
             shards,
             collects_deltas,
             policy,
@@ -468,27 +431,6 @@ impl CpmServer {
             snapshot.rnn.clone(),
             snapshot.verify_metrics,
         ))
-    }
-
-    /// [`CpmServer::restore`], guarded by the deployment's configured
-    /// index backend: recovery must rebuild the structure the durable
-    /// state describes, so a snapshot captured under one [`IndexKind`]
-    /// refuses to come back under another.
-    ///
-    /// # Errors
-    /// [`CpmError::IndexMismatch`] when `configured` differs from the
-    /// snapshot's recorded kind; otherwise as [`CpmServer::restore`].
-    pub fn restore_expecting(
-        snapshot: &Snapshot,
-        configured: IndexKind,
-    ) -> Result<CpmServer, CpmError> {
-        if snapshot.engine.index != configured {
-            return Err(CpmError::IndexMismatch {
-                expected: snapshot.engine.index,
-                actual: configured,
-            });
-        }
-        Self::restore(snapshot)
     }
 }
 
@@ -1082,41 +1024,6 @@ mod tests {
             // Both lanes keep producing bit-identical changed lists.
             assert_eq!(drive(&mut restored, 5), drive(&mut original, 5));
         }
-    }
-
-    #[test]
-    fn snapshots_record_and_rebuild_the_index_backend() {
-        let mut original = CpmServerBuilder::new(16)
-            .shards(2)
-            .index(IndexKind::quadtree())
-            .build();
-        original.populate((0..50u32).map(|i| {
-            let t = f64::from(i) / 50.0;
-            (ObjectId(i), Point::new(t, (t * 3.7) % 1.0))
-        }));
-        let _ = original
-            .install_knn(QueryId(0), Point::new(0.5, 0.5), 3)
-            .unwrap();
-        drive(&mut original, 4);
-        let frame = Snapshot::capture(&original, 0).to_frame();
-        let snap = Snapshot::from_frame(&frame).unwrap();
-        assert_eq!(snap.engine.index, IndexKind::quadtree());
-        // The guarded restore refuses a mismatched deployment...
-        assert_eq!(
-            CpmServer::restore_expecting(&snap, IndexKind::Uniform).unwrap_err(),
-            CpmError::IndexMismatch {
-                expected: IndexKind::quadtree(),
-                actual: IndexKind::Uniform,
-            }
-        );
-        // ...and rebuilds the recorded backend when the kinds agree.
-        let mut restored = CpmServer::restore_expecting(&snap, IndexKind::quadtree()).unwrap();
-        assert_eq!(restored.index_kind(), IndexKind::quadtree());
-        assert_eq!(
-            restored.result(QueryId(0)).unwrap(),
-            original.result(QueryId(0)).unwrap()
-        );
-        assert_eq!(drive(&mut restored, 4), drive(&mut original, 4));
     }
 
     #[test]

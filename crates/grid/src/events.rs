@@ -10,7 +10,7 @@
 
 use cpm_geom::{ObjectId, Point, QueryId};
 
-use crate::{CellCoord, Grid, SpatialIndex};
+use crate::{CellCoord, Grid};
 
 /// A single object update within a processing cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,8 +136,8 @@ pub struct UpdateRecord {
 /// # Panics
 /// Panics if a [`ObjectEvent::Disappear`] names an off-line object
 /// (mirroring the monitors' sequential update handling).
-pub fn apply_events<I: SpatialIndex>(
-    grid: &mut Grid<I>,
+pub fn apply_events(
+    grid: &mut Grid,
     events: &[ObjectEvent],
     records: &mut Vec<UpdateRecord>,
 ) -> u64 {

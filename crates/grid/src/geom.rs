@@ -1,14 +1,14 @@
-//! The conceptual cell geometry shared by every spatial-index backend.
+//! The conceptual cell geometry.
 //!
 //! CPM's query side only ever talks about the **conceptual partitioning**:
 //! a `dim × dim` grid of cells with side `δ = 1/dim` over the unit square
-//! (Section 3.1). Which data structure stores the objects that fall into
-//! those cells is an implementation detail of the
-//! [`crate::SpatialIndex`] backend — the coordinate math is not. This
-//! module extracts that math into [`GridGeom`], a tiny `Copy` value every
-//! backend exposes via [`crate::SpatialIndex::geom`], so query specs and
-//! search loops can be written once against the geometry and run
-//! unchanged over any backend.
+//! (Section 3.1). This module holds that coordinate math as [`GridGeom`],
+//! a tiny `Copy` value [`crate::Grid::geom`] hands out, so query specs,
+//! search loops and the cluster's partition map are written against the
+//! geometry alone and borrow nothing from the index that stores the
+//! objects.
+
+use std::fmt;
 
 use cpm_geom::{clamp_coord, Point, Rect};
 
@@ -27,15 +27,49 @@ pub struct GridGeom {
     delta: f64,
 }
 
+/// A grid dimension the conceptual cell space cannot take, reported by
+/// [`GridGeom::check_dim`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GridConfigError {
+    /// The requested grid dimension.
+    pub dim: u32,
+    /// Why it was rejected.
+    pub reason: &'static str,
+}
+
+impl fmt::Display for GridConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid grid config (dim {}): {}", self.dim, self.reason)
+    }
+}
+
+impl std::error::Error for GridConfigError {}
+
 impl GridGeom {
+    /// The one range check on a grid dimension: the packed-coordinate and
+    /// clamping assumptions hold for `δ ≥ 1/4096` (the paper uses at most
+    /// 1024). Every constructor, the engines' `regrid_to` and the
+    /// snapshot decoder go through it.
+    ///
+    /// # Errors
+    /// A [`GridConfigError`] unless `dim` lies in `1..=4096`.
+    pub fn check_dim(dim: u32) -> Result<(), GridConfigError> {
+        if (1..=4096).contains(&dim) {
+            Ok(())
+        } else {
+            Err(GridConfigError {
+                dim,
+                reason: "grid dimension must lie in 1..=4096",
+            })
+        }
+    }
+
     /// Geometry of a `dim × dim` conceptual grid over the unit square.
     ///
     /// # Panics
-    /// Panics if `dim == 0` or `dim > 4096` (the packed-coordinate and
-    /// clamping assumptions hold for `δ ≥ 1/4096`; the paper uses at most
-    /// 1024).
+    /// Panics if [`GridGeom::check_dim`] rejects `dim`.
     pub fn new(dim: u32) -> Self {
-        assert!(dim > 0 && dim <= 4096, "grid dimension out of range: {dim}");
+        Self::check_dim(dim).unwrap_or_else(|e| panic!("{e}"));
         Self {
             dim,
             delta: 1.0 / dim as f64,
@@ -118,7 +152,8 @@ impl GridGeom {
     /// (occupied or not) whose extent intersects `region`. Used by the
     /// baselines' square scans (YPK-CNN's `SR` rectangle) and by the
     /// monitors' influence-region registration — which is why the cover
-    /// must include **empty** cells on every backend.
+    /// includes **empty** cells: a query must notice objects moving
+    /// *into* them.
     pub fn cells_in_rect(self, region: &Rect) -> impl Iterator<Item = CellCoord> {
         let (lo_col, hi_col, lo_row, hi_row) = self.rect_cell_bounds(region);
         (lo_row..=hi_row)
@@ -170,9 +205,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dimension out of range")]
+    #[should_panic(expected = "must lie in 1..=4096")]
     fn zero_dim_is_rejected() {
         let _ = GridGeom::new(0);
+    }
+
+    #[test]
+    fn dim_check_names_the_range() {
+        assert!(GridGeom::check_dim(1).is_ok() && GridGeom::check_dim(4096).is_ok());
+        for dim in [0, 4097, 8192] {
+            let e = GridGeom::check_dim(dim).unwrap_err();
+            assert_eq!(e.dim, dim);
+            assert!(e.to_string().contains("1..=4096"), "{e}");
+        }
     }
 
     #[test]

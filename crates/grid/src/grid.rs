@@ -1,315 +1,48 @@
-//! The uniform cell-index backend and the composed grid facade.
+//! The composed grid facade.
 //!
-//! [`CellIndex`] is the paper-exact backend of the [`SpatialIndex`]
-//! layer: dense per-cell buckets behind a `dim²` directory of `u32`
-//! slots, addressed by the conceptual cell geometry ([`GridGeom`]) — a
-//! cell access is an array read, never a hash probe. [`Grid`] composes **any**
-//! backend with the δ-independent [`ObjectStore`] (positions +
-//! back-pointers) and presents the classic single-type index surface the
-//! monitors were written against — plus [`Grid::regrid`], which rebuilds
-//! the index at a different resolution **without ever touching the
-//! object tables**. New code constructs grids through [`GridBuilder`],
-//! which validates the dimension / [`IndexKind`] combination at build
-//! time.
+//! [`Grid`] composes the [`CellIndex`] (per-cell buckets at one δ) with
+//! the δ-independent [`ObjectStore`] (positions + back-pointers) and
+//! presents the single-type index surface the monitors were written
+//! against — plus [`Grid::regrid`], which rebuilds the index at a
+//! different resolution **without ever touching the object tables**.
+//! Grids are constructed through [`GridBuilder`], which validates the
+//! dimension at build time.
 
 use cpm_geom::{ObjectId, Point, Rect};
 
-use crate::directory::CellDirectory;
-use crate::index::OccupancyHistogram;
-use crate::store::BackRef;
-use crate::{CellCoord, DynIndex, GridConfigError, GridGeom, IndexKind, ObjectStore, SpatialIndex};
-
-/// The uniform-grid [`SpatialIndex`] backend: cell buckets plus the
-/// conceptual cell geometry. The paper-exact default.
-///
-/// # Storage layout (directory + dense slot-based buckets)
-///
-/// `cell.id(dim)` is row-major and dense, so the per-cell lookup is a
-/// **directory**: one `u32` per conceptual cell, `0` for an empty cell,
-/// `s + 1` for a cell whose objects live in slot `s` of a bucket slab.
-/// It costs 4 bytes per cell whatever the occupancy — 64 KiB at 128²,
-/// 1 MiB at 512², 4 MiB at the paper's largest granularity of 1024²
-/// (where ~10 % of the cells are occupied by the default 100K objects),
-/// 64 MiB at the 4096² ceiling — and is allocated zeroed, so the pages of
-/// never-occupied regions are not resident. A workspace far too sparse
-/// for that trade belongs on [`crate::QuadtreeIndex`]. Only occupied
-/// cells own storage beyond their directory entry, a **contiguous
-/// `Vec<ObjectId>` bucket** rather than a hash set:
-///
-/// * a cell scan — the unit the experiments count as one *cell access*
-///   (Section 6, Figure 6.3b) — is one directory read and a linear sweep
-///   over contiguous memory;
-/// * the per-object back-pointer table (`oid → (cell_id, slot)`, stored in
-///   [`ObjectStore`] because its shape is δ-independent) makes removal
-///   O(1) via *swap-remove*: the last bucket element is moved into the
-///   vacated slot and its back-pointer is patched. Nothing is hashed on
-///   the update path, and `Time_ind = 2` of the Section 4.1 cost model —
-///   one deletion plus one insertion per location update — is preserved
-///   exactly;
-/// * a bucket that empties leaves its slab slot vacant with its
-///   allocation in place (up to a pool cap), so steady-state update churn
-///   is allocation-free.
-///
-/// Swap-remove reorders bucket contents, which is invisible to the
-/// monitoring algorithms: the paper treats cell object lists as unordered
-/// sets, and every consumer scans whole buckets.
-///
-/// All mutation goes through the composed [`Grid`]; the
-/// [`SpatialIndex`] mutators keep bucket membership, the store's
-/// back-pointers, and the occupancy histogram in lock step.
-#[derive(Debug, Clone)]
-pub struct CellIndex {
-    geom: GridGeom,
-    /// Packed cell id → dense bucket of the objects in the cell.
-    /// Invariant: every stored bucket is non-empty.
-    cells: CellDirectory<ObjectId>,
-    /// Incremental occupancy statistics (occupied cells, hot-cell max).
-    hist: OccupancyHistogram,
-}
-
-impl CellIndex {
-    /// An empty index with `dim × dim` cells over the unit square.
-    ///
-    /// # Panics
-    /// Panics if `dim == 0` or `dim > 4096` (the packed-coordinate and
-    /// clamping assumptions hold for `δ ≥ 1/4096`; the paper uses at most
-    /// 1024).
-    pub fn new(dim: u32) -> Self {
-        let geom = GridGeom::new(dim);
-        Self {
-            geom,
-            cells: CellDirectory::new(geom.total_cells()),
-            hist: OccupancyHistogram::default(),
-        }
-    }
-
-    /// Grid dimension (cells per axis).
-    #[inline]
-    pub fn dim(&self) -> u32 {
-        self.geom.dim()
-    }
-
-    /// Cell side length `δ`.
-    #[inline]
-    pub fn delta(&self) -> f64 {
-        self.geom.delta()
-    }
-
-    /// Number of non-empty cells.
-    #[inline]
-    pub fn occupied_count(&self) -> usize {
-        self.cells.occupied()
-    }
-
-    /// The cell containing point `p` (see [`GridGeom::cell_of`]).
-    #[inline]
-    pub fn cell_of(&self, p: Point) -> CellCoord {
-        self.geom.cell_of(p)
-    }
-
-    /// The spatial extent of cell `c`.
-    #[inline]
-    pub fn cell_rect(&self, c: CellCoord) -> Rect {
-        self.geom.cell_rect(c)
-    }
-
-    /// `mindist(c, q)`: minimum distance between cell `c` and point `q`
-    /// (Table 3.1).
-    #[inline]
-    pub fn mindist(&self, c: CellCoord, q: Point) -> f64 {
-        self.geom.mindist(c, q)
-    }
-
-    /// Squared `mindist(c, q)`, for comparison-only call sites.
-    #[inline]
-    pub fn mindist_sq(&self, c: CellCoord, q: Point) -> f64 {
-        self.geom.mindist_sq(c, q)
-    }
-
-    /// The objects currently inside cell `c`, as a contiguous slice (empty
-    /// if the cell is unoccupied).
-    #[inline]
-    pub fn objects_in(&self, c: CellCoord) -> &[ObjectId] {
-        self.cells.get(c.id(self.geom.dim()))
-    }
-
-    /// Iterate over the coordinates of all non-empty cells, in
-    /// unspecified order.
-    pub fn occupied_cells(&self) -> impl Iterator<Item = CellCoord> + '_ {
-        let geom = self.geom;
-        self.cells.iter().map(move |(id, _)| geom.cell_from_id(id))
-    }
-
-    /// Iterate, in row-major order and without allocating, over all cells
-    /// (occupied or not) whose extent intersects `region`. See
-    /// [`GridGeom::cells_in_rect`].
-    pub fn cells_in_rect(&self, region: &Rect) -> impl Iterator<Item = CellCoord> {
-        self.geom.cells_in_rect(region)
-    }
-
-    /// Iterate, without allocating, over all cells whose extent intersects
-    /// the closed disk `(center, radius)`. See
-    /// [`GridGeom::cells_in_circle`].
-    pub fn cells_in_circle(&self, center: Point, radius: f64) -> impl Iterator<Item = CellCoord> {
-        self.geom.cells_in_circle(center, radius)
-    }
-
-    /// Collecting wrapper around [`CellIndex::cells_in_rect`] for callers
-    /// that need an owned list; the hot paths use the iterator directly.
-    pub fn cells_intersecting_rect(&self, region: &Rect) -> Vec<CellCoord> {
-        self.geom.cells_intersecting_rect(region)
-    }
-
-    /// Shared attach body: back-references are written through the raw
-    /// slice so the regrid rebuild can drive it while iterating the
-    /// store's positions.
-    fn attach_inner(&mut self, backrefs: &mut [BackRef], oid: ObjectId, p: Point) -> CellCoord {
-        let cell = self.geom.cell_of(p);
-        let cell_id = cell.id(self.geom.dim());
-        let bucket = self.cells.occupy(cell_id);
-        bucket.push(oid);
-        let len = bucket.len();
-        backrefs[oid.index()] = BackRef {
-            cell_id,
-            slot: (len - 1) as u32,
-        };
-        self.hist.on_attach(len);
-        cell
-    }
-}
-
-impl SpatialIndex for CellIndex {
-    fn kind(&self) -> IndexKind {
-        IndexKind::Uniform
-    }
-
-    #[inline]
-    fn geom(&self) -> GridGeom {
-        self.geom
-    }
-
-    #[inline]
-    fn occupied_count(&self) -> usize {
-        CellIndex::occupied_count(self)
-    }
-
-    #[inline]
-    fn hot_cell_max(&self) -> usize {
-        self.hist.max()
-    }
-
-    #[inline]
-    fn objects_in(&self, c: CellCoord) -> &[ObjectId] {
-        CellIndex::objects_in(self, c)
-    }
-
-    fn occupied_cells(&self) -> Vec<CellCoord> {
-        CellIndex::occupied_cells(self).collect()
-    }
-
-    #[inline]
-    fn attach(&mut self, store: &mut ObjectStore, oid: ObjectId, p: Point) -> CellCoord {
-        self.attach_inner(&mut store.backrefs, oid, p)
-    }
-
-    #[inline]
-    fn detach(&mut self, store: &mut ObjectStore, oid: ObjectId) -> CellCoord {
-        let BackRef { cell_id, slot } = store.backrefs[oid.index()];
-        let bucket = self
-            .cells
-            .get_mut(cell_id)
-            .expect("indexed object must have a cell entry");
-        debug_assert_eq!(bucket.get(slot as usize), Some(&oid), "back-pointer desync");
-        let old_len = bucket.len();
-        bucket.swap_remove(slot as usize);
-        // The previous last element (if any) now sits at `slot`: repoint it.
-        if let Some(&moved) = bucket.get(slot as usize) {
-            store.backrefs[moved.index()].slot = slot;
-        }
-        self.cells.release_if_empty(cell_id);
-        self.hist.on_detach(old_len);
-        self.geom.cell_from_id(cell_id)
-    }
-
-    fn rebuild(&mut self, store: &mut ObjectStore, new_dim: u32) {
-        // A fresh directory (allocated zeroed, so only the pages the
-        // population lands on become resident) and a fresh slab: slots are
-        // handed out in ascending object-id order, exactly as in an index
-        // populated from scratch at `new_dim`.
-        let mut fresh = CellIndex::new(new_dim);
-        for i in 0..store.backrefs.len() {
-            let oid = ObjectId(i as u32);
-            let Some(p) = store.position(oid) else {
-                continue;
-            };
-            fresh.attach_inner(&mut store.backrefs, oid, p);
-        }
-        *self = fresh;
-    }
-
-    fn check_integrity(&self, store: &ObjectStore) {
-        self.cells.check_integrity(self.geom.total_cells());
-        let mut bucket_total = 0usize;
-        for (cell_id, bucket) in self.cells.iter() {
-            bucket_total += bucket.len();
-            for (slot, &oid) in bucket.iter().enumerate() {
-                let p = store
-                    .position(oid)
-                    .unwrap_or_else(|| panic!("bucket holds off-line object {oid}"));
-                let br = store.backrefs[oid.index()];
-                assert_eq!(br.cell_id, cell_id, "back-pointer cell desync for {oid}");
-                assert_eq!(br.slot as usize, slot, "back-pointer slot desync for {oid}");
-                assert_eq!(
-                    self.geom.cell_of(p).id(self.geom.dim()),
-                    cell_id,
-                    "object {oid} bucketed in the wrong cell"
-                );
-            }
-        }
-        assert_eq!(bucket_total, store.len(), "bucket population != live count");
-        assert_eq!(
-            self.hist.occupied(),
-            self.occupied_count(),
-            "occupied drift"
-        );
-        let buckets = self.cells.iter();
-        self.hist
-            .check_against(buckets.map(|(_, bucket)| bucket.len()));
-    }
-}
+use crate::{CellCoord, CellIndex, GridConfigError, GridGeom, ObjectStore};
 
 /// The main-memory index `G` over the set `P` of moving objects: a
-/// δ-independent [`ObjectStore`] composed with a pluggable
-/// [`SpatialIndex`] backend (default: the paper-exact [`CellIndex`]).
+/// δ-independent [`ObjectStore`] composed with the [`CellIndex`].
 ///
 /// All mutation goes through [`Grid::insert`], [`Grid::remove`] and
-/// [`Grid::update_position`]; each is O(1) expected on the default
-/// backend. [`Grid::regrid`] rebuilds the index at a different resolution
-/// in a single deterministic pass over the store.
+/// [`Grid::update_position`]; each is O(1) expected. [`Grid::regrid`]
+/// rebuilds the index at a different resolution in a single
+/// deterministic pass over the store.
 ///
 /// Construct through [`GridBuilder`]:
 ///
 /// ```
-/// use cpm_grid::{GridBuilder, IndexKind};
+/// use cpm_grid::GridBuilder;
 ///
-/// // The paper-exact uniform grid (monomorphic, the default backend).
-/// let uniform = GridBuilder::new(64).build_uniform();
-/// assert_eq!(uniform.dim(), 64);
-///
-/// // A runtime-selected backend behind the same facade.
-/// let quad = GridBuilder::new(64).index(IndexKind::quadtree()).build();
-/// assert_eq!(quad.delta(), 1.0 / 64.0);
+/// let grid = GridBuilder::new(64).build_uniform();
+/// assert_eq!(grid.dim(), 64);
+/// assert_eq!(grid.delta(), 1.0 / 64.0);
+/// assert!(GridBuilder::new(0).try_build().is_err());
 /// ```
+// The type parameter is vestigial: `CellIndex` is the only index and every
+// `impl` is written for `Grid<CellIndex>`. It stays because
+// `benchmark/src/twins.rs`, which a change to this crate may not edit,
+// spells the type `Grid<CellIndex>`.
 #[derive(Debug, Clone)]
-pub struct Grid<I: SpatialIndex = CellIndex> {
+pub struct Grid<I = CellIndex> {
     store: ObjectStore,
     index: I,
 }
 
 /// Occupancy statistics, used by the space-accounting experiment and the
 /// skew-aware re-grid controller. Every counter is maintained
-/// incrementally by the index backends, so reading them each cycle is
-/// O(1).
+/// incrementally by the index, so reading them each cycle is O(1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridStats {
     /// Total number of conceptual cells (`dim²`).
@@ -323,103 +56,49 @@ pub struct GridStats {
     pub hot_cell_max: usize,
 }
 
-/// Builder for [`Grid`]s, mirroring `CpmServerBuilder`: dimension and
-/// [`IndexKind`] are validated together at build time, so an invalid
-/// combination (dim out of `1..=4096`, a non-power-of-two quadtree
-/// dimension, a zero split threshold) fails where it is written rather
-/// than inside a later update.
+/// Builder for [`Grid`]s, mirroring `CpmServerBuilder`: the dimension is
+/// validated at build time, so an out-of-range one fails where it is
+/// written rather than inside a later update.
 #[derive(Debug, Clone, Copy)]
 pub struct GridBuilder {
     dim: u32,
-    kind: IndexKind,
 }
 
 impl GridBuilder {
-    /// Start a builder for a `dim × dim` conceptual grid with the default
-    /// [`IndexKind::Uniform`] backend.
+    /// Start a builder for a `dim × dim` conceptual grid.
     pub fn new(dim: u32) -> Self {
-        Self {
-            dim,
-            kind: IndexKind::Uniform,
-        }
+        Self { dim }
     }
 
-    /// Select the index backend.
-    #[must_use]
-    pub fn index(mut self, kind: IndexKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// The configured dimension.
-    pub fn dim(&self) -> u32 {
-        self.dim
-    }
-
-    /// The configured backend kind.
-    pub fn kind(&self) -> IndexKind {
-        self.kind
-    }
-
-    /// Build an empty grid over the runtime-selected [`DynIndex`]
-    /// backend.
+    /// Build an empty grid.
     ///
     /// # Errors
-    /// Returns a [`GridConfigError`] describing the invalid
-    /// dimension/kind combination.
-    pub fn try_build(self) -> Result<Grid<DynIndex>, GridConfigError> {
-        Ok(Grid::with_index(self.kind.build_index(self.dim)?))
+    /// The [`GridGeom::check_dim`] error for a dimension out of
+    /// `1..=4096`.
+    pub fn try_build(self) -> Result<Grid, GridConfigError> {
+        GridGeom::check_dim(self.dim)?;
+        Ok(Grid {
+            store: ObjectStore::new(),
+            index: CellIndex::new(self.dim),
+        })
     }
 
-    /// Build an empty grid over the runtime-selected [`DynIndex`]
-    /// backend, panicking on an invalid configuration.
+    /// Build an empty grid, panicking on an invalid dimension. (The
+    /// suffix dates from when a second index existed; `benchmark/` pins
+    /// the name.)
     ///
     /// # Panics
-    /// Panics if [`IndexKind::check_dim`] rejects the combination.
-    pub fn build(self) -> Grid<DynIndex> {
+    /// Panics if [`GridGeom::check_dim`] rejects the dimension.
+    pub fn build_uniform(self) -> Grid {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build an empty grid over the monomorphic [`CellIndex`] backend —
-    /// the zero-overhead path for embeddings that never switch backends.
-    ///
-    /// # Panics
-    /// Panics if the configured kind is not [`IndexKind::Uniform`], or if
-    /// the dimension is out of range.
-    pub fn build_uniform(self) -> Grid<CellIndex> {
-        assert_eq!(
-            self.kind,
-            IndexKind::Uniform,
-            "build_uniform on a builder configured for {}",
-            self.kind
-        );
-        self.kind
-            .check_dim(self.dim)
-            .unwrap_or_else(|e| panic!("{e}"));
-        Grid::with_index(CellIndex::new(self.dim))
     }
 }
 
-impl<I: SpatialIndex> Grid<I> {
-    /// Compose an (empty or pre-built) index backend with a fresh object
-    /// store. Most callers go through [`GridBuilder`].
-    pub fn with_index(index: I) -> Self {
-        Self {
-            store: ObjectStore::new(),
-            index,
-        }
-    }
-
+impl Grid<CellIndex> {
     /// The δ-independent object tables.
     #[inline]
     pub fn store(&self) -> &ObjectStore {
         &self.store
-    }
-
-    /// The index backend.
-    #[inline]
-    pub fn index(&self) -> &I {
-        &self.index
     }
 
     /// The conceptual cell geometry (dimension, `δ`).
@@ -508,8 +187,7 @@ impl<I: SpatialIndex> Grid<I> {
 
     /// Remove object `oid` from the index (it goes off-line).
     ///
-    /// O(1) (occupancy-bounded on tree backends) via the back-pointer
-    /// table. Returns its last position and cell, or `None` if it was not
+    /// O(1) via the back-pointer table. Returns its last position and cell, or `None` if it was not
     /// indexed.
     #[inline]
     pub fn remove(&mut self, oid: ObjectId) -> Option<(Point, CellCoord)> {
@@ -547,9 +225,8 @@ impl<I: SpatialIndex> Grid<I> {
     /// no-op).
     ///
     /// # Panics
-    /// Panics if the backend rejects `new_dim` (out of `1..=4096`, or not
-    /// a power of two for [`IndexKind::Quadtree`]); the engines validate
-    /// through [`IndexKind::check_dim`] first and return a typed error.
+    /// Panics if `new_dim` is out of `1..=4096`; the engines validate
+    /// through [`GridGeom::check_dim`] first and return a typed error.
     pub fn regrid(&mut self, new_dim: u32) -> usize {
         if new_dim == self.index.geom().dim() {
             return 0;
@@ -559,7 +236,7 @@ impl<I: SpatialIndex> Grid<I> {
     }
 
     /// The objects currently inside cell `c`, as a contiguous slice (empty
-    /// if the cell is unoccupied). See [`SpatialIndex::objects_in`].
+    /// if the cell is unoccupied). See [`CellIndex::objects_in`].
     #[inline]
     pub fn objects_in(&self, c: CellCoord) -> &[ObjectId] {
         self.index.objects_in(c)
@@ -578,8 +255,8 @@ impl<I: SpatialIndex> Grid<I> {
 
     /// Iterate over the coordinates of all non-empty cells, in
     /// unspecified order.
-    pub fn occupied_cells(&self) -> impl Iterator<Item = CellCoord> {
-        self.index.occupied_cells().into_iter()
+    pub fn occupied_cells(&self) -> impl Iterator<Item = CellCoord> + '_ {
+        self.index.occupied_cells()
     }
 
     /// Iterate, in row-major order and without allocating, over all cells
@@ -602,7 +279,7 @@ impl<I: SpatialIndex> Grid<I> {
     }
 
     /// Occupancy statistics — O(1): every counter is maintained
-    /// incrementally by the backend.
+    /// incrementally by the index.
     pub fn stats(&self) -> GridStats {
         GridStats {
             total_cells: self.index.geom().total_cells(),
@@ -644,26 +321,15 @@ mod tests {
     fn builder_validates_at_build_time() {
         assert!(GridBuilder::new(0).try_build().is_err());
         assert!(GridBuilder::new(8192).try_build().is_err());
-        assert!(GridBuilder::new(100)
-            .index(IndexKind::quadtree())
-            .try_build()
-            .is_err());
-        let g = GridBuilder::new(128)
-            .index(IndexKind::quadtree())
-            .try_build()
-            .unwrap();
-        assert_eq!(g.dim(), 128);
-        assert_eq!(g.index().kind(), IndexKind::quadtree());
-        assert_eq!(GridBuilder::new(16).kind(), IndexKind::Uniform);
-        assert_eq!(GridBuilder::new(16).dim(), 16);
+        // No dimension in range is refused, powers of two or not.
+        let g = GridBuilder::new(100).try_build().unwrap();
+        assert_eq!(g.dim(), 100);
     }
 
     #[test]
-    #[should_panic(expected = "build_uniform on a builder configured for")]
-    fn build_uniform_rejects_other_kinds() {
-        let _ = GridBuilder::new(64)
-            .index(IndexKind::quadtree())
-            .build_uniform();
+    #[should_panic(expected = "must lie in 1..=4096")]
+    fn build_uniform_panics_where_try_build_errs() {
+        let _ = GridBuilder::new(4097).build_uniform();
     }
 
     #[test]
@@ -900,46 +566,6 @@ mod tests {
         assert_eq!(total, 30);
     }
 
-    #[test]
-    fn backends_agree_on_membership_and_stats() {
-        // The same update stream through both backends: every per-cell
-        // read and every stats counter must coincide.
-        let mut lanes: Vec<Grid<DynIndex>> = vec![
-            GridBuilder::new(32).build(),
-            GridBuilder::new(32)
-                .index(IndexKind::Quadtree { split_threshold: 4 })
-                .build(),
-        ];
-        for step in 0..200u32 {
-            let id = step % 23;
-            let t = f64::from(step) * 0.017;
-            for g in &mut lanes {
-                if step % 11 == 5 && g.position(ObjectId(id)).is_some() {
-                    g.remove(ObjectId(id)).unwrap();
-                } else if g.position(ObjectId(id)).is_some() {
-                    g.update_position(ObjectId(id), Point::new(t % 1.0, (t * 3.1) % 1.0));
-                } else {
-                    g.insert(ObjectId(id), Point::new(t % 1.0, (t * 3.1) % 1.0));
-                }
-            }
-            let (a, b) = (&lanes[0], &lanes[1]);
-            assert_eq!(a.stats(), b.stats());
-            for row in 0..32 {
-                for col in 0..32 {
-                    let c = CellCoord::new(col, row);
-                    let mut ua: Vec<ObjectId> = a.objects_in(c).to_vec();
-                    let mut ub: Vec<ObjectId> = b.objects_in(c).to_vec();
-                    ua.sort_unstable();
-                    ub.sort_unstable();
-                    assert_eq!(ua, ub, "cell {c} diverged at step {step}");
-                }
-            }
-        }
-        for g in &lanes {
-            g.check_integrity();
-        }
-    }
-
     proptest! {
         #[test]
         fn every_point_maps_to_cell_containing_it(
@@ -1035,21 +661,15 @@ mod tests {
             }
         }
 
-        /// Satellite: `GridStats` occupancy counters (occupied cells,
-        /// hot-cell max, per-cell sums) must exactly match a brute-force
-        /// recount under random event interleavings — on **both** index
-        /// backends, including across re-grids.
+        /// `GridStats` occupancy counters (occupied cells, hot-cell max,
+        /// per-cell sums) must exactly match a brute-force recount under
+        /// random event interleavings, including across re-grids.
         #[test]
-        fn stats_match_brute_force_recount_on_both_backends(
+        fn stats_match_brute_force_recount(
             steps in proptest::collection::vec(
                 (0u32..24, 0.0..1.0f64, 0.0..1.0f64, 0u32..10), 1..120),
         ) {
-            let mut lanes: Vec<Grid<DynIndex>> = vec![
-                GridBuilder::new(16).build(),
-                GridBuilder::new(16)
-                    .index(IndexKind::Quadtree { split_threshold: 3 })
-                    .build(),
-            ];
+            let mut g = uniform(16);
             let dims = [4u32, 8, 16, 64];
             let mut model: std::collections::HashMap<u32, Point> =
                 std::collections::HashMap::new();
@@ -1057,51 +677,46 @@ mod tests {
                 let oid = ObjectId(id);
                 let p = Point::new(x, y);
                 let live = model.contains_key(&id);
-                for g in &mut lanes {
-                    if op == 0 {
-                        g.regrid(dims[(id as usize + model.len()) % dims.len()]);
-                    } else if op == 1 && live {
-                        g.remove(oid).unwrap();
-                    } else if live {
+                if op == 0 {
+                    g.regrid(dims[(id as usize + model.len()) % dims.len()]);
+                } else if op == 1 && live {
+                    g.remove(oid).unwrap();
+                    model.remove(&id);
+                } else {
+                    if live {
                         g.update_position(oid, p);
                     } else {
                         g.insert(oid, p);
                     }
-                }
-                if op == 1 && live {
-                    model.remove(&id);
-                } else if op != 0 {
                     model.insert(id, p);
                 }
-                for g in &lanes {
-                    // Brute-force recount from the model.
-                    let geom = g.geom();
-                    let mut per_cell: std::collections::HashMap<u64, usize> =
-                        std::collections::HashMap::new();
-                    for (&_, &mp) in &model {
-                        *per_cell.entry(geom.cell_of(mp).id(geom.dim())).or_insert(0) += 1;
-                    }
-                    let expect = GridStats {
-                        total_cells: geom.total_cells(),
-                        occupied_cells: per_cell.len(),
-                        live_objects: model.len(),
-                        hot_cell_max: per_cell.values().copied().max().unwrap_or(0),
-                    };
-                    prop_assert_eq!(g.stats(), expect, "stats drift on {}", g.index().kind());
-                    // Per-cell sums: every occupied cell reports exactly
-                    // its brute-force population.
-                    let mut seen = 0usize;
-                    for c in g.occupied_cells() {
-                        let n = g.cell_len(c);
-                        prop_assert_eq!(
-                            per_cell.get(&c.id(geom.dim())).copied().unwrap_or(0), n,
-                            "per-cell sum drift at {} on {}", c, g.index().kind()
-                        );
-                        seen += n;
-                    }
-                    prop_assert_eq!(seen, model.len());
-                    g.check_integrity();
+                // Brute-force recount from the model.
+                let geom = g.geom();
+                let mut per_cell: std::collections::HashMap<u64, usize> =
+                    std::collections::HashMap::new();
+                for (&_, &mp) in &model {
+                    *per_cell.entry(geom.cell_of(mp).id(geom.dim())).or_insert(0) += 1;
                 }
+                let expect = GridStats {
+                    total_cells: geom.total_cells(),
+                    occupied_cells: per_cell.len(),
+                    live_objects: model.len(),
+                    hot_cell_max: per_cell.values().copied().max().unwrap_or(0),
+                };
+                prop_assert_eq!(g.stats(), expect);
+                // Per-cell sums: every occupied cell reports exactly its
+                // brute-force population.
+                let mut seen = 0usize;
+                for c in g.occupied_cells() {
+                    let n = g.cell_len(c);
+                    prop_assert_eq!(
+                        per_cell.get(&c.id(geom.dim())).copied().unwrap_or(0), n,
+                        "per-cell sum drift at {}", c
+                    );
+                    seen += n;
+                }
+                prop_assert_eq!(seen, model.len());
+                g.check_integrity();
             }
         }
 

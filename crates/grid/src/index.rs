@@ -1,95 +1,169 @@
-//! The pluggable spatial-index layer behind the [`crate::Grid`] facade.
+//! [`CellIndex`]: the spatial index — the paper's regular grid of object
+//! buckets (Section 3).
 //!
-//! CPM's maintenance algorithms are deliberately index-agnostic: they only
-//! ever ask *"which objects fall in this conceptual cell / region?"*.
-//! [`SpatialIndex`] captures exactly that contract. Every backend answers
-//! over the **same conceptual cell space** ([`GridGeom`]: `dim × dim`
-//! cells of side `δ = 1/dim`), so query results are a function of the
-//! object population and the geometry alone — switching backends can
-//! change *how fast* a cell scan is, never *what it returns*. The
-//! conformance harness (`cpm_sim::verify`, whose lanes vary the backend)
-//! asserts precisely this: bit-identical results, changed-lists and delta
-//! streams across backends.
+//! CPM's maintenance algorithms only ever ask *"which objects fall in
+//! this conceptual cell / region?"*. The paper answers with a regular
+//! grid because it is the structure that is cheap to maintain under a
+//! stream of updates, and tunes it through δ alone (Section 4.1,
+//! Fig. 6.1); this crate does the same. Skew is answered by *moving δ*
+//! ([`crate::Grid::regrid`], driven by the engines' cost-model policy),
+//! not by a second structure (README, "Skew: one answer", has the
+//! measurement).
 //!
-//! Backends:
-//!
-//! * [`crate::CellIndex`] — the paper-exact uniform grid (default): one
-//!   dense bucket per occupied cell behind a `dim²` directory.
-//! * [`crate::QuadtreeIndex`] — an adaptive region quadtree for skewed
-//!   populations: sparse regions collapse into shallow leaves while
-//!   hotspots split down to single-cell leaves, bounding storage by
-//!   occupancy instead of resolution.
-//! * [`DynIndex`] — a runtime-selected enum over the above, used by
-//!   `CpmServerBuilder::index` so one server type serves every backend.
-//!
-//! Selection is by [`IndexKind`], a small plain-data description that
-//! snapshots record so recovery rebuilds the same structure.
+//! Query results are a function of the object population and the
+//! geometry ([`GridGeom`]) alone; δ changes *how fast* a cell scan is,
+//! never *what it returns*.
 
-use std::fmt;
+use cpm_geom::{ObjectId, Point};
 
-use cpm_geom::{ObjectId, Point, Rect};
+use crate::directory::CellDirectory;
+use crate::store::BackRef;
+use crate::{CellCoord, GridGeom, ObjectStore};
 
-use crate::{CellCoord, CellIndex, GridGeom, ObjectStore, QuadtreeIndex};
+/// The object index over the conceptual `dim × dim` cell space: cell
+/// buckets plus the cell geometry.
+///
+/// # Storage layout (directory + dense slot-based buckets)
+///
+/// `cell.id(dim)` is row-major and dense, so the per-cell lookup is a
+/// **directory**: one `u32` per conceptual cell, `0` for an empty cell,
+/// `s + 1` for a cell whose objects live in slot `s` of a bucket slab.
+/// It costs 4 bytes per cell whatever the occupancy — 64 KiB at 128²,
+/// 1 MiB at 512², 4 MiB at the paper's largest granularity of 1024²
+/// (where ~10 % of the cells are occupied by the default 100K objects),
+/// 64 MiB at the 4096² ceiling — and is allocated zeroed, so the pages of
+/// never-occupied regions are not resident. Only occupied cells own
+/// storage beyond their directory entry, a **contiguous `Vec<ObjectId>`
+/// bucket** rather than a hash set:
+///
+/// * a cell scan — the unit the experiments count as one *cell access*
+///   (Section 6, Figure 6.3b) — is one directory read and a linear sweep
+///   over contiguous memory;
+/// * the per-object back-pointer table (`oid → (cell_id, slot)`, stored in
+///   [`ObjectStore`] because its shape is δ-independent) makes removal
+///   O(1) via *swap-remove*: the last bucket element is moved into the
+///   vacated slot and its back-pointer is patched. Nothing is hashed on
+///   the update path, and `Time_ind = 2` of the Section 4.1 cost model —
+///   one deletion plus one insertion per location update — is preserved
+///   exactly;
+/// * a bucket that empties leaves its slab slot vacant with its
+///   allocation in place (up to a pool cap), so steady-state update churn
+///   is allocation-free.
+///
+/// Swap-remove reorders bucket contents, which is invisible to the
+/// monitoring algorithms: the paper treats cell object lists as unordered
+/// sets, and every consumer scans whole buckets.
+///
+/// All mutation goes through the composed [`crate::Grid`]; the mutators
+/// keep bucket membership, the store's back-pointers, and the occupancy
+/// histogram in lock step.
+#[derive(Debug, Clone)]
+pub struct CellIndex {
+    geom: GridGeom,
+    /// Packed cell id → dense bucket of the objects in the cell.
+    /// Invariant: every stored bucket is non-empty.
+    cells: CellDirectory<ObjectId>,
+    /// Incremental occupancy statistics (occupied cells, hot-cell max).
+    hist: OccupancyHistogram,
+}
 
-/// A pluggable object index over the conceptual `dim × dim` cell space.
-///
-/// The trait is the concrete [`CellIndex`] surface abstracted: per-cell
-/// dense-bucket reads, allocation-free region covers, the insert/remove
-/// mutators (which keep the [`ObjectStore`] back-pointers in lock step),
-/// occupancy statistics, and whole-index rebuild at a new resolution.
-///
-/// # Contract
-///
-/// * [`SpatialIndex::objects_in`] returns **exactly** the live objects in
-///   the queried conceptual cell — never a superset (a coarser node's
-///   population), never a subset.
-/// * The region covers ([`SpatialIndex::cells_in_rect`] /
-///   [`SpatialIndex::cells_in_circle`]) enumerate every intersecting
-///   conceptual cell, **occupied or not**: the monitors register empty
-///   cells in their influence regions so objects moving *into* them are
-///   noticed.
-/// * Mutators maintain the store's back-pointers so that
-///   `detach(attach(x)) = x` is O(occupancy-bounded) and never searches.
-///
-/// Implementing this trait outside `cpm-grid` is not currently supported:
-/// the back-pointer channel through [`ObjectStore`] is crate-internal.
-pub trait SpatialIndex: fmt::Debug + Send + Sync {
-    /// The backend's kind + parameters (what snapshots record so recovery
-    /// rebuilds the same structure).
-    fn kind(&self) -> IndexKind;
+impl CellIndex {
+    /// An empty index with `dim × dim` cells over the unit square.
+    ///
+    /// # Panics
+    /// Panics if [`GridGeom::check_dim`] rejects `dim`.
+    pub fn new(dim: u32) -> Self {
+        let geom = GridGeom::new(dim);
+        Self {
+            geom,
+            cells: CellDirectory::new(geom.total_cells()),
+            hist: OccupancyHistogram::default(),
+        }
+    }
 
     /// The conceptual cell geometry (dimension, `δ`) this index answers
     /// at.
-    fn geom(&self) -> GridGeom;
+    #[inline]
+    pub fn geom(&self) -> GridGeom {
+        self.geom
+    }
 
-    /// Number of non-empty conceptual cells.
-    fn occupied_count(&self) -> usize;
+    /// Number of non-empty cells.
+    #[inline]
+    pub fn occupied_count(&self) -> usize {
+        self.cells.occupied()
+    }
 
-    /// Population of the fullest conceptual cell (0 when empty) —
-    /// maintained incrementally (O(1) per update), so per-cycle occupancy
-    /// polling by the re-grid controller is free.
-    fn hot_cell_max(&self) -> usize;
+    /// Population of the fullest cell (0 when empty) — maintained
+    /// incrementally (O(1) per update), so per-cycle occupancy polling by
+    /// the re-grid controller is free.
+    #[inline]
+    pub fn hot_cell_max(&self) -> usize {
+        self.hist.max()
+    }
 
-    /// The objects currently inside conceptual cell `c`, as a contiguous
-    /// slice (empty if the cell is unoccupied).
+    /// The objects currently inside cell `c`, as a contiguous slice (empty
+    /// if the cell is unoccupied): **exactly** the live objects of that
+    /// cell, never a superset, never a subset.
     ///
     /// A full scan of the returned slice is what the experiments count as
     /// one *cell access* (Section 6, Figure 6.3b).
-    fn objects_in(&self, c: CellCoord) -> &[ObjectId];
+    #[inline]
+    pub fn objects_in(&self, c: CellCoord) -> &[ObjectId] {
+        self.cells.get(c.id(self.geom.dim()))
+    }
 
-    /// The coordinates of all non-empty conceptual cells, in unspecified
-    /// order.
-    fn occupied_cells(&self) -> Vec<CellCoord>;
+    /// Iterate over the coordinates of all non-empty cells, in
+    /// unspecified order.
+    pub fn occupied_cells(&self) -> impl Iterator<Item = CellCoord> + '_ {
+        let geom = self.geom;
+        self.cells.iter().map(move |(id, _)| geom.cell_from_id(id))
+    }
 
     /// Bucket a live object at `p` (already clamped by the store) and
-    /// write its back-pointer. Returns the conceptual cell it was placed
-    /// in. Called by [`crate::Grid::insert`] only.
-    fn attach(&mut self, store: &mut ObjectStore, oid: ObjectId, p: Point) -> CellCoord;
+    /// write its back-pointer. Returns the cell it was placed in.
+    #[inline]
+    pub(crate) fn attach(&mut self, store: &mut ObjectStore, oid: ObjectId, p: Point) -> CellCoord {
+        self.attach_inner(&mut store.backrefs, oid, p)
+    }
+
+    /// Shared attach body: back-references are written through the raw
+    /// slice so the regrid rebuild can drive it while iterating the
+    /// store's positions.
+    fn attach_inner(&mut self, backrefs: &mut [BackRef], oid: ObjectId, p: Point) -> CellCoord {
+        let cell = self.geom.cell_of(p);
+        let cell_id = cell.id(self.geom.dim());
+        let bucket = self.cells.occupy(cell_id);
+        bucket.push(oid);
+        let len = bucket.len();
+        backrefs[oid.index()] = BackRef {
+            cell_id,
+            slot: (len - 1) as u32,
+        };
+        self.hist.on_attach(len);
+        cell
+    }
 
     /// Unbucket a live object through its back-pointer (no search, no
-    /// object-id hashing). Returns the conceptual cell it left. Called by
-    /// [`crate::Grid::remove`] only.
-    fn detach(&mut self, store: &mut ObjectStore, oid: ObjectId) -> CellCoord;
+    /// object-id hashing). Returns the cell it left.
+    #[inline]
+    pub(crate) fn detach(&mut self, store: &mut ObjectStore, oid: ObjectId) -> CellCoord {
+        let BackRef { cell_id, slot } = store.backrefs[oid.index()];
+        let bucket = self
+            .cells
+            .get_mut(cell_id)
+            .expect("indexed object must have a cell entry");
+        debug_assert_eq!(bucket.get(slot as usize), Some(&oid), "back-pointer desync");
+        let old_len = bucket.len();
+        bucket.swap_remove(slot as usize);
+        // The previous last element (if any) now sits at `slot`: repoint it.
+        if let Some(&moved) = bucket.get(slot as usize) {
+            store.backrefs[moved.index()].slot = slot;
+        }
+        self.cells.release_if_empty(cell_id);
+        self.hist.on_detach(old_len);
+        self.geom.cell_from_id(cell_id)
+    }
 
     /// Rebuild this index at a new resolution from the store's positions,
     /// re-attaching objects in ascending id order (so the resulting layout
@@ -98,166 +172,64 @@ pub trait SpatialIndex: fmt::Debug + Send + Sync {
     /// build).
     ///
     /// # Panics
-    /// Panics if [`IndexKind::check_dim`] rejects `new_dim` for this
-    /// backend's kind; engine-level `regrid_to` validates first and
-    /// returns a typed error instead.
-    fn rebuild(&mut self, store: &mut ObjectStore, new_dim: u32);
-
-    /// Verify the backend's internal invariants against the store
-    /// (test helper; O(total state)).
-    #[doc(hidden)]
-    fn check_integrity(&self, store: &ObjectStore);
-
-    /// Iterate, in row-major order and without allocating, over all cells
-    /// (occupied or not) whose extent intersects `region`. See
-    /// [`GridGeom::cells_in_rect`].
-    fn cells_in_rect(&self, region: &Rect) -> impl Iterator<Item = CellCoord>
-    where
-        Self: Sized,
-    {
-        self.geom().cells_in_rect(region)
-    }
-
-    /// Iterate, without allocating, over all cells whose extent intersects
-    /// the closed disk `(center, radius)`. See
-    /// [`GridGeom::cells_in_circle`].
-    fn cells_in_circle(&self, center: Point, radius: f64) -> impl Iterator<Item = CellCoord>
-    where
-        Self: Sized,
-    {
-        self.geom().cells_in_circle(center, radius)
-    }
-}
-
-/// Default per-leaf occupancy threshold above which a quadtree leaf
-/// splits.
-pub const DEFAULT_SPLIT_THRESHOLD: u32 = 32;
-
-/// Which [`SpatialIndex`] backend a grid (or server) uses, plus its
-/// parameters. Plain data: snapshots record it so recovery rebuilds the
-/// same structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexKind {
-    /// The paper-exact uniform grid ([`CellIndex`]): one dense bucket per
-    /// occupied cell behind a `dim²` directory. The default.
-    #[default]
-    Uniform,
-    /// An adaptive region quadtree ([`QuadtreeIndex`]) over the same
-    /// conceptual cells. Requires a power-of-two dimension (tree levels
-    /// must align with the conceptual cell boundaries).
-    Quadtree {
-        /// Leaves holding more than this many objects split (until they
-        /// cover a single conceptual cell). Must be ≥ 1.
-        split_threshold: u32,
-    },
-}
-
-impl IndexKind {
-    /// The quadtree kind with the default split threshold
-    /// ([`DEFAULT_SPLIT_THRESHOLD`]).
-    pub const fn quadtree() -> Self {
-        IndexKind::Quadtree {
-            split_threshold: DEFAULT_SPLIT_THRESHOLD,
+    /// Panics if [`GridGeom::check_dim`] rejects `new_dim`; engine-level
+    /// `regrid_to` validates first and returns a typed error instead.
+    pub(crate) fn rebuild(&mut self, store: &mut ObjectStore, new_dim: u32) {
+        // A fresh directory (allocated zeroed, so only the pages the
+        // population lands on become resident) and a fresh slab: slots are
+        // handed out in ascending object-id order, exactly as in an index
+        // populated from scratch at `new_dim`.
+        let mut fresh = CellIndex::new(new_dim);
+        for i in 0..store.backrefs.len() {
+            let oid = ObjectId(i as u32);
+            let Some(p) = store.position(oid) else {
+                continue;
+            };
+            fresh.attach_inner(&mut store.backrefs, oid, p);
         }
+        *self = fresh;
     }
 
-    /// Short stable name for display and recorded artifacts.
-    pub fn name(&self) -> &'static str {
-        match self {
-            IndexKind::Uniform => "uniform",
-            IndexKind::Quadtree { .. } => "quadtree",
-        }
-    }
-
-    /// Validate this kind's own parameters and its compatibility with a
-    /// `dim × dim` conceptual grid. This is the single source of truth
-    /// behind both the panicking constructors and the `Result`-returning
-    /// builder/engine surfaces.
-    pub fn check_dim(&self, dim: u32) -> Result<(), GridConfigError> {
-        let fail = |reason| {
-            Err(GridConfigError {
-                kind: *self,
-                dim,
-                reason,
-            })
-        };
-        if dim == 0 || dim > 4096 {
-            return fail("grid dimension must lie in 1..=4096");
-        }
-        match *self {
-            IndexKind::Uniform => Ok(()),
-            IndexKind::Quadtree { split_threshold } => {
-                if split_threshold == 0 {
-                    return fail("quadtree split threshold must be at least 1");
-                }
-                if !dim.is_power_of_two() {
-                    return fail("quadtree dimension must be a power of two");
-                }
-                Ok(())
+    /// Verify the index's internal invariants against the store (test
+    /// helper; O(total state)).
+    pub(crate) fn check_integrity(&self, store: &ObjectStore) {
+        self.cells.check_integrity(self.geom.total_cells());
+        let mut bucket_total = 0usize;
+        for (cell_id, bucket) in self.cells.iter() {
+            bucket_total += bucket.len();
+            for (slot, &oid) in bucket.iter().enumerate() {
+                let p = store
+                    .position(oid)
+                    .unwrap_or_else(|| panic!("bucket holds off-line object {oid}"));
+                let br = store.backrefs[oid.index()];
+                assert_eq!(br.cell_id, cell_id, "back-pointer cell desync for {oid}");
+                assert_eq!(br.slot as usize, slot, "back-pointer slot desync for {oid}");
+                assert_eq!(
+                    self.geom.cell_of(p).id(self.geom.dim()),
+                    cell_id,
+                    "object {oid} bucketed in the wrong cell"
+                );
             }
         }
-    }
-
-    /// Build an empty [`DynIndex`] of this kind at `dim`.
-    ///
-    /// # Errors
-    /// Returns the [`IndexKind::check_dim`] error on an invalid
-    /// kind/dimension combination.
-    pub fn build_index(&self, dim: u32) -> Result<DynIndex, GridConfigError> {
-        self.check_dim(dim)?;
-        Ok(match *self {
-            IndexKind::Uniform => DynIndex::Uniform(CellIndex::new(dim)),
-            IndexKind::Quadtree { split_threshold } => {
-                DynIndex::Quadtree(QuadtreeIndex::new(dim, split_threshold))
-            }
-        })
+        assert_eq!(bucket_total, store.len(), "bucket population != live count");
+        assert_eq!(
+            self.hist.occupied(),
+            self.occupied_count(),
+            "occupied drift"
+        );
+        let buckets = self.cells.iter();
+        self.hist
+            .check_against(buckets.map(|(_, bucket)| bucket.len()));
     }
 }
-
-impl fmt::Display for IndexKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            IndexKind::Uniform => f.write_str("uniform"),
-            IndexKind::Quadtree { split_threshold } => {
-                write!(f, "quadtree(split_threshold={split_threshold})")
-            }
-        }
-    }
-}
-
-/// An invalid index-kind / grid-dimension configuration, reported at
-/// build time by [`crate::GridBuilder::try_build`] and
-/// [`IndexKind::build_index`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridConfigError {
-    /// The requested backend kind.
-    pub kind: IndexKind,
-    /// The requested grid dimension.
-    pub dim: u32,
-    /// Why the combination was rejected.
-    pub reason: &'static str,
-}
-
-impl fmt::Display for GridConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid grid config (kind {}, dim {}): {}",
-            self.kind, self.dim, self.reason
-        )
-    }
-}
-
-impl std::error::Error for GridConfigError {}
 
 /// Exact count-of-counts histogram over bucket (conceptual-cell)
 /// populations: `counts[l]` = number of cells currently holding `l`
-/// objects (`l ≥ 1`). Both backends drive it from their mutators, making
-/// [`SpatialIndex::hot_cell_max`] and
-/// [`SpatialIndex::occupied_count`] O(1) reads with O(1) update cost —
-/// every event changes exactly one cell's population by one.
+/// objects (`l ≥ 1`). [`CellIndex`] drives it from its mutators, making
+/// [`CellIndex::hot_cell_max`] an O(1) read with O(1) update cost — every
+/// event changes exactly one cell's population by one.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct OccupancyHistogram {
+struct OccupancyHistogram {
     /// `counts[l]` = number of cells with population `l`; index 0 unused.
     counts: Vec<usize>,
     /// Largest `l` with `counts[l] > 0` (0 when nothing is occupied).
@@ -269,7 +241,7 @@ pub(crate) struct OccupancyHistogram {
 impl OccupancyHistogram {
     /// A cell's population grew from `new_len - 1` to `new_len`.
     #[inline]
-    pub(crate) fn on_attach(&mut self, new_len: usize) {
+    fn on_attach(&mut self, new_len: usize) {
         debug_assert!(new_len >= 1);
         if new_len == 1 {
             self.occupied += 1;
@@ -287,7 +259,7 @@ impl OccupancyHistogram {
 
     /// A cell's population shrank from `old_len` to `old_len - 1`.
     #[inline]
-    pub(crate) fn on_detach(&mut self, old_len: usize) {
+    fn on_detach(&mut self, old_len: usize) {
         debug_assert!(old_len >= 1);
         self.counts[old_len] -= 1;
         let new_len = old_len - 1;
@@ -306,20 +278,19 @@ impl OccupancyHistogram {
 
     /// Population of the fullest cell (0 when empty).
     #[inline]
-    pub(crate) fn max(&self) -> usize {
+    fn max(&self) -> usize {
         self.max
     }
 
     /// Number of occupied cells.
     #[inline]
-    pub(crate) fn occupied(&self) -> usize {
+    fn occupied(&self) -> usize {
         self.occupied
     }
 
     /// Assert the histogram matches a brute-force recount of `sizes` (the
     /// non-empty bucket populations, in any order).
-    #[doc(hidden)]
-    pub(crate) fn check_against(&self, sizes: impl Iterator<Item = usize>) {
+    fn check_against(&self, sizes: impl Iterator<Item = usize>) {
         let mut counts: Vec<usize> = Vec::new();
         let mut occupied = 0usize;
         let mut max = 0usize;
@@ -351,117 +322,9 @@ impl OccupancyHistogram {
     }
 }
 
-/// The runtime-selected [`SpatialIndex`]: a closed enum over the built-in
-/// backends, dispatching every call with an inlined `match`. This is what
-/// `CpmServerBuilder::index` threads through the unified server so one
-/// server type serves every backend without boxing.
-#[derive(Debug, Clone)]
-pub enum DynIndex {
-    /// The paper-exact uniform grid.
-    Uniform(CellIndex),
-    /// The adaptive region quadtree.
-    Quadtree(QuadtreeIndex),
-}
-
-impl DynIndex {
-    /// An empty backend of `kind` at `dim` (panicking counterpart of
-    /// [`IndexKind::build_index`], for contexts that validated already).
-    ///
-    /// # Panics
-    /// Panics if [`IndexKind::check_dim`] rejects the combination.
-    pub fn new(kind: IndexKind, dim: u32) -> Self {
-        kind.build_index(dim).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-macro_rules! dyn_dispatch {
-    ($self:ident, $inner:ident => $body:expr) => {
-        match $self {
-            DynIndex::Uniform($inner) => $body,
-            DynIndex::Quadtree($inner) => $body,
-        }
-    };
-}
-
-impl SpatialIndex for DynIndex {
-    #[inline]
-    fn kind(&self) -> IndexKind {
-        dyn_dispatch!(self, i => i.kind())
-    }
-
-    #[inline]
-    fn geom(&self) -> GridGeom {
-        dyn_dispatch!(self, i => i.geom())
-    }
-
-    #[inline]
-    fn occupied_count(&self) -> usize {
-        dyn_dispatch!(self, i => i.occupied_count())
-    }
-
-    #[inline]
-    fn hot_cell_max(&self) -> usize {
-        dyn_dispatch!(self, i => i.hot_cell_max())
-    }
-
-    #[inline]
-    fn objects_in(&self, c: CellCoord) -> &[ObjectId] {
-        dyn_dispatch!(self, i => i.objects_in(c))
-    }
-
-    fn occupied_cells(&self) -> Vec<CellCoord> {
-        dyn_dispatch!(self, i => SpatialIndex::occupied_cells(i))
-    }
-
-    #[inline]
-    fn attach(&mut self, store: &mut ObjectStore, oid: ObjectId, p: Point) -> CellCoord {
-        dyn_dispatch!(self, i => i.attach(store, oid, p))
-    }
-
-    #[inline]
-    fn detach(&mut self, store: &mut ObjectStore, oid: ObjectId) -> CellCoord {
-        dyn_dispatch!(self, i => i.detach(store, oid))
-    }
-
-    fn rebuild(&mut self, store: &mut ObjectStore, new_dim: u32) {
-        dyn_dispatch!(self, i => i.rebuild(store, new_dim))
-    }
-
-    fn check_integrity(&self, store: &ObjectStore) {
-        dyn_dispatch!(self, i => i.check_integrity(store))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_validation_names_the_reason() {
-        assert!(IndexKind::Uniform.check_dim(100).is_ok());
-        assert!(IndexKind::quadtree().check_dim(64).is_ok());
-        let e = IndexKind::quadtree().check_dim(100).unwrap_err();
-        assert!(e.to_string().contains("power of two"), "{e}");
-        let e = IndexKind::Quadtree { split_threshold: 0 }
-            .check_dim(64)
-            .unwrap_err();
-        assert!(e.to_string().contains("split threshold"), "{e}");
-        let e = IndexKind::Uniform.check_dim(0).unwrap_err();
-        assert!(e.to_string().contains("1..=4096"), "{e}");
-        assert!(IndexKind::Uniform.check_dim(5000).is_err());
-    }
-
-    #[test]
-    fn kind_display_and_names_are_stable() {
-        assert_eq!(IndexKind::Uniform.to_string(), "uniform");
-        assert_eq!(IndexKind::Uniform.name(), "uniform");
-        assert_eq!(IndexKind::quadtree().name(), "quadtree");
-        assert_eq!(
-            IndexKind::Quadtree { split_threshold: 8 }.to_string(),
-            "quadtree(split_threshold=8)"
-        );
-        assert_eq!(IndexKind::default(), IndexKind::Uniform);
-    }
 
     #[test]
     fn histogram_tracks_exact_max_under_churn() {

@@ -1,5 +1,4 @@
-//! Main-memory conceptual-grid index over moving objects, with pluggable
-//! storage backends.
+//! Main-memory conceptual-grid index over moving objects.
 //!
 //! This is the object index `G` of Section 3: a regular grid of `dim × dim`
 //! cells with side `δ = 1/dim` over the unit-square workspace. Cell `c_{i,j}`
@@ -11,41 +10,31 @@
 //! baselines — all three assume exactly this index (the paper compares the
 //! algorithms, not the indexes).
 //!
-//! # Three-layer storage: [`ObjectStore`] + [`SpatialIndex`] + [`GridGeom`]
+//! # Three-layer storage: [`ObjectStore`] + [`CellIndex`] + [`GridGeom`]
 //!
 //! [`Grid`] is a thin facade composing layers with disjoint concerns:
 //!
 //! * [`ObjectStore`] — the **δ-independent** object tables: the central
 //!   position table (`s_obj = 3·N` memory units of the space analysis) and
 //!   the parallel back-pointer table that makes bucket removal O(1).
-//! * [`SpatialIndex`] — the pluggable **cell→objects** backend. The
-//!   conceptual cell space is fixed by the geometry; the backend only
-//!   decides how the buckets are stored:
-//!   - [`CellIndex`] (default, [`IndexKind::Uniform`]) — the paper-exact
-//!     uniform grid: a `dim²` directory of `u32` slots into dense
-//!     `Vec<ObjectId>` buckets with O(1) swap-remove deletion through
-//!     the store's back-pointers, keeping the `Time_ind = 2` update cost
-//!     of the Section 4.1 model;
-//!   - [`QuadtreeIndex`] ([`IndexKind::Quadtree`]) — an adaptive region
-//!     quadtree over the same conceptual cells: sparse regions collapse
-//!     into coarse leaves, hotspots split down to per-cell buckets, so
-//!     skewed populations pay for the resolution only where they need it.
-//!   - [`DynIndex`] — the runtime-selected sum of the above, used by the
-//!     server layer so one binary serves either kind.
+//! * [`CellIndex`] — the **cell→objects** index at one δ: a `dim²`
+//!   directory of `u32` slots into dense `Vec<ObjectId>` buckets with
+//!   O(1) swap-remove deletion through the store's back-pointers, keeping
+//!   the `Time_ind = 2` update cost of the Section 4.1 model.
 //! * [`GridGeom`] — the `Copy` conceptual cell geometry (point→cell
-//!   mapping, cell extents, `mindist`, allocation-free region covers),
-//!   shared verbatim by every backend via [`SpatialIndex::geom`]. This is
-//!   what makes query results **backend-independent by construction**: the
-//!   search algorithms only consume geometry plus per-cell object sets.
+//!   mapping, cell extents, `mindist`, allocation-free region covers).
+//!   The search algorithms only consume geometry plus per-cell object
+//!   sets.
 //!
 //! The store/index split is what makes **online re-gridding** cheap and
 //! safe: [`Grid::regrid`] rebuilds only the index at the new resolution in
 //! one deterministic pass (ascending object id, so the resulting layout is
 //! identical to a fresh populate), while the object tables — and every
-//! `oid → position` answer read through them — are untouched.
+//! `oid → position` answer read through them — are untouched. Re-gridding
+//! is also the one answer to skew: δ moves, the structure does not.
 //!
 //! Grids are constructed through [`GridBuilder`], which validates the
-//! dimension/backend combination ([`IndexKind::check_dim`]) at build time.
+//! dimension ([`GridGeom::check_dim`]) at build time.
 //!
 //! Query-side book-keeping (the per-cell *influence lists*) lives in
 //! [`InfluenceTable`], kept separate from the grid so that several monitors
@@ -69,16 +58,14 @@ mod index;
 mod influence;
 pub mod kernels;
 mod metrics;
-mod quadtree;
 mod store;
 
 pub use coord::CellCoord;
 pub use events::{apply_events, ObjectEvent, QueryEvent, UpdateRecord};
-pub use geom::GridGeom;
-pub use grid::{CellIndex, Grid, GridBuilder, GridStats};
-pub use index::{DynIndex, GridConfigError, IndexKind, SpatialIndex, DEFAULT_SPLIT_THRESHOLD};
+pub use geom::{GridConfigError, GridGeom};
+pub use grid::{Grid, GridBuilder, GridStats};
+pub use index::CellIndex;
 pub use influence::InfluenceTable;
 pub use kernels::Coords;
 pub use metrics::{KindMetrics, Metrics, QueryKind};
-pub use quadtree::QuadtreeIndex;
 pub use store::ObjectStore;

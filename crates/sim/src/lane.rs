@@ -6,12 +6,11 @@
 use cpm_cluster::{ClusterConfig, ClusterCoordinator, ClusterError, Transport, WorkerHandle};
 use cpm_core::snapshot::Snapshot;
 use cpm_core::{
-    AnyQuerySpec, AutoRegridConfig, CpmError, CpmServer, CpmServerBuilder, CycleDeltas,
-    DurableCpmServer, PointQuery, RecoveryError, RegridPolicy, SpecEvent,
+    AnyQuerySpec, AutoRegridConfig, CpmServer, CpmServerBuilder, CycleDeltas, DurableCpmServer,
+    PointQuery, RecoveryError, RegridPolicy, SpecEvent,
 };
 use cpm_gen::{Corruption, FaultPlan};
 use cpm_geom::Point;
-use cpm_grid::IndexKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,8 +59,6 @@ pub enum Deploy {
 pub struct LaneConfig {
     /// Query shards per server.
     pub shards: usize,
-    /// Spatial-index backend.
-    pub index: IndexKind,
     /// Re-grid behaviour.
     pub regrid: Regrid,
     /// Deployment shape.
@@ -69,11 +66,10 @@ pub struct LaneConfig {
 }
 
 impl LaneConfig {
-    /// What every lane is compared with: one sequential, uniform-grid
-    /// single-node server that never rebuilds its index.
+    /// What every lane is compared with: one sequential single-node
+    /// server that never rebuilds its index.
     pub const REFERENCE: LaneConfig = LaneConfig {
         shards: 1,
-        index: IndexKind::Uniform,
         regrid: Regrid::Pinned,
         deploy: Deploy::Single,
     };
@@ -89,11 +85,9 @@ impl LaneConfig {
         let server = || {
             CpmServerBuilder::new(dim)
                 .shards(self.shards)
-                .index(self.index)
                 .deltas(true)
                 .regrid(policy)
-                .try_build()
-                .expect("the lane's index backend accepts the stream's grid")
+                .build()
         };
         let (workers, tcp, pipelined) = match self.deploy {
             Deploy::Single => return Box::new(ServerLane(server(), self.regrid)),
@@ -117,7 +111,6 @@ impl LaneConfig {
         );
         let config = ClusterConfig::new(dim, workers)
             .overlap((dim / 3).max(1))
-            .index(self.index)
             .pipelined(pipelined);
         if tcp {
             let spawned = ClusterCoordinator::spawn_tcp_loopback(config);
@@ -168,38 +161,21 @@ impl Lane for ServerLane {
         let (ops, server) = (&stream.cycles[t], &mut self.0);
         match ops.control {
             Some(Control::Regrid(dim)) if self.1 == Regrid::Scheduled => {
-                // Only a quadtree may refuse, and only a resolution it
-                // cannot hold (leaving the grid untouched): ignoring that
-                // control is within contract.
-                let quadtree = matches!(server.index_kind(), IndexKind::Quadtree { .. });
-                match server.regrid_to(dim) {
-                    Ok(migrated) => {
-                        assert_eq!(server.grid().dim(), dim, "the re-grid did nothing");
-                        assert!(
-                            migrated == 0 || migrated == server.grid().len(),
-                            "a re-grid migrates the whole live set or nothing, not {migrated}"
-                        );
-                    }
-                    Err(CpmError::InvalidDim(_)) if quadtree && !dim.is_power_of_two() => {}
-                    Err(e) => panic!("re-grid to {dim} refused: {e}"),
-                }
+                // A stream's controls name dimensions in range, and no
+                // dimension in range is ever refused.
+                let migrated = server
+                    .regrid_to(dim)
+                    .unwrap_or_else(|e| panic!("re-grid to {dim} refused: {e}"));
+                assert_eq!(server.grid().dim(), dim, "the re-grid did nothing");
+                assert!(
+                    migrated == 0 || migrated == server.grid().len(),
+                    "a re-grid migrates the whole live set or nothing, not {migrated}"
+                );
             }
             Some(Control::SnapshotRoundTrip) if self.1 != Regrid::Pinned => {
-                let kind = server.index_kind();
-                let other = match kind {
-                    IndexKind::Uniform => IndexKind::quadtree(),
-                    IndexKind::Quadtree { .. } => IndexKind::Uniform,
-                };
                 let frame = Snapshot::capture(server, 0).to_frame();
                 let snap = Snapshot::from_frame(&frame).expect("a fresh snapshot frame decodes");
-                let refused = CpmServer::restore_expecting(&snap, other);
-                assert!(
-                    matches!(refused, Err(CpmError::IndexMismatch { .. })),
-                    "a cross-backend restore must be refused"
-                );
-                *server = CpmServer::restore_expecting(&snap, kind)
-                    .expect("a snapshot restores onto its recorded backend");
-                assert_eq!(server.index_kind(), kind, "restore changed the backend");
+                *server = CpmServer::restore(&snap).expect("a fresh snapshot restores");
             }
             Some(Control::InstallOutOfBand { id, pos, k }) => {
                 server

@@ -27,8 +27,8 @@ use crate::stream::SimulationInput;
 pub enum Control {
     /// Re-grid to this resolution ([`crate::Regrid::Scheduled`] lanes).
     Regrid(u32),
-    /// Capture a snapshot, demand the typed refusal for a restore under
-    /// the other index backend, and continue on the restored server.
+    /// Capture a snapshot, send it through its frame, and continue on
+    /// the restored server.
     SnapshotRoundTrip,
     /// Lose the in-memory state, damage the durable artifacts per the
     /// plan's corruption class and site seed (its `crash_cycle` is the

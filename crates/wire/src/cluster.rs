@@ -26,7 +26,7 @@ use crate::{
     FRAME_CLUSTER,
 };
 use cpm_geom::{ObjectId, QueryId};
-use cpm_grid::{CellCoord, IndexKind, ObjectEvent};
+use cpm_grid::{CellCoord, ObjectEvent};
 
 /// An inclusive rectangle of grid cells: columns `c0..=c1`, rows
 /// `r0..=r1`. The unit of workspace partitioning (worker tiles and
@@ -239,8 +239,9 @@ impl Decode for ClusterReject {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterMsg {
     /// Coordinator → worker: your assignment. The worker checks the
-    /// version and builds a server for `dim`/`index`, owning `tile` and
-    /// ingesting `coverage`.
+    /// version and builds a server for `dim`, owning `tile` and ingesting
+    /// `coverage`. (Between `dim` and `tile` the encoding carries the
+    /// index tag of [`crate::put_index_tag`].)
     Hello {
         /// The coordinator's wire version ([`crate::WIRE_VERSION`]).
         version: u16,
@@ -248,8 +249,6 @@ pub enum ClusterMsg {
         worker: u32,
         /// Grid resolution (cells per axis).
         dim: u32,
-        /// Spatial-index backend every worker must run.
-        index: IndexKind,
         /// The worker's ownership tile (disjoint across workers).
         tile: TileRect,
         /// The worker's ingest region: `tile` plus the overlap margin.
@@ -423,7 +422,6 @@ impl Encode for ClusterMsg {
                 version,
                 worker,
                 dim,
-                index,
                 tile,
                 coverage,
             } => {
@@ -431,7 +429,7 @@ impl Encode for ClusterMsg {
                 w.put_u16(*version);
                 w.put_u32(*worker);
                 w.put_u32(*dim);
-                index.encode(w);
+                crate::put_index_tag(w);
                 tile.encode(w);
                 coverage.encode(w);
             }
@@ -503,7 +501,7 @@ impl Decode for ClusterMsg {
                 let version = r.take_u16()?;
                 let worker = r.take_u32()?;
                 let dim = r.take_u32()?;
-                let index = IndexKind::decode(r)?;
+                crate::take_index_tag(r)?;
                 let tile = TileRect::decode(r)?;
                 let coverage = TileRect::decode(r)?;
                 if !coverage.contains_rect(&tile) {
@@ -516,7 +514,6 @@ impl Decode for ClusterMsg {
                     version,
                     worker,
                     dim,
-                    index,
                     tile,
                     coverage,
                 }
@@ -574,7 +571,6 @@ mod tests {
                 version: crate::WIRE_VERSION,
                 worker: 2,
                 dim: 16,
-                index: IndexKind::quadtree(),
                 tile: TileRect::new(8, 0, 11, 15),
                 coverage: TileRect::new(5, 0, 14, 15),
             },
@@ -733,7 +729,6 @@ mod tests {
             version: 1,
             worker: 0,
             dim: 16,
-            index: IndexKind::Uniform,
             tile: TileRect::new(4, 0, 7, 15),
             coverage: TileRect::new(4, 0, 7, 15),
         }
@@ -813,7 +808,6 @@ mod tests {
                             version,
                             worker,
                             dim,
-                            index: IndexKind::Uniform,
                             tile,
                             coverage: tile.expanded(margin, dim),
                         }

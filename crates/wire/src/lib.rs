@@ -35,7 +35,7 @@
 #![forbid(unsafe_code)]
 
 use cpm_geom::{ObjectId, Point, QueryId, Rect};
-use cpm_grid::{IndexKind, KindMetrics, Metrics, ObjectEvent, QueryKind};
+use cpm_grid::{KindMetrics, Metrics, ObjectEvent, QueryKind};
 
 /// Magic number opening every frame (`"CPMW"` in ASCII).
 pub const FRAME_MAGIC: u32 = 0x4350_4D57;
@@ -657,39 +657,32 @@ impl Decode for QueryKind {
     }
 }
 
-impl Encode for IndexKind {
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            IndexKind::Uniform => w.put_u8(0),
-            IndexKind::Quadtree { split_threshold } => {
-                w.put_u8(1);
-                w.put_u32(split_threshold);
-            }
-        }
-    }
+/// The byte with which a snapshot payload and a `ClusterMsg::Hello` name
+/// the spatial index. There is one index, so the byte is always `0`; it
+/// stays so that both formats — and every artifact already written in
+/// them — are unchanged.
+pub fn put_index_tag(w: &mut Writer) {
+    w.put_u8(0);
 }
 
-impl Decode for IndexKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let at = r.offset();
-        match r.take_u8()? {
-            0 => Ok(IndexKind::Uniform),
-            1 => {
-                let split_at = r.offset();
-                let split_threshold = r.take_u32()?;
-                if split_threshold == 0 {
-                    return Err(WireError::Invalid {
-                        offset: split_at,
-                        what: "quadtree split threshold must be at least 1",
-                    });
-                }
-                Ok(IndexKind::Quadtree { split_threshold })
-            }
-            _ => Err(WireError::Invalid {
-                offset: at,
-                what: "unknown index-kind tag",
-            }),
-        }
+/// Read the byte [`put_index_tag`] writes.
+///
+/// # Errors
+/// [`WireError::Invalid`] at the tag's offset for tag `1`, with which
+/// earlier versions announced a quadtree (followed by its `u32` split
+/// threshold), and for any other value.
+pub fn take_index_tag(r: &mut Reader<'_>) -> Result<(), WireError> {
+    let offset = r.offset();
+    match r.take_u8()? {
+        0 => Ok(()),
+        1 => Err(WireError::Invalid {
+            offset,
+            what: "quadtree index backend is no longer supported",
+        }),
+        _ => Err(WireError::Invalid {
+            offset,
+            what: "unknown index-kind tag",
+        }),
     }
 }
 
@@ -1150,29 +1143,33 @@ mod tests {
     }
 
     #[test]
-    fn index_kinds_roundtrip_and_reject_degenerate_thresholds() {
-        for kind in [
-            IndexKind::Uniform,
-            IndexKind::quadtree(),
-            IndexKind::Quadtree { split_threshold: 1 },
-        ] {
-            assert_eq!(IndexKind::decode_all(&kind.encode_to_vec()).unwrap(), kind);
-        }
-        // A zero split threshold could never have been built.
+    fn index_tag_is_zero_and_every_other_value_is_refused_typed() {
         let mut w = Writer::new();
+        w.put_u8(7); // something before the tag, so its offset is not 0
+        put_index_tag(&mut w);
+        assert_eq!(w.as_slice(), [7, 0]);
+        let mut r = Reader::new(w.as_slice());
+        r.take_u8().unwrap();
+        assert_eq!(take_index_tag(&mut r), Ok(()));
+        // Tag 1 announced a quadtree and its split threshold.
+        let mut w = Writer::new();
+        w.put_u8(7);
         w.put_u8(1);
-        w.put_u32(0);
+        w.put_u32(32);
+        let mut r = Reader::new(w.as_slice());
+        r.take_u8().unwrap();
+        assert_eq!(
+            take_index_tag(&mut r),
+            Err(WireError::Invalid {
+                offset: 1,
+                what: "quadtree index backend is no longer supported",
+            })
+        );
         assert!(matches!(
-            IndexKind::decode_all(w.as_slice()),
-            Err(WireError::Invalid { .. })
+            take_index_tag(&mut Reader::new(&[9])),
+            Err(WireError::Invalid { offset: 0, .. })
         ));
-        // Unknown backend tag.
-        let mut w = Writer::new();
-        w.put_u8(9);
-        assert!(matches!(
-            IndexKind::decode_all(w.as_slice()),
-            Err(WireError::Invalid { .. })
-        ));
+        assert!(take_index_tag(&mut Reader::new(&[])).is_err());
     }
 
     #[test]

@@ -7,7 +7,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cpm_geom::QueryId;
-use cpm_wire::{Decode, Reader, WireError};
+use cpm_wire::cluster::{ClusterMsg, TileRect};
+use cpm_wire::{write_frame, Decode, Encode, Reader, WireError, FRAME_CLUSTER, WIRE_VERSION};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -42,6 +43,15 @@ static ALLOC: Counting = Counting;
 /// vector, 24 in-memory bytes each.
 type Wide = (QueryId, (Vec<u32>, Vec<u32>, Vec<u32>));
 
+/// Run `decode` and return its output with the peak of bytes it had
+/// allocated at once.
+fn peak_during<T>(decode: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let got = decode();
+    (got, PEAK.load(Ordering::Relaxed) - before)
+}
+
 #[test]
 fn hostile_length_prefix_on_a_wide_element_cannot_amplify() {
     // A length prefix equal to the remaining byte count passes the
@@ -53,15 +63,40 @@ fn hostile_length_prefix_on_a_wide_element_cannot_amplify() {
     input.resize(4 + BODY, 0xFF);
     assert!(std::mem::size_of::<Wide>() >= 64, "element must be wide");
 
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let got = Vec::<Wide>::decode(&mut Reader::new(&input));
-    let reserved = PEAK.load(Ordering::Relaxed) - before;
-
+    let (got, reserved) = peak_during(|| Vec::<Wide>::decode(&mut Reader::new(&input)));
     assert!(matches!(got, Err(WireError::Invalid { .. })), "{got:?}");
     assert!(
         reserved <= 4 * input.len(),
         "decode reserved {reserved} bytes for {} input bytes",
         input.len()
+    );
+
+    // One more input: a `Hello` naming the removed quadtree index (tag 1
+    // and a `u32` split threshold where the index tag `0` stands, payload
+    // offset 11). The refusal comes from the tag itself and allocates
+    // nothing beyond the frame it was read from.
+    let tile = TileRect::new(0, 0, 15, 15);
+    let hello = ClusterMsg::Hello {
+        version: WIRE_VERSION,
+        worker: 0,
+        dim: 16,
+        tile,
+        coverage: tile,
+    };
+    let mut payload = hello.encode_to_vec();
+    assert_eq!(payload[11], 0);
+    payload.splice(11..12, [1, 32, 0, 0, 0]);
+    let mut frame = Vec::new();
+    write_frame(&mut frame, FRAME_CLUSTER, &payload);
+    let (got, reserved) = peak_during(|| ClusterMsg::from_frame(&frame));
+    let refusal = WireError::Invalid {
+        offset: 11,
+        what: "quadtree index backend is no longer supported",
+    };
+    assert_eq!(got, Err(refusal));
+    assert!(
+        reserved <= frame.len(),
+        "refusing a {}-byte frame reserved {reserved} bytes",
+        frame.len()
     );
 }

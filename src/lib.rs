@@ -7,9 +7,8 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`geom`] — geometry & utility substrate ([`cpm_geom`]).
-//! * [`grid`] — the main-memory object index with pluggable
-//!   [`SpatialIndex`] backends (uniform cells or adaptive quadtree,
-//!   selected via [`GridBuilder`]/[`IndexKind`]) ([`cpm_grid`]).
+//! * [`grid`] — the main-memory object index: the paper's regular grid,
+//!   built through [`GridBuilder`] and re-gridded online ([`cpm_grid`]).
 //! * [`core`] — CPM itself: one engine ([`core::ShardedCpmEngine`],
 //!   generic over the query geometry — k-NN, aggregate-NN,
 //!   constrained-NN, range, reverse-NN sectors) and the validating
@@ -77,7 +76,6 @@ pub use cpm_sim as sim;
 pub use cpm_sub as sub;
 pub use cpm_wire as wire;
 
-// The pluggable spatial-index surface, re-exported flat: embedders pick
-// a backend (`CpmServerBuilder::index(IndexKind::quadtree())`, or a
-// standalone `GridBuilder`) without importing `cpm_grid` internals.
-pub use cpm_grid::{DynIndex, GridBuilder, GridStats, IndexKind, SpatialIndex};
+// Re-exported flat: embedders build a standalone grid and read its
+// occupancy without importing `cpm_grid`.
+pub use cpm_grid::{GridBuilder, GridStats};

@@ -1,26 +1,27 @@
 //! Distributed conformance: the single-node-equivalence guarantee over
-//! worker counts, transports and index backends, plus the typed failure
-//! surface (misrouted batches, version skew, escaped influence regions,
-//! composite-query refusal).
+//! worker counts and transports, plus the typed failure surface
+//! (misrouted batches, version skew, a `Hello` naming the removed
+//! quadtree index, escaped influence regions, composite-query refusal).
 
 mod common;
 
-use common::lanes;
+use common::{lane, quadtree_era_frame};
 use cpm_suite::cluster::{
-    duplex, run_worker, ClusterConfig, ClusterCoordinator, ClusterError, Transport,
+    duplex, run_worker, ChannelTransport, ClusterConfig, ClusterCoordinator, ClusterError,
+    Transport, TransportError,
 };
 use cpm_suite::core::{AnyQuerySpec, PointQuery, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
-use cpm_suite::grid::{IndexKind, ObjectEvent};
+use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{verify, Anchors, Control, Deploy, LaneConfig, OpStream, Regrid};
 use cpm_suite::sub::DeltaFanout;
 use cpm_suite::wire::cluster::{ClusterMsg, ClusterReject, TileRect};
-use cpm_suite::wire::{Encode, WIRE_VERSION};
+use cpm_suite::wire::{Encode, FRAME_CLUSTER, WIRE_VERSION};
 
 /// Replay seeded mixed-kind streams — anchors pinned to the ownership
 /// strips, a worker hot-swapped by snapshot transfer before cycle 5, a
 /// k-NN installed out of band before cycle 6 — into one cluster per
-/// worker count × index backend over the given transport and schedule.
+/// worker count over the given transport and schedule.
 fn run(tcp: bool, pipelined: bool, seeds: &[u64], worker_counts: &[u32]) {
     let extra = Control::InstallOutOfBand {
         id: QueryId(5000),
@@ -29,14 +30,13 @@ fn run(tcp: bool, pipelined: bool, seeds: &[u64], worker_counts: &[u32]) {
     };
     let clusters: Vec<LaneConfig> = worker_counts
         .iter()
-        .flat_map(|&workers| {
+        .map(|&workers| {
             let deploy = Deploy::Cluster {
                 workers,
                 tcp,
                 pipelined,
             };
-            let backends = [IndexKind::Uniform, IndexKind::quadtree()];
-            lanes(&backends, &[1], Regrid::Pinned, deploy)
+            lane(1, Regrid::Pinned, deploy)
         })
         .collect();
     for &seed in seeds {
@@ -47,8 +47,8 @@ fn run(tcp: bool, pipelined: bool, seeds: &[u64], worker_counts: &[u32]) {
     }
 }
 
-/// The headline conformance run: W ∈ {1, 2, 4} in-process workers × both
-/// index backends. Every merged delta batch, changed list and replicated
+/// The headline conformance run: W ∈ {1, 2, 4} in-process workers.
+/// Every merged delta batch, changed list and replicated
 /// result must be bit-identical to the single-node reference.
 #[test]
 fn cluster_is_bit_identical_to_single_node() {
@@ -139,7 +139,6 @@ fn misrouted_update_is_rejected_without_state_change() {
         version: WIRE_VERSION,
         worker: 0,
         dim: 16,
-        index: IndexKind::Uniform,
         tile,
         coverage: tile,
     };
@@ -209,7 +208,6 @@ fn version_skew_is_refused_on_both_ends() {
         version: WIRE_VERSION + 1,
         worker: 0,
         dim: 16,
-        index: IndexKind::Uniform,
         tile,
         coverage: tile,
     };
@@ -232,6 +230,58 @@ fn version_skew_is_refused_on_both_ends() {
             theirs: WIRE_VERSION + 1,
         })
     );
+}
+
+/// A coordinator link that rewrites the `Hello` it sends into the one a
+/// coordinator from before the quadtree was removed would send for a
+/// quadtree cluster.
+struct QuadtreeEraLink(ChannelTransport);
+
+/// Payload offset of a `Hello`'s index tag: message tag, `u16` version,
+/// `u32` worker, `u32` dim.
+const HELLO_INDEX_TAG_AT: usize = 1 + 2 + 4 + 4;
+
+impl Transport for QuadtreeEraLink {
+    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        assert!(
+            matches!(ClusterMsg::from_frame(frame), Ok(ClusterMsg::Hello { .. })),
+            "the handshake sends a Hello and, refused, nothing else"
+        );
+        self.0.send(&quadtree_era_frame(
+            FRAME_CLUSTER,
+            frame,
+            HELLO_INDEX_TAG_AT,
+        ))
+    }
+
+    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
+        self.0.recv()
+    }
+}
+
+/// A `Hello` naming the quadtree index is refused, not obeyed and not a
+/// panic: the worker answers with a `Reject` that carries the typed wire
+/// error and exits cleanly, and the coordinator's handshake surfaces it
+/// as a `ClusterError` for the worker whose link it came back on.
+#[test]
+fn quadtree_hello_is_rejected_and_the_worker_exits_cleanly() {
+    let (coord_side, worker_side) = duplex();
+    let handle = std::thread::spawn(move || run_worker(worker_side));
+    let refused =
+        ClusterCoordinator::connect(ClusterConfig::new(16, 1), vec![QuadtreeEraLink(coord_side)]);
+    match refused {
+        Err(ClusterError::Engine { worker: 0, detail }) => {
+            assert!(
+                detail.contains("quadtree index backend is no longer supported"),
+                "{detail}"
+            );
+            let at = format!("offset {HELLO_INDEX_TAG_AT}");
+            assert!(detail.contains(&at), "{detail} should name the tag's {at}");
+        }
+        Err(other) => panic!("expected the worker's typed refusal, got {other}"),
+        Ok(_) => panic!("a quadtree Hello was accepted"),
+    }
+    assert_eq!(handle.join().unwrap(), Ok(()));
 }
 
 /// Sticky ownership: an update that moves a query's anchor off its

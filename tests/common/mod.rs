@@ -3,8 +3,9 @@
 #![allow(dead_code)] // every suite uses its own subset
 
 use cpm_suite::core::{AnyQuerySpec, QuerySpec, SpecEvent};
-use cpm_suite::grid::{IndexKind, QueryKind};
+use cpm_suite::grid::QueryKind;
 use cpm_suite::sim::{Deploy, LaneConfig, OpStream, Regrid, SimParams, SimulationInput};
+use cpm_suite::wire::{read_frame, write_frame, Reader};
 
 /// Per-test case budget: `PROPTEST_CASES` (the CI conformance job's
 /// wall-time bound) can only *cap* these heavyweight properties — each
@@ -17,39 +18,23 @@ pub fn case_budget(default_cases: u32) -> u32 {
         .map_or(default_cases, |cap: u32| cap.min(default_cases))
 }
 
-/// One single-node lane per shard count: uniform grid, no re-grids.
+/// One single-node lane per shard count, no re-grids.
 pub fn shard_lanes(counts: &[usize]) -> Vec<LaneConfig> {
-    lanes(
-        &[IndexKind::Uniform],
-        counts,
-        Regrid::Pinned,
-        Deploy::Single,
-    )
+    lanes(counts, Regrid::Pinned, Deploy::Single)
 }
 
-pub fn lane(shards: usize, index: IndexKind, regrid: Regrid, deploy: Deploy) -> LaneConfig {
+pub fn lane(shards: usize, regrid: Regrid, deploy: Deploy) -> LaneConfig {
     LaneConfig {
         shards,
-        index,
         regrid,
         deploy,
     }
 }
 
-/// The cross product `backends × shard counts` at one re-grid behaviour
-/// and deployment.
-pub fn lanes(
-    backends: &[IndexKind],
-    shard_counts: &[usize],
-    regrid: Regrid,
-    deploy: Deploy,
-) -> Vec<LaneConfig> {
-    let at = |&index| {
-        shard_counts
-            .iter()
-            .map(move |&s| lane(s, index, regrid, deploy))
-    };
-    backends.iter().flat_map(at).collect()
+/// One lane per shard count at one re-grid behaviour and deployment.
+pub fn lanes(shard_counts: &[usize], regrid: Regrid, deploy: Deploy) -> Vec<LaneConfig> {
+    let at = |&s| lane(s, regrid, deploy);
+    shard_counts.iter().map(at).collect()
 }
 
 /// A paper workload (network / uniform / skewed / drift k-NN stream) as an
@@ -71,4 +56,20 @@ pub fn specs(stream: &OpStream) -> impl Iterator<Item = &AnyQuerySpec> {
 /// per-kind suites assert their streams really exercise their kind.
 pub fn events_of(stream: &OpStream, kind: QueryKind) -> usize {
     specs(stream).filter(|spec| spec.kind() == kind).count()
+}
+
+/// `frame` as a build from before the quadtree index was removed wrote it
+/// for a quadtree deployment: the index tag (a `0` at payload offset
+/// `tag_at`) replaced by tag `1` and a `u32` split threshold, re-sealed
+/// through `write_frame` so only the tag stands between it and a decode.
+pub fn quadtree_era_frame(kind: u16, frame: &[u8], tag_at: usize) -> Vec<u8> {
+    let payload = read_frame(&mut Reader::new(frame), kind).expect("a well-formed frame");
+    assert_eq!(payload[tag_at], 0, "the index tag is always written 0");
+    let mut old = payload[..tag_at].to_vec();
+    old.push(1);
+    old.extend_from_slice(&32u32.to_le_bytes());
+    old.extend_from_slice(&payload[tag_at + 1..]);
+    let mut sealed = Vec::new();
+    write_frame(&mut sealed, kind, &old);
+    sealed
 }

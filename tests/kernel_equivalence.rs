@@ -1,7 +1,7 @@
 //! Scalar-vs-batched engine equivalence: running the full CPM machinery
 //! with the vectorized distance kernel must be observationally identical
 //! — same result bits, same changed lists, same delta streams — to the
-//! scalar per-object path, across shard counts and index backends.
+//! scalar per-object path, across shard counts.
 //!
 //! The scalar lane is reconstructed via a wrapper spec that forwards
 //! every [`QuerySpec`] method but deliberately does *not* override
@@ -11,7 +11,7 @@
 
 use cpm_suite::core::{Direction, Pinwheel, PointQuery, QuerySpec, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
-use cpm_suite::grid::{CellCoord, GridBuilder, GridGeom, IndexKind, ObjectEvent};
+use cpm_suite::grid::{CellCoord, GridGeom, ObjectEvent};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,8 +88,8 @@ fn objects(rng: &mut StdRng) -> Vec<(ObjectId, Point)> {
 }
 
 /// One churn stream through a scalar-lane engine and batched-lane engines
-/// at S ∈ {1, 4} on both index backends: changed lists and delta streams
-/// must match the scalar reference exactly, results bit-for-bit.
+/// at S ∈ {1, 4}: changed lists and delta streams must match the scalar
+/// reference exactly, results bit-for-bit.
 #[test]
 fn batched_kernel_is_observationally_identical_to_scalar() {
     let mut rng = StdRng::seed_from_u64(0xD157);
@@ -99,17 +99,12 @@ fn batched_kernel_is_observationally_identical_to_scalar() {
     scalar.enable_deltas();
     scalar.populate(objs.iter().copied());
 
-    let kinds = [IndexKind::Uniform, IndexKind::quadtree()];
-    let shard_counts = [1usize, 4];
     let mut batched = Vec::new();
-    for &kind in &kinds {
-        for &s in &shard_counts {
-            let grid = GridBuilder::new(32).index(kind).build();
-            let mut engine: ShardedCpmEngine<PointQuery, _> = ShardedCpmEngine::with_grid(grid, s);
-            engine.enable_deltas();
-            engine.populate(objs.iter().copied());
-            batched.push(((kind, s), engine));
-        }
+    for s in [1usize, 4] {
+        let mut engine: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(32, s);
+        engine.enable_deltas();
+        engine.populate(objs.iter().copied());
+        batched.push((s, engine));
     }
 
     let mut q_points = Vec::new();
@@ -152,26 +147,23 @@ fn batched_kernel_is_observationally_identical_to_scalar() {
             .collect();
 
         let want = scalar.process_cycle_with_deltas(&events, &scalar_qev);
-        for ((kind, s), engine) in batched.iter_mut() {
+        for (s, engine) in batched.iter_mut() {
             let got = engine.process_cycle_with_deltas(&events, &batched_qev);
             assert_eq!(
                 got.changed, want.changed,
-                "changed lists diverged at cycle {cycle} ({kind:?}, S={s})"
+                "changed lists diverged at cycle {cycle} (S={s})"
             );
-            assert_eq!(
-                got, want,
-                "delta streams diverged at cycle {cycle} ({kind:?}, S={s})"
-            );
+            assert_eq!(got, want, "delta streams diverged at cycle {cycle} (S={s})");
             for qi in 0..N_QUERIES {
                 let a = scalar.result(QueryId(qi)).unwrap();
                 let b = engine.result(QueryId(qi)).unwrap();
-                assert_eq!(a.len(), b.len(), "cycle {cycle} q{qi} ({kind:?}, S={s})");
+                assert_eq!(a.len(), b.len(), "cycle {cycle} q{qi} (S={s})");
                 for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.id, y.id, "cycle {cycle} q{qi} ({kind:?}, S={s})");
+                    assert_eq!(x.id, y.id, "cycle {cycle} q{qi} (S={s})");
                     assert_eq!(
                         x.dist.to_bits(),
                         y.dist.to_bits(),
-                        "cycle {cycle} q{qi} ({kind:?}, S={s}): result bits diverged"
+                        "cycle {cycle} q{qi} (S={s}): result bits diverged"
                     );
                 }
             }

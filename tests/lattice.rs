@@ -1,12 +1,11 @@
-//! The configuration lattice, sampled: shards {1, 2, 4, 8} × index
-//! {uniform, quadtree} × re-grid {pinned, scheduled, auto} × deployment
-//! {single, durable + crashes, cluster W ∈ {1, 2, 4} × {in-process, TCP} ×
-//! {serial, pipelined} + restart}. The per-feature suites each fix most
-//! axes; here every (lane set, seed) pair draws all of them at once, over
-//! a mixed-kind stream every deployment can run and, for the lanes with a
-//! re-grid axis, a drifting hotspot that makes the policy act. Plus the
-//! coordinates no random stream produces: exactly 0.0, 1.0 and the tile
-//! seams.
+//! The configuration lattice, sampled: shards {1, 2, 4, 8} × re-grid
+//! {pinned, scheduled, auto} × deployment {single, durable + crashes,
+//! cluster W ∈ {1, 2, 4} × {in-process, TCP} × {serial, pipelined} +
+//! restart}. The per-feature suites each fix most axes; here every (lane
+//! set, seed) pair draws all of them at once, over a mixed-kind stream
+//! every deployment can run and, for the lanes with a re-grid axis, a
+//! drifting hotspot that makes the policy act. Plus the coordinates no
+//! random stream produces: exactly 0.0, 1.0 and the tile seams.
 
 mod common;
 
@@ -14,7 +13,7 @@ use common::{case_budget, lane, paper_stream};
 use cpm_suite::core::{AnyQuerySpec, PointQuery, RangeQuery, SpecEvent};
 use cpm_suite::gen::FaultPlan;
 use cpm_suite::geom::{ObjectId, Point, QueryId};
-use cpm_suite::grid::{IndexKind, ObjectEvent};
+use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{
     verify, Anchors, Control, Deploy, LaneConfig, OpStream, Regrid, SimParams, WorkloadKind,
 };
@@ -87,7 +86,6 @@ fn lane_set(rng: &mut StdRng) -> [LaneConfig; 3] {
     let mut draw = |deploy, shard_counts: &[usize], regrids: &[Regrid]| {
         lane(
             shard_counts[rng.gen_range(0..shard_counts.len())],
-            [IndexKind::Uniform, IndexKind::quadtree()][rng.gen_range(0..2)],
             regrids[rng.gen_range(0..regrids.len())],
             deploy,
         )
@@ -109,11 +107,8 @@ fn sampled_lattice_matches_the_reference() {
         tcp: true,
         pipelined: true,
     };
-    let durable_auto = lane(4, IndexKind::quadtree(), Regrid::Auto, Deploy::Durable);
-    let corners = [
-        durable_auto,
-        lane(1, IndexKind::quadtree(), Regrid::Pinned, tcp_pipelined),
-    ];
+    let durable_auto = lane(4, Regrid::Auto, Deploy::Durable);
+    let corners = [durable_auto, lane(1, Regrid::Pinned, tcp_pipelined)];
     let pairs = case_budget(PAIRS).max(2) as usize;
     let (mut ops, mut scheduled, mut auto) = (0, 0, 0);
     for pair in 0..pairs {
@@ -215,16 +210,16 @@ fn boundary_and_seam_coordinates_are_exact() {
         tcp: false,
         pipelined,
     };
-    let (uniform, quadtree, pinned) = (IndexKind::Uniform, IndexKind::quadtree(), Regrid::Pinned);
+    let pinned = Regrid::Pinned;
     verify(
         &stream,
         &[
-            lane(4, quadtree, pinned, Deploy::Single),
-            lane(2, uniform, pinned, Deploy::Durable),
-            lane(1, uniform, pinned, cluster(2, false)),
-            lane(1, quadtree, pinned, cluster(2, true)),
-            lane(1, uniform, pinned, cluster(4, true)),
-            lane(1, quadtree, pinned, cluster(4, false)),
+            lane(4, pinned, Deploy::Single),
+            lane(2, pinned, Deploy::Durable),
+            lane(1, pinned, cluster(2, false)),
+            lane(1, pinned, cluster(2, true)),
+            lane(1, pinned, cluster(4, true)),
+            lane(1, pinned, cluster(4, false)),
         ],
     );
 }

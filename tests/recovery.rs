@@ -13,7 +13,7 @@ use cpm_suite::core::{
 };
 use cpm_suite::gen::FaultPlan;
 use cpm_suite::geom::{ObjectId, Point, QueryId};
-use cpm_suite::grid::{IndexKind, ObjectEvent};
+use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{verify, Anchors, Control, Deploy, OpStream, Regrid};
 use cpm_suite::sub::{DeltaFanout, Replica};
 use cpm_suite::wire::{encode_framed, write_frame, Decode, Encode, WireError, FRAME_SNAPSHOT};
@@ -66,12 +66,7 @@ static ALLOC: Counting = Counting;
 #[test]
 fn chaos_schedules_recover_bit_identically() {
     const CYCLES: usize = 12;
-    let durable = lanes(
-        &[IndexKind::Uniform],
-        &[1, 4],
-        Regrid::Pinned,
-        Deploy::Durable,
-    );
+    let durable = lanes(&[1, 4], Regrid::Pinned, Deploy::Durable);
     let mut classes = std::collections::HashSet::new();
     for seed in 0..24 {
         // Crash after cycle `crash_cycle`, i.e. before the next one runs.

@@ -14,16 +14,16 @@ use std::collections::BTreeMap;
 use common::{case_budget, lanes, paper_stream};
 use cpm_suite::core::{AnyQuerySpec, CpmServerBuilder, CycleDeltas, PointQuery, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
-use cpm_suite::grid::{IndexKind, ObjectEvent};
+use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{
     auto_regrid_policy, verify, Control, Deploy, OpStream, Regrid, SimParams, WorkloadKind,
 };
 use cpm_suite::sub::DeltaFanout;
 use proptest::prelude::*;
 
-/// Uniform-grid single-node lanes at the satellite spec's `S ∈ {1, 4}`.
+/// Single-node lanes at the satellite spec's `S ∈ {1, 4}`.
 fn regridding_lanes(regrid: Regrid) -> Vec<cpm_suite::sim::LaneConfig> {
-    lanes(&[IndexKind::Uniform], &[1, 4], regrid, Deploy::Single)
+    lanes(&[1, 4], regrid, Deploy::Single)
 }
 
 /// A symbolic step; resolved against the live-object set when applied.
@@ -146,11 +146,14 @@ proptest! {
         verify(&stream, &regridding_lanes(Regrid::Scheduled));
     }
 
+    /// Two re-grids to resolutions the grid is not at — any in range,
+    /// powers of two or not — with a snapshot round-trip between them:
+    /// every lane performs both (a scheduled re-grid is never refused).
     #[test]
     fn from_scratch_conformance_on_random_regrid_schedules(
         seed in 0u64..1000,
         at_a in 1usize..5,
-        at_b in 5usize..9,
+        at_b in 6usize..9,
         dim_a in prop_oneof![Just(24u32), Just(64u32), Just(128u32)],
         dim_b in prop_oneof![Just(16u32), Just(48u32), Just(96u32)],
     ) {
@@ -166,8 +169,10 @@ proptest! {
         };
         let stream = paper_stream(&params)
             .control(at_a + 2, Control::Regrid(dim_a))
+            .control(7, Control::SnapshotRoundTrip)
             .control(at_b + 2, Control::Regrid(dim_b));
-        verify(&stream, &regridding_lanes(Regrid::Scheduled));
+        let lanes = regridding_lanes(Regrid::Scheduled);
+        prop_assert_eq!(verify(&stream, &lanes).regrids, 2 * lanes.len());
     }
 }
 

@@ -1,11 +1,10 @@
 //! Mixed-kind conformance for the unified [`CpmServer`] facade: one
 //! server hosting k-NN, range, aggregate-NN, constrained and reverse-NN
 //! queries on **one grid with one ingest pass per cycle** (unified
-//! `AnyQuerySpec` dispatch, runtime-selected `DynIndex`) must be
-//! bit-identical to dedicated single-kind `ShardedCpmEngine<Spec>`s on the
-//! monomorphic `CellIndex` and correct against brute-force oracles — for
-//! shard counts S ∈ {1, 4}, with moving queries and mid-stream
-//! install/terminate.
+//! `AnyQuerySpec` dispatch) must be bit-identical to dedicated
+//! single-kind `ShardedCpmEngine<Spec>`s and correct against brute-force
+//! oracles — for shard counts S ∈ {1, 4}, with moving queries and
+//! mid-stream install/terminate.
 //!
 //! [`CpmServer`]: cpm_suite::core::CpmServer
 
@@ -26,8 +25,7 @@ use rand::{Rng, SeedableRng};
 
 const SHARD_COUNTS: [usize; 2] = [1, 4];
 
-/// A dedicated single-kind engine (monomorphic `CellIndex`) hosting one
-/// query.
+/// A dedicated single-kind engine hosting one query.
 fn dedicated<S: QuerySpec + Send + Sync>(
     dim: u32,
     shards: usize,
@@ -262,6 +260,18 @@ fn registry_errors_and_midstream_churn() {
             actual: QueryKind::Knn,
         })
     );
+
+    // A resolution out of `1..=4096` is the only one refused, typed, by
+    // the builder and by a re-grid alike; the grid stays as it was.
+    for dim in [0, 4097] {
+        let built = CpmServerBuilder::new(dim).try_build();
+        assert!(matches!(built, Err(CpmError::InvalidDim(e)) if e.dim == dim));
+        let refused = server.regrid_to(dim);
+        assert!(matches!(refused, Err(CpmError::InvalidDim(e)) if e.dim == dim));
+    }
+    assert_eq!(server.grid().dim(), 16);
+    assert_eq!(server.regrid_to(48), Ok(50));
+    assert_eq!(server.grid().dim(), 48);
     server.check_invariants();
 }
 
