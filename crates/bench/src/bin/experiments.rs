@@ -1,32 +1,35 @@
-//! The experiment driver: regenerates every table and figure of the paper.
+//! The experiment driver: prints a fresh record of any figure or
+//! benchmark, without writing it.
 //!
 //! ```text
-//! experiments <name>... [--scale X] [--paper] [--shards LIST]
+//! experiments <name>... [--scale X] [--paper]
 //!
 //! names:
-//!   table2_1 table6_1
-//!   fig6_1 fig6_2a fig6_2b fig6_3 fig6_4a fig6_4b fig6_5a fig6_5b
-//!   fig6_6a fig6_6b
-//!   space analysis ann constrained skew drift shards
-//!   deltas mixed rnn pipeline
-//!   all          (everything above)
+//!   table2_1 table6_1                 the paper's two static tables
+//!   fig6_1 … fig6_6b space analysis skew ann ann_moving_sets constrained rnn
+//!                                     one row set of `cpm_bench::figures::SWEEPS`
+//!   grid shards deltas server regrid recovery kernels cluster pipeline
+//!                                     a micro-benchmark of `cpm_bench::BENCHES`,
+//!                                     at the scale `bench_check` gates
+//!   figures                           every sweep above as one record, with the
+//!                                     summary the shape gates read
+//!   all                               the two tables and every benchmark
 //!
 //! options:
-//!   --scale X     scale factor in (0, 1] applied to N, n and timestamps
-//!                 (default 0.1)
-//!   --paper       shorthand for --scale 1.0 (full Table 6.1 scale; slow)
-//!   --shards LIST comma-separated shard counts for the `shards`
-//!                 experiment (default 1,2,4,8)
+//!   --scale X     scale factor in (0, 1] applied to N, n, the timestamps and
+//!                 (by its square root) the grid of the figures (default 0.1)
+//!   --paper       shorthand for --scale 1.0 (full Table 6.1 scale; hours)
 //! ```
 
-use cpm_bench::{figures, DEFAULT_SCALE};
+use cpm_bench::figures::{self, SWEEPS};
+use cpm_bench::{BenchRecord, BENCHES, DEFAULT_SCALE};
+use cpm_sim::SimParams;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = DEFAULT_SCALE;
-    let mut shards: Vec<usize> = vec![1, 2, 4, 8];
-    let mut names: Vec<String> = Vec::new();
-    let mut it = args.iter().peekable();
+    let mut names: Vec<&str> = Vec::new();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--paper" => scale = 1.0,
@@ -41,139 +44,44 @@ fn main() {
                 }
                 scale = v;
             }
-            "--shards" => {
-                let list = it.next().unwrap_or_else(|| die("--shards needs a value"));
-                shards = list
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .unwrap_or_else(|| die("--shards needs positive integers, e.g. 1,2,4"))
-                    })
-                    .collect();
-            }
-            "--help" | "-h" => {
-                print_help();
-                return;
-            }
-            name => names.push(name.to_string()),
+            "--help" | "-h" => return print_help(),
+            name => names.push(name),
         }
     }
     if names.is_empty() {
-        print_help();
-        return;
+        return print_help();
     }
-    if names.iter().any(|n| n == "all") {
-        names = vec![
-            "table2_1",
-            "table6_1",
-            "fig6_1",
-            "fig6_2a",
-            "fig6_2b",
-            "fig6_3",
-            "fig6_4a",
-            "fig6_4b",
-            "fig6_5a",
-            "fig6_5b",
-            "fig6_6a",
-            "fig6_6b",
-            "space",
-            "analysis",
-            "ann",
-            "constrained",
-            "skew",
-            "drift",
-            "shards",
-            "deltas",
-            "mixed",
-            "rnn",
-            "pipeline",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+    if names.contains(&"all") {
+        names = ["table2_1", "table6_1"].into();
+        names.extend(BENCHES.iter().map(|b| b.name));
     }
 
     println!("# CPM reproduction experiments (scale {scale})\n");
-    for name in &names {
-        run_experiment(name, scale, &shards);
+    for name in names {
+        let start = std::time::Instant::now();
+        match name {
+            "table2_1" => print_table_2_1(),
+            "table6_1" => print_table_6_1(scale),
+            _ => match record(name, scale) {
+                Some(record) => println!("{record}"),
+                None => eprintln!("unknown experiment: {name} (see --help)"),
+            },
+        }
+        eprintln!("[{name} took {:.1}s]\n", start.elapsed().as_secs_f64());
     }
 }
 
-fn run_experiment(name: &str, scale: f64, shards: &[usize]) {
-    let start = std::time::Instant::now();
-    match name {
-        "table2_1" => print_table_2_1(),
-        "table6_1" => print_table_6_1(scale),
-        "fig6_1" => figures::fig6_1(scale).print(),
-        "fig6_2a" => figures::fig6_2a(scale).print(),
-        "fig6_2b" => figures::fig6_2b(scale).print(),
-        "fig6_3" | "fig6_3a" | "fig6_3b" => {
-            let (a, b) = figures::fig6_3(scale);
-            a.print();
-            b.print();
-        }
-        "fig6_4a" => figures::fig6_4a(scale).print(),
-        "fig6_4b" => figures::fig6_4b(scale).print(),
-        "fig6_5a" => figures::fig6_5a(scale).print(),
-        "fig6_5b" => figures::fig6_5b(scale).print(),
-        "fig6_6a" => figures::fig6_6a(scale).print(),
-        "fig6_6b" => figures::fig6_6b(scale).print(),
-        "space" => figures::space(scale).print(),
-        "analysis" => figures::analysis(scale).print(),
-        "ann" => {
-            figures::ann(scale).print();
-            figures::ann_moving_sets(scale).print();
-        }
-        "constrained" => figures::constrained(scale).print(),
-        "skew" => figures::skew(scale).print(),
-        "drift" => figures::drift(scale).print(),
-        "shards" => figures::shards(scale, shards).print(),
-        "deltas" => figures::deltas(scale).print(),
-        "mixed" => figures::mixed(scale).print(),
-        "rnn" => figures::rnn(scale).print(),
-        "pipeline" => print_pipeline_stages(),
-        other => eprintln!("unknown experiment: {other} (see --help)"),
+/// A fresh record of the figure or benchmark called `name`.
+fn record(name: &str, scale: f64) -> Option<BenchRecord> {
+    if name == "figures" {
+        return Some(figures::measure(scale, None));
     }
-    eprintln!("[{name} took {:.1}s]\n", start.elapsed().as_secs_f64());
-}
-
-/// Per-stage coordinator timings (route / worker wait / merge) for the
-/// serial and pipelined cluster cycles at `W = 4`, from the
-/// coordinator's own [`CoordinatorMetrics`] instrumentation — the same
-/// numbers the `pipeline` gate rows bound. Runs at the gate's reduced
-/// scale so it finishes in seconds; `bench_record pipeline` records the
-/// acceptance scale.
-///
-/// [`CoordinatorMetrics`]: cpm_cluster::CoordinatorMetrics
-fn print_pipeline_stages() {
-    let cfg = cpm_bench::pipeline::Config::gate();
-    let run = cpm_bench::pipeline::measure(&cfg);
-    println!(
-        "## Pipelined coordinator stage timings (N={}, queries={}, {} workers)\n",
-        cfg.n_objects, cfg.n_queries, cfg.workers
-    );
-    println!("lane        | route ms | wait ms  | merge ms | ms/cycle");
-    println!("------------+----------+----------+----------+---------");
-    for lane in ["serial", "pipelined"] {
-        let stage = |stage: &str| run.median(&format!("{lane}_{stage}_ms"));
-        println!(
-            "{lane:<11} | {:>8.3} | {:>8.3} | {:>8.3} | {:>8.3}",
-            stage("route"),
-            stage("wait"),
-            stage("merge"),
-            run.lane_num(lane, "ms_quiet")
-        );
+    if let Some(sweep) = SWEEPS.iter().find(|s| s.name == name) {
+        println!("{} — the paper: {}", sweep.title, sweep.claim);
+        return Some(figures::measure(scale, Some(name)));
     }
-    println!(
-        "\nsingle-node reference: {:.3} ms/cycle; route/single {:.3}x; \
-         pipelined/serial {:.2}x\n",
-        run.lane_num("single-node", "ms_quiet"),
-        run.median("route_over_single"),
-        run.median("pipelined_over_serial")
-    );
+    let bench = BENCHES.iter().find(|b| b.name == name)?;
+    Some((bench.gate)())
 }
 
 fn print_table_2_1() {
@@ -191,7 +99,7 @@ fn print_table_2_1() {
 }
 
 fn print_table_6_1(scale: f64) {
-    let p = figures::base_params(scale);
+    let p = SimParams::scaled(scale);
     println!("## Table 6.1 — system parameters (this run, scale {scale})\n");
     println!("parameter             | default (run)   | paper range");
     println!("----------------------+-----------------+----------------------");
@@ -217,21 +125,22 @@ fn print_table_6_1(scale: f64) {
         format!("{:.0}%", p.f_qry * 100.0)
     );
     println!(
-        "grid                  | {0}x{0}         | 32²..1024²",
-        p.grid_dim
+        "grid                  | {:<15} | 32²..1024²",
+        format!("{0}x{0}", p.grid_dim)
     );
     println!("timestamps            | {:<15} | 100\n", p.timestamps);
 }
 
 fn print_help() {
+    let sweeps: Vec<&str> = SWEEPS.iter().map(|s| s.name).collect();
+    let benches: Vec<&str> = BENCHES.iter().map(|b| b.name).collect();
     println!(
-        "usage: experiments <name>... [--scale X | --paper] [--shards LIST]\n\
-         names: table2_1 table6_1 fig6_1 fig6_2a fig6_2b fig6_3 fig6_4a fig6_4b\n\
-         \u{20}      fig6_5a fig6_5b fig6_6a fig6_6b space analysis ann\n\
-         \u{20}      constrained skew drift shards deltas mixed rnn pipeline\n\
-         \u{20}      all\n\
-         --shards LIST  comma-separated shard counts for the `shards`\n\
-         \u{20}              experiment (default 1,2,4,8)"
+        "usage: experiments <name>... [--scale X | --paper]\n\
+         names: table2_1 table6_1 all\n\
+         \u{20}      {}\n\
+         \u{20}      {}",
+        sweeps.join(" "),
+        benches.join(" ")
     );
 }
 

@@ -1,1081 +1,612 @@
-//! The experiments of Section 6 (Figures 6.1–6.6, the footnote-6 space
-//! comparison), the Section 4.1 analysis validation (Figure 4.1), and the
-//! extension studies. Each function reproduces one figure as a
-//! [`Table`] whose rows match the paper's x axis.
+//! The paper's evaluation as one recorded, gated [`BenchRecord`]: the
+//! experiments of Section 6 (Figures 6.1–6.6b, the footnote-6 space
+//! comparison), the Section 4.1 model validation, the skew study and the
+//! Section 5 / 7 extension studies are the entries of one table,
+//! [`SWEEPS`], run by one loop, [`measure`].
 //!
-//! `scale ∈ (0, 1]` multiplies the population/query counts and the
-//! simulation length (`--paper` = 1.0 reproduces Table 6.1 exactly); the
-//! *shape* of every series is scale-invariant, which is what
-//! EXPERIMENTS.md tracks.
+//! Every point generates one [`SimulationInput`] and replays its ticks
+//! into the sweep's contenders as rotated [`Paired`] lanes. A row is one
+//! lane of one point: its time (quiet-tenth ms per cycle, and the median
+//! per-cycle CPM / lane ratio with its MAD) and, from the monitor's own
+//! counters, what does not depend on the host — cell accesses and
+//! objects processed per query per timestamp, NN computations, result
+//! changes, space in the paper's memory units and at its 4 bytes per
+//! unit. The shape rows of [`crate::gates::GATES`] read the summary, in
+//! counts wherever a count exists.
+//!
+//! `scale ∈ (0, 1]` multiplies `N`, `n` and the timestamps, and the grid
+//! by `√scale` per axis so cells keep Table 6.1's occupancy
+//! ([`SimParams::scaled`]); `--paper` = 1.0 is Table 6.1 itself.
 
-use std::time::Instant;
-
-use cpm_core::{
-    AggregateFn, AnnQuery, ConstrainedQuery, CpmServerBuilder, PointQuery, RegridPolicy,
-    ShardedCpmEngine, SpecEvent,
-};
+use cpm_core::{AggregateFn, AnnQuery, ConstrainedQuery, CpmServerBuilder, PointQuery, SpecEvent};
 use cpm_gen::SpeedClass;
 use cpm_geom::{Point, QueryId, Rect};
-use cpm_grid::ObjectEvent;
-use cpm_sim::{run, run_contenders, AlgoKind, RunReport, SimParams, SimulationInput, WorkloadKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use cpm_grid::QueryEvent;
+use cpm_sim::{brute_rnn, AlgoKind, SimParams, SimulationInput, WorkloadKind};
 
-use crate::table::Table;
+use crate::monitor::{engine, reevaluate, reevaluate_by, Counters, Monitor};
+use crate::paired::{Lane, Paired, Stat, REPS};
+use crate::record::{BenchRecord, Fields, Value};
 
-/// Paper parameter sets, scaled.
-pub fn base_params(scale: f64) -> SimParams {
-    SimParams::scaled(scale)
+/// Who runs a sweep's points.
+#[derive(Debug, Clone, Copy)]
+pub enum Contender {
+    /// One of the paper's three k-NN monitors over the generated queries.
+    Algo(AlgoKind),
+    /// A study's lane: its name, and its monitor for axis position `i` —
+    /// the generated query positions are the anchors of its queries.
+    Study(
+        &'static str,
+        fn(usize, &SimulationInput) -> Box<dyn Monitor>,
+    ),
 }
 
-fn contender_columns() -> Vec<String> {
-    AlgoKind::CONTENDERS
-        .iter()
-        .map(|a| a.label().to_string())
-        .collect()
-}
-
-fn note_params(t: &mut Table, p: &SimParams) {
-    t.note(format!(
-        "N={}, n={}, k={}, grid={}², f_obj={:.0}%, f_qry={:.0}%, {} timestamps, speeds {}/{}",
-        p.n_objects,
-        p.n_queries,
-        p.k,
-        p.grid_dim,
-        p.f_obj * 100.0,
-        p.f_qry * 100.0,
-        p.timestamps,
-        p.object_speed.label(),
-        p.query_speed.label(),
-    ));
-}
-
-fn total_ms(r: &RunReport) -> f64 {
-    r.processing_time.as_secs_f64() * 1e3
-}
-
-/// Figure 6.1: CPU time vs grid granularity (32² … 1024²).
-pub fn fig6_1(scale: f64) -> Table {
-    fig6_1_dims(scale, &[32, 64, 128, 256, 512, 1024])
-}
-
-/// [`fig6_1`] over an explicit set of grid dimensions (tests use a short
-/// list: the baselines' ring searches are pathological on near-empty fine
-/// grids, which is itself part of the Figure 6.1 story).
-pub fn fig6_1_dims(scale: f64, dims: &[u32]) -> Table {
-    let params = base_params(scale);
-    let mut input = SimulationInput::generate(&params);
-    let mut t = Table::new(
-        "Figure 6.1 — CPU time vs grid granularity",
-        "cells",
-        "ms total",
-        contender_columns(),
-    );
-    for &dim in dims {
-        input.params.grid_dim = dim;
-        let reports = run_contenders(&input);
-        t.push_row(format!("{dim}^2"), reports.iter().map(total_ms).collect());
-    }
-    note_params(&mut t, &params);
-    t.note("expected shape: CPM lowest everywhere; 128² a good tradeoff for all methods");
-    t
-}
-
-/// Figure 6.2a: CPU time vs object population N.
-pub fn fig6_2a(scale: f64) -> Table {
-    let mut t = Table::new(
-        "Figure 6.2a — CPU time vs number of objects",
-        "N",
-        "ms total",
-        contender_columns(),
-    );
-    for base_n in [10_000usize, 50_000, 100_000, 150_000, 200_000] {
-        let mut params = base_params(scale);
-        params.n_objects = ((base_n as f64 * scale) as usize).max(100);
-        let input = SimulationInput::generate(&params);
-        let reports = run_contenders(&input);
-        t.push_row(
-            format!("{}", params.n_objects),
-            reports.iter().map(total_ms).collect(),
-        );
-    }
-    note_params(&mut t, &base_params(scale));
-    t.note("expected shape: all linear in N; CPM with by far the smallest slope");
-    t
-}
-
-/// Figure 6.2b: CPU time vs number of queries n.
-pub fn fig6_2b(scale: f64) -> Table {
-    let mut t = Table::new(
-        "Figure 6.2b — CPU time vs number of queries",
-        "n",
-        "ms total",
-        contender_columns(),
-    );
-    for base_n in [1_000usize, 2_000, 5_000, 7_000, 10_000] {
-        let mut params = base_params(scale);
-        params.n_queries = ((base_n as f64 * scale) as usize).max(10);
-        let input = SimulationInput::generate(&params);
-        let reports = run_contenders(&input);
-        t.push_row(
-            format!("{}", params.n_queries),
-            reports.iter().map(total_ms).collect(),
-        );
-    }
-    note_params(&mut t, &base_params(scale));
-    t.note("expected shape: all linear in n; CPM with the smallest slope");
-    t
-}
-
-/// Figure 6.3a/6.3b: CPU time and cell accesses per query per timestamp
-/// vs k. Returns `(time_table, cell_access_table)`.
-pub fn fig6_3(scale: f64) -> (Table, Table) {
-    let mut time_t = Table::new(
-        "Figure 6.3a — CPU time vs k",
-        "k",
-        "ms total",
-        contender_columns(),
-    );
-    let mut cells_t = Table::new(
-        "Figure 6.3b — cell accesses per query per timestamp vs k",
-        "k",
-        "cells/query/ts",
-        contender_columns(),
-    );
-    for k in [1usize, 4, 16, 64, 256] {
-        let mut params = base_params(scale);
-        params.k = k;
-        let input = SimulationInput::generate(&params);
-        let reports = run_contenders(&input);
-        time_t.push_row(format!("{k}"), reports.iter().map(total_ms).collect());
-        cells_t.push_row(
-            format!("{k}"),
-            reports
-                .iter()
-                .map(|r| r.cell_accesses_per_query_per_cycle())
-                .collect(),
-        );
-    }
-    note_params(&mut time_t, &base_params(scale));
-    cells_t.note("expected shape: CPM < 1 cell/query/ts for small k (log-scale plot in the paper)");
-    (time_t, cells_t)
-}
-
-/// Figure 6.4a: CPU time vs object speed class.
-pub fn fig6_4a(scale: f64) -> Table {
-    let mut t = Table::new(
-        "Figure 6.4a — CPU time vs object speed",
-        "speed",
-        "ms total",
-        contender_columns(),
-    );
-    for speed in SpeedClass::ALL {
-        let mut params = base_params(scale);
-        params.object_speed = speed;
-        let input = SimulationInput::generate(&params);
-        let reports = run_contenders(&input);
-        t.push_row(speed.label(), reports.iter().map(total_ms).collect());
-    }
-    note_params(&mut t, &base_params(scale));
-    t.note("expected shape: CPM practically flat; YPK-CNN and SEA-CNN degrade with speed");
-    t
-}
-
-/// Figure 6.4b: CPU time vs query speed class.
-pub fn fig6_4b(scale: f64) -> Table {
-    let mut t = Table::new(
-        "Figure 6.4b — CPU time vs query speed",
-        "speed",
-        "ms total",
-        contender_columns(),
-    );
-    for speed in SpeedClass::ALL {
-        let mut params = base_params(scale);
-        params.query_speed = speed;
-        let input = SimulationInput::generate(&params);
-        let reports = run_contenders(&input);
-        t.push_row(speed.label(), reports.iter().map(total_ms).collect());
-    }
-    note_params(&mut t, &base_params(scale));
-    t.note("expected shape: CPM and YPK-CNN flat (from-scratch computation); SEA-CNN grows");
-    t
-}
-
-/// Figure 6.5a: CPU time vs object agility f_obj.
-pub fn fig6_5a(scale: f64) -> Table {
-    let mut t = Table::new(
-        "Figure 6.5a — CPU time vs object agility",
-        "f_obj",
-        "ms total",
-        contender_columns(),
-    );
-    for pct in [10u32, 20, 30, 40, 50] {
-        let mut params = base_params(scale);
-        params.f_obj = pct as f64 / 100.0;
-        let input = SimulationInput::generate(&params);
-        let reports = run_contenders(&input);
-        t.push_row(format!("{pct}%"), reports.iter().map(total_ms).collect());
-    }
-    note_params(&mut t, &base_params(scale));
-    t.note("expected shape: CPM linear in f_obj (index update cost)");
-    t
-}
-
-/// Figure 6.5b: CPU time vs query agility f_qry.
-pub fn fig6_5b(scale: f64) -> Table {
-    let mut t = Table::new(
-        "Figure 6.5b — CPU time vs query agility",
-        "f_qry",
-        "ms total",
-        contender_columns(),
-    );
-    for pct in [10u32, 20, 30, 40, 50] {
-        let mut params = base_params(scale);
-        params.f_qry = pct as f64 / 100.0;
-        let input = SimulationInput::generate(&params);
-        let reports = run_contenders(&input);
-        t.push_row(format!("{pct}%"), reports.iter().map(total_ms).collect());
-    }
-    note_params(&mut t, &base_params(scale));
-    t.note("expected shape: CPM grows with f_qry (moving queries recompute); YPK-CNN insensitive");
-    t
-}
-
-/// Figure 6.6a: NN-computation modules alone — constantly moving queries
-/// (every query updates every timestamp), CPM vs YPK-CNN, vs N.
-pub fn fig6_6a(scale: f64) -> Table {
-    let mut t = Table::new(
-        "Figure 6.6a — constantly moving queries (NN computation module)",
-        "N",
-        "ms total",
-        vec!["CPM".into(), "YPK-CNN".into()],
-    );
-    for base_n in [10_000usize, 50_000, 100_000, 150_000, 200_000] {
-        let mut params = base_params(scale);
-        params.n_objects = ((base_n as f64 * scale) as usize).max(100);
-        params.f_qry = 1.0;
-        let input = SimulationInput::generate(&params);
-        let cpm = run(AlgoKind::Cpm, &input);
-        let ypk = run(AlgoKind::Ypk, &input);
-        t.push_row(
-            format!("{}", params.n_objects),
-            vec![total_ms(&cpm), total_ms(&ypk)],
-        );
-    }
-    t.note("f_qry = 100%: results recomputed from scratch every cycle (SEA-CNN omitted, as in the paper)");
-    t.note("expected shape: CPM below YPK-CNN with a growing gap in N");
-    t
-}
-
-/// Figure 6.6b: pure result maintenance — static queries, vs N.
-pub fn fig6_6b(scale: f64) -> Table {
-    let mut t = Table::new(
-        "Figure 6.6b — static queries (pure maintenance cost)",
-        "N",
-        "ms total",
-        contender_columns(),
-    );
-    for base_n in [10_000usize, 50_000, 100_000, 150_000, 200_000] {
-        let mut params = base_params(scale);
-        params.n_objects = ((base_n as f64 * scale) as usize).max(100);
-        params.f_qry = 0.0;
-        let input = SimulationInput::generate(&params);
-        let reports = run_contenders(&input);
-        t.push_row(
-            format!("{}", params.n_objects),
-            reports.iter().map(total_ms).collect(),
-        );
-    }
-    t.note("f_qry = 0%: no NN computations after installation");
-    t.note("expected shape: YPK-CNN ≈ SEA-CNN; CPM far below both");
-    t
-}
-
-/// Footnote 6: space overhead of the three methods at the default
-/// parameters (memory units and MBytes at 4 bytes/unit).
-pub fn space(scale: f64) -> Table {
-    let params = base_params(scale);
-    let input = SimulationInput::generate(&params);
-    let mut t = Table::new(
-        "Space overhead (Section 6, footnote 6)",
-        "method",
-        "units / MB",
-        vec!["memory units".into(), "MBytes".into()],
-    );
-    for report in run_contenders(&input) {
-        t.push_row(
-            report.algo,
-            vec![report.space_units as f64, report.space_mbytes()],
-        );
-    }
-    note_params(&mut t, &params);
-    t.note(
-        "expected order: YPK-CNN < SEA-CNN < CPM (paper: 2.854 / 3.074 / 3.314 MB at full scale)",
-    );
-    t
-}
-
-/// Section 4.1 / Figure 4.1 validation: predicted vs measured `best_dist`,
-/// `C_inf`, `O_inf`, `C_SH` on the uniform workload, across grid sizes.
-pub fn analysis(scale: f64) -> Table {
-    let mut t = Table::new(
-        "Section 4.1 — analytical model vs measurement (uniform data)",
-        "grid",
-        "value",
-        vec![
-            "bd pred".into(),
-            "bd meas".into(),
-            "C_inf pred".into(),
-            "C_inf meas".into(),
-            "O_inf pred".into(),
-            "O_inf meas".into(),
-            "C_SH pred".into(),
-            "C_SH meas".into(),
-        ],
-    );
-    for dim in [32u32, 64, 128, 256] {
-        let mut params = base_params(scale);
-        params.workload = WorkloadKind::Uniform;
-        params.grid_dim = dim;
-        let input = SimulationInput::generate(&params);
-        let model = params.cost_model();
-
-        let mut monitor = ShardedCpmEngine::<PointQuery>::new(dim, 1);
-        monitor.populate(input.initial_objects.iter().copied());
-        for &(qid, pos, k) in &input.initial_queries {
-            monitor
-                .install(qid, PointQuery(pos), k)
-                .expect("generated ids are fresh");
+impl Contender {
+    /// The lane's name: the `lane` column of its rows.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Contender::Algo(algo) => algo.label(),
+            Contender::Study(name, _) => name,
         }
-        for tick in &input.ticks {
-            let query_events: Vec<SpecEvent<PointQuery>> =
-                tick.query_events.iter().map(|&ev| ev.into()).collect();
-            monitor.process_cycle(&tick.object_events, &query_events);
-        }
+    }
 
-        let mut bd = 0.0f64;
-        let mut c_inf = 0.0f64;
-        let mut o_inf = 0.0f64;
-        let mut c_sh = 0.0f64;
-        let mut counted = 0usize;
-        for qid in monitor.query_ids() {
-            let st = monitor.query_state(qid).expect("installed");
-            if !st.best.is_full() {
-                continue;
+    fn build(&self, i: usize, input: &SimulationInput) -> Box<dyn Monitor> {
+        let queries = input.initial_queries.iter();
+        match *self {
+            Contender::Algo(AlgoKind::Cpm) => engine(
+                input,
+                queries.map(|&(id, pos, k)| (id, PointQuery(pos), k)),
+                |tick| tick.query_events.iter().map(|&ev| ev.into()).collect(),
+            ),
+            Contender::Algo(algo) => {
+                let mut monitor = algo.build(input.params.grid_dim);
+                monitor.populate(&input.initial_objects);
+                for &(id, pos, k) in queries {
+                    monitor.install_query(id, pos, k);
+                }
+                Box::new(monitor)
             }
-            bd += st.best_dist();
-            c_inf += st.influence_len as f64;
-            o_inf += st.visit_list[..st.influence_len]
-                .iter()
-                .map(|&(c, _)| monitor.grid().cell_len(c) as f64)
-                .sum::<f64>();
-            c_sh += (st.visit_list.len() + st.heap.cell_entries()) as f64;
-            counted += 1;
+            Contender::Study(_, build) => build(i, input),
         }
-        let denom = counted.max(1) as f64;
-        t.push_row(
-            format!("{dim}^2"),
-            vec![
-                model.best_dist(),
-                bd / denom,
-                model.c_inf(),
-                c_inf / denom,
-                model.o_inf(),
-                o_inf / denom,
-                model.c_sh(),
-                c_sh / denom,
-            ],
-        );
     }
-    note_params(&mut t, &base_params(scale));
-    t.note("Figure 4.1 shape: δ↓ ⇒ C_inf↑, O_inf→k; δ↑ ⇒ few cells, many objects");
-    t
 }
 
-/// Section 5 extension: continuous ANN monitoring (sum/min/max) vs naive
-/// per-cycle re-evaluation over all objects.
-pub fn ann(scale: f64) -> Table {
-    let params = base_params(scale.min(0.5));
-    let input = SimulationInput::generate(&SimParams {
-        n_queries: 0,
+/// One figure: an axis of [`SimParams`] and who runs its points.
+#[derive(Debug, Clone, Copy)]
+pub struct Sweep {
+    /// The `figure` column of its rows, and what `experiments` accepts.
+    pub name: &'static str,
+    /// What the figure shows.
+    pub title: &'static str,
+    /// The axis at `scale`: one `(label, parameters)` per point.
+    pub points: fn(f64) -> Vec<(String, SimParams)>,
+    /// The lanes of every point, CPM first.
+    pub contenders: &'static [Contender],
+    /// What the paper says the figure shows — for a study the paper has
+    /// no numbers for, what its queries are.
+    pub claim: &'static str,
+}
+
+/// One point per value of `axis`, each `set` on a copy of `base`.
+fn vary<T: Copy>(
+    base: SimParams,
+    axis: &[T],
+    set: impl Fn(&mut SimParams, T) -> String,
+) -> Vec<(String, SimParams)> {
+    let point = |&value| {
+        let mut params = base;
+        (set(&mut params, value), params)
+    };
+    axis.iter().map(point).collect()
+}
+
+/// Grid granularity as a multiple of the scaled default (the paper's
+/// 32² … 1024² around 128²).
+fn granularity(params: &mut SimParams, times: f64) -> String {
+    params.grid_dim = ((f64::from(params.grid_dim) * times).round() as u32).max(2);
+    format!("{}^2", params.grid_dim)
+}
+
+/// `N` as a multiple of the scaled default (10K … 200K around 100K).
+fn population(params: &mut SimParams, times: f64) -> String {
+    params.n_objects = ((params.n_objects as f64 * times) as usize).max(100);
+    params.n_objects.to_string()
+}
+
+/// One of the two agilities of Table 6.1, in percent.
+fn agility(of: fn(&mut SimParams) -> &mut f64) -> impl Fn(&mut SimParams, u32) -> String {
+    move |params, percent| {
+        *of(params) = f64::from(percent) / 100.0;
+        format!("{percent}%")
+    }
+}
+
+const GRANULARITIES: [f64; 6] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
+const POPULATIONS: [f64; 5] = [0.1, 0.5, 1.0, 1.5, 2.0];
+const AGILITIES: [u32; 5] = [10, 20, 30, 40, 50];
+
+/// A study's one point (per label): uniform objects — they only move,
+/// so every batch is one the server admits and a position mirror is a
+/// plain vector — and `1 / fewer` of the queries, which stay put: their
+/// positions are the anchors of the study's own queries.
+fn study(scale: f64, fewer: usize, labels: &[&str]) -> Vec<(String, SimParams)> {
+    let params = SimParams::scaled(scale);
+    let base = SimParams {
+        n_queries: (params.n_queries / fewer).max(4),
+        k: params.k.min(8),
+        f_qry: 0.0,
+        workload: WorkloadKind::Uniform,
         ..params
-    });
-    let n_queries = (params.n_queries / 10).max(5);
-    let mut t = Table::new(
-        "Section 5 — aggregate-NN monitoring vs naive re-evaluation",
-        "aggregate",
-        "ms total",
-        vec!["CPM-ANN".into(), "re-evaluate".into()],
-    );
-    for f in [AggregateFn::Sum, AggregateFn::Min, AggregateFn::Max] {
-        let mut rng = StdRng::seed_from_u64(params.seed ^ 0xA99);
-        let specs: Vec<AnnQuery> = (0..n_queries)
-            .map(|_| {
-                let m = rng.gen_range(2..=5);
-                let c = Point::new(rng.gen(), rng.gen());
-                let pts = (0..m)
-                    .map(|_| {
-                        Point::new(
-                            (c.x + rng.gen_range(-0.05..0.05)).clamp(0.0, 0.999),
-                            (c.y + rng.gen_range(-0.05..0.05)).clamp(0.0, 0.999),
-                        )
-                    })
-                    .collect();
-                AnnQuery::new(pts, f)
+    };
+    vary(base, labels, |_, label| label.to_string())
+}
+
+const PAPER: &[Contender] = &[
+    Contender::Algo(AlgoKind::Cpm),
+    Contender::Algo(AlgoKind::Ypk),
+    Contender::Algo(AlgoKind::Sea),
+];
+
+/// Every figure, in the order [`measure`] runs them.
+pub const SWEEPS: &[Sweep] = &[
+    Sweep {
+        name: "fig6_1",
+        title: "Figure 6.1 — CPU time vs grid granularity",
+        points: |s| vary(SimParams::scaled(s), &GRANULARITIES, granularity),
+        contenders: PAPER,
+        claim: "CPM lowest at every granularity; 128² a good trade-off for all methods",
+    },
+    Sweep {
+        name: "fig6_2a",
+        title: "Figure 6.2a — CPU time vs number of objects",
+        points: |s| vary(SimParams::scaled(s), &POPULATIONS, population),
+        contenders: PAPER,
+        claim: "all linear in N; CPM with by far the smallest slope",
+    },
+    Sweep {
+        name: "fig6_2b",
+        title: "Figure 6.2b — CPU time vs number of queries",
+        points: |s| {
+            vary(
+                SimParams::scaled(s),
+                &[0.2, 0.4, 1.0, 1.4, 2.0],
+                |p, times| {
+                    p.n_queries = ((p.n_queries as f64 * times) as usize).max(1);
+                    p.n_queries.to_string()
+                },
+            )
+        },
+        contenders: PAPER,
+        claim: "all linear in n; CPM with the smallest slope",
+    },
+    Sweep {
+        name: "fig6_3",
+        title: "Figure 6.3 — CPU time (a) and cell accesses (b) vs k",
+        points: |s| {
+            vary(SimParams::scaled(s), &[1, 4, 16, 64, 256], |p, k| {
+                p.k = k;
+                k.to_string()
+            })
+        },
+        contenders: PAPER,
+        claim: "CPM fastest at every k; under 1 cell access per query per timestamp at small k",
+    },
+    Sweep {
+        name: "fig6_4a",
+        title: "Figure 6.4a — CPU time vs object speed",
+        points: |s| {
+            vary(SimParams::scaled(s), &SpeedClass::ALL, |p, speed| {
+                p.object_speed = speed;
+                speed.label().to_string()
+            })
+        },
+        contenders: PAPER,
+        claim: "CPM practically flat; YPK-CNN and SEA-CNN degrade with speed",
+    },
+    Sweep {
+        name: "fig6_4b",
+        title: "Figure 6.4b — CPU time vs query speed",
+        points: |s| {
+            vary(SimParams::scaled(s), &SpeedClass::ALL, |p, speed| {
+                p.query_speed = speed;
+                speed.label().to_string()
+            })
+        },
+        contenders: PAPER,
+        claim: "CPM and YPK-CNN flat (a moved query is computed from scratch); SEA-CNN grows",
+    },
+    Sweep {
+        name: "fig6_5a",
+        title: "Figure 6.5a — CPU time vs object agility",
+        points: |s| vary(SimParams::scaled(s), &AGILITIES, agility(|p| &mut p.f_obj)),
+        contenders: PAPER,
+        claim: "CPM linear in f_obj (index update cost) and lowest throughout",
+    },
+    Sweep {
+        name: "fig6_5b",
+        title: "Figure 6.5b — CPU time vs query agility",
+        points: |s| vary(SimParams::scaled(s), &AGILITIES, agility(|p| &mut p.f_qry)),
+        contenders: PAPER,
+        claim: "CPM grows with f_qry (moving queries recompute); YPK-CNN insensitive",
+    },
+    Sweep {
+        name: "fig6_6a",
+        title: "Figure 6.6a — constantly moving queries (NN computation module)",
+        points: |s| {
+            let moving = SimParams {
+                f_qry: 1.0,
+                ..SimParams::scaled(s)
+            };
+            vary(moving, &POPULATIONS, population)
+        },
+        // Every result is recomputed every cycle: SEA-CNN omitted, as in
+        // the paper.
+        contenders: &[
+            Contender::Algo(AlgoKind::Cpm),
+            Contender::Algo(AlgoKind::Ypk),
+        ],
+        claim: "CPM below YPK-CNN with a growing gap in N",
+    },
+    Sweep {
+        name: "fig6_6b",
+        title: "Figure 6.6b — static queries (pure maintenance cost)",
+        points: |s| {
+            let still = SimParams {
+                f_qry: 0.0,
+                ..SimParams::scaled(s)
+            };
+            vary(still, &POPULATIONS, population)
+        },
+        contenders: PAPER,
+        claim: "YPK-CNN ≈ SEA-CNN; CPM far below both",
+    },
+    Sweep {
+        name: "space",
+        title: "Footnote 6 — space overhead at the default parameters",
+        points: |s| vary(SimParams::scaled(s), &["default"], |_, x| x.to_string()),
+        contenders: PAPER,
+        claim: "YPK-CNN < SEA-CNN < CPM (2.854 / 3.074 / 3.314 MB)",
+    },
+    Sweep {
+        name: "analysis",
+        title: "Section 4.1 — analytical model vs measurement (uniform data)",
+        points: |s| {
+            let uniform = SimParams {
+                workload: WorkloadKind::Uniform,
+                ..SimParams::scaled(s)
+            };
+            vary(uniform, &GRANULARITIES[..4], granularity)
+        },
+        contenders: &[Contender::Algo(AlgoKind::Cpm)],
+        claim: "Figure 4.1: δ↓ ⇒ C_inf↑ and O_inf→k; δ↑ ⇒ few cells, many objects",
+    },
+    Sweep {
+        name: "skew",
+        title: "Skewed data — CPU time vs grid granularity (5 Gaussian hotspots)",
+        points: |s| {
+            let skewed = SimParams {
+                workload: WorkloadKind::Skewed { hotspots: 5 },
+                ..SimParams::scaled(s)
+            };
+            vary(skewed, &GRANULARITIES[..5], granularity)
+        },
+        contenders: PAPER,
+        claim: "not in the paper, which points to hierarchical grids here: how far a \
+                regular grid carries each method",
+    },
+    Sweep {
+        name: "ann",
+        title: "Section 5 — aggregate-NN monitoring vs re-evaluation",
+        points: |s| study(s.min(0.5), 10, &["sum", "min", "max"]),
+        contenders: &[
+            Contender::Study("CPM-ANN", |f, input| {
+                engine(input, ann_queries(f, input), |_| Vec::new())
+            }),
+            Contender::Study("re-evaluate", |f, input| {
+                reevaluate(input, ann_queries(f, input))
+            }),
+        ],
+        claim: "no paper numbers: per anchor a set of three points within 0.05 of it",
+    },
+    Sweep {
+        name: "ann_moving_sets",
+        title: "Section 5 — aggregate-NN (sum) over a moving query set",
+        // Three generated queries, each moving every timestamp, are the
+        // set's points.
+        points: |s| {
+            let mut points = study(s.min(0.3), 1, &["3 points"]);
+            (points[0].1.n_queries, points[0].1.f_qry) = (3, 1.0);
+            points
+        },
+        contenders: &[Contender::Study("CPM-ANN", |_, input| {
+            let mut set: Vec<Point> = input.initial_queries.iter().map(|q| q.1).collect();
+            let (id, _, k) = input.initial_queries[0];
+            let query = AnnQuery::new(set.clone(), AggregateFn::Sum);
+            engine(input, [(id, query, k)], move |tick| {
+                for ev in &tick.query_events {
+                    if let QueryEvent::Move { id, to } = *ev {
+                        set[id.index()] = to;
+                    }
+                }
+                let spec = AnnQuery::new(set.clone(), AggregateFn::Sum);
+                vec![SpecEvent::Update { id, spec }]
+            })
+        })],
+        claim: "no paper numbers: `SpecEvent::Update` end to end, every timestamp",
+    },
+    Sweep {
+        name: "constrained",
+        title: "Section 5 — constrained-NN monitoring vs re-evaluation",
+        points: |s| study(s.min(0.5), 10, &["squares"]),
+        contenders: &[
+            Contender::Study("CPM-constrained", |_, input| {
+                engine(input, constrained_queries(input), |_| Vec::new())
+            }),
+            Contender::Study("re-evaluate", |_, input| {
+                reevaluate(input, constrained_queries(input))
+            }),
+        ],
+        claim: "no paper numbers: per anchor the square of side 0.25 around it",
+    },
+    Sweep {
+        name: "rnn",
+        title: "Section 7 future work — continuous reverse-NN monitoring",
+        points: |s| study(s.min(0.3), 25, &["points"]),
+        contenders: &[
+            Contender::Study("CPM six-region", |_, input| {
+                let mut server = CpmServerBuilder::new(input.params.grid_dim).build();
+                server.populate(input.initial_objects.iter().copied());
+                for &(id, pos, _) in &input.initial_queries {
+                    let _ = server
+                        .install_rnn(id, pos)
+                        .expect("generated ids are fresh");
+                }
+                Box::new(server)
+            }),
+            // Domination checks short-circuit: O(N) amortized per query,
+            // so the monitoring win grows with n.
+            Contender::Study("re-evaluate", |_, input| {
+                let queries: Vec<Point> = input.initial_queries.iter().map(|q| q.1).collect();
+                reevaluate_by(input, move |objects| {
+                    queries.iter().map(|&q| brute_rnn(objects, q).len()).sum()
+                })
+            }),
+        ],
+        claim: "no paper numbers: six sector-constrained CPM monitors for candidates, \
+                verified by circle emptiness",
+    },
+];
+
+/// Per anchor the set {anchor, anchor ± 0.05 on a diagonal}, under
+/// `sum`, `min` or `max` by axis position.
+fn ann_queries(f: usize, input: &SimulationInput) -> Vec<(QueryId, AnnQuery, usize)> {
+    let f = [AggregateFn::Sum, AggregateFn::Min, AggregateFn::Max][f];
+    let query = |&(id, a, k): &(QueryId, Point, usize)| {
+        let near = |d: f64| Point::new((a.x + d).clamp(0.0, 0.999), (a.y - d).clamp(0.0, 0.999));
+        (id, AnnQuery::new(vec![a, near(0.05), near(-0.05)], f), k)
+    };
+    input.initial_queries.iter().map(query).collect()
+}
+
+/// Per anchor the square of side 0.25 around it, cut to the workspace.
+fn constrained_queries(input: &SimulationInput) -> Vec<(QueryId, ConstrainedQuery, usize)> {
+    let query = |&(id, q, k): &(QueryId, Point, usize)| {
+        let lo = Point::new((q.x - 0.125).max(0.0), (q.y - 0.125).max(0.0));
+        let hi = Point::new((q.x + 0.125).min(1.0), (q.y + 0.125).min(1.0));
+        (id, ConstrainedQuery::new(q, Rect::new(lo, hi)), k)
+    };
+    input.initial_queries.iter().map(query).collect()
+}
+
+/// Run every sweep — or `only` the one of that name — at `scale`: one
+/// row per lane per point. A point several figures share (the default
+/// one above all — `space` is nothing else) is run once.
+///
+/// # Panics
+/// If a lane's counters or per-cycle result-change counts differ between
+/// two repetitions of a point: counts are exact.
+pub fn measure(scale: f64, only: Option<&str>) -> BenchRecord {
+    let default = SimParams::scaled(scale);
+    let config = crate::fields! {
+        "scale" => scale,
+        "figures" => only.unwrap_or("all"),
+        "n_objects" => default.n_objects,
+        "n_queries" => default.n_queries,
+        "grid_dim" => default.grid_dim,
+        "timestamps" => default.timestamps,
+    };
+    let mut record = BenchRecord::new("figures", config);
+    let mut ran: Vec<(SimParams, Vec<&str>, Vec<Fields>)> = Vec::new();
+    for sweep in SWEEPS {
+        if only.is_some_and(|name| name != sweep.name) {
+            continue;
+        }
+        let lanes: Vec<&str> = sweep.contenders.iter().map(Contender::name).collect();
+        // A study's monitors depend on the axis position too.
+        let is_algo = |c: &Contender| matches!(c, Contender::Algo(_));
+        let shareable = sweep.contenders.iter().all(is_algo);
+        for (i, (x, params)) in (sweep.points)(scale).into_iter().enumerate() {
+            let same = |(p, l, _): &&(SimParams, Vec<&str>, Vec<Fields>)| {
+                shareable && *p == params && *l == lanes
+            };
+            let rows = match ran.iter().find(same) {
+                Some((_, _, rows)) => rows.clone(),
+                None => {
+                    let rows = point(sweep.contenders, i, &params);
+                    ran.push((params, lanes.clone(), rows.clone()));
+                    rows
+                }
+            };
+            for row in rows {
+                let mut labelled = crate::fields! { "figure" => sweep.name, "x" => x.as_str() };
+                labelled.extend(row);
+                record.rows.push(labelled);
+            }
+        }
+    }
+    summarize(scale, &mut record);
+    record
+}
+
+/// Run one point: per lane, the columns of its row after `figure`, `x`.
+fn point(contenders: &[Contender], i: usize, params: &SimParams) -> Vec<Fields> {
+    let input = SimulationInput::generate(params);
+    let mut paired = Paired::default();
+    let mut counts: Option<Vec<(Vec<usize>, Counters)>> = None;
+    for _ in 0..REPS {
+        let mut monitors: Vec<_> = contenders.iter().map(|c| c.build(i, &input)).collect();
+        for monitor in &mut monitors {
+            // Installation is not a cycle: its work is not counted.
+            monitor.counters();
+        }
+        let mut changed = vec![Vec::new(); monitors.len()];
+        let mut steps: Vec<_> = monitors
+            .iter_mut()
+            .zip(&mut changed)
+            .map(|(monitor, changed)| {
+                |t: usize| {
+                    let (spent, n) = monitor.cycle(&input.ticks[t]);
+                    changed.push(n);
+                    (spent, n)
+                }
             })
             .collect();
-
-        // CPM-ANN.
-        let mut monitor = ShardedCpmEngine::new(params.grid_dim, 1);
-        monitor.populate(input.initial_objects.iter().copied());
-        for (i, q) in specs.iter().enumerate() {
-            monitor
-                .install(QueryId(i as u32), q.clone(), params.k.min(8))
-                .expect("fresh query id");
-        }
-        let start = Instant::now();
-        for tick in &input.ticks {
-            monitor.process_cycle(&tick.object_events, &[]);
-        }
-        let cpm_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        // Naive: recompute every adist from scratch each cycle.
-        let mut positions: Vec<Option<Point>> = input
-            .initial_objects
+        let mut lanes: Vec<Lane<'_, usize>> = contenders
             .iter()
-            .map(|&(_, p)| Some(p))
+            .zip(&mut steps)
+            .map(|(c, step)| (c.name(), step as _))
             .collect();
-        let start = Instant::now();
-        let kk = params.k.min(8);
-        let mut sink = 0.0f64;
-        for tick in &input.ticks {
-            for ev in &tick.object_events {
-                match *ev {
-                    cpm_grid::ObjectEvent::Move { id, to } => {
-                        if id.index() >= positions.len() {
-                            positions.resize(id.index() + 1, None);
-                        }
-                        positions[id.index()] = Some(to);
-                    }
-                    cpm_grid::ObjectEvent::Appear { id, pos } => {
-                        if id.index() >= positions.len() {
-                            positions.resize(id.index() + 1, None);
-                        }
-                        positions[id.index()] = Some(pos);
-                    }
-                    cpm_grid::ObjectEvent::Disappear { id } => positions[id.index()] = None,
-                }
-            }
-            for q in &specs {
-                let mut dists: Vec<f64> = positions.iter().flatten().map(|&p| q.adist(p)).collect();
-                dists.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                sink += dists.iter().take(kk).sum::<f64>();
-            }
-        }
-        let naive_ms = start.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(sink);
-
-        t.push_row(format!("{f:?}").to_lowercase(), vec![cpm_ms, naive_ms]);
-    }
-    t.note(format!(
-        "{} ANN queries of 2-5 points each over N={} network objects",
-        n_queries, params.n_objects
-    ));
-    t.note("no paper numbers exist for ANN; this quantifies the monitoring win");
-    t
-}
-
-/// Section 5 extension: constrained-NN monitoring vs naive re-evaluation.
-pub fn constrained(scale: f64) -> Table {
-    let params = base_params(scale.min(0.5));
-    let input = SimulationInput::generate(&SimParams {
-        n_queries: 0,
-        ..params
-    });
-    let n_queries = (params.n_queries / 10).max(5);
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0xC0);
-    let specs: Vec<ConstrainedQuery> = (0..n_queries)
-        .map(|_| {
-            let q = Point::new(rng.gen(), rng.gen());
-            let w = rng.gen_range(0.1..0.4);
-            let lo = Point::new(
-                (q.x - w / 2.0).clamp(0.0, 0.9),
-                (q.y - w / 2.0).clamp(0.0, 0.9),
-            );
-            let hi = Point::new((lo.x + w).min(1.0), (lo.y + w).min(1.0));
-            ConstrainedQuery::new(q, Rect::new(lo, hi))
-        })
-        .collect();
-
-    let mut t = Table::new(
-        "Section 5 — constrained-NN monitoring vs naive re-evaluation",
-        "method",
-        "ms total",
-        vec!["ms".into()],
-    );
-
-    let mut monitor = ShardedCpmEngine::new(params.grid_dim, 1);
-    monitor.populate(input.initial_objects.iter().copied());
-    for (i, q) in specs.iter().enumerate() {
-        monitor
-            .install(QueryId(i as u32), q.clone(), params.k.min(8))
-            .expect("fresh query id");
-    }
-    let start = Instant::now();
-    for tick in &input.ticks {
-        monitor.process_cycle(&tick.object_events, &[]);
-    }
-    t.push_row("CPM-constrained", vec![start.elapsed().as_secs_f64() * 1e3]);
-
-    let mut positions: Vec<Option<Point>> = input
-        .initial_objects
-        .iter()
-        .map(|&(_, p)| Some(p))
-        .collect();
-    let start = Instant::now();
-    let kk = params.k.min(8);
-    let mut sink = 0.0f64;
-    for tick in &input.ticks {
-        for ev in &tick.object_events {
-            match *ev {
-                cpm_grid::ObjectEvent::Move { id, to } => {
-                    if id.index() >= positions.len() {
-                        positions.resize(id.index() + 1, None);
-                    }
-                    positions[id.index()] = Some(to);
-                }
-                cpm_grid::ObjectEvent::Appear { id, pos } => {
-                    if id.index() >= positions.len() {
-                        positions.resize(id.index() + 1, None);
-                    }
-                    positions[id.index()] = Some(pos);
-                }
-                cpm_grid::ObjectEvent::Disappear { id } => positions[id.index()] = None,
-            }
-        }
-        for q in &specs {
-            let mut dists: Vec<f64> = positions
-                .iter()
-                .flatten()
-                .filter(|&&p| q.region.contains(p))
-                .map(|&p| q.q.dist(p))
-                .collect();
-            dists.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            sink += dists.iter().take(kk).sum::<f64>();
-        }
-    }
-    t.push_row("re-evaluate", vec![start.elapsed().as_secs_f64() * 1e3]);
-    std::hint::black_box(sink);
-
-    t.note(format!(
-        "{} constrained queries over N={} network objects",
-        n_queries, params.n_objects
-    ));
-    t
-}
-
-/// Skew study: CPU time vs grid granularity under Gaussian-hotspot data.
-/// The paper points to hierarchical grids for this regime (\[YPK05\]); this
-/// charts how far a regular grid carries each algorithm.
-pub fn skew(scale: f64) -> Table {
-    let mut params = base_params(scale);
-    params.workload = WorkloadKind::Skewed { hotspots: 5 };
-    let mut input = SimulationInput::generate(&params);
-    let mut t = Table::new(
-        "Skewed data — CPU time vs grid granularity (5 Gaussian hotspots)",
-        "cells",
-        "ms total",
-        contender_columns(),
-    );
-    for dim in [32u32, 64, 128, 256, 512] {
-        input.params.grid_dim = dim;
-        let reports = run_contenders(&input);
-        t.push_row(format!("{dim}^2"), reports.iter().map(total_ms).collect());
-    }
-    note_params(&mut t, &params);
-    t.note("skew concentrates ~all objects in a few hundred cells: fine grids stay cheap for CPM");
-    t
-}
-
-/// Adaptive-resolution study: fixed-δ vs cost-model-driven re-gridding on
-/// the drifting-hotspot stream ([`cpm_gen::drift`]), whose population
-/// breathes between a base and a peak count so the optimal cell side
-/// moves mid-run. Both lanes replay the identical input; the fixed lane
-/// stays at the resolution right for the *base* population (what a
-/// capacity plan would have provisioned), the adaptive lane follows
-/// [`cpm_core::RegridPolicy::auto`].
-pub fn drift(scale: f64) -> Table {
-    let mut params = base_params(scale);
-    // Base population an order of magnitude below the paper default; the
-    // stream then breathes up to the full default and back.
-    params.n_objects = (params.n_objects / 10).max(200);
-    params.n_queries = (params.n_queries / 10).max(20);
-    params.workload = WorkloadKind::Drift { peak_factor: 10.0 };
-    // Provision the fixed lane for the base population, as a static
-    // deployment would.
-    let base_model = cpm_core::CostModel {
-        n_objects: params.n_objects,
-        n_queries: params.n_queries,
-        k: params.k,
-        delta: 0.0, // ignored by optimal_dim
-        f_obj: params.f_obj,
-        f_qry: params.f_qry,
-        skew: 1.0,
-    };
-    params.grid_dim = base_model.optimal_dim(16, 1024);
-    let input = SimulationInput::generate(&params);
-
-    let mut t = Table::new(
-        "Adaptive resolution — fixed δ vs cost-model re-gridding (drifting hotspot)",
-        "engine",
-        "per run",
-        vec![
-            "ms/cycle".into(),
-            "cell accesses".into(),
-            "regrids".into(),
-            "final dim".into(),
-        ],
-    );
-    // (ms/cycle, cell accesses, regrids, final dim) of one lane.
-    let lane = |policy: RegridPolicy| -> Vec<f64> {
-        let mut engine = ShardedCpmEngine::<PointQuery>::new(params.grid_dim, 1);
-        engine.set_regrid_policy(policy);
-        engine.populate(input.initial_objects.iter().copied());
-        for &(qid, pos, k) in &input.initial_queries {
-            engine
-                .install(qid, PointQuery(pos), k)
-                .expect("generated ids are fresh");
-        }
-        let query_events: Vec<Vec<SpecEvent<PointQuery>>> = input
-            .ticks
-            .iter()
-            .map(|t| t.query_events.iter().map(|&ev| ev.into()).collect())
+        // No equality check between lanes: the three methods break
+        // distance ties differently, so their change counts may differ.
+        paired.repetition(0, input.ticks.len(), false, &mut lanes);
+        drop(steps);
+        let now: Vec<_> = changed
+            .into_iter()
+            .zip(&mut monitors)
+            .map(|(changed, monitor)| (changed, monitor.counters()))
             .collect();
-        let start = Instant::now();
-        for (tick, qev) in input.ticks.iter().zip(&query_events) {
-            engine.process_cycle(&tick.object_events, qev);
+        match &counts {
+            Some(first) => assert_eq!(*first, now, "counts differ between repetitions"),
+            None => counts = Some(now),
         }
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        let metrics = engine.take_metrics();
-        vec![
-            ms / input.ticks.len().max(1) as f64,
-            metrics.cell_accesses as f64,
-            metrics.regrids as f64,
-            engine.grid().dim() as f64,
-        ]
-    };
-    t.push_row(
-        format!("fixed {}²", params.grid_dim),
-        lane(RegridPolicy::Manual),
-    );
-    t.push_row(
-        "adaptive",
-        lane(RegridPolicy::Auto(cpm_core::AutoRegridConfig {
-            check_every: 4,
-            cooldown: 8,
-            ..cpm_core::AutoRegridConfig::default()
-        })),
-    );
-    note_params(&mut t, &params);
-    t.note(format!(
-        "population breathes {}→{} and back; results are bit-identical between the lanes \
-         (re-grids are observationally invisible)",
-        params.n_objects,
-        (params.n_objects as f64 * 10.0) as usize
-    ));
-    t
-}
-
-/// Shard-scaling study: CPU time per cycle vs shard count for the sharded
-/// parallel engine, with the sequential engine (1 shard) as baseline. The
-/// speedup column is machine-dependent — the note records the host's
-/// available parallelism, since no speedup can appear beyond it.
-pub fn shards(scale: f64, shard_counts: &[usize]) -> Table {
-    let params = base_params(scale);
-    let input = SimulationInput::generate(&params);
-    let mut t = Table::new(
-        "Shard scaling — sharded parallel engine vs sequential",
-        "shards",
-        "per cycle",
-        vec![
-            "ms/cycle".into(),
-            "speedup".into(),
-            "p95 ms".into(),
-            "p100 ms".into(),
-        ],
-    );
-    let mut baseline_ms = None;
-    for &s in shard_counts {
-        let r = cpm_sim::run_sharded(&input, s);
-        let ms = r.millis_per_cycle();
-        let base = *baseline_ms.get_or_insert(ms);
-        t.push_row(
-            s.to_string(),
-            vec![
-                ms,
-                base / ms,
-                r.latency_percentile_ms(0.95),
-                r.latency_percentile_ms(1.0),
-            ],
-        );
     }
-    note_params(&mut t, &params);
-    t.note(format!(
-        "host parallelism: {} thread(s); results are bit-identical across shard counts",
-        crate::record::Machine::this_host().threads_available
-    ));
-    t
-}
 
-/// Subscription-layer extension: cycle cost and shipped data volume of
-/// delta streaming versus full result lists, across subscription counts
-/// (the `cpm-sub` workload; see [`crate::deltas`]).
-pub fn deltas(scale: f64) -> Table {
-    let base = crate::deltas::Config::default();
-    let n_objects = ((base.n_objects as f64 * scale) as usize).max(500);
-    let full_subs = ((base.n_subscriptions as f64 * scale) as usize).max(20);
-    let mut t = Table::new(
-        "Delta streaming — emission cost vs full result lists",
-        "subscriptions",
-        "per cycle",
-        vec![
-            "full ms".into(),
-            "delta ms".into(),
-            "overhead %".into(),
-            "full entries".into(),
-            "delta entries".into(),
-        ],
-    );
-    for subs in [full_subs / 4, full_subs / 2, full_subs] {
-        let cfg = crate::deltas::Config {
-            n_objects,
-            n_subscriptions: subs.max(5),
-            cycles: 5,
-            ..crate::deltas::Config::default()
+    let per_query_ts = (params.n_queries * input.ticks.len()).max(1) as f64;
+    let lane = |(c, (changed, (metrics, space, model))): (&Contender, (Vec<usize>, Counters))| {
+        let quiet = paired.quiet_ms(c.name());
+        let mut row = crate::fields! {
+            "lane" => c.name(),
+            "N" => params.n_objects,
+            "n" => params.n_queries,
+            "k" => params.k,
+            "dim" => params.grid_dim,
+            "ms_quiet" => quiet.median,
+            "ms_quiet_mad" => quiet.mad,
+            "cells" => metrics.cell_accesses as f64 / per_query_ts,
+            "objects" => metrics.objects_processed as f64 / per_query_ts,
+            "computations" => metrics.computations + metrics.recomputations,
+            "changed" => changed.iter().sum::<usize>(),
+            "space_units" => space,
+            "space_bytes" => space * 4,
         };
-        let run = crate::deltas::measure(&cfg);
-        t.push_row(
-            cfg.n_subscriptions.to_string(),
-            vec![
-                run.lane_num("full-list", "ms_quiet"),
-                run.lane_num("delta", "ms_quiet"),
-                (run.median("delta_over_full") - 1.0) * 100.0,
-                run.lane_num("full-list", "entries_shipped") / cfg.cycles as f64,
-                run.lane_num("delta", "entries_shipped") / cfg.cycles as f64,
-            ],
-        );
-    }
-    t.note(format!(
-        "N = {n_objects} objects, k = {}, {}% movers per cycle; entries = result entries \
-         shipped to subscribers (deltas ship only the churn)",
-        base.k,
-        base.move_fraction * 100.0
-    ));
-    t
-}
-
-/// Unified-server extension: per-query-class cost attribution from one
-/// **mixed** run (k-NN + range + aggregate + constrained + reverse-NN on
-/// a single [`cpm_core::CpmServer`]), via [`cpm_grid::Metrics::by_kind`],
-/// plus the unified-vs-split cycle-time comparison of
-/// [`crate::server::measure`].
-pub fn mixed(scale: f64) -> Table {
-    use cpm_grid::QueryKind;
-
-    let base = crate::server::Config::default();
-    let cfg = crate::server::Config {
-        n_objects: ((base.n_objects as f64 * scale) as usize).max(500),
-        knn_queries: ((base.knn_queries as f64 * scale) as usize).max(5),
-        range_queries: ((base.range_queries as f64 * scale) as usize).max(5),
-        constrained_queries: ((base.constrained_queries as f64 * scale) as usize).max(5),
-        cycles: 8,
-        ..base
-    };
-
-    // Instrumented mixed run: one server hosting every query class.
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x3D);
-    let mut server = cpm_core::CpmServerBuilder::new(cfg.grid_dim).build();
-    let mut positions: Vec<Point> = (0..cfg.n_objects)
-        .map(|_| Point::new(rng.gen(), rng.gen()))
-        .collect();
-    server.populate(
-        positions
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (cpm_geom::ObjectId(i as u32), p)),
-    );
-    let mut next_id = 0u32;
-    let mut fresh = || {
-        next_id += 1;
-        QueryId(next_id - 1)
-    };
-    for _ in 0..cfg.knn_queries {
-        let _ = server
-            .install_knn(fresh(), Point::new(rng.gen(), rng.gen()), cfg.k)
-            .expect("fresh id");
-    }
-    for _ in 0..cfg.range_queries {
-        let q = cpm_core::RangeQuery::circle(
-            Point::new(rng.gen(), rng.gen()),
-            0.03 + rng.gen::<f64>() * 0.05,
-        );
-        let _ = server.install_range(fresh(), q).expect("fresh id");
-    }
-    for _ in 0..cfg.constrained_queries {
-        let q = Point::new(rng.gen(), rng.gen());
-        let w = 0.15;
-        let lo = Point::new((q.x - w).max(0.0), (q.y - w).max(0.0));
-        let hi = Point::new((lo.x + 2.0 * w).min(1.0), (lo.y + 2.0 * w).min(1.0));
-        let _ = server
-            .install_constrained(fresh(), ConstrainedQuery::new(q, Rect::new(lo, hi)), cfg.k)
-            .expect("fresh id");
-    }
-    for _ in 0..(cfg.knn_queries / 5).max(2) {
-        let pts: Vec<Point> = (0..3).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-        let _ = server
-            .install_ann(fresh(), AnnQuery::new(pts, AggregateFn::Sum), 2)
-            .expect("fresh id");
-        let _ = server
-            .install_rnn(fresh(), Point::new(rng.gen(), rng.gen()))
-            .expect("fresh id");
-    }
-    server.take_metrics();
-    let movers = ((cfg.n_objects as f64 * cfg.move_fraction) as usize).max(1);
-    for _ in 0..cfg.cycles {
-        let mut events = Vec::with_capacity(movers);
-        // The server admits one event per object per batch: an object
-        // drawn twice keeps its first move.
-        let mut moved = std::collections::HashSet::with_capacity(movers);
-        for _ in 0..movers {
-            let i = rng.gen_range(0..positions.len());
-            if !moved.insert(i) {
-                continue;
-            }
-            let step = 0.02;
-            let p = positions[i];
-            let to = Point::new(
-                (p.x + rng.gen::<f64>() * step - step / 2.0).clamp(0.0, 1.0),
-                (p.y + rng.gen::<f64>() * step - step / 2.0).clamp(0.0, 1.0),
-            );
-            positions[i] = to;
-            events.push(cpm_grid::ObjectEvent::Move {
-                id: cpm_geom::ObjectId(i as u32),
-                to,
+        if c.name() != contenders[0].name() {
+            let ratio = paired.ratio(contenders[0].name(), c.name());
+            row.extend(crate::fields! { "cpm_over" => ratio.median, "cpm_over_mad" => ratio.mad });
+        }
+        // The Section 4.1 quantities, for the k-NN engine they model.
+        if let (Contender::Algo(_), Some([best_dist, c_inf, o_inf, c_sh])) = (c, model) {
+            let predicted = params.cost_model();
+            row.extend(crate::fields! {
+                "best_dist" => best_dist, "best_dist_model" => predicted.best_dist(),
+                "c_inf" => c_inf, "c_inf_model" => predicted.c_inf(),
+                "o_inf" => o_inf, "o_inf_model" => predicted.o_inf(),
+                "c_sh" => c_sh, "c_sh_model" => predicted.c_sh(),
             });
         }
-        let _ = server
-            .process_cycle(&events, &[])
-            .expect("well-formed batch");
-    }
-    let metrics = server.take_metrics();
-
-    let mut t = Table::new(
-        "Unified server — mixed workload, work attribution per query class",
-        "class",
-        "per cycle",
-        vec![
-            "cells".into(),
-            "objects".into(),
-            "computations".into(),
-            "merges".into(),
-        ],
-    );
-    let cycles = cfg.cycles as f64;
-    for kind in QueryKind::ALL {
-        let k = metrics.for_kind(kind);
-        t.push_row(
-            kind.label(),
-            vec![
-                k.cell_accesses as f64 / cycles,
-                k.objects_processed as f64 / cycles,
-                (k.computations + k.recomputations) as f64 / cycles,
-                k.merge_resolutions as f64 / cycles,
-            ],
-        );
-    }
-    t.push_row(
-        "total",
-        vec![
-            metrics.cell_accesses as f64 / cycles,
-            metrics.objects_processed as f64 / cycles,
-            (metrics.computations + metrics.recomputations) as f64 / cycles,
-            metrics.merge_resolutions as f64 / cycles,
-        ],
-    );
-
-    // The headline comparison: one shared grid vs three dedicated ones.
-    let run = crate::server::measure(&crate::server::Config {
-        cycles: 6,
-        ..cfg.clone()
-    });
-    t.note(format!(
-        "N = {} objects, {}% movers/cycle, {}+{}+{} queries (+ANN/RNN); one ingest pass per cycle",
-        cfg.n_objects,
-        cfg.move_fraction * 100.0,
-        cfg.knn_queries,
-        cfg.range_queries,
-        cfg.constrained_queries
-    ));
-    t.note(format!(
-        "unified {:.3} ms/cycle vs split-engines {:.3} ms/cycle: {:.2}x speedup \
-         (`bench_record server` records the full-scale number)",
-        run.lane_num("unified", "ms_quiet"),
-        run.lane_num("split", "ms_quiet"),
-        run.median("unified_speedup")
-    ));
-    t
+        row
+    };
+    let counts = counts.expect("REPS > 0");
+    contenders.iter().zip(counts).map(lane).collect()
 }
 
-/// Future-work extension (Section 7): continuous reverse-NN monitoring
-/// via six-region candidates + verification, vs naive re-evaluation.
-pub fn rnn(scale: f64) -> Table {
-    let params = base_params(scale.min(0.3));
-    let input = SimulationInput::generate(&SimParams {
-        n_queries: 0,
-        ..params
-    });
-    let n_queries = (params.n_queries / 25).max(4);
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x4E);
-    let query_points: Vec<Point> = (0..n_queries)
-        .map(|_| Point::new(rng.gen(), rng.gen()))
-        .collect();
-
-    let mut t = Table::new(
-        "Section 7 future work — continuous reverse-NN monitoring",
-        "method",
-        "ms total",
-        vec!["ms".into()],
-    );
-
-    let mut server = CpmServerBuilder::new(params.grid_dim).build();
-    server.populate(input.initial_objects.iter().copied());
-    for (i, &q) in query_points.iter().enumerate() {
-        let _ = server
-            .install_rnn(QueryId(i as u32), q)
-            .expect("fresh query id");
-    }
-    // RNN is composed by the server, which admits one event per object
-    // per batch: the generator's same-tick `Disappear` + `Appear` respawn
-    // of one id is a jump, i.e. a `Move`.
-    let batches: Vec<Vec<ObjectEvent>> = input
-        .ticks
-        .iter()
-        .map(|tick| {
-            let mut out: Vec<ObjectEvent> = Vec::with_capacity(tick.object_events.len());
-            for &ev in &tick.object_events {
-                match (out.last_mut(), ev) {
-                    (
-                        Some(last @ ObjectEvent::Disappear { .. }),
-                        ObjectEvent::Appear { id, pos },
-                    ) if last.id() == id => {
-                        *last = ObjectEvent::Move { id, to: pos };
-                    }
-                    _ => out.push(ev),
-                }
-            }
-            out
-        })
-        .collect();
-    let start = Instant::now();
-    for batch in &batches {
-        server
-            .process_cycle(batch, &[])
-            .expect("generated batches are well-formed");
-    }
-    t.push_row("CPM six-region", vec![start.elapsed().as_secs_f64() * 1e3]);
-
-    // Naive: O(N²-flavored) re-evaluation — for each object its global NN
-    // distance, then membership per query.
-    let mut positions: Vec<Option<Point>> = input
-        .initial_objects
-        .iter()
-        .map(|&(_, p)| Some(p))
-        .collect();
-    let start = Instant::now();
-    let mut sink = 0usize;
-    for tick in &input.ticks {
-        for ev in &tick.object_events {
-            match *ev {
-                cpm_grid::ObjectEvent::Move { id, to } => positions[id.index()] = Some(to),
-                cpm_grid::ObjectEvent::Appear { id, pos } => {
-                    if id.index() >= positions.len() {
-                        positions.resize(id.index() + 1, None);
-                    }
-                    positions[id.index()] = Some(pos);
-                }
-                cpm_grid::ObjectEvent::Disappear { id } => positions[id.index()] = None,
-            }
-        }
-        let live: Vec<Point> = positions.iter().flatten().copied().collect();
-        // Nearest-other-object distance per object (grid-free baseline).
-        for q in &query_points {
-            for (i, &p) in live.iter().enumerate() {
-                let dq = p.dist(*q);
-                let dominated = live
-                    .iter()
-                    .enumerate()
-                    .any(|(j, &o)| j != i && p.dist(o) < dq);
-                if !dominated {
-                    sink += 1;
-                }
-            }
-        }
-    }
-    t.push_row("re-evaluate", vec![start.elapsed().as_secs_f64() * 1e3]);
-    std::hint::black_box(sink);
-
-    t.note(format!(
-        "{} RNN queries over N={} network objects",
-        n_queries, params.n_objects
-    ));
-    t.note("candidates via six sector-constrained CPM monitors; verified by circle emptiness");
-    t.note("the naive baseline short-circuits domination checks (O(N) amortized per query); the monitoring win grows with n");
-    t
+/// Numeric column `key` of `row`.
+pub fn num(row: &Fields, key: &str) -> Option<f64> {
+    row.iter().find_map(|(k, v)| match v {
+        Value::Num(x) if k == key => Some(*x),
+        _ => None,
+    })
 }
 
-/// One line of provenance for every ANN query-set update experiment:
-/// moving query sets exercise `SpecEvent::Update` end to end.
-pub fn ann_moving_sets(scale: f64) -> Table {
-    let params = base_params(scale.min(0.3));
-    let input = SimulationInput::generate(&SimParams {
-        n_queries: 0,
-        ..params
-    });
-    let mut rng = StdRng::seed_from_u64(77);
-    let mut pts: Vec<Point> = (0..3).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-    let mut monitor = ShardedCpmEngine::new(params.grid_dim, 1);
-    monitor.populate(input.initial_objects.iter().copied());
-    monitor
-        .install(QueryId(0), AnnQuery::new(pts.clone(), AggregateFn::Sum), 4)
-        .expect("fresh query id");
+/// The points of the figures whose name satisfies `is`: per point its
+/// rows, CPM's first.
+pub fn points_of<'a>(
+    record: &'a BenchRecord,
+    is: impl Fn(&str) -> bool + 'a,
+) -> impl Iterator<Item = &'a [Fields]> {
+    let points = record.rows.chunk_by(|a, b| a[..2] == b[..2]);
+    points.filter(move |rows| matches!(&rows[0][0].1, Value::Str(figure) if is(figure)))
+}
 
-    let start = Instant::now();
-    for tick in &input.ticks {
-        for p in pts.iter_mut() {
-            *p = Point::new(
-                (p.x + rng.gen_range(-0.02..0.02)).clamp(0.0, 0.999),
-                (p.y + rng.gen_range(-0.02..0.02)).clamp(0.0, 0.999),
-            );
-        }
-        monitor.process_cycle(
-            &tick.object_events,
-            &[SpecEvent::Update {
-                id: QueryId(0),
-                spec: AnnQuery::new(pts.clone(), AggregateFn::Sum),
-            }],
-        );
+/// The summary the shape gates read, from the rows; a metric whose
+/// sweep did not run is absent.
+fn summarize(scale: f64, record: &mut BenchRecord) {
+    let mut summary: Vec<(String, Stat)> = Vec::new();
+    let mut put = |metric: String, stat: Option<Stat>| {
+        summary.extend(stat.map(|stat| (metric, stat)));
+    };
+    // Counts are exact: the worst of them is, too.
+    let max = |values: Vec<f64>| values.into_iter().reduce(f64::max).map(Stat::exact);
+    let of = |row: &Fields, key: &str| num(row, key).expect("every lane row has the column");
+
+    // CPM's count over the better baseline's, worst Section 6 point.
+    for count in ["cells", "objects"] {
+        let over_best = |rows: &[Fields]| {
+            let best = rows[1..].iter().map(|row| of(row, count)).reduce(f64::min);
+            of(&rows[0], count) / best.expect("a baseline ran")
+        };
+        let worst = max(points_of(record, |f| f.starts_with("fig6_"))
+            .map(over_best)
+            .collect());
+        put(format!("cpm_{count}_over_best_baseline"), worst);
     }
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    let mut t = Table::new(
-        "ANN with a moving query set (sum)",
-        "metric",
-        "value",
-        vec!["value".into()],
-    );
-    t.push_row("ms total", vec![ms]);
-    t.push_row(
-        "cell accesses",
-        vec![monitor.metrics().cell_accesses as f64],
-    );
-    t
+
+    // Figure 6.1: axis steps between the fastest CPM granularity and
+    // the Section 4.1 optimum over the same doubling axis.
+    let fig6_1: Vec<&Fields> = points_of(record, |f| f == "fig6_1")
+        .map(|rows| &rows[0])
+        .collect();
+    if let (Some(first), Some(last)) = (fig6_1.first(), fig6_1.last()) {
+        let fastest = (0..fig6_1.len())
+            .min_by(|&a, &b| of(fig6_1[a], "ms_quiet").total_cmp(&of(fig6_1[b], "ms_quiet")))
+            .expect("rows");
+        let (lo, hi) = (of(first, "dim") as u32, of(last, "dim") as u32);
+        let optimum = SimParams::scaled(scale).cost_model().optimal_dim(lo, hi);
+        let steps = (fastest as f64 - f64::from(optimum / lo).log2()).abs();
+        put("fig6_1_optimum_steps".into(), Some(Stat::exact(steps)));
+    }
+
+    // Section 4.1: measured over predicted, or its inverse if larger,
+    // worst granularity.
+    for quantity in ["c_inf", "o_inf", "c_sh"] {
+        let factor = |rows: &[Fields]| {
+            let ratio = of(&rows[0], quantity) / of(&rows[0], &format!("{quantity}_model"));
+            ratio.max(1.0 / ratio)
+        };
+        let worst = max(points_of(record, |f| f == "analysis").map(factor).collect());
+        put(format!("{quantity}_model_factor"), worst);
+    }
+
+    // The default point: footnote 6's order, and per-cycle time ratios.
+    if let Some([cpm, ypk, sea]) = points_of(record, |f| f == "space").next() {
+        let units = |numer, denom| Stat::exact(of(numer, "space_units") / of(denom, "space_units"));
+        put("space_ypk_over_sea".into(), Some(units(ypk, sea)));
+        put("space_sea_over_cpm".into(), Some(units(sea, cpm)));
+        for (metric, row) in [("default_cpm_over_ypk", ypk), ("default_cpm_over_sea", sea)] {
+            let (median, mad) = (of(row, "cpm_over"), of(row, "cpm_over_mad"));
+            put(metric.into(), Some(Stat { median, mad }));
+        }
+    }
+    for (metric, stat) in summary {
+        record.put(&metric, stat);
+    }
 }

@@ -188,6 +188,71 @@ pub const GATES: &[Gate] = &[
             Bound::AtLeast(1.15 / MARGIN),
         )
     },
+    // The paper's shape, in counts wherever a count exists: exact, so
+    // the bar is the claim itself and carries no margin.
+    gate(
+        "figures",
+        "cpm_cells_over_best_baseline",
+        "CPM cell accesses / the better baseline's, worst Section 6 point",
+        Bound::AtMost(1.0),
+    ),
+    gate(
+        "figures",
+        "cpm_objects_over_best_baseline",
+        "CPM objects processed / the better baseline's, worst Section 6 point",
+        Bound::AtMost(1.0),
+    ),
+    gate(
+        "figures",
+        "fig6_1_optimum_steps",
+        "Fig. 6.1: axis steps from CPM's fastest granularity to CostModel::optimal_dim",
+        Bound::AtMost(1.0),
+    ),
+    // Section 4.1 counts the cells a circle of radius r = ⌈best_dist / δ⌉
+    // cells meets as πr²; it meets up to πr² + 4r + 1, and Table 6.1's
+    // δ puts r at 1: (π + 5) / π.
+    gate(
+        "figures",
+        "c_inf_model_factor",
+        "Section 4.1: C_inf measured vs predicted on uniform data, worst granularity",
+        Bound::AtMost(2.6),
+    ),
+    gate(
+        "figures",
+        "o_inf_model_factor",
+        "Section 4.1: O_inf measured vs predicted on uniform data, worst granularity",
+        Bound::AtMost(2.6),
+    ),
+    gate(
+        "figures",
+        "c_sh_model_factor",
+        "Section 4.1: C_SH measured vs predicted on uniform data, worst granularity",
+        Bound::AtMost(2.6),
+    ),
+    gate(
+        "figures",
+        "space_ypk_over_sea",
+        "footnote 6: YPK-CNN memory units / SEA-CNN's at the default point",
+        Bound::AtMost(1.0),
+    ),
+    gate(
+        "figures",
+        "space_sea_over_cpm",
+        "footnote 6: SEA-CNN memory units / CPM's at the default point",
+        Bound::AtMost(1.0),
+    ),
+    gate(
+        "figures",
+        "default_cpm_over_ypk",
+        "CPM cycle time / YPK-CNN's at the default point (per-cycle pairs)",
+        Bound::AtMost(1.0),
+    ),
+    gate(
+        "figures",
+        "default_cpm_over_sea",
+        "CPM cycle time / SEA-CNN's at the default point (per-cycle pairs)",
+        Bound::AtMost(1.0),
+    ),
 ];
 
 /// One judged comparison.

@@ -1,21 +1,22 @@
-//! Benchmark harness reproducing every table and figure of the CPM paper
-//! (SIGMOD 2005), plus the extension studies of this suite.
+//! Benchmark harness of the CPM reproduction (SIGMOD 2005): every
+//! measurement in the workspace is a [`BenchRecord`] judged by
+//! [`gates::GATES`].
 //!
-//! * [`figures`] — one function per paper figure (6.1–6.6), the space
-//!   footnote, the Section 4.1 analysis validation and the Section 5
-//!   extensions. Each returns a printable [`Table`].
-//! * [`table`] — the plain-text table type experiment output uses.
-//! * [`BENCHES`] — the nine micro-benchmarks behind the `BENCH_*.json`
-//!   files at the repository root. Each module is a `Config`, its lanes
-//!   with their in-run conformance assertions, and one
+//! * [`BENCHES`] — the ten benchmarks behind the `BENCH_*.json` files at
+//!   the repository root. Each module is a `Config`, its lanes with
+//!   their in-run conformance assertions, and one
 //!   `measure(&Config) -> BenchRecord`; how a benchmark is executed,
 //!   serialized and judged lives once, in [`paired`], [`record`] and
 //!   [`gates`].
+//! * [`figures`] — the tenth: the paper's Section 6 figures, the space
+//!   footnote, the Section 4.1 model validation and the Section 5
+//!   studies as the rows of one table, [`figures::SWEEPS`].
 //!
-//! Three binaries consume this library: `experiments` prints the
-//! paper-style series, `bench_record <name>…|all` re-records the
-//! `BENCH_*.json` files at acceptance scale, and `bench_check` is the
-//! regression gate CI runs on every PR.
+//! Three binaries consume this library: `bench_record <name>…|all`
+//! re-records the `BENCH_*.json` files at acceptance scale,
+//! `bench_check` is the regression gate CI runs on every PR, and
+//! `experiments <name>…` prints a fresh record of any benchmark or
+//! figure without writing it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,6 +27,7 @@ pub mod figures;
 pub mod gates;
 pub mod grid_storage;
 pub mod kernels;
+pub mod monitor;
 pub mod paired;
 pub mod pipeline;
 pub mod record;
@@ -33,14 +35,12 @@ pub mod recovery;
 pub mod regrid;
 pub mod server;
 pub mod shards;
-pub mod table;
 pub mod workload;
 
 pub use record::BenchRecord;
-pub use table::Table;
 
-/// The default scale for interactive runs: keeps every sweep's shape while
-/// finishing in minutes on a laptop. `--paper` (1.0) reproduces Table 6.1.
+/// The default scale of `experiments`: minutes on a laptop. `--paper`
+/// (1.0) is Table 6.1 itself.
 pub const DEFAULT_SCALE: f64 = 0.1;
 
 /// One registered micro-benchmark.
@@ -73,7 +73,7 @@ macro_rules! bench {
 }
 
 /// Every micro-benchmark, in the order `bench_check` runs them.
-pub const BENCHES: [Bench; 9] = [
+pub const BENCHES: [Bench; 10] = [
     bench!("grid", grid_storage),
     bench!("shards", shards),
     bench!("deltas", deltas),
@@ -83,34 +83,58 @@ pub const BENCHES: [Bench; 9] = [
     bench!("kernels", kernels),
     bench!("cluster", cluster),
     bench!("pipeline", pipeline),
+    // ≈ 1 minute for the gate, 13 for the record on the recording host
+    // (0.4 took 53); `experiments --paper figures` is Table 6.1 itself,
+    // in hours.
+    Bench {
+        name: "figures",
+        gate: || figures::measure(0.05, None),
+        record: || figures::measure(0.25, None),
+    },
 ];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use figures::{num, points_of, SWEEPS};
 
-    /// Smoke-test the cheap figures end to end at a very small scale; the
-    /// expensive ones run in the experiments binary.
+    /// Every sweep at a tiny scale: one point per axis value, one row
+    /// per contender, and the record survives its own format.
     #[test]
-    fn figures_produce_well_formed_tables() {
-        let t = figures::space(0.005);
-        assert_eq!(t.rows.len(), 3);
-        assert!(t.cell(0, 0) > 0.0);
-
-        let t = figures::analysis(0.005);
-        assert_eq!(t.rows.len(), 4);
-        // C_inf prediction grows as the grid refines.
-        let c_pred = t.col_index("C_inf pred");
-        assert!(t.cell(3, c_pred) > t.cell(0, c_pred));
+    fn every_sweep_yields_one_well_formed_row_per_point_and_lane() {
+        let record = figures::measure(0.003, None);
+        assert_eq!(BenchRecord::parse(&record.render()), Ok(record.clone()));
+        for sweep in SWEEPS {
+            let axis = (sweep.points)(0.003);
+            let points: Vec<_> = points_of(&record, |f| f == sweep.name).collect();
+            assert_eq!(points.len(), axis.len(), "{}", sweep.name);
+            for (rows, (x, params)) in points.iter().zip(&axis) {
+                assert_eq!(rows.len(), sweep.contenders.len(), "{} {x}", sweep.name);
+                for (row, c) in rows.iter().zip(sweep.contenders) {
+                    assert_eq!(row[1], ("x".to_string(), x.as_str().into()));
+                    assert_eq!(row[2], ("lane".to_string(), c.name().into()));
+                    assert_eq!(num(row, "dim"), Some(f64::from(params.grid_dim)));
+                    assert!(num(row, "ms_quiet").is_some_and(|ms| ms > 0.0));
+                }
+            }
+        }
     }
 
+    /// At the default `--scale` the first (smallest-N) points of Figures
+    /// 6.2a and 6.6a keep Table 6.1's occupancy regime: CPM scans no
+    /// more cells than either baseline (it scanned several times more
+    /// when scaled runs kept the 128² grid).
     #[test]
-    fn fig6_1_has_paper_axis() {
-        // A short dim list: the full 1024² sweep is an `experiments` run
-        // (YPK-CNN's ring search is pathological on near-empty fine grids).
-        let t = figures::fig6_1_dims(0.005, &[32, 64]);
-        let labels: Vec<&str> = t.rows.iter().map(|(x, _)| x.as_str()).collect();
-        assert_eq!(labels, vec!["32^2", "64^2"]);
-        assert_eq!(t.columns, vec!["CPM", "YPK-CNN", "SEA-CNN"]);
+    fn scaled_sweeps_stay_in_the_papers_regime() {
+        for figure in ["fig6_2a", "fig6_6a"] {
+            let sweep = SWEEPS.iter().find(|s| s.name == figure).expect("listed");
+            let (_, mut params) = (sweep.points)(DEFAULT_SCALE).swap_remove(0);
+            params.timestamps = 10;
+            let input = cpm_sim::SimulationInput::generate(&params);
+            let cells = |algo| cpm_sim::run(algo, &input).metrics.cell_accesses;
+            let cpm = cells(cpm_sim::AlgoKind::Cpm);
+            assert!(cpm <= cells(cpm_sim::AlgoKind::Ypk), "{figure}");
+            assert!(cpm <= cells(cpm_sim::AlgoKind::Sea), "{figure}");
+        }
     }
 }

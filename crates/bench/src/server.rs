@@ -1,7 +1,10 @@
 //! Unified-server benchmark: cycle cost of one [`cpm_core::CpmServer`]
 //! hosting a mixed continuous-query workload (k-NN + range + constrained)
 //! versus three dedicated single-kind engines over three separate grids —
-//! the deployment shape the old one-engine-per-kind API forced.
+//! an in-run control, like `grid`'s hash-set lane: the shape a deployment
+//! without the server would have to take, kept only to be measured
+//! against. The record also attributes the server's work to each query
+//! class ([`cpm_grid::Metrics::by_kind`]).
 //!
 //! The workload is deliberately **update-ingest-bound** (100K uniform
 //! objects, 10% movers per cycle, 60 queries per kind, k = 8 — the
@@ -72,6 +75,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
 
     let mut paired = Paired::default();
     let mut changes = 0;
+    let mut work = cpm_grid::Metrics::default();
     for _ in 0..REPS {
         let mut server = CpmServerBuilder::new(cfg.grid_dim)
             .shards(cfg.shards)
@@ -103,6 +107,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
                 .install(*qid, q.clone(), cfg.k)
                 .expect("fresh id");
         }
+        server.take_metrics();
 
         changes = 0;
         let mut unified = |i: usize| {
@@ -134,10 +139,24 @@ pub fn measure(cfg: &Config) -> BenchRecord {
             true,
             &mut [("unified", &mut unified), ("split", &mut split)],
         );
+        work = server.take_metrics();
     }
 
     let mut record = BenchRecord::new("server", cfg.fields());
     record.lane_rows(&paired, |_| crate::fields! { "result_changes" => changes });
+    // What each query class cost the server, per cycle (warm-up included).
+    let per_cycle = |count: u64| count as f64 / (cfg.warmup_cycles + cfg.cycles) as f64;
+    use cpm_grid::QueryKind::{Constrained, Knn, Range};
+    for kind in [Knn, Range, Constrained] {
+        let k = work.for_kind(kind);
+        record.rows.push(crate::fields! {
+            "kind" => kind.label(),
+            "cells_per_cycle" => per_cycle(k.cell_accesses),
+            "objects_per_cycle" => per_cycle(k.objects_processed),
+            "computations_per_cycle" => per_cycle(k.computations + k.recomputations),
+            "merges_per_cycle" => per_cycle(k.merge_resolutions),
+        });
+    }
     record.put("unified_speedup", paired.ratio("split", "unified"));
     record
 }
@@ -161,7 +180,7 @@ mod tests {
         };
         // `measure` itself asserts equal per-cycle change counts.
         let record = measure(&cfg);
-        assert_eq!(record.rows.len(), 2);
+        assert_eq!(record.rows.len(), 2 + 3);
         assert!(record.lane_num("unified", "ms_quiet") > 0.0);
         assert!(record.median("unified_speedup") > 0.0);
     }

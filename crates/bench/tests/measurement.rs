@@ -156,7 +156,11 @@ fn passes(gate: &Gate, measured: &BenchRecord, recorded: Option<&BenchRecord>) -
 /// deltas ≤ 1.10 + 0.10; server ≥ 1.3 / 1.1; regrid re-grids, ≥ 1.2 / 1.1,
 /// pause ≤ 25; recovery replays, pause ≤ 25; kernels ≥ 1.3 / 1.1 (simd
 /// lane) or ≥ 1.0 / 1.1; cluster and pipeline did work, ≤ 1.25 × 1.1;
-/// pipelined ≥ 1.15 / 1.1 on ≥ 4 threads.
+/// pipelined ≥ 1.15 / 1.1 on ≥ 4 threads. The `figures` rows are the
+/// paper's shape with no margin: CPM's counts and default-point cycle
+/// time ≤ the baselines', Fig. 6.1's optimum within one axis step of the
+/// model's, the Section 4.1 quantities within (π + 5) / π of it,
+/// footnote 6's space order.
 #[test]
 fn every_gate_row_fails_on_the_wrong_side_of_its_bound() {
     let kernel_bar = if cfg!(feature = "simd") { 1.3 } else { 1.0 };
@@ -185,6 +189,16 @@ fn every_gate_row_fails_on_the_wrong_side_of_its_bound() {
         ("pipeline", "result_changes", 1, 1.0, 0.0),
         ("pipeline", "route_over_single", 1, 1.37, 1.38),
         ("pipeline", "pipelined_over_serial", 4, 1.05, 1.04),
+        ("figures", "cpm_cells_over_best_baseline", 1, 1.0, 1.01),
+        ("figures", "cpm_objects_over_best_baseline", 1, 1.0, 1.01),
+        ("figures", "fig6_1_optimum_steps", 1, 1.0, 2.0),
+        ("figures", "c_inf_model_factor", 1, 2.59, 2.61),
+        ("figures", "o_inf_model_factor", 1, 2.59, 2.61),
+        ("figures", "c_sh_model_factor", 1, 2.59, 2.61),
+        ("figures", "space_ypk_over_sea", 1, 0.99, 1.01),
+        ("figures", "space_sea_over_cpm", 1, 0.99, 1.01),
+        ("figures", "default_cpm_over_ypk", 1, 0.99, 1.01),
+        ("figures", "default_cpm_over_sea", 1, 0.99, 1.01),
     ];
     assert_eq!(sides.len(), GATES.len(), "one case per table row");
     for (gate, (bench, metric, min_threads, pass, fail)) in GATES.iter().zip(sides) {

@@ -541,18 +541,6 @@ impl<T: Transport> ClusterCoordinator<T> {
         std::mem::take(&mut self.metrics)
     }
 
-    /// Coordinator-side merge cost of the last committed cycle: payload
-    /// reassembly into the epoch barrier, engine-delta decoding and the
-    /// canonical query-id interleave. This is the cost the cluster adds
-    /// *serially* on the coordinator regardless of how many cores the
-    /// host gives the workers, which is why the bench gate bounds it
-    /// (total cycle cost also depends on host parallelism; see
-    /// `cpm-bench`'s cluster module). Equal to
-    /// [`last_cycle_timings`](Self::last_cycle_timings)`.merge`.
-    pub fn last_cycle_merge(&self) -> Duration {
-        self.timings.merge
-    }
-
     /// [`process_cycle`](Self::process_cycle), publishing the merged
     /// batch into a subscription fan-out — the hub-boundary handoff: the
     /// fan-out (and every [`cpm_sub::Replica`] downstream) cannot tell a

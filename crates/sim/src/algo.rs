@@ -42,7 +42,7 @@ impl AlgoKind {
     /// Instantiate a monitor over an empty `dim × dim` grid.
     pub fn build(self, dim: u32) -> Box<dyn KnnMonitorAlgo> {
         match self {
-            AlgoKind::Cpm => Box::new(CpmMonitor::new(dim, 1)),
+            AlgoKind::Cpm => Box::new(CpmMonitor::new(dim)),
             AlgoKind::Ypk => Box::new(YpkCnnMonitor::new(dim)),
             AlgoKind::Sea => Box::new(SeaCnnMonitor::new(dim)),
             AlgoKind::Oracle => Box::new(OracleMonitor::new()),
@@ -79,19 +79,19 @@ pub trait KnnMonitorAlgo {
     fn space_units(&self) -> usize;
 }
 
-/// CPM behind the harness vocabulary: the engine over plain point queries
-/// (`S = 1` is the paper's sequential algorithm) plus the
+/// CPM behind the harness vocabulary: the sequential engine (`S = 1`, the
+/// paper's algorithm) over plain point queries plus the
 /// [`QueryEvent`] → [`SpecEvent`] lift.
-pub(crate) struct CpmMonitor {
-    pub(crate) engine: ShardedCpmEngine<PointQuery>,
+struct CpmMonitor {
+    engine: ShardedCpmEngine<PointQuery>,
     /// Scratch: the cycle's query events in the engine's vocabulary.
     events: Vec<SpecEvent<PointQuery>>,
 }
 
 impl CpmMonitor {
-    pub(crate) fn new(dim: u32, shards: usize) -> Self {
+    fn new(dim: u32) -> Self {
         Self {
-            engine: ShardedCpmEngine::new(dim, shards),
+            engine: ShardedCpmEngine::new(dim, 1),
             events: Vec::new(),
         }
     }

@@ -38,8 +38,8 @@ pub mod viz;
 pub use algo::{AlgoKind, KnnMonitorAlgo};
 pub use lane::{auto_regrid_policy, Deploy, LaneConfig, Regrid};
 pub use ops::{Anchors, Control, CycleOps, OpStream};
-pub use oracle::{brute_force, OracleMonitor};
+pub use oracle::{brute_force, brute_rnn, OracleMonitor};
 pub use params::{SimParams, WorkloadKind};
-pub use runner::{run, run_boxed, run_contenders, run_sharded, verify_against_oracle, RunReport};
+pub use runner::{run, run_boxed, run_contenders, verify_against_oracle, RunReport};
 pub use stream::SimulationInput;
 pub use verify::{verify, Verified};

@@ -36,6 +36,16 @@ pub fn brute_force<S: QuerySpec>(
     best.neighbors().to_vec()
 }
 
+/// Brute-force reverse NN: `p ∈ RNN(q)` iff no other object is strictly
+/// closer to `p` than `q` is.
+pub fn brute_rnn(objects: &[(ObjectId, Point)], q: Point) -> Vec<ObjectId> {
+    let lonely = |&(id, p): &(ObjectId, Point)| {
+        let dq = p.dist(q);
+        !objects.iter().any(|&(o, op)| o != id && p.dist(op) < dq)
+    };
+    objects.iter().filter(|o| lonely(o)).map(|o| o.0).collect()
+}
+
 /// Equal length and pairwise distances within `1e-9`: agreement for
 /// geometries whose distance ties may resolve to different ids (or whose
 /// aggregate distance sums in a different order).

@@ -82,15 +82,18 @@ impl Default for SimParams {
 }
 
 impl SimParams {
-    /// The paper's default parameters at a reduced scale factor
-    /// (`scale ∈ (0, 1]` multiplies `N`, `n` and the timestamp count), so
-    /// sweeps keep the paper's *shape* at laptop-friendly runtimes.
+    /// The paper's default parameters at a reduced scale factor:
+    /// `scale ∈ (0, 1]` multiplies `N`, `n` and the timestamp count, and
+    /// the grid by `√scale` per axis (at least 8), so cells keep Table
+    /// 6.1's ~6 objects — the operating regime every figure's shape
+    /// depends on — at laptop-friendly runtimes.
     pub fn scaled(scale: f64) -> Self {
         let base = Self::default();
         assert!(scale > 0.0 && scale <= 1.0, "scale out of range");
         Self {
             n_objects: ((base.n_objects as f64 * scale) as usize).max(100),
             n_queries: ((base.n_queries as f64 * scale) as usize).max(10),
+            grid_dim: ((f64::from(base.grid_dim) * scale.sqrt()).round() as u32).max(8),
             timestamps: ((base.timestamps as f64 * scale.max(0.2)) as usize).max(10),
             ..base
         }
@@ -155,5 +158,20 @@ mod tests {
         let tiny = SimParams::scaled(0.0001);
         assert!(tiny.n_objects >= 100);
         assert!(tiny.n_queries >= 10);
+        assert!(tiny.grid_dim >= 8);
+    }
+
+    #[test]
+    fn scaling_keeps_table_6_1_occupancy() {
+        let per_cell = |p: SimParams| p.n_objects as f64 / f64::from(p.grid_dim).powi(2);
+        let paper = per_cell(SimParams::default());
+        assert!((paper - 6.1).abs() < 0.01);
+        for scale in [1.0, 0.25, 0.1, 0.01] {
+            let got = per_cell(SimParams::scaled(scale));
+            assert!(
+                got > paper / 2.0 && got < paper * 2.0,
+                "scale {scale}: {got} objects per cell"
+            );
+        }
     }
 }

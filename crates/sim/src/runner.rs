@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use cpm_grid::Metrics;
 
-use crate::algo::{AlgoKind, CpmMonitor, KnnMonitorAlgo};
+use crate::algo::{AlgoKind, KnnMonitorAlgo};
 use crate::stream::SimulationInput;
 
 /// Aggregated statistics of one simulation run.
@@ -29,10 +29,6 @@ pub struct RunReport {
     pub space_units: usize,
     /// Total result changes reported.
     pub result_changes: usize,
-    /// Per-cycle processing times, in the order processed (for latency
-    /// percentiles — a production monitor cares about tail cycles, not
-    /// just totals).
-    pub cycle_times: Vec<Duration>,
 }
 
 impl RunReport {
@@ -41,28 +37,10 @@ impl RunReport {
         self.metrics.cell_accesses as f64 / (self.n_queries.max(1) * self.cycles.max(1)) as f64
     }
 
-    /// Processing milliseconds per timestamp (the "CPU time" y-axis of the
-    /// paper's figures, for this host).
-    pub fn millis_per_cycle(&self) -> f64 {
-        self.processing_time.as_secs_f64() * 1e3 / self.cycles.max(1) as f64
-    }
-
     /// Memory units converted to megabytes at 4 bytes per unit (the
     /// paper's footnote-6 space comparison).
     pub fn space_mbytes(&self) -> f64 {
         self.space_units as f64 * 4.0 / (1024.0 * 1024.0)
-    }
-
-    /// Cycle-latency percentile in milliseconds (`q ∈ [0, 1]`; `q = 0.5`
-    /// is the median, `q = 1.0` the slowest cycle).
-    pub fn latency_percentile_ms(&self, q: f64) -> f64 {
-        if self.cycle_times.is_empty() {
-            return 0.0;
-        }
-        let mut sorted: Vec<Duration> = self.cycle_times.clone();
-        sorted.sort_unstable();
-        let idx = ((q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round()) as usize;
-        sorted[idx].as_secs_f64() * 1e3
     }
 }
 
@@ -84,13 +62,10 @@ pub fn run_boxed(monitor: &mut dyn KnnMonitorAlgo, input: &SimulationInput) -> R
 
     let mut processing_time = Duration::ZERO;
     let mut result_changes = 0usize;
-    let mut cycle_times = Vec::with_capacity(input.ticks.len());
     for tick in &input.ticks {
         let start = Instant::now();
         let changed = monitor.process_cycle(&tick.object_events, &tick.query_events);
-        let elapsed = start.elapsed();
-        processing_time += elapsed;
-        cycle_times.push(elapsed);
+        processing_time += start.elapsed();
         result_changes += changed.len();
     }
 
@@ -103,15 +78,7 @@ pub fn run_boxed(monitor: &mut dyn KnnMonitorAlgo, input: &SimulationInput) -> R
         n_queries: input.initial_queries.len(),
         space_units: monitor.space_units(),
         result_changes,
-        cycle_times,
     }
-}
-
-/// Run CPM with `shards` query shards over `input` (`shards = 1` is the
-/// sequential engine — what [`AlgoKind::Cpm`] builds).
-pub fn run_sharded(input: &SimulationInput, shards: usize) -> RunReport {
-    let mut monitor = CpmMonitor::new(input.params.grid_dim, shards);
-    run_boxed(&mut monitor, input)
 }
 
 /// Run every contender (CPM, YPK-CNN, SEA-CNN) over the same input.
@@ -197,30 +164,6 @@ mod tests {
     #[test]
     fn all_algorithms_agree_with_the_oracle() {
         verify_against_oracle(&SimulationInput::generate(&tiny_params()));
-    }
-
-    #[test]
-    fn sharded_report_matches_sequential_counters() {
-        let input = SimulationInput::generate(&tiny_params());
-        let seq = run_sharded(&input, 1);
-        let par = run_sharded(&input, 4);
-        assert_eq!(seq.metrics, par.metrics, "sharding changed the work done");
-        assert_eq!(seq.result_changes, par.result_changes);
-    }
-
-    #[test]
-    fn latency_percentiles_are_monotone() {
-        let input = SimulationInput::generate(&tiny_params());
-        let r = run(AlgoKind::Cpm, &input);
-        assert_eq!(r.cycle_times.len(), r.cycles);
-        let p50 = r.latency_percentile_ms(0.5);
-        let p95 = r.latency_percentile_ms(0.95);
-        let max = r.latency_percentile_ms(1.0);
-        assert!(p50 <= p95 && p95 <= max);
-        assert!(max > 0.0);
-        // The sum of cycle times is the processing time.
-        let sum: f64 = r.cycle_times.iter().map(|d| d.as_secs_f64()).sum();
-        assert!((sum - r.processing_time.as_secs_f64()).abs() < 1e-9);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use cpm_sub::{DeltaFanout, Replica};
 
 use crate::lane::{knn, Deploy, LaneConfig};
 use crate::ops::{Control, OpStream};
-use crate::oracle::{brute_force, same_distances};
+use crate::oracle::{brute_force, brute_rnn, same_distances};
 
 /// Brute-force ground truth after one cycle, from the stream alone.
 struct Truth {
@@ -39,16 +39,6 @@ struct Truth {
     /// The result of the out-of-band install fired before this cycle, as
     /// of the previous epoch — what its subscribers are seeded with.
     seed: Vec<Neighbor>,
-}
-
-/// Brute-force reverse NN: `p ∈ RNN(q)` iff no other object is strictly
-/// closer to `p` than `q` is.
-fn brute_rnn(objects: &[(ObjectId, Point)], q: Point) -> Vec<ObjectId> {
-    let lonely = |&(id, p): &(ObjectId, Point)| {
-        let dq = p.dist(q);
-        !objects.iter().any(|&(o, op)| o != id && p.dist(op) < dq)
-    };
-    objects.iter().filter(|o| lonely(o)).map(|o| o.0).collect()
 }
 
 fn ground_truth(stream: &OpStream) -> Vec<Truth> {
