@@ -20,14 +20,16 @@
 //! so worker epochs advance in lockstep and the [`MergeBuffer`] barrier
 //! can never mix epochs.
 //!
-//! Routing runs in two phases. Phase 1 is inherently serial: event
-//! validation and owner/position resolution walk the maps in event
-//! order. Phase 2 — per-worker translation and frame encoding — is a
-//! pure function of the phase-1 plan and the partition map, so each
-//! worker's batch is computed independently (and, in pipelined mode on
-//! multi-core hosts, fanned out across `std::thread::scope` threads)
-//! and sent in canonical worker order. Both schedules produce
-//! bit-identical frames.
+//! Routing runs in two phases. Phase 1 validates every event in order
+//! and applies it to the coordinator's own tables *in place*, keeping
+//! what each event overwrote — the **origin plan**, which is both what
+//! phase 2 translates from and the undo log: a typed refusal replays it
+//! backwards, so a refused batch leaves the coordinator exactly as it
+//! was and nothing has been sent. Phase 2 is a pure function of the
+//! plan and the partition map: one pass computes each event's old and
+//! new cell once, tests them against every worker's coverage and writes
+//! the translated event straight into that worker's outgoing frame.
+//! Frames are sealed and sent in canonical worker order.
 //!
 //! # Pipelined mode
 //!
@@ -56,10 +58,10 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use cpm_core::{AnyQuerySpec, CycleDeltas, SpecEvent};
-use cpm_geom::{FastHashMap, ObjectId, Point, QueryId};
+use cpm_geom::{FastHashMap, Point, QueryId};
 use cpm_grid::ObjectEvent;
 use cpm_sub::{CycleReceipt, DeltaFanout};
-use cpm_wire::cluster::{BatchRef, ClusterMsg};
+use cpm_wire::cluster::{BatchFrame, ClusterMsg, DeltasHeader};
 use cpm_wire::{Encode, WIRE_VERSION};
 
 use crate::error::ClusterError;
@@ -82,9 +84,8 @@ pub struct ClusterConfig {
     /// object replication.
     pub overlap: u32,
     /// Run the depth-1 epoch pipeline (route epoch *e+1* while workers
-    /// compute *e*) and fan per-worker routing out across threads on
-    /// multi-core hosts. Default `false`: fully serial cycles. The
-    /// merged output stream is bit-identical either way.
+    /// compute *e*). Default `false`: fully serial cycles. The merged
+    /// output stream is bit-identical either way.
     pub pipeline: bool,
 }
 
@@ -120,13 +121,20 @@ impl ClusterConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleTimings {
     /// Routing and translation: phase-1 planning, per-worker batch
-    /// translation, frame encoding and the sends.
+    /// translation, frame encoding and checksums — everything up to the
+    /// moment the frames are ready to go.
     pub route: Duration,
-    /// Time blocked on worker replies (includes the workers' own cycle
-    /// compute; in pipelined mode the overlap shrinks this).
+    /// Handing the frames to the workers and blocking on their replies
+    /// (includes the workers' own cycle compute; in pipelined mode the
+    /// overlap shrinks this). A send is a hand-off, not work: it wakes
+    /// its worker, which on a busy host runs at once on this thread's
+    /// core — time that is the worker's, whoever's clock it shows on.
     pub worker_wait: Duration,
-    /// Merge-barrier cost: payload reassembly, engine-delta decoding and
-    /// the canonical query-id interleave.
+    /// Everything done with a reply once it is here: frame verification,
+    /// the merge barrier, engine-delta decoding and the canonical
+    /// query-id interleave. The three stages share their clock readings
+    /// — one's end is the next one's start — so a serial cycle's stages
+    /// sum to the time [`ClusterCoordinator::process_cycle`] took.
     pub merge: Duration,
 }
 
@@ -144,7 +152,7 @@ pub struct CoordinatorMetrics {
     pub cycles: u64,
     /// Summed routing/translation/encode time.
     pub route: Duration,
-    /// Summed time blocked on worker replies.
+    /// Summed hand-off time and time blocked on worker replies.
     pub worker_wait: Duration,
     /// Summed merge-barrier time.
     pub merge: Duration,
@@ -159,15 +167,78 @@ impl CoordinatorMetrics {
     }
 }
 
-/// Per-worker reusable routing buffers: the translated object batch,
-/// the routed query events, their encoding, and the outgoing frame.
-/// Steady state the whole route-and-send slice allocates nothing.
+/// Per-worker reusable routing buffers: the routed query events, their
+/// encoding, the outgoing frame under construction, and that frame once
+/// sealed — after the send, the buffer the transport handed back for the
+/// next one. Steady state the whole route-and-send slice allocates
+/// nothing.
 #[derive(Debug, Default)]
 struct WorkerLane {
-    objects: Vec<ObjectEvent>,
     qevents: Vec<SpecEvent<AnyQuerySpec>>,
     queries: Vec<u8>,
+    batch: BatchFrame,
     frame: Vec<u8>,
+}
+
+/// Attributes wall time to stages that share their boundaries: each
+/// [`lap`](Self::lap) charges the time since the previous one, so the
+/// stages of a cycle sum to the cycle with nothing left in between.
+struct StageClock(Instant);
+
+impl StageClock {
+    fn lap(&mut self, stage: &mut Duration) {
+        let now = Instant::now();
+        *stage += now - self.0;
+        self.0 = now;
+    }
+}
+
+/// The slot of an object that is not live. A live slot never holds a
+/// `NaN`: phase 1 refuses positions outside the unit workspace, which
+/// no `NaN` is inside of.
+const NOT_LIVE: Point = Point::new(f64::NAN, f64::NAN);
+
+fn is_live(slot: Point) -> bool {
+    !slot.x.is_nan()
+}
+
+/// Every live object's current position — the source of truth the
+/// per-worker appear/move/disappear translation derives from — as one
+/// dense slot per object id (the `cpm_grid::ObjectStore` layout).
+#[derive(Debug, Default)]
+struct Positions {
+    slots: Vec<Point>,
+    live: usize,
+}
+
+impl Positions {
+    /// Validate `ev` against the table and apply it, returning the
+    /// event's **origin**: what its object's slot held before
+    /// ([`NOT_LIVE`] for an appear).
+    fn apply(&mut self, ev: &ObjectEvent) -> Result<Point, ClusterError> {
+        let idx = ev.id().index();
+        if let Some(p) = ev.position() {
+            if !((0.0..=1.0).contains(&p.x) && (0.0..=1.0).contains(&p.y)) {
+                return Err(ClusterError::InvalidPosition { oid: ev.id() });
+            }
+        }
+        let slot = self.slots.get(idx).copied().unwrap_or(NOT_LIVE);
+        let (new, what) = match *ev {
+            ObjectEvent::Appear { pos, .. } => (pos, "appear of an object that is already live"),
+            ObjectEvent::Move { to, .. } => (to, "move of an object that is not live"),
+            ObjectEvent::Disappear { .. } => (NOT_LIVE, "disappear of an object that is not live"),
+        };
+        // Only an appear wants its object off-line so far.
+        if is_live(slot) == matches!(ev, ObjectEvent::Appear { .. }) {
+            return Err(ClusterError::Protocol { what });
+        }
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, NOT_LIVE);
+        }
+        self.live = self.live + usize::from(is_live(new)) - usize::from(is_live(slot));
+        self.slots[idx] = new;
+        Ok(slot)
+    }
 }
 
 /// A spawned worker thread's join handle, resolving to the worker
@@ -187,19 +258,23 @@ pub struct ClusterCoordinator<T: Transport> {
     /// Epoch of the last *sent* cycle; `sent_epoch - epoch` batches are
     /// in flight (at most 1 in pipelined mode, 0 otherwise).
     sent_epoch: u64,
-    /// Every live object's current position — the source of truth the
-    /// per-worker appear/move/disappear translation derives from.
-    positions: FastHashMap<ObjectId, Point>,
+    positions: Positions,
+    /// The origin plan of the batch being routed: per object event, what
+    /// it overwrote in `positions` (recycled across cycles).
+    origins: Vec<Point>,
     /// Each installed query's owning worker (sticky from install time).
     owners: FastHashMap<QueryId, usize>,
+    /// The owner plan of the batch being routed: per query event, the
+    /// worker it goes to (recycled across cycles).
+    query_plan: Vec<usize>,
     /// Stage breakdown of the last committed cycle.
     timings: CycleTimings,
     /// Cumulative stage totals.
     metrics: CoordinatorMetrics,
-    /// Route-slice durations of in-flight epochs, oldest first, so each
-    /// commit's [`CycleTimings`] pairs the route cost of *its* epoch
-    /// with the wait/merge cost observed at commit time.
-    route_pending: VecDeque<Duration>,
+    /// Route and hand-off durations of in-flight epochs, oldest first,
+    /// so each commit's [`CycleTimings`] pairs the route cost of *its*
+    /// epoch with the wait/merge cost observed at commit time.
+    route_pending: VecDeque<(Duration, Duration)>,
     /// Committed batches not yet handed to the caller (pipelined mode;
     /// out-of-band drains park batches here in order).
     ready: VecDeque<CycleDeltas>,
@@ -207,9 +282,6 @@ pub struct ClusterCoordinator<T: Transport> {
     spare: Vec<CycleDeltas>,
     /// Reusable per-worker routing/encode buffers.
     lanes: Vec<WorkerLane>,
-    /// Fan phase-2 translation out across scoped threads (pipelined
-    /// mode on a multi-core host with more than one worker).
-    route_parallel: bool,
 }
 
 impl ClusterCoordinator<ChannelTransport> {
@@ -310,10 +382,6 @@ impl<T: Transport> ClusterCoordinator<T> {
             Self::handshake(&config, &partition, w as u32, link, 0)?;
         }
         let lanes = (0..config.workers).map(|_| WorkerLane::default()).collect();
-        // Fanning translation out only pays when there is real
-        // parallelism to buy: more than one worker lane *and* more than
-        // one hardware thread. The serial schedule is bit-identical.
-        let route_parallel = config.pipeline && config.workers > 1 && available_threads() > 1;
         Ok(Self {
             partition,
             config,
@@ -321,15 +389,16 @@ impl<T: Transport> ClusterCoordinator<T> {
             merge: MergeBuffer::new(config.workers as usize, 0),
             epoch: 0,
             sent_epoch: 0,
-            positions: FastHashMap::default(),
+            positions: Positions::default(),
+            origins: Vec::new(),
             owners: FastHashMap::default(),
+            query_plan: Vec::new(),
             timings: CycleTimings::default(),
             metrics: CoordinatorMetrics::default(),
             route_pending: VecDeque::new(),
             ready: VecDeque::new(),
             spare: Vec::new(),
             lanes,
-            route_parallel,
         })
     }
 
@@ -406,7 +475,7 @@ impl<T: Transport> ClusterCoordinator<T> {
 
     /// Currently live (routed) object count.
     pub fn objects(&self) -> usize {
-        self.positions.len()
+        self.positions.live
     }
 
     /// The worker owning query `id`, if installed.
@@ -429,8 +498,11 @@ impl<T: Transport> ClusterCoordinator<T> {
     /// [`ClusterError::CoverageExceeded`]) after.
     pub fn install(&mut self, events: &[SpecEvent<AnyQuerySpec>]) -> Result<(), ClusterError> {
         self.drain_in_flight()?;
-        let (batches, owners) = self.route_queries(events)?;
-        self.owners = owners;
+        self.plan_queries(events)?;
+        let mut batches = vec![Vec::new(); self.links.len()];
+        for (ev, &w) in events.iter().zip(&self.query_plan) {
+            batches[w].push(ev.clone());
+        }
         for (w, batch) in batches.iter().enumerate() {
             if batch.is_empty() {
                 continue;
@@ -466,8 +538,7 @@ impl<T: Transport> ClusterCoordinator<T> {
     /// for the same cycle.
     ///
     /// On a pipelined coordinator this degrades to the synchronous
-    /// schedule (the in-flight window is drained every call) while still
-    /// using the parallel routing slice; use
+    /// schedule (the in-flight window is drained every call); use
     /// [`submit_cycle`](Self::submit_cycle) to overlap epochs. Batches
     /// are handed out oldest-first, so mixing the two APIs is safe.
     ///
@@ -633,54 +704,50 @@ impl<T: Transport> ClusterCoordinator<T> {
     }
 
     /// Route, translate, encode and send one cycle's batches (the
-    /// pipeline's fill half). A typed refusal returns before any map
-    /// commit or send, leaving the coordinator — including in-flight
-    /// epochs — untouched.
+    /// pipeline's fill half). A typed refusal returns before any send
+    /// with both phase-1 plans rolled back, leaving the coordinator —
+    /// including in-flight epochs — untouched.
     fn route_and_send(
         &mut self,
         object_events: &[ObjectEvent],
         query_events: &[SpecEvent<AnyQuerySpec>],
     ) -> Result<(), ClusterError> {
         let epoch = self.sent_epoch + 1;
-        let t = Instant::now();
-        let (query_owners, owners) = self.plan_queries(query_events)?;
-        let (object_origins, position_overlay) = self.plan_objects(object_events)?;
-        // Phase 2: per-worker translation + encoding. Each lane is a
-        // pure function of the plans and the partition, so the parallel
-        // and serial schedules produce bit-identical frames.
-        let partition = &self.partition;
-        let run = |(w, lane): (usize, &mut WorkerLane)| {
-            translate_worker(
-                partition,
-                w,
-                epoch,
-                object_events,
-                &object_origins,
-                query_events,
-                &query_owners,
-                lane,
-            );
-        };
-        if self.route_parallel {
-            thread::scope(|s| {
-                for item in self.lanes.iter_mut().enumerate() {
-                    s.spawn(move || run(item));
-                }
-            });
-        } else {
-            self.lanes.iter_mut().enumerate().for_each(run);
+        let mut clock = StageClock(Instant::now());
+        let (mut route, mut handoff) = (Duration::ZERO, Duration::ZERO);
+        self.plan_queries(query_events)?;
+        if let Err(e) = self.plan_objects(object_events) {
+            self.unplan_queries(query_events);
+            return Err(e);
         }
-        self.owners = owners;
-        self.commit_objects(position_overlay);
-        // Stamp the routing slice *before* the sends: a send wakes the
-        // receiving worker, which on a saturated host can preempt this
-        // thread and run part of its cycle before `elapsed()` is read —
-        // that time belongs to the worker-wait slice, not routing.
-        let routed = t.elapsed();
-        for (lane, link) in self.lanes.iter().zip(&mut self.links) {
-            link.send(&lane.frame)?;
+        for lane in &mut self.lanes {
+            lane.batch.begin(epoch, std::mem::take(&mut lane.frame));
+            lane.qevents.clear();
         }
-        self.route_pending.push_back(routed);
+        translate(
+            &self.partition,
+            object_events,
+            &self.origins,
+            &mut self.lanes,
+        );
+        for (ev, &owner) in query_events.iter().zip(&self.query_plan) {
+            self.lanes[owner].qevents.push(ev.clone());
+        }
+        for lane in &mut self.lanes {
+            lane.qevents.encode_into(&mut lane.queries);
+            lane.frame = lane.batch.finish(&lane.queries);
+        }
+        // Every frame is sealed before the first is sent: a send wakes
+        // its worker, and on a host with fewer idle cores than workers
+        // that worker runs on this thread's core — the others would wait
+        // a whole worker cycle for their frames, and the time would show
+        // up as routing.
+        clock.lap(&mut route);
+        for (lane, link) in self.lanes.iter_mut().zip(&mut self.links) {
+            lane.frame = link.send_owned(std::mem::take(&mut lane.frame))?;
+        }
+        clock.lap(&mut handoff);
+        self.route_pending.push_back((route, handoff));
         self.sent_epoch = epoch;
         Ok(())
     }
@@ -690,44 +757,43 @@ impl<T: Transport> ClusterCoordinator<T> {
     /// queue (the pipeline's drain half).
     fn collect_one(&mut self) -> Result<(), ClusterError> {
         debug_assert!(self.in_flight() > 0, "no epoch in flight to collect");
-        let mut wait = Duration::ZERO;
+        let (route, mut wait) = self.route_pending.pop_front().unwrap_or_default();
         let mut merge_spent = Duration::ZERO;
+        // Waiting ends where verifying starts, and the other way round.
+        let mut clock = StageClock(Instant::now());
         for link in &mut self.links {
-            let t = Instant::now();
             let frame = link.recv()?;
-            wait += t.elapsed();
-            match ClusterMsg::from_frame(&frame)? {
-                ClusterMsg::Deltas {
-                    worker,
-                    epoch: got,
-                    payload,
-                } => {
-                    let t = Instant::now();
-                    self.merge.offer(worker, got, payload)?;
-                    merge_spent += t.elapsed();
-                }
-                ClusterMsg::Reject { worker, reject } => {
-                    return Err(ClusterError::from_reject(worker, reject))
-                }
-                _ => {
-                    return Err(ClusterError::Protocol {
-                        what: "cycle expected a Deltas batch",
+            clock.lap(&mut wait);
+            match DeltasHeader::from_frame(&frame)? {
+                Some(deltas) => self.merge.offer(deltas, frame)?,
+                None => {
+                    return Err(match ClusterMsg::from_frame(&frame)? {
+                        ClusterMsg::Reject { worker, reject } => {
+                            ClusterError::from_reject(worker, reject)
+                        }
+                        _ => ClusterError::Protocol {
+                            what: "cycle expected a Deltas batch",
+                        },
                     })
                 }
             }
+            clock.lap(&mut merge_spent);
         }
-        let t = Instant::now();
         let mut merged = self.spare.pop().unwrap_or_default();
-        let committed = self.merge.try_commit_into(&mut merged)?;
-        merge_spent += t.elapsed();
-        if !committed {
+        if !self.merge.try_commit_into(&mut merged)? {
             return Err(ClusterError::Protocol {
                 what: "all workers replied yet the merge barrier is incomplete",
             });
         }
+        for (w, link) in self.links.iter_mut().enumerate() {
+            if let Some(spent) = self.merge.take_spent(w) {
+                link.recycle(spent);
+            }
+        }
+        clock.lap(&mut merge_spent);
         self.epoch = merged.epoch;
         self.timings = CycleTimings {
-            route: self.route_pending.pop_front().unwrap_or_default(),
+            route,
             worker_wait: wait,
             merge: merge_spent,
         };
@@ -745,229 +811,138 @@ impl<T: Transport> ClusterCoordinator<T> {
         Ok(())
     }
 
-    /// Route query events to per-worker batches against a *copy* of the
-    /// ownership map, so a refusal leaves the coordinator untouched.
-    /// (The out-of-band install path; the per-cycle path keeps the
-    /// phase-1 plan and lets [`translate_worker`] group.)
-    #[allow(clippy::type_complexity)]
-    fn route_queries(
-        &self,
-        events: &[SpecEvent<AnyQuerySpec>],
-    ) -> Result<
-        (
-            Vec<Vec<SpecEvent<AnyQuerySpec>>>,
-            FastHashMap<QueryId, usize>,
-        ),
-        ClusterError,
-    > {
-        let (plan, owners) = self.plan_queries(events)?;
-        let mut batches = vec![Vec::new(); self.links.len()];
-        for (ev, &w) in events.iter().zip(&plan) {
-            batches[w].push(ev.clone());
+    /// Phase 1 of query routing: validate every event in order, resolve
+    /// its owning worker and apply it to the ownership map, leaving the
+    /// per-event owner plan in `query_plan`. A refusal undoes the events
+    /// before it, so it leaves the coordinator untouched.
+    fn plan_queries(&mut self, events: &[SpecEvent<AnyQuerySpec>]) -> Result<(), ClusterError> {
+        self.query_plan.clear();
+        for ev in events {
+            match self.plan_query(ev) {
+                Ok(w) => self.query_plan.push(w),
+                Err(e) => {
+                    self.unplan_queries(events);
+                    return Err(e);
+                }
+            }
         }
-        Ok((batches, owners))
+        Ok(())
     }
 
-    /// Phase 1 of query routing: validate every event in order and
-    /// resolve its owning worker against a *copy* of the ownership map,
-    /// so a refusal leaves the coordinator untouched. Returns the
-    /// per-event owner plan and the updated map.
-    #[allow(clippy::type_complexity)]
-    fn plan_queries(
-        &self,
-        events: &[SpecEvent<AnyQuerySpec>],
-    ) -> Result<(Vec<usize>, FastHashMap<QueryId, usize>), ClusterError> {
-        let mut owners = self.owners.clone();
-        let mut plan = Vec::with_capacity(events.len());
-        for ev in events {
-            let w = match ev {
-                SpecEvent::Install { id, spec, .. } => {
-                    let Some(anchor) = anchor_of(spec) else {
-                        return Err(ClusterError::Protocol {
-                            what: "composite (RNN) queries cannot be installed on a cluster",
-                        });
-                    };
-                    if owners.contains_key(id) {
-                        return Err(ClusterError::Protocol {
-                            what: "install of a query id that is already installed",
-                        });
-                    }
-                    let w = self.partition.owner_of(anchor);
-                    owners.insert(*id, w);
-                    w
-                }
-                SpecEvent::Update { id, spec } => {
-                    let Some(&w) = owners.get(id) else {
-                        return Err(ClusterError::Protocol {
-                            what: "update of a query the coordinator never installed",
-                        });
-                    };
-                    let Some(anchor) = anchor_of(spec) else {
-                        return Err(ClusterError::Protocol {
-                            what: "composite (RNN) queries cannot be installed on a cluster",
-                        });
-                    };
-                    // Sticky ownership: the anchor must stay on the
-                    // owner's tile.
-                    if self.partition.owner_of(anchor) != w {
-                        return Err(ClusterError::QueryOutOfTile {
-                            qid: *id,
-                            tile: self.partition.tile(w),
-                        });
-                    }
-                    w
+    /// Undo the events `query_plan` covers, last first: the plan is the
+    /// undo log (an install took no one's place, a terminate removed the
+    /// owner it was routed to, an update changed nothing).
+    fn unplan_queries(&mut self, events: &[SpecEvent<AnyQuerySpec>]) {
+        for (ev, &w) in events.iter().zip(&self.query_plan).rev() {
+            match ev {
+                SpecEvent::Install { id, .. } => {
+                    self.owners.remove(id);
                 }
                 SpecEvent::Terminate { id } => {
-                    let Some(w) = owners.remove(id) else {
-                        return Err(ClusterError::Protocol {
-                            what: "terminate of a query the coordinator never installed",
-                        });
-                    };
-                    w
+                    self.owners.insert(*id, w);
                 }
-            };
-            plan.push(w);
+                SpecEvent::Update { .. } => {}
+            }
         }
-        Ok((plan, owners))
+    }
+
+    fn plan_query(&mut self, ev: &SpecEvent<AnyQuerySpec>) -> Result<usize, ClusterError> {
+        match ev {
+            SpecEvent::Install { id, spec, .. } => {
+                let Some(anchor) = anchor_of(spec) else {
+                    return Err(ClusterError::Protocol {
+                        what: "composite (RNN) queries cannot be installed on a cluster",
+                    });
+                };
+                if self.owners.contains_key(id) {
+                    return Err(ClusterError::Protocol {
+                        what: "install of a query id that is already installed",
+                    });
+                }
+                let w = self.partition.owner_of(anchor);
+                self.owners.insert(*id, w);
+                Ok(w)
+            }
+            SpecEvent::Update { id, spec } => {
+                let Some(&w) = self.owners.get(id) else {
+                    return Err(ClusterError::Protocol {
+                        what: "update of a query the coordinator never installed",
+                    });
+                };
+                let Some(anchor) = anchor_of(spec) else {
+                    return Err(ClusterError::Protocol {
+                        what: "composite (RNN) queries cannot be installed on a cluster",
+                    });
+                };
+                // Sticky ownership: the anchor must stay on the
+                // owner's tile.
+                if self.partition.owner_of(anchor) != w {
+                    return Err(ClusterError::QueryOutOfTile {
+                        qid: *id,
+                        tile: self.partition.tile(w),
+                    });
+                }
+                Ok(w)
+            }
+            SpecEvent::Terminate { id } => self.owners.remove(id).ok_or(ClusterError::Protocol {
+                what: "terminate of a query the coordinator never installed",
+            }),
+        }
     }
 
     /// Phase 1 of object routing: validate every event in order against
-    /// the position map *plus a batch-local overlay* and record each
-    /// event's **origin** (the pre-event position; `None` for appears) —
-    /// everything the per-worker translation needs. The overlay keeps
-    /// phase 1 `O(batch)` instead of `O(N)` (no full-map copy per
-    /// cycle — routing is on the pipelined hot path) while preserving
-    /// the refusal contract: nothing commits until
-    /// [`commit_objects`](Self::commit_objects) applies the overlay.
-    #[allow(clippy::type_complexity)]
-    fn plan_objects(
-        &self,
-        events: &[ObjectEvent],
-    ) -> Result<(Vec<Option<Point>>, FastHashMap<ObjectId, Option<Point>>), ClusterError> {
-        // `Some(p)`: the object sits at `p` after the batch so far;
-        // `None`: it disappeared. Absent: fall through to the live map.
-        let mut overlay: FastHashMap<ObjectId, Option<Point>> = FastHashMap::default();
-        let current = |overlay: &FastHashMap<ObjectId, Option<Point>>, id: &ObjectId| {
-            overlay
-                .get(id)
-                .copied()
-                .unwrap_or_else(|| self.positions.get(id).copied())
-        };
-        let mut plan = Vec::with_capacity(events.len());
+    /// the position table and apply it in place, leaving each event's
+    /// **origin** — the slot's content before it — in `origins`:
+    /// everything the per-worker translation needs, and the undo log. A
+    /// refusal writes the origins back, last first (an object may occur
+    /// several times in a batch), and drops the slots the batch added.
+    fn plan_objects(&mut self, events: &[ObjectEvent]) -> Result<(), ClusterError> {
+        self.origins.clear();
+        let (slots, live) = (self.positions.slots.len(), self.positions.live);
         for ev in events {
-            let origin = match *ev {
-                ObjectEvent::Appear { id, pos } => {
-                    if current(&overlay, &id).is_some() {
-                        return Err(ClusterError::Protocol {
-                            what: "appear of an object that is already live",
-                        });
+            match self.positions.apply(ev) {
+                Ok(origin) => self.origins.push(origin),
+                Err(e) => {
+                    for (ev, &origin) in events.iter().zip(&self.origins).rev() {
+                        self.positions.slots[ev.id().index()] = origin;
                     }
-                    overlay.insert(id, Some(pos));
-                    None
-                }
-                ObjectEvent::Move { id, to } => {
-                    let Some(old) = current(&overlay, &id) else {
-                        return Err(ClusterError::Protocol {
-                            what: "move of an object that is not live",
-                        });
-                    };
-                    overlay.insert(id, Some(to));
-                    Some(old)
-                }
-                ObjectEvent::Disappear { id } => {
-                    let Some(old) = current(&overlay, &id) else {
-                        return Err(ClusterError::Protocol {
-                            what: "disappear of an object that is not live",
-                        });
-                    };
-                    overlay.insert(id, None);
-                    Some(old)
-                }
-            };
-            plan.push(origin);
-        }
-        Ok((plan, overlay))
-    }
-
-    /// Apply a validated phase-1 overlay to the live position map (the
-    /// overlay already resolved last-wins within the batch, so entry
-    /// order does not matter).
-    fn commit_objects(&mut self, overlay: FastHashMap<ObjectId, Option<Point>>) {
-        for (id, pos) in overlay {
-            match pos {
-                Some(p) => {
-                    self.positions.insert(id, p);
-                }
-                None => {
-                    self.positions.remove(&id);
+                    self.positions.slots.truncate(slots);
+                    self.positions.live = live;
+                    return Err(e);
                 }
             }
         }
+        Ok(())
     }
 }
 
-/// Phase 2 of routing for one worker: translate the global object
-/// events relative to its coverage (appear/move/disappear rewriting),
-/// group its query events, and encode the outgoing `Batch` frame — all
-/// into the lane's recycled buffers.
+/// Phase 2 of routing: translate the global object events relative to
+/// every worker's coverage (appear/move/disappear rewriting) and write
+/// them into the lanes' frames. An event's old and new cell are computed
+/// once, whatever the number of workers.
 ///
-/// A pure function of the phase-1 plans and the partition map: workers'
-/// lanes are disjoint, so the per-lane calls run in any order (or in
-/// parallel) with bit-identical results.
-#[allow(clippy::too_many_arguments)]
-fn translate_worker(
+/// A pure function of the phase-1 plan and the partition map.
+fn translate(
     partition: &Partition,
-    w: usize,
-    epoch: u64,
-    object_events: &[ObjectEvent],
-    object_origins: &[Option<Point>],
-    query_events: &[SpecEvent<AnyQuerySpec>],
-    query_owners: &[usize],
-    lane: &mut WorkerLane,
+    events: &[ObjectEvent],
+    origins: &[Point],
+    lanes: &mut [WorkerLane],
 ) {
-    lane.objects.clear();
-    for (ev, origin) in object_events.iter().zip(object_origins) {
-        match *ev {
-            ObjectEvent::Appear { id, pos } => {
-                if partition.covers(w, pos) {
-                    lane.objects.push(ObjectEvent::Appear { id, pos });
-                }
-            }
-            ObjectEvent::Move { id, to } => {
-                let old = origin.expect("phase 1 recorded the pre-move position");
-                let was = partition.covers(w, old);
-                let is = partition.covers(w, to);
-                match (was, is) {
-                    (true, true) => lane.objects.push(ObjectEvent::Move { id, to }),
-                    (false, true) => lane.objects.push(ObjectEvent::Appear { id, pos: to }),
-                    (true, false) => lane.objects.push(ObjectEvent::Disappear { id }),
-                    (false, false) => {}
-                }
-            }
-            ObjectEvent::Disappear { id } => {
-                let old = origin.expect("phase 1 recorded the last position");
-                if partition.covers(w, old) {
-                    lane.objects.push(ObjectEvent::Disappear { id });
-                }
-            }
+    let geom = partition.geom();
+    for (ev, &origin) in events.iter().zip(origins) {
+        let id = ev.id();
+        let from = is_live(origin).then(|| geom.cell_of(origin));
+        let to = ev.position().map(|p| (p, geom.cell_of(p)));
+        for (w, lane) in lanes.iter_mut().enumerate() {
+            let coverage = partition.coverage(w);
+            let was = from.is_some_and(|c| coverage.contains_cell(c));
+            let is = to.filter(|&(_, c)| coverage.contains_cell(c));
+            lane.batch.push(&match (was, is) {
+                (true, Some((to, _))) => ObjectEvent::Move { id, to },
+                (false, Some((pos, _))) => ObjectEvent::Appear { id, pos },
+                (true, None) => ObjectEvent::Disappear { id },
+                (false, None) => continue,
+            });
         }
     }
-    lane.qevents.clear();
-    for (ev, &owner) in query_events.iter().zip(query_owners) {
-        if owner == w {
-            lane.qevents.push(ev.clone());
-        }
-    }
-    lane.qevents.encode_into(&mut lane.queries);
-    BatchRef {
-        epoch,
-        objects: &lane.objects,
-        queries: &lane.queries,
-    }
-    .to_frame_into(&mut lane.frame);
-}
-
-/// Hardware threads available to this process (1 when undetectable).
-fn available_threads() -> usize {
-    thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }

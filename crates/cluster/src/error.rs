@@ -48,6 +48,13 @@ pub enum ClusterError {
         /// The coverage tile the position falls outside of.
         tile: TileRect,
     },
+    /// An object event carried a non-finite position or one outside the
+    /// unit workspace; the coordinator refused the whole batch before
+    /// anything was routed.
+    InvalidPosition {
+        /// The object the event addressed.
+        oid: ObjectId,
+    },
     /// A query was routed to (or moved under) a worker whose tile does
     /// not own its anchor point.
     QueryOutOfTile {
@@ -166,6 +173,11 @@ impl std::fmt::Display for ClusterError {
                 f,
                 "object {} routed outside worker coverage cols {}..={} rows {}..={}",
                 oid.0, tile.c0, tile.c1, tile.r0, tile.r1
+            ),
+            ClusterError::InvalidPosition { oid } => write!(
+                f,
+                "object {}: event carries a non-finite position or one outside the unit workspace",
+                oid.0
             ),
             ClusterError::QueryOutOfTile { qid, tile } => write!(
                 f,

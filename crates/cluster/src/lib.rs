@@ -16,7 +16,7 @@
 //! * [`worker`] — the serve loop: validate, run the cycle, ship deltas;
 //!   every refusal is a typed [`ClusterError`], never a silent drop.
 //! * [`merge`] — the coordinator's epoch-aligned barrier and canonical
-//!   ascending-query-id merge.
+//!   ascending-query-id merge, decoded in place from the received frames.
 //! * [`coordinator`] — query installation, object routing with
 //!   boundary-overlap replication, worker restart via snapshot
 //!   transfer, and the merged delta stream (which feeds the `cpm-sub`
@@ -42,7 +42,7 @@ pub use coordinator::{
     ClusterConfig, ClusterCoordinator, CoordinatorMetrics, CycleTimings, WorkerHandle,
 };
 pub use error::ClusterError;
-pub use merge::{merge_deltas, merge_deltas_into, MergeBuffer};
+pub use merge::MergeBuffer;
 pub use partition::{anchor_of, influence_bbox, Partition};
 pub use tcp::TcpTransport;
 pub use transport::{duplex, ChannelTransport, Transport, TransportError};

@@ -12,27 +12,62 @@
 //! **every** worker's batch for it has arrived — the epoch-aligned
 //! barrier that makes a mixed-epoch commit impossible by construction.
 //!
-//! Committed batches merge in canonical ascending query-id order
-//! ([`merge_deltas`]): query ownership is disjoint across workers, so
-//! the merge is a permutation-free interleave and the result is
-//! bit-identical to the single-node engine's `CycleDeltas` for the same
-//! cycle.
+//! A payload is never copied out of the frame it arrived in: the buffer
+//! owns the received frame, and the commit decodes the workers' payloads
+//! *as* it merges them. Every worker's lists are already in ascending
+//! query-id order and ownership is disjoint, so the commit is a W-way
+//! merge of W sorted runs — each delta is decoded once, straight into
+//! its place in the merged batch, which is bit-identical to the
+//! single-node engine's `CycleDeltas` for the same cycle. A run that is
+//! *not* in order, or a query two workers both report, is a typed
+//! protocol error — never a silently mis-merged batch.
 
+use std::collections::VecDeque;
+use std::ops::Range;
+
+use cpm_core::codec::CycleDeltasCursor;
 use cpm_core::CycleDeltas;
-use cpm_wire::Decode;
-use std::collections::BTreeMap;
+use cpm_geom::QueryId;
+use cpm_wire::cluster::DeltasHeader;
 
 use crate::error::ClusterError;
+
+/// One worker's `Deltas` payload, in the frame it arrived in.
+#[derive(Debug, Default)]
+struct Received {
+    frame: Vec<u8>,
+    payload: Range<usize>,
+}
+
+impl Received {
+    fn payload(&self) -> &[u8] {
+        &self.frame[self.payload.clone()]
+    }
+}
+
+/// One worker's sorted run while an epoch is being committed.
+#[derive(Debug, Default)]
+struct Run {
+    from: Received,
+    cursor: CycleDeltasCursor,
+    /// The run's next query id in the list being merged.
+    head: Option<QueryId>,
+}
 
 /// Reassembles per-worker delta payloads into committed epochs.
 #[derive(Debug)]
 pub struct MergeBuffer {
-    /// Per worker: payloads received but not yet committed, by epoch.
-    pending: Vec<BTreeMap<u64, Vec<u8>>>,
+    /// Per worker: payloads received but not yet committed, oldest first.
+    /// Epochs arrive contiguously and commit in order, so the queue holds
+    /// exactly the epochs `next_epoch ..= delivered`.
+    pending: Vec<VecDeque<Received>>,
     /// Per worker: highest epoch received (contiguously) from it.
     delivered: Vec<u64>,
     /// The epoch the next commit will carry.
     next_epoch: u64,
+    /// Per worker: the run of the commit in progress, then its spent
+    /// frame until [`take_spent`](Self::take_spent) collects it.
+    runs: Vec<Run>,
 }
 
 impl MergeBuffer {
@@ -41,9 +76,10 @@ impl MergeBuffer {
     pub fn new(workers: usize, epoch: u64) -> Self {
         assert!(workers >= 1, "a merge needs at least one worker");
         Self {
-            pending: vec![BTreeMap::new(); workers],
+            pending: (0..workers).map(|_| VecDeque::new()).collect(),
             delivered: vec![epoch; workers],
             next_epoch: epoch + 1,
+            runs: (0..workers).map(|_| Run::default()).collect(),
         }
     }
 
@@ -52,7 +88,8 @@ impl MergeBuffer {
         self.next_epoch
     }
 
-    /// Feed one `Deltas` payload from `worker`.
+    /// Feed one worker's `Deltas`: its fields as located in `frame`, which
+    /// the buffer keeps (see [`take_spent`](Self::take_spent)).
     ///
     /// * a byte-identical redelivery of a pending epoch is absorbed;
     /// * a redelivery of an epoch at or below the worker's contiguous
@@ -62,14 +99,28 @@ impl MergeBuffer {
     ///   [`ClusterError::EpochGap`];
     /// * two different payloads for one epoch are a typed
     ///   [`ClusterError::ConflictingDeltas`].
-    pub fn offer(&mut self, worker: u32, epoch: u64, payload: Vec<u8>) -> Result<(), ClusterError> {
+    ///
+    /// # Panics
+    /// Panics if the worker index or the payload range is out of range.
+    pub fn offer(&mut self, deltas: DeltasHeader, frame: Vec<u8>) -> Result<(), ClusterError> {
+        let DeltasHeader {
+            worker,
+            epoch,
+            payload,
+        } = deltas;
         let w = worker as usize;
         assert!(w < self.pending.len(), "worker index out of range");
+        assert!(
+            payload.start <= payload.end && payload.end <= frame.len(),
+            "payload range outside its frame"
+        );
+        let received = Received { frame, payload };
         if epoch <= self.delivered[w] {
-            if let Some(existing) = self.pending[w].get(&epoch) {
-                if *existing != payload {
-                    return Err(ClusterError::ConflictingDeltas { worker, epoch });
-                }
+            let still_pending = epoch
+                .checked_sub(self.next_epoch)
+                .and_then(|i| self.pending[w].get(usize::try_from(i).ok()?));
+            if still_pending.is_some_and(|p| p.payload() != received.payload()) {
+                return Err(ClusterError::ConflictingDeltas { worker, epoch });
             }
             return Ok(());
         }
@@ -81,21 +132,19 @@ impl MergeBuffer {
             });
         }
         self.delivered[w] = epoch;
-        self.pending[w].insert(epoch, payload);
+        self.pending[w].push_back(received);
         Ok(())
     }
 
     /// `true` once every worker's batch for the next epoch has arrived.
     pub fn ready(&self) -> bool {
-        self.pending
-            .iter()
-            .all(|p| p.contains_key(&self.next_epoch))
+        self.pending.iter().all(|p| !p.is_empty())
     }
 
-    /// Commit the next epoch if the barrier is complete: decode every
-    /// worker's payload, verify the stamped epochs agree, and merge in
-    /// canonical query-id order. Returns `None` while batches are still
-    /// missing.
+    /// Commit the next epoch if the barrier is complete: verify every
+    /// worker's stamped epoch agrees, and decode the payloads into their
+    /// merge in canonical query-id order. Returns `None` while batches
+    /// are still missing.
     pub fn try_commit(&mut self) -> Result<Option<CycleDeltas>, ClusterError> {
         let mut out = CycleDeltas::default();
         Ok(self.try_commit_into(&mut out)?.then_some(out))
@@ -107,61 +156,88 @@ impl MergeBuffer {
     /// returned; otherwise `out` is untouched and `false` is returned.
     ///
     /// # Errors
-    /// As [`try_commit`](Self::try_commit).
+    /// As [`try_commit`](Self::try_commit). On error `out` holds
+    /// partially merged state and must not be read (the cycle is
+    /// poisoned anyway).
     pub fn try_commit_into(&mut self, out: &mut CycleDeltas) -> Result<bool, ClusterError> {
         if !self.ready() {
             return Ok(false);
         }
         let epoch = self.next_epoch;
-        let mut parts = Vec::with_capacity(self.pending.len());
-        for p in &mut self.pending {
-            let payload = p.remove(&epoch).expect("barrier checked");
-            parts.push(CycleDeltas::decode_all(&payload)?);
+        out.epoch = epoch;
+        out.changed.clear();
+        out.deltas.clear();
+        let mut changed = 0;
+        for (run, pending) in self.runs.iter_mut().zip(&mut self.pending) {
+            run.from = pending.pop_front().expect("barrier checked");
+            let (cursor, stamped) = CycleDeltasCursor::open(run.from.payload())?;
+            if stamped != epoch {
+                return Err(ClusterError::Protocol {
+                    what: "worker delta batch stamped with a different epoch (mixed-epoch commit)",
+                });
+            }
+            run.cursor = cursor;
+            changed += cursor.remaining();
         }
-        merge_deltas_into(parts, epoch, out)?;
+        out.changed.reserve(changed);
+        merge_runs(
+            &mut self.runs,
+            |cursor, bytes| cursor.next_changed(bytes),
+            |_, _, qid| {
+                out.changed.push(qid);
+                Ok(())
+            },
+        )?;
+        // Every run's cursor now stands at the head of its `deltas` list.
+        out.deltas
+            .reserve(self.runs.iter().map(|r| r.cursor.remaining()).sum());
+        merge_runs(
+            &mut self.runs,
+            |cursor, bytes| cursor.next_delta_id(bytes),
+            |cursor, bytes, qid| {
+                out.deltas.push((qid, cursor.delta(bytes)?));
+                Ok(())
+            },
+        )?;
         self.next_epoch += 1;
         Ok(true)
     }
+
+    /// The frame `worker`'s part of the last committed epoch arrived in,
+    /// spent — for the transport to reuse. `None` if already taken.
+    pub fn take_spent(&mut self, worker: usize) -> Option<Vec<u8>> {
+        let frame = std::mem::take(&mut self.runs[worker].from.frame);
+        (frame.capacity() > 0).then_some(frame)
+    }
 }
 
-/// Merge per-worker `CycleDeltas` for one epoch into the cluster-wide
-/// batch, in canonical ascending query-id order — the same order the
-/// single-node engine emits. Every part must be stamped with `epoch`
-/// (a mismatch is a typed protocol error: committing it would mix
-/// epochs).
-pub fn merge_deltas(parts: Vec<CycleDeltas>, epoch: u64) -> Result<CycleDeltas, ClusterError> {
-    let mut merged = CycleDeltas::default();
-    merge_deltas_into(parts, epoch, &mut merged)?;
-    Ok(merged)
-}
-
-/// [`merge_deltas`] through the recycled-batch `_into` idiom: the merged
-/// batch replaces `out`'s contents, reusing its allocations.
-///
-/// # Errors
-/// As [`merge_deltas`]. On error `out` holds partially merged state and
-/// must not be read (the cycle is poisoned anyway).
-pub fn merge_deltas_into(
-    parts: Vec<CycleDeltas>,
-    epoch: u64,
-    out: &mut CycleDeltas,
+/// Merge one list of every run — `next` reads a run's next query id,
+/// `emit` consumes the entry it belongs to — in ascending query-id order.
+/// The ids must come out strictly ascending: a run that is out of order
+/// and a query reported by two runs both fail that, typed.
+fn merge_runs(
+    runs: &mut [Run],
+    next: impl Fn(&mut CycleDeltasCursor, &[u8]) -> Result<Option<QueryId>, cpm_wire::WireError>,
+    mut emit: impl FnMut(&mut CycleDeltasCursor, &[u8], QueryId) -> Result<(), cpm_wire::WireError>,
 ) -> Result<(), ClusterError> {
-    out.epoch = epoch;
-    out.changed.clear();
-    out.deltas.clear();
-    for part in parts {
-        if part.epoch != epoch {
+    for run in runs.iter_mut() {
+        run.head = next(&mut run.cursor, run.from.payload())?;
+    }
+    let mut last = None;
+    while let Some((run, qid)) = runs
+        .iter_mut()
+        .filter_map(|run| run.head.map(|qid| (run, qid)))
+        .min_by_key(|&(_, qid)| qid)
+    {
+        if last.is_some_and(|l| qid <= l) {
             return Err(ClusterError::Protocol {
-                what: "worker delta batch stamped with a different epoch (mixed-epoch commit)",
+                what: "worker delta batches are not disjoint runs in ascending query-id order",
             });
         }
-        out.changed.extend(part.changed);
-        out.deltas.extend(part.deltas);
+        last = Some(qid);
+        emit(&mut run.cursor, run.from.payload(), qid)?;
+        run.head = next(&mut run.cursor, run.from.payload())?;
     }
-    // Ownership is disjoint, so sorting by query id is a pure interleave
-    // — exactly the canonical order `CycleDeltas::canonicalize` pins.
-    out.changed.sort_unstable();
-    out.deltas.sort_unstable_by_key(|(qid, _)| *qid);
     Ok(())
 }
 
@@ -170,11 +246,12 @@ mod tests {
     use super::*;
     use cpm_core::delta::DeltaBuf;
     use cpm_core::NeighborDelta;
-    use cpm_geom::{ObjectId, QueryId};
-    use cpm_wire::Encode;
+    use cpm_geom::ObjectId;
+    use cpm_wire::cluster::ClusterMsg;
+    use cpm_wire::{Decode, Encode};
 
-    /// A tiny synthetic per-worker batch: `qids` changed, one delta per
-    /// qid removing object `epoch`.
+    /// A tiny synthetic per-worker batch: `qids` changed, in that order,
+    /// one delta per qid removing object `epoch`.
     fn batch(epoch: u64, qids: &[u32]) -> CycleDeltas {
         CycleDeltas {
             epoch,
@@ -202,12 +279,39 @@ mod tests {
         batch(epoch, qids).encode_to_vec()
     }
 
+    /// Offer a bare payload: a "frame" that is all payload.
+    fn offer(
+        m: &mut MergeBuffer,
+        worker: u32,
+        epoch: u64,
+        bytes: Vec<u8>,
+    ) -> Result<(), ClusterError> {
+        let header = DeltasHeader {
+            worker,
+            epoch,
+            payload: 0..bytes.len(),
+        };
+        m.offer(header, bytes)
+    }
+
+    /// Offer a received `Deltas` frame as the coordinator does: verify
+    /// it (this is where the CRC catches in-flight damage), then hand
+    /// the frame over with the payload located inside it.
+    fn offer_frame(m: &mut MergeBuffer, frame: &[u8]) -> Result<(), ClusterError> {
+        match DeltasHeader::from_frame(frame)? {
+            Some(header) => m.offer(header, frame.to_vec()),
+            None => Err(ClusterError::Protocol {
+                what: "delta plane expected a Deltas frame",
+            }),
+        }
+    }
+
     #[test]
     fn barrier_commits_only_complete_epochs_in_canonical_order() {
         let mut m = MergeBuffer::new(2, 0);
-        m.offer(0, 1, payload(1, &[0, 4])).unwrap();
+        offer(&mut m, 0, 1, payload(1, &[0, 4])).unwrap();
         assert!(m.try_commit().unwrap().is_none(), "worker 1 still missing");
-        m.offer(1, 1, payload(1, &[2])).unwrap();
+        offer(&mut m, 1, 1, payload(1, &[2])).unwrap();
         let c = m.try_commit().unwrap().unwrap();
         assert_eq!(c.epoch, 1);
         assert_eq!(c.changed, vec![QueryId(0), QueryId(2), QueryId(4)]);
@@ -219,12 +323,12 @@ mod tests {
     #[test]
     fn duplicates_collapse_and_conflicts_are_typed() {
         let mut m = MergeBuffer::new(1, 0);
-        m.offer(0, 1, payload(1, &[3])).unwrap();
+        offer(&mut m, 0, 1, payload(1, &[3])).unwrap();
         // Byte-identical redelivery: absorbed.
-        m.offer(0, 1, payload(1, &[3])).unwrap();
+        offer(&mut m, 0, 1, payload(1, &[3])).unwrap();
         // Same epoch, different bytes: refused.
         assert_eq!(
-            m.offer(0, 1, payload(1, &[5])),
+            offer(&mut m, 0, 1, payload(1, &[5])),
             Err(ClusterError::ConflictingDeltas {
                 worker: 0,
                 epoch: 1
@@ -235,9 +339,9 @@ mod tests {
     #[test]
     fn skipping_an_epoch_is_a_typed_gap() {
         let mut m = MergeBuffer::new(1, 0);
-        m.offer(0, 1, payload(1, &[1])).unwrap();
+        offer(&mut m, 0, 1, payload(1, &[1])).unwrap();
         assert_eq!(
-            m.offer(0, 3, payload(3, &[1])),
+            offer(&mut m, 0, 3, payload(3, &[1])),
             Err(ClusterError::EpochGap {
                 worker: 0,
                 expected: 2,
@@ -249,11 +353,11 @@ mod tests {
     #[test]
     fn stale_redelivery_of_a_committed_epoch_is_ignored() {
         let mut m = MergeBuffer::new(1, 0);
-        m.offer(0, 1, payload(1, &[1])).unwrap();
+        offer(&mut m, 0, 1, payload(1, &[1])).unwrap();
         m.try_commit().unwrap().unwrap();
-        m.offer(0, 1, payload(1, &[1])).unwrap();
+        offer(&mut m, 0, 1, payload(1, &[1])).unwrap();
         assert!(m.try_commit().unwrap().is_none());
-        m.offer(0, 2, payload(2, &[1])).unwrap();
+        offer(&mut m, 0, 2, payload(2, &[1])).unwrap();
         assert_eq!(m.try_commit().unwrap().unwrap().epoch, 2);
     }
 
@@ -262,7 +366,7 @@ mod tests {
         // A payload whose *stamped* epoch disagrees with its frame epoch
         // would mix epochs in one commit; the merge refuses.
         let mut m = MergeBuffer::new(1, 0);
-        m.offer(0, 1, payload(9, &[1])).unwrap();
+        offer(&mut m, 0, 1, payload(9, &[1])).unwrap();
         assert!(matches!(m.try_commit(), Err(ClusterError::Protocol { .. })));
     }
 
@@ -271,8 +375,52 @@ mod tests {
         let mut m = MergeBuffer::new(1, 0);
         let mut bytes = payload(1, &[1]);
         bytes.truncate(bytes.len() - 1);
-        m.offer(0, 1, bytes).unwrap();
+        offer(&mut m, 0, 1, bytes).unwrap();
         assert!(matches!(m.try_commit(), Err(ClusterError::Wire(_))));
+    }
+
+    #[test]
+    fn committing_reads_payloads_in_place_and_hands_the_frames_back() {
+        let mut m = MergeBuffer::new(2, 0);
+        assert_eq!(m.take_spent(0), None);
+        for (w, qids) in [(0u32, &[1u32, 5][..]), (1, &[3][..])] {
+            let msg = ClusterMsg::Deltas {
+                worker: w,
+                epoch: 1,
+                payload: payload(1, qids),
+            };
+            offer_frame(&mut m, &msg.to_frame()).unwrap();
+        }
+        let c = m.try_commit().unwrap().unwrap();
+        assert_eq!(c.changed, vec![QueryId(1), QueryId(3), QueryId(5)]);
+        for w in 0..2 {
+            let spent = m.take_spent(w).expect("the frame the payload arrived in");
+            assert!(DeltasHeader::from_frame(&spent).unwrap().is_some());
+            assert_eq!(m.take_spent(w), None);
+        }
+    }
+
+    #[test]
+    fn out_of_order_and_overlapping_runs_are_typed_not_mis_merged() {
+        for (a, b) in [
+            (&[5u32, 3][..], &[4u32][..]), // a run out of order
+            (&[1, 4], &[4, 6]),            // one query from two workers
+            (&[2, 2], &[]),                // a duplicate inside a run
+        ] {
+            let mut m = MergeBuffer::new(2, 0);
+            offer(&mut m, 0, 1, batch(1, a).encode_to_vec()).unwrap();
+            offer(&mut m, 1, 1, batch(1, b).encode_to_vec()).unwrap();
+            assert!(
+                matches!(m.try_commit(), Err(ClusterError::Protocol { .. })),
+                "{a:?} + {b:?}"
+            );
+        }
+        // Only the `deltas` list out of order is caught just the same.
+        let mut bad = batch(1, &[3, 7]);
+        bad.deltas.swap(0, 1);
+        let mut m = MergeBuffer::new(1, 0);
+        offer(&mut m, 0, 1, bad.encode_to_vec()).unwrap();
+        assert!(matches!(m.try_commit(), Err(ClusterError::Protocol { .. })));
     }
 
     mod prop {
@@ -283,26 +431,13 @@ mod tests {
         use rand::{Rng, SeedableRng};
 
         /// Replay a mangled frame schedule into a fresh buffer exactly as
-        /// the coordinator would — decode each `ClusterMsg::Deltas` frame
-        /// (this is where the CRC catches in-flight damage), then offer
-        /// its payload. Returns the committed epochs, or the typed error
-        /// that stopped them.
+        /// the coordinator would ([`offer_frame`]). Returns the committed
+        /// epochs, or the typed error that stopped them.
         fn drive(workers: u32, frames: &[Vec<u8>]) -> Result<Vec<CycleDeltas>, ClusterError> {
             let mut m = MergeBuffer::new(workers as usize, 0);
             let mut committed = Vec::new();
             for f in frames {
-                match cpm_wire::cluster::ClusterMsg::from_frame(f)? {
-                    cpm_wire::cluster::ClusterMsg::Deltas {
-                        worker,
-                        epoch,
-                        payload,
-                    } => m.offer(worker, epoch, payload)?,
-                    _ => {
-                        return Err(ClusterError::Protocol {
-                            what: "delta plane expected a Deltas frame",
-                        })
-                    }
-                }
+                offer_frame(&mut m, f)?;
                 while let Some(c) = m.try_commit()? {
                     committed.push(c);
                 }
@@ -323,18 +458,7 @@ mod tests {
             let mut m = MergeBuffer::new(workers as usize, 0);
             let mut committed = Vec::new();
             for (i, f) in frames.iter().enumerate() {
-                match cpm_wire::cluster::ClusterMsg::from_frame(f)? {
-                    cpm_wire::cluster::ClusterMsg::Deltas {
-                        worker,
-                        epoch,
-                        payload,
-                    } => m.offer(worker, epoch, payload)?,
-                    _ => {
-                        return Err(ClusterError::Protocol {
-                            what: "delta plane expected a Deltas frame",
-                        })
-                    }
-                }
+                offer_frame(&mut m, f)?;
                 if (i + 1) % drain_every == 0 {
                     while let Some(c) = m.try_commit()? {
                         committed.push(c);
@@ -381,6 +505,39 @@ mod tests {
         }
 
         proptest! {
+            /// The commit's W-way merge of the workers' encoded runs is
+            /// what decoding every payload, concatenating and sorting by
+            /// query id gives — for any split of any id set over
+            /// W ∈ {1, 2, 4} workers, empty runs included.
+            #[test]
+            fn merged_commit_equals_concatenate_and_sort(
+                seed in 0u64..1u64 << 48,
+                w_log2 in 0u32..3,
+                ids in proptest::collection::vec(0u32..400, 0..120),
+            ) {
+                let workers = 1usize << w_log2;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut ids = ids;
+                ids.sort_unstable();
+                ids.dedup();
+                let mut runs = vec![Vec::new(); workers];
+                for id in ids {
+                    runs[rng.gen_range(0..workers)].push(id);
+                }
+                let mut m = MergeBuffer::new(workers, 0);
+                let mut want = CycleDeltas { epoch: 1, ..Default::default() };
+                for (w, qids) in runs.iter().enumerate() {
+                    let bytes = batch(1, qids).encode_to_vec();
+                    let part = CycleDeltas::decode_all(&bytes).unwrap();
+                    want.changed.extend(part.changed);
+                    want.deltas.extend(part.deltas);
+                    offer(&mut m, w as u32, 1, bytes).unwrap();
+                }
+                want.changed.sort_unstable();
+                want.deltas.sort_by_key(|(qid, _)| *qid);
+                prop_assert_eq!(m.try_commit().unwrap().unwrap(), want);
+            }
+
             /// Satellite: delayed/duplicated/reordered `Deltas` frames —
             /// the fault vocabulary of `cpm-gen`'s recovery plans applied
             /// to the delta plane — either merge identically to the
@@ -398,7 +555,7 @@ mod tests {
                 let mut frames: Vec<Vec<u8>> = Vec::new();
                 for e in 1..=epochs {
                     for w in 0..workers {
-                        let msg = cpm_wire::cluster::ClusterMsg::Deltas {
+                        let msg = ClusterMsg::Deltas {
                             worker: w,
                             epoch: e,
                             payload: payload(e, &[qid_of(w, e)]),
@@ -489,7 +646,7 @@ mod tests {
                 let mut frames: Vec<Vec<u8>> = Vec::new();
                 for e in 1..=epochs {
                     for w in 0..workers {
-                        let msg = cpm_wire::cluster::ClusterMsg::Deltas {
+                        let msg = ClusterMsg::Deltas {
                             worker: w,
                             epoch: e,
                             payload: payload(e, &[qid_of(w, e)]),

@@ -94,11 +94,6 @@ impl Partition {
             .expect("tiles cover every column")
     }
 
-    /// `true` if worker `w`'s coverage contains `p`.
-    pub fn covers(&self, w: usize, p: Point) -> bool {
-        self.coverages[w].contains_cell(self.geom.cell_of(p))
-    }
-
     /// `true` if worker `w`'s coverage contains all of `rect`
     /// (intersected with the workspace).
     pub fn rect_within_coverage(&self, w: usize, rect: &Rect) -> bool {
@@ -192,17 +187,18 @@ mod tests {
     #[test]
     fn owner_and_coverage_agree_with_the_tiles() {
         let p = Partition::new(16, 4, 2);
+        let covers = |w: usize, at: Point| p.coverage(w).contains_cell(p.geom().cell_of(at));
         // Cell width is 1/16; worker 1 owns columns 4..=7.
         let inside = Point::new(5.5 / 16.0, 0.5);
         assert_eq!(p.owner_of(inside), 1);
-        assert!(p.covers(1, inside));
+        assert!(covers(1, inside));
         // Two columns past the tile edge: covered (overlap 2), not owned.
         let margin = Point::new(9.5 / 16.0, 0.5);
         assert_eq!(p.owner_of(margin), 2);
-        assert!(p.covers(1, margin));
+        assert!(covers(1, margin));
         // Three columns past: outside coverage.
         let outside = Point::new(10.5 / 16.0, 0.5);
-        assert!(!p.covers(1, outside));
+        assert!(!covers(1, outside));
     }
 
     #[test]

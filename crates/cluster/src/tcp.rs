@@ -43,20 +43,24 @@ fn io_err(e: std::io::Error) -> TransportError {
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
+    /// The last recycled read buffer, reused by the next `recv`.
+    spare: Vec<u8>,
 }
 
 impl TcpTransport {
     /// Connect to a listening peer.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, TransportError> {
         let stream = TcpStream::connect(addr).map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        Ok(Self { stream })
+        Self::from_stream(stream)
     }
 
-    /// Wrap an accepted stream.
+    /// Wrap a connected stream.
     pub fn from_stream(stream: TcpStream) -> Result<Self, TransportError> {
         stream.set_nodelay(true).map_err(io_err)?;
-        Ok(Self { stream })
+        Ok(Self {
+            stream,
+            spare: Vec::new(),
+        })
     }
 
     /// Accept exactly one connection on `listener`.
@@ -103,7 +107,9 @@ impl Transport for TcpTransport {
         }
         // Memory grows with the bytes the peer actually sends, not with
         // the length it claims.
-        let mut frame = Vec::with_capacity(HEADER + body.min(EAGER_RESERVE));
+        let mut frame = std::mem::take(&mut self.spare);
+        frame.clear();
+        frame.reserve(HEADER + body.min(EAGER_RESERVE));
         frame.extend_from_slice(&header);
         let got = (&mut self.stream)
             .take(body as u64)
@@ -113,6 +119,10 @@ impl Transport for TcpTransport {
             return Err(TransportError::Closed);
         }
         Ok(frame)
+    }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        self.spare = frame;
     }
 }
 

@@ -12,6 +12,13 @@
 //! Both ends speak strict request/reply in this subsystem, so the trait
 //! is deliberately small and blocking; async serving is a separate
 //! ROADMAP item.
+//!
+//! The per-cycle frames are hundreds of kilobytes, so the hot path hands
+//! buffers over instead of copying them: [`Transport::send_owned`] gives
+//! a finished frame away and gets an empty buffer back,
+//! [`Transport::recycle`] returns a received frame's buffer once it has
+//! been read. In process the same few allocations circulate between the
+//! two ends; over TCP each end keeps its own.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -48,42 +55,76 @@ pub trait Transport: Send {
     /// Receive the next frame, blocking until one arrives or the peer
     /// closes.
     fn recv(&mut self) -> Result<Vec<u8>, TransportError>;
+
+    /// Ship a frame the caller is done with, and get a buffer (of
+    /// unspecified contents) to build the next one in. A backend that can
+    /// move the bytes to the peer does, instead of copying them.
+    fn send_owned(&mut self, frame: Vec<u8>) -> Result<Vec<u8>, TransportError> {
+        self.send(&frame)?;
+        Ok(frame)
+    }
+
+    /// Give back the buffer of a frame [`recv`](Transport::recv) returned,
+    /// once it has been read, for the backend to reuse.
+    fn recycle(&mut self, _frame: Vec<u8>) {}
+}
+
+/// Read buffers a [`Pipe`] keeps for its sender — as many as frames can
+/// be in flight one way (a depth-1 pipeline: two).
+const SPARE_BUFFERS: usize = 2;
+
+#[derive(Debug, Default)]
+struct PipeState {
+    frames: VecDeque<Vec<u8>>,
+    closed: bool,
+    /// Buffers the receiver has read and handed back, for the sender's
+    /// next frames.
+    spare: Vec<Vec<u8>>,
 }
 
 /// One direction of an in-process duplex channel.
 #[derive(Debug, Default)]
 struct Pipe {
-    queue: Mutex<(VecDeque<Vec<u8>>, bool)>,
+    state: Mutex<PipeState>,
     ready: Condvar,
 }
 
 impl Pipe {
-    fn push(&self, frame: Vec<u8>) -> Result<(), TransportError> {
-        let mut q = self.queue.lock().expect("pipe lock");
-        if q.1 {
+    /// Queue `frame` for the receiver; returns a spare buffer if the
+    /// receiver has handed one back.
+    fn push(&self, frame: Vec<u8>) -> Result<Option<Vec<u8>>, TransportError> {
+        let mut s = self.state.lock().expect("pipe lock");
+        if s.closed {
             return Err(TransportError::Closed);
         }
-        q.0.push_back(frame);
+        s.frames.push_back(frame);
         self.ready.notify_one();
-        Ok(())
+        Ok(s.spare.pop())
     }
 
     fn pop(&self) -> Result<Vec<u8>, TransportError> {
-        let mut q = self.queue.lock().expect("pipe lock");
+        let mut s = self.state.lock().expect("pipe lock");
         loop {
-            if let Some(frame) = q.0.pop_front() {
+            if let Some(frame) = s.frames.pop_front() {
                 return Ok(frame);
             }
-            if q.1 {
+            if s.closed {
                 return Err(TransportError::Closed);
             }
-            q = self.ready.wait(q).expect("pipe lock");
+            s = self.ready.wait(s).expect("pipe lock");
+        }
+    }
+
+    fn give_back(&self, frame: Vec<u8>) {
+        let mut s = self.state.lock().expect("pipe lock");
+        if s.spare.len() < SPARE_BUFFERS {
+            s.spare.push(frame);
         }
     }
 
     fn close(&self) {
-        let mut q = self.queue.lock().expect("pipe lock");
-        q.1 = true;
+        let mut s = self.state.lock().expect("pipe lock");
+        s.closed = true;
         self.ready.notify_all();
     }
 }
@@ -97,11 +138,19 @@ pub struct ChannelTransport {
 
 impl Transport for ChannelTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.tx.push(frame.to_vec())
+        self.tx.push(frame.to_vec()).map(drop)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
         self.rx.pop()
+    }
+
+    fn send_owned(&mut self, frame: Vec<u8>) -> Result<Vec<u8>, TransportError> {
+        Ok(self.tx.push(frame)?.unwrap_or_default())
+    }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        self.rx.give_back(frame);
     }
 }
 
@@ -148,11 +197,35 @@ mod tests {
     }
 
     #[test]
+    fn owned_frames_are_moved_and_their_buffers_come_back() {
+        let (mut a, mut b) = duplex();
+        let mut frame = Vec::with_capacity(4096);
+        frame.extend_from_slice(b"payload");
+        let sent_at = frame.as_ptr();
+        // Nothing has been handed back yet: the sender gets an empty one.
+        assert_eq!(a.send_owned(frame).unwrap().capacity(), 0);
+        let got = b.recv().unwrap();
+        assert_eq!(got, b"payload");
+        assert_eq!(got.as_ptr(), sent_at, "moved, not copied");
+        b.recycle(got);
+        // The next send returns the very allocation the peer gave back.
+        let spare = a.send_owned(b"next".to_vec()).unwrap();
+        assert_eq!((spare.as_ptr(), spare.capacity()), (sent_at, 4096));
+        assert_eq!(b.recv().unwrap(), b"next");
+        // The pool is bounded.
+        for _ in 0..2 * SPARE_BUFFERS {
+            b.recycle(vec![0; 8]);
+        }
+        assert_eq!(b.rx.state.lock().unwrap().spare.len(), SPARE_BUFFERS);
+    }
+
+    #[test]
     fn dropping_one_end_closes_the_other() {
         let (a, mut b) = duplex();
         drop(a);
         assert_eq!(b.recv(), Err(TransportError::Closed));
         assert_eq!(b.send(b"x"), Err(TransportError::Closed));
+        assert_eq!(b.send_owned(vec![1]), Err(TransportError::Closed));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use cpm_core::{AnyQuerySpec, CpmError, CpmServer, CpmServerBuilder, CycleDeltas, SpecEvent};
 use cpm_grid::{GridGeom, ObjectEvent};
-use cpm_wire::cluster::{ClusterMsg, ClusterReject, DeltasRef, TileRect};
+use cpm_wire::cluster::{deltas_frame_into, BatchRef, ClusterMsg, ClusterReject, TileRect};
 use cpm_wire::{Decode, Encode, WIRE_VERSION};
 
 use crate::error::ClusterError;
@@ -33,11 +33,10 @@ pub struct ClusterWorker {
     geom: GridGeom,
     tile: TileRect,
     coverage: TileRect,
-    /// Recycled per-cycle delta batch (the engine's `_into` idiom).
+    /// Recycled per-cycle delta batch (the engine's `_into` idiom), the
+    /// `Deltas` payload; valid after a successful
+    /// [`ClusterWorker::run_batch`].
     cycle_out: CycleDeltas,
-    /// Recycled engine-encoded image of `cycle_out`, the `Deltas`
-    /// payload; valid after a successful [`ClusterWorker::run_batch`].
-    payload_buf: Vec<u8>,
 }
 
 impl ClusterWorker {
@@ -57,7 +56,6 @@ impl ClusterWorker {
             tile,
             coverage,
             cycle_out: CycleDeltas::default(),
-            payload_buf: Vec::new(),
         })
     }
 
@@ -163,7 +161,7 @@ impl ClusterWorker {
                 Ok(()) => ClusterMsg::Deltas {
                     worker: self.id,
                     epoch,
-                    payload: self.payload_buf.clone(),
+                    payload: self.cycle_out.encode_to_vec(),
                 },
                 Err(r) => self.reject(r),
             }),
@@ -229,9 +227,9 @@ impl ClusterWorker {
     }
 
     /// One processing cycle: validate the whole batch, run it, certify
-    /// the results, leave the encoded deltas in the recycled
-    /// `payload_buf`. The typed-refusal contract is batch-level: an
-    /// `Err` means no state changed and nothing was encoded.
+    /// the results, leave the deltas in the recycled `cycle_out`. The
+    /// typed-refusal contract is batch-level: an `Err` means no state
+    /// changed.
     fn run_batch(
         &mut self,
         epoch: u64,
@@ -284,19 +282,7 @@ impl ClusterWorker {
                 tile: self.coverage,
             });
         }
-        self.cycle_out.encode_into(&mut self.payload_buf);
         Ok(())
-    }
-
-    /// Build the `Deltas` reply frame for the last successful
-    /// [`ClusterWorker::run_batch`] into `out`, reusing its allocation.
-    fn deltas_frame_into(&self, epoch: u64, out: &mut Vec<u8>) {
-        DeltasRef {
-            worker: self.id,
-            epoch,
-            payload: &self.payload_buf,
-        }
-        .to_frame_into(out);
     }
 
     /// Replace the engine with a transferred snapshot (replacement
@@ -402,35 +388,29 @@ pub fn run_worker<T: Transport>(mut transport: T) -> Result<(), ClusterError> {
         epoch: worker.epoch(),
     };
     transport.send(&ack.to_frame())?;
-    // One reply-frame buffer for the whole serve loop: the per-cycle hot
-    // path (`Batch` in, `Deltas` out) re-encodes into the same two
-    // recycled buffers (worker payload + this frame) every epoch.
-    let mut frame_buf = Vec::new();
+    // The per-cycle hot path (`Batch` in, `Deltas` out) allocates
+    // nothing in steady state: the events decode into `objects`, the
+    // deltas encode straight into `reply`, and both frames' buffers go
+    // back to the transport they came from.
+    let mut objects = Vec::new();
+    let mut reply = Vec::new();
     loop {
         let frame = match transport.recv() {
             Ok(f) => f,
             Err(TransportError::Closed) => return Ok(()),
             Err(e) => return Err(e.into()),
         };
-        match ClusterMsg::from_frame(&frame)? {
-            ClusterMsg::Batch {
-                epoch,
-                objects,
-                queries,
-            } => {
-                match worker.run_batch(epoch, &objects, &queries) {
-                    Ok(()) => worker.deltas_frame_into(epoch, &mut frame_buf),
-                    Err(r) => worker.reject(r).to_frame_into(&mut frame_buf),
-                }
-                transport.send(&frame_buf)?;
-            }
-            msg => match worker.handle(msg) {
-                Some(reply) => {
-                    reply.to_frame_into(&mut frame_buf);
-                    transport.send(&frame_buf)?;
-                }
+        match BatchRef::from_frame(&frame, &mut objects)? {
+            Some(batch) => match worker.run_batch(batch.epoch, batch.objects, batch.queries) {
+                Ok(()) => deltas_frame_into(worker.id, batch.epoch, &worker.cycle_out, &mut reply),
+                Err(r) => worker.reject(r).to_frame_into(&mut reply),
+            },
+            None => match worker.handle(ClusterMsg::from_frame(&frame)?) {
+                Some(msg) => msg.to_frame_into(&mut reply),
                 None => return Ok(()),
             },
         }
+        transport.recycle(frame);
+        reply = transport.send_owned(reply)?;
     }
 }

@@ -9,6 +9,7 @@
 //! corrupted artifact can never smuggle a panic (or a silently wrong
 //! value) into a recovered engine.
 
+use cpm_geom::QueryId;
 use cpm_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::ann::{AggregateFn, AnnQuery};
@@ -103,6 +104,82 @@ impl Decode for CycleDeltas {
             changed: Vec::decode(r)?,
             deltas: Vec::decode(r)?,
         })
+    }
+}
+
+/// Reads an encoded [`CycleDeltas`] front to back, one list entry at a
+/// time, so that several batches whose lists are each in query-id order
+/// (a cluster's workers) can be merged *while* they are decoded: every
+/// delta is built once, where it ends up. The cursor holds an offset into
+/// the bytes, not a borrow, so it can sit in a recycled table next to the
+/// buffer that owns them; every call takes the same `bytes`.
+///
+/// What it yields, in order, is what [`CycleDeltas::decode_all`] yields.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CycleDeltasCursor {
+    at: usize,
+    /// Entries of the current list not yet read.
+    left: usize,
+}
+
+impl CycleDeltasCursor {
+    /// Start on `bytes`: the batch's stamped epoch, and a cursor at the
+    /// head of its `changed` list.
+    pub fn open(bytes: &[u8]) -> Result<(Self, u64), WireError> {
+        let mut r = Reader::new(bytes);
+        let epoch = r.take_u64()?;
+        let left = r.take_len(1)?;
+        Ok((
+            Self {
+                at: r.offset(),
+                left,
+            },
+            epoch,
+        ))
+    }
+
+    /// Entries of the current list not yet read.
+    pub fn remaining(&self) -> usize {
+        self.left
+    }
+
+    /// The next id of the `changed` list. `None` at its end, which also
+    /// moves the cursor to the head of the `deltas` list (call it once).
+    pub fn next_changed(&mut self, bytes: &[u8]) -> Result<Option<QueryId>, WireError> {
+        let mut r = Reader::resume(bytes, self.at);
+        let next = if self.left == 0 {
+            self.left = r.take_len(1)?;
+            None
+        } else {
+            self.left -= 1;
+            Some(QueryId::decode(&mut r)?)
+        };
+        self.at = r.offset();
+        Ok(next)
+    }
+
+    /// The query id of the next `deltas` entry, whose body
+    /// [`delta`](Self::delta) must read before the id after it is asked
+    /// for. `None` at the list's end, which must be the end of `bytes`.
+    pub fn next_delta_id(&mut self, bytes: &[u8]) -> Result<Option<QueryId>, WireError> {
+        let mut r = Reader::resume(bytes, self.at);
+        if self.left == 0 {
+            r.expect_end()?;
+            return Ok(None);
+        }
+        self.left -= 1;
+        let id = QueryId::decode(&mut r)?;
+        self.at = r.offset();
+        Ok(Some(id))
+    }
+
+    /// The body of the entry whose id [`next_delta_id`](Self::next_delta_id)
+    /// just returned.
+    pub fn delta(&mut self, bytes: &[u8]) -> Result<NeighborDelta, WireError> {
+        let mut r = Reader::resume(bytes, self.at);
+        let delta = NeighborDelta::decode(&mut r)?;
+        self.at = r.offset();
+        Ok(delta)
     }
 }
 
@@ -495,6 +572,32 @@ mod tests {
             NeighborDelta::decode_all(&delta.encode_to_vec()).unwrap(),
             delta
         );
+
+        // The cursor yields the same batch an entry at a time ...
+        let walk = |bytes: &[u8]| -> Result<CycleDeltas, WireError> {
+            let (mut c, epoch) = CycleDeltasCursor::open(bytes)?;
+            let mut out = CycleDeltas {
+                epoch,
+                ..Default::default()
+            };
+            while let Some(id) = c.next_changed(bytes)? {
+                out.changed.push(id);
+            }
+            while let Some(id) = c.next_delta_id(bytes)? {
+                out.deltas.push((id, c.delta(bytes)?));
+            }
+            Ok(out)
+        };
+        let bytes = batch.encode_to_vec();
+        assert_eq!(walk(&bytes).unwrap(), batch);
+        // ... and refuses, typed, whatever `decode_all` refuses.
+        for cut in 0..bytes.len() {
+            assert!(CycleDeltas::decode_all(&bytes[..cut]).is_err());
+            assert!(walk(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(walk(&trailing).is_err());
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //! rectangle — its tile expanded by the boundary-overlap margin — so the
 //! messages carry both.
 
+use std::ops::Range;
+
 use crate::{
-    decode_framed, encode_framed, encode_framed_into, Decode, Encode, Reader, WireError, Writer,
-    FRAME_CLUSTER,
+    decode_framed, encode_framed, encode_framed_into, put_frame_header, read_frame, seal_frame,
+    Decode, Encode, Reader, WireError, Writer, FRAME_CLUSTER, FRAME_HEADER,
 };
 use cpm_geom::{ObjectId, QueryId};
 use cpm_grid::{CellCoord, ObjectEvent};
@@ -340,12 +342,29 @@ impl ClusterMsg {
     }
 }
 
-/// A borrowed image of [`ClusterMsg::Batch`]: the per-cycle hot-path
-/// frame, built from the coordinator's reusable per-worker buffers
-/// without cloning the event vectors into an owned message first.
-///
-/// Encodes byte-identically to the owned variant — decoding a
-/// `BatchRef` frame yields the equal [`ClusterMsg::Batch`].
+/// Message tag of [`ClusterMsg::Batch`].
+const TAG_BATCH: u8 = 3;
+/// Message tag of [`ClusterMsg::Deltas`].
+const TAG_DELTAS: u8 = 4;
+
+/// Verify a standalone [`FRAME_CLUSTER`] frame and, if its message
+/// carries `tag`, hand back a reader over the message just past the tag
+/// (`None` for any other message).
+fn open_message(bytes: &[u8], tag: u8) -> Result<Option<Reader<'_>>, WireError> {
+    let mut frame = Reader::new(bytes);
+    let body = read_frame(&mut frame, FRAME_CLUSTER)?;
+    frame.expect_end()?;
+    if body.first() != Some(&tag) {
+        return Ok(None);
+    }
+    let mut r = Reader::new(body);
+    r.take_u8()?;
+    Ok(Some(r))
+}
+
+/// A borrowed image of [`ClusterMsg::Batch`] as a worker reads it: the
+/// object events decoded into the worker's recycled buffer, the query
+/// bytes read in place from the received frame.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchRef<'a> {
     /// The cycle this batch opens (must be the worker's epoch + 1).
@@ -356,63 +375,140 @@ pub struct BatchRef<'a> {
     pub queries: &'a [u8],
 }
 
-impl BatchRef<'_> {
-    /// Encode into one [`FRAME_CLUSTER`] frame in `out`, reusing its
-    /// allocation.
-    pub fn to_frame_into(&self, out: &mut Vec<u8>) {
-        encode_framed_into(FRAME_CLUSTER, self, out);
-    }
-}
-
-impl Encode for BatchRef<'_> {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(3);
-        w.put_u64(self.epoch);
-        encode_len_prefix(self.objects.len(), w);
-        for ev in self.objects {
-            ev.encode(w);
+impl<'a> BatchRef<'a> {
+    /// Verify one [`FRAME_CLUSTER`] frame and, if it carries a `Batch`,
+    /// decode it: the events replace `objects`' contents (reusing its
+    /// allocation). `Ok(None)` is a well-formed frame of another message
+    /// — decode that with [`ClusterMsg::from_frame`].
+    ///
+    /// # Errors
+    /// Exactly those of [`ClusterMsg::from_frame`] on the same bytes.
+    pub fn from_frame(
+        bytes: &'a [u8],
+        objects: &'a mut Vec<ObjectEvent>,
+    ) -> Result<Option<Self>, WireError> {
+        let Some(mut r) = open_message(bytes, TAG_BATCH)? else {
+            return Ok(None);
+        };
+        let epoch = r.take_u64()?;
+        let n = r.take_len(1)?;
+        objects.clear();
+        objects.reserve(r.reservable::<ObjectEvent>(n));
+        for _ in 0..n {
+            objects.push(ObjectEvent::decode(&mut r)?);
         }
-        encode_len_prefix(self.queries.len(), w);
-        w.put_bytes(self.queries);
+        let len = r.take_len(1)?;
+        let queries = r.take_bytes(len)?;
+        r.expect_end()?;
+        Ok(Some(Self {
+            epoch,
+            objects,
+            queries,
+        }))
     }
 }
 
-/// A borrowed image of [`ClusterMsg::Deltas`]: the worker's per-cycle
-/// reply frame, built from its reusable delta-payload buffer.
-///
-/// Encodes byte-identically to the owned variant.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltasRef<'a> {
+/// Builds a [`ClusterMsg::Batch`] frame while the coordinator routes: the
+/// events are written as they are translated, with no staging vector, and
+/// the event count, frame length and checksum are filled in at the end.
+/// Byte-identical to the owned message's [`ClusterMsg::to_frame`].
+#[derive(Debug, Default)]
+pub struct BatchFrame {
+    w: Writer,
+    events: u32,
+}
+
+/// Offset of a `Batch` frame's event count: header, tag, epoch.
+const BATCH_COUNT_AT: usize = FRAME_HEADER + 1 + 8;
+
+impl BatchFrame {
+    /// Start the frame of `epoch` in `buf`, reusing its allocation.
+    pub fn begin(&mut self, epoch: u64, buf: Vec<u8>) {
+        self.w = Writer::reusing(buf);
+        put_frame_header(&mut self.w.buf, FRAME_CLUSTER);
+        self.w.put_u8(TAG_BATCH);
+        self.w.put_u64(epoch);
+        self.w.put_u32(0); // event count, backfilled by `finish`
+        self.events = 0;
+    }
+
+    /// Append one routed object event.
+    pub fn push(&mut self, ev: &ObjectEvent) {
+        ev.encode(&mut self.w);
+        self.events += 1;
+    }
+
+    /// Close the frame with the worker's encoded query events and hand it
+    /// out; the builder is left empty until the next [`BatchFrame::begin`].
+    ///
+    /// # Panics
+    /// Panics if no frame was begun.
+    pub fn finish(&mut self, queries: &[u8]) -> Vec<u8> {
+        let mut w = std::mem::take(&mut self.w);
+        assert!(w.len() >= BATCH_COUNT_AT + 4, "finish without begin");
+        w.buf[BATCH_COUNT_AT..BATCH_COUNT_AT + 4].copy_from_slice(&self.events.to_le_bytes());
+        w.put_u32(u32::try_from(queries.len()).expect("collection fits a u32 length prefix"));
+        w.put_bytes(queries);
+        seal_frame(&mut w.buf, 0);
+        w.into_bytes()
+    }
+}
+
+/// Encode a [`ClusterMsg::Deltas`] frame into `out` (reusing its
+/// allocation) with `payload` encoded in place — the worker's per-cycle
+/// reply, built without an intermediate payload vector. Byte-identical to
+/// the owned message carrying `payload.encode_to_vec()`.
+pub fn deltas_frame_into<P: Encode>(worker: u32, epoch: u64, payload: &P, out: &mut Vec<u8>) {
+    let mut w = Writer::reusing(std::mem::take(out));
+    put_frame_header(&mut w.buf, FRAME_CLUSTER);
+    w.put_u8(TAG_DELTAS);
+    w.put_u32(worker);
+    w.put_u64(epoch);
+    w.put_u32(0); // payload length, backfilled below
+    let at = w.len();
+    payload.encode(&mut w);
+    let len = u32::try_from(w.len() - at).expect("collection fits a u32 length prefix");
+    w.buf[at - 4..at].copy_from_slice(&len.to_le_bytes());
+    seal_frame(&mut w.buf, 0);
+    *out = w.into_bytes();
+}
+
+/// The fields of a received [`ClusterMsg::Deltas`] frame, the payload as
+/// its byte range *within the frame* — so the frame's buffer can be moved
+/// into the merge barrier and the payload read in place, never copied.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeltasHeader {
     /// The replying worker's id.
     pub worker: u32,
     /// The cycle these deltas close.
     pub epoch: u64,
-    /// Engine-encoded `CycleDeltas`.
-    pub payload: &'a [u8],
+    /// Where the engine-encoded `CycleDeltas` sits in the frame.
+    pub payload: Range<usize>,
 }
 
-impl DeltasRef<'_> {
-    /// Encode into one [`FRAME_CLUSTER`] frame in `out`, reusing its
-    /// allocation.
-    pub fn to_frame_into(&self, out: &mut Vec<u8>) {
-        encode_framed_into(FRAME_CLUSTER, self, out);
+impl DeltasHeader {
+    /// Verify one [`FRAME_CLUSTER`] frame and, if it carries a `Deltas`,
+    /// locate its fields. `Ok(None)` is a well-formed frame of another
+    /// message — decode that with [`ClusterMsg::from_frame`].
+    ///
+    /// # Errors
+    /// Exactly those of [`ClusterMsg::from_frame`] on the same bytes.
+    pub fn from_frame(bytes: &[u8]) -> Result<Option<Self>, WireError> {
+        let Some(mut r) = open_message(bytes, TAG_DELTAS)? else {
+            return Ok(None);
+        };
+        let worker = r.take_u32()?;
+        let epoch = r.take_u64()?;
+        let len = r.take_len(1)?;
+        let start = FRAME_HEADER + r.offset();
+        r.take_bytes(len)?;
+        r.expect_end()?;
+        Ok(Some(Self {
+            worker,
+            epoch,
+            payload: start..start + len,
+        }))
     }
-}
-
-impl Encode for DeltasRef<'_> {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(4);
-        w.put_u32(self.worker);
-        w.put_u64(self.epoch);
-        encode_len_prefix(self.payload.len(), w);
-        w.put_bytes(self.payload);
-    }
-}
-
-/// The `Vec<T>` length prefix (a `u32` count), so the borrowed encoders
-/// above stay byte-compatible with the owned `Vec` fields they mirror.
-fn encode_len_prefix(len: usize, w: &mut Writer) {
-    w.put_u32(u32::try_from(len).expect("collection fits a u32 length prefix"));
 }
 
 impl Encode for ClusterMsg {
@@ -452,7 +548,7 @@ impl Encode for ClusterMsg {
                 objects,
                 queries,
             } => {
-                w.put_u8(3);
+                w.put_u8(TAG_BATCH);
                 w.put_u64(*epoch);
                 objects.encode(w);
                 queries.encode(w);
@@ -462,7 +558,7 @@ impl Encode for ClusterMsg {
                 epoch,
                 payload,
             } => {
-                w.put_u8(4);
+                w.put_u8(TAG_DELTAS);
                 w.put_u32(*worker);
                 w.put_u64(*epoch);
                 payload.encode(w);
@@ -526,12 +622,12 @@ impl Decode for ClusterMsg {
             2 => ClusterMsg::Install {
                 payload: Vec::<u8>::decode(r)?,
             },
-            3 => ClusterMsg::Batch {
+            TAG_BATCH => ClusterMsg::Batch {
                 epoch: r.take_u64()?,
                 objects: Vec::<ObjectEvent>::decode(r)?,
                 queries: Vec::<u8>::decode(r)?,
             },
-            4 => ClusterMsg::Deltas {
+            TAG_DELTAS => ClusterMsg::Deltas {
                 worker: r.take_u32()?,
                 epoch: r.take_u64()?,
                 payload: Vec::<u8>::decode(r)?,
@@ -644,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_batch_and_deltas_encode_byte_identically_to_owned() {
+    fn streamed_batch_and_deltas_frames_are_byte_identical_to_owned() {
         let objects = vec![
             ObjectEvent::Appear {
                 id: ObjectId(3),
@@ -658,44 +754,48 @@ mod tests {
             objects: objects.clone(),
             queries: queries.clone(),
         };
-        let mut frame = Vec::new();
-        BatchRef {
-            epoch: 42,
-            objects: &objects,
-            queries: &queries,
+        let mut builder = BatchFrame::default();
+        builder.begin(42, vec![0xEE; 3]); // stale contents must be cleared
+        for ev in &objects {
+            builder.push(ev);
         }
-        .to_frame_into(&mut frame);
+        let frame = builder.finish(&queries);
         assert_eq!(frame, owned.to_frame());
-        assert_eq!(ClusterMsg::from_frame(&frame).unwrap(), owned);
+        // ... and reads back borrowed, into a recycled buffer.
+        let mut buf = vec![ObjectEvent::Disappear { id: ObjectId(9) }; 5];
+        let batch = BatchRef::from_frame(&frame, &mut buf).unwrap().unwrap();
+        assert_eq!(
+            (batch.epoch, batch.objects, batch.queries),
+            (42, &objects[..], &queries[..])
+        );
+        assert_eq!(DeltasHeader::from_frame(&frame), Ok(None));
 
-        let payload = vec![0xABu8; 17];
+        // The payload is any `Encode` value, encoded in place.
+        let payload = vec![0xABCDu16; 17];
         let owned = ClusterMsg::Deltas {
             worker: 3,
             epoch: 42,
-            payload: payload.clone(),
+            payload: payload.encode_to_vec(),
         };
-        DeltasRef {
-            worker: 3,
-            epoch: 42,
-            payload: &payload,
-        }
-        .to_frame_into(&mut frame);
+        let mut frame = vec![0xEE; 3];
+        deltas_frame_into(3, 42, &payload, &mut frame);
         assert_eq!(frame, owned.to_frame());
-        assert_eq!(ClusterMsg::from_frame(&frame).unwrap(), owned);
+        let header = DeltasHeader::from_frame(&frame).unwrap().unwrap();
+        assert_eq!((header.worker, header.epoch), (3, 42));
+        assert_eq!(frame[header.payload], payload.encode_to_vec());
+        assert!(BatchRef::from_frame(&frame, &mut buf).unwrap().is_none());
 
-        // Empty slices hit the same length-prefix path as empty vectors.
+        // An empty batch is the empty vectors' encoding.
         let owned = ClusterMsg::Batch {
             epoch: 1,
             objects: vec![],
             queries: vec![],
         };
-        BatchRef {
-            epoch: 1,
-            objects: &[],
-            queries: &[],
-        }
-        .to_frame_into(&mut frame);
+        builder.begin(1, frame);
+        let frame = builder.finish(&[]);
         assert_eq!(frame, owned.to_frame());
+        let batch = BatchRef::from_frame(&frame, &mut buf).unwrap().unwrap();
+        assert!(batch.objects.is_empty() && batch.queries.is_empty());
     }
 
     #[test]
@@ -755,6 +855,26 @@ mod tests {
             let mut bad = frame.clone();
             bad[i] ^= 0x10;
             assert!(ClusterMsg::from_frame(&bad).is_err(), "flip {i}");
+        }
+        // The borrowed readers refuse exactly what the owned decoder does.
+        let mut objects = Vec::new();
+        for msg in sample_messages() {
+            let frame = msg.to_frame();
+            for cut in 0..frame.len() {
+                let want = ClusterMsg::from_frame(&frame[..cut]).unwrap_err();
+                assert_eq!(
+                    BatchRef::from_frame(&frame[..cut], &mut objects).unwrap_err(),
+                    want
+                );
+                assert_eq!(DeltasHeader::from_frame(&frame[..cut]).unwrap_err(), want);
+            }
+            for i in 0..frame.len() {
+                let mut bad = frame.clone();
+                bad[i] ^= 0x10;
+                let want = ClusterMsg::from_frame(&bad).unwrap_err();
+                assert_eq!(BatchRef::from_frame(&bad, &mut objects).unwrap_err(), want);
+                assert_eq!(DeltasHeader::from_frame(&bad).unwrap_err(), want);
+            }
         }
     }
 
@@ -873,6 +993,41 @@ mod tests {
                 // payload byte *and* the CRC happens to collide — it
                 // cannot) decodes to something; it must never panic.
                 let _ = ClusterMsg::from_frame(&frame);
+            }
+
+            /// A damaged *message* inside a well-sealed frame (what a buggy
+            /// peer, not a noisy link, produces): the borrowed readers
+            /// accept, refuse and report exactly as the owned decoder.
+            #[test]
+            fn borrowed_readers_agree_with_the_owned_decoder(
+                msg in arb_msg(), at in 0usize..1024, bit in 0u8..8, cut in 0usize..1024,
+            ) {
+                let mut body = msg.encode_to_vec();
+                let at = at % body.len();
+                body[at] ^= 1 << bit;
+                body.truncate(body.len() - cut % body.len().min(4));
+                let mut frame = Vec::new();
+                crate::write_frame(&mut frame, FRAME_CLUSTER, &body);
+                let owned = ClusterMsg::from_frame(&frame);
+                let mut buf = Vec::new();
+                let batch = BatchRef::from_frame(&frame, &mut buf);
+                let deltas = DeltasHeader::from_frame(&frame);
+                match (body.first(), owned) {
+                    (Some(&TAG_BATCH), Ok(ClusterMsg::Batch { epoch, objects, queries })) => {
+                        let b = batch.unwrap().unwrap();
+                        prop_assert_eq!((b.epoch, b.objects, b.queries), (epoch, &objects[..], &queries[..]));
+                    }
+                    (Some(&TAG_BATCH), Err(e)) => prop_assert_eq!(batch.unwrap_err(), e),
+                    (Some(&TAG_DELTAS), Ok(ClusterMsg::Deltas { worker, epoch, payload })) => {
+                        let h = deltas.unwrap().unwrap();
+                        prop_assert_eq!((h.worker, h.epoch, &frame[h.payload]), (worker, epoch, &payload[..]));
+                    }
+                    (Some(&TAG_DELTAS), Err(e)) => prop_assert_eq!(deltas.unwrap_err(), e),
+                    _ => {
+                        prop_assert!(matches!(batch, Ok(None)));
+                        prop_assert_eq!(deltas, Ok(None));
+                    }
+                }
             }
         }
     }

@@ -154,9 +154,12 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// CRC-32 (IEEE 802.3 polynomial) lookup table, built at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3 polynomial) lookup tables for slicing-by-8, built
+/// at compile time: `CRC_TABLES[0]` is the classic one-byte table, and
+/// `CRC_TABLES[k][b]` is the checksum of byte `b` followed by `k` zero
+/// bytes, so eight look-ups fold eight input bytes into the state at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -169,19 +172,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`, eight bytes per step (slicing-by-8), the
+/// tail a byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -269,6 +297,17 @@ impl<'a> Reader<'a> {
     /// Read from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
+    }
+
+    /// Continue reading `buf` at offset `pos` — where an earlier reader
+    /// over the same bytes stopped ([`Reader::offset`]) — so a caller can
+    /// keep a position instead of a borrow between reads. A `pos` past
+    /// the end reads as an exhausted input.
+    pub fn resume(buf: &'a [u8], pos: usize) -> Self {
+        Self {
+            buf,
+            pos: pos.min(buf.len()),
+        }
     }
 
     /// Current byte offset from the start of the input.
@@ -798,19 +837,37 @@ impl Decode for Metrics {
     }
 }
 
+/// Bytes of a frame before its payload: magic, version, kind, payload
+/// length.
+const FRAME_HEADER: usize = 12;
+
+/// Open a frame at the end of `out`: its header, the payload length left
+/// for [`seal_frame`] to fill in once the payload has been appended.
+fn put_frame_header(out: &mut Vec<u8>, kind: u16) {
+    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    out.extend_from_slice(&kind.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
+}
+
+/// Close the frame opened at `out[start..]`: backfill the payload length
+/// and append the CRC-32 of everything from `start`.
+fn seal_frame(out: &mut Vec<u8>, start: usize) {
+    let body = start + FRAME_HEADER;
+    let len = u32::try_from(out.len() - body).expect("frame payload fits a u32 length");
+    out[body - 4..body].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
 /// Append one frame — `[magic][version][kind][payload len][payload][crc]`,
 /// with the CRC-32 computed over everything before it — to `out`.
 pub fn write_frame(out: &mut Vec<u8>, kind: u16, payload: &[u8]) {
     let start = out.len();
-    let mut w = Writer::new();
-    w.put_u32(FRAME_MAGIC);
-    w.put_u16(WIRE_VERSION);
-    w.put_u16(kind);
-    w.put_u32(u32::try_from(payload.len()).expect("frame payload fits a u32 length"));
-    w.put_bytes(payload);
-    out.extend_from_slice(w.as_slice());
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.reserve(FRAME_HEADER + payload.len() + 4);
+    put_frame_header(out, kind);
+    out.extend_from_slice(payload);
+    seal_frame(out, start);
 }
 
 /// Read one frame of kind `expect_kind` from `r`, verifying magic,
@@ -866,31 +923,22 @@ pub fn read_frame<'a>(r: &mut Reader<'a>, expect_kind: u16) -> Result<&'a [u8], 
 /// Encode `value` as a single standalone frame of `kind`.
 pub fn encode_framed<T: Encode>(kind: u16, value: &T) -> Vec<u8> {
     let mut out = Vec::new();
-    write_frame(&mut out, kind, &value.encode_to_vec());
+    encode_framed_into(kind, value, &mut out);
     out
 }
 
 /// Encode `value` as a single standalone frame of `kind` into `out`,
 /// clearing it first but reusing its allocation.
 ///
-/// Byte-identical to [`encode_framed`], without that path's two per-call
-/// allocations (the intermediate payload vector and the frame vector):
-/// the payload is encoded straight into the frame buffer after a length
-/// placeholder that is backfilled once the payload size is known.
+/// The payload is encoded straight into the frame buffer after a length
+/// placeholder that is backfilled once the payload size is known, so no
+/// intermediate payload vector exists.
 pub fn encode_framed_into<T: Encode>(kind: u16, value: &T, out: &mut Vec<u8>) {
     let mut w = Writer::reusing(core::mem::take(out));
-    w.put_u32(FRAME_MAGIC);
-    w.put_u16(WIRE_VERSION);
-    w.put_u16(kind);
-    w.put_u32(0); // payload length, backfilled below
-    let body = w.len();
+    put_frame_header(&mut w.buf, kind);
     value.encode(&mut w);
-    let len = u32::try_from(w.len() - body).expect("frame payload fits a u32 length");
-    let mut buf = w.into_bytes();
-    buf[body - 4..body].copy_from_slice(&len.to_le_bytes());
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    *out = buf;
+    seal_frame(&mut w.buf, 0);
+    *out = w.into_bytes();
 }
 
 /// Decode a single standalone frame of `kind` that must span all of
@@ -939,10 +987,12 @@ impl Journal {
     pub fn append(&mut self, payload: &[u8]) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut body = Writer::new();
-        body.put_u64(seq);
-        body.put_bytes(payload);
-        write_frame(&mut self.bytes, FRAME_JOURNAL, body.as_slice());
+        let start = self.bytes.len();
+        self.bytes.reserve(FRAME_HEADER + 8 + payload.len() + 4);
+        put_frame_header(&mut self.bytes, FRAME_JOURNAL);
+        self.bytes.extend_from_slice(&seq.to_le_bytes());
+        self.bytes.extend_from_slice(payload);
+        seal_frame(&mut self.bytes, start);
         seq
     }
 
@@ -1062,11 +1112,66 @@ pub fn dedup(
 mod tests {
     use super::*;
 
+    /// The test oracle: the textbook loop, one table look-up per byte.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// `len` bytes of a SplitMix64 stream.
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_oracle_at_every_length_and_alignment() {
+        // Every length around the 8-byte step, at every offset of the
+        // word loop's start within the buffer.
+        let buf = random_bytes(7, 64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        // Large buffers, lengths not multiples of the step included.
+        for (seed, len) in [
+            (1u64, 1 << 20),
+            (2, (1 << 20) - 3),
+            (3, 65_537),
+            (4, 4_099),
+            (5, 1_000),
+        ] {
+            let buf = random_bytes(seed, len);
+            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "seed {seed} len {len}");
+        }
     }
 
     #[test]
@@ -1132,6 +1237,10 @@ mod tests {
         let mut reused = vec![0xEE; 3]; // stale contents must be cleared
         encode_framed_into(FRAME_SNAPSHOT, &values, &mut reused);
         assert_eq!(reused, fresh);
+        // ... and the payload-slice path writes the same frame, appending.
+        let mut appended = vec![0xEE; 3];
+        write_frame(&mut appended, FRAME_SNAPSHOT, &values.encode_to_vec());
+        assert_eq!(appended[3..], fresh);
         // The reused path decodes through the same validated gate.
         let got: (Point, Vec<ObjectEvent>) = decode_framed(FRAME_SNAPSHOT, &reused).unwrap();
         assert_eq!(got.0, values.0);
