@@ -40,8 +40,8 @@ bench_config! {
         warmup_cycles: usize = 2,
         /// Grid granularity per axis.
         grid_dim: u32 = 128,
-        /// Query shards (1 = sequential maintenance).
-        shards: usize = 1,
+        /// Maintenance threads.
+        threads: usize = 1,
         /// RNG seed.
         seed: u64 = 2005,
     }
@@ -73,7 +73,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     );
     let build = |deltas: bool| {
         let mut engine: ShardedCpmEngine<PointQuery> =
-            ShardedCpmEngine::new(cfg.grid_dim, cfg.shards);
+            ShardedCpmEngine::new(cfg.grid_dim, cfg.threads);
         if deltas {
             engine.enable_deltas();
         }

@@ -80,20 +80,29 @@ pub const GATES: &[Gate] = &[
         "dense scan cost / in-run hash-set control, worst dim",
         Bound::AtMost(1.0 * MARGIN),
     ),
-    // Sharding must never collapse throughput, and must scale where the
-    // host has the threads to scale on.
+    // A second thread must never cost throughput, and must pay where the
+    // host has the threads to pay on.
     gate(
-        "shards",
-        "speedup_4_shards",
-        "4-shard throughput / sequential (coordination overhead bound)",
-        Bound::AtLeast(0.5),
+        "threads",
+        "speedup_2_threads",
+        "2-thread throughput / 1 thread (spawn and join overhead bound)",
+        Bound::AtLeast(0.95),
     ),
+    Gate {
+        min_threads: 2,
+        ..gate(
+            "threads",
+            "speedup_2_threads",
+            "2-thread speedup on >= 2 threads",
+            Bound::AtLeast(1.2),
+        )
+    },
     Gate {
         min_threads: 4,
         ..gate(
-            "shards",
-            "speedup_4_shards",
-            "4-shard speedup on >= 4 threads",
+            "threads",
+            "speedup_4_threads",
+            "4-thread speedup on >= 4 threads",
             Bound::AtLeast(1.5),
         )
     },

@@ -34,7 +34,7 @@ pub mod record;
 pub mod recovery;
 pub mod regrid;
 pub mod server;
-pub mod shards;
+pub mod threads;
 pub mod workload;
 
 pub use record::BenchRecord;
@@ -75,7 +75,7 @@ macro_rules! bench {
 /// Every micro-benchmark, in the order `bench_check` runs them.
 pub const BENCHES: [Bench; 10] = [
     bench!("grid", grid_storage),
-    bench!("shards", shards),
+    bench!("threads", threads),
     bench!("deltas", deltas),
     bench!("server", server),
     bench!("regrid", regrid),

@@ -20,7 +20,7 @@ pub enum Value {
     Bool(bool),
     /// A label.
     Str(String),
-    /// A list of numbers (swept dimensions, shard counts).
+    /// A list of numbers (swept dimensions, thread counts).
     List(Vec<f64>),
 }
 

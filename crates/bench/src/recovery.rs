@@ -53,8 +53,8 @@ bench_config! {
         checkpoint_every: u64 = 8,
         /// Grid granularity per axis.
         grid_dim: u32 = 128,
-        /// Query shards (1 = sequential maintenance).
-        shards: usize = 1,
+        /// Maintenance threads.
+        threads: usize = 1,
         /// RNG seed.
         seed: u64 = 2005,
     }
@@ -101,7 +101,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     let (mut replayed, mut snapshot_bytes, mut journal_bytes, mut changes) = (0, 0, 0, 0);
     for _ in 0..REPS {
         let mut server = CpmServerBuilder::new(cfg.grid_dim)
-            .shards(cfg.shards)
+            .threads(cfg.threads)
             .build();
         server.populate(w.objects.iter().copied());
         let mut durable = DurableCpmServer::new(server, cfg.checkpoint_every);

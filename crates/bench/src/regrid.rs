@@ -72,7 +72,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     let drift = s.stream();
     let fixed_dim = s.provisioned_dim(s.n_base);
     let build = |policy: Option<RegridPolicy>| {
-        let mut m = ShardedCpmEngine::<PointQuery>::new(fixed_dim, s.shards);
+        let mut m = ShardedCpmEngine::<PointQuery>::new(fixed_dim, s.threads);
         if let Some(policy) = policy {
             m.set_regrid_policy(policy);
         }

@@ -41,9 +41,9 @@ bench_config! {
         warmup_cycles: usize = 2,
         /// Grid granularity per axis.
         grid_dim: u32 = 128,
-        /// Query shards, applied to the server and to each dedicated
-        /// engine alike (1 = sequential maintenance).
-        shards: usize = 1,
+        /// Maintenance threads, applied to the server and to each
+        /// dedicated engine alike.
+        threads: usize = 1,
         /// RNG seed.
         seed: u64 = 2005,
     }
@@ -78,12 +78,12 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     let mut work = cpm_grid::Metrics::default();
     for _ in 0..REPS {
         let mut server = CpmServerBuilder::new(cfg.grid_dim)
-            .shards(cfg.shards)
+            .threads(cfg.threads)
             .build();
         server.populate(w.objects.iter().copied());
-        let mut knn_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.shards);
-        let mut range_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.shards);
-        let mut constrained_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.shards);
+        let mut knn_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.threads);
+        let mut range_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.threads);
+        let mut constrained_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.threads);
         knn_engine.populate(w.objects.iter().copied());
         range_engine.populate(w.objects.iter().copied());
         constrained_engine.populate(w.objects.iter().copied());

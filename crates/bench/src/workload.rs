@@ -180,8 +180,8 @@ bench_config! {
         cycles: usize = 60,
         /// Unmeasured warm-up cycles.
         warmup_cycles: usize = 2,
-        /// Query shards per lane (1 = sequential maintenance).
-        shards: usize = 1,
+        /// Maintenance threads per lane.
+        threads: usize = 1,
         /// RNG seed.
         seed: u64 = 2005,
     }

@@ -58,7 +58,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use cpm_core::{AnyQuerySpec, CycleDeltas, SpecEvent};
-use cpm_geom::{FastHashMap, Point, QueryId};
+use cpm_geom::{FastHashMap, ObjectId, Point, QueryId};
 use cpm_grid::ObjectEvent;
 use cpm_sub::{CycleReceipt, DeltaFanout};
 use cpm_wire::cluster::{BatchFrame, ClusterMsg, DeltasHeader};
@@ -216,6 +216,9 @@ impl Positions {
     /// event's **origin**: what its object's slot held before
     /// ([`NOT_LIVE`] for an appear).
     fn apply(&mut self, ev: &ObjectEvent) -> Result<Point, ClusterError> {
+        if ev.id().0 >= ObjectId::LIMIT {
+            return Err(ClusterError::ObjectIdOutOfRange { oid: ev.id() });
+        }
         let idx = ev.id().index();
         if let Some(p) = ev.position() {
             if !((0.0..=1.0).contains(&p.x) && (0.0..=1.0).contains(&p.y)) {

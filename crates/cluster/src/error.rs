@@ -55,6 +55,13 @@ pub enum ClusterError {
         /// The object the event addressed.
         oid: ObjectId,
     },
+    /// An object event named an id at or above [`ObjectId::LIMIT`], the
+    /// ceiling of the dense position table; the coordinator refused the
+    /// whole batch before anything was sized by the id or routed.
+    ObjectIdOutOfRange {
+        /// The object the event addressed.
+        oid: ObjectId,
+    },
     /// A query was routed to (or moved under) a worker whose tile does
     /// not own its anchor point.
     QueryOutOfTile {
@@ -178,6 +185,12 @@ impl std::fmt::Display for ClusterError {
                 f,
                 "object {}: event carries a non-finite position or one outside the unit workspace",
                 oid.0
+            ),
+            ClusterError::ObjectIdOutOfRange { oid } => write!(
+                f,
+                "object {}: id is at or above the object-id ceiling {}",
+                oid.0,
+                ObjectId::LIMIT
             ),
             ClusterError::QueryOutOfTile { qid, tile } => write!(
                 f,

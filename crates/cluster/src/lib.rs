@@ -1,6 +1,6 @@
 //! # cpm-cluster — multi-node CPM behind a routing coordinator
 //!
-//! The sharded engine parallelizes maintenance inside one process; this
+//! The engine parallelizes maintenance over threads inside one process; this
 //! crate is the next scale step: the workspace is partitioned into
 //! rectangular tiles over the grid geometry, each tile owned by a
 //! **worker** running its own [`cpm_core::CpmServer`], and a

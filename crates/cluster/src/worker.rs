@@ -45,8 +45,10 @@ impl ClusterWorker {
     /// # Errors
     /// [`CpmError::InvalidDim`] for an unusable grid resolution.
     pub fn new(id: u32, dim: u32, tile: TileRect, coverage: TileRect) -> Result<Self, CpmError> {
+        // One thread: the worker threads of a cluster are its
+        // parallelism.
         let server = CpmServerBuilder::new(dim)
-            .shards(1)
+            .threads(1)
             .deltas(true)
             .try_build()?;
         Ok(Self {

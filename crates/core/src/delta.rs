@@ -35,8 +35,8 @@ use crate::neighbors::Neighbor;
 /// All three components are canonical: `added` and `reordered` are in
 /// ascending `(dist, id)` order (the result order), `removed` is in the
 /// evicted entries' old result order. Equal deltas therefore compare equal
-/// with `==`, and the sharded engine's merged delta batches are
-/// bit-identical to the sequential engine's.
+/// with `==`, and the engine's delta batches are bit-identical at every
+/// thread count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeighborDelta {
     /// The cycle that produced this delta (1-based; epoch 0 is the state
@@ -236,10 +236,16 @@ impl NeighborDelta {
     /// in both (id and distance bits); what it leaves unmatched is joined
     /// by id through a small hash table and handed out in list order, which
     /// is the canonical order of all three components. Expected cost is
-    /// O(|old| + |new|) for every list length, with no allocation beyond
-    /// the delta's own components — this runs once per affected query per
-    /// cycle on the engine's delta path.
-    pub fn diff(epoch: u64, old: &[Neighbor], new: &[Neighbor]) -> Self {
+    /// O(|old| + |new|) for every list length. The walk and the join work
+    /// in `scratch`, so once its buffers have grown a diff allocates
+    /// nothing beyond the delta's own components — this runs once per
+    /// affected query per cycle on the engine's delta path.
+    pub fn diff(
+        epoch: u64,
+        old: &[Neighbor],
+        new: &[Neighbor],
+        scratch: &mut DeltaScratch,
+    ) -> Self {
         let mut delta = NeighborDelta {
             epoch,
             ..Self::default()
@@ -251,12 +257,11 @@ impl NeighborDelta {
         const MATCHED: u32 = 1 << 31;
         assert!(old.len().max(new.len()) < MATCHED as usize);
         let (mut i, mut j) = (0, 0);
-        let mut scratch = SCRATCH.take();
-        let Scratch {
+        let DeltaScratch {
             slots,
             un_old,
             un_new,
-        } = &mut scratch;
+        } = scratch;
         un_old.clear();
         un_new.clear();
         while i < old.len() && j < new.len() {
@@ -305,7 +310,6 @@ impl NeighborDelta {
                 delta.added.push(entry);
             }
         }
-        SCRATCH.set(scratch);
         delta
     }
 
@@ -334,9 +338,9 @@ impl NeighborDelta {
         // inline and its spilled storage on every dereference.
         let (removed, reordered, added): (&[ObjectId], &[Neighbor], &[Neighbor]) =
             (&self.removed, &self.reordered, &self.added);
-        let mut scratch = SCRATCH.take();
+        let mut slots = APPLY_SLOTS.take();
         let leaving = IdTable::new(
-            &mut scratch.slots,
+            &mut slots,
             removed.len() + reordered.len(),
             (removed.iter().copied()).chain(reordered.iter().map(|r| r.id)),
         );
@@ -352,7 +356,7 @@ impl NeighborDelta {
             reordered_found == reordered.len(),
             "reordered entry must be in the replayed result"
         );
-        SCRATCH.set(scratch);
+        APPLY_SLOTS.set(slots);
 
         // Back to front, the largest of the three tails goes last; the
         // write position never overtakes the survivors still to be moved.
@@ -382,21 +386,24 @@ impl NeighborDelta {
     }
 }
 
-/// Buffers of [`NeighborDelta::diff`] and [`NeighborDelta::apply_to`],
-/// recycled per thread so that neither allocates in the steady state:
-/// taken at entry and put back at exit (a call that panics loses them and
-/// the next one starts from empty buffers).
-#[derive(Default)]
-struct Scratch {
+/// The buffers of [`NeighborDelta::diff`], owned by the caller so that a
+/// diff allocates nothing beyond the delta's own components once they
+/// have grown: the engine keeps one per worker, reused every cycle.
+#[derive(Debug, Default)]
+pub struct DeltaScratch {
     /// Slot storage of the call's [`IdTable`].
     slots: Vec<u64>,
-    /// `diff`: indices of the entries the walk left unmatched, per list.
+    /// Indices of the entries the walk left unmatched, per list.
     un_old: Vec<u32>,
     un_new: Vec<u32>,
 }
 
 thread_local! {
-    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+    /// The [`IdTable`] slots of [`NeighborDelta::apply_to`], recycled per
+    /// thread (replicas fold on their subscriber's long-lived thread): taken
+    /// at entry and put back at exit, so a call that panics loses them and
+    /// the next one starts from an empty buffer.
+    static APPLY_SLOTS: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 
 /// `id ↦ position` over a short id sequence: open addressing with linear
@@ -452,13 +459,13 @@ impl<'a> IdTable<'a> {
     }
 }
 
-/// One processing cycle's full delta output, as returned by
-/// `process_cycle_with_deltas` on both the sequential and the sharded
-/// engine.
+/// One processing cycle's full delta output, as returned by the engine's
+/// `process_cycle_with_deltas`.
 ///
 /// `deltas` holds at most one entry per query, ascending by query id (the
-/// sharded engine merges per-shard outputs into this canonical order, so
-/// the batch is bit-identical across shard counts). `changed` is the same
+/// engine concatenates its workers' outputs in slot and event order and
+/// sorts them into this canonical order, so the batch is bit-identical at
+/// every thread count). `changed` is the same
 /// changed-query list `process_cycle` reports; a changed query whose final
 /// list is bit-identical to its cycle-start list (an object moved without
 /// altering any stored distance bits) appears in `changed` but produces no
@@ -475,11 +482,10 @@ pub struct CycleDeltas {
 
 impl CycleDeltas {
     /// Canonicalize a freshly filled batch: sort the deltas by query id
-    /// (a core emits them in query-table slot order — id order for
+    /// (the engine emits them in query-table slot order — id order for
     /// queries installed in ascending id order into never-reused slots —
     /// then the query-event deltas; deltas are fat, so only sort when
-    /// actually needed) and stamp the epoch. Used by both engines so the
-    /// canonical-order contract cannot drift between them.
+    /// actually needed) and stamp the epoch.
     ///
     /// One delta per query per cycle: callers must not submit two events
     /// for the same query in one batch (the subscription hub enforces
@@ -577,7 +583,7 @@ mod tests {
     fn diff_classifies_add_remove_reorder() {
         let old = [n(1, 0.1), n(2, 0.2), n(3, 0.3)];
         let new = [n(2, 0.05), n(4, 0.15), n(3, 0.3)];
-        let d = NeighborDelta::diff(7, &old, &new);
+        let d = NeighborDelta::diff(7, &old, &new, &mut DeltaScratch::default());
         assert_eq!(d.epoch, 7);
         assert_eq!(d.removed, vec![ObjectId(1)]);
         assert_eq!(d.added, vec![n(4, 0.15)]);
@@ -591,7 +597,7 @@ mod tests {
     #[test]
     fn identical_lists_produce_empty_delta() {
         let list = [n(5, 0.4), n(9, 0.8)];
-        let d = NeighborDelta::diff(1, &list, &list);
+        let d = NeighborDelta::diff(1, &list, &list, &mut DeltaScratch::default());
         assert!(d.is_empty());
         let mut replica = list.to_vec();
         d.apply_to(&mut replica);
@@ -628,7 +634,7 @@ mod tests {
             .run(&list_pairs(), |(old_ids, old_d, new_ids, new_d)| {
                 let old = tie_heavy_list(&old_ids, &old_d);
                 let new = tie_heavy_list(&new_ids, &new_d);
-                let d = NeighborDelta::diff(3, &old, &new);
+                let d = NeighborDelta::diff(3, &old, &new, &mut DeltaScratch::default());
                 prop_assert_eq!(&d, &diff_reference(3, &old, &new), "old {:?}", old);
                 let mut replica = old.clone();
                 d.apply_to(&mut replica);
@@ -659,7 +665,7 @@ mod tests {
                 |((old_ids, old_d, new_ids, new_d), absent, salt)| {
                     let old = tie_heavy_list(&old_ids, &old_d);
                     let new = tie_heavy_list(&new_ids, &new_d);
-                    let mut d = NeighborDelta::diff(3, &old, &new);
+                    let mut d = NeighborDelta::diff(3, &old, &new, &mut DeltaScratch::default());
                     let mut removed: Vec<ObjectId> = d.removed.to_vec();
                     removed.extend(absent.into_iter().map(ObjectId));
                     removed.sort_unstable_by_key(|id| id.0.wrapping_mul(salt | 1));

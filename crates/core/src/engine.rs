@@ -16,45 +16,28 @@
 //!   point query, the cells covering the MBR `M` for an aggregate query),
 //! * optional admission predicates for constrained variants.
 //!
-//! # Processing cycle: ingest, then route → group → resolve
+//! Per query, the work is Figure 3.8's: a cycle's `(query, record,
+//! departure | arrival)` pairs in batch order, then merge-or-recompute
+//! and change detection (`Worker::resolve`), or a from-scratch
+//! search for a new or moved query. Either touches nothing but that
+//! query's own state — it reads the grid and leaves its influence-table
+//! writes for later — which is what lets [`crate::ShardedCpmEngine`] run
+//! many queries at once, one `Worker` per thread; see its module for
+//! the phases of a cycle.
 //!
-//! The engine is structured so a cycle splits cleanly into a *mutating*
-//! and an *immutable* phase:
-//!
-//! 1. **Grid ingest** ([`cpm_grid::apply_events`]): the update batch is
-//!    applied to the grid sequentially, producing one
-//!    [`cpm_grid::UpdateRecord`] per event.
-//! 2. **Query maintenance** (`EngineCore`), against an immutable `&Grid`.
-//!    Figure 3.8 handles a timestamp's updates per query ("for each query
-//!    q … affected by updates in U_P"), and so does
-//!    `EngineCore::apply_records`: it *routes* the records through the
-//!    influence lists into `(query, record, departure | arrival)` pairs,
-//!    *groups* the pairs by query with a counting sort over the dense
-//!    query-table slots the lists hold, and *resolves* one query at a
-//!    time — its departures and arrivals in batch order, then
-//!    merge-or-recompute and change detection — so each query's ~2 KB of
-//!    state is pulled into cache once per cycle rather than once per
-//!    pair. Query events run afterwards. All per-query state (query
-//!    table, influence table, metrics, scratch buffers) lives in the
-//!    `EngineCore`, so several cores over *disjoint query sets* can
-//!    process the same record batch concurrently — that is exactly what
-//!    [`crate::ShardedCpmEngine`] does with `std::thread::scope`.
-//!
-//! `EngineCore` is the only implementation of Figures 3.4–3.9 in the
-//! suite: the paper's k-NN workload is the [`PointQuery`] geometry, and
-//! the Section 5 variants ([`crate::ann`], [`crate::constrained`],
-//! [`crate::range`], [`crate::rnn`]) are further [`QuerySpec`]s. It is
-//! driven by [`crate::ShardedCpmEngine`] (one core per shard; one shard is
-//! the sequential engine) and, through it, by [`crate::CpmServer`].
+//! This is the only implementation of Figures 3.4–3.9 in the suite: the
+//! paper's k-NN workload is the [`PointQuery`] geometry, and the
+//! Section 5 variants ([`crate::ann`], [`crate::constrained`],
+//! [`crate::range`], [`crate::rnn`]) are further [`QuerySpec`]s, all
+//! driven by [`crate::ShardedCpmEngine`] and, through it, by
+//! [`crate::CpmServer`].
 
-use cpm_geom::{FastHashMap, FastHashSet, ObjectId, Point, QueryId};
+use cpm_geom::{ObjectId, Point, QueryId};
 use cpm_grid::{
-    kernels, CellCoord, Coords, Grid, GridGeom, InfluenceTable, Metrics, QueryEvent, QueryKind,
-    UpdateRecord,
+    kernels, CellCoord, Coords, Grid, GridGeom, Metrics, QueryEvent, QueryKind, UpdateRecord,
 };
 
-use crate::delta::NeighborDelta;
-use crate::error::CpmError;
+use crate::delta::{DeltaScratch, NeighborDelta};
 use crate::heap::{HeapEntry, SearchHeap};
 use crate::inlist::InList;
 use crate::neighbors::{Neighbor, NeighborList};
@@ -242,19 +225,16 @@ pub struct SpecQueryState<S> {
     pub heap: SearchHeap,
     /// Pinwheel around the base block.
     pub pinwheel: Pinwheel,
-    /// This query's slot in its core's query table — the handle its
+    /// This query's slot in the engine's query table — the handle its
     /// influence registrations carry.
-    slot: u32,
+    pub(crate) slot: u32,
     /// Incomers of the cycle being resolved (cleared per cycle; a field
     /// only so its allocation is reused).
     in_list: InList,
-    /// Reused output buffer for [`QuerySpec::dist_batch`] bucket scans;
-    /// scratch only, never part of the observable query state.
-    dist_buf: Vec<f64>,
 }
 
 impl<S: QuerySpec> SpecQueryState<S> {
-    fn new(id: QueryId, slot: u32, spec: S, k: usize, dim: u32) -> Self {
+    pub(crate) fn new(id: QueryId, slot: u32, spec: S, k: usize, dim: u32) -> Self {
         Self {
             id,
             slot,
@@ -265,7 +245,6 @@ impl<S: QuerySpec> SpecQueryState<S> {
             heap: SearchHeap::new(),
             pinwheel: Pinwheel::around_cell(CellCoord::new(0, 0), dim),
             in_list: InList::with_cap(k),
-            dist_buf: Vec::new(),
         }
     }
 
@@ -292,463 +271,123 @@ impl<S: QuerySpec> SpecQueryState<S> {
     }
 }
 
-/// The query-side half of a CPM engine: query table, influence table, work
-/// counters and scratch buffers — everything a processing cycle touches
-/// *except* the grid.
-///
-/// A core's maintenance path ([`EngineCore::apply_records`],
-/// [`EngineCore::apply_query_events`]) borrows the grid immutably, so it is
-/// `Send` whenever the query geometry is, and cores over disjoint query
-/// sets can run concurrently against one shared grid.
-#[derive(Debug)]
-pub(crate) struct EngineCore<S: QuerySpec> {
-    /// Influence lists, holding query-table slots: update handling goes
-    /// from a cell to the affected states without hashing a query id.
-    influence: InfluenceTable<u32>,
-    /// The query table (Figure 3.3a): a slab of states, vacant slots
-    /// listed in `free`.
-    queries: Vec<Option<SpecQueryState<S>>>,
-    free: Vec<u32>,
-    /// `QueryId → slot`, for the id-addressed calls (install, update,
-    /// terminate, reads).
-    slot_of: FastHashMap<QueryId, u32>,
-    metrics: Metrics,
-    epoch: u64,
-    ignored: FastHashSet<QueryId>,
-    /// The cycle's `(query, record, departure | arrival)` pairs grouped
-    /// by query slot, each packed `record index << 1 | arrival`; slot
-    /// `s`'s group ends at `group_ends[s]` and starts where the previous
-    /// slot's ends. Both recycled across cycles.
-    pairs: Vec<u32>,
-    group_ends: Vec<usize>,
-    /// The cycle-start result of the query being resolved, copied from
-    /// its `best` list just before the cycle first changes it (recycled).
-    cycle_start: Vec<Neighbor>,
-    /// Scratch for merge resolutions (result ∪ incomers), recycled.
-    merge_buf: Vec<Neighbor>,
-    /// When set, every cycle's result changes are also captured as
-    /// [`NeighborDelta`]s (cleared at cycle start, drained by
-    /// [`crate::ShardedCpmEngine::process_cycle_with_deltas`]).
-    collect_deltas: bool,
-    deltas: Vec<(QueryId, NeighborDelta)>,
-    /// Queries whose result changed during a re-grid re-registration
-    /// ([`EngineCore::rebind_grid`]) and have not yet been folded into a
-    /// cycle's changed list. Empty except across exact-distance ties: the
-    /// recomputed result is the canonical `(dist, id)`-minimal set, which
-    /// the maintained result already is.
-    regrid_changed: Vec<QueryId>,
-    /// Pre-regrid result snapshots of those queries (kept only with delta
-    /// capture on), so the next cycle's delta can use the list subscribers
-    /// actually hold as its base.
-    regrid_prelists: Vec<(QueryId, Vec<Neighbor>)>,
+/// An influence-table write a worker leaves for the join: register (or,
+/// with `false`, unregister) query slot `.1` at cell `.0`.
+pub(crate) type InfluenceOp = (CellCoord, u32, bool);
+
+/// Why a state is searched from scratch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Search {
+    /// Query event `i` of the cycle: an install, or an update whose new
+    /// geometry the event carries.
+    Event(usize),
+    /// A re-grid re-registration.
+    Rebind,
 }
 
-impl<S: QuerySpec> EngineCore<S> {
-    pub(crate) fn new(dim: u32) -> Self {
-        Self {
-            influence: InfluenceTable::new(dim),
-            queries: Vec::new(),
-            free: Vec::new(),
-            slot_of: FastHashMap::default(),
-            metrics: Metrics::default(),
-            epoch: 0,
-            ignored: FastHashSet::default(),
-            pairs: Vec::new(),
-            group_ends: Vec::new(),
-            cycle_start: Vec::new(),
-            merge_buf: Vec::new(),
-            collect_deltas: false,
-            deltas: Vec::new(),
-            regrid_changed: Vec::new(),
-            regrid_prelists: Vec::new(),
-        }
-    }
+/// The read-only inputs every worker of a resolve step shares: the
+/// post-ingest grid and the cycle's grouping.
+pub(crate) struct Resolve<'a> {
+    pub(crate) grid: &'a Grid,
+    pub(crate) records: &'a [UpdateRecord],
+    pub(crate) pairs: &'a [u32],
+    pub(crate) group_ends: &'a [usize],
+    pub(crate) pending: &'a [u64],
+    pub(crate) epoch: u64,
+    pub(crate) collect_deltas: bool,
+}
 
-    /// Turn per-cycle delta capture on or off (off by default — capture
-    /// costs one O(result) copy and one O(result) diff per affected query
-    /// per cycle).
-    pub(crate) fn set_collect_deltas(&mut self, on: bool) {
-        self.collect_deltas = on;
-    }
+/// One worker thread's share of a parallel step: its outputs, in the
+/// order a single worker would produce them, and its scratch. Workers
+/// live in their engine across cycles, so once their buffers have grown
+/// a step allocates nothing but the deltas' own spill buffers.
+#[derive(Debug, Default)]
+pub(crate) struct Worker {
+    pub(crate) metrics: Metrics,
+    pub(crate) changed: Vec<QueryId>,
+    pub(crate) deltas: Vec<(QueryId, NeighborDelta)>,
+    /// Influence-table writes, applied at the join: the table is read
+    /// only while workers run.
+    pub(crate) influence_ops: Vec<InfluenceOp>,
+    /// Re-registered queries whose result moved, with the list before.
+    pub(crate) regrid_moved: Vec<(QueryId, Vec<Neighbor>)>,
+    /// The cycle-start result of the query being resolved, copied from
+    /// its `best` list just before the cycle first changes it.
+    cycle_start: Vec<Neighbor>,
+    /// Scratch for merge resolutions (result ∪ incomers).
+    merge_buf: Vec<Neighbor>,
+    /// Output buffer of [`QuerySpec::dist_batch`] bucket scans.
+    dist_buf: Vec<f64>,
+    pub(crate) diff: DeltaScratch,
+}
 
-    /// Whether per-cycle delta capture is on.
-    pub(crate) fn collects_deltas(&self) -> bool {
-        self.collect_deltas
-    }
-
-    /// The processing-cycle counter (0 before any cycle ran). Every core
-    /// of a sharded engine advances it identically, so delta epochs are
-    /// shard-count-invariant.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Drain the deltas captured since the last cycle start. The
-    /// replacement buffer is pre-sized to the drained count so
-    /// steady-state cycles pay one allocation instead of a growth series.
-    pub(crate) fn take_deltas(&mut self) -> Vec<(QueryId, NeighborDelta)> {
-        let cap = self.deltas.len();
-        std::mem::replace(&mut self.deltas, Vec::with_capacity(cap))
-    }
-
-    /// Move the captured deltas into `out`, keeping this core's buffer
-    /// (the steady-state zero-allocation path).
-    pub(crate) fn drain_deltas_into(&mut self, out: &mut Vec<(QueryId, NeighborDelta)>) {
-        out.append(&mut self.deltas);
-    }
-
-    pub(crate) fn query_count(&self) -> usize {
-        self.slot_of.len()
-    }
-
-    pub(crate) fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<S>> {
-        self.queries[*self.slot_of.get(&id)? as usize].as_ref()
-    }
-
-    pub(crate) fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.slot_of.keys().copied()
-    }
-
-    pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    pub(crate) fn take_metrics(&mut self) -> Metrics {
-        self.metrics.take()
-    }
-
-    /// `(query count, Σk)` over the managed queries, with each `k` capped
-    /// at 256 — the paper's largest experimental `k` — so the range
-    /// monitors' unbounded-result sentinel cannot poison the cost model's
-    /// average.
-    pub(crate) fn k_stats(&self) -> (usize, usize) {
-        let installed = self.queries.iter().flatten();
-        (
-            self.slot_of.len(),
-            installed.map(|st| st.k().min(256)).sum(),
-        )
-    }
-
-    /// Re-register every managed query against a re-gridded index: drop
-    /// all influence registrations (their packed cell ids are meaningless
-    /// at the new δ), then recompute each query from scratch **in
-    /// ascending query-id order** — the same deterministic order a fresh
-    /// engine installs them in, so the post-regrid book-keeping (visit
-    /// lists, heaps, influence prefixes, results) is bit-identical to a
-    /// from-scratch build at the new resolution.
-    ///
-    /// Results are invariant in practice (the maintained list and the
-    /// recomputed list are both the canonical `(dist, id)`-minimal set);
-    /// if an exact-distance tie ever resolves differently at the new δ,
-    /// the change is parked in `regrid_changed`/`regrid_prelists` and
-    /// folded into the next cycle's changed list and delta stream by
-    /// [`EngineCore::finish_regrid`].
-    pub(crate) fn rebind_grid(&mut self, grid: &Grid) {
-        self.influence.reset(grid.dim());
-        let mut qids: Vec<(QueryId, u32)> = self.slot_of.iter().map(|(&q, &s)| (q, s)).collect();
-        qids.sort_unstable();
-        for (qid, slot) in qids {
-            let st = self.queries[slot as usize].as_mut().expect("listed query");
-            st.influence_len = 0;
-            let prev: Vec<Neighbor> = st.best.neighbors().to_vec();
-            Self::compute_from_scratch(grid, &mut self.influence, st, &mut self.metrics);
-            self.metrics.regrid_queries_recomputed += 1;
-            if prev != st.best.neighbors() && !self.regrid_changed.contains(&qid) {
-                // First pre-regrid list wins: it is what subscribers hold.
-                self.regrid_changed.push(qid);
-                if self.collect_deltas {
-                    self.regrid_prelists.push((qid, prev));
-                }
-            }
-        }
-    }
-
-    /// Fold any re-grid-induced result changes into the finishing cycle's
-    /// outputs. For each parked query the authoritative delta is
-    /// `diff(pre-regrid list, current list)` — it *replaces* whatever the
-    /// incremental path produced this cycle, whose base (the post-regrid
-    /// list) is not what subscribers hold. Runs at the end of every
-    /// cycle; a no-op unless a re-grid actually changed a result
-    /// (exact-distance ties only).
-    pub(crate) fn finish_regrid(&mut self, changed: &mut Vec<QueryId>) {
-        if self.regrid_changed.is_empty() {
-            return;
-        }
-        for (qid, pre) in std::mem::take(&mut self.regrid_prelists) {
-            // `[]` if the query was terminated by this cycle's events.
-            let cur: &[Neighbor] = self.query_state(qid).map_or(&[], |st| st.best.neighbors());
-            let delta = NeighborDelta::diff(self.epoch, &pre, cur);
-            if let Some(at) = self.deltas.iter().position(|(q, _)| *q == qid) {
-                if delta.is_empty() {
-                    self.deltas.remove(at);
-                } else {
-                    self.deltas[at].1 = delta;
-                }
-            } else if !delta.is_empty() {
-                self.deltas.push((qid, delta));
-            }
-        }
-        for qid in std::mem::take(&mut self.regrid_changed) {
-            if self.slot_of.contains_key(&qid) && !changed.contains(&qid) {
-                changed.push(qid);
-            }
-        }
-    }
-
-    /// Query-table memory units of all managed queries (Section 4.1).
-    pub(crate) fn query_space_units(&self) -> usize {
-        let installed = self.queries.iter().flatten();
-        installed.map(|st| st.space_units()).sum::<usize>() + self.influence.total_entries()
-    }
-
-    /// Note which queries have pending query events this cycle; they are
-    /// skipped during object-update handling ("to avoid waste of
-    /// computations for obsolete queries", Section 3.3).
-    pub(crate) fn begin_cycle(&mut self, pending: impl Iterator<Item = QueryId>) {
-        self.ignored.clear();
-        self.ignored.extend(pending);
-        self.deltas.clear();
-    }
-
-    pub(crate) fn install(
+impl Worker {
+    /// Search `st` from scratch for `search`: query event `i` of `events`
+    /// (an install, or an update to the event's geometry) or a re-grid
+    /// re-registration.
+    pub(crate) fn search<S: QuerySpec>(
         &mut self,
         grid: &Grid,
-        id: QueryId,
-        spec: S,
-        k: usize,
-    ) -> Result<&[Neighbor], CpmError> {
-        if k == 0 {
-            return Err(CpmError::InvalidK(id));
-        }
-        if self.slot_of.contains_key(&id) {
-            return Err(CpmError::DuplicateQuery(id));
-        }
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.queries.push(None);
-            (self.queries.len() - 1) as u32
-        });
-        let mut st = SpecQueryState::new(id, slot, spec, k, grid.dim());
-        Self::compute_from_scratch(grid, &mut self.influence, &mut st, &mut self.metrics);
-        self.slot_of.insert(id, slot);
-        Ok(self.queries[slot as usize].insert(st).result())
-    }
-
-    /// Overwrite the cycle counter during snapshot restore, after the
-    /// restored queries have been installed. [`EngineCore::apply_records`]
-    /// pre-increments, so a core restored to epoch `e` emits its next
-    /// cycle at `e + 1` — exactly the numbering an uninterrupted engine
-    /// would use.
-    pub(crate) fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    /// Install a query from a snapshot: identical to
-    /// [`EngineCore::install`], except that the snapshot's `captured`
-    /// result (what the crashed engine last reported and subscribers
-    /// hold) is reconciled against the freshly recomputed one. Both are
-    /// the canonical `(dist, id)`-minimal set, so they agree in practice;
-    /// if an exact-distance tie ever resolves differently, the change is
-    /// parked through the same `regrid_changed`/`regrid_prelists`
-    /// machinery a re-grid uses, and surfaces in the next cycle's changed
-    /// list and delta stream instead of being silently dropped.
-    pub(crate) fn restore_query(
-        &mut self,
-        grid: &Grid,
-        id: QueryId,
-        spec: S,
-        k: usize,
-        captured: &[Neighbor],
-    ) -> Result<(), CpmError> {
-        self.install(grid, id, spec, k)?;
-        let st = self.query_state(id).expect("just installed");
-        if st.best.neighbors() != captured {
-            self.regrid_changed.push(id);
-            if self.collect_deltas {
-                self.regrid_prelists.push((id, captured.to_vec()));
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn terminate(&mut self, id: QueryId) -> Result<(), CpmError> {
-        let slot = self.slot_of.remove(&id).ok_or(CpmError::UnknownQuery(id))?;
-        let st = self.queries[slot as usize].take().expect("mapped slot");
-        for &(cell, _) in &st.visit_list[..st.influence_len] {
-            self.influence.remove(cell, slot);
-        }
-        self.free.push(slot);
-        Ok(())
-    }
-
-    pub(crate) fn update_spec(
-        &mut self,
-        grid: &Grid,
-        id: QueryId,
-        spec: S,
-    ) -> Result<&[Neighbor], CpmError> {
-        let slot = *self.slot_of.get(&id).ok_or(CpmError::UnknownQuery(id))?;
-        let st = self.queries[slot as usize].as_mut().expect("mapped slot");
-        for &(cell, _) in &st.visit_list[..st.influence_len] {
-            self.influence.remove(cell, slot);
-        }
-        st.influence_len = 0;
-        st.spec = spec;
-        Self::compute_from_scratch(grid, &mut self.influence, st, &mut self.metrics);
-        Ok(st.result())
-    }
-
-    /// Run the batched update handling (Figure 3.8) for an already-ingested
-    /// record batch, query-major — "for each query q affected by updates
-    /// in U_P" — in three steps:
-    ///
-    /// 1. **Route**: walk the records, reading nothing but this core's
-    ///    influence lists, once to count the `(query, record, departure |
-    ///    arrival)` pairs per query slot and once to scatter them. A
-    ///    record that touches no influenced cell costs two directory
-    ///    reads per walk.
-    /// 2. **Group**: the scatter *is* the grouping — a counting sort over
-    ///    the dense slots, stable by construction: each query's events
-    ///    stay in batch order, a record's departure before its arrival.
-    /// 3. **Resolve**: per query, apply its events and finish it
-    ///    ([`EngineCore::resolve`]) while its state is the only one in
-    ///    cache.
-    ///
-    /// A query's outcome depends on its own event sequence, on the
-    /// post-ingest grid and on its own influence registrations — none of
-    /// which another query's resolution writes — so results, `changed`,
-    /// deltas and `Metrics` are those of walking the batch record by
-    /// record. Queries resolve in slot order; the callers put `changed`
-    /// and the deltas into canonical id order.
-    pub(crate) fn apply_records(
-        &mut self,
-        grid: &Grid,
-        records: &[UpdateRecord],
-        changed: &mut Vec<QueryId>,
-    ) {
-        self.epoch += 1;
-        assert!(
-            records.len() <= (u32::MAX >> 1) as usize,
-            "record index must fit the packed pair"
-        );
-
-        let mut ends = std::mem::take(&mut self.group_ends);
-        ends.clear();
-        ends.resize(self.queries.len(), 0);
-        self.for_each_pair(records, |slot, _| ends[slot] += 1);
-        let mut total = 0;
-        for end in &mut ends {
-            let count = *end;
-            *end = total; // the group's start; the scatter advances it to its end
-            total += count;
-        }
-
-        let mut pairs = std::mem::take(&mut self.pairs);
-        pairs.clear();
-        pairs.resize(total, 0);
-        self.for_each_pair(records, |slot, pair| {
-            pairs[ends[slot]] = pair;
-            ends[slot] += 1;
-        });
-
-        let mut start = 0;
-        for (slot, &end) in ends.iter().enumerate() {
-            if end > start {
-                self.resolve(grid, records, slot, &pairs[start..end], changed);
-            }
-            start = end;
-        }
-        self.pairs = pairs;
-        self.group_ends = ends;
-    }
-
-    /// Visit every `(query slot, packed pair)` of the batch in batch
-    /// order, a record's departure before its arrival.
-    fn for_each_pair(&self, records: &[UpdateRecord], mut visit: impl FnMut(usize, u32)) {
-        for (i, rec) in records.iter().enumerate() {
-            let at = (i as u32) << 1;
-            if let Some(old_cell) = rec.old_cell {
-                for &slot in self.influence.queries_at(old_cell) {
-                    visit(slot as usize, at);
-                }
-            }
-            if let (Some(new_cell), Some(_)) = (rec.new_cell, rec.new_pos) {
-                for &slot in self.influence.queries_at(new_cell) {
-                    visit(slot as usize, at | 1);
-                }
-            }
-        }
-    }
-
-    /// Apply this core's share of the cycle's query events, in batch order.
-    pub(crate) fn apply_query_events(
-        &mut self,
-        grid: &Grid,
+        epoch: u64,
+        collect_deltas: bool,
+        search: Search,
         events: &[SpecEvent<S>],
-        changed: &mut Vec<QueryId>,
+        st: &mut SpecQueryState<S>,
     ) {
-        for ev in events {
-            match ev {
-                SpecEvent::Terminate { id } => {
-                    // A batched terminate of an id that is already gone is
-                    // benign (the direct-call API reports it as
-                    // `CpmError::UnknownQuery`).
-                    let _ = self.terminate(*id);
+        let Search::Event(i) = search else {
+            // The table was reset: nothing to unregister.
+            st.influence_len = 0;
+            self.cycle_start.clear();
+            self.cycle_start.extend_from_slice(st.best.neighbors());
+            self.compute_from_scratch(grid, st);
+            self.metrics.regrid_queries_recomputed += 1;
+            if self.cycle_start != st.best.neighbors() {
+                self.regrid_moved.push((st.id, self.cycle_start.clone()));
+            }
+            return;
+        };
+        let update = match &events[i] {
+            SpecEvent::Update { spec, .. } => {
+                self.unregister(st);
+                if collect_deltas {
+                    self.cycle_start.clear();
+                    self.cycle_start.extend_from_slice(st.best.neighbors());
                 }
-                SpecEvent::Update { id, spec } => {
-                    let epoch = self.epoch;
-                    if self.collect_deltas {
-                        let st = self
-                            .query_state(*id)
-                            .unwrap_or_else(|| panic!("update of unknown query {id}"));
-                        // Query events are rare relative to object
-                        // updates; a plain owned snapshot is fine here.
-                        let prev: Vec<Neighbor> = st.best.neighbors().to_vec();
-                        let delta = {
-                            let new = self
-                                .update_spec(grid, *id, spec.clone())
-                                .unwrap_or_else(|e| panic!("{e}"));
-                            NeighborDelta::diff(epoch, &prev, new)
-                        };
-                        if !delta.is_empty() {
-                            self.deltas.push((*id, delta));
-                        }
-                    } else {
-                        self.update_spec(grid, *id, spec.clone())
-                            .unwrap_or_else(|e| panic!("{e}"));
-                    }
-                    changed.push(*id);
-                }
-                SpecEvent::Install { id, spec, k } => {
-                    let epoch = self.epoch;
-                    if self.collect_deltas {
-                        let delta = {
-                            let result = self
-                                .install(grid, *id, spec.clone(), *k)
-                                .unwrap_or_else(|e| panic!("{e}"));
-                            NeighborDelta::diff(epoch, &[], result)
-                        };
-                        if !delta.is_empty() {
-                            self.deltas.push((*id, delta));
-                        }
-                    } else {
-                        self.install(grid, *id, spec.clone(), *k)
-                            .unwrap_or_else(|e| panic!("{e}"));
-                    }
-                    changed.push(*id);
-                }
+                st.spec.clone_from(spec);
+                true
+            }
+            SpecEvent::Install { .. } => false,
+            SpecEvent::Terminate { .. } => unreachable!("terminates run serially"),
+        };
+        self.compute_from_scratch(grid, st);
+        if collect_deltas {
+            let old: &[Neighbor] = if update { &self.cycle_start } else { &[] };
+            let delta = NeighborDelta::diff(epoch, old, st.best.neighbors(), &mut self.diff);
+            if !delta.is_empty() {
+                self.deltas.push((st.id, delta));
             }
         }
+        self.changed.push(st.id);
+    }
+
+    /// Drop `st`'s influence registrations (a moving query is a new one,
+    /// Section 3.3).
+    pub(crate) fn unregister<S>(&mut self, st: &mut SpecQueryState<S>) {
+        let registered = st.visit_list[..st.influence_len].iter();
+        self.influence_ops
+            .extend(registered.map(|&(cell, _)| (cell, st.slot, false)));
+        st.influence_len = 0;
     }
 
     // ---- search ----
 
-    fn compute_from_scratch(
+    pub(crate) fn compute_from_scratch<S: QuerySpec>(
+        &mut self,
         grid: &Grid,
-        inf: &mut InfluenceTable<u32>,
         st: &mut SpecQueryState<S>,
-        metrics: &mut Metrics,
     ) {
         debug_assert_eq!(st.influence_len, 0, "stale influence registrations");
+        let metrics = &mut self.metrics;
         let counters_before = metrics.query_counters();
         st.best.clear();
         st.visit_list.clear();
@@ -771,18 +410,14 @@ impl<S: QuerySpec> EngineCore<S> {
             }
         }
 
-        Self::drain_heap(grid, st, metrics);
+        drain_heap(grid, st, metrics, &mut self.dist_buf);
         metrics.computations += 1;
         metrics.attribute_since(st.spec.kind(), counters_before);
-        Self::sync_influence(inf, st);
+        sync_influence(&mut self.influence_ops, st);
     }
 
-    fn recompute(
-        grid: &Grid,
-        inf: &mut InfluenceTable<u32>,
-        st: &mut SpecQueryState<S>,
-        metrics: &mut Metrics,
-    ) {
+    fn recompute<S: QuerySpec>(&mut self, grid: &Grid, st: &mut SpecQueryState<S>) {
+        let metrics = &mut self.metrics;
         let counters_before = metrics.query_counters();
         st.best.clear();
 
@@ -795,96 +430,34 @@ impl<S: QuerySpec> EngineCore<S> {
             }
             metrics.cell_accesses += 1;
             let oids = grid.objects_in(cell);
-            st.spec.dist_batch(grid.coords(), oids, &mut st.dist_buf);
+            st.spec.dist_batch(grid.coords(), oids, &mut self.dist_buf);
             metrics.objects_processed += oids.len() as u64;
-            for (&oid, &d) in oids.iter().zip(&st.dist_buf) {
+            for (&oid, &d) in oids.iter().zip(&self.dist_buf) {
                 if d.is_finite() {
                     st.best.offer(oid, d);
                 }
             }
         }
         if exhausted {
-            Self::drain_heap(grid, st, metrics);
+            drain_heap(grid, st, metrics, &mut self.dist_buf);
         }
         metrics.recomputations += 1;
         metrics.attribute_since(st.spec.kind(), counters_before);
-        Self::sync_influence(inf, st);
-    }
-
-    fn drain_heap(grid: &Grid, st: &mut SpecQueryState<S>, metrics: &mut Metrics) {
-        let increment = st.spec.strip_increment(grid.delta());
-        while let Some(key) = st.heap.peek_key() {
-            if key > st.best.best_dist() {
-                break;
-            }
-            let (key, entry) = st.heap.pop().expect("peeked entry");
-            metrics.heap_pops += 1;
-            match entry {
-                HeapEntry::Cell(cell) => {
-                    metrics.cell_accesses += 1;
-                    let oids = grid.objects_in(cell);
-                    st.spec.dist_batch(grid.coords(), oids, &mut st.dist_buf);
-                    metrics.objects_processed += oids.len() as u64;
-                    for (&oid, &d) in oids.iter().zip(&st.dist_buf) {
-                        if d.is_finite() {
-                            st.best.offer(oid, d);
-                        }
-                    }
-                    st.visit_list.push((cell, key));
-                }
-                HeapEntry::Rect(dir, lvl) => {
-                    let strip = st.pinwheel.strip(dir, lvl).expect("en-heaped strip exists");
-                    for cell in strip.cells() {
-                        if st.spec.admits_cell(grid.geom(), cell) {
-                            st.heap.push_cell(cell, st.spec.cell_key(grid.geom(), cell));
-                            metrics.heap_pushes += 1;
-                        }
-                    }
-                    if st.pinwheel.strip(dir, lvl + 1).is_some() {
-                        st.heap.push_rect(dir, lvl + 1, key + increment);
-                        metrics.heap_pushes += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    fn sync_influence(inf: &mut InfluenceTable<u32>, st: &mut SpecQueryState<S>) {
-        let bd = st.best.best_dist();
-        let new_len = if bd.is_finite() {
-            st.visit_list.partition_point(|&(_, key)| key <= bd)
-        } else {
-            st.visit_list.len()
-        };
-        for i in st.influence_len..new_len {
-            inf.add(st.visit_list[i].0, st.slot);
-        }
-        for i in new_len..st.influence_len {
-            inf.remove(st.visit_list[i].0, st.slot);
-        }
-        st.influence_len = new_len;
+        sync_influence(&mut self.influence_ops, st);
     }
 
     // ---- update handling (Figure 3.8, aggregate distances) ----
 
     /// One query's share of a cycle: its departures and arrivals
-    /// (`events`, packed as in `EngineCore::pairs`) in batch order, then
-    /// merge-or-recompute resolution and change detection. A query with a
-    /// pending query event is skipped ("to avoid waste of computations
-    /// for obsolete queries", Section 3.3).
-    fn resolve(
+    /// (`events`, packed as in the engine's grouped pairs) in batch
+    /// order, then merge-or-recompute resolution and change detection.
+    pub(crate) fn resolve<S: QuerySpec>(
         &mut self,
-        grid: &Grid,
-        records: &[UpdateRecord],
-        slot: usize,
+        step: &Resolve<'_>,
+        st: &mut SpecQueryState<S>,
         events: &[u32],
-        changed: &mut Vec<QueryId>,
     ) {
-        let st = self.queries[slot].as_mut().expect("influence list in sync");
         let qid = st.id;
-        if self.ignored.contains(&qid) {
-            return;
-        }
         let bd_orig = st.best_dist();
         let mut out_count = 0usize;
         // An incomer left again — with an eviction, `in_list` is unsound.
@@ -894,7 +467,7 @@ impl<S: QuerySpec> EngineCore<S> {
         st.in_list.clear();
 
         for &ev in events {
-            let rec = &records[(ev >> 1) as usize];
+            let rec = &step.records[(ev >> 1) as usize];
             let id = rec.id;
             if ev & 1 == 1 {
                 let d = st
@@ -912,7 +485,7 @@ impl<S: QuerySpec> EngineCore<S> {
                 // The delta is taken against the cycle-start list: keep a
                 // copy from just before the first in-place mutation (it
                 // stays hot for the whole of this query's resolution).
-                if self.collect_deltas && !dirty {
+                if step.collect_deltas && !dirty {
                     self.cycle_start.clear();
                     self.cycle_start.extend_from_slice(st.best.neighbors());
                 }
@@ -948,7 +521,7 @@ impl<S: QuerySpec> EngineCore<S> {
             self.cycle_start.extend_from_slice(st.best.neighbors());
         }
         if recompute {
-            Self::recompute(grid, &mut self.influence, st, &mut self.metrics);
+            self.recompute(step.grid, st);
         } else {
             if resolved {
                 self.merge_buf.clear();
@@ -958,7 +531,7 @@ impl<S: QuerySpec> EngineCore<S> {
                 self.metrics.merge_resolutions += 1;
                 self.metrics.by_kind[st.spec.kind() as usize].merge_resolutions += 1;
             }
-            Self::sync_influence(&mut self.influence, st);
+            sync_influence(&mut self.influence_ops, st);
         }
 
         // Change detection. A `dirty` query changed whatever the lists
@@ -967,63 +540,90 @@ impl<S: QuerySpec> EngineCore<S> {
         // an empty delta means bitwise-equal lists (distances are never
         // NaN or -0.0, so bit equality and `==` agree), which keeps
         // `changed` identical with capture on or off.
-        if self.collect_deltas {
-            let delta = NeighborDelta::diff(self.epoch, &self.cycle_start, st.best.neighbors());
+        if step.collect_deltas {
+            let delta = NeighborDelta::diff(
+                step.epoch,
+                &self.cycle_start,
+                st.best.neighbors(),
+                &mut self.diff,
+            );
             if dirty || !delta.is_empty() {
-                changed.push(qid);
+                self.changed.push(qid);
             }
             if !delta.is_empty() {
                 self.deltas.push((qid, delta));
             }
         } else if dirty || self.cycle_start != st.best.neighbors() {
-            changed.push(qid);
+            self.changed.push(qid);
         }
     }
+}
 
-    /// Verify all cross-structure invariants against `grid` (test helper).
-    pub(crate) fn check_invariants(&self, grid: &Grid) {
-        for (qid, &slot) in &self.slot_of {
-            let st = self.queries[slot as usize].as_ref().expect("mapped slot");
-            assert_eq!((*qid, slot), (st.id, st.slot));
-            st.best.check_invariants();
-            for w in st.visit_list.windows(2) {
-                assert!(w[0].1 <= w[1].1, "visit list out of order");
+fn drain_heap<S: QuerySpec>(
+    grid: &Grid,
+    st: &mut SpecQueryState<S>,
+    metrics: &mut Metrics,
+    dist_buf: &mut Vec<f64>,
+) {
+    let increment = st.spec.strip_increment(grid.delta());
+    while let Some(key) = st.heap.peek_key() {
+        if key > st.best.best_dist() {
+            break;
+        }
+        let (key, entry) = st.heap.pop().expect("peeked entry");
+        metrics.heap_pops += 1;
+        match entry {
+            HeapEntry::Cell(cell) => {
+                metrics.cell_accesses += 1;
+                let oids = grid.objects_in(cell);
+                st.spec.dist_batch(grid.coords(), oids, dist_buf);
+                metrics.objects_processed += oids.len() as u64;
+                for (&oid, &d) in oids.iter().zip(dist_buf.iter()) {
+                    if d.is_finite() {
+                        st.best.offer(oid, d);
+                    }
+                }
+                st.visit_list.push((cell, key));
             }
-            let bd = st.best_dist();
-            for (i, &(cell, key)) in st.visit_list.iter().enumerate() {
-                let registered = self.influence.contains(cell, slot);
-                assert_eq!(registered, i < st.influence_len, "registration mismatch");
-                if bd.is_finite() {
-                    assert_eq!(key <= bd, i < st.influence_len, "prefix mismatch");
+            HeapEntry::Rect(dir, lvl) => {
+                let strip = st.pinwheel.strip(dir, lvl).expect("en-heaped strip exists");
+                for cell in strip.cells() {
+                    if st.spec.admits_cell(grid.geom(), cell) {
+                        st.heap.push_cell(cell, st.spec.cell_key(grid.geom(), cell));
+                        metrics.heap_pushes += 1;
+                    }
+                }
+                if st.pinwheel.strip(dir, lvl + 1).is_some() {
+                    st.heap.push_rect(dir, lvl + 1, key + increment);
+                    metrics.heap_pushes += 1;
                 }
             }
-            for n in st.result() {
-                let p = grid
-                    .position(n.id)
-                    .unwrap_or_else(|| panic!("result contains off-line object {}", n.id));
-                assert!(
-                    (st.spec.dist(p) - n.dist).abs() < 1e-9,
-                    "stale distance for {}",
-                    n.id
-                );
-            }
-            assert!(st.heap.boundary_boxes() <= 4);
         }
-        let installed = self.queries.iter().flatten();
-        let total: usize = installed.map(|st| st.influence_len).sum();
-        assert_eq!(self.influence.total_entries(), total);
-        assert!(self
-            .free
-            .iter()
-            .all(|&s| self.queries[s as usize].is_none()));
-        assert_eq!(self.slot_of.len() + self.free.len(), self.queries.len());
     }
+}
+
+/// Bring `st`'s influence registrations to the prefix of its visit list
+/// within `best_dist`, as writes for the join.
+fn sync_influence<S>(ops: &mut Vec<InfluenceOp>, st: &mut SpecQueryState<S>) {
+    let bd = st.best.best_dist();
+    let new_len = if bd.is_finite() {
+        st.visit_list.partition_point(|&(_, key)| key <= bd)
+    } else {
+        st.visit_list.len()
+    };
+    for i in st.influence_len..new_len {
+        ops.push((st.visit_list[i].0, st.slot, true));
+    }
+    for i in new_len..st.influence_len {
+        ops.push((st.visit_list[i].0, st.slot, false));
+    }
+    st.influence_len = new_len;
 }
 
 #[cfg(test)]
 mod tests {
     //! The worked examples of Section 3 (Figures 3.2, 3.5, 3.7), driven
-    //! through the `S = 1` engine over plain point queries.
+    //! through the `T = 1` engine over plain point queries.
 
     use super::*;
     use crate::ShardedCpmEngine;

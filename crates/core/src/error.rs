@@ -57,6 +57,10 @@ pub enum CpmError {
     /// duplicate means the producer double-sent; the batch is rejected
     /// before any state changes.
     DuplicateObject(ObjectId),
+    /// An object event named an id at or above [`ObjectId::LIMIT`], the
+    /// ceiling of the dense per-object tables; the batch is rejected
+    /// before any state changes, and before anything is sized by the id.
+    ObjectIdOutOfRange(ObjectId),
     /// A builder or a `regrid_to` named a grid resolution out of
     /// `1..=4096`. Wraps the grid layer's [`GridConfigError`].
     InvalidDim(GridConfigError),
@@ -101,6 +105,11 @@ impl std::fmt::Display for CpmError {
             CpmError::DuplicateObject(id) => {
                 write!(f, "object {id} appears more than once in the event batch")
             }
+            CpmError::ObjectIdOutOfRange(id) => write!(
+                f,
+                "object {id}: id is at or above the object-id ceiling {}",
+                ObjectId::LIMIT
+            ),
             CpmError::InvalidDim(e) => write!(f, "{e}"),
         }
     }

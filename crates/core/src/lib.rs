@@ -12,9 +12,9 @@
 //!   (Fig. 3.8) and the monitoring cycle (Fig. 3.9), written once over a
 //!   [`QuerySpec`]. The paper's k-NN query is the [`PointQuery`] spec.
 //! * [`shard`] — [`ShardedCpmEngine`], the engine every algorithm, figure
-//!   and test drives: a grid plus `S ≥ 1` query shards maintained on
-//!   worker threads, bit-identical for every `S`. `S = 1` is the
-//!   sequential engine (no threads, no routing).
+//!   and test drives: a grid plus one query core whose resolve step,
+//!   query events and re-grids run on `T ≥ 1` threads, bit-identical for
+//!   every `T`. `T = 1` spawns no thread.
 //! * [`server`] — [`CpmServer`] (via [`CpmServerBuilder`]), the
 //!   validating production surface: every query kind on one shared grid
 //!   with a single per-cycle ingest, typed handles, and a
@@ -28,8 +28,9 @@
 //!   lets the generic engines run heterogeneous query sets unchanged.
 //! * [`error`] — the typed error surface ([`CpmError`]).
 //! * [`delta`] — per-cycle result deltas ([`NeighborDelta`]), extracted
-//!   inside the maintenance phase and merged deterministically across
-//!   shards; the wire format of the [`cpm-sub`] subscription layer.
+//!   inside the maintenance phase and concatenated deterministically
+//!   across threads; the wire format of the [`cpm-sub`] subscription
+//!   layer.
 //! * [`analysis`] — the closed-form cost model of Section 4.1.
 //! * [`snapshot`] — crash-consistent durability: logical snapshots, an
 //!   append-only operation journal (over the [`cpm_wire`] codec), and the
@@ -75,7 +76,7 @@ pub use analysis::CostModel;
 pub use ann::{AggregateFn, AnnQuery};
 pub use any::AnyQuerySpec;
 pub use constrained::ConstrainedQuery;
-pub use delta::{CycleDeltas, NeighborDelta};
+pub use delta::{CycleDeltas, DeltaScratch, NeighborDelta};
 pub use engine::{PointQuery, QuerySpec, SpecEvent, SpecQueryState};
 pub use error::CpmError;
 pub use neighbors::{Neighbor, NeighborList};
@@ -87,7 +88,7 @@ pub use server::{
     AnnHandle, ConstrainedHandle, CpmServer, CpmServerBuilder, KnnHandle, QueryHandle, RangeHandle,
     RnnHandle,
 };
-pub use shard::{shard_of, ShardedCpmEngine};
+pub use shard::ShardedCpmEngine;
 pub use snapshot::{
     DurableCpmServer, EngineSnapshot, JournalRecord, RecoveryError, RecoveryReport, Snapshot,
 };

@@ -23,7 +23,7 @@
 //!
 //! Results are ordered ascending by `(distance to the region's anchor
 //! point, id)` — the same canonical order every other monitor uses — so
-//! deltas, sharding and replay behave identically for range and k-NN
+//! deltas, threading and replay behave identically for range and k-NN
 //! subscriptions. Run it on [`crate::ShardedCpmEngine`]`<RangeQuery>`
 //! (install with `k =` [`RangeQuery::UNBOUNDED_K`]), or through
 //! [`crate::CpmServer::install_range`] next to every other kind.

@@ -21,8 +21,8 @@
 //! event-batch sizes into [`RegridController::observe_cycle`], which keeps
 //! exponential moving averages of `f_obj` and `f_qry`. All controller
 //! inputs are functions of the update stream and the engine's own state —
-//! never of thread scheduling — so sharded engines make **identical
-//! decisions at every shard count**, keeping the determinism contract of
+//! never of thread scheduling — so engines make **identical decisions at
+//! every thread count**, keeping the determinism contract of
 //! [`crate::ShardedCpmEngine`].
 //!
 //! The paper's uniform-data model alone *underestimates* the benefit of

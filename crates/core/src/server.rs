@@ -4,7 +4,7 @@
 //! book-keeping that serves *all* registered queries per update cycle
 //! (Figure 3.9); nothing in it is per query *type*. This facade makes the
 //! public API match: a builder-configured server
-//! (`CpmServerBuilder::new(dim).shards(4).build()`) hosts k-NN, range,
+//! (`CpmServerBuilder::new(dim).threads(4).build()`) hosts k-NN, range,
 //! aggregate-NN, constrained and reverse-NN queries on a single
 //! [`ShardedCpmEngine`]`<`[`AnyQuerySpec`]`>`, so a mixed workload pays the
 //! grid — and the per-cycle ingest pass ([`cpm_grid::apply_events`]) —
@@ -133,39 +133,41 @@ handle!(
 /// ```
 /// use cpm_core::CpmServerBuilder;
 ///
-/// let server = CpmServerBuilder::new(64).shards(4).deltas(true).build();
-/// assert_eq!(server.shard_count(), 4);
+/// let server = CpmServerBuilder::new(64).threads(2).deltas(true).build();
+/// assert_eq!(server.threads(), 2);
 /// ```
 #[derive(Debug, Clone)]
 #[must_use = "the builder does nothing until build() is called"]
 pub struct CpmServerBuilder {
     dim: u32,
-    shards: usize,
+    threads: usize,
     deltas: bool,
     regrid: RegridPolicy,
 }
 
 impl CpmServerBuilder {
     /// Start configuring a server over an empty `dim × dim` grid
-    /// (sequential maintenance, delta capture off, manual re-gridding).
+    /// (maintenance on every hardware thread —
+    /// [`std::thread::available_parallelism`] — delta capture off,
+    /// manual re-gridding).
     pub fn new(dim: u32) -> Self {
         Self {
             dim,
-            shards: 1,
+            threads: std::thread::available_parallelism().map_or(1, usize::from),
             deltas: false,
             regrid: RegridPolicy::Manual,
         }
     }
 
-    /// Run per-cycle query maintenance across `shards ≥ 1` worker threads
-    /// (`1` = sequential; results are bit-identical for every shard
-    /// count).
+    /// Run per-cycle query maintenance on `threads ≥ 1` threads, the
+    /// calling one included (`1` spawns none; results are bit-identical
+    /// for every thread count).
     ///
     /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "at least one shard is required");
-        self.shards = shards;
+    /// Panics if `threads == 0`.
+    pub fn threads(mut self, threads: usize) -> Self {
+        assert!(threads >= 1, "at least one thread is required");
+        self.threads = threads;
         self
     }
 
@@ -204,7 +206,7 @@ impl CpmServerBuilder {
     /// [`CpmError::InvalidDim`] when `dim` is out of `1..=4096`.
     pub fn try_build(self) -> Result<CpmServer, CpmError> {
         let grid = cpm_grid::GridBuilder::new(self.dim).try_build()?;
-        let mut engine = ShardedCpmEngine::with_grid(grid, self.shards);
+        let mut engine = ShardedCpmEngine::with_grid(grid, self.threads);
         if self.deltas {
             engine.enable_deltas();
         }
@@ -216,7 +218,8 @@ impl CpmServerBuilder {
             rnn: FastHashMap::default(),
             verify_metrics: Metrics::default(),
             event_scratch: Vec::new(),
-            seen_objects: FastHashSet::default(),
+            seen_objects: Vec::new(),
+            seen_pass: 0,
             seen_queries: FastHashSet::default(),
         })
     }
@@ -283,9 +286,13 @@ pub struct CpmServer {
     verify_metrics: Metrics,
     /// Scratch: validated + normalized query events, reused per cycle.
     event_scratch: Vec<SpecEvent<AnyQuerySpec>>,
-    /// Scratch: the ids a batch has named so far (duplicate detection),
-    /// cleared per cycle so a steady batch size never rehashes.
-    seen_objects: FastHashSet<ObjectId>,
+    /// Scratch: per object id, the validation pass that last named it —
+    /// the duplicate check without hashing. Grows to the largest id seen,
+    /// at most [`ObjectId::LIMIT`] slots.
+    seen_objects: Vec<u32>,
+    seen_pass: u32,
+    /// Scratch: the query ids a batch has named so far, cleared per
+    /// cycle so a steady batch size never rehashes.
     seen_queries: FastHashSet<QueryId>,
 }
 
@@ -348,7 +355,8 @@ impl CpmServer {
                 .collect(),
             verify_metrics,
             event_scratch: Vec::new(),
-            seen_objects: FastHashSet::default(),
+            seen_objects: Vec::new(),
+            seen_pass: 0,
             seen_queries: FastHashSet::default(),
         }
     }
@@ -391,10 +399,10 @@ impl CpmServer {
         self.engine.grid()
     }
 
-    /// Number of query shards.
+    /// Number of threads per-cycle maintenance runs on.
     #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.engine.shard_count()
+    pub fn threads(&self) -> usize {
+        self.engine.threads()
     }
 
     /// The active re-grid policy (set at build time via
@@ -865,16 +873,29 @@ impl CpmServer {
     /// Validate an object-event batch before any state changes. The bare
     /// engine trusts its caller (the grid clamps out-of-range coordinates
     /// and events apply in order — a simulator convenience); the server is
-    /// the production surface, so a NaN/infinite coordinate, a position
-    /// outside the unit workspace, or two events for one object in a batch
-    /// are typed errors and the whole batch is rejected — a corrupted
-    /// producer cannot half-apply a cycle.
+    /// the production surface, so an id at or above [`ObjectId::LIMIT`],
+    /// a NaN/infinite coordinate, a position outside the unit workspace,
+    /// or two events for one object in a batch are typed errors and the
+    /// whole batch is rejected — a corrupted producer cannot half-apply a
+    /// cycle. The first offending event decides the error.
     fn validate_object_events(&mut self, object_events: &[ObjectEvent]) -> Result<(), CpmError> {
-        let seen = &mut self.seen_objects;
-        seen.clear();
+        // A fresh pass number marks this batch; on wrap-around, stale
+        // marks from 2³² passes ago must not read as this batch's.
+        self.seen_pass = self.seen_pass.wrapping_add(1);
+        if self.seen_pass == 0 {
+            self.seen_objects.fill(0);
+            self.seen_pass = 1;
+        }
+        let (seen, pass) = (&mut self.seen_objects, self.seen_pass);
         for ev in object_events {
             let id = ev.id();
-            if !seen.insert(id) {
+            if id.0 >= ObjectId::LIMIT {
+                return Err(CpmError::ObjectIdOutOfRange(id));
+            }
+            if id.index() >= seen.len() {
+                seen.resize(id.index() + 1, 0);
+            }
+            if std::mem::replace(&mut seen[id.index()], pass) == pass {
                 return Err(CpmError::DuplicateObject(id));
             }
             if let Some(p) = ev.position() {
@@ -922,9 +943,9 @@ impl CpmServer {
     }
 
     /// Run one processing cycle: **one** grid ingest pass over
-    /// `object_events`, parallel per-shard maintenance of every installed
-    /// query of every kind, this cycle's query events, then RNN
-    /// re-verification. Returns the user-visible queries whose result
+    /// `object_events`, maintenance of every installed query of every
+    /// kind and this cycle's query events on the server's threads, then
+    /// RNN re-verification. Returns the user-visible queries whose result
     /// changed, ascending by id.
     ///
     /// Both event batches are validated *before* any state changes; on
@@ -934,8 +955,9 @@ impl CpmServer {
     /// [`CpmError::DuplicateQuery`] / [`CpmError::UnknownQuery`] /
     /// [`CpmError::KindMismatch`] / [`CpmError::InvalidK`] /
     /// [`CpmError::ReservedId`] for an invalid query-event batch;
-    /// [`CpmError::NonFiniteCoordinate`] / [`CpmError::OutOfWorkspace`] /
-    /// [`CpmError::DuplicateObject`] for an invalid object-event batch.
+    /// [`CpmError::ObjectIdOutOfRange`] / [`CpmError::NonFiniteCoordinate`]
+    /// / [`CpmError::OutOfWorkspace`] / [`CpmError::DuplicateObject`] for
+    /// an invalid object-event batch.
     ///
     /// # Panics
     /// Panics if the server was built with
@@ -1096,8 +1118,8 @@ mod tests {
     use crate::AggregateFn;
     use cpm_geom::Rect;
 
-    fn small_server(shards: usize) -> CpmServer {
-        let mut s = CpmServerBuilder::new(16).shards(shards).build();
+    fn small_server(threads: usize) -> CpmServer {
+        let mut s = CpmServerBuilder::new(16).threads(threads).build();
         s.populate((0..40u32).map(|i| {
             let t = i as f64 / 40.0;
             (ObjectId(i), Point::new(t, (t * 7.0) % 1.0))
@@ -1154,8 +1176,8 @@ mod tests {
 
     #[test]
     fn every_kind_coexists_on_one_grid() {
-        for shards in [1usize, 4] {
-            let mut s = small_server(shards);
+        for threads in [1usize, 4] {
+            let mut s = small_server(threads);
             let knn = s.install_knn(QueryId(0), Point::new(0.5, 0.5), 3).unwrap();
             let range = s
                 .install_range(
@@ -1346,7 +1368,7 @@ mod tests {
 
     #[test]
     fn delta_cycles_never_leak_internal_ids() {
-        let mut s = CpmServerBuilder::new(16).shards(2).deltas(true).build();
+        let mut s = CpmServerBuilder::new(16).threads(2).deltas(true).build();
         assert!(s.collects_deltas());
         s.populate((0..30u32).map(|i| (ObjectId(i), Point::new(i as f64 / 30.0, 0.5))));
         let _ = s.install_knn(QueryId(0), Point::new(0.05, 0.5), 3).unwrap();

@@ -1,86 +1,97 @@
-//! [`ShardedCpmEngine`]: the CPM engine — a shared grid plus `S ≥ 1`
-//! query shards, each an `EngineCore` maintained on its own worker
-//! thread. `S = 1` is the sequential engine: no routing, no threads.
+//! [`ShardedCpmEngine`]: the CPM engine — a grid plus one query core
+//! whose per-cycle maintenance runs on `T ≥ 1` hardware threads.
 //!
 //! The per-cycle work of Section 4.1 is embarrassingly partitionable: a
 //! query's re-evaluation touches only its influence region and its own
 //! book-keeping, and the batched in/out update handling of Figure 3.8 is
-//! independent across queries. [`ShardedCpmEngine`] exploits this by
-//! hashing installed queries into `S` disjoint shards — each shard owns its
-//! queries' [`SpecQueryState`]s *and* its own influence table — and running
-//! each processing cycle in two phases:
+//! independent across queries. A processing cycle therefore runs in
+//! phases, serial where the work is shared and parallel where it is per
+//! query:
 //!
-//! 1. **Sequential grid ingest.** The object-update batch is applied to the
-//!    shared grid once, producing read-only [`UpdateRecord`]s
-//!    ([`cpm_grid::apply_events`]). This is the only step that mutates the
-//!    grid and it is cheap (`Time_ind = 2` per update).
-//! 2. **Parallel per-shard maintenance: route → group → resolve.** Every
-//!    shard, on its own `std::thread::scope` worker, *routes* the batch
-//!    through its influence table (a record that touches no cell this
-//!    shard's queries are influenced by costs only directory reads),
-//!    *groups* the resulting `(query, record)` pairs by query, and
-//!    *resolves* one query at a time — departures and arrivals in batch
-//!    order, then merge-or-recompute — against the now immutable grid;
-//!    then it applies its share of the query events. The code is the
-//!    same at every `S`; one shard simply owns every query.
+//! 1. **Grid ingest** (serial). The object-update batch is applied to
+//!    the grid once, producing read-only [`UpdateRecord`]s
+//!    ([`cpm_grid::apply_events`]). This is the only step that mutates
+//!    the grid, and it is cheap (`Time_ind = 2` per update).
+//! 2. **Route + group** (serial). The records are routed once through the
+//!    one influence table into `(query, record, departure | arrival)`
+//!    pairs, grouped by query slot with a counting sort.
+//! 3. **Resolve** (`T` workers). Consecutive slot ranges of about equal
+//!    pair count — read off the counting sort's prefix sums — each go to
+//!    one worker, which resolves its queries against the immutable grid.
+//! 4. **Query events**: terminates and the slot allocation of installs
+//!    run serially, in event order; the from-scratch searches of installs
+//!    and updates then run on the `T` workers.
 //!
-//! Results are merged deterministically: the changed-query lists are
-//! concatenated in shard order and canonicalized by query id, and the
-//! per-shard [`Metrics`] are summed with [`Metrics::merge`] (u64 addition —
-//! associative and commutative, so totals are independent of scheduling).
-//! Because each query's processing depends only on its own state, its own
-//! events in batch order, and the post-ingest grid — the same fact that
-//! lets a shard handle the batch query by query instead of record by
-//! record — the per-query results are **bit-identical** to the `S = 1`
-//! engine's for every shard count, a property the determinism suite
-//! (`tests/sharded_determinism.rs`) and [`cpm_sim`'s oracle cross-check]
-//! assert on random workloads.
+//! A re-grid's re-registration of every query is parallel the same way.
+//! Workers are the calling thread plus `T − 1` `std::thread::scope`
+//! threads, spawned only when a step holds enough work to pay for them.
+//! Each worker owns its part of the query table and its own counters,
+//! changed ids, deltas and buffered influence writes; the join applies
+//! and concatenates them in worker order, which is slot order for
+//! resolve, event order for query events and id order for a re-grid —
+//! the order `T = 1` produces. Because each query's processing depends
+//! only on its own state, its own events in batch order and the
+//! post-ingest grid, results, changed lists, delta batches, [`Metrics`]
+//! and the order inside every influence list are **bit-identical** at
+//! every thread count: `T = 1` is the same split with one part. The
+//! threads suite (`tests/thread_determinism.rs`) and [`cpm_sim`'s oracle
+//! cross-check] assert it on random workloads.
 //!
 //! [`cpm_sim`'s oracle cross-check]: ../../cpm_sim/verify/fn.verify.html
 
-use cpm_geom::{ObjectId, Point, QueryId};
-use cpm_grid::{apply_events, Grid, GridGeom, Metrics, ObjectEvent, UpdateRecord};
+use cpm_geom::{FastHashMap, ObjectId, Point, QueryId};
+use cpm_grid::{apply_events, Grid, GridGeom, InfluenceTable, Metrics, ObjectEvent, UpdateRecord};
 
 use crate::delta::{CycleDeltas, NeighborDelta};
-use crate::engine::{EngineCore, QuerySpec, SpecEvent, SpecQueryState};
+use crate::engine::{QuerySpec, Resolve, Search, SpecEvent, SpecQueryState, Worker};
 use crate::error::CpmError;
 use crate::neighbors::Neighbor;
 use crate::regrid::{RegridController, RegridPolicy};
 
-/// Deterministic shard assignment: an FxHash-style finalizer over the query
-/// id, reduced modulo `shards`.
-///
-/// Purely a function of `(id, shards)` — never of installation order or
-/// thread scheduling — so replaying a stream with the same shard count
-/// always reproduces the same partition. The multiply spreads consecutive
-/// ids (the common allocation pattern) across shards evenly.
-#[inline]
-pub fn shard_of(id: QueryId, shards: usize) -> usize {
-    debug_assert!(shards > 0);
-    let h = (id.0 as u64 ^ 0x517_cc1b).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((h >> 32) as usize) % shards
-}
+/// Spawning and joining one `std::thread::scope` worker costs ~35 µs on
+/// the two-thread x86-64 host the benchmark was developed on (5,000
+/// rounds of one spawn each, five repetitions: 34–40 µs). Resolving one
+/// `(query, record)` pair costs ~60 ns there (`paper_default`: ~13.5 ms of
+/// resolve over ~218K pairs per cycle), so a split only pays once every
+/// worker gets a few thousand pairs: this grain is ~3.5× the spawn cost,
+/// and a step with less work than two grains runs inline, spawning
+/// nothing.
+const GRAIN_PAIRS: usize = 2048;
 
-/// One shard's share of a processing cycle: batched update handling over
-/// the shared (now immutable) grid, then this shard's query events.
-/// The returned delta list is empty unless the core collects deltas.
-fn run_shard<S: QuerySpec>(
-    core: &mut EngineCore<S>,
-    grid: &Grid,
-    records: &[UpdateRecord],
-    events: &[SpecEvent<S>],
-) -> (Vec<QueryId>, Vec<(QueryId, NeighborDelta)>) {
-    let mut changed = Vec::new();
-    core.begin_cycle(events.iter().map(|ev| ev.id()));
-    core.apply_records(grid, records, &mut changed);
-    core.apply_query_events(grid, events, &mut changed);
-    core.finish_regrid(&mut changed);
-    (changed, core.take_deltas())
+/// A from-scratch search — a query event or a re-grid re-registration —
+/// in pairs: ~5.5 µs per search on the same host, against ~60 ns per pair.
+const SEARCH_PAIRS: usize = 90;
+
+/// Run `job(worker, first, part)` over consecutive parts of `items`, the
+/// part ending at `cuts[i]` with `workers[i]` (`first` is the part's
+/// offset in `items`): the first part on the calling thread, every other
+/// one on a scoped thread of its own. With one part nothing is spawned.
+fn fan_out<T: Send>(
+    workers: &mut [Worker],
+    items: &mut [T],
+    cuts: &[usize],
+    job: &(impl Fn(&mut Worker, usize, &mut [T]) + Sync),
+) {
+    let (caller, spawned) = workers.split_first_mut().expect("one worker at least");
+    let (first, mut rest) = items.split_at_mut(cuts[0]);
+    if cuts.len() == 1 {
+        return job(caller, 0, first);
+    }
+    std::thread::scope(|scope| {
+        let mut start = cuts[0];
+        for (worker, &end) in spawned.iter_mut().zip(&cuts[1..]) {
+            let (part, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+            rest = tail;
+            scope.spawn(move || job(worker, start, part));
+            start = end;
+        }
+        job(caller, 0, first);
+    });
 }
 
 /// The conceptual-partitioning monitor: a grid plus the query
-/// book-keeping of Section 3, whose per-cycle maintenance runs across `S`
-/// worker threads (see the [module docs](self) for the phase structure).
+/// book-keeping of Section 3, whose per-cycle maintenance runs on `T`
+/// threads (see the [module docs](self) for the phase structure).
 ///
 /// All queries in one engine share the same [`QuerySpec`] type;
 /// heterogeneous workloads use [`crate::AnyQuerySpec`] (what
@@ -92,8 +103,8 @@ fn run_shard<S: QuerySpec>(
 /// [`crate::CpmServer`], which validates first.
 ///
 /// [`ShardedCpmEngine::process_cycle`] reports changed queries in
-/// canonical (ascending id) order; work counters are read through merged
-/// snapshots ([`ShardedCpmEngine::metrics`]).
+/// canonical (ascending id) order; work counters are read through
+/// [`ShardedCpmEngine::metrics`].
 ///
 /// # Example
 ///
@@ -121,55 +132,101 @@ fn run_shard<S: QuerySpec>(
 #[derive(Debug)]
 pub struct ShardedCpmEngine<S: QuerySpec> {
     grid: Grid,
-    shards: Vec<EngineCore<S>>,
-    /// Counters owned by the ingest phase (currently `updates_applied`),
-    /// kept separate so the shared grid's work is counted exactly once no
-    /// matter how many shards consume the batch.
-    ingest_metrics: Metrics,
+    /// Influence lists, holding query-table slots: update handling goes
+    /// from a cell to the affected states without hashing a query id.
+    influence: InfluenceTable<u32>,
+    /// The query table (Figure 3.3a): a slab of states, vacant slots
+    /// listed in `free`. A state is boxed so that a search step moves a
+    /// pointer, not the state, out of the table and back.
+    queries: Vec<Option<Box<SpecQueryState<S>>>>,
+    free: Vec<u32>,
+    /// `QueryId → slot`, for the id-addressed calls (install, update,
+    /// terminate, reads).
+    slot_of: FastHashMap<QueryId, u32>,
+    metrics: Metrics,
+    epoch: u64,
+    /// Per slot, the last cycle in which its query had a query event
+    /// pending; such a query is skipped during update handling ("to avoid
+    /// waste of computations for obsolete queries", Section 3.3).
+    pending: Vec<u64>,
     records: Vec<UpdateRecord>,
-    /// Scratch: per-shard query-event routing buffers, reused across
-    /// cycles (one per shard; only used when `shards > 1`).
-    event_bufs: Vec<Vec<SpecEvent<S>>>,
+    /// The cycle's `(query, record, departure | arrival)` pairs grouped
+    /// by query slot, each packed `record index << 1 | arrival`; slot
+    /// `s`'s group ends at `group_ends[s]` and starts where the previous
+    /// slot's ends. Both recycled across cycles.
+    pairs: Vec<u32>,
+    group_ends: Vec<usize>,
+    /// When set, every cycle's result changes are also captured as
+    /// [`NeighborDelta`]s.
+    collect_deltas: bool,
+    /// One per thread. The first runs on the calling thread and, during
+    /// a cycle, holds the caller's output buffers, which the others'
+    /// outputs are appended to.
+    workers: Vec<Worker>,
+    /// Scratch: where the parts of the current parallel step end.
+    cuts: Vec<usize>,
+    /// Scratch: the states a search step works on, moved out of the
+    /// table in the order the step's outputs are concatenated in.
+    searches: Vec<(Search, Box<SpecQueryState<S>>)>,
     /// Re-grid policy state. Every decision input is a function of the
-    /// stream and the (shard-count-invariant) global engine state, so the
-    /// controller decides identically at every shard count.
+    /// stream and the engine state, so the controller decides identically
+    /// at every thread count.
     regrid: RegridController,
+    /// Queries whose result changed during a re-grid re-registration and
+    /// have not yet been folded into a cycle's changed list. Empty except
+    /// across exact-distance ties: the recomputed result is the canonical
+    /// `(dist, id)`-minimal set, which the maintained result already is.
+    regrid_changed: Vec<QueryId>,
+    /// Pre-regrid result snapshots of those queries (kept only with delta
+    /// capture on), so the next cycle's delta can use the list subscribers
+    /// actually hold as its base.
+    regrid_prelists: Vec<(QueryId, Vec<Neighbor>)>,
 }
 
 impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
-    /// Create an engine over an empty `dim × dim` grid with `shards ≥ 1`
-    /// query shards. `shards = 1` is the sequential engine (no worker
-    /// threads are spawned).
+    /// Create an engine over an empty `dim × dim` grid whose maintenance
+    /// runs on `threads ≥ 1` threads (`1` spawns none).
     ///
     /// # Panics
-    /// Panics if `shards == 0` or `dim` is out of `1..=4096`.
-    pub fn new(dim: u32, shards: usize) -> Self {
-        Self::with_grid(cpm_grid::GridBuilder::new(dim).build_uniform(), shards)
+    /// Panics if `threads == 0` or `dim` is out of `1..=4096`.
+    pub fn new(dim: u32, threads: usize) -> Self {
+        Self::with_grid(cpm_grid::GridBuilder::new(dim).build_uniform(), threads)
     }
 
-    /// Create an engine over a pre-built (typically empty) grid with
-    /// `shards ≥ 1` query shards.
+    /// Create an engine over a pre-built (typically empty) grid whose
+    /// maintenance runs on `threads ≥ 1` threads.
     ///
     /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn with_grid(grid: Grid, shards: usize) -> Self {
-        assert!(shards >= 1, "at least one shard is required");
-        let dim = grid.dim();
+    /// Panics if `threads == 0`.
+    pub fn with_grid(grid: Grid, threads: usize) -> Self {
+        assert!(threads >= 1, "at least one thread is required");
         Self {
+            influence: InfluenceTable::new(grid.dim()),
             grid,
-            shards: (0..shards).map(|_| EngineCore::new(dim)).collect(),
-            ingest_metrics: Metrics::default(),
+            queries: Vec::new(),
+            free: Vec::new(),
+            slot_of: FastHashMap::default(),
+            metrics: Metrics::default(),
+            epoch: 0,
+            pending: Vec::new(),
             records: Vec::new(),
-            event_bufs: (0..shards).map(|_| Vec::new()).collect(),
+            pairs: Vec::new(),
+            group_ends: Vec::new(),
+            collect_deltas: false,
+            workers: (0..threads).map(|_| Worker::default()).collect(),
+            cuts: Vec::new(),
+            searches: Vec::new(),
             regrid: RegridController::new(RegridPolicy::Manual),
+            regrid_changed: Vec::new(),
+            regrid_prelists: Vec::new(),
         }
     }
 
     /// Replace the re-grid policy (default: [`RegridPolicy::Manual`]).
     /// With [`RegridPolicy::Auto`], the cost model is evaluated at cycle
     /// boundaries against the observed workload; an applied re-grid
-    /// migrates the shared grid once and re-registers every shard's
-    /// queries before the cycle's ingest runs.
+    /// migrates the grid and re-registers every query before the cycle's
+    /// ingest runs.
     pub fn set_regrid_policy(&mut self, policy: RegridPolicy) {
         self.regrid.set_policy(policy);
     }
@@ -180,13 +237,19 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         self.regrid.policy()
     }
 
-    /// Re-grid to a new resolution *now*: rebuild the shared cell index
-    /// from the (untouched) object store, then re-register every shard's
-    /// queries against the new δ — in parallel across shards, each in
-    /// ascending query-id order, so the resulting state is bit-identical
-    /// to an engine built at `new_dim` from scratch, at every shard
-    /// count. Returns the number of objects migrated (0 if `new_dim` is
-    /// the current dimension).
+    /// Re-grid to a new resolution *now*: rebuild the cell index from the
+    /// (untouched) object store, then re-register every query against the
+    /// new δ — searched on the worker threads, registered in ascending
+    /// query-id order (the order a fresh engine installs them in), so the
+    /// resulting state is bit-identical to an engine built at `new_dim`
+    /// from scratch, at every thread count. Returns the number of objects
+    /// migrated (0 if `new_dim` is the current dimension).
+    ///
+    /// Results are invariant in practice (the maintained list and the
+    /// recomputed list are both the canonical `(dist, id)`-minimal set);
+    /// if an exact-distance tie ever resolves differently at the new δ,
+    /// the change is parked and folded into the next cycle's changed list
+    /// and delta stream.
     ///
     /// # Errors
     /// [`CpmError::InvalidDim`] if `new_dim` is out of `1..=4096`.
@@ -196,19 +259,26 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         }
         GridGeom::check_dim(new_dim)?;
         let migrated = self.grid.regrid(new_dim);
-        // Grid-side work is owned by the ingest phase: one re-grid, one
-        // migration count, no matter how many shards re-register.
-        self.ingest_metrics.regrids += 1;
-        self.ingest_metrics.regrid_objects_migrated += migrated as u64;
-        let grid = &self.grid;
-        if self.shards.len() == 1 {
-            self.shards[0].rebind_grid(grid);
-        } else {
-            std::thread::scope(|scope| {
-                for core in self.shards.iter_mut() {
-                    scope.spawn(move || core.rebind_grid(grid));
+        self.metrics.regrids += 1;
+        self.metrics.regrid_objects_migrated += migrated as u64;
+        // Packed cell ids from the old resolution are meaningless now.
+        self.influence.reset(new_dim);
+        self.searches.clear();
+        for st in self.queries.iter_mut().filter_map(Option::take) {
+            self.searches.push((Search::Rebind, st));
+        }
+        self.searches.sort_unstable_by_key(|(_, st)| st.id);
+        self.search_all(&[]);
+        for worker in &mut self.workers {
+            for (qid, prev) in worker.regrid_moved.drain(..) {
+                // First pre-regrid list wins: it is what subscribers hold.
+                if !self.regrid_changed.contains(&qid) {
+                    self.regrid_changed.push(qid);
+                    if self.collect_deltas {
+                        self.regrid_prelists.push((qid, prev));
+                    }
                 }
-            });
+            }
         }
         Ok(migrated)
     }
@@ -222,41 +292,48 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
             return;
         }
         let n_objects = self.grid.len();
-        let (mut n_queries, mut sum_k) = (0usize, 0usize);
-        for core in &self.shards {
-            let (n, k) = core.k_stats();
-            n_queries += n;
-            sum_k += k;
-        }
+        let n_queries = self.query_count();
+        // Each `k` capped at 256 — the paper's largest experimental `k` —
+        // so the range monitors' unbounded-result sentinel cannot poison
+        // the cost model's average.
+        let sum_k: usize = self
+            .queries
+            .iter()
+            .flatten()
+            .map(|st| st.k().min(256))
+            .sum();
         self.regrid
             .observe_cycle(object_events, query_events, n_objects, n_queries);
         self.regrid.observe_occupancy(self.grid.stats());
         let avg_k = sum_k / n_queries.max(1);
         if let Some(dim) =
             self.regrid
-                .decide(self.epoch(), n_objects, n_queries, avg_k, self.grid.dim())
+                .decide(self.epoch, n_objects, n_queries, avg_k, self.grid.dim())
         {
             self.regrid_to(dim)
                 .expect("the policy proposes dimensions in range");
         }
     }
 
-    /// Number of query shards.
+    /// Number of threads per-cycle maintenance runs on.
     #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard that owns query `id`.
-    #[must_use]
-    pub fn owning_shard(&self, id: QueryId) -> usize {
-        shard_of(id, self.shards.len())
+    pub fn threads(&self) -> usize {
+        self.workers.len()
     }
 
     /// The shared object index.
     #[must_use]
     pub fn grid(&self) -> &Grid {
         &self.grid
+    }
+
+    /// The influence lists, holding query-table slots (test helper: the
+    /// threads suite compares them, order included, across thread
+    /// counts).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn influence(&self) -> &InfluenceTable<u32> {
+        &self.influence
     }
 
     /// Bulk-load objects before any query is installed.
@@ -273,10 +350,10 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         }
     }
 
-    /// Number of installed queries across all shards.
+    /// Number of installed queries.
     #[must_use]
     pub fn query_count(&self) -> usize {
-        self.shards.iter().map(|s| s.query_count()).sum()
+        self.slot_of.len()
     }
 
     /// The current result of query `id`.
@@ -288,14 +365,14 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     /// Full book-keeping state of query `id`.
     #[must_use]
     pub fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<S>> {
-        self.shards[self.owning_shard(id)].query_state(id)
+        self.queries[*self.slot_of.get(&id)? as usize].as_deref()
     }
 
     /// Ids of every installed query, ascending — the deterministic
     /// iteration order snapshots and hub restores rely on.
     #[must_use]
     pub fn query_ids(&self) -> Vec<QueryId> {
-        let mut ids: Vec<QueryId> = self.shards.iter().flat_map(|s| s.query_ids()).collect();
+        let mut ids: Vec<QueryId> = self.slot_of.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -303,12 +380,17 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     /// `true` once [`ShardedCpmEngine::enable_deltas`] was called.
     #[must_use]
     pub fn collects_deltas(&self) -> bool {
-        self.shards[0].collects_deltas()
+        self.collect_deltas
     }
 
-    /// Install a query from a snapshot on its owning shard, reconciling
-    /// the captured result against the recomputed one (see
-    /// [`EngineCore::restore_query`]).
+    /// Install a query from a snapshot: [`ShardedCpmEngine::install`],
+    /// except that the snapshot's `captured` result (what the crashed
+    /// engine last reported and subscribers hold) is reconciled against
+    /// the freshly recomputed one. Both are the canonical `(dist,
+    /// id)`-minimal set, so they agree in practice; if an exact-distance
+    /// tie ever resolves differently, the change is parked the way a
+    /// re-grid parks one, and surfaces in the next cycle's changed list
+    /// and delta stream instead of being silently dropped.
     pub(crate) fn restore_install(
         &mut self,
         id: QueryId,
@@ -316,29 +398,23 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         k: usize,
         captured: &[Neighbor],
     ) -> Result<(), CpmError> {
-        let shard = shard_of(id, self.shards.len());
-        self.shards[shard].restore_query(&self.grid, id, spec, k, captured)
+        if self.install(id, spec, k)? != captured {
+            self.regrid_changed.push(id);
+            if self.collect_deltas {
+                self.regrid_prelists.push((id, captured.to_vec()));
+            }
+        }
+        Ok(())
     }
 
-    /// Overwrite every core's cycle counter during snapshot restore (all
-    /// cores advance in lock-step, so one snapshot epoch covers them all).
-    pub(crate) fn set_epoch_all(&mut self, epoch: u64) {
-        for core in &mut self.shards {
-            core.set_epoch(epoch);
-        }
-    }
-
-    /// Overwrite the work counters with a snapshot's merged totals:
-    /// rebuilding the queries polluted the per-shard counters with
-    /// from-scratch computation work the crashed engine never reported,
-    /// so restore zeroes the shards and parks the captured totals on the
-    /// ingest side (merged reads are indistinguishable from the original
-    /// split).
-    pub(crate) fn restore_metrics(&mut self, merged: Metrics) {
-        for core in &mut self.shards {
-            core.take_metrics();
-        }
-        self.ingest_metrics = merged;
+    /// Overwrite the cycle counter and the work counters during snapshot
+    /// restore, after the restored queries have been installed: cycles
+    /// pre-increment, so an engine restored to epoch `e` emits its next
+    /// cycle at `e + 1`, and the snapshot's counters replace the
+    /// from-scratch work the re-installs counted.
+    pub(crate) fn restore_counters(&mut self, epoch: u64, metrics: Metrics) {
+        self.epoch = epoch;
+        self.metrics = metrics;
     }
 
     /// The re-grid controller, for snapshot capture/restore of its
@@ -352,15 +428,41 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         &mut self.regrid
     }
 
-    /// Install a new query on its owning shard and compute its initial
-    /// result.
+    /// A fresh state for query `id` on a vacant slot, the slot already
+    /// mapped; the caller searches it and puts it in the table.
+    fn vacant_state(
+        &mut self,
+        id: QueryId,
+        spec: S,
+        k: usize,
+    ) -> Result<Box<SpecQueryState<S>>, CpmError> {
+        if k == 0 {
+            return Err(CpmError::InvalidK(id));
+        }
+        if self.slot_of.contains_key(&id) {
+            return Err(CpmError::DuplicateQuery(id));
+        }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.queries.push(None);
+            self.pending.push(0);
+            (self.queries.len() - 1) as u32
+        });
+        self.slot_of.insert(id, slot);
+        let dim = self.grid.dim();
+        Ok(Box::new(SpecQueryState::new(id, slot, spec, k, dim)))
+    }
+
+    /// Install a new query and compute its initial result.
     ///
     /// # Errors
     /// [`CpmError::DuplicateQuery`] if `id` is already installed,
     /// [`CpmError::InvalidK`] if `k == 0`.
     pub fn install(&mut self, id: QueryId, spec: S, k: usize) -> Result<&[Neighbor], CpmError> {
-        let shard = shard_of(id, self.shards.len());
-        self.shards[shard].install(&self.grid, id, spec, k)
+        let mut st = self.vacant_state(id, spec, k)?;
+        self.workers[0].compute_from_scratch(&self.grid, &mut st);
+        self.join();
+        let slot = st.slot as usize;
+        Ok(self.queries[slot].insert(st).result())
     }
 
     /// Terminate query `id`.
@@ -368,12 +470,17 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     /// # Errors
     /// [`CpmError::UnknownQuery`] if `id` is not installed.
     pub fn terminate(&mut self, id: QueryId) -> Result<(), CpmError> {
-        let shard = shard_of(id, self.shards.len());
-        self.shards[shard].terminate(id)
+        let slot = self.slot_of.remove(&id).ok_or(CpmError::UnknownQuery(id))?;
+        let st = self.queries[slot as usize].take().expect("mapped slot");
+        for &(cell, _) in &st.visit_list[..st.influence_len] {
+            self.influence.remove(cell, slot);
+        }
+        self.free.push(slot);
+        Ok(())
     }
 
-    /// Replace the geometry of query `id` on its owning shard (terminate +
-    /// reinstall, as in Section 3.3).
+    /// Replace the geometry of query `id` (terminate + reinstall, as in
+    /// Section 3.3).
     ///
     /// With delta capture enabled, prefer submitting a
     /// [`SpecEvent::Update`] to `process_cycle_with_deltas` instead: this
@@ -385,75 +492,67 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     /// # Errors
     /// [`CpmError::UnknownQuery`] if `id` is not installed.
     pub fn update_spec(&mut self, id: QueryId, spec: S) -> Result<&[Neighbor], CpmError> {
-        let shard = shard_of(id, self.shards.len());
-        let grid = &self.grid;
-        self.shards[shard].update_spec(grid, id, spec)
+        let slot = *self.slot_of.get(&id).ok_or(CpmError::UnknownQuery(id))? as usize;
+        let st = self.queries[slot].as_mut().expect("mapped slot");
+        let worker = &mut self.workers[0];
+        worker.unregister(st);
+        st.spec = spec;
+        worker.compute_from_scratch(&self.grid, st);
+        self.join();
+        Ok(self.queries[slot].as_ref().expect("mapped slot").result())
     }
 
-    /// Merged snapshot of the work counters accumulated since the last
-    /// [`ShardedCpmEngine::take_metrics`]: the sum of every shard's
-    /// counters plus the ingest phase's.
+    /// Snapshot of the work counters accumulated since the last
+    /// [`ShardedCpmEngine::take_metrics`].
     #[must_use]
     pub fn metrics(&self) -> Metrics {
-        let mut total = self.ingest_metrics;
-        for shard in &self.shards {
-            total.merge(shard.metrics());
-        }
-        total
+        self.metrics
     }
 
-    /// Take and reset the work counters of the ingest phase and of every
-    /// shard, returning the merged totals.
+    /// Take and reset the work counters.
     pub fn take_metrics(&mut self) -> Metrics {
-        let mut total = self.ingest_metrics.take();
-        for shard in &mut self.shards {
-            total.merge(&shard.take_metrics());
-        }
-        total
+        self.metrics.take()
     }
 
-    /// Run one processing cycle: sequential grid ingest, then parallel
-    /// per-shard maintenance and query events, then a deterministic merge.
-    /// Returns ids of queries whose result changed, ascending by id.
+    /// Run one processing cycle (see the [module docs](self) for its
+    /// phases). Returns ids of queries whose result changed, ascending by
+    /// id.
     pub fn process_cycle(
         &mut self,
         object_events: &[ObjectEvent],
         query_events: &[SpecEvent<S>],
     ) -> Vec<QueryId> {
         assert!(
-            !self.shards.iter().any(|c| c.collects_deltas()),
+            !self.collect_deltas,
             "this engine collects deltas: use process_cycle_with_deltas, or the delta \
              stream silently loses this cycle's changes"
         );
-        // Without delta capture the per-core delta buffers stay empty, so
-        // the drain into this throwaway vector never allocates.
+        // Without delta capture nothing is appended to this throwaway
+        // vector, so it never allocates.
         let mut discard = Vec::new();
         let mut changed = Vec::new();
         self.run_cycle(object_events, query_events, &mut changed, &mut discard);
         changed
     }
 
-    /// Turn per-cycle delta capture on, on every shard (see
-    /// [`ShardedCpmEngine::process_cycle_with_deltas`]).
+    /// Turn per-cycle delta capture on (see
+    /// [`ShardedCpmEngine::process_cycle_with_deltas`]). Capture costs one
+    /// O(result) copy and one O(result) diff per affected query per cycle.
     pub fn enable_deltas(&mut self) {
-        for core in &mut self.shards {
-            core.set_collect_deltas(true);
-        }
+        self.collect_deltas = true;
     }
 
     /// The processing-cycle counter: 0 before any cycle, incremented by
-    /// every `process_cycle` call. Every shard advances it identically, so
-    /// delta epochs are shard-count-invariant.
+    /// every `process_cycle` call.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.shards[0].epoch()
+        self.epoch
     }
 
     /// Run one processing cycle and return the per-query result deltas
-    /// alongside the changed-query list. Per-shard delta lists are
-    /// concatenated in shard order and canonicalized by query id, so the
-    /// batch is **bit-identical** for every shard count (asserted by the
-    /// delta-replay suite).
+    /// alongside the changed-query list, both ascending by query id and
+    /// **bit-identical** at every thread count (asserted by the
+    /// delta-replay and threads suites).
     ///
     /// # Panics
     /// Panics if delta capture was not enabled with
@@ -485,7 +584,7 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         out: &mut CycleDeltas,
     ) {
         assert!(
-            self.shards.iter().all(|c| c.collects_deltas()),
+            self.collect_deltas,
             "enable_deltas() must be called before processing cycles with deltas"
         );
         out.deltas.clear();
@@ -496,109 +595,334 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
             &mut out.changed,
             &mut out.deltas,
         );
-        out.canonicalize(self.epoch());
+        out.canonicalize(self.epoch);
     }
 
     /// The shared cycle body behind [`ShardedCpmEngine::process_cycle`]
-    /// and [`ShardedCpmEngine::process_cycle_with_deltas`]. Changed ids
-    /// are appended to `changed` (left sorted); captured deltas are
-    /// appended to `deltas_out` in shard order (nothing is appended
-    /// unless capture is on). Both buffers are the caller's, so a
-    /// recycling caller does not re-grow them.
+    /// and [`ShardedCpmEngine::process_cycle_with_deltas`]: changed ids
+    /// and deltas land in the caller's buffers (both empty on entry), in
+    /// slot order and then event order; `changed` is left sorted.
     fn run_cycle(
         &mut self,
         object_events: &[ObjectEvent],
         query_events: &[SpecEvent<S>],
         changed: &mut Vec<QueryId>,
-        deltas_out: &mut Vec<(QueryId, NeighborDelta)>,
+        deltas: &mut Vec<(QueryId, NeighborDelta)>,
     ) {
-        let n = self.shards.len();
-
         // Phase 0: adaptive re-grid at the cycle boundary.
         self.maybe_auto_regrid(object_events.len(), query_events.len());
 
-        // Phase 1: sequential grid ingest (the only grid mutation).
+        // Phase 1: grid ingest (the only grid mutation).
         self.records.clear();
-        self.ingest_metrics.updates_applied +=
+        self.metrics.updates_applied +=
             apply_events(&mut self.grid, object_events, &mut self.records);
 
-        let grid = &self.grid;
-        let records = self.records.as_slice();
-
-        if n == 1 {
-            // Sequential path: no routing, no worker threads; deltas move
-            // straight from the core's buffer into the caller's.
-            let core = &mut self.shards[0];
-            core.begin_cycle(query_events.iter().map(|ev| ev.id()));
-            core.apply_records(grid, records, changed);
-            core.apply_query_events(grid, query_events, changed);
-            core.finish_regrid(changed);
-            core.drain_deltas_into(deltas_out);
-        } else {
-            // Route each query event to the shard that owns its query
-            // (scratch buffers persist across cycles to avoid steady-state
-            // allocation).
-            for buf in &mut self.event_bufs {
-                buf.clear();
+        self.epoch += 1;
+        for ev in query_events {
+            if let Some(&slot) = self.slot_of.get(&ev.id()) {
+                self.pending[slot as usize] = self.epoch;
             }
-            for ev in query_events {
-                self.event_bufs[shard_of(ev.id(), n)].push(ev.clone());
-            }
-            let event_bufs = &self.event_bufs;
-
-            // Phase 2: per-shard maintenance over the immutable grid.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(event_bufs)
-                    .map(|(core, events)| {
-                        scope.spawn(move || run_shard(core, grid, records, events))
-                    })
-                    .collect();
-                // Join in shard order: the merge is deterministic regardless
-                // of which worker finishes first.
-                for h in handles {
-                    let (c, d) = h.join().expect("shard worker panicked");
-                    changed.extend(c);
-                    deltas_out.extend(d);
-                }
-            })
         }
+        // The calling thread's worker writes straight into the caller's
+        // buffers, so only the spawned workers' outputs are copied.
+        std::mem::swap(changed, &mut self.workers[0].changed);
+        std::mem::swap(deltas, &mut self.workers[0].deltas);
+        // Phases 2–4: route + group, resolve, query events.
+        self.route_and_group();
+        self.resolve_all();
+        self.apply_query_events(query_events);
+        self.finish_regrid();
+        std::mem::swap(changed, &mut self.workers[0].changed);
+        std::mem::swap(deltas, &mut self.workers[0].deltas);
 
-        // Canonical order. Shards own disjoint query sets and a query with a
-        // pending query event is ignored during update handling, so the
-        // concatenation is duplicate-free and the sort is a total order.
+        // Canonical order. A query with a pending query event is skipped
+        // during update handling, so the list is duplicate-free.
         changed.sort_unstable();
     }
 
-    /// Total memory footprint in the paper's memory units (Section 4.1):
-    /// grid data plus, per shard, influence entries and query-table state.
-    #[must_use]
-    pub fn space_units(&self) -> usize {
-        self.grid.space_units()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.query_space_units())
-                .sum::<usize>()
+    /// Route + group, the serial head of Figure 3.8's batched update
+    /// handling ("for each query q affected by updates in U_P"):
+    ///
+    /// 1. **Route**: walk the records, reading nothing but the influence
+    ///    lists, once to count the `(query, record, departure | arrival)`
+    ///    pairs per query slot and once to scatter them. A record that
+    ///    touches no influenced cell costs two directory reads per walk.
+    /// 2. **Group**: the scatter *is* the grouping — a counting sort over
+    ///    the dense slots, stable by construction: each query's events
+    ///    stay in batch order, a record's departure before its arrival.
+    fn route_and_group(&mut self) {
+        assert!(
+            self.records.len() <= (u32::MAX >> 1) as usize,
+            "record index must fit the packed pair"
+        );
+        let mut ends = std::mem::take(&mut self.group_ends);
+        ends.clear();
+        ends.resize(self.queries.len(), 0);
+        self.for_each_pair(|slot, _| ends[slot] += 1);
+        let mut total = 0;
+        for end in &mut ends {
+            let count = *end;
+            *end = total; // the group's start; the scatter advances it to its end
+            total += count;
+        }
+
+        let mut pairs = std::mem::take(&mut self.pairs);
+        pairs.clear();
+        pairs.resize(total, 0);
+        self.for_each_pair(|slot, pair| {
+            pairs[ends[slot]] = pair;
+            ends[slot] += 1;
+        });
+        self.pairs = pairs;
+        self.group_ends = ends;
     }
 
-    /// Verify all cross-structure invariants, including that every query
-    /// lives on the shard its id hashes to (test helper).
+    /// Visit every `(query slot, packed pair)` of the batch in batch
+    /// order, a record's departure before its arrival.
+    fn for_each_pair(&self, mut visit: impl FnMut(usize, u32)) {
+        for (i, rec) in self.records.iter().enumerate() {
+            let at = (i as u32) << 1;
+            if let Some(old_cell) = rec.old_cell {
+                for &slot in self.influence.queries_at(old_cell) {
+                    visit(slot as usize, at);
+                }
+            }
+            if let (Some(new_cell), Some(_)) = (rec.new_cell, rec.new_pos) {
+                for &slot in self.influence.queries_at(new_cell) {
+                    visit(slot as usize, at | 1);
+                }
+            }
+        }
+    }
+
+    /// The resolve step: every query with pairs resolves its departures
+    /// and arrivals, then merges or recomputes, while its state is the
+    /// only one in cache. The workers take consecutive slot ranges of
+    /// about equal pair count, read off the counting sort's prefix sums.
+    /// A query's outcome depends on its own pairs, on the post-ingest
+    /// grid and on its own state — none of which another query's
+    /// resolution writes — so results, `changed`, deltas and `Metrics`
+    /// are those of walking the batch record by record.
+    fn resolve_all(&mut self) {
+        let ends = &self.group_ends;
+        let total = ends.last().copied().unwrap_or(0);
+        let parts = (total / GRAIN_PAIRS).clamp(1, self.workers.len());
+        self.cuts.clear();
+        for w in 1..parts {
+            // The part ends after the slot whose group reaches the target.
+            let cut = ends.partition_point(|&end| end < total * w / parts) + 1;
+            if ends[cut - 1] == total {
+                break; // every later slot is empty: they join the last part
+            }
+            if cut > self.cuts.last().copied().unwrap_or(0) {
+                self.cuts.push(cut);
+            }
+        }
+        self.cuts.push(ends.len());
+        let step = Resolve {
+            grid: &self.grid,
+            records: &self.records,
+            pairs: &self.pairs,
+            group_ends: ends,
+            pending: &self.pending,
+            epoch: self.epoch,
+            collect_deltas: self.collect_deltas,
+        };
+        fan_out(
+            &mut self.workers,
+            &mut self.queries,
+            &self.cuts,
+            &|worker, first, states| {
+                let mut start = first.checked_sub(1).map_or(0, |s| step.group_ends[s]);
+                for (slot, st) in (first..).zip(states) {
+                    let end = step.group_ends[slot];
+                    if end > start && step.pending[slot] != step.epoch {
+                        let st = st.as_mut().expect("influence list in sync");
+                        worker.resolve(&step, st, &step.pairs[start..end]);
+                    }
+                    start = end;
+                }
+            },
+        );
+        self.join();
+    }
+
+    /// The cycle's query events, in event order. Terminates, the slot
+    /// allocation of installs and the hand-over of every searched state
+    /// run serially; the searches themselves run on the workers.
+    fn apply_query_events(&mut self, events: &[SpecEvent<S>]) {
+        self.searches.clear();
+        for (i, ev) in events.iter().enumerate() {
+            let slot = self.slot_of.get(&ev.id()).copied();
+            if slot.is_some_and(|s| self.queries[s as usize].is_none()) {
+                // A second event for a query this batch already searches:
+                // finish those searches first, so events apply in order.
+                self.search_all(events);
+            }
+            let st = match ev {
+                SpecEvent::Terminate { id } => {
+                    // A batched terminate of an id that is already gone is
+                    // benign (the direct-call API reports it as
+                    // `CpmError::UnknownQuery`).
+                    let _ = self.terminate(*id);
+                    continue;
+                }
+                SpecEvent::Update { id, .. } => {
+                    let slot = slot.unwrap_or_else(|| panic!("update of unknown query {id}"));
+                    self.queries[slot as usize].take().expect("mapped slot")
+                }
+                SpecEvent::Install { id, spec, k } => self
+                    .vacant_state(*id, spec.clone(), *k)
+                    .unwrap_or_else(|e| panic!("{e}")),
+            };
+            self.searches.push((Search::Event(i), st));
+        }
+        self.search_all(events);
+    }
+
+    /// Search every state of `searches` from scratch on the workers — in
+    /// runs of equal length, one per worker — put them back in the table
+    /// and join. Their outputs concatenate in `searches` order.
+    fn search_all(&mut self, events: &[SpecEvent<S>]) {
+        let n = self.searches.len();
+        let parts = (n * SEARCH_PAIRS / GRAIN_PAIRS).clamp(1, self.workers.len());
+        self.cuts.clear();
+        self.cuts.extend((1..=parts).map(|w| n * w / parts));
+        let (grid, epoch, collect_deltas) = (&self.grid, self.epoch, self.collect_deltas);
+        fan_out(
+            &mut self.workers,
+            &mut self.searches,
+            &self.cuts,
+            &|worker, _, part| {
+                for (search, st) in part {
+                    worker.search(grid, epoch, collect_deltas, *search, events, st);
+                }
+            },
+        );
+        for (_, st) in self.searches.drain(..) {
+            let slot = st.slot as usize;
+            self.queries[slot] = Some(st);
+        }
+        self.join();
+    }
+
+    /// The join of a parallel step: apply every worker's influence writes
+    /// and fold in its counters, then append the other workers' changed
+    /// ids and deltas to the first's, all in worker order — the order one
+    /// worker would have produced them in.
+    fn join(&mut self) {
+        for worker in &mut self.workers {
+            for (cell, slot, register) in worker.influence_ops.drain(..) {
+                if register {
+                    self.influence.add(cell, slot);
+                } else {
+                    self.influence.remove(cell, slot);
+                }
+            }
+            self.metrics.merge(&worker.metrics.take());
+        }
+        let (first, others) = self.workers.split_first_mut().expect("one worker at least");
+        for worker in others {
+            first.changed.append(&mut worker.changed);
+            first.deltas.append(&mut worker.deltas);
+        }
+    }
+
+    /// Fold any re-grid-induced result changes into the finishing cycle's
+    /// outputs (held by the first worker). For each parked query the
+    /// authoritative delta is `diff(pre-regrid list, current list)` — it
+    /// *replaces* whatever the incremental path produced this cycle, whose
+    /// base (the post-regrid list) is not what subscribers hold. A no-op
+    /// unless a re-grid actually changed a result (exact-distance ties
+    /// only).
+    fn finish_regrid(&mut self) {
+        if self.regrid_changed.is_empty() {
+            return;
+        }
+        let Worker {
+            changed,
+            deltas,
+            diff,
+            ..
+        } = &mut self.workers[0];
+        for (qid, pre) in std::mem::take(&mut self.regrid_prelists) {
+            // `[]` if the query was terminated by this cycle's events.
+            let cur = match self.slot_of.get(&qid) {
+                Some(&slot) => self.queries[slot as usize]
+                    .as_ref()
+                    .expect("mapped slot")
+                    .result(),
+                None => &[],
+            };
+            let delta = NeighborDelta::diff(self.epoch, &pre, cur, diff);
+            if let Some(at) = deltas.iter().position(|(q, _)| *q == qid) {
+                if delta.is_empty() {
+                    deltas.remove(at);
+                } else {
+                    deltas[at].1 = delta;
+                }
+            } else if !delta.is_empty() {
+                deltas.push((qid, delta));
+            }
+        }
+        for qid in std::mem::take(&mut self.regrid_changed) {
+            if self.slot_of.contains_key(&qid) && !changed.contains(&qid) {
+                changed.push(qid);
+            }
+        }
+    }
+
+    /// Total memory footprint in the paper's memory units (Section 4.1):
+    /// grid data plus influence entries and query-table state.
+    #[must_use]
+    pub fn space_units(&self) -> usize {
+        let installed = self.queries.iter().flatten();
+        let queries: usize = installed.map(|st| st.space_units()).sum();
+        self.grid.space_units() + queries + self.influence.total_entries()
+    }
+
+    /// Verify all cross-structure invariants (test helper).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         self.grid.check_integrity();
-        for (i, shard) in self.shards.iter().enumerate() {
-            shard.check_invariants(&self.grid);
-            for qid in shard.query_ids() {
-                assert_eq!(
-                    shard_of(qid, self.shards.len()),
-                    i,
-                    "query {qid} stored on the wrong shard"
+        for (qid, &slot) in &self.slot_of {
+            let st = self.queries[slot as usize].as_ref().expect("mapped slot");
+            assert_eq!((*qid, slot), (st.id, st.slot));
+            st.best.check_invariants();
+            for w in st.visit_list.windows(2) {
+                assert!(w[0].1 <= w[1].1, "visit list out of order");
+            }
+            let bd = st.best_dist();
+            for (i, &(cell, key)) in st.visit_list.iter().enumerate() {
+                let registered = self.influence.contains(cell, slot);
+                assert_eq!(registered, i < st.influence_len, "registration mismatch");
+                if bd.is_finite() {
+                    assert_eq!(key <= bd, i < st.influence_len, "prefix mismatch");
+                }
+            }
+            for n in st.result() {
+                let p = self
+                    .grid
+                    .position(n.id)
+                    .unwrap_or_else(|| panic!("result contains off-line object {}", n.id));
+                assert!(
+                    (st.spec.dist(p) - n.dist).abs() < 1e-9,
+                    "stale distance for {}",
+                    n.id
                 );
             }
+            assert!(st.heap.boundary_boxes() <= 4);
         }
+        let installed = self.queries.iter().flatten();
+        let total: usize = installed.map(|st| st.influence_len).sum();
+        assert_eq!(self.influence.total_entries(), total);
+        assert!(self
+            .free
+            .iter()
+            .all(|&s| self.queries[s as usize].is_none()));
+        assert_eq!(self.slot_of.len() + self.free.len(), self.queries.len());
+        assert_eq!(self.pending.len(), self.queries.len());
+        assert!(self.workers.iter().all(|w| w.influence_ops.is_empty()));
     }
 }
 
@@ -608,26 +932,7 @@ mod tests {
     use crate::PointQuery;
 
     #[test]
-    fn shard_assignment_is_deterministic_and_balanced() {
-        for shards in [1usize, 2, 4, 8] {
-            let mut counts = vec![0usize; shards];
-            for id in 0..10_000u32 {
-                let s = shard_of(QueryId(id), shards);
-                assert_eq!(s, shard_of(QueryId(id), shards), "not deterministic");
-                counts[s] += 1;
-            }
-            let expected = 10_000 / shards;
-            for &c in &counts {
-                assert!(
-                    c as f64 > expected as f64 * 0.8 && (c as f64) < expected as f64 * 1.2,
-                    "imbalanced shards: {counts:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn metrics_merge_counts_ingest_once() {
+    fn metrics_count_ingest_once() {
         let mut m = ShardedCpmEngine::<PointQuery>::new(8, 4);
         m.populate([
             (ObjectId(0), Point::new(0.1, 0.1)),
@@ -646,14 +951,14 @@ mod tests {
             &[],
         );
         let metrics = m.take_metrics();
-        // One grid update regardless of shard count.
+        // One grid update regardless of thread count.
         assert_eq!(metrics.updates_applied, 1);
-        // And taking resets every shard: a fresh snapshot is all zeros.
+        // And taking resets: a fresh snapshot is all zeros.
         assert_eq!(m.metrics(), Metrics::default());
     }
 
     #[test]
-    fn query_events_route_to_owning_shards() {
+    fn query_events_apply_in_batch_order() {
         let mut m = ShardedCpmEngine::<PointQuery>::new(16, 4);
         m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))));
         let installs: Vec<SpecEvent<PointQuery>> = (0..20u32)
@@ -676,15 +981,75 @@ mod tests {
         let terminates = (1..20u32)
             .step_by(2)
             .map(|i| SpecEvent::Terminate { id: QueryId(i) });
-        let events: Vec<SpecEvent<PointQuery>> = moves.chain(terminates).collect();
+        // A terminate frees its slot for an install later in the batch.
+        let reinstall = SpecEvent::Install {
+            id: QueryId(99),
+            spec: PointQuery(Point::new(0.3, 0.6)),
+            k: 2,
+        };
+        let events: Vec<SpecEvent<PointQuery>> =
+            moves.chain(terminates).chain([reinstall]).collect();
         let changed = m.process_cycle(&[], &events);
-        assert_eq!(changed.len(), 10);
-        assert_eq!(m.query_count(), 10);
+        assert_eq!(changed.len(), 11);
+        assert_eq!(m.query_count(), 11);
         m.check_invariants();
         assert!(m.terminate(QueryId(0)).is_ok());
         assert_eq!(
             m.terminate(QueryId(1)),
             Err(CpmError::UnknownQuery(QueryId(1)))
         );
+    }
+
+    /// The trusting engine applies several events for one query in batch
+    /// order, also when the searches before them run on several threads.
+    #[test]
+    fn repeated_query_events_apply_in_batch_order() {
+        let engines = [1, 4].map(|threads| {
+            let mut m = ShardedCpmEngine::<PointQuery>::new(16, threads);
+            m.populate((0..400u32).map(|i| {
+                let t = f64::from(i);
+                (ObjectId(i), Point::new((t * 0.37) % 1.0, (t * 0.61) % 1.0))
+            }));
+            let at = |i: u32| PointQuery(Point::new(f64::from(i % 10) / 10.0, 0.5));
+            let installs: Vec<_> = (0..100u32)
+                .map(|i| SpecEvent::Install {
+                    id: QueryId(i),
+                    spec: at(i),
+                    k: 4,
+                })
+                .collect();
+            m.process_cycle(&[], &installs);
+            // Enough searches before each repeat for the split to pay.
+            let mut events: Vec<_> = (0..100u32)
+                .map(|i| SpecEvent::Update {
+                    id: QueryId(i),
+                    spec: at(i + 3),
+                })
+                .collect();
+            events.push(SpecEvent::Terminate { id: QueryId(5) });
+            events.push(SpecEvent::Update {
+                id: QueryId(7),
+                spec: at(2),
+            });
+            events.push(SpecEvent::Install {
+                id: QueryId(5),
+                spec: at(4),
+                k: 2,
+            });
+            let changed = m.process_cycle(&[], &events);
+            m.check_invariants();
+            let lists: Vec<Vec<u32>> = (0..16)
+                .flat_map(|r| (0..16).map(move |c| cpm_grid::CellCoord::new(c, r)))
+                .map(|cell| m.influence().queries_at(cell).to_vec())
+                .collect();
+            (
+                changed,
+                m.metrics(),
+                lists,
+                m.result(QueryId(5)).unwrap().to_vec(),
+            )
+        });
+        assert_eq!(engines[0], engines[1]);
+        assert_eq!(engines[0].3.len(), 2, "the re-install took effect");
     }
 }

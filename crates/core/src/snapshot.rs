@@ -12,7 +12,7 @@
 //! online re-grid path uses — so a restored engine is bit-identical to
 //! the captured one in everything observable: results, changed lists and
 //! delta streams (the recovery conformance suite asserts this at several
-//! shard counts). The captured result lists double as a tripwire: if a
+//! thread counts). The captured result lists double as a tripwire: if a
 //! recomputed list ever differed from its captured counterpart, the
 //! restore path parks the difference in the re-grid diff channel rather
 //! than silently diverging.
@@ -52,7 +52,10 @@ use crate::shard::ShardedCpmEngine;
 pub struct EngineSnapshot<S> {
     /// Grid resolution (cells per axis).
     pub dim: u32,
-    /// Worker-shard count.
+    /// Worker-thread count. The field keeps the name of the slot it is
+    /// stored in: frames written when engines were split into query
+    /// shards carry the shard count there, and restore it as the thread
+    /// count.
     pub shards: usize,
     /// Whether the engine captures per-cycle deltas.
     pub collects_deltas: bool,
@@ -88,7 +91,7 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
             .collect();
         EngineSnapshot {
             dim: engine.grid().dim(),
-            shards: engine.shard_count(),
+            shards: engine.threads(),
             collects_deltas: engine.collects_deltas(),
             policy: *engine.regrid_policy(),
             regrid_state: engine.regrid_controller().export_state(),
@@ -122,8 +125,7 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
         for (id, spec, k, captured) in &self.queries {
             engine.restore_install(*id, spec.clone(), *k, captured)?;
         }
-        engine.restore_metrics(self.metrics);
-        engine.set_epoch_all(self.epoch);
+        engine.restore_counters(self.epoch, self.metrics);
         Ok(engine)
     }
 }
@@ -163,12 +165,12 @@ impl<S: Decode> Decode for EngineSnapshot<S> {
             what: e.reason,
         })?;
         take_index_tag(r)?;
-        let shards_at = r.offset();
-        let shards = usize::decode(r)?;
-        if !(1..=4096).contains(&shards) {
+        let threads_at = r.offset();
+        let threads = usize::decode(r)?;
+        if !(1..=4096).contains(&threads) {
             return Err(WireError::Invalid {
-                offset: shards_at,
-                what: "shard count outside 1..=4096",
+                offset: threads_at,
+                what: "thread count outside 1..=4096",
             });
         }
         let collects_deltas = bool::decode(r)?;
@@ -215,6 +217,12 @@ impl<S: Decode> Decode for EngineSnapshot<S> {
                     what: "object position outside the unit workspace",
                 });
             }
+            if id.0 >= ObjectId::LIMIT {
+                return Err(WireError::Invalid {
+                    offset: objects_at,
+                    what: "object id at or above the object-id ceiling",
+                });
+            }
         }
         let queries_at = r.offset();
         let n_queries = r.take_len(8)?;
@@ -249,7 +257,7 @@ impl<S: Decode> Decode for EngineSnapshot<S> {
         }
         Ok(EngineSnapshot {
             dim,
-            shards,
+            shards: threads,
             collects_deltas,
             policy,
             regrid_state,
@@ -963,9 +971,9 @@ mod tests {
     use super::*;
     use crate::server::CpmServerBuilder;
 
-    fn seeded_server(shards: usize, deltas: bool) -> CpmServer {
+    fn seeded_server(threads: usize, deltas: bool) -> CpmServer {
         let mut s = CpmServerBuilder::new(16)
-            .shards(shards)
+            .threads(threads)
             .deltas(deltas)
             .build();
         s.populate((0..50u32).map(|i| {
@@ -1002,8 +1010,8 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_restores_an_identical_server() {
-        for shards in [1usize, 4] {
-            let mut original = seeded_server(shards, false);
+        for threads in [1usize, 4] {
+            let mut original = seeded_server(threads, false);
             drive(&mut original, 5);
             let frame = Snapshot::capture(&original, 7).to_frame();
             let snap = Snapshot::from_frame(&frame).unwrap();
@@ -1054,6 +1062,18 @@ mod tests {
         assert!(matches!(
             Snapshot::from_frame(&frame),
             Err(WireError::Invalid { .. })
+        ));
+    }
+
+    #[test]
+    fn object_ids_past_the_ceiling_are_rejected_at_decode() {
+        let mut snap = Snapshot::capture(&seeded_server(1, false), 0);
+        let past = (ObjectId(ObjectId::LIMIT), Point::new(0.5, 0.5));
+        snap.engine.objects.push(past);
+        let frame = encode_framed(FRAME_SNAPSHOT, &snap);
+        assert!(matches!(
+            Snapshot::from_frame(&frame),
+            Err(WireError::Invalid { what, .. }) if what.contains("object-id ceiling")
         ));
     }
 

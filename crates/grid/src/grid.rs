@@ -724,7 +724,7 @@ mod tests {
         /// sees: after a random build, worker threads scanning disjoint row
         /// bands through `&Grid` must reproduce the sequential population
         /// count and id/position checksum. (This is the access pattern of
-        /// the sharded engine's parallel maintenance phase.)
+        /// the engine's parallel resolve step.)
         #[test]
         fn concurrent_scans_match_sequential(
             inserts in proptest::collection::vec(

@@ -27,8 +27,7 @@ use crate::CellCoord;
 ///
 /// Kept outside [`crate::Grid`] so that independent monitors (k-NN,
 /// aggregate-NN, constrained-NN, SEA-CNN) can each maintain their own lists
-/// over one shared object index — a sharded engine holds one table, and
-/// therefore one directory, per shard. `Q` is how the owner names a query
+/// over one shared object index. `Q` is how the owner names a query
 /// in the lists: its [`QueryId`] by default, or any small `Copy` handle
 /// (the CPM engine registers its dense query-table slots).
 #[derive(Debug, Clone)]

@@ -9,14 +9,14 @@
 //!
 //! Each counter must have exactly one owner. Per-query work (cell
 //! accesses, heap operations, (re)computations, merges) is counted by the
-//! monitor — or, in the sharded engine, by the *shard* — that did it;
+//! monitor — or, in the threaded engine, by the *worker* — that did it;
 //! index work (`updates_applied`) is counted by whoever mutates the grid,
-//! exactly once per event, no matter how many monitors or shards consume
+//! exactly once per event, no matter how many monitors or workers consume
 //! the batch. Aggregated views are built with [`Metrics::merge`] (plain
 //! u64 addition — associative and commutative, so merged totals are
 //! deterministic regardless of thread scheduling), and resets must reach
 //! every owner: a `take_metrics` that drains only an aggregator while the
-//! per-shard owners keep counting would silently double-report on the next
+//! per-worker owners keep counting would silently double-report on the next
 //! snapshot.
 
 /// The continuous-query classes the suite monitors, used to attribute
@@ -124,7 +124,7 @@ pub struct Metrics {
     pub updates_applied: u64,
     /// Online re-grids applied (cell-index rebuilds at a new δ). Owned by
     /// whoever owns the grid, like `updates_applied`: counted once per
-    /// re-grid no matter how many shards re-register their queries.
+    /// re-grid no matter how many workers re-register its queries.
     pub regrids: u64,
     /// Objects re-bucketed across all re-grids (the migration volume a
     /// re-grid pays on the index side).

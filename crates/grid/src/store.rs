@@ -127,14 +127,21 @@ impl ObjectStore {
     /// and writing its back-pointer.
     ///
     /// # Panics
-    /// Panics if the object is already live, or if `p` is not finite.
-    /// The finiteness check is a **hard assert even in release builds**:
-    /// it is the ingest boundary that lets `NaN` serve as the off-line
-    /// sentinel in the coordinate columns and lets every distance key
-    /// downstream satisfy [`cpm_geom::TotalF64`]'s no-NaN contract.
+    /// Panics if the object is already live, if `p` is not finite, or if
+    /// `oid` is at or above [`ObjectId::LIMIT`]. The last two are **hard
+    /// asserts even in release builds**: finiteness is the ingest boundary
+    /// that lets `NaN` serve as the off-line sentinel in the coordinate
+    /// columns and lets every distance key downstream satisfy
+    /// [`cpm_geom::TotalF64`]'s no-NaN contract, and the id ceiling keeps
+    /// a stray id from sizing the tables (the validating surfaces refuse
+    /// such ids with a typed error before they get here).
     #[inline]
     pub(crate) fn activate(&mut self, oid: ObjectId, p: Point) -> Point {
         assert!(p.is_finite(), "object position must be finite");
+        assert!(
+            oid.0 < ObjectId::LIMIT,
+            "object id {oid} is past the id ceiling"
+        );
         let idx = oid.index();
         if idx >= self.xs.len() {
             self.xs.resize(idx + 1, f64::NAN);
@@ -235,6 +242,13 @@ mod tests {
         let mut s = ObjectStore::new();
         s.activate(ObjectId(0), Point::new(0.1, 0.1));
         s.activate(ObjectId(0), Point::new(0.2, 0.2));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the id ceiling")]
+    fn ids_past_the_ceiling_never_size_the_tables() {
+        let mut s = ObjectStore::new();
+        s.activate(ObjectId(ObjectId::LIMIT), Point::new(0.5, 0.5));
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub trait KnnMonitorAlgo {
     fn space_units(&self) -> usize;
 }
 
-/// CPM behind the harness vocabulary: the sequential engine (`S = 1`, the
+/// CPM behind the harness vocabulary: the engine on one thread (the
 /// paper's algorithm) over plain point queries plus the
 /// [`QueryEvent`] → [`SpecEvent`] lift.
 struct CpmMonitor {

@@ -41,8 +41,8 @@ pub enum Deploy {
     /// A [`ClusterCoordinator`] with an overlap of a third of the grid
     /// that performs [`Control::RestartWorker`]. The stream must keep
     /// every query on one owner ([`crate::Anchors::Strips`]); workers
-    /// have no shard or re-grid axis, so `shards` is 1 and `regrid` is
-    /// [`Regrid::Pinned`].
+    /// run on one thread each and have no re-grid axis, so `threads` is 1
+    /// and `regrid` is [`Regrid::Pinned`].
     Cluster {
         /// Worker (tile) count: 1, 2 or 4, so tiles hold whole strips.
         workers: u32,
@@ -57,8 +57,8 @@ pub enum Deploy {
 /// [`LaneConfig::REFERENCE`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneConfig {
-    /// Query shards per server.
-    pub shards: usize,
+    /// Threads per server.
+    pub threads: usize,
     /// Re-grid behaviour.
     pub regrid: Regrid,
     /// Deployment shape.
@@ -66,10 +66,10 @@ pub struct LaneConfig {
 }
 
 impl LaneConfig {
-    /// What every lane is compared with: one sequential single-node
-    /// server that never rebuilds its index.
+    /// What every lane is compared with: one single-threaded
+    /// single-node server that never rebuilds its index.
     pub const REFERENCE: LaneConfig = LaneConfig {
-        shards: 1,
+        threads: 1,
         regrid: Regrid::Pinned,
         deploy: Deploy::Single,
     };
@@ -84,7 +84,7 @@ impl LaneConfig {
         };
         let server = || {
             CpmServerBuilder::new(dim)
-                .shards(self.shards)
+                .threads(self.threads)
                 .deltas(true)
                 .regrid(policy)
                 .build()
@@ -104,9 +104,9 @@ impl LaneConfig {
                 pipelined,
             } => (workers, tcp, pipelined),
         };
-        let (shards, regrid) = (self.shards, self.regrid);
+        let (threads, regrid) = (self.threads, self.regrid);
         assert!(
-            shards == 1 && regrid == Regrid::Pinned,
+            threads == 1 && regrid == Regrid::Pinned,
             "{self:?} has no such axis"
         );
         let config = ClusterConfig::new(dim, workers)

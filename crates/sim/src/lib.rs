@@ -16,9 +16,9 @@
 //!   one seeded [`OpStream`] (the mixed-kind churn generator or a paper
 //!   k-NN stream, plus crash / re-grid / snapshot / restart controls),
 //!   replayed into the reference server and into every [`LaneConfig`]
-//!   (shards × re-grid policy × single / durable / cluster) by
+//!   (threads × re-grid policy × single / durable / cluster) by
 //!   [`verify()`], which asserts bit-identical delta batches,
-//!   replicas and results, brute-force agreement and shard-invariant
+//!   replicas and results, brute-force agreement and thread-invariant
 //!   counters after every cycle.
 //! * [`viz`] — ASCII rendering of grids and query book-keeping.
 

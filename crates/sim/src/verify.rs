@@ -16,7 +16,7 @@
 //! * reverse-NN sets equal brute force exactly, the lane's object table
 //!   equals the model, engine invariants hold, each cycle ingests its
 //!   batch exactly once, and [`Metrics`] totals agree between single-node
-//!   lanes that differ only in shard count.
+//!   lanes that differ only in thread count.
 //!
 //! A failure prints the stream and lane as the two lines that replay it.
 
@@ -265,13 +265,13 @@ fn run_lane(
         stream.cycles.len() as u64,
         "the lane dropped merged cycles"
     );
-    // Lanes that differ only in shard count do the same work.
-    let key = LaneConfig { shards: 1, ..cfg };
+    // Lanes that differ only in thread count do the same work.
+    let key = LaneConfig { threads: 1, ..cfg };
     match metric_groups.iter().find(|(k, _)| *k == key) {
         Some((_, first)) => {
             for (t, (a, b)) in first.iter().zip(&metrics).enumerate() {
                 replay.cycle = t;
-                assert_eq!(a, b, "Metrics totals depend on the shard count");
+                assert_eq!(a, b, "Metrics totals depend on the thread count");
             }
         }
         None => metric_groups.push((key, metrics)),

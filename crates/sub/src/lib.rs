@@ -31,7 +31,7 @@
 //! use cpm_grid::ObjectEvent;
 //! use cpm_sub::{DeltaFanout, Replica};
 //!
-//! let mut server = CpmServerBuilder::new(64).shards(2).deltas(true).build();
+//! let mut server = CpmServerBuilder::new(64).threads(2).deltas(true).build();
 //! server.populate((0..10).map(|i| {
 //!     (ObjectId(i), Point::new((i as f64 + 0.5) / 10.0, 0.5))
 //! }));

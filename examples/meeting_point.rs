@@ -12,7 +12,7 @@ use cpm_suite::geom::{ObjectId, Point, QueryId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The engine over aggregate queries (one shard: sequential).
+/// The engine over aggregate queries.
 type AnnMonitor = ShardedCpmEngine<AnnQuery>;
 
 fn main() {

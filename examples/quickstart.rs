@@ -7,8 +7,7 @@ use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
 
-/// The engine over plain k-NN queries; one shard is the sequential
-/// algorithm of the paper.
+/// The engine over plain k-NN queries: the algorithm of the paper.
 type Monitor = ShardedCpmEngine<PointQuery>;
 
 fn main() {

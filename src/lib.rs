@@ -46,7 +46,7 @@
 //! let update = [ObjectEvent::Move { id: ObjectId(2), to: Point::new(0.52, 0.48) }];
 //!
 //! // The engine (what algorithms, figures and tests drive): a 128×128
-//! // grid over the unit square, one shard = the sequential algorithm.
+//! // grid over the unit square, maintained on one thread.
 //! let mut engine = ShardedCpmEngine::<PointQuery>::new(128, 1);
 //! engine.populate(taxis);
 //! engine.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)?;

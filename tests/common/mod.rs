@@ -18,23 +18,23 @@ pub fn case_budget(default_cases: u32) -> u32 {
         .map_or(default_cases, |cap: u32| cap.min(default_cases))
 }
 
-/// One single-node lane per shard count, no re-grids.
-pub fn shard_lanes(counts: &[usize]) -> Vec<LaneConfig> {
+/// One single-node lane per thread count, no re-grids.
+pub fn thread_lanes(counts: &[usize]) -> Vec<LaneConfig> {
     lanes(counts, Regrid::Pinned, Deploy::Single)
 }
 
-pub fn lane(shards: usize, regrid: Regrid, deploy: Deploy) -> LaneConfig {
+pub fn lane(threads: usize, regrid: Regrid, deploy: Deploy) -> LaneConfig {
     LaneConfig {
-        shards,
+        threads,
         regrid,
         deploy,
     }
 }
 
-/// One lane per shard count at one re-grid behaviour and deployment.
-pub fn lanes(shard_counts: &[usize], regrid: Regrid, deploy: Deploy) -> Vec<LaneConfig> {
+/// One lane per thread count at one re-grid behaviour and deployment.
+pub fn lanes(thread_counts: &[usize], regrid: Regrid, deploy: Deploy) -> Vec<LaneConfig> {
     let at = |&s| lane(s, regrid, deploy);
-    shard_counts.iter().map(at).collect()
+    thread_counts.iter().map(at).collect()
 }
 
 /// A paper workload (network / uniform / skewed / drift k-NN stream) as an

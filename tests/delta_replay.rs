@@ -2,7 +2,7 @@
 //! stream (`CpmServer` → `DeltaFanout` → `Replica`) over the initial
 //! result must reconstruct the full per-epoch results **bit-identically**
 //! — against the server's own results, against brute-force ground truth,
-//! and identically across shard counts (sequential and S ∈ {2, 4, 8}) —
+//! and identically across thread counts (T = 1 and T ∈ {2, 4, 8}) —
 //! under object, query, and moving-query churn, k-NN and range alike.
 //! The wide-k section pins delta *capture* itself: every delta the engine
 //! emits is the diff of the materialized cycle-start and cycle-end lists,
@@ -10,10 +10,12 @@
 
 mod common;
 
-use common::{case_budget, events_of, paper_stream, shard_lanes};
+use common::{case_budget, events_of, paper_stream, thread_lanes};
 use std::collections::BTreeMap;
 
-use cpm_suite::core::{CpmServerBuilder, CycleDeltas, Neighbor, NeighborDelta, SpecEvent};
+use cpm_suite::core::{
+    CpmServerBuilder, CycleDeltas, DeltaScratch, Neighbor, NeighborDelta, SpecEvent,
+};
 use cpm_suite::gen::SpeedClass;
 use cpm_suite::geom::QueryId;
 use cpm_suite::grid::QueryKind;
@@ -22,11 +24,11 @@ use cpm_suite::wire::{crc32, Encode, Writer};
 
 use proptest::prelude::*;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The paper's workload shapes (network, uniform, skewed — all with
 /// moving queries): replicas must equal the brute-force oracle at every
-/// epoch, and the delta batches must be identical across shard counts.
+/// epoch, and the delta batches must be identical across thread counts.
 #[test]
 fn delta_replay_matches_oracle_on_generated_workloads() {
     for (seed, workload) in [
@@ -44,18 +46,18 @@ fn delta_replay_matches_oracle_on_generated_workloads() {
             workload,
             ..SimParams::default()
         };
-        verify(&paper_stream(&params), &shard_lanes(&SHARD_COUNTS));
+        verify(&paper_stream(&params), &thread_lanes(&THREAD_COUNTS));
     }
 }
 
 /// One case of the two properties below: 22 cycles of full churn — random
 /// object streams plus subscribe / move / unsubscribe of every kind — in
 /// which every epoch's folded replicas must equal the server's results,
-/// brute force, and the sequential lane's delta batches.
+/// brute force, and the one-thread lane's delta batches.
 fn replay_under_churn(seed: u64, dim: u32, n_obj: u32, kind: QueryKind) {
     let stream = OpStream::mixed(seed, n_obj, 22, Anchors::Free).dim(dim);
     assert!(events_of(&stream, kind) >= 2, "no {kind:?} subscription");
-    verify(&stream, &shard_lanes(&SHARD_COUNTS));
+    verify(&stream, &thread_lanes(&THREAD_COUNTS));
 }
 
 proptest! {
@@ -105,7 +107,7 @@ const WIDE_QUERIES: usize = 100;
 
 #[test]
 fn wide_k_delta_replay_matches_oracle() {
-    verify(&wide_k_stream(), &shard_lanes(&[1, 4]));
+    verify(&wide_k_stream(), &thread_lanes(&[1, 4]));
 }
 
 /// Length and CRC-32 of the concatenated `CycleDeltas` encodings of
@@ -120,15 +122,16 @@ const WIDE_K_ENCODED: (usize, u32) = (587_924, 2_248_539_713);
 /// batch encodings and the delta entries seen.
 fn capture_is_the_diff_of_the_materialized_lists(
     stream: &OpStream,
-    shards: usize,
+    threads: usize,
 ) -> (Writer, usize) {
     let mut server = CpmServerBuilder::new(stream.grid_dim)
-        .shards(shards)
+        .threads(threads)
         .deltas(true)
         .build();
     let mut batch = CycleDeltas::default();
     let mut lists: BTreeMap<QueryId, Vec<Neighbor>> = BTreeMap::new();
     let (mut encoded, mut entries) = (Writer::new(), 0);
+    let mut scratch = DeltaScratch::default();
     for cycle in &stream.cycles {
         assert!(cycle.control.is_none() && cycle.rnn_moves.is_empty());
         server
@@ -143,12 +146,12 @@ fn capture_is_the_diff_of_the_materialized_lists(
         let mut captured = batch.deltas.iter().peekable();
         for (&qid, start) in &mut lists {
             let end = server.result(qid).expect("a live query");
-            let expected = NeighborDelta::diff(batch.epoch, start, end);
+            let expected = NeighborDelta::diff(batch.epoch, start, end, &mut scratch);
             let delta = captured.next_if(|(id, _)| *id == qid).map(|(_, d)| d);
             assert_eq!(
                 delta,
                 (!expected.is_empty()).then_some(&expected),
-                "{qid}, epoch {}, shards {shards}, replay with {}",
+                "{qid}, epoch {}, threads {threads}, replay with {}",
                 batch.epoch,
                 stream.label
             );
@@ -164,8 +167,8 @@ fn capture_is_the_diff_of_the_materialized_lists(
 #[test]
 fn wide_k_capture_is_the_diff_of_the_materialized_lists() {
     let stream = wide_k_stream();
-    for shards in [1, 4] {
-        let (encoded, entries) = capture_is_the_diff_of_the_materialized_lists(&stream, shards);
+    for threads in [1, 4] {
+        let (encoded, entries) = capture_is_the_diff_of_the_materialized_lists(&stream, threads);
         assert!(
             entries > 12 * WIDE_QUERIES * 16,
             "the stream lost its churn"
@@ -183,10 +186,10 @@ proptest! {
     fn capture_is_the_diff_of_the_materialized_lists_under_churn(
         seed in 0u64..1 << 32,
         n_obj in 60u32..140,
-        shards_ix in 0usize..2,
+        threads_ix in 0usize..2,
     ) {
         let stream = OpStream::mixed(0xCA97 ^ seed, n_obj, 22, Anchors::Strips);
-        let (_, entries) = capture_is_the_diff_of_the_materialized_lists(&stream, [1, 4][shards_ix]);
+        let (_, entries) = capture_is_the_diff_of_the_materialized_lists(&stream, [1, 4][threads_ix]);
         prop_assert!(entries > 0);
     }
 }

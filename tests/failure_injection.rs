@@ -220,7 +220,7 @@ fn out_of_range_coordinates_are_clamped_not_fatal() {
 
 /// A populated server with one k-NN query, for ingest-rejection tests.
 fn small_server() -> CpmServer {
-    let mut s = CpmServerBuilder::new(16).shards(2).build();
+    let mut s = CpmServerBuilder::new(16).threads(2).build();
     s.populate((0..20u32).map(|i| (ObjectId(i), Point::new(f64::from(i) / 20.0, 0.5))));
     let _ = s.install_knn(QueryId(0), Point::new(0.5, 0.5), 3).unwrap();
     s

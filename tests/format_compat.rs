@@ -106,7 +106,7 @@ fn parent_commit_frames_round_trip_byte_identically() {
 
 #[test]
 fn quadtree_snapshot_is_refused_typed_by_decode_and_by_recovery() {
-    let mut server = CpmServerBuilder::new(16).shards(2).build();
+    let mut server = CpmServerBuilder::new(16).threads(2).build();
     server.populate((0..20u32).map(|i| {
         let t = f64::from(i) / 20.0;
         (ObjectId(i), Point::new(t, (t * 3.0) % 1.0))

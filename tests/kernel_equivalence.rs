@@ -1,7 +1,7 @@
 //! Scalar-vs-batched engine equivalence: running the full CPM machinery
 //! with the vectorized distance kernel must be observationally identical
 //! — same result bits, same changed lists, same delta streams — to the
-//! scalar per-object path, across shard counts.
+//! scalar per-object path, across thread counts.
 //!
 //! The scalar lane is reconstructed via a wrapper spec that forwards
 //! every [`QuerySpec`] method but deliberately does *not* override
@@ -88,7 +88,7 @@ fn objects(rng: &mut StdRng) -> Vec<(ObjectId, Point)> {
 }
 
 /// One churn stream through a scalar-lane engine and batched-lane engines
-/// at S ∈ {1, 4}: changed lists and delta streams must match the scalar
+/// at T ∈ {1, 4}: changed lists and delta streams must match the scalar
 /// reference exactly, results bit-for-bit.
 #[test]
 fn batched_kernel_is_observationally_identical_to_scalar() {

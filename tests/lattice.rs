@@ -1,4 +1,4 @@
-//! The configuration lattice, sampled: shards {1, 2, 4, 8} × re-grid
+//! The configuration lattice, sampled: threads {1, 2} × re-grid
 //! {pinned, scheduled, auto} × deployment {single, durable + crashes,
 //! cluster W ∈ {1, 2, 4} × {in-process, TCP} × {serial, pipelined} +
 //! restart}. The per-feature suites each fix most axes; here every (lane
@@ -76,24 +76,24 @@ fn drift_stream(seed: u64) -> OpStream {
 
 /// One lane of each deployment class, every axis the class has drawn at
 /// random: a durable server performs no scheduled control and cluster
-/// workers have neither shards nor re-grids.
+/// workers run on one thread and have no re-grids.
 fn lane_set(rng: &mut StdRng) -> [LaneConfig; 3] {
     let cluster = Deploy::Cluster {
         workers: [1, 2, 4][rng.gen_range(0..3)],
         tcp: rng.gen_bool(0.5),
         pipelined: rng.gen_bool(0.5),
     };
-    let mut draw = |deploy, shard_counts: &[usize], regrids: &[Regrid]| {
+    let mut draw = |deploy, thread_counts: &[usize], regrids: &[Regrid]| {
         lane(
-            shard_counts[rng.gen_range(0..shard_counts.len())],
+            thread_counts[rng.gen_range(0..thread_counts.len())],
             regrids[rng.gen_range(0..regrids.len())],
             deploy,
         )
     };
     let (pinned, scheduled, auto) = (Regrid::Pinned, Regrid::Scheduled, Regrid::Auto);
     [
-        draw(Deploy::Single, &[1, 2, 4, 8], &[pinned, scheduled, auto]),
-        draw(Deploy::Durable, &[1, 2, 4, 8], &[pinned, auto]),
+        draw(Deploy::Single, &[1, 2], &[pinned, scheduled, auto]),
+        draw(Deploy::Durable, &[1, 2], &[pinned, auto]),
         draw(cluster, &[1], &[pinned]),
     ]
 }
@@ -107,7 +107,7 @@ fn sampled_lattice_matches_the_reference() {
         tcp: true,
         pipelined: true,
     };
-    let durable_auto = lane(4, Regrid::Auto, Deploy::Durable);
+    let durable_auto = lane(2, Regrid::Auto, Deploy::Durable);
     let corners = [durable_auto, lane(1, Regrid::Pinned, tcp_pipelined)];
     let pairs = case_budget(PAIRS).max(2) as usize;
     let (mut ops, mut scheduled, mut auto) = (0, 0, 0);
@@ -214,7 +214,7 @@ fn boundary_and_seam_coordinates_are_exact() {
     verify(
         &stream,
         &[
-            lane(4, pinned, Deploy::Single),
+            lane(2, pinned, Deploy::Single),
             lane(2, pinned, Deploy::Durable),
             lane(1, pinned, cluster(2, false)),
             lane(1, pinned, cluster(2, true)),

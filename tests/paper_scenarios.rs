@@ -8,8 +8,8 @@ use cpm_suite::core::{PointQuery, ShardedCpmEngine};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{ObjectEvent, QueryEvent};
 
-/// CPM as the paper describes it: the engine over point queries, one
-/// shard (sequential).
+/// CPM as the paper describes it: the engine over point queries, on one
+/// thread.
 fn cpm_monitor(dim: u32) -> ShardedCpmEngine<PointQuery> {
     ShardedCpmEngine::new(dim, 1)
 }

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// A symbolic event the strategy generates; resolved against the set of
 /// live objects when applied (so streams are always consistent).
@@ -60,7 +60,7 @@ fn action_strategy() -> impl Strategy<Value = Action> {
     ]
 }
 
-/// Replay `batches` through engines of 1, 2 and 4 shards with delta
+/// Replay `batches` through engines of 1, 2 and 4 threads with delta
 /// capture on. Every cycle: the three delta batches and `Metrics` are
 /// bit-identical, invariants hold, results equal the oracle's, and the
 /// cycle's deltas folded through a [`Replica`] per query equal the
@@ -72,7 +72,7 @@ fn replay(
     query_pts: &[(f64, f64)],
     batches: &[Vec<Action>],
 ) -> Result<Metrics, TestCaseError> {
-    let mut engines: Vec<ShardedCpmEngine<PointQuery>> = SHARD_COUNTS
+    let mut engines: Vec<ShardedCpmEngine<PointQuery>> = THREAD_COUNTS
         .iter()
         .map(|&s| ShardedCpmEngine::new(dim, s))
         .collect();
@@ -158,12 +158,12 @@ fn replay(
             cpm.check_invariants();
         }
         for (i, cpm) in engines.iter().enumerate().skip(1) {
-            prop_assert_eq!(&cycles[0], &cycles[i], "S = {}", SHARD_COUNTS[i]);
+            prop_assert_eq!(&cycles[0], &cycles[i], "T = {}", THREAD_COUNTS[i]);
             prop_assert_eq!(
                 engines[0].metrics(),
                 cpm.metrics(),
-                "S = {}",
-                SHARD_COUNTS[i]
+                "T = {}",
+                THREAD_COUNTS[i]
             );
         }
 

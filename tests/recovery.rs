@@ -60,7 +60,7 @@ static ALLOC: Counting = Counting;
 
 /// The headline chaos run: seeded crash schedules spanning every
 /// corruption class (clean crash, torn tail, duplicated and reordered
-/// frames, flipped bits in journal and snapshot), at one and four shards.
+/// frames, flipped bits in journal and snapshot), at one and four threads.
 /// Every trial must recover to a server bit-identical to the reference
 /// that never crashed, with the lost window redelivered.
 #[test]
@@ -84,7 +84,7 @@ fn chaos_schedules_recover_bit_identically() {
 /// (rich snapshot, empty journal); `false` leaves them as journal records
 /// over the empty initial snapshot.
 fn durable_fixture(checkpointed: bool) -> DurableCpmServer {
-    let mut server = CpmServerBuilder::new(16).shards(2).build();
+    let mut server = CpmServerBuilder::new(16).threads(2).build();
     server.populate((0..40u32).map(|i| {
         let t = f64::from(i) / 40.0;
         (ObjectId(i), Point::new(t, (t * 2.3) % 1.0))
@@ -230,7 +230,7 @@ fn restored_hub_resumes_epochs_and_replicas_resync() {
         k,
     };
     let build = || {
-        let mut server = CpmServerBuilder::new(16).shards(2).deltas(true).build();
+        let mut server = CpmServerBuilder::new(16).threads(2).deltas(true).build();
         server.populate(
             (0..12u32).map(|i| (ObjectId(i), Point::new((f64::from(i) + 0.5) / 12.0, 0.5))),
         );

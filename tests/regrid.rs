@@ -4,7 +4,7 @@
 //! δ-independent, so a server that re-grids mid-stream has to keep
 //! reporting bit-identical results, changed lists and delta streams —
 //! against the never-re-gridded reference, against the brute-force
-//! oracle, and across shard counts. The object store must ride through
+//! oracle, and across thread counts. The object store must ride through
 //! every re-grid untouched.
 
 mod common;
@@ -21,7 +21,7 @@ use cpm_suite::sim::{
 use cpm_suite::sub::DeltaFanout;
 use proptest::prelude::*;
 
-/// Single-node lanes at the satellite spec's `S ∈ {1, 4}`.
+/// Single-node lanes at `T ∈ {1, 4}`.
 fn regridding_lanes(regrid: Regrid) -> Vec<cpm_suite::sim::LaneConfig> {
     lanes(&[1, 4], regrid, Deploy::Single)
 }
@@ -75,7 +75,7 @@ proptest! {
 
     /// The satellite property: `ObjectStore` contents and query results
     /// are invariant under a random sequence of re-grids interleaved with
-    /// updates, at S ∈ {1, 4} — checked every cycle against the
+    /// updates, at T ∈ {1, 4} — checked every cycle against the
     /// never-re-gridded reference, the stream's own position model and
     /// the brute-force oracle (bitwise, ids and distance bits).
     #[test]
@@ -202,7 +202,7 @@ fn auto_policy_adapts_and_stays_bit_identical() {
     // The same lane again, by hand, for what the harness does not read:
     // that the policy accounted for its re-grids in `Metrics`.
     let mut adaptive = CpmServerBuilder::new(params.grid_dim)
-        .shards(2)
+        .threads(2)
         .deltas(true)
         .regrid(auto_regrid_policy())
         .build();
@@ -226,7 +226,7 @@ fn auto_policy_adapts_and_stays_bit_identical() {
 #[test]
 fn regrids_emit_no_spurious_deltas_through_the_hub() {
     let build = || {
-        let mut server = CpmServerBuilder::new(32).shards(2).deltas(true).build();
+        let mut server = CpmServerBuilder::new(32).threads(2).deltas(true).build();
         server.populate((0..80u32).map(|i| {
             let p = Point::new((i as f64 * 0.29) % 1.0, (i as f64 * 0.53) % 1.0);
             (ObjectId(i), p)

@@ -1,9 +1,9 @@
 //! Conformance of the non-point query kinds — aggregate-NN, constrained,
-//! range, and the reverse-NN composition the server owns: for every shard
+//! range, and the reverse-NN composition the server owns: for every thread
 //! count the results, changed lists and delta batches must be
-//! **bit-identical** to the sequential (`S = 1`) reference and correct
+//! **bit-identical** to the single-threaded (`T = 1`) reference and correct
 //! against brute force, under object churn and moving queries. (Plain
-//! k-NN is covered by `tests/sharded_determinism.rs`.)
+//! k-NN is covered by `tests/thread_determinism.rs`.)
 //!
 //! Every test here runs the mixed-kind churn stream — all kinds share one
 //! server, as deployed — and asserts that its seeds really exercise the
@@ -11,14 +11,14 @@
 
 mod common;
 
-use common::{events_of, shard_lanes, specs};
+use common::{events_of, specs, thread_lanes};
 use cpm_suite::core::{AggregateFn, AnnQuery, AnyQuerySpec};
 use cpm_suite::grid::QueryKind;
 use cpm_suite::sim::{verify, Anchors, OpStream};
 
-const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
+const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
-/// Run `seeds` of the mixed stream across [`SHARD_COUNTS`] and check the
+/// Run `seeds` of the mixed stream across [`THREAD_COUNTS`] and check the
 /// streams carried at least `min_events` install/update events of `kind`.
 fn run(
     seeds: std::ops::Range<u64>,
@@ -30,7 +30,7 @@ fn run(
         .map(|seed| OpStream::mixed(seed, n_objects, 22, Anchors::Free))
         .collect();
     for stream in &streams {
-        verify(stream, &shard_lanes(&SHARD_COUNTS));
+        verify(stream, &thread_lanes(&THREAD_COUNTS));
     }
     let events: usize = streams.iter().map(|s| events_of(s, kind)).sum();
     assert!(
@@ -40,7 +40,7 @@ fn run(
     streams
 }
 
-/// ANN under sharding, with moving query point sets spread over the whole
+/// ANN on several threads, with moving query point sets spread over the whole
 /// workspace — every aggregate function (sum / min / max) and every set
 /// size from one point to four must have been in play.
 #[test]
@@ -69,7 +69,7 @@ fn ann_specs_are_shard_invariant_and_correct() {
     );
 }
 
-/// Constrained NN under sharding, with moving query points *and* moving
+/// Constrained NN on several threads, with moving query points *and* moving
 /// constraint regions drawn independently: the query point is outside its
 /// region more often than inside.
 #[test]
@@ -91,7 +91,7 @@ fn constrained_specs_are_shard_invariant_and_correct() {
     );
 }
 
-/// Range queries under sharding, with moving circles and rectangles;
+/// Range queries on several threads, with moving circles and rectangles;
 /// results are exact membership in canonical order, so the harness's
 /// equality against brute force is bitwise.
 #[test]
@@ -99,9 +99,9 @@ fn range_specs_are_shard_invariant_and_correct() {
     run(0x4A17..0x4A1B, 90, QueryKind::Range, 20);
 }
 
-/// Reverse-NN under sharding: the server distributes the six
-/// sector-constrained candidate queries per registration across shards,
-/// and the verified sets must match both the sequential server and brute
+/// Reverse-NN on several threads: the server distributes the six
+/// sector-constrained candidate queries per registration across threads,
+/// and the verified sets must match both the single-threaded server and brute
 /// force, with moving query points.
 #[test]
 fn rnn_composition_is_shard_invariant_and_correct() {

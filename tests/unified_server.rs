@@ -3,14 +3,14 @@
 //! queries on **one grid with one ingest pass per cycle** (unified
 //! `AnyQuerySpec` dispatch) must be bit-identical to dedicated
 //! single-kind `ShardedCpmEngine<Spec>`s and correct against brute-force
-//! oracles — for shard counts S ∈ {1, 4}, with moving queries and
+//! oracles — for thread counts T ∈ {1, 4}, with moving queries and
 //! mid-stream install/terminate.
 //!
 //! [`CpmServer`]: cpm_suite::core::CpmServer
 
 mod common;
 
-use common::shard_lanes;
+use common::thread_lanes;
 use cpm_suite::core::server::QueryHandle;
 use cpm_suite::core::{
     AggregateFn, AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServerBuilder, PointQuery,
@@ -23,18 +23,18 @@ use cpm_suite::sim::{verify, Anchors, OpStream};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const SHARD_COUNTS: [usize; 2] = [1, 4];
+const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 /// A dedicated single-kind engine hosting one query.
 fn dedicated<S: QuerySpec + Send + Sync>(
     dim: u32,
-    shards: usize,
+    threads: usize,
     objects: &[(ObjectId, Point)],
     id: QueryId,
     spec: S,
     k: usize,
 ) -> ShardedCpmEngine<S> {
-    let mut e = ShardedCpmEngine::new(dim, shards);
+    let mut e = ShardedCpmEngine::new(dim, threads);
     e.populate(objects.iter().copied());
     e.install(id, spec, k).unwrap();
     e
@@ -42,19 +42,19 @@ fn dedicated<S: QuerySpec + Send + Sync>(
 
 /// The full harness sweep: one server hosting every kind vs brute force,
 /// with object churn, moving queries and mid-stream install/terminate of
-/// every kind, at S ∈ {1, 4}. (Bit-identity to the dedicated single-kind
+/// every kind, at T ∈ {1, 4}. (Bit-identity to the dedicated single-kind
 /// engines is `server_results_match_dedicated_engines` below.)
 #[test]
 fn unified_server_matches_dedicated_engines_and_oracles() {
     let stream = OpStream::mixed(0x0CF5, 90, 30, Anchors::Free);
-    verify(&stream, &shard_lanes(&SHARD_COUNTS));
+    verify(&stream, &thread_lanes(&THREAD_COUNTS));
 }
 
 /// A denser grid and larger population, fewer cycles (CI budget).
 #[test]
 fn unified_server_conformance_on_fine_grid() {
     let stream = OpStream::mixed(0x0CF5, 220, 12, Anchors::Free).dim(64);
-    verify(&stream, &shard_lanes(&SHARD_COUNTS));
+    verify(&stream, &thread_lanes(&THREAD_COUNTS));
 }
 
 /// The acceptance criterion, asserted via metrics: a cycle over a server
@@ -62,8 +62,8 @@ fn unified_server_conformance_on_fine_grid() {
 /// per kind. (The harness asserts it on every single-node lane, too.)
 #[test]
 fn one_cycle_one_ingest_regardless_of_kind_count() {
-    for shards in SHARD_COUNTS {
-        let mut server = CpmServerBuilder::new(32).shards(shards).build();
+    for threads in THREAD_COUNTS {
+        let mut server = CpmServerBuilder::new(32).threads(threads).build();
         let objects: Vec<(ObjectId, Point)> = (0..200u32)
             .map(|i| {
                 let t = i as f64 / 200.0;
@@ -113,7 +113,7 @@ fn one_cycle_one_ingest_regardless_of_kind_count() {
         assert_eq!(
             unified.updates_applied,
             events.len() as u64,
-            "one server cycle must ingest the batch exactly once (shards={shards})"
+            "one server cycle must ingest the batch exactly once (threads={threads})"
         );
     }
 }
@@ -123,21 +123,21 @@ fn one_cycle_one_ingest_regardless_of_kind_count() {
 #[test]
 fn server_results_match_dedicated_engines() {
     let mut rng = StdRng::seed_from_u64(0x0DD);
-    for shards in SHARD_COUNTS {
+    for threads in THREAD_COUNTS {
         let objects: Vec<(ObjectId, Point)> = (0..70u32)
             .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
             .collect();
-        let mut server = CpmServerBuilder::new(16).shards(shards).build();
+        let mut server = CpmServerBuilder::new(16).threads(threads).build();
         server.populate(objects.iter().copied());
 
         let knn_q = PointQuery(Point::new(0.35, 0.65));
         let knn_h = server.install_knn(QueryId(0), knn_q.0, 5).unwrap();
-        let mut knn = dedicated(16, shards, &objects, QueryId(0), knn_q, 5);
+        let mut knn = dedicated(16, threads, &objects, QueryId(0), knn_q, 5);
         let range_q = RangeQuery::circle(Point::new(0.5, 0.5), 0.25);
         let range_h = server.install_range(QueryId(1), range_q).unwrap();
         let mut range = dedicated(
             16,
-            shards,
+            threads,
             &objects,
             QueryId(1),
             range_q,
@@ -148,7 +148,7 @@ fn server_results_match_dedicated_engines() {
             AggregateFn::Sum,
         );
         let ann_h = server.install_ann(QueryId(2), ann_q.clone(), 3).unwrap();
-        let mut ann = dedicated(16, shards, &objects, QueryId(2), ann_q, 3);
+        let mut ann = dedicated(16, threads, &objects, QueryId(2), ann_q, 3);
         let con_q = ConstrainedQuery::new(
             Point::new(0.5, 0.5),
             Rect::new(Point::new(0.4, 0.0), Point::new(1.0, 0.6)),
@@ -156,7 +156,7 @@ fn server_results_match_dedicated_engines() {
         let con_h = server
             .install_constrained(QueryId(3), con_q.clone(), 3)
             .unwrap();
-        let mut con = dedicated(16, shards, &objects, QueryId(3), con_q, 3);
+        let mut con = dedicated(16, threads, &objects, QueryId(3), con_q, 3);
 
         for _cycle in 0..25 {
             let mut events = Vec::new();
@@ -175,26 +175,26 @@ fn server_results_match_dedicated_engines() {
             dedicated.extend(range.process_cycle(&events, &[]));
             dedicated.extend(ann.process_cycle(&events, &[]));
             dedicated.extend(con.process_cycle(&events, &[]));
-            assert_eq!(changed, dedicated, "changed lists (shards={shards})");
+            assert_eq!(changed, dedicated, "changed lists (threads={threads})");
             assert_eq!(
                 server.result(knn_h).unwrap(),
                 knn.result(QueryId(0)).unwrap(),
-                "k-NN diverged (shards={shards})"
+                "k-NN diverged (threads={threads})"
             );
             assert_eq!(
                 server.result(range_h).unwrap(),
                 range.result(QueryId(1)).unwrap(),
-                "range diverged (shards={shards})"
+                "range diverged (threads={threads})"
             );
             assert_eq!(
                 server.result(ann_h).unwrap(),
                 ann.result(QueryId(2)).unwrap(),
-                "ANN diverged (shards={shards})"
+                "ANN diverged (threads={threads})"
             );
             assert_eq!(
                 server.result(con_h).unwrap(),
                 con.result(QueryId(3)).unwrap(),
-                "constrained diverged (shards={shards})"
+                "constrained diverged (threads={threads})"
             );
             server.check_invariants();
         }
@@ -205,7 +205,7 @@ fn server_results_match_dedicated_engines() {
 /// errors and the changed list reflects mid-stream install/terminate.
 #[test]
 fn registry_errors_and_midstream_churn() {
-    let mut server = CpmServerBuilder::new(16).shards(4).build();
+    let mut server = CpmServerBuilder::new(16).threads(4).build();
     server.populate((0..50u32).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))));
     let h = server
         .install_knn(QueryId(0), Point::new(0.1, 0.5), 3)
@@ -282,9 +282,9 @@ fn unified_delta_cycles_fold_losslessly() {
     use cpm_suite::core::CycleDeltas;
     use cpm_suite::sub::Replica;
     let mut rng = StdRng::seed_from_u64(0xDE17A);
-    for shards in SHARD_COUNTS {
+    for threads in THREAD_COUNTS {
         let mut server = CpmServerBuilder::new(16)
-            .shards(shards)
+            .threads(threads)
             .deltas(true)
             .build();
         server.populate((0..40u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
@@ -330,7 +330,7 @@ fn unified_delta_cycles_fold_losslessly() {
                 assert_eq!(
                     replica.result(),
                     server.result(QueryId(i as u32)).unwrap(),
-                    "replica {i} diverged (shards={shards})"
+                    "replica {i} diverged (threads={threads})"
                 );
             }
         }
