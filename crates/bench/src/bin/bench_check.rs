@@ -1,7 +1,7 @@
 //! The CI benchmark-regression gate, reproducible locally:
 //!
 //! ```text
-//! cargo run --release -p cpm-bench --features simd --bin bench_check
+//! cargo run --release -p cpm-bench --bin bench_check
 //! ```
 //!
 //! Runs every micro-benchmark at its gate scale and judges it by the

@@ -1,7 +1,7 @@
 //! Re-record checked-in micro-benchmark results at acceptance scale:
 //!
 //! ```text
-//! cargo run --release -p cpm-bench --features simd --bin bench_record -- <name>...|all
+//! cargo run --release -p cpm-bench --bin bench_record -- <name>...|all
 //! ```
 //!
 //! Each named benchmark (see [`cpm_bench::BENCHES`]) is measured and its

@@ -9,7 +9,7 @@
 //! additionally holds the metric within [`CURVE_TOLERANCE`] of the
 //! checked-in `BENCH_<bench>.json` — a ratio again, and binding only
 //! when that file was recorded at the configuration being measured
-//! (same scale, same kernel lane). A row with `min_threads` above the
+//! (same configuration). A row with `min_threads` above the
 //! host's thread count states a property the host cannot exhibit and is
 //! reported as not applicable there; CI runners with four threads
 //! enforce it.
@@ -153,15 +153,15 @@ pub const GATES: &[Gate] = &[
         "full recovery / quiet cycle (restart pause)",
         Bound::AtMost(25.0),
     ),
-    // The explicit-SIMD lane carries the 1.3x acceptance bar; the
-    // portable lane must merely never lose to the scalar idiom.
+    // The batched kernel must never lose to the scalar idiom on the
+    // buckets it is built for.
     Gate {
         curve: true,
         ..gate(
             "kernels",
             "speedup_dim64_bucket32plus",
             "batched kernel vs scalar idiom, worst dim-64 cell with bucket >= 32",
-            Bound::AtLeast(if cfg!(feature = "simd") { 1.3 } else { 1.0 } / MARGIN),
+            Bound::AtLeast(1.0 / MARGIN),
         )
     },
     gate(
@@ -185,7 +185,7 @@ pub const GATES: &[Gate] = &[
     gate(
         "pipeline",
         "route_over_single",
-        "serial routing slice / single-node cycle at W = 4",
+        "process_cycle routing slice / single-node cycle at W = 4",
         Bound::AtMost(1.25 * MARGIN),
     ),
     Gate {
@@ -193,7 +193,7 @@ pub const GATES: &[Gate] = &[
         ..gate(
             "pipeline",
             "pipelined_over_serial",
-            "pipelined vs serial coordinator on >= 4 threads",
+            "submit_cycle vs process_cycle on >= 4 threads",
             Bound::AtLeast(1.15 / MARGIN),
         )
     },

@@ -12,9 +12,8 @@
 //!
 //! The sweep covers position-table sizes 64 / 256 / 1024 (spanning
 //! cache-resident to gather-heavy) × bucket sizes 1–256 (including an
-//! odd size for the SIMD tail lane). The gated statistic is the worst
-//! speedup over the dim-64 cells with buckets of ≥ 32 objects; the
-//! record says which kernel lane (`simd_feature`) it measured.
+//! odd size). The gated statistic is the worst speedup over the dim-64
+//! cells with buckets of ≥ 32 objects.
 
 use cpm_geom::{ObjectId, Point};
 use cpm_grid::kernels::{self, Coords};
@@ -45,8 +44,6 @@ bench_config! {
         blocks: usize = 90,
         /// RNG seed.
         seed: u64 = 2005,
-        /// Whether the explicit-SIMD kernel lane is compiled in.
-        simd_feature: bool = cfg!(feature = "simd"),
     }
 }
 

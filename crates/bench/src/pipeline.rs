@@ -1,33 +1,33 @@
-//! Pipelined-coordinator benchmark: the serial cluster cycle versus the
-//! depth-1 pipelined cycle ([`ClusterCoordinator::submit_cycle`]) on the
-//! identical workload, plus the routing slice against the single-node
-//! cycle it amortizes.
+//! The two cluster calls on the identical workload: the `serial` lane
+//! drives [`ClusterCoordinator::process_cycle`], the `pipelined` lane
+//! [`ClusterCoordinator::submit_cycle`] + `flush`; plus the routing slice
+//! against the single-node cycle it amortizes.
 //!
-//! The serial coordinator's cycle is three strictly sequential slices —
-//! route, wait for workers, merge — so its wall time is their sum. The
-//! pipelined coordinator overlaps them across epochs: while the workers
+//! A `process_cycle` call is three strictly sequential slices — route,
+//! wait for workers, merge — so its wall time is their sum. A
+//! `submit_cycle` loop overlaps them across epochs: while the workers
 //! compute epoch *e*, the coordinator routes *e+1*, so route time hides
-//! behind worker compute and only the merge stays exposed. A depth-1
-//! pipeline's per-cycle times overlap and only whole-pass wall time is
-//! meaningful, so one paired cycle here is a **chunk** of
-//! [`Config::chunk`] stream cycles processed by each of three lanes
-//! (single node, serial coordinator, pipelined coordinator), charged per
-//! stream cycle. Two ratios come out of a run:
+//! behind worker compute and only the merge stays exposed. Overlapping
+//! per-cycle times leave only whole-pass wall time meaningful, so one
+//! paired cycle here is a **chunk** of [`Config::chunk`] stream cycles
+//! processed by each of three lanes (single node and the two calls, on
+//! two coordinators built from one [`ClusterConfig`]), charged per stream
+//! cycle. Two ratios come out of a run:
 //!
-//! * **`route_over_single`** — the serial coordinator's routing slice
-//!   (per-worker event translation + framing + send, the `route` field
-//!   of [`ClusterCoordinator::last_cycle_timings`]) over the single-node
-//!   cycle. Routing is the slice the pipeline hides behind worker
+//! * **`route_over_single`** — the `process_cycle` routing slice
+//!   (per-worker event translation + framing, the `route` field of
+//!   [`ClusterCoordinator::last_cycle_timings`]) over the single-node
+//!   cycle. Routing is the slice `submit_cycle` hides behind worker
 //!   compute — a route that outweighs the cycle it routes cannot be
-//!   hidden by any pipeline depth — and the ratio is machine-independent.
-//! * **`pipelined_over_serial`** — serial over pipelined chunk time,
-//!   i.e. the pipeline's throughput speedup. The overlap only pays when
-//!   the coordinator and workers run on different cores, so its bar
-//!   binds on ≥ 4-thread hosts only.
+//!   hidden by any overlap — and the ratio is machine-independent.
+//! * **`pipelined_over_serial`** — `process_cycle` over `submit_cycle`
+//!   chunk time, i.e. the overlap's throughput speedup. The overlap only
+//!   pays when the coordinator and workers run on different cores, so its
+//!   bar binds on ≥ 4-thread hosts only.
 //!
 //! Every chunk doubles as a conformance check: the batches all three
 //! lanes yield must be **bit-identical**, so a completed run proves the
-//! pipeline changed *when* batches surface, never their bytes.
+//! call changes *when* batches surface, never their bytes.
 
 use std::time::Duration;
 
@@ -39,7 +39,7 @@ use crate::record::BenchRecord;
 use crate::workload::{bench_config, cluster_stream, ClusterCycle};
 
 bench_config! {
-    /// Workload parameters for one serial-vs-pipelined run.
+    /// Workload parameters for one `process_cycle`-vs-`submit_cycle` run.
     Config {
         /// Object population `N`.
         n_objects: usize = 10_000,
@@ -122,12 +122,11 @@ pub fn measure(cfg: &Config) -> BenchRecord {
             .deltas(true)
             .try_build()
             .expect("single-node server");
-        let serial_cfg = ClusterConfig::new(cfg.grid_dim, cfg.workers).overlap(cfg.overlap);
+        let cluster = ClusterConfig::new(cfg.grid_dim, cfg.workers).overlap(cfg.overlap);
         let (mut serial, serial_handles) =
-            ClusterCoordinator::spawn_in_process(serial_cfg).expect("spawn serial workers");
+            ClusterCoordinator::spawn_in_process(cluster).expect("spawn serial workers");
         let (mut pipelined, pipelined_handles) =
-            ClusterCoordinator::spawn_in_process(serial_cfg.pipelined(true))
-                .expect("spawn pipelined workers");
+            ClusterCoordinator::spawn_in_process(cluster).expect("spawn pipelined workers");
 
         changes = 0;
         let mut single_lane = |i: usize| {
@@ -177,7 +176,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
             (per_cycle(spent, chunks[i].len()), outputs)
         };
         // `check`: every chunk's batches are bit-identical across the
-        // single node, the serial and the pipelined coordinator.
+        // single node and the two calls.
         paired.repetition(
             warmup,
             chunks.len() - warmup,

@@ -155,16 +155,15 @@ fn passes(gate: &Gate, measured: &BenchRecord, recorded: Option<&BenchRecord>) -
 /// grid ≤ 1.10 × control; 2 threads ≥ 0.95 × 1 thread, ≥ 1.2 on ≥ 2
 /// host threads, and 4 threads ≥ 1.5 on ≥ 4;
 /// deltas ≤ 1.10 + 0.10; server ≥ 1.3 / 1.1; regrid re-grids, ≥ 1.2 / 1.1,
-/// pause ≤ 25; recovery replays, pause ≤ 25; kernels ≥ 1.3 / 1.1 (simd
-/// lane) or ≥ 1.0 / 1.1; cluster and pipeline did work, ≤ 1.25 × 1.1;
-/// pipelined ≥ 1.15 / 1.1 on ≥ 4 threads. The `figures` rows are the
+/// pause ≤ 25; recovery replays, pause ≤ 25; kernels ≥ 1.0 / 1.1;
+/// cluster and pipeline did work, ≤ 1.25 × 1.1; `submit_cycle` over
+/// `process_cycle` ≥ 1.15 / 1.1 on ≥ 4 threads. The `figures` rows are the
 /// paper's shape with no margin: CPM's counts and default-point cycle
 /// time ≤ the baselines', Fig. 6.1's optimum within one axis step of the
 /// model's, the Section 4.1 quantities within (π + 5) / π of it,
 /// footnote 6's space order.
 #[test]
 fn every_gate_row_fails_on_the_wrong_side_of_its_bound() {
-    let kernel_bar = if cfg!(feature = "simd") { 1.3 } else { 1.0 };
     // (bench, metric, min_threads, passing value, failing value)
     let sides = [
         ("grid", "update_vs_hashset", 1, 1.09, 1.11),
@@ -183,8 +182,8 @@ fn every_gate_row_fails_on_the_wrong_side_of_its_bound() {
             "kernels",
             "speedup_dim64_bucket32plus",
             1,
-            kernel_bar / 1.1 + 0.01,
-            kernel_bar / 1.1 - 0.01,
+            1.0 / 1.1 + 0.01,
+            1.0 / 1.1 - 0.01,
         ),
         ("cluster", "result_changes", 1, 1.0, 0.0),
         ("cluster", "merge_over_single", 1, 1.37, 1.38),
@@ -271,7 +270,7 @@ fn a_curve_binds_only_at_the_recorded_configuration() {
             &kept,
             Some(&synthetic(gate.bench, "renamed", 1.0, 2))
         ));
-        // Another configuration (scale, kernel lane): only the bar binds.
+        // Another configuration (scale): only the bar binds.
         crept.config = fields! { "scale" => 2usize };
         assert!(passes(gate, &crept, Some(&recorded)));
     }

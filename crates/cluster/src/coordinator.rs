@@ -31,18 +31,21 @@
 //! the translated event straight into that worker's outgoing frame.
 //! Frames are sealed and sent in canonical worker order.
 //!
-//! # Pipelined mode
+//! # Two calls, one cycle
 //!
-//! [`ClusterConfig::pipelined`] selects a depth-1 software pipeline:
-//! [`submit_cycle`](ClusterCoordinator::submit_cycle) routes, encodes
-//! and sends epoch *e+1* while the workers are still computing epoch
-//! *e*, and only then drains the merge barrier for the oldest in-flight
-//! epoch. The transports are FIFO and workers process one message at a
-//! time, so a worker sees `Batch(e+1)` exactly when it finishes `e` —
-//! no protocol change, and the merged output stream is bit-identical to
-//! the serial coordinator's. Out-of-band operations (install, restart,
-//! snapshot transfer) drain the pipeline first; the merged batches they
-//! drain are handed out by subsequent submits in order.
+//! A caller picks the schedule by the call it makes; both run the same
+//! route-and-send and the same collect-and-merge.
+//! [`process_cycle`](ClusterCoordinator::process_cycle) returns the
+//! cycle's own merged batch. [`submit_cycle`](ClusterCoordinator::submit_cycle)
+//! routes, encodes and sends epoch *e+1* while the workers are still
+//! computing epoch *e*, and only then drains the merge barrier for *e*:
+//! at most one epoch is in flight between calls, and
+//! [`flush`](ClusterCoordinator::flush) drains it. The transports are
+//! FIFO and workers process one message at a time, so a worker reads
+//! batch *e+1* exactly when it finishes *e* and the merged output stream
+//! is the same bytes either way. Out-of-band operations (install,
+//! restart, snapshot transfer) collect the epoch in flight first; the
+//! batch they collect is handed out by the next call, in order.
 //!
 //! # Failure model
 //!
@@ -71,8 +74,8 @@ use crate::tcp::TcpTransport;
 use crate::transport::{duplex, ChannelTransport, Transport};
 use crate::worker::run_worker;
 
-/// Static cluster shape: grid resolution, worker count, overlap margin
-/// and cycle schedule.
+/// Static cluster shape: grid resolution, worker count and overlap
+/// margin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Grid resolution (`dim × dim` cells), shared by every worker.
@@ -83,33 +86,21 @@ pub struct ClusterConfig {
     /// margins certify larger influence regions at the cost of more
     /// object replication.
     pub overlap: u32,
-    /// Run the depth-1 epoch pipeline (route epoch *e+1* while workers
-    /// compute *e*). Default `false`: fully serial cycles. The merged
-    /// output stream is bit-identical either way.
-    pub pipeline: bool,
 }
 
 impl ClusterConfig {
-    /// A `workers`-way split of a `dim × dim` grid with a 2-cell overlap,
-    /// serial cycles.
+    /// A `workers`-way split of a `dim × dim` grid with a 2-cell overlap.
     pub fn new(dim: u32, workers: u32) -> Self {
         Self {
             dim,
             workers,
             overlap: 2,
-            pipeline: false,
         }
     }
 
     /// Builder-style overlap margin override.
     pub fn overlap(mut self, cells: u32) -> Self {
         self.overlap = cells;
-        self
-    }
-
-    /// Builder-style pipeline selection (see [`ClusterConfig::pipeline`]).
-    pub fn pipelined(mut self, pipeline: bool) -> Self {
-        self.pipeline = pipeline;
         self
     }
 }
@@ -125,16 +116,17 @@ pub struct CycleTimings {
     /// moment the frames are ready to go.
     pub route: Duration,
     /// Handing the frames to the workers and blocking on their replies
-    /// (includes the workers' own cycle compute; in pipelined mode the
-    /// overlap shrinks this). A send is a hand-off, not work: it wakes
+    /// (includes the workers' own cycle compute; under
+    /// [`ClusterCoordinator::submit_cycle`] the next epoch's routing
+    /// overlaps it). A send is a hand-off, not work: it wakes
     /// its worker, which on a busy host runs at once on this thread's
     /// core — time that is the worker's, whoever's clock it shows on.
     pub worker_wait: Duration,
     /// Everything done with a reply once it is here: frame verification,
     /// the merge barrier, engine-delta decoding and the canonical
     /// query-id interleave. The three stages share their clock readings
-    /// — one's end is the next one's start — so a serial cycle's stages
-    /// sum to the time [`ClusterCoordinator::process_cycle`] took.
+    /// — one's end is the next one's start — so the stages of a
+    /// [`ClusterCoordinator::process_cycle`] call sum to the time it took.
     pub merge: Duration,
 }
 
@@ -259,7 +251,7 @@ pub struct ClusterCoordinator<T: Transport> {
     /// Epoch of the last *committed* (merged) cycle.
     epoch: u64,
     /// Epoch of the last *sent* cycle; `sent_epoch - epoch` batches are
-    /// in flight (at most 1 in pipelined mode, 0 otherwise).
+    /// in flight (at most 1 between calls).
     sent_epoch: u64,
     positions: Positions,
     /// The origin plan of the batch being routed: per object event, what
@@ -278,8 +270,8 @@ pub struct ClusterCoordinator<T: Transport> {
     /// so each commit's [`CycleTimings`] pairs the route cost of *its*
     /// epoch with the wait/merge cost observed at commit time.
     route_pending: VecDeque<(Duration, Duration)>,
-    /// Committed batches not yet handed to the caller (pipelined mode;
-    /// out-of-band drains park batches here in order).
+    /// Committed batches not yet handed to the caller (out-of-band
+    /// drains park batches here in order).
     ready: VecDeque<CycleDeltas>,
     /// Recycled [`CycleDeltas`] allocations for the merge commits.
     spare: Vec<CycleDeltas>,
@@ -471,7 +463,8 @@ impl<T: Transport> ClusterCoordinator<T> {
         self.epoch
     }
 
-    /// Batches sent but not yet merged (0 ≤ in-flight ≤ 1).
+    /// Batches sent but not yet merged: 1 after a successful
+    /// [`submit_cycle`](Self::submit_cycle), 0 after any other.
     pub fn in_flight(&self) -> u64 {
         self.sent_epoch - self.epoch
     }
@@ -489,10 +482,9 @@ impl<T: Transport> ClusterCoordinator<T> {
     /// Route query maintenance to the owning workers *between* cycles
     /// (no epoch advance): installs pick their owner by anchor tile,
     /// updates and terminations go to the sticky owner. Each contacted
-    /// worker applies the sub-batch and re-certifies its coverage. In
-    /// pipelined mode the pipeline is drained first (this is a strict
-    /// request/reply exchange); the drained batches are handed out by
-    /// subsequent submits.
+    /// worker applies the sub-batch and re-certifies its coverage. The
+    /// epoch in flight is collected first (this is a strict
+    /// request/reply exchange); its batch is handed out by the next call.
     ///
     /// # Errors
     /// Typed routing refusals ([`ClusterError::QueryOutOfTile`],
@@ -540,10 +532,9 @@ impl<T: Transport> ClusterCoordinator<T> {
     /// bit-identical to what a single-node [`cpm_core::CpmServer`] emits
     /// for the same cycle.
     ///
-    /// On a pipelined coordinator this degrades to the synchronous
-    /// schedule (the in-flight window is drained every call); use
-    /// [`submit_cycle`](Self::submit_cycle) to overlap epochs. Batches
-    /// are handed out oldest-first, so mixing the two APIs is safe.
+    /// [`submit_cycle`](Self::submit_cycle) overlaps epochs instead.
+    /// Batches are handed out oldest-first, so mixing the two calls is
+    /// safe.
     ///
     /// # Errors
     /// Typed routing refusals before anything is sent; worker
@@ -557,14 +548,14 @@ impl<T: Transport> ClusterCoordinator<T> {
         self.route_and_send(object_events, query_events)?;
         self.drain_in_flight()?;
         self.ready.pop_front().ok_or(ClusterError::Protocol {
-            what: "drained pipeline produced no merged batch",
+            what: "a drained coordinator produced no merged batch",
         })
     }
 
-    /// Submit one cycle into the pipeline and return the oldest merged
-    /// batch once the pipeline is full — `None` on the priming call(s).
-    /// On a serial (non-pipelined) coordinator the pipeline depth is 0
-    /// and this always returns the submitted cycle's batch.
+    /// Send one cycle and return the oldest merged batch not yet handed
+    /// out — the previous cycle's, or `None` on the first call. The cycle
+    /// sent here stays in flight until the next call (or
+    /// [`flush`](Self::flush)).
     ///
     /// The overlap: while the workers compute the epoch submitted here,
     /// the *next* call's routing/encode slice runs on the coordinator,
@@ -579,16 +570,15 @@ impl<T: Transport> ClusterCoordinator<T> {
         query_events: &[SpecEvent<AnyQuerySpec>],
     ) -> Result<Option<CycleDeltas>, ClusterError> {
         self.route_and_send(object_events, query_events)?;
-        let depth = u64::from(self.config.pipeline);
-        while self.in_flight() > depth {
+        while self.in_flight() > 1 {
             self.collect_one()?;
         }
         Ok(self.ready.pop_front())
     }
 
-    /// Drain the pipeline: collect and merge every in-flight epoch and
-    /// return all merged batches not yet handed out, oldest first. Call
-    /// at end of stream (or before tearing the cluster down) after a
+    /// Collect and merge the epoch in flight and return every merged
+    /// batch not yet handed out, oldest first. Call at end of stream (or
+    /// before tearing the cluster down) after a
     /// [`submit_cycle`](Self::submit_cycle) loop.
     ///
     /// # Errors
@@ -636,8 +626,8 @@ impl<T: Transport> ClusterCoordinator<T> {
         Ok(receipt)
     }
 
-    /// Hot-swap worker `w`: drain the pipeline (worker epochs must be
-    /// aligned before state moves), capture the worker's engine snapshot
+    /// Hot-swap worker `w`: collect the epoch in flight (worker epochs
+    /// must be aligned before state moves), capture the worker's engine snapshot
     /// over the old link, shut the old worker down, handshake the
     /// replacement serving on `replacement`, and seed it with the
     /// snapshot. The cluster resumes at the current epoch with no other
@@ -693,9 +683,8 @@ impl<T: Transport> ClusterCoordinator<T> {
     }
 
     /// Shut every worker down cleanly. Join the spawn handles afterwards
-    /// to observe their exit status. Merged batches still parked in the
-    /// pipeline are discarded — [`flush`](Self::flush) first if they
-    /// matter.
+    /// to observe their exit status. A cycle still in flight or parked
+    /// is discarded — [`flush`](Self::flush) first if it matters.
     ///
     /// # Errors
     /// The first send failure (a worker that already hung up).
@@ -706,8 +695,8 @@ impl<T: Transport> ClusterCoordinator<T> {
         Ok(())
     }
 
-    /// Route, translate, encode and send one cycle's batches (the
-    /// pipeline's fill half). A typed refusal returns before any send
+    /// Route, translate, encode and send one cycle's batches. A typed
+    /// refusal returns before any send
     /// with both phase-1 plans rolled back, leaving the coordinator —
     /// including in-flight epochs — untouched.
     fn route_and_send(
@@ -757,18 +746,25 @@ impl<T: Transport> ClusterCoordinator<T> {
 
     /// Collect every worker's reply for the oldest in-flight epoch,
     /// commit the merge barrier, and park the merged batch on the ready
-    /// queue (the pipeline's drain half).
+    /// queue.
     fn collect_one(&mut self) -> Result<(), ClusterError> {
         debug_assert!(self.in_flight() > 0, "no epoch in flight to collect");
         let (route, mut wait) = self.route_pending.pop_front().unwrap_or_default();
         let mut merge_spent = Duration::ZERO;
         // Waiting ends where verifying starts, and the other way round.
         let mut clock = StageClock(Instant::now());
-        for link in &mut self.links {
+        for (w, link) in self.links.iter_mut().enumerate() {
             let frame = link.recv()?;
             clock.lap(&mut wait);
             match DeltasHeader::from_frame(&frame)? {
-                Some(deltas) => self.merge.offer(deltas, frame)?,
+                // The worker index is read off the socket: only the link
+                // it arrived on may vouch for it.
+                Some(deltas) if deltas.worker as usize == w => self.merge.offer(deltas, frame)?,
+                Some(_) => {
+                    return Err(ClusterError::Protocol {
+                        what: "Deltas reply names another worker than the link it arrived on",
+                    })
+                }
                 None => {
                     return Err(match ClusterMsg::from_frame(&frame)? {
                         ClusterMsg::Reject { worker, reject } => {

@@ -20,12 +20,14 @@
 //! * [`coordinator`] — query installation, object routing with
 //!   boundary-overlap replication, worker restart via snapshot
 //!   transfer, and the merged delta stream (which feeds the `cpm-sub`
-//!   fan-out unchanged).
+//!   fan-out unchanged) — a cycle at a time through `process_cycle`, or
+//!   one epoch in flight through `submit_cycle`.
 //!
-//! The correctness bar is the house one: `cpm_sim::verify` over cluster
-//! lanes proves the merged cross-node delta stream and changed lists
-//! **bit-identical** to a single-node server across worker counts,
-//! transports, cycle schedules and a mid-run worker restart.
+//! The correctness bar is the house one: the merged cross-node delta
+//! stream and changed lists are **bit-identical** to a single-node
+//! server across worker counts, transports, both cycle calls and a
+//! mid-run worker restart (`cpm_sim::verify` over cluster lanes, and
+//! `tests/cluster.rs`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

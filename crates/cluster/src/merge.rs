@@ -98,10 +98,9 @@ impl MergeBuffer {
     /// * an epoch that skips ahead of the contiguous sequence is a typed
     ///   [`ClusterError::EpochGap`];
     /// * two different payloads for one epoch are a typed
-    ///   [`ClusterError::ConflictingDeltas`].
-    ///
-    /// # Panics
-    /// Panics if the worker index or the payload range is out of range.
+    ///   [`ClusterError::ConflictingDeltas`];
+    /// * a worker index or payload range out of range is a typed
+    ///   [`ClusterError::Protocol`].
     pub fn offer(&mut self, deltas: DeltasHeader, frame: Vec<u8>) -> Result<(), ClusterError> {
         let DeltasHeader {
             worker,
@@ -109,11 +108,16 @@ impl MergeBuffer {
             payload,
         } = deltas;
         let w = worker as usize;
-        assert!(w < self.pending.len(), "worker index out of range");
-        assert!(
-            payload.start <= payload.end && payload.end <= frame.len(),
-            "payload range outside its frame"
-        );
+        if w >= self.pending.len() {
+            return Err(ClusterError::Protocol {
+                what: "Deltas from a worker index outside the cluster",
+            });
+        }
+        if payload.start > payload.end || payload.end > frame.len() {
+            return Err(ClusterError::Protocol {
+                what: "Deltas payload range outside its frame",
+            });
+        }
         let received = Received { frame, payload };
         if epoch <= self.delivered[w] {
             let still_pending = epoch
@@ -247,7 +251,7 @@ mod tests {
     use cpm_core::delta::DeltaBuf;
     use cpm_core::NeighborDelta;
     use cpm_geom::ObjectId;
-    use cpm_wire::cluster::ClusterMsg;
+    use cpm_wire::cluster::deltas_frame_into;
     use cpm_wire::{Decode, Encode};
 
     /// A tiny synthetic per-worker batch: `qids` changed, in that order,
@@ -277,6 +281,13 @@ mod tests {
 
     fn payload(epoch: u64, qids: &[u32]) -> Vec<u8> {
         batch(epoch, qids).encode_to_vec()
+    }
+
+    /// The `Deltas` frame `worker` ships for [`batch`]`(epoch, qids)`.
+    fn deltas_frame(worker: u32, epoch: u64, qids: &[u32]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        deltas_frame_into(worker, epoch, &batch(epoch, qids), &mut frame);
+        frame
     }
 
     /// Offer a bare payload: a "frame" that is all payload.
@@ -380,16 +391,33 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_worker_or_payload_is_typed_not_a_panic() {
+        let mut m = MergeBuffer::new(2, 0);
+        assert!(matches!(
+            offer(&mut m, 2, 1, payload(1, &[1])),
+            Err(ClusterError::Protocol { .. })
+        ));
+        let header = DeltasHeader {
+            worker: 0,
+            epoch: 1,
+            payload: 4..64,
+        };
+        assert!(matches!(
+            m.offer(header, vec![0; 8]),
+            Err(ClusterError::Protocol { .. })
+        ));
+        // Nothing was taken in: both workers' epoch 1 still open.
+        offer(&mut m, 0, 1, payload(1, &[1])).unwrap();
+        offer(&mut m, 1, 1, payload(1, &[2])).unwrap();
+        assert_eq!(m.try_commit().unwrap().unwrap().changed.len(), 2);
+    }
+
+    #[test]
     fn committing_reads_payloads_in_place_and_hands_the_frames_back() {
         let mut m = MergeBuffer::new(2, 0);
         assert_eq!(m.take_spent(0), None);
         for (w, qids) in [(0u32, &[1u32, 5][..]), (1, &[3][..])] {
-            let msg = ClusterMsg::Deltas {
-                worker: w,
-                epoch: 1,
-                payload: payload(1, qids),
-            };
-            offer_frame(&mut m, &msg.to_frame()).unwrap();
+            offer_frame(&mut m, &deltas_frame(w, 1, qids)).unwrap();
         }
         let c = m.try_commit().unwrap().unwrap();
         assert_eq!(c.changed, vec![QueryId(1), QueryId(3), QueryId(5)]);
@@ -445,8 +473,8 @@ mod tests {
             Ok(committed)
         }
 
-        /// Like [`drive`], but modeling the pipelined coordinator's
-        /// barrier cadence: commits are only attempted every
+        /// Like [`drive`], but modeling the barrier cadence of a
+        /// `submit_cycle` loop: commits are only attempted every
         /// `drain_every` frames (and once at the end), so several
         /// epochs sit in the buffer simultaneously before draining —
         /// exactly the route-*e+1* / compute-*e* / merge-*e−1* overlap.
@@ -555,12 +583,7 @@ mod tests {
                 let mut frames: Vec<Vec<u8>> = Vec::new();
                 for e in 1..=epochs {
                     for w in 0..workers {
-                        let msg = ClusterMsg::Deltas {
-                            worker: w,
-                            epoch: e,
-                            payload: payload(e, &[qid_of(w, e)]),
-                        };
-                        frames.push(msg.to_frame());
+                        frames.push(deltas_frame(w, e, &[qid_of(w, e)]));
                     }
                 }
                 let reference = drive(workers, &frames).unwrap();
@@ -646,12 +669,7 @@ mod tests {
                 let mut frames: Vec<Vec<u8>> = Vec::new();
                 for e in 1..=epochs {
                     for w in 0..workers {
-                        let msg = ClusterMsg::Deltas {
-                            worker: w,
-                            epoch: e,
-                            payload: payload(e, &[qid_of(w, e)]),
-                        };
-                        frames.push(msg.to_frame());
+                        frames.push(deltas_frame(w, e, &[qid_of(w, e)]));
                     }
                 }
                 // The serial reference and the clean pipelined schedule

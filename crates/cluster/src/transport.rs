@@ -70,7 +70,8 @@ pub trait Transport: Send {
 }
 
 /// Read buffers a [`Pipe`] keeps for its sender — as many as frames can
-/// be in flight one way (a depth-1 pipeline: two).
+/// be in flight one way (`submit_cycle`'s epoch in flight and the next:
+/// two).
 const SPARE_BUFFERS: usize = 2;
 
 #[derive(Debug, Default)]

@@ -19,7 +19,7 @@
 use cpm_core::{AnyQuerySpec, CpmError, CpmServer, CpmServerBuilder, CycleDeltas, SpecEvent};
 use cpm_grid::{GridGeom, ObjectEvent};
 use cpm_wire::cluster::{deltas_frame_into, BatchRef, ClusterMsg, ClusterReject, TileRect};
-use cpm_wire::{Decode, Encode, WIRE_VERSION};
+use cpm_wire::{Decode, WIRE_VERSION};
 
 use crate::error::ClusterError;
 use crate::partition::{anchor_of, influence_bbox};
@@ -34,8 +34,7 @@ pub struct ClusterWorker {
     tile: TileRect,
     coverage: TileRect,
     /// Recycled per-cycle delta batch (the engine's `_into` idiom), the
-    /// `Deltas` payload; valid after a successful
-    /// [`ClusterWorker::run_batch`].
+    /// `Deltas` payload; valid after a successful `run_batch`.
     cycle_out: CycleDeltas,
 }
 
@@ -150,23 +149,12 @@ impl ClusterWorker {
         None
     }
 
-    /// Handle one protocol message, returning the reply to ship (if
-    /// any). `Shutdown` is handled by the serve loop, not here.
+    /// Handle one between-cycles protocol message, returning the reply
+    /// to ship (`None` for `Shutdown`). Cycles arrive as frames that
+    /// [`run_worker`] reads through [`BatchRef`].
     pub fn handle(&mut self, msg: ClusterMsg) -> Option<ClusterMsg> {
         match msg {
             ClusterMsg::Install { payload } => Some(self.handle_install(&payload)),
-            ClusterMsg::Batch {
-                epoch,
-                objects,
-                queries,
-            } => Some(match self.run_batch(epoch, &objects, &queries) {
-                Ok(()) => ClusterMsg::Deltas {
-                    worker: self.id,
-                    epoch,
-                    payload: self.cycle_out.encode_to_vec(),
-                },
-                Err(r) => self.reject(r),
-            }),
             ClusterMsg::SnapshotReq => {
                 let snap = cpm_core::Snapshot::capture(&self.server, self.server.epoch());
                 Some(ClusterMsg::SnapshotXfer {
@@ -179,7 +167,6 @@ impl ClusterWorker {
             ClusterMsg::Shutdown => None,
             ClusterMsg::Hello { .. }
             | ClusterMsg::HelloAck { .. }
-            | ClusterMsg::Deltas { .. }
             | ClusterMsg::Ack { .. }
             | ClusterMsg::Reject { .. } => Some(self.reject(ClusterReject::Engine {
                 detail: "unexpected protocol message for a worker".to_owned(),

@@ -70,8 +70,31 @@ fn tcp_links(n: u32) -> (Vec<impl Transport>, Workers) {
 
 const WORKERS: u32 = 2;
 
+/// The call the coordinators are cycled with.
+#[derive(Clone, Copy)]
+enum Call {
+    /// `process_cycle`: nothing in flight between calls.
+    Process,
+    /// `submit_cycle`: one epoch in flight between calls, so a refusal
+    /// must also leave it alone.
+    Submit,
+}
+
+impl Call {
+    /// Run one cycle; returns the merged batch it handed out, if any.
+    fn cycle<T: Transport>(
+        self,
+        coord: &mut ClusterCoordinator<T>,
+        (objects, queries): &(Vec<ObjectEvent>, Vec<SpecEvent<AnyQuerySpec>>),
+    ) -> Result<Option<CycleDeltas>, ClusterError> {
+        match self {
+            Call::Process => coord.process_cycle(objects, queries).map(Some),
+            Call::Submit => coord.submit_cycle(objects, queries),
+        }
+    }
+}
+
 fn tapped<T: Transport>(
-    pipelined: bool,
     (links, workers): (Vec<T>, Workers),
 ) -> (ClusterCoordinator<Tap<T>>, Log, Workers) {
     let log = Log::default();
@@ -82,7 +105,7 @@ fn tapped<T: Transport>(
             log: Arc::clone(&log),
         })
         .collect();
-    let config = ClusterConfig::new(16, WORKERS).pipelined(pipelined);
+    let config = ClusterConfig::new(16, WORKERS);
     (
         ClusterCoordinator::connect(config, links).unwrap(),
         log,
@@ -210,20 +233,13 @@ fn is_typed_refusal(e: &ClusterError) -> bool {
 
 /// Run the good cycles on two coordinators, feeding one of them every
 /// bad batch before every good one; returns nothing, asserts everything.
-fn refused_batches_leave_no_trace<T: Transport>(
-    pipelined: bool,
-    links: fn(u32) -> (Vec<T>, Workers),
-) {
-    let (mut seen, seen_log, seen_workers) = tapped(pipelined, links(WORKERS));
-    let (mut twin, twin_log, twin_workers) = tapped(pipelined, links(WORKERS));
+fn refused_batches_leave_no_trace<T: Transport>(call: Call, links: fn(u32) -> (Vec<T>, Workers)) {
+    let (mut seen, seen_log, seen_workers) = tapped(links(WORKERS));
+    let (mut twin, twin_log, twin_workers) = tapped(links(WORKERS));
     let (mut seen_out, mut twin_out): (Vec<CycleDeltas>, Vec<CycleDeltas>) = (vec![], vec![]);
-    for (objects, queries) in good_cycles() {
-        for (bad_objects, bad_queries) in bad_cycles() {
-            let refused = if pipelined {
-                seen.submit_cycle(&bad_objects, &bad_queries).map(drop)
-            } else {
-                seen.process_cycle(&bad_objects, &bad_queries).map(drop)
-            };
+    for good in good_cycles() {
+        for bad in bad_cycles() {
+            let refused = call.cycle(&mut seen, &bad);
             let e = refused.expect_err("the batch's last event is invalid");
             assert!(is_typed_refusal(&e), "{e}");
             assert_eq!(seen.objects(), twin.objects());
@@ -232,13 +248,8 @@ fn refused_batches_leave_no_trace<T: Transport>(
                 assert_eq!(seen.owner(QueryId(q)), twin.owner(QueryId(q)), "query {q}");
             }
         }
-        if pipelined {
-            seen_out.extend(seen.submit_cycle(&objects, &queries).unwrap());
-            twin_out.extend(twin.submit_cycle(&objects, &queries).unwrap());
-        } else {
-            seen_out.push(seen.process_cycle(&objects, &queries).unwrap());
-            twin_out.push(twin.process_cycle(&objects, &queries).unwrap());
-        }
+        seen_out.extend(call.cycle(&mut seen, &good).unwrap());
+        twin_out.extend(call.cycle(&mut twin, &good).unwrap());
     }
     seen_out.extend(seen.flush().unwrap());
     twin_out.extend(twin.flush().unwrap());
@@ -255,21 +266,21 @@ fn refused_batches_leave_no_trace<T: Transport>(
 }
 
 #[test]
-fn serial_in_process() {
-    refused_batches_leave_no_trace(false, channel_links);
+fn process_cycle_in_process() {
+    refused_batches_leave_no_trace(Call::Process, channel_links);
 }
 
 #[test]
-fn pipelined_in_process() {
-    refused_batches_leave_no_trace(true, channel_links);
+fn submit_cycle_in_process() {
+    refused_batches_leave_no_trace(Call::Submit, channel_links);
 }
 
 #[test]
-fn serial_tcp() {
-    refused_batches_leave_no_trace(false, tcp_links);
+fn process_cycle_tcp() {
+    refused_batches_leave_no_trace(Call::Process, tcp_links);
 }
 
 #[test]
-fn pipelined_tcp() {
-    refused_batches_leave_no_trace(true, tcp_links);
+fn submit_cycle_tcp() {
+    refused_batches_leave_no_trace(Call::Submit, tcp_links);
 }

@@ -7,26 +7,16 @@
 //! gather the bucket's coordinates from the [`Coords`] columns and fill
 //! a caller-reused output buffer in a single pass.
 //!
-//! Two lanes share the entry points:
+//! The loops are plain and indexed, shaped for auto-vectorization: no
+//! `Option` decode per object, and a bulk `sqrt` over a contiguous
+//! slice.
 //!
-//! - the **default lane**: plain indexed loops shaped for
-//!   auto-vectorization (no `Option` decode per object, bulk `sqrt`
-//!   over a contiguous slice);
-//! - an **explicit-SIMD lane** behind the `simd` cargo feature
-//!   (x86-64 SSE2, two doubles per vector). It validates the bucket's
-//!   ids against the columns **once**, then runs an unchecked gather
-//!   fused with packed arithmetic and packed `sqrt` in a single pass —
-//!   the shape the auto-vectorizer cannot reach from safe indexed loops
-//!   (data-dependent gather indices defeat it, and the checked fallback
-//!   pays two bounds tests per element plus an extra output pass).
-//!
-//! Both lanes are **bit-identical** to the scalar reference
-//! (`Point::dist_sq` / `Point::dist` per object): every lane performs
-//! the same `sub → mul → add → sqrt` sequence per element, rustc emits
-//! no fast-math reassociation or FMA contraction, and the SSE2 packed
-//! ops round exactly like their scalar counterparts. The
-//! `kernel_conformance` suite asserts equality down to the bit pattern
-//! for every table/bucket size, including the odd-length tail lane.
+//! The kernels are **bit-identical** to the scalar reference
+//! (`Point::dist_sq` / `Point::dist` per object): they perform the same
+//! `sub → mul → add → sqrt` sequence per element, rustc emits no
+//! fast-math reassociation or FMA contraction, and packed `sqrt` rounds
+//! exactly like scalar `sqrt`. The `kernel_conformance` suite asserts
+//! equality down to the bit pattern for every table/bucket size.
 
 use cpm_geom::{ObjectId, Point};
 
@@ -81,9 +71,6 @@ impl<'a> Coords<'a> {
 pub fn dist_sq_into(coords: Coords<'_>, q: Point, oids: &[ObjectId], out: &mut Vec<f64>) {
     out.clear();
     out.resize(oids.len(), 0.0);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    simd::dist_sq(coords.xs, coords.ys, q, oids, out);
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     dist_sq_gather(coords.xs, coords.ys, q, oids, out);
 }
 
@@ -95,151 +82,24 @@ pub fn dist_sq_into(coords: Coords<'_>, q: Point, oids: &[ObjectId], out: &mut V
 /// Panics if any id in `oids` is outside the coordinate columns.
 #[inline]
 pub fn dist_into(coords: Coords<'_>, q: Point, oids: &[ObjectId], out: &mut Vec<f64>) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        // Fused single pass: gather, packed arithmetic and packed sqrt
-        // per vector, no intermediate traversal of `out`.
-        out.clear();
-        out.resize(oids.len(), 0.0);
-        simd::dist(coords.xs, coords.ys, q, oids, out);
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        dist_sq_into(coords, q, oids, out);
-        // Second vertical pass: a pure slice traversal the compiler
-        // turns into packed sqrt, instead of a serial sqrt per gathered
-        // element.
-        for d in out.iter_mut() {
-            *d = d.sqrt();
-        }
+    dist_sq_into(coords, q, oids, out);
+    // Second vertical pass: a pure slice traversal the compiler turns
+    // into packed sqrt, instead of a serial sqrt per gathered element.
+    for d in out.iter_mut() {
+        *d = d.sqrt();
     }
 }
 
-/// Default lane: gather + arithmetic in one plain indexed loop. Writing
-/// through `out.iter_mut().zip(oids)` keeps the loop free of bounds
-/// checks on the output side; the column reads stay checked (ids are
+/// Gather + arithmetic in one plain indexed loop. Writing through
+/// `out.iter_mut().zip(oids)` keeps the loop free of bounds checks on
+/// the output side; the column reads stay checked (ids are
 /// caller-supplied) which LLVM hoists per iteration.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
 fn dist_sq_gather(xs: &[f64], ys: &[f64], q: Point, oids: &[ObjectId], out: &mut [f64]) {
     for (d, &oid) in out.iter_mut().zip(oids) {
         let idx = oid.index();
         let dx = xs[idx] - q.x;
         let dy = ys[idx] - q.y;
         *d = dx * dx + dy * dy;
-    }
-}
-
-/// Explicit-SIMD lane: SSE2 packed doubles, two elements per step.
-/// SSE2 is part of the x86-64 baseline, so the `#[target_feature]`
-/// functions are callable on every x86-64 CPU. All unsafe code in the
-/// crate lives in this module, with two invariants: the
-/// `#[target_feature]` call boundary (trivially sound — SSE2 is the
-/// baseline), and the unchecked column gathers, which [`validate`]
-/// makes sound by range-checking every bucket id against the columns
-/// once before a kernel runs (replacing two bounds tests per element —
-/// the dominant non-sqrt cost of the checked loop).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod simd {
-    use cpm_geom::{ObjectId, Point};
-    use std::arch::x86_64::{
-        __m128d, _mm_add_pd, _mm_cvtsd_f64, _mm_mul_pd, _mm_set1_pd, _mm_set_pd, _mm_sqrt_pd,
-        _mm_sub_pd, _mm_unpackhi_pd,
-    };
-
-    /// Range-check every bucket id against the column length, once.
-    ///
-    /// # Panics
-    /// Panics if any id lies outside the columns — the same condition
-    /// (not bitwise the same message) as the default lane's per-element
-    /// indexing, surfaced before the kernel writes anything.
-    fn validate(oids: &[ObjectId], slots: usize) {
-        if let Some(max) = oids.iter().map(|oid| oid.index()).max() {
-            assert!(
-                max < slots,
-                "object id {max} outside the coordinate columns ({slots} slots)"
-            );
-        }
-    }
-
-    /// Gather the coordinate pair at (validated) indices `a`, `b`.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn gather_pair(col: &[f64], a: usize, b: usize) -> __m128d {
-        debug_assert!(a < col.len() && b < col.len());
-        // SAFETY: every bucket id was range-checked against the column
-        // length by `validate` before the kernel was entered.
-        unsafe { _mm_set_pd(*col.get_unchecked(b), *col.get_unchecked(a)) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn store_pair(out: &mut [f64], i: usize, v: __m128d) {
-        out[i] = _mm_cvtsd_f64(v);
-        out[i + 1] = _mm_cvtsd_f64(_mm_unpackhi_pd(v, v));
-    }
-
-    #[target_feature(enable = "sse2")]
-    fn dist_sq_lanes(xs: &[f64], ys: &[f64], q: Point, oids: &[ObjectId], out: &mut [f64]) {
-        let qx = _mm_set1_pd(q.x);
-        let qy = _mm_set1_pd(q.y);
-        let mut i = 0;
-        while i + 2 <= oids.len() {
-            let (a, b) = (oids[i].index(), oids[i + 1].index());
-            let dx = _mm_sub_pd(gather_pair(xs, a, b), qx);
-            let dy = _mm_sub_pd(gather_pair(ys, a, b), qy);
-            let d = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
-            store_pair(out, i, d);
-            i += 2;
-        }
-        if i < oids.len() {
-            // Tail lane: one leftover element; identical op sequence,
-            // hence identical bits.
-            let idx = oids[i].index();
-            let dx = xs[idx] - q.x;
-            let dy = ys[idx] - q.y;
-            out[i] = dx * dx + dy * dy;
-        }
-    }
-
-    /// Fused distance kernel: gather, packed `sub/mul/add` and packed
-    /// `sqrt` per vector in one pass. Packed SSE2 sqrt is correctly
-    /// rounded exactly like scalar `f64::sqrt`, so fusing changes no
-    /// bits — only the number of passes over `out`.
-    #[target_feature(enable = "sse2")]
-    fn dist_lanes(xs: &[f64], ys: &[f64], q: Point, oids: &[ObjectId], out: &mut [f64]) {
-        let qx = _mm_set1_pd(q.x);
-        let qy = _mm_set1_pd(q.y);
-        let mut i = 0;
-        while i + 2 <= oids.len() {
-            let (a, b) = (oids[i].index(), oids[i + 1].index());
-            let dx = _mm_sub_pd(gather_pair(xs, a, b), qx);
-            let dy = _mm_sub_pd(gather_pair(ys, a, b), qy);
-            let d = _mm_sqrt_pd(_mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)));
-            store_pair(out, i, d);
-            i += 2;
-        }
-        if i < oids.len() {
-            let idx = oids[i].index();
-            let dx = xs[idx] - q.x;
-            let dy = ys[idx] - q.y;
-            out[i] = (dx * dx + dy * dy).sqrt();
-        }
-    }
-
-    pub(super) fn dist_sq(xs: &[f64], ys: &[f64], q: Point, oids: &[ObjectId], out: &mut [f64]) {
-        validate(oids, xs.len());
-        // SAFETY: SSE2 is unconditionally available on x86_64 (baseline
-        // target feature), so calling the `#[target_feature(enable =
-        // "sse2")]` kernel is sound on every CPU this cfg selects; the
-        // ids its gathers rely on were validated just above.
-        unsafe { dist_sq_lanes(xs, ys, q, oids, out) }
-    }
-
-    pub(super) fn dist(xs: &[f64], ys: &[f64], q: Point, oids: &[ObjectId], out: &mut [f64]) {
-        validate(oids, xs.len());
-        // SAFETY: as above — SSE2 is the x86_64 baseline, ids validated.
-        unsafe { dist_lanes(xs, ys, q, oids, out) }
     }
 }
 
@@ -261,7 +121,7 @@ mod tests {
         let (xs, ys) = columns(64);
         let coords = Coords::from_columns(&xs, &ys);
         let q = Point::new(0.3, 0.6);
-        // 33 exercises the odd-length tail lane.
+        // An odd length, so no pairing of elements can hide a remainder.
         let oids: Vec<ObjectId> = (0..33).map(|i| ObjectId((i * 7 % 64) as u32)).collect();
         let mut out = Vec::new();
         dist_sq_into(coords, q, &oids, &mut out);

@@ -42,12 +42,7 @@
 //! maintains its own influence information.
 
 #![warn(missing_docs)]
-// The crate is `unsafe`-free except for one `#[target_feature]` call
-// boundary inside the opt-in explicit-SIMD kernel lane; see
-// `kernels::simd` for the SAFETY argument. Without the `simd` feature
-// the historical `forbid` is kept verbatim.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod coord;
 mod directory;

@@ -1,13 +1,9 @@
 //! Kernel conformance: the batched distance kernels must be
 //! **bit-identical** — not ε-close — to the scalar reference
 //! (`Point::dist_sq` / `Point::dist` per object) for every table size and
-//! bucket size, including the odd-length tail-lane remainder of the SIMD
-//! path. Bit-identicality is what lets every engine share the kernel
-//! without perturbing `total_cmp` orderings, results, changed lists or
-//! delta streams.
-//!
-//! CI runs this suite under both kernel configurations (default
-//! auto-vectorized lane and `--features simd`).
+//! bucket size, odd and even. Bit-identicality is what lets every engine
+//! share the kernel without perturbing `total_cmp` orderings, results,
+//! changed lists or delta streams.
 
 use cpm_geom::{ObjectId, Point};
 use cpm_grid::kernels::{self, Coords};
@@ -51,8 +47,9 @@ fn assert_bucket_bit_identical(coords: Coords<'_>, q: Point, oids: &[ObjectId], 
 }
 
 /// Exhaustive sweep over the benchmarked position-table sizes and *every*
-/// bucket size 0..=256: each odd size exercises the SIMD tail lane, each
-/// even size the full-vector path, and 0/1 the degenerate edges.
+/// bucket size 0..=256: odd sizes leave a remainder to any pairing the
+/// compiler vectorizes with, even sizes none, and 0/1 are the degenerate
+/// edges.
 #[test]
 fn batched_kernels_bit_identical_for_every_dim_and_bucket_size() {
     for &dim in &[64usize, 256, 1024] {

@@ -1,7 +1,7 @@
 //! The deployments [`crate::verify()`] replays an [`OpStream`] into, behind
 //! one driving surface: a single [`CpmServer`], a [`DurableCpmServer`]
 //! that crashes and recovers, and a [`ClusterCoordinator`] over either
-//! transport in either cycle schedule.
+//! transport.
 
 use cpm_cluster::{ClusterConfig, ClusterCoordinator, ClusterError, Transport, WorkerHandle};
 use cpm_core::snapshot::Snapshot;
@@ -38,8 +38,9 @@ pub enum Deploy {
     /// performs [`Control::Crash`] and no scheduled control: `regrid` is
     /// [`Regrid::Pinned`] or [`Regrid::Auto`].
     Durable,
-    /// A [`ClusterCoordinator`] with an overlap of a third of the grid
-    /// that performs [`Control::RestartWorker`]. The stream must keep
+    /// A [`ClusterCoordinator`] with an overlap of a third of the grid,
+    /// driven through `submit_cycle` / `flush`, that performs
+    /// [`Control::RestartWorker`]. The stream must keep
     /// every query on one owner ([`crate::Anchors::Strips`]); workers
     /// run on one thread each and have no re-grid axis, so `threads` is 1
     /// and `regrid` is [`Regrid::Pinned`].
@@ -48,8 +49,6 @@ pub enum Deploy {
         workers: u32,
         /// TCP loopback links instead of in-process channels.
         tcp: bool,
-        /// The depth-1 epoch pipeline instead of serial cycles.
-        pipelined: bool,
     },
 }
 
@@ -89,7 +88,7 @@ impl LaneConfig {
                 .regrid(policy)
                 .build()
         };
-        let (workers, tcp, pipelined) = match self.deploy {
+        let (workers, tcp) = match self.deploy {
             Deploy::Single => return Box::new(ServerLane(server(), self.regrid)),
             Deploy::Durable => {
                 assert!(
@@ -98,20 +97,14 @@ impl LaneConfig {
                 );
                 return Box::new(DurableLane(DurableCpmServer::new(server(), CHECKPOINTS)));
             }
-            Deploy::Cluster {
-                workers,
-                tcp,
-                pipelined,
-            } => (workers, tcp, pipelined),
+            Deploy::Cluster { workers, tcp } => (workers, tcp),
         };
         let (threads, regrid) = (self.threads, self.regrid);
         assert!(
             threads == 1 && regrid == Regrid::Pinned,
             "{self:?} has no such axis"
         );
-        let config = ClusterConfig::new(dim, workers)
-            .overlap((dim / 3).max(1))
-            .pipelined(pipelined);
+        let config = ClusterConfig::new(dim, workers).overlap((dim / 3).max(1));
         if tcp {
             let spawned = ClusterCoordinator::spawn_tcp_loopback(config);
             ClusterLane::boxed(spawned, ClusterCoordinator::restart_worker_tcp_loopback)
@@ -136,8 +129,9 @@ pub fn auto_regrid_policy() -> RegridPolicy {
 pub(crate) trait Lane {
     /// Run cycle `t` of `stream` — its control if this lane can perform
     /// it, its reverse-NN placements, its event batches — and return the
-    /// merged batches this surfaced, oldest first: the cycle's own, one a
-    /// pipeline held back, or cycles redelivered after a crash.
+    /// merged batches this surfaced, oldest first: the cycle's own, the
+    /// previous one a cluster held in flight, or cycles redelivered after
+    /// a crash.
     fn apply(&mut self, stream: &OpStream, t: usize) -> Vec<CycleDeltas>;
 
     /// End of stream: surface what is still in flight and shut down.
@@ -344,8 +338,8 @@ fn corrupt(plan: &FaultPlan, snapshot: &[u8], journal: &[u8]) -> (Vec<u8>, Vec<u
 
 type Restart<T> = fn(&mut ClusterCoordinator<T>, usize) -> Result<WorkerHandle, ClusterError>;
 
-/// Both cycle schedules through one loop: `submit_cycle` on a serial
-/// coordinator has depth 0 and hands back the cycle it was given.
+/// A coordinator driven through `submit_cycle`, so each cycle's batch
+/// surfaces one call late and the last through `flush`.
 struct ClusterLane<T: Transport> {
     coord: Option<ClusterCoordinator<T>>,
     handles: Vec<WorkerHandle>,
@@ -377,7 +371,7 @@ impl<T: Transport> Lane for ClusterLane<T> {
                 assert_eq!(
                     coord.in_flight(),
                     0,
-                    "a restart drains the pipeline before its snapshot transfer"
+                    "a restart collects the epoch in flight before its snapshot transfer"
                 );
                 self.handles.push(handle);
             }

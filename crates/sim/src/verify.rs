@@ -7,7 +7,7 @@
 //! * every merged batch a lane surfaces equals the reference's batch of
 //!   that epoch **bit for bit** (changed list, deltas, `f64` distance
 //!   bits), whenever it surfaces — at once, one cycle late through a
-//!   pipeline, or again after a crash;
+//!   cluster's `submit_cycle`, or again after a crash;
 //! * the lane's batches, published into its own [`DeltaFanout`] and
 //!   folded into one [`Replica`] per live query, reproduce the lane's own
 //!   results and brute force over a position model kept from the stream

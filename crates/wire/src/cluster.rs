@@ -1,7 +1,10 @@
 //! The coordinator/worker message schema of the `cpm-cluster` subsystem.
 //!
-//! Every message crossing the cluster boundary is one [`ClusterMsg`]
-//! wrapped in a [`crate::FRAME_CLUSTER`] frame, so the transport layer
+//! Every message crossing the cluster boundary is one
+//! [`crate::FRAME_CLUSTER`] frame: a [`ClusterMsg`], or one of the two
+//! per-cycle messages, which are written by [`BatchFrame`] /
+//! [`deltas_frame_into`] and read in place by [`BatchRef`] /
+//! [`DeltasHeader`]. So the transport layer
 //! ships opaque length-prefixed byte strings and version skew, truncation
 //! and bit rot all surface as typed [`WireError`]s before any cluster
 //! logic runs.
@@ -232,12 +235,14 @@ impl Decode for ClusterReject {
     }
 }
 
-/// One message of the coordinator ⇄ worker protocol.
+/// One message of the coordinator ⇄ worker protocol, except the two a
+/// cycle sends: its batch (tag 3) is built by [`BatchFrame`] and read by
+/// [`BatchRef`], its reply (tag 4) is built by [`deltas_frame_into`] and
+/// read by [`DeltasHeader`].
 ///
 /// `payload` fields are pre-encoded engine values (the engine crate owns
-/// their `Encode`/`Decode` impls): query-event batches for `Install` and
-/// `Batch`, a `CycleDeltas` batch for `Deltas`, and a full snapshot
-/// frame for `SnapshotXfer`.
+/// their `Encode`/`Decode` impls): a query-event batch for `Install` and
+/// a full snapshot frame for `SnapshotXfer`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterMsg {
     /// Coordinator → worker: your assignment. The worker checks the
@@ -270,26 +275,6 @@ pub enum ClusterMsg {
     /// advance). Payload: an engine-encoded query-event batch.
     Install {
         /// Engine-encoded `Vec<SpecEvent<AnyQuerySpec>>`.
-        payload: Vec<u8>,
-    },
-    /// Coordinator → worker: run one processing cycle.
-    Batch {
-        /// The epoch this cycle will produce (worker epoch + 1).
-        epoch: u64,
-        /// Object events, already routed/translated to this worker's
-        /// coverage.
-        objects: Vec<ObjectEvent>,
-        /// Engine-encoded `Vec<SpecEvent<AnyQuerySpec>>` for queries this
-        /// worker owns.
-        queries: Vec<u8>,
-    },
-    /// Worker → coordinator: the cycle's result deltas.
-    Deltas {
-        /// The worker's index.
-        worker: u32,
-        /// The epoch the cycle produced.
-        epoch: u64,
-        /// Engine-encoded `CycleDeltas`.
         payload: Vec<u8>,
     },
     /// Coordinator → worker: ship your full state (for a restart
@@ -342,9 +327,9 @@ impl ClusterMsg {
     }
 }
 
-/// Message tag of [`ClusterMsg::Batch`].
+/// Message tag of a cycle's batch (coordinator → worker).
 const TAG_BATCH: u8 = 3;
-/// Message tag of [`ClusterMsg::Deltas`].
+/// Message tag of a cycle's deltas (worker → coordinator).
 const TAG_DELTAS: u8 = 4;
 
 /// Verify a standalone [`FRAME_CLUSTER`] frame and, if its message
@@ -362,9 +347,10 @@ fn open_message(bytes: &[u8], tag: u8) -> Result<Option<Reader<'_>>, WireError> 
     Ok(Some(r))
 }
 
-/// A borrowed image of [`ClusterMsg::Batch`] as a worker reads it: the
-/// object events decoded into the worker's recycled buffer, the query
-/// bytes read in place from the received frame.
+/// A cycle's batch as a worker reads it: the object events decoded into
+/// the worker's recycled buffer, the query bytes read in place from the
+/// received frame. The frame is `[tag 3][epoch u64][events]` then the
+/// length-prefixed query bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchRef<'a> {
     /// The cycle this batch opens (must be the worker's epoch + 1).
@@ -382,7 +368,7 @@ impl<'a> BatchRef<'a> {
     /// — decode that with [`ClusterMsg::from_frame`].
     ///
     /// # Errors
-    /// Exactly those of [`ClusterMsg::from_frame`] on the same bytes.
+    /// A typed [`WireError`] for a damaged frame or message.
     pub fn from_frame(
         bytes: &'a [u8],
         objects: &'a mut Vec<ObjectEvent>,
@@ -408,10 +394,10 @@ impl<'a> BatchRef<'a> {
     }
 }
 
-/// Builds a [`ClusterMsg::Batch`] frame while the coordinator routes: the
-/// events are written as they are translated, with no staging vector, and
-/// the event count, frame length and checksum are filled in at the end.
-/// Byte-identical to the owned message's [`ClusterMsg::to_frame`].
+/// Builds a cycle's batch frame while the coordinator routes: the events
+/// are written as they are translated, with no staging vector, and the
+/// event count, frame length and checksum are filled in at the end.
+/// `tests/format_compat.rs` pins its bytes.
 #[derive(Debug, Default)]
 pub struct BatchFrame {
     w: Writer,
@@ -454,10 +440,11 @@ impl BatchFrame {
     }
 }
 
-/// Encode a [`ClusterMsg::Deltas`] frame into `out` (reusing its
-/// allocation) with `payload` encoded in place — the worker's per-cycle
-/// reply, built without an intermediate payload vector. Byte-identical to
-/// the owned message carrying `payload.encode_to_vec()`.
+/// Encode a cycle's deltas frame — `[tag 4][worker u32][epoch u64]` and
+/// the length-prefixed `payload` — into `out` (reusing its allocation),
+/// with `payload` encoded in place: the worker's per-cycle reply, built
+/// without an intermediate payload vector. `tests/format_compat.rs` pins
+/// its bytes.
 pub fn deltas_frame_into<P: Encode>(worker: u32, epoch: u64, payload: &P, out: &mut Vec<u8>) {
     let mut w = Writer::reusing(std::mem::take(out));
     put_frame_header(&mut w.buf, FRAME_CLUSTER);
@@ -473,9 +460,9 @@ pub fn deltas_frame_into<P: Encode>(worker: u32, epoch: u64, payload: &P, out: &
     *out = w.into_bytes();
 }
 
-/// The fields of a received [`ClusterMsg::Deltas`] frame, the payload as
-/// its byte range *within the frame* — so the frame's buffer can be moved
-/// into the merge barrier and the payload read in place, never copied.
+/// The fields of a received deltas frame, the payload as its byte range
+/// *within the frame* — so the frame's buffer can be moved into the merge
+/// barrier and the payload read in place, never copied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltasHeader {
     /// The replying worker's id.
@@ -492,7 +479,7 @@ impl DeltasHeader {
     /// message — decode that with [`ClusterMsg::from_frame`].
     ///
     /// # Errors
-    /// Exactly those of [`ClusterMsg::from_frame`] on the same bytes.
+    /// A typed [`WireError`] for a damaged frame or message.
     pub fn from_frame(bytes: &[u8]) -> Result<Option<Self>, WireError> {
         let Some(mut r) = open_message(bytes, TAG_DELTAS)? else {
             return Ok(None);
@@ -541,26 +528,6 @@ impl Encode for ClusterMsg {
             }
             ClusterMsg::Install { payload } => {
                 w.put_u8(2);
-                payload.encode(w);
-            }
-            ClusterMsg::Batch {
-                epoch,
-                objects,
-                queries,
-            } => {
-                w.put_u8(TAG_BATCH);
-                w.put_u64(*epoch);
-                objects.encode(w);
-                queries.encode(w);
-            }
-            ClusterMsg::Deltas {
-                worker,
-                epoch,
-                payload,
-            } => {
-                w.put_u8(TAG_DELTAS);
-                w.put_u32(*worker);
-                w.put_u64(*epoch);
                 payload.encode(w);
             }
             ClusterMsg::SnapshotReq => w.put_u8(5),
@@ -622,16 +589,12 @@ impl Decode for ClusterMsg {
             2 => ClusterMsg::Install {
                 payload: Vec::<u8>::decode(r)?,
             },
-            TAG_BATCH => ClusterMsg::Batch {
-                epoch: r.take_u64()?,
-                objects: Vec::<ObjectEvent>::decode(r)?,
-                queries: Vec::<u8>::decode(r)?,
-            },
-            TAG_DELTAS => ClusterMsg::Deltas {
-                worker: r.take_u32()?,
-                epoch: r.take_u64()?,
-                payload: Vec::<u8>::decode(r)?,
-            },
+            TAG_BATCH | TAG_DELTAS => {
+                return Err(WireError::Invalid {
+                    offset: at,
+                    what: "a cycle's batch or deltas: read it with BatchRef or DeltasHeader",
+                })
+            }
             5 => ClusterMsg::SnapshotReq,
             6 => ClusterMsg::SnapshotXfer {
                 worker: r.take_u32()?,
@@ -677,16 +640,6 @@ mod tests {
             },
             ClusterMsg::Install {
                 payload: vec![1, 2, 3],
-            },
-            ClusterMsg::Batch {
-                epoch: 9,
-                objects: vec![ObjectEvent::Disappear { id: ObjectId(4) }],
-                queries: vec![],
-            },
-            ClusterMsg::Deltas {
-                worker: 0,
-                epoch: 9,
-                payload: vec![0xFF; 9],
             },
             ClusterMsg::SnapshotReq,
             ClusterMsg::SnapshotXfer {
@@ -739,8 +692,31 @@ mod tests {
         assert_eq!(buf.capacity(), cap);
     }
 
+    /// A cycle's batch frame as its layout spells it: the tag, the epoch,
+    /// the length-prefixed events and the length-prefixed query bytes.
+    fn batch_layout(epoch: u64, objects: &[ObjectEvent], queries: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u8(TAG_BATCH);
+        w.put_u64(epoch);
+        objects.to_vec().encode(&mut w);
+        queries.to_vec().encode(&mut w);
+        let mut frame = Vec::new();
+        crate::write_frame(&mut frame, FRAME_CLUSTER, w.as_slice());
+        frame
+    }
+
+    /// The frames [`BatchFrame`] and [`deltas_frame_into`] build.
+    fn cycle_frames() -> Vec<Vec<u8>> {
+        let mut builder = BatchFrame::default();
+        builder.begin(9, Vec::new());
+        builder.push(&ObjectEvent::Disappear { id: ObjectId(4) });
+        let mut deltas = Vec::new();
+        deltas_frame_into(0, 9, &vec![0xFFu8; 9], &mut deltas);
+        vec![builder.finish(&[]), deltas]
+    }
+
     #[test]
-    fn streamed_batch_and_deltas_frames_are_byte_identical_to_owned() {
+    fn batch_and_deltas_frames_follow_their_layout_and_read_back_borrowed() {
         let objects = vec![
             ObjectEvent::Appear {
                 id: ObjectId(3),
@@ -749,18 +725,13 @@ mod tests {
             ObjectEvent::Disappear { id: ObjectId(4) },
         ];
         let queries = vec![7u8, 0, 0, 0, 1];
-        let owned = ClusterMsg::Batch {
-            epoch: 42,
-            objects: objects.clone(),
-            queries: queries.clone(),
-        };
         let mut builder = BatchFrame::default();
         builder.begin(42, vec![0xEE; 3]); // stale contents must be cleared
         for ev in &objects {
             builder.push(ev);
         }
         let frame = builder.finish(&queries);
-        assert_eq!(frame, owned.to_frame());
+        assert_eq!(frame, batch_layout(42, &objects, &queries));
         // ... and reads back borrowed, into a recycled buffer.
         let mut buf = vec![ObjectEvent::Disappear { id: ObjectId(9) }; 5];
         let batch = BatchRef::from_frame(&frame, &mut buf).unwrap().unwrap();
@@ -770,32 +741,38 @@ mod tests {
         );
         assert_eq!(DeltasHeader::from_frame(&frame), Ok(None));
 
-        // The payload is any `Encode` value, encoded in place.
+        // The payload is any `Encode` value, encoded in place behind the
+        // tag, the worker, the epoch and the payload's length.
         let payload = vec![0xABCDu16; 17];
-        let owned = ClusterMsg::Deltas {
-            worker: 3,
-            epoch: 42,
-            payload: payload.encode_to_vec(),
-        };
         let mut frame = vec![0xEE; 3];
         deltas_frame_into(3, 42, &payload, &mut frame);
-        assert_eq!(frame, owned.to_frame());
+        let mut w = Writer::new();
+        w.put_u8(TAG_DELTAS);
+        w.put_u32(3);
+        w.put_u64(42);
+        payload.encode_to_vec().encode(&mut w);
+        let mut layout = Vec::new();
+        crate::write_frame(&mut layout, FRAME_CLUSTER, w.as_slice());
+        assert_eq!(frame, layout);
         let header = DeltasHeader::from_frame(&frame).unwrap().unwrap();
         assert_eq!((header.worker, header.epoch), (3, 42));
         assert_eq!(frame[header.payload], payload.encode_to_vec());
         assert!(BatchRef::from_frame(&frame, &mut buf).unwrap().is_none());
 
         // An empty batch is the empty vectors' encoding.
-        let owned = ClusterMsg::Batch {
-            epoch: 1,
-            objects: vec![],
-            queries: vec![],
-        };
         builder.begin(1, frame);
         let frame = builder.finish(&[]);
-        assert_eq!(frame, owned.to_frame());
+        assert_eq!(frame, batch_layout(1, &[], &[]));
         let batch = BatchRef::from_frame(&frame, &mut buf).unwrap().unwrap();
         assert!(batch.objects.is_empty() && batch.queries.is_empty());
+
+        // Neither is a `ClusterMsg`: the owned decoder refuses both, typed.
+        for frame in cycle_frames() {
+            assert!(matches!(
+                ClusterMsg::from_frame(&frame),
+                Err(WireError::Invalid { offset: 0, .. })
+            ));
+        }
     }
 
     #[test]
@@ -856,10 +833,14 @@ mod tests {
             bad[i] ^= 0x10;
             assert!(ClusterMsg::from_frame(&bad).is_err(), "flip {i}");
         }
-        // The borrowed readers refuse exactly what the owned decoder does.
+        // The borrowed readers refuse a damaged frame exactly as the owned
+        // decoder does, whatever message it carried.
         let mut objects = Vec::new();
-        for msg in sample_messages() {
-            let frame = msg.to_frame();
+        let frames = sample_messages()
+            .iter()
+            .map(ClusterMsg::to_frame)
+            .collect::<Vec<_>>();
+        for frame in frames.into_iter().chain(cycle_frames()) {
             for cut in 0..frame.len() {
                 let want = ClusterMsg::from_frame(&frame[..cut]).unwrap_err();
                 assert_eq!(
@@ -919,7 +900,6 @@ mod tests {
         }
 
         fn arb_msg() -> impl Strategy<Value = ClusterMsg> {
-            let payload = pvec(any::<u8>(), 0..64);
             prop_oneof![
                 (1u16..4, any::<u32>(), 1u32..64, arb_tile(64), 0u32..8).prop_map(
                     |(version, worker, dim, tile, margin)| {
@@ -941,26 +921,6 @@ mod tests {
                     }
                 }),
                 pvec(any::<u8>(), 0..64).prop_map(|payload| ClusterMsg::Install { payload }),
-                (
-                    any::<u64>(),
-                    pvec(any::<u32>(), 0..8),
-                    pvec(any::<u8>(), 0..64)
-                )
-                    .prop_map(|(epoch, ids, queries)| ClusterMsg::Batch {
-                        epoch,
-                        objects: ids
-                            .into_iter()
-                            .map(|id| ObjectEvent::Disappear { id: ObjectId(id) })
-                            .collect(),
-                        queries,
-                    }),
-                (any::<u32>(), any::<u64>(), payload).prop_map(|(worker, epoch, payload)| {
-                    ClusterMsg::Deltas {
-                        worker,
-                        epoch,
-                        payload,
-                    }
-                }),
                 Just(ClusterMsg::SnapshotReq),
                 (any::<u32>(), any::<u64>(), pvec(any::<u8>(), 0..64)).prop_map(
                     |(worker, epoch, payload)| ClusterMsg::SnapshotXfer {
@@ -993,41 +953,6 @@ mod tests {
                 // payload byte *and* the CRC happens to collide — it
                 // cannot) decodes to something; it must never panic.
                 let _ = ClusterMsg::from_frame(&frame);
-            }
-
-            /// A damaged *message* inside a well-sealed frame (what a buggy
-            /// peer, not a noisy link, produces): the borrowed readers
-            /// accept, refuse and report exactly as the owned decoder.
-            #[test]
-            fn borrowed_readers_agree_with_the_owned_decoder(
-                msg in arb_msg(), at in 0usize..1024, bit in 0u8..8, cut in 0usize..1024,
-            ) {
-                let mut body = msg.encode_to_vec();
-                let at = at % body.len();
-                body[at] ^= 1 << bit;
-                body.truncate(body.len() - cut % body.len().min(4));
-                let mut frame = Vec::new();
-                crate::write_frame(&mut frame, FRAME_CLUSTER, &body);
-                let owned = ClusterMsg::from_frame(&frame);
-                let mut buf = Vec::new();
-                let batch = BatchRef::from_frame(&frame, &mut buf);
-                let deltas = DeltasHeader::from_frame(&frame);
-                match (body.first(), owned) {
-                    (Some(&TAG_BATCH), Ok(ClusterMsg::Batch { epoch, objects, queries })) => {
-                        let b = batch.unwrap().unwrap();
-                        prop_assert_eq!((b.epoch, b.objects, b.queries), (epoch, &objects[..], &queries[..]));
-                    }
-                    (Some(&TAG_BATCH), Err(e)) => prop_assert_eq!(batch.unwrap_err(), e),
-                    (Some(&TAG_DELTAS), Ok(ClusterMsg::Deltas { worker, epoch, payload })) => {
-                        let h = deltas.unwrap().unwrap();
-                        prop_assert_eq!((h.worker, h.epoch, &frame[h.payload]), (worker, epoch, &payload[..]));
-                    }
-                    (Some(&TAG_DELTAS), Err(e)) => prop_assert_eq!(deltas.unwrap_err(), e),
-                    _ => {
-                        prop_assert!(matches!(batch, Ok(None)));
-                        prop_assert_eq!(deltas, Ok(None));
-                    }
-                }
             }
         }
     }

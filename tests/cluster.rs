@@ -1,28 +1,41 @@
 //! Distributed conformance: the single-node-equivalence guarantee over
-//! worker counts and transports, plus the typed failure surface
-//! (misrouted batches, version skew, a `Hello` naming the removed
-//! quadtree index, escaped influence regions, composite-query refusal).
+//! worker counts, transports and the two cycle calls, plus the typed
+//! failure surface (misrouted batches, a reply naming the wrong worker,
+//! version skew, a `Hello` naming the removed quadtree index, escaped
+//! influence regions, composite-query refusal).
 
 mod common;
 
 use common::{lane, quadtree_era_frame};
 use cpm_suite::cluster::{
     duplex, run_worker, ChannelTransport, ClusterConfig, ClusterCoordinator, ClusterError,
-    Transport, TransportError,
+    Transport, TransportError, WorkerHandle,
 };
-use cpm_suite::core::{AnyQuerySpec, PointQuery, SpecEvent};
+use cpm_suite::core::{AnyQuerySpec, CpmServerBuilder, CycleDeltas, PointQuery, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{verify, Anchors, Control, Deploy, LaneConfig, OpStream, Regrid};
 use cpm_suite::sub::DeltaFanout;
-use cpm_suite::wire::cluster::{ClusterMsg, ClusterReject, TileRect};
+use cpm_suite::wire::cluster::{
+    deltas_frame_into, BatchFrame, BatchRef, ClusterMsg, ClusterReject, DeltasHeader, TileRect,
+};
 use cpm_suite::wire::{Encode, FRAME_CLUSTER, WIRE_VERSION};
+
+/// The two calls a caller cycles a cluster with.
+#[derive(Clone, Copy)]
+enum Call {
+    /// `process_cycle`: each cycle's own merged batch, at once.
+    Process,
+    /// `submit_cycle` + `flush`: each batch one call late, the last from
+    /// `flush` — what the harness's cluster lanes drive.
+    Submit,
+}
 
 /// Replay seeded mixed-kind streams — anchors pinned to the ownership
 /// strips, a worker hot-swapped by snapshot transfer before cycle 5, a
 /// k-NN installed out of band before cycle 6 — into one cluster per
-/// worker count over the given transport and schedule.
-fn run(tcp: bool, pipelined: bool, seeds: &[u64], worker_counts: &[u32]) {
+/// worker count over the given transport, through the given call.
+fn run(tcp: bool, call: Call, seeds: &[u64], worker_counts: &[u32]) {
     let extra = Control::InstallOutOfBand {
         id: QueryId(5000),
         pos: Point::new(0.375, 0.5),
@@ -30,62 +43,118 @@ fn run(tcp: bool, pipelined: bool, seeds: &[u64], worker_counts: &[u32]) {
     };
     let clusters: Vec<LaneConfig> = worker_counts
         .iter()
-        .map(|&workers| {
-            let deploy = Deploy::Cluster {
-                workers,
-                tcp,
-                pipelined,
-            };
-            lane(1, Regrid::Pinned, deploy)
-        })
+        .map(|&workers| lane(1, Regrid::Pinned, Deploy::Cluster { workers, tcp }))
         .collect();
     for &seed in seeds {
         let stream = OpStream::mixed(seed, 120, 12, Anchors::Strips)
             .control(5, Control::RestartWorker(seed as usize))
             .control(6, extra);
-        verify(&stream, &clusters);
+        match call {
+            Call::Submit => {
+                verify(&stream, &clusters);
+            }
+            Call::Process => {
+                for &workers in worker_counts {
+                    let config = ClusterConfig::new(stream.grid_dim, workers)
+                        .overlap((stream.grid_dim / 3).max(1));
+                    if tcp {
+                        let spawned = ClusterCoordinator::spawn_tcp_loopback(config).unwrap();
+                        let restart = ClusterCoordinator::restart_worker_tcp_loopback;
+                        process_cycle_matches_single_node(&stream, spawned, restart);
+                    } else {
+                        let spawned = ClusterCoordinator::spawn_in_process(config).unwrap();
+                        let restart = ClusterCoordinator::restart_worker_in_process;
+                        process_cycle_matches_single_node(&stream, spawned, restart);
+                    }
+                }
+            }
+        }
     }
 }
 
-/// The headline conformance run: W ∈ {1, 2, 4} in-process workers.
-/// Every merged delta batch, changed list and replicated
-/// result must be bit-identical to the single-node reference.
+type Restart<T> = fn(&mut ClusterCoordinator<T>, usize) -> Result<WorkerHandle, ClusterError>;
+
+/// Replay `stream` through `process_cycle` beside the harness's reference
+/// server (one thread, deltas on) and compare every batch bit for bit.
+fn process_cycle_matches_single_node<T: Transport>(
+    stream: &OpStream,
+    (mut coord, mut handles): (ClusterCoordinator<T>, Vec<WorkerHandle>),
+    restart: Restart<T>,
+) {
+    let mut single = CpmServerBuilder::new(stream.grid_dim)
+        .threads(1)
+        .deltas(true)
+        .build();
+    let mut want = CycleDeltas::default();
+    for ops in &stream.cycles {
+        match ops.control {
+            Some(Control::RestartWorker(w)) => {
+                let w = w % coord.config().workers as usize;
+                handles.push(restart(&mut coord, w).unwrap());
+            }
+            Some(Control::InstallOutOfBand { id, pos, k }) => {
+                let spec = AnyQuerySpec::Knn(PointQuery(pos));
+                let _ = single.install_spec(id, spec.clone(), k).unwrap();
+                coord
+                    .install(&[SpecEvent::Install { id, spec, k }])
+                    .unwrap();
+            }
+            _ => {}
+        }
+        let (objects, queries) = (&ops.object_events, &ops.spec_events);
+        single
+            .process_cycle_with_deltas_into(objects, queries, &mut want)
+            .unwrap();
+        let got = coord.process_cycle(objects, queries).unwrap();
+        assert_eq!(got, want, "{}: epoch {} diverged", stream.label, want.epoch);
+        assert_eq!(coord.in_flight(), 0);
+    }
+    coord.shutdown().unwrap();
+    for h in handles {
+        h.join().unwrap().unwrap();
+    }
+}
+
+/// The headline conformance run: W ∈ {1, 2, 4} in-process workers
+/// driven through `process_cycle`. Every merged delta batch and changed
+/// list must be bit-identical to the single-node reference.
 #[test]
 fn cluster_is_bit_identical_to_single_node() {
-    run(false, false, &[1, 5], &[1, 2, 4]);
+    run(false, Call::Process, &[1, 5], &[1, 2, 4]);
 }
 
 /// The same protocol over real `std::net::TcpStream` loopback links.
 #[test]
 fn tcp_loopback_cluster_is_bit_identical_to_single_node() {
-    run(true, false, &[9], &[2]);
+    run(true, Call::Process, &[9], &[2]);
 }
 
-/// The headline run with the coordinator **pipelined**: routing for
-/// epoch *e+1* overlaps the merge of epoch *e*, so batches surface one
-/// cycle late and the tail through `flush` — bit-identical all the same,
-/// across a restart that must drain the pipeline first.
+/// The headline run through `submit_cycle`: routing for epoch *e+1*
+/// overlaps the merge of epoch *e*, so batches surface one cycle late and
+/// the tail through `flush` — bit-identical all the same (replicas and
+/// brute force included), across a restart that must collect the epoch
+/// in flight first.
 #[test]
 fn pipelined_cluster_is_bit_identical_to_single_node() {
-    run(false, true, &[1, 5], &[1, 2, 4]);
+    run(false, Call::Submit, &[1, 5], &[1, 2, 4]);
 }
 
-/// Pipelined over TCP loopback, restart included.
+/// `submit_cycle` over TCP loopback, restart included.
 #[test]
 fn pipelined_tcp_loopback_cluster_is_bit_identical_to_single_node() {
-    run(true, true, &[9], &[2]);
+    run(true, Call::Submit, &[9], &[2]);
 }
 
-/// The pipelined submission surface itself: the priming `submit_cycle`
-/// returns `None`, every later submit returns the *previous* cycle lagged
-/// by one, and `flush` drains the tail — so the pipelined driver sees the
-/// exact same batches as the serial one, one call later.
+/// The submission surface itself: the first `submit_cycle` returns
+/// `None`, every later one returns the *previous* cycle, and `flush`
+/// drains the tail — so a `submit_cycle` caller sees the exact batches a
+/// `process_cycle` caller sees, one call later.
 #[test]
 fn pipelined_submit_lags_by_one_cycle_and_flush_drains() {
-    let (mut serial, serial_handles) =
+    let (mut direct, direct_handles) =
         ClusterCoordinator::spawn_in_process(ClusterConfig::new(16, 2)).unwrap();
     let (mut coord, handles) =
-        ClusterCoordinator::spawn_in_process(ClusterConfig::new(16, 2).pipelined(true)).unwrap();
+        ClusterCoordinator::spawn_in_process(ClusterConfig::new(16, 2)).unwrap();
     let appears: Vec<ObjectEvent> = (0..16)
         .map(|i| ObjectEvent::Appear {
             id: ObjectId(i),
@@ -102,11 +171,11 @@ fn pipelined_submit_lags_by_one_cycle_and_flush_drains() {
         to: Point::new(0.52, 0.5),
     }];
 
-    let a1 = serial.process_cycle(&appears, &[]).unwrap();
-    let a2 = serial.process_cycle(&[], &install).unwrap();
-    let a3 = serial.process_cycle(&moves, &[]).unwrap();
+    let a1 = direct.process_cycle(&appears, &[]).unwrap();
+    let a2 = direct.process_cycle(&[], &install).unwrap();
+    let a3 = direct.process_cycle(&moves, &[]).unwrap();
 
-    // Priming call: epoch 1 is in flight, nothing merged yet.
+    // First call: epoch 1 is in flight, nothing merged yet.
     assert_eq!(coord.submit_cycle(&appears, &[]).unwrap(), None);
     assert_eq!(coord.in_flight(), 1);
     // Each later submit yields the previous cycle's merge.
@@ -115,11 +184,11 @@ fn pipelined_submit_lags_by_one_cycle_and_flush_drains() {
     // The tail drains through flush.
     assert_eq!(coord.flush().unwrap(), vec![a3]);
     assert_eq!(coord.in_flight(), 0);
-    assert_eq!(coord.epoch(), serial.epoch());
+    assert_eq!(coord.epoch(), direct.epoch());
 
-    serial.shutdown().unwrap();
+    direct.shutdown().unwrap();
     coord.shutdown().unwrap();
-    for h in serial_handles.into_iter().chain(handles) {
+    for h in direct_handles.into_iter().chain(handles) {
         h.join().unwrap().unwrap();
     }
 }
@@ -146,23 +215,25 @@ fn misrouted_update_is_rejected_without_state_change() {
     let ack = ClusterMsg::from_frame(&coord_side.recv().unwrap()).unwrap();
     assert!(matches!(ack, ClusterMsg::HelloAck { epoch: 0, .. }));
 
-    // A batch mixing one in-coverage appear with one misrouted appear.
-    let queries: Vec<SpecEvent<AnyQuerySpec>> = Vec::new();
-    let bad = ClusterMsg::Batch {
-        epoch: 1,
-        objects: vec![
-            ObjectEvent::Appear {
-                id: ObjectId(1),
-                pos: Point::new(0.1, 0.5),
-            },
-            ObjectEvent::Appear {
-                id: ObjectId(2),
-                pos: Point::new(0.9, 0.5),
-            },
-        ],
-        queries: queries.encode_to_vec(),
+    let queries = Vec::<SpecEvent<AnyQuerySpec>>::new().encode_to_vec();
+    let batch = |objects: &[ObjectEvent]| {
+        let mut frame = BatchFrame::default();
+        frame.begin(1, Vec::new());
+        for ev in objects {
+            frame.push(ev);
+        }
+        frame.finish(&queries)
     };
-    coord_side.send(&bad.to_frame()).unwrap();
+    let valid = ObjectEvent::Appear {
+        id: ObjectId(1),
+        pos: Point::new(0.1, 0.5),
+    };
+    // A batch mixing one in-coverage appear with one misrouted appear.
+    let misrouted = ObjectEvent::Appear {
+        id: ObjectId(2),
+        pos: Point::new(0.9, 0.5),
+    };
+    coord_side.send(&batch(&[valid, misrouted])).unwrap();
     match ClusterMsg::from_frame(&coord_side.recv().unwrap()).unwrap() {
         ClusterMsg::Reject { worker, reject } => {
             assert_eq!(worker, 0);
@@ -179,22 +250,66 @@ fn misrouted_update_is_rejected_without_state_change() {
 
     // The whole batch was refused: epoch 1 is still open, and the
     // corrected batch (including the event that *was* valid) applies.
-    let good = ClusterMsg::Batch {
-        epoch: 1,
-        objects: vec![ObjectEvent::Appear {
-            id: ObjectId(1),
-            pos: Point::new(0.1, 0.5),
-        }],
-        queries: queries.encode_to_vec(),
-    };
-    coord_side.send(&good.to_frame()).unwrap();
-    match ClusterMsg::from_frame(&coord_side.recv().unwrap()).unwrap() {
-        ClusterMsg::Deltas { epoch, .. } => assert_eq!(epoch, 1),
-        other => panic!("expected the corrected batch to apply, got {other:?}"),
-    }
+    coord_side.send(&batch(&[valid])).unwrap();
+    let reply = coord_side.recv().unwrap();
+    let deltas = DeltasHeader::from_frame(&reply).unwrap();
+    assert_eq!(deltas.map(|d| (d.worker, d.epoch)), Some((0, 1)));
 
     coord_side.send(&ClusterMsg::Shutdown.to_frame()).unwrap();
     handle.join().unwrap().unwrap();
+}
+
+/// A worker that handshakes under the index its `Hello` gives it, then
+/// answers its first batch with a well-formed `Deltas` frame naming
+/// worker `claim`, and waits for the coordinator to hang up.
+fn misnamed_worker(mut link: ChannelTransport, claim: u32) {
+    let ClusterMsg::Hello { worker, .. } = ClusterMsg::from_frame(&link.recv().unwrap()).unwrap()
+    else {
+        panic!("the handshake opens with a Hello");
+    };
+    let ack = ClusterMsg::HelloAck {
+        worker,
+        version: WIRE_VERSION,
+        epoch: 0,
+    };
+    link.send(&ack.to_frame()).unwrap();
+    let frame = link.recv().unwrap();
+    let mut objects = Vec::new();
+    let batch = BatchRef::from_frame(&frame, &mut objects).unwrap();
+    let epoch = batch.expect("a cycle's batch").epoch;
+    let deltas = CycleDeltas {
+        epoch,
+        ..CycleDeltas::default()
+    };
+    let mut reply = Vec::new();
+    deltas_frame_into(claim, epoch, &deltas, &mut reply);
+    link.send(&reply).unwrap();
+    let _ = link.recv();
+}
+
+/// A `Deltas` reply whose worker index is not the link it arrived on —
+/// one past the last worker, or the other worker's — is a typed protocol
+/// refusal, not a panic in the merge barrier and not an error that
+/// blames a conflict or an incomplete barrier.
+#[test]
+fn deltas_naming_another_worker_are_refused_typed() {
+    for claim in [2, 0] {
+        let (honest, honest_far) = duplex();
+        let (liar, liar_far) = duplex();
+        let worker = std::thread::spawn(move || run_worker(honest_far));
+        let fake = std::thread::spawn(move || misnamed_worker(liar_far, claim));
+        let mut coord =
+            ClusterCoordinator::connect(ClusterConfig::new(16, 2), vec![honest, liar]).unwrap();
+        match coord.process_cycle(&[], &[]) {
+            Err(ClusterError::Protocol { what }) => {
+                assert!(what.contains("another worker"), "{what}");
+            }
+            other => panic!("claim {claim}: expected a typed refusal, got {other:?}"),
+        }
+        coord.shutdown().unwrap();
+        worker.join().unwrap().unwrap();
+        fake.join().unwrap();
+    }
 }
 
 /// A worker greeting a coordinator from a different wire version refuses

@@ -1,18 +1,39 @@
-//! The byte formats did not move when the quadtree index was removed: the
-//! index tag stays where it was in the snapshot payload and in
-//! `ClusterMsg::Hello`, always `0`, so artifacts written before the
-//! removal read back unchanged — and the one thing they could say that
-//! this build cannot honour, tag `1`, is a typed refusal on every path
-//! that reads a snapshot. (The `Hello` refusal is
-//! `tests/cluster.rs::quadtree_hello_is_rejected_and_the_worker_exits_cleanly`.)
+//! The byte formats are pinned as frames earlier builds wrote.
+//!
+//! * The quadtree index's removal moved no byte: the index tag stays
+//!   where it was in the snapshot payload and in `ClusterMsg::Hello`,
+//!   always `0`, so artifacts written before the removal read back
+//!   unchanged — and the one thing they could say that this build cannot
+//!   honour, tag `1`, is a typed refusal on every path that reads a
+//!   snapshot. (The `Hello` refusal is
+//!   `tests/cluster.rs::quadtree_hello_is_rejected_and_the_worker_exits_cleanly`.)
+//! * A cycle's batch and deltas frames are the bytes the owned
+//!   `ClusterMsg::Batch` / `Deltas` encoder wrote before only the frame
+//!   builders and the borrowed readers were left: the builders rebuild
+//!   them byte for byte, the readers read them back, and every damaged
+//!   or arbitrary input is a typed refusal within bounded allocation.
 
 mod common;
 
-use common::quadtree_era_frame;
-use cpm_suite::core::{CpmServer, CpmServerBuilder, DurableCpmServer, RecoveryError, Snapshot};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use common::{case_budget, quadtree_era_frame};
+use cpm_suite::core::codec::CycleDeltasCursor;
+use cpm_suite::core::{
+    AnyQuerySpec, CpmServer, CpmServerBuilder, CycleDeltas, DurableCpmServer, Neighbor,
+    NeighborDelta, PointQuery, RecoveryError, Snapshot, SpecEvent,
+};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
-use cpm_suite::wire::cluster::{ClusterMsg, TileRect};
-use cpm_suite::wire::{WireError, FRAME_SNAPSHOT, WIRE_VERSION};
+use cpm_suite::grid::ObjectEvent;
+use cpm_suite::wire::cluster::{
+    deltas_frame_into, BatchFrame, BatchRef, ClusterMsg, DeltasHeader, TileRect,
+};
+use cpm_suite::wire::{
+    write_frame, Decode, Encode, WireError, FRAME_CLUSTER, FRAME_SNAPSHOT, WIRE_VERSION,
+};
+
+use proptest::prelude::*;
 
 /// `Snapshot::capture(&server, 7).to_frame()` as commit `2f1de07` (the
 /// last with a quadtree) wrote it for a uniform-grid server: dim 16, two
@@ -59,6 +80,28 @@ const PARENT_SNAPSHOT_FRAME: &str = "\
 const PARENT_HELLO_FRAME: &str = "\
     574d5043010003002c0000000001000100000010000000000800000000000000\
     0f0000000f00000006000000000000000f0000000f000000bac69fdf";
+
+/// A cycle's batch as the owned `ClusterMsg::Batch` encoder of `100ebb6`
+/// wrote it: epoch 5, an appear, a move and a disappear, and an encoded
+/// install batch ([`pinned_batch`]).
+const PARENT_BATCH_FRAME: &str = "\
+    574d504301000300620000000305000000000000000300000000030000000000\
+    00000000d03f000000000000e83f0109000000000000000000e03f0000000000\
+    00c03f02040000002200000001000000000700000000000000000000e43f0000\
+    00000000d83f030000000000000095f6b56a";
+
+/// A cycle's deltas as the owned `ClusterMsg::Deltas` encoder of
+/// `100ebb6` wrote them: worker 1, epoch 5, and a `CycleDeltas` whose
+/// first `added` list spills past a `DeltaBuf`'s inline capacity
+/// ([`pinned_deltas`]).
+const PARENT_DELTAS_FRAME: &str = "\
+    574d504301000300c100000004010000000500000000000000b0000000050000\
+    0000000000020000000200000007000000020000000200000005000000000000\
+    00060000000a000000000000000000b03f0b000000000000000000c03f0c0000\
+    00000000000000c83f0d000000000000000000d03f0e000000000000000000d4\
+    3f0f000000000000000000d83f02000000010000000200000001000000140000\
+    00000000000000a03f0700000005000000000000000100000003000000000000\
+    000000c03f000000000000000035a1bf0f";
 
 fn bytes(hex: &str) -> Vec<u8> {
     let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
@@ -125,5 +168,258 @@ fn quadtree_snapshot_is_refused_typed_by_decode_and_by_recovery() {
     match DurableCpmServer::recover(&old, &[], 0) {
         Err(RecoveryError::Wire(e)) => assert_eq!(e, refusal),
         other => panic!("recovery accepted a quadtree snapshot: {other:?}"),
+    }
+}
+
+/// What [`PARENT_BATCH_FRAME`] carries: its epoch, object events and
+/// query events.
+fn pinned_batch() -> (u64, Vec<ObjectEvent>, Vec<SpecEvent<AnyQuerySpec>>) {
+    let objects = vec![
+        ObjectEvent::Appear {
+            id: ObjectId(3),
+            pos: Point::new(0.25, 0.75),
+        },
+        ObjectEvent::Move {
+            id: ObjectId(9),
+            to: Point::new(0.5, 0.125),
+        },
+        ObjectEvent::Disappear { id: ObjectId(4) },
+    ];
+    let installs = vec![SpecEvent::Install {
+        id: QueryId(7),
+        spec: AnyQuerySpec::Knn(PointQuery(Point::new(0.625, 0.375))),
+        k: 3,
+    }];
+    (5, objects, installs)
+}
+
+/// What [`PARENT_DELTAS_FRAME`] carries as its payload.
+fn pinned_deltas() -> CycleDeltas {
+    let neighbor = |id, dist| Neighbor {
+        id: ObjectId(id),
+        dist,
+    };
+    let spilled = NeighborDelta {
+        epoch: 5,
+        added: (0..6u32)
+            .map(|i| neighbor(10 + i, 0.0625 * f64::from(i + 1)))
+            .collect(),
+        removed: vec![ObjectId(1), ObjectId(2)].into(),
+        reordered: vec![neighbor(20, 0.03125)].into(),
+    };
+    let small = NeighborDelta {
+        epoch: 5,
+        added: vec![neighbor(3, 0.125)].into(),
+        ..NeighborDelta::default()
+    };
+    CycleDeltas {
+        epoch: 5,
+        changed: vec![QueryId(2), QueryId(7)],
+        deltas: vec![(QueryId(2), spilled), (QueryId(7), small)],
+    }
+}
+
+/// A full walk of an encoded `CycleDeltas` through the cursor, as the
+/// merge barrier reads a worker's payload: the stamped epoch and the
+/// changed list are returned, every delta is handed to `visit` as it is
+/// read.
+fn walk(
+    payload: &[u8],
+    mut visit: impl FnMut(QueryId, NeighborDelta),
+) -> Result<(u64, Vec<QueryId>), WireError> {
+    let (mut cursor, epoch) = CycleDeltasCursor::open(payload)?;
+    let mut changed = Vec::new();
+    while let Some(id) = cursor.next_changed(payload)? {
+        changed.push(id);
+    }
+    while let Some(id) = cursor.next_delta_id(payload)? {
+        visit(id, cursor.delta(payload)?);
+    }
+    Ok((epoch, changed))
+}
+
+#[test]
+fn parent_commit_cycle_frames_read_back_and_rebuild_byte_identically() {
+    let frame = bytes(PARENT_BATCH_FRAME);
+    let (epoch, objects, installs) = pinned_batch();
+    let mut buf = Vec::new();
+    let batch = BatchRef::from_frame(&frame, &mut buf)
+        .expect("a parent-commit batch reads")
+        .expect("a cycle's batch");
+    assert_eq!((batch.epoch, batch.objects), (epoch, &objects[..]));
+    let queries = Vec::<SpecEvent<AnyQuerySpec>>::decode_all(batch.queries).unwrap();
+    assert_eq!(format!("{queries:?}"), format!("{installs:?}"));
+    let mut builder = BatchFrame::default();
+    builder.begin(epoch, Vec::new());
+    for ev in &objects {
+        builder.push(ev);
+    }
+    assert_eq!(
+        builder.finish(&installs.encode_to_vec()),
+        frame,
+        "rebuilding moved a byte"
+    );
+
+    let frame = bytes(PARENT_DELTAS_FRAME);
+    let want = pinned_deltas();
+    assert!(
+        want.deltas[0].1.added.len() > 4,
+        "the pin spills a DeltaBuf"
+    );
+    let header = DeltasHeader::from_frame(&frame)
+        .expect("a parent-commit deltas frame reads")
+        .expect("a cycle's deltas");
+    assert_eq!((header.worker, header.epoch), (1, 5));
+    let mut deltas = Vec::new();
+    let (epoch, changed) = walk(&frame[header.payload], |id, d| deltas.push((id, d))).unwrap();
+    assert_eq!(
+        CycleDeltas {
+            epoch,
+            changed,
+            deltas
+        },
+        want
+    );
+    let mut rebuilt = Vec::new();
+    deltas_frame_into(1, 5, &want, &mut rebuilt);
+    assert_eq!(rebuilt, frame, "rebuilding moved a byte");
+
+    // Neither is a `ClusterMsg`: the owned decoder refuses both, typed.
+    for frame in [bytes(PARENT_BATCH_FRAME), frame] {
+        let refused = ClusterMsg::from_frame(&frame);
+        assert!(
+            matches!(refused, Err(WireError::Invalid { .. })),
+            "{refused:?}"
+        );
+    }
+}
+
+thread_local! {
+    /// Bytes the current thread holds / has held at most, per the
+    /// allocator below.
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator plus per-thread live/peak counters (the tests of
+/// this file run on parallel threads; a process-wide peak would count
+/// their allocations too).
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters never influence a returned
+// pointer or layout, and the `const`-initialized, destructor-free thread
+// locals they live in never allocate themselves.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let live = LIVE.get() + layout.size();
+        LIVE.set(live);
+        PEAK.set(PEAK.get().max(live));
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // Saturating: a block may be freed by another thread than the
+        // one that allocated it.
+        LIVE.set(LIVE.get().saturating_sub(layout.size()));
+        // SAFETY: `ptr` was returned by `System.alloc` with this `layout`
+        // (the only allocator behind `alloc` above).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Bytes the three borrowed readers may hold at once per input byte. The
+/// widest case is a batch of disappears: 5 wire bytes per 24-byte
+/// `ObjectEvent`, in a vector that grows by doubling and holds its old
+/// and its new buffer while it moves (24 / 5 × 3 < 16).
+const ALLOC_PER_INPUT_BYTE: usize = 16;
+
+/// Feed `input` to the three borrowed readers — `BatchRef::from_frame`,
+/// `DeltasHeader::from_frame`, and a full cursor walk of the input and
+/// of the payload a header locates — and return which of them accepted
+/// it. None may panic, and together they may not hold more than
+/// [`ALLOC_PER_INPUT_BYTE`] bytes per input byte at once.
+fn read_all(input: &[u8]) -> [bool; 3] {
+    let before = LIVE.get();
+    PEAK.set(before);
+    let mut objects = Vec::new();
+    let batch = BatchRef::from_frame(input, &mut objects).is_ok();
+    drop(objects);
+    let header = DeltasHeader::from_frame(input);
+    let mut walked = walk(input, |_, _| {}).is_ok();
+    if let Ok(Some(h)) = &header {
+        walked &= walk(&input[h.payload.clone()], |_, _| {}).is_ok();
+    }
+    let peak = PEAK.get() - before;
+    assert!(
+        peak <= ALLOC_PER_INPUT_BYTE * input.len(),
+        "reading {} bytes held {peak} bytes",
+        input.len()
+    );
+    [batch, header.is_ok(), walked]
+}
+
+#[test]
+fn every_truncation_and_bit_flip_of_the_pinned_frames_is_refused_typed() {
+    for frame in [bytes(PARENT_BATCH_FRAME), bytes(PARENT_DELTAS_FRAME)] {
+        for cut in 0..frame.len() {
+            let [batch, header, _] = read_all(&frame[..cut]);
+            assert!(!batch && !header, "cut {cut} was accepted");
+        }
+        for bit in 0..frame.len() * 8 {
+            let mut bad = frame.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let [batch, header, _] = read_all(&bad);
+            assert!(!batch && !header, "flip {bit} was accepted");
+        }
+    }
+    // Inside an intact frame the payload is the cursor's alone to check:
+    // every truncation fails typed, and no flipped bit panics.
+    let frame = bytes(PARENT_DELTAS_FRAME);
+    let payload = &frame[DeltasHeader::from_frame(&frame).unwrap().unwrap().payload];
+    for cut in 0..payload.len() {
+        assert!(!read_all(&payload[..cut])[2], "payload cut {cut} walked");
+    }
+    for bit in 0..payload.len() * 8 {
+        let mut bad = payload.to_vec();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        read_all(&bad);
+    }
+}
+
+/// The bound's own worst case, which random bytes hardly ever hit: a
+/// well-formed batch of nothing but disappears.
+#[test]
+fn a_batch_of_disappears_stays_within_the_allocation_bound() {
+    let mut builder = BatchFrame::default();
+    builder.begin(1, Vec::new());
+    for id in 0..400 {
+        builder.push(&ObjectEvent::Disappear { id: ObjectId(id) });
+    }
+    let frame = builder.finish(&[]);
+    assert!(read_all(&frame)[0], "a well-formed batch reads");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: case_budget(256), ..ProptestConfig::default() })]
+
+    /// Arbitrary bytes, bare and sealed behind a cycle message's tag in a
+    /// well-formed frame (so they reach the message readers past the
+    /// checksum), never panic a reader or amplify its allocation.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_borrowed_readers(
+        body in proptest::collection::vec(any::<u8>(), 0..256),
+        tag in 3u8..5,
+    ) {
+        read_all(&body);
+        let mut message = vec![tag];
+        message.extend_from_slice(&body);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, FRAME_CLUSTER, &message);
+        read_all(&frame);
     }
 }

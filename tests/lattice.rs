@@ -1,7 +1,6 @@
 //! The configuration lattice, sampled: threads {1, 2} × re-grid
 //! {pinned, scheduled, auto} × deployment {single, durable + crashes,
-//! cluster W ∈ {1, 2, 4} × {in-process, TCP} × {serial, pipelined} +
-//! restart}. The per-feature suites each fix most axes; here every (lane
+//! cluster W ∈ {1, 2, 4} × {in-process, TCP} + restart}. The per-feature suites each fix most axes; here every (lane
 //! set, seed) pair draws all of them at once, over a mixed-kind stream
 //! every deployment can run and, for the lanes with a re-grid axis, a
 //! drifting hotspot that makes the policy act. Plus the coordinates no
@@ -81,7 +80,6 @@ fn lane_set(rng: &mut StdRng) -> [LaneConfig; 3] {
     let cluster = Deploy::Cluster {
         workers: [1, 2, 4][rng.gen_range(0..3)],
         tcp: rng.gen_bool(0.5),
-        pipelined: rng.gen_bool(0.5),
     };
     let mut draw = |deploy, thread_counts: &[usize], regrids: &[Regrid]| {
         lane(
@@ -102,13 +100,12 @@ fn lane_set(rng: &mut StdRng) -> [LaneConfig; 3] {
 fn sampled_lattice_matches_the_reference() {
     // The two corners no suite has ever run come first, so no budget
     // drops them.
-    let tcp_pipelined = Deploy::Cluster {
+    let tcp = Deploy::Cluster {
         workers: 4,
         tcp: true,
-        pipelined: true,
     };
     let durable_auto = lane(2, Regrid::Auto, Deploy::Durable);
-    let corners = [durable_auto, lane(1, Regrid::Pinned, tcp_pipelined)];
+    let corners = [durable_auto, lane(1, Regrid::Pinned, tcp)];
     let pairs = case_budget(PAIRS).max(2) as usize;
     let (mut ops, mut scheduled, mut auto) = (0, 0, 0);
     for pair in 0..pairs {
@@ -205,10 +202,9 @@ fn boundary_and_seam_coordinates_are_exact() {
         .control(7, Control::RestartWorker(1))
         .control(9, Control::Crash(FaultPlan::from_seed(2, 1)));
 
-    let cluster = |workers, pipelined| Deploy::Cluster {
+    let cluster = |workers| Deploy::Cluster {
         workers,
         tcp: false,
-        pipelined,
     };
     let pinned = Regrid::Pinned;
     verify(
@@ -216,10 +212,8 @@ fn boundary_and_seam_coordinates_are_exact() {
         &[
             lane(2, pinned, Deploy::Single),
             lane(2, pinned, Deploy::Durable),
-            lane(1, pinned, cluster(2, false)),
-            lane(1, pinned, cluster(2, true)),
-            lane(1, pinned, cluster(4, true)),
-            lane(1, pinned, cluster(4, false)),
+            lane(1, pinned, cluster(2)),
+            lane(1, pinned, cluster(4)),
         ],
     );
 }
