@@ -20,7 +20,7 @@
 //! recovered server must agree with the crashed one on epoch, every
 //! tracked result and every RNN set.
 
-use cpm_core::{CpmServerBuilder, DurableCpmServer};
+use cpm_core::{CpmServerBuilder, DurableCpmServer, PointQuery, RangeQuery};
 use cpm_geom::{Point, QueryId};
 use rand::Rng;
 
@@ -107,16 +107,20 @@ pub fn measure(cfg: &Config) -> BenchRecord {
         let mut durable = DurableCpmServer::new(server, cfg.checkpoint_every);
         let mut query_ids = Vec::new();
         for &(id, pos) in &w.queries {
-            let _ = durable.install_knn(id, pos, cfg.k).expect("fresh id");
+            let _ = durable
+                .install_spec(id, PointQuery(pos), cfg.k)
+                .expect("fresh id");
             query_ids.push(id);
         }
         for &(id, q) in &ranges {
-            let _ = durable.install_range(id, q).expect("fresh id");
+            let _ = durable
+                .install_spec(id, q, RangeQuery::UNBOUNDED_K)
+                .expect("fresh id");
             query_ids.push(id);
         }
         for (id, q) in &constrained {
             let _ = durable
-                .install_constrained(*id, q.clone(), cfg.k)
+                .install_spec(*id, q.clone(), cfg.k)
                 .expect("fresh id");
             query_ids.push(*id);
         }

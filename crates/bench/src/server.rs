@@ -88,20 +88,24 @@ pub fn measure(cfg: &Config) -> BenchRecord {
         range_engine.populate(w.objects.iter().copied());
         constrained_engine.populate(w.objects.iter().copied());
         for &(qid, pos) in &w.queries {
-            let _ = server.install_knn(qid, pos, cfg.k).expect("fresh id");
+            let _ = server
+                .install_spec(qid, PointQuery(pos), cfg.k)
+                .expect("fresh id");
             knn_engine
                 .install(qid, PointQuery(pos), cfg.k)
                 .expect("fresh id");
         }
         for &(qid, q) in &ranges {
-            let _ = server.install_range(qid, q).expect("fresh id");
+            let _ = server
+                .install_spec(qid, q, RangeQuery::UNBOUNDED_K)
+                .expect("fresh id");
             range_engine
                 .install(qid, q, RangeQuery::UNBOUNDED_K)
                 .expect("fresh id");
         }
         for (qid, q) in &constrained {
             let _ = server
-                .install_constrained(*qid, q.clone(), cfg.k)
+                .install_spec(*qid, q.clone(), cfg.k)
                 .expect("fresh id");
             constrained_engine
                 .install(*qid, q.clone(), cfg.k)

@@ -32,6 +32,11 @@ use cpm_wire::cluster::DeltasHeader;
 
 use crate::error::ClusterError;
 
+/// The fewest wire bytes a `deltas` entry takes: query id (4), epoch (8)
+/// and three component counts (4 each). Decoded, an entry is ten times
+/// that.
+const MIN_DELTA_WIRE_BYTES: usize = 24;
+
 /// One worker's `Deltas` payload, in the frame it arrived in.
 #[derive(Debug, Default)]
 struct Received {
@@ -192,9 +197,12 @@ impl MergeBuffer {
                 Ok(())
             },
         )?;
-        // Every run's cursor now stands at the head of its `deltas` list.
-        out.deltas
-            .reserve(self.runs.iter().map(|r| r.cursor.remaining()).sum());
+        // Every run's cursor now stands at the head of its `deltas` list,
+        // whose count only proves one byte per entry: reserve no more
+        // entries than the payload's bytes can encode.
+        let fits = |r: &Run| r.from.payload().len() / MIN_DELTA_WIRE_BYTES;
+        let entries = self.runs.iter().map(|r| r.cursor.remaining().min(fits(r)));
+        out.deltas.reserve(entries.sum());
         merge_runs(
             &mut self.runs,
             |cursor, bytes| cursor.next_delta_id(bytes),

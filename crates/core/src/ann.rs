@@ -16,7 +16,7 @@
 //! machinery of Section 3 with `adist` in place of the Euclidean distance:
 //! [`AnnQuery`] is a [`QuerySpec`] of the one engine
 //! ([`crate::ShardedCpmEngine`]`<AnnQuery>`, or
-//! [`crate::CpmServer::install_ann`] next to every other kind).
+//! [`crate::CpmServer::install_spec`] next to every other kind).
 
 use cpm_geom::Point;
 use cpm_grid::{CellCoord, GridGeom};

@@ -13,14 +13,14 @@
 //! **bit-identical** to a single-kind engine over the concrete spec
 //! (asserted by `tests/unified_server.rs`).
 
-use cpm_geom::{ObjectId, Point};
+use cpm_geom::{ObjectId, Point, Rect};
 use cpm_grid::{CellCoord, Coords, GridGeom, QueryKind};
 
 use crate::ann::AnnQuery;
 use crate::constrained::ConstrainedQuery;
 use crate::engine::{PointQuery, QuerySpec};
 use crate::partition::{Direction, Pinwheel};
-use crate::range::RangeQuery;
+use crate::range::{RangeQuery, Region};
 use crate::rnn::RnnQuery;
 
 /// A query geometry of any supported kind; implements [`QuerySpec`] by
@@ -83,6 +83,30 @@ impl AnyQuerySpec {
         match self {
             AnyQuerySpec::Rnn(q) => Some(q),
             _ => None,
+        }
+    }
+
+    /// `true` when every point, rectangle corner and circle centre of the
+    /// geometry is finite and a circle's radius is finite and
+    /// non-negative (the rule the codec applies to a decoded radius).
+    /// [`crate::CpmServer`] refuses any other spec as
+    /// [`crate::CpmError::NonFiniteQuery`]: a NaN or infinite query finds
+    /// no object anywhere, so its search would scan every cell and enter
+    /// every cell's influence list.
+    #[must_use]
+    pub fn is_finite(&self) -> bool {
+        let rect = |r: &Rect| r.lo.is_finite() && r.hi.is_finite();
+        match self {
+            AnyQuerySpec::Knn(q) => q.0.is_finite(),
+            AnyQuerySpec::Range(q) => match &q.region {
+                Region::Rect(r) => rect(r),
+                Region::Circle { center, radius } => {
+                    center.is_finite() && radius.is_finite() && *radius >= 0.0
+                }
+            },
+            AnyQuerySpec::Ann(q) => q.points().iter().all(Point::is_finite),
+            AnyQuerySpec::Constrained(q) => q.q.is_finite() && rect(&q.region),
+            AnyQuerySpec::Rnn(q) => q.q().is_finite(),
         }
     }
 }
@@ -176,7 +200,47 @@ impl QuerySpec for AnyQuerySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpm_geom::Rect;
+
+    #[test]
+    fn non_finite_geometry_is_named_in_every_kind() {
+        let (p, nan, inf) = (Point::new(0.5, 0.5), f64::NAN, f64::INFINITY);
+        let bad = Point::new(nan, 0.5);
+        let unit = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
+        let circle = |center, radius| RangeQuery {
+            region: Region::Circle { center, radius },
+        };
+        let finite: [AnyQuerySpec; 6] = [
+            PointQuery(p).into(),
+            RangeQuery::rect(unit).into(),
+            circle(p, 0.0).into(),
+            AnnQuery::new(vec![p, Point::new(0.1, 0.9)], crate::AggregateFn::Max).into(),
+            ConstrainedQuery::new(p, unit).into(),
+            RnnQuery::new(p, 3).into(),
+        ];
+        assert!(finite.iter().all(AnyQuerySpec::is_finite));
+        let non_finite: [AnyQuerySpec; 9] = [
+            PointQuery(Point::new(0.5, inf)).into(),
+            RangeQuery::rect(Rect {
+                lo: Point::new(0.0, 0.0),
+                hi: Point::new(1.0, nan),
+            })
+            .into(),
+            circle(bad, 0.1).into(),
+            circle(p, inf).into(),
+            circle(p, -0.1).into(),
+            circle(p, nan).into(),
+            AnnQuery::new(vec![p, bad], crate::AggregateFn::Sum).into(),
+            ConstrainedQuery::new(bad, unit).into(),
+            RnnQuery::new(Point::new(-inf, 0.5), 0).into(),
+        ];
+        for spec in &non_finite {
+            assert!(!spec.is_finite(), "{spec:?}");
+        }
+        assert!(
+            !AnyQuerySpec::from(ConstrainedQuery::new(p, Rect::new(p, Point::new(inf, 1.0))))
+                .is_finite()
+        );
+    }
 
     /// Dispatch must agree with the wrapped spec on every trait method —
     /// this is what makes unified-engine results bit-identical to the

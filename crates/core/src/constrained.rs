@@ -10,7 +10,7 @@
 //! excluded by an infinite distance. Update handling is untouched: an
 //! object leaving the region is an outgoing NN, one entering it is an
 //! incomer. Run it on [`crate::ShardedCpmEngine`]`<ConstrainedQuery>`, or
-//! through [`crate::CpmServer::install_constrained`] next to every other
+//! through [`crate::CpmServer::install_spec`] next to every other
 //! kind.
 
 use cpm_geom::{Point, Rect};

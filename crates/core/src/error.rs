@@ -19,8 +19,9 @@ pub enum CpmError {
     DuplicateQuery(QueryId),
     /// `terminate`/`update_spec` of an id that is not registered.
     UnknownQuery(QueryId),
-    /// A typed operation addressed a query of a different kind (e.g. a
-    /// range update submitted for an installed k-NN query).
+    /// An update addressed a query of a different kind: `update_spec` (or
+    /// a batched update) with a range spec for an installed k-NN query,
+    /// or `update_rnn` for a query that is not a reverse-NN registration.
     KindMismatch {
         /// The addressed query.
         id: QueryId,
@@ -41,6 +42,12 @@ pub enum CpmError {
     /// `update_spec`): RNN registrations are managed through the
     /// dedicated calls (`install_rnn` / `update_rnn` / `terminate`).
     CompositeQuery(QueryId),
+    /// An install or update carried a query geometry with a NaN or
+    /// infinite point, corner or centre, or a circle radius that is not
+    /// finite or is negative ([`crate::AnyQuerySpec::is_finite`]). Such a
+    /// query would scan every cell for an empty result and enter every
+    /// cell's influence list; it is refused before any state changes.
+    NonFiniteQuery(QueryId),
     /// An object event carried a NaN or infinite coordinate. The engines
     /// clamp out-of-range *finite* coordinates, but a non-finite position
     /// is always a corrupted producer; the server rejects the whole batch
@@ -94,6 +101,10 @@ impl std::fmt::Display for CpmError {
                 f,
                 "query {id} is a composite reverse-NN registration: use install_rnn / \
                  update_rnn / terminate instead of the single-spec surface"
+            ),
+            CpmError::NonFiniteQuery(id) => write!(
+                f,
+                "query {id}: geometry carries a NaN or infinite coordinate or an invalid radius"
             ),
             CpmError::NonFiniteCoordinate(id) => {
                 write!(f, "object {id}: event carries a NaN or infinite coordinate")

@@ -17,9 +17,9 @@
 //!   every `T`. `T = 1` spawns no thread.
 //! * [`server`] — [`CpmServer`] (via [`CpmServerBuilder`]), the
 //!   validating production surface: every query kind on one shared grid
-//!   with a single per-cycle ingest, typed handles, and a
-//!   [`CpmError`]-based registry that rejects malformed batches before
-//!   any state changes.
+//!   with a single per-cycle ingest, queries addressed by id and
+//!   described by an [`AnyQuerySpec`], and a [`CpmError`]-based registry
+//!   that rejects malformed calls and batches before any state changes.
 //! * [`ann`], [`constrained`], [`range`], [`rnn`] — the Section 5 query
 //!   geometries ([`AnnQuery`] for `sum`/`min`/`max` aggregates,
 //!   [`ConstrainedQuery`], [`RangeQuery`], and the reverse-NN sector
@@ -84,10 +84,7 @@ pub use partition::{Direction, Pinwheel, Strip};
 pub use range::{RangeQuery, Region};
 pub use regrid::{AutoRegridConfig, RegridController, RegridPolicy};
 pub use rnn::RnnQuery;
-pub use server::{
-    AnnHandle, ConstrainedHandle, CpmServer, CpmServerBuilder, KnnHandle, QueryHandle, RangeHandle,
-    RnnHandle,
-};
+pub use server::{CpmServer, CpmServerBuilder};
 pub use shard::ShardedCpmEngine;
 pub use snapshot::{
     DurableCpmServer, EngineSnapshot, JournalRecord, RecoveryError, RecoveryReport, Snapshot,

@@ -26,7 +26,7 @@
 //! deltas, threading and replay behave identically for range and k-NN
 //! subscriptions. Run it on [`crate::ShardedCpmEngine`]`<RangeQuery>`
 //! (install with `k =` [`RangeQuery::UNBOUNDED_K`]), or through
-//! [`crate::CpmServer::install_range`] next to every other kind.
+//! [`crate::CpmServer::install_spec`] next to every other kind.
 //!
 //! [`cpm-sub`]: ../../cpm_sub/index.html
 

@@ -13,17 +13,18 @@
 //! range-monitoring systems assume, and what the road-map's
 //! million-user target needs.
 //!
-//! # Typed handles
+//! # One query surface
 //!
-//! `install_knn` returns a [`KnnHandle`], `install_range` a
-//! [`RangeHandle`], and so on. A handle is a copyable, kind-tagged query
-//! id: the typed update methods ([`CpmServer::update_knn`],
-//! [`CpmServer::update_range`], …) take the matching handle type, so
-//! addressing a range query with a k-NN update is a *compile-time* error
-//! rather than a runtime surprise. The untyped surface
-//! ([`CpmServer::result`], [`CpmServer::terminate`],
-//! [`CpmServer::update_spec`]) remains available for dynamic callers and
-//! reports kind confusion as [`CpmError::KindMismatch`].
+//! A query is addressed by its [`QueryId`] alone and described by any
+//! geometry that converts into an [`AnyQuerySpec`] — the same shape the
+//! batched [`SpecEvent`]s, the cluster worker and the subscription
+//! fan-out carry. Five calls manage queries:
+//! [`CpmServer::install_spec`], [`CpmServer::update_spec`],
+//! [`CpmServer::install_rnn`], [`CpmServer::update_rnn`] and
+//! [`CpmServer::terminate`]. An update whose spec is of another kind than
+//! the installed query is a [`CpmError::KindMismatch`], and a geometry
+//! with a NaN or infinite coordinate is a [`CpmError::NonFiniteQuery`],
+//! both before any state changes.
 //!
 //! # Reverse-NN composition
 //!
@@ -44,14 +45,13 @@ use cpm_grid::{Grid, Metrics, ObjectEvent, QueryKind};
 
 use crate::any::AnyQuerySpec;
 use crate::delta::CycleDeltas;
-use crate::engine::{PointQuery, QuerySpec, SpecEvent, SpecQueryState};
+use crate::engine::{QuerySpec, SpecEvent, SpecQueryState};
 use crate::error::CpmError;
 use crate::neighbors::Neighbor;
 use crate::range::RangeQuery;
 use crate::regrid::RegridPolicy;
 use crate::rnn::RnnQuery;
 use crate::shard::ShardedCpmEngine;
-use crate::{AnnQuery, ConstrainedQuery};
 
 /// Sectors per reverse-NN query (the six-region method).
 pub(crate) const SECTORS: u32 = 6;
@@ -64,69 +64,16 @@ pub const RESERVED_ID_BASE: u32 = 1 << 31;
 /// `RESERVED_ID_BASE + id·6 + s` must stay representable.
 const RNN_MAX_ID: u32 = (u32::MAX - RESERVED_ID_BASE - (SECTORS - 1)) / SECTORS;
 
-/// A kind-tagged query id, as returned by the typed `install_*` methods.
-/// Handles are plain copyable ids — they do not borrow the server and
-/// stay valid until the query is terminated. The typed *update* methods
-/// re-check the registry, so a stale handle whose id was terminated (or
-/// re-used for another kind) gets a typed error; the by-id *read*
-/// surface ([`CpmServer::result`]) resolves whatever query currently
-/// owns the id, so do not read through a handle you terminated.
-pub trait QueryHandle: Copy {
-    /// The underlying query id.
-    fn id(&self) -> QueryId;
-    /// The kind this handle is tagged with.
-    fn kind(&self) -> QueryKind;
+/// The `k` a query of `spec`'s geometry is installed with: range results
+/// are membership sets, never capped, so a range install's `k` becomes
+/// [`RangeQuery::UNBOUNDED_K`] whatever the caller passed.
+pub(crate) fn install_k(spec: &AnyQuerySpec, k: usize) -> usize {
+    if spec.kind() == QueryKind::Range {
+        RangeQuery::UNBOUNDED_K
+    } else {
+        k
+    }
 }
-
-macro_rules! handle {
-    ($(#[$doc:meta])* $name:ident, $kind:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        #[must_use = "a handle is the typed key to the query's results and updates"]
-        pub struct $name(QueryId);
-
-        impl QueryHandle for $name {
-            fn id(&self) -> QueryId {
-                self.0
-            }
-            fn kind(&self) -> QueryKind {
-                $kind
-            }
-        }
-
-        impl From<$name> for QueryId {
-            fn from(h: $name) -> QueryId {
-                h.0
-            }
-        }
-    };
-}
-
-handle!(
-    /// Typed handle to an installed continuous k-NN query.
-    KnnHandle,
-    QueryKind::Knn
-);
-handle!(
-    /// Typed handle to an installed continuous range query.
-    RangeHandle,
-    QueryKind::Range
-);
-handle!(
-    /// Typed handle to an installed continuous aggregate-NN query.
-    AnnHandle,
-    QueryKind::Ann
-);
-handle!(
-    /// Typed handle to an installed continuous constrained-NN query.
-    ConstrainedHandle,
-    QueryKind::Constrained
-);
-handle!(
-    /// Typed handle to an installed continuous reverse-NN query.
-    RnnHandle,
-    QueryKind::Rnn
-);
 
 /// Configures and builds a [`CpmServer`].
 ///
@@ -247,7 +194,7 @@ struct RnnState {
 /// # Example
 ///
 /// ```
-/// use cpm_core::{CpmServerBuilder, RangeQuery};
+/// use cpm_core::{CpmServerBuilder, PointQuery, RangeQuery};
 /// use cpm_geom::{ObjectId, Point, QueryId, Rect};
 /// use cpm_grid::ObjectEvent;
 ///
@@ -257,9 +204,9 @@ struct RnnState {
 ///     (ObjectId(1), Point::new(0.52, 0.48)),
 /// ]);
 /// // Two kinds, one grid.
-/// let knn = server.install_knn(QueryId(0), Point::new(0.5, 0.5), 1).unwrap();
+/// server.install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 1).unwrap();
 /// let zone = RangeQuery::rect(Rect::new(Point::new(0.0, 0.0), Point::new(0.4, 0.4)));
-/// let range = server.install_range(QueryId(1), zone).unwrap();
+/// server.install_spec(QueryId(1), zone, 1).unwrap(); // k is ignored for a range
 ///
 /// let changed = server
 ///     .process_cycle(
@@ -268,8 +215,8 @@ struct RnnState {
 ///     )
 ///     .unwrap();
 /// assert_eq!(changed, vec![QueryId(1)]); // left the zone; k-NN unaffected
-/// assert_eq!(server.result(knn).unwrap()[0].id, ObjectId(1));
-/// assert!(server.result(range).unwrap().is_empty());
+/// assert_eq!(server.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
+/// assert!(server.result(QueryId(1)).unwrap().is_empty());
 /// ```
 #[derive(Debug)]
 pub struct CpmServer {
@@ -361,14 +308,38 @@ impl CpmServer {
         }
     }
 
-    fn check_fresh(&self, id: QueryId) -> Result<(), CpmError> {
+    fn check_fresh(kinds: &FastHashMap<QueryId, QueryKind>, id: QueryId) -> Result<(), CpmError> {
         if id.0 >= RESERVED_ID_BASE {
             return Err(CpmError::ReservedId(id));
         }
-        if self.kinds.contains_key(&id) {
+        if kinds.contains_key(&id) {
             return Err(CpmError::DuplicateQuery(id));
         }
         Ok(())
+    }
+
+    /// The install rule of the direct and the batched surface alike:
+    /// validate installing `spec` as `id` without touching any state, and
+    /// return the `k` to install with ([`install_k`]).
+    fn check_install(
+        kinds: &FastHashMap<QueryId, QueryKind>,
+        id: QueryId,
+        spec: &AnyQuerySpec,
+        k: usize,
+    ) -> Result<usize, CpmError> {
+        Self::check_fresh(kinds, id)?;
+        if spec.kind() == QueryKind::Rnn {
+            // A bare sector spec is an internal detail of the composite
+            // registration.
+            return Err(CpmError::CompositeQuery(id));
+        }
+        if !spec.is_finite() {
+            return Err(CpmError::NonFiniteQuery(id));
+        }
+        match install_k(spec, k) {
+            0 => Err(CpmError::InvalidK(id)),
+            k => Ok(k),
+        }
     }
 
     fn check_kind(&self, id: QueryId, expected: QueryKind) -> Result<(), CpmError> {
@@ -443,39 +414,6 @@ impl CpmServer {
         self.kinds.get(&id).copied()
     }
 
-    /// Re-attach a typed handle to installed k-NN query `id` (`None` if
-    /// `id` is unknown or of another kind). Handles are normally kept
-    /// from `install_*`; this is the recovery path for callers that only
-    /// persisted the id.
-    #[must_use]
-    pub fn knn_handle(&self, id: QueryId) -> Option<KnnHandle> {
-        (self.kind_of(id) == Some(QueryKind::Knn)).then_some(KnnHandle(id))
-    }
-
-    /// Re-attach a typed handle to installed range query `id`.
-    #[must_use]
-    pub fn range_handle(&self, id: QueryId) -> Option<RangeHandle> {
-        (self.kind_of(id) == Some(QueryKind::Range)).then_some(RangeHandle(id))
-    }
-
-    /// Re-attach a typed handle to installed aggregate-NN query `id`.
-    #[must_use]
-    pub fn ann_handle(&self, id: QueryId) -> Option<AnnHandle> {
-        (self.kind_of(id) == Some(QueryKind::Ann)).then_some(AnnHandle(id))
-    }
-
-    /// Re-attach a typed handle to installed constrained query `id`.
-    #[must_use]
-    pub fn constrained_handle(&self, id: QueryId) -> Option<ConstrainedHandle> {
-        (self.kind_of(id) == Some(QueryKind::Constrained)).then_some(ConstrainedHandle(id))
-    }
-
-    /// Re-attach a typed handle to installed reverse-NN query `id`.
-    #[must_use]
-    pub fn rnn_handle(&self, id: QueryId) -> Option<RnnHandle> {
-        (self.kind_of(id) == Some(QueryKind::Rnn)).then_some(RnnHandle(id))
-    }
-
     /// The processing-cycle counter: 0 before any cycle, incremented by
     /// every cycle.
     #[must_use]
@@ -487,8 +425,7 @@ impl CpmServer {
     /// distance. `None` for unknown ids and for reverse-NN registrations
     /// (whose results are object sets — see [`CpmServer::rnn_result`]).
     #[must_use]
-    pub fn result(&self, id: impl Into<QueryId>) -> Option<&[Neighbor]> {
-        let id = id.into();
+    pub fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
         match self.kinds.get(&id) {
             Some(QueryKind::Rnn) | None => None,
             Some(_) => self.engine.result(id),
@@ -498,8 +435,8 @@ impl CpmServer {
     /// The current reverse-NN set of registration `id`, sorted by object
     /// id. `None` for unknown ids and non-RNN queries.
     #[must_use]
-    pub fn rnn_result(&self, id: impl Into<QueryId>) -> Option<&[ObjectId]> {
-        self.rnn.get(&id.into()).map(|st| st.result.as_slice())
+    pub fn rnn_result(&self, id: QueryId) -> Option<&[ObjectId]> {
+        self.rnn.get(&id).map(|st| st.result.as_slice())
     }
 
     /// Full engine book-keeping state of (non-RNN) query `id`.
@@ -533,87 +470,49 @@ impl CpmServer {
         self.engine.space_units()
     }
 
-    // ---- typed installs ----
+    // ---- the query surface ----
 
-    /// Install a continuous k-NN query: the `k` objects nearest `pos`.
+    /// Install query `id` of any single-spec kind — a [`crate::PointQuery`]
+    /// (k-NN), [`RangeQuery`], [`crate::AnnQuery`] or
+    /// [`crate::ConstrainedQuery`], or an [`AnyQuerySpec`] holding one —
+    /// the direct twin of a batched [`SpecEvent::Install`]. A range
+    /// install has `k` normalized to [`RangeQuery::UNBOUNDED_K`]. Returns
+    /// the freshly computed result.
     ///
     /// # Errors
     /// [`CpmError::ReservedId`], [`CpmError::DuplicateQuery`],
-    /// [`CpmError::InvalidK`].
-    pub fn install_knn(
+    /// [`CpmError::InvalidK`], [`CpmError::NonFiniteQuery`];
+    /// [`CpmError::CompositeQuery`] for an RNN sector spec (composite
+    /// queries install via [`CpmServer::install_rnn`]).
+    pub fn install_spec(
         &mut self,
         id: QueryId,
-        pos: Point,
+        spec: impl Into<AnyQuerySpec>,
         k: usize,
-    ) -> Result<KnnHandle, CpmError> {
-        self.check_fresh(id)?;
-        self.engine
-            .install(id, AnyQuerySpec::Knn(PointQuery(pos)), k)?;
-        self.kinds.insert(id, QueryKind::Knn);
-        Ok(KnnHandle(id))
-    }
-
-    /// Install a continuous range query: every object inside the region.
-    ///
-    /// # Errors
-    /// [`CpmError::ReservedId`], [`CpmError::DuplicateQuery`].
-    pub fn install_range(
-        &mut self,
-        id: QueryId,
-        query: RangeQuery,
-    ) -> Result<RangeHandle, CpmError> {
-        self.check_fresh(id)?;
-        self.engine
-            .install(id, AnyQuerySpec::Range(query), RangeQuery::UNBOUNDED_K)?;
-        self.kinds.insert(id, QueryKind::Range);
-        Ok(RangeHandle(id))
-    }
-
-    /// Install a continuous aggregate-NN query (Section 5).
-    ///
-    /// # Errors
-    /// [`CpmError::ReservedId`], [`CpmError::DuplicateQuery`],
-    /// [`CpmError::InvalidK`].
-    pub fn install_ann(
-        &mut self,
-        id: QueryId,
-        query: AnnQuery,
-        k: usize,
-    ) -> Result<AnnHandle, CpmError> {
-        self.check_fresh(id)?;
-        self.engine.install(id, AnyQuerySpec::Ann(query), k)?;
-        self.kinds.insert(id, QueryKind::Ann);
-        Ok(AnnHandle(id))
-    }
-
-    /// Install a continuous constrained-NN query (Section 5).
-    ///
-    /// # Errors
-    /// [`CpmError::ReservedId`], [`CpmError::DuplicateQuery`],
-    /// [`CpmError::InvalidK`].
-    pub fn install_constrained(
-        &mut self,
-        id: QueryId,
-        query: ConstrainedQuery,
-        k: usize,
-    ) -> Result<ConstrainedHandle, CpmError> {
-        self.check_fresh(id)?;
-        self.engine
-            .install(id, AnyQuerySpec::Constrained(query), k)?;
-        self.kinds.insert(id, QueryKind::Constrained);
-        Ok(ConstrainedHandle(id))
+    ) -> Result<&[Neighbor], CpmError> {
+        let spec = spec.into();
+        let k = Self::check_install(&self.kinds, id, &spec, k)?;
+        let kind = spec.kind();
+        self.engine.install(id, spec, k)?;
+        self.kinds.insert(id, kind);
+        Ok(self.engine.result(id).expect("just installed"))
     }
 
     /// Install a continuous reverse-NN query at `pos`: six sector
     /// candidates on reserved internal ids plus circle verification.
+    /// Returns the verified RNN set.
     ///
     /// # Errors
     /// [`CpmError::ReservedId`] (also when `id` is too large for the
-    /// sector-id mapping), [`CpmError::DuplicateQuery`].
-    pub fn install_rnn(&mut self, id: QueryId, pos: Point) -> Result<RnnHandle, CpmError> {
-        self.check_fresh(id)?;
+    /// sector-id mapping), [`CpmError::DuplicateQuery`],
+    /// [`CpmError::NonFiniteQuery`].
+    pub fn install_rnn(&mut self, id: QueryId, pos: Point) -> Result<&[ObjectId], CpmError> {
+        Self::check_fresh(&self.kinds, id)?;
         if id.0 > RNN_MAX_ID {
             return Err(CpmError::ReservedId(id));
+        }
+        if !pos.is_finite() {
+            return Err(CpmError::NonFiniteQuery(id));
         }
         for sector in 0..SECTORS {
             self.engine
@@ -626,67 +525,51 @@ impl CpmServer {
         }
         let result = Self::verify_rnn(&self.engine, &mut self.verify_metrics, id);
         self.kinds.insert(id, QueryKind::Rnn);
-        self.rnn.insert(id, RnnState { q: pos, result });
-        Ok(RnnHandle(id))
+        Ok(&self
+            .rnn
+            .entry(id)
+            .or_insert(RnnState { q: pos, result })
+            .result)
     }
 
-    // ---- typed updates ----
-
-    /// Move k-NN query `h` to `pos`; returns the recomputed result.
+    /// Replace the geometry of (non-RNN) query `id` with a spec of the
+    /// *same kind*; returns the recomputed result.
     ///
     /// # Errors
-    /// [`CpmError::UnknownQuery`] if the query was terminated,
-    /// [`CpmError::KindMismatch`] if the id was re-used for another kind.
-    pub fn update_knn(&mut self, h: KnnHandle, pos: Point) -> Result<&[Neighbor], CpmError> {
-        self.check_kind(h.id(), QueryKind::Knn)?;
-        self.engine
-            .update_spec(h.id(), AnyQuerySpec::Knn(PointQuery(pos)))
-    }
-
-    /// Replace the region of range query `h`.
-    ///
-    /// # Errors
-    /// See [`CpmServer::update_knn`].
-    pub fn update_range(
+    /// [`CpmError::UnknownQuery`]; [`CpmError::KindMismatch`] when the
+    /// spec's kind differs from the registered kind;
+    /// [`CpmError::CompositeQuery`] when the spec is an RNN sector (a
+    /// reverse-NN registration moves via [`CpmServer::update_rnn`]);
+    /// [`CpmError::NonFiniteQuery`].
+    pub fn update_spec(
         &mut self,
-        h: RangeHandle,
-        query: RangeQuery,
+        id: QueryId,
+        spec: impl Into<AnyQuerySpec>,
     ) -> Result<&[Neighbor], CpmError> {
-        self.check_kind(h.id(), QueryKind::Range)?;
-        self.engine.update_spec(h.id(), AnyQuerySpec::Range(query))
+        let spec = spec.into();
+        self.check_kind(id, spec.kind())?;
+        if spec.kind() == QueryKind::Rnn {
+            // A bare sector spec can never address a composite
+            // registration.
+            return Err(CpmError::CompositeQuery(id));
+        }
+        if !spec.is_finite() {
+            return Err(CpmError::NonFiniteQuery(id));
+        }
+        self.engine.update_spec(id, spec)
     }
 
-    /// Replace the point set / aggregate of ANN query `h`.
-    ///
-    /// # Errors
-    /// See [`CpmServer::update_knn`].
-    pub fn update_ann(&mut self, h: AnnHandle, query: AnnQuery) -> Result<&[Neighbor], CpmError> {
-        self.check_kind(h.id(), QueryKind::Ann)?;
-        self.engine.update_spec(h.id(), AnyQuerySpec::Ann(query))
-    }
-
-    /// Replace the point and/or region of constrained query `h`.
-    ///
-    /// # Errors
-    /// See [`CpmServer::update_knn`].
-    pub fn update_constrained(
-        &mut self,
-        h: ConstrainedHandle,
-        query: ConstrainedQuery,
-    ) -> Result<&[Neighbor], CpmError> {
-        self.check_kind(h.id(), QueryKind::Constrained)?;
-        self.engine
-            .update_spec(h.id(), AnyQuerySpec::Constrained(query))
-    }
-
-    /// Move reverse-NN query `h` to `pos`; returns the re-verified RNN
+    /// Move reverse-NN query `id` to `pos`; returns the re-verified RNN
     /// set.
     ///
     /// # Errors
-    /// See [`CpmServer::update_knn`].
-    pub fn update_rnn(&mut self, h: RnnHandle, pos: Point) -> Result<&[ObjectId], CpmError> {
-        let id = h.id();
+    /// [`CpmError::UnknownQuery`]; [`CpmError::KindMismatch`] when `id`
+    /// is not a reverse-NN registration; [`CpmError::NonFiniteQuery`].
+    pub fn update_rnn(&mut self, id: QueryId, pos: Point) -> Result<&[ObjectId], CpmError> {
         self.check_kind(id, QueryKind::Rnn)?;
+        if !pos.is_finite() {
+            return Err(CpmError::NonFiniteQuery(id));
+        }
         for sector in 0..SECTORS {
             self.engine
                 .update_spec(
@@ -702,70 +585,11 @@ impl CpmServer {
         Ok(&st.result)
     }
 
-    // ---- untyped registry surface ----
-
-    /// Replace the geometry of (non-RNN) query `id` with a spec of the
-    /// *same kind*.
-    ///
-    /// # Errors
-    /// [`CpmError::UnknownQuery`]; [`CpmError::KindMismatch`] when the
-    /// spec's kind differs from the registered kind;
-    /// [`CpmError::CompositeQuery`] when `id` is (or the spec addresses)
-    /// a reverse-NN registration, which is updated via
-    /// [`CpmServer::update_rnn`].
-    pub fn update_spec(
-        &mut self,
-        id: QueryId,
-        spec: AnyQuerySpec,
-    ) -> Result<&[Neighbor], CpmError> {
-        self.check_kind(id, spec.kind())?;
-        if spec.kind() == QueryKind::Rnn {
-            // A bare sector spec can never address a composite
-            // registration.
-            return Err(CpmError::CompositeQuery(id));
-        }
-        self.engine.update_spec(id, spec)
-    }
-
-    /// Install a (non-RNN) query from its unified spec — the
-    /// programmatic twin of a batched [`SpecEvent::Install`], for
-    /// routing layers (e.g. a cluster worker) that carry
-    /// [`AnyQuerySpec`] values instead of typed handles. Range installs
-    /// have `k` normalized to [`RangeQuery::UNBOUNDED_K`], matching the
-    /// batched event surface. Returns the freshly computed result.
-    ///
-    /// # Errors
-    /// [`CpmError::ReservedId`], [`CpmError::DuplicateQuery`],
-    /// [`CpmError::InvalidK`]; [`CpmError::CompositeQuery`] for an RNN
-    /// sector spec (composite queries install via
-    /// [`CpmServer::install_rnn`]).
-    pub fn install_spec(
-        &mut self,
-        id: QueryId,
-        spec: AnyQuerySpec,
-        k: usize,
-    ) -> Result<&[Neighbor], CpmError> {
-        self.check_fresh(id)?;
-        let kind = spec.kind();
-        if kind == QueryKind::Rnn {
-            return Err(CpmError::CompositeQuery(id));
-        }
-        let k = if kind == QueryKind::Range {
-            RangeQuery::UNBOUNDED_K
-        } else {
-            k
-        };
-        self.engine.install(id, spec, k)?;
-        self.kinds.insert(id, kind);
-        Ok(self.engine.result(id).expect("just installed"))
-    }
-
     /// Terminate query `id`, of any kind.
     ///
     /// # Errors
     /// [`CpmError::UnknownQuery`] if `id` is not installed.
-    pub fn terminate(&mut self, id: impl Into<QueryId>) -> Result<(), CpmError> {
-        let id = id.into();
+    pub fn terminate(&mut self, id: QueryId) -> Result<(), CpmError> {
         match self.kinds.get(&id) {
             None => Err(CpmError::UnknownQuery(id)),
             Some(QueryKind::Rnn) => {
@@ -813,28 +637,7 @@ impl CpmServer {
             }
             match ev {
                 SpecEvent::Install { id, spec, k } => {
-                    if id.0 >= RESERVED_ID_BASE {
-                        return Err(CpmError::ReservedId(*id));
-                    }
-                    if kinds.contains_key(id) {
-                        return Err(CpmError::DuplicateQuery(*id));
-                    }
-                    let kind = spec.kind();
-                    if kind == QueryKind::Rnn {
-                        // A bare sector spec is an internal detail of the
-                        // composite registration.
-                        return Err(CpmError::CompositeQuery(*id));
-                    }
-                    // Range results are unbounded; normalize the sentinel
-                    // so callers cannot accidentally cap a region.
-                    let k = if kind == QueryKind::Range {
-                        RangeQuery::UNBOUNDED_K
-                    } else {
-                        *k
-                    };
-                    if k == 0 {
-                        return Err(CpmError::InvalidK(*id));
-                    }
+                    let k = Self::check_install(kinds, *id, spec, *k)?;
                     event_scratch.push(SpecEvent::Install {
                         id: *id,
                         spec: spec.clone(),
@@ -854,6 +657,9 @@ impl CpmServer {
                             })
                         }
                         Some(_) => {}
+                    }
+                    if !spec.is_finite() {
+                        return Err(CpmError::NonFiniteQuery(*id));
                     }
                     event_scratch.push(ev.clone());
                 }
@@ -954,7 +760,8 @@ impl CpmServer {
     /// # Errors
     /// [`CpmError::DuplicateQuery`] / [`CpmError::UnknownQuery`] /
     /// [`CpmError::KindMismatch`] / [`CpmError::InvalidK`] /
-    /// [`CpmError::ReservedId`] for an invalid query-event batch;
+    /// [`CpmError::ReservedId`] / [`CpmError::CompositeQuery`] /
+    /// [`CpmError::NonFiniteQuery`] for an invalid query-event batch;
     /// [`CpmError::ObjectIdOutOfRange`] / [`CpmError::NonFiniteCoordinate`]
     /// / [`CpmError::OutOfWorkspace`] / [`CpmError::DuplicateObject`] for
     /// an invalid object-event batch.
@@ -1115,7 +922,8 @@ impl CpmServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AggregateFn;
+    use crate::engine::PointQuery;
+    use crate::{AggregateFn, AnnQuery, ConstrainedQuery};
     use cpm_geom::Rect;
 
     fn small_server(threads: usize) -> CpmServer {
@@ -1130,45 +938,55 @@ mod tests {
     #[test]
     fn typed_installs_reject_registry_misuse() {
         let mut s = small_server(1);
-        let h = s.install_knn(QueryId(0), Point::new(0.5, 0.5), 3).unwrap();
+        let _ = s
+            .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 3)
+            .unwrap();
         assert_eq!(
-            s.install_range(QueryId(0), RangeQuery::circle(Point::new(0.5, 0.5), 0.1))
+            s.install_spec(QueryId(0), RangeQuery::circle(Point::new(0.5, 0.5), 0.1), 1)
                 .unwrap_err(),
             CpmError::DuplicateQuery(QueryId(0))
         );
         assert_eq!(
-            s.install_knn(QueryId(1), Point::new(0.5, 0.5), 0)
+            s.install_spec(QueryId(1), PointQuery(Point::new(0.5, 0.5)), 0)
                 .unwrap_err(),
             CpmError::InvalidK(QueryId(1))
         );
         assert_eq!(
-            s.install_knn(QueryId(RESERVED_ID_BASE), Point::new(0.5, 0.5), 1)
-                .unwrap_err(),
-            CpmError::ReservedId(QueryId(RESERVED_ID_BASE))
-        );
-        // Kind confusion through the untyped surface is a typed error...
-        assert_eq!(
-            s.update_spec(
-                QueryId(0),
-                AnyQuerySpec::Range(RangeQuery::circle(Point::new(0.1, 0.1), 0.1))
+            s.install_spec(
+                QueryId(RESERVED_ID_BASE),
+                PointQuery(Point::new(0.5, 0.5)),
+                1
             )
             .unwrap_err(),
+            CpmError::ReservedId(QueryId(RESERVED_ID_BASE))
+        );
+        // Kind confusion is a typed error, and nothing changes.
+        assert_eq!(
+            s.update_spec(QueryId(0), RangeQuery::circle(Point::new(0.1, 0.1), 0.1))
+                .unwrap_err(),
             CpmError::KindMismatch {
                 id: QueryId(0),
                 expected: QueryKind::Range,
                 actual: QueryKind::Knn,
             }
         );
-        // ...while the typed surface keeps it out of the program entirely
-        // (update_knn only accepts a KnnHandle).
-        assert_eq!(s.update_knn(h, Point::new(0.2, 0.2)).unwrap().len(), 3);
+        assert_eq!(
+            s.update_rnn(QueryId(0), Point::new(0.1, 0.1)).unwrap_err(),
+            CpmError::KindMismatch {
+                id: QueryId(0),
+                expected: QueryKind::Rnn,
+                actual: QueryKind::Knn,
+            }
+        );
+        let moved = PointQuery(Point::new(0.2, 0.2));
+        assert_eq!(s.update_spec(QueryId(0), moved).unwrap().len(), 3);
         assert_eq!(
             s.terminate(QueryId(9)).unwrap_err(),
             CpmError::UnknownQuery(QueryId(9))
         );
-        s.terminate(h).unwrap();
+        s.terminate(QueryId(0)).unwrap();
         assert_eq!(
-            s.update_knn(h, Point::new(0.3, 0.3)).unwrap_err(),
+            s.update_spec(QueryId(0), moved).unwrap_err(),
             CpmError::UnknownQuery(QueryId(0))
         );
         s.check_invariants();
@@ -1178,38 +996,36 @@ mod tests {
     fn every_kind_coexists_on_one_grid() {
         for threads in [1usize, 4] {
             let mut s = small_server(threads);
-            let knn = s.install_knn(QueryId(0), Point::new(0.5, 0.5), 3).unwrap();
-            let range = s
-                .install_range(
-                    QueryId(1),
-                    RangeQuery::rect(Rect::new(Point::new(0.2, 0.2), Point::new(0.7, 0.7))),
-                )
-                .unwrap();
-            let ann = s
-                .install_ann(
-                    QueryId(2),
+            let specs: [(AnyQuerySpec, usize); 4] = [
+                (PointQuery(Point::new(0.5, 0.5)).into(), 3),
+                (
+                    RangeQuery::rect(Rect::new(Point::new(0.2, 0.2), Point::new(0.7, 0.7))).into(),
+                    1,
+                ),
+                (
                     AnnQuery::new(
                         vec![Point::new(0.3, 0.3), Point::new(0.6, 0.6)],
                         AggregateFn::Sum,
-                    ),
+                    )
+                    .into(),
                     2,
-                )
-                .unwrap();
-            let con = s
-                .install_constrained(
-                    QueryId(3),
-                    ConstrainedQuery::northeast_of(Point::new(0.4, 0.4)),
+                ),
+                (
+                    ConstrainedQuery::northeast_of(Point::new(0.4, 0.4)).into(),
                     2,
-                )
-                .unwrap();
-            let rnn = s.install_rnn(QueryId(4), Point::new(0.55, 0.45)).unwrap();
+                ),
+            ];
+            for (id, (spec, k)) in (0..).map(QueryId).zip(specs) {
+                let _ = s.install_spec(id, spec, k).unwrap();
+            }
+            let (rnn, con) = (QueryId(4), QueryId(3));
+            let _ = s.install_rnn(rnn, Point::new(0.55, 0.45)).unwrap();
             assert_eq!(s.query_count(), 5);
-            assert_eq!(s.kind_of(QueryId(4)), Some(QueryKind::Rnn));
-            assert!(s.result(knn).is_some());
-            assert!(s.result(range).is_some());
-            assert!(s.result(ann).is_some());
-            assert!(s.result(con).is_some());
-            assert!(s.result(QueryId(4)).is_none(), "RNN results are sets");
+            assert_eq!(s.kind_of(rnn), Some(QueryKind::Rnn));
+            for id in (0..4).map(QueryId) {
+                assert!(s.result(id).is_some());
+            }
+            assert!(s.result(rnn).is_none(), "RNN results are sets");
             assert!(s.rnn_result(rnn).is_some());
             s.check_invariants();
 
@@ -1237,7 +1053,9 @@ mod tests {
     #[test]
     fn event_batches_are_validated_before_running() {
         let mut s = small_server(2);
-        let _ = s.install_knn(QueryId(0), Point::new(0.5, 0.5), 2).unwrap();
+        let _ = s
+            .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
+            .unwrap();
         let epoch = s.epoch();
         // Unknown update: rejected, cycle did not run.
         let err = s
@@ -1315,11 +1133,8 @@ mod tests {
             CpmError::CompositeQuery(QueryId(3))
         );
         assert_eq!(
-            s.update_spec(
-                QueryId(3),
-                AnyQuerySpec::Rnn(RnnQuery::new(Point::new(0.1, 0.1), 0))
-            )
-            .unwrap_err(),
+            s.update_spec(QueryId(3), RnnQuery::new(Point::new(0.1, 0.1), 0))
+                .unwrap_err(),
             CpmError::CompositeQuery(QueryId(3))
         );
         s.terminate(QueryId(3)).unwrap();
@@ -1329,13 +1144,11 @@ mod tests {
     #[test]
     fn per_kind_metrics_partition_the_flat_counters() {
         let mut s = small_server(1);
-        let _ = s.install_knn(QueryId(0), Point::new(0.5, 0.5), 4).unwrap();
         let _ = s
-            .install_range(
-                QueryId(1),
-                RangeQuery::rect(Rect::new(Point::new(0.1, 0.1), Point::new(0.6, 0.6))),
-            )
+            .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 4)
             .unwrap();
+        let zone = RangeQuery::rect(Rect::new(Point::new(0.1, 0.1), Point::new(0.6, 0.6)));
+        let _ = s.install_spec(QueryId(1), zone, 1).unwrap();
         let _ = s.install_rnn(QueryId(2), Point::new(0.4, 0.6)).unwrap();
         for step in 0..8u32 {
             let events: Vec<ObjectEvent> = (0..8u32)
@@ -1371,7 +1184,9 @@ mod tests {
         let mut s = CpmServerBuilder::new(16).threads(2).deltas(true).build();
         assert!(s.collects_deltas());
         s.populate((0..30u32).map(|i| (ObjectId(i), Point::new(i as f64 / 30.0, 0.5))));
-        let _ = s.install_knn(QueryId(0), Point::new(0.05, 0.5), 3).unwrap();
+        let _ = s
+            .install_spec(QueryId(0), PointQuery(Point::new(0.05, 0.5)), 3)
+            .unwrap();
         let _ = s.install_rnn(QueryId(1), Point::new(0.8, 0.5)).unwrap();
         let mut out = CycleDeltas::default();
         for step in 0..6u32 {

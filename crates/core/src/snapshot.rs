@@ -40,10 +40,10 @@ use cpm_wire::{
 
 use crate::any::AnyQuerySpec;
 use crate::delta::CycleDeltas;
-use crate::engine::{PointQuery, QuerySpec, SpecEvent};
+use crate::engine::{QuerySpec, SpecEvent};
 use crate::error::CpmError;
 use crate::neighbors::Neighbor;
-use crate::server::{CpmServer, QueryHandle, RESERVED_ID_BASE, SECTORS};
+use crate::server::{install_k, CpmServer, RESERVED_ID_BASE, SECTORS};
 use crate::shard::ShardedCpmEngine;
 
 /// A logical snapshot of a [`ShardedCpmEngine`]: everything needed to
@@ -443,8 +443,7 @@ impl CpmServer {
 }
 
 /// One durable operation, as the journal records it. `Cycle` carries the
-/// full event batches; the direct-call surface (typed installs, RNN
-/// moves, terminations) gets one record per call.
+/// full event batches; each call of the direct surface gets one record.
 #[derive(Debug, Clone)]
 pub enum JournalRecord {
     /// One processing cycle's input batches.
@@ -454,9 +453,9 @@ pub enum JournalRecord {
         /// The cycle's query events.
         query_events: Vec<SpecEvent<AnyQuerySpec>>,
     },
-    /// A typed single-spec install (`install_knn` / `install_range` /
-    /// `install_ann` / `install_constrained`). Never an RNN spec — those
-    /// are composite and recorded as [`JournalRecord::InstallRnn`].
+    /// An `install_spec` call, with the `k` it installed with. Never an
+    /// RNN spec — those are composite and recorded as
+    /// [`JournalRecord::InstallRnn`].
     Install {
         /// The query id.
         id: QueryId,
@@ -472,7 +471,7 @@ pub enum JournalRecord {
         /// The query point.
         pos: Point,
     },
-    /// An `update_spec` (or typed update) call.
+    /// An `update_spec` call.
     Update {
         /// The query id.
         id: QueryId,
@@ -509,29 +508,12 @@ impl JournalRecord {
                         .map(|_| ())
                 }
             }
-            JournalRecord::Install { id, spec, k } => match spec {
-                AnyQuerySpec::Knn(PointQuery(p)) => server.install_knn(*id, *p, *k).map(|_| ()),
-                AnyQuerySpec::Range(q) => server.install_range(*id, *q).map(|_| ()),
-                AnyQuerySpec::Ann(q) => server.install_ann(*id, q.clone(), *k).map(|_| ()),
-                AnyQuerySpec::Constrained(q) => {
-                    server.install_constrained(*id, q.clone(), *k).map(|_| ())
-                }
-                AnyQuerySpec::Rnn(_) => Err(CpmError::CompositeQuery(*id)),
-            },
+            JournalRecord::Install { id, spec, k } => {
+                server.install_spec(*id, spec.clone(), *k).map(|_| ())
+            }
             JournalRecord::InstallRnn { id, pos } => server.install_rnn(*id, *pos).map(|_| ()),
             JournalRecord::Update { id, spec } => server.update_spec(*id, spec.clone()).map(|_| ()),
-            JournalRecord::UpdateRnn { id, pos } => match server.kind_of(*id) {
-                None => Err(CpmError::UnknownQuery(*id)),
-                Some(QueryKind::Rnn) => {
-                    let h = server.rnn_handle(*id).expect("kind-checked");
-                    server.update_rnn(h, *pos).map(|_| ())
-                }
-                Some(actual) => Err(CpmError::KindMismatch {
-                    id: *id,
-                    expected: QueryKind::Rnn,
-                    actual,
-                }),
-            },
+            JournalRecord::UpdateRnn { id, pos } => server.update_rnn(*id, *pos).map(|_| ()),
             JournalRecord::Terminate { id } => server.terminate(*id),
         }
     }
@@ -757,115 +739,58 @@ impl DurableCpmServer {
         Ok(out)
     }
 
-    /// Journaled [`CpmServer::install_knn`].
-    pub fn install_knn(
+    /// Journaled [`CpmServer::install_spec`]. The record carries the `k`
+    /// the query was installed with (a range's is
+    /// [`crate::RangeQuery::UNBOUNDED_K`]).
+    pub fn install_spec(
         &mut self,
         id: QueryId,
-        pos: Point,
+        spec: impl Into<AnyQuerySpec>,
         k: usize,
-    ) -> Result<crate::server::KnnHandle, CpmError> {
-        self.journaled(
-            &JournalRecord::Install {
-                id,
-                spec: AnyQuerySpec::Knn(PointQuery(pos)),
-                k,
-            },
-            |s| s.install_knn(id, pos, k),
-        )
-    }
-
-    /// Journaled [`CpmServer::install_range`].
-    pub fn install_range(
-        &mut self,
-        id: QueryId,
-        query: crate::range::RangeQuery,
-    ) -> Result<crate::server::RangeHandle, CpmError> {
-        self.journaled(
-            &JournalRecord::Install {
-                id,
-                spec: AnyQuerySpec::Range(query),
-                k: crate::range::RangeQuery::UNBOUNDED_K,
-            },
-            |s| s.install_range(id, query),
-        )
-    }
-
-    /// Journaled [`CpmServer::install_ann`].
-    pub fn install_ann(
-        &mut self,
-        id: QueryId,
-        query: crate::ann::AnnQuery,
-        k: usize,
-    ) -> Result<crate::server::AnnHandle, CpmError> {
-        self.journaled(
-            &JournalRecord::Install {
-                id,
-                spec: AnyQuerySpec::Ann(query.clone()),
-                k,
-            },
-            |s| s.install_ann(id, query.clone(), k),
-        )
-    }
-
-    /// Journaled [`CpmServer::install_constrained`].
-    pub fn install_constrained(
-        &mut self,
-        id: QueryId,
-        query: crate::constrained::ConstrainedQuery,
-        k: usize,
-    ) -> Result<crate::server::ConstrainedHandle, CpmError> {
-        self.journaled(
-            &JournalRecord::Install {
-                id,
-                spec: AnyQuerySpec::Constrained(query.clone()),
-                k,
-            },
-            |s| s.install_constrained(id, query, k),
-        )
+    ) -> Result<&[Neighbor], CpmError> {
+        let spec = spec.into();
+        let record = JournalRecord::Install {
+            id,
+            k: install_k(&spec, k),
+            spec: spec.clone(),
+        };
+        self.journaled(&record, |s| s.install_spec(id, spec, k).map(|_| ()))?;
+        Ok(self.server.result(id).expect("just installed"))
     }
 
     /// Journaled [`CpmServer::install_rnn`].
-    pub fn install_rnn(
-        &mut self,
-        id: QueryId,
-        pos: Point,
-    ) -> Result<crate::server::RnnHandle, CpmError> {
+    pub fn install_rnn(&mut self, id: QueryId, pos: Point) -> Result<&[ObjectId], CpmError> {
         self.journaled(&JournalRecord::InstallRnn { id, pos }, |s| {
-            s.install_rnn(id, pos)
-        })
+            s.install_rnn(id, pos).map(|_| ())
+        })?;
+        Ok(self.server.rnn_result(id).expect("just installed"))
     }
 
-    /// Journaled [`CpmServer::update_spec`]; returns the recomputed
-    /// result by value (the journal append ends the borrow).
+    /// Journaled [`CpmServer::update_spec`].
     pub fn update_spec(
         &mut self,
         id: QueryId,
-        spec: AnyQuerySpec,
-    ) -> Result<Vec<Neighbor>, CpmError> {
-        self.journaled(
-            &JournalRecord::Update {
-                id,
-                spec: spec.clone(),
-            },
-            |s| s.update_spec(id, spec.clone()).map(<[Neighbor]>::to_vec),
-        )
+        spec: impl Into<AnyQuerySpec>,
+    ) -> Result<&[Neighbor], CpmError> {
+        let spec = spec.into();
+        let record = JournalRecord::Update {
+            id,
+            spec: spec.clone(),
+        };
+        self.journaled(&record, |s| s.update_spec(id, spec).map(|_| ()))?;
+        Ok(self.server.result(id).expect("just updated"))
     }
 
-    /// Journaled [`CpmServer::update_rnn`]; returns the re-verified set
-    /// by value.
-    pub fn update_rnn(
-        &mut self,
-        h: crate::server::RnnHandle,
-        pos: Point,
-    ) -> Result<Vec<ObjectId>, CpmError> {
-        self.journaled(&JournalRecord::UpdateRnn { id: h.id(), pos }, |s| {
-            s.update_rnn(h, pos).map(<[ObjectId]>::to_vec)
-        })
+    /// Journaled [`CpmServer::update_rnn`].
+    pub fn update_rnn(&mut self, id: QueryId, pos: Point) -> Result<&[ObjectId], CpmError> {
+        self.journaled(&JournalRecord::UpdateRnn { id, pos }, |s| {
+            s.update_rnn(id, pos).map(|_| ())
+        })?;
+        Ok(self.server.rnn_result(id).expect("just updated"))
     }
 
     /// Journaled [`CpmServer::terminate`].
-    pub fn terminate(&mut self, id: impl Into<QueryId>) -> Result<(), CpmError> {
-        let id = id.into();
+    pub fn terminate(&mut self, id: QueryId) -> Result<(), CpmError> {
         self.journaled(&JournalRecord::Terminate { id }, |s| s.terminate(id))
     }
 
@@ -969,6 +894,7 @@ impl DurableCpmServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PointQuery;
     use crate::server::CpmServerBuilder;
 
     fn seeded_server(threads: usize, deltas: bool) -> CpmServer {
@@ -980,13 +906,11 @@ mod tests {
             let t = f64::from(i) / 50.0;
             (ObjectId(i), Point::new(t, (t * 3.7) % 1.0))
         }));
-        let _ = s.install_knn(QueryId(0), Point::new(0.5, 0.5), 3).unwrap();
         let _ = s
-            .install_range(
-                QueryId(1),
-                crate::range::RangeQuery::circle(Point::new(0.3, 0.3), 0.2),
-            )
+            .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 3)
             .unwrap();
+        let zone = crate::range::RangeQuery::circle(Point::new(0.3, 0.3), 0.2);
+        let _ = s.install_spec(QueryId(1), zone, 1).unwrap();
         let _ = s.install_rnn(QueryId(2), Point::new(0.6, 0.4)).unwrap();
         s
     }

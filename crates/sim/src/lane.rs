@@ -179,10 +179,11 @@ impl Lane for ServerLane {
             _ => {}
         }
         for &(id, pos) in &ops.rnn_moves {
-            match server.rnn_handle(id) {
-                Some(h) => drop(server.update_rnn(h, pos).expect("a valid move")),
-                None => drop(server.install_rnn(id, pos).expect("a fresh id")),
-            }
+            let placed = match server.kind_of(id) {
+                Some(_) => server.update_rnn(id, pos),
+                None => server.install_rnn(id, pos),
+            };
+            placed.expect("a valid RNN move or a fresh id");
         }
         let mut out = CycleDeltas::default();
         server
@@ -208,14 +209,15 @@ impl DurableLane {
     fn cycle(&mut self, ops: &CycleOps) -> CycleDeltas {
         if let Some(Control::InstallOutOfBand { id, pos, k }) = ops.control {
             if self.0.server().kind_of(id).is_none() {
-                let _ = self.0.install_knn(id, pos, k).expect("a fresh id");
+                let _ = self.0.install_spec(id, knn(pos), k).expect("a fresh id");
             }
         }
         for &(id, pos) in &ops.rnn_moves {
-            match self.0.server().rnn_handle(id) {
-                Some(h) => drop(self.0.update_rnn(h, pos).expect("a valid move")),
-                None => drop(self.0.install_rnn(id, pos).expect("a fresh id")),
-            }
+            let placed = match self.0.server().kind_of(id) {
+                Some(_) => self.0.update_rnn(id, pos),
+                None => self.0.install_rnn(id, pos),
+            };
+            placed.expect("a valid RNN move or a fresh id");
         }
         let mut out = CycleDeltas::default();
         self.0

@@ -67,8 +67,7 @@
 //!
 //! // A query that already has a result (installed outside a cycle, or
 //! // live on a recovered server) is seeded from it instead.
-//! let handle = server.install_knn(QueryId(1), Point::new(0.9, 0.5), 1)?;
-//! let current = server.result(handle).unwrap();
+//! let current = server.install_spec(QueryId(1), PointQuery(Point::new(0.9, 0.5)), 1)?;
 //! fanout.subscribe_from(QueryId(1), current);
 //! let late = Replica::from_snapshot(fanout.epoch(), current.to_vec());
 //! assert_eq!(late.result()[0].id, ObjectId(8));

@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --release --example unified_dispatch`
 
-use cpm_suite::core::{ConstrainedQuery, CpmServerBuilder, RangeQuery};
+use cpm_suite::core::{ConstrainedQuery, CpmServerBuilder, PointQuery, RangeQuery};
 use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
 use cpm_suite::grid::{ObjectEvent, QueryKind};
 use rand::rngs::StdRng;
@@ -35,23 +35,19 @@ fn main() {
             .map(|(i, &p)| (ObjectId(i as u32), p)),
     );
 
-    // One registry, three products — the typed handles keep each result
-    // channel honest at compile time.
-    let rider = server
-        .install_knn(QueryId(0), Point::new(0.32, 0.68), 3)
+    // One registry, three products, each addressed by its id: one
+    // install call takes any query geometry.
+    let (rider, stadium, hub) = (QueryId(0), QueryId(1), QueryId(2));
+    server
+        .install_spec(rider, PointQuery(Point::new(0.32, 0.68)), 3)
         .expect("fresh id");
-    let stadium = server
-        .install_range(QueryId(1), RangeQuery::circle(Point::new(0.72, 0.30), 0.12))
+    let geofence = RangeQuery::circle(Point::new(0.72, 0.30), 0.12);
+    server
+        .install_spec(stadium, geofence, RangeQuery::UNBOUNDED_K)
         .expect("fresh id");
-    let hub = server
-        .install_constrained(
-            QueryId(2),
-            ConstrainedQuery::new(
-                Point::new(0.55, 0.55),
-                Rect::new(Point::new(0.5, 0.5), Point::new(0.95, 0.95)),
-            ),
-            2,
-        )
+    let zone = Rect::new(Point::new(0.5, 0.5), Point::new(0.95, 0.95));
+    server
+        .install_spec(hub, ConstrainedQuery::new(Point::new(0.55, 0.55), zone), 2)
         .expect("fresh id");
 
     println!(

@@ -57,9 +57,9 @@
 //! // kind on one grid, malformed batches rejected as typed errors.
 //! let mut server = CpmServerBuilder::new(128).build();
 //! server.populate(taxis);
-//! let q = server.install_knn(QueryId(0), Point::new(0.5, 0.5), 2)?;
+//! server.install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)?;
 //! server.process_cycle(&update, &[])?;
-//! assert_eq!(server.result(q).unwrap()[0].id, ObjectId(2));
+//! assert_eq!(server.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
 //! # Ok::<(), cpm_suite::core::CpmError>(())
 //! ```
 

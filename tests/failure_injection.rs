@@ -3,7 +3,10 @@
 //! out-of-range coordinates, and malformed event batches rejected at the
 //! unified server's ingest boundary.
 
-use cpm_suite::core::{CpmError, CpmServer, CpmServerBuilder, PointQuery, ShardedCpmEngine};
+use cpm_suite::core::{
+    AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServer, CpmServerBuilder,
+    DurableCpmServer, PointQuery, RangeQuery, Region, ShardedCpmEngine, SpecEvent,
+};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{ObjectEvent, QueryEvent};
 use cpm_suite::sim::{run, AlgoKind, KnnMonitorAlgo, OracleMonitor};
@@ -222,7 +225,9 @@ fn out_of_range_coordinates_are_clamped_not_fatal() {
 fn small_server() -> CpmServer {
     let mut s = CpmServerBuilder::new(16).threads(2).build();
     s.populate((0..20u32).map(|i| (ObjectId(i), Point::new(f64::from(i) / 20.0, 0.5))));
-    let _ = s.install_knn(QueryId(0), Point::new(0.5, 0.5), 3).unwrap();
+    let _ = s
+        .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 3)
+        .unwrap();
     s
 }
 
@@ -328,6 +333,106 @@ fn server_rejects_malformed_event_batches_typed() {
     assert_eq!(s.epoch(), 1);
     let _ = changed;
     s.check_invariants();
+}
+
+/// One query geometry per kind whose numbers no search can use: a NaN or
+/// infinite point, corner or centre, and a negative radius.
+fn non_finite_specs() -> Vec<AnyQuerySpec> {
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let unit = cpm_suite::geom::Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
+    let circle = |center, radius| RangeQuery {
+        region: Region::Circle { center, radius },
+    };
+    vec![
+        PointQuery(Point::new(nan, 0.5)).into(),
+        PointQuery(Point::new(inf, 0.5)).into(),
+        circle(Point::new(0.5, -inf), 0.1).into(),
+        circle(Point::new(0.5, 0.5), -0.25).into(),
+        circle(Point::new(0.5, 0.5), inf).into(),
+        AnnQuery::new(
+            vec![Point::new(0.2, 0.2), Point::new(nan, nan)],
+            cpm_suite::core::AggregateFn::Sum,
+        )
+        .into(),
+        ConstrainedQuery::new(Point::new(0.5, nan), unit).into(),
+    ]
+}
+
+/// A NaN or infinite query geometry is refused, typed, by the direct, the
+/// batched and the durable surface before any state changes: nothing is
+/// installed, moved or journaled, the epoch stays, and the engine's
+/// invariants hold (an accepted NaN query used to break them).
+#[test]
+fn server_refuses_non_finite_query_geometry_typed() {
+    let bad_point = Point::new(f64::NAN, 0.5);
+    let mut s = small_server();
+    let _ = s.install_rnn(QueryId(1), Point::new(0.3, 0.6)).unwrap();
+    let baseline = s.result(QueryId(0)).unwrap().to_vec();
+    let refused = |id| CpmError::NonFiniteQuery(QueryId(id));
+
+    for spec in non_finite_specs() {
+        assert_eq!(
+            s.install_spec(QueryId(7), spec.clone(), 4).unwrap_err(),
+            refused(7)
+        );
+        let install = SpecEvent::Install {
+            id: QueryId(7),
+            spec,
+            k: 4,
+        };
+        assert_eq!(s.process_cycle(&[], &[install]).unwrap_err(), refused(7));
+    }
+    let moved = PointQuery(Point::new(0.5, f64::NEG_INFINITY));
+    assert_eq!(s.update_spec(QueryId(0), moved).unwrap_err(), refused(0));
+    let update = SpecEvent::Update {
+        id: QueryId(0),
+        spec: moved.into(),
+    };
+    assert_eq!(s.process_cycle(&[], &[update]).unwrap_err(), refused(0));
+    assert_eq!(
+        s.install_rnn(QueryId(8), bad_point).unwrap_err(),
+        refused(8)
+    );
+    assert_eq!(s.update_rnn(QueryId(1), bad_point).unwrap_err(), refused(1));
+
+    assert_eq!(s.epoch(), 0);
+    assert_eq!(s.query_count(), 2);
+    assert_eq!(s.result(QueryId(0)).unwrap(), baseline.as_slice());
+    s.check_invariants();
+
+    let mut durable = DurableCpmServer::new(s, 0);
+    for spec in non_finite_specs() {
+        assert_eq!(
+            durable.install_spec(QueryId(7), spec, 4).unwrap_err(),
+            refused(7)
+        );
+    }
+    assert_eq!(
+        durable.update_spec(QueryId(0), moved).unwrap_err(),
+        refused(0)
+    );
+    assert_eq!(
+        durable.install_rnn(QueryId(8), bad_point).unwrap_err(),
+        refused(8)
+    );
+    assert_eq!(
+        durable.update_rnn(QueryId(1), bad_point).unwrap_err(),
+        refused(1)
+    );
+    let update = SpecEvent::Update {
+        id: QueryId(0),
+        spec: moved.into(),
+    };
+    assert_eq!(
+        durable.process_cycle(&[], &[update]).unwrap_err(),
+        refused(0)
+    );
+    assert!(
+        durable.journal_bytes().is_empty(),
+        "a refusal was journaled"
+    );
+    assert_eq!((durable.watermark(), durable.server().epoch()), (0, 0));
+    durable.server().check_invariants();
 }
 
 #[test]

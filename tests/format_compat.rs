@@ -11,7 +11,11 @@
 //!   `ClusterMsg::Batch` / `Deltas` encoder wrote before only the frame
 //!   builders and the borrowed readers were left: the builders rebuild
 //!   them byte for byte, the readers read them back, and every damaged
-//!   or arbitrary input is a typed refusal within bounded allocation.
+//!   or arbitrary input is a typed refusal within bounded allocation —
+//!   the merge barrier's commit of a worker's payload included.
+//! * A durable server's journal is the bytes `DurableCpmServer` wrote
+//!   while it still had one install call per query kind: the one
+//!   `install_spec` call writes them again, and recovery replays them.
 
 mod common;
 
@@ -19,10 +23,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use common::{case_budget, quadtree_era_frame};
+use cpm_suite::cluster::{ClusterError, MergeBuffer};
 use cpm_suite::core::codec::CycleDeltasCursor;
 use cpm_suite::core::{
-    AnyQuerySpec, CpmServer, CpmServerBuilder, CycleDeltas, DurableCpmServer, Neighbor,
-    NeighborDelta, PointQuery, RecoveryError, Snapshot, SpecEvent,
+    AggregateFn, AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmServer, CpmServerBuilder,
+    CycleDeltas, DurableCpmServer, Neighbor, NeighborDelta, PointQuery, RangeQuery, RecoveryError,
+    Snapshot, SpecEvent,
 };
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
@@ -30,7 +36,7 @@ use cpm_suite::wire::cluster::{
     deltas_frame_into, BatchFrame, BatchRef, ClusterMsg, DeltasHeader, TileRect,
 };
 use cpm_suite::wire::{
-    write_frame, Decode, Encode, WireError, FRAME_CLUSTER, FRAME_SNAPSHOT, WIRE_VERSION,
+    write_frame, Decode, Encode, WireError, Writer, FRAME_CLUSTER, FRAME_SNAPSHOT, WIRE_VERSION,
 };
 
 use proptest::prelude::*;
@@ -103,6 +109,68 @@ const PARENT_DELTAS_FRAME: &str = "\
     00000000000000a03f0700000005000000000000000100000003000000000000\
     000000c03f000000000000000035a1bf0f";
 
+/// The initial snapshot commit `701bbaf`'s `DurableCpmServer::new` took
+/// of [`journal_fixture`]'s server (checkpointing off): dim 8, two
+/// threads, twelve objects, no query, watermark 0.
+const PARENT_JOURNAL_SNAPSHOT: &str = "\
+    574d504301000100280400000800000000020000000000000000000000000000\
+    0000000000000000000000000000000000f03f00000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    000000000000000000000000000000000000000000000000000000000c000000\
+    000000000000000000000000000000000000000001000000555555555555b53f\
+    aaaaaaaaaaaada3f02000000555555555555c53faaaaaaaaaaaaea3f03000000\
+    000000000000d03f000000000000d03f04000000555555555555d53f54555555\
+    5555e53f05000000abaaaaaaaaaada3f605555555555b53f0600000000000000\
+    0000e03f000000000000e03f07000000abaaaaaaaaaae23f585555555555ed3f\
+    08000000555555555555e53f505555555555d53f09000000000000000000e83f\
+    000000000000e83f0a000000abaaaaaaaaaaea3f605555555555c53f0b000000\
+    555555555555ed3fa8aaaaaaaaaae23f00000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000463a5fd9";
+
+/// The journal `701bbaf`'s `DurableCpmServer` appended over
+/// [`PARENT_JOURNAL_SNAPSHOT`]: one record of every kind
+/// ([`journaled_ops`]) — a k-NN, a range, an ANN and a constrained
+/// install, an RNN install, an update, an RNN move, a termination and a
+/// cycle, sequence numbers 1 to 9.
+const PARENT_JOURNAL: &str = "\
+    574d504301000200260000000100000000000000010000000000000000000000\
+    e03f000000000000e03f02000000000000002c30da12574d5043010002002f00\
+    0000020000000000000001010000000101000000000000d03f000000000000e8\
+    3f000000000000d03f0000000100000000d159dec3574d5043010002003b0000\
+    00030000000000000001020000000202000000000000000000d03f0000000000\
+    00d03f000000000000e83f000000000000e03f000200000000000000563517da\
+    574d504301000200460000000400000000000000010300000003000000000000\
+    d83f000000000000d83f000000000000d83f000000000000d83f000000000000\
+    f03f000000000000f03f02000000000000008e0f5592574d5043010002001d00\
+    000005000000000000000204000000000000000000e43f000000000000d03f15\
+    541ce0574d5043010002001e0000000600000000000000030000000000000000\
+    000000c03f000000000000ec3fe8271085574d5043010002001d000000070000\
+    00000000000404000000000000000000e83f000000000000e43fe2f03871574d\
+    5043010002000d00000008000000000000000503000000b6b75f56574d504301\
+    00020026000000090000000000000000010000000105000000000000000000e0\
+    3f000000000000e03f000000006844799f";
+
 fn bytes(hex: &str) -> Vec<u8> {
     let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
     let nibble = |d: u8| (d as char).to_digit(16).expect("a hex digit") as u8;
@@ -155,7 +223,7 @@ fn quadtree_snapshot_is_refused_typed_by_decode_and_by_recovery() {
         (ObjectId(i), Point::new(t, (t * 3.0) % 1.0))
     }));
     let _ = server
-        .install_knn(QueryId(0), Point::new(0.5, 0.5), 3)
+        .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 3)
         .unwrap();
     let fresh = Snapshot::capture(&server, 0).to_frame();
     let old = quadtree_era_frame(FRAME_SNAPSHOT, &fresh, SNAPSHOT_INDEX_TAG_AT);
@@ -169,6 +237,74 @@ fn quadtree_snapshot_is_refused_typed_by_decode_and_by_recovery() {
         Err(RecoveryError::Wire(e)) => assert_eq!(e, refusal),
         other => panic!("recovery accepted a quadtree snapshot: {other:?}"),
     }
+}
+
+/// The durable server [`PARENT_JOURNAL_SNAPSHOT`] was taken of.
+fn journal_fixture() -> DurableCpmServer {
+    let mut server = CpmServerBuilder::new(8).threads(2).build();
+    server.populate((0..12u32).map(|i| {
+        let t = f64::from(i) / 12.0;
+        (ObjectId(i), Point::new(t, (t * 5.0) % 1.0))
+    }));
+    DurableCpmServer::new(server, 0)
+}
+
+/// The operations [`PARENT_JOURNAL`] records, through the one query
+/// surface. The range install passes `k = 2`: the journal must carry the
+/// normalized `k` the query was installed with.
+fn journaled_ops(d: &mut DurableCpmServer) {
+    let p = Point::new;
+    let _ = d
+        .install_spec(QueryId(0), PointQuery(p(0.5, 0.5)), 2)
+        .unwrap();
+    let zone = RangeQuery::circle(p(0.25, 0.75), 0.25);
+    let _ = d.install_spec(QueryId(1), zone, 2).unwrap();
+    let meeting = AnnQuery::new(vec![p(0.25, 0.25), p(0.75, 0.5)], AggregateFn::Sum);
+    let _ = d.install_spec(QueryId(2), meeting, 2).unwrap();
+    let quadrant = ConstrainedQuery::northeast_of(p(0.375, 0.375));
+    let _ = d.install_spec(QueryId(3), quadrant, 2).unwrap();
+    let _ = d.install_rnn(QueryId(4), p(0.625, 0.25)).unwrap();
+    let _ = d
+        .update_spec(QueryId(0), PointQuery(p(0.125, 0.875)))
+        .unwrap();
+    let _ = d.update_rnn(QueryId(4), p(0.75, 0.625)).unwrap();
+    d.terminate(QueryId(3)).unwrap();
+    let moved = ObjectEvent::Move {
+        id: ObjectId(5),
+        to: p(0.5, 0.5),
+    };
+    let _ = d.process_cycle(&[moved], &[]).unwrap();
+}
+
+#[test]
+fn parent_commit_journal_is_rewritten_and_recovered_byte_identically() {
+    let (snapshot, journal) = (bytes(PARENT_JOURNAL_SNAPSHOT), bytes(PARENT_JOURNAL));
+    let mut live = journal_fixture();
+    assert_eq!(live.snapshot_bytes(), snapshot, "the snapshot moved a byte");
+    journaled_ops(&mut live);
+    assert_eq!(live.journal_bytes(), journal, "the journal moved a byte");
+    assert_eq!((live.watermark(), live.server().epoch()), (9, 1));
+
+    let (recovered, report) = DurableCpmServer::recover(&snapshot, &journal, 0).unwrap();
+    assert_eq!((report.replayed, report.epoch), (9, 1));
+    assert_eq!(report.tail_error, None);
+    let (want, got) = (live.server(), recovered.server());
+    got.check_invariants();
+    for id in (0..5).map(QueryId) {
+        assert_eq!(got.kind_of(id), want.kind_of(id), "{id}");
+        assert_eq!(got.result(id), want.result(id), "{id}");
+    }
+    assert_eq!(got.kind_of(QueryId(3)), None, "terminated");
+    // What the parent commit's server held after these operations.
+    let ids = |id| got.result(QueryId(id)).unwrap().iter().map(|n| n.id.0);
+    assert_eq!(ids(0).collect::<Vec<_>>(), [2, 4]);
+    assert_eq!(ids(2).collect::<Vec<_>>(), [3, 5]);
+    assert_eq!(
+        got.rnn_result(QueryId(4)),
+        Some(&[ObjectId(9), ObjectId(11)][..])
+    );
+    assert_eq!(got.rnn_result(QueryId(4)), want.rnn_result(QueryId(4)));
+    assert_eq!(recovered.journal_bytes(), journal);
 }
 
 /// What [`PARENT_BATCH_FRAME`] carries: its epoch, object events and
@@ -402,6 +538,47 @@ fn a_batch_of_disappears_stays_within_the_allocation_bound() {
     }
     let frame = builder.finish(&[]);
     assert!(read_all(&frame)[0], "a well-formed batch reads");
+}
+
+/// A worker's `CycleDeltas` payload whose `deltas` count equals the
+/// bytes of the list: every entry one zero byte on the wire, where a
+/// decoded entry is hundreds of bytes wide.
+struct HostileDeltas(u32);
+
+impl Encode for HostileDeltas {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u64(1); // the stamped epoch
+        w.put_u32(0); // an empty `changed` list
+        w.put_u32(self.0);
+        for _ in 0..self.0 {
+            w.put_u8(0);
+        }
+    }
+}
+
+/// The merge barrier reserves its merged `deltas` by the bytes a payload
+/// holds, not by the count it claims: the commit of a hostile count is a
+/// typed refusal within the readers' allocation bound.
+#[test]
+fn a_hostile_deltas_count_stays_within_the_allocation_bound_of_the_merge() {
+    let mut frame = Vec::new();
+    deltas_frame_into(0, 1, &HostileDeltas(4096), &mut frame);
+    let header = DeltasHeader::from_frame(&frame).unwrap().unwrap();
+    let (mut merge, mut out) = (MergeBuffer::new(1, 0), CycleDeltas::default());
+    let len = frame.len();
+    let before = LIVE.get();
+    PEAK.set(before);
+    merge.offer(header, frame).unwrap();
+    let refused = merge.try_commit_into(&mut out);
+    let peak = PEAK.get() - before;
+    assert!(
+        matches!(refused, Err(ClusterError::Protocol { .. })),
+        "{refused:?}"
+    );
+    assert!(
+        peak <= ALLOC_PER_INPUT_BYTE * len,
+        "merging {len} bytes held {peak} bytes"
+    );
 }
 
 proptest! {

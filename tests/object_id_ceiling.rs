@@ -11,7 +11,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cpm_suite::cluster::{ClusterConfig, ClusterCoordinator, ClusterError};
 use cpm_suite::core::{
-    CpmError, CpmServerBuilder, CycleDeltas, DurableCpmServer, JournalRecord, RecoveryError,
+    CpmError, CpmServerBuilder, CycleDeltas, DurableCpmServer, JournalRecord, PointQuery,
+    RecoveryError,
 };
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
@@ -78,7 +79,7 @@ fn ids_past_the_ceiling_are_refused_before_anything_is_sized_by_them() {
     let mut server = CpmServerBuilder::new(16).deltas(true).build();
     server.populate((0..20u32).map(|i| (ObjectId(i), Point::new(f64::from(i) / 20.0, 0.5))));
     let _ = server
-        .install_knn(QueryId(0), Point::new(0.5, 0.5), 3)
+        .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 3)
         .unwrap();
     let mut out = CycleDeltas::default();
     for id in past {

@@ -91,7 +91,7 @@ fn durable_fixture(checkpointed: bool) -> DurableCpmServer {
     }));
     let mut durable = DurableCpmServer::new(server, 0);
     let _ = durable
-        .install_knn(QueryId(0), Point::new(0.4, 0.4), 4)
+        .install_spec(QueryId(0), PointQuery(Point::new(0.4, 0.4)), 4)
         .unwrap();
     let _ = durable
         .install_rnn(QueryId(1), Point::new(0.7, 0.2))

@@ -11,7 +11,6 @@
 mod common;
 
 use common::thread_lanes;
-use cpm_suite::core::server::QueryHandle;
 use cpm_suite::core::{
     AggregateFn, AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServerBuilder, PointQuery,
     QuerySpec, RangeQuery, ShardedCpmEngine, SpecEvent,
@@ -72,23 +71,21 @@ fn one_cycle_one_ingest_regardless_of_kind_count() {
             .collect();
         server.populate(objects.iter().copied());
         let _ = server
-            .install_knn(QueryId(0), Point::new(0.4, 0.4), 4)
+            .install_spec(QueryId(0), PointQuery(Point::new(0.4, 0.4)), 4)
+            .unwrap();
+        let zone = RangeQuery::rect(Rect::new(Point::new(0.1, 0.1), Point::new(0.5, 0.5)));
+        let _ = server
+            .install_spec(QueryId(1), zone, RangeQuery::UNBOUNDED_K)
             .unwrap();
         let _ = server
-            .install_range(
-                QueryId(1),
-                RangeQuery::rect(Rect::new(Point::new(0.1, 0.1), Point::new(0.5, 0.5))),
-            )
-            .unwrap();
-        let _ = server
-            .install_constrained(
+            .install_spec(
                 QueryId(2),
                 ConstrainedQuery::northeast_of(Point::new(0.5, 0.5)),
                 4,
             )
             .unwrap();
         let _ = server
-            .install_ann(
+            .install_spec(
                 QueryId(3),
                 AnnQuery::new(
                     vec![Point::new(0.2, 0.8), Point::new(0.7, 0.2)],
@@ -131,10 +128,12 @@ fn server_results_match_dedicated_engines() {
         server.populate(objects.iter().copied());
 
         let knn_q = PointQuery(Point::new(0.35, 0.65));
-        let knn_h = server.install_knn(QueryId(0), knn_q.0, 5).unwrap();
+        let _ = server.install_spec(QueryId(0), knn_q, 5).unwrap();
         let mut knn = dedicated(16, threads, &objects, QueryId(0), knn_q, 5);
         let range_q = RangeQuery::circle(Point::new(0.5, 0.5), 0.25);
-        let range_h = server.install_range(QueryId(1), range_q).unwrap();
+        let _ = server
+            .install_spec(QueryId(1), range_q, RangeQuery::UNBOUNDED_K)
+            .unwrap();
         let mut range = dedicated(
             16,
             threads,
@@ -147,15 +146,13 @@ fn server_results_match_dedicated_engines() {
             vec![Point::new(0.2, 0.2), Point::new(0.8, 0.6)],
             AggregateFn::Sum,
         );
-        let ann_h = server.install_ann(QueryId(2), ann_q.clone(), 3).unwrap();
+        let _ = server.install_spec(QueryId(2), ann_q.clone(), 3).unwrap();
         let mut ann = dedicated(16, threads, &objects, QueryId(2), ann_q, 3);
         let con_q = ConstrainedQuery::new(
             Point::new(0.5, 0.5),
             Rect::new(Point::new(0.4, 0.0), Point::new(1.0, 0.6)),
         );
-        let con_h = server
-            .install_constrained(QueryId(3), con_q.clone(), 3)
-            .unwrap();
+        let _ = server.install_spec(QueryId(3), con_q.clone(), 3).unwrap();
         let mut con = dedicated(16, threads, &objects, QueryId(3), con_q, 3);
 
         for _cycle in 0..25 {
@@ -177,22 +174,22 @@ fn server_results_match_dedicated_engines() {
             dedicated.extend(con.process_cycle(&events, &[]));
             assert_eq!(changed, dedicated, "changed lists (threads={threads})");
             assert_eq!(
-                server.result(knn_h).unwrap(),
+                server.result(QueryId(0)).unwrap(),
                 knn.result(QueryId(0)).unwrap(),
                 "k-NN diverged (threads={threads})"
             );
             assert_eq!(
-                server.result(range_h).unwrap(),
+                server.result(QueryId(1)).unwrap(),
                 range.result(QueryId(1)).unwrap(),
                 "range diverged (threads={threads})"
             );
             assert_eq!(
-                server.result(ann_h).unwrap(),
+                server.result(QueryId(2)).unwrap(),
                 ann.result(QueryId(2)).unwrap(),
                 "ANN diverged (threads={threads})"
             );
             assert_eq!(
-                server.result(con_h).unwrap(),
+                server.result(QueryId(3)).unwrap(),
                 con.result(QueryId(3)).unwrap(),
                 "constrained diverged (threads={threads})"
             );
@@ -201,17 +198,16 @@ fn server_results_match_dedicated_engines() {
     }
 }
 
-/// Handles carry their kind; the registry reports confusion as typed
-/// errors and the changed list reflects mid-stream install/terminate.
+/// The registry records each id's kind and reports confusion as typed
+/// errors; the changed list reflects mid-stream install/terminate.
 #[test]
 fn registry_errors_and_midstream_churn() {
     let mut server = CpmServerBuilder::new(16).threads(4).build();
     server.populate((0..50u32).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))));
-    let h = server
-        .install_knn(QueryId(0), Point::new(0.1, 0.5), 3)
+    let installed = server
+        .install_spec(QueryId(0), PointQuery(Point::new(0.1, 0.5)), 3)
         .unwrap();
-    assert_eq!(h.id(), QueryId(0));
-    assert_eq!(h.kind(), QueryKind::Knn);
+    assert_eq!(installed.len(), 3);
     assert_eq!(server.kind_of(QueryId(0)), Some(QueryKind::Knn));
 
     // Mid-stream install + terminate through the event batch.
@@ -248,15 +244,20 @@ fn registry_errors_and_midstream_churn() {
         Err(CpmError::DuplicateQuery(QueryId(0)))
     );
 
-    // Kind confusion through the untyped surface.
+    // Kind confusion, by id.
     assert_eq!(
-        server.update_spec(
-            QueryId(0),
-            AnyQuerySpec::Range(RangeQuery::circle(Point::new(0.5, 0.5), 0.1)),
-        ),
+        server.update_spec(QueryId(0), RangeQuery::circle(Point::new(0.5, 0.5), 0.1)),
         Err(CpmError::KindMismatch {
             id: QueryId(0),
             expected: QueryKind::Range,
+            actual: QueryKind::Knn,
+        })
+    );
+    assert_eq!(
+        server.update_rnn(QueryId(0), Point::new(0.5, 0.5)),
+        Err(CpmError::KindMismatch {
+            id: QueryId(0),
+            expected: QueryKind::Rnn,
             actual: QueryKind::Knn,
         })
     );
