@@ -23,7 +23,9 @@
 //! k-NN results are δ-independent, so the adaptive lane must do less
 //! work while reporting exactly the same answers.
 
-use cpm_core::{AutoRegridConfig, PointQuery, RegridPolicy, ShardedCpmEngine};
+use std::num::NonZeroU64;
+
+use cpm_core::{PointQuery, RegridPolicy, ShardedCpmEngine};
 
 use crate::paired::{median, timed, Paired, Stat, REPS};
 use crate::record::BenchRecord;
@@ -34,10 +36,9 @@ use crate::workload::DriftBench;
 pub struct Config {
     /// The drift stream.
     pub stream: DriftBench,
-    /// How often the adaptive lane evaluates the model, in cycles.
-    pub check_every: u64,
-    /// Minimum cycles between the adaptive lane's re-grids.
-    pub cooldown: u64,
+    /// How often the adaptive lane evaluates the model, in cycles (its
+    /// re-grids are at least twice as many cycles apart).
+    pub check_every: NonZeroU64,
 }
 
 impl Default for Config {
@@ -45,8 +46,7 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             stream: DriftBench::default(),
-            check_every: 4,
-            cooldown: 8,
+            check_every: NonZeroU64::new(4).expect("non-zero"),
         }
     }
 }
@@ -82,11 +82,9 @@ pub fn measure(cfg: &Config) -> BenchRecord {
         }
         m
     };
-    let auto = RegridPolicy::Auto(AutoRegridConfig {
+    let auto = RegridPolicy::Auto {
         check_every: cfg.check_every,
-        cooldown: cfg.cooldown,
-        ..AutoRegridConfig::default()
-    });
+    };
 
     let mut paired = Paired::default();
     let (mut regrids, mut migrated, mut pauses, mut slowest) = (vec![], vec![], vec![], vec![]);
@@ -139,8 +137,8 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     let mut record = BenchRecord::new("regrid", {
         let mut fields = s.fields();
         fields.extend(crate::fields! {
-            "check_every" => cfg.check_every,
-            "cooldown" => cfg.cooldown,
+            "check_every" => cfg.check_every.get(),
+            "cooldown" => 2 * cfg.check_every.get(),
         });
         fields
     });
@@ -180,8 +178,7 @@ mod tests {
                 cycles: 24,
                 ..DriftBench::default()
             },
-            check_every: 2,
-            cooldown: 4,
+            check_every: NonZeroU64::new(2).unwrap(),
         };
         // `measure` itself asserts per-cycle changed-list equality.
         let record = measure(&cfg);

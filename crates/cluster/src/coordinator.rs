@@ -63,7 +63,6 @@ use std::time::{Duration, Instant};
 use cpm_core::{AnyQuerySpec, CycleDeltas, SpecEvent};
 use cpm_geom::{FastHashMap, ObjectId, Point, QueryId};
 use cpm_grid::ObjectEvent;
-use cpm_sub::{CycleReceipt, DeltaFanout};
 use cpm_wire::cluster::{BatchFrame, ClusterMsg, DeltasHeader};
 use cpm_wire::{Encode, WIRE_VERSION};
 
@@ -273,8 +272,6 @@ pub struct ClusterCoordinator<T: Transport> {
     /// Committed batches not yet handed to the caller (out-of-band
     /// drains park batches here in order).
     ready: VecDeque<CycleDeltas>,
-    /// Recycled [`CycleDeltas`] allocations for the merge commits.
-    spare: Vec<CycleDeltas>,
     /// Reusable per-worker routing/encode buffers.
     lanes: Vec<WorkerLane>,
 }
@@ -392,7 +389,6 @@ impl<T: Transport> ClusterCoordinator<T> {
             metrics: CoordinatorMetrics::default(),
             route_pending: VecDeque::new(),
             ready: VecDeque::new(),
-            spare: Vec::new(),
             lanes,
         })
     }
@@ -605,27 +601,6 @@ impl<T: Transport> ClusterCoordinator<T> {
         std::mem::take(&mut self.metrics)
     }
 
-    /// [`process_cycle`](Self::process_cycle), publishing the merged
-    /// batch into a subscription fan-out — the hub-boundary handoff: the
-    /// fan-out (and every [`cpm_sub::Replica`] downstream) cannot tell a
-    /// cluster from a single node. The merged batch is recycled through
-    /// the coordinator's spare pool (the `_into` idiom), so this path
-    /// performs no per-cycle `CycleDeltas` clone.
-    ///
-    /// # Errors
-    /// As [`process_cycle`](Self::process_cycle).
-    pub fn process_cycle_fanout(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<AnyQuerySpec>],
-        fanout: &mut DeltaFanout,
-    ) -> Result<CycleReceipt, ClusterError> {
-        let merged = self.process_cycle(object_events, query_events)?;
-        let receipt = fanout.publish(&merged);
-        self.spare.push(merged);
-        Ok(receipt)
-    }
-
     /// Hot-swap worker `w`: collect the epoch in flight (worker epochs
     /// must be aligned before state moves), capture the worker's engine snapshot
     /// over the old link, shut the old worker down, handshake the
@@ -778,7 +753,7 @@ impl<T: Transport> ClusterCoordinator<T> {
             }
             clock.lap(&mut merge_spent);
         }
-        let mut merged = self.spare.pop().unwrap_or_default();
+        let mut merged = CycleDeltas::default();
         if !self.merge.try_commit_into(&mut merged)? {
             return Err(ClusterError::Protocol {
                 what: "all workers replied yet the merge barrier is incomplete",

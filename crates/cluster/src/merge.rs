@@ -152,20 +152,14 @@ impl MergeBuffer {
 
     /// Commit the next epoch if the barrier is complete: verify every
     /// worker's stamped epoch agrees, and decode the payloads into their
-    /// merge in canonical query-id order. Returns `None` while batches
-    /// are still missing.
-    pub fn try_commit(&mut self) -> Result<Option<CycleDeltas>, ClusterError> {
-        let mut out = CycleDeltas::default();
-        Ok(self.try_commit_into(&mut out)?.then_some(out))
-    }
-
-    /// [`try_commit`](Self::try_commit) through the recycled-batch
-    /// `_into` idiom: on a complete barrier the merged batch replaces
-    /// `out`'s contents (reusing its allocations) and `true` is
-    /// returned; otherwise `out` is untouched and `false` is returned.
+    /// merge in canonical query-id order. On a complete barrier the merged
+    /// batch replaces `out`'s contents (reusing its allocations) and
+    /// `true` is returned; while batches are still missing `out` is
+    /// untouched and `false` is returned.
     ///
     /// # Errors
-    /// As [`try_commit`](Self::try_commit). On error `out` holds
+    /// A typed refusal of a payload that does not decode, is stamped with
+    /// another epoch, or breaks the canonical order. On error `out` holds
     /// partially merged state and must not be read (the cycle is
     /// poisoned anyway).
     pub fn try_commit_into(&mut self, out: &mut CycleDeltas) -> Result<bool, ClusterError> {
@@ -325,13 +319,20 @@ mod tests {
         }
     }
 
+    /// Commit the next epoch into a fresh batch: `None` while the
+    /// barrier is incomplete.
+    fn commit(m: &mut MergeBuffer) -> Result<Option<CycleDeltas>, ClusterError> {
+        let mut out = CycleDeltas::default();
+        Ok(m.try_commit_into(&mut out)?.then_some(out))
+    }
+
     #[test]
     fn barrier_commits_only_complete_epochs_in_canonical_order() {
         let mut m = MergeBuffer::new(2, 0);
         offer(&mut m, 0, 1, payload(1, &[0, 4])).unwrap();
-        assert!(m.try_commit().unwrap().is_none(), "worker 1 still missing");
+        assert!(commit(&mut m).unwrap().is_none(), "worker 1 still missing");
         offer(&mut m, 1, 1, payload(1, &[2])).unwrap();
-        let c = m.try_commit().unwrap().unwrap();
+        let c = commit(&mut m).unwrap().unwrap();
         assert_eq!(c.epoch, 1);
         assert_eq!(c.changed, vec![QueryId(0), QueryId(2), QueryId(4)]);
         let qids: Vec<u32> = c.deltas.iter().map(|(q, _)| q.0).collect();
@@ -373,11 +374,11 @@ mod tests {
     fn stale_redelivery_of_a_committed_epoch_is_ignored() {
         let mut m = MergeBuffer::new(1, 0);
         offer(&mut m, 0, 1, payload(1, &[1])).unwrap();
-        m.try_commit().unwrap().unwrap();
+        commit(&mut m).unwrap().unwrap();
         offer(&mut m, 0, 1, payload(1, &[1])).unwrap();
-        assert!(m.try_commit().unwrap().is_none());
+        assert!(commit(&mut m).unwrap().is_none());
         offer(&mut m, 0, 2, payload(2, &[1])).unwrap();
-        assert_eq!(m.try_commit().unwrap().unwrap().epoch, 2);
+        assert_eq!(commit(&mut m).unwrap().unwrap().epoch, 2);
     }
 
     #[test]
@@ -386,7 +387,7 @@ mod tests {
         // would mix epochs in one commit; the merge refuses.
         let mut m = MergeBuffer::new(1, 0);
         offer(&mut m, 0, 1, payload(9, &[1])).unwrap();
-        assert!(matches!(m.try_commit(), Err(ClusterError::Protocol { .. })));
+        assert!(matches!(commit(&mut m), Err(ClusterError::Protocol { .. })));
     }
 
     #[test]
@@ -395,7 +396,7 @@ mod tests {
         let mut bytes = payload(1, &[1]);
         bytes.truncate(bytes.len() - 1);
         offer(&mut m, 0, 1, bytes).unwrap();
-        assert!(matches!(m.try_commit(), Err(ClusterError::Wire(_))));
+        assert!(matches!(commit(&mut m), Err(ClusterError::Wire(_))));
     }
 
     #[test]
@@ -417,7 +418,7 @@ mod tests {
         // Nothing was taken in: both workers' epoch 1 still open.
         offer(&mut m, 0, 1, payload(1, &[1])).unwrap();
         offer(&mut m, 1, 1, payload(1, &[2])).unwrap();
-        assert_eq!(m.try_commit().unwrap().unwrap().changed.len(), 2);
+        assert_eq!(commit(&mut m).unwrap().unwrap().changed.len(), 2);
     }
 
     #[test]
@@ -427,7 +428,7 @@ mod tests {
         for (w, qids) in [(0u32, &[1u32, 5][..]), (1, &[3][..])] {
             offer_frame(&mut m, &deltas_frame(w, 1, qids)).unwrap();
         }
-        let c = m.try_commit().unwrap().unwrap();
+        let c = commit(&mut m).unwrap().unwrap();
         assert_eq!(c.changed, vec![QueryId(1), QueryId(3), QueryId(5)]);
         for w in 0..2 {
             let spent = m.take_spent(w).expect("the frame the payload arrived in");
@@ -447,7 +448,7 @@ mod tests {
             offer(&mut m, 0, 1, batch(1, a).encode_to_vec()).unwrap();
             offer(&mut m, 1, 1, batch(1, b).encode_to_vec()).unwrap();
             assert!(
-                matches!(m.try_commit(), Err(ClusterError::Protocol { .. })),
+                matches!(commit(&mut m), Err(ClusterError::Protocol { .. })),
                 "{a:?} + {b:?}"
             );
         }
@@ -456,7 +457,7 @@ mod tests {
         bad.deltas.swap(0, 1);
         let mut m = MergeBuffer::new(1, 0);
         offer(&mut m, 0, 1, bad.encode_to_vec()).unwrap();
-        assert!(matches!(m.try_commit(), Err(ClusterError::Protocol { .. })));
+        assert!(matches!(commit(&mut m), Err(ClusterError::Protocol { .. })));
     }
 
     mod prop {
@@ -474,7 +475,7 @@ mod tests {
             let mut committed = Vec::new();
             for f in frames {
                 offer_frame(&mut m, f)?;
-                while let Some(c) = m.try_commit()? {
+                while let Some(c) = commit(&mut m)? {
                     committed.push(c);
                 }
             }
@@ -496,12 +497,12 @@ mod tests {
             for (i, f) in frames.iter().enumerate() {
                 offer_frame(&mut m, f)?;
                 if (i + 1) % drain_every == 0 {
-                    while let Some(c) = m.try_commit()? {
+                    while let Some(c) = commit(&mut m)? {
                         committed.push(c);
                     }
                 }
             }
-            while let Some(c) = m.try_commit()? {
+            while let Some(c) = commit(&mut m)? {
                 committed.push(c);
             }
             Ok(committed)
@@ -571,7 +572,7 @@ mod tests {
                 }
                 want.changed.sort_unstable();
                 want.deltas.sort_by_key(|(qid, _)| *qid);
-                prop_assert_eq!(m.try_commit().unwrap().unwrap(), want);
+                prop_assert_eq!(commit(&mut m).unwrap().unwrap(), want);
             }
 
             /// Satellite: delayed/duplicated/reordered `Deltas` frames —

@@ -4,10 +4,12 @@
 //!
 //! Every invariant a constructor would enforce by panicking — finite
 //! coordinates, non-empty ANN point sets, sector indices below the wedge
-//! count, ordered regrid bounds — is re-checked here and reported as a
+//! count, the fixed re-grid tuning — is re-checked here and reported as a
 //! typed [`WireError::Invalid`] with the offending byte offset, so a
 //! corrupted artifact can never smuggle a panic (or a silently wrong
 //! value) into a recovered engine.
+
+use std::num::NonZeroU64;
 
 use cpm_geom::QueryId;
 use cpm_wire::{Decode, Encode, Reader, WireError, Writer};
@@ -19,7 +21,7 @@ use crate::delta::{CycleDeltas, DeltaBuf, NeighborDelta};
 use crate::engine::{PointQuery, SpecEvent};
 use crate::neighbors::Neighbor;
 use crate::range::{RangeQuery, Region};
-use crate::regrid::{AutoRegridConfig, RegridPolicy};
+use crate::regrid::{cooldown, RegridPolicy, HYSTERESIS, MAX_DIM, MIN_DIM, SKEW_THRESHOLD};
 use crate::rnn::RnnQuery;
 
 impl Encode for Neighbor {
@@ -91,9 +93,26 @@ impl Decode for NeighborDelta {
 
 impl Encode for CycleDeltas {
     fn encode(&self, w: &mut Writer) {
+        self.encode_marking_deltas(w, |_, _| {});
+    }
+}
+
+impl CycleDeltas {
+    /// Write what [`Encode`] writes — the stamped epoch, the `changed`
+    /// list, then the `(id, delta)` list — and hand `mark` the byte range
+    /// `(start, end)` each delta body takes in `w`, in list order. The one
+    /// writer of the layout: a fan-out encodes a batch once and slices
+    /// every delta out of the shared bytes.
+    pub fn encode_marking_deltas(&self, w: &mut Writer, mut mark: impl FnMut(usize, usize)) {
         w.put_u64(self.epoch);
         self.changed.encode(w);
-        self.deltas.encode(w);
+        w.put_u32(u32::try_from(self.deltas.len()).expect("collection fits a u32 length prefix"));
+        for (id, delta) in &self.deltas {
+            id.encode(w);
+            let start = w.len();
+            delta.encode(w);
+            mark(start, w.len());
+        }
     }
 }
 
@@ -435,65 +454,22 @@ impl<S: Decode> Decode for SpecEvent<S> {
     }
 }
 
-impl Encode for AutoRegridConfig {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.min_dim);
-        w.put_u32(self.max_dim);
-        w.put_u64(self.check_every);
-        w.put_f64(self.hysteresis);
-        w.put_u64(self.cooldown);
-        w.put_f64(self.skew_threshold);
-    }
-}
-
-impl Decode for AutoRegridConfig {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let at = r.offset();
-        let cfg = AutoRegridConfig {
-            min_dim: r.take_u32()?,
-            max_dim: r.take_u32()?,
-            check_every: r.take_u64()?,
-            hysteresis: r.take_f64()?,
-            cooldown: r.take_u64()?,
-            skew_threshold: r.take_f64()?,
-        };
-        if cfg.min_dim < 1 || cfg.min_dim > cfg.max_dim || cfg.max_dim > 4096 {
-            return Err(WireError::Invalid {
-                offset: at,
-                what: "regrid dimension bounds out of order or out of range",
-            });
-        }
-        if cfg.check_every < 1 {
-            return Err(WireError::Invalid {
-                offset: at,
-                what: "regrid check interval must be at least one cycle",
-            });
-        }
-        if !(cfg.hysteresis.is_finite() && cfg.hysteresis > 1.0) {
-            return Err(WireError::Invalid {
-                offset: at,
-                what: "regrid hysteresis must be finite and greater than 1",
-            });
-        }
-        // `∞` is a legal threshold (it disables the occupancy signal);
-        // NaN and sub-unit values are not.
-        if cfg.skew_threshold.is_nan() || cfg.skew_threshold < 1.0 {
-            return Err(WireError::Invalid {
-                offset: at,
-                what: "regrid skew threshold must be at least 1",
-            });
-        }
-        Ok(cfg)
-    }
-}
-
+/// `RegridPolicy::Auto` writes six fields — the dimension bounds,
+/// `check_every`, the hysteresis, the cooldown and the skew threshold —
+/// the layout snapshots have always carried. All but `check_every` are
+/// fixed by [`crate::regrid`]: bytes carrying any other value are refused.
 impl Encode for RegridPolicy {
     fn encode(&self, w: &mut Writer) {
-        match self {
+        match *self {
             RegridPolicy::Manual => w.put_u8(0),
-            RegridPolicy::Auto(cfg) => {
+            RegridPolicy::Auto { check_every } => {
                 w.put_u8(1);
-                cfg.encode(w);
+                w.put_u32(MIN_DIM);
+                w.put_u32(MAX_DIM);
+                w.put_u64(check_every.get());
+                w.put_f64(HYSTERESIS);
+                w.put_u64(cooldown(check_every));
+                w.put_f64(SKEW_THRESHOLD);
             }
         }
     }
@@ -504,7 +480,28 @@ impl Decode for RegridPolicy {
         let at = r.offset();
         match r.take_u8()? {
             0 => Ok(RegridPolicy::Manual),
-            1 => Ok(RegridPolicy::Auto(AutoRegridConfig::decode(r)?)),
+            1 => {
+                let at = r.offset();
+                let (min_dim, max_dim) = (r.take_u32()?, r.take_u32()?);
+                let check_every = NonZeroU64::new(r.take_u64()?);
+                let hysteresis = r.take_f64()?;
+                let cooldown_cycles = r.take_u64()?;
+                let skew_threshold = r.take_f64()?;
+                match check_every {
+                    Some(check_every)
+                        if (min_dim, max_dim) == (MIN_DIM, MAX_DIM)
+                            && hysteresis.to_bits() == HYSTERESIS.to_bits()
+                            && cooldown_cycles == cooldown(check_every)
+                            && skew_threshold.to_bits() == SKEW_THRESHOLD.to_bits() =>
+                    {
+                        Ok(RegridPolicy::Auto { check_every })
+                    }
+                    _ => Err(WireError::Invalid {
+                        offset: at,
+                        what: "auto re-grid tuning other than the fixed constants",
+                    }),
+                }
+            }
             _ => Err(WireError::Invalid {
                 offset: at,
                 what: "unknown regrid-policy tag",
@@ -673,15 +670,54 @@ mod tests {
             Neighbor::decode_all(w.as_slice()),
             Err(WireError::Invalid { .. })
         ));
-        // Inverted regrid bounds.
-        let cfg = AutoRegridConfig {
-            min_dim: 64,
-            max_dim: 8,
-            ..Default::default()
+    }
+
+    /// An auto policy's tag and six fields, laid out as
+    /// [`RegridPolicy::encode`] writes them.
+    fn auto_fields(
+        dims: (u32, u32),
+        check_every: u64,
+        hysteresis: f64,
+        cooldown: u64,
+        skew_threshold: f64,
+    ) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u8(1);
+        w.put_u32(dims.0);
+        w.put_u32(dims.1);
+        w.put_u64(check_every);
+        w.put_f64(hysteresis);
+        w.put_u64(cooldown);
+        w.put_f64(skew_threshold);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn auto_policy_bytes_other_than_the_fixed_tuning_are_refused_typed() {
+        let three = RegridPolicy::Auto {
+            check_every: NonZeroU64::new(3).unwrap(),
         };
-        assert!(matches!(
-            AutoRegridConfig::decode_all(&cfg.encode_to_vec()),
-            Err(WireError::Invalid { .. })
-        ));
+        let bytes = auto_fields((MIN_DIM, MAX_DIM), 3, HYSTERESIS, 6, SKEW_THRESHOLD);
+        assert_eq!(three.encode_to_vec(), bytes);
+        assert_eq!(RegridPolicy::decode_all(&bytes), Ok(three));
+
+        let refused = [
+            auto_fields((8, MAX_DIM), 3, HYSTERESIS, 6, SKEW_THRESHOLD),
+            auto_fields((MIN_DIM, 4096), 3, HYSTERESIS, 6, SKEW_THRESHOLD),
+            auto_fields((MIN_DIM, MAX_DIM), 3, 1.5, 6, SKEW_THRESHOLD),
+            auto_fields((MIN_DIM, MAX_DIM), 3, HYSTERESIS, 9, SKEW_THRESHOLD),
+            auto_fields((MIN_DIM, MAX_DIM), 3, HYSTERESIS, 6, f64::INFINITY),
+            auto_fields((MIN_DIM, MAX_DIM), 0, HYSTERESIS, 0, SKEW_THRESHOLD),
+        ];
+        for bytes in refused {
+            assert_eq!(
+                RegridPolicy::decode_all(&bytes),
+                Err(WireError::Invalid {
+                    offset: 1,
+                    what: "auto re-grid tuning other than the fixed constants",
+                }),
+                "{bytes:02x?}"
+            );
+        }
     }
 }

@@ -459,8 +459,8 @@ impl<'a> IdTable<'a> {
     }
 }
 
-/// One processing cycle's full delta output, as returned by the engine's
-/// `process_cycle_with_deltas`.
+/// One processing cycle's full delta output, as the engine's
+/// `process_cycle_with_deltas_into` writes it.
 ///
 /// `deltas` holds at most one entry per query, ascending by query id (the
 /// engine concatenates its workers' outputs in slot and event order and

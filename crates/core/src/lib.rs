@@ -82,7 +82,7 @@ pub use error::CpmError;
 pub use neighbors::{Neighbor, NeighborList};
 pub use partition::{Direction, Pinwheel, Strip};
 pub use range::{RangeQuery, Region};
-pub use regrid::{AutoRegridConfig, RegridController, RegridPolicy};
+pub use regrid::RegridPolicy;
 pub use rnn::RnnQuery;
 pub use server::{CpmServer, CpmServerBuilder};
 pub use shard::ShardedCpmEngine;

@@ -9,16 +9,17 @@
 //!
 //! * [`RegridPolicy::Manual`] — never re-grid automatically; the operator
 //!   calls `regrid_to` explicitly.
-//! * [`RegridPolicy::Auto`] — at cycle boundaries (every
-//!   [`AutoRegridConfig::check_every`] cycles), plug the *observed*
-//!   workload into the [`CostModel`], find the power-of-two resolution
-//!   minimizing the predicted per-cycle cost, and re-grid when the
-//!   predicted improvement clears a **hysteresis** factor — so an
-//!   oscillating load sitting near a cost-curve crossover does not thrash
-//!   — and a **cooldown** has elapsed since the last re-grid.
+//! * [`RegridPolicy::Auto`] — at cycle boundaries (every `check_every`
+//!   cycles, the policy's one setting), plug the *observed* workload into
+//!   the [`CostModel`], find the power-of-two resolution in
+//!   [`MIN_DIM`]`..=`[`MAX_DIM`] minimizing the predicted per-cycle cost,
+//!   and re-grid when the predicted improvement clears the
+//!   [`HYSTERESIS`] factor — so an oscillating load sitting near a
+//!   cost-curve crossover does not thrash — and a cooldown of
+//!   `2 × check_every` cycles has elapsed since the last re-grid.
 //!
 //! Agilities are not knowable a priori, so the engine feeds every cycle's
-//! event-batch sizes into [`RegridController::observe_cycle`], which keeps
+//! event-batch sizes into the policy's per-engine controller, which keeps
 //! exponential moving averages of `f_obj` and `f_qry`. All controller
 //! inputs are functions of the update stream and the engine's own state —
 //! never of thread scheduling — so engines make **identical decisions at
@@ -30,31 +31,32 @@
 //! `N·δ²`, so a concentration spike that leaves `N` unchanged looks free.
 //! The controller therefore also folds the grid's occupancy signals
 //! ([`cpm_grid::GridStats`]: hot-cell maximum and occupied-cell count,
-//! both maintained incrementally by the index) into a **skew
-//! EMA** via [`RegridController::observe_occupancy`]. Only skew beyond
-//! [`AutoRegridConfig::skew_threshold`] reaches the model — a dead band
-//! that keeps mildly non-uniform workloads on the paper-exact uniform
+//! both maintained incrementally by the index) into a **skew EMA**. Only
+//! skew beyond [`SKEW_THRESHOLD`] reaches the model — a dead band that
+//! keeps mildly non-uniform workloads on the paper-exact uniform
 //! prediction — and the hysteresis bar still applies on top, so the
 //! policy errs toward staying put, never toward thrashing.
+
+use std::num::NonZeroU64;
 
 use crate::analysis::CostModel;
 use cpm_grid::GridStats;
 
-/// Default smallest resolution the auto policy will pick.
-const DEFAULT_MIN_DIM: u32 = 16;
-/// Default largest resolution the auto policy will pick (the paper's
-/// largest evaluated granularity).
-const DEFAULT_MAX_DIM: u32 = 1024;
-/// Default evaluation period, in processing cycles.
-const DEFAULT_CHECK_EVERY: u64 = 8;
-/// Default hysteresis: predicted cost at the current `δ` must exceed the
-/// predicted cost at the candidate `δ` by this factor.
-const DEFAULT_HYSTERESIS: f64 = 1.2;
-/// Default cooldown between applied re-grids, in processing cycles.
-const DEFAULT_COOLDOWN: u64 = 16;
-/// Default skew dead band: observed concentration below this factor never
-/// perturbs the uniform model.
-const DEFAULT_SKEW_THRESHOLD: f64 = 4.0;
+/// Smallest resolution (cells per axis) the auto policy picks.
+pub const MIN_DIM: u32 = 16;
+/// Largest resolution (cells per axis) the auto policy picks: the
+/// paper's largest evaluated granularity.
+pub const MAX_DIM: u32 = 1024;
+/// The auto policy re-grids only when the predicted cost at the current
+/// `δ` is at least this factor above the predicted cost at the candidate.
+pub const HYSTERESIS: f64 = 1.2;
+/// Observed-skew dead band: the skew EMA is divided by this threshold
+/// (floored at 1) before it reaches the cost model, so only concentration
+/// beyond it — a real hotspot, not sampling noise — can move the grid.
+pub const SKEW_THRESHOLD: f64 = 4.0;
+
+/// [`RegridPolicy::auto`]'s evaluation period, in processing cycles.
+const DEFAULT_CHECK_EVERY: NonZeroU64 = NonZeroU64::new(8).unwrap();
 
 /// EMA smoothing for the observed agilities.
 const AGILITY_ALPHA: f64 = 0.25;
@@ -63,100 +65,39 @@ const AGILITY_ALPHA: f64 = 0.25;
 /// (e.g. a near-empty grid) cannot swing the EMA arbitrarily.
 const SKEW_CLAMP_MAX: f64 = 64.0;
 
-/// Configuration of the cost-model-driven automatic re-grid policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoRegridConfig {
-    /// Smallest candidate resolution (cells per axis).
-    pub min_dim: u32,
-    /// Largest candidate resolution (cells per axis).
-    pub max_dim: u32,
-    /// Evaluate the model every this many processing cycles.
-    pub check_every: u64,
-    /// Re-grid only when `predicted_cost(current) ≥ hysteresis ×
-    /// predicted_cost(candidate)` (must be `> 1`): the anti-thrashing
-    /// dead band for loads oscillating around a cost crossover.
-    pub hysteresis: f64,
-    /// Minimum number of cycles between two applied re-grids.
-    pub cooldown: u64,
-    /// Observed-skew dead band (must be `≥ 1`, may be
-    /// [`f64::INFINITY`] to ignore occupancy entirely): the skew EMA is
-    /// divided by this threshold (floored at 1) before it reaches the
-    /// cost model, so only concentration beyond the threshold — a real
-    /// hotspot, not sampling noise — can trigger a resolution change.
-    pub skew_threshold: f64,
-}
-
-impl Default for AutoRegridConfig {
-    fn default() -> Self {
-        Self {
-            min_dim: DEFAULT_MIN_DIM,
-            max_dim: DEFAULT_MAX_DIM,
-            check_every: DEFAULT_CHECK_EVERY,
-            hysteresis: DEFAULT_HYSTERESIS,
-            cooldown: DEFAULT_COOLDOWN,
-            skew_threshold: DEFAULT_SKEW_THRESHOLD,
-        }
-    }
+/// Minimum number of cycles between two applied re-grids of an auto
+/// policy evaluated every `check_every` cycles.
+pub(crate) fn cooldown(check_every: NonZeroU64) -> u64 {
+    check_every.get().saturating_mul(2)
 }
 
 /// When (if ever) an engine re-grids on its own; see the
 /// [module docs](self).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RegridPolicy {
     /// Never re-grid automatically (the default). `regrid_to` remains
     /// available for operator-driven resolution changes.
     #[default]
     Manual,
     /// Cost-model-driven automatic re-gridding.
-    Auto(AutoRegridConfig),
+    Auto {
+        /// Evaluate the model every this many processing cycles; at
+        /// least twice as many separate two applied re-grids.
+        check_every: NonZeroU64,
+    },
 }
 
 impl RegridPolicy {
-    /// The automatic policy with default tuning
-    /// ([`AutoRegridConfig::default`]).
+    /// The automatic policy, evaluated every 8 cycles.
     pub fn auto() -> Self {
-        RegridPolicy::Auto(AutoRegridConfig::default())
-    }
-
-    /// The manual policy.
-    pub fn manual() -> Self {
-        RegridPolicy::Manual
+        RegridPolicy::Auto {
+            check_every: DEFAULT_CHECK_EVERY,
+        }
     }
 
     /// `true` for [`RegridPolicy::Auto`].
     pub fn is_auto(&self) -> bool {
-        matches!(self, RegridPolicy::Auto(_))
-    }
-
-    /// Check the policy's configuration, so a bad config fails where it
-    /// is written rather than inside a later `process_cycle`.
-    ///
-    /// # Panics
-    /// For [`RegridPolicy::Auto`], panics unless
-    /// `1 ≤ min_dim ≤ max_dim ≤ 4096` (the grid's supported range),
-    /// `hysteresis > 1` (a dead band of 1 or less re-grids on every
-    /// eligible evaluation), `check_every ≥ 1`, and `skew_threshold ≥ 1`
-    /// and not NaN (`∞` disables the occupancy signal).
-    pub(crate) fn validate(&self) {
-        if let RegridPolicy::Auto(cfg) = self {
-            assert!(
-                cfg.min_dim >= 1 && cfg.min_dim <= cfg.max_dim && cfg.max_dim <= 4096,
-                "auto re-grid dim range out of bounds: [{}, {}]",
-                cfg.min_dim,
-                cfg.max_dim
-            );
-            assert!(
-                cfg.hysteresis > 1.0,
-                "auto re-grid hysteresis must exceed 1 (got {})",
-                cfg.hysteresis
-            );
-            assert!(cfg.check_every >= 1, "check_every must be at least 1");
-            assert!(
-                cfg.skew_threshold >= 1.0,
-                "skew_threshold must be at least 1 (got {})",
-                cfg.skew_threshold
-            );
-        }
+        matches!(self, RegridPolicy::Auto { .. })
     }
 }
 
@@ -165,7 +106,7 @@ impl RegridPolicy {
 /// cycle and ask for a decision at the cycle boundary; everything it
 /// computes is a deterministic function of the stream.
 #[derive(Debug, Clone)]
-pub struct RegridController {
+pub(crate) struct RegridController {
     policy: RegridPolicy,
     /// EMA of the observed object agility `f_obj` (updates / N per cycle).
     f_obj: f64,
@@ -182,12 +123,7 @@ pub struct RegridController {
 
 impl RegridController {
     /// A controller with the given policy and no observations yet.
-    ///
-    /// # Panics
-    /// Panics on an invalid [`RegridPolicy::Auto`] configuration (dim
-    /// range outside `1..=4096`, `hysteresis ≤ 1`, or `check_every = 0`).
-    pub fn new(policy: RegridPolicy) -> Self {
-        policy.validate();
+    pub(crate) fn new(policy: RegridPolicy) -> Self {
         Self {
             policy,
             f_obj: 0.0,
@@ -200,17 +136,12 @@ impl RegridController {
     }
 
     /// The active policy.
-    pub fn policy(&self) -> &RegridPolicy {
+    pub(crate) fn policy(&self) -> &RegridPolicy {
         &self.policy
     }
 
     /// Replace the policy, keeping the observed agilities.
-    ///
-    /// # Panics
-    /// Panics on an invalid [`RegridPolicy::Auto`] configuration (dim
-    /// range outside `1..=4096`, `hysteresis ≤ 1`, or `check_every = 0`).
-    pub fn set_policy(&mut self, policy: RegridPolicy) {
-        policy.validate();
+    pub(crate) fn set_policy(&mut self, policy: RegridPolicy) {
         self.policy = policy;
     }
 
@@ -241,7 +172,7 @@ impl RegridController {
     }
 
     /// Fold one cycle's event-batch sizes into the agility EMAs.
-    pub fn observe_cycle(
+    pub(crate) fn observe_cycle(
         &mut self,
         object_events: usize,
         query_events: usize,
@@ -266,7 +197,7 @@ impl RegridController {
     /// `[1, 64]` so a near-empty grid cannot swing the average; empty
     /// grids are skipped. The index maintains [`GridStats`]
     /// incrementally, so engines can afford to call this every cycle.
-    pub fn observe_occupancy(&mut self, stats: GridStats) {
+    pub(crate) fn observe_occupancy(&mut self, stats: GridStats) {
         if stats.live_objects == 0 || stats.total_cells == 0 {
             return;
         }
@@ -275,32 +206,31 @@ impl RegridController {
         self.skew += AGILITY_ALPHA * (observed - self.skew);
     }
 
-    /// The skew EMA (`1` = uniform occupancy); diagnostics surface.
-    #[must_use]
-    pub fn observed_skew(&self) -> f64 {
+    /// The skew EMA (`1` = uniform occupancy).
+    #[cfg(test)]
+    fn observed_skew(&self) -> f64 {
         self.skew
     }
 
     /// The skew factor the cost model actually sees: the EMA divided by
-    /// the policy's dead-band threshold, floored at 1. Manual policies
-    /// (no threshold) stay on the uniform model.
+    /// [`SKEW_THRESHOLD`], floored at 1. Manual policies stay on the
+    /// uniform model.
     fn effective_skew(&self) -> f64 {
         match self.policy {
-            RegridPolicy::Auto(cfg) => {
-                let s = self.skew / cfg.skew_threshold;
-                if s > 1.0 {
-                    s
-                } else {
-                    1.0
-                }
-            }
+            RegridPolicy::Auto { .. } => (self.skew / SKEW_THRESHOLD).max(1.0),
             RegridPolicy::Manual => 1.0,
         }
     }
 
     /// The cost model for the current observation at cell side
     /// `1/dim` — also what diagnostics and tests inspect.
-    pub fn model(&self, n_objects: usize, n_queries: usize, avg_k: usize, dim: u32) -> CostModel {
+    pub(crate) fn model(
+        &self,
+        n_objects: usize,
+        n_queries: usize,
+        avg_k: usize,
+        dim: u32,
+    ) -> CostModel {
         CostModel {
             n_objects,
             n_queries,
@@ -319,7 +249,7 @@ impl RegridController {
     /// cycles). Returns the resolution to re-grid to, or `None` to stay
     /// put. Callers apply the returned dimension immediately; the
     /// controller assumes they do (it starts the cooldown clock).
-    pub fn decide(
+    pub(crate) fn decide(
         &mut self,
         epoch: u64,
         n_objects: usize,
@@ -327,10 +257,10 @@ impl RegridController {
         avg_k: usize,
         current_dim: u32,
     ) -> Option<u32> {
-        let RegridPolicy::Auto(cfg) = self.policy else {
+        let RegridPolicy::Auto { check_every } = self.policy else {
             return None;
         };
-        if epoch < self.last_eval.saturating_add(cfg.check_every) {
+        if epoch < self.last_eval.saturating_add(check_every.get()) {
             return None;
         }
         self.last_eval = epoch;
@@ -338,7 +268,7 @@ impl RegridController {
             return None;
         }
         let current = self.model(n_objects, n_queries, avg_k, current_dim);
-        let best_dim = current.optimal_dim(cfg.min_dim, cfg.max_dim);
+        let best_dim = current.optimal_dim(MIN_DIM, MAX_DIM);
         if best_dim == current_dim {
             return None;
         }
@@ -346,10 +276,10 @@ impl RegridController {
             delta: 1.0 / best_dim as f64,
             ..current
         };
-        if current.time_cycle() < cfg.hysteresis * best.time_cycle() {
+        if current.time_cycle() < HYSTERESIS * best.time_cycle() {
             return None;
         }
-        if self.last_regrid != 0 && epoch < self.last_regrid.saturating_add(cfg.cooldown) {
+        if self.last_regrid != 0 && epoch < self.last_regrid.saturating_add(cooldown(check_every)) {
             return None;
         }
         self.last_regrid = epoch;
@@ -362,27 +292,8 @@ mod tests {
     use super::*;
 
     #[test]
-    #[should_panic(expected = "dim range out of bounds")]
-    fn invalid_dim_range_fails_at_configuration_time() {
-        let _ = RegridController::new(RegridPolicy::Auto(AutoRegridConfig {
-            max_dim: 8192,
-            ..AutoRegridConfig::default()
-        }));
-    }
-
-    #[test]
-    #[should_panic(expected = "hysteresis must exceed 1")]
-    fn degenerate_hysteresis_fails_at_configuration_time() {
-        let mut c = RegridController::new(RegridPolicy::manual());
-        c.set_policy(RegridPolicy::Auto(AutoRegridConfig {
-            hysteresis: 1.0,
-            ..AutoRegridConfig::default()
-        }));
-    }
-
-    #[test]
     fn manual_never_decides() {
-        let mut c = RegridController::new(RegridPolicy::manual());
+        let mut c = RegridController::new(RegridPolicy::Manual);
         c.observe_cycle(500, 10, 1_000, 50);
         assert_eq!(c.decide(100, 1_000, 50, 8, 16), None);
         assert!(!c.policy().is_auto());
@@ -402,9 +313,11 @@ mod tests {
             .decide(100, 100_000, 5_000, 16, 16)
             .expect("gross mismatch must trigger a re-grid");
         assert!(dim >= 64, "picked {dim}");
-        // Immediately after, the cooldown blocks another re-grid even at
-        // the next evaluation point.
+        // Immediately after, the cooldown of two evaluation periods blocks
+        // another re-grid at the next evaluation point, not at the one
+        // after it.
         assert_eq!(c.decide(108, 100_000, 5_000, 16, 16), None);
+        assert!(c.decide(116, 100_000, 5_000, 16, 16).is_some());
     }
 
     #[test]
@@ -413,11 +326,11 @@ mod tests {
         c.observe_cycle(500, 15, 1_000, 50);
         // Find the model's optimum, then sit one power of two away: the
         // predicted gain is small, so the dead band must hold.
-        let opt = c.model(1_000, 50, 8, 64).optimal_dim(16, 1024);
-        let near = if opt > 16 { opt / 2 } else { opt * 2 };
+        let opt = c.model(1_000, 50, 8, 64).optimal_dim(MIN_DIM, MAX_DIM);
+        let near = if opt > MIN_DIM { opt / 2 } else { opt * 2 };
         let current = c.model(1_000, 50, 8, near);
         let best = c.model(1_000, 50, 8, opt);
-        if current.time_cycle() < 1.2 * best.time_cycle() {
+        if current.time_cycle() < HYSTERESIS * best.time_cycle() {
             assert_eq!(
                 c.decide(100, 1_000, 50, 8, near),
                 None,
@@ -428,10 +341,9 @@ mod tests {
 
     #[test]
     fn evaluation_respects_check_every() {
-        let mut c = RegridController::new(RegridPolicy::Auto(AutoRegridConfig {
-            check_every: 10,
-            ..AutoRegridConfig::default()
-        }));
+        let mut c = RegridController::new(RegridPolicy::Auto {
+            check_every: NonZeroU64::new(10).unwrap(),
+        });
         c.observe_cycle(50_000, 1_500, 100_000, 5_000);
         assert_eq!(c.decide(9, 100_000, 5_000, 16, 16), None, "too early");
         assert!(c.decide(10, 100_000, 5_000, 16, 16).is_some());
@@ -443,15 +355,6 @@ mod tests {
         c.observe_cycle(0, 0, 0, 0);
         assert_eq!(c.decide(100, 0, 5, 8, 16), None);
         assert_eq!(c.decide(200, 1_000, 0, 8, 16), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "skew_threshold must be at least 1")]
-    fn sub_unit_skew_threshold_fails_at_configuration_time() {
-        let _ = RegridController::new(RegridPolicy::Auto(AutoRegridConfig {
-            skew_threshold: 0.5,
-            ..AutoRegridConfig::default()
-        }));
     }
 
     fn stats(total_cells: usize, live_objects: usize, hot_cell_max: usize) -> GridStats {
@@ -468,8 +371,8 @@ mod tests {
         let mut c = RegridController::new(RegridPolicy::auto());
         c.observe_cycle(500, 15, 1_000, 50);
         for _ in 0..32 {
-            // Hot cell at 2× the uniform expectation: below the default
-            // threshold of 4, so the model must stay paper-exact.
+            // Hot cell at 2× the uniform expectation: below
+            // SKEW_THRESHOLD, so the model must stay paper-exact.
             c.observe_occupancy(stats(256, 1_024, 8));
         }
         assert!(c.observed_skew() > 1.5, "EMA should track the stream");
@@ -511,7 +414,7 @@ mod tests {
             // 2 objects, one cell holds both: raw ratio would be 128.
             c.observe_occupancy(stats(256, 2, 2));
         }
-        assert!(c.observed_skew() <= 64.0 + 1e-9, "clamp failed");
+        assert!(c.observed_skew() <= SKEW_CLAMP_MAX + 1e-9, "clamp failed");
     }
 
     #[test]

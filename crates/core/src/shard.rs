@@ -483,7 +483,7 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     /// Section 3.3).
     ///
     /// With delta capture enabled, prefer submitting a
-    /// [`SpecEvent::Update`] to `process_cycle_with_deltas` instead: this
+    /// [`SpecEvent::Update`] to `process_cycle_with_deltas_into` instead: this
     /// direct call changes the result *between* cycles, outside the delta
     /// stream (as do [`ShardedCpmEngine::install`] and
     /// [`ShardedCpmEngine::terminate`] — legitimate for pre-stream setup,
@@ -524,7 +524,7 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     ) -> Vec<QueryId> {
         assert!(
             !self.collect_deltas,
-            "this engine collects deltas: use process_cycle_with_deltas, or the delta \
+            "this engine collects deltas: use process_cycle_with_deltas_into, or the delta \
              stream silently loses this cycle's changes"
         );
         // Without delta capture nothing is appended to this throwaway
@@ -536,7 +536,7 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     }
 
     /// Turn per-cycle delta capture on (see
-    /// [`ShardedCpmEngine::process_cycle_with_deltas`]). Capture costs one
+    /// [`ShardedCpmEngine::process_cycle_with_deltas_into`]). Capture costs one
     /// O(result) copy and one O(result) diff per affected query per cycle.
     pub fn enable_deltas(&mut self) {
         self.collect_deltas = true;
@@ -549,30 +549,15 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         self.epoch
     }
 
-    /// Run one processing cycle and return the per-query result deltas
-    /// alongside the changed-query list, both ascending by query id and
-    /// **bit-identical** at every thread count (asserted by the
-    /// delta-replay and threads suites).
-    ///
-    /// # Panics
-    /// Panics if delta capture was not enabled with
-    /// [`ShardedCpmEngine::enable_deltas`].
-    pub fn process_cycle_with_deltas(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
-    ) -> CycleDeltas {
-        let mut out = CycleDeltas::default();
-        self.process_cycle_with_deltas_into(object_events, query_events, &mut out);
-        out
-    }
-
-    /// [`ShardedCpmEngine::process_cycle_with_deltas`], but refilling a
-    /// caller-owned batch: `out`'s two vectors are cleared and reused, so
-    /// a steady-state caller that recycles the same [`CycleDeltas`] (the
-    /// subscription front end, the benchmark) does not re-grow them. The
-    /// deltas themselves are not recycled: a component of more than four
-    /// entries owns a heap buffer, freed here and allocated by capture.
+    /// Run one processing cycle and write the per-query result deltas
+    /// alongside the changed-query list into a caller-owned batch, both
+    /// ascending by query id and **bit-identical** at every thread count
+    /// (asserted by the delta-replay and threads suites). `out`'s two
+    /// vectors are cleared and reused, so a steady-state caller that
+    /// recycles the same [`CycleDeltas`] (the subscription front end, the
+    /// benchmark) does not re-grow them. The deltas themselves are not
+    /// recycled: a component of more than four entries owns a heap
+    /// buffer, freed here and allocated by capture.
     ///
     /// # Panics
     /// Panics if delta capture was not enabled with
@@ -599,7 +584,7 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     }
 
     /// The shared cycle body behind [`ShardedCpmEngine::process_cycle`]
-    /// and [`ShardedCpmEngine::process_cycle_with_deltas`]: changed ids
+    /// and [`ShardedCpmEngine::process_cycle_with_deltas_into`]: changed ids
     /// and deltas land in the caller's buffers (both empty on entry), in
     /// slot order and then event order; `changed` is left sorted.
     fn run_cycle(

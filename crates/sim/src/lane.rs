@@ -3,11 +3,13 @@
 //! that crashes and recovers, and a [`ClusterCoordinator`] over either
 //! transport.
 
+use std::num::NonZeroU64;
+
 use cpm_cluster::{ClusterConfig, ClusterCoordinator, ClusterError, Transport, WorkerHandle};
 use cpm_core::snapshot::Snapshot;
 use cpm_core::{
-    AnyQuerySpec, AutoRegridConfig, CpmServer, CpmServerBuilder, CycleDeltas, DurableCpmServer,
-    PointQuery, RecoveryError, RegridPolicy, SpecEvent,
+    AnyQuerySpec, CpmServer, CpmServerBuilder, CycleDeltas, DurableCpmServer, PointQuery,
+    RecoveryError, RegridPolicy, SpecEvent,
 };
 use cpm_gen::{Corruption, FaultPlan};
 use cpm_geom::Point;
@@ -115,14 +117,12 @@ impl LaneConfig {
     }
 }
 
-/// The policy [`Regrid::Auto`] lanes run: the default cost-model
-/// thresholds, evaluated often enough to act within a test-sized stream.
+/// The policy [`Regrid::Auto`] lanes run: the cost model evaluated
+/// every third cycle, often enough to act within a test-sized stream.
 pub fn auto_regrid_policy() -> RegridPolicy {
-    RegridPolicy::Auto(AutoRegridConfig {
-        check_every: 3,
-        cooldown: 6,
-        ..AutoRegridConfig::default()
-    })
+    RegridPolicy::Auto {
+        check_every: NonZeroU64::new(3).expect("non-zero"),
+    }
 }
 
 /// One deployment under test.

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use cpm_core::{CycleDeltas, Neighbor, NeighborDelta};
 use cpm_geom::{FastHashMap, QueryId};
-use cpm_wire::{Decode, Encode, Writer};
+use cpm_wire::{Decode, Writer};
 
 use crate::replica::Replica;
 
@@ -223,9 +223,9 @@ impl DeltaFanout {
         }
     }
 
-    /// Serialize `batch` exactly once (mirroring `CycleDeltas`'s wire
-    /// encoding byte for byte) and record each delta's byte range, or
-    /// skip entirely when no delta has a subscriber.
+    /// Serialize `batch` exactly once
+    /// ([`CycleDeltas::encode_marking_deltas`]) and record each delta's
+    /// byte range, or skip entirely when no delta has a subscriber.
     #[allow(clippy::type_complexity)]
     fn encode_once(&mut self, batch: &CycleDeltas) -> Option<(Arc<[u8]>, Vec<(usize, usize)>)> {
         if !batch
@@ -237,21 +237,8 @@ impl DeltaFanout {
         }
         self.encodes += 1;
         let mut w = Writer::new();
-        w.put_u64(batch.epoch);
-        batch.changed.encode(&mut w);
-        w.put_u32(u32::try_from(batch.deltas.len()).expect("collection fits a u32 length prefix"));
         let mut ranges = Vec::with_capacity(batch.deltas.len());
-        for (qid, delta) in &batch.deltas {
-            qid.encode(&mut w);
-            let start = w.len();
-            delta.encode(&mut w);
-            ranges.push((start, w.len()));
-        }
-        debug_assert_eq!(
-            w.as_slice(),
-            batch.encode_to_vec(),
-            "encode_once must mirror CycleDeltas's wire encoding"
-        );
+        batch.encode_marking_deltas(&mut w, |start, end| ranges.push((start, end)));
         Some((Arc::from(w.into_bytes()), ranges))
     }
 

@@ -1007,16 +1007,6 @@ impl Journal {
         self.next_seq - 1
     }
 
-    /// Sequence number the *next* [`Journal::append`] will stamp.
-    ///
-    /// This is the journal's at-least-once delivery cursor: a receiver
-    /// that remembers the last sequence it applied can hand it to
-    /// [`Journal::replay`] (as `after`) or to [`dedup`] and redelivered
-    /// records collapse away. Always `watermark() + 1`.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Drop every record and restart the sequence after a checkpoint at
     /// `watermark`.
     pub fn truncate_to(&mut self, watermark: u64) {
@@ -1066,21 +1056,8 @@ impl Journal {
 }
 
 /// Collapse an at-least-once record stream into the unique, contiguous
-/// suffix after `after` — the journal's sequence-number dedup, exposed so
-/// any receiver of sequence-stamped frames (recovery, the cluster delta
-/// plane) can apply the same semantics:
-///
-/// * records with `seq <= after` are already applied and dropped;
-/// * **reordered** records are sorted by sequence;
-/// * **duplicated** records (same sequence, same bytes) collapse to one;
-/// * two records claiming the same sequence with *different* payloads are
-///   a hard [`WireError::Invalid`] — so is a gap in the sequence, because
-///   replaying around either would fabricate a history that was never
-///   run.
-pub fn dedup(
-    mut records: Vec<(u64, Vec<u8>)>,
-    after: u64,
-) -> Result<Vec<(u64, Vec<u8>)>, WireError> {
+/// suffix after `after`, with the semantics [`Journal::replay`] lists.
+fn dedup(mut records: Vec<(u64, Vec<u8>)>, after: u64) -> Result<Vec<(u64, Vec<u8>)>, WireError> {
     records.retain(|&(seq, _)| seq > after);
     records.sort_by_key(|&(seq, _)| seq);
     let mut deduped: Vec<(u64, Vec<u8>)> = Vec::with_capacity(records.len());
@@ -1433,14 +1410,14 @@ mod tests {
     }
 
     #[test]
-    fn next_seq_tracks_appends_and_truncation() {
+    fn watermark_tracks_appends_and_truncation() {
         let mut j = Journal::new(7);
-        assert_eq!(j.next_seq(), 8);
-        j.append(b"a");
-        assert_eq!(j.next_seq(), 9);
-        assert_eq!(j.next_seq(), j.watermark() + 1);
+        assert_eq!(j.watermark(), 7);
+        assert_eq!(j.append(b"a"), 8);
+        assert_eq!(j.watermark(), 8);
         j.truncate_to(20);
-        assert_eq!(j.next_seq(), 21);
+        assert_eq!(j.watermark(), 20);
+        assert_eq!(j.append(b"b"), 21);
     }
 
     #[test]

@@ -509,21 +509,14 @@ fn merged_deltas_feed_the_subscription_fanout() {
             pos: Point::new(f64::from(i).mul_add(0.06, 0.02), 0.5),
         })
         .collect();
-    let r1 = coord
-        .process_cycle_fanout(&appears, &[], &mut fanout)
-        .unwrap();
+    let r1 = fanout.publish(&coord.process_cycle(&appears, &[]).unwrap());
     assert_eq!(r1.epoch, 1);
-    let r2 = coord
-        .process_cycle_fanout(
-            &[],
-            &[SpecEvent::Install {
-                id: QueryId(7),
-                spec: AnyQuerySpec::Knn(PointQuery(Point::new(0.5, 0.5))),
-                k: 3,
-            }],
-            &mut fanout,
-        )
-        .unwrap();
+    let install = SpecEvent::Install {
+        id: QueryId(7),
+        spec: AnyQuerySpec::Knn(PointQuery(Point::new(0.5, 0.5))),
+        k: 3,
+    };
+    let r2 = fanout.publish(&coord.process_cycle(&[], &[install]).unwrap());
     assert_eq!((r2.epoch, r2.deltas), (2, 1));
     let drained = fanout.drain(QueryId(7));
     assert_eq!(drained.len(), 1);

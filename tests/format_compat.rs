@@ -16,6 +16,9 @@
 //! * A durable server's journal is the bytes `DurableCpmServer` wrote
 //!   while it still had one install call per query kind: the one
 //!   `install_spec` call writes them again, and recovery replays them.
+//! * An auto re-grid policy is the six fields it was while its tuning
+//!   was settable: a snapshot of an auto-policy server reads back with
+//!   the same policy and is written again byte for byte.
 
 mod common;
 
@@ -28,7 +31,7 @@ use cpm_suite::core::codec::CycleDeltasCursor;
 use cpm_suite::core::{
     AggregateFn, AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmServer, CpmServerBuilder,
     CycleDeltas, DurableCpmServer, Neighbor, NeighborDelta, PointQuery, RangeQuery, RecoveryError,
-    Snapshot, SpecEvent,
+    RegridPolicy, Snapshot, SpecEvent,
 };
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
@@ -171,6 +174,48 @@ const PARENT_JOURNAL: &str = "\
     00020026000000090000000000000000010000000105000000000000000000e0\
     3f000000000000e03f000000006844799f";
 
+/// `Snapshot::capture(&server, 9).to_frame()` as commit `619967e` (the
+/// last with a settable auto re-grid tuning) wrote it for
+/// [`auto_fixture`]'s server: the auto policy's six fields are the fixed
+/// tuning with `check_every` 8, and the controller has evaluated once.
+const PARENT_AUTO_SNAPSHOT: &str = "\
+    574d504301000100660400001000000000020000000000000000011000000000\
+    0400000800000000000000333333333333f33f10000000000000000000000000\
+    0010409a9999999999b93f0000000000000000cdcccc8c25273e400108000000\
+    0000000000000000000000000900000000000000c0000000000000000b000000\
+    00000000ab000000000000007e00000000000000010000000000000001000000\
+    0000000002000000000000000900000000000000000000000000000000000000\
+    000000000000000000000000c0000000000000000b00000000000000ab000000\
+    000000007e000000000000000100000000000000010000000000000002000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    000000000a000000000000000000000000000000000000000000d03f01000000\
+    000000000000c03f000000000000d03f02000000000000000000d03f00000000\
+    0000d03f03000000000000000000d83f000000000000d03f0400000000000000\
+    0000e03f000000000000d03f05000000000000000000e43f000000000000d03f\
+    06000000000000000000e83f000000000000d03f07000000000000000000ec3f\
+    000000000000d03f080000000000000000000000000000000000d03f09000000\
+    cdccccccccccec3f303333333333d33f010000000000000000000000000000e0\
+    3f000000000000e03f02000000000000000200000004000000000000000000d0\
+    3f03000000a8f4979b77e3d13f01000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    000000000000000000000900000000000000f104766f";
+
 fn bytes(hex: &str) -> Vec<u8> {
     let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
     let nibble = |d: u8| (d as char).to_digit(16).expect("a hex digit") as u8;
@@ -213,6 +258,52 @@ fn parent_commit_frames_round_trip_byte_identically() {
     };
     assert_eq!(hello, expected);
     assert_eq!(hello.to_frame(), frame, "re-encoding moved a byte");
+}
+
+/// The server [`PARENT_AUTO_SNAPSHOT`] was taken of: dim 16, two threads,
+/// the default auto policy, ten objects, a k-NN query, nine cycles run.
+fn auto_fixture() -> CpmServer {
+    let mut server = CpmServerBuilder::new(16)
+        .threads(2)
+        .regrid(RegridPolicy::auto())
+        .build();
+    server.populate((0..10u32).map(|i| {
+        let t = f64::from(i) / 10.0;
+        (ObjectId(i), Point::new(t, (t * 7.0) % 1.0))
+    }));
+    let _ = server
+        .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
+        .unwrap();
+    for step in 0..9u32 {
+        let moved = ObjectEvent::Move {
+            id: ObjectId(step),
+            to: Point::new(0.125 * f64::from(step % 8), 0.25),
+        };
+        let _ = server.process_cycle(&[moved], &[]).unwrap();
+    }
+    server
+}
+
+#[test]
+fn parent_commit_auto_policy_snapshot_is_rewritten_byte_identically() {
+    let frame = bytes(PARENT_AUTO_SNAPSHOT);
+    let snap = Snapshot::from_frame(&frame).expect("a parent-commit auto snapshot decodes");
+    assert_eq!(snap.engine.policy, RegridPolicy::auto());
+    assert_eq!((snap.engine.epoch, snap.watermark), (9, 9));
+    assert_eq!(snap.to_frame(), frame, "re-encoding moved a byte");
+    assert_eq!(
+        Snapshot::capture(&auto_fixture(), 9).to_frame(),
+        frame,
+        "the fixture captures to different bytes"
+    );
+    let server = CpmServer::restore(&snap).expect("a parent-commit auto snapshot restores");
+    server.check_invariants();
+    assert_eq!(*server.regrid_policy(), RegridPolicy::auto());
+    assert_eq!(
+        Snapshot::capture(&server, snap.watermark).to_frame(),
+        frame,
+        "the restored server captures to different bytes"
+    );
 }
 
 #[test]

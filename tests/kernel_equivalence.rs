@@ -9,7 +9,9 @@
 //! exactly the pre-kernel code path. The batched lane is the stock
 //! [`PointQuery`], whose `dist_batch` is the kernel.
 
-use cpm_suite::core::{Direction, Pinwheel, PointQuery, QuerySpec, ShardedCpmEngine, SpecEvent};
+use cpm_suite::core::{
+    CycleDeltas, Direction, Pinwheel, PointQuery, QuerySpec, ShardedCpmEngine, SpecEvent,
+};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{CellCoord, GridGeom, ObjectEvent};
 
@@ -146,9 +148,10 @@ fn batched_kernel_is_observationally_identical_to_scalar() {
             })
             .collect();
 
-        let want = scalar.process_cycle_with_deltas(&events, &scalar_qev);
+        let (mut want, mut got) = (CycleDeltas::default(), CycleDeltas::default());
+        scalar.process_cycle_with_deltas_into(&events, &scalar_qev, &mut want);
         for (s, engine) in batched.iter_mut() {
-            let got = engine.process_cycle_with_deltas(&events, &batched_qev);
+            engine.process_cycle_with_deltas_into(&events, &batched_qev, &mut got);
             assert_eq!(
                 got.changed, want.changed,
                 "changed lists diverged at cycle {cycle} (S={s})"

@@ -11,7 +11,7 @@
 //! and which in-place mutation is the first (the cycle-start copy the
 //! delta is taken against is made just before it).
 
-use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
+use cpm_suite::core::{CycleDeltas, PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{Metrics, ObjectEvent, QueryEvent};
 use cpm_suite::sim::{KnnMonitorAlgo, OracleMonitor};
@@ -152,9 +152,9 @@ fn replay(
         let lifted: Vec<SpecEvent<PointQuery>> = qry_events.iter().map(|&ev| ev.into()).collect();
         KnnMonitorAlgo::process_cycle(&mut oracle, &obj_events, &qry_events);
 
-        let mut cycles = Vec::new();
-        for cpm in &mut engines {
-            cycles.push(cpm.process_cycle_with_deltas(&obj_events, &lifted));
+        let mut cycles = vec![CycleDeltas::default(); engines.len()];
+        for (cpm, out) in engines.iter_mut().zip(&mut cycles) {
+            cpm.process_cycle_with_deltas_into(&obj_events, &lifted, out);
             cpm.check_invariants();
         }
         for (i, cpm) in engines.iter().enumerate().skip(1) {
