@@ -8,7 +8,7 @@
 //!   table2_1 table6_1                 the paper's two static tables
 //!   fig6_1 … fig6_6b space analysis skew ann ann_moving_sets constrained rnn
 //!                                     one row set of `cpm_bench::figures::SWEEPS`
-//!   grid threads deltas server regrid recovery kernels cluster pipeline
+//!   threads deltas server regrid recovery kernels cluster
 //!                                     a micro-benchmark of `cpm_bench::BENCHES`,
 //!                                     at the scale `bench_check` gates
 //!   figures                           every sweep above as one record, with the

@@ -21,7 +21,7 @@ use cpm_geom::QueryId;
 
 use crate::paired::{timed, Paired, REPS};
 use crate::record::BenchRecord;
-use crate::workload::{bench_config, uniform_stream};
+use crate::workload::{bench_config, threads, uniform_stream};
 
 bench_config! {
     /// Workload parameters for one delta-vs-full-list run.
@@ -73,7 +73,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     );
     let build = |deltas: bool| {
         let mut engine: ShardedCpmEngine<PointQuery> =
-            ShardedCpmEngine::new(cfg.grid_dim, cfg.threads);
+            ShardedCpmEngine::new(cfg.grid_dim, threads(cfg.threads));
         if deltas {
             engine.enable_deltas();
         }

@@ -2,13 +2,13 @@
 //! measurement in the workspace is a [`BenchRecord`] judged by
 //! [`gates::GATES`].
 //!
-//! * [`BENCHES`] — the ten benchmarks behind the `BENCH_*.json` files at
-//!   the repository root. Each module is a `Config`, its lanes with
+//! * [`BENCHES`] — the eight benchmarks behind the `BENCH_*.json` files
+//!   at the repository root. Each module is a `Config`, its lanes with
 //!   their in-run conformance assertions, and one
 //!   `measure(&Config) -> BenchRecord`; how a benchmark is executed,
 //!   serialized and judged lives once, in [`paired`], [`record`] and
 //!   [`gates`].
-//! * [`figures`] — the tenth: the paper's Section 6 figures, the space
+//! * [`figures`] — the eighth: the paper's Section 6 figures, the space
 //!   footnote, the Section 4.1 model validation and the Section 5
 //!   studies as the rows of one table, [`figures::SWEEPS`].
 //!
@@ -25,11 +25,9 @@ pub mod cluster;
 pub mod deltas;
 pub mod figures;
 pub mod gates;
-pub mod grid_storage;
 pub mod kernels;
 pub mod monitor;
 pub mod paired;
-pub mod pipeline;
 pub mod record;
 pub mod recovery;
 pub mod regrid;
@@ -73,8 +71,7 @@ macro_rules! bench {
 }
 
 /// Every micro-benchmark, in the order `bench_check` runs them.
-pub const BENCHES: [Bench; 10] = [
-    bench!("grid", grid_storage),
+pub const BENCHES: [Bench; 8] = [
     bench!("threads", threads),
     bench!("deltas", deltas),
     bench!("server", server),
@@ -82,7 +79,6 @@ pub const BENCHES: [Bench; 10] = [
     bench!("recovery", recovery),
     bench!("kernels", kernels),
     bench!("cluster", cluster),
-    bench!("pipeline", pipeline),
     // ≈ 1 minute for the gate, 13 for the record on the recording host
     // (0.4 took 53); `experiments --paper figures` is Table 6.1 itself,
     // in hours.

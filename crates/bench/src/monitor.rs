@@ -2,6 +2,7 @@
 //! k-NN methods of the paper, the CPM engine under any query geometry,
 //! the server (reverse NN) and brute-force re-evaluation.
 
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use cpm_core::{CpmServer, QuerySpec, ShardedCpmEngine, SpecEvent};
@@ -90,7 +91,7 @@ pub(crate) fn engine<S: QuerySpec + Send + Sync + 'static>(
     queries: impl IntoIterator<Item = (QueryId, S, usize)>,
     events: impl FnMut(&TickEvents) -> Vec<SpecEvent<S>> + 'static,
 ) -> Box<dyn Monitor> {
-    let mut engine = ShardedCpmEngine::new(input.params.grid_dim, 1);
+    let mut engine = ShardedCpmEngine::new(input.params.grid_dim, NonZeroUsize::MIN);
     engine.populate(input.initial_objects.iter().copied());
     for (id, spec, k) in queries {
         engine

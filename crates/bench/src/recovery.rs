@@ -26,7 +26,7 @@ use rand::Rng;
 
 use crate::paired::{median, timed, Paired, Stat, REPS};
 use crate::record::BenchRecord;
-use crate::workload::{bench_config, mixed_queries, uniform_stream};
+use crate::workload::{bench_config, mixed_queries, threads, uniform_stream};
 
 bench_config! {
     /// Workload parameters for one journal-then-recover run.
@@ -101,7 +101,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     let (mut replayed, mut snapshot_bytes, mut journal_bytes, mut changes) = (0, 0, 0, 0);
     for _ in 0..REPS {
         let mut server = CpmServerBuilder::new(cfg.grid_dim)
-            .threads(cfg.threads)
+            .threads(threads(cfg.threads))
             .build();
         server.populate(w.objects.iter().copied());
         let mut durable = DurableCpmServer::new(server, cfg.checkpoint_every);

@@ -29,7 +29,7 @@ use cpm_core::{PointQuery, RegridPolicy, ShardedCpmEngine};
 
 use crate::paired::{median, timed, Paired, Stat, REPS};
 use crate::record::BenchRecord;
-use crate::workload::DriftBench;
+use crate::workload::{threads, DriftBench};
 
 /// Workload parameters for one fixed-vs-adaptive run.
 #[derive(Debug, Clone)]
@@ -72,7 +72,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     let drift = s.stream();
     let fixed_dim = s.provisioned_dim(s.n_base);
     let build = |policy: Option<RegridPolicy>| {
-        let mut m = ShardedCpmEngine::<PointQuery>::new(fixed_dim, s.threads);
+        let mut m = ShardedCpmEngine::<PointQuery>::new(fixed_dim, threads(s.threads));
         if let Some(policy) = policy {
             m.set_regrid_policy(policy);
         }

@@ -1,9 +1,8 @@
 //! Unified-server benchmark: cycle cost of one [`cpm_core::CpmServer`]
 //! hosting a mixed continuous-query workload (k-NN + range + constrained)
 //! versus three dedicated single-kind engines over three separate grids —
-//! an in-run control, like `grid`'s hash-set lane: the shape a deployment
-//! without the server would have to take, kept only to be measured
-//! against. The record also attributes the server's work to each query
+//! an in-run control: the shape a deployment without the server would
+//! have to take, kept only to be measured against. The record also attributes the server's work to each query
 //! class ([`cpm_grid::Metrics::by_kind`]).
 //!
 //! The workload is deliberately **update-ingest-bound** (100K uniform
@@ -18,7 +17,7 @@ use cpm_core::{CpmServerBuilder, PointQuery, RangeQuery, ShardedCpmEngine};
 
 use crate::paired::{timed, Paired, REPS};
 use crate::record::BenchRecord;
-use crate::workload::{bench_config, mixed_queries, uniform_stream};
+use crate::workload::{bench_config, mixed_queries, threads, uniform_stream};
 
 bench_config! {
     /// Workload parameters for one unified-vs-split run.
@@ -78,12 +77,12 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     let mut work = cpm_grid::Metrics::default();
     for _ in 0..REPS {
         let mut server = CpmServerBuilder::new(cfg.grid_dim)
-            .threads(cfg.threads)
+            .threads(threads(cfg.threads))
             .build();
         server.populate(w.objects.iter().copied());
-        let mut knn_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.threads);
-        let mut range_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.threads);
-        let mut constrained_engine = ShardedCpmEngine::new(cfg.grid_dim, cfg.threads);
+        let mut knn_engine = ShardedCpmEngine::new(cfg.grid_dim, threads(cfg.threads));
+        let mut range_engine = ShardedCpmEngine::new(cfg.grid_dim, threads(cfg.threads));
+        let mut constrained_engine = ShardedCpmEngine::new(cfg.grid_dim, threads(cfg.threads));
         knn_engine.populate(w.objects.iter().copied());
         range_engine.populate(w.objects.iter().copied());
         constrained_engine.populate(w.objects.iter().copied());

@@ -19,7 +19,7 @@ use cpm_grid::ObjectEvent;
 
 use crate::paired::{timed, Lane, Paired, REPS};
 use crate::record::BenchRecord;
-use crate::workload::bench_config;
+use crate::workload::{self, bench_config};
 
 bench_config! {
     /// Workload parameters for one thread-scaling run.
@@ -94,7 +94,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
             .thread_counts
             .iter()
             .map(|&threads| {
-                let mut engine = ShardedCpmEngine::new(cfg.grid_dim, threads);
+                let mut engine = ShardedCpmEngine::new(cfg.grid_dim, workload::threads(threads));
                 engine.enable_deltas();
                 engine.populate(objects.iter().copied());
                 for &(qid, pos, k) in &queries {

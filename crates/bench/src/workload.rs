@@ -3,6 +3,8 @@
 //! under a medium-speed random walk, the server benchmarks' mixed query
 //! set, and the drifting-hotspot stream.
 
+use std::num::NonZeroUsize;
+
 use cpm_core::{ConstrainedQuery, CostModel, PointQuery, RangeQuery, SpecEvent};
 use cpm_gen::{DriftConfig, DriftingHotspotWorkload, TickEvents, WorkloadConfig};
 use cpm_geom::{clamp_coord, ObjectId, Point, QueryId, Rect};
@@ -38,11 +40,19 @@ macro_rules! bench_config {
 }
 pub(crate) use bench_config;
 
+/// A config's thread count as the engines take it.
+///
+/// # Panics
+/// If `n == 0`: a configuration typo, not input.
+pub(crate) fn threads(n: usize) -> NonZeroUsize {
+    NonZeroUsize::new(n).expect("a lane runs on at least one thread")
+}
+
 /// Per-cycle displacement of the medium speed class: `5 * 2.0 / 250`.
 const MEDIUM_STEP: f64 = 0.04;
 
 /// `n` uniform points over the unit square.
-pub(crate) fn uniform_points(rng: &mut StdRng, n: usize) -> Vec<Point> {
+fn uniform_points(rng: &mut StdRng, n: usize) -> Vec<Point> {
     (0..n).map(|_| Point::new(rng.gen(), rng.gen())).collect()
 }
 
@@ -50,7 +60,7 @@ pub(crate) fn uniform_points(rng: &mut StdRng, n: usize) -> Vec<Point> {
 /// (mutated in place so later cycles continue from the moved state):
 /// each step displaces a uniformly random object by [`MEDIUM_STEP`] in a
 /// uniformly random direction, clamped to the workspace.
-pub(crate) fn random_walk_cycles(
+fn random_walk_cycles(
     rng: &mut StdRng,
     positions: &mut [Point],
     cycles: usize,

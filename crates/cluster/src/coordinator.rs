@@ -282,10 +282,12 @@ impl ClusterCoordinator<ChannelTransport> {
     /// worker join handles (join after [`shutdown`](Self::shutdown)).
     ///
     /// # Errors
-    /// Any handshake refusal, as [`connect`](Self::connect).
+    /// Any config or handshake refusal, as [`connect`](Self::connect);
+    /// a config refusal comes before any thread starts.
     pub fn spawn_in_process(
         config: ClusterConfig,
     ) -> Result<(Self, Vec<WorkerHandle>), ClusterError> {
+        let partition = Partition::new(config.dim, config.workers, config.overlap)?;
         let mut links = Vec::with_capacity(config.workers as usize);
         let mut handles = Vec::with_capacity(config.workers as usize);
         for _ in 0..config.workers {
@@ -293,7 +295,7 @@ impl ClusterCoordinator<ChannelTransport> {
             links.push(near);
             handles.push(thread::spawn(move || run_worker(far)));
         }
-        Ok((Self::connect(config, links)?, handles))
+        Ok((Self::attach(config, partition, links)?, handles))
     }
 
     /// Spawn one replacement in-process worker and hot-swap it in for
@@ -314,11 +316,13 @@ impl ClusterCoordinator<TcpTransport> {
     /// connections (one ephemeral listener each) and connect to them.
     ///
     /// # Errors
-    /// Socket errors as [`ClusterError::Transport`]; handshake refusals
-    /// as [`connect`](Self::connect).
+    /// Socket errors as [`ClusterError::Transport`]; config and handshake
+    /// refusals as [`connect`](Self::connect), a config refusal before
+    /// any thread starts.
     pub fn spawn_tcp_loopback(
         config: ClusterConfig,
     ) -> Result<(Self, Vec<WorkerHandle>), ClusterError> {
+        let partition = Partition::new(config.dim, config.workers, config.overlap)?;
         let mut links = Vec::with_capacity(config.workers as usize);
         let mut handles = Vec::with_capacity(config.workers as usize);
         for _ in 0..config.workers {
@@ -326,7 +330,7 @@ impl ClusterCoordinator<TcpTransport> {
             links.push(link);
             handles.push(handle);
         }
-        Ok((Self::connect(config, links)?, handles))
+        Ok((Self::attach(config, partition, links)?, handles))
     }
 
     /// Spawn one replacement TCP-loopback worker and hot-swap it in for
@@ -357,19 +361,27 @@ impl<T: Transport> ClusterCoordinator<T> {
     /// coverage) and check the `HelloAck`.
     ///
     /// # Errors
-    /// [`ClusterError::VersionSkew`] / typed worker rejections /
-    /// [`ClusterError::Protocol`] on a malformed handshake.
-    ///
-    /// # Panics
-    /// Panics if `links.len() != config.workers`, if `config.workers`
-    /// is 0, or if `config.dim < config.workers`.
-    pub fn connect(config: ClusterConfig, mut links: Vec<T>) -> Result<Self, ClusterError> {
-        assert_eq!(
-            links.len(),
-            config.workers as usize,
-            "one transport link per worker"
-        );
-        let partition = Partition::new(config.dim, config.workers, config.overlap);
+    /// [`ClusterError::InvalidConfig`] before anything is sent if
+    /// [`Partition::new`] refuses `config` or `links.len() !=
+    /// config.workers`; [`ClusterError::VersionSkew`] / typed worker
+    /// rejections / [`ClusterError::Protocol`] on a malformed handshake.
+    pub fn connect(config: ClusterConfig, links: Vec<T>) -> Result<Self, ClusterError> {
+        let partition = Partition::new(config.dim, config.workers, config.overlap)?;
+        if links.len() != config.workers as usize {
+            return Err(ClusterError::InvalidConfig {
+                what: "one transport link per worker",
+            });
+        }
+        Self::attach(config, partition, links)
+    }
+
+    /// Handshake over `links`, one per tile of the already validated
+    /// `partition`.
+    fn attach(
+        config: ClusterConfig,
+        partition: Partition,
+        mut links: Vec<T>,
+    ) -> Result<Self, ClusterError> {
         for (w, link) in links.iter_mut().enumerate() {
             Self::handshake(&config, &partition, w as u32, link, 0)?;
         }

@@ -104,6 +104,14 @@ pub enum ClusterError {
         /// What was violated.
         what: &'static str,
     },
+    /// The `ClusterConfig` cannot be partitioned (no worker, fewer grid
+    /// columns than workers, a grid dimension outside `1..=4096`), or
+    /// `connect` got a link count other than its worker count. Refused
+    /// before any worker thread starts or any frame is sent.
+    InvalidConfig {
+        /// What is wrong with it.
+        what: &'static str,
+    },
 }
 
 impl ClusterError {
@@ -212,6 +220,7 @@ impl std::fmt::Display for ClusterError {
                 write!(f, "worker {worker} engine error: {detail}")
             }
             ClusterError::Protocol { what } => write!(f, "protocol violation: {what}"),
+            ClusterError::InvalidConfig { what } => write!(f, "invalid cluster config: {what}"),
         }
     }
 }

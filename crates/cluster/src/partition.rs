@@ -27,6 +27,8 @@ use cpm_geom::{Point, Rect};
 use cpm_grid::GridGeom;
 use cpm_wire::cluster::TileRect;
 
+use crate::error::ClusterError;
+
 /// The cluster's static partition map: `workers` vertical strips over a
 /// `dim × dim` [`GridGeom`], each with a coverage region `overlap` cells
 /// wider on both sides.
@@ -40,12 +42,21 @@ pub struct Partition {
 impl Partition {
     /// Split a `dim × dim` grid into `workers` column strips.
     ///
-    /// # Panics
-    /// Panics if `workers == 0` or `dim < workers` (a worker needs at
-    /// least one column).
-    pub fn new(dim: u32, workers: u32, overlap: u32) -> Self {
-        assert!(workers >= 1, "a cluster needs at least one worker");
-        assert!(dim >= workers, "need at least one grid column per worker");
+    /// # Errors
+    /// [`ClusterError::InvalidConfig`] if `workers == 0`, `dim < workers`
+    /// (a worker needs at least one column) or
+    /// [`GridGeom::check_dim`] rejects `dim`.
+    pub fn new(dim: u32, workers: u32, overlap: u32) -> Result<Self, ClusterError> {
+        let invalid = |what| Err(ClusterError::InvalidConfig { what });
+        if workers == 0 {
+            return invalid("a cluster needs at least one worker");
+        }
+        if dim < workers {
+            return invalid("need at least one grid column per worker");
+        }
+        if let Err(e) = GridGeom::check_dim(dim) {
+            return invalid(e.reason);
+        }
         let geom = GridGeom::new(dim);
         let base = dim / workers;
         let extra = dim % workers;
@@ -57,11 +68,11 @@ impl Partition {
             c0 += width;
         }
         let coverages = tiles.iter().map(|t| t.expanded(overlap, dim)).collect();
-        Self {
+        Ok(Self {
             geom,
             tiles,
             coverages,
-        }
+        })
     }
 
     /// The grid geometry the tiles are defined over.
@@ -170,7 +181,7 @@ mod tests {
     #[test]
     fn strips_partition_every_column_disjointly() {
         for (dim, workers) in [(16, 1), (16, 2), (16, 4), (17, 4), (7, 3)] {
-            let p = Partition::new(dim, workers, 2);
+            let p = Partition::new(dim, workers, 2).unwrap();
             let mut owned = vec![0u32; dim as usize];
             for w in 0..p.workers() {
                 let t = p.tile(w);
@@ -185,8 +196,24 @@ mod tests {
     }
 
     #[test]
+    fn unpartitionable_configs_are_typed_and_huge_overlaps_saturate() {
+        for (dim, workers) in [(2, 4), (16, 0), (5000, 2), (0, 0)] {
+            assert!(
+                matches!(
+                    Partition::new(dim, workers, 2),
+                    Err(ClusterError::InvalidConfig { .. })
+                ),
+                "dim {dim} workers {workers}"
+            );
+        }
+        let p = Partition::new(16, 2, u32::MAX).unwrap();
+        assert_eq!(p.coverage(0), TileRect::new(0, 0, 15, 15));
+        assert_eq!(p.coverage(1), TileRect::new(0, 0, 15, 15));
+    }
+
+    #[test]
     fn owner_and_coverage_agree_with_the_tiles() {
-        let p = Partition::new(16, 4, 2);
+        let p = Partition::new(16, 4, 2).unwrap();
         let covers = |w: usize, at: Point| p.coverage(w).contains_cell(p.geom().cell_of(at));
         // Cell width is 1/16; worker 1 owns columns 4..=7.
         let inside = Point::new(5.5 / 16.0, 0.5);
@@ -241,7 +268,7 @@ mod tests {
 
     #[test]
     fn rect_within_coverage_uses_cell_resolution() {
-        let p = Partition::new(16, 4, 2);
+        let p = Partition::new(16, 4, 2).unwrap();
         // Worker 1 coverage: columns 2..=9.
         let inside = Rect::new(Point::new(2.5 / 16.0, 0.1), Point::new(9.5 / 16.0, 0.9));
         assert!(p.rect_within_coverage(1, &inside));

@@ -16,6 +16,8 @@
 //! query and refuses with `CoverageExceeded` the moment local results
 //! can no longer be certified globally correct.
 
+use std::num::NonZeroUsize;
+
 use cpm_core::{AnyQuerySpec, CpmError, CpmServer, CpmServerBuilder, CycleDeltas, SpecEvent};
 use cpm_grid::{GridGeom, ObjectEvent};
 use cpm_wire::cluster::{deltas_frame_into, BatchRef, ClusterMsg, ClusterReject, TileRect};
@@ -47,7 +49,7 @@ impl ClusterWorker {
         // One thread: the worker threads of a cluster are its
         // parallelism.
         let server = CpmServerBuilder::new(dim)
-            .threads(1)
+            .threads(NonZeroUsize::MIN)
             .deltas(true)
             .try_build()?;
         Ok(Self {

@@ -170,6 +170,7 @@ mod tests {
     use cpm_geom::{ObjectId, QueryId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::num::NonZeroUsize;
 
     fn assert_matches(engine: &ShardedCpmEngine<AnnQuery>, qid: QueryId) {
         let st = engine.query_state(qid).unwrap();
@@ -197,7 +198,7 @@ mod tests {
 
     #[test]
     fn sum_ann_finds_meeting_object_fig_5_1() {
-        let mut m = ShardedCpmEngine::<AnnQuery>::new(16, 1);
+        let mut m = ShardedCpmEngine::<AnnQuery>::new(16, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(1), Point::new(0.15, 0.85)),
             (ObjectId(2), Point::new(0.42, 0.48)), // near the centroid
@@ -223,7 +224,7 @@ mod tests {
     fn min_and_max_agree_with_brute_force() {
         let mut rng = StdRng::seed_from_u64(42);
         for f in [AggregateFn::Min, AggregateFn::Max, AggregateFn::Sum] {
-            let mut m = ShardedCpmEngine::<AnnQuery>::new(32, 1);
+            let mut m = ShardedCpmEngine::<AnnQuery>::new(32, NonZeroUsize::MIN);
             m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
             let pts = (0..4).map(|_| Point::new(rng.gen(), rng.gen())).collect();
             m.install(QueryId(0), AnnQuery::new(pts, f), 3).unwrap();

@@ -89,6 +89,7 @@ mod tests {
     use crate::ShardedCpmEngine;
     use cpm_geom::{ObjectId, QueryId};
     use cpm_grid::ObjectEvent;
+    use std::num::NonZeroUsize;
 
     fn assert_matches(m: &ShardedCpmEngine<ConstrainedQuery>, qid: QueryId) {
         let st = m.query_state(qid).unwrap();
@@ -111,7 +112,7 @@ mod tests {
     /// unconstrained NN (west of q) must not be reported.
     #[test]
     fn northeast_constraint_fig_5_3() {
-        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, 1);
+        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(1), Point::new(0.45, 0.55)), // p1: unconstrained NN, NW
             (ObjectId(2), Point::new(0.58, 0.45)), // p2: east but south
@@ -126,7 +127,7 @@ mod tests {
 
     #[test]
     fn object_leaving_region_is_outgoing() {
-        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, 1);
+        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(1), Point::new(0.6, 0.6)),
             (ObjectId(2), Point::new(0.8, 0.8)),
@@ -149,7 +150,7 @@ mod tests {
 
     #[test]
     fn object_entering_region_is_incoming() {
-        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, 1);
+        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(1), Point::new(0.9, 0.9)),
             (ObjectId(2), Point::new(0.45, 0.55)),
@@ -171,7 +172,7 @@ mod tests {
 
     #[test]
     fn region_with_too_few_objects_returns_partial_result() {
-        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, 1);
+        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(1), Point::new(0.1, 0.1)),
             (ObjectId(2), Point::new(0.7, 0.7)),

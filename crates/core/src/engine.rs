@@ -628,6 +628,7 @@ mod tests {
     use super::*;
     use crate::ShardedCpmEngine;
     use cpm_grid::ObjectEvent;
+    use std::num::NonZeroUsize;
 
     type Engine = ShardedCpmEngine<PointQuery>;
     const Q: QueryId = QueryId(0);
@@ -655,7 +656,7 @@ mod tests {
     /// The Figure 3.2 layout (coordinates in units of δ): q = (4.2, 4.9)
     /// in cell c4,4; p1 ∈ c3,3; p2 ∈ c2,4 is the NN.
     fn fig_3_2() -> Engine {
-        let mut m = Engine::new(8, 1);
+        let mut m = Engine::new(8, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(1), pt(3.3, 3.5)), // p1
             (ObjectId(2), pt(2.9, 4.5)), // p2 (the NN)
@@ -782,7 +783,7 @@ mod tests {
 
     #[test]
     fn k_larger_than_population_and_empty_grid() {
-        let mut m = Engine::new(16, 1);
+        let mut m = Engine::new(16, NonZeroUsize::MIN);
         assert!(m
             .install(Q, PointQuery(Point::new(0.5, 0.5)), 3)
             .unwrap()

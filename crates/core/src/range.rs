@@ -170,6 +170,7 @@ mod tests {
     use crate::neighbors::Neighbor;
     use crate::ShardedCpmEngine;
     use cpm_geom::{ObjectId, QueryId};
+    use std::num::NonZeroUsize;
 
     type RangeEngine = ShardedCpmEngine<RangeQuery>;
 
@@ -206,7 +207,7 @@ mod tests {
 
     #[test]
     fn rect_region_reports_exact_membership() {
-        let mut m = RangeEngine::new(16, 1);
+        let mut m = RangeEngine::new(16, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(0), Point::new(0.3, 0.3)),
             (ObjectId(1), Point::new(0.5, 0.5)),
@@ -223,7 +224,7 @@ mod tests {
 
     #[test]
     fn circle_region_boundary_is_closed() {
-        let mut m = RangeEngine::new(16, 1);
+        let mut m = RangeEngine::new(16, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(0), Point::new(0.5, 0.7)), // exactly on the boundary
             (ObjectId(1), Point::new(0.5, 0.71)),
@@ -239,7 +240,7 @@ mod tests {
 
     #[test]
     fn influence_region_is_the_region_cover() {
-        let mut m = RangeEngine::new(8, 1);
+        let mut m = RangeEngine::new(8, NonZeroUsize::MIN);
         m.populate([(ObjectId(0), Point::new(0.4, 0.4))]);
         let region = Rect::new(Point::new(0.30, 0.30), Point::new(0.60, 0.60));
         install(&mut m, QueryId(0), RangeQuery::rect(region));
@@ -258,7 +259,7 @@ mod tests {
 
     #[test]
     fn empty_region_yields_empty_result() {
-        let mut m = RangeEngine::new(8, 1);
+        let mut m = RangeEngine::new(8, NonZeroUsize::MIN);
         m.populate([(ObjectId(0), Point::new(0.9, 0.9))]);
         install(
             &mut m,

@@ -40,6 +40,8 @@
 //!
 //! [`cpm_grid::apply_events`]: cpm_grid::apply_events
 
+use std::num::NonZeroUsize;
+
 use cpm_geom::{FastHashMap, FastHashSet, ObjectId, Point, QueryId};
 use cpm_grid::{Grid, Metrics, ObjectEvent, QueryKind};
 
@@ -78,16 +80,19 @@ pub(crate) fn install_k(spec: &AnyQuerySpec, k: usize) -> usize {
 /// Configures and builds a [`CpmServer`].
 ///
 /// ```
+/// use std::num::NonZeroUsize;
+///
 /// use cpm_core::CpmServerBuilder;
 ///
-/// let server = CpmServerBuilder::new(64).threads(2).deltas(true).build();
+/// let two = NonZeroUsize::new(2).unwrap();
+/// let server = CpmServerBuilder::new(64).threads(two).deltas(true).build();
 /// assert_eq!(server.threads(), 2);
 /// ```
 #[derive(Debug, Clone)]
 #[must_use = "the builder does nothing until build() is called"]
 pub struct CpmServerBuilder {
     dim: u32,
-    threads: usize,
+    threads: NonZeroUsize,
     deltas: bool,
     regrid: RegridPolicy,
 }
@@ -100,20 +105,16 @@ impl CpmServerBuilder {
     pub fn new(dim: u32) -> Self {
         Self {
             dim,
-            threads: std::thread::available_parallelism().map_or(1, usize::from),
+            threads: std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
             deltas: false,
             regrid: RegridPolicy::Manual,
         }
     }
 
-    /// Run per-cycle query maintenance on `threads ≥ 1` threads, the
-    /// calling one included (`1` spawns none; results are bit-identical
-    /// for every thread count).
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "at least one thread is required");
+    /// Run per-cycle query maintenance on `threads` threads, the calling
+    /// one included (`1` spawns none; results are bit-identical for
+    /// every thread count).
+    pub fn threads(mut self, threads: NonZeroUsize) -> Self {
         self.threads = threads;
         self
     }
@@ -927,6 +928,7 @@ mod tests {
     use cpm_geom::Rect;
 
     fn small_server(threads: usize) -> CpmServer {
+        let threads = NonZeroUsize::new(threads).unwrap();
         let mut s = CpmServerBuilder::new(16).threads(threads).build();
         s.populate((0..40u32).map(|i| {
             let t = i as f64 / 40.0;
@@ -1181,7 +1183,8 @@ mod tests {
 
     #[test]
     fn delta_cycles_never_leak_internal_ids() {
-        let mut s = CpmServerBuilder::new(16).threads(2).deltas(true).build();
+        let two = NonZeroUsize::new(2).unwrap();
+        let mut s = CpmServerBuilder::new(16).threads(two).deltas(true).build();
         assert!(s.collects_deltas());
         s.populate((0..30u32).map(|i| (ObjectId(i), Point::new(i as f64 / 30.0, 0.5))));
         let _ = s

@@ -39,6 +39,8 @@
 //!
 //! [`cpm_sim`'s oracle cross-check]: ../../cpm_sim/verify/fn.verify.html
 
+use std::num::NonZeroUsize;
+
 use cpm_geom::{FastHashMap, ObjectId, Point, QueryId};
 use cpm_grid::{apply_events, Grid, GridGeom, InfluenceTable, Metrics, ObjectEvent, UpdateRecord};
 
@@ -109,11 +111,13 @@ fn fan_out<T: Send>(
 /// # Example
 ///
 /// ```
+/// use std::num::NonZeroUsize;
+///
 /// use cpm_core::{PointQuery, ShardedCpmEngine};
 /// use cpm_geom::{ObjectId, Point, QueryId};
 /// use cpm_grid::ObjectEvent;
 ///
-/// let mut engine = ShardedCpmEngine::<PointQuery>::new(64, 1);
+/// let mut engine = ShardedCpmEngine::<PointQuery>::new(64, NonZeroUsize::MIN);
 /// engine.populate((0..100).map(|i| {
 ///     (ObjectId(i), Point::new((i as f64 + 0.5) / 100.0, 0.5))
 /// }));
@@ -185,21 +189,17 @@ pub struct ShardedCpmEngine<S: QuerySpec> {
 
 impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     /// Create an engine over an empty `dim × dim` grid whose maintenance
-    /// runs on `threads ≥ 1` threads (`1` spawns none).
+    /// runs on `threads` threads (`1` spawns none).
     ///
     /// # Panics
-    /// Panics if `threads == 0` or `dim` is out of `1..=4096`.
-    pub fn new(dim: u32, threads: usize) -> Self {
+    /// Panics if `dim` is out of `1..=4096`.
+    pub fn new(dim: u32, threads: NonZeroUsize) -> Self {
         Self::with_grid(cpm_grid::GridBuilder::new(dim).build_uniform(), threads)
     }
 
     /// Create an engine over a pre-built (typically empty) grid whose
-    /// maintenance runs on `threads ≥ 1` threads.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn with_grid(grid: Grid, threads: usize) -> Self {
-        assert!(threads >= 1, "at least one thread is required");
+    /// maintenance runs on `threads` threads.
+    pub fn with_grid(grid: Grid, threads: NonZeroUsize) -> Self {
         Self {
             influence: InfluenceTable::new(grid.dim()),
             grid,
@@ -213,7 +213,7 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
             pairs: Vec::new(),
             group_ends: Vec::new(),
             collect_deltas: false,
-            workers: (0..threads).map(|_| Worker::default()).collect(),
+            workers: (0..threads.get()).map(|_| Worker::default()).collect(),
             cuts: Vec::new(),
             searches: Vec::new(),
             regrid: RegridController::new(RegridPolicy::Manual),
@@ -918,7 +918,7 @@ mod tests {
 
     #[test]
     fn metrics_count_ingest_once() {
-        let mut m = ShardedCpmEngine::<PointQuery>::new(8, 4);
+        let mut m = ShardedCpmEngine::<PointQuery>::new(8, NonZeroUsize::new(4).unwrap());
         m.populate([
             (ObjectId(0), Point::new(0.1, 0.1)),
             (ObjectId(1), Point::new(0.9, 0.9)),
@@ -944,7 +944,7 @@ mod tests {
 
     #[test]
     fn query_events_apply_in_batch_order() {
-        let mut m = ShardedCpmEngine::<PointQuery>::new(16, 4);
+        let mut m = ShardedCpmEngine::<PointQuery>::new(16, NonZeroUsize::new(4).unwrap());
         m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))));
         let installs: Vec<SpecEvent<PointQuery>> = (0..20u32)
             .map(|i| SpecEvent::Install {
@@ -990,6 +990,7 @@ mod tests {
     #[test]
     fn repeated_query_events_apply_in_batch_order() {
         let engines = [1, 4].map(|threads| {
+            let threads = NonZeroUsize::new(threads).unwrap();
             let mut m = ShardedCpmEngine::<PointQuery>::new(16, threads);
             m.populate((0..400u32).map(|i| {
                 let t = f64::from(i);

@@ -31,6 +31,8 @@
 //! is crash residue, reported in the [`RecoveryReport`] and recovered
 //! around; corruption anywhere load-bearing is a hard [`RecoveryError`].
 
+use std::num::NonZeroUsize;
+
 use cpm_geom::{ObjectId, Point, QueryId};
 use cpm_grid::{GridGeom, Metrics, ObjectEvent, QueryKind};
 use cpm_wire::{
@@ -113,7 +115,10 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
     /// (impossible for a snapshot that passed `Decode` validation).
     pub fn restore(&self) -> Result<ShardedCpmEngine<S>, CpmError> {
         let grid = cpm_grid::GridBuilder::new(self.dim).try_build()?;
-        let mut engine = ShardedCpmEngine::with_grid(grid, self.shards);
+        // `Decode` refuses 0; a hand-built 0 runs on one thread, and
+        // results are identical at every thread count.
+        let threads = NonZeroUsize::new(self.shards).unwrap_or(NonZeroUsize::MIN);
+        let mut engine = ShardedCpmEngine::with_grid(grid, threads);
         engine.set_regrid_policy(self.policy);
         engine
             .regrid_controller_mut()
@@ -899,7 +904,7 @@ mod tests {
 
     fn seeded_server(threads: usize, deltas: bool) -> CpmServer {
         let mut s = CpmServerBuilder::new(16)
-            .threads(threads)
+            .threads(NonZeroUsize::new(threads).unwrap())
             .deltas(deltas)
             .build();
         s.populate((0..50u32).map(|i| {

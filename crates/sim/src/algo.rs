@@ -4,6 +4,8 @@
 //! update streams; [`KnnMonitorAlgo`] is the uniform surface the runner and
 //! the tests use to compare them cycle by cycle.
 
+use std::num::NonZeroUsize;
+
 use cpm_geom::{ObjectId, Point, QueryId};
 use cpm_grid::{Metrics, ObjectEvent, QueryEvent};
 
@@ -91,7 +93,7 @@ struct CpmMonitor {
 impl CpmMonitor {
     fn new(dim: u32) -> Self {
         Self {
-            engine: ShardedCpmEngine::new(dim, 1),
+            engine: ShardedCpmEngine::new(dim, NonZeroUsize::MIN),
             events: Vec::new(),
         }
     }

@@ -3,7 +3,7 @@
 //! that crashes and recovers, and a [`ClusterCoordinator`] over either
 //! transport.
 
-use std::num::NonZeroU64;
+use std::num::{NonZeroU64, NonZeroUsize};
 
 use cpm_cluster::{ClusterConfig, ClusterCoordinator, ClusterError, Transport, WorkerHandle};
 use cpm_core::snapshot::Snapshot;
@@ -59,7 +59,7 @@ pub enum Deploy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneConfig {
     /// Threads per server.
-    pub threads: usize,
+    pub threads: NonZeroUsize,
     /// Re-grid behaviour.
     pub regrid: Regrid,
     /// Deployment shape.
@@ -70,7 +70,7 @@ impl LaneConfig {
     /// What every lane is compared with: one single-threaded
     /// single-node server that never rebuilds its index.
     pub const REFERENCE: LaneConfig = LaneConfig {
-        threads: 1,
+        threads: NonZeroUsize::MIN,
         regrid: Regrid::Pinned,
         deploy: Deploy::Single,
     };
@@ -103,7 +103,7 @@ impl LaneConfig {
         };
         let (threads, regrid) = (self.threads, self.regrid);
         assert!(
-            threads == 1 && regrid == Regrid::Pinned,
+            threads == NonZeroUsize::MIN && regrid == Regrid::Pinned,
             "{self:?} has no such axis"
         );
         let config = ClusterConfig::new(dim, workers).overlap((dim / 3).max(1));

@@ -21,6 +21,7 @@
 //! A failure prints the stream and lane as the two lines that replay it.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 use cpm_core::{AnyQuerySpec, CycleDeltas, Neighbor, QuerySpec, RangeQuery, SpecEvent};
 use cpm_geom::{clamp_coord, ObjectId, Point, QueryId};
@@ -266,7 +267,10 @@ fn run_lane(
         "the lane dropped merged cycles"
     );
     // Lanes that differ only in thread count do the same work.
-    let key = LaneConfig { threads: 1, ..cfg };
+    let key = LaneConfig {
+        threads: NonZeroUsize::MIN,
+        ..cfg
+    };
     match metric_groups.iter().find(|(k, _)| *k == key) {
         Some((_, first)) => {
             for (t, (a, b)) in first.iter().zip(&metrics).enumerate() {

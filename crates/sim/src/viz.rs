@@ -90,9 +90,10 @@ pub fn render_query(engine: &ShardedCpmEngine<PointQuery>, id: QueryId) -> Optio
 mod tests {
     use super::*;
     use cpm_geom::{ObjectId, Point};
+    use std::num::NonZeroUsize;
 
     fn monitor() -> ShardedCpmEngine<PointQuery> {
-        let mut m = ShardedCpmEngine::new(8, 1);
+        let mut m = ShardedCpmEngine::new(8, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(0), Point::new(0.32, 0.55)),
             (ObjectId(1), Point::new(0.51, 0.50)),

@@ -31,7 +31,8 @@
 //! use cpm_grid::ObjectEvent;
 //! use cpm_sub::{DeltaFanout, Replica};
 //!
-//! let mut server = CpmServerBuilder::new(64).threads(2).deltas(true).build();
+//! let two = std::num::NonZeroUsize::new(2).unwrap();
+//! let mut server = CpmServerBuilder::new(64).threads(two).deltas(true).build();
 //! server.populate((0..10).map(|i| {
 //!     (ObjectId(i), Point::new((i as f64 + 0.5) / 10.0, 0.5))
 //! }));

@@ -82,8 +82,8 @@ impl TileRect {
         Self {
             c0: self.c0.saturating_sub(margin),
             r0: self.r0.saturating_sub(margin),
-            c1: (self.c1 + margin).min(dim - 1),
-            r1: (self.r1 + margin).min(dim - 1),
+            c1: self.c1.saturating_add(margin).min(dim - 1),
+            r1: self.r1.saturating_add(margin).min(dim - 1),
         }
     }
 }

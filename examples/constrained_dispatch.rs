@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --example constrained_dispatch`
 
+use std::num::NonZeroUsize;
+
 use cpm_suite::core::{ConstrainedQuery, ShardedCpmEngine};
 use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
 use cpm_suite::grid::ObjectEvent;
@@ -20,7 +22,7 @@ fn main() {
     // 80 couriers around the city.
     let mut couriers: Vec<Point> = (0..80).map(|_| Point::new(rng.gen(), rng.gen())).collect();
 
-    let mut monitor = ShardedCpmEngine::<ConstrainedQuery>::new(64, 1);
+    let mut monitor = ShardedCpmEngine::<ConstrainedQuery>::new(64, NonZeroUsize::MIN);
     monitor.populate(
         couriers
             .iter()

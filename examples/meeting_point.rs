@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example meeting_point`
 
+use std::num::NonZeroUsize;
+
 use cpm_suite::core::{AggregateFn, AnnQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use rand::rngs::StdRng;
@@ -26,9 +28,9 @@ fn main() {
     // One monitor per aggregate (each owns its grid; cafes are static so
     // the update streams are query-side only).
     let mut monitors = [
-        (AggregateFn::Sum, AnnMonitor::new(64, 1)),
-        (AggregateFn::Max, AnnMonitor::new(64, 1)),
-        (AggregateFn::Min, AnnMonitor::new(64, 1)),
+        (AggregateFn::Sum, AnnMonitor::new(64, NonZeroUsize::MIN)),
+        (AggregateFn::Max, AnnMonitor::new(64, NonZeroUsize::MIN)),
+        (AggregateFn::Min, AnnMonitor::new(64, NonZeroUsize::MIN)),
     ];
 
     // Four friends start in different corners.

@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use std::num::NonZeroUsize;
+
 use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
@@ -14,7 +16,7 @@ fn main() {
     // 1. A monitor over a 16×16 grid covering the unit-square city (a
     //    coarse grid keeps the book-keeping snapshot below readable; use
     //    128+ for realistic workloads).
-    let mut monitor = Monitor::new(16, 1);
+    let mut monitor = Monitor::new(16, NonZeroUsize::MIN);
 
     // 2. Initial vehicle positions (a small diagonal convoy plus strays).
     monitor.populate((0..10u32).map(|i| {

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --example taxi_fleet`
 
+use std::num::NonZeroUsize;
+
 use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::gen::{NetworkWorkload, RoadNetwork, SpeedClass, WorkloadConfig};
 use cpm_suite::geom::QueryId;
@@ -31,7 +33,7 @@ fn main() {
     );
     let mut workload = NetworkWorkload::new(network, config);
 
-    let mut monitor = ShardedCpmEngine::<PointQuery>::new(128, 1);
+    let mut monitor = ShardedCpmEngine::<PointQuery>::new(128, NonZeroUsize::MIN);
     monitor.populate(workload.initial_objects());
     for (qid, pos, k) in workload.initial_queries() {
         monitor

@@ -33,6 +33,8 @@
 //! ## Quickstart
 //!
 //! ```
+//! use std::num::NonZeroUsize;
+//!
 //! use cpm_suite::core::{CpmServerBuilder, PointQuery, ShardedCpmEngine};
 //! use cpm_suite::geom::{ObjectId, Point, QueryId};
 //! use cpm_suite::grid::ObjectEvent;
@@ -47,7 +49,7 @@
 //!
 //! // The engine (what algorithms, figures and tests drive): a 128×128
 //! // grid over the unit square, maintained on one thread.
-//! let mut engine = ShardedCpmEngine::<PointQuery>::new(128, 1);
+//! let mut engine = ShardedCpmEngine::<PointQuery>::new(128, NonZeroUsize::MIN);
 //! engine.populate(taxis);
 //! engine.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)?;
 //! engine.process_cycle(&update, &[]);

@@ -6,6 +6,8 @@
 
 mod common;
 
+use std::num::NonZeroUsize;
+
 use common::{lane, quadtree_era_frame};
 use cpm_suite::cluster::{
     duplex, run_worker, ChannelTransport, ClusterConfig, ClusterCoordinator, ClusterError,
@@ -82,7 +84,7 @@ fn process_cycle_matches_single_node<T: Transport>(
     restart: Restart<T>,
 ) {
     let mut single = CpmServerBuilder::new(stream.grid_dim)
-        .threads(1)
+        .threads(NonZeroUsize::MIN)
         .deltas(true)
         .build();
     let mut want = CycleDeltas::default();

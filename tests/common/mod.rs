@@ -2,6 +2,8 @@
 //! and lane sets over `cpm_suite::sim::verify`.
 #![allow(dead_code)] // every suite uses its own subset
 
+use std::num::NonZeroUsize;
+
 use cpm_suite::core::{AnyQuerySpec, QuerySpec, SpecEvent};
 use cpm_suite::grid::QueryKind;
 use cpm_suite::sim::{Deploy, LaneConfig, OpStream, Regrid, SimParams, SimulationInput};
@@ -25,7 +27,7 @@ pub fn thread_lanes(counts: &[usize]) -> Vec<LaneConfig> {
 
 pub fn lane(threads: usize, regrid: Regrid, deploy: Deploy) -> LaneConfig {
     LaneConfig {
-        threads,
+        threads: NonZeroUsize::new(threads).expect("a lane runs on at least one thread"),
         regrid,
         deploy,
     }

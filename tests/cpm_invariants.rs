@@ -2,6 +2,8 @@
 //! sorted visit lists, influence-region prefixes in lockstep with the
 //! influence table, ≤ 4 boundary boxes, live and distance-fresh results.
 
+use std::num::NonZeroUsize;
+
 use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::gen::{NetworkWorkload, RoadNetwork, SpeedClass, WorkloadConfig};
 use cpm_suite::geom::QueryId;
@@ -11,7 +13,7 @@ type Engine = ShardedCpmEngine<PointQuery>;
 
 /// The sequential engine loaded with the workload's objects and queries.
 fn installed(w: &NetworkWorkload, grid_dim: u32) -> Engine {
-    let mut m = Engine::new(grid_dim, 1);
+    let mut m = Engine::new(grid_dim, NonZeroUsize::MIN);
     m.populate(w.initial_objects());
     for (qid, pos, k) in w.initial_queries() {
         m.install(qid, PointQuery(pos), k).unwrap();
@@ -122,7 +124,7 @@ fn influence_region_is_exactly_the_circle_cover() {
 
     let mut rng = StdRng::seed_from_u64(0x1F1);
     for dim in [8u32, 16, 32] {
-        let mut m = Engine::new(dim, 1);
+        let mut m = Engine::new(dim, NonZeroUsize::MIN);
         m.populate((0..60u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
         for qi in 0..5u32 {
             m.install(QueryId(qi), PointQuery(Point::new(rng.gen(), rng.gen())), 4)

@@ -10,6 +10,8 @@
 
 mod common;
 
+use std::num::NonZeroUsize;
+
 use common::{case_budget, events_of, paper_stream, thread_lanes};
 use std::collections::BTreeMap;
 
@@ -125,7 +127,7 @@ fn capture_is_the_diff_of_the_materialized_lists(
     threads: usize,
 ) -> (Writer, usize) {
     let mut server = CpmServerBuilder::new(stream.grid_dim)
-        .threads(threads)
+        .threads(NonZeroUsize::new(threads).unwrap())
         .deltas(true)
         .build();
     let mut batch = CycleDeltas::default();

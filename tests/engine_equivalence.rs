@@ -5,6 +5,8 @@
 //! same work, and a single-point aggregate query reports the same
 //! neighbors, for every aggregate function.
 
+use std::num::NonZeroUsize;
+
 use cpm_suite::core::{
     AggregateFn, AnnQuery, ConstrainedQuery, PointQuery, QuerySpec, ShardedCpmEngine,
 };
@@ -39,7 +41,7 @@ fn engine<S: QuerySpec + Send + Sync>(
     k: usize,
     spec: impl Fn(Point) -> S,
 ) -> ShardedCpmEngine<S> {
-    let mut e = ShardedCpmEngine::new(input.params.grid_dim, 1);
+    let mut e = ShardedCpmEngine::new(input.params.grid_dim, NonZeroUsize::MIN);
     e.populate(input.initial_objects.iter().copied());
     for (i, &p) in points.iter().enumerate() {
         e.install(QueryId(i as u32), spec(p), k).unwrap();

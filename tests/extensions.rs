@@ -2,6 +2,8 @@
 //! monitoring (sum/min/max) and constrained NN, driven by the network
 //! workload generator and validated against brute force every timestamp.
 
+use std::num::NonZeroUsize;
+
 use cpm_suite::core::{AggregateFn, AnnQuery, ConstrainedQuery, ShardedCpmEngine};
 use cpm_suite::gen::{NetworkWorkload, RoadNetwork, WorkloadConfig};
 use cpm_suite::geom::{Point, QueryId, Rect};
@@ -31,7 +33,7 @@ fn ann_monitors_track_brute_force_over_network_streams() {
     ] {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA11);
         let mut w = workload(seed);
-        let mut monitor = ShardedCpmEngine::<AnnQuery>::new(64, 1);
+        let mut monitor = ShardedCpmEngine::<AnnQuery>::new(64, NonZeroUsize::MIN);
         monitor.populate(w.initial_objects());
 
         // Three ANN queries with 2-5 member points each.
@@ -77,7 +79,7 @@ fn ann_monitors_track_brute_force_over_network_streams() {
 #[test]
 fn constrained_monitor_tracks_filtered_brute_force() {
     let mut w = workload(11);
-    let mut monitor = ShardedCpmEngine::<ConstrainedQuery>::new(64, 1);
+    let mut monitor = ShardedCpmEngine::<ConstrainedQuery>::new(64, NonZeroUsize::MIN);
     monitor.populate(w.initial_objects());
 
     let zones = [
@@ -129,7 +131,7 @@ fn constrained_monitor_tracks_filtered_brute_force() {
 fn ann_query_set_updates_stay_correct() {
     let mut rng = StdRng::seed_from_u64(0xF00D);
     let mut w = workload(21);
-    let mut monitor = ShardedCpmEngine::<AnnQuery>::new(64, 1);
+    let mut monitor = ShardedCpmEngine::<AnnQuery>::new(64, NonZeroUsize::MIN);
     monitor.populate(w.initial_objects());
     let qid = QueryId(0);
     let mut pts: Vec<Point> = (0..3).map(|_| Point::new(rng.gen(), rng.gen())).collect();

@@ -1,8 +1,12 @@
 //! Failure injection and degenerate configurations: disappearance bursts,
 //! mass teleports, single-cell pile-ups, workspace corners/edges,
-//! out-of-range coordinates, and malformed event batches rejected at the
-//! unified server's ingest boundary.
+//! out-of-range coordinates, malformed event batches rejected at the
+//! unified server's ingest boundary, and cluster configurations refused
+//! before any worker starts.
 
+use std::num::NonZeroUsize;
+
+use cpm_suite::cluster::{duplex, ClusterConfig, ClusterCoordinator, ClusterError};
 use cpm_suite::core::{
     AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServer, CpmServerBuilder,
     DurableCpmServer, PointQuery, RangeQuery, Region, ShardedCpmEngine, SpecEvent,
@@ -203,7 +207,7 @@ fn queries_on_corners_edges_and_cell_boundaries() {
 fn out_of_range_coordinates_are_clamped_not_fatal() {
     // The bare engine trusts its caller; the grid snaps an update wildly
     // outside the workspace to the boundary (the server rejects it, below).
-    let mut m = ShardedCpmEngine::<PointQuery>::new(16, 1);
+    let mut m = ShardedCpmEngine::<PointQuery>::new(16, NonZeroUsize::MIN);
     m.populate([(ObjectId(0), Point::new(0.5, 0.5))]);
     m.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 1)
         .unwrap();
@@ -223,7 +227,9 @@ fn out_of_range_coordinates_are_clamped_not_fatal() {
 
 /// A populated server with one k-NN query, for ingest-rejection tests.
 fn small_server() -> CpmServer {
-    let mut s = CpmServerBuilder::new(16).threads(2).build();
+    let mut s = CpmServerBuilder::new(16)
+        .threads(NonZeroUsize::new(2).unwrap())
+        .build();
     s.populate((0..20u32).map(|i| (ObjectId(i), Point::new(f64::from(i) / 20.0, 0.5))));
     let _ = s
         .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 3)
@@ -433,6 +439,32 @@ fn server_refuses_non_finite_query_geometry_typed() {
     );
     assert_eq!((durable.watermark(), durable.server().epoch()), (0, 0));
     durable.server().check_invariants();
+}
+
+/// A cluster configuration that cannot be partitioned — fewer grid
+/// columns than workers, no worker, a grid past the dimension ceiling —
+/// is refused typed by every setup call, before a worker thread starts
+/// or a frame is sent (`connect`'s links lead nowhere, so a handshake
+/// would fail as a transport error), and so is a link count that does
+/// not match the worker count.
+#[test]
+fn unpartitionable_cluster_configs_are_refused_typed() {
+    let invalid = |err: ClusterError| matches!(err, ClusterError::InvalidConfig { .. });
+    for config in [
+        ClusterConfig::new(2, 4),
+        ClusterConfig::new(16, 0),
+        ClusterConfig::new(5000, 2),
+    ] {
+        let spawned = ClusterCoordinator::spawn_in_process(config).map(|_| ());
+        assert!(spawned.is_err_and(invalid), "{config:?} in process");
+        let spawned = ClusterCoordinator::spawn_tcp_loopback(config).map(|_| ());
+        assert!(spawned.is_err_and(invalid), "{config:?} over TCP");
+        let links = (0..config.workers).map(|_| duplex().0).collect();
+        let connected = ClusterCoordinator::connect(config, links).map(|_| ());
+        assert!(connected.is_err_and(invalid), "{config:?} connected");
+    }
+    let connected = ClusterCoordinator::connect(ClusterConfig::new(16, 2), vec![duplex().0]);
+    assert!(connected.map(|_| ()).is_err_and(invalid));
 }
 
 #[test]

@@ -22,6 +22,8 @@
 
 mod common;
 
+use std::num::NonZeroUsize;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -264,7 +266,7 @@ fn parent_commit_frames_round_trip_byte_identically() {
 /// the default auto policy, ten objects, a k-NN query, nine cycles run.
 fn auto_fixture() -> CpmServer {
     let mut server = CpmServerBuilder::new(16)
-        .threads(2)
+        .threads(NonZeroUsize::new(2).unwrap())
         .regrid(RegridPolicy::auto())
         .build();
     server.populate((0..10u32).map(|i| {
@@ -308,7 +310,9 @@ fn parent_commit_auto_policy_snapshot_is_rewritten_byte_identically() {
 
 #[test]
 fn quadtree_snapshot_is_refused_typed_by_decode_and_by_recovery() {
-    let mut server = CpmServerBuilder::new(16).threads(2).build();
+    let mut server = CpmServerBuilder::new(16)
+        .threads(NonZeroUsize::new(2).unwrap())
+        .build();
     server.populate((0..20u32).map(|i| {
         let t = f64::from(i) / 20.0;
         (ObjectId(i), Point::new(t, (t * 3.0) % 1.0))
@@ -332,7 +336,9 @@ fn quadtree_snapshot_is_refused_typed_by_decode_and_by_recovery() {
 
 /// The durable server [`PARENT_JOURNAL_SNAPSHOT`] was taken of.
 fn journal_fixture() -> DurableCpmServer {
-    let mut server = CpmServerBuilder::new(8).threads(2).build();
+    let mut server = CpmServerBuilder::new(8)
+        .threads(NonZeroUsize::new(2).unwrap())
+        .build();
     server.populate((0..12u32).map(|i| {
         let t = f64::from(i) / 12.0;
         (ObjectId(i), Point::new(t, (t * 5.0) % 1.0))

@@ -9,6 +9,8 @@
 //! exactly the pre-kernel code path. The batched lane is the stock
 //! [`PointQuery`], whose `dist_batch` is the kernel.
 
+use std::num::NonZeroUsize;
+
 use cpm_suite::core::{
     CycleDeltas, Direction, Pinwheel, PointQuery, QuerySpec, ShardedCpmEngine, SpecEvent,
 };
@@ -97,13 +99,14 @@ fn batched_kernel_is_observationally_identical_to_scalar() {
     let mut rng = StdRng::seed_from_u64(0xD157);
     let objs = objects(&mut rng);
 
-    let mut scalar: ShardedCpmEngine<ScalarPoint> = ShardedCpmEngine::new(32, 1);
+    let mut scalar: ShardedCpmEngine<ScalarPoint> = ShardedCpmEngine::new(32, NonZeroUsize::MIN);
     scalar.enable_deltas();
     scalar.populate(objs.iter().copied());
 
     let mut batched = Vec::new();
     for s in [1usize, 4] {
-        let mut engine: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(32, s);
+        let mut engine: ShardedCpmEngine<PointQuery> =
+            ShardedCpmEngine::new(32, NonZeroUsize::new(s).unwrap());
         engine.enable_deltas();
         engine.populate(objs.iter().copied());
         batched.push((s, engine));

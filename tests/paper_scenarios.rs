@@ -3,6 +3,8 @@
 //! situation is replayed into two monitors and the paper's claimed work
 //! relation must hold.
 
+use std::num::NonZeroUsize;
+
 use cpm_suite::baselines::{SeaCnnMonitor, YpkCnnMonitor};
 use cpm_suite::core::{PointQuery, ShardedCpmEngine};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
@@ -11,7 +13,7 @@ use cpm_suite::grid::{ObjectEvent, QueryEvent};
 /// CPM as the paper describes it: the engine over point queries, on one
 /// thread.
 fn cpm_monitor(dim: u32) -> ShardedCpmEngine<PointQuery> {
-    ShardedCpmEngine::new(dim, 1)
+    ShardedCpmEngine::new(dim, NonZeroUsize::MIN)
 }
 
 /// Figure 4.3a: the only update is an object moving *inside* the

@@ -11,6 +11,8 @@
 //! and which in-place mutation is the first (the cycle-start copy the
 //! delta is taken against is made just before it).
 
+use std::num::NonZeroUsize;
+
 use cpm_suite::core::{CycleDeltas, PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{Metrics, ObjectEvent, QueryEvent};
@@ -74,7 +76,7 @@ fn replay(
 ) -> Result<Metrics, TestCaseError> {
     let mut engines: Vec<ShardedCpmEngine<PointQuery>> = THREAD_COUNTS
         .iter()
-        .map(|&s| ShardedCpmEngine::new(dim, s))
+        .map(|&s| ShardedCpmEngine::new(dim, NonZeroUsize::new(s).unwrap()))
         .collect();
     let mut oracle = OracleMonitor::new();
     let objects: Vec<(ObjectId, Point)> = initial

@@ -5,6 +5,8 @@
 
 mod common;
 
+use std::num::NonZeroUsize;
+
 use common::{case_budget, lanes};
 use cpm_suite::core::snapshot::{JournalRecord, Snapshot};
 use cpm_suite::core::{
@@ -84,7 +86,9 @@ fn chaos_schedules_recover_bit_identically() {
 /// (rich snapshot, empty journal); `false` leaves them as journal records
 /// over the empty initial snapshot.
 fn durable_fixture(checkpointed: bool) -> DurableCpmServer {
-    let mut server = CpmServerBuilder::new(16).threads(2).build();
+    let mut server = CpmServerBuilder::new(16)
+        .threads(NonZeroUsize::new(2).unwrap())
+        .build();
     server.populate((0..40u32).map(|i| {
         let t = f64::from(i) / 40.0;
         (ObjectId(i), Point::new(t, (t * 2.3) % 1.0))
@@ -230,7 +234,10 @@ fn restored_hub_resumes_epochs_and_replicas_resync() {
         k,
     };
     let build = || {
-        let mut server = CpmServerBuilder::new(16).threads(2).deltas(true).build();
+        let mut server = CpmServerBuilder::new(16)
+            .threads(NonZeroUsize::new(2).unwrap())
+            .deltas(true)
+            .build();
         server.populate(
             (0..12u32).map(|i| (ObjectId(i), Point::new((f64::from(i) + 0.5) / 12.0, 0.5))),
         );

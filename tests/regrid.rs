@@ -9,6 +9,8 @@
 
 mod common;
 
+use std::num::NonZeroUsize;
+
 use std::collections::BTreeMap;
 
 use common::{case_budget, lanes, paper_stream};
@@ -202,7 +204,7 @@ fn auto_policy_adapts_and_stays_bit_identical() {
     // The same lane again, by hand, for what the harness does not read:
     // that the policy accounted for its re-grids in `Metrics`.
     let mut adaptive = CpmServerBuilder::new(params.grid_dim)
-        .threads(2)
+        .threads(NonZeroUsize::new(2).unwrap())
         .deltas(true)
         .regrid(auto_regrid_policy())
         .build();
@@ -226,7 +228,10 @@ fn auto_policy_adapts_and_stays_bit_identical() {
 #[test]
 fn regrids_emit_no_spurious_deltas_through_the_hub() {
     let build = || {
-        let mut server = CpmServerBuilder::new(32).threads(2).deltas(true).build();
+        let mut server = CpmServerBuilder::new(32)
+            .threads(NonZeroUsize::new(2).unwrap())
+            .deltas(true)
+            .build();
         server.populate((0..80u32).map(|i| {
             let p = Point::new((i as f64 * 0.29) % 1.0, (i as f64 * 0.53) % 1.0);
             (ObjectId(i), p)

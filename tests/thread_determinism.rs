@@ -11,6 +11,8 @@
 
 mod common;
 
+use std::num::NonZeroUsize;
+
 use common::{paper_stream, thread_lanes};
 use cpm_suite::core::{
     AnyQuerySpec, CpmServer, CpmServerBuilder, CycleDeltas, PointQuery, RangeQuery, SpecEvent,
@@ -273,7 +275,7 @@ fn every_parallel_step_is_bit_identical_across_thread_counts() {
         .iter()
         .map(|&threads| {
             CpmServerBuilder::new(32)
-                .threads(threads)
+                .threads(NonZeroUsize::new(threads).unwrap())
                 .deltas(true)
                 .regrid(auto_regrid_policy())
                 .build()

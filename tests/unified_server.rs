@@ -10,6 +10,8 @@
 
 mod common;
 
+use std::num::NonZeroUsize;
+
 use common::thread_lanes;
 use cpm_suite::core::{
     AggregateFn, AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServerBuilder, PointQuery,
@@ -33,7 +35,7 @@ fn dedicated<S: QuerySpec + Send + Sync>(
     spec: S,
     k: usize,
 ) -> ShardedCpmEngine<S> {
-    let mut e = ShardedCpmEngine::new(dim, threads);
+    let mut e = ShardedCpmEngine::new(dim, NonZeroUsize::new(threads).unwrap());
     e.populate(objects.iter().copied());
     e.install(id, spec, k).unwrap();
     e
@@ -62,7 +64,9 @@ fn unified_server_conformance_on_fine_grid() {
 #[test]
 fn one_cycle_one_ingest_regardless_of_kind_count() {
     for threads in THREAD_COUNTS {
-        let mut server = CpmServerBuilder::new(32).threads(threads).build();
+        let mut server = CpmServerBuilder::new(32)
+            .threads(NonZeroUsize::new(threads).unwrap())
+            .build();
         let objects: Vec<(ObjectId, Point)> = (0..200u32)
             .map(|i| {
                 let t = i as f64 / 200.0;
@@ -124,7 +128,9 @@ fn server_results_match_dedicated_engines() {
         let objects: Vec<(ObjectId, Point)> = (0..70u32)
             .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
             .collect();
-        let mut server = CpmServerBuilder::new(16).threads(threads).build();
+        let mut server = CpmServerBuilder::new(16)
+            .threads(NonZeroUsize::new(threads).unwrap())
+            .build();
         server.populate(objects.iter().copied());
 
         let knn_q = PointQuery(Point::new(0.35, 0.65));
@@ -202,7 +208,9 @@ fn server_results_match_dedicated_engines() {
 /// errors; the changed list reflects mid-stream install/terminate.
 #[test]
 fn registry_errors_and_midstream_churn() {
-    let mut server = CpmServerBuilder::new(16).threads(4).build();
+    let mut server = CpmServerBuilder::new(16)
+        .threads(NonZeroUsize::new(4).unwrap())
+        .build();
     server.populate((0..50u32).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))));
     let installed = server
         .install_spec(QueryId(0), PointQuery(Point::new(0.1, 0.5)), 3)
@@ -285,7 +293,7 @@ fn unified_delta_cycles_fold_losslessly() {
     let mut rng = StdRng::seed_from_u64(0xDE17A);
     for threads in THREAD_COUNTS {
         let mut server = CpmServerBuilder::new(16)
-            .threads(threads)
+            .threads(NonZeroUsize::new(threads).unwrap())
             .deltas(true)
             .build();
         server.populate((0..40u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
