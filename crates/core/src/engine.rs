@@ -309,8 +309,6 @@ pub(crate) struct Worker {
     /// Influence-table writes, applied at the join: the table is read
     /// only while workers run.
     pub(crate) influence_ops: Vec<InfluenceOp>,
-    /// Re-registered queries whose result moved, with the list before.
-    pub(crate) regrid_moved: Vec<(QueryId, Vec<Neighbor>)>,
     /// The cycle-start result of the query being resolved, copied from
     /// its `best` list just before the cycle first changes it.
     cycle_start: Vec<Neighbor>,
@@ -335,15 +333,11 @@ impl Worker {
         st: &mut SpecQueryState<S>,
     ) {
         let Search::Event(i) = search else {
-            // The table was reset: nothing to unregister.
+            // The table was reset: nothing to unregister. The search finds
+            // the list the query held, a function of the positions alone.
             st.influence_len = 0;
-            self.cycle_start.clear();
-            self.cycle_start.extend_from_slice(st.best.neighbors());
             self.compute_from_scratch(grid, st);
             self.metrics.regrid_queries_recomputed += 1;
-            if self.cycle_start != st.best.neighbors() {
-                self.regrid_moved.push((st.id, self.cycle_start.clone()));
-            }
             return;
         };
         let update = match &events[i] {
@@ -458,7 +452,12 @@ impl Worker {
         events: &[u32],
     ) {
         let qid = st.id;
-        let bd_orig = st.best_dist();
+        // Every object outside the result and this cycle's pairs sorts
+        // after the cycle-start k-th entry under `(dist, id)`: an arrival
+        // or a moving member qualifies iff it sorts at or before it.
+        let kth = st.best.is_full().then(|| st.best.neighbors()[st.k() - 1]);
+        let qualifies =
+            |d: f64, id| d.is_finite() && kth.is_none_or(|last| (d, id) <= (last.dist, last.id));
         let mut out_count = 0usize;
         // An incomer left again — with an eviction, `in_list` is unsound.
         let mut in_removed = false;
@@ -473,7 +472,7 @@ impl Worker {
                 let d = st
                     .spec
                     .dist(rec.new_pos.expect("arrivals carry a position"));
-                if d <= bd_orig && d.is_finite() && !st.best.contains(id) {
+                if qualifies(d, id) && !st.best.contains(id) {
                     st.in_list.update(id, d);
                 }
                 continue;
@@ -489,14 +488,14 @@ impl Worker {
                     self.cycle_start.clear();
                     self.cycle_start.extend_from_slice(st.best.neighbors());
                 }
-                // `is_finite` mirrors the arrival guard: with an unfull
-                // result `bd_orig` is +∞, and a member moving somewhere it
-                // can never qualify (outside a constraint/range region,
-                // dist = +∞) must be outgoing, not kept at rank ∞.
+                // The arrival test: with an unfull result any finite
+                // distance stays, and a member moving somewhere it can
+                // never qualify (outside a constraint/range region,
+                // dist = +∞) is outgoing, not kept at rank ∞.
                 let still_in = rec
                     .new_pos
                     .map(|p| st.spec.dist(p))
-                    .filter(|d| d.is_finite() && *d <= bd_orig);
+                    .filter(|&d| qualifies(d, id));
                 match still_in {
                     Some(d) => st.best.update_dist(id, d),
                     None => {
@@ -626,7 +625,7 @@ mod tests {
     //! through the `T = 1` engine over plain point queries.
 
     use super::*;
-    use crate::ShardedCpmEngine;
+    use crate::{CycleDeltas, ShardedCpmEngine};
     use cpm_grid::ObjectEvent;
     use std::num::NonZeroUsize;
 
@@ -779,6 +778,48 @@ mod tests {
         assert_eq!(m.metrics().recomputations, 0, "obsolete query recomputed");
         assert_eq!(m.metrics().computations, 1);
         assert_matches_oracle(&m);
+    }
+
+    /// Ties are part of the contract: the result is the k smallest under
+    /// `(dist, id)` on every path. Object 30 arrives at exactly the
+    /// distance of the departing NN 10, but object 20, which did not
+    /// move, sits there too and has the smaller id, so the merge must not
+    /// take 30. The maintained result then equals an engine built from
+    /// the final positions and survives a re-grid unchanged.
+    #[test]
+    fn an_exact_tie_resolves_by_id_on_every_path() {
+        let origin = Point::new(0.0, 0.0);
+        let appear = |id, pos| ObjectEvent::Appear {
+            id: ObjectId(id),
+            pos,
+        };
+        let mut m = Engine::new(8, NonZeroUsize::MIN);
+        m.enable_deltas();
+        m.populate([(ObjectId(10), origin)]);
+        m.install(Q, PointQuery(origin), 1).unwrap();
+        let mut out = CycleDeltas::default();
+        m.process_cycle_with_deltas_into(&[appear(20, origin)], &[], &mut out);
+        assert_eq!(nn(&m), ObjectId(10));
+        let leave = ObjectEvent::Disappear { id: ObjectId(10) };
+        m.process_cycle_with_deltas_into(&[leave, appear(30, origin)], &[], &mut out);
+
+        let mut rebuilt = Engine::new(8, NonZeroUsize::MIN);
+        rebuilt.populate(m.grid().iter_objects());
+        rebuilt.install(Q, PointQuery(origin), 1).unwrap();
+        assert_eq!(m.result(Q), rebuilt.result(Q), "maintained vs rebuilt");
+        assert_eq!(nn(&m), ObjectId(20));
+
+        let before = m.result(Q).unwrap().to_vec();
+        m.regrid_to(16).unwrap();
+        assert_eq!(m.result(Q).unwrap(), before, "a re-grid moved the result");
+        m.process_cycle_with_deltas_into(&[], &[], &mut out);
+        assert!(
+            out.changed.is_empty(),
+            "changed after a re-grid: {:?}",
+            out.changed
+        );
+        assert!(out.deltas.is_empty(), "deltas after a re-grid");
+        m.check_invariants();
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub enum CpmError {
     /// A builder or a `regrid_to` named a grid resolution out of
     /// `1..=4096`. Wraps the grid layer's [`GridConfigError`].
     InvalidDim(GridConfigError),
+    /// A snapshot's captured result of this query is not the one its
+    /// objects give, so the snapshot contradicts itself and is refused.
+    CapturedResultMismatch(QueryId),
 }
 
 impl From<GridConfigError> for CpmError {
@@ -122,6 +125,9 @@ impl std::fmt::Display for CpmError {
                 ObjectId::LIMIT
             ),
             CpmError::InvalidDim(e) => write!(f, "{e}"),
+            CpmError::CapturedResultMismatch(id) => {
+                write!(f, "query {id}: snapshot result contradicts its objects")
+            }
         }
     }
 }

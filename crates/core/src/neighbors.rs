@@ -1,10 +1,12 @@
 //! The `best_NN` list: the k best neighbors found so far, sorted by
-//! distance (Table 3.1).
+//! `(dist, id)` (Table 3.1).
 //!
-//! The paper's analysis assumes a balanced tree (`log k` updates); for the
-//! experimental range `k ≤ 256` a sorted vector with binary-search insertion
-//! is faster in practice (see DESIGN.md §3). Membership tests — the hottest
-//! operation during update handling — are O(1) through a side hash set.
+//! The paper's analysis assumes a balanced tree (`log k` updates). For the
+//! experimental range `k ≤ 256` a sorted vector with binary-search
+//! insertion does the same job with one contiguous allocation: an insert
+//! shifts at most k 16-byte entries, a few cache lines, where a tree
+//! chases a pointer per level. Membership tests — the hottest operation
+//! during update handling — are O(1) through a side hash set.
 
 use cpm_geom::{FastHashSet, ObjectId};
 
@@ -18,7 +20,15 @@ pub struct Neighbor {
 }
 
 /// A capacity-`k` list of the best neighbors found so far, ascending by
-/// `(dist, id)`; ties broken by id for determinism.
+/// `(dist, id)`.
+///
+/// The id is part of the key, not only of the order: a query's result is
+/// defined as the `k` smallest objects under `(dist, id)`, and every
+/// path that fills a list (search, re-computation, the merge of Figure
+/// 3.8, and the engine's incomer test against the cycle-start k-th entry)
+/// keeps to that definition. So a result is a function of the object
+/// positions, whatever order a cycle processed them in, and a re-grid or
+/// a restore recomputes the very list a query held.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborList {
     k: usize,

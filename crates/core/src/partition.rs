@@ -134,7 +134,8 @@ impl Pinwheel {
     /// The strip `DIR_lvl`, or `None` when it lies entirely outside the
     /// grid (that direction is exhausted at and beyond `lvl`).
     ///
-    /// Construction (DESIGN.md §5): for level `lvl ≥ 0`,
+    /// Construction (the conceptual rectangles of Section 3.1, around a
+    /// base block instead of one query cell): for level `lvl ≥ 0`,
     /// `U_lvl` = row `r1+lvl+1`, cols `[c0−lvl−1, c1+lvl]`;
     /// `R_lvl` = col `c1+lvl+1`, rows `[r0−lvl, r1+lvl+1]`;
     /// `D_lvl` = row `r0−lvl−1`, cols `[c0−lvl, c1+lvl+1]`;

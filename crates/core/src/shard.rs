@@ -176,15 +176,6 @@ pub struct ShardedCpmEngine<S: QuerySpec> {
     /// stream and the engine state, so the controller decides identically
     /// at every thread count.
     regrid: RegridController,
-    /// Queries whose result changed during a re-grid re-registration and
-    /// have not yet been folded into a cycle's changed list. Empty except
-    /// across exact-distance ties: the recomputed result is the canonical
-    /// `(dist, id)`-minimal set, which the maintained result already is.
-    regrid_changed: Vec<QueryId>,
-    /// Pre-regrid result snapshots of those queries (kept only with delta
-    /// capture on), so the next cycle's delta can use the list subscribers
-    /// actually hold as its base.
-    regrid_prelists: Vec<(QueryId, Vec<Neighbor>)>,
 }
 
 impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
@@ -217,8 +208,6 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
             cuts: Vec::new(),
             searches: Vec::new(),
             regrid: RegridController::new(RegridPolicy::Manual),
-            regrid_changed: Vec::new(),
-            regrid_prelists: Vec::new(),
         }
     }
 
@@ -245,11 +234,11 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     /// from scratch, at every thread count. Returns the number of objects
     /// migrated (0 if `new_dim` is the current dimension).
     ///
-    /// Results are invariant in practice (the maintained list and the
-    /// recomputed list are both the canonical `(dist, id)`-minimal set);
-    /// if an exact-distance tie ever resolves differently at the new δ,
-    /// the change is parked and folded into the next cycle's changed list
-    /// and delta stream.
+    /// Results are invariant: every path keeps a query's result the `k`
+    /// smallest objects under `(dist, id)`, a function of the object
+    /// positions alone, so the re-registration recomputes exactly the
+    /// lists the queries held. A re-grid changes no result and surfaces
+    /// in no changed list or delta.
     ///
     /// # Errors
     /// [`CpmError::InvalidDim`] if `new_dim` is out of `1..=4096`.
@@ -269,17 +258,6 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         }
         self.searches.sort_unstable_by_key(|(_, st)| st.id);
         self.search_all(&[]);
-        for worker in &mut self.workers {
-            for (qid, prev) in worker.regrid_moved.drain(..) {
-                // First pre-regrid list wins: it is what subscribers hold.
-                if !self.regrid_changed.contains(&qid) {
-                    self.regrid_changed.push(qid);
-                    if self.collect_deltas {
-                        self.regrid_prelists.push((qid, prev));
-                    }
-                }
-            }
-        }
         Ok(migrated)
     }
 
@@ -381,30 +359,6 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     #[must_use]
     pub fn collects_deltas(&self) -> bool {
         self.collect_deltas
-    }
-
-    /// Install a query from a snapshot: [`ShardedCpmEngine::install`],
-    /// except that the snapshot's `captured` result (what the crashed
-    /// engine last reported and subscribers hold) is reconciled against
-    /// the freshly recomputed one. Both are the canonical `(dist,
-    /// id)`-minimal set, so they agree in practice; if an exact-distance
-    /// tie ever resolves differently, the change is parked the way a
-    /// re-grid parks one, and surfaces in the next cycle's changed list
-    /// and delta stream instead of being silently dropped.
-    pub(crate) fn restore_install(
-        &mut self,
-        id: QueryId,
-        spec: S,
-        k: usize,
-        captured: &[Neighbor],
-    ) -> Result<(), CpmError> {
-        if self.install(id, spec, k)? != captured {
-            self.regrid_changed.push(id);
-            if self.collect_deltas {
-                self.regrid_prelists.push((id, captured.to_vec()));
-            }
-        }
-        Ok(())
     }
 
     /// Overwrite the cycle counter and the work counters during snapshot
@@ -616,7 +570,6 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         self.route_and_group();
         self.resolve_all();
         self.apply_query_events(query_events);
-        self.finish_regrid();
         std::mem::swap(changed, &mut self.workers[0].changed);
         std::mem::swap(deltas, &mut self.workers[0].deltas);
 
@@ -810,50 +763,6 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         for worker in others {
             first.changed.append(&mut worker.changed);
             first.deltas.append(&mut worker.deltas);
-        }
-    }
-
-    /// Fold any re-grid-induced result changes into the finishing cycle's
-    /// outputs (held by the first worker). For each parked query the
-    /// authoritative delta is `diff(pre-regrid list, current list)` — it
-    /// *replaces* whatever the incremental path produced this cycle, whose
-    /// base (the post-regrid list) is not what subscribers hold. A no-op
-    /// unless a re-grid actually changed a result (exact-distance ties
-    /// only).
-    fn finish_regrid(&mut self) {
-        if self.regrid_changed.is_empty() {
-            return;
-        }
-        let Worker {
-            changed,
-            deltas,
-            diff,
-            ..
-        } = &mut self.workers[0];
-        for (qid, pre) in std::mem::take(&mut self.regrid_prelists) {
-            // `[]` if the query was terminated by this cycle's events.
-            let cur = match self.slot_of.get(&qid) {
-                Some(&slot) => self.queries[slot as usize]
-                    .as_ref()
-                    .expect("mapped slot")
-                    .result(),
-                None => &[],
-            };
-            let delta = NeighborDelta::diff(self.epoch, &pre, cur, diff);
-            if let Some(at) = deltas.iter().position(|(q, _)| *q == qid) {
-                if delta.is_empty() {
-                    deltas.remove(at);
-                } else {
-                    deltas[at].1 = delta;
-                }
-            } else if !delta.is_empty() {
-                deltas.push((qid, delta));
-            }
-        }
-        for qid in std::mem::take(&mut self.regrid_changed) {
-            if self.slot_of.contains_key(&qid) && !changed.contains(&qid) {
-                changed.push(qid);
-            }
         }
     }
 

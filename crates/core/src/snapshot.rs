@@ -12,10 +12,10 @@
 //! online re-grid path uses — so a restored engine is bit-identical to
 //! the captured one in everything observable: results, changed lists and
 //! delta streams (the recovery conformance suite asserts this at several
-//! thread counts). The captured result lists double as a tripwire: if a
-//! recomputed list ever differed from its captured counterpart, the
-//! restore path parks the difference in the re-grid diff channel rather
-//! than silently diverging.
+//! thread counts). The captured result lists are a fault detector: a
+//! result is a function of the object positions, so a recomputed list
+//! that differs from its captured one is a snapshot contradicting itself,
+//! refused with [`CpmError::CapturedResultMismatch`].
 //!
 //! The journal is **write-after-commit**: a record is appended only after
 //! the operation it describes succeeded, so a replayed journal never
@@ -111,8 +111,8 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
     /// counters and the epoch.
     ///
     /// # Errors
-    /// Propagates the registry error if a query cannot be re-installed
-    /// (impossible for a snapshot that passed `Decode` validation).
+    /// [`CpmError::CapturedResultMismatch`] if a recomputed result is not
+    /// the captured one (a `Decode`-validated snapshot fails no other way).
     pub fn restore(&self) -> Result<ShardedCpmEngine<S>, CpmError> {
         let grid = cpm_grid::GridBuilder::new(self.dim).try_build()?;
         // `Decode` refuses 0; a hand-built 0 runs on one thread, and
@@ -128,7 +128,9 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
         }
         engine.populate(self.objects.iter().copied());
         for (id, spec, k, captured) in &self.queries {
-            engine.restore_install(*id, spec.clone(), *k, captured)?;
+            if engine.install(*id, spec.clone(), *k)? != &captured[..] {
+                return Err(CpmError::CapturedResultMismatch(*id));
+            }
         }
         engine.restore_counters(self.epoch, self.metrics);
         Ok(engine)
@@ -433,8 +435,7 @@ impl CpmServer {
     /// subsequent cycle (the recovery conformance suite's core claim).
     ///
     /// # Errors
-    /// Propagates the registry error if a query cannot be re-installed
-    /// (impossible for a snapshot that passed [`Snapshot::from_frame`]).
+    /// As [`EngineSnapshot::restore`].
     pub fn restore(snapshot: &Snapshot) -> Result<CpmServer, CpmError> {
         let engine = snapshot.engine.restore()?;
         Ok(CpmServer::assemble(
@@ -623,7 +624,8 @@ pub enum RecoveryError {
     /// inconsistency such as a sequence gap).
     Wire(WireError),
     /// A decoded journal record was rejected by the restored server — the
-    /// journal and snapshot describe inconsistent histories.
+    /// journal and snapshot describe inconsistent histories — or, at `seq`
+    /// = its watermark, the snapshot itself was.
     Apply {
         /// Sequence number of the rejected record.
         seq: u64,
@@ -855,7 +857,7 @@ impl DurableCpmServer {
     /// # Errors
     /// [`RecoveryError::Wire`] for undecodable artifacts,
     /// [`RecoveryError::Apply`] when a journal record contradicts the
-    /// snapshot's registry state.
+    /// snapshot's registry state, or the snapshot itself.
     pub fn recover(
         snapshot_bytes: &[u8],
         journal_bytes: &[u8],

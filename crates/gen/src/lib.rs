@@ -1,6 +1,7 @@
 //! Network-based moving-object workload generator for continuous spatial
-//! query benchmarks — the Brinkhoff \[B02\] substitute of this suite (see
-//! DESIGN.md §3 for the substitution rationale).
+//! query benchmarks — the Brinkhoff \[B02\] substitute of this suite: the
+//! paper's Oldenburg road map is not redistributable, so [`network`]
+//! synthesizes road networks with the statistics that matter here.
 //!
 //! * [`network`] — synthetic road networks (perturbed street grid and
 //!   random geometric graph), connectivity-repaired.

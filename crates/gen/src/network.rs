@@ -2,8 +2,8 @@
 //!
 //! The paper's experiments use the Brinkhoff generator \[B02\] on the road
 //! map of Oldenburg. That map is not redistributable here, so this module
-//! synthesizes networks with the same relevant statistics (see DESIGN.md
-//! §3): bounded-degree planar-ish graphs over the unit square on which
+//! synthesizes networks with the same relevant statistics:
+//! bounded-degree planar-ish graphs over the unit square on which
 //! objects follow shortest paths, producing locally correlated, skewed
 //! update streams.
 //!

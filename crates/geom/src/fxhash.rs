@@ -4,8 +4,9 @@
 //! for cell object lists and influence lists ("the lists are implemented as
 //! hash-tables"). The standard library's SipHash is DoS-resistant but slow
 //! for 4-byte integer keys; the multiply-rotate scheme below (the same
-//! recipe as the `rustc-hash` crate, reimplemented here to stay within the
-//! approved dependency set — see DESIGN.md §3) is ~5× faster on id keys and
+//! recipe as the `rustc-hash` crate, reimplemented here because the
+//! workspace builds offline from its own crates — even `rand` and
+//! `proptest` are in-tree shims, `crates/shims/`) is ~5× faster on id keys and
 //! fully deterministic, which keeps every experiment reproducible.
 
 use std::collections::{HashMap, HashSet};

@@ -46,9 +46,10 @@ pub fn brute_rnn(objects: &[(ObjectId, Point)], q: Point) -> Vec<ObjectId> {
     objects.iter().filter(|o| lonely(o)).map(|o| o.0).collect()
 }
 
-/// Equal length and pairwise distances within `1e-9`: agreement for
-/// geometries whose distance ties may resolve to different ids (or whose
-/// aggregate distance sums in a different order).
+/// Equal length and pairwise distances within `1e-9`: how the YPK-CNN and
+/// SEA-CNN baselines are held to the oracle
+/// ([`crate::verify_against_oracle`]), since they may resolve a distance
+/// tie to another id. CPM itself is compared exactly ([`crate::verify()`]).
 pub fn same_distances(got: &[Neighbor], want: &[Neighbor]) -> bool {
     let close = |(g, w): (&Neighbor, &Neighbor)| (g.dist - w.dist).abs() < 1e-9;
     got.len() == want.len() && got.iter().zip(want).all(close)

@@ -5,8 +5,9 @@ use cpm_gen::{SpeedClass, WorkloadConfig};
 /// Which workload model drives a simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadKind {
-    /// Brinkhoff-style network movement (the paper's setup; see
-    /// DESIGN.md §3 for the road-map substitution).
+    /// Brinkhoff-style network movement (the paper's setup, on a
+    /// synthetic road network in place of the Oldenburg map; see
+    /// [`cpm_gen::network`]).
     Network {
         /// Street-grid resolution per axis (`cols = rows`).
         grid_streets: u32,

@@ -11,26 +11,35 @@
 //! * the lane's batches, published into its own [`DeltaFanout`] and
 //!   folded into one [`Replica`] per live query, reproduce the lane's own
 //!   results and brute force over a position model kept from the stream
-//!   alone — k-NN and range bit for bit, aggregate and constrained NN by
-//!   distance — with no subscriber lagging and no epoch missing at the end;
+//!   alone, bit for bit for every kind — a result is the `k` smallest
+//!   objects under `(dist, id)` — with no subscriber lagging and no epoch
+//!   missing at the end;
 //! * reverse-NN sets equal brute force exactly, the lane's object table
 //!   equals the model, engine invariants hold, each cycle ingests its
 //!   batch exactly once, and [`Metrics`] totals agree between single-node
-//!   lanes that differ only in thread count.
+//!   lanes that differ only in thread count;
+//! * after the last cycle, the lane's results and reverse-NN sets equal
+//!   bit for bit those of a [`CpmServer`] built from scratch on the final
+//!   objects and live queries: since results depend on the state alone,
+//!   no history of cycles, re-grids, restores or crashes can leave a lane
+//!   elsewhere.
 //!
 //! A failure prints the stream and lane as the two lines that replay it.
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 
-use cpm_core::{AnyQuerySpec, CycleDeltas, Neighbor, QuerySpec, RangeQuery, SpecEvent};
+use cpm_core::{
+    AnyQuerySpec, CpmServer, CpmServerBuilder, CycleDeltas, Neighbor, QuerySpec, RangeQuery,
+    SpecEvent,
+};
 use cpm_geom::{clamp_coord, ObjectId, Point, QueryId};
 use cpm_grid::{Metrics, QueryKind};
 use cpm_sub::{DeltaFanout, Replica};
 
 use crate::lane::{knn, Deploy, LaneConfig};
 use crate::ops::{Control, OpStream};
-use crate::oracle::{brute_force, brute_rnn, same_distances};
+use crate::oracle::{brute_force, brute_rnn};
 
 /// Brute-force ground truth after one cycle, from the stream alone.
 struct Truth {
@@ -42,7 +51,9 @@ struct Truth {
     seed: Vec<Neighbor>,
 }
 
-fn ground_truth(stream: &OpStream) -> Vec<Truth> {
+/// Brute-force truth after every cycle, and a server built from scratch
+/// on the final objects and live queries.
+fn ground_truth(stream: &OpStream) -> (Vec<Truth>, CpmServer) {
     let mut positions: BTreeMap<ObjectId, Point> = BTreeMap::new();
     let mut queries: BTreeMap<QueryId, (AnyQuerySpec, usize)> = BTreeMap::new();
     let mut rnn: BTreeMap<QueryId, Point> = BTreeMap::new();
@@ -95,7 +106,17 @@ fn ground_truth(stream: &OpStream) -> Vec<Truth> {
             seed,
         });
     }
-    truths
+    let mut rebuilt = CpmServerBuilder::new(stream.grid_dim).build();
+    rebuilt.populate(positions);
+    for (id, (spec, k)) in queries {
+        let _ = rebuilt
+            .install_spec(id, spec, k)
+            .expect("a live query installs");
+    }
+    for (id, pos) in rnn {
+        let _ = rebuilt.install_rnn(id, pos).expect("a live RNN installs");
+    }
+    (truths, rebuilt)
 }
 
 /// Prints the two lines that replay a failing lane when a check (or the
@@ -178,14 +199,7 @@ impl Subscribers {
         );
         for ((id, replica), (kind, want)) in self.replicas.iter().zip(truth.results.values()) {
             let got = replica.result();
-            if matches!(kind, QueryKind::Knn | QueryKind::Range) {
-                assert_eq!(got, want, "{kind:?} {id} diverged from brute force");
-            } else {
-                assert!(
-                    same_distances(got, want),
-                    "{kind:?} {id} diverged from brute force: {got:?} vs {want:?}"
-                );
-            }
+            assert_eq!(got, want, "{kind:?} {id} diverged from brute force");
         }
     }
 }
@@ -195,6 +209,7 @@ fn run_lane(
     stream: &OpStream,
     cfg: LaneConfig,
     truth: &[Truth],
+    rebuilt: &CpmServer,
     reference: &mut Vec<CycleDeltas>,
     metric_groups: &mut Vec<(LaneConfig, Vec<Metrics>)>,
 ) -> usize {
@@ -266,6 +281,23 @@ fn run_lane(
         stream.cycles.len() as u64,
         "the lane dropped merged cycles"
     );
+    // The replicas equal the lane's own results (checked every cycle).
+    for (&id, replica) in &subs.replicas {
+        assert_eq!(
+            Some(replica.result()),
+            rebuilt.result(id),
+            "{id} differs from a server rebuilt from the final state"
+        );
+    }
+    if let Some(server) = lane.server() {
+        for id in truth.last().into_iter().flat_map(|t| t.rnn.keys()) {
+            assert_eq!(
+                server.rnn_result(*id),
+                rebuilt.rnn_result(*id),
+                "reverse-NN set of {id} differs from a server rebuilt from the final state"
+            );
+        }
+    }
     // Lanes that differ only in thread count do the same work.
     let key = LaneConfig {
         threads: NonZeroUsize::MIN,
@@ -302,11 +334,18 @@ pub struct Verified {
 /// Panics on the first divergence, after printing the stream and lane
 /// that replay it.
 pub fn verify(stream: &OpStream, lanes: &[LaneConfig]) -> Verified {
-    let truth = ground_truth(stream);
+    let (truth, rebuilt) = ground_truth(stream);
     let (mut reference, mut metric_groups) = (Vec::new(), Vec::new());
     let mut regrids = 0;
     for &cfg in [LaneConfig::REFERENCE].iter().chain(lanes) {
-        regrids += run_lane(stream, cfg, &truth, &mut reference, &mut metric_groups);
+        regrids += run_lane(
+            stream,
+            cfg,
+            &truth,
+            &rebuilt,
+            &mut reference,
+            &mut metric_groups,
+        );
     }
     Verified {
         ops: (lanes.len() + 1) * stream.ops(),
@@ -325,10 +364,10 @@ mod tests {
     #[should_panic(expected = "diverged from brute force")]
     fn a_wrong_result_is_caught() {
         let stream = OpStream::mixed(5, 40, 4, Anchors::Free);
-        let mut truth = ground_truth(&stream);
+        let (mut truth, rebuilt) = ground_truth(&stream);
         truth[2].results.values_mut().next().unwrap().1.clear();
         let (mut reference, mut groups) = (Vec::new(), Vec::new());
         let cfg = LaneConfig::REFERENCE;
-        run_lane(&stream, cfg, &truth, &mut reference, &mut groups);
+        run_lane(&stream, cfg, &truth, &rebuilt, &mut reference, &mut groups);
     }
 }

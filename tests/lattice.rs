@@ -4,14 +4,15 @@
 //! set, seed) pair draws all of them at once, over a mixed-kind stream
 //! every deployment can run and, for the lanes with a re-grid axis, a
 //! drifting hotspot that makes the policy act. Plus the coordinates no
-//! random stream produces: exactly 0.0, 1.0 and the tile seams.
+//! random stream produces: exactly 0.0, 1.0 and the tile seams, and piles
+//! of objects at one point, where every result is decided by id.
 
 mod common;
 
 use common::{case_budget, lane, paper_stream};
 use cpm_suite::core::{AnyQuerySpec, PointQuery, RangeQuery, SpecEvent};
 use cpm_suite::gen::FaultPlan;
-use cpm_suite::geom::{ObjectId, Point, QueryId};
+use cpm_suite::geom::{clamp_coord, ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{
     verify, Anchors, Control, Deploy, LaneConfig, OpStream, Regrid, SimParams, WorkloadKind,
@@ -216,4 +217,143 @@ fn boundary_and_seam_coordinates_are_exact() {
             lane(1, pinned, cluster(4)),
         ],
     );
+}
+
+/// Result size of the tie stream's queries, below every pile's size.
+const TIE_K: usize = 3;
+
+/// The tie stream's piles: the four workspace corners and one interior
+/// cell corner (at 16², 32² and 8² alike), each at its stored, clamped
+/// position, so a query there is at distance 0 from every pile object.
+fn pile_sites() -> [Point; 5] {
+    let stored = |x: f64, y: f64| Point::new(clamp_coord(x), clamp_coord(y));
+    [
+        stored(0.0, 0.0),
+        stored(1.0, 0.0),
+        stored(0.0, 1.0),
+        stored(1.0, 1.0),
+        stored(0.375, 0.625),
+    ]
+}
+
+/// Where an object of the tie stream is.
+#[derive(Clone, Copy, PartialEq)]
+enum Site {
+    Pile(usize),
+    Elsewhere,
+    Gone,
+}
+
+/// Piles of at least `2 · TIE_K` objects at distance 0 from a k-NN query
+/// each, so every result is the `TIE_K` smallest ids of its pile. Every
+/// cycle, one or two of a pile's members leave (moving away or
+/// disappearing) while one object with an id below the pile's current
+/// k-th and one above it arrive (moving in or re-appearing): a merge that
+/// took the higher incomer over an equally distant object that stayed
+/// would show. Re-grids, a snapshot round-trip and crashes as in
+/// [`with_controls`].
+fn tie_stream(seed: u64) -> OpStream {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7135);
+    let sites = pile_sites();
+    let n = 100u32;
+    let elsewhere = |rng: &mut StdRng| Point::new(rng.gen_range(0.1..0.9), rng.gen_range(0.1..0.9));
+    let mut at: Vec<Site> = (0..n)
+        .map(|i| match i % 3 {
+            0 => Site::Elsewhere,
+            _ => Site::Pile(i as usize % sites.len()),
+        })
+        .collect();
+    let objects = (0..n).map(|i| match at[i as usize] {
+        Site::Pile(p) => (ObjectId(i), sites[p]),
+        _ => (ObjectId(i), elsewhere(&mut rng)),
+    });
+    let installs = sites.iter().enumerate().map(|(i, &p)| SpecEvent::Install {
+        id: QueryId(i as u32),
+        spec: AnyQuerySpec::Knn(PointQuery(p)),
+        k: TIE_K,
+    });
+    let mut stream = OpStream::new(
+        format!("tie_stream({seed})"),
+        16,
+        objects.collect::<Vec<_>>(),
+        installs.collect(),
+    );
+    for _ in 2..CYCLES {
+        let mut events = Vec::new();
+        let mut moved = vec![false; n as usize];
+        for (p, &pos) in sites.iter().enumerate() {
+            let pile: Vec<u32> = (0..n)
+                .filter(|&i| at[i as usize] == Site::Pile(p))
+                .collect();
+            assert!(pile.len() >= 2 * TIE_K, "pile {p} shrank to {}", pile.len());
+            let kth = pile[TIE_K - 1];
+            let leaving = if pile.len() > 3 * TIE_K { 2 } else { 1 };
+            for _ in 0..leaving {
+                let members: Vec<u32> = pile[..TIE_K]
+                    .iter()
+                    .copied()
+                    .filter(|&i| !moved[i as usize])
+                    .collect();
+                let id = members[rng.gen_range(0..members.len())];
+                moved[id as usize] = true;
+                events.push(if rng.gen_bool(0.3) {
+                    at[id as usize] = Site::Gone;
+                    ObjectEvent::Disappear { id: ObjectId(id) }
+                } else {
+                    at[id as usize] = Site::Elsewhere;
+                    ObjectEvent::Move {
+                        id: ObjectId(id),
+                        to: elsewhere(&mut rng),
+                    }
+                });
+            }
+            for below in [true, false] {
+                let free: Vec<u32> = (0..n)
+                    .filter(|&i| !moved[i as usize] && (i < kth) == below)
+                    .filter(|&i| !matches!(at[i as usize], Site::Pile(_)))
+                    .collect();
+                let Some(&id) = free.get(rng.gen_range(0..free.len().max(1))) else {
+                    continue;
+                };
+                moved[id as usize] = true;
+                events.push(
+                    match std::mem::replace(&mut at[id as usize], Site::Pile(p)) {
+                        Site::Gone => ObjectEvent::Appear {
+                            id: ObjectId(id),
+                            pos,
+                        },
+                        _ => ObjectEvent::Move {
+                            id: ObjectId(id),
+                            to: pos,
+                        },
+                    },
+                );
+            }
+        }
+        stream.push(events, Vec::new());
+    }
+    with_controls(stream, seed)
+}
+
+/// Every result of the tie stream is decided by id at distance 0: each
+/// deployment must hold the `TIE_K` smallest ids of each pile after every
+/// cycle, re-grid, snapshot round-trip and crash — equal to brute force
+/// and, at the end, to a server rebuilt from the final positions.
+#[test]
+fn exact_distance_ties_resolve_by_id_in_every_lane() {
+    let cluster = |workers| Deploy::Cluster {
+        workers,
+        tcp: false,
+    };
+    let mut lanes = vec![
+        lane(1, Regrid::Pinned, cluster(2)),
+        lane(1, Regrid::Pinned, cluster(4)),
+    ];
+    for threads in [1, 2] {
+        lanes.push(lane(threads, Regrid::Scheduled, Deploy::Single));
+        lanes.push(lane(threads, Regrid::Auto, Deploy::Durable));
+    }
+    for seed in 0..case_budget(3) as u64 {
+        verify(&tie_stream(seed), &lanes);
+    }
 }

@@ -10,7 +10,7 @@ use std::num::NonZeroUsize;
 use common::{case_budget, lanes};
 use cpm_suite::core::snapshot::{JournalRecord, Snapshot};
 use cpm_suite::core::{
-    AnyQuerySpec, CpmServerBuilder, CycleDeltas, DurableCpmServer, Neighbor, PointQuery,
+    AnyQuerySpec, CpmError, CpmServerBuilder, CycleDeltas, DurableCpmServer, Neighbor, PointQuery,
     RecoveryError, SpecEvent,
 };
 use cpm_suite::gen::FaultPlan;
@@ -340,6 +340,36 @@ fn snapshot_decode_rejects_inconsistent_registries() {
         }
         other => panic!("expected Invalid, got {other:?}"),
     }
+}
+
+/// A snapshot's captured results are a fault detector: a result is the
+/// `k` smallest objects under `(dist, id)`, so restore recomputes exactly
+/// the captured list, and a checksum-valid snapshot whose list was edited
+/// contradicts itself. Recovery refuses it with a typed error.
+#[test]
+fn an_edited_captured_result_is_refused_on_recovery() {
+    let durable = durable_fixture(true);
+    let mut snap = Snapshot::from_frame(durable.snapshot_bytes()).unwrap();
+    let (_, _, _, captured) = snap
+        .engine
+        .queries
+        .iter_mut()
+        .find(|(id, _, _, _)| *id == QueryId(0))
+        .unwrap();
+    captured.swap(0, 1);
+    let reframed = encode_framed(FRAME_SNAPSHOT, &snap);
+    let err = DurableCpmServer::recover(&reframed, durable.journal_bytes(), 0).unwrap_err();
+    assert_eq!(
+        err,
+        RecoveryError::Apply {
+            seq: snap.watermark,
+            error: CpmError::CapturedResultMismatch(QueryId(0)),
+        }
+    );
+    // The untouched frame recovers.
+    assert!(
+        DurableCpmServer::recover(durable.snapshot_bytes(), durable.journal_bytes(), 0).is_ok()
+    );
 }
 
 /// A checksum-valid snapshot whose query count equals the bytes left / 8
