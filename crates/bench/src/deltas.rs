@@ -1,5 +1,5 @@
 //! Delta-emission benchmark: cycle cost of the delta-streaming result
-//! path ([`cpm_core::ShardedCpmEngine::process_cycle_with_deltas_into`])
+//! path ([`cpm_core::CpmServer::process_cycle_with_deltas_into`])
 //! versus handing callers full result lists, on the subscription
 //! workload the `cpm-sub` front end serves (100K uniform objects, 1K
 //! k-NN subscriptions, k = 16, 128² grid, 10% movers per cycle).
@@ -9,14 +9,14 @@
 //! complete result in **full-list** mode (delta capture off), a
 //! `NeighborDelta` carrying only the churn in **delta** mode (capture
 //! on, one recycled [`cpm_core::CycleDeltas`] batch, exactly how the
-//! subscription hub drives the engine). Materializing owned messages on
+//! subscription hub drives the server). Materializing owned messages on
 //! both sides is what makes the ratio meaningful: a subscription service
 //! cannot ship a borrowed scratch buffer. Message batches are dropped
 //! outside the timed section on both sides. The entry counts recorded
 //! next to the timings show *why* the delta path exists: it ships far
 //! fewer entries per cycle.
 
-use cpm_core::{CycleDeltas, Neighbor, PointQuery, ShardedCpmEngine};
+use cpm_core::{CpmServerBuilder, CycleDeltas, Neighbor, PointQuery};
 use cpm_geom::QueryId;
 
 use crate::paired::{timed, Paired, REPS};
@@ -72,18 +72,17 @@ pub fn measure(cfg: &Config) -> BenchRecord {
         cfg.warmup_cycles + cfg.cycles,
     );
     let build = |deltas: bool| {
-        let mut engine: ShardedCpmEngine<PointQuery> =
-            ShardedCpmEngine::new(cfg.grid_dim, threads(cfg.threads));
-        if deltas {
-            engine.enable_deltas();
-        }
-        engine.populate(w.objects.iter().copied());
+        let mut server = CpmServerBuilder::new(cfg.grid_dim)
+            .threads(threads(cfg.threads))
+            .deltas(deltas)
+            .build();
+        server.populate(w.objects.iter().copied());
         for &(qid, pos) in &w.queries {
-            engine
-                .install(qid, PointQuery(pos), cfg.k)
+            let _ = server
+                .install_spec(qid, PointQuery(pos), cfg.k)
                 .expect("fresh benchmark query id");
         }
-        engine
+        server
     };
 
     let mut paired = Paired::default();
@@ -91,12 +90,14 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     // cycles (identical in every repetition: same stream).
     let (mut full_entries, mut delta_entries, mut changes) = (0, 0, 0);
     for _ in 0..REPS {
-        let (mut full_engine, mut delta_engine) = (build(false), build(true));
+        let (mut full_server, mut delta_server) = (build(false), build(true));
         (full_entries, delta_entries, changes) = (0, 0, 0);
         let mut full = |i: usize| {
             let (spent, messages) = timed(|| {
-                let changed = full_engine.process_cycle(&w.cycles[i], &[]);
-                let result = |&qid| (qid, full_engine.result(qid).expect("installed").to_vec());
+                let changed = full_server
+                    .process_cycle(&w.cycles[i], &[])
+                    .expect("uniform batches are well-formed");
+                let result = |&qid| (qid, full_server.result(qid).expect("installed").to_vec());
                 changed
                     .iter()
                     .map(result)
@@ -110,8 +111,9 @@ pub fn measure(cfg: &Config) -> BenchRecord {
         };
         let mut out = CycleDeltas::default();
         let mut delta = |i: usize| {
-            let (spent, ()) =
-                timed(|| delta_engine.process_cycle_with_deltas_into(&w.cycles[i], &[], &mut out));
+            let (spent, result) =
+                timed(|| delta_server.process_cycle_with_deltas_into(&w.cycles[i], &[], &mut out));
+            result.expect("uniform batches are well-formed");
             if i >= cfg.warmup_cycles {
                 delta_entries += out.deltas.iter().map(|(_, d)| d.len()).sum::<usize>();
             }

@@ -24,7 +24,7 @@ use cpm_geom::{Point, QueryId, Rect};
 use cpm_grid::QueryEvent;
 use cpm_sim::{brute_rnn, AlgoKind, SimParams, SimulationInput, WorkloadKind};
 
-use crate::monitor::{engine, reevaluate, reevaluate_by, Counters, Monitor};
+use crate::monitor::{cpm, reevaluate, reevaluate_by, Counters, Monitor};
 use crate::paired::{Lane, Paired, Stat, REPS};
 use crate::record::{BenchRecord, Fields, Value};
 
@@ -53,7 +53,7 @@ impl Contender {
     fn build(&self, i: usize, input: &SimulationInput) -> Box<dyn Monitor> {
         let queries = input.initial_queries.iter();
         match *self {
-            Contender::Algo(AlgoKind::Cpm) => engine(
+            Contender::Algo(AlgoKind::Cpm) => cpm(
                 input,
                 queries.map(|&(id, pos, k)| (id, PointQuery(pos), k)),
                 |tick| tick.query_events.iter().map(|&ev| ev.into()).collect(),
@@ -300,7 +300,7 @@ pub const SWEEPS: &[Sweep] = &[
         points: |s| study(s.min(0.5), 10, &["sum", "min", "max"]),
         contenders: &[
             Contender::Study("CPM-ANN", |f, input| {
-                engine(input, ann_queries(f, input), |_| Vec::new())
+                cpm(input, ann_queries(f, input), |_| Vec::new())
             }),
             Contender::Study("re-evaluate", |f, input| {
                 reevaluate(input, ann_queries(f, input))
@@ -322,13 +322,13 @@ pub const SWEEPS: &[Sweep] = &[
             let mut set: Vec<Point> = input.initial_queries.iter().map(|q| q.1).collect();
             let (id, _, k) = input.initial_queries[0];
             let query = AnnQuery::new(set.clone(), AggregateFn::Sum);
-            engine(input, [(id, query, k)], move |tick| {
+            cpm(input, [(id, query, k)], move |tick| {
                 for ev in &tick.query_events {
                     if let QueryEvent::Move { id, to } = *ev {
                         set[id.index()] = to;
                     }
                 }
-                let spec = AnnQuery::new(set.clone(), AggregateFn::Sum);
+                let spec = AnnQuery::new(set.clone(), AggregateFn::Sum).into();
                 vec![SpecEvent::Update { id, spec }]
             })
         })],
@@ -340,7 +340,7 @@ pub const SWEEPS: &[Sweep] = &[
         points: |s| study(s.min(0.5), 10, &["squares"]),
         contenders: &[
             Contender::Study("CPM-constrained", |_, input| {
-                engine(input, constrained_queries(input), |_| Vec::new())
+                cpm(input, constrained_queries(input), |_| Vec::new())
             }),
             Contender::Study("re-evaluate", |_, input| {
                 reevaluate(input, constrained_queries(input))

@@ -1,11 +1,11 @@
 //! What a lane of a figure is: [`Monitor`], implemented over the three
-//! k-NN methods of the paper, the CPM engine under any query geometry,
-//! the server (reverse NN) and brute-force re-evaluation.
+//! k-NN methods of the paper, CPM under any query geometry, the
+//! server's reverse NN and brute-force re-evaluation.
 
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-use cpm_core::{CpmServer, QuerySpec, ShardedCpmEngine, SpecEvent};
+use cpm_core::{AnyQuerySpec, CpmServer, CpmServerBuilder, QuerySpec, SpecEvent};
 use cpm_gen::TickEvents;
 use cpm_geom::{ObjectId, Point, QueryId};
 use cpm_grid::{Metrics, ObjectEvent};
@@ -15,7 +15,7 @@ use crate::paired::timed;
 
 /// What a monitor's own book-keeping says: the work counters since the
 /// last call, the space in memory units (Section 4.1), and — for a CPM
-/// engine — the mean `best_dist`, `C_inf`, `O_inf` and `C_SH` over the
+/// lane over one query geometry — the mean `best_dist`, `C_inf`, `O_inf` and `C_SH` over the
 /// queries whose result is full.
 pub type Counters = (Metrics, usize, Option<[f64; 4]>);
 
@@ -39,34 +39,36 @@ impl Monitor for Box<dyn KnnMonitorAlgo> {
     }
 }
 
-/// The CPM engine over one query geometry; `events` lifts a tick's query
-/// updates into the engine's vocabulary, outside the timed call.
-struct Engine<S: QuerySpec, E> {
-    engine: ShardedCpmEngine<S>,
+/// CPM over one query geometry; `events` lifts a tick's query updates
+/// into the server's vocabulary, outside the timed call.
+struct Cpm<E> {
+    server: CpmServer,
     events: E,
 }
 
-impl<S, E> Monitor for Engine<S, E>
+impl<E> Monitor for Cpm<E>
 where
-    S: QuerySpec + Send + Sync,
-    E: FnMut(&TickEvents) -> Vec<SpecEvent<S>>,
+    E: FnMut(&TickEvents) -> Vec<SpecEvent<AnyQuerySpec>>,
 {
     fn cycle(&mut self, tick: &TickEvents) -> (Duration, usize) {
         let events = (self.events)(tick);
-        let run = || self.engine.process_cycle(&tick.object_events, &events);
+        let run = || self.server.process_cycle(&tick.object_events, &events);
         let (spent, changed) = timed(run);
-        (spent, changed.len())
+        (
+            spent,
+            changed.expect("generated batches are well-formed").len(),
+        )
     }
 
     fn counters(&mut self) -> Counters {
         let (mut sums, mut full) = ([0.0; 4], 0.0f64);
-        for id in self.engine.query_ids() {
-            let st = self.engine.query_state(id).expect("listed");
+        for id in self.server.query_ids() {
+            let st = self.server.query_state(id).expect("listed");
             if !st.best.is_full() {
                 continue;
             }
             let influence = &st.visit_list[..st.influence_len];
-            let cell_len = |&(cell, _)| self.engine.grid().cell_len(cell);
+            let cell_len = |&(cell, _)| self.server.grid().cell_len(cell);
             let book_keeping = [
                 st.best_dist(),
                 influence.len() as f64,
@@ -79,26 +81,28 @@ where
             full += 1.0;
         }
         let means = sums.map(|sum| sum / full.max(1.0));
-        let space = self.engine.space_units();
-        (self.engine.take_metrics(), space, Some(means))
+        let space = self.server.space_units();
+        (self.server.take_metrics(), space, Some(means))
     }
 }
 
-/// A sequential CPM engine over `input`'s objects with `queries`
+/// A one-thread CPM server over `input`'s objects with `queries`
 /// installed.
-pub(crate) fn engine<S: QuerySpec + Send + Sync + 'static>(
+pub(crate) fn cpm<S: Into<AnyQuerySpec>>(
     input: &SimulationInput,
     queries: impl IntoIterator<Item = (QueryId, S, usize)>,
-    events: impl FnMut(&TickEvents) -> Vec<SpecEvent<S>> + 'static,
+    events: impl FnMut(&TickEvents) -> Vec<SpecEvent<AnyQuerySpec>> + 'static,
 ) -> Box<dyn Monitor> {
-    let mut engine = ShardedCpmEngine::new(input.params.grid_dim, NonZeroUsize::MIN);
-    engine.populate(input.initial_objects.iter().copied());
+    let mut server = CpmServerBuilder::new(input.params.grid_dim)
+        .threads(NonZeroUsize::MIN)
+        .build();
+    server.populate(input.initial_objects.iter().copied());
     for (id, spec, k) in queries {
-        engine
-            .install(id, spec, k)
+        let _ = server
+            .install_spec(id, spec, k)
             .expect("generated ids are fresh");
     }
-    Box::new(Engine { engine, events })
+    Box::new(Cpm { server, events })
 }
 
 /// The reverse-NN study's lane: RNN is composed by the server.

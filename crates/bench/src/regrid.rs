@@ -1,8 +1,8 @@
 //! Re-grid benchmark: fixed-δ vs cost-model-driven adaptive resolution on
 //! the drifting-hotspot stream ([`crate::workload::DriftBench`]).
 //!
-//! Both lanes replay the identical stream on
-//! [`cpm_core::ShardedCpmEngine`] over point queries:
+//! Both lanes replay the identical stream on a [`cpm_core::CpmServer`]
+//! over point queries:
 //!
 //! * **fixed** — the grid resolution a capacity plan would have
 //!   provisioned for the *base* population, frozen for the whole run;
@@ -25,7 +25,7 @@
 
 use std::num::NonZeroU64;
 
-use cpm_core::{PointQuery, RegridPolicy, ShardedCpmEngine};
+use cpm_core::{CpmServerBuilder, PointQuery, RegridPolicy};
 
 use crate::paired::{median, timed, Paired, Stat, REPS};
 use crate::record::BenchRecord;
@@ -71,14 +71,16 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     let s = &cfg.stream;
     let drift = s.stream();
     let fixed_dim = s.provisioned_dim(s.n_base);
-    let build = |policy: Option<RegridPolicy>| {
-        let mut m = ShardedCpmEngine::<PointQuery>::new(fixed_dim, threads(s.threads));
-        if let Some(policy) = policy {
-            m.set_regrid_policy(policy);
-        }
+    let build = |policy: RegridPolicy| {
+        let mut m = CpmServerBuilder::new(fixed_dim)
+            .threads(threads(s.threads))
+            .regrid(policy)
+            .build();
         m.populate(drift.objects.iter().copied());
         for &(qid, pos, k) in &drift.queries {
-            m.install(qid, PointQuery(pos), k).expect("fresh query id");
+            let _ = m
+                .install_spec(qid, PointQuery(pos), k)
+                .expect("fresh query id");
         }
         m
     };
@@ -90,13 +92,14 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     let (mut regrids, mut migrated, mut pauses, mut slowest) = (vec![], vec![], vec![], vec![]);
     let (mut final_dim, mut changes) = (fixed_dim, 0);
     for _ in 0..REPS {
-        let (mut fixed, mut adaptive) = (build(None), build(Some(auto)));
+        let (mut fixed, mut adaptive) = (build(RegridPolicy::Manual), build(auto));
         let mut regrids_seen = 0;
         let mut slowest_regrid_ms = 0.0f64;
         changes = 0;
         let mut fixed_lane = |i: usize| {
             let (tick, query_events) = &drift.ticks[i];
-            timed(|| fixed.process_cycle(&tick.object_events, query_events))
+            let (spent, changed) = timed(|| fixed.process_cycle(&tick.object_events, query_events));
+            (spent, changed.expect("drift batches are well-formed"))
         };
         let mut adaptive_lane = |i: usize| {
             if i == s.warmup_cycles {
@@ -108,6 +111,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
             let (tick, query_events) = &drift.ticks[i];
             let (spent, changed) =
                 timed(|| adaptive.process_cycle(&tick.object_events, query_events));
+            let changed = changed.expect("drift batches are well-formed");
             // Metrics snapshots are cheap counter sums; reading them
             // outside the timed section identifies re-grid cycles.
             let regrids_now = adaptive.metrics().regrids;

@@ -1,9 +1,10 @@
 //! Unified-server benchmark: cycle cost of one [`cpm_core::CpmServer`]
 //! hosting a mixed continuous-query workload (k-NN + range + constrained)
-//! versus three dedicated single-kind engines over three separate grids —
-//! an in-run control: the shape a deployment without the server would
-//! have to take, kept only to be measured against. The record also attributes the server's work to each query
-//! class ([`cpm_grid::Metrics::by_kind`]).
+//! versus three single-kind servers over three separate grids — an
+//! in-run control: the shape a deployment that split its queries by kind
+//! would take, kept only to be measured against. The record also
+//! attributes the server's work to each query class
+//! ([`cpm_grid::Metrics::by_kind`]).
 //!
 //! The workload is deliberately **update-ingest-bound** (100K uniform
 //! objects, 10% movers per cycle, 60 queries per kind, k = 8 — the
@@ -13,7 +14,7 @@
 //! identical work on both sides. Every cycle's result-change count must
 //! be equal between the lanes.
 
-use cpm_core::{CpmServerBuilder, PointQuery, RangeQuery, ShardedCpmEngine};
+use cpm_core::{CpmServer, CpmServerBuilder, PointQuery, RangeQuery};
 
 use crate::paired::{timed, Paired, REPS};
 use crate::record::BenchRecord;
@@ -40,8 +41,8 @@ bench_config! {
         warmup_cycles: usize = 2,
         /// Grid granularity per axis.
         grid_dim: u32 = 128,
-        /// Maintenance threads, applied to the server and to each
-        /// dedicated engine alike.
+        /// Maintenance threads, applied to the unified server and to
+        /// each single-kind server alike.
         threads: usize = 1,
         /// RNG seed.
         seed: u64 = 2005,
@@ -75,40 +76,34 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     let mut paired = Paired::default();
     let mut changes = 0;
     let mut work = cpm_grid::Metrics::default();
-    for _ in 0..REPS {
+    let build = || {
         let mut server = CpmServerBuilder::new(cfg.grid_dim)
             .threads(threads(cfg.threads))
             .build();
         server.populate(w.objects.iter().copied());
-        let mut knn_engine = ShardedCpmEngine::new(cfg.grid_dim, threads(cfg.threads));
-        let mut range_engine = ShardedCpmEngine::new(cfg.grid_dim, threads(cfg.threads));
-        let mut constrained_engine = ShardedCpmEngine::new(cfg.grid_dim, threads(cfg.threads));
-        knn_engine.populate(w.objects.iter().copied());
-        range_engine.populate(w.objects.iter().copied());
-        constrained_engine.populate(w.objects.iter().copied());
+        server
+    };
+    for _ in 0..REPS {
+        let [mut server, mut knn_server, mut range_server, mut constrained_server]: [CpmServer; 4] =
+            std::array::from_fn(|_| build());
         for &(qid, pos) in &w.queries {
-            let _ = server
-                .install_spec(qid, PointQuery(pos), cfg.k)
-                .expect("fresh id");
-            knn_engine
-                .install(qid, PointQuery(pos), cfg.k)
-                .expect("fresh id");
+            for s in [&mut server, &mut knn_server] {
+                let _ = s
+                    .install_spec(qid, PointQuery(pos), cfg.k)
+                    .expect("fresh id");
+            }
         }
         for &(qid, q) in &ranges {
-            let _ = server
-                .install_spec(qid, q, RangeQuery::UNBOUNDED_K)
-                .expect("fresh id");
-            range_engine
-                .install(qid, q, RangeQuery::UNBOUNDED_K)
-                .expect("fresh id");
+            for s in [&mut server, &mut range_server] {
+                let _ = s
+                    .install_spec(qid, q, RangeQuery::UNBOUNDED_K)
+                    .expect("fresh id");
+            }
         }
         for (qid, q) in &constrained {
-            let _ = server
-                .install_spec(*qid, q.clone(), cfg.k)
-                .expect("fresh id");
-            constrained_engine
-                .install(*qid, q.clone(), cfg.k)
-                .expect("fresh id");
+            for s in [&mut server, &mut constrained_server] {
+                let _ = s.install_spec(*qid, q.clone(), cfg.k).expect("fresh id");
+            }
         }
         server.take_metrics();
 
@@ -130,9 +125,10 @@ pub fn measure(cfg: &Config) -> BenchRecord {
         let mut split = |i: usize| {
             let events = &w.cycles[i];
             timed(|| {
-                knn_engine.process_cycle(events, &[]).len()
-                    + range_engine.process_cycle(events, &[]).len()
-                    + constrained_engine.process_cycle(events, &[]).len()
+                [&mut knn_server, &mut range_server, &mut constrained_server]
+                    .into_iter()
+                    .map(|s| s.process_cycle(events, &[]).expect("no query events").len())
+                    .sum::<usize>()
             })
         };
         // `check`: both shapes report the same number of result changes.

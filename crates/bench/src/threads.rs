@@ -1,5 +1,5 @@
-//! Thread-scaling benchmark: cycle time of the engine
-//! ([`cpm_core::ShardedCpmEngine`]) on `T` threads against `T = 1`, at
+//! Thread-scaling benchmark: cycle time of a [`cpm_core::CpmServer`] on
+//! `T` threads against `T = 1`, at
 //! `paper_default`'s shape — Table 6.1's operating point: 100K objects
 //! and 5K k = 16 queries on the network-free uniform generator,
 //! `f_obj` = 0.5, `f_qry` = 0.3, medium speed, a 128² grid, delta
@@ -13,7 +13,7 @@
 //! from 1 at all: no speedup can appear beyond the host's parallelism,
 //! and a ratio inside the repetitions' noise is not one.
 
-use cpm_core::{CycleDeltas, PointQuery, ShardedCpmEngine, SpecEvent};
+use cpm_core::{AnyQuerySpec, CpmServerBuilder, CycleDeltas, PointQuery, SpecEvent};
 use cpm_gen::{SpeedClass, UniformWorkload, WorkloadConfig};
 use cpm_grid::ObjectEvent;
 
@@ -78,7 +78,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     });
     let objects: Vec<_> = workload.initial_objects().collect();
     let queries: Vec<_> = workload.initial_queries().collect();
-    let cycles: Vec<(Vec<ObjectEvent>, Vec<SpecEvent<PointQuery>>)> = (0..cfg.warmup_cycles
+    let cycles: Vec<(Vec<ObjectEvent>, Vec<SpecEvent<AnyQuerySpec>>)> = (0..cfg.warmup_cycles
         + cfg.cycles)
         .map(|_| {
             let tick = workload.tick();
@@ -90,29 +90,32 @@ pub fn measure(cfg: &Config) -> BenchRecord {
     let names: Vec<String> = cfg.thread_counts.iter().map(usize::to_string).collect();
     let mut paired = Paired::default();
     for _ in 0..REPS {
-        let mut engines: Vec<_> = cfg
+        let mut servers: Vec<_> = cfg
             .thread_counts
             .iter()
             .map(|&threads| {
-                let mut engine = ShardedCpmEngine::new(cfg.grid_dim, workload::threads(threads));
-                engine.enable_deltas();
-                engine.populate(objects.iter().copied());
+                let mut server = CpmServerBuilder::new(cfg.grid_dim)
+                    .threads(workload::threads(threads))
+                    .deltas(true)
+                    .build();
+                server.populate(objects.iter().copied());
                 for &(qid, pos, k) in &queries {
-                    engine
-                        .install(qid, PointQuery(pos), k)
+                    let _ = server
+                        .install_spec(qid, PointQuery(pos), k)
                         .expect("fresh query id");
                 }
-                (engine, CycleDeltas::default())
+                (server, CycleDeltas::default())
             })
             .collect();
         let cycles = &cycles;
-        let mut steps: Vec<_> = engines
+        let mut steps: Vec<_> = servers
             .iter_mut()
-            .map(|(engine, out)| {
+            .map(|(server, out)| {
                 move |i: usize| {
                     let (objects, queries) = &cycles[i];
-                    let (spent, ()) =
-                        timed(|| engine.process_cycle_with_deltas_into(objects, queries, out));
+                    let (spent, result) =
+                        timed(|| server.process_cycle_with_deltas_into(objects, queries, out));
+                    result.expect("generated batches are well-formed");
                     (spent, out.clone())
                 }
             })

@@ -5,7 +5,7 @@
 
 use std::num::NonZeroUsize;
 
-use cpm_core::{ConstrainedQuery, CostModel, PointQuery, RangeQuery, SpecEvent};
+use cpm_core::{AnyQuerySpec, ConstrainedQuery, CostModel, PointQuery, RangeQuery, SpecEvent};
 use cpm_gen::{DriftConfig, DriftingHotspotWorkload, TickEvents, WorkloadConfig};
 use cpm_geom::{clamp_coord, ObjectId, Point, QueryId, Rect};
 use cpm_grid::ObjectEvent;
@@ -202,7 +202,7 @@ bench_config! {
 pub(crate) struct DriftStream {
     pub objects: Vec<(ObjectId, Point)>,
     pub queries: Vec<(QueryId, Point, usize)>,
-    pub ticks: Vec<(TickEvents, Vec<SpecEvent<PointQuery>>)>,
+    pub ticks: Vec<(TickEvents, Vec<SpecEvent<AnyQuerySpec>>)>,
 }
 
 impl DriftBench {
@@ -272,7 +272,7 @@ impl DriftBench {
 }
 
 /// One cluster-benchmark cycle: object events plus query events.
-pub(crate) type ClusterCycle = (Vec<ObjectEvent>, Vec<SpecEvent<cpm_core::AnyQuerySpec>>);
+pub(crate) type ClusterCycle = (Vec<ObjectEvent>, Vec<SpecEvent<AnyQuerySpec>>);
 
 /// The cluster benchmarks' stream: two bootstrap cycles (every object
 /// appears, then every k-NN query installs — results must be fillable
@@ -290,7 +290,7 @@ pub(crate) fn cluster_stream(
     let appear = |&(id, pos)| ObjectEvent::Appear { id, pos };
     let install = |&(id, p)| SpecEvent::Install {
         id,
-        spec: cpm_core::AnyQuerySpec::Knn(PointQuery(p)),
+        spec: AnyQuerySpec::Knn(PointQuery(p)),
         k,
     };
     let bootstrap = [

@@ -129,7 +129,7 @@ impl ClusterWorker {
     fn certificate_violation(&self) -> Option<cpm_geom::QueryId> {
         let dim = self.geom.dim();
         let full = self.coverage == TileRect::new(0, 0, dim - 1, dim - 1);
-        for id in self.server.engine().query_ids() {
+        for id in self.server.query_ids() {
             let state = self.server.query_state(id)?;
             let bbox = influence_bbox(
                 &state.spec,

@@ -14,9 +14,8 @@
 //! Corollary 5.1 (`sum`): consecutive rectangles of one direction differ by
 //! `m·δ`; Corollary 5.2 (`min`/`max`): by `δ`. Update handling is the
 //! machinery of Section 3 with `adist` in place of the Euclidean distance:
-//! [`AnnQuery`] is a [`QuerySpec`] of the one engine
-//! ([`crate::ShardedCpmEngine`]`<AnnQuery>`, or
-//! [`crate::CpmServer::install_spec`] next to every other kind).
+//! [`AnnQuery`] is a [`QuerySpec`] of the one engine, installed through
+//! [`crate::CpmServer::install_spec`] next to every other kind.
 
 use cpm_geom::Point;
 use cpm_grid::{CellCoord, GridGeom};
@@ -166,13 +165,13 @@ impl QuerySpec for AnnQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardedCpmEngine;
+    use crate::shard::CpmEngine;
     use cpm_geom::{ObjectId, QueryId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::num::NonZeroUsize;
 
-    fn assert_matches(engine: &ShardedCpmEngine<AnnQuery>, qid: QueryId) {
+    fn assert_matches(engine: &CpmEngine<AnnQuery>, qid: QueryId) {
         let st = engine.query_state(qid).unwrap();
         let mut expect: Vec<f64> = engine
             .grid()
@@ -198,7 +197,7 @@ mod tests {
 
     #[test]
     fn sum_ann_finds_meeting_object_fig_5_1() {
-        let mut m = ShardedCpmEngine::<AnnQuery>::new(16, NonZeroUsize::MIN);
+        let mut m = CpmEngine::<AnnQuery>::new(16, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(1), Point::new(0.15, 0.85)),
             (ObjectId(2), Point::new(0.42, 0.48)), // near the centroid
@@ -214,7 +213,7 @@ mod tests {
             ],
             AggregateFn::Sum,
         );
-        m.install(QueryId(0), q, 1).unwrap();
+        m.install(QueryId(0), q, 1);
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
         assert_matches(&m, QueryId(0));
         m.check_invariants();
@@ -224,10 +223,10 @@ mod tests {
     fn min_and_max_agree_with_brute_force() {
         let mut rng = StdRng::seed_from_u64(42);
         for f in [AggregateFn::Min, AggregateFn::Max, AggregateFn::Sum] {
-            let mut m = ShardedCpmEngine::<AnnQuery>::new(32, NonZeroUsize::MIN);
+            let mut m = CpmEngine::<AnnQuery>::new(32, NonZeroUsize::MIN);
             m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
             let pts = (0..4).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-            m.install(QueryId(0), AnnQuery::new(pts, f), 3).unwrap();
+            m.install(QueryId(0), AnnQuery::new(pts, f), 3);
             assert_matches(&m, QueryId(0));
             m.check_invariants();
         }

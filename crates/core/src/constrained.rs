@@ -9,9 +9,8 @@
 //! levels may re-enter the region), while objects outside the region are
 //! excluded by an infinite distance. Update handling is untouched: an
 //! object leaving the region is an outgoing NN, one entering it is an
-//! incomer. Run it on [`crate::ShardedCpmEngine`]`<ConstrainedQuery>`, or
-//! through [`crate::CpmServer::install_spec`] next to every other
-//! kind.
+//! incomer. Install it through [`crate::CpmServer::install_spec`] next
+//! to every other kind.
 
 use cpm_geom::{Point, Rect};
 use cpm_grid::{CellCoord, GridGeom};
@@ -86,12 +85,12 @@ impl QuerySpec for ConstrainedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardedCpmEngine;
+    use crate::shard::CpmEngine;
     use cpm_geom::{ObjectId, QueryId};
     use cpm_grid::ObjectEvent;
     use std::num::NonZeroUsize;
 
-    fn assert_matches(m: &ShardedCpmEngine<ConstrainedQuery>, qid: QueryId) {
+    fn assert_matches(m: &CpmEngine<ConstrainedQuery>, qid: QueryId) {
         let st = m.query_state(qid).unwrap();
         let mut expect: Vec<f64> = m
             .grid()
@@ -112,14 +111,14 @@ mod tests {
     /// unconstrained NN (west of q) must not be reported.
     #[test]
     fn northeast_constraint_fig_5_3() {
-        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
+        let mut m = CpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(1), Point::new(0.45, 0.55)), // p1: unconstrained NN, NW
             (ObjectId(2), Point::new(0.58, 0.45)), // p2: east but south
             (ObjectId(3), Point::new(0.70, 0.70)), // p3: the constrained NN
         ]);
         let q = ConstrainedQuery::northeast_of(Point::new(0.52, 0.52));
-        m.install(QueryId(0), q, 1).unwrap();
+        m.install(QueryId(0), q, 1);
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(3));
         assert_matches(&m, QueryId(0));
         m.check_invariants();
@@ -127,13 +126,13 @@ mod tests {
 
     #[test]
     fn object_leaving_region_is_outgoing() {
-        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
+        let mut m = CpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(1), Point::new(0.6, 0.6)),
             (ObjectId(2), Point::new(0.8, 0.8)),
         ]);
         let q = ConstrainedQuery::northeast_of(Point::new(0.5, 0.5));
-        m.install(QueryId(0), q, 1).unwrap();
+        m.install(QueryId(0), q, 1);
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
         // The NN drifts out of the constraint region (still near q!).
         m.process_cycle(
@@ -150,13 +149,13 @@ mod tests {
 
     #[test]
     fn object_entering_region_is_incoming() {
-        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
+        let mut m = CpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(1), Point::new(0.9, 0.9)),
             (ObjectId(2), Point::new(0.45, 0.55)),
         ]);
         let q = ConstrainedQuery::northeast_of(Point::new(0.5, 0.5));
-        m.install(QueryId(0), q, 1).unwrap();
+        m.install(QueryId(0), q, 1);
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
         m.process_cycle(
             &[ObjectEvent::Move {
@@ -172,13 +171,13 @@ mod tests {
 
     #[test]
     fn region_with_too_few_objects_returns_partial_result() {
-        let mut m = ShardedCpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
+        let mut m = CpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
         m.populate([
             (ObjectId(1), Point::new(0.1, 0.1)),
             (ObjectId(2), Point::new(0.7, 0.7)),
         ]);
         let q = ConstrainedQuery::northeast_of(Point::new(0.5, 0.5));
-        m.install(QueryId(0), q, 4).unwrap();
+        m.install(QueryId(0), q, 4);
         assert_eq!(m.result(QueryId(0)).unwrap().len(), 1);
         m.check_invariants();
     }

@@ -21,22 +21,22 @@
 //! and change detection (`Worker::resolve`), or a from-scratch
 //! search for a new or moved query. Either touches nothing but that
 //! query's own state — it reads the grid and leaves its influence-table
-//! writes for later — which is what lets [`crate::ShardedCpmEngine`] run
-//! many queries at once, one `Worker` per thread; see its module for
-//! the phases of a cycle.
+//! writes for later — which is what lets the engine behind
+//! [`crate::CpmServer`] run many queries at once, one `Worker` per
+//! thread; the phases of a cycle are described in `shard.rs`.
 //!
 //! This is the only implementation of Figures 3.4–3.9 in the suite: the
 //! paper's k-NN workload is the [`PointQuery`] geometry, and the
 //! Section 5 variants ([`crate::ann`], [`crate::constrained`],
 //! [`crate::range`], [`crate::rnn`]) are further [`QuerySpec`]s, all
-//! driven by [`crate::ShardedCpmEngine`] and, through it, by
-//! [`crate::CpmServer`].
+//! driven through [`crate::CpmServer`].
 
 use cpm_geom::{ObjectId, Point, QueryId};
 use cpm_grid::{
     kernels, CellCoord, Coords, Grid, GridGeom, Metrics, QueryEvent, QueryKind, UpdateRecord,
 };
 
+use crate::any::AnyQuerySpec;
 use crate::delta::{DeltaScratch, NeighborDelta};
 use crate::heap::{HeapEntry, SearchHeap};
 use crate::inlist::InList;
@@ -187,19 +187,19 @@ impl<S> SpecEvent<S> {
 }
 
 /// The paper's k-NN event vocabulary ([`QueryEvent`], what the workload
-/// generators emit) lifted to the engine's: a query move is a geometry
+/// generators emit) lifted to the server's: a query move is a geometry
 /// update.
-impl From<QueryEvent> for SpecEvent<PointQuery> {
+impl From<QueryEvent> for SpecEvent<AnyQuerySpec> {
     fn from(ev: QueryEvent) -> Self {
         match ev {
             QueryEvent::Install { id, pos, k } => SpecEvent::Install {
                 id,
-                spec: PointQuery(pos),
+                spec: PointQuery(pos).into(),
                 k,
             },
             QueryEvent::Move { id, to } => SpecEvent::Update {
                 id,
-                spec: PointQuery(to),
+                spec: PointQuery(to).into(),
             },
             QueryEvent::Terminate { id } => SpecEvent::Terminate { id },
         }
@@ -445,6 +445,8 @@ impl Worker {
     /// One query's share of a cycle: its departures and arrivals
     /// (`events`, packed as in the engine's grouped pairs) in batch
     /// order, then merge-or-recompute resolution and change detection.
+    /// A batch holds one event per object, so an id arrives at most once
+    /// and a departure never finds its id among the incomers.
     pub(crate) fn resolve<S: QuerySpec>(
         &mut self,
         step: &Resolve<'_>,
@@ -459,8 +461,6 @@ impl Worker {
         let qualifies =
             |d: f64, id| d.is_finite() && kth.is_none_or(|last| (d, id) <= (last.dist, last.id));
         let mut out_count = 0usize;
-        // An incomer left again — with an eviction, `in_list` is unsound.
-        let mut in_removed = false;
         // A result entry was mutated in place by a departure.
         let mut dirty = false;
         st.in_list.clear();
@@ -473,12 +473,9 @@ impl Worker {
                     .spec
                     .dist(rec.new_pos.expect("arrivals carry a position"));
                 if qualifies(d, id) && !st.best.contains(id) {
-                    st.in_list.update(id, d);
+                    st.in_list.insert(id, d);
                 }
                 continue;
-            }
-            if st.in_list.remove(id) {
-                in_removed = true;
             }
             if st.best.contains(id) {
                 // The delta is taken against the cycle-start list: keep a
@@ -507,8 +504,7 @@ impl Worker {
             }
         }
 
-        let unsound_in_list = st.in_list.evicted_since_clear() && in_removed;
-        let recompute = unsound_in_list || st.in_list.len() < out_count;
+        let recompute = st.in_list.len() < out_count;
         let resolved = recompute || out_count > 0 || st.in_list.len() > 0;
         if !(resolved || dirty) {
             return;
@@ -622,14 +618,19 @@ fn sync_influence<S>(ops: &mut Vec<InfluenceOp>, st: &mut SpecQueryState<S>) {
 #[cfg(test)]
 mod tests {
     //! The worked examples of Section 3 (Figures 3.2, 3.5, 3.7), driven
-    //! through the `T = 1` engine over plain point queries.
+    //! through the `T = 1` engine over plain point queries, and the
+    //! scalar-vs-batched kernel equivalence.
 
     use super::*;
-    use crate::{CycleDeltas, ShardedCpmEngine};
+    use crate::partition::{Direction, Pinwheel};
+    use crate::shard::CpmEngine;
+    use crate::CycleDeltas;
     use cpm_grid::ObjectEvent;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::num::NonZeroUsize;
 
-    type Engine = ShardedCpmEngine<PointQuery>;
+    type Engine = CpmEngine<PointQuery>;
     const Q: QueryId = QueryId(0);
     /// δ of the 8×8 grid the figures are drawn on.
     const D: f64 = 1.0 / 8.0;
@@ -662,7 +663,7 @@ mod tests {
             (ObjectId(3), pt(2.2, 6.5)), // p3, farther
             (ObjectId(4), pt(5.5, 6.6)), // p4, farther
         ]);
-        m.install(Q, PointQuery(pt(4.2, 4.9)), 1).unwrap();
+        m.install(Q, PointQuery(pt(4.2, 4.9)), 1);
         m.take_metrics();
         m
     }
@@ -796,7 +797,7 @@ mod tests {
         let mut m = Engine::new(8, NonZeroUsize::MIN);
         m.enable_deltas();
         m.populate([(ObjectId(10), origin)]);
-        m.install(Q, PointQuery(origin), 1).unwrap();
+        m.install(Q, PointQuery(origin), 1);
         let mut out = CycleDeltas::default();
         m.process_cycle_with_deltas_into(&[appear(20, origin)], &[], &mut out);
         assert_eq!(nn(&m), ObjectId(10));
@@ -805,7 +806,7 @@ mod tests {
 
         let mut rebuilt = Engine::new(8, NonZeroUsize::MIN);
         rebuilt.populate(m.grid().iter_objects());
-        rebuilt.install(Q, PointQuery(origin), 1).unwrap();
+        rebuilt.install(Q, PointQuery(origin), 1);
         assert_eq!(m.result(Q), rebuilt.result(Q), "maintained vs rebuilt");
         assert_eq!(nn(&m), ObjectId(20));
 
@@ -825,10 +826,7 @@ mod tests {
     #[test]
     fn k_larger_than_population_and_empty_grid() {
         let mut m = Engine::new(16, NonZeroUsize::MIN);
-        assert!(m
-            .install(Q, PointQuery(Point::new(0.5, 0.5)), 3)
-            .unwrap()
-            .is_empty());
+        assert!(m.install(Q, PointQuery(Point::new(0.5, 0.5)), 3).is_empty());
         m.check_invariants();
         // Objects appear one by one and must join the (unfull) result.
         for (i, x) in [0.1, 0.9, 0.51].into_iter().enumerate() {
@@ -842,5 +840,170 @@ mod tests {
             assert_matches_oracle(&m);
         }
         assert_eq!(nn(&m), ObjectId(2));
+    }
+
+    // ---- scalar vs batched distance kernel ----
+    //
+    // The scalar lane runs a wrapper spec that forwards every `QuerySpec`
+    // method but deliberately does *not* override `dist_batch`, so it
+    // runs the trait's default per-object fallback — exactly the
+    // pre-kernel code path. The batched lane is the stock `PointQuery`,
+    // whose `dist_batch` is the kernel: same result bits, same changed
+    // lists, same delta streams, across thread counts.
+
+    /// [`PointQuery`] with the batched-kernel override masked off: the
+    /// default `dist_batch` (scalar loop over `dist`) runs instead.
+    #[derive(Debug, Clone, Copy)]
+    struct ScalarPoint(PointQuery);
+
+    impl QuerySpec for ScalarPoint {
+        fn dist(&self, p: Point) -> f64 {
+            self.0.dist(p)
+        }
+        fn base_block(&self, geom: GridGeom) -> (CellCoord, CellCoord) {
+            self.0.base_block(geom)
+        }
+        fn cell_key(&self, geom: GridGeom, cell: CellCoord) -> f64 {
+            self.0.cell_key(geom, cell)
+        }
+        fn strip_key(&self, pw: &Pinwheel, dir: Direction, lvl: u32) -> f64 {
+            self.0.strip_key(pw, dir, lvl)
+        }
+        fn strip_increment(&self, delta: f64) -> f64 {
+            self.0.strip_increment(delta)
+        }
+        // No `dist_batch` override — that is the whole point.
+    }
+
+    fn churn(rng: &mut StdRng, live: &mut Vec<u32>, next: &mut u32) -> Vec<ObjectEvent> {
+        let mut events = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..rng.gen_range(0..16) {
+            match rng.gen_range(0..8) {
+                0 if live.len() > 8 => {
+                    let id = live.swap_remove(rng.gen_range(0..live.len()));
+                    if seen.insert(id) {
+                        events.push(ObjectEvent::Disappear { id: ObjectId(id) });
+                    } else {
+                        live.push(id);
+                    }
+                }
+                1 => {
+                    live.push(*next);
+                    seen.insert(*next);
+                    events.push(ObjectEvent::Appear {
+                        id: ObjectId(*next),
+                        pos: Point::new(rng.gen(), rng.gen()),
+                    });
+                    *next += 1;
+                }
+                _ if !live.is_empty() => {
+                    let id = live[rng.gen_range(0..live.len())];
+                    if seen.insert(id) {
+                        events.push(ObjectEvent::Move {
+                            id: ObjectId(id),
+                            to: Point::new(rng.gen(), rng.gen()),
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
+        events
+    }
+
+    const N_OBJ: u32 = 120;
+    const N_QUERIES: u32 = 8;
+    const CYCLES: usize = 25;
+
+    fn objects(rng: &mut StdRng) -> Vec<(ObjectId, Point)> {
+        (0..N_OBJ)
+            .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
+            .collect()
+    }
+
+    /// Scalar-vs-batched equivalence: one churn stream through a scalar-lane engine and batched-lane engines
+    /// at T ∈ {1, 4}: changed lists and delta streams must match the scalar
+    /// reference exactly, results bit-for-bit.
+    #[test]
+    fn batched_kernel_is_observationally_identical_to_scalar() {
+        let mut rng = StdRng::seed_from_u64(0xD157);
+        let objs = objects(&mut rng);
+
+        let mut scalar = CpmEngine::<ScalarPoint>::new(32, NonZeroUsize::MIN);
+        scalar.enable_deltas();
+        scalar.populate(objs.iter().copied());
+
+        let mut batched = Vec::new();
+        for s in [1usize, 4] {
+            let mut engine = CpmEngine::<PointQuery>::new(32, NonZeroUsize::new(s).unwrap());
+            engine.enable_deltas();
+            engine.populate(objs.iter().copied());
+            batched.push((s, engine));
+        }
+
+        let mut q_points = Vec::new();
+        for qi in 0..N_QUERIES {
+            let p = Point::new(rng.gen(), rng.gen());
+            let k = 1 + qi as usize % 5;
+            scalar.install(QueryId(qi), ScalarPoint(PointQuery(p)), k);
+            for (_, engine) in batched.iter_mut() {
+                engine.install(QueryId(qi), PointQuery(p), k);
+            }
+            q_points.push(p);
+        }
+
+        let mut live: Vec<u32> = (0..N_OBJ).collect();
+        let mut next = N_OBJ;
+        for cycle in 0..CYCLES {
+            let events = churn(&mut rng, &mut live, &mut next);
+            // Moving queries most cycles, as terminate-free Update events.
+            let moved: Option<(u32, Point)> = rng.gen_bool(0.6).then(|| {
+                (
+                    rng.gen_range(0..N_QUERIES),
+                    Point::new(rng.gen(), rng.gen()),
+                )
+            });
+            let scalar_qev: Vec<SpecEvent<ScalarPoint>> = moved
+                .iter()
+                .map(|&(qi, p)| SpecEvent::Update {
+                    id: QueryId(qi),
+                    spec: ScalarPoint(PointQuery(p)),
+                })
+                .collect();
+            let batched_qev: Vec<SpecEvent<PointQuery>> = moved
+                .iter()
+                .map(|&(qi, p)| SpecEvent::Update {
+                    id: QueryId(qi),
+                    spec: PointQuery(p),
+                })
+                .collect();
+
+            let (mut want, mut got) = (CycleDeltas::default(), CycleDeltas::default());
+            scalar.process_cycle_with_deltas_into(&events, &scalar_qev, &mut want);
+            for (s, engine) in batched.iter_mut() {
+                engine.process_cycle_with_deltas_into(&events, &batched_qev, &mut got);
+                assert_eq!(
+                    got.changed, want.changed,
+                    "changed lists diverged at cycle {cycle} (S={s})"
+                );
+                assert_eq!(got, want, "delta streams diverged at cycle {cycle} (S={s})");
+                for qi in 0..N_QUERIES {
+                    let a = scalar.result(QueryId(qi)).unwrap();
+                    let b = engine.result(QueryId(qi)).unwrap();
+                    assert_eq!(a.len(), b.len(), "cycle {cycle} q{qi} (S={s})");
+                    for (x, y) in a.iter().zip(b) {
+                        assert_eq!(x.id, y.id, "cycle {cycle} q{qi} (S={s})");
+                        assert_eq!(
+                            x.dist.to_bits(),
+                            y.dist.to_bits(),
+                            "cycle {cycle} q{qi} (S={s}): result bits diverged"
+                        );
+                    }
+                }
+                engine.check_invariants();
+            }
+            scalar.check_invariants();
+        }
     }
 }

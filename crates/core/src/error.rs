@@ -1,13 +1,14 @@
-//! The typed error surface of the CPM engines and the [`crate::CpmServer`]
-//! facade.
+//! The typed error surface of [`crate::CpmServer`], the one front end to
+//! CPM.
 //!
-//! Query registration is the one part of the system where caller mistakes
-//! are *expected* in production — duplicate ids from retried requests,
-//! terminations racing cancellations, k = 0 from defaulted config — so
-//! those paths return [`CpmError`] instead of panicking. Programming
-//! errors (processing a delta cycle without enabling capture, populating
-//! after installs) remain panics: they are bugs in the embedding code, not
-//! runtime conditions to handle.
+//! Caller mistakes are *expected* in production — duplicate ids from
+//! retried requests, terminations racing cancellations, k = 0 from
+//! defaulted config, a producer that double-sends or loses an event — so
+//! the server checks every call and batch and returns [`CpmError`]
+//! before any state changes. Programming errors (processing a delta
+//! cycle without enabling capture, populating after installs) remain
+//! panics: they are bugs in the embedding code, not runtime conditions
+//! to handle.
 
 use cpm_geom::{ObjectId, QueryId};
 use cpm_grid::{GridConfigError, QueryKind};
@@ -48,15 +49,12 @@ pub enum CpmError {
     /// query would scan every cell for an empty result and enter every
     /// cell's influence list; it is refused before any state changes.
     NonFiniteQuery(QueryId),
-    /// An object event carried a NaN or infinite coordinate. The engines
-    /// clamp out-of-range *finite* coordinates, but a non-finite position
-    /// is always a corrupted producer; the server rejects the whole batch
-    /// before any state changes.
+    /// An object event carried a NaN or infinite coordinate: a corrupted
+    /// producer. The whole batch is rejected before any state changes.
     NonFiniteCoordinate(ObjectId),
-    /// An object event placed an object outside the unit workspace. The
-    /// bare engine clamps such positions to the boundary; the server
-    /// surface treats them as hostile input and rejects the
-    /// batch before any state changes.
+    /// An object event placed an object outside the unit workspace. Such
+    /// a position is hostile input, not something to clamp: the whole
+    /// batch is rejected before any state changes.
     OutOfWorkspace(ObjectId),
     /// One batch contained two object events for the same id. Per-cycle
     /// semantics admit at most one event per object (the paper's update
@@ -64,6 +62,17 @@ pub enum CpmError {
     /// duplicate means the producer double-sent; the batch is rejected
     /// before any state changes.
     DuplicateObject(ObjectId),
+    /// An object event does not fit the object's state before the batch:
+    /// a move or a disappear of an off-line object (`live` is `false`),
+    /// or an appear of a live one (`live` is `true`). The producer lost
+    /// or replayed an event; the batch is rejected before any state
+    /// changes.
+    Liveness {
+        /// The object the event names.
+        id: ObjectId,
+        /// Whether the object was live before the batch.
+        live: bool,
+    },
     /// An object event named an id at or above [`ObjectId::LIMIT`], the
     /// ceiling of the dense per-object tables; the batch is rejected
     /// before any state changes, and before anything is sized by the id.
@@ -119,6 +128,16 @@ impl std::fmt::Display for CpmError {
             CpmError::DuplicateObject(id) => {
                 write!(f, "object {id} appears more than once in the event batch")
             }
+            CpmError::Liveness { id, live: true } => {
+                write!(
+                    f,
+                    "object {id} is already live: only an off-line object can appear"
+                )
+            }
+            CpmError::Liveness { id, live: false } => write!(
+                f,
+                "object {id} is off-line: only a live object can move or disappear"
+            ),
             CpmError::ObjectIdOutOfRange(id) => write!(
                 f,
                 "object {id}: id is at or above the object-id ceiling {}",

@@ -11,21 +11,20 @@
 //!   batched update handling with the incoming/outgoing optimization
 //!   (Fig. 3.8) and the monitoring cycle (Fig. 3.9), written once over a
 //!   [`QuerySpec`]. The paper's k-NN query is the [`PointQuery`] spec.
-//! * [`shard`] — [`ShardedCpmEngine`], the engine every algorithm, figure
-//!   and test drives: a grid plus one query core whose resolve step,
-//!   query events and re-grids run on `T ≥ 1` threads, bit-identical for
-//!   every `T`. `T = 1` spawns no thread.
-//! * [`server`] — [`CpmServer`] (via [`CpmServerBuilder`]), the
-//!   validating production surface: every query kind on one shared grid
-//!   with a single per-cycle ingest, queries addressed by id and
-//!   described by an [`AnyQuerySpec`], and a [`CpmError`]-based registry
-//!   that rejects malformed calls and batches before any state changes.
+//! * [`server`] — [`CpmServer`] (via [`CpmServerBuilder`]), the one front
+//!   end: every query kind on one shared grid with a single per-cycle
+//!   ingest, queries addressed by id and described by an
+//!   [`AnyQuerySpec`], and a [`CpmError`]-based registry that rejects
+//!   malformed calls and batches before any state changes. Behind it, a
+//!   crate-private engine (a grid plus one query core) runs the resolve
+//!   step, query events and re-grids on `T ≥ 1` threads, bit-identical
+//!   for every `T`; `T = 1` spawns no thread.
 //! * [`ann`], [`constrained`], [`range`], [`rnn`] — the Section 5 query
 //!   geometries ([`AnnQuery`] for `sum`/`min`/`max` aggregates,
 //!   [`ConstrainedQuery`], [`RangeQuery`], and the reverse-NN sector
 //!   candidates [`RnnQuery`]), each a [`QuerySpec`] of the same engine.
 //! * [`any`] — [`AnyQuerySpec`], the enum over every query geometry that
-//!   lets the generic engines run heterogeneous query sets unchanged.
+//!   lets the one engine run heterogeneous query sets unchanged.
 //! * [`error`] — the typed error surface ([`CpmError`]).
 //! * [`delta`] — per-cycle result deltas ([`NeighborDelta`]), extracted
 //!   inside the maintenance phase and concatenated deterministically
@@ -35,8 +34,8 @@
 //! * [`snapshot`] — crash-consistent durability: logical snapshots, an
 //!   append-only operation journal (over the [`cpm_wire`] codec), and the
 //!   [`DurableCpmServer`] checkpoint/replay recovery wrapper.
-//! * [`regrid`] — cost-model-driven **online re-gridding**: the engines
-//!   re-evaluate their grid resolution against the observed workload at
+//! * [`regrid`] — cost-model-driven **online re-gridding**: the server
+//!   re-evaluates its grid resolution against the observed workload at
 //!   cycle boundaries ([`RegridPolicy`]), migrating the cell index and
 //!   re-registering queries in one deterministic pass while results,
 //!   changed lists and delta streams stay bit-identical to a from-scratch
@@ -47,8 +46,8 @@
 //! The substrate (grid index, influence lists, metrics) lives in
 //! [`cpm_grid`]; geometry primitives in [`cpm_geom`].
 //!
-//! Start from the example on [`ShardedCpmEngine`] (algorithms, figures,
-//! tests) or on [`CpmServer`] (anything fed from outside the program).
+//! Start from the example on [`CpmServer`]: algorithms, figures, tests
+//! and production all drive CPM through it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -69,7 +68,7 @@ pub mod range;
 pub mod regrid;
 pub mod rnn;
 pub mod server;
-pub mod shard;
+mod shard;
 pub mod snapshot;
 
 pub use analysis::CostModel;
@@ -85,7 +84,6 @@ pub use range::{RangeQuery, Region};
 pub use regrid::RegridPolicy;
 pub use rnn::RnnQuery;
 pub use server::{CpmServer, CpmServerBuilder};
-pub use shard::ShardedCpmEngine;
 pub use snapshot::{
     DurableCpmServer, EngineSnapshot, JournalRecord, RecoveryError, RecoveryReport, Snapshot,
 };

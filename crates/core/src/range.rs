@@ -24,9 +24,9 @@
 //! Results are ordered ascending by `(distance to the region's anchor
 //! point, id)` — the same canonical order every other monitor uses — so
 //! deltas, threading and replay behave identically for range and k-NN
-//! subscriptions. Run it on [`crate::ShardedCpmEngine`]`<RangeQuery>`
-//! (install with `k =` [`RangeQuery::UNBOUNDED_K`]), or through
-//! [`crate::CpmServer::install_spec`] next to every other kind.
+//! subscriptions. Install it through [`crate::CpmServer::install_spec`]
+//! next to every other kind (its `k` becomes
+//! [`RangeQuery::UNBOUNDED_K`]).
 //!
 //! [`cpm-sub`]: ../../cpm_sub/index.html
 
@@ -168,14 +168,14 @@ impl QuerySpec for RangeQuery {
 mod tests {
     use super::*;
     use crate::neighbors::Neighbor;
-    use crate::ShardedCpmEngine;
+    use crate::shard::CpmEngine;
     use cpm_geom::{ObjectId, QueryId};
     use std::num::NonZeroUsize;
 
-    type RangeEngine = ShardedCpmEngine<RangeQuery>;
+    type RangeEngine = CpmEngine<RangeQuery>;
 
     fn install(m: &mut RangeEngine, id: QueryId, q: RangeQuery) {
-        m.install(id, q, RangeQuery::UNBOUNDED_K).unwrap();
+        m.install(id, q, RangeQuery::UNBOUNDED_K);
     }
 
     /// Ground truth: objects inside the region, ascending by

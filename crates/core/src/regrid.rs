@@ -23,8 +23,8 @@
 //! exponential moving averages of `f_obj` and `f_qry`. All controller
 //! inputs are functions of the update stream and the engine's own state —
 //! never of thread scheduling — so engines make **identical decisions at
-//! every thread count**, keeping the determinism contract of
-//! [`crate::ShardedCpmEngine`].
+//! every thread count**, keeping the server's determinism contract across
+//! thread counts.
 //!
 //! The paper's uniform-data model alone *underestimates* the benefit of
 //! refining under skew: cell occupancy near a hotspot is far above

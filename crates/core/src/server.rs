@@ -5,13 +5,17 @@
 //! (Figure 3.9); nothing in it is per query *type*. This facade makes the
 //! public API match: a builder-configured server
 //! (`CpmServerBuilder::new(dim).threads(4).build()`) hosts k-NN, range,
-//! aggregate-NN, constrained and reverse-NN queries on a single
-//! [`ShardedCpmEngine`]`<`[`AnyQuerySpec`]`>`, so a mixed workload pays the
+//! aggregate-NN, constrained and reverse-NN queries on a single engine
+//! over [`AnyQuerySpec`], so a mixed workload pays the
 //! grid — and the per-cycle ingest pass ([`cpm_grid::apply_events`]) —
 //! exactly **once**, no matter how many kinds are registered. That is the
 //! multiplexing shape location-aware pub/sub and distributed
 //! range-monitoring systems assume, and what the road-map's
 //! million-user target needs.
+//!
+//! The server is the one way in: every batch and every call is checked
+//! here before the engine sees it, and the engine keeps no code for
+//! input the server refuses.
 //!
 //! # One query surface
 //!
@@ -53,7 +57,7 @@ use crate::neighbors::Neighbor;
 use crate::range::RangeQuery;
 use crate::regrid::RegridPolicy;
 use crate::rnn::RnnQuery;
-use crate::shard::ShardedCpmEngine;
+use crate::shard::CpmEngine;
 
 /// Sectors per reverse-NN query (the six-region method).
 pub(crate) const SECTORS: u32 = 6;
@@ -154,14 +158,13 @@ impl CpmServerBuilder {
     /// [`CpmError::InvalidDim`] when `dim` is out of `1..=4096`.
     pub fn try_build(self) -> Result<CpmServer, CpmError> {
         let grid = cpm_grid::GridBuilder::new(self.dim).try_build()?;
-        let mut engine = ShardedCpmEngine::with_grid(grid, self.threads);
+        let mut engine = CpmEngine::with_grid(grid, self.threads);
         if self.deltas {
             engine.enable_deltas();
         }
         engine.set_regrid_policy(self.regrid);
         Ok(CpmServer {
             engine,
-            collects: self.deltas,
             kinds: FastHashMap::default(),
             rnn: FastHashMap::default(),
             verify_metrics: Metrics::default(),
@@ -221,9 +224,7 @@ struct RnnState {
 /// ```
 #[derive(Debug)]
 pub struct CpmServer {
-    engine: ShardedCpmEngine<AnyQuerySpec>,
-    /// Whether the engine captures per-cycle deltas (build-time choice).
-    collects: bool,
+    engine: CpmEngine<AnyQuerySpec>,
     /// Kind registry of every *user-visible* query (RNN registrations
     /// appear here once, not per sector).
     kinds: FastHashMap<QueryId, QueryKind>,
@@ -260,11 +261,8 @@ impl CpmServer {
 
     // ---- durability surface (used by crate::snapshot) ----
 
-    /// The underlying engine (snapshot capture and the subscription hub's
-    /// restore path read it directly).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn engine(&self) -> &ShardedCpmEngine<AnyQuerySpec> {
+    /// The underlying engine (snapshot capture reads it directly).
+    pub(crate) fn engine(&self) -> &CpmEngine<AnyQuerySpec> {
         &self.engine
     }
 
@@ -287,15 +285,13 @@ impl CpmServer {
     /// Reassemble a server from restored parts (the snapshot restore
     /// path; the decode layer has already cross-validated them).
     pub(crate) fn assemble(
-        engine: ShardedCpmEngine<AnyQuerySpec>,
-        collects: bool,
+        engine: CpmEngine<AnyQuerySpec>,
         kinds: Vec<(QueryId, QueryKind)>,
         rnn: Vec<(QueryId, Point, Vec<ObjectId>)>,
         verify_metrics: Metrics,
     ) -> Self {
         CpmServer {
             engine,
-            collects,
             kinds: kinds.into_iter().collect(),
             rnn: rnn
                 .into_iter()
@@ -384,9 +380,13 @@ impl CpmServer {
         self.engine.regrid_policy()
     }
 
-    /// Re-grid to a new resolution now, regardless of policy (see
-    /// [`crate::ShardedCpmEngine::regrid_to`]). Returns the number of
-    /// objects migrated.
+    /// Re-grid to a new resolution now, regardless of policy: rebuild the
+    /// cell index from the (untouched) object store and re-register every
+    /// query in ascending id order, so the state is bit-identical to a
+    /// server built at `new_dim` from scratch. A re-grid changes no
+    /// result and surfaces in no changed list or delta. Returns the
+    /// number of objects migrated (0 if `new_dim` is the current
+    /// dimension).
     ///
     /// # Errors
     /// [`CpmError::InvalidDim`] when `new_dim` is out of `1..=4096`; the
@@ -399,7 +399,7 @@ impl CpmServer {
     /// via [`CpmServerBuilder::deltas`]).
     #[must_use]
     pub fn collects_deltas(&self) -> bool {
-        self.collects
+        self.engine.collects_deltas()
     }
 
     /// Number of installed user-visible queries (an RNN registration
@@ -407,6 +407,14 @@ impl CpmServer {
     #[must_use]
     pub fn query_count(&self) -> usize {
         self.kinds.len()
+    }
+
+    /// Ids of every installed user-visible query, ascending.
+    #[must_use]
+    pub fn query_ids(&self) -> Vec<QueryId> {
+        let mut ids: Vec<QueryId> = self.kinds.keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// The kind of query `id`, if installed.
@@ -493,10 +501,8 @@ impl CpmServer {
     ) -> Result<&[Neighbor], CpmError> {
         let spec = spec.into();
         let k = Self::check_install(&self.kinds, id, &spec, k)?;
-        let kind = spec.kind();
-        self.engine.install(id, spec, k)?;
-        self.kinds.insert(id, kind);
-        Ok(self.engine.result(id).expect("just installed"))
+        self.kinds.insert(id, spec.kind());
+        Ok(self.engine.install(id, spec, k))
     }
 
     /// Install a continuous reverse-NN query at `pos`: six sector
@@ -516,13 +522,8 @@ impl CpmServer {
             return Err(CpmError::NonFiniteQuery(id));
         }
         for sector in 0..SECTORS {
-            self.engine
-                .install(
-                    Self::sector_id(id, sector),
-                    AnyQuerySpec::Rnn(RnnQuery::new(pos, sector)),
-                    1,
-                )
-                .expect("reserved sector ids are fresh");
+            let spec = AnyQuerySpec::Rnn(RnnQuery::new(pos, sector));
+            self.engine.install(Self::sector_id(id, sector), spec, 1);
         }
         let result = Self::verify_rnn(&self.engine, &mut self.verify_metrics, id);
         self.kinds.insert(id, QueryKind::Rnn);
@@ -557,7 +558,7 @@ impl CpmServer {
         if !spec.is_finite() {
             return Err(CpmError::NonFiniteQuery(id));
         }
-        self.engine.update_spec(id, spec)
+        Ok(self.engine.update_spec(id, spec))
     }
 
     /// Move reverse-NN query `id` to `pos`; returns the re-verified RNN
@@ -572,12 +573,8 @@ impl CpmServer {
             return Err(CpmError::NonFiniteQuery(id));
         }
         for sector in 0..SECTORS {
-            self.engine
-                .update_spec(
-                    Self::sector_id(id, sector),
-                    AnyQuerySpec::Rnn(RnnQuery::new(pos, sector)),
-                )
-                .expect("sector queries track the registration");
+            let spec = AnyQuerySpec::Rnn(RnnQuery::new(pos, sector));
+            self.engine.update_spec(Self::sector_id(id, sector), spec);
         }
         let result = Self::verify_rnn(&self.engine, &mut self.verify_metrics, id);
         let st = self.rnn.get_mut(&id).expect("kind-checked RNN state");
@@ -595,16 +592,14 @@ impl CpmServer {
             None => Err(CpmError::UnknownQuery(id)),
             Some(QueryKind::Rnn) => {
                 for sector in 0..SECTORS {
-                    self.engine
-                        .terminate(Self::sector_id(id, sector))
-                        .expect("sector queries track the registration");
+                    self.engine.terminate(Self::sector_id(id, sector));
                 }
                 self.rnn.remove(&id);
                 self.kinds.remove(&id);
                 Ok(())
             }
             Some(_) => {
-                self.engine.terminate(id)?;
+                self.engine.terminate(id);
                 self.kinds.remove(&id);
                 Ok(())
             }
@@ -677,14 +672,14 @@ impl CpmServer {
         Ok(())
     }
 
-    /// Validate an object-event batch before any state changes. The bare
-    /// engine trusts its caller (the grid clamps out-of-range coordinates
-    /// and events apply in order — a simulator convenience); the server is
-    /// the production surface, so an id at or above [`ObjectId::LIMIT`],
+    /// Validate an object-event batch before any state changes: an id at
+    /// or above [`ObjectId::LIMIT`], two events for one object in a batch,
     /// a NaN/infinite coordinate, a position outside the unit workspace,
-    /// or two events for one object in a batch are typed errors and the
-    /// whole batch is rejected — a corrupted producer cannot half-apply a
-    /// cycle. The first offending event decides the error.
+    /// or a move or disappear of an off-line object or an appear of a live
+    /// one are typed errors and the whole batch is rejected — a corrupted
+    /// producer cannot half-apply a cycle. The first offending event
+    /// decides the error. One event per object makes the pre-batch grid
+    /// the state each event is checked against.
     fn validate_object_events(&mut self, object_events: &[ObjectEvent]) -> Result<(), CpmError> {
         // A fresh pass number marks this batch; on wrap-around, stale
         // marks from 2³² passes ago must not read as this batch's.
@@ -694,6 +689,7 @@ impl CpmServer {
             self.seen_pass = 1;
         }
         let (seen, pass) = (&mut self.seen_objects, self.seen_pass);
+        let grid = self.engine.grid();
         for ev in object_events {
             let id = ev.id();
             if id.0 >= ObjectId::LIMIT {
@@ -712,6 +708,11 @@ impl CpmServer {
                 if !(0.0..=1.0).contains(&p.x) || !(0.0..=1.0).contains(&p.y) {
                     return Err(CpmError::OutOfWorkspace(id));
                 }
+            }
+            // Only an appear wants its object off-line so far.
+            let live = grid.position(id).is_some();
+            if live == matches!(ev, ObjectEvent::Appear { .. }) {
+                return Err(CpmError::Liveness { id, live });
             }
         }
         Ok(())
@@ -764,8 +765,8 @@ impl CpmServer {
     /// [`CpmError::ReservedId`] / [`CpmError::CompositeQuery`] /
     /// [`CpmError::NonFiniteQuery`] for an invalid query-event batch;
     /// [`CpmError::ObjectIdOutOfRange`] / [`CpmError::NonFiniteCoordinate`]
-    /// / [`CpmError::OutOfWorkspace`] / [`CpmError::DuplicateObject`] for
-    /// an invalid object-event batch.
+    /// / [`CpmError::OutOfWorkspace`] / [`CpmError::DuplicateObject`] /
+    /// [`CpmError::Liveness`] for an invalid object-event batch.
     ///
     /// # Panics
     /// Panics if the server was built with
@@ -824,7 +825,7 @@ impl CpmServer {
     /// Collect the sector candidates of RNN query `id` and keep those
     /// whose verification circle contains no other object.
     fn verify_rnn(
-        engine: &ShardedCpmEngine<AnyQuerySpec>,
+        engine: &CpmEngine<AnyQuerySpec>,
         metrics: &mut Metrics,
         id: QueryId,
     ) -> Vec<ObjectId> {

@@ -1,5 +1,6 @@
-//! [`ShardedCpmEngine`]: the CPM engine — a grid plus one query core
-//! whose per-cycle maintenance runs on `T ≥ 1` hardware threads.
+//! [`CpmEngine`]: the CPM engine behind [`crate::CpmServer`] — a grid
+//! plus one query core whose per-cycle maintenance runs on `T ≥ 1`
+//! hardware threads.
 //!
 //! The per-cycle work of Section 4.1 is embarrassingly partitionable: a
 //! query's re-evaluation touches only its influence region and its own
@@ -20,7 +21,8 @@
 //!    one worker, which resolves its queries against the immutable grid.
 //! 4. **Query events**: terminates and the slot allocation of installs
 //!    run serially, in event order; the from-scratch searches of installs
-//!    and updates then run on the `T` workers.
+//!    and updates then run on the `T` workers. A batch names each query
+//!    at most once, so no search waits on another.
 //!
 //! A re-grid's re-registration of every query is parallel the same way.
 //! Workers are the calling thread plus `T − 1` `std::thread::scope`
@@ -34,10 +36,13 @@
 //! post-ingest grid, results, changed lists, delta batches, [`Metrics`]
 //! and the order inside every influence list are **bit-identical** at
 //! every thread count: `T = 1` is the same split with one part. The
-//! threads suite (`tests/thread_determinism.rs`) and [`cpm_sim`'s oracle
-//! cross-check] assert it on random workloads.
+//! threads suite (`tests/thread_determinism.rs`) and `cpm_sim`'s oracle
+//! cross-check assert it on random workloads.
 //!
-//! [`cpm_sim`'s oracle cross-check]: ../../cpm_sim/verify/fn.verify.html
+//! The engine trusts its caller: every batch it sees has passed the
+//! server's validation (one event per object and per query, live objects
+//! move and disappear, off-line ones appear, known queries update and
+//! terminate), and it keeps no code for any other batch.
 
 use std::num::NonZeroUsize;
 
@@ -95,46 +100,15 @@ fn fan_out<T: Send>(
 /// book-keeping of Section 3, whose per-cycle maintenance runs on `T`
 /// threads (see the [module docs](self) for the phase structure).
 ///
-/// All queries in one engine share the same [`QuerySpec`] type;
-/// heterogeneous workloads use [`crate::AnyQuerySpec`] (what
-/// [`crate::CpmServer`] does). This is the *trusting* surface that
-/// algorithms, figures and tests drive: events are applied in batch
-/// order, stray coordinates are clamped by the grid, and a malformed
-/// batch (an update of an unknown query, a disappearance of an off-line
-/// object) panics. Input from outside the program goes through
-/// [`crate::CpmServer`], which validates first.
+/// All queries in one engine share the same [`QuerySpec`] type; the
+/// server runs one over [`crate::AnyQuerySpec`]. Every call comes from
+/// [`crate::CpmServer`] or snapshot restore after their checks, so a
+/// call the server would refuse is a bug here and panics.
 ///
-/// [`ShardedCpmEngine::process_cycle`] reports changed queries in
-/// canonical (ascending id) order; work counters are read through
-/// [`ShardedCpmEngine::metrics`].
-///
-/// # Example
-///
-/// ```
-/// use std::num::NonZeroUsize;
-///
-/// use cpm_core::{PointQuery, ShardedCpmEngine};
-/// use cpm_geom::{ObjectId, Point, QueryId};
-/// use cpm_grid::ObjectEvent;
-///
-/// let mut engine = ShardedCpmEngine::<PointQuery>::new(64, NonZeroUsize::MIN);
-/// engine.populate((0..100).map(|i| {
-///     (ObjectId(i), Point::new((i as f64 + 0.5) / 100.0, 0.5))
-/// }));
-/// let nn = engine.install(QueryId(0), PointQuery(Point::new(0.1042, 0.5)), 2)?;
-/// assert_eq!(nn[0].id, ObjectId(10)); // object at x = 0.105
-///
-/// // One object teleports right next to the query point.
-/// let changed = engine.process_cycle(
-///     &[ObjectEvent::Move { id: ObjectId(50), to: Point::new(0.104, 0.5) }],
-///     &[],
-/// );
-/// assert_eq!(changed, vec![QueryId(0)]);
-/// assert_eq!(engine.result(QueryId(0)).unwrap()[0].id, ObjectId(50));
-/// # Ok::<(), cpm_core::CpmError>(())
-/// ```
+/// [`CpmEngine::process_cycle`] reports changed queries in canonical
+/// (ascending id) order.
 #[derive(Debug)]
-pub struct ShardedCpmEngine<S: QuerySpec> {
+pub(crate) struct CpmEngine<S: QuerySpec> {
     grid: Grid,
     /// Influence lists, holding query-table slots: update handling goes
     /// from a cell to the affected states without hashing a query id.
@@ -178,19 +152,17 @@ pub struct ShardedCpmEngine<S: QuerySpec> {
     regrid: RegridController,
 }
 
-impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
+impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
     /// Create an engine over an empty `dim × dim` grid whose maintenance
     /// runs on `threads` threads (`1` spawns none).
-    ///
-    /// # Panics
-    /// Panics if `dim` is out of `1..=4096`.
-    pub fn new(dim: u32, threads: NonZeroUsize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(dim: u32, threads: NonZeroUsize) -> Self {
         Self::with_grid(cpm_grid::GridBuilder::new(dim).build_uniform(), threads)
     }
 
     /// Create an engine over a pre-built (typically empty) grid whose
     /// maintenance runs on `threads` threads.
-    pub fn with_grid(grid: Grid, threads: NonZeroUsize) -> Self {
+    pub(crate) fn with_grid(grid: Grid, threads: NonZeroUsize) -> Self {
         Self {
             influence: InfluenceTable::new(grid.dim()),
             grid,
@@ -216,13 +188,13 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     /// boundaries against the observed workload; an applied re-grid
     /// migrates the grid and re-registers every query before the cycle's
     /// ingest runs.
-    pub fn set_regrid_policy(&mut self, policy: RegridPolicy) {
+    pub(crate) fn set_regrid_policy(&mut self, policy: RegridPolicy) {
         self.regrid.set_policy(policy);
     }
 
     /// The active re-grid policy.
     #[must_use]
-    pub fn regrid_policy(&self) -> &RegridPolicy {
+    pub(crate) fn regrid_policy(&self) -> &RegridPolicy {
         self.regrid.policy()
     }
 
@@ -242,7 +214,7 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     ///
     /// # Errors
     /// [`CpmError::InvalidDim`] if `new_dim` is out of `1..=4096`.
-    pub fn regrid_to(&mut self, new_dim: u32) -> Result<usize, CpmError> {
+    pub(crate) fn regrid_to(&mut self, new_dim: u32) -> Result<usize, CpmError> {
         if new_dim == self.grid.dim() {
             return Ok(0);
         }
@@ -295,30 +267,21 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
 
     /// Number of threads per-cycle maintenance runs on.
     #[must_use]
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.workers.len()
     }
 
     /// The shared object index.
     #[must_use]
-    pub fn grid(&self) -> &Grid {
+    pub(crate) fn grid(&self) -> &Grid {
         &self.grid
-    }
-
-    /// The influence lists, holding query-table slots (test helper: the
-    /// threads suite compares them, order included, across thread
-    /// counts).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn influence(&self) -> &InfluenceTable<u32> {
-        &self.influence
     }
 
     /// Bulk-load objects before any query is installed.
     ///
     /// # Panics
     /// Panics if queries are already installed.
-    pub fn populate<It: IntoIterator<Item = (ObjectId, Point)>>(&mut self, objects: It) {
+    pub(crate) fn populate<It: IntoIterator<Item = (ObjectId, Point)>>(&mut self, objects: It) {
         assert!(
             self.query_count() == 0,
             "populate() is only valid before queries are installed"
@@ -330,34 +293,34 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
 
     /// Number of installed queries.
     #[must_use]
-    pub fn query_count(&self) -> usize {
+    pub(crate) fn query_count(&self) -> usize {
         self.slot_of.len()
     }
 
     /// The current result of query `id`.
     #[must_use]
-    pub fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
+    pub(crate) fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
         self.query_state(id).map(|st| st.result())
     }
 
     /// Full book-keeping state of query `id`.
     #[must_use]
-    pub fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<S>> {
+    pub(crate) fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<S>> {
         self.queries[*self.slot_of.get(&id)? as usize].as_deref()
     }
 
     /// Ids of every installed query, ascending — the deterministic
     /// iteration order snapshots and hub restores rely on.
     #[must_use]
-    pub fn query_ids(&self) -> Vec<QueryId> {
+    pub(crate) fn query_ids(&self) -> Vec<QueryId> {
         let mut ids: Vec<QueryId> = self.slot_of.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
 
-    /// `true` once [`ShardedCpmEngine::enable_deltas`] was called.
+    /// `true` once [`CpmEngine::enable_deltas`] was called.
     #[must_use]
-    pub fn collects_deltas(&self) -> bool {
+    pub(crate) fn collects_deltas(&self) -> bool {
         self.collect_deltas
     }
 
@@ -382,20 +345,11 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         &mut self.regrid
     }
 
-    /// A fresh state for query `id` on a vacant slot, the slot already
-    /// mapped; the caller searches it and puts it in the table.
-    fn vacant_state(
-        &mut self,
-        id: QueryId,
-        spec: S,
-        k: usize,
-    ) -> Result<Box<SpecQueryState<S>>, CpmError> {
-        if k == 0 {
-            return Err(CpmError::InvalidK(id));
-        }
-        if self.slot_of.contains_key(&id) {
-            return Err(CpmError::DuplicateQuery(id));
-        }
+    /// A fresh state for query `id` (not installed, `k ≥ 1`) on a vacant
+    /// slot, the slot already mapped; the caller searches it and puts it
+    /// in the table.
+    fn vacant_state(&mut self, id: QueryId, spec: S, k: usize) -> Box<SpecQueryState<S>> {
+        debug_assert!(k > 0 && !self.slot_of.contains_key(&id), "install of {id}");
         let slot = self.free.pop().unwrap_or_else(|| {
             self.queries.push(None);
             self.pending.push(0);
@@ -403,75 +357,69 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         });
         self.slot_of.insert(id, slot);
         let dim = self.grid.dim();
-        Ok(Box::new(SpecQueryState::new(id, slot, spec, k, dim)))
+        Box::new(SpecQueryState::new(id, slot, spec, k, dim))
     }
 
-    /// Install a new query and compute its initial result.
-    ///
-    /// # Errors
-    /// [`CpmError::DuplicateQuery`] if `id` is already installed,
-    /// [`CpmError::InvalidK`] if `k == 0`.
-    pub fn install(&mut self, id: QueryId, spec: S, k: usize) -> Result<&[Neighbor], CpmError> {
-        let mut st = self.vacant_state(id, spec, k)?;
+    /// The table slot of installed query `id`.
+    fn slot(&self, id: QueryId) -> u32 {
+        *self
+            .slot_of
+            .get(&id)
+            .unwrap_or_else(|| panic!("query {id} is not installed"))
+    }
+
+    /// Install a new query (`id` not installed, `k ≥ 1`) and compute its
+    /// initial result.
+    pub(crate) fn install(&mut self, id: QueryId, spec: S, k: usize) -> &[Neighbor] {
+        let mut st = self.vacant_state(id, spec, k);
         self.workers[0].compute_from_scratch(&self.grid, &mut st);
         self.join();
         let slot = st.slot as usize;
-        Ok(self.queries[slot].insert(st).result())
+        self.queries[slot].insert(st).result()
     }
 
-    /// Terminate query `id`.
-    ///
-    /// # Errors
-    /// [`CpmError::UnknownQuery`] if `id` is not installed.
-    pub fn terminate(&mut self, id: QueryId) -> Result<(), CpmError> {
-        let slot = self.slot_of.remove(&id).ok_or(CpmError::UnknownQuery(id))?;
+    /// Terminate installed query `id`.
+    pub(crate) fn terminate(&mut self, id: QueryId) {
+        let slot = self
+            .slot_of
+            .remove(&id)
+            .unwrap_or_else(|| panic!("query {id} is not installed"));
         let st = self.queries[slot as usize].take().expect("mapped slot");
         for &(cell, _) in &st.visit_list[..st.influence_len] {
             self.influence.remove(cell, slot);
         }
         self.free.push(slot);
-        Ok(())
     }
 
-    /// Replace the geometry of query `id` (terminate + reinstall, as in
-    /// Section 3.3).
-    ///
-    /// With delta capture enabled, prefer submitting a
-    /// [`SpecEvent::Update`] to `process_cycle_with_deltas_into` instead: this
-    /// direct call changes the result *between* cycles, outside the delta
-    /// stream (as do [`ShardedCpmEngine::install`] and
-    /// [`ShardedCpmEngine::terminate`] — legitimate for pre-stream setup,
-    /// lossy mid-stream).
-    ///
-    /// # Errors
-    /// [`CpmError::UnknownQuery`] if `id` is not installed.
-    pub fn update_spec(&mut self, id: QueryId, spec: S) -> Result<&[Neighbor], CpmError> {
-        let slot = *self.slot_of.get(&id).ok_or(CpmError::UnknownQuery(id))? as usize;
+    /// Replace the geometry of installed query `id` (terminate +
+    /// reinstall, as in Section 3.3), between cycles.
+    pub(crate) fn update_spec(&mut self, id: QueryId, spec: S) -> &[Neighbor] {
+        let slot = self.slot(id) as usize;
         let st = self.queries[slot].as_mut().expect("mapped slot");
         let worker = &mut self.workers[0];
         worker.unregister(st);
         st.spec = spec;
         worker.compute_from_scratch(&self.grid, st);
         self.join();
-        Ok(self.queries[slot].as_ref().expect("mapped slot").result())
+        self.queries[slot].as_ref().expect("mapped slot").result()
     }
 
     /// Snapshot of the work counters accumulated since the last
-    /// [`ShardedCpmEngine::take_metrics`].
+    /// [`CpmEngine::take_metrics`].
     #[must_use]
-    pub fn metrics(&self) -> Metrics {
+    pub(crate) fn metrics(&self) -> Metrics {
         self.metrics
     }
 
     /// Take and reset the work counters.
-    pub fn take_metrics(&mut self) -> Metrics {
+    pub(crate) fn take_metrics(&mut self) -> Metrics {
         self.metrics.take()
     }
 
     /// Run one processing cycle (see the [module docs](self) for its
     /// phases). Returns ids of queries whose result changed, ascending by
     /// id.
-    pub fn process_cycle(
+    pub(crate) fn process_cycle(
         &mut self,
         object_events: &[ObjectEvent],
         query_events: &[SpecEvent<S>],
@@ -490,16 +438,16 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     }
 
     /// Turn per-cycle delta capture on (see
-    /// [`ShardedCpmEngine::process_cycle_with_deltas_into`]). Capture costs one
+    /// [`CpmEngine::process_cycle_with_deltas_into`]). Capture costs one
     /// O(result) copy and one O(result) diff per affected query per cycle.
-    pub fn enable_deltas(&mut self) {
+    pub(crate) fn enable_deltas(&mut self) {
         self.collect_deltas = true;
     }
 
     /// The processing-cycle counter: 0 before any cycle, incremented by
     /// every `process_cycle` call.
     #[must_use]
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
@@ -515,8 +463,8 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     ///
     /// # Panics
     /// Panics if delta capture was not enabled with
-    /// [`ShardedCpmEngine::enable_deltas`].
-    pub fn process_cycle_with_deltas_into(
+    /// [`CpmEngine::enable_deltas`].
+    pub(crate) fn process_cycle_with_deltas_into(
         &mut self,
         object_events: &[ObjectEvent],
         query_events: &[SpecEvent<S>],
@@ -537,8 +485,8 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
         out.canonicalize(self.epoch);
     }
 
-    /// The shared cycle body behind [`ShardedCpmEngine::process_cycle`]
-    /// and [`ShardedCpmEngine::process_cycle_with_deltas_into`]: changed ids
+    /// The shared cycle body behind [`CpmEngine::process_cycle`]
+    /// and [`CpmEngine::process_cycle_with_deltas_into`]: changed ids
     /// and deltas land in the caller's buffers (both empty on entry), in
     /// slot order and then event order; `changed` is left sorted.
     fn run_cycle(
@@ -691,27 +639,16 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     fn apply_query_events(&mut self, events: &[SpecEvent<S>]) {
         self.searches.clear();
         for (i, ev) in events.iter().enumerate() {
-            let slot = self.slot_of.get(&ev.id()).copied();
-            if slot.is_some_and(|s| self.queries[s as usize].is_none()) {
-                // A second event for a query this batch already searches:
-                // finish those searches first, so events apply in order.
-                self.search_all(events);
-            }
             let st = match ev {
                 SpecEvent::Terminate { id } => {
-                    // A batched terminate of an id that is already gone is
-                    // benign (the direct-call API reports it as
-                    // `CpmError::UnknownQuery`).
-                    let _ = self.terminate(*id);
+                    self.terminate(*id);
                     continue;
                 }
                 SpecEvent::Update { id, .. } => {
-                    let slot = slot.unwrap_or_else(|| panic!("update of unknown query {id}"));
-                    self.queries[slot as usize].take().expect("mapped slot")
+                    let slot = self.slot(*id) as usize;
+                    self.queries[slot].take().expect("mapped slot")
                 }
-                SpecEvent::Install { id, spec, k } => self
-                    .vacant_state(*id, spec.clone(), *k)
-                    .unwrap_or_else(|e| panic!("{e}")),
+                SpecEvent::Install { id, spec, k } => self.vacant_state(*id, spec.clone(), *k),
             };
             self.searches.push((Search::Event(i), st));
         }
@@ -769,15 +706,14 @@ impl<S: QuerySpec + Send + Sync> ShardedCpmEngine<S> {
     /// Total memory footprint in the paper's memory units (Section 4.1):
     /// grid data plus influence entries and query-table state.
     #[must_use]
-    pub fn space_units(&self) -> usize {
+    pub(crate) fn space_units(&self) -> usize {
         let installed = self.queries.iter().flatten();
         let queries: usize = installed.map(|st| st.space_units()).sum();
         self.grid.space_units() + queries + self.influence.total_entries()
     }
 
     /// Verify all cross-structure invariants (test helper).
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         self.grid.check_integrity();
         for (qid, &slot) in &self.slot_of {
             let st = self.queries[slot as usize].as_ref().expect("mapped slot");
@@ -827,14 +763,13 @@ mod tests {
 
     #[test]
     fn metrics_count_ingest_once() {
-        let mut m = ShardedCpmEngine::<PointQuery>::new(8, NonZeroUsize::new(4).unwrap());
+        let mut m = CpmEngine::<PointQuery>::new(8, NonZeroUsize::new(4).unwrap());
         m.populate([
             (ObjectId(0), Point::new(0.1, 0.1)),
             (ObjectId(1), Point::new(0.9, 0.9)),
         ]);
         for qi in 0..8u32 {
-            m.install(QueryId(qi), PointQuery(Point::new(0.5, 0.5)), 1)
-                .unwrap();
+            m.install(QueryId(qi), PointQuery(Point::new(0.5, 0.5)), 1);
         }
         m.take_metrics();
         m.process_cycle(
@@ -853,7 +788,7 @@ mod tests {
 
     #[test]
     fn query_events_apply_in_batch_order() {
-        let mut m = ShardedCpmEngine::<PointQuery>::new(16, NonZeroUsize::new(4).unwrap());
+        let mut m = CpmEngine::<PointQuery>::new(16, NonZeroUsize::new(4).unwrap());
         m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))));
         let installs: Vec<SpecEvent<PointQuery>> = (0..20u32)
             .map(|i| SpecEvent::Install {
@@ -887,64 +822,60 @@ mod tests {
         assert_eq!(changed.len(), 11);
         assert_eq!(m.query_count(), 11);
         m.check_invariants();
-        assert!(m.terminate(QueryId(0)).is_ok());
-        assert_eq!(
-            m.terminate(QueryId(1)),
-            Err(CpmError::UnknownQuery(QueryId(1)))
-        );
+        m.terminate(QueryId(0));
+        assert_eq!(m.query_count(), 10);
+        m.check_invariants();
     }
 
-    /// The trusting engine applies several events for one query in batch
-    /// order, also when the searches before them run on several threads.
+    /// Resolve, the query events' searches and a re-grid split across
+    /// workers, and every influence list — order included — is the one
+    /// `T = 1` builds, alongside the changed lists and the counters.
     #[test]
-    fn repeated_query_events_apply_in_batch_order() {
-        let engines = [1, 4].map(|threads| {
-            let threads = NonZeroUsize::new(threads).unwrap();
-            let mut m = ShardedCpmEngine::<PointQuery>::new(16, threads);
-            m.populate((0..400u32).map(|i| {
-                let t = f64::from(i);
-                (ObjectId(i), Point::new((t * 0.37) % 1.0, (t * 0.61) % 1.0))
-            }));
-            let at = |i: u32| PointQuery(Point::new(f64::from(i % 10) / 10.0, 0.5));
-            let installs: Vec<_> = (0..100u32)
+    fn influence_lists_are_identical_across_thread_counts() {
+        let point = |i: u32, salt: u32| {
+            let t = f64::from(i.wrapping_mul(2_654_435_761) ^ salt);
+            Point::new((t * 0.000_37) % 1.0, (t * 0.000_61) % 1.0)
+        };
+        let runs = [1, 2, 4].map(|threads| {
+            let mut m = CpmEngine::<PointQuery>::new(32, NonZeroUsize::new(threads).unwrap());
+            m.populate((0..3_000u32).map(|i| (ObjectId(i), point(i, 0))));
+            let installs: Vec<_> = (0..600u32)
                 .map(|i| SpecEvent::Install {
                     id: QueryId(i),
-                    spec: at(i),
-                    k: 4,
+                    spec: PointQuery(point(i, 7)),
+                    k: 8,
                 })
                 .collect();
-            m.process_cycle(&[], &installs);
-            // Enough searches before each repeat for the split to pay.
-            let mut events: Vec<_> = (0..100u32)
-                .map(|i| SpecEvent::Update {
-                    id: QueryId(i),
-                    spec: at(i + 3),
-                })
+            let mut seen = vec![m.process_cycle(&[], &installs)];
+            for cycle in 1..6u32 {
+                if cycle == 3 {
+                    m.regrid_to(48).unwrap();
+                }
+                let moves: Vec<_> = (0..3_000u32)
+                    .filter(|i| (i + cycle) % 3 != 0)
+                    .map(|i| ObjectEvent::Move {
+                        id: ObjectId(i),
+                        to: point(i, cycle),
+                    })
+                    .collect();
+                let updates: Vec<_> = (0..600u32)
+                    .filter(|i| (i + cycle) % 4 == 0)
+                    .map(|i| SpecEvent::Update {
+                        id: QueryId(i),
+                        spec: PointQuery(point(i, 100 + cycle)),
+                    })
+                    .collect();
+                seen.push(m.process_cycle(&moves, &updates));
+                m.check_invariants();
+            }
+            let dim = m.grid().dim();
+            let lists: Vec<Vec<u32>> = (0..dim)
+                .flat_map(|r| (0..dim).map(move |c| cpm_grid::CellCoord::new(c, r)))
+                .map(|cell| m.influence.queries_at(cell).to_vec())
                 .collect();
-            events.push(SpecEvent::Terminate { id: QueryId(5) });
-            events.push(SpecEvent::Update {
-                id: QueryId(7),
-                spec: at(2),
-            });
-            events.push(SpecEvent::Install {
-                id: QueryId(5),
-                spec: at(4),
-                k: 2,
-            });
-            let changed = m.process_cycle(&[], &events);
-            m.check_invariants();
-            let lists: Vec<Vec<u32>> = (0..16)
-                .flat_map(|r| (0..16).map(move |c| cpm_grid::CellCoord::new(c, r)))
-                .map(|cell| m.influence().queries_at(cell).to_vec())
-                .collect();
-            (
-                changed,
-                m.metrics(),
-                lists,
-                m.result(QueryId(5)).unwrap().to_vec(),
-            )
+            (seen, m.metrics(), lists)
         });
-        assert_eq!(engines[0], engines[1]);
-        assert_eq!(engines[0].3.len(), 2, "the re-install took effect");
+        assert_eq!(runs[0], runs[1], "T = 2");
+        assert_eq!(runs[0], runs[2], "T = 4");
     }
 }

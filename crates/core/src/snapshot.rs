@@ -1,4 +1,4 @@
-//! Crash-consistent durability for the CPM engines: logical snapshots,
+//! Crash-consistent durability for [`CpmServer`]: logical snapshots,
 //! an append-only operation journal, and the [`DurableCpmServer`] wrapper
 //! that combines the two into a checkpoint/replay recovery story.
 //!
@@ -46,10 +46,10 @@ use crate::engine::{QuerySpec, SpecEvent};
 use crate::error::CpmError;
 use crate::neighbors::Neighbor;
 use crate::server::{install_k, CpmServer, RESERVED_ID_BASE, SECTORS};
-use crate::shard::ShardedCpmEngine;
+use crate::shard::CpmEngine;
 
-/// A logical snapshot of a [`ShardedCpmEngine`]: everything needed to
-/// rebuild an observably identical engine from scratch.
+/// The engine part of a [`Snapshot`]: everything needed to rebuild an
+/// observably identical query engine from scratch.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot<S> {
     /// Grid resolution (cells per axis).
@@ -79,8 +79,7 @@ pub struct EngineSnapshot<S> {
 
 impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
     /// Capture the engine's durable state.
-    #[must_use]
-    pub fn capture(engine: &ShardedCpmEngine<S>) -> Self {
+    pub(crate) fn capture(engine: &CpmEngine<S>) -> Self {
         let mut objects: Vec<(ObjectId, Point)> = engine.grid().iter_objects().collect();
         objects.sort_unstable_by_key(|&(id, _)| id);
         let queries = engine
@@ -112,13 +111,15 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
     ///
     /// # Errors
     /// [`CpmError::CapturedResultMismatch`] if a recomputed result is not
-    /// the captured one (a `Decode`-validated snapshot fails no other way).
-    pub fn restore(&self) -> Result<ShardedCpmEngine<S>, CpmError> {
+    /// the captured one (a `Decode`-validated snapshot fails no other
+    /// way); [`CpmError::InvalidK`] / [`CpmError::DuplicateQuery`] for a
+    /// hand-built query table with `k = 0` or a repeated id.
+    pub(crate) fn restore(&self) -> Result<CpmEngine<S>, CpmError> {
         let grid = cpm_grid::GridBuilder::new(self.dim).try_build()?;
         // `Decode` refuses 0; a hand-built 0 runs on one thread, and
         // results are identical at every thread count.
         let threads = NonZeroUsize::new(self.shards).unwrap_or(NonZeroUsize::MIN);
-        let mut engine = ShardedCpmEngine::with_grid(grid, threads);
+        let mut engine = CpmEngine::with_grid(grid, threads);
         engine.set_regrid_policy(self.policy);
         engine
             .regrid_controller_mut()
@@ -128,7 +129,13 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
         }
         engine.populate(self.objects.iter().copied());
         for (id, spec, k, captured) in &self.queries {
-            if engine.install(*id, spec.clone(), *k)? != &captured[..] {
+            if *k == 0 {
+                return Err(CpmError::InvalidK(*id));
+            }
+            if engine.query_state(*id).is_some() {
+                return Err(CpmError::DuplicateQuery(*id));
+            }
+            if engine.install(*id, spec.clone(), *k) != &captured[..] {
                 return Err(CpmError::CapturedResultMismatch(*id));
             }
         }
@@ -435,12 +442,14 @@ impl CpmServer {
     /// subsequent cycle (the recovery conformance suite's core claim).
     ///
     /// # Errors
-    /// As [`EngineSnapshot::restore`].
+    /// [`CpmError::CapturedResultMismatch`] if a recomputed result is not
+    /// the captured one (a `Decode`-validated snapshot fails no other
+    /// way); [`CpmError::InvalidK`] / [`CpmError::DuplicateQuery`] for a
+    /// hand-built query table with `k = 0` or a repeated id.
     pub fn restore(snapshot: &Snapshot) -> Result<CpmServer, CpmError> {
         let engine = snapshot.engine.restore()?;
         Ok(CpmServer::assemble(
             engine,
-            snapshot.engine.collects_deltas,
             snapshot.kinds.clone(),
             snapshot.rnn.clone(),
             snapshot.verify_metrics,

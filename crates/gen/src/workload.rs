@@ -130,9 +130,10 @@ impl NetworkWorkload {
     /// Advance the simulation by one timestamp and emit the update batch.
     ///
     /// Each object moves with probability `f_obj`; an object reaching its
-    /// destination disappears and a replacement with the same id appears at
-    /// a random node (one `Disappear` + one `Appear` event, as in the
-    /// Brinkhoff life cycle). Each query moves with probability `f_qry`
+    /// destination is replaced by one with the same id at a random node,
+    /// as in the Brinkhoff life cycle. The respawn is one `Move` event —
+    /// the paper's `<id, old, new>` update tuple — since a batch holds
+    /// one event per object. Each query moves with probability `f_qry`
     /// and re-targets on arrival instead of disappearing.
     pub fn tick(&mut self) -> TickEvents {
         let mut out = TickEvents::default();
@@ -144,22 +145,13 @@ impl NetworkWorkload {
                 continue;
             }
             let id = ObjectId(i as u32);
-            let arrived = self.objects[i].traveler.advance(step_obj);
-            if arrived {
-                out.object_events
-                    .push(cpm_grid::ObjectEvent::Disappear { id });
-                let e = spawn(&self.net, &mut self.rng);
-                out.object_events.push(cpm_grid::ObjectEvent::Appear {
-                    id,
-                    pos: e.traveler.position(),
-                });
-                self.objects[i] = e;
-            } else {
-                out.object_events.push(cpm_grid::ObjectEvent::Move {
-                    id,
-                    to: self.objects[i].traveler.position(),
-                });
+            if self.objects[i].traveler.advance(step_obj) {
+                self.objects[i] = spawn(&self.net, &mut self.rng);
             }
+            out.object_events.push(cpm_grid::ObjectEvent::Move {
+                id,
+                to: self.objects[i].traveler.position(),
+            });
         }
 
         for i in 0..self.queries.len() {
@@ -246,6 +238,14 @@ mod tests {
         }
         for _ in 0..30 {
             let events = w.tick();
+            let mut ids: Vec<ObjectId> = events.object_events.iter().map(|e| e.id()).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(
+                ids.len(),
+                events.object_events.len(),
+                "one event per object"
+            );
             for ev in &events.object_events {
                 match *ev {
                     ObjectEvent::Move { id, to } => {
@@ -272,14 +272,7 @@ mod tests {
         let mut w = NetworkWorkload::new(net, lazy_cfg);
         let mut total = 0usize;
         for _ in 0..20 {
-            let ev = w.tick();
-            // Disappear+appear pairs count as one mover.
-            let movers = ev
-                .object_events
-                .iter()
-                .filter(|e| !matches!(e, ObjectEvent::Appear { .. }))
-                .count();
-            total += movers;
+            total += w.tick().object_events.len();
         }
         let avg = total as f64 / 20.0 / 2000.0;
         assert!((avg - 0.1).abs() < 0.03, "measured agility {avg}");
@@ -289,20 +282,28 @@ mod tests {
     fn movement_per_tick_is_bounded_by_speed() {
         let mut w = small_workload();
         let step = SpeedClass::Medium.distance_per_tick();
+        let nodes: Vec<Point> = (0..w.network().node_count() as NodeId)
+            .map(|n| w.network().position(n))
+            .collect();
         let mut prev: Vec<Point> = w.initial_objects().map(|(_, p)| p).collect();
+        let mut respawns = 0;
         for _ in 0..10 {
             let ev = w.tick();
             for e in &ev.object_events {
-                if let ObjectEvent::Move { id, to } = *e {
-                    let d = prev[id.index()].dist(to);
-                    // Network paths can bend, so displacement ≤ path step.
-                    assert!(d <= step + 1e-9, "object jumped {d}");
-                    prev[id.index()] = to;
-                } else if let ObjectEvent::Appear { id, pos } = *e {
-                    prev[id.index()] = pos;
+                let ObjectEvent::Move { id, to } = *e else {
+                    panic!("the network generator only moves objects: {e:?}");
+                };
+                let d = prev[id.index()].dist(to);
+                // Network paths can bend, so displacement ≤ path step —
+                // unless the object respawned, which starts at a node.
+                if d > step + 1e-9 {
+                    assert!(nodes.contains(&to), "object jumped {d}");
+                    respawns += 1;
                 }
+                prev[id.index()] = to;
             }
         }
+        assert!(respawns > 0, "the life cycle never respawned");
     }
 
     #[test]

@@ -134,8 +134,9 @@ pub struct UpdateRecord {
 /// immutably (and therefore run in parallel).
 ///
 /// # Panics
-/// Panics if a [`ObjectEvent::Disappear`] names an off-line object
-/// (mirroring the monitors' sequential update handling).
+/// Panics if an event does not fit its object's liveness: a move or a
+/// disappear of an off-line object, or an appear of a live one. The
+/// monitoring server refuses such a batch, typed, before it gets here.
 pub fn apply_events(
     grid: &mut Grid,
     events: &[ObjectEvent],

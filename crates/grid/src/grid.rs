@@ -203,8 +203,8 @@ impl Grid<CellIndex> {
     ///
     /// # Panics
     /// Panics if the object is not currently indexed; the monitoring
-    /// algorithms treat moves of off-line objects as appearances and must
-    /// not reach this call.
+    /// server refuses a move of an off-line object, typed, before it
+    /// reaches this call.
     pub fn update_position(&mut self, oid: ObjectId, new: Point) -> (Point, CellCoord, CellCoord) {
         let (old, old_cell) = self
             .remove(oid)

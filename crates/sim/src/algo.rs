@@ -10,7 +10,7 @@ use cpm_geom::{ObjectId, Point, QueryId};
 use cpm_grid::{Metrics, ObjectEvent, QueryEvent};
 
 use cpm_baselines::{SeaCnnMonitor, YpkCnnMonitor};
-use cpm_core::{Neighbor, PointQuery, ShardedCpmEngine, SpecEvent};
+use cpm_core::{AnyQuerySpec, CpmServer, CpmServerBuilder, Neighbor, PointQuery, SpecEvent};
 
 use crate::oracle::OracleMonitor;
 
@@ -81,19 +81,22 @@ pub trait KnnMonitorAlgo {
     fn space_units(&self) -> usize;
 }
 
-/// CPM behind the harness vocabulary: the engine on one thread (the
-/// paper's algorithm) over plain point queries plus the
-/// [`QueryEvent`] → [`SpecEvent`] lift.
+/// CPM behind the harness vocabulary: a server on one thread (the
+/// paper's algorithm) over point queries plus the [`QueryEvent`] →
+/// [`SpecEvent`] lift. The harness's streams are well-formed, so a
+/// refused call or batch is a bug and panics.
 struct CpmMonitor {
-    engine: ShardedCpmEngine<PointQuery>,
-    /// Scratch: the cycle's query events in the engine's vocabulary.
-    events: Vec<SpecEvent<PointQuery>>,
+    server: CpmServer,
+    /// Scratch: the cycle's query events in the server's vocabulary.
+    events: Vec<SpecEvent<AnyQuerySpec>>,
 }
 
 impl CpmMonitor {
     fn new(dim: u32) -> Self {
         Self {
-            engine: ShardedCpmEngine::new(dim, NonZeroUsize::MIN),
+            server: CpmServerBuilder::new(dim)
+                .threads(NonZeroUsize::MIN)
+                .build(),
             events: Vec::new(),
         }
     }
@@ -105,12 +108,12 @@ impl KnnMonitorAlgo for CpmMonitor {
     }
 
     fn populate(&mut self, objects: &[(ObjectId, Point)]) {
-        self.engine.populate(objects.iter().copied());
+        self.server.populate(objects.iter().copied());
     }
 
     fn install_query(&mut self, id: QueryId, pos: Point, k: usize) {
-        self.engine
-            .install(id, PointQuery(pos), k)
+        self.server
+            .install_spec(id, PointQuery(pos), k)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
@@ -122,19 +125,21 @@ impl KnnMonitorAlgo for CpmMonitor {
         self.events.clear();
         self.events
             .extend(query_events.iter().map(|&ev| SpecEvent::from(ev)));
-        self.engine.process_cycle(object_events, &self.events)
+        self.server
+            .process_cycle(object_events, &self.events)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        self.engine.result(id)
+        self.server.result(id)
     }
 
     fn take_metrics(&mut self) -> Metrics {
-        self.engine.take_metrics()
+        self.server.take_metrics()
     }
 
     fn space_units(&self) -> usize {
-        self.engine.space_units()
+        self.server.space_units()
     }
 }
 

@@ -328,15 +328,7 @@ impl OpStream {
 /// as an op-stream: population, installs, then tick `i` as cycle `i + 2`.
 impl From<&SimulationInput> for OpStream {
     fn from(input: &SimulationInput) -> Self {
-        let lift = |ev: &QueryEvent| match *ev {
-            QueryEvent::Install { id, pos, k } => SpecEvent::Install {
-                id,
-                spec: knn(pos),
-                k,
-            },
-            QueryEvent::Move { id, to } => SpecEvent::Update { id, spec: knn(to) },
-            QueryEvent::Terminate { id } => SpecEvent::Terminate { id },
-        };
+        let lift = |&ev: &QueryEvent| SpecEvent::from(ev);
         let installs = input
             .initial_queries
             .iter()
@@ -351,22 +343,10 @@ impl From<&SimulationInput> for OpStream {
             installs.collect(),
         );
         for tick in &input.ticks {
-            // A server batch holds one event per object: the network
-            // generator's respawn (disappear, then appear elsewhere under
-            // the same id) is a move.
-            let mut object_events: Vec<ObjectEvent> = Vec::with_capacity(tick.object_events.len());
-            for &ev in &tick.object_events {
-                match (object_events.last_mut(), ev) {
-                    (
-                        Some(last @ ObjectEvent::Disappear { .. }),
-                        ObjectEvent::Appear { id, pos },
-                    ) if last.id() == id => {
-                        *last = ObjectEvent::Move { id, to: pos };
-                    }
-                    _ => object_events.push(ev),
-                }
-            }
-            stream.push(object_events, tick.query_events.iter().map(lift).collect());
+            stream.push(
+                tick.object_events.clone(),
+                tick.query_events.iter().map(lift).collect(),
+            );
         }
         stream
     }

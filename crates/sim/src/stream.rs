@@ -138,7 +138,7 @@ mod tests {
         assert_eq!(a.ticks.len(), 15);
         assert_eq!(a.total_object_events(), b.total_object_events());
         assert_eq!(a.initial_queries.len(), 12);
-        // Expected update volume ≈ N · f_obj · T (plus respawn pairs).
+        // Expected update volume ≈ N · f_obj · T (a respawn is one move).
         let expect = 300.0 * 0.5 * 15.0;
         let got = a.total_object_events() as f64;
         assert!(got > 0.6 * expect && got < 1.8 * expect, "volume {got}");

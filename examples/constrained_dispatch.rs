@@ -10,7 +10,7 @@
 
 use std::num::NonZeroUsize;
 
-use cpm_suite::core::{ConstrainedQuery, ShardedCpmEngine};
+use cpm_suite::core::{ConstrainedQuery, CpmServer, CpmServerBuilder};
 use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
 use cpm_suite::grid::ObjectEvent;
 use rand::rngs::StdRng;
@@ -22,7 +22,7 @@ fn main() {
     // 80 couriers around the city.
     let mut couriers: Vec<Point> = (0..80).map(|_| Point::new(rng.gen(), rng.gen())).collect();
 
-    let mut monitor = ShardedCpmEngine::<ConstrainedQuery>::new(64, NonZeroUsize::MIN);
+    let mut monitor = CpmServerBuilder::new(64).threads(NonZeroUsize::MIN).build();
     monitor.populate(
         couriers
             .iter()
@@ -35,8 +35,8 @@ fn main() {
     let hub = Point::new(0.55, 0.55);
     let zone = Rect::new(Point::new(0.5, 0.5), Point::new(0.95, 0.95));
     let q = QueryId(0);
-    monitor
-        .install(q, ConstrainedQuery::new(hub, zone), 2)
+    let _ = monitor
+        .install_spec(q, ConstrainedQuery::new(hub, zone), 2)
         .expect("fresh query id");
 
     println!("hub at ({:.2}, {:.2}), zone [0.50,0.95]²", hub.x, hub.y);
@@ -56,7 +56,9 @@ fn main() {
                 to,
             });
         }
-        let changed = monitor.process_cycle(&events, &[]);
+        let changed = monitor
+            .process_cycle(&events, &[])
+            .expect("one move per courier");
         println!("\nstep {step}: {} assignment change(s)", changed.len());
         print_assignment(&monitor, q);
     }
@@ -68,7 +70,7 @@ fn main() {
     );
 }
 
-fn print_assignment(monitor: &ShardedCpmEngine<ConstrainedQuery>, q: QueryId) {
+fn print_assignment(monitor: &CpmServer, q: QueryId) {
     let result = monitor.result(q).unwrap();
     if result.is_empty() {
         println!("  no couriers inside the service zone!");

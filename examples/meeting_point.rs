@@ -9,29 +9,21 @@
 
 use std::num::NonZeroUsize;
 
-use cpm_suite::core::{AggregateFn, AnnQuery, ShardedCpmEngine, SpecEvent};
+use cpm_suite::core::{AggregateFn, AnnQuery, CpmServer, CpmServerBuilder, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The engine over aggregate queries.
-type AnnMonitor = ShardedCpmEngine<AnnQuery>;
+/// One query per aggregate, addressed by its position here.
+const AGGREGATES: [AggregateFn; 3] = [AggregateFn::Sum, AggregateFn::Max, AggregateFn::Min];
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(42);
 
-    // 120 cafes scattered over the city (the data objects).
-    let cafes: Vec<(ObjectId, Point)> = (0..120u32)
-        .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
-        .collect();
-
-    // One monitor per aggregate (each owns its grid; cafes are static so
-    // the update streams are query-side only).
-    let mut monitors = [
-        (AggregateFn::Sum, AnnMonitor::new(64, NonZeroUsize::MIN)),
-        (AggregateFn::Max, AnnMonitor::new(64, NonZeroUsize::MIN)),
-        (AggregateFn::Min, AnnMonitor::new(64, NonZeroUsize::MIN)),
-    ];
+    // 120 cafes scattered over the city (the data objects). Cafes are
+    // static, so the update streams are query-side only.
+    let mut monitor = CpmServerBuilder::new(64).threads(NonZeroUsize::MIN).build();
+    monitor.populate((0..120u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
 
     // Four friends start in different corners.
     let mut friends = vec![
@@ -41,15 +33,15 @@ fn main() {
         Point::new(0.12, 0.82),
     ];
 
-    let qid = QueryId(0);
-    for (f, m) in monitors.iter_mut() {
-        m.populate(cafes.iter().copied());
-        m.install(qid, AnnQuery::new(friends.clone(), *f), 1)
+    // One aggregate query per function, all on the one grid.
+    for (i, &f) in AGGREGATES.iter().enumerate() {
+        let _ = monitor
+            .install_spec(QueryId(i as u32), AnnQuery::new(friends.clone(), f), 1)
             .expect("fresh query id");
     }
 
     println!("step | best sum-cafe (total walk) | best max-cafe (latest arrival) | best min-cafe");
-    report(0, &monitors, qid);
+    report(0, &monitor);
 
     // The friends walk towards the center over ten steps, with drift.
     for step in 1..=10 {
@@ -62,33 +54,32 @@ fn main() {
                 p.y + (target.y - p.y) * 0.2 + jitter_y,
             );
         }
-        for (f, m) in monitors.iter_mut() {
-            // The query set moved: a SpecEvent::Update re-anchors the
-            // conceptual partitioning around the new MBR.
-            m.process_cycle(
-                &[],
-                &[SpecEvent::Update {
-                    id: qid,
-                    spec: AnnQuery::new(friends.clone(), *f),
-                }],
-            );
-        }
-        report(step, &monitors, qid);
+        // The query set moved: a SpecEvent::Update per aggregate
+        // re-anchors the conceptual partitioning around the new MBR.
+        let updates: Vec<_> = AGGREGATES
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| SpecEvent::Update {
+                id: QueryId(i as u32),
+                spec: AnnQuery::new(friends.clone(), f).into(),
+            })
+            .collect();
+        monitor
+            .process_cycle(&[], &updates)
+            .expect("one update per installed query");
+        report(step, &monitor);
     }
 
-    for (f, m) in &monitors {
-        let metrics = m.metrics();
-        println!(
-            "{:?}: {} cell accesses, {} objects processed over the walk",
-            f, metrics.cell_accesses, metrics.objects_processed
-        );
-    }
+    let metrics = monitor.metrics();
+    println!(
+        "{} cell accesses, {} objects processed over the walk",
+        metrics.cell_accesses, metrics.objects_processed
+    );
 }
 
-fn report(step: usize, monitors: &[(AggregateFn, AnnMonitor); 3], qid: QueryId) {
-    let cell = |i: usize| {
-        let (_, m) = &monitors[i];
-        let n = &m.result(qid).unwrap()[0];
+fn report(step: usize, monitor: &CpmServer) {
+    let cell = |i: u32| {
+        let n = &monitor.result(QueryId(i)).unwrap()[0];
         format!("cafe {:>3} ({:.3})", n.id.0, n.dist)
     };
     println!(

@@ -5,18 +5,15 @@
 
 use std::num::NonZeroUsize;
 
-use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
+use cpm_suite::core::{CpmServer, CpmServerBuilder, PointQuery, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
 
-/// The engine over plain k-NN queries: the algorithm of the paper.
-type Monitor = ShardedCpmEngine<PointQuery>;
-
 fn main() {
-    // 1. A monitor over a 16×16 grid covering the unit-square city (a
-    //    coarse grid keeps the book-keeping snapshot below readable; use
-    //    128+ for realistic workloads).
-    let mut monitor = Monitor::new(16, NonZeroUsize::MIN);
+    // 1. A one-thread monitor over a 16×16 grid covering the unit-square
+    //    city (a coarse grid keeps the book-keeping snapshot below
+    //    readable; use 128+ for realistic workloads).
+    let mut monitor = CpmServerBuilder::new(16).threads(NonZeroUsize::MIN).build();
 
     // 2. Initial vehicle positions (a small diagonal convoy plus strays).
     monitor.populate((0..10u32).map(|i| {
@@ -26,8 +23,8 @@ fn main() {
 
     // 3. A continuous 3-NN query at the city center.
     let poi = QueryId(0);
-    monitor
-        .install(poi, PointQuery(Point::new(0.5, 0.5)), 3)
+    let _ = monitor
+        .install_spec(poi, PointQuery(Point::new(0.5, 0.5)), 3)
         .expect("fresh query id");
     println!("initial 3-NN around (0.50, 0.50):");
     print_result(&monitor, poi);
@@ -46,19 +43,23 @@ fn main() {
                 to: Point::new(0.05, 0.1 + 0.8 * t),
             },
         ];
-        let changed = monitor.process_cycle(&events, &[]);
+        let changed = monitor
+            .process_cycle(&events, &[])
+            .expect("one live event per vehicle");
         println!("\ncycle {step}: {} result change(s)", changed.len());
         print_result(&monitor, poi);
     }
 
     // 5. The point of interest itself relocates (rush hour moves east).
-    monitor.process_cycle(
-        &[],
-        &[SpecEvent::Update {
-            id: poi,
-            spec: PointQuery(Point::new(0.75, 0.55)),
-        }],
-    );
+    monitor
+        .process_cycle(
+            &[],
+            &[SpecEvent::Update {
+                id: poi,
+                spec: PointQuery(Point::new(0.75, 0.55)).into(),
+            }],
+        )
+        .expect("the query is installed");
     println!("\nafter the query moved to (0.75, 0.55):");
     print_result(&monitor, poi);
 
@@ -78,7 +79,7 @@ fn main() {
     );
 }
 
-fn print_result(monitor: &Monitor, id: QueryId) {
+fn print_result(monitor: &CpmServer, id: QueryId) {
     for (rank, n) in monitor.result(id).unwrap().iter().enumerate() {
         println!("  #{}: {} at distance {:.4}", rank + 1, n.id, n.dist);
     }

@@ -10,7 +10,7 @@
 
 use std::num::NonZeroUsize;
 
-use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
+use cpm_suite::core::{AnyQuerySpec, CpmServerBuilder, PointQuery, SpecEvent};
 use cpm_suite::gen::{NetworkWorkload, RoadNetwork, SpeedClass, WorkloadConfig};
 use cpm_suite::geom::QueryId;
 
@@ -33,11 +33,13 @@ fn main() {
     );
     let mut workload = NetworkWorkload::new(network, config);
 
-    let mut monitor = ShardedCpmEngine::<PointQuery>::new(128, NonZeroUsize::MIN);
+    let mut monitor = CpmServerBuilder::new(128)
+        .threads(NonZeroUsize::MIN)
+        .build();
     monitor.populate(workload.initial_objects());
     for (qid, pos, k) in workload.initial_queries() {
-        monitor
-            .install(qid, PointQuery(pos), k)
+        let _ = monitor
+            .install_spec(qid, PointQuery(pos), k)
             .expect("fresh query id");
     }
     println!(
@@ -49,10 +51,12 @@ fn main() {
     for minute in 1..=30 {
         let tick = workload.tick();
         // The generator speaks the paper's k-NN vocabulary; a query move
-        // is a geometry update to the engine.
-        let query_events: Vec<SpecEvent<PointQuery>> =
+        // is a geometry update to the server.
+        let query_events: Vec<SpecEvent<AnyQuerySpec>> =
             tick.query_events.iter().map(|&ev| ev.into()).collect();
-        let changed = monitor.process_cycle(&tick.object_events, &query_events);
+        let changed = monitor
+            .process_cycle(&tick.object_events, &query_events)
+            .expect("the generator emits one event per taxi and terminal");
         total_changes += changed.len();
         if minute % 10 == 0 {
             let m = monitor.take_metrics();
@@ -70,10 +74,10 @@ fn main() {
 
     // Show one terminal's current picture.
     let sample = QueryId(0);
-    let st = monitor.query_state(sample).unwrap();
+    let at = monitor.query_state(sample).unwrap().spec.as_knn().unwrap();
     println!(
         "\nterminal {sample} at ({:.3}, {:.3}) — nearest taxis:",
-        st.spec.0.x, st.spec.0.y
+        at.x, at.y
     );
     for (rank, n) in monitor.result(sample).unwrap().iter().enumerate() {
         println!("  #{}: taxi {} at {:.4}", rank + 1, n.id.0, n.dist);

@@ -9,11 +9,10 @@
 //! * [`geom`] — geometry & utility substrate ([`cpm_geom`]).
 //! * [`grid`] — the main-memory object index: the paper's regular grid,
 //!   built through [`GridBuilder`] and re-gridded online ([`cpm_grid`]).
-//! * [`core`] — CPM itself: one engine ([`core::ShardedCpmEngine`],
-//!   generic over the query geometry — k-NN, aggregate-NN,
-//!   constrained-NN, range, reverse-NN sectors) and the validating
-//!   multi-kind [`core::CpmServer`] on top of it (every query kind on
-//!   one grid with one ingest pass per cycle), plus per-cycle result
+//! * [`core`] — CPM itself, behind one front end: [`core::CpmServer`],
+//!   every query kind (k-NN, aggregate-NN, constrained-NN, range,
+//!   reverse-NN) on one grid with one ingest pass per cycle, each call
+//!   and batch validated before any state changes, plus per-cycle result
 //!   deltas ([`cpm_core`]).
 //! * [`sub`] — the delta-streaming subscription layer: the
 //!   epoch-numbered delta fan-out with per-subscription mailboxes, and
@@ -35,34 +34,35 @@
 //! ```
 //! use std::num::NonZeroUsize;
 //!
-//! use cpm_suite::core::{CpmServerBuilder, PointQuery, ShardedCpmEngine};
+//! use cpm_suite::core::{CpmError, CpmServerBuilder, PointQuery};
 //! use cpm_suite::geom::{ObjectId, Point, QueryId};
 //! use cpm_suite::grid::ObjectEvent;
 //!
-//! let taxis = [
+//! // A 128×128 grid over the unit square, maintained on one thread (the
+//! // default is every hardware thread; results are identical).
+//! let mut server = CpmServerBuilder::new(128)
+//!     .threads(NonZeroUsize::MIN)
+//!     .build();
+//! server.populate([
 //!     (ObjectId(0), Point::new(0.21, 0.35)),
 //!     (ObjectId(1), Point::new(0.57, 0.60)),
 //!     (ObjectId(2), Point::new(0.80, 0.10)),
-//! ];
+//! ]);
+//! server.install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)?;
+//!
 //! // Taxi 2 drives next to the query point.
 //! let update = [ObjectEvent::Move { id: ObjectId(2), to: Point::new(0.52, 0.48) }];
-//!
-//! // The engine (what algorithms, figures and tests drive): a 128×128
-//! // grid over the unit square, maintained on one thread.
-//! let mut engine = ShardedCpmEngine::<PointQuery>::new(128, NonZeroUsize::MIN);
-//! engine.populate(taxis);
-//! engine.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)?;
-//! engine.process_cycle(&update, &[]);
-//! assert_eq!(engine.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
-//!
-//! // The server (what production traffic goes through): every query
-//! // kind on one grid, malformed batches rejected as typed errors.
-//! let mut server = CpmServerBuilder::new(128).build();
-//! server.populate(taxis);
-//! server.install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)?;
 //! server.process_cycle(&update, &[])?;
 //! assert_eq!(server.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
-//! # Ok::<(), cpm_suite::core::CpmError>(())
+//!
+//! // One event per object per batch, and only a live object moves: a
+//! // malformed batch is a typed refusal, and nothing changes.
+//! let lost = [ObjectEvent::Move { id: ObjectId(9), to: Point::new(0.5, 0.5) }];
+//! assert_eq!(
+//!     server.process_cycle(&lost, &[]),
+//!     Err(CpmError::Liveness { id: ObjectId(9), live: false })
+//! );
+//! # Ok::<(), CpmError>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -1,38 +1,44 @@
-//! Book-keeping invariants of the CPM engine under sustained load:
+//! Book-keeping invariants of CPM under sustained load:
 //! sorted visit lists, influence-region prefixes in lockstep with the
 //! influence table, ≤ 4 boundary boxes, live and distance-fresh results.
 
 use std::num::NonZeroUsize;
 
-use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
+use cpm_suite::core::{AnyQuerySpec, CpmServer, CpmServerBuilder, PointQuery, SpecEvent};
 use cpm_suite::gen::{NetworkWorkload, RoadNetwork, SpeedClass, WorkloadConfig};
 use cpm_suite::geom::QueryId;
 use cpm_suite::grid::QueryEvent;
 
-type Engine = ShardedCpmEngine<PointQuery>;
+/// A one-thread server over an empty `grid_dim²` grid.
+fn server(grid_dim: u32) -> CpmServer {
+    CpmServerBuilder::new(grid_dim)
+        .threads(NonZeroUsize::MIN)
+        .build()
+}
 
-/// The sequential engine loaded with the workload's objects and queries.
-fn installed(w: &NetworkWorkload, grid_dim: u32) -> Engine {
-    let mut m = Engine::new(grid_dim, NonZeroUsize::MIN);
+/// A one-thread server loaded with the workload's objects and queries.
+fn installed(w: &NetworkWorkload, grid_dim: u32) -> CpmServer {
+    let mut m = server(grid_dim);
     m.populate(w.initial_objects());
     for (qid, pos, k) in w.initial_queries() {
-        m.install(qid, PointQuery(pos), k).unwrap();
+        let _ = m.install_spec(qid, PointQuery(pos), k).unwrap();
     }
     m
 }
 
-fn lift(events: &[QueryEvent]) -> Vec<SpecEvent<PointQuery>> {
+fn lift(events: &[QueryEvent]) -> Vec<SpecEvent<AnyQuerySpec>> {
     events.iter().map(|&ev| ev.into()).collect()
 }
 
-fn run_with_invariants(config: WorkloadConfig, grid_dim: u32, ticks: usize) -> Engine {
+fn run_with_invariants(config: WorkloadConfig, grid_dim: u32, ticks: usize) -> CpmServer {
     let net = RoadNetwork::grid_city(10, 10, 0.25, 0.15, 5, config.seed);
     let mut w = NetworkWorkload::new(net, config);
     let mut m = installed(&w, grid_dim);
     m.check_invariants();
     for _ in 0..ticks {
         let tick = w.tick();
-        m.process_cycle(&tick.object_events, &lift(&tick.query_events));
+        m.process_cycle(&tick.object_events, &lift(&tick.query_events))
+            .unwrap();
         m.check_invariants();
     }
     m
@@ -88,19 +94,21 @@ fn query_churn_leaves_no_dangling_bookkeeping() {
     let net = RoadNetwork::grid_city(8, 8, 0.2, 0.1, 4, 9);
     let mut w = NetworkWorkload::new(net, config);
     let mut m = installed(&w, 64);
-    // Terminate and re-install queries while objects stream.
+    // Terminate and re-install queries while objects stream: the
+    // victim's terminate replaces its move, one event per query.
     for round in 0..10u32 {
         let tick = w.tick();
-        let mut qev = tick.query_events.clone();
         let victim = QueryId(round % 10);
+        let mut qev = tick.query_events.clone();
+        qev.retain(|ev| ev.id() != victim);
         qev.push(QueryEvent::Terminate { id: victim });
-        m.process_cycle(&tick.object_events, &lift(&qev));
+        m.process_cycle(&tick.object_events, &lift(&qev)).unwrap();
         m.check_invariants();
         let st = w
             .initial_queries()
             .nth(victim.index())
             .expect("query exists");
-        m.install(victim, PointQuery(st.1), st.2).unwrap();
+        let _ = m.install_spec(victim, PointQuery(st.1), st.2).unwrap();
         m.check_invariants();
     }
     // Tear everything down: all book-keeping must vanish.
@@ -124,11 +132,11 @@ fn influence_region_is_exactly_the_circle_cover() {
 
     let mut rng = StdRng::seed_from_u64(0x1F1);
     for dim in [8u32, 16, 32] {
-        let mut m = Engine::new(dim, NonZeroUsize::MIN);
+        let mut m = server(dim);
         m.populate((0..60u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
         for qi in 0..5u32 {
-            m.install(QueryId(qi), PointQuery(Point::new(rng.gen(), rng.gen())), 4)
-                .unwrap();
+            let q = PointQuery(Point::new(rng.gen(), rng.gen()));
+            let _ = m.install_spec(QueryId(qi), q, 4).unwrap();
         }
         // Also exercise the region after maintenance, not just after the
         // initial computation.
@@ -138,10 +146,11 @@ fn influence_region_is_exactly_the_circle_cover() {
                 to: Point::new(rng.gen(), rng.gen()),
             })
             .collect();
-        m.process_cycle(&events, &[]);
+        m.process_cycle(&events, &[]).unwrap();
 
         for qi in 0..5u32 {
             let st = m.query_state(QueryId(qi)).unwrap();
+            let q = st.spec.as_knn().unwrap();
             let bd = st.best_dist();
             assert!(bd.is_finite());
             let registered: std::collections::HashSet<_> = st.visit_list[..st.influence_len]
@@ -151,12 +160,12 @@ fn influence_region_is_exactly_the_circle_cover() {
             for row in 0..dim {
                 for col in 0..dim {
                     let cell = cpm_suite::grid::CellCoord::new(col, row);
-                    let inside = m.grid().mindist(cell, st.spec.0) <= bd;
+                    let inside = m.grid().mindist(cell, q) <= bd;
                     assert_eq!(
                         registered.contains(&cell),
                         inside,
                         "dim {dim} q{qi} cell {cell}: mindist {} vs bd {bd}",
-                        m.grid().mindist(cell, st.spec.0),
+                        m.grid().mindist(cell, q),
                     );
                 }
             }

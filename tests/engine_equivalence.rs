@@ -8,7 +8,7 @@
 use std::num::NonZeroUsize;
 
 use cpm_suite::core::{
-    AggregateFn, AnnQuery, ConstrainedQuery, PointQuery, QuerySpec, ShardedCpmEngine,
+    AggregateFn, AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmServer, CpmServerBuilder, PointQuery,
 };
 use cpm_suite::geom::{Point, QueryId, Rect};
 use cpm_suite::sim::{SimParams, SimulationInput, WorkloadKind};
@@ -33,18 +33,20 @@ fn query_points(seed: u64) -> Vec<Point> {
     (0..8).map(|_| Point::new(rng.gen(), rng.gen())).collect()
 }
 
-/// The sequential engine over `input`'s objects with one query per point,
+/// A one-thread server over `input`'s objects with one query per point,
 /// each built by `spec`.
-fn engine<S: QuerySpec + Send + Sync>(
+fn engine<S: Into<AnyQuerySpec>>(
     input: &SimulationInput,
     points: &[Point],
     k: usize,
     spec: impl Fn(Point) -> S,
-) -> ShardedCpmEngine<S> {
-    let mut e = ShardedCpmEngine::new(input.params.grid_dim, NonZeroUsize::MIN);
+) -> CpmServer {
+    let mut e = CpmServerBuilder::new(input.params.grid_dim)
+        .threads(NonZeroUsize::MIN)
+        .build();
     e.populate(input.initial_objects.iter().copied());
     for (i, &p) in points.iter().enumerate() {
-        e.install(QueryId(i as u32), spec(p), k).unwrap();
+        let _ = e.install_spec(QueryId(i as u32), spec(p), k).unwrap();
     }
     e
 }
@@ -59,8 +61,8 @@ fn workspace_constrained_equals_plain_knn() {
     });
 
     for tick in &input.ticks {
-        plain.process_cycle(&tick.object_events, &[]);
-        constrained.process_cycle(&tick.object_events, &[]);
+        plain.process_cycle(&tick.object_events, &[]).unwrap();
+        constrained.process_cycle(&tick.object_events, &[]).unwrap();
         for i in 0..points.len() as u32 {
             let a: Vec<f64> = plain
                 .result(QueryId(i))
@@ -93,8 +95,8 @@ fn workspace_constraint_does_the_same_work() {
         ConstrainedQuery::new(p, Rect::WORKSPACE)
     });
     for tick in &input.ticks {
-        plain.process_cycle(&tick.object_events, &[]);
-        constrained.process_cycle(&tick.object_events, &[]);
+        plain.process_cycle(&tick.object_events, &[]).unwrap();
+        constrained.process_cycle(&tick.object_events, &[]).unwrap();
     }
     let (a, b) = (plain.metrics(), constrained.metrics());
     assert_eq!(a.computations, b.computations);
@@ -112,8 +114,8 @@ fn singleton_aggregate_equals_plain_knn() {
         let mut ann = engine(&input, &points, 4, |p| AnnQuery::new(vec![p], f));
 
         for tick in &input.ticks {
-            plain.process_cycle(&tick.object_events, &[]);
-            ann.process_cycle(&tick.object_events, &[]);
+            plain.process_cycle(&tick.object_events, &[]).unwrap();
+            ann.process_cycle(&tick.object_events, &[]).unwrap();
             for i in 0..points.len() as u32 {
                 let a: Vec<_> = plain
                     .result(QueryId(i))

@@ -4,11 +4,16 @@
 
 use std::num::NonZeroUsize;
 
-use cpm_suite::core::{AggregateFn, AnnQuery, ConstrainedQuery, ShardedCpmEngine};
+use cpm_suite::core::{AggregateFn, AnnQuery, ConstrainedQuery, CpmServer, CpmServerBuilder};
 use cpm_suite::gen::{NetworkWorkload, RoadNetwork, WorkloadConfig};
 use cpm_suite::geom::{Point, QueryId, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A one-thread server over a 64² grid.
+fn server() -> CpmServer {
+    CpmServerBuilder::new(64).threads(NonZeroUsize::MIN).build()
+}
 
 fn workload(seed: u64) -> NetworkWorkload {
     let net = RoadNetwork::grid_city(10, 10, 0.25, 0.15, 6, seed);
@@ -33,7 +38,7 @@ fn ann_monitors_track_brute_force_over_network_streams() {
     ] {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA11);
         let mut w = workload(seed);
-        let mut monitor = ShardedCpmEngine::<AnnQuery>::new(64, NonZeroUsize::MIN);
+        let mut monitor = server();
         monitor.populate(w.initial_objects());
 
         // Three ANN queries with 2-5 member points each.
@@ -46,12 +51,12 @@ fn ann_monitors_track_brute_force_over_network_streams() {
             })
             .collect();
         for (qid, q) in &queries {
-            monitor.install(*qid, q.clone(), 3).unwrap();
+            let _ = monitor.install_spec(*qid, q.clone(), 3).unwrap();
         }
 
         for _ in 0..15 {
             let tick = w.tick();
-            monitor.process_cycle(&tick.object_events, &[]);
+            monitor.process_cycle(&tick.object_events, &[]).unwrap();
             monitor.check_invariants();
             for (qid, q) in &queries {
                 let mut expect: Vec<f64> = monitor
@@ -79,7 +84,7 @@ fn ann_monitors_track_brute_force_over_network_streams() {
 #[test]
 fn constrained_monitor_tracks_filtered_brute_force() {
     let mut w = workload(11);
-    let mut monitor = ShardedCpmEngine::<ConstrainedQuery>::new(64, NonZeroUsize::MIN);
+    let mut monitor = server();
     monitor.populate(w.initial_objects());
 
     let zones = [
@@ -97,12 +102,12 @@ fn constrained_monitor_tracks_filtered_brute_force() {
         })
         .collect();
     for (qid, q) in &queries {
-        monitor.install(*qid, q.clone(), 2).unwrap();
+        let _ = monitor.install_spec(*qid, q.clone(), 2).unwrap();
     }
 
     for _ in 0..15 {
         let tick = w.tick();
-        monitor.process_cycle(&tick.object_events, &[]);
+        monitor.process_cycle(&tick.object_events, &[]).unwrap();
         monitor.check_invariants();
         for (qid, q) in &queries {
             let mut expect: Vec<f64> = monitor
@@ -131,12 +136,12 @@ fn constrained_monitor_tracks_filtered_brute_force() {
 fn ann_query_set_updates_stay_correct() {
     let mut rng = StdRng::seed_from_u64(0xF00D);
     let mut w = workload(21);
-    let mut monitor = ShardedCpmEngine::<AnnQuery>::new(64, NonZeroUsize::MIN);
+    let mut monitor = server();
     monitor.populate(w.initial_objects());
     let qid = QueryId(0);
     let mut pts: Vec<Point> = (0..3).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-    monitor
-        .install(qid, AnnQuery::new(pts.clone(), AggregateFn::Sum), 2)
+    let _ = monitor
+        .install_spec(qid, AnnQuery::new(pts.clone(), AggregateFn::Sum), 2)
         .unwrap();
 
     for _ in 0..10 {
@@ -149,13 +154,15 @@ fn ann_query_set_updates_stay_correct() {
             );
         }
         let spec = AnnQuery::new(pts.clone(), AggregateFn::Sum);
-        monitor.process_cycle(
-            &tick.object_events,
-            &[cpm_suite::core::SpecEvent::Update {
-                id: qid,
-                spec: spec.clone(),
-            }],
-        );
+        monitor
+            .process_cycle(
+                &tick.object_events,
+                &[cpm_suite::core::SpecEvent::Update {
+                    id: qid,
+                    spec: spec.clone().into(),
+                }],
+            )
+            .unwrap();
         monitor.check_invariants();
         let mut expect: Vec<f64> = monitor
             .grid()

@@ -1,15 +1,16 @@
 //! Failure injection and degenerate configurations: disappearance bursts,
 //! mass teleports, single-cell pile-ups, workspace corners/edges,
-//! out-of-range coordinates, malformed event batches rejected at the
-//! unified server's ingest boundary, and cluster configurations refused
-//! before any worker starts.
+//! malformed event batches — bad coordinates, repeated ids, events that
+//! do not fit an object's liveness — rejected at the unified server's
+//! ingest boundary, and cluster configurations refused before any worker
+//! starts.
 
 use std::num::NonZeroUsize;
 
 use cpm_suite::cluster::{duplex, ClusterConfig, ClusterCoordinator, ClusterError};
 use cpm_suite::core::{
     AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServer, CpmServerBuilder,
-    DurableCpmServer, PointQuery, RangeQuery, Region, ShardedCpmEngine, SpecEvent,
+    DurableCpmServer, PointQuery, RangeQuery, Region, Snapshot, SpecEvent,
 };
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{ObjectEvent, QueryEvent};
@@ -203,28 +204,6 @@ fn queries_on_corners_edges_and_cell_boundaries() {
     }
 }
 
-#[test]
-fn out_of_range_coordinates_are_clamped_not_fatal() {
-    // The bare engine trusts its caller; the grid snaps an update wildly
-    // outside the workspace to the boundary (the server rejects it, below).
-    let mut m = ShardedCpmEngine::<PointQuery>::new(16, NonZeroUsize::MIN);
-    m.populate([(ObjectId(0), Point::new(0.5, 0.5))]);
-    m.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 1)
-        .unwrap();
-    m.process_cycle(
-        &[ObjectEvent::Move {
-            id: ObjectId(0),
-            to: Point::new(7.3, -2.0),
-        }],
-        &[],
-    );
-    let n = &m.result(QueryId(0)).unwrap()[0];
-    let clamped = m.grid().position(ObjectId(0)).unwrap();
-    assert!(clamped.x < 1.0 && clamped.y == 0.0);
-    assert!((n.dist - Point::new(0.5, 0.5).dist(clamped)).abs() < 1e-9);
-    m.check_invariants();
-}
-
 /// A populated server with one k-NN query, for ingest-rejection tests.
 fn small_server() -> CpmServer {
     let mut s = CpmServerBuilder::new(16)
@@ -339,6 +318,110 @@ fn server_rejects_malformed_event_batches_typed() {
     assert_eq!(s.epoch(), 1);
     let _ = changed;
     s.check_invariants();
+}
+
+/// Objects 0–3 and one k-NN query: the state the liveness refusals
+/// start from.
+fn four_objects() -> CpmServer {
+    let mut s = CpmServerBuilder::new(16)
+        .threads(NonZeroUsize::new(2).unwrap())
+        .build();
+    s.populate((0..4u32).map(|i| (ObjectId(i), Point::new(0.2 + f64::from(i) / 10.0, 0.5))));
+    let _ = s
+        .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
+        .unwrap();
+    s
+}
+
+/// `bad`, behind a valid move of object 0, is refused with `want` by the
+/// server, the durable server and a two-worker cluster. The server's
+/// state afterwards snapshots to the same bytes as before the batch, and
+/// the durable server journals nothing.
+fn assert_liveness_refusal(bad: ObjectEvent, want: CpmError) {
+    let batch = [
+        ObjectEvent::Move {
+            id: ObjectId(0),
+            to: Point::new(0.45, 0.55),
+        },
+        bad,
+    ];
+    let mut s = four_objects();
+    let before = Snapshot::capture(&s, 0).to_frame();
+    let err = s.process_cycle(&batch, &[]).unwrap_err();
+    assert_eq!(err, want);
+    assert!(!err.to_string().is_empty());
+    assert!(Snapshot::capture(&s, 0).to_frame() == before, "state moved");
+    s.check_invariants();
+
+    let mut durable = DurableCpmServer::new(four_objects(), 0);
+    assert_eq!(durable.process_cycle(&batch, &[]).unwrap_err(), want);
+    assert!(
+        durable.journal_bytes().is_empty(),
+        "a refusal was journaled"
+    );
+    assert_eq!(durable.server().epoch(), 0);
+
+    // The cluster's router refuses the same batch.
+    let (mut coord, handles) =
+        ClusterCoordinator::spawn_in_process(ClusterConfig::new(16, 2)).unwrap();
+    let appear = (0..4u32).map(|i| ObjectEvent::Appear {
+        id: ObjectId(i),
+        pos: Point::new(0.2 + f64::from(i) / 10.0, 0.5),
+    });
+    coord
+        .process_cycle(&appear.collect::<Vec<_>>(), &[])
+        .unwrap();
+    let err = coord.process_cycle(&batch, &[]).unwrap_err();
+    assert!(matches!(err, ClusterError::Protocol { .. }), "{err}");
+    coord.shutdown().unwrap();
+    for h in handles {
+        h.join().unwrap().unwrap();
+    }
+}
+
+/// A move of an object that is not live is a lost appear upstream.
+#[test]
+fn server_refuses_a_move_of_an_off_line_object_typed() {
+    let bad = ObjectEvent::Move {
+        id: ObjectId(9),
+        to: Point::new(0.5, 0.5),
+    };
+    assert_liveness_refusal(
+        bad,
+        CpmError::Liveness {
+            id: ObjectId(9),
+            live: false,
+        },
+    );
+}
+
+/// A disappear of an object that is not live is a replayed disappear.
+#[test]
+fn server_refuses_a_disappear_of_an_off_line_object_typed() {
+    let bad = ObjectEvent::Disappear { id: ObjectId(9) };
+    assert_liveness_refusal(
+        bad,
+        CpmError::Liveness {
+            id: ObjectId(9),
+            live: false,
+        },
+    );
+}
+
+/// An appear of an object that is already live is a replayed appear.
+#[test]
+fn server_refuses_an_appear_of_a_live_object_typed() {
+    let bad = ObjectEvent::Appear {
+        id: ObjectId(1),
+        pos: Point::new(0.9, 0.9),
+    };
+    assert_liveness_refusal(
+        bad,
+        CpmError::Liveness {
+            id: ObjectId(1),
+            live: true,
+        },
+    );
 }
 
 /// One query geometry per kind whose numbers no search can use: a NaN or

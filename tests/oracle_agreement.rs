@@ -116,16 +116,13 @@ fn tiny_population_large_k() {
         ..base()
     });
     // Every object is then a member of every result, so one more batch
-    // respawns a current result member: `Disappear` then `Appear` of the
-    // same id (the generator's Brinkhoff life cycle), applied in order.
+    // respawns a current result member elsewhere: one `Move` of the id,
+    // as the generator emits its Brinkhoff life cycle.
     input.ticks.push(TickEvents {
-        object_events: vec![
-            ObjectEvent::Disappear { id: ObjectId(0) },
-            ObjectEvent::Appear {
-                id: ObjectId(0),
-                pos: Point::new(0.9, 0.1),
-            },
-        ],
+        object_events: vec![ObjectEvent::Move {
+            id: ObjectId(0),
+            to: Point::new(0.9, 0.1),
+        }],
         query_events: Vec::new(),
     });
     verify_against_oracle(&input);

@@ -6,14 +6,15 @@
 use std::num::NonZeroUsize;
 
 use cpm_suite::baselines::{SeaCnnMonitor, YpkCnnMonitor};
-use cpm_suite::core::{PointQuery, ShardedCpmEngine};
+use cpm_suite::core::{CpmServer, CpmServerBuilder, PointQuery, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{ObjectEvent, QueryEvent};
 
-/// CPM as the paper describes it: the engine over point queries, on one
-/// thread.
-fn cpm_monitor(dim: u32) -> ShardedCpmEngine<PointQuery> {
-    ShardedCpmEngine::new(dim, NonZeroUsize::MIN)
+/// CPM as the paper describes it: point queries, on one thread.
+fn cpm_monitor(dim: u32) -> CpmServer {
+    CpmServerBuilder::new(dim)
+        .threads(NonZeroUsize::MIN)
+        .build()
 }
 
 /// Figure 4.3a: the only update is an object moving *inside* the
@@ -32,7 +33,7 @@ fn incomer_within_best_dist_fig_4_3a() {
     let mut sea = SeaCnnMonitor::new(16);
     cpm.populate(objects);
     sea.populate(objects);
-    cpm.install(q.0, PointQuery(q.1), q.2).unwrap();
+    let _ = cpm.install_spec(q.0, PointQuery(q.1), q.2).unwrap();
     sea.install_query(q.0, q.1, q.2);
     cpm.take_metrics();
     sea.take_metrics();
@@ -41,7 +42,7 @@ fn incomer_within_best_dist_fig_4_3a() {
         id: ObjectId(6),
         to: Point::new(0.51, 0.52), // closer than the current NN
     }];
-    let c1 = cpm.process_cycle(&update, &[]);
+    let c1 = cpm.process_cycle(&update, &[]).unwrap();
     let c2 = sea.process_cycle(&update, &[]);
     assert_eq!(c1, vec![QueryId(0)]);
     assert_eq!(c2, vec![QueryId(0)]);
@@ -78,7 +79,8 @@ fn outgoing_nn_cost_grows_with_distance_for_baselines_fig_4_2b() {
         let mut ypk = YpkCnnMonitor::new(32);
         cpm.populate(objects);
         ypk.populate(objects);
-        cpm.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 1)
+        let _ = cpm
+            .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 1)
             .unwrap();
         ypk.install_query(QueryId(0), Point::new(0.5, 0.5), 1);
         cpm.take_metrics();
@@ -87,7 +89,7 @@ fn outgoing_nn_cost_grows_with_distance_for_baselines_fig_4_2b() {
             id: ObjectId(1),
             to: dest,
         }];
-        cpm.process_cycle(&update, &[]);
+        cpm.process_cycle(&update, &[]).unwrap();
         ypk.process_cycle(&update, &[]);
         assert_eq!(cpm.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
         assert_eq!(ypk.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
@@ -131,7 +133,8 @@ fn query_displacement_cost_fig_4_3b() {
         let mut sea = SeaCnnMonitor::new(32);
         cpm.populate(objects.iter().copied());
         sea.populate(objects.iter().copied());
-        cpm.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
+        let _ = cpm
+            .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
             .unwrap();
         sea.install_query(QueryId(0), Point::new(0.5, 0.5), 2);
         cpm.take_metrics();
@@ -140,7 +143,7 @@ fn query_displacement_cost_fig_4_3b() {
             id: QueryId(0),
             to: dest,
         }];
-        cpm.process_cycle(&[], &mv.map(Into::into));
+        cpm.process_cycle(&[], &mv.map(SpecEvent::from)).unwrap();
         sea.process_cycle(&[], &mv);
         (
             cpm.metrics().objects_processed,
@@ -168,18 +171,21 @@ fn far_updates_are_completely_ignored() {
     ];
     let mut cpm = cpm_monitor(32);
     cpm.populate(objects);
-    cpm.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
+    let _ = cpm
+        .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
         .unwrap();
     cpm.take_metrics();
     // The far object jumps across the whole workspace, far from q.
     for dest in [Point::new(0.95, 0.05), Point::new(0.05, 0.95)] {
-        let changed = cpm.process_cycle(
-            &[ObjectEvent::Move {
-                id: ObjectId(3),
-                to: dest,
-            }],
-            &[],
-        );
+        let changed = cpm
+            .process_cycle(
+                &[ObjectEvent::Move {
+                    id: ObjectId(3),
+                    to: dest,
+                }],
+                &[],
+            )
+            .unwrap();
         assert!(changed.is_empty());
     }
     let m = cpm.metrics();

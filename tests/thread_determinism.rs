@@ -1,13 +1,15 @@
 //! Determinism of parallel maintenance: a server on `T ∈ {2, 4}` threads
 //! must report **bit-identical** results, changed lists, delta batches,
-//! per-cycle metrics totals and influence lists (order included) to
-//! `T = 1` — threads may move work between them, never change it.
+//! per-cycle metrics totals and influence regions to `T = 1` — threads
+//! may move work between them, never change it.
 //!
 //! The harness-backed tests below replay test-sized streams, whose cycles
 //! fall under the engine's inline grain: they pin the one code path at
 //! every `T` against brute force. The last test is sized so that resolve,
 //! the query events and the re-grids really split, and compares the
-//! servers' every output and influence list directly.
+//! servers' every output and every query's book-keeping directly. The
+//! order inside each cell's influence list is engine-internal; the
+//! engine's own unit test compares it across thread counts.
 
 mod common;
 
@@ -258,14 +260,19 @@ fn split_stream(seed: u64) -> Vec<Batch> {
     stream
 }
 
-/// Every cell's influence list, in order.
-fn influence_lists(server: &CpmServer) -> Vec<Vec<u32>> {
-    let dim = server.grid().dim();
-    let influence = server.engine().influence();
-    let cells = (0..dim).flat_map(|r| (0..dim).map(move |c| CellCoord::new(c, r)));
-    cells
-        .map(|cell| influence.queries_at(cell).to_vec())
-        .collect()
+/// One query's book-keeping: its id, how many of its visited cells are
+/// registered (the influence region), the visit list and the frontier's
+/// cell count.
+type BookKeeping = (QueryId, usize, Vec<(CellCoord, f64)>, usize);
+
+/// Every query's book-keeping, ascending by id.
+fn book_keeping(server: &CpmServer) -> Vec<BookKeeping> {
+    let state = |id| {
+        let st = server.query_state(id).expect("listed");
+        let frontier = st.heap.cell_entries();
+        (id, st.influence_len, st.visit_list.clone(), frontier)
+    };
+    server.query_ids().into_iter().map(state).collect()
 }
 
 #[test]
@@ -291,7 +298,7 @@ fn every_parallel_step_is_bit_identical_across_thread_counts() {
                 .unwrap_or_else(|e| panic!("cycle {cycle} refused: {e}"));
             server.check_invariants();
             let metrics = server.metrics();
-            outputs.push((batch.encode_to_vec(), metrics, influence_lists(server)));
+            outputs.push((batch.encode_to_vec(), metrics, book_keeping(server)));
         }
         for (threads, output) in [2, 4].iter().zip(&outputs[1..]) {
             assert!(

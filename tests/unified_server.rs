@@ -2,7 +2,7 @@
 //! server hosting k-NN, range, aggregate-NN, constrained and reverse-NN
 //! queries on **one grid with one ingest pass per cycle** (unified
 //! `AnyQuerySpec` dispatch) must be bit-identical to dedicated
-//! single-kind `ShardedCpmEngine<Spec>`s and correct against brute-force
+//! single-query servers, one per kind, and correct against brute-force
 //! oracles — for thread counts T ∈ {1, 4}, with moving queries and
 //! mid-stream install/terminate.
 //!
@@ -14,8 +14,8 @@ use std::num::NonZeroUsize;
 
 use common::thread_lanes;
 use cpm_suite::core::{
-    AggregateFn, AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServerBuilder, PointQuery,
-    QuerySpec, RangeQuery, ShardedCpmEngine, SpecEvent,
+    AggregateFn, AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServer, CpmServerBuilder,
+    PointQuery, RangeQuery, SpecEvent,
 };
 use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
 use cpm_suite::grid::{ObjectEvent, QueryKind};
@@ -26,25 +26,28 @@ use rand::{Rng, SeedableRng};
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
-/// A dedicated single-kind engine hosting one query.
-fn dedicated<S: QuerySpec + Send + Sync>(
+/// A dedicated server hosting one query.
+fn dedicated(
     dim: u32,
     threads: usize,
     objects: &[(ObjectId, Point)],
     id: QueryId,
-    spec: S,
+    spec: impl Into<AnyQuerySpec>,
     k: usize,
-) -> ShardedCpmEngine<S> {
-    let mut e = ShardedCpmEngine::new(dim, NonZeroUsize::new(threads).unwrap());
+) -> CpmServer {
+    let mut e = CpmServerBuilder::new(dim)
+        .threads(NonZeroUsize::new(threads).unwrap())
+        .build();
     e.populate(objects.iter().copied());
-    e.install(id, spec, k).unwrap();
+    let _ = e.install_spec(id, spec, k).unwrap();
     e
 }
 
 /// The full harness sweep: one server hosting every kind vs brute force,
 /// with object churn, moving queries and mid-stream install/terminate of
-/// every kind, at T ∈ {1, 4}. (Bit-identity to the dedicated single-kind
-/// engines is `server_results_match_dedicated_engines` below.)
+/// every kind, at T ∈ {1, 4}. (Bit-identity to the dedicated
+/// single-query servers is `server_results_match_dedicated_engines`
+/// below.)
 #[test]
 fn unified_server_matches_dedicated_engines_and_oracles() {
     let stream = OpStream::mixed(0x0CF5, 90, 30, Anchors::Free);
@@ -119,8 +122,9 @@ fn one_cycle_one_ingest_regardless_of_kind_count() {
     }
 }
 
-/// Server results must be bit-identical to dedicated single-kind engines
-/// on a shared random stream, and its changed list the union of theirs.
+/// Server results must be bit-identical to dedicated single-query
+/// servers on a shared random stream, and its changed list the union of
+/// theirs.
 #[test]
 fn server_results_match_dedicated_engines() {
     let mut rng = StdRng::seed_from_u64(0x0DD);
@@ -174,10 +178,10 @@ fn server_results_match_dedicated_engines() {
                 }
             }
             let changed = server.process_cycle(&events, &[]).unwrap();
-            let mut dedicated = knn.process_cycle(&events, &[]);
-            dedicated.extend(range.process_cycle(&events, &[]));
-            dedicated.extend(ann.process_cycle(&events, &[]));
-            dedicated.extend(con.process_cycle(&events, &[]));
+            let mut dedicated = Vec::new();
+            for one in [&mut knn, &mut range, &mut ann, &mut con] {
+                dedicated.extend(one.process_cycle(&events, &[]).unwrap());
+            }
             assert_eq!(changed, dedicated, "changed lists (threads={threads})");
             assert_eq!(
                 server.result(QueryId(0)).unwrap(),
