@@ -76,7 +76,9 @@ pub fn measure(cfg: &Config) -> BenchRecord {
             .threads(threads(cfg.threads))
             .deltas(deltas)
             .build();
-        server.populate(w.objects.iter().copied());
+        server
+            .populate(w.objects.iter().copied())
+            .expect("a valid initial population");
         for &(qid, pos) in &w.queries {
             let _ = server
                 .install_spec(qid, PointQuery(pos), cfg.k)

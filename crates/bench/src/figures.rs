@@ -355,7 +355,9 @@ pub const SWEEPS: &[Sweep] = &[
         contenders: &[
             Contender::Study("CPM six-region", |_, input| {
                 let mut server = CpmServerBuilder::new(input.params.grid_dim).build();
-                server.populate(input.initial_objects.iter().copied());
+                server
+                    .populate(input.initial_objects.iter().copied())
+                    .expect("a valid initial population");
                 for &(id, pos, _) in &input.initial_queries {
                     let _ = server
                         .install_rnn(id, pos)

@@ -96,7 +96,9 @@ pub(crate) fn cpm<S: Into<AnyQuerySpec>>(
     let mut server = CpmServerBuilder::new(input.params.grid_dim)
         .threads(NonZeroUsize::MIN)
         .build();
-    server.populate(input.initial_objects.iter().copied());
+    server
+        .populate(input.initial_objects.iter().copied())
+        .expect("a valid initial population");
     for (id, spec, k) in queries {
         let _ = server
             .install_spec(id, spec, k)

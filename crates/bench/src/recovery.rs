@@ -103,7 +103,9 @@ pub fn measure(cfg: &Config) -> BenchRecord {
         let mut server = CpmServerBuilder::new(cfg.grid_dim)
             .threads(threads(cfg.threads))
             .build();
-        server.populate(w.objects.iter().copied());
+        server
+            .populate(w.objects.iter().copied())
+            .expect("a valid initial population");
         let mut durable = DurableCpmServer::new(server, cfg.checkpoint_every);
         let mut query_ids = Vec::new();
         for &(id, pos) in &w.queries {

@@ -76,7 +76,8 @@ pub fn measure(cfg: &Config) -> BenchRecord {
             .threads(threads(s.threads))
             .regrid(policy)
             .build();
-        m.populate(drift.objects.iter().copied());
+        m.populate(drift.objects.iter().copied())
+            .expect("a valid initial population");
         for &(qid, pos, k) in &drift.queries {
             let _ = m
                 .install_spec(qid, PointQuery(pos), k)

@@ -80,7 +80,9 @@ pub fn measure(cfg: &Config) -> BenchRecord {
         let mut server = CpmServerBuilder::new(cfg.grid_dim)
             .threads(threads(cfg.threads))
             .build();
-        server.populate(w.objects.iter().copied());
+        server
+            .populate(w.objects.iter().copied())
+            .expect("a valid initial population");
         server
     };
     for _ in 0..REPS {

@@ -98,7 +98,9 @@ pub fn measure(cfg: &Config) -> BenchRecord {
                     .threads(workload::threads(threads))
                     .deltas(true)
                     .build();
-                server.populate(objects.iter().copied());
+                server
+                    .populate(objects.iter().copied())
+                    .expect("a valid initial population");
                 for &(qid, pos, k) in &queries {
                     let _ = server
                         .install_spec(qid, PointQuery(pos), k)

@@ -165,19 +165,21 @@ impl QuerySpec for AnnQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::CpmEngine;
+    use crate::{CpmServer, CpmServerBuilder};
     use cpm_geom::{ObjectId, QueryId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::num::NonZeroUsize;
 
-    fn assert_matches(engine: &CpmEngine<AnnQuery>, qid: QueryId) {
-        let st = engine.query_state(qid).unwrap();
-        let mut expect: Vec<f64> = engine
-            .grid()
-            .iter_objects()
-            .map(|(_, p)| st.spec.adist(p))
-            .collect();
+    fn server(dim: u32) -> CpmServer {
+        CpmServerBuilder::new(dim)
+            .threads(NonZeroUsize::MIN)
+            .build()
+    }
+
+    fn assert_matches(m: &CpmServer, qid: QueryId, q: &AnnQuery) {
+        let st = m.query_state(qid).unwrap();
+        let mut expect: Vec<f64> = m.grid().iter_objects().map(|(_, p)| q.adist(p)).collect();
         expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
         expect.truncate(st.k());
         let got: Vec<f64> = st.result().iter().map(|n| n.dist).collect();
@@ -197,14 +199,15 @@ mod tests {
 
     #[test]
     fn sum_ann_finds_meeting_object_fig_5_1() {
-        let mut m = CpmEngine::<AnnQuery>::new(16, NonZeroUsize::MIN);
+        let mut m = server(16);
         m.populate([
             (ObjectId(1), Point::new(0.15, 0.85)),
             (ObjectId(2), Point::new(0.42, 0.48)), // near the centroid
             (ObjectId(3), Point::new(0.85, 0.15)),
             (ObjectId(4), Point::new(0.9, 0.9)),
             (ObjectId(5), Point::new(0.55, 0.60)),
-        ]);
+        ])
+        .unwrap();
         let q = AnnQuery::new(
             vec![
                 Point::new(0.3, 0.4),
@@ -213,9 +216,9 @@ mod tests {
             ],
             AggregateFn::Sum,
         );
-        m.install(QueryId(0), q, 1);
+        m.install_spec(QueryId(0), q.clone(), 1).unwrap();
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
-        assert_matches(&m, QueryId(0));
+        assert_matches(&m, QueryId(0), &q);
         m.check_invariants();
     }
 
@@ -223,11 +226,13 @@ mod tests {
     fn min_and_max_agree_with_brute_force() {
         let mut rng = StdRng::seed_from_u64(42);
         for f in [AggregateFn::Min, AggregateFn::Max, AggregateFn::Sum] {
-            let mut m = CpmEngine::<AnnQuery>::new(32, NonZeroUsize::MIN);
-            m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
+            let mut m = server(32);
+            m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))))
+                .unwrap();
             let pts = (0..4).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-            m.install(QueryId(0), AnnQuery::new(pts, f), 3);
-            assert_matches(&m, QueryId(0));
+            let q = AnnQuery::new(pts, f);
+            m.install_spec(QueryId(0), q.clone(), 3).unwrap();
+            assert_matches(&m, QueryId(0), &q);
             m.check_invariants();
         }
     }

@@ -8,10 +8,10 @@
 //! variant from the same machinery. `AnyQuerySpec` makes that explicit as
 //! an enum whose [`QuerySpec`] implementation dispatches to the concrete
 //! geometry, which is exactly what the [`crate::CpmServer`] facade and the
-//! mixed-kind subscription hub run on. Dispatch only forwards — every
-//! arithmetic path is the concrete spec's own — so results are
-//! **bit-identical** to a single-kind engine over the concrete spec
-//! (asserted by `tests/unified_server.rs`).
+//! mixed-kind subscription hub run on; it is the engine's one query
+//! type. Dispatch only forwards — every arithmetic path is the concrete
+//! spec's own — so a query's result does not depend on which other kinds
+//! share the server (asserted by `tests/unified_server.rs`).
 
 use cpm_geom::{ObjectId, Point, Rect};
 use cpm_grid::{CellCoord, Coords, GridGeom, QueryKind};

@@ -85,18 +85,34 @@ impl QuerySpec for ConstrainedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::CpmEngine;
+    use crate::{CpmServer, CpmServerBuilder};
     use cpm_geom::{ObjectId, QueryId};
     use cpm_grid::ObjectEvent;
     use std::num::NonZeroUsize;
 
-    fn assert_matches(m: &CpmEngine<ConstrainedQuery>, qid: QueryId) {
-        let st = m.query_state(qid).unwrap();
+    /// A `T = 1` server holding `objects` and constrained query 0.
+    fn server(objects: &[(ObjectId, Point)], q: &ConstrainedQuery, k: usize) -> CpmServer {
+        let mut m = CpmServerBuilder::new(8).threads(NonZeroUsize::MIN).build();
+        m.populate(objects.iter().copied()).unwrap();
+        m.install_spec(QueryId(0), q.clone(), k).unwrap();
+        m
+    }
+
+    fn step(m: &mut CpmServer, id: u32, to: Point) {
+        let ev = ObjectEvent::Move {
+            id: ObjectId(id),
+            to,
+        };
+        m.process_cycle(&[ev], &[]).unwrap();
+    }
+
+    fn assert_matches(m: &CpmServer, q: &ConstrainedQuery) {
+        let st = m.query_state(QueryId(0)).unwrap();
         let mut expect: Vec<f64> = m
             .grid()
             .iter_objects()
-            .filter(|&(_, p)| st.spec.region.contains(p))
-            .map(|(_, p)| st.spec.q.dist(p))
+            .filter(|&(_, p)| q.region.contains(p))
+            .map(|(_, p)| q.q.dist(p))
             .collect();
         expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
         expect.truncate(st.k());
@@ -111,73 +127,57 @@ mod tests {
     /// unconstrained NN (west of q) must not be reported.
     #[test]
     fn northeast_constraint_fig_5_3() {
-        let mut m = CpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
-        m.populate([
+        let objects = [
             (ObjectId(1), Point::new(0.45, 0.55)), // p1: unconstrained NN, NW
             (ObjectId(2), Point::new(0.58, 0.45)), // p2: east but south
             (ObjectId(3), Point::new(0.70, 0.70)), // p3: the constrained NN
-        ]);
+        ];
         let q = ConstrainedQuery::northeast_of(Point::new(0.52, 0.52));
-        m.install(QueryId(0), q, 1);
+        let m = server(&objects, &q, 1);
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(3));
-        assert_matches(&m, QueryId(0));
+        assert_matches(&m, &q);
         m.check_invariants();
     }
 
     #[test]
     fn object_leaving_region_is_outgoing() {
-        let mut m = CpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
-        m.populate([
+        let objects = [
             (ObjectId(1), Point::new(0.6, 0.6)),
             (ObjectId(2), Point::new(0.8, 0.8)),
-        ]);
+        ];
         let q = ConstrainedQuery::northeast_of(Point::new(0.5, 0.5));
-        m.install(QueryId(0), q, 1);
+        let mut m = server(&objects, &q, 1);
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
         // The NN drifts out of the constraint region (still near q!).
-        m.process_cycle(
-            &[ObjectEvent::Move {
-                id: ObjectId(1),
-                to: Point::new(0.45, 0.55),
-            }],
-            &[],
-        );
+        step(&mut m, 1, Point::new(0.45, 0.55));
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
-        assert_matches(&m, QueryId(0));
+        assert_matches(&m, &q);
         m.check_invariants();
     }
 
     #[test]
     fn object_entering_region_is_incoming() {
-        let mut m = CpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
-        m.populate([
+        let objects = [
             (ObjectId(1), Point::new(0.9, 0.9)),
             (ObjectId(2), Point::new(0.45, 0.55)),
-        ]);
+        ];
         let q = ConstrainedQuery::northeast_of(Point::new(0.5, 0.5));
-        m.install(QueryId(0), q, 1);
+        let mut m = server(&objects, &q, 1);
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
-        m.process_cycle(
-            &[ObjectEvent::Move {
-                id: ObjectId(2),
-                to: Point::new(0.55, 0.56),
-            }],
-            &[],
-        );
+        step(&mut m, 2, Point::new(0.55, 0.56));
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
-        assert_matches(&m, QueryId(0));
+        assert_matches(&m, &q);
         m.check_invariants();
     }
 
     #[test]
     fn region_with_too_few_objects_returns_partial_result() {
-        let mut m = CpmEngine::<ConstrainedQuery>::new(8, NonZeroUsize::MIN);
-        m.populate([
+        let objects = [
             (ObjectId(1), Point::new(0.1, 0.1)),
             (ObjectId(2), Point::new(0.7, 0.7)),
-        ]);
+        ];
         let q = ConstrainedQuery::northeast_of(Point::new(0.5, 0.5));
-        m.install(QueryId(0), q, 4);
+        let m = server(&objects, &q, 4);
         assert_eq!(m.result(QueryId(0)).unwrap().len(), 1);
         m.check_invariants();
     }

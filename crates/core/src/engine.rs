@@ -1,12 +1,13 @@
-//! The generic CPM engine: conceptual-partitioning monitoring over any
-//! query geometry.
+//! The CPM engine: conceptual-partitioning monitoring over any query
+//! geometry.
 //!
 //! Section 5 argues that "CPM provides a general methodology that can be
 //! applied to several types of spatial queries". This module is that claim
 //! made executable: the search/maintenance machinery of Section 3 —
 //! best-first traversal of cells and conceptual rectangles, visit list,
 //! search heap, influence lists, batched in/out update handling — written
-//! once, parameterized by a [`QuerySpec`] that supplies:
+//! once, over the [`QuerySpec`] each query's [`AnyQuerySpec`] dispatches
+//! to, which supplies:
 //!
 //! * the (aggregate) distance from the query to a point,
 //! * the lower-bound key of a cell (`mindist` / `amindist`),
@@ -68,7 +69,7 @@ pub trait QuerySpec: std::fmt::Debug + Clone {
     /// the distance to every object of `oids`, reading positions from
     /// the grid's struct-of-arrays columns (`out[i] =
     /// dist(position(oids[i]))`). The engine's bucket scans call this
-    /// with a per-query reused buffer.
+    /// with a per-worker reused buffer.
     ///
     /// Implementations must be **bit-identical** to the per-object
     /// scalar path — same `f64` bits, hence the same `total_cmp`
@@ -148,7 +149,8 @@ impl QuerySpec for PointQuery {
     }
 }
 
-/// Query events understood by the generic engine.
+/// Query events understood by the engine; the server and the engine
+/// carry them over [`AnyQuerySpec`].
 #[derive(Debug, Clone)]
 pub enum SpecEvent<S> {
     /// Register a new continuous query.
@@ -175,7 +177,7 @@ pub enum SpecEvent<S> {
     },
 }
 
-impl<S> SpecEvent<S> {
+impl SpecEvent<AnyQuerySpec> {
     /// The query this event concerns.
     pub fn id(&self) -> QueryId {
         match *self {
@@ -207,13 +209,13 @@ impl From<QueryEvent> for SpecEvent<AnyQuerySpec> {
 }
 
 /// Book-keeping for one engine-managed query: the query-table entry of
-/// Figure 3.3a, with the query point generalized to a [`QuerySpec`].
+/// Figure 3.3a, with the query point generalized to a query geometry.
 #[derive(Debug, Clone)]
-pub struct SpecQueryState<S> {
+pub struct SpecQueryState {
     /// Query identifier.
     pub id: QueryId,
     /// Query geometry.
-    pub spec: S,
+    pub spec: AnyQuerySpec,
     /// Current result, ascending by (aggregate) distance.
     pub best: NeighborList,
     /// Cells processed during search, ascending by key; superset of the
@@ -233,8 +235,8 @@ pub struct SpecQueryState<S> {
     in_list: InList,
 }
 
-impl<S: QuerySpec> SpecQueryState<S> {
-    pub(crate) fn new(id: QueryId, slot: u32, spec: S, k: usize, dim: u32) -> Self {
+impl SpecQueryState {
+    pub(crate) fn new(id: QueryId, slot: u32, spec: AnyQuerySpec, k: usize, dim: u32) -> Self {
         Self {
             id,
             slot,
@@ -323,14 +325,14 @@ impl Worker {
     /// Search `st` from scratch for `search`: query event `i` of `events`
     /// (an install, or an update to the event's geometry) or a re-grid
     /// re-registration.
-    pub(crate) fn search<S: QuerySpec>(
+    pub(crate) fn search(
         &mut self,
         grid: &Grid,
         epoch: u64,
         collect_deltas: bool,
         search: Search,
-        events: &[SpecEvent<S>],
-        st: &mut SpecQueryState<S>,
+        events: &[SpecEvent<AnyQuerySpec>],
+        st: &mut SpecQueryState,
     ) {
         let Search::Event(i) = search else {
             // The table was reset: nothing to unregister. The search finds
@@ -366,7 +368,7 @@ impl Worker {
 
     /// Drop `st`'s influence registrations (a moving query is a new one,
     /// Section 3.3).
-    pub(crate) fn unregister<S>(&mut self, st: &mut SpecQueryState<S>) {
+    pub(crate) fn unregister(&mut self, st: &mut SpecQueryState) {
         let registered = st.visit_list[..st.influence_len].iter();
         self.influence_ops
             .extend(registered.map(|&(cell, _)| (cell, st.slot, false)));
@@ -375,11 +377,7 @@ impl Worker {
 
     // ---- search ----
 
-    pub(crate) fn compute_from_scratch<S: QuerySpec>(
-        &mut self,
-        grid: &Grid,
-        st: &mut SpecQueryState<S>,
-    ) {
+    pub(crate) fn compute_from_scratch(&mut self, grid: &Grid, st: &mut SpecQueryState) {
         debug_assert_eq!(st.influence_len, 0, "stale influence registrations");
         let metrics = &mut self.metrics;
         let counters_before = metrics.query_counters();
@@ -410,7 +408,7 @@ impl Worker {
         sync_influence(&mut self.influence_ops, st);
     }
 
-    fn recompute<S: QuerySpec>(&mut self, grid: &Grid, st: &mut SpecQueryState<S>) {
+    fn recompute(&mut self, grid: &Grid, st: &mut SpecQueryState) {
         let metrics = &mut self.metrics;
         let counters_before = metrics.query_counters();
         st.best.clear();
@@ -447,12 +445,7 @@ impl Worker {
     /// order, then merge-or-recompute resolution and change detection.
     /// A batch holds one event per object, so an id arrives at most once
     /// and a departure never finds its id among the incomers.
-    pub(crate) fn resolve<S: QuerySpec>(
-        &mut self,
-        step: &Resolve<'_>,
-        st: &mut SpecQueryState<S>,
-        events: &[u32],
-    ) {
+    pub(crate) fn resolve(&mut self, step: &Resolve<'_>, st: &mut SpecQueryState, events: &[u32]) {
         let qid = st.id;
         // Every object outside the result and this cycle's pairs sorts
         // after the cycle-start k-th entry under `(dist, id)`: an arrival
@@ -554,9 +547,9 @@ impl Worker {
     }
 }
 
-fn drain_heap<S: QuerySpec>(
+fn drain_heap(
     grid: &Grid,
-    st: &mut SpecQueryState<S>,
+    st: &mut SpecQueryState,
     metrics: &mut Metrics,
     dist_buf: &mut Vec<f64>,
 ) {
@@ -599,7 +592,7 @@ fn drain_heap<S: QuerySpec>(
 
 /// Bring `st`'s influence registrations to the prefix of its visit list
 /// within `best_dist`, as writes for the join.
-fn sync_influence<S>(ops: &mut Vec<InfluenceOp>, st: &mut SpecQueryState<S>) {
+fn sync_influence(ops: &mut Vec<InfluenceOp>, st: &mut SpecQueryState) {
     let bd = st.best.best_dist();
     let new_len = if bd.is_finite() {
         st.visit_list.partition_point(|&(_, key)| key <= bd)
@@ -618,22 +611,25 @@ fn sync_influence<S>(ops: &mut Vec<InfluenceOp>, st: &mut SpecQueryState<S>) {
 #[cfg(test)]
 mod tests {
     //! The worked examples of Section 3 (Figures 3.2, 3.5, 3.7), driven
-    //! through the `T = 1` engine over plain point queries, and the
-    //! scalar-vs-batched kernel equivalence.
+    //! through a `T = 1` server over plain point queries, and the batched
+    //! kernel against the scalar distance.
 
     use super::*;
-    use crate::partition::{Direction, Pinwheel};
-    use crate::shard::CpmEngine;
-    use crate::CycleDeltas;
+    use crate::{CpmServer, CpmServerBuilder, CycleDeltas};
     use cpm_grid::ObjectEvent;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::num::NonZeroUsize;
 
-    type Engine = CpmEngine<PointQuery>;
     const Q: QueryId = QueryId(0);
     /// δ of the 8×8 grid the figures are drawn on.
     const D: f64 = 1.0 / 8.0;
+
+    fn server(dim: u32) -> CpmServer {
+        CpmServerBuilder::new(dim)
+            .threads(NonZeroUsize::MIN)
+            .build()
+    }
 
     fn pt(x: f64, y: f64) -> Point {
         Point::new(x * D, y * D)
@@ -646,38 +642,43 @@ mod tests {
         }
     }
 
-    fn move_query(x: f64, y: f64) -> SpecEvent<PointQuery> {
+    fn move_query(x: f64, y: f64) -> SpecEvent<AnyQuerySpec> {
         SpecEvent::Update {
             id: Q,
-            spec: PointQuery(pt(x, y)),
+            spec: PointQuery(pt(x, y)).into(),
         }
     }
 
     /// The Figure 3.2 layout (coordinates in units of δ): q = (4.2, 4.9)
     /// in cell c4,4; p1 ∈ c3,3; p2 ∈ c2,4 is the NN.
-    fn fig_3_2() -> Engine {
-        let mut m = Engine::new(8, NonZeroUsize::MIN);
+    fn fig_3_2() -> CpmServer {
+        let mut m = server(8);
         m.populate([
             (ObjectId(1), pt(3.3, 3.5)), // p1
             (ObjectId(2), pt(2.9, 4.5)), // p2 (the NN)
             (ObjectId(3), pt(2.2, 6.5)), // p3, farther
             (ObjectId(4), pt(5.5, 6.6)), // p4, farther
-        ]);
-        m.install(Q, PointQuery(pt(4.2, 4.9)), 1);
+        ])
+        .unwrap();
+        m.install_spec(Q, PointQuery(pt(4.2, 4.9)), 1).unwrap();
         m.take_metrics();
         m
     }
 
-    fn nn(m: &Engine) -> ObjectId {
+    fn cycle(m: &mut CpmServer, objects: &[ObjectEvent]) -> Vec<QueryId> {
+        m.process_cycle(objects, &[]).unwrap()
+    }
+
+    fn nn(m: &CpmServer) -> ObjectId {
         m.result(Q).unwrap()[0].id
     }
 
-    fn assert_matches_oracle(m: &Engine) {
+    fn assert_matches_oracle(m: &CpmServer) {
         let st = m.query_state(Q).unwrap();
         let mut expect: Vec<f64> = m
             .grid()
             .iter_objects()
-            .map(|(_, p)| st.spec.0.dist(p))
+            .map(|(_, p)| st.spec.dist(p))
             .collect();
         expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
         expect.truncate(st.k());
@@ -705,7 +706,7 @@ mod tests {
         let mut m = fig_3_2();
         // p4 moves from c5,6 into the influence region's vicinity (c5,3)
         // but farther than best_dist: no result change, no recomputation.
-        assert!(m.process_cycle(&[mv(4, 5.5, 3.4)], &[]).is_empty());
+        assert!(cycle(&mut m, &[mv(4, 5.5, 3.4)]).is_empty());
         assert_eq!(m.metrics().recomputations, 0);
         assert_eq!(nn(&m), ObjectId(2));
         m.check_invariants();
@@ -716,11 +717,11 @@ mod tests {
         let mut m = fig_3_2();
         // First p4 comes nearer (as in Figure 3.5a): outside best_dist but
         // closer to q than p1, so it becomes the NN once p2 departs.
-        m.process_cycle(&[mv(4, 4.6, 3.5)], &[]);
+        cycle(&mut m, &[mv(4, 4.6, 3.5)]);
         m.take_metrics();
         // Then the current NN p2 moves far away: q is affected and the
         // re-computation module must find p4 as the new NN.
-        assert_eq!(m.process_cycle(&[mv(2, 0.5, 6.5)], &[]), vec![Q]);
+        assert_eq!(cycle(&mut m, &[mv(2, 0.5, 6.5)]), vec![Q]);
         assert_eq!(m.metrics().recomputations, 1);
         assert_eq!(nn(&m), ObjectId(4));
         assert_matches_oracle(&m);
@@ -731,7 +732,7 @@ mod tests {
         let mut m = fig_3_2();
         // p2 (the NN) leaves; p3 moves closer than best_dist in the same
         // batch. CPM must resolve this by merging, without grid search.
-        let changed = m.process_cycle(&[mv(2, 0.5, 6.5), mv(3, 3.6, 4.5)], &[]);
+        let changed = cycle(&mut m, &[mv(2, 0.5, 6.5), mv(3, 3.6, 4.5)]);
         assert_eq!(changed, vec![Q]);
         assert_eq!(m.metrics().recomputations, 0);
         assert_eq!(m.metrics().merge_resolutions, 1);
@@ -742,7 +743,7 @@ mod tests {
     #[test]
     fn offline_nn_is_treated_as_outgoing() {
         let mut m = fig_3_2();
-        let changed = m.process_cycle(&[ObjectEvent::Disappear { id: ObjectId(2) }], &[]);
+        let changed = cycle(&mut m, &[ObjectEvent::Disappear { id: ObjectId(2) }]);
         assert_eq!(changed, vec![Q]);
         assert_eq!(nn(&m), ObjectId(1));
         assert_matches_oracle(&m);
@@ -755,7 +756,7 @@ mod tests {
             id: ObjectId(9),
             pos: pt(4.3, 4.8),
         };
-        assert_eq!(m.process_cycle(&[appear], &[]), vec![Q]);
+        assert_eq!(cycle(&mut m, &[appear]), vec![Q]);
         assert_eq!(nn(&m), ObjectId(9));
         assert_matches_oracle(&m);
     }
@@ -763,7 +764,8 @@ mod tests {
     #[test]
     fn query_move_recomputes_from_scratch() {
         let mut m = fig_3_2();
-        assert_eq!(m.process_cycle(&[], &[move_query(5.4, 6.4)]), vec![Q]);
+        let changed = m.process_cycle(&[], &[move_query(5.4, 6.4)]).unwrap();
+        assert_eq!(changed, vec![Q]);
         assert_eq!(m.metrics().computations, 1);
         assert_eq!(nn(&m), ObjectId(4));
         assert_matches_oracle(&m);
@@ -774,7 +776,9 @@ mod tests {
         let mut m = fig_3_2();
         // The NN departs *and* the query moves in the same cycle; the
         // object update must not trigger work for the obsolete query.
-        let changed = m.process_cycle(&[mv(2, 0.5, 6.5)], &[move_query(5.4, 6.4)]);
+        let changed = m
+            .process_cycle(&[mv(2, 0.5, 6.5)], &[move_query(5.4, 6.4)])
+            .unwrap();
         assert_eq!(changed, vec![Q]);
         assert_eq!(m.metrics().recomputations, 0, "obsolete query recomputed");
         assert_eq!(m.metrics().computations, 1);
@@ -785,7 +789,7 @@ mod tests {
     /// `(dist, id)` on every path. Object 30 arrives at exactly the
     /// distance of the departing NN 10, but object 20, which did not
     /// move, sits there too and has the smaller id, so the merge must not
-    /// take 30. The maintained result then equals an engine built from
+    /// take 30. The maintained result then equals a server built from
     /// the final positions and survives a re-grid unchanged.
     #[test]
     fn an_exact_tie_resolves_by_id_on_every_path() {
@@ -794,26 +798,31 @@ mod tests {
             id: ObjectId(id),
             pos,
         };
-        let mut m = Engine::new(8, NonZeroUsize::MIN);
-        m.enable_deltas();
-        m.populate([(ObjectId(10), origin)]);
-        m.install(Q, PointQuery(origin), 1);
+        let mut m = CpmServerBuilder::new(8)
+            .threads(NonZeroUsize::MIN)
+            .deltas(true)
+            .build();
+        m.populate([(ObjectId(10), origin)]).unwrap();
+        m.install_spec(Q, PointQuery(origin), 1).unwrap();
         let mut out = CycleDeltas::default();
-        m.process_cycle_with_deltas_into(&[appear(20, origin)], &[], &mut out);
+        m.process_cycle_with_deltas_into(&[appear(20, origin)], &[], &mut out)
+            .unwrap();
         assert_eq!(nn(&m), ObjectId(10));
         let leave = ObjectEvent::Disappear { id: ObjectId(10) };
-        m.process_cycle_with_deltas_into(&[leave, appear(30, origin)], &[], &mut out);
+        m.process_cycle_with_deltas_into(&[leave, appear(30, origin)], &[], &mut out)
+            .unwrap();
 
-        let mut rebuilt = Engine::new(8, NonZeroUsize::MIN);
-        rebuilt.populate(m.grid().iter_objects());
-        rebuilt.install(Q, PointQuery(origin), 1);
+        let mut rebuilt = server(8);
+        rebuilt.populate(m.grid().iter_objects()).unwrap();
+        rebuilt.install_spec(Q, PointQuery(origin), 1).unwrap();
         assert_eq!(m.result(Q), rebuilt.result(Q), "maintained vs rebuilt");
         assert_eq!(nn(&m), ObjectId(20));
 
         let before = m.result(Q).unwrap().to_vec();
         m.regrid_to(16).unwrap();
         assert_eq!(m.result(Q).unwrap(), before, "a re-grid moved the result");
-        m.process_cycle_with_deltas_into(&[], &[], &mut out);
+        m.process_cycle_with_deltas_into(&[], &[], &mut out)
+            .unwrap();
         assert!(
             out.changed.is_empty(),
             "changed after a re-grid: {:?}",
@@ -825,8 +834,9 @@ mod tests {
 
     #[test]
     fn k_larger_than_population_and_empty_grid() {
-        let mut m = Engine::new(16, NonZeroUsize::MIN);
-        assert!(m.install(Q, PointQuery(Point::new(0.5, 0.5)), 3).is_empty());
+        let mut m = server(16);
+        let first = m.install_spec(Q, PointQuery(Point::new(0.5, 0.5)), 3);
+        assert!(first.unwrap().is_empty());
         m.check_invariants();
         // Objects appear one by one and must join the (unfull) result.
         for (i, x) in [0.1, 0.9, 0.51].into_iter().enumerate() {
@@ -834,7 +844,7 @@ mod tests {
                 id: ObjectId(i as u32),
                 pos: Point::new(x, x),
             };
-            assert_eq!(m.process_cycle(&[appear], &[]), vec![Q]);
+            assert_eq!(cycle(&mut m, &[appear]), vec![Q]);
             assert_eq!(m.result(Q).unwrap().len(), i + 1);
             assert_eq!(m.query_state(Q).unwrap().best_dist().is_infinite(), i < 2);
             assert_matches_oracle(&m);
@@ -842,38 +852,7 @@ mod tests {
         assert_eq!(nn(&m), ObjectId(2));
     }
 
-    // ---- scalar vs batched distance kernel ----
-    //
-    // The scalar lane runs a wrapper spec that forwards every `QuerySpec`
-    // method but deliberately does *not* override `dist_batch`, so it
-    // runs the trait's default per-object fallback — exactly the
-    // pre-kernel code path. The batched lane is the stock `PointQuery`,
-    // whose `dist_batch` is the kernel: same result bits, same changed
-    // lists, same delta streams, across thread counts.
-
-    /// [`PointQuery`] with the batched-kernel override masked off: the
-    /// default `dist_batch` (scalar loop over `dist`) runs instead.
-    #[derive(Debug, Clone, Copy)]
-    struct ScalarPoint(PointQuery);
-
-    impl QuerySpec for ScalarPoint {
-        fn dist(&self, p: Point) -> f64 {
-            self.0.dist(p)
-        }
-        fn base_block(&self, geom: GridGeom) -> (CellCoord, CellCoord) {
-            self.0.base_block(geom)
-        }
-        fn cell_key(&self, geom: GridGeom, cell: CellCoord) -> f64 {
-            self.0.cell_key(geom, cell)
-        }
-        fn strip_key(&self, pw: &Pinwheel, dir: Direction, lvl: u32) -> f64 {
-            self.0.strip_key(pw, dir, lvl)
-        }
-        fn strip_increment(&self, delta: f64) -> f64 {
-            self.0.strip_increment(delta)
-        }
-        // No `dist_batch` override — that is the whole point.
-    }
+    // ---- batched distance kernel vs the scalar distance ----
 
     fn churn(rng: &mut StdRng, live: &mut Vec<u32>, next: &mut u32) -> Vec<ObjectEvent> {
         let mut events = Vec::new();
@@ -916,41 +895,40 @@ mod tests {
     const N_QUERIES: u32 = 8;
     const CYCLES: usize = 25;
 
-    fn objects(rng: &mut StdRng) -> Vec<(ObjectId, Point)> {
-        (0..N_OBJ)
-            .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
-            .collect()
+    /// `(id, dist bits)` of every entry: equality down to the bit pattern.
+    fn bits(list: &[Neighbor]) -> Vec<(ObjectId, u64)> {
+        list.iter().map(|n| (n.id, n.dist.to_bits())).collect()
     }
 
-    /// Scalar-vs-batched equivalence: one churn stream through a scalar-lane engine and batched-lane engines
-    /// at T ∈ {1, 4}: changed lists and delta streams must match the scalar
-    /// reference exactly, results bit-for-bit.
+    /// One churn stream through servers at T ∈ {1, 4}, whose searches
+    /// scan buckets with the batched kernel (`PointQuery::dist_batch`).
+    /// Every cycle, every result is bit for bit the per-object scalar
+    /// reference — [`QuerySpec::dist`] of every live object offered into
+    /// a [`NeighborList`], the k smallest under `(dist, id)` — and the
+    /// changed lists and deltas at T = 4 are those at T = 1.
     #[test]
     fn batched_kernel_is_observationally_identical_to_scalar() {
         let mut rng = StdRng::seed_from_u64(0xD157);
-        let objs = objects(&mut rng);
+        let objs: Vec<(ObjectId, Point)> = (0..N_OBJ)
+            .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
+            .collect();
+        let mut servers = [1usize, 4].map(|threads| {
+            let mut s = CpmServerBuilder::new(32)
+                .threads(NonZeroUsize::new(threads).unwrap())
+                .deltas(true)
+                .build();
+            s.populate(objs.iter().copied()).unwrap();
+            s
+        });
 
-        let mut scalar = CpmEngine::<ScalarPoint>::new(32, NonZeroUsize::MIN);
-        scalar.enable_deltas();
-        scalar.populate(objs.iter().copied());
-
-        let mut batched = Vec::new();
-        for s in [1usize, 4] {
-            let mut engine = CpmEngine::<PointQuery>::new(32, NonZeroUsize::new(s).unwrap());
-            engine.enable_deltas();
-            engine.populate(objs.iter().copied());
-            batched.push((s, engine));
-        }
-
-        let mut q_points = Vec::new();
+        let mut specs = Vec::new();
         for qi in 0..N_QUERIES {
-            let p = Point::new(rng.gen(), rng.gen());
+            let spec = PointQuery(Point::new(rng.gen(), rng.gen()));
             let k = 1 + qi as usize % 5;
-            scalar.install(QueryId(qi), ScalarPoint(PointQuery(p)), k);
-            for (_, engine) in batched.iter_mut() {
-                engine.install(QueryId(qi), PointQuery(p), k);
+            for s in &mut servers {
+                s.install_spec(QueryId(qi), spec, k).unwrap();
             }
-            q_points.push(p);
+            specs.push((spec, k));
         }
 
         let mut live: Vec<u32> = (0..N_OBJ).collect();
@@ -958,52 +936,42 @@ mod tests {
         for cycle in 0..CYCLES {
             let events = churn(&mut rng, &mut live, &mut next);
             // Moving queries most cycles, as terminate-free Update events.
-            let moved: Option<(u32, Point)> = rng.gen_bool(0.6).then(|| {
-                (
-                    rng.gen_range(0..N_QUERIES),
-                    Point::new(rng.gen(), rng.gen()),
-                )
-            });
-            let scalar_qev: Vec<SpecEvent<ScalarPoint>> = moved
-                .iter()
-                .map(|&(qi, p)| SpecEvent::Update {
+            let mut qev = Vec::new();
+            if rng.gen_bool(0.6) {
+                let qi = rng.gen_range(0..N_QUERIES);
+                let spec = PointQuery(Point::new(rng.gen(), rng.gen()));
+                specs[qi as usize].0 = spec;
+                qev.push(SpecEvent::Update {
                     id: QueryId(qi),
-                    spec: ScalarPoint(PointQuery(p)),
-                })
-                .collect();
-            let batched_qev: Vec<SpecEvent<PointQuery>> = moved
-                .iter()
-                .map(|&(qi, p)| SpecEvent::Update {
-                    id: QueryId(qi),
-                    spec: PointQuery(p),
-                })
-                .collect();
-
-            let (mut want, mut got) = (CycleDeltas::default(), CycleDeltas::default());
-            scalar.process_cycle_with_deltas_into(&events, &scalar_qev, &mut want);
-            for (s, engine) in batched.iter_mut() {
-                engine.process_cycle_with_deltas_into(&events, &batched_qev, &mut got);
-                assert_eq!(
-                    got.changed, want.changed,
-                    "changed lists diverged at cycle {cycle} (S={s})"
-                );
-                assert_eq!(got, want, "delta streams diverged at cycle {cycle} (S={s})");
-                for qi in 0..N_QUERIES {
-                    let a = scalar.result(QueryId(qi)).unwrap();
-                    let b = engine.result(QueryId(qi)).unwrap();
-                    assert_eq!(a.len(), b.len(), "cycle {cycle} q{qi} (S={s})");
-                    for (x, y) in a.iter().zip(b) {
-                        assert_eq!(x.id, y.id, "cycle {cycle} q{qi} (S={s})");
-                        assert_eq!(
-                            x.dist.to_bits(),
-                            y.dist.to_bits(),
-                            "cycle {cycle} q{qi} (S={s}): result bits diverged"
-                        );
-                    }
-                }
-                engine.check_invariants();
+                    spec: spec.into(),
+                });
             }
-            scalar.check_invariants();
+
+            let [one, four] = servers.each_mut().map(|s| {
+                let mut out = CycleDeltas::default();
+                s.process_cycle_with_deltas_into(&events, &qev, &mut out)
+                    .unwrap();
+                out
+            });
+            assert_eq!(
+                four, one,
+                "changed lists or deltas diverged at cycle {cycle}"
+            );
+            for (qi, &(spec, k)) in (0..).map(QueryId).zip(&specs) {
+                let mut scalar = NeighborList::new(k);
+                for (id, p) in servers[0].grid().iter_objects() {
+                    scalar.offer(id, spec.dist(p));
+                }
+                for s in &servers {
+                    assert_eq!(
+                        bits(s.result(qi).unwrap()),
+                        bits(scalar.neighbors()),
+                        "cycle {cycle} {qi} (T = {}): result bits diverged",
+                        s.threads()
+                    );
+                }
+            }
+            servers.iter().for_each(CpmServer::check_invariants);
         }
     }
 }

@@ -5,10 +5,9 @@
 //! retried requests, terminations racing cancellations, k = 0 from
 //! defaulted config, a producer that double-sends or loses an event — so
 //! the server checks every call and batch and returns [`CpmError`]
-//! before any state changes. Programming errors (processing a delta
-//! cycle without enabling capture, populating after installs) remain
-//! panics: they are bugs in the embedding code, not runtime conditions
-//! to handle.
+//! before any state changes. A programming error (processing a delta
+//! cycle without enabling capture) remains a panic: it is a bug in the
+//! embedding code, not a runtime condition to handle.
 
 use cpm_geom::{ObjectId, QueryId};
 use cpm_grid::{GridConfigError, QueryKind};
@@ -83,6 +82,10 @@ pub enum CpmError {
     /// A snapshot's captured result of this query is not the one its
     /// objects give, so the snapshot contradicts itself and is refused.
     CapturedResultMismatch(QueryId),
+    /// `populate` was called after a query was installed: a bulk load
+    /// changes no result, so it is only valid before the first install.
+    /// Nothing is inserted.
+    PopulateAfterInstall,
 }
 
 impl From<GridConfigError> for CpmError {
@@ -146,6 +149,9 @@ impl std::fmt::Display for CpmError {
             CpmError::InvalidDim(e) => write!(f, "{e}"),
             CpmError::CapturedResultMismatch(id) => {
                 write!(f, "query {id}: snapshot result contradicts its objects")
+            }
+            CpmError::PopulateAfterInstall => {
+                write!(f, "populate is only valid before any query is installed")
             }
         }
     }

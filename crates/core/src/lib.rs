@@ -9,7 +9,8 @@
 //! * [`engine`] — the **one** implementation of the maintenance
 //!   algorithm: NN computation (Fig. 3.4), re-computation (Fig. 3.6),
 //!   batched update handling with the incoming/outgoing optimization
-//!   (Fig. 3.8) and the monitoring cycle (Fig. 3.9), written once over a
+//!   (Fig. 3.8) and the monitoring cycle (Fig. 3.9), written once over
+//!   one query type, [`AnyQuerySpec`], which dispatches to each kind's
 //!   [`QuerySpec`]. The paper's k-NN query is the [`PointQuery`] spec.
 //! * [`server`] — [`CpmServer`] (via [`CpmServerBuilder`]), the one front
 //!   end: every query kind on one shared grid with a single per-cycle
@@ -23,8 +24,8 @@
 //!   geometries ([`AnnQuery`] for `sum`/`min`/`max` aggregates,
 //!   [`ConstrainedQuery`], [`RangeQuery`], and the reverse-NN sector
 //!   candidates [`RnnQuery`]), each a [`QuerySpec`] of the same engine.
-//! * [`any`] — [`AnyQuerySpec`], the enum over every query geometry that
-//!   lets the one engine run heterogeneous query sets unchanged.
+//! * [`any`] — [`AnyQuerySpec`], the enum over every query geometry: the
+//!   one query type of the engine.
 //! * [`error`] — the typed error surface ([`CpmError`]).
 //! * [`delta`] — per-cycle result deltas ([`NeighborDelta`]), extracted
 //!   inside the maintenance phase and concatenated deterministically

@@ -168,19 +168,24 @@ impl QuerySpec for RangeQuery {
 mod tests {
     use super::*;
     use crate::neighbors::Neighbor;
-    use crate::shard::CpmEngine;
+    use crate::{CpmServer, CpmServerBuilder};
     use cpm_geom::{ObjectId, QueryId};
     use std::num::NonZeroUsize;
 
-    type RangeEngine = CpmEngine<RangeQuery>;
-
-    fn install(m: &mut RangeEngine, id: QueryId, q: RangeQuery) {
-        m.install(id, q, RangeQuery::UNBOUNDED_K);
+    /// A `T = 1` server over a `dim × dim` grid holding `objects` and
+    /// range query 0.
+    fn server(dim: u32, objects: &[(ObjectId, Point)], q: RangeQuery) -> CpmServer {
+        let mut m = CpmServerBuilder::new(dim)
+            .threads(NonZeroUsize::MIN)
+            .build();
+        m.populate(objects.iter().copied()).unwrap();
+        m.install_spec(QueryId(0), q, 1).unwrap();
+        m
     }
 
     /// Ground truth: objects inside the region, ascending by
     /// `(anchor distance, id)`.
-    fn brute_force(m: &RangeEngine, q: &RangeQuery) -> Vec<Neighbor> {
+    fn brute_force(m: &CpmServer, q: &RangeQuery) -> Vec<Neighbor> {
         let anchor = q.region.anchor();
         let mut out: Vec<Neighbor> = m
             .grid()
@@ -199,51 +204,48 @@ mod tests {
         out
     }
 
-    fn assert_matches(m: &RangeEngine, qid: QueryId) {
-        let st = m.query_state(qid).unwrap();
-        let expect = brute_force(m, &st.spec);
-        assert_eq!(st.result(), expect.as_slice(), "query {qid}");
+    fn ids(m: &CpmServer) -> Vec<ObjectId> {
+        m.result(QueryId(0)).unwrap().iter().map(|n| n.id).collect()
     }
 
     #[test]
     fn rect_region_reports_exact_membership() {
-        let mut m = RangeEngine::new(16, NonZeroUsize::MIN);
-        m.populate([
+        let objects = [
             (ObjectId(0), Point::new(0.3, 0.3)),
             (ObjectId(1), Point::new(0.5, 0.5)),
             (ObjectId(2), Point::new(0.74, 0.74)),
             (ObjectId(3), Point::new(0.76, 0.76)), // just outside
-        ]);
+        ];
         let q = RangeQuery::rect(Rect::new(Point::new(0.25, 0.25), Point::new(0.75, 0.75)));
-        install(&mut m, QueryId(0), q);
-        let ids: Vec<ObjectId> = m.result(QueryId(0)).unwrap().iter().map(|n| n.id).collect();
-        assert_eq!(ids, vec![ObjectId(1), ObjectId(0), ObjectId(2)]);
-        assert_matches(&m, QueryId(0));
+        let m = server(16, &objects, q);
+        assert_eq!(ids(&m), vec![ObjectId(1), ObjectId(0), ObjectId(2)]);
+        // The k the server installs a range with is unbounded.
+        assert_eq!(
+            m.query_state(QueryId(0)).unwrap().k(),
+            RangeQuery::UNBOUNDED_K
+        );
+        assert_eq!(
+            m.result(QueryId(0)).unwrap(),
+            brute_force(&m, &q).as_slice()
+        );
         m.check_invariants();
     }
 
     #[test]
     fn circle_region_boundary_is_closed() {
-        let mut m = RangeEngine::new(16, NonZeroUsize::MIN);
-        m.populate([
+        let objects = [
             (ObjectId(0), Point::new(0.5, 0.7)), // exactly on the boundary
             (ObjectId(1), Point::new(0.5, 0.71)),
-        ]);
-        install(
-            &mut m,
-            QueryId(0),
-            RangeQuery::circle(Point::new(0.5, 0.5), 0.2),
-        );
-        let ids: Vec<ObjectId> = m.result(QueryId(0)).unwrap().iter().map(|n| n.id).collect();
-        assert_eq!(ids, vec![ObjectId(0)]);
+        ];
+        let m = server(16, &objects, RangeQuery::circle(Point::new(0.5, 0.5), 0.2));
+        assert_eq!(ids(&m), vec![ObjectId(0)]);
     }
 
     #[test]
     fn influence_region_is_the_region_cover() {
-        let mut m = RangeEngine::new(8, NonZeroUsize::MIN);
-        m.populate([(ObjectId(0), Point::new(0.4, 0.4))]);
         let region = Rect::new(Point::new(0.30, 0.30), Point::new(0.60, 0.60));
-        install(&mut m, QueryId(0), RangeQuery::rect(region));
+        let objects = [(ObjectId(0), Point::new(0.4, 0.4))];
+        let m = server(8, &objects, RangeQuery::rect(region));
         let st = m.query_state(QueryId(0)).unwrap();
         // Every visited cell is influence-registered (best_dist = +∞) and
         // intersects the region.
@@ -259,13 +261,8 @@ mod tests {
 
     #[test]
     fn empty_region_yields_empty_result() {
-        let mut m = RangeEngine::new(8, NonZeroUsize::MIN);
-        m.populate([(ObjectId(0), Point::new(0.9, 0.9))]);
-        install(
-            &mut m,
-            QueryId(0),
-            RangeQuery::circle(Point::new(0.1, 0.1), 0.05),
-        );
+        let objects = [(ObjectId(0), Point::new(0.9, 0.9))];
+        let m = server(8, &objects, RangeQuery::circle(Point::new(0.1, 0.1), 0.05));
         assert!(m.result(QueryId(0)).unwrap().is_empty());
         m.check_invariants();
     }

@@ -36,8 +36,9 @@ use cpm_grid::{CellCoord, GridGeom};
 use crate::engine::QuerySpec;
 use crate::partition::{Direction, Pinwheel};
 
-/// Number of wedges; 60° each makes the candidate lemma hold.
-const SECTORS: u32 = 6;
+/// Number of wedges (and candidate queries per reverse-NN registration);
+/// 60° each makes the candidate lemma hold.
+pub(crate) const SECTORS: u32 = 6;
 
 /// Angle of `p` as seen from `origin`, normalized to `[0, 2π)`.
 #[inline]

@@ -56,11 +56,8 @@ use crate::error::CpmError;
 use crate::neighbors::Neighbor;
 use crate::range::RangeQuery;
 use crate::regrid::RegridPolicy;
-use crate::rnn::RnnQuery;
+use crate::rnn::{RnnQuery, SECTORS};
 use crate::shard::CpmEngine;
-
-/// Sectors per reverse-NN query (the six-region method).
-pub(crate) const SECTORS: u32 = 6;
 
 /// First id of the band the server reserves for internal queries (the
 /// reverse-NN sector candidates). User query ids must stay below it.
@@ -163,16 +160,12 @@ impl CpmServerBuilder {
             engine.enable_deltas();
         }
         engine.set_regrid_policy(self.regrid);
-        Ok(CpmServer {
+        Ok(CpmServer::assemble(
             engine,
-            kinds: FastHashMap::default(),
-            rnn: FastHashMap::default(),
-            verify_metrics: Metrics::default(),
-            event_scratch: Vec::new(),
-            seen_objects: Vec::new(),
-            seen_pass: 0,
-            seen_queries: FastHashSet::default(),
-        })
+            Vec::new(),
+            Vec::new(),
+            Metrics::default(),
+        ))
     }
 
     /// Build the server.
@@ -203,10 +196,12 @@ struct RnnState {
 /// use cpm_grid::ObjectEvent;
 ///
 /// let mut server = CpmServerBuilder::new(64).build();
-/// server.populate([
-///     (ObjectId(0), Point::new(0.30, 0.30)),
-///     (ObjectId(1), Point::new(0.52, 0.48)),
-/// ]);
+/// server
+///     .populate([
+///         (ObjectId(0), Point::new(0.30, 0.30)),
+///         (ObjectId(1), Point::new(0.52, 0.48)),
+///     ])
+///     .unwrap();
 /// // Two kinds, one grid.
 /// server.install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 1).unwrap();
 /// let zone = RangeQuery::rect(Rect::new(Point::new(0.0, 0.0), Point::new(0.4, 0.4)));
@@ -224,7 +219,7 @@ struct RnnState {
 /// ```
 #[derive(Debug)]
 pub struct CpmServer {
-    engine: CpmEngine<AnyQuerySpec>,
+    engine: CpmEngine,
     /// Kind registry of every *user-visible* query (RNN registrations
     /// appear here once, not per sector).
     kinds: FastHashMap<QueryId, QueryKind>,
@@ -262,7 +257,7 @@ impl CpmServer {
     // ---- durability surface (used by crate::snapshot) ----
 
     /// The underlying engine (snapshot capture reads it directly).
-    pub(crate) fn engine(&self) -> &CpmEngine<AnyQuerySpec> {
+    pub(crate) fn engine(&self) -> &CpmEngine {
         &self.engine
     }
 
@@ -282,10 +277,11 @@ impl CpmServer {
         (kinds, rnn, self.verify_metrics)
     }
 
-    /// Reassemble a server from restored parts (the snapshot restore
-    /// path; the decode layer has already cross-validated them).
+    /// Assemble a server from its engine and registries: empty ones at
+    /// build time, restored ones on the snapshot restore path (the decode
+    /// layer has already cross-validated them).
     pub(crate) fn assemble(
-        engine: CpmEngine<AnyQuerySpec>,
+        engine: CpmEngine,
         kinds: Vec<(QueryId, QueryKind)>,
         rnn: Vec<(QueryId, Point, Vec<ObjectId>)>,
         verify_metrics: Metrics,
@@ -353,12 +349,31 @@ impl CpmServer {
 
     // ---- population & introspection ----
 
-    /// Bulk-load objects before any query is installed.
+    /// Bulk-load objects before any query is installed. The whole
+    /// population is checked first, as a batch of [`ObjectEvent::Appear`]s;
+    /// on `Err` no object was inserted.
     ///
-    /// # Panics
-    /// Panics if queries are already installed.
-    pub fn populate<I: IntoIterator<Item = (ObjectId, Point)>>(&mut self, objects: I) {
-        self.engine.populate(objects);
+    /// # Errors
+    /// [`CpmError::PopulateAfterInstall`] once a query is installed, or an
+    /// object-event error of [`CpmServer::process_cycle`].
+    pub fn populate<I: IntoIterator<Item = (ObjectId, Point)>>(
+        &mut self,
+        objects: I,
+    ) -> Result<(), CpmError> {
+        if self.engine.query_count() > 0 {
+            return Err(CpmError::PopulateAfterInstall);
+        }
+        let appears: Vec<ObjectEvent> = objects
+            .into_iter()
+            .map(|(id, pos)| ObjectEvent::Appear { id, pos })
+            .collect();
+        self.validate_object_events(&appears)?;
+        self.engine.populate(
+            appears
+                .iter()
+                .filter_map(|ev| Some((ev.id(), ev.position()?))),
+        );
+        Ok(())
     }
 
     /// The shared object index.
@@ -450,7 +465,7 @@ impl CpmServer {
 
     /// Full engine book-keeping state of (non-RNN) query `id`.
     #[must_use]
-    pub fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<AnyQuerySpec>> {
+    pub fn query_state(&self, id: QueryId) -> Option<&SpecQueryState> {
         match self.kinds.get(&id) {
             Some(QueryKind::Rnn) | None => None,
             Some(_) => self.engine.query_state(id),
@@ -824,11 +839,7 @@ impl CpmServer {
 
     /// Collect the sector candidates of RNN query `id` and keep those
     /// whose verification circle contains no other object.
-    fn verify_rnn(
-        engine: &CpmEngine<AnyQuerySpec>,
-        metrics: &mut Metrics,
-        id: QueryId,
-    ) -> Vec<ObjectId> {
+    fn verify_rnn(engine: &CpmEngine, metrics: &mut Metrics, id: QueryId) -> Vec<ObjectId> {
         let mut out = Vec::new();
         let mut dist_buf = Vec::new();
         for sector in 0..SECTORS {
@@ -934,7 +945,8 @@ mod tests {
         s.populate((0..40u32).map(|i| {
             let t = i as f64 / 40.0;
             (ObjectId(i), Point::new(t, (t * 7.0) % 1.0))
-        }));
+        }))
+        .unwrap();
         s
     }
 
@@ -1187,7 +1199,8 @@ mod tests {
         let two = NonZeroUsize::new(2).unwrap();
         let mut s = CpmServerBuilder::new(16).threads(two).deltas(true).build();
         assert!(s.collects_deltas());
-        s.populate((0..30u32).map(|i| (ObjectId(i), Point::new(i as f64 / 30.0, 0.5))));
+        s.populate((0..30u32).map(|i| (ObjectId(i), Point::new(i as f64 / 30.0, 0.5))))
+            .unwrap();
         let _ = s
             .install_spec(QueryId(0), PointQuery(Point::new(0.05, 0.5)), 3)
             .unwrap();

@@ -49,6 +49,7 @@ use std::num::NonZeroUsize;
 use cpm_geom::{FastHashMap, ObjectId, Point, QueryId};
 use cpm_grid::{apply_events, Grid, GridGeom, InfluenceTable, Metrics, ObjectEvent, UpdateRecord};
 
+use crate::any::AnyQuerySpec;
 use crate::delta::{CycleDeltas, NeighborDelta};
 use crate::engine::{QuerySpec, Resolve, Search, SpecEvent, SpecQueryState, Worker};
 use crate::error::CpmError;
@@ -100,15 +101,15 @@ fn fan_out<T: Send>(
 /// book-keeping of Section 3, whose per-cycle maintenance runs on `T`
 /// threads (see the [module docs](self) for the phase structure).
 ///
-/// All queries in one engine share the same [`QuerySpec`] type; the
-/// server runs one over [`crate::AnyQuerySpec`]. Every call comes from
+/// Every query's geometry is an [`AnyQuerySpec`], which dispatches to the
+/// kind's own [`crate::QuerySpec`]. Every call comes from
 /// [`crate::CpmServer`] or snapshot restore after their checks, so a
 /// call the server would refuse is a bug here and panics.
 ///
 /// [`CpmEngine::process_cycle`] reports changed queries in canonical
 /// (ascending id) order.
 #[derive(Debug)]
-pub(crate) struct CpmEngine<S: QuerySpec> {
+pub(crate) struct CpmEngine {
     grid: Grid,
     /// Influence lists, holding query-table slots: update handling goes
     /// from a cell to the affected states without hashing a query id.
@@ -116,7 +117,7 @@ pub(crate) struct CpmEngine<S: QuerySpec> {
     /// The query table (Figure 3.3a): a slab of states, vacant slots
     /// listed in `free`. A state is boxed so that a search step moves a
     /// pointer, not the state, out of the table and back.
-    queries: Vec<Option<Box<SpecQueryState<S>>>>,
+    queries: Vec<Option<Box<SpecQueryState>>>,
     free: Vec<u32>,
     /// `QueryId → slot`, for the id-addressed calls (install, update,
     /// terminate, reads).
@@ -145,21 +146,14 @@ pub(crate) struct CpmEngine<S: QuerySpec> {
     cuts: Vec<usize>,
     /// Scratch: the states a search step works on, moved out of the
     /// table in the order the step's outputs are concatenated in.
-    searches: Vec<(Search, Box<SpecQueryState<S>>)>,
+    searches: Vec<(Search, Box<SpecQueryState>)>,
     /// Re-grid policy state. Every decision input is a function of the
     /// stream and the engine state, so the controller decides identically
     /// at every thread count.
     regrid: RegridController,
 }
 
-impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
-    /// Create an engine over an empty `dim × dim` grid whose maintenance
-    /// runs on `threads` threads (`1` spawns none).
-    #[cfg(test)]
-    pub(crate) fn new(dim: u32, threads: NonZeroUsize) -> Self {
-        Self::with_grid(cpm_grid::GridBuilder::new(dim).build_uniform(), threads)
-    }
-
+impl CpmEngine {
     /// Create an engine over a pre-built (typically empty) grid whose
     /// maintenance runs on `threads` threads.
     pub(crate) fn with_grid(grid: Grid, threads: NonZeroUsize) -> Self {
@@ -277,15 +271,9 @@ impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
         &self.grid
     }
 
-    /// Bulk-load objects before any query is installed.
-    ///
-    /// # Panics
-    /// Panics if queries are already installed.
+    /// Bulk-load objects (valid, off-line so far) before any query is
+    /// installed.
     pub(crate) fn populate<It: IntoIterator<Item = (ObjectId, Point)>>(&mut self, objects: It) {
-        assert!(
-            self.query_count() == 0,
-            "populate() is only valid before queries are installed"
-        );
         for (oid, pos) in objects {
             self.grid.insert(oid, pos);
         }
@@ -305,7 +293,7 @@ impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
 
     /// Full book-keeping state of query `id`.
     #[must_use]
-    pub(crate) fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<S>> {
+    pub(crate) fn query_state(&self, id: QueryId) -> Option<&SpecQueryState> {
         self.queries[*self.slot_of.get(&id)? as usize].as_deref()
     }
 
@@ -348,7 +336,7 @@ impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
     /// A fresh state for query `id` (not installed, `k ≥ 1`) on a vacant
     /// slot, the slot already mapped; the caller searches it and puts it
     /// in the table.
-    fn vacant_state(&mut self, id: QueryId, spec: S, k: usize) -> Box<SpecQueryState<S>> {
+    fn vacant_state(&mut self, id: QueryId, spec: AnyQuerySpec, k: usize) -> Box<SpecQueryState> {
         debug_assert!(k > 0 && !self.slot_of.contains_key(&id), "install of {id}");
         let slot = self.free.pop().unwrap_or_else(|| {
             self.queries.push(None);
@@ -370,7 +358,7 @@ impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
 
     /// Install a new query (`id` not installed, `k ≥ 1`) and compute its
     /// initial result.
-    pub(crate) fn install(&mut self, id: QueryId, spec: S, k: usize) -> &[Neighbor] {
+    pub(crate) fn install(&mut self, id: QueryId, spec: AnyQuerySpec, k: usize) -> &[Neighbor] {
         let mut st = self.vacant_state(id, spec, k);
         self.workers[0].compute_from_scratch(&self.grid, &mut st);
         self.join();
@@ -393,7 +381,7 @@ impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
 
     /// Replace the geometry of installed query `id` (terminate +
     /// reinstall, as in Section 3.3), between cycles.
-    pub(crate) fn update_spec(&mut self, id: QueryId, spec: S) -> &[Neighbor] {
+    pub(crate) fn update_spec(&mut self, id: QueryId, spec: AnyQuerySpec) -> &[Neighbor] {
         let slot = self.slot(id) as usize;
         let st = self.queries[slot].as_mut().expect("mapped slot");
         let worker = &mut self.workers[0];
@@ -422,7 +410,7 @@ impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
     pub(crate) fn process_cycle(
         &mut self,
         object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
+        query_events: &[SpecEvent<AnyQuerySpec>],
     ) -> Vec<QueryId> {
         assert!(
             !self.collect_deltas,
@@ -467,7 +455,7 @@ impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
     pub(crate) fn process_cycle_with_deltas_into(
         &mut self,
         object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
+        query_events: &[SpecEvent<AnyQuerySpec>],
         out: &mut CycleDeltas,
     ) {
         assert!(
@@ -492,7 +480,7 @@ impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
     fn run_cycle(
         &mut self,
         object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
+        query_events: &[SpecEvent<AnyQuerySpec>],
         changed: &mut Vec<QueryId>,
         deltas: &mut Vec<(QueryId, NeighborDelta)>,
     ) {
@@ -636,7 +624,7 @@ impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
     /// The cycle's query events, in event order. Terminates, the slot
     /// allocation of installs and the hand-over of every searched state
     /// run serially; the searches themselves run on the workers.
-    fn apply_query_events(&mut self, events: &[SpecEvent<S>]) {
+    fn apply_query_events(&mut self, events: &[SpecEvent<AnyQuerySpec>]) {
         self.searches.clear();
         for (i, ev) in events.iter().enumerate() {
             let st = match ev {
@@ -658,7 +646,7 @@ impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
     /// Search every state of `searches` from scratch on the workers — in
     /// runs of equal length, one per worker — put them back in the table
     /// and join. Their outputs concatenate in `searches` order.
-    fn search_all(&mut self, events: &[SpecEvent<S>]) {
+    fn search_all(&mut self, events: &[SpecEvent<AnyQuerySpec>]) {
         let n = self.searches.len();
         let parts = (n * SEARCH_PAIRS / GRAIN_PAIRS).clamp(1, self.workers.len());
         self.cuts.clear();
@@ -759,26 +747,31 @@ impl<S: QuerySpec + Send + Sync> CpmEngine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PointQuery;
+    use crate::{CpmServer, CpmServerBuilder, PointQuery};
+
+    fn server(dim: u32, threads: usize) -> CpmServer {
+        let threads = NonZeroUsize::new(threads).unwrap();
+        CpmServerBuilder::new(dim).threads(threads).build()
+    }
 
     #[test]
     fn metrics_count_ingest_once() {
-        let mut m = CpmEngine::<PointQuery>::new(8, NonZeroUsize::new(4).unwrap());
+        let mut m = server(8, 4);
         m.populate([
             (ObjectId(0), Point::new(0.1, 0.1)),
             (ObjectId(1), Point::new(0.9, 0.9)),
-        ]);
+        ])
+        .unwrap();
         for qi in 0..8u32 {
-            m.install(QueryId(qi), PointQuery(Point::new(0.5, 0.5)), 1);
+            m.install_spec(QueryId(qi), PointQuery(Point::new(0.5, 0.5)), 1)
+                .unwrap();
         }
         m.take_metrics();
-        m.process_cycle(
-            &[ObjectEvent::Move {
-                id: ObjectId(0),
-                to: Point::new(0.2, 0.2),
-            }],
-            &[],
-        );
+        let step = ObjectEvent::Move {
+            id: ObjectId(0),
+            to: Point::new(0.2, 0.2),
+        };
+        m.process_cycle(&[step], &[]).unwrap();
         let metrics = m.take_metrics();
         // One grid update regardless of thread count.
         assert_eq!(metrics.updates_applied, 1);
@@ -788,16 +781,17 @@ mod tests {
 
     #[test]
     fn query_events_apply_in_batch_order() {
-        let mut m = CpmEngine::<PointQuery>::new(16, NonZeroUsize::new(4).unwrap());
-        m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))));
-        let installs: Vec<SpecEvent<PointQuery>> = (0..20u32)
+        let mut m = server(16, 4);
+        m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))))
+            .unwrap();
+        let installs: Vec<SpecEvent<AnyQuerySpec>> = (0..20u32)
             .map(|i| SpecEvent::Install {
                 id: QueryId(i),
-                spec: PointQuery(Point::new(i as f64 / 20.0, 0.5)),
+                spec: PointQuery(Point::new(i as f64 / 20.0, 0.5)).into(),
                 k: 3,
             })
             .collect();
-        let changed = m.process_cycle(&[], &installs);
+        let changed = m.process_cycle(&[], &installs).unwrap();
         assert_eq!(changed.len(), 20);
         assert!(changed.windows(2).all(|w| w[0] < w[1]), "not sorted");
         assert_eq!(m.query_count(), 20);
@@ -805,7 +799,7 @@ mod tests {
 
         let moves = (0..20u32).step_by(2).map(|i| SpecEvent::Update {
             id: QueryId(i),
-            spec: PointQuery(Point::new(1.0 - i as f64 / 20.0, 0.4)),
+            spec: PointQuery(Point::new(1.0 - i as f64 / 20.0, 0.4)).into(),
         });
         let terminates = (1..20u32)
             .step_by(2)
@@ -813,16 +807,15 @@ mod tests {
         // A terminate frees its slot for an install later in the batch.
         let reinstall = SpecEvent::Install {
             id: QueryId(99),
-            spec: PointQuery(Point::new(0.3, 0.6)),
+            spec: PointQuery(Point::new(0.3, 0.6)).into(),
             k: 2,
         };
-        let events: Vec<SpecEvent<PointQuery>> =
-            moves.chain(terminates).chain([reinstall]).collect();
-        let changed = m.process_cycle(&[], &events);
+        let events: Vec<_> = moves.chain(terminates).chain([reinstall]).collect();
+        let changed = m.process_cycle(&[], &events).unwrap();
         assert_eq!(changed.len(), 11);
         assert_eq!(m.query_count(), 11);
         m.check_invariants();
-        m.terminate(QueryId(0));
+        m.terminate(QueryId(0)).unwrap();
         assert_eq!(m.query_count(), 10);
         m.check_invariants();
     }
@@ -836,13 +829,15 @@ mod tests {
             let t = f64::from(i.wrapping_mul(2_654_435_761) ^ salt);
             Point::new((t * 0.000_37) % 1.0, (t * 0.000_61) % 1.0)
         };
+        let knn = |p| AnyQuerySpec::Knn(PointQuery(p));
         let runs = [1, 2, 4].map(|threads| {
-            let mut m = CpmEngine::<PointQuery>::new(32, NonZeroUsize::new(threads).unwrap());
+            let grid = cpm_grid::GridBuilder::new(32).build_uniform();
+            let mut m = CpmEngine::with_grid(grid, NonZeroUsize::new(threads).unwrap());
             m.populate((0..3_000u32).map(|i| (ObjectId(i), point(i, 0))));
             let installs: Vec<_> = (0..600u32)
                 .map(|i| SpecEvent::Install {
                     id: QueryId(i),
-                    spec: PointQuery(point(i, 7)),
+                    spec: knn(point(i, 7)),
                     k: 8,
                 })
                 .collect();
@@ -862,7 +857,7 @@ mod tests {
                     .filter(|i| (i + cycle) % 4 == 0)
                     .map(|i| SpecEvent::Update {
                         id: QueryId(i),
-                        spec: PointQuery(point(i, 100 + cycle)),
+                        spec: knn(point(i, 100 + cycle)),
                     })
                     .collect();
                 seen.push(m.process_cycle(&moves, &updates));

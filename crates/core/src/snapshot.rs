@@ -45,13 +45,14 @@ use crate::delta::CycleDeltas;
 use crate::engine::{QuerySpec, SpecEvent};
 use crate::error::CpmError;
 use crate::neighbors::Neighbor;
-use crate::server::{install_k, CpmServer, RESERVED_ID_BASE, SECTORS};
+use crate::rnn::SECTORS;
+use crate::server::{install_k, CpmServer, RESERVED_ID_BASE};
 use crate::shard::CpmEngine;
 
 /// The engine part of a [`Snapshot`]: everything needed to rebuild an
 /// observably identical query engine from scratch.
 #[derive(Debug, Clone)]
-pub struct EngineSnapshot<S> {
+pub struct EngineSnapshot {
     /// Grid resolution (cells per axis).
     pub dim: u32,
     /// Worker-thread count. The field keeps the name of the slot it is
@@ -74,12 +75,12 @@ pub struct EngineSnapshot<S> {
     pub objects: Vec<(ObjectId, Point)>,
     /// Every installed query — `(id, spec, k, captured result)` —
     /// ascending by id.
-    pub queries: Vec<(QueryId, S, usize, Vec<Neighbor>)>,
+    pub queries: Vec<(QueryId, AnyQuerySpec, usize, Vec<Neighbor>)>,
 }
 
-impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
+impl EngineSnapshot {
     /// Capture the engine's durable state.
-    pub(crate) fn capture(engine: &CpmEngine<S>) -> Self {
+    pub(crate) fn capture(engine: &CpmEngine) -> Self {
         let mut objects: Vec<(ObjectId, Point)> = engine.grid().iter_objects().collect();
         objects.sort_unstable_by_key(|&(id, _)| id);
         let queries = engine
@@ -114,7 +115,7 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
     /// the captured one (a `Decode`-validated snapshot fails no other
     /// way); [`CpmError::InvalidK`] / [`CpmError::DuplicateQuery`] for a
     /// hand-built query table with `k = 0` or a repeated id.
-    pub(crate) fn restore(&self) -> Result<CpmEngine<S>, CpmError> {
+    pub(crate) fn restore(&self) -> Result<CpmEngine, CpmError> {
         let grid = cpm_grid::GridBuilder::new(self.dim).try_build()?;
         // `Decode` refuses 0; a hand-built 0 runs on one thread, and
         // results are identical at every thread count.
@@ -144,7 +145,7 @@ impl<S: QuerySpec + Clone + Send + Sync> EngineSnapshot<S> {
     }
 }
 
-impl<S: Encode> Encode for EngineSnapshot<S> {
+impl Encode for EngineSnapshot {
     fn encode(&self, w: &mut Writer) {
         w.put_u32(self.dim);
         put_index_tag(w);
@@ -170,7 +171,7 @@ impl<S: Encode> Encode for EngineSnapshot<S> {
     }
 }
 
-impl<S: Decode> Decode for EngineSnapshot<S> {
+impl Decode for EngineSnapshot {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let dim_at = r.offset();
         let dim = r.take_u32()?;
@@ -243,12 +244,12 @@ impl<S: Decode> Decode for EngineSnapshot<S> {
         // `take_len` only proves eight bytes per record; reserve at most
         // twice the input bytes left (the `Vec<T>::decode` rule), so a
         // hostile count on these wide records cannot amplify.
-        let record_size = std::mem::size_of::<(QueryId, S, usize, Vec<Neighbor>)>();
-        let fits = r.remaining().saturating_mul(2) / record_size.max(1);
-        let mut queries = Vec::with_capacity(n_queries.min(fits));
+        type Record = (QueryId, AnyQuerySpec, usize, Vec<Neighbor>);
+        let fits = r.remaining().saturating_mul(2) / std::mem::size_of::<Record>();
+        let mut queries: Vec<Record> = Vec::with_capacity(n_queries.min(fits));
         for i in 0..n_queries {
             let id = QueryId::decode(r)?;
-            let spec = S::decode(r)?;
+            let spec = AnyQuerySpec::decode(r)?;
             let k_at = r.offset();
             let k = usize::decode(r)?;
             if k == 0 {
@@ -258,14 +259,11 @@ impl<S: Decode> Decode for EngineSnapshot<S> {
                 });
             }
             let captured: Vec<Neighbor> = Vec::decode(r)?;
-            if i > 0 {
-                let prev: &(QueryId, S, usize, Vec<Neighbor>) = &queries[i - 1];
-                if prev.0 >= id {
-                    return Err(WireError::Invalid {
-                        offset: queries_at,
-                        what: "query table not strictly ascending by id",
-                    });
-                }
+            if i > 0 && queries[i - 1].0 >= id {
+                return Err(WireError::Invalid {
+                    offset: queries_at,
+                    what: "query table not strictly ascending by id",
+                });
             }
             queries.push((id, spec, k, captured));
         }
@@ -289,7 +287,7 @@ impl<S: Decode> Decode for EngineSnapshot<S> {
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The engine's logical state.
-    pub engine: EngineSnapshot<AnyQuerySpec>,
+    pub engine: EngineSnapshot,
     /// The user-visible kind registry, ascending by id.
     pub kinds: Vec<(QueryId, QueryKind)>,
     /// Reverse-NN composition state — `(id, query point, verified set)`
@@ -921,7 +919,8 @@ mod tests {
         s.populate((0..50u32).map(|i| {
             let t = f64::from(i) / 50.0;
             (ObjectId(i), Point::new(t, (t * 3.7) % 1.0))
-        }));
+        }))
+        .unwrap();
         let _ = s
             .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 3)
             .unwrap();

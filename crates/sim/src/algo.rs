@@ -108,7 +108,9 @@ impl KnnMonitorAlgo for CpmMonitor {
     }
 
     fn populate(&mut self, objects: &[(ObjectId, Point)]) {
-        self.server.populate(objects.iter().copied());
+        self.server
+            .populate(objects.iter().copied())
+            .expect("a valid initial population");
     }
 
     fn install_query(&mut self, id: QueryId, pos: Point, k: usize) {

@@ -107,7 +107,9 @@ fn ground_truth(stream: &OpStream) -> (Vec<Truth>, CpmServer) {
         });
     }
     let mut rebuilt = CpmServerBuilder::new(stream.grid_dim).build();
-    rebuilt.populate(positions);
+    rebuilt
+        .populate(positions)
+        .expect("a valid initial population");
     for (id, (spec, k)) in queries {
         let _ = rebuilt
             .install_spec(id, spec, k)

@@ -99,7 +99,8 @@ mod tests {
             (ObjectId(0), Point::new(0.32, 0.55)),
             (ObjectId(1), Point::new(0.51, 0.50)),
             (ObjectId(2), Point::new(0.92, 0.93)),
-        ]);
+        ])
+        .expect("a valid initial population");
         let _ = m
             .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.55)), 1)
             .unwrap();

@@ -35,7 +35,7 @@
 //! let mut server = CpmServerBuilder::new(64).threads(two).deltas(true).build();
 //! server.populate((0..10).map(|i| {
 //!     (ObjectId(i), Point::new((i as f64 + 0.5) / 10.0, 0.5))
-//! }));
+//! }))?;
 //! let mut fanout = DeltaFanout::new();
 //! let mut batch = CycleDeltas::default();
 //!

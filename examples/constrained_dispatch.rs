@@ -23,12 +23,14 @@ fn main() {
     let mut couriers: Vec<Point> = (0..80).map(|_| Point::new(rng.gen(), rng.gen())).collect();
 
     let mut monitor = CpmServerBuilder::new(64).threads(NonZeroUsize::MIN).build();
-    monitor.populate(
-        couriers
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (ObjectId(i as u32), p)),
-    );
+    monitor
+        .populate(
+            couriers
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| (ObjectId(i as u32), p)),
+        )
+        .expect("a valid initial population");
 
     // The hub sits at the zone's south-west gate; the service zone is the
     // north-east district.

@@ -23,7 +23,9 @@ fn main() {
     // 120 cafes scattered over the city (the data objects). Cafes are
     // static, so the update streams are query-side only.
     let mut monitor = CpmServerBuilder::new(64).threads(NonZeroUsize::MIN).build();
-    monitor.populate((0..120u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
+    monitor
+        .populate((0..120u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))))
+        .expect("a valid initial population");
 
     // Four friends start in different corners.
     let mut friends = vec![

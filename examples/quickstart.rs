@@ -16,10 +16,12 @@ fn main() {
     let mut monitor = CpmServerBuilder::new(16).threads(NonZeroUsize::MIN).build();
 
     // 2. Initial vehicle positions (a small diagonal convoy plus strays).
-    monitor.populate((0..10u32).map(|i| {
-        let t = i as f64 / 10.0;
-        (ObjectId(i), Point::new(0.05 + 0.9 * t, 0.1 + 0.8 * t * t))
-    }));
+    monitor
+        .populate((0..10u32).map(|i| {
+            let t = i as f64 / 10.0;
+            (ObjectId(i), Point::new(0.05 + 0.9 * t, 0.1 + 0.8 * t * t))
+        }))
+        .expect("a valid initial population");
 
     // 3. A continuous 3-NN query at the city center.
     let poi = QueryId(0);

@@ -36,7 +36,9 @@ fn main() {
     let mut monitor = CpmServerBuilder::new(128)
         .threads(NonZeroUsize::MIN)
         .build();
-    monitor.populate(workload.initial_objects());
+    monitor
+        .populate(workload.initial_objects())
+        .expect("a valid initial population");
     for (qid, pos, k) in workload.initial_queries() {
         let _ = monitor
             .install_spec(qid, PointQuery(pos), k)

@@ -28,12 +28,14 @@ fn main() {
     let mut couriers: Vec<Point> = (0..120).map(|_| Point::new(rng.gen(), rng.gen())).collect();
 
     let mut server = CpmServerBuilder::new(64).build();
-    server.populate(
-        couriers
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (ObjectId(i as u32), p)),
-    );
+    server
+        .populate(
+            couriers
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| (ObjectId(i as u32), p)),
+        )
+        .expect("a valid initial population");
 
     // One registry, three products, each addressed by its id: one
     // install call takes any query geometry.

@@ -47,7 +47,7 @@
 //!     (ObjectId(0), Point::new(0.21, 0.35)),
 //!     (ObjectId(1), Point::new(0.57, 0.60)),
 //!     (ObjectId(2), Point::new(0.80, 0.10)),
-//! ]);
+//! ])?;
 //! server.install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)?;
 //!
 //! // Taxi 2 drives next to the query point.

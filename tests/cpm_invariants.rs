@@ -19,7 +19,7 @@ fn server(grid_dim: u32) -> CpmServer {
 /// A one-thread server loaded with the workload's objects and queries.
 fn installed(w: &NetworkWorkload, grid_dim: u32) -> CpmServer {
     let mut m = server(grid_dim);
-    m.populate(w.initial_objects());
+    m.populate(w.initial_objects()).unwrap();
     for (qid, pos, k) in w.initial_queries() {
         let _ = m.install_spec(qid, PointQuery(pos), k).unwrap();
     }
@@ -133,7 +133,8 @@ fn influence_region_is_exactly_the_circle_cover() {
     let mut rng = StdRng::seed_from_u64(0x1F1);
     for dim in [8u32, 16, 32] {
         let mut m = server(dim);
-        m.populate((0..60u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
+        m.populate((0..60u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))))
+            .unwrap();
         for qi in 0..5u32 {
             let q = PointQuery(Point::new(rng.gen(), rng.gen()));
             let _ = m.install_spec(QueryId(qi), q, 4).unwrap();

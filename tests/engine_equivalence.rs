@@ -44,7 +44,7 @@ fn engine<S: Into<AnyQuerySpec>>(
     let mut e = CpmServerBuilder::new(input.params.grid_dim)
         .threads(NonZeroUsize::MIN)
         .build();
-    e.populate(input.initial_objects.iter().copied());
+    e.populate(input.initial_objects.iter().copied()).unwrap();
     for (i, &p) in points.iter().enumerate() {
         let _ = e.install_spec(QueryId(i as u32), spec(p), k).unwrap();
     }

@@ -39,7 +39,7 @@ fn ann_monitors_track_brute_force_over_network_streams() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA11);
         let mut w = workload(seed);
         let mut monitor = server();
-        monitor.populate(w.initial_objects());
+        monitor.populate(w.initial_objects()).unwrap();
 
         // Three ANN queries with 2-5 member points each.
         let queries: Vec<(QueryId, AnnQuery)> = (0..3u32)
@@ -85,7 +85,7 @@ fn ann_monitors_track_brute_force_over_network_streams() {
 fn constrained_monitor_tracks_filtered_brute_force() {
     let mut w = workload(11);
     let mut monitor = server();
-    monitor.populate(w.initial_objects());
+    monitor.populate(w.initial_objects()).unwrap();
 
     let zones = [
         Rect::new(Point::new(0.0, 0.0), Point::new(0.5, 0.5)),
@@ -137,7 +137,7 @@ fn ann_query_set_updates_stay_correct() {
     let mut rng = StdRng::seed_from_u64(0xF00D);
     let mut w = workload(21);
     let mut monitor = server();
-    monitor.populate(w.initial_objects());
+    monitor.populate(w.initial_objects()).unwrap();
     let qid = QueryId(0);
     let mut pts: Vec<Point> = (0..3).map(|_| Point::new(rng.gen(), rng.gen())).collect();
     let _ = monitor

@@ -1,9 +1,9 @@
 //! Failure injection and degenerate configurations: disappearance bursts,
 //! mass teleports, single-cell pile-ups, workspace corners/edges,
-//! malformed event batches — bad coordinates, repeated ids, events that
-//! do not fit an object's liveness — rejected at the unified server's
-//! ingest boundary, and cluster configurations refused before any worker
-//! starts.
+//! malformed event batches and bulk loads — bad coordinates, repeated
+//! ids, events that do not fit an object's liveness — rejected at the
+//! unified server's ingest boundary, and cluster configurations refused
+//! before any worker starts.
 
 use std::num::NonZeroUsize;
 
@@ -209,7 +209,8 @@ fn small_server() -> CpmServer {
     let mut s = CpmServerBuilder::new(16)
         .threads(NonZeroUsize::new(2).unwrap())
         .build();
-    s.populate((0..20u32).map(|i| (ObjectId(i), Point::new(f64::from(i) / 20.0, 0.5))));
+    s.populate((0..20u32).map(|i| (ObjectId(i), Point::new(f64::from(i) / 20.0, 0.5))))
+        .unwrap();
     let _ = s
         .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 3)
         .unwrap();
@@ -326,7 +327,8 @@ fn four_objects() -> CpmServer {
     let mut s = CpmServerBuilder::new(16)
         .threads(NonZeroUsize::new(2).unwrap())
         .build();
-    s.populate((0..4u32).map(|i| (ObjectId(i), Point::new(0.2 + f64::from(i) / 10.0, 0.5))));
+    s.populate((0..4u32).map(|i| (ObjectId(i), Point::new(0.2 + f64::from(i) / 10.0, 0.5))))
+        .unwrap();
     let _ = s
         .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
         .unwrap();
@@ -422,6 +424,122 @@ fn server_refuses_an_appear_of_a_live_object_typed() {
             live: true,
         },
     );
+}
+
+/// Objects 0–3 and no query: the state the `populate` refusals start
+/// from.
+fn four_objects_before_installs() -> CpmServer {
+    let mut s = CpmServerBuilder::new(16)
+        .threads(NonZeroUsize::new(2).unwrap())
+        .build();
+    s.populate((0..4u32).map(|i| (ObjectId(i), Point::new(0.2 + f64::from(i) / 10.0, 0.5))))
+        .unwrap();
+    s
+}
+
+/// `populate(objects)` on `s` is refused with `want`, and nothing was
+/// inserted: the grid holds the objects it held before, at the same
+/// positions, and the server snapshots to the same bytes.
+fn assert_populate_refusal(mut s: CpmServer, objects: &[(ObjectId, Point)], want: CpmError) {
+    let grid = |s: &CpmServer| {
+        let mut objects: Vec<(ObjectId, Point)> = s.grid().iter_objects().collect();
+        objects.sort_unstable_by_key(|&(id, _)| id);
+        objects
+    };
+    let (objects_before, frame_before) = (grid(&s), Snapshot::capture(&s, 0).to_frame());
+    let err = s.populate(objects.iter().copied()).unwrap_err();
+    assert_eq!(err, want);
+    assert!(!err.to_string().is_empty());
+    assert_eq!(grid(&s), objects_before, "the grid changed");
+    assert!(
+        Snapshot::capture(&s, 0).to_frame() == frame_before,
+        "state moved"
+    );
+    s.check_invariants();
+}
+
+/// The valid object ahead of the offender is not inserted either: the
+/// whole population is checked before any object is.
+#[test]
+fn populate_refuses_an_id_past_the_ceiling_typed() {
+    let past = ObjectId(ObjectId::LIMIT);
+    let objects = [
+        (ObjectId(10), Point::new(0.5, 0.5)),
+        (past, Point::new(0.5, 0.5)),
+    ];
+    assert_populate_refusal(
+        four_objects_before_installs(),
+        &objects,
+        CpmError::ObjectIdOutOfRange(past),
+    );
+}
+
+#[test]
+fn populate_refuses_an_id_listed_twice_typed() {
+    let objects = [
+        (ObjectId(10), Point::new(0.1, 0.1)),
+        (ObjectId(11), Point::new(0.2, 0.2)),
+        (ObjectId(10), Point::new(0.3, 0.3)),
+    ];
+    assert_populate_refusal(
+        four_objects_before_installs(),
+        &objects,
+        CpmError::DuplicateObject(ObjectId(10)),
+    );
+}
+
+#[test]
+fn populate_refuses_a_non_finite_coordinate_typed() {
+    let objects = [
+        (ObjectId(10), Point::new(0.5, 0.5)),
+        (ObjectId(11), Point::new(f64::NAN, 0.5)),
+    ];
+    assert_populate_refusal(
+        four_objects_before_installs(),
+        &objects,
+        CpmError::NonFiniteCoordinate(ObjectId(11)),
+    );
+}
+
+/// The first offending object decides the error: the position outside
+/// the workspace, not the repeat of its id behind it — which would have
+/// made a bulk load that inserts before it checks panic.
+#[test]
+fn populate_refuses_a_position_outside_the_workspace_typed() {
+    let objects = [
+        (ObjectId(10), Point::new(1.5, 0.5)),
+        (ObjectId(10), Point::new(0.5, 0.5)),
+    ];
+    assert_populate_refusal(
+        four_objects_before_installs(),
+        &objects,
+        CpmError::OutOfWorkspace(ObjectId(10)),
+    );
+}
+
+/// A bulk load is a batch of appears: an object that is already live
+/// cannot appear again.
+#[test]
+fn populate_refuses_an_object_already_live_typed() {
+    let objects = [
+        (ObjectId(10), Point::new(0.5, 0.5)),
+        (ObjectId(2), Point::new(0.9, 0.9)),
+    ];
+    assert_populate_refusal(
+        four_objects_before_installs(),
+        &objects,
+        CpmError::Liveness {
+            id: ObjectId(2),
+            live: true,
+        },
+    );
+}
+
+/// Objects arrive through cycles once a query is installed.
+#[test]
+fn populate_after_an_install_is_refused_typed() {
+    let objects = [(ObjectId(10), Point::new(0.5, 0.5))];
+    assert_populate_refusal(four_objects(), &objects, CpmError::PopulateAfterInstall);
 }
 
 /// One query geometry per kind whose numbers no search can use: a NaN or

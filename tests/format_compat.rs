@@ -269,10 +269,12 @@ fn auto_fixture() -> CpmServer {
         .threads(NonZeroUsize::new(2).unwrap())
         .regrid(RegridPolicy::auto())
         .build();
-    server.populate((0..10u32).map(|i| {
-        let t = f64::from(i) / 10.0;
-        (ObjectId(i), Point::new(t, (t * 7.0) % 1.0))
-    }));
+    server
+        .populate((0..10u32).map(|i| {
+            let t = f64::from(i) / 10.0;
+            (ObjectId(i), Point::new(t, (t * 7.0) % 1.0))
+        }))
+        .unwrap();
     let _ = server
         .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
         .unwrap();
@@ -313,10 +315,12 @@ fn quadtree_snapshot_is_refused_typed_by_decode_and_by_recovery() {
     let mut server = CpmServerBuilder::new(16)
         .threads(NonZeroUsize::new(2).unwrap())
         .build();
-    server.populate((0..20u32).map(|i| {
-        let t = f64::from(i) / 20.0;
-        (ObjectId(i), Point::new(t, (t * 3.0) % 1.0))
-    }));
+    server
+        .populate((0..20u32).map(|i| {
+            let t = f64::from(i) / 20.0;
+            (ObjectId(i), Point::new(t, (t * 3.0) % 1.0))
+        }))
+        .unwrap();
     let _ = server
         .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 3)
         .unwrap();
@@ -339,10 +343,12 @@ fn journal_fixture() -> DurableCpmServer {
     let mut server = CpmServerBuilder::new(8)
         .threads(NonZeroUsize::new(2).unwrap())
         .build();
-    server.populate((0..12u32).map(|i| {
-        let t = f64::from(i) / 12.0;
-        (ObjectId(i), Point::new(t, (t * 5.0) % 1.0))
-    }));
+    server
+        .populate((0..12u32).map(|i| {
+            let t = f64::from(i) / 12.0;
+            (ObjectId(i), Point::new(t, (t * 5.0) % 1.0))
+        }))
+        .unwrap();
     DurableCpmServer::new(server, 0)
 }
 

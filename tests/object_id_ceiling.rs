@@ -77,7 +77,9 @@ fn ids_past_the_ceiling_are_refused_before_anything_is_sized_by_them() {
 
     // The server: the whole batch is refused, the cycle does not run.
     let mut server = CpmServerBuilder::new(16).deltas(true).build();
-    server.populate((0..20u32).map(|i| (ObjectId(i), Point::new(f64::from(i) / 20.0, 0.5))));
+    server
+        .populate((0..20u32).map(|i| (ObjectId(i), Point::new(f64::from(i) / 20.0, 0.5))))
+        .unwrap();
     let _ = server
         .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 3)
         .unwrap();

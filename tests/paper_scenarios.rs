@@ -31,7 +31,7 @@ fn incomer_within_best_dist_fig_4_3a() {
 
     let mut cpm = cpm_monitor(16);
     let mut sea = SeaCnnMonitor::new(16);
-    cpm.populate(objects);
+    cpm.populate(objects).unwrap();
     sea.populate(objects);
     let _ = cpm.install_spec(q.0, PointQuery(q.1), q.2).unwrap();
     sea.install_query(q.0, q.1, q.2);
@@ -77,7 +77,7 @@ fn outgoing_nn_cost_grows_with_distance_for_baselines_fig_4_2b() {
     let run = |dest: Point| {
         let mut cpm = cpm_monitor(32);
         let mut ypk = YpkCnnMonitor::new(32);
-        cpm.populate(objects);
+        cpm.populate(objects).unwrap();
         ypk.populate(objects);
         let _ = cpm
             .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 1)
@@ -131,7 +131,7 @@ fn query_displacement_cost_fig_4_3b() {
     let run = |dest: Point| {
         let mut cpm = cpm_monitor(32);
         let mut sea = SeaCnnMonitor::new(32);
-        cpm.populate(objects.iter().copied());
+        cpm.populate(objects.iter().copied()).unwrap();
         sea.populate(objects.iter().copied());
         let _ = cpm
             .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
@@ -170,7 +170,7 @@ fn far_updates_are_completely_ignored() {
         (ObjectId(3), Point::new(0.05, 0.05)), // far away
     ];
     let mut cpm = cpm_monitor(32);
-    cpm.populate(objects);
+    cpm.populate(objects).unwrap();
     let _ = cpm
         .install_spec(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 2)
         .unwrap();

@@ -130,7 +130,9 @@ impl Model {
     /// A server built from scratch over the model's objects and queries.
     fn rebuilt(&self, dim: u32, k: usize) -> CpmServer {
         let mut server = server(dim, 1);
-        server.populate(self.live.iter().map(|(&id, &p)| (ObjectId(id), p)));
+        server
+            .populate(self.live.iter().map(|(&id, &p)| (ObjectId(id), p)))
+            .unwrap();
         for (i, &q) in self.queries.iter().enumerate() {
             let _ = server
                 .install_spec(QueryId(i as u32), PointQuery(q), k)
@@ -188,7 +190,7 @@ fn replay(
                 .threads(NonZeroUsize::new(threads).unwrap())
                 .deltas(true)
                 .build();
-            s.populate(objects.iter().copied());
+            s.populate(objects.iter().copied()).unwrap();
             s
         })
         .collect();

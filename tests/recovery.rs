@@ -89,10 +89,12 @@ fn durable_fixture(checkpointed: bool) -> DurableCpmServer {
     let mut server = CpmServerBuilder::new(16)
         .threads(NonZeroUsize::new(2).unwrap())
         .build();
-    server.populate((0..40u32).map(|i| {
-        let t = f64::from(i) / 40.0;
-        (ObjectId(i), Point::new(t, (t * 2.3) % 1.0))
-    }));
+    server
+        .populate((0..40u32).map(|i| {
+            let t = f64::from(i) / 40.0;
+            (ObjectId(i), Point::new(t, (t * 2.3) % 1.0))
+        }))
+        .unwrap();
     let mut durable = DurableCpmServer::new(server, 0);
     let _ = durable
         .install_spec(QueryId(0), PointQuery(Point::new(0.4, 0.4)), 4)
@@ -238,9 +240,11 @@ fn restored_hub_resumes_epochs_and_replicas_resync() {
             .threads(NonZeroUsize::new(2).unwrap())
             .deltas(true)
             .build();
-        server.populate(
-            (0..12u32).map(|i| (ObjectId(i), Point::new((f64::from(i) + 0.5) / 12.0, 0.5))),
-        );
+        server
+            .populate(
+                (0..12u32).map(|i| (ObjectId(i), Point::new((f64::from(i) + 0.5) / 12.0, 0.5))),
+            )
+            .unwrap();
         let mut fanout = DeltaFanout::new();
         fanout.subscribe(QueryId(0));
         fanout.subscribe(QueryId(1));

@@ -232,10 +232,12 @@ fn regrids_emit_no_spurious_deltas_through_the_hub() {
             .threads(NonZeroUsize::new(2).unwrap())
             .deltas(true)
             .build();
-        server.populate((0..80u32).map(|i| {
-            let p = Point::new((i as f64 * 0.29) % 1.0, (i as f64 * 0.53) % 1.0);
-            (ObjectId(i), p)
-        }));
+        server
+            .populate((0..80u32).map(|i| {
+                let p = Point::new((i as f64 * 0.29) % 1.0, (i as f64 * 0.53) % 1.0);
+                (ObjectId(i), p)
+            }))
+            .unwrap();
         let mut fanout = DeltaFanout::new();
         let installs: Vec<SpecEvent<AnyQuerySpec>> = (0..12u32)
             .map(|qi| {

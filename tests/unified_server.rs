@@ -38,7 +38,7 @@ fn dedicated(
     let mut e = CpmServerBuilder::new(dim)
         .threads(NonZeroUsize::new(threads).unwrap())
         .build();
-    e.populate(objects.iter().copied());
+    e.populate(objects.iter().copied()).unwrap();
     let _ = e.install_spec(id, spec, k).unwrap();
     e
 }
@@ -76,7 +76,7 @@ fn one_cycle_one_ingest_regardless_of_kind_count() {
                 (ObjectId(i), Point::new(t, (t * 13.0) % 1.0))
             })
             .collect();
-        server.populate(objects.iter().copied());
+        server.populate(objects.iter().copied()).unwrap();
         let _ = server
             .install_spec(QueryId(0), PointQuery(Point::new(0.4, 0.4)), 4)
             .unwrap();
@@ -135,7 +135,7 @@ fn server_results_match_dedicated_engines() {
         let mut server = CpmServerBuilder::new(16)
             .threads(NonZeroUsize::new(threads).unwrap())
             .build();
-        server.populate(objects.iter().copied());
+        server.populate(objects.iter().copied()).unwrap();
 
         let knn_q = PointQuery(Point::new(0.35, 0.65));
         let _ = server.install_spec(QueryId(0), knn_q, 5).unwrap();
@@ -215,7 +215,9 @@ fn registry_errors_and_midstream_churn() {
     let mut server = CpmServerBuilder::new(16)
         .threads(NonZeroUsize::new(4).unwrap())
         .build();
-    server.populate((0..50u32).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))));
+    server
+        .populate((0..50u32).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))))
+        .unwrap();
     let installed = server
         .install_spec(QueryId(0), PointQuery(Point::new(0.1, 0.5)), 3)
         .unwrap();
@@ -300,7 +302,9 @@ fn unified_delta_cycles_fold_losslessly() {
             .threads(NonZeroUsize::new(threads).unwrap())
             .deltas(true)
             .build();
-        server.populate((0..40u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
+        server
+            .populate((0..40u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))))
+            .unwrap();
         let mut out = CycleDeltas::default();
         server
             .process_cycle_with_deltas_into(
