@@ -21,7 +21,9 @@
 //! two-step search.
 
 use cpm_geom::{FastHashMap, FastHashSet, ObjectId, Point, QueryId};
-use cpm_grid::{CellCoord, Grid, InfluenceTable, Metrics, ObjectEvent, QueryEvent};
+use cpm_grid::{
+    apply_events, CellCoord, Grid, InfluenceTable, Metrics, ObjectEvent, QueryEvent, UpdateRecord,
+};
 
 use cpm_core::neighbors::{Neighbor, NeighborList};
 
@@ -53,6 +55,8 @@ impl SeaQueryState {
 #[derive(Debug)]
 pub struct SeaCnnMonitor {
     grid: Grid,
+    /// The cycle's [`apply_events`] output, classified after ingest.
+    records: Vec<UpdateRecord>,
     answer_regions: InfluenceTable,
     queries: FastHashMap<QueryId, SeaQueryState>,
     /// Queries whose result holds fewer than `k` objects (the whole
@@ -70,6 +74,7 @@ impl SeaCnnMonitor {
     pub fn new(dim: u32) -> Self {
         Self {
             grid: cpm_grid::GridBuilder::new(dim).build_uniform(),
+            records: Vec::new(),
             answer_regions: InfluenceTable::new(dim),
             queries: FastHashMap::default(),
             starved: FastHashSet::default(),
@@ -90,9 +95,10 @@ impl SeaCnnMonitor {
             self.queries.is_empty(),
             "populate() is only valid before queries are installed"
         );
-        for (oid, pos) in objects {
-            self.grid.insert(oid, pos);
-        }
+        let appears: Vec<ObjectEvent> = (objects.into_iter())
+            .map(|(id, pos)| ObjectEvent::Appear { id, pos })
+            .collect();
+        apply_events(&mut self.grid, &appears, &mut Vec::new());
     }
 
     /// The object index.
@@ -176,32 +182,21 @@ impl SeaCnnMonitor {
             self.ignored.insert(ev.id());
         }
 
-        // Phase 1: apply object updates, classifying affected queries.
-        for ev in object_events {
-            match *ev {
-                ObjectEvent::Move { id, to } => {
-                    let (_, old_cell, new_cell) = self.grid.update_position(id, to);
-                    self.metrics.updates_applied += 1;
-                    let new_pos = self.grid.position(id).expect("just inserted");
-                    self.classify_departure(id, old_cell, Some(new_pos));
-                    self.classify_arrival(id, new_cell, new_pos);
-                }
-                ObjectEvent::Appear { id, pos } => {
-                    let cell = self.grid.insert(id, pos);
-                    self.metrics.updates_applied += 1;
-                    let pos = self.grid.position(id).expect("just inserted");
-                    self.classify_arrival(id, cell, pos);
-                }
-                ObjectEvent::Disappear { id } => {
-                    let (_, cell) = self
-                        .grid
-                        .remove(id)
-                        .unwrap_or_else(|| panic!("disappear of off-line object {id}"));
-                    self.metrics.updates_applied += 1;
-                    self.classify_departure(id, cell, None);
-                }
+        // Phase 1: apply object updates, then classify affected queries
+        // from the records (classification reads no grid state).
+        self.records.clear();
+        self.metrics.updates_applied +=
+            apply_events(&mut self.grid, object_events, &mut self.records);
+        let records = std::mem::take(&mut self.records);
+        for rec in &records {
+            if let Some(old_cell) = rec.old_cell {
+                self.classify_departure(rec.id, old_cell, rec.new_pos);
+            }
+            if let (Some(new_cell), Some(new_pos)) = (rec.new_cell, rec.new_pos) {
+                self.classify_arrival(rec.id, new_cell, new_pos);
             }
         }
+        self.records = records;
 
         // Phase 2: recompute every affected query within its search region.
         let mut changed = Vec::new();

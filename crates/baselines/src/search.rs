@@ -12,9 +12,9 @@ use cpm_grid::{kernels, CellCoord, Grid, Metrics};
 use cpm_core::neighbors::NeighborList;
 
 /// Scan one cell into `best` (a *cell access* in the experiment metrics).
-/// Distances come from the shared batched kernel over the grid's
-/// struct-of-arrays columns — the same (bit-identical) kernel CPM's
-/// engines use — with `dist_buf` as the reused per-search output buffer.
+/// Distances come from the shared batched kernel over the cell's run —
+/// the same (bit-identical) kernel CPM's engine uses — with `dist_buf`
+/// as the reused per-search output buffer.
 #[inline]
 pub(crate) fn scan_cell(
     grid: &Grid,
@@ -25,10 +25,10 @@ pub(crate) fn scan_cell(
     metrics: &mut Metrics,
 ) {
     metrics.cell_accesses += 1;
-    let oids = grid.objects_in(cell);
-    kernels::dist_into(grid.coords(), q, oids, dist_buf);
-    metrics.objects_processed += oids.len() as u64;
-    for (&oid, &d) in oids.iter().zip(dist_buf.iter()) {
+    let run = grid.cell_run(cell);
+    kernels::run_dist_into(run, q, dist_buf);
+    metrics.objects_processed += run.len() as u64;
+    for (&oid, &d) in run.ids().iter().zip(dist_buf.iter()) {
         best.offer(oid, d);
     }
 }
@@ -171,15 +171,25 @@ pub(crate) fn scan_circle(
 mod tests {
     use super::*;
     use cpm_geom::ObjectId;
+    use cpm_grid::ObjectEvent;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn grid_with(objects: &[(u32, f64, f64)]) -> Grid {
         let mut g = cpm_grid::GridBuilder::new(16).build_uniform();
-        for &(id, x, y) in objects {
-            g.insert(ObjectId(id), Point::new(x, y));
-        }
+        let appears: Vec<ObjectEvent> = (objects.iter())
+            .map(|&(id, x, y)| ObjectEvent::Appear {
+                id: ObjectId(id),
+                pos: Point::new(x, y),
+            })
+            .collect();
+        cpm_grid::apply_events(&mut g, &appears, &mut Vec::new());
         g
+    }
+
+    fn random_grid(rng: &mut StdRng, n: u32) -> Grid {
+        let objects: Vec<(u32, f64, f64)> = (0..n).map(|i| (i, rng.gen(), rng.gen())).collect();
+        grid_with(&objects)
     }
 
     fn brute(grid: &Grid, q: Point, k: usize) -> Vec<f64> {
@@ -207,11 +217,8 @@ mod tests {
     fn two_step_matches_brute_force_on_random_data() {
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..20 {
-            let mut g = cpm_grid::GridBuilder::new(16).build_uniform();
             let n = rng.gen_range(1..80);
-            for i in 0..n {
-                g.insert(ObjectId(i), Point::new(rng.gen(), rng.gen()));
-            }
+            let g = random_grid(&mut rng, n);
             let q = Point::new(rng.gen(), rng.gen());
             let k = rng.gen_range(1..8);
             let mut m = Metrics::default();
@@ -251,10 +258,7 @@ mod tests {
     #[test]
     fn scan_circle_matches_filtered_brute_force() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut g = cpm_grid::GridBuilder::new(16).build_uniform();
-        for i in 0..60u32 {
-            g.insert(ObjectId(i), Point::new(rng.gen(), rng.gen()));
-        }
+        let g = random_grid(&mut rng, 60);
         let q = Point::new(0.5, 0.5);
         let mut m = Metrics::default();
         let best = scan_circle(&g, q, q, 0.3, 4, &mut m);

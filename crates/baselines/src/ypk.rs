@@ -21,7 +21,7 @@
 //! case unspecified).
 
 use cpm_geom::{FastHashMap, Point, QueryId};
-use cpm_grid::{Grid, Metrics, ObjectEvent, QueryEvent};
+use cpm_grid::{apply_events, Grid, Metrics, ObjectEvent, QueryEvent, UpdateRecord};
 
 use cpm_core::neighbors::{Neighbor, NeighborList};
 
@@ -37,6 +37,9 @@ struct YpkQueryState {
 #[derive(Debug)]
 pub struct YpkCnnMonitor {
     grid: Grid,
+    /// [`apply_events`]' output, unread: YPK-CNN re-evaluates every
+    /// query whatever moved.
+    records: Vec<UpdateRecord>,
     queries: FastHashMap<QueryId, YpkQueryState>,
     metrics: Metrics,
     eval_period: u64,
@@ -58,6 +61,7 @@ impl YpkCnnMonitor {
         assert!(period > 0, "evaluation period must be positive");
         Self {
             grid: cpm_grid::GridBuilder::new(dim).build_uniform(),
+            records: Vec::new(),
             queries: FastHashMap::default(),
             metrics: Metrics::default(),
             eval_period: period,
@@ -74,9 +78,10 @@ impl YpkCnnMonitor {
             self.queries.is_empty(),
             "populate() is only valid before queries are installed"
         );
-        for (oid, pos) in objects {
-            self.grid.insert(oid, pos);
-        }
+        let appears: Vec<ObjectEvent> = (objects.into_iter())
+            .map(|(id, pos)| ObjectEvent::Appear { id, pos })
+            .collect();
+        apply_events(&mut self.grid, &appears, &mut Vec::new());
     }
 
     /// The object index.
@@ -138,22 +143,9 @@ impl YpkCnnMonitor {
 
         // YPK-CNN "does not process updates as they arrive, but directly
         // applies the changes to the grid".
-        for ev in object_events {
-            match *ev {
-                ObjectEvent::Move { id, to } => {
-                    self.grid.update_position(id, to);
-                }
-                ObjectEvent::Appear { id, pos } => {
-                    self.grid.insert(id, pos);
-                }
-                ObjectEvent::Disappear { id } => {
-                    self.grid
-                        .remove(id)
-                        .unwrap_or_else(|| panic!("disappear of off-line object {id}"));
-                }
-            }
-            self.metrics.updates_applied += 1;
-        }
+        self.records.clear();
+        self.metrics.updates_applied +=
+            apply_events(&mut self.grid, object_events, &mut self.records);
 
         let mut changed = Vec::new();
         for ev in query_events {

@@ -140,14 +140,14 @@ pub const GATES: &[Gate] = &[
         "snapshot + journal durability: full recovery / quiet cycle (restart pause)",
         Bound::AtMost(25.0),
     ),
-    // The batched kernel must never lose to the scalar idiom on the
-    // buckets it is built for.
+    // The run kernel every cell scan calls must never lose to the scalar
+    // per-object loop on the buckets it is built for.
     Gate {
         curve: true,
         ..gate(
             "kernels",
-            "speedup_dim64_bucket32plus",
-            "one batched distance kernel vs the scalar idiom, worst dim-64 cell with bucket >= 32",
+            "speedup_bucket32plus",
+            "the run distance kernel vs the scalar per-object loop, worst cell run of >= 32 objects",
             Bound::AtLeast(1.0 / MARGIN),
         )
     },

@@ -1,22 +1,22 @@
-//! Distance-kernel micro-benchmark: the batched struct-of-arrays kernel
-//! (`cpm_grid::kernels::dist_into`) vs the pre-kernel scalar idiom (an
-//! array-of-`Option<Point>` lookup plus one `Point::dist` per object —
-//! the exact inner loop every monitor ran before the SoA refactor).
+//! Distance-kernel micro-benchmark: the run kernel every cell scan
+//! calls (`cpm_grid::kernels::run_dist_into` over `Grid::cell_run`) vs
+//! the scalar loop it replaces (one `Point::dist` per object of the run,
+//! pushed — `QuerySpec::dist_batch`'s trait default, which `PointQuery`
+//! overrides with the kernel).
 //!
-//! Both lanes replay identical pre-generated bucket scans under the
-//! paired protocol — one paired cycle is a block of scans over every
-//! bucket of the cell, lanes alternating per block — and their outputs
+//! Both lanes replay identical scans of a real grid's cell runs under
+//! the paired protocol — one paired cycle is a block of scans over every
+//! cell of the grid, lanes alternating per block — and their outputs
 //! are folded into checksums that must match **bit-for-bit** before
 //! anything is timed: the bench doubles as an end-to-end smoke test of
 //! the kernel-conformance guarantee.
 //!
-//! The sweep covers position-table sizes 64 / 256 / 1024 (spanning
-//! cache-resident to gather-heavy) × bucket sizes 1–256 (including an
-//! odd size). The gated statistic is the worst speedup over the dim-64
-//! cells with buckets of ≥ 32 objects.
+//! The sweep covers bucket sizes (objects per cell) 1–256, including an
+//! odd size. The gated statistic is the worst speedup over buckets of
+//! ≥ 32 objects.
 
 use cpm_geom::{ObjectId, Point};
-use cpm_grid::kernels::{self, Coords};
+use cpm_grid::{apply_events, kernels, CellCoord, Grid, GridBuilder, ObjectEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,20 +27,18 @@ use crate::workload::bench_config;
 bench_config! {
     /// Workload parameters for one kernel run. `bench_check` runs this
     /// very configuration, so the checked-in curve binds. The run is
-    /// long on purpose (~8 s): it has to outlast the host's disturbed
-    /// phases to see the undisturbed state at all.
+    /// long on purpose (~3 s of 90 blocks per size): it has to outlast
+    /// the host's disturbed phases to see the undisturbed state at all.
     Config {
-        /// Position-table sizes (slot counts) measured.
-        dims: Vec<usize> = vec![64, 256, 1024],
-        /// Bucket sizes measured (objects per cell scan).
+        /// Grid dimension: each of the `dim²` cells is one scanned run.
+        dim: u32 = 8,
+        /// Bucket sizes measured (objects per cell, so per scan).
         buckets: Vec<usize> = vec![1, 2, 4, 8, 16, 32, 33, 64, 128, 256],
-        /// Distinct pre-generated buckets per (dim, bucket-size) cell.
-        n_buckets: usize = 64,
         /// Target distance evaluations per lane per timed block (scans
         /// per block are derived from this so small buckets are not
         /// under-sampled).
         block_ops: usize = 100_000,
-        /// Timed blocks per cell per lane per repetition.
+        /// Timed blocks per bucket size per lane per repetition.
         blocks: usize = 90,
         /// RNG seed.
         seed: u64 = 2005,
@@ -54,52 +52,55 @@ impl Config {
     }
 }
 
-/// One (dim, bucket) cell's pre-generated inputs, identical for both
-/// lanes: the position table in both layouts plus the gather patterns.
+/// One bucket size's inputs, identical for both lanes: a grid whose
+/// every cell holds `bucket` objects, and one query per cell.
 struct Cell {
-    dim: usize,
     bucket: usize,
-    aos: Vec<Option<Point>>,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    queries: Vec<Point>,
-    buckets: Vec<Vec<ObjectId>>,
+    grid: Grid,
+    queries: Vec<(CellCoord, Point)>,
 }
 
-fn build_cell(rng: &mut StdRng, dim: usize, bucket: usize, n_buckets: usize) -> Cell {
-    let points: Vec<Point> = (0..dim).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-    let (xs, ys) = points.iter().map(|p| (p.x, p.y)).unzip();
-    let aos = points.into_iter().map(Some).collect();
-    let queries = (0..n_buckets)
-        .map(|_| Point::new(rng.gen(), rng.gen()))
+fn build_cell(rng: &mut StdRng, dim: u32, bucket: usize) -> Cell {
+    let mut grid = GridBuilder::new(dim).build_uniform();
+    let delta = grid.delta();
+    let cells: Vec<CellCoord> = (0..dim)
+        .flat_map(|row| (0..dim).map(move |col| CellCoord::new(col, row)))
         .collect();
-    let buckets = (0..n_buckets)
-        .map(|_| {
-            (0..bucket)
-                .map(|_| ObjectId(rng.gen_range(0..dim) as u32))
-                .collect()
-        })
+    let mut appears = Vec::with_capacity(cells.len() * bucket);
+    for c in &cells {
+        for _ in 0..bucket {
+            let id = ObjectId(appears.len() as u32);
+            let x = (f64::from(c.col) + rng.gen::<f64>()) * delta;
+            let y = (f64::from(c.row) + rng.gen::<f64>()) * delta;
+            appears.push(ObjectEvent::Appear {
+                id,
+                pos: Point::new(x, y),
+            });
+        }
+    }
+    apply_events(&mut grid, &appears, &mut Vec::new());
+    let queries = cells
+        .into_iter()
+        .map(|c| (c, Point::new(rng.gen(), rng.gen())))
         .collect();
     Cell {
-        dim,
         bucket,
-        aos,
-        xs,
-        ys,
+        grid,
         queries,
-        buckets,
     }
 }
 
-/// The pre-kernel scalar idiom, verbatim: decode the `Option<Point>` slot
-/// per object and take one serial `Point::dist`.
+/// The scalar loop over a run: one `Point::dist` per object, pushed.
 #[inline(never)]
-fn scalar_scan(aos: &[Option<Point>], q: Point, oids: &[ObjectId], out: &mut Vec<f64>) {
+fn scalar_scan(grid: &Grid, c: CellCoord, q: Point, out: &mut Vec<f64>) {
     out.clear();
-    for &oid in oids {
-        let p = aos[oid.index()].expect("indexed object has position");
-        out.push(q.dist(p));
-    }
+    out.extend(grid.cell_run(c).iter().map(|(_, p)| q.dist(p)));
+}
+
+/// The run kernel, as a cell scan calls it.
+#[inline(never)]
+fn kernel_scan(grid: &Grid, c: CellCoord, q: Point, out: &mut Vec<f64>) {
+    kernels::run_dist_into(grid.cell_run(c), q, out);
 }
 
 fn fold(checksum: &mut u64, out: &[f64]) {
@@ -108,50 +109,47 @@ fn fold(checksum: &mut u64, out: &[f64]) {
     }
 }
 
-/// Run the sweep under the paired protocol, every (dim, bucket-size)
-/// cell sampled across the whole run.
+/// Run the sweep under the paired protocol, every bucket size sampled
+/// across the whole run.
 ///
 /// # Panics
 /// If the lanes' outputs ever differ bitwise.
 pub fn measure(cfg: &Config) -> BenchRecord {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut cells = Vec::new();
-    for &dim in &cfg.dims {
-        for &bucket in &cfg.buckets {
-            cells.push(build_cell(&mut rng, dim, bucket, cfg.n_buckets));
-        }
-    }
-    // Conformance first (outside timing): every bucket's outputs must
-    // match bit-for-bit between the lanes. The inputs never change, so
+    let cells: Vec<Cell> = (cfg.buckets.iter())
+        .map(|&bucket| build_cell(&mut rng, cfg.dim, bucket))
+        .collect();
+    // Conformance first (outside timing): every run's outputs must match
+    // bit-for-bit between the lanes. The inputs never change, so
     // checking once covers every timed scan below.
     let mut out = Vec::new();
     for cell in &cells {
-        let coords = Coords::from_columns(&cell.xs, &cell.ys);
         let (mut scalar_sum, mut batched_sum) = (0u64, 0u64);
-        for (q, oids) in cell.queries.iter().zip(&cell.buckets) {
-            scalar_scan(&cell.aos, *q, oids, &mut out);
+        for &(c, q) in &cell.queries {
+            assert_eq!(cell.grid.cell_len(c), cell.bucket);
+            scalar_scan(&cell.grid, c, q, &mut out);
             fold(&mut scalar_sum, &out);
-            kernels::dist_into(coords, *q, oids, &mut out);
+            kernel_scan(&cell.grid, c, q, &mut out);
             fold(&mut batched_sum, &out);
         }
         assert_eq!(
             scalar_sum, batched_sum,
-            "lanes diverged bitwise at dim {}, bucket {}",
-            cell.dim, cell.bucket
+            "lanes diverged bitwise at bucket {}",
+            cell.bucket
         );
     }
 
     // Timed blocks: the scans alone, with `black_box` keeping each
     // bucket's output live (folding checksums inside the timed region
     // would add a constant per-object cost to both lanes and compress
-    // the measured ratio). One paired cycle is one block of one cell and
-    // consecutive cycles walk the cells, so every cell is sampled over
-    // the whole run; each block follows one untimed scan that brings the
-    // cell's tables back into cache after the other cells' blocks.
+    // the measured ratio). One paired cycle is one block of one bucket
+    // size and consecutive cycles walk the sizes, so every size is
+    // sampled over the whole run; each block follows one untimed pass
+    // that brings the grid back into cache after the other sizes' blocks.
     let n = cells.len();
     let scans: Vec<usize> = cells
         .iter()
-        .map(|cell| (cfg.block_ops / (cfg.n_buckets * cell.bucket)).max(1))
+        .map(|cell| (cfg.block_ops / (cell.queries.len() * cell.bucket)).max(1))
         .collect();
     let mut paired = Paired::default();
     // Per repetition, per lane, per cell: the quiet tenth of the cell's
@@ -163,8 +161,8 @@ pub fn measure(cfg: &Config) -> BenchRecord {
             let cell = &cells[i % n];
             let mut pass = |scans: usize| {
                 for _ in 0..scans {
-                    for (q, oids) in cell.queries.iter().zip(&cell.buckets) {
-                        scalar_scan(&cell.aos, *q, oids, &mut out_a);
+                    for &(c, q) in &cell.queries {
+                        scalar_scan(&cell.grid, c, q, &mut out_a);
                         std::hint::black_box(&mut out_a);
                     }
                 }
@@ -174,11 +172,10 @@ pub fn measure(cfg: &Config) -> BenchRecord {
         };
         let mut batched = |i: usize| {
             let cell = &cells[i % n];
-            let coords = Coords::from_columns(&cell.xs, &cell.ys);
             let mut pass = |scans: usize| {
                 for _ in 0..scans {
-                    for (q, oids) in cell.queries.iter().zip(&cell.buckets) {
-                        kernels::dist_into(coords, *q, oids, &mut out_b);
+                    for &(c, q) in &cell.queries {
+                        kernel_scan(&cell.grid, c, q, &mut out_b);
                         std::hint::black_box(&mut out_b);
                     }
                 }
@@ -198,8 +195,7 @@ pub fn measure(cfg: &Config) -> BenchRecord {
 
     // The host alternates, for seconds at a time, between an
     // undisturbed state and states where the sibling hardware thread is
-    // busy, which cost the packed kernel more than the latency-bound
-    // scalar loop. The reproducible number is the undisturbed one: per
+    // busy, which cost the two lanes unequally. The reproducible number is the undisturbed one: per
     // lane the quiet tenth of each repetition's blocks, of the quietest
     // repetition (`Stat::quietest`, as `Paired::quiet_ms`); the MAD of
     // the per-repetition ratios says how far the host moved it.
@@ -217,22 +213,21 @@ pub fn measure(cfg: &Config) -> BenchRecord {
             median: scalar / batched,
             mad: Stat::of(&ratios).mad,
         };
-        let ops = (scans[c] * cfg.n_buckets * cell.bucket) as f64;
+        let ops = (scans[c] * cell.queries.len() * cell.bucket) as f64;
         record.rows.push(crate::fields! {
-            "dim" => cell.dim,
             "bucket" => cell.bucket,
             "scalar_ns_per_obj" => scalar * 1e6 / ops,
             "batched_ns_per_obj" => batched * 1e6 / ops,
             "speedup" => speedup.median,
             "speedup_mad" => speedup.mad,
         });
-        let gated = cell.dim == 64 && cell.bucket >= 32;
+        let gated = cell.bucket >= 32;
         if gated && worst.is_none_or(|w| speedup.median < w.median) {
             worst = Some(speedup);
         }
     }
     if let Some(worst) = worst {
-        record.put("speedup_dim64_bucket32plus", worst);
+        record.put("speedup_bucket32plus", worst);
     }
     record
 }
@@ -244,27 +239,26 @@ mod tests {
     #[test]
     fn tiny_run_is_consistent_and_gates_the_worst_cell() {
         let cfg = Config {
-            dims: vec![64],
+            dim: 2,
             buckets: vec![3, 32, 64],
-            n_buckets: 4,
             block_ops: 500,
             blocks: 3,
             ..Config::default()
         };
         let record = measure(&cfg);
         assert_eq!(record.rows.len(), 3);
-        let speedup = |row: usize| match &record.rows[row][4] {
+        let speedup = |row: usize| match &record.rows[row][3] {
             (_, crate::record::Value::Num(x)) => *x,
             _ => panic!("speedup is numeric"),
         };
         // The gate statistic is the minimum over the bucket >= 32 cells.
-        let gated = record.median("speedup_dim64_bucket32plus");
+        let gated = record.median("speedup_bucket32plus");
         assert_eq!(gated, speedup(1).min(speedup(2)));
         // No gated cell measured → no metric (the gate row then fails).
         let ungated = measure(&Config {
             buckets: vec![3],
             ..cfg
         });
-        assert!(ungated.metric("speedup_dim64_bucket32plus").is_none());
+        assert!(ungated.metric("speedup_bucket32plus").is_none());
     }
 }

@@ -178,7 +178,7 @@ fn every_gate_row_fails_on_the_wrong_side_of_its_bound() {
         ("recovery", "recovery_over_cycle", 1, 24.9, 25.1),
         (
             "kernels",
-            "speedup_dim64_bucket32plus",
+            "speedup_bucket32plus",
             1,
             1.0 / 1.1 + 0.01,
             1.0 / 1.1 - 0.01,

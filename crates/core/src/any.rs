@@ -13,8 +13,8 @@
 //! spec's own — so a query's result does not depend on which other kinds
 //! share the server (asserted by `tests/unified_server.rs`).
 
-use cpm_geom::{ObjectId, Point, Rect};
-use cpm_grid::{CellCoord, Coords, GridGeom, QueryKind};
+use cpm_geom::{Point, Rect};
+use cpm_grid::{CellCoord, CellRun, GridGeom, QueryKind};
 
 use crate::ann::AnnQuery;
 use crate::constrained::ConstrainedQuery;
@@ -163,8 +163,8 @@ impl QuerySpec for AnyQuerySpec {
     // Forwarded explicitly (not left to the trait default) so the point
     // variant reaches `PointQuery`'s vectorized kernel override.
     #[inline]
-    fn dist_batch(&self, coords: Coords<'_>, oids: &[ObjectId], out: &mut Vec<f64>) {
-        dispatch!(self, q => q.dist_batch(coords, oids, out))
+    fn dist_batch(&self, run: CellRun<'_>, out: &mut Vec<f64>) {
+        dispatch!(self, q => q.dist_batch(run, out))
     }
 
     fn base_block(&self, geom: GridGeom) -> (CellCoord, CellCoord) {
@@ -200,6 +200,7 @@ impl QuerySpec for AnyQuerySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpm_geom::ObjectId;
 
     #[test]
     fn non_finite_geometry_is_named_in_every_kind() {
@@ -258,12 +259,19 @@ mod tests {
             assert!(any.dist(p).to_bits() == range.dist(p).to_bits());
         }
         let (xs, ys) = ([0.41, 0.9, 0.2], [0.61, 0.9, 0.7]);
-        let coords = Coords::from_columns(&xs, &ys);
         let oids = [ObjectId(0), ObjectId(1), ObjectId(2)];
+        let run = CellRun::new(&oids, &xs, &ys);
         let mut batched = Vec::new();
-        any.dist_batch(coords, &oids, &mut batched);
-        for (&oid, &d) in oids.iter().zip(&batched) {
-            assert_eq!(d.to_bits(), range.dist(coords.point(oid)).to_bits());
+        any.dist_batch(run, &mut batched);
+        assert_eq!(batched.len(), run.len());
+        for ((_, p), &d) in run.iter().zip(&batched) {
+            assert_eq!(d.to_bits(), range.dist(p).to_bits());
+        }
+        // The point variant reaches `PointQuery`'s kernel override.
+        let knn = PointQuery(Point::new(0.4, 0.6));
+        AnyQuerySpec::from(knn).dist_batch(run, &mut batched);
+        for ((_, p), &d) in run.iter().zip(&batched) {
+            assert_eq!(d.to_bits(), knn.dist(p).to_bits());
         }
         for cell in [CellCoord::new(3, 3), CellCoord::new(20, 12)] {
             assert_eq!(

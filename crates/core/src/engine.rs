@@ -32,9 +32,9 @@
 //! [`crate::range`], [`crate::rnn`]) are further [`QuerySpec`]s, all
 //! driven through [`crate::CpmServer`].
 
-use cpm_geom::{ObjectId, Point, QueryId};
+use cpm_geom::{Point, QueryId};
 use cpm_grid::{
-    kernels, CellCoord, Coords, Grid, GridGeom, Metrics, QueryEvent, QueryKind, UpdateRecord,
+    kernels, CellCoord, CellRun, Grid, GridGeom, Metrics, QueryEvent, QueryKind, UpdateRecord,
 };
 
 use crate::any::AnyQuerySpec;
@@ -65,11 +65,10 @@ pub trait QuerySpec: std::fmt::Debug + Clone {
     /// (constrained queries).
     fn dist(&self, p: Point) -> f64;
 
-    /// Batched [`QuerySpec::dist`] over one cell bucket: fill `out` with
-    /// the distance to every object of `oids`, reading positions from
-    /// the grid's struct-of-arrays columns (`out[i] =
-    /// dist(position(oids[i]))`). The engine's bucket scans call this
-    /// with a per-worker reused buffer.
+    /// Batched [`QuerySpec::dist`] over one cell's run: fill `out` with
+    /// the distance to every object of `run`, in run order (`out[i] =
+    /// dist(run point i)`). The engine's cell scans call this with a
+    /// per-worker reused buffer.
     ///
     /// Implementations must be **bit-identical** to the per-object
     /// scalar path — same `f64` bits, hence the same `total_cmp`
@@ -78,9 +77,9 @@ pub trait QuerySpec: std::fmt::Debug + Clone {
     /// vectorized kernel ([`cpm_grid::kernels`]), whose conformance
     /// suite asserts the bit-equality.
     #[inline]
-    fn dist_batch(&self, coords: Coords<'_>, oids: &[ObjectId], out: &mut Vec<f64>) {
+    fn dist_batch(&self, run: CellRun<'_>, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(oids.iter().map(|&oid| self.dist(coords.point(oid))));
+        out.extend(run.iter().map(|(_, p)| self.dist(p)));
     }
 
     /// The inclusive cell block that seeds the search: `(lo, hi)` corners.
@@ -124,8 +123,8 @@ impl QuerySpec for PointQuery {
     }
 
     #[inline]
-    fn dist_batch(&self, coords: Coords<'_>, oids: &[ObjectId], out: &mut Vec<f64>) {
-        kernels::dist_into(coords, self.0, oids, out);
+    fn dist_batch(&self, run: CellRun<'_>, out: &mut Vec<f64>) {
+        kernels::run_dist_into(run, self.0, out);
     }
 
     fn base_block(&self, geom: GridGeom) -> (CellCoord, CellCoord) {
@@ -316,7 +315,7 @@ pub(crate) struct Worker {
     cycle_start: Vec<Neighbor>,
     /// Scratch for merge resolutions (result ∪ incomers).
     merge_buf: Vec<Neighbor>,
-    /// Output buffer of [`QuerySpec::dist_batch`] bucket scans.
+    /// Output buffer of [`QuerySpec::dist_batch`] cell scans.
     dist_buf: Vec<f64>,
     pub(crate) diff: DeltaScratch,
 }
@@ -421,10 +420,10 @@ impl Worker {
                 break;
             }
             metrics.cell_accesses += 1;
-            let oids = grid.objects_in(cell);
-            st.spec.dist_batch(grid.coords(), oids, &mut self.dist_buf);
-            metrics.objects_processed += oids.len() as u64;
-            for (&oid, &d) in oids.iter().zip(&self.dist_buf) {
+            let run = grid.cell_run(cell);
+            st.spec.dist_batch(run, &mut self.dist_buf);
+            metrics.objects_processed += run.len() as u64;
+            for (&oid, &d) in run.ids().iter().zip(&self.dist_buf) {
                 if d.is_finite() {
                     st.best.offer(oid, d);
                 }
@@ -563,10 +562,10 @@ fn drain_heap(
         match entry {
             HeapEntry::Cell(cell) => {
                 metrics.cell_accesses += 1;
-                let oids = grid.objects_in(cell);
-                st.spec.dist_batch(grid.coords(), oids, dist_buf);
-                metrics.objects_processed += oids.len() as u64;
-                for (&oid, &d) in oids.iter().zip(dist_buf.iter()) {
+                let run = grid.cell_run(cell);
+                st.spec.dist_batch(run, dist_buf);
+                metrics.objects_processed += run.len() as u64;
+                for (&oid, &d) in run.ids().iter().zip(dist_buf.iter()) {
                     if d.is_finite() {
                         st.best.offer(oid, d);
                     }
@@ -616,6 +615,7 @@ mod tests {
 
     use super::*;
     use crate::{CpmServer, CpmServerBuilder, CycleDeltas};
+    use cpm_geom::ObjectId;
     use cpm_grid::ObjectEvent;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -901,7 +901,7 @@ mod tests {
     }
 
     /// One churn stream through servers at T ∈ {1, 4}, whose searches
-    /// scan buckets with the batched kernel (`PointQuery::dist_batch`).
+    /// scan cell runs with the batched kernel (`PointQuery::dist_batch`).
     /// Every cycle, every result is bit for bit the per-object scalar
     /// reference — [`QuerySpec::dist`] of every live object offered into
     /// a [`NeighborList`], the k smallest under `(dist, id)` — and the

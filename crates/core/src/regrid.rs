@@ -31,7 +31,7 @@
 //! `N·δ²`, so a concentration spike that leaves `N` unchanged looks free.
 //! The controller therefore also folds the grid's occupancy signals
 //! ([`cpm_grid::GridStats`]: hot-cell maximum and occupied-cell count,
-//! both maintained incrementally by the index) into a **skew EMA**. Only
+//! both counted by the index's per-batch sort) into a **skew EMA**. Only
 //! skew beyond [`SKEW_THRESHOLD`] reaches the model — a dead band that
 //! keeps mildly non-uniform workloads on the paper-exact uniform
 //! prediction — and the hysteresis bar still applies on top, so the
@@ -195,8 +195,8 @@ impl RegridController {
     /// instantaneous observation is the hot cell's population over the
     /// uniform per-cell expectation `live / total_cells`, clamped to
     /// `[1, 64]` so a near-empty grid cannot swing the average; empty
-    /// grids are skipped. The index maintains [`GridStats`]
-    /// incrementally, so engines can afford to call this every cycle.
+    /// grids are skipped. The index's sort counts [`GridStats`], so
+    /// engines can afford to call this every cycle.
     pub(crate) fn observe_occupancy(&mut self, stats: GridStats) {
         if stats.live_objects == 0 || stats.total_cells == 0 {
             return;

@@ -368,11 +368,7 @@ impl CpmServer {
             .map(|(id, pos)| ObjectEvent::Appear { id, pos })
             .collect();
         self.validate_object_events(&appears)?;
-        self.engine.populate(
-            appears
-                .iter()
-                .filter_map(|ev| Some((ev.id(), ev.position()?))),
-        );
+        self.engine.populate(&appears);
         Ok(())
     }
 
@@ -841,7 +837,6 @@ impl CpmServer {
     /// whose verification circle contains no other object.
     fn verify_rnn(engine: &CpmEngine, metrics: &mut Metrics, id: QueryId) -> Vec<ObjectId> {
         let mut out = Vec::new();
-        let mut dist_buf = Vec::new();
         for sector in 0..SECTORS {
             let Some(result) = engine.result(Self::sector_id(id, sector)) else {
                 continue;
@@ -851,7 +846,7 @@ impl CpmServer {
             };
             let (cid, cdist) = (candidate.id, candidate.dist);
             let cpos = engine.grid().position(cid).expect("candidate is live");
-            if Self::circle_is_empty(engine.grid(), metrics, cpos, cdist, cid, &mut dist_buf) {
+            if Self::circle_is_empty(engine.grid(), metrics, cpos, cdist, cid) {
                 out.push(cid);
             }
         }
@@ -868,25 +863,20 @@ impl CpmServer {
         center: Point,
         radius: f64,
         exclude: ObjectId,
-        dist_buf: &mut Vec<f64>,
     ) -> bool {
         let rnn = QueryKind::Rnn as usize;
         for cell in grid.cells_in_circle(center, radius) {
             metrics.cell_accesses += 1;
             metrics.by_kind[rnn].cell_accesses += 1;
-            // Distances come from the shared batched kernel; the consume
-            // loop below keeps the pre-kernel early-exit semantics (and
-            // work counters) exactly: `exclude` is skipped before
-            // counting, and the first hit stops the scan mid-bucket.
-            let oids = grid.objects_in(cell);
-            cpm_grid::kernels::dist_into(grid.coords(), center, oids, dist_buf);
-            for (&oid, &d) in oids.iter().zip(dist_buf.iter()) {
+            // `exclude` is skipped before counting, and the first hit
+            // stops the scan mid-run.
+            for (oid, p) in grid.cell_run(cell).iter() {
                 if oid == exclude {
                     continue;
                 }
                 metrics.objects_processed += 1;
                 metrics.by_kind[rnn].objects_processed += 1;
-                if d < radius {
+                if center.dist(p) < radius {
                     return false;
                 }
             }

@@ -12,7 +12,8 @@
 //! 1. **Grid ingest** (serial). The object-update batch is applied to
 //!    the grid once, producing read-only [`UpdateRecord`]s
 //!    ([`cpm_grid::apply_events`]). This is the only step that mutates
-//!    the grid, and it is cheap (`Time_ind = 2` per update).
+//!    the grid: a position write per update, then one counting sort of
+//!    the cell index.
 //! 2. **Route + group** (serial). The records are routed once through the
 //!    one influence table into `(query, record, departure | arrival)`
 //!    pairs, grouped by query slot with a counting sort.
@@ -46,7 +47,7 @@
 
 use std::num::NonZeroUsize;
 
-use cpm_geom::{FastHashMap, ObjectId, Point, QueryId};
+use cpm_geom::{FastHashMap, QueryId};
 use cpm_grid::{apply_events, Grid, GridGeom, InfluenceTable, Metrics, ObjectEvent, UpdateRecord};
 
 use crate::any::AnyQuerySpec;
@@ -271,12 +272,11 @@ impl CpmEngine {
         &self.grid
     }
 
-    /// Bulk-load objects (valid, off-line so far) before any query is
-    /// installed.
-    pub(crate) fn populate<It: IntoIterator<Item = (ObjectId, Point)>>(&mut self, objects: It) {
-        for (oid, pos) in objects {
-            self.grid.insert(oid, pos);
-        }
+    /// Bulk-load objects before any query is installed: one batch of
+    /// valid appears of off-line objects.
+    pub(crate) fn populate(&mut self, appears: &[ObjectEvent]) {
+        // A buffer of its own: the per-cycle one keeps no bulk-load size.
+        apply_events(&mut self.grid, appears, &mut Vec::new());
     }
 
     /// Number of installed queries.
@@ -748,6 +748,7 @@ impl CpmEngine {
 mod tests {
     use super::*;
     use crate::{CpmServer, CpmServerBuilder, PointQuery};
+    use cpm_geom::{ObjectId, Point};
 
     fn server(dim: u32, threads: usize) -> CpmServer {
         let threads = NonZeroUsize::new(threads).unwrap();
@@ -833,7 +834,13 @@ mod tests {
         let runs = [1, 2, 4].map(|threads| {
             let grid = cpm_grid::GridBuilder::new(32).build_uniform();
             let mut m = CpmEngine::with_grid(grid, NonZeroUsize::new(threads).unwrap());
-            m.populate((0..3_000u32).map(|i| (ObjectId(i), point(i, 0))));
+            let appears: Vec<ObjectEvent> = (0..3_000u32)
+                .map(|i| ObjectEvent::Appear {
+                    id: ObjectId(i),
+                    pos: point(i, 0),
+                })
+                .collect();
+            m.populate(&appears);
             let installs: Vec<_> = (0..600u32)
                 .map(|i| SpecEvent::Install {
                     id: QueryId(i),

@@ -128,7 +128,10 @@ impl EngineSnapshot {
         if self.collects_deltas {
             engine.enable_deltas();
         }
-        engine.populate(self.objects.iter().copied());
+        let appears: Vec<ObjectEvent> = (self.objects.iter())
+            .map(|&(id, pos)| ObjectEvent::Appear { id, pos })
+            .collect();
+        engine.populate(&appears);
         for (id, spec, k, captured) in &self.queries {
             if *k == 0 {
                 return Err(CpmError::InvalidK(*id));

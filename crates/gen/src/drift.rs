@@ -257,6 +257,7 @@ impl DriftingHotspotWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpm_grid::ObjectEvent;
 
     fn config() -> WorkloadConfig {
         WorkloadConfig {
@@ -311,10 +312,11 @@ mod tests {
         // Replaying into a real grid panics on any life-cycle violation
         // (double appear, move/disappear of an off-line id).
         let mut grid = cpm_grid::GridBuilder::new(64).build_uniform();
-        for (oid, p) in a.initial_objects() {
-            grid.insert(oid, p);
-        }
+        let appears: Vec<ObjectEvent> = (a.initial_objects())
+            .map(|(id, pos)| ObjectEvent::Appear { id, pos })
+            .collect();
         let mut records = Vec::new();
+        cpm_grid::apply_events(&mut grid, &appears, &mut records);
         for _ in 0..25 {
             let (ta, tb) = (a.tick(), b.tick());
             assert_eq!(ta.object_events, tb.object_events);

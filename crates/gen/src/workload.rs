@@ -233,9 +233,11 @@ mod tests {
     fn event_stream_replays_cleanly_into_a_grid() {
         let mut w = small_workload();
         let mut grid = cpm_grid::GridBuilder::new(64).build_uniform();
-        for (oid, p) in w.initial_objects() {
-            grid.insert(oid, p);
-        }
+        let appears: Vec<ObjectEvent> = (w.initial_objects())
+            .map(|(id, pos)| ObjectEvent::Appear { id, pos })
+            .collect();
+        let mut records = Vec::new();
+        cpm_grid::apply_events(&mut grid, &appears, &mut records);
         for _ in 0..30 {
             let events = w.tick();
             let mut ids: Vec<ObjectId> = events.object_events.iter().map(|e| e.id()).collect();
@@ -246,19 +248,9 @@ mod tests {
                 events.object_events.len(),
                 "one event per object"
             );
-            for ev in &events.object_events {
-                match *ev {
-                    ObjectEvent::Move { id, to } => {
-                        grid.update_position(id, to);
-                    }
-                    ObjectEvent::Appear { id, pos } => {
-                        grid.insert(id, pos);
-                    }
-                    ObjectEvent::Disappear { id } => {
-                        grid.remove(id).expect("live object");
-                    }
-                }
-            }
+            // Panics on any life-cycle violation.
+            records.clear();
+            cpm_grid::apply_events(&mut grid, &events.object_events, &mut records);
             assert_eq!(grid.len(), 200, "population is conserved");
         }
     }

@@ -18,14 +18,14 @@ pub struct QueryId(pub u32);
 impl ObjectId {
     /// One past the largest object id the system accepts: 2²⁴ ≈ 16.8M.
     ///
-    /// Object tables are dense — the grid's position and back-pointer
-    /// columns, the server's duplicate check and the cluster router's
-    /// position table each keep one slot per id up to the largest id
-    /// seen, ~36 bytes per slot in one server — so an id is an amount of
-    /// memory. Table 6.1's largest population is N = 200K; 2²⁴ is ~80×
-    /// that, room for dense ids at any population the paper's experiments
+    /// Object tables are dense — the grid's position columns, the
+    /// server's duplicate check and the cluster router's position table
+    /// each keep one slot per id up to the largest id seen, ~20 bytes
+    /// per slot in one server — so an id is an amount of memory.
+    /// Table 6.1's largest population is N = 200K; 2²⁴ is ~80× that,
+    /// room for dense ids at any population the paper's experiments
     /// scale to, while the most a caller can make the tables grow to
-    /// stays at ~0.6 GiB instead of ~150 GiB at `u32::MAX`. The validating
+    /// stays at ~0.3 GiB instead of ~80 GiB at `u32::MAX`. The validating
     /// surfaces (`CpmServer`, `ClusterCoordinator`, snapshot decode)
     /// refuse larger ids with a typed error before any state changes.
     pub const LIMIT: u32 = 1 << 24;

@@ -1,6 +1,6 @@
-//! The per-cell storage shared by [`crate::CellIndex`] (objects of a cell)
-//! and [`crate::InfluenceTable`] (queries influenced by a cell): a `dim²`
-//! directory of `u32` slots into a slab of dense per-cell vectors.
+//! The per-cell storage of [`crate::InfluenceTable`] (queries influenced
+//! by a cell): a `dim²` directory of `u32` slots into a slab of dense
+//! per-cell vectors.
 //!
 //! [`crate::CellCoord::id`] is row-major and dense, so "the vector of
 //! this cell" is an array read — `0` for a cell that holds nothing,
@@ -137,33 +137,35 @@ impl<T> CellDirectory<T> {
         let live = self.slab.iter().filter(|slot| !slot.items.is_empty());
         live.map(|slot| (u64::from(slot.cell_id), slot.items.as_slice()))
     }
-
-    /// Verify the directory ↔ slab invariants for `cells` cells (test
-    /// helper; O(cells)).
-    pub(crate) fn check_integrity(&self, cells: usize) {
-        assert_eq!(self.dir.len(), cells, "directory size");
-        for (slot, Slot { cell_id, items }) in self.slab.iter().enumerate() {
-            if !items.is_empty() {
-                assert_eq!(
-                    self.dir[*cell_id as usize] as usize,
-                    slot + 1,
-                    "directory does not name the slot of cell {cell_id}"
-                );
-            }
-        }
-        // Every live slot is named by its own cell's entry (above), so
-        // equal counts leave no entry naming a vacant or foreign slot.
-        let named = self.dir.iter().filter(|&&e| e != 0).count();
-        assert_eq!(named, self.iter().count(), "stale directory entry");
-        assert_eq!(named, self.occupied(), "slot leak");
-        let is_empty = |&s: &u32| self.slab[s as usize].items.is_empty();
-        assert!(self.vacant.iter().all(is_empty), "vacant slot in use");
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> CellDirectory<T> {
+        /// Verify the directory ↔ slab invariants for `cells` cells
+        /// (O(cells)).
+        pub(crate) fn check_integrity(&self, cells: usize) {
+            assert_eq!(self.dir.len(), cells, "directory size");
+            for (slot, Slot { cell_id, items }) in self.slab.iter().enumerate() {
+                if !items.is_empty() {
+                    assert_eq!(
+                        self.dir[*cell_id as usize] as usize,
+                        slot + 1,
+                        "directory does not name the slot of cell {cell_id}"
+                    );
+                }
+            }
+            // Every live slot is named by its own cell's entry (above), so
+            // equal counts leave no entry naming a vacant or foreign slot.
+            let named = self.dir.iter().filter(|&&e| e != 0).count();
+            assert_eq!(named, self.iter().count(), "stale directory entry");
+            assert_eq!(named, self.occupied(), "slot leak");
+            let is_empty = |&s: &u32| self.slab[s as usize].items.is_empty();
+            assert!(self.vacant.iter().all(is_empty), "vacant slot in use");
+        }
+    }
 
     #[test]
     fn reset_resizes_and_keeps_small_allocations_only() {

@@ -104,8 +104,8 @@ impl QueryEvent {
 /// The grid-side effect of one applied [`ObjectEvent`]: which cells the
 /// object left/entered and where it now is.
 ///
-/// Records are produced by [`apply_events`] during the sequential ingest
-/// phase of a processing cycle and then consumed read-only by the per-query
+/// Records are produced by [`apply_events`] during the ingest phase of a
+/// processing cycle and then consumed read-only by the per-query
 /// maintenance path — possibly from several worker threads at once. Each
 /// consumer derives its own view of the batch by probing its
 /// [`crate::InfluenceTable`] at [`UpdateRecord::old_cell`] /
@@ -129,53 +129,23 @@ pub struct UpdateRecord {
 /// location updates applied (the `updates_applied` unit of
 /// [`crate::Metrics`]).
 ///
-/// This is phase 1 of the two-phase processing cycle: it is the *only*
-/// step that mutates the grid, so everything after it may borrow the grid
-/// immutably (and therefore run in parallel).
+/// This is phase 1 of the two-phase processing cycle and the *only*
+/// mutator of a grid, so everything after it may borrow the grid
+/// immutably (and therefore run in parallel). Each event is a position
+/// write into the by-id table; after the batch the cell index is
+/// re-sorted once ([`crate::CellIndex`]), O(N + cells) whatever moved.
 ///
 /// # Panics
 /// Panics if an event does not fit its object's liveness: a move or a
-/// disappear of an off-line object, or an appear of a live one. The
-/// monitoring server refuses such a batch, typed, before it gets here.
+/// disappear of an off-line object, or an appear of a live one — and if
+/// a position is not finite. The monitoring server refuses such a batch,
+/// typed, before it gets here.
 pub fn apply_events(
     grid: &mut Grid,
     events: &[ObjectEvent],
     records: &mut Vec<UpdateRecord>,
 ) -> u64 {
-    for ev in events {
-        let rec = match *ev {
-            ObjectEvent::Move { id, to } => {
-                let (_, old_cell, new_cell) = grid.update_position(id, to);
-                UpdateRecord {
-                    id,
-                    old_cell: Some(old_cell),
-                    new_cell: Some(new_cell),
-                    new_pos: Some(grid.position(id).expect("just updated")),
-                }
-            }
-            ObjectEvent::Appear { id, pos } => {
-                let cell = grid.insert(id, pos);
-                UpdateRecord {
-                    id,
-                    old_cell: None,
-                    new_cell: Some(cell),
-                    new_pos: Some(grid.position(id).expect("just inserted")),
-                }
-            }
-            ObjectEvent::Disappear { id } => {
-                let (_, cell) = grid
-                    .remove(id)
-                    .unwrap_or_else(|| panic!("disappear of off-line object {id}"));
-                UpdateRecord {
-                    id,
-                    old_cell: Some(cell),
-                    new_cell: None,
-                    new_pos: None,
-                }
-            }
-        };
-        records.push(rec);
-    }
+    grid.apply(events, records);
     events.len() as u64
 }
 
@@ -239,5 +209,6 @@ mod tests {
         assert_eq!(records[2].new_cell, None);
         assert_eq!(records[2].new_pos, None);
         assert!(g.is_empty());
+        g.check_integrity();
     }
 }

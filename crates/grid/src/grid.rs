@@ -1,24 +1,26 @@
 //! The composed grid facade.
 //!
-//! [`Grid`] composes the [`CellIndex`] (per-cell buckets at one δ) with
-//! the δ-independent [`ObjectStore`] (positions + back-pointers) and
+//! [`Grid`] composes the [`CellIndex`] (cell-ordered columns at one δ)
+//! with the δ-independent [`ObjectStore`] (the by-id position table) and
 //! presents the single-type index surface the monitors were written
-//! against — plus [`Grid::regrid`], which rebuilds the index at a
-//! different resolution **without ever touching the object tables**.
+//! against — plus [`Grid::regrid`], which re-sorts the index at a
+//! different resolution **without ever touching the object table**.
 //! Grids are constructed through [`GridBuilder`], which validates the
 //! dimension at build time.
 
 use cpm_geom::{ObjectId, Point, Rect};
 
-use crate::{CellCoord, CellIndex, GridConfigError, GridGeom, ObjectStore};
+use crate::kernels::CellRun;
+use crate::{
+    CellCoord, CellIndex, GridConfigError, GridGeom, ObjectEvent, ObjectStore, UpdateRecord,
+};
 
 /// The main-memory index `G` over the set `P` of moving objects: a
 /// δ-independent [`ObjectStore`] composed with the [`CellIndex`].
 ///
-/// All mutation goes through [`Grid::insert`], [`Grid::remove`] and
-/// [`Grid::update_position`]; each is O(1) expected. [`Grid::regrid`]
-/// rebuilds the index at a different resolution in a single
-/// deterministic pass over the store.
+/// [`crate::apply_events`] is the one mutator: it writes a batch's
+/// positions into the store and re-sorts the index once.
+/// [`Grid::regrid`] is the same sort at another resolution.
 ///
 /// Construct through [`GridBuilder`]:
 ///
@@ -41,8 +43,8 @@ pub struct Grid<I = CellIndex> {
 }
 
 /// Occupancy statistics, used by the space-accounting experiment and the
-/// skew-aware re-grid controller. Every counter is maintained
-/// incrementally by the index, so reading them each cycle is O(1).
+/// skew-aware re-grid controller. The index's sort counts them, so
+/// reading them each cycle is O(1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridStats {
     /// Total number of conceptual cells (`dim²`).
@@ -162,67 +164,59 @@ impl Grid<CellIndex> {
         self.store.position(oid)
     }
 
-    /// The store's raw coordinate columns, for the batched distance
-    /// kernels in [`crate::kernels`]. Pair with [`Grid::objects_in`]:
-    /// buckets reference only live objects, whose column slots are
-    /// guaranteed finite.
+    /// The store's by-id coordinate columns, for
+    /// [`crate::kernels::dist_into`]. Pair with [`Grid::objects_in`]:
+    /// cells hold only live objects, whose column slots are guaranteed
+    /// finite. A cell scan reads [`Grid::cell_run`] instead, which needs
+    /// no gather.
     #[inline]
     pub fn coords(&self) -> crate::kernels::Coords<'_> {
         self.store.coords()
     }
 
-    /// Insert a (new or re-appearing) object at `p`.
-    ///
-    /// Returns the cell it was placed in.
-    ///
-    /// # Panics
-    /// Panics if the object is already indexed — callers must route moves
-    /// through [`Grid::update_position`] so old-cell bookkeeping stays
-    /// consistent.
-    #[inline]
-    pub fn insert(&mut self, oid: ObjectId, p: Point) -> CellCoord {
-        let p = self.store.activate(oid, p);
-        self.index.attach(&mut self.store, oid, p)
+    /// Apply one batch of object events: write each position into the
+    /// store, record the cells it left and entered, then settle the
+    /// store's live-id list and re-sort the index once (none of it when
+    /// the batch is empty). The body of
+    /// [`crate::apply_events`].
+    pub(crate) fn apply(&mut self, events: &[ObjectEvent], records: &mut Vec<UpdateRecord>) {
+        if events.is_empty() {
+            return;
+        }
+        let geom = self.index.geom();
+        records.reserve(events.len());
+        for ev in events {
+            let (old, new_pos) = match *ev {
+                ObjectEvent::Appear { id, pos } => (None, Some(self.store.activate(id, pos))),
+                ObjectEvent::Move { id, to } => {
+                    let (old, new) = self.store.relocate(id, to).unwrap_or_else(|| off_line(ev));
+                    (Some(old), Some(new))
+                }
+                ObjectEvent::Disappear { id } => (
+                    Some(self.store.deactivate(id).unwrap_or_else(|| off_line(ev))),
+                    None,
+                ),
+            };
+            records.push(UpdateRecord {
+                id: ev.id(),
+                old_cell: old.map(|p| geom.cell_of(p)),
+                new_cell: new_pos.map(|p| geom.cell_of(p)),
+                new_pos,
+            });
+        }
+        self.store.settle();
+        self.index.sort(&self.store, geom.dim());
     }
 
-    /// Remove object `oid` from the index (it goes off-line).
-    ///
-    /// O(1) via the back-pointer table. Returns its last position and cell, or `None` if it was not
-    /// indexed.
-    #[inline]
-    pub fn remove(&mut self, oid: ObjectId) -> Option<(Point, CellCoord)> {
-        let p = self.store.deactivate(oid)?;
-        let cell = self.index.detach(&mut self.store, oid);
-        Some((p, cell))
-    }
-
-    /// Apply a location update `<oid, old, new>`: delete from the old cell,
-    /// insert into the new one (Section 3.2, first step; `Time_ind = 2`).
-    ///
-    /// Returns `(old_position, old_cell, new_cell)`.
-    ///
-    /// # Panics
-    /// Panics if the object is not currently indexed; the monitoring
-    /// server refuses a move of an off-line object, typed, before it
-    /// reaches this call.
-    pub fn update_position(&mut self, oid: ObjectId, new: Point) -> (Point, CellCoord, CellCoord) {
-        let (old, old_cell) = self
-            .remove(oid)
-            .unwrap_or_else(|| panic!("update for off-line object {oid}"));
-        let new_cell = self.insert(oid, new);
-        (old, old_cell, new_cell)
-    }
-
-    /// Rebuild the index at a new resolution, leaving the object tables
+    /// Re-sort the index at a new resolution, leaving the object table
     /// untouched.
     ///
-    /// The migration is one deterministic pass: objects are re-bucketed in
-    /// ascending id order, so the resulting layout is **identical** to a
-    /// fresh grid at `new_dim` populated from [`ObjectStore::iter`] — the
-    /// property that makes engine-level re-grids bit-reproducible against
-    /// a from-scratch build. Returns the number of objects migrated (0
-    /// when `new_dim` equals the current dimension; the call is then a
-    /// no-op).
+    /// This is the batch sort at `new_dim`, so the resulting layout is
+    /// **identical** to a fresh grid at `new_dim` populated from
+    /// [`ObjectStore::iter`] — the property that makes engine-level
+    /// re-grids bit-reproducible against a from-scratch build. Returns
+    /// the number of objects migrated (0 when `new_dim` equals the
+    /// current dimension; the call is then a no-op).
     ///
     /// # Panics
     /// Panics if `new_dim` is out of `1..=4096`; the engines validate
@@ -231,15 +225,22 @@ impl Grid<CellIndex> {
         if new_dim == self.index.geom().dim() {
             return 0;
         }
-        self.index.rebuild(&mut self.store, new_dim);
+        self.index.sort(&self.store, new_dim);
         self.store.len()
     }
 
-    /// The objects currently inside cell `c`, as a contiguous slice (empty
-    /// if the cell is unoccupied). See [`CellIndex::objects_in`].
+    /// The objects currently inside cell `c`, ascending (empty if the
+    /// cell is unoccupied). See [`CellIndex::objects_in`].
     #[inline]
     pub fn objects_in(&self, c: CellCoord) -> &[ObjectId] {
         self.index.objects_in(c)
+    }
+
+    /// Cell `c`'s objects with their coordinates, as one contiguous run:
+    /// what every cell scan reads. See [`CellIndex::cell_run`].
+    #[inline]
+    pub fn cell_run(&self, c: CellCoord) -> CellRun<'_> {
+        self.index.cell_run(c)
     }
 
     /// Number of objects in cell `c`.
@@ -253,8 +254,7 @@ impl Grid<CellIndex> {
         self.store.iter()
     }
 
-    /// Iterate over the coordinates of all non-empty cells, in
-    /// unspecified order.
+    /// Iterate over the coordinates of all non-empty cells, row-major.
     pub fn occupied_cells(&self) -> impl Iterator<Item = CellCoord> + '_ {
         self.index.occupied_cells()
     }
@@ -278,8 +278,7 @@ impl Grid<CellIndex> {
         self.index.geom().cells_intersecting_rect(region)
     }
 
-    /// Occupancy statistics — O(1): every counter is maintained
-    /// incrementally by the index.
+    /// Occupancy statistics — O(1): the index's sort counts them.
     pub fn stats(&self) -> GridStats {
         GridStats {
             total_cells: self.index.geom().total_cells(),
@@ -295,8 +294,8 @@ impl Grid<CellIndex> {
         self.store.space_units()
     }
 
-    /// Verify the bucket / back-pointer / position cross-invariants of the
-    /// store/index split (test helper; O(total state)).
+    /// Verify the index's layout against the store's positions (test
+    /// helper; O(total state)).
     #[doc(hidden)]
     pub fn check_integrity(&self) {
         self.store.check_integrity();
@@ -304,9 +303,15 @@ impl Grid<CellIndex> {
     }
 }
 
+/// The panic of a move or a disappear of an off-line object.
+fn off_line<T>(ev: &ObjectEvent) -> T {
+    panic!("{ev:?} of an off-line object")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apply_events;
     use proptest::prelude::*;
 
     fn grid8() -> Grid {
@@ -315,6 +320,18 @@ mod tests {
 
     fn uniform(dim: u32) -> Grid {
         GridBuilder::new(dim).build_uniform()
+    }
+
+    /// Apply one batch, discarding the records.
+    fn apply(g: &mut Grid, events: &[ObjectEvent]) {
+        apply_events(g, events, &mut Vec::new());
+    }
+
+    fn appear(id: u32, x: f64, y: f64) -> ObjectEvent {
+        ObjectEvent::Appear {
+            id: ObjectId(id),
+            pos: Point::new(x, y),
+        }
     }
 
     #[test]
@@ -344,81 +361,65 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_roundtrip() {
+    fn appear_and_disappear_round_trip() {
         let mut g = grid8();
         let p = Point::new(0.3, 0.7);
-        let cell = g.insert(ObjectId(4), p);
-        assert_eq!(g.len(), 1);
-        assert_eq!(g.position(ObjectId(4)), Some(p));
-        assert_eq!(g.cell_len(cell), 1);
+        apply(&mut g, &[appear(4, p.x, p.y)]);
+        let cell = g.cell_of(p);
+        assert_eq!((g.len(), g.position(ObjectId(4))), (1, Some(p)));
+        assert_eq!(g.objects_in(cell), &[ObjectId(4)]);
         assert_eq!(g.stats().hot_cell_max, 1);
-        let (old, old_cell) = g.remove(ObjectId(4)).unwrap();
-        assert_eq!(old, p);
-        assert_eq!(old_cell, cell);
-        assert!(g.is_empty());
-        assert!(g.remove(ObjectId(4)).is_none());
-        assert_eq!(g.stats().occupied_cells, 0);
-        assert_eq!(g.stats().hot_cell_max, 0);
+        apply(&mut g, &[ObjectEvent::Disappear { id: ObjectId(4) }]);
+        assert!(g.is_empty() && g.objects_in(cell).is_empty());
+        assert_eq!(g.position(ObjectId(4)), None);
+        assert_eq!((g.stats().occupied_cells, g.stats().hot_cell_max), (0, 0));
         g.check_integrity();
     }
 
     #[test]
     #[should_panic(expected = "already indexed")]
-    fn double_insert_panics() {
+    fn appear_of_a_live_object_panics() {
         let mut g = grid8();
-        g.insert(ObjectId(0), Point::new(0.1, 0.1));
-        g.insert(ObjectId(0), Point::new(0.2, 0.2));
+        apply(&mut g, &[appear(0, 0.1, 0.1)]);
+        apply(&mut g, &[appear(0, 0.2, 0.2)]);
     }
 
     #[test]
-    fn update_position_moves_between_cells() {
+    #[should_panic(expected = "off-line object")]
+    fn move_of_an_off_line_object_panics() {
         let mut g = grid8();
-        g.insert(ObjectId(1), Point::new(0.05, 0.05));
-        let (old, from, to) = g.update_position(ObjectId(1), Point::new(0.95, 0.95));
-        assert_eq!(old, Point::new(0.05, 0.05));
-        assert_eq!(from, CellCoord::new(0, 0));
-        assert_eq!(to, CellCoord::new(7, 7));
-        assert_eq!(g.cell_len(from), 0);
-        assert_eq!(g.cell_len(to), 1);
-        assert_eq!(g.len(), 1);
-        g.check_integrity();
+        let to = Point::new(0.2, 0.2);
+        apply(
+            &mut g,
+            &[ObjectEvent::Move {
+                id: ObjectId(0),
+                to,
+            }],
+        );
     }
 
     #[test]
-    fn swap_remove_repoints_the_moved_object() {
-        // Three objects in one cell; removing the first forces the last to
-        // take its slot, which must keep the mover's back-pointer valid.
+    fn runs_hold_each_cell_in_ascending_id_order() {
+        // Appears listed out of id order still sort ascending inside a
+        // cell, and the run's coordinates are the stored positions.
         let mut g = grid8();
-        let p = Point::new(0.3, 0.3);
-        let cell = g.insert(ObjectId(0), p);
-        g.insert(ObjectId(1), Point::new(0.31, 0.31));
-        g.insert(ObjectId(2), Point::new(0.32, 0.32));
-        assert_eq!(g.cell_len(cell), 3);
+        apply(
+            &mut g,
+            &[
+                appear(9, 0.31, 0.31),
+                appear(2, 0.9, 0.9),
+                appear(5, 0.3, 0.3),
+                appear(0, 0.32, 0.32),
+            ],
+        );
+        let cell = CellCoord::new(2, 2);
+        assert_eq!(g.objects_in(cell), &[ObjectId(0), ObjectId(5), ObjectId(9)]);
+        let run = g.cell_run(cell);
+        assert_eq!(run.xs(), &[0.32, 0.3, 0.31]);
+        assert_eq!(run.ys(), &[0.32, 0.3, 0.31]);
         assert_eq!(g.stats().hot_cell_max, 3);
-        g.remove(ObjectId(0)).unwrap();
-        g.check_integrity();
-        // The repointed object must still be removable in O(1).
-        g.remove(ObjectId(2)).unwrap();
-        g.check_integrity();
-        assert_eq!(g.objects_in(cell), &[ObjectId(1)]);
-        assert_eq!(g.stats().hot_cell_max, 1);
-    }
-
-    #[test]
-    fn emptied_cell_hands_its_slot_to_the_next_occupied_cell() {
-        let mut g = grid8();
-        let a = g.insert(ObjectId(0), Point::new(0.1, 0.1));
-        g.remove(ObjectId(0)).unwrap();
-        let b = g.insert(ObjectId(1), Point::new(0.9, 0.9));
-        assert!(g.objects_in(a).is_empty());
-        assert_eq!(g.objects_in(b), &[ObjectId(1)]);
-        assert_eq!(g.stats().occupied_cells, 1);
-        g.check_integrity();
-        // Re-occupying the first cell must not alias the second.
-        g.insert(ObjectId(2), Point::new(0.1, 0.1));
-        assert_eq!(g.objects_in(a), &[ObjectId(2)]);
-        assert_eq!(g.objects_in(b), &[ObjectId(1)]);
-        assert_eq!(g.occupied_cells().count(), 2);
+        let occupied: Vec<CellCoord> = g.occupied_cells().collect();
+        assert_eq!(occupied, vec![cell, CellCoord::new(7, 7)], "row-major");
         g.check_integrity();
     }
 
@@ -427,18 +428,24 @@ mod tests {
         // dim 1 (the only cell is the last one) and an odd dim.
         for dim in [1u32, 7] {
             let mut g = uniform(dim);
-            let corner = g.insert(ObjectId(0), Point::new(1.0, 1.0));
-            let edge = g.insert(ObjectId(1), Point::new(1.0, 0.0));
-            assert_eq!(corner, CellCoord::new(dim - 1, dim - 1));
-            assert_eq!(edge, CellCoord::new(dim - 1, 0));
+            apply(&mut g, &[appear(0, 1.0, 1.0), appear(1, 1.0, 0.0)]);
+            let corner = CellCoord::new(dim - 1, dim - 1);
+            let edge = CellCoord::new(dim - 1, 0);
             assert!(g.objects_in(corner).contains(&ObjectId(0)));
             assert!(g.objects_in(edge).contains(&ObjectId(1)));
             g.check_integrity();
-            g.update_position(ObjectId(0), Point::new(0.0, 1.0));
-            assert!(g
-                .objects_in(CellCoord::new(0, dim - 1))
-                .contains(&ObjectId(0)));
-            g.remove(ObjectId(1)).unwrap();
+            let to = Point::new(0.0, 1.0);
+            apply(
+                &mut g,
+                &[
+                    ObjectEvent::Move {
+                        id: ObjectId(0),
+                        to,
+                    },
+                    ObjectEvent::Disappear { id: ObjectId(1) },
+                ],
+            );
+            assert_eq!(g.objects_in(CellCoord::new(0, dim - 1)), &[ObjectId(0)]);
             g.check_integrity();
             assert_eq!(g.stats().occupied_cells, 1);
         }
@@ -448,6 +455,7 @@ mod tests {
     fn objects_in_returns_empty_slice_for_empty_cells() {
         let g = grid8();
         assert!(g.objects_in(CellCoord::new(3, 3)).is_empty());
+        assert!(g.cell_run(CellCoord::new(3, 3)).is_empty());
         assert_eq!(g.cell_len(CellCoord::new(3, 3)), 0);
     }
 
@@ -502,27 +510,13 @@ mod tests {
     }
 
     #[test]
-    fn iter_objects_sees_everything() {
-        let mut g = grid8();
-        for i in 0..10u32 {
-            g.insert(ObjectId(i), Point::new(i as f64 / 10.0, 0.5));
-        }
-        g.remove(ObjectId(3)).unwrap();
-        let ids: Vec<u32> = g.iter_objects().map(|(o, _)| o.0).collect();
-        assert_eq!(ids.len(), 9);
-        assert!(!ids.contains(&3));
-    }
-
-    #[test]
     fn regrid_rebuilds_only_the_index() {
         let mut g = uniform(8);
-        for i in 0..50u32 {
-            g.insert(
-                ObjectId(i),
-                Point::new((i as f64 * 0.37) % 1.0, (i as f64 * 0.61) % 1.0),
-            );
-        }
-        g.remove(ObjectId(7)).unwrap();
+        let appears: Vec<ObjectEvent> = (0..50u32)
+            .map(|i| appear(i, (i as f64 * 0.37) % 1.0, (i as f64 * 0.61) % 1.0))
+            .collect();
+        apply(&mut g, &appears);
+        apply(&mut g, &[ObjectEvent::Disappear { id: ObjectId(7) }]);
         let before: Vec<(ObjectId, Point)> = g.iter_objects().collect();
 
         let migrated = g.regrid(64);
@@ -535,35 +529,26 @@ mod tests {
         assert_eq!(before, after);
         assert_eq!(g.position(ObjectId(7)), None);
 
-        // The migrated layout is identical to a fresh populate in id order.
-        let mut fresh = uniform(64);
-        for &(oid, p) in &before {
-            fresh.insert(oid, p);
-        }
-        for cell in fresh.occupied_cells() {
-            assert_eq!(g.objects_in(cell), fresh.objects_in(cell), "bucket {cell}");
-        }
-        assert_eq!(g.stats(), fresh.stats());
-
         // Same-dim regrid is a no-op.
         assert_eq!(g.regrid(64), 0);
         // Updates keep working against the new index.
-        g.update_position(ObjectId(0), Point::new(0.99, 0.01));
-        g.insert(ObjectId(7), Point::new(0.5, 0.5));
+        let to = Point::new(0.99, 0.01);
+        apply(
+            &mut g,
+            &[
+                ObjectEvent::Move {
+                    id: ObjectId(0),
+                    to,
+                },
+                appear(7, 0.5, 0.5),
+            ],
+        );
         g.check_integrity();
-    }
-
-    #[test]
-    fn regrid_coarsens_too() {
-        let mut g = uniform(256);
-        for i in 0..30u32 {
-            g.insert(ObjectId(i), Point::new((i as f64 * 0.13) % 1.0, 0.4));
-        }
+        // Coarsening works the same way.
         g.regrid(4);
-        assert_eq!(g.dim(), 4);
         g.check_integrity();
         let total: usize = g.occupied_cells().map(|c| g.cell_len(c)).sum();
-        assert_eq!(total, 30);
+        assert_eq!(total, 50);
     }
 
     proptest! {
@@ -578,148 +563,6 @@ mod tests {
             prop_assert_eq!(g.mindist(c, p), 0.0);
         }
 
-        /// Random insert/move/remove streams against a naive
-        /// `HashMap<id, Point>` model: membership, back-pointers, and
-        /// counts must agree after every step.
-        #[test]
-        fn moves_preserve_population(
-            steps in proptest::collection::vec(
-                (0u32..20, 0.0..1.0f64, 0.0..1.0f64, 0u32..8), 1..200),
-        ) {
-            let mut g = uniform(16);
-            let mut model = std::collections::HashMap::new();
-            for (id, x, y, op) in steps {
-                let oid = ObjectId(id);
-                let p = Point::new(x, y);
-                if op == 0 && model.contains_key(&id) {
-                    // Remove (object goes off-line).
-                    let (old, old_cell) = g.remove(oid).unwrap();
-                    prop_assert_eq!(old, model.remove(&id).unwrap());
-                    prop_assert_eq!(old_cell, g.cell_of(old));
-                    prop_assert_eq!(g.position(oid), None);
-                } else if model.insert(id, p).is_some() {
-                    g.update_position(oid, p);
-                } else {
-                    g.insert(oid, p);
-                }
-                // The grid agrees with the model after every step.
-                prop_assert_eq!(g.len(), model.len());
-                g.check_integrity();
-                for (&mid, &mp) in &model {
-                    let moid = ObjectId(mid);
-                    prop_assert_eq!(g.position(moid), Some(mp));
-                    prop_assert!(
-                        g.objects_in(g.cell_of(mp)).contains(&moid),
-                        "object {} missing from its cell bucket", mid
-                    );
-                }
-            }
-            // Sum of cell populations equals the live count.
-            let total: usize = g.occupied_cells().map(|c| g.cell_len(c)).sum();
-            prop_assert_eq!(total, model.len());
-        }
-
-        /// Random update streams with re-grids interleaved: the object
-        /// store must be invariant under every re-grid (same positions,
-        /// same membership), and the index must stay consistent at every
-        /// resolution.
-        #[test]
-        fn regrids_preserve_the_store(
-            steps in proptest::collection::vec(
-                (0u32..24, 0.0..1.0f64, 0.0..1.0f64, 0u32..10), 1..120),
-        ) {
-            // Grows and shrinks of the directory, dim 1 and an odd dim
-            // (whose last row and column the 0..1 coordinates do reach).
-            let dims = [1u32, 4, 7, 16, 64, 256];
-            let mut g = uniform(16);
-            let mut model = std::collections::HashMap::new();
-            for (id, x, y, op) in steps {
-                let oid = ObjectId(id);
-                let p = Point::new(x, y);
-                if op == 0 {
-                    // Re-grid to a pseudo-random resolution.
-                    let before: Vec<(ObjectId, Point)> = g.iter_objects().collect();
-                    let migrated = g.regrid(dims[(id as usize + model.len()) % dims.len()]);
-                    prop_assert!(migrated == 0 || migrated == model.len());
-                    let after: Vec<(ObjectId, Point)> = g.iter_objects().collect();
-                    prop_assert_eq!(before, after, "store changed across regrid");
-                } else if op == 1 && model.contains_key(&id) {
-                    g.remove(oid).unwrap();
-                    model.remove(&id);
-                } else if model.insert(id, p).is_some() {
-                    g.update_position(oid, p);
-                } else {
-                    g.insert(oid, p);
-                }
-                g.check_integrity();
-                prop_assert_eq!(g.len(), model.len());
-                for (&mid, &mp) in &model {
-                    let moid = ObjectId(mid);
-                    prop_assert_eq!(g.position(moid), Some(mp));
-                    prop_assert!(g.objects_in(g.cell_of(mp)).contains(&moid));
-                }
-            }
-        }
-
-        /// `GridStats` occupancy counters (occupied cells, hot-cell max,
-        /// per-cell sums) must exactly match a brute-force recount under
-        /// random event interleavings, including across re-grids.
-        #[test]
-        fn stats_match_brute_force_recount(
-            steps in proptest::collection::vec(
-                (0u32..24, 0.0..1.0f64, 0.0..1.0f64, 0u32..10), 1..120),
-        ) {
-            let mut g = uniform(16);
-            let dims = [4u32, 8, 16, 64];
-            let mut model: std::collections::HashMap<u32, Point> =
-                std::collections::HashMap::new();
-            for (id, x, y, op) in steps {
-                let oid = ObjectId(id);
-                let p = Point::new(x, y);
-                let live = model.contains_key(&id);
-                if op == 0 {
-                    g.regrid(dims[(id as usize + model.len()) % dims.len()]);
-                } else if op == 1 && live {
-                    g.remove(oid).unwrap();
-                    model.remove(&id);
-                } else {
-                    if live {
-                        g.update_position(oid, p);
-                    } else {
-                        g.insert(oid, p);
-                    }
-                    model.insert(id, p);
-                }
-                // Brute-force recount from the model.
-                let geom = g.geom();
-                let mut per_cell: std::collections::HashMap<u64, usize> =
-                    std::collections::HashMap::new();
-                for (&_, &mp) in &model {
-                    *per_cell.entry(geom.cell_of(mp).id(geom.dim())).or_insert(0) += 1;
-                }
-                let expect = GridStats {
-                    total_cells: geom.total_cells(),
-                    occupied_cells: per_cell.len(),
-                    live_objects: model.len(),
-                    hot_cell_max: per_cell.values().copied().max().unwrap_or(0),
-                };
-                prop_assert_eq!(g.stats(), expect);
-                // Per-cell sums: every occupied cell reports exactly its
-                // brute-force population.
-                let mut seen = 0usize;
-                for c in g.occupied_cells() {
-                    let n = g.cell_len(c);
-                    prop_assert_eq!(
-                        per_cell.get(&c.id(geom.dim())).copied().unwrap_or(0), n,
-                        "per-cell sum drift at {}", c
-                    );
-                    seen += n;
-                }
-                prop_assert_eq!(seen, model.len());
-                g.check_integrity();
-            }
-        }
-
         /// Concurrent read-only scans see exactly what a sequential scan
         /// sees: after a random build, worker threads scanning disjoint row
         /// bands through `&Grid` must reproduce the sequential population
@@ -732,17 +575,19 @@ mod tests {
         ) {
             let dim = 16u32;
             let mut g = uniform(dim);
-            for (i, &(x, y)) in inserts.iter().enumerate() {
-                g.insert(ObjectId(i as u32), Point::new(x, y));
-            }
+            let appears: Vec<ObjectEvent> = inserts
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y))| appear(i as u32, x, y))
+                .collect();
+            apply(&mut g, &appears);
 
             let scan_rows = |g: &Grid, rows: std::ops::Range<u32>| {
                 let mut count = 0usize;
                 let mut checksum = 0u64;
                 for row in rows {
                     for col in 0..dim {
-                        for &oid in g.objects_in(CellCoord::new(col, row)) {
-                            let p = g.position(oid).expect("live object");
+                        for (oid, p) in g.cell_run(CellCoord::new(col, row)).iter() {
                             count += 1;
                             checksum ^= ((oid.0 as u64) << 32) | (p.x.to_bits() ^ p.y.to_bits());
                         }

@@ -6,10 +6,10 @@
 //! list can be affected — this is the mechanism that lets CPM (and SEA-CNN's
 //! answer-region variant) ignore irrelevant updates entirely.
 //!
-//! Like the grid's cell buckets, the lists are dense `Vec`s with
-//! dedup-on-insert rather than hash sets, found through the same `dim²`
-//! directory of `u32` slots rather than a hash map (4 bytes per
-//! conceptual cell — see [`crate::CellIndex`] for the sizes): the table is
+//! The lists are dense `Vec`s with dedup-on-insert rather than hash
+//! sets, found through a `dim²` directory of `u32` slots rather than a
+//! hash map (4 bytes per conceptual cell, like the index's offset table
+//! — see [`crate::CellIndex`] for the sizes): the table is
 //! read twice per object update (old and new cell) whether or not any
 //! query is registered there, and a hit is immediately scanned in full —
 //! an array read and a contiguous slice are both smaller and faster than
@@ -212,6 +212,50 @@ mod tests {
             t.purge_query(QueryId(1));
             t.remove(edge, QueryId(2));
             assert_eq!((t.total_entries(), t.occupied_cells()), (0, 0));
+        }
+    }
+
+    /// Random add / remove / purge / reset churn keeps the directory ↔
+    /// slab invariants and agrees with a model of per-cell sets.
+    #[test]
+    fn churn_keeps_the_directory_consistent() {
+        use std::collections::BTreeSet;
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % u64::from(n)) as u32
+        };
+        let mut dim = 8u32;
+        let mut t = InfluenceTable::new(dim);
+        let mut model: BTreeSet<(u32, u32, u32)> = BTreeSet::new();
+        for step in 0..4000 {
+            let (cell, q) = (CellCoord::new(next(dim), next(dim)), next(6));
+            match next(100) {
+                0 => {
+                    dim = 1 + next(12);
+                    t.reset(dim);
+                    model.clear();
+                }
+                1..=3 => {
+                    t.purge_query(QueryId(q));
+                    model.retain(|&(.., m)| m != q);
+                }
+                4..=45 => {
+                    t.remove(cell, QueryId(q));
+                    model.remove(&(cell.col, cell.row, q));
+                }
+                _ => {
+                    t.add(cell, QueryId(q));
+                    model.insert((cell.col, cell.row, q));
+                }
+            }
+            t.lists.check_integrity(dim as usize * dim as usize);
+            assert_eq!(t.total_entries(), model.len(), "step {step}");
+            let contains =
+                |&(col, row, q): &(u32, u32, u32)| t.contains(CellCoord::new(col, row), QueryId(q));
+            assert!(model.iter().all(contains), "step {step}");
         }
     }
 

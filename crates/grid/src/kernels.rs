@@ -1,22 +1,25 @@
-//! Batched distance kernels over the store's struct-of-arrays columns.
+//! Batched distance kernels.
 //!
 //! The maintenance inner loop of every monitor — CPM recompute/visit,
-//! the unified server's candidate scans, the SEA/YPK baselines — is
-//! "given a query point and one cell bucket, compute the distance to
-//! every object in the bucket". This module is that loop, written once:
-//! gather the bucket's coordinates from the [`Coords`] columns and fill
-//! a caller-reused output buffer in a single pass.
+//! the server's RNN verification, the SEA/YPK baselines — is "given a
+//! query point and one cell, compute the distance to every object in
+//! the cell". The index keeps each cell's objects as one contiguous run
+//! of `(id, x, y)` columns ([`CellRun`], from [`crate::Grid::cell_run`]),
+//! so that loop is a plain sweep with no gather: [`run_dist_into`].
+//! [`dist_into`] is the same arithmetic over ids gathered from the
+//! by-id [`Coords`] columns, for callers that hold ids rather than a
+//! run.
 //!
-//! The loops are plain and indexed, shaped for auto-vectorization: no
-//! `Option` decode per object, and a bulk `sqrt` over a contiguous
-//! slice.
+//! The loops are plain, with no `Option` decode per object; the run
+//! kernel writes each distance once, and the gathering one takes its
+//! `sqrt` in a second pass over a contiguous slice.
 //!
 //! The kernels are **bit-identical** to the scalar reference
-//! (`Point::dist_sq` / `Point::dist` per object): they perform the same
+//! (`Point::dist` per object): they perform the same
 //! `sub → mul → add → sqrt` sequence per element, rustc emits no
 //! fast-math reassociation or FMA contraction, and packed `sqrt` rounds
 //! exactly like scalar `sqrt`. The `kernel_conformance` suite asserts
-//! equality down to the bit pattern for every table/bucket size.
+//! equality down to the bit pattern for every run and bucket size.
 
 use cpm_geom::{ObjectId, Point};
 
@@ -42,12 +45,6 @@ impl<'a> Coords<'a> {
         Self { xs, ys }
     }
 
-    /// Number of slots in the columns (allocated ids, not live objects).
-    #[inline]
-    pub fn slots(&self) -> usize {
-        self.xs.len()
-    }
-
     /// Position stored in `oid`'s slot. For a live object this is its
     /// finite position; for an off-line slot both coordinates are `NaN`.
     ///
@@ -60,46 +57,105 @@ impl<'a> Coords<'a> {
     }
 }
 
-/// Fill `out` with the **squared** distance from `q` to every object of
-/// `oids`, in order: `out[i] = q.dist_sq(position(oids[i]))`, bit-exact.
-/// `out` is cleared and resized; keep one buffer per query state and
-/// reuse it so the hot path never allocates.
-///
-/// # Panics
-/// Panics if any id in `oids` is outside the coordinate columns.
-#[inline]
-pub fn dist_sq_into(coords: Coords<'_>, q: Point, oids: &[ObjectId], out: &mut Vec<f64>) {
-    out.clear();
-    out.resize(oids.len(), 0.0);
-    dist_sq_gather(coords.xs, coords.ys, q, oids, out);
+/// One cell's objects in the index's cell-ordered columns: `ids()[i]`
+/// is at `(xs()[i], ys()[i])`, ids ascending. Obtain one from
+/// [`crate::Grid::cell_run`] (or from raw columns via [`CellRun::new`]
+/// in tests and benches).
+#[derive(Debug, Clone, Copy)]
+pub struct CellRun<'a> {
+    ids: &'a [ObjectId],
+    xs: &'a [f64],
+    ys: &'a [f64],
 }
 
-/// Fill `out` with the **Euclidean** distance from `q` to every object
-/// of `oids`: `out[i] = q.dist(position(oids[i]))`, bit-exact. Same
-/// buffer contract as [`dist_sq_into`].
+impl<'a> CellRun<'a> {
+    /// View three parallel columns as a run.
+    ///
+    /// # Panics
+    /// Panics if the columns differ in length.
+    #[inline]
+    pub fn new(ids: &'a [ObjectId], xs: &'a [f64], ys: &'a [f64]) -> Self {
+        assert!(
+            ids.len() == xs.len() && xs.len() == ys.len(),
+            "run columns must be parallel"
+        );
+        Self { ids, xs, ys }
+    }
+
+    /// Number of objects in the run.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// `true` if the run holds no object.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The objects of the run, ascending.
+    #[inline]
+    pub fn ids(&self) -> &'a [ObjectId] {
+        self.ids
+    }
+
+    /// The x column, parallel to [`CellRun::ids`].
+    #[inline]
+    pub fn xs(&self) -> &'a [f64] {
+        self.xs
+    }
+
+    /// The y column, parallel to [`CellRun::ids`].
+    #[inline]
+    pub fn ys(&self) -> &'a [f64] {
+        self.ys
+    }
+
+    /// `(id, position)` of every object of the run, in run order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, Point)> + 'a {
+        let (xs, ys) = (self.xs, self.ys);
+        (self.ids.iter().zip(xs).zip(ys)).map(|((&oid, &x), &y)| (oid, Point::new(x, y)))
+    }
+}
+
+/// Fill `out` with the Euclidean distance from `q` to every object of
+/// `run`, in run order: `out[i] = q.dist(position(run.ids()[i]))`,
+/// bit-exact. `out` is cleared and resized; keep one buffer per worker
+/// and reuse it so the hot path never allocates.
+#[inline]
+pub fn run_dist_into(run: CellRun<'_>, q: Point, out: &mut Vec<f64>) {
+    let dist = |(&x, &y): (&f64, &f64)| {
+        let dx = x - q.x;
+        let dy = y - q.y;
+        (dx * dx + dy * dy).sqrt()
+    };
+    out.clear();
+    out.extend(run.xs.iter().zip(run.ys).map(dist));
+}
+
+/// Fill `out` with the Euclidean distance from `q` to every object of
+/// `oids`, gathering positions from the by-id columns:
+/// `out[i] = q.dist(position(oids[i]))`, bit-exact. Same buffer
+/// contract as [`run_dist_into`].
 ///
 /// # Panics
 /// Panics if any id in `oids` is outside the coordinate columns.
 #[inline]
 pub fn dist_into(coords: Coords<'_>, q: Point, oids: &[ObjectId], out: &mut Vec<f64>) {
-    dist_sq_into(coords, q, oids, out);
+    out.clear();
+    out.resize(oids.len(), 0.0);
+    for (d, &oid) in out.iter_mut().zip(oids) {
+        let idx = oid.index();
+        let dx = coords.xs[idx] - q.x;
+        let dy = coords.ys[idx] - q.y;
+        *d = dx * dx + dy * dy;
+    }
     // Second vertical pass: a pure slice traversal the compiler turns
     // into packed sqrt, instead of a serial sqrt per gathered element.
     for d in out.iter_mut() {
         *d = d.sqrt();
-    }
-}
-
-/// Gather + arithmetic in one plain indexed loop. Writing through
-/// `out.iter_mut().zip(oids)` keeps the loop free of bounds checks on
-/// the output side; the column reads stay checked (ids are
-/// caller-supplied) which LLVM hoists per iteration.
-fn dist_sq_gather(xs: &[f64], ys: &[f64], q: Point, oids: &[ObjectId], out: &mut [f64]) {
-    for (d, &oid) in out.iter_mut().zip(oids) {
-        let idx = oid.index();
-        let dx = xs[idx] - q.x;
-        let dy = ys[idx] - q.y;
-        *d = dx * dx + dy * dy;
     }
 }
 
@@ -117,20 +173,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_dist_sq_matches_scalar_bitwise() {
+    fn gathered_and_run_kernels_match_scalar_bitwise() {
         let (xs, ys) = columns(64);
         let coords = Coords::from_columns(&xs, &ys);
         let q = Point::new(0.3, 0.6);
         // An odd length, so no pairing of elements can hide a remainder.
         let oids: Vec<ObjectId> = (0..33).map(|i| ObjectId((i * 7 % 64) as u32)).collect();
         let mut out = Vec::new();
-        dist_sq_into(coords, q, &oids, &mut out);
-        for (&oid, &d) in oids.iter().zip(&out) {
-            assert_eq!(d.to_bits(), q.dist_sq(coords.point(oid)).to_bits());
-        }
         dist_into(coords, q, &oids, &mut out);
         for (&oid, &d) in oids.iter().zip(&out) {
             assert_eq!(d.to_bits(), q.dist(coords.point(oid)).to_bits());
+        }
+        let ids: Vec<ObjectId> = (0..64).map(ObjectId).collect();
+        let run = CellRun::new(&ids[..33], &xs[..33], &ys[..33]);
+        run_dist_into(run, q, &mut out);
+        for ((_, p), &d) in run.iter().zip(&out) {
+            assert_eq!(d.to_bits(), q.dist(p).to_bits());
         }
     }
 
@@ -139,9 +197,9 @@ mod tests {
         let (xs, ys) = columns(8);
         let coords = Coords::from_columns(&xs, &ys);
         let mut out = vec![999.0; 100];
-        dist_sq_into(coords, Point::new(0.5, 0.5), &[ObjectId(1)], &mut out);
+        dist_into(coords, Point::new(0.5, 0.5), &[ObjectId(1)], &mut out);
         assert_eq!(out.len(), 1);
-        dist_sq_into(coords, Point::new(0.5, 0.5), &[], &mut out);
+        run_dist_into(CellRun::new(&[], &[], &[]), Point::ORIGIN, &mut out);
         assert!(out.is_empty());
     }
 
@@ -149,5 +207,11 @@ mod tests {
     #[should_panic(expected = "parallel")]
     fn unequal_columns_are_rejected() {
         let _ = Coords::from_columns(&[0.0], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "parallel")]
+    fn unequal_run_columns_are_rejected() {
+        let _ = CellRun::new(&[ObjectId(0)], &[0.0], &[]);
     }
 }

@@ -14,24 +14,26 @@
 //!
 //! [`Grid`] is a thin facade composing layers with disjoint concerns:
 //!
-//! * [`ObjectStore`] — the **δ-independent** object tables: the central
-//!   position table (`s_obj = 3·N` memory units of the space analysis) and
-//!   the parallel back-pointer table that makes bucket removal O(1).
-//! * [`CellIndex`] — the **cell→objects** index at one δ: a `dim²`
-//!   directory of `u32` slots into dense `Vec<ObjectId>` buckets with
-//!   O(1) swap-remove deletion through the store's back-pointers, keeping
-//!   the `Time_ind = 2` update cost of the Section 4.1 model.
+//! * [`ObjectStore`] — the **δ-independent** object table: one position
+//!   slot per object id (`s_obj = 3·N` memory units of the space
+//!   analysis), and the live ids in ascending order, which the index's
+//!   sort walks.
+//! * [`CellIndex`] — the **cell→objects** index at one δ: every live
+//!   object's `(id, x, y)` in columns ordered by cell, plus one start
+//!   offset per cell (the CSR layout), rebuilt by one counting sort per
+//!   batch. A cell scan is one contiguous [`CellRun`].
 //! * [`GridGeom`] — the `Copy` conceptual cell geometry (point→cell
 //!   mapping, cell extents, `mindist`, allocation-free region covers).
-//!   The search algorithms only consume geometry plus per-cell object
-//!   sets.
+//!   The search algorithms only consume geometry plus per-cell runs.
 //!
-//! The store/index split is what makes **online re-gridding** cheap and
-//! safe: [`Grid::regrid`] rebuilds only the index at the new resolution in
-//! one deterministic pass (ascending object id, so the resulting layout is
-//! identical to a fresh populate), while the object tables — and every
-//! `oid → position` answer read through them — are untouched. Re-gridding
-//! is also the one answer to skew: δ moves, the structure does not.
+//! [`apply_events`] is the one mutator: a batch's events are position
+//! writes into the store, followed by one sort of the index. The
+//! store/index split is what makes **online re-gridding** cheap and
+//! safe: [`Grid::regrid`] is the same sort at the new resolution, so its
+//! layout is identical to a fresh build, while the object table — and
+//! every `oid → position` answer read through it — is untouched.
+//! Re-gridding is also the one answer to skew: δ moves, the structure
+//! does not.
 //!
 //! Grids are constructed through [`GridBuilder`], which validates the
 //! dimension ([`GridGeom::check_dim`]) at build time.
@@ -61,6 +63,6 @@ pub use geom::{GridConfigError, GridGeom};
 pub use grid::{Grid, GridBuilder, GridStats};
 pub use index::CellIndex;
 pub use influence::InfluenceTable;
-pub use kernels::Coords;
+pub use kernels::{CellRun, Coords};
 pub use metrics::{KindMetrics, Metrics, QueryKind};
 pub use store::ObjectStore;

@@ -126,8 +126,8 @@ pub struct Metrics {
     /// whoever owns the grid, like `updates_applied`: counted once per
     /// re-grid no matter how many workers re-register its queries.
     pub regrids: u64,
-    /// Objects re-bucketed across all re-grids (the migration volume a
-    /// re-grid pays on the index side).
+    /// Objects re-sorted into the new cells across all re-grids (the
+    /// migration volume a re-grid pays on the index side).
     pub regrid_objects_migrated: u64,
     /// Queries recomputed from scratch because of a re-grid (each also
     /// counts in `computations`; this counter isolates the re-grid share).

@@ -1,12 +1,13 @@
 //! Kernel conformance: the batched distance kernels must be
 //! **bit-identical** — not ε-close — to the scalar reference
-//! (`Point::dist_sq` / `Point::dist` per object) for every table size and
-//! bucket size, odd and even. Bit-identicality is what lets every engine
-//! share the kernel without perturbing `total_cmp` orderings, results,
-//! changed lists or delta streams.
+//! (`Point::dist` per object) for every run, table and bucket size, odd
+//! and even. Bit-identicality is what lets every engine share the kernel
+//! without perturbing `total_cmp` orderings, results, changed lists or
+//! delta streams.
 
 use cpm_geom::{ObjectId, Point};
-use cpm_grid::kernels::{self, Coords};
+use cpm_grid::kernels::{self, CellRun, Coords};
+use cpm_grid::{apply_events, CellCoord, GridBuilder, ObjectEvent};
 use proptest::prelude::*;
 
 /// Deterministic coordinates in `[0, 1)` (no external RNG needed).
@@ -24,16 +25,6 @@ fn columns(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
 
 fn assert_bucket_bit_identical(coords: Coords<'_>, q: Point, oids: &[ObjectId], ctx: &str) {
     let mut out = Vec::new();
-    kernels::dist_sq_into(coords, q, oids, &mut out);
-    assert_eq!(out.len(), oids.len(), "{ctx}: dist_sq output length");
-    for (i, (&oid, &d)) in oids.iter().zip(&out).enumerate() {
-        let want = q.dist_sq(coords.point(oid));
-        assert_eq!(
-            d.to_bits(),
-            want.to_bits(),
-            "{ctx}: dist_sq[{i}] {d} != scalar {want}"
-        );
-    }
     kernels::dist_into(coords, q, oids, &mut out);
     assert_eq!(out.len(), oids.len(), "{ctx}: dist output length");
     for (i, (&oid, &d)) in oids.iter().zip(&out).enumerate() {
@@ -85,6 +76,78 @@ fn batched_kernels_bit_identical_on_extreme_values() {
     }
 }
 
+fn assert_run_bit_identical(run: CellRun<'_>, q: Point, ctx: &str) {
+    let mut out = vec![f64::NAN; 3];
+    kernels::run_dist_into(run, q, &mut out);
+    assert_eq!(out.len(), run.len(), "{ctx}: output length");
+    for (i, ((oid, p), &d)) in run.iter().zip(&out).enumerate() {
+        let want = q.dist(p);
+        assert_eq!(
+            d.to_bits(),
+            want.to_bits(),
+            "{ctx}: {oid} at run[{i}]: {d} != scalar {want}"
+        );
+    }
+}
+
+/// Every run length 0..=70 the index can hand out, read through a real
+/// grid: one cell of a 4 × 4 grid filled with `n` objects, a third of
+/// them piled on the same point (exact distance ties) and some asked
+/// for past the workspace edge, so they sit on the clamped edge.
+#[test]
+fn run_kernel_bit_identical_for_every_run_length() {
+    let corner = CellCoord::new(3, 3);
+    let mut s = 0xC5E1u64;
+    for n in 0..=70u32 {
+        let mut g = GridBuilder::new(4).build_uniform();
+        let appears: Vec<ObjectEvent> = (0..n)
+            .map(|i| {
+                let pos = match i % 3 {
+                    0 => Point::new(0.8, 0.8),
+                    1 => Point::new(1.0 + lcg(&mut s), 1.0),
+                    _ => Point::new(0.75 + 0.25 * lcg(&mut s), 0.75 + 0.25 * lcg(&mut s)),
+                };
+                ObjectEvent::Appear {
+                    id: ObjectId(i),
+                    pos,
+                }
+            })
+            .collect();
+        apply_events(&mut g, &appears, &mut Vec::new());
+        let run = g.cell_run(corner);
+        assert_eq!(run.len(), n as usize);
+        for (oid, p) in run.iter() {
+            assert_eq!(
+                g.position(oid),
+                Some(p),
+                "run {n}: {oid} not at its position"
+            );
+        }
+        for q in [
+            Point::new(0.8, 0.8),
+            Point::new(1.0, 1.0),
+            Point::new(0.0, 0.0),
+            Point::new(lcg(&mut s), lcg(&mut s)),
+        ] {
+            assert_run_bit_identical(run, q, &format!("run length {n}, q {q:?}"));
+        }
+    }
+}
+
+/// The run kernel does not assume unit-square inputs either.
+#[test]
+fn run_kernel_bit_identical_on_extreme_values() {
+    let xs = [0.0, -0.0, 1e-300, 1e300, f64::MIN_POSITIVE, 5e-324, -3.5];
+    let ys = [1.0, -1.0, -1e300, 1e-300, 0.25, -5e-324, 7.75];
+    let ids: Vec<ObjectId> = (0..xs.len() as u32).map(ObjectId).collect();
+    for q in [Point::new(-1e300, 1e300), Point::new(1e-308, -1e-308)] {
+        for n in 0..=xs.len() {
+            let run = CellRun::new(&ids[..n], &xs[..n], &ys[..n]);
+            assert_run_bit_identical(run, q, &format!("extreme values, {n} long"));
+        }
+    }
+}
+
 proptest! {
     /// Random table sizes, random gather patterns (duplicates and
     /// out-of-order ids included), random query points: batched output is
@@ -105,10 +168,6 @@ proptest! {
             .collect();
         let q = Point::new(qx, qy);
         let mut out = Vec::new();
-        kernels::dist_sq_into(coords, q, &oids, &mut out);
-        for (&oid, &d) in oids.iter().zip(&out) {
-            prop_assert_eq!(d.to_bits(), q.dist_sq(coords.point(oid)).to_bits());
-        }
         kernels::dist_into(coords, q, &oids, &mut out);
         for (&oid, &d) in oids.iter().zip(&out) {
             prop_assert_eq!(d.to_bits(), q.dist(coords.point(oid)).to_bits());

@@ -18,6 +18,7 @@
 //! resync never reaches back to the delta producer.
 
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use cpm_core::{CycleDeltas, Neighbor, NeighborDelta};
@@ -118,15 +119,12 @@ impl DeltaFanout {
         self.epoch
     }
 
-    /// Bound every mailbox to `cap ≥ 1` buffered deltas; on overflow the
+    /// Bound every mailbox to `cap` buffered deltas; on overflow the
     /// **oldest** delta is evicted and the subscriber flagged as lagged.
     /// Lowering the cap applies to existing backlogs immediately, exactly
     /// as on overflow.
-    ///
-    /// # Panics
-    /// Panics if `cap == 0`.
-    pub fn set_mailbox_capacity(&mut self, cap: usize) {
-        assert!(cap >= 1, "a mailbox must hold at least one delta");
+    pub fn set_mailbox_capacity(&mut self, cap: NonZeroUsize) {
+        let cap = cap.get();
         self.mailbox_cap = cap;
         for (mailbox, _) in self.subs.values_mut() {
             mailbox.enforce(cap);
@@ -333,7 +331,7 @@ mod tests {
     #[test]
     fn bounded_mailboxes_lag_and_resync_recovers() {
         let mut f = DeltaFanout::new();
-        f.set_mailbox_capacity(1);
+        f.set_mailbox_capacity(NonZeroUsize::MIN);
         f.subscribe(QueryId(3));
         f.publish(&batch(1, 3, vec![n(1, 0.2)]));
         f.publish(&batch(2, 3, vec![n(2, 0.1)]));
@@ -357,7 +355,7 @@ mod tests {
             f.publish(&batch(epoch, 3, vec![n(epoch as u32, 0.5)]));
         }
         assert!(!f.lagged(QueryId(3)));
-        f.set_mailbox_capacity(2);
+        f.set_mailbox_capacity(NonZeroUsize::new(2).unwrap());
         assert!(f.lagged(QueryId(3)), "the trimmed deltas are lag");
         for epoch in 12..=14 {
             f.publish(&batch(epoch, 3, vec![n(epoch as u32, 0.5)]));
