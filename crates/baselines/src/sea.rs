@@ -20,6 +20,8 @@
 //! paper's experimental setup, both gaps are filled with YPK-CNN's
 //! two-step search.
 
+use std::collections::BTreeSet;
+
 use cpm_geom::{FastHashMap, FastHashSet, ObjectId, Point, QueryId};
 use cpm_grid::{
     apply_events, CellCoord, Grid, InfluenceTable, Metrics, ObjectEvent, QueryEvent, UpdateRecord,
@@ -57,11 +59,16 @@ pub struct SeaCnnMonitor {
     grid: Grid,
     /// The cycle's [`apply_events`] output, classified after ingest.
     records: Vec<UpdateRecord>,
+    /// Every query's marked cells, listed by cell in ascending query id:
+    /// rebuilt from the states for each classification, its only reader.
     answer_regions: InfluenceTable,
     queries: FastHashMap<QueryId, SeaQueryState>,
+    /// Scratch: the installed ids, ascending, that the answer regions are
+    /// listed in.
+    ids: Vec<QueryId>,
     /// Queries whose result holds fewer than `k` objects (the whole
-    /// workspace influences them).
-    starved: FastHashSet<QueryId>,
+    /// workspace influences them), ascending.
+    starved: BTreeSet<QueryId>,
     metrics: Metrics,
     epoch: u64,
     touched: Vec<QueryId>,
@@ -75,9 +82,10 @@ impl SeaCnnMonitor {
         Self {
             grid: cpm_grid::GridBuilder::new(dim).build_uniform(),
             records: Vec::new(),
-            answer_regions: InfluenceTable::new(dim),
+            answer_regions: InfluenceTable::new(),
             queries: FastHashMap::default(),
-            starved: FastHashSet::default(),
+            ids: Vec::new(),
+            starved: BTreeSet::new(),
             metrics: Metrics::default(),
             epoch: 0,
             touched: Vec::new(),
@@ -146,27 +154,14 @@ impl SeaCnnMonitor {
             d_max: 0.0,
             needs_full: false,
         };
-        Self::remark_answer_region(
-            &self.grid,
-            &mut self.answer_regions,
-            &mut self.starved,
-            id,
-            &mut st,
-        );
+        Self::remark_answer_region(&self.grid, &mut self.starved, id, &mut st);
         self.queries.entry(id).or_insert(st).best.neighbors()
     }
 
     /// Terminate a query; `true` if it was installed.
     pub fn terminate_query(&mut self, id: QueryId) -> bool {
-        match self.queries.remove(&id) {
-            Some(st) => {
-                for cell in st.marked {
-                    self.answer_regions.remove(cell, id);
-                }
-                true
-            }
-            None => false,
-        }
+        self.starved.remove(&id);
+        self.queries.remove(&id).is_some()
     }
 
     /// Run one processing cycle. Returns the queries whose result changed.
@@ -183,10 +178,20 @@ impl SeaCnnMonitor {
         }
 
         // Phase 1: apply object updates, then classify affected queries
-        // from the records (classification reads no grid state).
+        // from the records (classification reads no grid state) through
+        // the answer regions, listed in ascending query id: the order
+        // queries are touched in, and so `changed`'s, is a function of
+        // the states and the batch.
         self.records.clear();
         self.metrics.updates_applied +=
             apply_events(&mut self.grid, object_events, &mut self.records);
+        self.ids.clear();
+        self.ids.extend(self.queries.keys().copied());
+        self.ids.sort_unstable();
+        let queries = &self.queries;
+        let marks = (self.ids.iter())
+            .flat_map(|&id| queries[&id].marked.iter().map(move |&cell| (cell, id)));
+        self.answer_regions.rebuild(self.grid.dim(), marks);
         let records = std::mem::take(&mut self.records);
         for rec in &records {
             if let Some(old_cell) = rec.old_cell {
@@ -216,13 +221,7 @@ impl SeaCnnMonitor {
                 st.best = scan_circle(&self.grid, st.q, st.q, r, k, &mut self.metrics);
                 self.metrics.recomputations += 1;
             }
-            Self::remark_answer_region(
-                &self.grid,
-                &mut self.answer_regions,
-                &mut self.starved,
-                qid,
-                st,
-            );
+            Self::remark_answer_region(&self.grid, &mut self.starved, qid, st);
             if old != st.best.neighbors() {
                 changed.push(qid);
             }
@@ -273,13 +272,7 @@ impl SeaCnnMonitor {
             st.q = to;
             st.best = two_step_search(&self.grid, to, k, &mut self.metrics);
         }
-        Self::remark_answer_region(
-            &self.grid,
-            &mut self.answer_regions,
-            &mut self.starved,
-            id,
-            st,
-        );
+        Self::remark_answer_region(&self.grid, &mut self.starved, id, st);
         self.queries[&id].best.neighbors()
     }
 
@@ -354,18 +347,15 @@ impl SeaCnnMonitor {
         }
     }
 
-    /// Replace the answer-region cell marks with the cells intersecting the
-    /// current circle `(q, best_dist)`, and keep the starved set in sync.
+    /// Replace the answer-region cell marks with the distinct cells
+    /// intersecting the current circle `(q, best_dist)`, and keep the
+    /// starved set in sync.
     fn remark_answer_region(
         grid: &Grid,
-        regions: &mut InfluenceTable,
-        starved: &mut FastHashSet<QueryId>,
+        starved: &mut BTreeSet<QueryId>,
         id: QueryId,
         st: &mut SeaQueryState,
     ) {
-        for &cell in &st.marked {
-            regions.remove(cell, id);
-        }
         let bd = st.best.best_dist();
         // Refill the mark list in place: the circle cover streams straight
         // out of the allocation-free `cells_in_circle` iterator into the
@@ -381,11 +371,11 @@ impl SeaCnnMonitor {
             // occupied-cell marks; arrivals anywhere are caught through the
             // starved set in `classify_arrival`.
             starved.insert(id);
-            st.marked
-                .extend(grid.occupied_cells().chain([grid.cell_of(st.q)]));
-        }
-        for &cell in &st.marked {
-            regions.add(cell, id);
+            st.marked.extend(grid.occupied_cells());
+            let home = grid.cell_of(st.q);
+            if grid.cell_len(home) == 0 {
+                st.marked.push(home);
+            }
         }
     }
 
@@ -393,13 +383,8 @@ impl SeaCnnMonitor {
     /// data, one unit per answer-region cell mark, plus `3 + 2k` per
     /// query-table entry.
     pub fn space_units(&self) -> usize {
-        self.grid.space_units()
-            + self.answer_regions.total_entries()
-            + self
-                .queries
-                .values()
-                .map(|st| 3 + 2 * st.best.k())
-                .sum::<usize>()
+        let entry = |st: &SeaQueryState| st.marked.len() + 3 + 2 * st.best.k();
+        self.grid.space_units() + self.queries.values().map(entry).sum::<usize>()
     }
 
     /// Verify answer-region book-keeping invariants (test helper).
@@ -408,12 +393,19 @@ impl SeaCnnMonitor {
         let mut total = 0usize;
         for (qid, st) in &self.queries {
             total += st.marked.len();
-            for &cell in &st.marked {
-                assert!(
-                    self.answer_regions.contains(cell, *qid),
-                    "mark list out of sync for {qid}"
-                );
-            }
+            // A cell marked twice would be listed twice and classify every
+            // update there twice.
+            let mut cells = st.marked.clone();
+            cells.sort_unstable();
+            assert!(
+                cells.windows(2).all(|w| w[0] < w[1]),
+                "{qid} marks a cell twice"
+            );
+            assert_eq!(
+                self.starved.contains(qid),
+                !st.best.is_full(),
+                "starved {qid}"
+            );
             let bd = st.best.best_dist();
             if bd.is_finite() {
                 for &cell in &st.marked {
@@ -428,7 +420,12 @@ impl SeaCnnMonitor {
                 assert!((st.q.dist(p) - n.dist).abs() < 1e-9, "stale distance");
             }
         }
-        assert_eq!(self.answer_regions.total_entries(), total);
+        let mut regions = InfluenceTable::new();
+        let marks = (self.queries.iter())
+            .flat_map(|(&id, st)| st.marked.iter().map(move |&cell| (cell, id)));
+        regions.rebuild(self.grid.dim(), marks);
+        assert_eq!(regions.total_entries(), total);
+        assert!(self.starved.iter().all(|id| self.queries.contains_key(id)));
     }
 }
 
@@ -558,6 +555,30 @@ mod tests {
         assert_eq!(changed, vec![QueryId(0)]);
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
         assert_matches(&m, QueryId(0));
+        m.check_invariants();
+    }
+
+    /// A query with fewer than `k` objects in the system watches every
+    /// arrival; once terminated it watches none, and the starved query
+    /// that stays keeps an exact result. Its home cell holds an object,
+    /// so its marks are the occupied cells alone, each once.
+    #[test]
+    fn terminated_starved_query_leaves_no_trace() {
+        let mut m = SeaCnnMonitor::new(8);
+        m.populate([(ObjectId(0), Point::new(0.5, 0.5))]);
+        m.install_query(QueryId(0), Point::new(0.51, 0.51), 3);
+        m.install_query(QueryId(1), Point::new(0.2, 0.2), 2);
+        // Marks + `3 + 2k` each: query 1's empty home cell is marked too.
+        let entries = (1 + 3 + 2 * 3) + (2 + 3 + 2 * 2);
+        assert_eq!(m.space_units(), m.grid.space_units() + entries);
+        m.check_invariants();
+        m.process_cycle(&[], &[QueryEvent::Terminate { id: QueryId(0) }]);
+        let arrival = ObjectEvent::Appear {
+            id: ObjectId(1),
+            pos: Point::new(0.9, 0.1),
+        };
+        assert_eq!(m.process_cycle(&[arrival], &[]), vec![QueryId(1)]);
+        assert_matches(&m, QueryId(1));
         m.check_invariants();
     }
 

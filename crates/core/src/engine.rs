@@ -21,8 +21,9 @@
 //! departure | arrival)` pairs in batch order, then merge-or-recompute
 //! and change detection (`Worker::resolve`), or a from-scratch
 //! search for a new or moved query. Either touches nothing but that
-//! query's own state — it reads the grid and leaves its influence-table
-//! writes for later — which is what lets the engine behind
+//! query's own state — it reads the grid, and its influence registrations
+//! are its visit-list prefix, which the engine lists when it next routes
+//! — which is what lets the engine behind
 //! [`crate::CpmServer`] run many queries at once, one `Worker` per
 //! thread; the phases of a cycle are described in `shard.rs`.
 //!
@@ -220,7 +221,9 @@ pub struct SpecQueryState {
     /// Cells processed during search, ascending by key; superset of the
     /// influence region.
     pub visit_list: Vec<(CellCoord, f64)>,
-    /// Prefix of `visit_list` registered in the influence table.
+    /// Prefix of `visit_list` registered in the influence table: the
+    /// cells keyed within `best_dist`, which the engine lists this query
+    /// at when it rebuilds the table.
     pub influence_len: usize,
     /// Left-over search frontier.
     pub heap: SearchHeap,
@@ -272,10 +275,6 @@ impl SpecQueryState {
     }
 }
 
-/// An influence-table write a worker leaves for the join: register (or,
-/// with `false`, unregister) query slot `.1` at cell `.0`.
-pub(crate) type InfluenceOp = (CellCoord, u32, bool);
-
 /// Why a state is searched from scratch.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Search {
@@ -307,9 +306,6 @@ pub(crate) struct Worker {
     pub(crate) metrics: Metrics,
     pub(crate) changed: Vec<QueryId>,
     pub(crate) deltas: Vec<(QueryId, NeighborDelta)>,
-    /// Influence-table writes, applied at the join: the table is read
-    /// only while workers run.
-    pub(crate) influence_ops: Vec<InfluenceOp>,
     /// The cycle-start result of the query being resolved, copied from
     /// its `best` list just before the cycle first changes it.
     cycle_start: Vec<Neighbor>,
@@ -334,16 +330,14 @@ impl Worker {
         st: &mut SpecQueryState,
     ) {
         let Search::Event(i) = search else {
-            // The table was reset: nothing to unregister. The search finds
-            // the list the query held, a function of the positions alone.
-            st.influence_len = 0;
+            // The search finds the list the query held, a function of the
+            // positions alone.
             self.compute_from_scratch(grid, st);
             self.metrics.regrid_queries_recomputed += 1;
             return;
         };
         let update = match &events[i] {
             SpecEvent::Update { spec, .. } => {
-                self.unregister(st);
                 if collect_deltas {
                     self.cycle_start.clear();
                     self.cycle_start.extend_from_slice(st.best.neighbors());
@@ -365,19 +359,11 @@ impl Worker {
         self.changed.push(st.id);
     }
 
-    /// Drop `st`'s influence registrations (a moving query is a new one,
-    /// Section 3.3).
-    pub(crate) fn unregister(&mut self, st: &mut SpecQueryState) {
-        let registered = st.visit_list[..st.influence_len].iter();
-        self.influence_ops
-            .extend(registered.map(|&(cell, _)| (cell, st.slot, false)));
-        st.influence_len = 0;
-    }
-
     // ---- search ----
 
+    /// Search `st` from scratch, a new query as far as its book-keeping
+    /// goes (a moving query is a new one, Section 3.3).
     pub(crate) fn compute_from_scratch(&mut self, grid: &Grid, st: &mut SpecQueryState) {
-        debug_assert_eq!(st.influence_len, 0, "stale influence registrations");
         let metrics = &mut self.metrics;
         let counters_before = metrics.query_counters();
         st.best.clear();
@@ -404,7 +390,7 @@ impl Worker {
         drain_heap(grid, st, metrics, &mut self.dist_buf);
         metrics.computations += 1;
         metrics.attribute_since(st.spec.kind(), counters_before);
-        sync_influence(&mut self.influence_ops, st);
+        sync_influence(st);
     }
 
     fn recompute(&mut self, grid: &Grid, st: &mut SpecQueryState) {
@@ -434,7 +420,7 @@ impl Worker {
         }
         metrics.recomputations += 1;
         metrics.attribute_since(st.spec.kind(), counters_before);
-        sync_influence(&mut self.influence_ops, st);
+        sync_influence(st);
     }
 
     // ---- update handling (Figure 3.8, aggregate distances) ----
@@ -518,7 +504,7 @@ impl Worker {
                 self.metrics.merge_resolutions += 1;
                 self.metrics.by_kind[st.spec.kind() as usize].merge_resolutions += 1;
             }
-            sync_influence(&mut self.influence_ops, st);
+            sync_influence(st);
         }
 
         // Change detection. A `dirty` query changed whatever the lists
@@ -590,21 +576,19 @@ fn drain_heap(
 }
 
 /// Bring `st`'s influence registrations to the prefix of its visit list
-/// within `best_dist`, as writes for the join.
-fn sync_influence(ops: &mut Vec<InfluenceOp>, st: &mut SpecQueryState) {
-    let bd = st.best.best_dist();
-    let new_len = if bd.is_finite() {
-        st.visit_list.partition_point(|&(_, key)| key <= bd)
+/// within `best_dist`: every cell of the visit list while the result is
+/// unfull.
+fn sync_influence(st: &mut SpecQueryState) {
+    st.influence_len = influence_prefix(&st.visit_list, st.best.best_dist());
+}
+
+/// The length of the prefix of `visit_list` with keys within `best_dist`.
+pub(crate) fn influence_prefix(visit_list: &[(CellCoord, f64)], best_dist: f64) -> usize {
+    if best_dist.is_finite() {
+        visit_list.partition_point(|&(_, key)| key <= best_dist)
     } else {
-        st.visit_list.len()
-    };
-    for i in st.influence_len..new_len {
-        ops.push((st.visit_list[i].0, st.slot, true));
+        visit_list.len()
     }
-    for i in new_len..st.influence_len {
-        ops.push((st.visit_list[i].0, st.slot, false));
-    }
-    st.influence_len = new_len;
 }
 
 #[cfg(test)]

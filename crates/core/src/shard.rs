@@ -14,9 +14,10 @@
 //!    ([`cpm_grid::apply_events`]). This is the only step that mutates
 //!    the grid: a position write per update, then one counting sort of
 //!    the cell index.
-//! 2. **Route + group** (serial). The records are routed once through the
-//!    one influence table into `(query, record, departure | arrival)`
-//!    pairs, grouped by query slot with a counting sort.
+//! 2. **Route + group** (serial). The influence table is rebuilt from
+//!    the query states by a counting sort, then the records are routed
+//!    once through it into `(query, record, departure | arrival)` pairs,
+//!    grouped by query slot with a second counting sort.
 //! 3. **Resolve** (`T` workers). Consecutive slot ranges of about equal
 //!    pair count — read off the counting sort's prefix sums — each go to
 //!    one worker, which resolves its queries against the immutable grid.
@@ -29,13 +30,15 @@
 //! Workers are the calling thread plus `T − 1` `std::thread::scope`
 //! threads, spawned only when a step holds enough work to pay for them.
 //! Each worker owns its part of the query table and its own counters,
-//! changed ids, deltas and buffered influence writes; the join applies
-//! and concatenates them in worker order, which is slot order for
-//! resolve, event order for query events and id order for a re-grid —
-//! the order `T = 1` produces. Because each query's processing depends
-//! only on its own state, its own events in batch order and the
-//! post-ingest grid, results, changed lists, delta batches, [`Metrics`]
-//! and the order inside every influence list are **bit-identical** at
+//! changed ids and deltas; the join sums and concatenates them in worker
+//! order, which is slot order for resolve, event order for query events
+//! and id order for a re-grid — the order `T = 1` produces. A worker
+//! writes no shared structure: a query's influence registrations are the
+//! prefix of its own visit list (`SpecQueryState::influence_len`), and
+//! the next route lists them, every list ascending by slot. Because each
+//! query's processing depends only on its own state, its own events in
+//! batch order and the post-ingest grid, results, changed lists, delta
+//! batches, [`Metrics`] and every influence list are **bit-identical** at
 //! every thread count: `T = 1` is the same split with one part. The
 //! threads suite (`tests/thread_determinism.rs`) and `cpm_sim`'s oracle
 //! cross-check assert it on random workloads.
@@ -48,11 +51,15 @@
 use std::num::NonZeroUsize;
 
 use cpm_geom::{FastHashMap, QueryId};
-use cpm_grid::{apply_events, Grid, GridGeom, InfluenceTable, Metrics, ObjectEvent, UpdateRecord};
+use cpm_grid::{
+    apply_events, CellCoord, Grid, GridGeom, InfluenceTable, Metrics, ObjectEvent, UpdateRecord,
+};
 
 use crate::any::AnyQuerySpec;
 use crate::delta::{CycleDeltas, NeighborDelta};
-use crate::engine::{QuerySpec, Resolve, Search, SpecEvent, SpecQueryState, Worker};
+use crate::engine::{
+    influence_prefix, QuerySpec, Resolve, Search, SpecEvent, SpecQueryState, Worker,
+};
 use crate::error::CpmError;
 use crate::neighbors::Neighbor;
 use crate::regrid::{RegridController, RegridPolicy};
@@ -98,6 +105,17 @@ fn fan_out<T: Send>(
     });
 }
 
+/// Every installed query's influence registrations, `(cell, slot)`, in
+/// slot order.
+fn registrations(
+    queries: &[Option<Box<SpecQueryState>>],
+) -> impl Iterator<Item = (CellCoord, u32)> + '_ {
+    queries.iter().flatten().flat_map(|st| {
+        let prefix = &st.visit_list[..st.influence_len];
+        prefix.iter().map(|&(cell, _)| (cell, st.slot))
+    })
+}
+
 /// The conceptual-partitioning monitor: a grid plus the query
 /// book-keeping of Section 3, whose per-cycle maintenance runs on `T`
 /// threads (see the [module docs](self) for the phase structure).
@@ -114,6 +132,7 @@ pub(crate) struct CpmEngine {
     grid: Grid,
     /// Influence lists, holding query-table slots: update handling goes
     /// from a cell to the affected states without hashing a query id.
+    /// Rebuilt from the states by each cycle's route, its only reader.
     influence: InfluenceTable<u32>,
     /// The query table (Figure 3.3a): a slab of states, vacant slots
     /// listed in `free`. A state is boxed so that a search step moves a
@@ -159,7 +178,7 @@ impl CpmEngine {
     /// maintenance runs on `threads` threads.
     pub(crate) fn with_grid(grid: Grid, threads: NonZeroUsize) -> Self {
         Self {
-            influence: InfluenceTable::new(grid.dim()),
+            influence: InfluenceTable::new(),
             grid,
             queries: Vec::new(),
             free: Vec::new(),
@@ -195,8 +214,8 @@ impl CpmEngine {
 
     /// Re-grid to a new resolution *now*: rebuild the cell index from the
     /// (untouched) object store, then re-register every query against the
-    /// new δ — searched on the worker threads, registered in ascending
-    /// query-id order (the order a fresh engine installs them in), so the
+    /// new δ — searched on the worker threads, in ascending query-id order
+    /// (the order a fresh engine installs them in), so the
     /// resulting state is bit-identical to an engine built at `new_dim`
     /// from scratch, at every thread count. Returns the number of objects
     /// migrated (0 if `new_dim` is the current dimension).
@@ -217,8 +236,6 @@ impl CpmEngine {
         let migrated = self.grid.regrid(new_dim);
         self.metrics.regrids += 1;
         self.metrics.regrid_objects_migrated += migrated as u64;
-        // Packed cell ids from the old resolution are meaningless now.
-        self.influence.reset(new_dim);
         self.searches.clear();
         for st in self.queries.iter_mut().filter_map(Option::take) {
             self.searches.push((Search::Rebind, st));
@@ -372,10 +389,7 @@ impl CpmEngine {
             .slot_of
             .remove(&id)
             .unwrap_or_else(|| panic!("query {id} is not installed"));
-        let st = self.queries[slot as usize].take().expect("mapped slot");
-        for &(cell, _) in &st.visit_list[..st.influence_len] {
-            self.influence.remove(cell, slot);
-        }
+        self.queries[slot as usize] = None;
         self.free.push(slot);
     }
 
@@ -384,10 +398,8 @@ impl CpmEngine {
     pub(crate) fn update_spec(&mut self, id: QueryId, spec: AnyQuerySpec) -> &[Neighbor] {
         let slot = self.slot(id) as usize;
         let st = self.queries[slot].as_mut().expect("mapped slot");
-        let worker = &mut self.workers[0];
-        worker.unregister(st);
         st.spec = spec;
-        worker.compute_from_scratch(&self.grid, st);
+        self.workers[0].compute_from_scratch(&self.grid, st);
         self.join();
         self.queries[slot].as_ref().expect("mapped slot").result()
     }
@@ -517,14 +529,18 @@ impl CpmEngine {
     /// Route + group, the serial head of Figure 3.8's batched update
     /// handling ("for each query q affected by updates in U_P"):
     ///
-    /// 1. **Route**: walk the records, reading nothing but the influence
+    /// 1. **List**: rebuild the influence table from the installed
+    ///    states, walked in slot order, so every list ascends by slot.
+    /// 2. **Route**: walk the records, reading nothing but the influence
     ///    lists, once to count the `(query, record, departure | arrival)`
     ///    pairs per query slot and once to scatter them. A record that
-    ///    touches no influenced cell costs two directory reads per walk.
-    /// 2. **Group**: the scatter *is* the grouping — a counting sort over
+    ///    touches no influenced cell costs two offset reads per walk.
+    /// 3. **Group**: the scatter *is* the grouping — a counting sort over
     ///    the dense slots, stable by construction: each query's events
-    ///    stay in batch order, a record's departure before its arrival.
+    ///    stay in batch order, a record's departure before its arrival,
+    ///    whatever order a list holds its slots in.
     fn route_and_group(&mut self) {
+        self.rebuild_influence();
         assert!(
             self.records.len() <= (u32::MAX >> 1) as usize,
             "record index must fit the packed pair"
@@ -549,6 +565,12 @@ impl CpmEngine {
         });
         self.pairs = pairs;
         self.group_ends = ends;
+    }
+
+    /// Rebuild the influence lists from the installed states.
+    fn rebuild_influence(&mut self) {
+        let dim = self.grid.dim();
+        self.influence.rebuild(dim, registrations(&self.queries));
     }
 
     /// Visit every `(query slot, packed pair)` of the batch in batch
@@ -669,19 +691,12 @@ impl CpmEngine {
         self.join();
     }
 
-    /// The join of a parallel step: apply every worker's influence writes
-    /// and fold in its counters, then append the other workers' changed
-    /// ids and deltas to the first's, all in worker order — the order one
-    /// worker would have produced them in.
+    /// The join of a parallel step: fold in every worker's counters, then
+    /// append the other workers' changed ids and deltas to the first's,
+    /// all in worker order — the order one worker would have produced
+    /// them in.
     fn join(&mut self) {
         for worker in &mut self.workers {
-            for (cell, slot, register) in worker.influence_ops.drain(..) {
-                if register {
-                    self.influence.add(cell, slot);
-                } else {
-                    self.influence.remove(cell, slot);
-                }
-            }
             self.metrics.merge(&worker.metrics.take());
         }
         let (first, others) = self.workers.split_first_mut().expect("one worker at least");
@@ -696,8 +711,10 @@ impl CpmEngine {
     #[must_use]
     pub(crate) fn space_units(&self) -> usize {
         let installed = self.queries.iter().flatten();
-        let queries: usize = installed.map(|st| st.space_units()).sum();
-        self.grid.space_units() + queries + self.influence.total_entries()
+        let queries: usize = installed
+            .map(|st| st.space_units() + st.influence_len)
+            .sum();
+        self.grid.space_units() + queries
     }
 
     /// Verify all cross-structure invariants (test helper).
@@ -710,14 +727,17 @@ impl CpmEngine {
             for w in st.visit_list.windows(2) {
                 assert!(w[0].1 <= w[1].1, "visit list out of order");
             }
-            let bd = st.best_dist();
-            for (i, &(cell, key)) in st.visit_list.iter().enumerate() {
-                let registered = self.influence.contains(cell, slot);
-                assert_eq!(registered, i < st.influence_len, "registration mismatch");
-                if bd.is_finite() {
-                    assert_eq!(key <= bd, i < st.influence_len, "prefix mismatch");
-                }
-            }
+            let expected = influence_prefix(&st.visit_list, st.best_dist());
+            assert_eq!(st.influence_len, expected, "prefix mismatch for {qid}");
+            // A cell visited twice would be listed twice once the prefix
+            // reached it, and route every pair there twice.
+            let dim = self.grid.dim();
+            let mut cells: Vec<u64> = st.visit_list.iter().map(|(c, _)| c.id(dim)).collect();
+            cells.sort_unstable();
+            assert!(
+                cells.windows(2).all(|w| w[0] < w[1]),
+                "{qid} visits a cell twice"
+            );
             for n in st.result() {
                 let p = self
                     .grid
@@ -731,16 +751,22 @@ impl CpmEngine {
             }
             assert!(st.heap.boundary_boxes() <= 4);
         }
+        let mut influence = InfluenceTable::new();
+        influence.rebuild(self.grid.dim(), registrations(&self.queries));
         let installed = self.queries.iter().flatten();
         let total: usize = installed.map(|st| st.influence_len).sum();
-        assert_eq!(self.influence.total_entries(), total);
+        assert_eq!(influence.total_entries(), total);
+        let geom = self.grid.geom();
+        for cell in (0..geom.total_cells() as u64).map(|id| geom.cell_from_id(id)) {
+            let list = influence.queries_at(cell);
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "{cell}: {list:?}");
+        }
         assert!(self
             .free
             .iter()
             .all(|&s| self.queries[s as usize].is_none()));
         assert_eq!(self.slot_of.len() + self.free.len(), self.queries.len());
         assert_eq!(self.pending.len(), self.queries.len());
-        assert!(self.workers.iter().all(|w| w.influence_ops.is_empty()));
     }
 }
 
@@ -816,6 +842,35 @@ mod tests {
         assert_eq!(changed.len(), 11);
         assert_eq!(m.query_count(), 11);
         m.check_invariants();
+
+        // The next route lists the reinstalled query at its recycled slot
+        // and no longer lists the terminated ones: one object cycle that
+        // pulls objects past every query leaves each result the brute
+        // force one.
+        let pulls: Vec<ObjectEvent> = (0..50u32)
+            .step_by(3)
+            .map(|i| ObjectEvent::Move {
+                id: ObjectId(i),
+                to: Point::new(
+                    0.3 + f64::from(i % 7) * 0.02,
+                    0.45 + f64::from(i % 5) * 0.04,
+                ),
+            })
+            .collect();
+        m.process_cycle(&pulls, &[]).unwrap();
+        m.check_invariants();
+        for id in m.query_ids() {
+            let st = m.query_state(id).unwrap();
+            let mut brute: Vec<Neighbor> = (m.grid().iter_objects())
+                .map(|(id, p)| Neighbor {
+                    id,
+                    dist: st.spec.dist(p),
+                })
+                .collect();
+            brute.sort_unstable_by(|a, b| (a.dist, a.id).partial_cmp(&(b.dist, b.id)).unwrap());
+            brute.truncate(st.k());
+            assert_eq!(st.result(), brute.as_slice(), "query {id}");
+        }
         m.terminate(QueryId(0)).unwrap();
         assert_eq!(m.query_count(), 10);
         m.check_invariants();
@@ -870,11 +925,15 @@ mod tests {
                 seen.push(m.process_cycle(&moves, &updates));
                 m.check_invariants();
             }
+            m.rebuild_influence();
             let dim = m.grid().dim();
             let lists: Vec<Vec<u32>> = (0..dim)
-                .flat_map(|r| (0..dim).map(move |c| cpm_grid::CellCoord::new(c, r)))
+                .flat_map(|r| (0..dim).map(move |c| CellCoord::new(c, r)))
                 .map(|cell| m.influence.queries_at(cell).to_vec())
                 .collect();
+            for list in &lists {
+                assert!(list.windows(2).all(|w| w[0] < w[1]), "{list:?} by slot");
+            }
             (seen, m.metrics(), lists)
         });
         assert_eq!(runs[0], runs[1], "T = 2");

@@ -6,122 +6,139 @@
 //! list can be affected — this is the mechanism that lets CPM (and SEA-CNN's
 //! answer-region variant) ignore irrelevant updates entirely.
 //!
-//! The lists are dense `Vec`s with dedup-on-insert rather than hash
-//! sets, found through a `dim²` directory of `u32` slots rather than a
-//! hash map (4 bytes per conceptual cell, like the index's offset table
-//! — see [`crate::CellIndex`] for the sizes): the table is
-//! read twice per object update (old and new cell) whether or not any
-//! query is registered there, and a hit is immediately scanned in full —
-//! an array read and a contiguous slice are both smaller and faster than
-//! a probe. Per-cell lists are short (`n · C_inf / cells` queries on
-//! average, see Section 4.1), so the linear dedup scan on registration is
-//! cheap, and removal swap-removes by value.
+//! The lists are a function of the query states: each query registers
+//! the cells of its own influence region (CPM: the prefix of its visit
+//! list within `best_dist`; SEA-CNN: its marked cells). So the table
+//! keeps no history of its own. Its owner rebuilds it from the states
+//! before each pass that reads it, by the counting sort the object
+//! index uses ([`crate::CellIndex`]): one start offset per cell plus one
+//! at the end, and the registered queries in one array ordered by cell.
+//! The owner's states are walked once per rebuild: the sort's second
+//! pass reads a contiguous copy of the pairs, so a state that is cold in
+//! cache costs its misses once.
+//! A cell's list is a contiguous slice, read twice per object update
+//! (old and new cell) whether or not any query is registered there.
 
 use cpm_geom::QueryId;
 
-use crate::directory::CellDirectory;
 use crate::CellCoord;
 
 /// A table mapping grid cells to the list of queries whose influence
-/// region covers them.
+/// region covers them, in the compressed-sparse-row layout.
 ///
 /// Kept outside [`crate::Grid`] so that independent monitors (k-NN,
-/// aggregate-NN, constrained-NN, SEA-CNN) can each maintain their own lists
+/// aggregate-NN, constrained-NN, SEA-CNN) can each keep their own lists
 /// over one shared object index. `Q` is how the owner names a query
 /// in the lists: its [`QueryId`] by default, or any small `Copy` handle
 /// (the CPM engine registers its dense query-table slots).
 #[derive(Debug, Clone)]
 pub struct InfluenceTable<Q = QueryId> {
     dim: u32,
-    /// Invariant: every stored list is non-empty and duplicate-free.
-    lists: CellDirectory<Q>,
+    /// `dim² + 1` offsets into `items`: cell `c`'s list is
+    /// `items[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    items: Vec<Q>,
+    /// Rebuild scratch: every registration's packed cell id and query,
+    /// in the order they were given.
+    pairs: Vec<(u32, Q)>,
 }
 
-impl<Q: Copy + PartialEq> InfluenceTable<Q> {
-    /// Create an empty table for a `dim × dim` grid.
-    pub fn new(dim: u32) -> Self {
+impl<Q: Copy> Default for InfluenceTable<Q> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<Q: Copy> InfluenceTable<Q> {
+    /// An empty table over no cells; [`InfluenceTable::rebuild`] sizes
+    /// it.
+    pub fn new() -> Self {
         Self {
-            dim,
-            lists: CellDirectory::new(dim as usize * dim as usize),
+            dim: 0,
+            starts: vec![0],
+            items: Vec::new(),
+            pairs: Vec::new(),
         }
     }
 
-    /// The grid dimension this table's packed cell ids are keyed by.
+    /// The grid dimension of the last rebuild.
     #[inline]
     pub fn dim(&self) -> u32 {
         self.dim
     }
 
-    /// Drop every registration and re-size the table for a `dim × dim`
-    /// grid, keeping a pool's worth of list allocations. Used when the
-    /// engine re-grids: packed cell ids from the old resolution are
-    /// meaningless at the new one, so the table starts empty and queries
-    /// re-register.
-    pub fn reset(&mut self, dim: u32) {
-        self.dim = dim;
-        self.lists.reset(dim as usize * dim as usize);
-    }
-
-    /// Register query `q` in the influence list of `cell`.
-    /// Idempotent: re-registration is a no-op (the NN re-computation module
-    /// re-scans visit-list cells that are already registered).
-    #[inline]
-    pub fn add(&mut self, cell: CellCoord, q: Q) {
-        let list = self.lists.occupy(cell.id(self.dim));
-        if !list.contains(&q) {
-            list.push(q);
+    /// Replace every list with the `(cell, query)` pairs of
+    /// `registrations` on a `dim × dim` grid, by one counting sort in
+    /// O(pairs + cells):
+    ///
+    /// 1. a **count** pass, the only one over `registrations`, which
+    ///    copies each pair into contiguous scratch with its packed cell
+    ///    id — the owner's query states are walked once;
+    /// 2. a **scan** that turns the counts into the ends of the lists;
+    /// 3. a **scatter** of the scratch, back to front, each query taking
+    ///    the last free place of its cell — so a list holds its queries
+    ///    in the order `registrations` yields them.
+    ///
+    /// A pair yielded twice is listed twice: each owner registers a
+    /// query's cells once.
+    ///
+    /// # Panics
+    /// Panics if a cell lies outside the grid.
+    pub fn rebuild(&mut self, dim: u32, registrations: impl IntoIterator<Item = (CellCoord, Q)>) {
+        if dim != self.dim {
+            self.dim = dim;
+            // A table of the new size, so a coarser grid does not keep a
+            // finer one's pages resident.
+            self.starts = Vec::new();
         }
-    }
-
-    /// Remove query `q` from the influence list of `cell` (no-op if absent).
-    #[inline]
-    pub fn remove(&mut self, cell: CellCoord, q: Q) {
-        self.remove_at(cell.id(self.dim), q);
-    }
-
-    fn remove_at(&mut self, cell_id: u64, q: Q) {
-        if let Some(list) = self.lists.get_mut(cell_id) {
-            if let Some(at) = list.iter().position(|&x| x == q) {
-                list.swap_remove(at);
-                self.lists.release_if_empty(cell_id);
-            }
+        let cells = dim as usize * dim as usize;
+        // Count: cell `c`'s population, held in `starts[c]` until the scan.
+        let starts = &mut self.starts;
+        starts.clear();
+        starts.resize(cells + 1, 0);
+        self.pairs.clear();
+        self.pairs
+            .extend(registrations.into_iter().map(|(cell, q)| {
+                let id = cell.id(dim) as u32;
+                starts[id as usize] += 1;
+                (id, q)
+            }));
+        // Scan: every entry becomes the end of its cell's list.
+        let mut end = 0u32;
+        for s in &mut starts[..cells] {
+            end += *s;
+            *s = end;
+        }
+        starts[cells] = end;
+        // Scatter back to front: each query takes the last free place of
+        // its cell, which leaves the cell's entry at its start.
+        self.items.clear();
+        if let Some(&(_, q)) = self.pairs.first() {
+            self.items.resize(self.pairs.len(), q);
+        }
+        for &(id, q) in self.pairs.iter().rev() {
+            let start = &mut starts[id as usize];
+            *start -= 1;
+            self.items[*start as usize] = q;
         }
     }
 
     /// The queries influenced by `cell`, as a contiguous slice (empty if
     /// none are registered).
+    ///
+    /// # Panics
+    /// Panics if `cell` lies outside the grid of the last rebuild.
     #[inline]
     pub fn queries_at(&self, cell: CellCoord) -> &[Q] {
-        self.lists.get(cell.id(self.dim))
-    }
-
-    /// `true` if `q` is registered at `cell`.
-    #[inline]
-    pub fn contains(&self, cell: CellCoord, q: Q) -> bool {
-        self.queries_at(cell).contains(&q)
+        let id = cell.id(self.dim) as usize;
+        &self.items[self.starts[id] as usize..self.starts[id + 1] as usize]
     }
 
     /// Total number of `(cell, query)` registrations — `n · C_inf` in the
     /// space analysis of Section 4.1.
+    #[inline]
     pub fn total_entries(&self) -> usize {
-        self.lists.iter().map(|(_, list)| list.len()).sum()
-    }
-
-    /// Number of cells with a non-empty influence list.
-    pub fn occupied_cells(&self) -> usize {
-        self.lists.occupied()
-    }
-
-    /// Remove every registration of `q` (used when a query terminates and
-    /// the caller does not track its influence region — O(occupied
-    /// cells); the monitors prefer targeted [`InfluenceTable::remove`]
-    /// calls).
-    pub fn purge_query(&mut self, q: Q) {
-        let holds_q = |(id, list): (u64, &[Q])| list.contains(&q).then_some(id);
-        let cells: Vec<u64> = self.lists.iter().filter_map(holds_q).collect();
-        for id in cells {
-            self.remove_at(id, q);
-        }
+        self.items.len()
     }
 }
 
@@ -129,97 +146,14 @@ impl<Q: Copy + PartialEq> InfluenceTable<Q> {
 mod tests {
     use super::*;
 
+    /// Random registrations over dims 1–12, rebuilt into one table that
+    /// resizes between rounds, against a model: per cell, the queries in
+    /// the order they were registered. Each query registers distinct
+    /// cells (the corner cells among them at random, so dim 1 and odd
+    /// dims reach their last row and column), queries in ascending
+    /// order, as the owners yield them — so every list must ascend.
     #[test]
-    fn add_remove_roundtrip() {
-        let mut t = InfluenceTable::new(16);
-        let c = CellCoord::new(3, 4);
-        t.add(c, QueryId(1));
-        t.add(c, QueryId(2));
-        t.add(c, QueryId(1)); // idempotent
-        assert_eq!(t.queries_at(c).len(), 2);
-        assert!(t.contains(c, QueryId(1)));
-        t.remove(c, QueryId(1));
-        assert!(!t.contains(c, QueryId(1)));
-        t.remove(c, QueryId(2));
-        assert!(t.queries_at(c).is_empty());
-        assert_eq!(t.occupied_cells(), 0);
-    }
-
-    #[test]
-    fn counts_entries_across_cells() {
-        let mut t = InfluenceTable::new(16);
-        t.add(CellCoord::new(0, 0), QueryId(1));
-        t.add(CellCoord::new(0, 1), QueryId(1));
-        t.add(CellCoord::new(0, 1), QueryId(2));
-        assert_eq!(t.total_entries(), 3);
-        assert_eq!(t.occupied_cells(), 2);
-    }
-
-    #[test]
-    fn purge_removes_all_traces() {
-        let mut t = InfluenceTable::new(16);
-        for i in 0..8 {
-            t.add(CellCoord::new(i, i), QueryId(7));
-            t.add(CellCoord::new(i, i), QueryId(9));
-        }
-        t.purge_query(QueryId(7));
-        assert_eq!(t.total_entries(), 8);
-        for i in 0..8 {
-            assert!(!t.contains(CellCoord::new(i, i), QueryId(7)));
-            assert!(t.contains(CellCoord::new(i, i), QueryId(9)));
-        }
-    }
-
-    #[test]
-    fn distinct_cells_do_not_alias() {
-        // Regression guard for the packed-id scheme: (col,row) vs (row,col).
-        let mut t = InfluenceTable::new(64);
-        t.add(CellCoord::new(2, 5), QueryId(1));
-        assert!(!t.contains(CellCoord::new(5, 2), QueryId(1)));
-    }
-
-    #[test]
-    fn recycled_lists_start_empty() {
-        let mut t = InfluenceTable::new(16);
-        let a = CellCoord::new(1, 1);
-        let b = CellCoord::new(2, 2);
-        t.add(a, QueryId(1));
-        t.remove(a, QueryId(1)); // the slot falls vacant
-        t.add(b, QueryId(2)); // and is handed to another cell
-        assert_eq!(t.queries_at(b), &[QueryId(2)]);
-        assert!(t.queries_at(a).is_empty());
-        assert_eq!(t.total_entries(), 1);
-        assert_eq!(t.occupied_cells(), 1);
-        // Re-registering at the first cell must not alias the second.
-        t.add(a, QueryId(3));
-        assert_eq!(t.queries_at(a), &[QueryId(3)]);
-        assert_eq!(t.queries_at(b), &[QueryId(2)]);
-        assert_eq!(t.occupied_cells(), 2);
-    }
-
-    #[test]
-    fn last_row_and_column_are_addressable() {
-        // dim 1 (the only cell is the last one) and an odd dim.
-        for dim in [1u32, 7] {
-            let mut t = InfluenceTable::new(dim);
-            let corner = CellCoord::new(dim - 1, dim - 1);
-            let edge = CellCoord::new(dim - 1, 0);
-            t.add(corner, QueryId(1));
-            t.add(edge, QueryId(2));
-            assert!(t.contains(corner, QueryId(1)));
-            assert!(t.contains(edge, QueryId(2)));
-            assert_eq!(t.occupied_cells(), if dim == 1 { 1 } else { 2 });
-            t.purge_query(QueryId(1));
-            t.remove(edge, QueryId(2));
-            assert_eq!((t.total_entries(), t.occupied_cells()), (0, 0));
-        }
-    }
-
-    /// Random add / remove / purge / reset churn keeps the directory ↔
-    /// slab invariants and agrees with a model of per-cell sets.
-    #[test]
-    fn churn_keeps_the_directory_consistent() {
-        use std::collections::BTreeSet;
+    fn rebuild_matches_an_ascending_model() {
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = |n: u32| {
             rng ^= rng << 13;
@@ -227,59 +161,38 @@ mod tests {
             rng ^= rng << 17;
             (rng % u64::from(n)) as u32
         };
-        let mut dim = 8u32;
-        let mut t = InfluenceTable::new(dim);
-        let mut model: BTreeSet<(u32, u32, u32)> = BTreeSet::new();
-        for step in 0..4000 {
-            let (cell, q) = (CellCoord::new(next(dim), next(dim)), next(6));
-            match next(100) {
-                0 => {
-                    dim = 1 + next(12);
-                    t.reset(dim);
-                    model.clear();
+        let mut t = InfluenceTable::new();
+        for round in 0..400 {
+            let dim = 1 + next(12);
+            let mut regs: Vec<(CellCoord, QueryId)> = Vec::new();
+            for q in 0..next(9) {
+                let mut cells = vec![CellCoord::new(dim - 1, dim - 1), CellCoord::new(dim - 1, 0)];
+                cells.retain(|_| next(3) == 0);
+                for _ in 0..next(dim * dim + 1) {
+                    cells.push(CellCoord::new(next(dim), next(dim)));
                 }
-                1..=3 => {
-                    t.purge_query(QueryId(q));
-                    model.retain(|&(.., m)| m != q);
-                }
-                4..=45 => {
-                    t.remove(cell, QueryId(q));
-                    model.remove(&(cell.col, cell.row, q));
-                }
-                _ => {
-                    t.add(cell, QueryId(q));
-                    model.insert((cell.col, cell.row, q));
+                cells.sort_unstable();
+                cells.dedup();
+                // Any order inside a query: an odd multiplier permutes.
+                let order = next(1 << 16) | 1;
+                cells.sort_by_key(|c| (c.id(dim) as u32).wrapping_mul(order));
+                regs.extend(cells.into_iter().map(|c| (c, QueryId(q))));
+            }
+            t.rebuild(dim, regs.iter().copied());
+
+            let mut model = vec![Vec::new(); (dim * dim) as usize];
+            for &(cell, q) in &regs {
+                model[cell.id(dim) as usize].push(q);
+            }
+            assert_eq!((t.dim(), t.total_entries()), (dim, regs.len()));
+            for row in 0..dim {
+                for col in 0..dim {
+                    let cell = CellCoord::new(col, row);
+                    let list = t.queries_at(cell);
+                    assert_eq!(list, model[cell.id(dim) as usize], "round {round} {cell}");
+                    assert!(list.windows(2).all(|w| w[0] < w[1]), "round {round} {cell}");
                 }
             }
-            t.lists.check_integrity(dim as usize * dim as usize);
-            assert_eq!(t.total_entries(), model.len(), "step {step}");
-            let contains =
-                |&(col, row, q): &(u32, u32, u32)| t.contains(CellCoord::new(col, row), QueryId(q));
-            assert!(model.iter().all(contains), "step {step}");
         }
-    }
-
-    #[test]
-    fn reset_resizes_the_directory() {
-        let mut t = InfluenceTable::new(4);
-        for i in 0..4 {
-            t.add(CellCoord::new(i, 3 - i), QueryId(i));
-        }
-        // Grow: cells that did not exist at dim 4 are addressable, and no
-        // old registration survives under a re-interpreted id.
-        t.reset(9);
-        assert_eq!((t.dim(), t.total_entries(), t.occupied_cells()), (9, 0, 0));
-        let far = CellCoord::new(8, 8);
-        t.add(far, QueryId(5));
-        t.add(CellCoord::new(0, 3), QueryId(6));
-        assert_eq!(t.queries_at(far), &[QueryId(5)]);
-        assert!(t.queries_at(CellCoord::new(3, 0)).is_empty());
-        assert_eq!(t.total_entries(), 2);
-        // Shrink.
-        t.reset(2);
-        assert_eq!((t.dim(), t.total_entries()), (2, 0));
-        t.add(CellCoord::new(1, 1), QueryId(7));
-        assert_eq!(t.queries_at(CellCoord::new(1, 1)), &[QueryId(7)]);
-        assert_eq!((t.total_entries(), t.occupied_cells()), (1, 1));
     }
 }

@@ -41,13 +41,15 @@
 //! Query-side book-keeping (the per-cell *influence lists*) lives in
 //! [`InfluenceTable`], kept separate from the grid so that several monitors
 //! (k-NN, aggregate-NN, constrained) can share one object index while each
-//! maintains its own influence information.
+//! keeps its own influence information. It is the index's layout on the
+//! query side — one offset per cell over one array of query handles —
+//! and is rebuilt the same way, by one counting sort, from the
+//! registrations the monitor's query states name.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod coord;
-mod directory;
 pub mod events;
 mod geom;
 mod grid;
