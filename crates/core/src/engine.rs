@@ -41,7 +41,6 @@ use cpm_grid::{
 use crate::any::AnyQuerySpec;
 use crate::delta::{DeltaScratch, NeighborDelta};
 use crate::heap::{HeapEntry, SearchHeap};
-use crate::inlist::InList;
 use crate::neighbors::{Neighbor, NeighborList};
 use crate::partition::{Direction, Pinwheel};
 
@@ -210,6 +209,9 @@ impl From<QueryEvent> for SpecEvent<AnyQuerySpec> {
 
 /// Book-keeping for one engine-managed query: the query-table entry of
 /// Figure 3.3a, with the query point generalized to a query geometry.
+///
+/// Figure 3.8's `q.in_list` is not part of it: a query's incomers live
+/// only while its worker resolves it, in that worker's scratch.
 #[derive(Debug, Clone)]
 pub struct SpecQueryState {
     /// Query identifier.
@@ -232,9 +234,6 @@ pub struct SpecQueryState {
     /// This query's slot in the engine's query table — the handle its
     /// influence registrations carry.
     pub(crate) slot: u32,
-    /// Incomers of the cycle being resolved (cleared per cycle; a field
-    /// only so its allocation is reused).
-    in_list: InList,
 }
 
 impl SpecQueryState {
@@ -248,7 +247,6 @@ impl SpecQueryState {
             influence_len: 0,
             heap: SearchHeap::new(),
             pinwheel: Pinwheel::around_cell(CellCoord::new(0, 0), dim),
-            in_list: InList::with_cap(k),
         }
     }
 
@@ -298,9 +296,11 @@ pub(crate) struct Resolve<'a> {
 }
 
 /// One worker thread's share of a parallel step: its outputs, in the
-/// order a single worker would produce them, and its scratch. Workers
-/// live in their engine across cycles, so once their buffers have grown
-/// a step allocates nothing but the deltas' own spill buffers.
+/// order a single worker would produce them, and its scratch — the
+/// cycle-start copy, the in-list, the distance-kernel buffer and the
+/// diff's id table, each reused by every query the worker handles.
+/// Workers live in their engine across cycles, so once their buffers
+/// have grown a step allocates nothing but the deltas' own spill buffers.
 #[derive(Debug, Default)]
 pub(crate) struct Worker {
     pub(crate) metrics: Metrics,
@@ -309,8 +309,10 @@ pub(crate) struct Worker {
     /// The cycle-start result of the query being resolved, copied from
     /// its `best` list just before the cycle first changes it.
     cycle_start: Vec<Neighbor>,
-    /// Scratch for merge resolutions (result ∪ incomers).
-    merge_buf: Vec<Neighbor>,
+    /// `q.in_list` of Figure 3.8 for the query being resolved: its
+    /// qualifying incomers in batch order, uncapped and unsorted. The
+    /// merge offers them to the surviving result.
+    in_list: Vec<Neighbor>,
     /// Output buffer of [`QuerySpec::dist_batch`] cell scans.
     dist_buf: Vec<f64>,
     pub(crate) diff: DeltaScratch,
@@ -441,7 +443,7 @@ impl Worker {
         let mut out_count = 0usize;
         // A result entry was mutated in place by a departure.
         let mut dirty = false;
-        st.in_list.clear();
+        self.in_list.clear();
 
         for &ev in events {
             let rec = &step.records[(ev >> 1) as usize];
@@ -451,7 +453,7 @@ impl Worker {
                     .spec
                     .dist(rec.new_pos.expect("arrivals carry a position"));
                 if qualifies(d, id) && !st.best.contains(id) {
-                    st.in_list.insert(id, d);
+                    self.in_list.push(Neighbor { id, dist: d });
                 }
                 continue;
             }
@@ -482,8 +484,10 @@ impl Worker {
             }
         }
 
-        let recompute = st.in_list.len() < out_count;
-        let resolved = recompute || out_count > 0 || st.in_list.len() > 0;
+        // Figure 3.8's test with the in-list uncapped: the result holds
+        // at most k, so `min(|in|, k) < out ⇔ |in| < out`.
+        let recompute = self.in_list.len() < out_count;
+        let resolved = recompute || out_count > 0 || !self.in_list.is_empty();
         if !(resolved || dirty) {
             return;
         }
@@ -497,10 +501,12 @@ impl Worker {
             self.recompute(step.grid, st);
         } else {
             if resolved {
-                self.merge_buf.clear();
-                self.merge_buf.extend_from_slice(st.best.neighbors());
-                self.merge_buf.extend_from_slice(st.in_list.entries());
-                st.best.rebuild_from(&mut self.merge_buf);
+                // The merge (Figure 3.8 lines 19–20): the incomers are
+                // disjoint from the result, since an arrival is never a
+                // member, so offering each keeps the k best of the union.
+                for n in &self.in_list {
+                    st.best.offer(n.id, n.dist);
+                }
                 self.metrics.merge_resolutions += 1;
                 self.metrics.by_kind[st.spec.kind() as usize].merge_resolutions += 1;
             }
@@ -636,6 +642,11 @@ mod tests {
     /// The Figure 3.2 layout (coordinates in units of δ): q = (4.2, 4.9)
     /// in cell c4,4; p1 ∈ c3,3; p2 ∈ c2,4 is the NN.
     fn fig_3_2() -> CpmServer {
+        fig_3_2_with_k(1)
+    }
+
+    /// [`fig_3_2`] with the query monitoring its `k` nearest.
+    fn fig_3_2_with_k(k: usize) -> CpmServer {
         let mut m = server(8);
         m.populate([
             (ObjectId(1), pt(3.3, 3.5)), // p1
@@ -644,7 +655,7 @@ mod tests {
             (ObjectId(4), pt(5.5, 6.6)), // p4, farther
         ])
         .unwrap();
-        m.install_spec(Q, PointQuery(pt(4.2, 4.9)), 1).unwrap();
+        m.install_spec(Q, PointQuery(pt(4.2, 4.9)), k).unwrap();
         m.take_metrics();
         m
     }
@@ -721,6 +732,49 @@ mod tests {
         assert_eq!(m.metrics().recomputations, 0);
         assert_eq!(m.metrics().merge_resolutions, 1);
         assert_eq!(nn(&m), ObjectId(3));
+        assert_matches_oracle(&m);
+    }
+
+    /// Figure 3.8's merge-or-recompute test with more than k incomers:
+    /// the in-list is not capped at k, and `recompute ⇔ |in| < |out|`
+    /// decides alike either way because the result holds at most k. With
+    /// k = 2 (p2 and p1), one outgoing member and four qualifying arrivals
+    /// merge; then two outgoing members and one qualifying arrival
+    /// recompute.
+    #[test]
+    fn merge_or_recompute_counts_every_incomer() {
+        let mut m = fig_3_2_with_k(2);
+        assert_eq!(m.result(Q).unwrap().len(), 2);
+        let appear = |id, x, y| ObjectEvent::Appear {
+            id: ObjectId(id),
+            pos: pt(x, y),
+        };
+        let batch = [
+            mv(2, 0.5, 0.5),
+            appear(5, 4.4, 4.9),
+            appear(6, 4.2, 5.2),
+            appear(7, 3.8, 4.9),
+            appear(8, 4.2, 4.4),
+        ];
+        assert_eq!(cycle(&mut m, &batch), vec![Q]);
+        let metrics = m.take_metrics();
+        assert_eq!(metrics.merge_resolutions, 1);
+        assert_eq!(metrics.recomputations, 0);
+        let ids: Vec<ObjectId> = m.result(Q).unwrap().iter().map(|n| n.id).collect();
+        assert_eq!(ids, [ObjectId(5), ObjectId(6)]);
+        assert_matches_oracle(&m);
+
+        let batch = [
+            ObjectEvent::Disappear { id: ObjectId(5) },
+            ObjectEvent::Disappear { id: ObjectId(6) },
+            mv(3, 4.2, 5.0),
+        ];
+        assert_eq!(cycle(&mut m, &batch), vec![Q]);
+        let metrics = m.take_metrics();
+        assert_eq!(metrics.merge_resolutions, 0);
+        assert_eq!(metrics.recomputations, 1);
+        let ids: Vec<ObjectId> = m.result(Q).unwrap().iter().map(|n| n.id).collect();
+        assert_eq!(ids, [ObjectId(3), ObjectId(7)]);
         assert_matches_oracle(&m);
     }
 

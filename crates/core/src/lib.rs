@@ -62,7 +62,6 @@ pub mod delta;
 pub mod engine;
 pub mod error;
 pub mod heap;
-mod inlist;
 pub mod neighbors;
 pub mod partition;
 pub mod range;

@@ -5,8 +5,17 @@
 //! experimental range `k ≤ 256` a sorted vector with binary-search
 //! insertion does the same job with one contiguous allocation: an insert
 //! shifts at most k 16-byte entries, a few cache lines, where a tree
-//! chases a pointer per level. Membership tests — the hottest operation
-//! during update handling — are O(1) through a side hash set.
+//! chases a pointer per level.
+//!
+//! The one index beside the sorted entries is a member set. Membership
+//! tests are the hottest operation of update handling — every departure
+//! and every qualifying arrival of a cycle asks one — and the set answers
+//! them in O(1), where a scan of the entries costs O(k). The set is
+//! touched only when membership changes (an insert, an eviction, a
+//! removal), never when a member's distance moves. Answering `contains`
+//! by a scan of the entries instead would shrink every query state, but
+//! measured slower end to end on the benchmark's `paper_default` and
+//! `delta_churn` workloads, so the set stays.
 
 use cpm_geom::{FastHashSet, ObjectId};
 
@@ -116,19 +125,19 @@ impl NeighborList {
     /// if the list changed.
     ///
     /// # Panics
-    /// Debug-panics if `id` is already a member — callers distinguish
-    /// candidate insertion from [`NeighborList::update_dist`].
+    /// Debug-panics if `id` is inserted while already a member — callers
+    /// distinguish candidate insertion from [`NeighborList::update_dist`].
     pub fn offer(&mut self, id: ObjectId, dist: f64) -> bool {
+        let evict = self.is_full().then(|| self.entries[self.k - 1]);
+        if evict.is_some_and(|last| (dist, id) >= (last.dist, last.id)) {
+            return false;
+        }
         debug_assert!(!self.contains(id), "offer of existing member {id}");
-        let n = Neighbor { id, dist };
-        if self.is_full() {
-            let last = self.entries[self.k - 1];
-            if (dist, id) >= (last.dist, last.id) {
-                return false;
-            }
+        if let Some(last) = evict {
             self.entries.pop();
             self.members.remove(&last.id);
         }
+        let n = Neighbor { id, dist };
         let at = self.insertion_point(n);
         self.entries.insert(at, n);
         self.members.insert(id);
@@ -151,31 +160,20 @@ impl NeighborList {
     /// Update the stored distance of a member that moved but remains in the
     /// result ("update the order in `q.best_NN`", Figure 3.8 line 9).
     ///
+    /// The member stays a member, so the set is not touched.
+    ///
     /// # Panics
     /// Panics if `id` is not a member.
     pub fn update_dist(&mut self, id: ObjectId, dist: f64) {
-        self.remove(id).expect("update_dist of non-member");
-        let at = self.insertion_point(Neighbor { id, dist });
-        self.entries.insert(at, Neighbor { id, dist });
-        self.members.insert(id);
-    }
-
-    /// Rebuild from `candidates`, keeping the best `k`. Used by the merge
-    /// step of update handling (Figure 3.8 lines 19–20). `candidates` is
-    /// the caller's scratch: it is sorted and de-duplicated in place, and
-    /// the list's own buffers are refilled rather than replaced, so a
-    /// merge allocates nothing.
-    pub fn rebuild_from(&mut self, candidates: &mut Vec<Neighbor>) {
-        self.clear();
-        candidates.sort_unstable_by(|a, b| {
-            (a.dist, a.id)
-                .partial_cmp(&(b.dist, b.id))
-                .expect("distances are never NaN")
-        });
-        candidates.dedup_by_key(|n| n.id);
-        candidates.truncate(self.k);
-        self.members.extend(candidates.iter().map(|n| n.id));
-        self.entries.extend_from_slice(candidates);
+        let idx = self
+            .entries
+            .iter()
+            .position(|e| e.id == id)
+            .expect("update_dist of non-member");
+        self.entries.remove(idx);
+        let n = Neighbor { id, dist };
+        let at = self.insertion_point(n);
+        self.entries.insert(at, n);
     }
 
     /// Verify internal invariants (test helper).
@@ -245,34 +243,82 @@ mod tests {
         assert_eq!(l.neighbors()[1].id, ObjectId(3));
     }
 
-    #[test]
-    fn rebuild_keeps_best_k_and_dedups() {
-        let mut l = NeighborList::new(2);
-        l.rebuild_from(&mut vec![
-            Neighbor {
-                id: ObjectId(1),
-                dist: 0.9,
-            },
-            Neighbor {
-                id: ObjectId(2),
-                dist: 0.1,
-            },
-            Neighbor {
-                id: ObjectId(2),
-                dist: 0.1,
-            },
-            Neighbor {
-                id: ObjectId(3),
-                dist: 0.5,
-            },
-        ]);
-        assert_eq!(l.len(), 2);
-        assert_eq!(l.neighbors()[0].id, ObjectId(2));
-        assert_eq!(l.neighbors()[1].id, ObjectId(3));
-        l.check_invariants();
+    /// Ids of the model-checked stream: few enough that ids recur.
+    const POOL: u32 = 32;
+
+    /// The model of a list: `(dist, id)` pairs, sorted, at most `k`.
+    fn model_offer(model: &mut Vec<(f64, u32)>, k: usize, dist: f64, id: u32) {
+        model.push((dist, id));
+        model.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        model.truncate(k);
     }
 
     proptest! {
+        /// Every way the engine edits a list — offers, removals and
+        /// distance updates, with ids reused and distances tied — against
+        /// a sorted `Vec` model. Op 3 is the merge of Figure 3.8: it fills
+        /// the list, then offers more than k ids disjoint from it, which
+        /// must leave the sorted union cut to k.
+        #[test]
+        fn mixed_ops_match_a_sorted_model(
+            k in 1usize..9,
+            ops in proptest::collection::vec((0u8..4, 0u32..POOL, 0u32..6), 0..48),
+        ) {
+            let tie = |q: u32| f64::from(q) * 0.25;
+            let mut l = NeighborList::new(k);
+            let mut model: Vec<(f64, u32)> = Vec::new();
+            for (op, id, q) in ops {
+                let member = model.iter().any(|e| e.1 == id);
+                match op {
+                    0 if !member => {
+                        let changed = l.offer(ObjectId(id), tie(q));
+                        model_offer(&mut model, k, tie(q), id);
+                        prop_assert_eq!(changed, model.iter().any(|e| e.1 == id));
+                    }
+                    1 => {
+                        let got = l.remove(ObjectId(id)).map(|n| (n.dist, n.id.0));
+                        let at = model.iter().position(|e| e.1 == id);
+                        prop_assert_eq!(got, at.map(|i| model.remove(i)));
+                    }
+                    2 if member => {
+                        l.update_dist(ObjectId(id), tie(q));
+                        model.retain(|e| e.1 != id);
+                        model_offer(&mut model, k, tie(q), id);
+                    }
+                    3 => {
+                        let outsiders: Vec<u32> = (0..POOL)
+                            .map(|j| (id + j) % POOL)
+                            .filter(|o| model.iter().all(|e| e.1 != *o))
+                            .collect();
+                        let (fill, rest) = outsiders.split_at(k - model.len());
+                        let flood = &rest[..k + 1 + q as usize % 3];
+                        let at = |o: u32| tie((o * 5 + q) % 6);
+                        for &o in fill {
+                            l.offer(ObjectId(o), at(o));
+                            model_offer(&mut model, k, at(o), o);
+                        }
+                        prop_assert!(l.is_full());
+                        for &o in flood {
+                            l.offer(ObjectId(o), at(o));
+                            model.push((at(o), o));
+                        }
+                        model.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                        model.truncate(k);
+                    }
+                    _ => {}
+                }
+                let got: Vec<(f64, u32)> =
+                    l.neighbors().iter().map(|n| (n.dist, n.id.0)).collect();
+                prop_assert_eq!(&got, &model);
+                let kth = if model.len() == k { model[k - 1].0 } else { f64::INFINITY };
+                prop_assert_eq!(l.best_dist(), kth);
+                for o in 0..POOL {
+                    prop_assert_eq!(l.contains(ObjectId(o)), model.iter().any(|e| e.1 == o));
+                }
+                l.check_invariants();
+            }
+        }
+
         #[test]
         fn offer_stream_matches_sort(
             k in 1usize..8,
