@@ -7,29 +7,26 @@
 //! algorithm of YPK-CNN", Section 6).
 
 use cpm_geom::{Point, Rect};
-use cpm_grid::{kernels, CellCoord, Grid, Metrics};
+use cpm_grid::{CellCoord, Grid, Metrics};
 
 use cpm_core::neighbors::NeighborList;
 
-/// Scan one cell into `best` (a *cell access* in the experiment metrics).
-/// Distances come from the shared batched kernel over the cell's run —
-/// the same (bit-identical) kernel CPM's engine uses — with `dist_buf`
-/// as the reused per-search output buffer.
+/// Scan one cell into `best` (a *cell access* in the experiment metrics):
+/// offer every object of its run as its distance to `q` is computed —
+/// the loop of CPM's engine, so equal inputs give bit-identical lists.
 #[inline]
 pub(crate) fn scan_cell(
     grid: &Grid,
     q: Point,
     cell: CellCoord,
     best: &mut NeighborList,
-    dist_buf: &mut Vec<f64>,
     metrics: &mut Metrics,
 ) {
-    metrics.cell_accesses += 1;
     let run = grid.cell_run(cell);
-    kernels::run_dist_into(run, q, dist_buf);
+    metrics.cell_accesses += 1;
     metrics.objects_processed += run.len() as u64;
-    for (&oid, &d) in run.ids().iter().zip(dist_buf.iter()) {
-        best.offer(oid, d);
+    for (oid, p) in run.iter() {
+        best.offer(oid, q.dist(p));
     }
 }
 
@@ -41,7 +38,6 @@ pub(crate) fn expanding_square_candidates(
     grid: &Grid,
     q: Point,
     k: usize,
-    dist_buf: &mut Vec<f64>,
     metrics: &mut Metrics,
 ) -> (NeighborList, u32) {
     let dim = grid.dim();
@@ -54,7 +50,7 @@ pub(crate) fn expanding_square_candidates(
         for cell in chebyshev_ring(cq, radius, dim) {
             any_cell = true;
             found += grid.cell_len(cell);
-            scan_cell(grid, q, cell, &mut best, dist_buf, metrics);
+            scan_cell(grid, q, cell, &mut best, metrics);
         }
         // A ring is empty only once it lies entirely outside the grid, at
         // which point every farther ring is empty too: the grid is
@@ -107,7 +103,6 @@ pub(crate) fn scan_square(
     d: f64,
     best: &mut NeighborList,
     skip_within: Option<u32>,
-    dist_buf: &mut Vec<f64>,
     metrics: &mut Metrics,
 ) {
     let cq = grid.cell_of(q);
@@ -123,7 +118,7 @@ pub(crate) fn scan_square(
                 continue; // already contributed its objects in step 1
             }
         }
-        scan_cell(grid, q, cell, best, dist_buf, metrics);
+        scan_cell(grid, q, cell, best, metrics);
     }
 }
 
@@ -134,8 +129,7 @@ pub(crate) fn two_step_search(
     k: usize,
     metrics: &mut Metrics,
 ) -> NeighborList {
-    let mut dist_buf = Vec::new();
-    let (mut best, radius) = expanding_square_candidates(grid, q, k, &mut dist_buf, metrics);
+    let (mut best, radius) = expanding_square_candidates(grid, q, k, metrics);
     metrics.computations += 1;
     let d = if best.is_full() {
         best.best_dist()
@@ -145,7 +139,7 @@ pub(crate) fn two_step_search(
             None => return best, // empty grid
         }
     };
-    scan_square(grid, q, d, &mut best, Some(radius), &mut dist_buf, metrics);
+    scan_square(grid, q, d, &mut best, Some(radius), metrics);
     best
 }
 
@@ -160,9 +154,8 @@ pub(crate) fn scan_circle(
     metrics: &mut Metrics,
 ) -> NeighborList {
     let mut best = NeighborList::new(k);
-    let mut dist_buf = Vec::new();
     for cell in grid.cells_in_circle(center, r) {
-        scan_cell(grid, q, cell, &mut best, &mut dist_buf, metrics);
+        scan_cell(grid, q, cell, &mut best, metrics);
     }
     best
 }

@@ -217,16 +217,7 @@ impl YpkCnnMonitor {
                 st.best = two_step_search(&self.grid, st.q, k, &mut self.metrics);
             } else {
                 let mut best = NeighborList::new(k);
-                let mut dist_buf = Vec::new();
-                scan_square(
-                    &self.grid,
-                    st.q,
-                    d_max,
-                    &mut best,
-                    None,
-                    &mut dist_buf,
-                    &mut self.metrics,
-                );
+                scan_square(&self.grid, st.q, d_max, &mut best, None, &mut self.metrics);
                 self.metrics.recomputations += 1;
                 debug_assert!(best.is_full(), "SR square must contain k objects");
                 st.best = best;

@@ -140,17 +140,6 @@ pub const GATES: &[Gate] = &[
         "snapshot + journal durability: full recovery / quiet cycle (restart pause)",
         Bound::AtMost(25.0),
     ),
-    // The run kernel every cell scan calls must never lose to the scalar
-    // per-object loop on the buckets it is built for.
-    Gate {
-        curve: true,
-        ..gate(
-            "kernels",
-            "speedup_bucket32plus",
-            "the run distance kernel vs the scalar per-object loop, worst cell run of >= 32 objects",
-            Bound::AtLeast(1.0 / MARGIN),
-        )
-    },
     gate(
         "cluster",
         "result_changes",

@@ -14,7 +14,7 @@
 //! share the server (asserted by `tests/unified_server.rs`).
 
 use cpm_geom::{Point, Rect};
-use cpm_grid::{CellCoord, CellRun, GridGeom, QueryKind};
+use cpm_grid::{CellCoord, GridGeom, QueryKind};
 
 use crate::ann::AnnQuery;
 use crate::constrained::ConstrainedQuery;
@@ -160,13 +160,6 @@ impl QuerySpec for AnyQuerySpec {
         dispatch!(self, q => q.dist(p))
     }
 
-    // Forwarded explicitly (not left to the trait default) so the point
-    // variant reaches `PointQuery`'s vectorized kernel override.
-    #[inline]
-    fn dist_batch(&self, run: CellRun<'_>, out: &mut Vec<f64>) {
-        dispatch!(self, q => q.dist_batch(run, out))
-    }
-
     fn base_block(&self, geom: GridGeom) -> (CellCoord, CellCoord) {
         dispatch!(self, q => q.base_block(geom))
     }
@@ -200,7 +193,6 @@ impl QuerySpec for AnyQuerySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpm_geom::ObjectId;
 
     #[test]
     fn non_finite_geometry_is_named_in_every_kind() {
@@ -257,21 +249,6 @@ mod tests {
         let pw = Pinwheel::around_block(lo, hi, grid.dim());
         for p in [Point::new(0.41, 0.61), Point::new(0.9, 0.9)] {
             assert!(any.dist(p).to_bits() == range.dist(p).to_bits());
-        }
-        let (xs, ys) = ([0.41, 0.9, 0.2], [0.61, 0.9, 0.7]);
-        let oids = [ObjectId(0), ObjectId(1), ObjectId(2)];
-        let run = CellRun::new(&oids, &xs, &ys);
-        let mut batched = Vec::new();
-        any.dist_batch(run, &mut batched);
-        assert_eq!(batched.len(), run.len());
-        for ((_, p), &d) in run.iter().zip(&batched) {
-            assert_eq!(d.to_bits(), range.dist(p).to_bits());
-        }
-        // The point variant reaches `PointQuery`'s kernel override.
-        let knn = PointQuery(Point::new(0.4, 0.6));
-        AnyQuerySpec::from(knn).dist_batch(run, &mut batched);
-        for ((_, p), &d) in run.iter().zip(&batched) {
-            assert_eq!(d.to_bits(), knn.dist(p).to_bits());
         }
         for cell in [CellCoord::new(3, 3), CellCoord::new(20, 12)] {
             assert_eq!(

@@ -34,9 +34,7 @@
 //! driven through [`crate::CpmServer`].
 
 use cpm_geom::{Point, QueryId};
-use cpm_grid::{
-    kernels, CellCoord, CellRun, Grid, GridGeom, Metrics, QueryEvent, QueryKind, UpdateRecord,
-};
+use cpm_grid::{CellCoord, Grid, GridGeom, Metrics, QueryEvent, QueryKind, UpdateRecord};
 
 use crate::any::AnyQuerySpec;
 use crate::delta::{DeltaScratch, NeighborDelta};
@@ -64,23 +62,6 @@ pub trait QuerySpec: std::fmt::Debug + Clone {
     /// `+∞` to signal that `p` can never be part of the result
     /// (constrained queries).
     fn dist(&self, p: Point) -> f64;
-
-    /// Batched [`QuerySpec::dist`] over one cell's run: fill `out` with
-    /// the distance to every object of `run`, in run order (`out[i] =
-    /// dist(run point i)`). The engine's cell scans call this with a
-    /// per-worker reused buffer.
-    ///
-    /// Implementations must be **bit-identical** to the per-object
-    /// scalar path — same `f64` bits, hence the same `total_cmp`
-    /// ordering, results, changed lists and delta streams. The default
-    /// simply loops over `dist`; [`PointQuery`] overrides it with the
-    /// vectorized kernel ([`cpm_grid::kernels`]), whose conformance
-    /// suite asserts the bit-equality.
-    #[inline]
-    fn dist_batch(&self, run: CellRun<'_>, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(run.iter().map(|(_, p)| self.dist(p)));
-    }
 
     /// The inclusive cell block that seeds the search: `(lo, hi)` corners.
     /// For a point query this is the query cell twice.
@@ -120,11 +101,6 @@ impl QuerySpec for PointQuery {
     #[inline]
     fn dist(&self, p: Point) -> f64 {
         self.0.dist(p)
-    }
-
-    #[inline]
-    fn dist_batch(&self, run: CellRun<'_>, out: &mut Vec<f64>) {
-        kernels::run_dist_into(run, self.0, out);
     }
 
     fn base_block(&self, geom: GridGeom) -> (CellCoord, CellCoord) {
@@ -297,8 +273,8 @@ pub(crate) struct Resolve<'a> {
 
 /// One worker thread's share of a parallel step: its outputs, in the
 /// order a single worker would produce them, and its scratch — the
-/// cycle-start copy, the in-list, the distance-kernel buffer and the
-/// diff's id table, each reused by every query the worker handles.
+/// cycle-start copy, the in-list and the diff's id table, each reused
+/// by every query the worker handles.
 /// Workers live in their engine across cycles, so once their buffers
 /// have grown a step allocates nothing but the deltas' own spill buffers.
 #[derive(Debug, Default)]
@@ -313,8 +289,6 @@ pub(crate) struct Worker {
     /// qualifying incomers in batch order, uncapped and unsorted. The
     /// merge offers them to the surviving result.
     in_list: Vec<Neighbor>,
-    /// Output buffer of [`QuerySpec::dist_batch`] cell scans.
-    dist_buf: Vec<f64>,
     pub(crate) diff: DeltaScratch,
 }
 
@@ -389,7 +363,7 @@ impl Worker {
             }
         }
 
-        drain_heap(grid, st, metrics, &mut self.dist_buf);
+        drain_heap(grid, st, metrics);
         metrics.computations += 1;
         metrics.attribute_since(st.spec.kind(), counters_before);
         sync_influence(st);
@@ -407,18 +381,10 @@ impl Worker {
                 exhausted = false;
                 break;
             }
-            metrics.cell_accesses += 1;
-            let run = grid.cell_run(cell);
-            st.spec.dist_batch(run, &mut self.dist_buf);
-            metrics.objects_processed += run.len() as u64;
-            for (&oid, &d) in run.ids().iter().zip(&self.dist_buf) {
-                if d.is_finite() {
-                    st.best.offer(oid, d);
-                }
-            }
+            scan_cell(grid, st, metrics, cell);
         }
         if exhausted {
-            drain_heap(grid, st, metrics, &mut self.dist_buf);
+            drain_heap(grid, st, metrics);
         }
         metrics.recomputations += 1;
         metrics.attribute_since(st.spec.kind(), counters_before);
@@ -538,12 +504,22 @@ impl Worker {
     }
 }
 
-fn drain_heap(
-    grid: &Grid,
-    st: &mut SpecQueryState,
-    metrics: &mut Metrics,
-    dist_buf: &mut Vec<f64>,
-) {
+/// Visit `cell` (Figures 3.4 and 3.6): offer every object of its run
+/// to `best_NN` as its distance is computed. An infinite distance (an
+/// object a constraint or range region excludes) never enters.
+fn scan_cell(grid: &Grid, st: &mut SpecQueryState, metrics: &mut Metrics, cell: CellCoord) {
+    let run = grid.cell_run(cell);
+    metrics.cell_accesses += 1;
+    metrics.objects_processed += run.len() as u64;
+    for (oid, p) in run.iter() {
+        let d = st.spec.dist(p);
+        if d.is_finite() {
+            st.best.offer(oid, d);
+        }
+    }
+}
+
+fn drain_heap(grid: &Grid, st: &mut SpecQueryState, metrics: &mut Metrics) {
     let increment = st.spec.strip_increment(grid.delta());
     while let Some(key) = st.heap.peek_key() {
         if key > st.best.best_dist() {
@@ -553,15 +529,7 @@ fn drain_heap(
         metrics.heap_pops += 1;
         match entry {
             HeapEntry::Cell(cell) => {
-                metrics.cell_accesses += 1;
-                let run = grid.cell_run(cell);
-                st.spec.dist_batch(run, dist_buf);
-                metrics.objects_processed += run.len() as u64;
-                for (&oid, &d) in run.ids().iter().zip(dist_buf.iter()) {
-                    if d.is_finite() {
-                        st.best.offer(oid, d);
-                    }
-                }
+                scan_cell(grid, st, metrics, cell);
                 st.visit_list.push((cell, key));
             }
             HeapEntry::Rect(dir, lvl) => {
@@ -600,8 +568,8 @@ pub(crate) fn influence_prefix(visit_list: &[(CellCoord, f64)], best_dist: f64) 
 #[cfg(test)]
 mod tests {
     //! The worked examples of Section 3 (Figures 3.2, 3.5, 3.7), driven
-    //! through a `T = 1` server over plain point queries, and the batched
-    //! kernel against the scalar distance.
+    //! through a `T = 1` server over plain point queries, and the cell
+    //! scans' results against brute force, bit for bit.
 
     use super::*;
     use crate::{CpmServer, CpmServerBuilder, CycleDeltas};
@@ -890,7 +858,7 @@ mod tests {
         assert_eq!(nn(&m), ObjectId(2));
     }
 
-    // ---- batched distance kernel vs the scalar distance ----
+    // ---- cell scans vs brute force ----
 
     fn churn(rng: &mut StdRng, live: &mut Vec<u32>, next: &mut u32) -> Vec<ObjectEvent> {
         let mut events = Vec::new();
@@ -938,14 +906,13 @@ mod tests {
         list.iter().map(|n| (n.id, n.dist.to_bits())).collect()
     }
 
-    /// One churn stream through servers at T ∈ {1, 4}, whose searches
-    /// scan cell runs with the batched kernel (`PointQuery::dist_batch`).
-    /// Every cycle, every result is bit for bit the per-object scalar
-    /// reference — [`QuerySpec::dist`] of every live object offered into
-    /// a [`NeighborList`], the k smallest under `(dist, id)` — and the
+    /// One churn stream through servers at T ∈ {1, 4}. Every cycle,
+    /// every result is bit for bit the brute-force reference —
+    /// [`QuerySpec::dist`] of every live object offered into a
+    /// [`NeighborList`], the k smallest under `(dist, id)` — and the
     /// changed lists and deltas at T = 4 are those at T = 1.
     #[test]
-    fn batched_kernel_is_observationally_identical_to_scalar() {
+    fn cell_scans_are_bit_identical_to_brute_force() {
         let mut rng = StdRng::seed_from_u64(0xD157);
         let objs: Vec<(ObjectId, Point)> = (0..N_OBJ)
             .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))

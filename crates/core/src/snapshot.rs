@@ -339,6 +339,11 @@ impl Snapshot {
     /// unreachable from input data.
     fn validate(&self) -> Result<(), WireError> {
         let invalid = |what: &'static str| WireError::Invalid { offset: 0, what };
+        // The journal's next record is `watermark + 1`: the last sequence
+        // number leaves it none.
+        if self.watermark == u64::MAX {
+            return Err(invalid("watermark leaves no next journal sequence number"));
+        }
         let mut engine_kinds: std::collections::BTreeMap<QueryId, QueryKind> =
             std::collections::BTreeMap::new();
         for (id, spec, _, _) in &self.engine.queries {

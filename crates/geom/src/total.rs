@@ -10,7 +10,7 @@ use std::fmt;
 /// [`f64::total_cmp`]. NaN keys are rejected in debug builds only — the
 /// hard guarantee lives at the ingest boundary: `ObjectStore::activate`
 /// rejects non-finite positions with a release-mode assert, so every
-/// coordinate the distance kernels read is finite and no distance they
+/// coordinate the cell scans read is finite and no distance they
 /// produce can be NaN (pinned by the grid crate's `nan_boundary` release
 /// regression test).
 #[derive(Debug, Clone, Copy, PartialEq)]

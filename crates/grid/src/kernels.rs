@@ -1,25 +1,25 @@
-//! Batched distance kernels.
+//! Column views of object positions, and the one gathered distance
+//! kernel.
 //!
-//! The maintenance inner loop of every monitor — CPM recompute/visit,
-//! the server's RNN verification, the SEA/YPK baselines — is "given a
-//! query point and one cell, compute the distance to every object in
-//! the cell". The index keeps each cell's objects as one contiguous run
-//! of `(id, x, y)` columns ([`CellRun`], from [`crate::Grid::cell_run`]),
-//! so that loop is a plain sweep with no gather: [`run_dist_into`].
-//! [`dist_into`] is the same arithmetic over ids gathered from the
+//! The index keeps each cell's objects as one contiguous run of
+//! `(id, x, y)` columns ([`CellRun`], from [`crate::Grid::cell_run`]).
+//! Every monitor visits a cell with one loop over [`CellRun::iter`]:
+//! compute each object's distance and offer it to the result as it goes
+//! (Figures 3.4 and 3.6). A batched kernel over the run once wrote the
+//! distances to a buffer first; it bought 1.03–1.07× at runs of 1–8
+//! objects and nothing from 16 up, so the run is scanned in place.
+//!
+//! [`dist_into`] is the distance arithmetic over ids gathered from the
 //! by-id [`Coords`] columns, for callers that hold ids rather than a
-//! run.
-//!
-//! The loops are plain, with no `Option` decode per object; the run
-//! kernel writes each distance once, and the gathering one takes its
-//! `sqrt` in a second pass over a contiguous slice.
-//!
-//! The kernels are **bit-identical** to the scalar reference
-//! (`Point::dist` per object): they perform the same
-//! `sub → mul → add → sqrt` sequence per element, rustc emits no
-//! fast-math reassociation or FMA contraction, and packed `sqrt` rounds
-//! exactly like scalar `sqrt`. The `kernel_conformance` suite asserts
-//! equality down to the bit pattern for every run and bucket size.
+//! run: the cycle benchmark's traced pass times it over every bucket
+//! (`grid.kernel_ns_per_obj`). It
+//! writes each squared distance, then takes the `sqrt`s in a second pass
+//! over a contiguous slice, and is **bit-identical** to the scalar
+//! reference (`Point::dist` per object): the same
+//! `sub → mul → add → sqrt` sequence per element, no fast-math
+//! reassociation or FMA contraction, and packed `sqrt` rounds exactly
+//! like scalar `sqrt`. The `kernel_conformance` suite asserts equality
+//! down to the bit pattern for every bucket size.
 
 use cpm_geom::{ObjectId, Point};
 
@@ -121,24 +121,10 @@ impl<'a> CellRun<'a> {
 }
 
 /// Fill `out` with the Euclidean distance from `q` to every object of
-/// `run`, in run order: `out[i] = q.dist(position(run.ids()[i]))`,
-/// bit-exact. `out` is cleared and resized; keep one buffer per worker
-/// and reuse it so the hot path never allocates.
-#[inline]
-pub fn run_dist_into(run: CellRun<'_>, q: Point, out: &mut Vec<f64>) {
-    let dist = |(&x, &y): (&f64, &f64)| {
-        let dx = x - q.x;
-        let dy = y - q.y;
-        (dx * dx + dy * dy).sqrt()
-    };
-    out.clear();
-    out.extend(run.xs.iter().zip(run.ys).map(dist));
-}
-
-/// Fill `out` with the Euclidean distance from `q` to every object of
 /// `oids`, gathering positions from the by-id columns:
-/// `out[i] = q.dist(position(oids[i]))`, bit-exact. Same buffer
-/// contract as [`run_dist_into`].
+/// `out[i] = q.dist(position(oids[i]))`, bit-exact. `out` is cleared
+/// and resized; keep one buffer and reuse it so the loop never
+/// allocates.
 ///
 /// # Panics
 /// Panics if any id in `oids` is outside the coordinate columns.
@@ -173,7 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn gathered_and_run_kernels_match_scalar_bitwise() {
+    fn gathered_kernel_matches_scalar_bitwise() {
         let (xs, ys) = columns(64);
         let coords = Coords::from_columns(&xs, &ys);
         let q = Point::new(0.3, 0.6);
@@ -184,12 +170,6 @@ mod tests {
         for (&oid, &d) in oids.iter().zip(&out) {
             assert_eq!(d.to_bits(), q.dist(coords.point(oid)).to_bits());
         }
-        let ids: Vec<ObjectId> = (0..64).map(ObjectId).collect();
-        let run = CellRun::new(&ids[..33], &xs[..33], &ys[..33]);
-        run_dist_into(run, q, &mut out);
-        for ((_, p), &d) in run.iter().zip(&out) {
-            assert_eq!(d.to_bits(), q.dist(p).to_bits());
-        }
     }
 
     #[test]
@@ -199,7 +179,7 @@ mod tests {
         let mut out = vec![999.0; 100];
         dist_into(coords, Point::new(0.5, 0.5), &[ObjectId(1)], &mut out);
         assert_eq!(out.len(), 1);
-        run_dist_into(CellRun::new(&[], &[], &[]), Point::ORIGIN, &mut out);
+        dist_into(coords, Point::ORIGIN, &[], &mut out);
         assert!(out.is_empty());
     }
 

@@ -1,12 +1,12 @@
-//! Kernel conformance: the batched distance kernels must be
+//! Kernel conformance: the gathered distance kernel must be
 //! **bit-identical** — not ε-close — to the scalar reference
-//! (`Point::dist` per object) for every run, table and bucket size, odd
-//! and even. Bit-identicality is what lets every engine share the kernel
-//! without perturbing `total_cmp` orderings, results, changed lists or
-//! delta streams.
+//! (`Point::dist` per object) for every table and bucket size, odd and
+//! even; and a cell run must hand every object out at its position, so
+//! the cell scans that compute `Point::dist` over it see what the
+//! by-id columns hold.
 
 use cpm_geom::{ObjectId, Point};
-use cpm_grid::kernels::{self, CellRun, Coords};
+use cpm_grid::kernels::{self, Coords};
 use cpm_grid::{apply_events, CellCoord, GridBuilder, ObjectEvent};
 use proptest::prelude::*;
 
@@ -76,26 +76,13 @@ fn batched_kernels_bit_identical_on_extreme_values() {
     }
 }
 
-fn assert_run_bit_identical(run: CellRun<'_>, q: Point, ctx: &str) {
-    let mut out = vec![f64::NAN; 3];
-    kernels::run_dist_into(run, q, &mut out);
-    assert_eq!(out.len(), run.len(), "{ctx}: output length");
-    for (i, ((oid, p), &d)) in run.iter().zip(&out).enumerate() {
-        let want = q.dist(p);
-        assert_eq!(
-            d.to_bits(),
-            want.to_bits(),
-            "{ctx}: {oid} at run[{i}]: {d} != scalar {want}"
-        );
-    }
-}
-
 /// Every run length 0..=70 the index can hand out, read through a real
 /// grid: one cell of a 4 × 4 grid filled with `n` objects, a third of
 /// them piled on the same point (exact distance ties) and some asked
-/// for past the workspace edge, so they sit on the clamped edge.
+/// for past the workspace edge, so they sit on the clamped edge. The
+/// run holds all `n`, each at its position.
 #[test]
-fn run_kernel_bit_identical_for_every_run_length() {
+fn every_run_length_holds_each_object_at_its_position() {
     let corner = CellCoord::new(3, 3);
     let mut s = 0xC5E1u64;
     for n in 0..=70u32 {
@@ -122,28 +109,6 @@ fn run_kernel_bit_identical_for_every_run_length() {
                 Some(p),
                 "run {n}: {oid} not at its position"
             );
-        }
-        for q in [
-            Point::new(0.8, 0.8),
-            Point::new(1.0, 1.0),
-            Point::new(0.0, 0.0),
-            Point::new(lcg(&mut s), lcg(&mut s)),
-        ] {
-            assert_run_bit_identical(run, q, &format!("run length {n}, q {q:?}"));
-        }
-    }
-}
-
-/// The run kernel does not assume unit-square inputs either.
-#[test]
-fn run_kernel_bit_identical_on_extreme_values() {
-    let xs = [0.0, -0.0, 1e-300, 1e300, f64::MIN_POSITIVE, 5e-324, -3.5];
-    let ys = [1.0, -1.0, -1e300, 1e-300, 0.25, -5e-324, 7.75];
-    let ids: Vec<ObjectId> = (0..xs.len() as u32).map(ObjectId).collect();
-    for q in [Point::new(-1e300, 1e300), Point::new(1e-308, -1e-308)] {
-        for n in 0..=xs.len() {
-            let run = CellRun::new(&ids[..n], &xs[..n], &ys[..n]);
-            assert_run_bit_identical(run, q, &format!("extreme values, {n} long"));
         }
     }
 }

@@ -376,6 +376,30 @@ fn an_edited_captured_result_is_refused_on_recovery() {
     );
 }
 
+/// A snapshot's watermark names the last journal record it covers; the
+/// next record is `watermark + 1`. A checksum-valid snapshot at the last
+/// sequence number leaves none, so recovery refuses it with a typed
+/// error instead of numbering the next record 0 (which a later recovery
+/// from the same snapshot would drop) or overflowing.
+#[test]
+fn a_snapshot_at_the_last_sequence_number_is_refused_on_recovery() {
+    let durable = durable_fixture(true);
+    let mut snap = Snapshot::from_frame(durable.snapshot_bytes()).unwrap();
+    snap.watermark = u64::MAX;
+    let reframed = encode_framed(FRAME_SNAPSHOT, &snap);
+    match DurableCpmServer::recover(&reframed, &[], 0) {
+        Err(RecoveryError::Wire(WireError::Invalid { what, .. })) => {
+            assert!(what.contains("watermark"), "unexpected reason: {what}");
+        }
+        Err(other) => panic!("expected a typed wire error, got {other:?}"),
+        Ok(_) => panic!("a snapshot at watermark u64::MAX recovered"),
+    }
+    snap.watermark = u64::MAX - 1;
+    let reframed = encode_framed(FRAME_SNAPSHOT, &snap);
+    let (recovered, _) = DurableCpmServer::recover(&reframed, &[], 0).unwrap();
+    assert_eq!(recovered.watermark(), u64::MAX - 1);
+}
+
 /// A checksum-valid snapshot whose query count equals the bytes left / 8
 /// passes the eight-bytes-per-record floor; the records are an order of
 /// magnitude wider in memory, so the reservation must follow the bytes,
