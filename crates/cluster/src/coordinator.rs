@@ -20,16 +20,19 @@
 //! so worker epochs advance in lockstep and the [`MergeBuffer`] barrier
 //! can never mix epochs.
 //!
-//! Routing runs in two phases. Phase 1 validates every event in order
-//! and applies it to the coordinator's own tables *in place*, keeping
-//! what each event overwrote — the **origin plan**, which is both what
-//! phase 2 translates from and the undo log: a typed refusal replays it
-//! backwards, so a refused batch leaves the coordinator exactly as it
-//! was and nothing has been sent. Phase 2 is a pure function of the
-//! plan and the partition map: one pass computes each event's old and
-//! new cell once, tests them against every worker's coverage and writes
-//! the translated event straight into that worker's outgoing frame.
-//! Frames are sealed and sent in canonical worker order.
+//! Routing runs in two phases. Phase 1 only reads: it checks the batch
+//! with the single node's rules ([`BatchRules`], the ones
+//! [`cpm_core::CpmServer`] applies), answering them from the position
+//! table and the ownership map, and then with the cluster's own rule,
+//! sticky ownership. A batch the single node refuses is refused here as
+//! [`ClusterError::Refused`] with the same [`cpm_core::CpmError`], and
+//! nothing was changed or sent. Phase 2 cannot fail: one pass reads each
+//! object's slot before it writes it — with one event per object that is
+//! the position before the batch — computes the event's old and new cell
+//! once, tests them against every worker's coverage and writes the
+//! translated event straight into that worker's outgoing frame; each
+//! query event goes to its owner as the ownership map is updated. Frames
+//! are sealed and sent in canonical worker order.
 //!
 //! # Two calls, one cycle
 //!
@@ -49,10 +52,10 @@
 //!
 //! # Failure model
 //!
-//! Fail-stop: the first typed refusal (from validation here, a worker's
-//! `Reject`, or a transport failure) poisons the cycle — the coordinator
-//! returns the error and makes no further guarantees about worker
-//! alignment. Recovery is explicit: restart workers from a snapshot
+//! A refusal in phase 1 leaves the cluster as it was. Past phase 1 the
+//! model is fail-stop: the first typed refusal (a worker's `Reject`, or
+//! a transport failure) poisons the cycle — the coordinator returns the
+//! error and makes no further guarantees about worker alignment. Recovery is explicit: restart workers from a snapshot
 //! ([`ClusterCoordinator::restart_worker`]) or rebuild the cluster.
 
 use std::collections::VecDeque;
@@ -60,9 +63,9 @@ use std::net::TcpListener;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use cpm_core::{AnyQuerySpec, CycleDeltas, SpecEvent};
+use cpm_core::{AnyQuerySpec, BatchRules, CycleDeltas, QuerySpec, SpecEvent};
 use cpm_geom::{FastHashMap, ObjectId, Point, QueryId};
-use cpm_grid::ObjectEvent;
+use cpm_grid::{ObjectEvent, QueryKind};
 use cpm_wire::cluster::{BatchFrame, ClusterMsg, DeltasHeader};
 use cpm_wire::{Encode, WIRE_VERSION};
 
@@ -185,8 +188,7 @@ impl StageClock {
 }
 
 /// The slot of an object that is not live. A live slot never holds a
-/// `NaN`: phase 1 refuses positions outside the unit workspace, which
-/// no `NaN` is inside of.
+/// `NaN`: phase 1 refuses non-finite positions.
 const NOT_LIVE: Point = Point::new(f64::NAN, f64::NAN);
 
 fn is_live(slot: Point) -> bool {
@@ -203,35 +205,20 @@ struct Positions {
 }
 
 impl Positions {
-    /// Validate `ev` against the table and apply it, returning the
-    /// event's **origin**: what its object's slot held before
-    /// ([`NOT_LIVE`] for an appear).
-    fn apply(&mut self, ev: &ObjectEvent) -> Result<Point, ClusterError> {
-        if ev.id().0 >= ObjectId::LIMIT {
-            return Err(ClusterError::ObjectIdOutOfRange { oid: ev.id() });
+    /// Whether object `id` is live.
+    fn holds(&self, id: ObjectId) -> bool {
+        self.slots.get(id.index()).is_some_and(|&p| is_live(p))
+    }
+
+    /// Write `new` ([`NOT_LIVE`] for a disappear) into `id`'s slot and
+    /// return what the slot held.
+    fn replace(&mut self, id: ObjectId, new: Point) -> Point {
+        if id.index() >= self.slots.len() {
+            self.slots.resize(id.index() + 1, NOT_LIVE);
         }
-        let idx = ev.id().index();
-        if let Some(p) = ev.position() {
-            if !((0.0..=1.0).contains(&p.x) && (0.0..=1.0).contains(&p.y)) {
-                return Err(ClusterError::InvalidPosition { oid: ev.id() });
-            }
-        }
-        let slot = self.slots.get(idx).copied().unwrap_or(NOT_LIVE);
-        let (new, what) = match *ev {
-            ObjectEvent::Appear { pos, .. } => (pos, "appear of an object that is already live"),
-            ObjectEvent::Move { to, .. } => (to, "move of an object that is not live"),
-            ObjectEvent::Disappear { .. } => (NOT_LIVE, "disappear of an object that is not live"),
-        };
-        // Only an appear wants its object off-line so far.
-        if is_live(slot) == matches!(ev, ObjectEvent::Appear { .. }) {
-            return Err(ClusterError::Protocol { what });
-        }
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, NOT_LIVE);
-        }
-        self.live = self.live + usize::from(is_live(new)) - usize::from(is_live(slot));
-        self.slots[idx] = new;
-        Ok(slot)
+        let old = std::mem::replace(&mut self.slots[id.index()], new);
+        self.live = self.live + usize::from(is_live(new)) - usize::from(is_live(old));
+        old
     }
 }
 
@@ -253,14 +240,11 @@ pub struct ClusterCoordinator<T: Transport> {
     /// in flight (at most 1 between calls).
     sent_epoch: u64,
     positions: Positions,
-    /// The origin plan of the batch being routed: per object event, what
-    /// it overwrote in `positions` (recycled across cycles).
-    origins: Vec<Point>,
-    /// Each installed query's owning worker (sticky from install time).
-    owners: FastHashMap<QueryId, usize>,
-    /// The owner plan of the batch being routed: per query event, the
-    /// worker it goes to (recycled across cycles).
-    query_plan: Vec<usize>,
+    /// Each installed query's owning worker (sticky from install time)
+    /// and kind.
+    owners: FastHashMap<QueryId, (usize, QueryKind)>,
+    /// The single node's batch rules, phase 1's first two steps.
+    rules: BatchRules,
     /// Stage breakdown of the last committed cycle.
     timings: CycleTimings,
     /// Cumulative stage totals.
@@ -394,9 +378,8 @@ impl<T: Transport> ClusterCoordinator<T> {
             epoch: 0,
             sent_epoch: 0,
             positions: Positions::default(),
-            origins: Vec::new(),
             owners: FastHashMap::default(),
-            query_plan: Vec::new(),
+            rules: BatchRules::default(),
             timings: CycleTimings::default(),
             metrics: CoordinatorMetrics::default(),
             route_pending: VecDeque::new(),
@@ -484,27 +467,27 @@ impl<T: Transport> ClusterCoordinator<T> {
 
     /// The worker owning query `id`, if installed.
     pub fn owner(&self, id: QueryId) -> Option<usize> {
-        self.owners.get(&id).copied()
+        self.owners.get(&id).map(|&(w, _)| w)
     }
 
     /// Route query maintenance to the owning workers *between* cycles
     /// (no epoch advance): installs pick their owner by anchor tile,
-    /// updates and terminations go to the sticky owner. Each contacted
-    /// worker applies the sub-batch and re-certifies its coverage. The
-    /// epoch in flight is collected first (this is a strict
-    /// request/reply exchange); its batch is handed out by the next call.
+    /// updates and terminations go to the sticky owner. The events are
+    /// checked as a cycle's query batch is. Each contacted worker applies
+    /// the sub-batch and re-certifies its coverage. The epoch in flight
+    /// is collected first (this is a strict request/reply exchange); its
+    /// batch is handed out by the next call.
     ///
     /// # Errors
-    /// Typed routing refusals ([`ClusterError::QueryOutOfTile`],
-    /// [`ClusterError::Protocol`] for composite/unknown queries) before
-    /// anything is sent; worker rejections (engine errors,
-    /// [`ClusterError::CoverageExceeded`]) after.
+    /// [`ClusterError::Refused`] and [`ClusterError::QueryOutOfTile`]
+    /// before anything is changed or sent; worker rejections (engine
+    /// errors, [`ClusterError::CoverageExceeded`]) after.
     pub fn install(&mut self, events: &[SpecEvent<AnyQuerySpec>]) -> Result<(), ClusterError> {
+        self.check_queries(events)?;
         self.drain_in_flight()?;
-        self.plan_queries(events)?;
         let mut batches = vec![Vec::new(); self.links.len()];
-        for (ev, &w) in events.iter().zip(&self.query_plan) {
-            batches[w].push(ev.clone());
+        for ev in events {
+            batches[route_query(&self.partition, &mut self.owners, ev)].push(ev.clone());
         }
         for (w, batch) in batches.iter().enumerate() {
             if batch.is_empty() {
@@ -545,9 +528,11 @@ impl<T: Transport> ClusterCoordinator<T> {
     /// safe.
     ///
     /// # Errors
-    /// Typed routing refusals before anything is sent; worker
-    /// rejections, transport and merge errors after (the cycle is then
-    /// poisoned — see the [module docs](self) failure model).
+    /// [`ClusterError::Refused`] for a batch the single node refuses, and
+    /// [`ClusterError::QueryOutOfTile`], before anything is changed or
+    /// sent; worker rejections, transport and merge errors after (the
+    /// cycle is then poisoned — see the [module docs](self) failure
+    /// model).
     pub fn process_cycle(
         &mut self,
         object_events: &[ObjectEvent],
@@ -682,10 +667,9 @@ impl<T: Transport> ClusterCoordinator<T> {
         Ok(())
     }
 
-    /// Route, translate, encode and send one cycle's batches. A typed
-    /// refusal returns before any send
-    /// with both phase-1 plans rolled back, leaving the coordinator —
-    /// including in-flight epochs — untouched.
+    /// Check, route, translate, encode and send one cycle's batches. A
+    /// refusal returns from the read-only phase 1, leaving the
+    /// coordinator — including in-flight epochs — untouched.
     fn route_and_send(
         &mut self,
         object_events: &[ObjectEvent],
@@ -694,11 +678,11 @@ impl<T: Transport> ClusterCoordinator<T> {
         let epoch = self.sent_epoch + 1;
         let mut clock = StageClock(Instant::now());
         let (mut route, mut handoff) = (Duration::ZERO, Duration::ZERO);
-        self.plan_queries(query_events)?;
-        if let Err(e) = self.plan_objects(object_events) {
-            self.unplan_queries(query_events);
-            return Err(e);
-        }
+        let positions = &self.positions;
+        self.rules
+            .check_objects(object_events, |id| positions.holds(id))
+            .map_err(ClusterError::Refused)?;
+        self.check_queries(query_events)?;
         for lane in &mut self.lanes {
             lane.batch.begin(epoch, std::mem::take(&mut lane.frame));
             lane.qevents.clear();
@@ -706,10 +690,11 @@ impl<T: Transport> ClusterCoordinator<T> {
         translate(
             &self.partition,
             object_events,
-            &self.origins,
+            &mut self.positions,
             &mut self.lanes,
         );
-        for (ev, &owner) in query_events.iter().zip(&self.query_plan) {
+        for ev in query_events {
+            let owner = route_query(&self.partition, &mut self.owners, ev);
             self.lanes[owner].qevents.push(ev.clone());
         }
         for lane in &mut self.lanes {
@@ -797,104 +782,22 @@ impl<T: Transport> ClusterCoordinator<T> {
         Ok(())
     }
 
-    /// Phase 1 of query routing: validate every event in order, resolve
-    /// its owning worker and apply it to the ownership map, leaving the
-    /// per-event owner plan in `query_plan`. A refusal undoes the events
-    /// before it, so it leaves the coordinator untouched.
-    fn plan_queries(&mut self, events: &[SpecEvent<AnyQuerySpec>]) -> Result<(), ClusterError> {
-        self.query_plan.clear();
+    /// Phase 1 for query events: the single node's rules, answered from
+    /// the ownership map, then sticky ownership — an update must keep its
+    /// anchor on its owner's tile. Reads only.
+    fn check_queries(&mut self, events: &[SpecEvent<AnyQuerySpec>]) -> Result<(), ClusterError> {
+        let owners = &self.owners;
+        self.rules
+            .check_queries(events, |id| owners.get(&id).map(|&(_, kind)| kind))
+            .map_err(ClusterError::Refused)?;
         for ev in events {
-            match self.plan_query(ev) {
-                Ok(w) => self.query_plan.push(w),
-                Err(e) => {
-                    self.unplan_queries(events);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Undo the events `query_plan` covers, last first: the plan is the
-    /// undo log (an install took no one's place, a terminate removed the
-    /// owner it was routed to, an update changed nothing).
-    fn unplan_queries(&mut self, events: &[SpecEvent<AnyQuerySpec>]) {
-        for (ev, &w) in events.iter().zip(&self.query_plan).rev() {
-            match ev {
-                SpecEvent::Install { id, .. } => {
-                    self.owners.remove(id);
-                }
-                SpecEvent::Terminate { id } => {
-                    self.owners.insert(*id, w);
-                }
-                SpecEvent::Update { .. } => {}
-            }
-        }
-    }
-
-    fn plan_query(&mut self, ev: &SpecEvent<AnyQuerySpec>) -> Result<usize, ClusterError> {
-        match ev {
-            SpecEvent::Install { id, spec, .. } => {
-                let Some(anchor) = anchor_of(spec) else {
-                    return Err(ClusterError::Protocol {
-                        what: "composite (RNN) queries cannot be installed on a cluster",
-                    });
-                };
-                if self.owners.contains_key(id) {
-                    return Err(ClusterError::Protocol {
-                        what: "install of a query id that is already installed",
-                    });
-                }
-                let w = self.partition.owner_of(anchor);
-                self.owners.insert(*id, w);
-                Ok(w)
-            }
-            SpecEvent::Update { id, spec } => {
-                let Some(&w) = self.owners.get(id) else {
-                    return Err(ClusterError::Protocol {
-                        what: "update of a query the coordinator never installed",
-                    });
-                };
-                let Some(anchor) = anchor_of(spec) else {
-                    return Err(ClusterError::Protocol {
-                        what: "composite (RNN) queries cannot be installed on a cluster",
-                    });
-                };
-                // Sticky ownership: the anchor must stay on the
-                // owner's tile.
-                if self.partition.owner_of(anchor) != w {
+            if let SpecEvent::Update { id, spec } = ev {
+                let (w, _) = self.owners[id];
+                if self.partition.owner_of(anchor(spec)) != w {
                     return Err(ClusterError::QueryOutOfTile {
                         qid: *id,
                         tile: self.partition.tile(w),
                     });
-                }
-                Ok(w)
-            }
-            SpecEvent::Terminate { id } => self.owners.remove(id).ok_or(ClusterError::Protocol {
-                what: "terminate of a query the coordinator never installed",
-            }),
-        }
-    }
-
-    /// Phase 1 of object routing: validate every event in order against
-    /// the position table and apply it in place, leaving each event's
-    /// **origin** — the slot's content before it — in `origins`:
-    /// everything the per-worker translation needs, and the undo log. A
-    /// refusal writes the origins back, last first (an object may occur
-    /// several times in a batch), and drops the slots the batch added.
-    fn plan_objects(&mut self, events: &[ObjectEvent]) -> Result<(), ClusterError> {
-        self.origins.clear();
-        let (slots, live) = (self.positions.slots.len(), self.positions.live);
-        for ev in events {
-            match self.positions.apply(ev) {
-                Ok(origin) => self.origins.push(origin),
-                Err(e) => {
-                    for (ev, &origin) in events.iter().zip(&self.origins).rev() {
-                        self.positions.slots[ev.id().index()] = origin;
-                    }
-                    self.positions.slots.truncate(slots);
-                    self.positions.live = live;
-                    return Err(e);
                 }
             }
         }
@@ -902,21 +805,46 @@ impl<T: Transport> ClusterCoordinator<T> {
     }
 }
 
-/// Phase 2 of routing: translate the global object events relative to
-/// every worker's coverage (appear/move/disappear rewriting) and write
-/// them into the lanes' frames. An event's old and new cell are computed
-/// once, whatever the number of workers.
-///
-/// A pure function of the phase-1 plan and the partition map.
+/// The anchor of a spec phase 1 passed: the rules refuse a reverse-NN
+/// sector spec, the one kind without an anchor, in an install, and no
+/// installed query is of its kind.
+fn anchor(spec: &AnyQuerySpec) -> Point {
+    anchor_of(spec).expect("phase 1 refuses sector specs")
+}
+
+/// Phase 2 for a query event: update the ownership map and return the
+/// worker the event goes to — an install's by its anchor's tile, any
+/// other event's sticky owner.
+fn route_query(
+    partition: &Partition,
+    owners: &mut FastHashMap<QueryId, (usize, QueryKind)>,
+    ev: &SpecEvent<AnyQuerySpec>,
+) -> usize {
+    match ev {
+        SpecEvent::Install { id, spec, .. } => {
+            let w = partition.owner_of(anchor(spec));
+            owners.insert(*id, (w, spec.kind()));
+            w
+        }
+        SpecEvent::Update { id, .. } => owners[id].0,
+        SpecEvent::Terminate { id } => owners.remove(id).expect("phase 1 checked the id").0,
+    }
+}
+
+/// Phase 2 for object events: apply each to the position table and
+/// translate it relative to every worker's coverage (appear/move/
+/// disappear rewriting) into the lanes' frames. An event's old and new
+/// cell are computed once, whatever the number of workers.
 fn translate(
     partition: &Partition,
     events: &[ObjectEvent],
-    origins: &[Point],
+    positions: &mut Positions,
     lanes: &mut [WorkerLane],
 ) {
     let geom = partition.geom();
-    for (ev, &origin) in events.iter().zip(origins) {
+    for ev in events {
         let id = ev.id();
+        let origin = positions.replace(id, ev.position().unwrap_or(NOT_LIVE));
         let from = is_live(origin).then(|| geom.cell_of(origin));
         let to = ev.position().map(|p| (p, geom.cell_of(p)));
         for (w, lane) in lanes.iter_mut().enumerate() {

@@ -10,8 +10,10 @@ use crate::transport::TransportError;
 
 /// Why a cluster operation failed.
 ///
-/// The protocol's invariants are all here: version agreement
-/// ([`VersionSkew`](Self::VersionSkew)), contiguous epochs
+/// A batch the single node would refuse is [`Refused`](Self::Refused),
+/// with the single node's own error, before the coordinator changes or
+/// sends anything. The protocol's invariants are all here: version
+/// agreement ([`VersionSkew`](Self::VersionSkew)), contiguous epochs
 /// ([`EpochGap`](Self::EpochGap), [`ConflictingDeltas`](Self::ConflictingDeltas)),
 /// routing matching the partition ([`PartitionMismatch`](Self::PartitionMismatch),
 /// [`QueryOutOfTile`](Self::QueryOutOfTile)) and the single-node-equivalence
@@ -48,20 +50,11 @@ pub enum ClusterError {
         /// The coverage tile the position falls outside of.
         tile: TileRect,
     },
-    /// An object event carried a non-finite position or one outside the
-    /// unit workspace; the coordinator refused the whole batch before
-    /// anything was routed.
-    InvalidPosition {
-        /// The object the event addressed.
-        oid: ObjectId,
-    },
-    /// An object event named an id at or above [`ObjectId::LIMIT`], the
-    /// ceiling of the dense position table; the coordinator refused the
-    /// whole batch before anything was sized by the id or routed.
-    ObjectIdOutOfRange {
-        /// The object the event addressed.
-        oid: ObjectId,
-    },
+    /// The batch breaks the single node's rules ([`cpm_core::BatchRules`]):
+    /// the coordinator refused it with the error a
+    /// [`cpm_core::CpmServer`] returns for it, and nothing was changed or
+    /// sent.
+    Refused(CpmError),
     /// A query was routed to (or moved under) a worker whose tile does
     /// not own its anchor point.
     QueryOutOfTile {
@@ -189,17 +182,7 @@ impl std::fmt::Display for ClusterError {
                 "object {} routed outside worker coverage cols {}..={} rows {}..={}",
                 oid.0, tile.c0, tile.c1, tile.r0, tile.r1
             ),
-            ClusterError::InvalidPosition { oid } => write!(
-                f,
-                "object {}: event carries a non-finite position or one outside the unit workspace",
-                oid.0
-            ),
-            ClusterError::ObjectIdOutOfRange { oid } => write!(
-                f,
-                "object {}: id is at or above the object-id ceiling {}",
-                oid.0,
-                ObjectId::LIMIT
-            ),
+            ClusterError::Refused(e) => write!(f, "refused by the single node's rules: {e}"),
             ClusterError::QueryOutOfTile { qid, tile } => write!(
                 f,
                 "query {} anchored outside worker tile cols {}..={} rows {}..={}",

@@ -18,7 +18,9 @@
 
 use std::num::NonZeroUsize;
 
-use cpm_core::{AnyQuerySpec, CpmError, CpmServer, CpmServerBuilder, CycleDeltas, SpecEvent};
+use cpm_core::{
+    AnyQuerySpec, BatchRules, CpmError, CpmServer, CpmServerBuilder, CycleDeltas, SpecEvent,
+};
 use cpm_grid::{GridGeom, ObjectEvent};
 use cpm_wire::cluster::{deltas_frame_into, BatchRef, ClusterMsg, ClusterReject, TileRect};
 use cpm_wire::{Decode, WIRE_VERSION};
@@ -176,9 +178,10 @@ impl ClusterWorker {
         }
     }
 
-    /// Between-cycles query maintenance (no epoch advance): installs,
-    /// updates and terminations applied through the typed server
-    /// surface.
+    /// Between-cycles query maintenance (no epoch advance): the whole
+    /// sub-batch is checked — the tile rule, then the single node's batch
+    /// rules — before its installs, updates and terminations are applied
+    /// through the typed server surface, so a refusal changes nothing.
     fn handle_install(&mut self, payload: &[u8]) -> ClusterMsg {
         let events = match Vec::<SpecEvent<AnyQuerySpec>>::decode_all(payload) {
             Ok(v) => v,
@@ -190,6 +193,12 @@ impl ClusterWorker {
         };
         if let Err(r) = self.check_query_events(&events) {
             return self.reject(r);
+        }
+        let server = &self.server;
+        if let Err(e) = BatchRules::default().check_queries(&events, |id| server.kind_of(id)) {
+            return self.reject(ClusterReject::Engine {
+                detail: e.to_string(),
+            });
         }
         for ev in events {
             let applied = match ev {

@@ -1,9 +1,9 @@
 //! A refused batch leaves the coordinator exactly as it was. Phase 1
-//! applies events to the position table and the ownership map in place
-//! and undoes them from the origin plan on a refusal; these tests refuse
-//! a batch at its *last* event — after earlier, valid events touched the
-//! same objects several times and grew the table — and then compare the
-//! coordinator, frame for frame, with a twin that never saw the batch.
+//! checks a batch with the single node's rules and changes nothing;
+//! these tests refuse a batch at its *last* event — after earlier, valid
+//! events of every kind, one of them naming an id far beyond the table —
+//! and then compare the coordinator, frame for frame, with a twin that
+//! never saw the batch.
 
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
@@ -152,8 +152,8 @@ fn good_cycles() -> Vec<(Vec<ObjectEvent>, Vec<SpecEvent<AnyQuerySpec>>)> {
     ]
 }
 
-/// Batches refused at their last event. Everything before it is valid
-/// and touches objects 3 and 4 twice, and an id far beyond the table.
+/// Batches refused at their last event. Everything before it is valid:
+/// a move, a disappear, and an appear of an id far beyond the table.
 fn bad_cycles() -> Vec<(Vec<ObjectEvent>, Vec<SpecEvent<AnyQuerySpec>>)> {
     let valid_prefix = vec![
         ObjectEvent::Move {
@@ -165,18 +165,9 @@ fn bad_cycles() -> Vec<(Vec<ObjectEvent>, Vec<SpecEvent<AnyQuerySpec>>)> {
             id: ObjectId(5_000),
             pos: at(1),
         },
-        ObjectEvent::Move {
-            id: ObjectId(3),
-            to: at(2),
-        },
-        ObjectEvent::Appear {
-            id: ObjectId(4),
-            pos: at(9),
-        },
-        ObjectEvent::Disappear { id: ObjectId(3) },
     ];
-    // Valid query events ride along: they are planned first, so an
-    // object refusal has to undo them too.
+    // Valid query events ride along: a refused object event must leave
+    // them unrouted too.
     let queries = vec![knn(9, 0.2), SpecEvent::Terminate { id: QueryId(7) }];
     let refused = [
         ObjectEvent::Move {
@@ -184,7 +175,11 @@ fn bad_cycles() -> Vec<(Vec<ObjectEvent>, Vec<SpecEvent<AnyQuerySpec>>)> {
             to: at(0),
         },
         ObjectEvent::Move {
-            id: ObjectId(3), // disappeared earlier in this batch
+            id: ObjectId(3), // moved earlier in this batch
+            to: at(0),
+        },
+        ObjectEvent::Move {
+            id: ObjectId(4), // disappeared earlier in this batch
             to: at(0),
         },
         ObjectEvent::Disappear { id: ObjectId(78) },
@@ -217,18 +212,18 @@ fn bad_cycles() -> Vec<(Vec<ObjectEvent>, Vec<SpecEvent<AnyQuerySpec>>)> {
             (objects, queries.clone())
         })
         .collect();
-    // ... and one refused by its last *query* event.
-    let mut queries = queries;
-    queries.push(SpecEvent::Terminate { id: QueryId(55) });
-    bad.push((valid_prefix, queries));
+    // ... and ones refused by their last *query* event: an unknown
+    // query, and one installed earlier in this batch.
+    for last in [SpecEvent::Terminate { id: QueryId(55) }, knn(9, 0.4)] {
+        let mut queries = queries.clone();
+        queries.push(last);
+        bad.push((valid_prefix.clone(), queries));
+    }
     bad
 }
 
 fn is_typed_refusal(e: &ClusterError) -> bool {
-    matches!(
-        e,
-        ClusterError::Protocol { .. } | ClusterError::InvalidPosition { .. }
-    )
+    matches!(e, ClusterError::Refused(_))
 }
 
 /// Run the good cycles on two coordinators, feeding one of them every

@@ -12,13 +12,14 @@
 use std::num::NonZeroU64;
 
 use cpm_geom::QueryId;
+use cpm_grid::QueryKind;
 use cpm_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::ann::{AggregateFn, AnnQuery};
 use crate::any::AnyQuerySpec;
 use crate::constrained::ConstrainedQuery;
 use crate::delta::{CycleDeltas, DeltaBuf, NeighborDelta};
-use crate::engine::{PointQuery, SpecEvent};
+use crate::engine::{PointQuery, QuerySpec, SpecEvent};
 use crate::neighbors::Neighbor;
 use crate::range::{RangeQuery, Region};
 use crate::regrid::{cooldown, RegridPolicy, HYSTERESIS, MAX_DIM, MIN_DIM, SKEW_THRESHOLD};
@@ -422,7 +423,11 @@ impl<S: Encode> Encode for SpecEvent<S> {
     }
 }
 
-impl<S: Decode> Decode for SpecEvent<S> {
+/// An install with `k = 0` is refused unless it is a range's: a range
+/// is installed with [`RangeQuery::UNBOUNDED_K`] whatever its `k`, so
+/// the server accepts such an install, and a journal or a cluster frame
+/// may carry it.
+impl<S: Decode + QuerySpec> Decode for SpecEvent<S> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let at = r.offset();
         match r.take_u8()? {
@@ -431,7 +436,7 @@ impl<S: Decode> Decode for SpecEvent<S> {
                 let spec = S::decode(r)?;
                 let k_at = r.offset();
                 let k = usize::decode(r)?;
-                if k == 0 {
+                if k == 0 && spec.kind() != QueryKind::Range {
                     return Err(WireError::Invalid {
                         offset: k_at,
                         what: "install event with k = 0",

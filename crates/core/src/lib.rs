@@ -27,6 +27,9 @@
 //! * [`any`] — [`AnyQuerySpec`], the enum over every query geometry: the
 //!   one query type of the engine.
 //! * [`error`] — the typed error surface ([`CpmError`]).
+//! * [`rules`] — [`BatchRules`], the one rule set every event batch is
+//!   checked with before anything changes: the server's, and the cluster
+//!   coordinator's.
 //! * [`delta`] — per-cycle result deltas ([`NeighborDelta`]), extracted
 //!   inside the maintenance phase and concatenated deterministically
 //!   across threads; the wire format of the [`cpm-sub`] subscription
@@ -67,6 +70,7 @@ pub mod partition;
 pub mod range;
 pub mod regrid;
 pub mod rnn;
+pub mod rules;
 pub mod server;
 mod shard;
 pub mod snapshot;
@@ -83,6 +87,7 @@ pub use partition::{Direction, Pinwheel, Strip};
 pub use range::{RangeQuery, Region};
 pub use regrid::RegridPolicy;
 pub use rnn::RnnQuery;
+pub use rules::BatchRules;
 pub use server::{CpmServer, CpmServerBuilder};
 pub use snapshot::{
     DurableCpmServer, EngineSnapshot, JournalRecord, RecoveryError, RecoveryReport, Snapshot,

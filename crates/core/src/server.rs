@@ -14,8 +14,8 @@
 //! million-user target needs.
 //!
 //! The server is the one way in: every batch and every call is checked
-//! here before the engine sees it, and the engine keeps no code for
-//! input the server refuses.
+//! here, by the [`BatchRules`], before the engine sees it, and the
+//! engine keeps no code for input the server refuses.
 //!
 //! # One query surface
 //!
@@ -46,7 +46,7 @@
 
 use std::num::NonZeroUsize;
 
-use cpm_geom::{FastHashMap, FastHashSet, ObjectId, Point, QueryId};
+use cpm_geom::{FastHashMap, ObjectId, Point, QueryId};
 use cpm_grid::{Grid, Metrics, ObjectEvent, QueryKind};
 
 use crate::any::AnyQuerySpec;
@@ -57,6 +57,7 @@ use crate::neighbors::Neighbor;
 use crate::range::RangeQuery;
 use crate::regrid::RegridPolicy;
 use crate::rnn::{RnnQuery, SECTORS};
+use crate::rules::BatchRules;
 use crate::shard::CpmEngine;
 
 /// First id of the band the server reserves for internal queries (the
@@ -228,16 +229,8 @@ pub struct CpmServer {
     /// RNN circle-verification work, kept apart from the engine's
     /// counters (merged into [`CpmServer::metrics`] snapshots).
     verify_metrics: Metrics,
-    /// Scratch: validated + normalized query events, reused per cycle.
-    event_scratch: Vec<SpecEvent<AnyQuerySpec>>,
-    /// Scratch: per object id, the validation pass that last named it —
-    /// the duplicate check without hashing. Grows to the largest id seen,
-    /// at most [`ObjectId::LIMIT`] slots.
-    seen_objects: Vec<u32>,
-    seen_pass: u32,
-    /// Scratch: the query ids a batch has named so far, cleared per
-    /// cycle so a steady batch size never rehashes.
-    seen_queries: FastHashSet<QueryId>,
+    /// The rules every batch and bulk load is checked with.
+    rules: BatchRules,
 }
 
 /// The registry state [`CpmServer::export_registry`] hands to snapshot
@@ -294,56 +287,7 @@ impl CpmServer {
                 .map(|(id, q, result)| (id, RnnState { q, result }))
                 .collect(),
             verify_metrics,
-            event_scratch: Vec::new(),
-            seen_objects: Vec::new(),
-            seen_pass: 0,
-            seen_queries: FastHashSet::default(),
-        }
-    }
-
-    fn check_fresh(kinds: &FastHashMap<QueryId, QueryKind>, id: QueryId) -> Result<(), CpmError> {
-        if id.0 >= RESERVED_ID_BASE {
-            return Err(CpmError::ReservedId(id));
-        }
-        if kinds.contains_key(&id) {
-            return Err(CpmError::DuplicateQuery(id));
-        }
-        Ok(())
-    }
-
-    /// The install rule of the direct and the batched surface alike:
-    /// validate installing `spec` as `id` without touching any state, and
-    /// return the `k` to install with ([`install_k`]).
-    fn check_install(
-        kinds: &FastHashMap<QueryId, QueryKind>,
-        id: QueryId,
-        spec: &AnyQuerySpec,
-        k: usize,
-    ) -> Result<usize, CpmError> {
-        Self::check_fresh(kinds, id)?;
-        if spec.kind() == QueryKind::Rnn {
-            // A bare sector spec is an internal detail of the composite
-            // registration.
-            return Err(CpmError::CompositeQuery(id));
-        }
-        if !spec.is_finite() {
-            return Err(CpmError::NonFiniteQuery(id));
-        }
-        match install_k(spec, k) {
-            0 => Err(CpmError::InvalidK(id)),
-            k => Ok(k),
-        }
-    }
-
-    fn check_kind(&self, id: QueryId, expected: QueryKind) -> Result<(), CpmError> {
-        match self.kinds.get(&id) {
-            None => Err(CpmError::UnknownQuery(id)),
-            Some(&actual) if actual != expected => Err(CpmError::KindMismatch {
-                id,
-                expected,
-                actual,
-            }),
-            Some(_) => Ok(()),
+            rules: BatchRules::default(),
         }
     }
 
@@ -367,7 +311,9 @@ impl CpmServer {
             .into_iter()
             .map(|(id, pos)| ObjectEvent::Appear { id, pos })
             .collect();
-        self.validate_object_events(&appears)?;
+        let grid = self.engine.grid();
+        self.rules
+            .check_objects(&appears, |id| grid.position(id).is_some())?;
         self.engine.populate(&appears);
         Ok(())
     }
@@ -511,7 +457,7 @@ impl CpmServer {
         k: usize,
     ) -> Result<&[Neighbor], CpmError> {
         let spec = spec.into();
-        let k = Self::check_install(&self.kinds, id, &spec, k)?;
+        BatchRules::check_install(self.kind_of(id), id, &spec, k)?;
         self.kinds.insert(id, spec.kind());
         Ok(self.engine.install(id, spec, k))
     }
@@ -525,7 +471,7 @@ impl CpmServer {
     /// sector-id mapping), [`CpmError::DuplicateQuery`],
     /// [`CpmError::NonFiniteQuery`].
     pub fn install_rnn(&mut self, id: QueryId, pos: Point) -> Result<&[ObjectId], CpmError> {
-        Self::check_fresh(&self.kinds, id)?;
+        BatchRules::check_fresh(self.kind_of(id), id)?;
         if id.0 > RNN_MAX_ID {
             return Err(CpmError::ReservedId(id));
         }
@@ -560,15 +506,7 @@ impl CpmServer {
         spec: impl Into<AnyQuerySpec>,
     ) -> Result<&[Neighbor], CpmError> {
         let spec = spec.into();
-        self.check_kind(id, spec.kind())?;
-        if spec.kind() == QueryKind::Rnn {
-            // A bare sector spec can never address a composite
-            // registration.
-            return Err(CpmError::CompositeQuery(id));
-        }
-        if !spec.is_finite() {
-            return Err(CpmError::NonFiniteQuery(id));
-        }
+        BatchRules::check_update(self.kind_of(id), id, &spec)?;
         Ok(self.engine.update_spec(id, spec))
     }
 
@@ -579,7 +517,7 @@ impl CpmServer {
     /// [`CpmError::UnknownQuery`]; [`CpmError::KindMismatch`] when `id`
     /// is not a reverse-NN registration; [`CpmError::NonFiniteQuery`].
     pub fn update_rnn(&mut self, id: QueryId, pos: Point) -> Result<&[ObjectId], CpmError> {
-        self.check_kind(id, QueryKind::Rnn)?;
+        BatchRules::check_kind(self.kind_of(id), id, QueryKind::Rnn)?;
         if !pos.is_finite() {
             return Err(CpmError::NonFiniteQuery(id));
         }
@@ -619,120 +557,24 @@ impl CpmServer {
 
     // ---- cycles ----
 
-    /// Validate a cycle's query-event batch against the registry without
-    /// touching any state, and stage a normalized copy in
-    /// `event_scratch`. Events address the single-spec kinds; RNN
-    /// registrations are managed through the direct calls
-    /// ([`CpmError::CompositeQuery`] otherwise). Range installs have `k`
-    /// normalized to [`RangeQuery::UNBOUNDED_K`] (range results are
-    /// membership sets, never capped).
-    fn stage_events(&mut self, query_events: &[SpecEvent<AnyQuerySpec>]) -> Result<(), CpmError> {
-        let Self {
-            kinds,
-            event_scratch,
-            seen_queries: seen,
-            ..
-        } = self;
-        event_scratch.clear();
-        // One event per query per batch (the subscription hub's rule,
-        // promoted to a typed error): a second event for the same id
-        // would make changed-list and delta ordering ambiguous.
-        seen.clear();
+    /// Check both batches with the [`BatchRules`] — objects first, then
+    /// queries — without touching any state.
+    fn check_batch(
+        &mut self,
+        object_events: &[ObjectEvent],
+        query_events: &[SpecEvent<AnyQuerySpec>],
+    ) -> Result<(), CpmError> {
+        let (grid, kinds) = (self.engine.grid(), &self.kinds);
+        self.rules
+            .check_objects(object_events, |id| grid.position(id).is_some())?;
+        self.rules
+            .check_queries(query_events, |id| kinds.get(&id).copied())
+    }
+
+    /// Fold a checked query-event batch into the kind registry.
+    fn apply_registry(&mut self, query_events: &[SpecEvent<AnyQuerySpec>]) {
         for ev in query_events {
-            if !seen.insert(ev.id()) {
-                return Err(CpmError::DuplicateQuery(ev.id()));
-            }
             match ev {
-                SpecEvent::Install { id, spec, k } => {
-                    let k = Self::check_install(kinds, *id, spec, *k)?;
-                    event_scratch.push(SpecEvent::Install {
-                        id: *id,
-                        spec: spec.clone(),
-                        k,
-                    });
-                }
-                SpecEvent::Update { id, spec } => {
-                    let expected = spec.kind();
-                    match kinds.get(id).copied() {
-                        None => return Err(CpmError::UnknownQuery(*id)),
-                        Some(QueryKind::Rnn) => return Err(CpmError::CompositeQuery(*id)),
-                        Some(actual) if actual != expected => {
-                            return Err(CpmError::KindMismatch {
-                                id: *id,
-                                expected,
-                                actual,
-                            })
-                        }
-                        Some(_) => {}
-                    }
-                    if !spec.is_finite() {
-                        return Err(CpmError::NonFiniteQuery(*id));
-                    }
-                    event_scratch.push(ev.clone());
-                }
-                SpecEvent::Terminate { id } => {
-                    match kinds.get(id).copied() {
-                        None => return Err(CpmError::UnknownQuery(*id)),
-                        Some(QueryKind::Rnn) => return Err(CpmError::CompositeQuery(*id)),
-                        Some(_) => {}
-                    }
-                    event_scratch.push(ev.clone());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Validate an object-event batch before any state changes: an id at
-    /// or above [`ObjectId::LIMIT`], two events for one object in a batch,
-    /// a NaN/infinite coordinate, a position outside the unit workspace,
-    /// or a move or disappear of an off-line object or an appear of a live
-    /// one are typed errors and the whole batch is rejected — a corrupted
-    /// producer cannot half-apply a cycle. The first offending event
-    /// decides the error. One event per object makes the pre-batch grid
-    /// the state each event is checked against.
-    fn validate_object_events(&mut self, object_events: &[ObjectEvent]) -> Result<(), CpmError> {
-        // A fresh pass number marks this batch; on wrap-around, stale
-        // marks from 2³² passes ago must not read as this batch's.
-        self.seen_pass = self.seen_pass.wrapping_add(1);
-        if self.seen_pass == 0 {
-            self.seen_objects.fill(0);
-            self.seen_pass = 1;
-        }
-        let (seen, pass) = (&mut self.seen_objects, self.seen_pass);
-        let grid = self.engine.grid();
-        for ev in object_events {
-            let id = ev.id();
-            if id.0 >= ObjectId::LIMIT {
-                return Err(CpmError::ObjectIdOutOfRange(id));
-            }
-            if id.index() >= seen.len() {
-                seen.resize(id.index() + 1, 0);
-            }
-            if std::mem::replace(&mut seen[id.index()], pass) == pass {
-                return Err(CpmError::DuplicateObject(id));
-            }
-            if let Some(p) = ev.position() {
-                if !p.x.is_finite() || !p.y.is_finite() {
-                    return Err(CpmError::NonFiniteCoordinate(id));
-                }
-                if !(0.0..=1.0).contains(&p.x) || !(0.0..=1.0).contains(&p.y) {
-                    return Err(CpmError::OutOfWorkspace(id));
-                }
-            }
-            // Only an appear wants its object off-line so far.
-            let live = grid.position(id).is_some();
-            if live == matches!(ev, ObjectEvent::Appear { .. }) {
-                return Err(CpmError::Liveness { id, live });
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold a staged (validated) event batch into the kind registry.
-    fn apply_registry(&mut self) {
-        for i in 0..self.event_scratch.len() {
-            match &self.event_scratch[i] {
                 SpecEvent::Install { id, spec, .. } => {
                     self.kinds.insert(*id, spec.kind());
                 }
@@ -788,12 +630,9 @@ impl CpmServer {
         object_events: &[ObjectEvent],
         query_events: &[SpecEvent<AnyQuerySpec>],
     ) -> Result<Vec<QueryId>, CpmError> {
-        self.validate_object_events(object_events)?;
-        self.stage_events(query_events)?;
-        let events = std::mem::take(&mut self.event_scratch);
-        let mut changed = self.engine.process_cycle(object_events, &events);
-        self.event_scratch = events;
-        self.apply_registry();
+        self.check_batch(object_events, query_events)?;
+        let mut changed = self.engine.process_cycle(object_events, query_events);
+        self.apply_registry(query_events);
         changed.retain(|q| q.0 < RESERVED_ID_BASE);
         self.reverify_rnn(&mut changed);
         changed.sort_unstable();
@@ -819,13 +658,10 @@ impl CpmServer {
         query_events: &[SpecEvent<AnyQuerySpec>],
         out: &mut CycleDeltas,
     ) -> Result<(), CpmError> {
-        self.validate_object_events(object_events)?;
-        self.stage_events(query_events)?;
-        let events = std::mem::take(&mut self.event_scratch);
+        self.check_batch(object_events, query_events)?;
         self.engine
-            .process_cycle_with_deltas_into(object_events, &events, out);
-        self.event_scratch = events;
-        self.apply_registry();
+            .process_cycle_with_deltas_into(object_events, query_events, out);
+        self.apply_registry(query_events);
         out.changed.retain(|q| q.0 < RESERVED_ID_BASE);
         out.deltas.retain(|(q, _)| q.0 < RESERVED_ID_BASE);
         self.reverify_rnn(&mut out.changed);

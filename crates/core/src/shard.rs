@@ -63,6 +63,7 @@ use crate::engine::{
 use crate::error::CpmError;
 use crate::neighbors::Neighbor;
 use crate::regrid::{RegridController, RegridPolicy};
+use crate::server::install_k;
 
 /// Spawning and joining one `std::thread::scope` worker costs ~35 µs on
 /// the two-thread x86-64 host the benchmark was developed on (5,000
@@ -350,10 +351,12 @@ impl CpmEngine {
         &mut self.regrid
     }
 
-    /// A fresh state for query `id` (not installed, `k ≥ 1`) on a vacant
-    /// slot, the slot already mapped; the caller searches it and puts it
-    /// in the table.
+    /// A fresh state for query `id` (not installed, `k ≥ 1` unless a
+    /// range, whose `k` becomes [`install_k`]'s) on a vacant slot, the
+    /// slot already mapped; the caller searches it and puts it in the
+    /// table.
     fn vacant_state(&mut self, id: QueryId, spec: AnyQuerySpec, k: usize) -> Box<SpecQueryState> {
+        let k = install_k(&spec, k);
         debug_assert!(k > 0 && !self.slot_of.contains_key(&id), "install of {id}");
         let slot = self.free.pop().unwrap_or_else(|| {
             self.queries.push(None);

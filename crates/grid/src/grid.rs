@@ -415,8 +415,12 @@ mod tests {
         let cell = CellCoord::new(2, 2);
         assert_eq!(g.objects_in(cell), &[ObjectId(0), ObjectId(5), ObjectId(9)]);
         let run = g.cell_run(cell);
-        assert_eq!(run.xs(), &[0.32, 0.3, 0.31]);
-        assert_eq!(run.ys(), &[0.32, 0.3, 0.31]);
+        let bits: Vec<(u64, u64)> = run
+            .iter()
+            .map(|(_, p)| (p.x.to_bits(), p.y.to_bits()))
+            .collect();
+        let stored = [0.32, 0.3, 0.31].map(|c: f64| (c.to_bits(), c.to_bits()));
+        assert_eq!(bits, stored);
         assert_eq!(g.stats().hot_cell_max, 3);
         let occupied: Vec<CellCoord> = g.occupied_cells().collect();
         assert_eq!(occupied, vec![cell, CellCoord::new(7, 7)], "row-major");

@@ -100,18 +100,6 @@ impl<'a> CellRun<'a> {
         self.ids
     }
 
-    /// The x column, parallel to [`CellRun::ids`].
-    #[inline]
-    pub fn xs(&self) -> &'a [f64] {
-        self.xs
-    }
-
-    /// The y column, parallel to [`CellRun::ids`].
-    #[inline]
-    pub fn ys(&self) -> &'a [f64] {
-        self.ys
-    }
-
     /// `(id, position)` of every object of the run, in run order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, Point)> + 'a {

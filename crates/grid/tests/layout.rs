@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use cpm_geom::{clamp_coord, ObjectId, Point};
-use cpm_grid::{apply_events, CellCoord, Grid, GridBuilder, GridStats, ObjectEvent};
+use cpm_grid::{apply_events, CellCoord, CellRun, Grid, GridBuilder, GridStats, ObjectEvent};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -44,8 +44,11 @@ fn position(form: u32, x: f64, y: f64, dim: u32) -> Point {
     }
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
+/// Each object of a run with the bits of its coordinates.
+fn bits(run: CellRun<'_>) -> Vec<(ObjectId, u64, u64)> {
+    run.iter()
+        .map(|(id, p)| (id, p.x.to_bits(), p.y.to_bits()))
+        .collect()
 }
 
 /// `g` against a fresh build of its own objects at its `dim`, against
@@ -61,8 +64,7 @@ fn check(g: &Grid, model: &HashMap<u32, Point>) -> Result<(), TestCaseError> {
             prop_assert_eq!(g.objects_in(c), fresh.objects_in(c), "cell {}", c);
             prop_assert_eq!(run.ids(), g.objects_in(c));
             prop_assert!(run.ids().windows(2).all(|w| w[0] < w[1]), "cell {}", c);
-            prop_assert_eq!(bits(run.xs()), bits(want.xs()), "cell {} xs", c);
-            prop_assert_eq!(bits(run.ys()), bits(want.ys()), "cell {} ys", c);
+            prop_assert_eq!(bits(run), bits(want), "cell {}", c);
         }
     }
     prop_assert_eq!(g.stats(), fresh.stats());

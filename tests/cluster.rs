@@ -11,9 +11,11 @@ use std::num::NonZeroUsize;
 use common::{lane, quadtree_era_frame};
 use cpm_suite::cluster::{
     duplex, run_worker, ChannelTransport, ClusterConfig, ClusterCoordinator, ClusterError,
-    Transport, TransportError, WorkerHandle,
+    ClusterWorker, Transport, TransportError, WorkerHandle,
 };
-use cpm_suite::core::{AnyQuerySpec, CpmServerBuilder, CycleDeltas, PointQuery, SpecEvent};
+use cpm_suite::core::{
+    AnyQuerySpec, CpmError, CpmServerBuilder, CycleDeltas, PointQuery, SpecEvent,
+};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{verify, Anchors, Control, Deploy, LaneConfig, OpStream, Regrid};
@@ -401,6 +403,36 @@ fn quadtree_hello_is_rejected_and_the_worker_exits_cleanly() {
     assert_eq!(handle.join().unwrap(), Ok(()));
 }
 
+/// A between-cycles `Install` the worker refuses changes nothing on it:
+/// the whole sub-batch is checked before its first event applies.
+#[test]
+fn a_refused_install_leaves_the_worker_unchanged() {
+    let tile = TileRect::new(0, 0, 15, 15);
+    let mut worker = ClusterWorker::new(0, 16, tile, tile).unwrap();
+    let spec = AnyQuerySpec::Knn(PointQuery(Point::new(0.5, 0.5)));
+    let events = vec![
+        SpecEvent::Install {
+            id: QueryId(5),
+            spec: spec.clone(),
+            k: 1,
+        },
+        SpecEvent::Update {
+            id: QueryId(6),
+            spec,
+        },
+    ];
+    let payload = events.encode_to_vec();
+    match worker.handle(ClusterMsg::Install { payload }) {
+        Some(ClusterMsg::Reject { worker: 0, reject }) => assert_eq!(
+            ClusterError::from_reject(0, reject),
+            ClusterError::engine(0, &CpmError::UnknownQuery(QueryId(6)))
+        ),
+        other => panic!("expected a Reject, got {other:?}"),
+    }
+    assert_eq!(worker.server().kind_of(QueryId(5)), None);
+    assert_eq!(worker.server().query_count(), 0);
+}
+
 /// Sticky ownership: an update that moves a query's anchor off its
 /// owner's tile is refused by the coordinator before anything is sent.
 #[test]
@@ -478,7 +510,7 @@ fn uncertifiable_influence_region_is_typed() {
 }
 
 /// Composite (reverse-NN) queries have no single anchor and are refused
-/// at the routing layer.
+/// at the routing layer, as the single node refuses a bare sector spec.
 #[test]
 fn composite_queries_are_refused_by_the_router() {
     let (mut coord, handles) =
@@ -490,7 +522,11 @@ fn composite_queries_are_refused_by_the_router() {
             k: 1,
         }])
         .unwrap_err();
-    assert!(matches!(err, ClusterError::Protocol { .. }));
+    assert_eq!(
+        err,
+        ClusterError::Refused(CpmError::CompositeQuery(QueryId(0)))
+    );
+    assert_eq!(coord.owner(QueryId(0)), None);
     coord.shutdown().unwrap();
     for h in handles {
         h.join().unwrap().unwrap();

@@ -2,15 +2,16 @@
 //! mass teleports, single-cell pile-ups, workspace corners/edges,
 //! malformed event batches and bulk loads — bad coordinates, repeated
 //! ids, events that do not fit an object's liveness — rejected at the
-//! unified server's ingest boundary, and cluster configurations refused
-//! before any worker starts.
+//! unified server's ingest boundary and, with the same error, at the
+//! cluster's router, and cluster configurations refused before any
+//! worker starts.
 
 use std::num::NonZeroUsize;
 
-use cpm_suite::cluster::{duplex, ClusterConfig, ClusterCoordinator, ClusterError};
+use cpm_suite::cluster::{duplex, ClusterConfig, ClusterCoordinator, ClusterError, Transport};
 use cpm_suite::core::{
-    AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServer, CpmServerBuilder,
-    DurableCpmServer, PointQuery, RangeQuery, Region, Snapshot, SpecEvent,
+    AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServer, CpmServerBuilder, CycleDeltas,
+    DurableCpmServer, PointQuery, RangeQuery, Region, RnnQuery, Snapshot, SpecEvent,
 };
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{ObjectEvent, QueryEvent};
@@ -363,7 +364,7 @@ fn assert_liveness_refusal(bad: ObjectEvent, want: CpmError) {
     );
     assert_eq!(durable.server().epoch(), 0);
 
-    // The cluster's router refuses the same batch.
+    // The cluster's router refuses the same batch, with the same error.
     let (mut coord, handles) =
         ClusterCoordinator::spawn_in_process(ClusterConfig::new(16, 2)).unwrap();
     let appear = (0..4u32).map(|i| ObjectEvent::Appear {
@@ -374,7 +375,7 @@ fn assert_liveness_refusal(bad: ObjectEvent, want: CpmError) {
         .process_cycle(&appear.collect::<Vec<_>>(), &[])
         .unwrap();
     let err = coord.process_cycle(&batch, &[]).unwrap_err();
-    assert!(matches!(err, ClusterError::Protocol { .. }), "{err}");
+    assert_eq!(err, ClusterError::Refused(want));
     coord.shutdown().unwrap();
     for h in handles {
         h.join().unwrap().unwrap();
@@ -666,6 +667,256 @@ fn unpartitionable_cluster_configs_are_refused_typed() {
     }
     let connected = ClusterCoordinator::connect(ClusterConfig::new(16, 2), vec![duplex().0]);
     assert!(connected.map(|_| ()).is_err_and(invalid));
+}
+
+/// One cycle's two batches.
+type Batch = (Vec<ObjectEvent>, Vec<SpecEvent<AnyQuerySpec>>);
+
+/// Batches the single node refuses typed, with what each breaks, for 20
+/// live objects (ids 0–19), a k-NN query 1 and a range query 2.
+fn batches_the_server_refuses() -> Vec<(&'static str, Batch)> {
+    let p = Point::new(0.3, 0.5);
+    let knn = |id: u32, at: Point, k: usize| SpecEvent::Install {
+        id: QueryId(id),
+        spec: AnyQuerySpec::Knn(PointQuery(at)),
+        k,
+    };
+    let mv = |id: u32, to: Point| ObjectEvent::Move {
+        id: ObjectId(id),
+        to,
+    };
+    let objects = |events: Vec<ObjectEvent>| (events, vec![]);
+    let queries = |events: Vec<SpecEvent<AnyQuerySpec>>| (vec![], events);
+    vec![
+        ("two moves of one object", objects(vec![mv(3, p), mv(3, p)])),
+        (
+            "install and terminate of one query",
+            queries(vec![knn(5, p, 1), SpecEvent::Terminate { id: QueryId(5) }]),
+        ),
+        ("install with k = 0", queries(vec![knn(5, p, 0)])),
+        (
+            "k-NN install at a NaN point",
+            queries(vec![knn(5, Point::new(f64::NAN, 0.5), 1)]),
+        ),
+        (
+            "install of a reserved id",
+            queries(vec![knn(1 << 31, p, 1)]),
+        ),
+        (
+            "update of a range query with a k-NN spec",
+            queries(vec![SpecEvent::Update {
+                id: QueryId(2),
+                spec: AnyQuerySpec::Knn(PointQuery(p)),
+            }]),
+        ),
+        ("move of an off-line object", objects(vec![mv(40, p)])),
+        (
+            "disappear of an off-line object",
+            objects(vec![ObjectEvent::Disappear { id: ObjectId(40) }]),
+        ),
+        (
+            "appear of a live object",
+            objects(vec![ObjectEvent::Appear {
+                id: ObjectId(3),
+                pos: p,
+            }]),
+        ),
+        (
+            "a NaN position",
+            objects(vec![mv(3, Point::new(0.5, f64::NAN))]),
+        ),
+        (
+            "a position outside the workspace",
+            objects(vec![mv(3, Point::new(1.25, 0.5))]),
+        ),
+        (
+            "an id at the ceiling",
+            objects(vec![ObjectEvent::Appear {
+                id: ObjectId(ObjectId::LIMIT),
+                pos: p,
+            }]),
+        ),
+        (
+            "update of an unknown query",
+            queries(vec![SpecEvent::Update {
+                id: QueryId(9),
+                spec: AnyQuerySpec::Knn(PointQuery(p)),
+            }]),
+        ),
+        (
+            "terminate of an unknown query",
+            queries(vec![SpecEvent::Terminate { id: QueryId(9) }]),
+        ),
+        ("install of an installed id", queries(vec![knn(1, p, 1)])),
+        (
+            "install of a reverse-NN sector spec",
+            queries(vec![SpecEvent::Install {
+                id: QueryId(5),
+                spec: AnyQuerySpec::Rnn(RnnQuery::new(p, 0)),
+                k: 1,
+            }]),
+        ),
+        (
+            "a bad object event and a bad query event",
+            (
+                vec![mv(40, p)],
+                vec![SpecEvent::Terminate { id: QueryId(9) }],
+            ),
+        ),
+    ]
+}
+
+/// What a refusal must leave as it was.
+fn router_state<T: Transport>(
+    coord: &ClusterCoordinator<T>,
+) -> (u64, u64, usize, Vec<Option<usize>>) {
+    let owners = [1, 2, 5, 9, 1 << 31].map(|q| coord.owner(QueryId(q)));
+    (
+        coord.epoch(),
+        coord.in_flight(),
+        coord.objects(),
+        owners.to_vec(),
+    )
+}
+
+/// The cluster's router keeps the single node's rules: every batch the
+/// server refuses typed, `process_cycle` and `submit_cycle` refuse with
+/// the server's own error, before anything is changed or sent — with an
+/// epoch in flight too — and the next valid cycle's merged batch is the
+/// single node's.
+#[test]
+fn cluster_refuses_every_batch_the_server_refuses_typed() {
+    let dim = 32;
+    let mut single = CpmServerBuilder::new(dim)
+        .threads(NonZeroUsize::MIN)
+        .deltas(true)
+        .build();
+    let (mut coord, handles) =
+        ClusterCoordinator::spawn_in_process(ClusterConfig::new(dim, 2)).unwrap();
+    let at = |i: u32| Point::new(f64::from(i % 10).mul_add(0.09, 0.05), 0.5);
+    let appear: Vec<ObjectEvent> = (0..20)
+        .map(|i| ObjectEvent::Appear {
+            id: ObjectId(i),
+            pos: at(i),
+        })
+        .collect();
+    let install = vec![
+        SpecEvent::Install {
+            id: QueryId(1),
+            spec: AnyQuerySpec::Knn(PointQuery(Point::new(0.25, 0.5))),
+            k: 2,
+        },
+        SpecEvent::Install {
+            id: QueryId(2),
+            spec: AnyQuerySpec::Range(RangeQuery::circle(Point::new(0.7, 0.5), 0.1)),
+            k: 1,
+        },
+    ];
+    let mut want = CycleDeltas::default();
+    let mut step = 0u32;
+    // A valid one-move cycle, run on the single node; returns its batch.
+    let mut valid = |single: &mut CpmServer, want: &mut CycleDeltas| {
+        step += 1;
+        let objects = vec![ObjectEvent::Move {
+            id: ObjectId(step % 20),
+            to: at(step * 7),
+        }];
+        single
+            .process_cycle_with_deltas_into(&objects, &[], want)
+            .unwrap();
+        objects
+    };
+    for (objects, queries) in [(appear, vec![]), (vec![], install)] {
+        single
+            .process_cycle_with_deltas_into(&objects, &queries, &mut want)
+            .unwrap();
+        assert_eq!(coord.process_cycle(&objects, &queries).unwrap(), want);
+    }
+    let mut scratch = CycleDeltas::default();
+    for (what, (objects, queries)) in batches_the_server_refuses() {
+        let epoch = single.epoch();
+        let err = single
+            .process_cycle_with_deltas_into(&objects, &queries, &mut scratch)
+            .unwrap_err();
+        assert_eq!(single.epoch(), epoch, "{what}");
+        let refused = Some(ClusterError::Refused(err));
+
+        let before = router_state(&coord);
+        assert_eq!(
+            coord.process_cycle(&objects, &queries).err(),
+            refused,
+            "{what}"
+        );
+        assert_eq!(router_state(&coord), before, "{what}");
+
+        // The next valid cycle, left in flight, and the same batch again.
+        let next = valid(&mut single, &mut want);
+        assert_eq!(coord.submit_cycle(&next, &[]), Ok(None), "{what}");
+        let before = router_state(&coord);
+        assert_eq!(before.1, 1);
+        assert_eq!(
+            coord.submit_cycle(&objects, &queries).err(),
+            refused,
+            "{what}"
+        );
+        assert_eq!(router_state(&coord), before, "{what}");
+        let flushed = coord.flush().unwrap();
+        assert_eq!(flushed, vec![want.clone()], "{what}");
+
+        // And the valid cycle after that refusal.
+        let next = valid(&mut single, &mut want);
+        assert_eq!(coord.process_cycle(&next, &[]).unwrap(), want, "{what}");
+    }
+    coord.shutdown().unwrap();
+    for h in handles {
+        h.join().unwrap().unwrap();
+    }
+}
+
+/// A range install ignores its `k`, so the server accepts `k = 0` for
+/// one — and so must every path that carries the batch: the durable
+/// journal recovers it, and the cluster runs it and the cycle after it
+/// as the single node does.
+#[test]
+fn a_range_install_with_k_0_runs_on_every_path() {
+    let install = SpecEvent::Install {
+        id: QueryId(5),
+        spec: AnyQuerySpec::Range(RangeQuery::circle(Point::new(0.75, 0.5), 0.1)),
+        k: 0,
+    };
+    let appear = [ObjectEvent::Appear {
+        id: ObjectId(1),
+        pos: Point::new(0.78, 0.5),
+    }];
+    let batches = [(&[][..], vec![install]), (&appear[..], vec![])];
+
+    let server = || {
+        CpmServerBuilder::new(16)
+            .threads(NonZeroUsize::MIN)
+            .deltas(true)
+            .build()
+    };
+    let mut durable = DurableCpmServer::new(server(), 0);
+    let (mut coord, handles) =
+        ClusterCoordinator::spawn_in_process(ClusterConfig::new(16, 2)).unwrap();
+    let mut want = CycleDeltas::default();
+    for (objects, queries) in &batches {
+        durable
+            .process_cycle_with_deltas_into(objects, queries, &mut want)
+            .unwrap();
+        assert_eq!(coord.process_cycle(objects, queries).unwrap(), want);
+    }
+    assert_eq!(durable.server().result(QueryId(5)).unwrap().len(), 1);
+    let (recovered, _) =
+        DurableCpmServer::recover(durable.snapshot_bytes(), durable.journal_bytes(), 0).unwrap();
+    assert_eq!(
+        recovered.server().result(QueryId(5)),
+        durable.server().result(QueryId(5))
+    );
+    coord.shutdown().unwrap();
+    for h in handles {
+        h.join().unwrap().unwrap();
+    }
 }
 
 #[test]

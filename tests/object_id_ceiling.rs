@@ -136,7 +136,10 @@ fn ids_past_the_ceiling_are_refused_before_anything_is_sized_by_them() {
     for id in past {
         let batch = [nudge, appear(id)];
         let (got, reserved) = peak_during(|| coordinator.process_cycle(&batch, &[]));
-        assert_eq!(got, Err(ClusterError::ObjectIdOutOfRange { oid: id }));
+        assert_eq!(
+            got,
+            Err(ClusterError::Refused(CpmError::ObjectIdOutOfRange(id)))
+        );
         assert!(reserved <= SMALL, "routing {id} reserved {reserved} bytes");
     }
     coordinator.process_cycle(&[nudge], &[]).unwrap();
