@@ -17,13 +17,13 @@
 //!   point query, the cells covering the MBR `M` for an aggregate query),
 //! * optional admission predicates for constrained variants.
 //!
-//! Per query, the work is Figure 3.8's: a cycle's `(query, record,
-//! departure | arrival)` pairs in batch order, then merge-or-recompute
-//! and change detection (`Worker::resolve`), or a from-scratch
-//! search for a new or moved query. Either touches nothing but that
-//! query's own state — it reads the grid, and its influence registrations
-//! are its visit-list prefix, which the engine lists when it next routes
-//! — which is what lets the engine behind
+//! Per query, the work is Figure 3.8's: the departures and arrivals in
+//! the query's influence cells, then merge-or-recompute and change
+//! detection (`Worker::resolve`), or a from-scratch search for a new or
+//! moved query. Either touches nothing but that query's own state — it
+//! reads the grid, and its influence registrations are its visit-list
+//! prefix, through which it reads the next cycle's moves — which is
+//! what lets the engine behind
 //! [`crate::CpmServer`] run many queries at once, one `Worker` per
 //! thread; the phases of a cycle are described in `shard.rs`.
 //!
@@ -199,16 +199,14 @@ pub struct SpecQueryState {
     /// Cells processed during search, ascending by key; superset of the
     /// influence region.
     pub visit_list: Vec<(CellCoord, f64)>,
-    /// Prefix of `visit_list` registered in the influence table: the
-    /// cells keyed within `best_dist`, which the engine lists this query
-    /// at when it rebuilds the table.
+    /// Prefix of `visit_list` that is the influence region: the cells
+    /// keyed within `best_dist`, whose moves the query resolves.
     pub influence_len: usize,
     /// Left-over search frontier.
     pub heap: SearchHeap,
     /// Pinwheel around the base block.
     pub pinwheel: Pinwheel,
-    /// This query's slot in the engine's query table — the handle its
-    /// influence registrations carry.
+    /// This query's slot in the engine's query table.
     pub(crate) slot: u32,
 }
 
@@ -260,21 +258,18 @@ pub(crate) enum Search {
 }
 
 /// The read-only inputs every worker of a resolve step shares: the
-/// post-ingest grid and the cycle's grouping.
+/// post-ingest grid and the cycle's records.
 pub(crate) struct Resolve<'a> {
     pub(crate) grid: &'a Grid,
     pub(crate) records: &'a [UpdateRecord],
-    pub(crate) pairs: &'a [u32],
-    pub(crate) group_ends: &'a [usize],
-    pub(crate) pending: &'a [u64],
     pub(crate) epoch: u64,
     pub(crate) collect_deltas: bool,
 }
 
 /// One worker thread's share of a parallel step: its outputs, in the
 /// order a single worker would produce them, and its scratch — the
-/// cycle-start copy, the in-list and the diff's id table, each reused
-/// by every query the worker handles.
+/// query's moves, the cycle-start copy, the in-list and the diff's id
+/// table, each reused by every query the worker handles.
 /// Workers live in their engine across cycles, so once their buffers
 /// have grown a step allocates nothing but the deltas' own spill buffers.
 #[derive(Debug, Default)]
@@ -282,14 +277,21 @@ pub(crate) struct Worker {
     pub(crate) metrics: Metrics,
     pub(crate) changed: Vec<QueryId>,
     pub(crate) deltas: Vec<(QueryId, NeighborDelta)>,
+    /// The moves of the query being resolved, gathered from the runs of
+    /// its influence cells.
+    pub(crate) moves: Vec<u32>,
     /// The cycle-start result of the query being resolved, copied from
     /// its `best` list just before the cycle first changes it.
     cycle_start: Vec<Neighbor>,
     /// `q.in_list` of Figure 3.8 for the query being resolved: its
-    /// qualifying incomers in batch order, uncapped and unsorted. The
-    /// merge offers them to the surviving result.
+    /// qualifying incomers, uncapped and unsorted. The merge offers them
+    /// to the surviving result.
     in_list: Vec<Neighbor>,
     pub(crate) diff: DeltaScratch,
+    /// Every query resolved since the test last drained it, with the
+    /// moves it was handed.
+    #[cfg(test)]
+    pub(crate) handed: Vec<(QueryId, Vec<u32>)>,
 }
 
 impl Worker {
@@ -394,13 +396,16 @@ impl Worker {
     // ---- update handling (Figure 3.8, aggregate distances) ----
 
     /// One query's share of a cycle: its departures and arrivals
-    /// (`events`, packed as in the engine's grouped pairs) in batch
-    /// order, then merge-or-recompute resolution and change detection.
-    /// A batch holds one event per object, so an id arrives at most once
-    /// and a departure never finds its id among the incomers.
+    /// (`events`, each packed `record index << 1 | arrival`), then
+    /// merge-or-recompute resolution and change detection. The outcome
+    /// does not depend on the order of `events`: a batch holds one event
+    /// per object, so an id departs and arrives at most once; every
+    /// membership and qualification test reads the cycle-start k-th
+    /// entry; the merge offers candidates into "the k smallest under
+    /// `(dist, id)`"; and the delta is a diff of two lists.
     pub(crate) fn resolve(&mut self, step: &Resolve<'_>, st: &mut SpecQueryState, events: &[u32]) {
         let qid = st.id;
-        // Every object outside the result and this cycle's pairs sorts
+        // Every object outside the result and this cycle's moves sorts
         // after the cycle-start k-th entry under `(dist, id)`: an arrival
         // or a moving member qualifies iff it sorts at or before it.
         let kth = st.best.is_full().then(|| st.best.neighbors()[st.k() - 1]);
@@ -451,8 +456,10 @@ impl Worker {
         }
 
         // Figure 3.8's test with the in-list uncapped: the result holds
-        // at most k, so `min(|in|, k) < out ⇔ |in| < out`.
-        let recompute = self.in_list.len() < out_count;
+        // at most k, so `min(|in|, k) < out ⇔ |in| < out`. Only a full
+        // list re-computes: an unfull one holds every qualifying object,
+        // so the survivors and the incomers are the whole answer.
+        let recompute = kth.is_some() && self.in_list.len() < out_count;
         let resolved = recompute || out_count > 0 || !self.in_list.is_empty();
         if !(resolved || dirty) {
             return;
@@ -572,8 +579,8 @@ mod tests {
     //! scans' results against brute force, bit for bit.
 
     use super::*;
-    use crate::{CpmServer, CpmServerBuilder, CycleDeltas};
-    use cpm_geom::ObjectId;
+    use crate::{ConstrainedQuery, CpmServer, CpmServerBuilder, CycleDeltas, RangeQuery};
+    use cpm_geom::{ObjectId, Rect};
     use cpm_grid::ObjectEvent;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -744,6 +751,73 @@ mod tests {
         let ids: Vec<ObjectId> = m.result(Q).unwrap().iter().map(|n| n.id).collect();
         assert_eq!(ids, [ObjectId(3), ObjectId(7)]);
         assert_matches_oracle(&m);
+    }
+
+    /// The `k` smallest live objects under `(dist, id)` for `id`'s
+    /// geometry, infinite distances left out: the brute-force result.
+    fn brute_force(m: &CpmServer, id: QueryId) -> Vec<Neighbor> {
+        let st = m.query_state(id).unwrap();
+        let mut found: Vec<Neighbor> = (m.grid().iter_objects())
+            .map(|(id, p)| Neighbor {
+                id,
+                dist: st.spec.dist(p),
+            })
+            .filter(|n| n.dist.is_finite())
+            .collect();
+        found.sort_unstable_by(|a, b| (a.dist, a.id).partial_cmp(&(b.dist, b.id)).unwrap());
+        found.truncate(st.k());
+        found
+    }
+
+    /// Fig. 3.8 re-computes only a full list: an unfull one holds every
+    /// qualifying object, so with more departures than arrivals the
+    /// survivors and the incomers are the whole answer and the merge
+    /// resolves it. A range query (never full): two members leave the
+    /// region, one object enters it.
+    #[test]
+    fn an_unfull_range_merges_more_departures_than_arrivals() {
+        let mut m = server(8);
+        m.populate([
+            (ObjectId(1), pt(2.5, 2.5)),
+            (ObjectId(2), pt(3.5, 2.5)),
+            (ObjectId(3), pt(2.5, 3.5)),
+            (ObjectId(4), pt(6.5, 6.5)),
+        ])
+        .unwrap();
+        let region = Rect::new(pt(2.0, 2.0), pt(4.0, 4.0));
+        m.install_spec(Q, RangeQuery::rect(region), 1).unwrap();
+        m.take_metrics();
+        let batch = [mv(1, 6.5, 1.5), mv(2, 0.5, 6.5), mv(4, 3.2, 3.2)];
+        assert_eq!(cycle(&mut m, &batch), vec![Q]);
+        let metrics = m.take_metrics();
+        assert_eq!((metrics.recomputations, metrics.merge_resolutions), (0, 1));
+        let ids: Vec<ObjectId> = m.result(Q).unwrap().iter().map(|n| n.id).collect();
+        assert_eq!(ids, [ObjectId(4), ObjectId(3)]);
+        assert_eq!(m.result(Q).unwrap(), brute_force(&m, Q));
+        m.check_invariants();
+    }
+
+    /// The same for a constrained query whose region holds fewer than k
+    /// objects: its list is unfull, and a member leaving the region with
+    /// no arrival is merged, not re-computed.
+    #[test]
+    fn an_unfull_constrained_query_merges_a_lone_departure() {
+        let mut m = fig_3_2();
+        let region = Rect::new(pt(2.0, 3.0), pt(4.0, 5.0));
+        m.install_spec(QueryId(1), ConstrainedQuery::new(pt(4.2, 4.9), region), 4)
+            .unwrap();
+        // p1 and p2 are the region's only objects.
+        assert_eq!(m.result(QueryId(1)).unwrap().len(), 2);
+        m.take_metrics();
+        assert_eq!(cycle(&mut m, &[mv(1, 6.5, 1.5)]), vec![QueryId(1)]);
+        let metrics = m.take_metrics();
+        assert_eq!((metrics.recomputations, metrics.merge_resolutions), (0, 1));
+        let ids: Vec<ObjectId> = (m.result(QueryId(1)).unwrap().iter())
+            .map(|n| n.id)
+            .collect();
+        assert_eq!(ids, [ObjectId(2)]);
+        assert_eq!(m.result(QueryId(1)).unwrap(), brute_force(&m, QueryId(1)));
+        m.check_invariants();
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //!   the region costs nothing, as for k-NN.
 //! * **Objects outside the region never qualify**: their distance is `+∞`
 //!   (the constrained-query convention of Section 5).
+//! * **No re-computation.** Figure 3.8 re-computes only a full list, and
+//!   a range result is never full: it already holds every object in the
+//!   region, so the members that stay, minus the ones that leave, plus
+//!   the incomers are the new result, however many members leave.
+//!   Every cycle that touches the region resolves by the merge.
 //!
 //! Results are ordered ascending by `(distance to the region's anchor
 //! point, id)` — the same canonical order every other monitor uses — so

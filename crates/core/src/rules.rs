@@ -178,12 +178,18 @@ impl BatchRules {
     }
 
     /// The update rule: `spec` may replace the geometry of `id`, installed
-    /// as `installed`.
+    /// as `installed`. A reverse-NN registration is tested first, as
+    /// [`BatchRules::check_queries`] does, so the direct call and the
+    /// batch give one answer.
     pub(crate) fn check_update(
         installed: Option<QueryKind>,
         id: QueryId,
         spec: &AnyQuerySpec,
     ) -> Result<(), CpmError> {
+        if installed == Some(QueryKind::Rnn) {
+            // A composite registration moves through `update_rnn`.
+            return Err(CpmError::CompositeQuery(id));
+        }
         Self::check_kind(installed, id, spec.kind())?;
         if spec.kind() == QueryKind::Rnn {
             // A bare sector spec can never address a composite

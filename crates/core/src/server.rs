@@ -495,11 +495,11 @@ impl CpmServer {
     /// *same kind*; returns the recomputed result.
     ///
     /// # Errors
-    /// [`CpmError::UnknownQuery`]; [`CpmError::KindMismatch`] when the
-    /// spec's kind differs from the registered kind;
-    /// [`CpmError::CompositeQuery`] when the spec is an RNN sector (a
-    /// reverse-NN registration moves via [`CpmServer::update_rnn`]);
-    /// [`CpmError::NonFiniteQuery`].
+    /// [`CpmError::UnknownQuery`]; [`CpmError::CompositeQuery`] when `id`
+    /// is a reverse-NN registration (it moves via
+    /// [`CpmServer::update_rnn`]) or the spec is an RNN sector;
+    /// [`CpmError::KindMismatch`] when the spec's kind differs from the
+    /// registered kind; [`CpmError::NonFiniteQuery`].
     pub fn update_spec(
         &mut self,
         id: QueryId,

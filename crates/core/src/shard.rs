@@ -14,13 +14,14 @@
 //!    ([`cpm_grid::apply_events`]). This is the only step that mutates
 //!    the grid: a position write per update, then one counting sort of
 //!    the cell index.
-//! 2. **Route + group** (serial). The influence table is rebuilt from
-//!    the query states by a counting sort, then the records are routed
-//!    once through it into `(query, record, departure | arrival)` pairs,
-//!    grouped by query slot with a second counting sort.
-//! 3. **Resolve** (`T` workers). Consecutive slot ranges of about equal
-//!    pair count — read off the counting sort's prefix sums — each go to
-//!    one worker, which resolves its queries against the immutable grid.
+//! 2. **Bucket** (serial). The records are sorted by cell once, a
+//!    departure at a record's old cell and an arrival at its new one
+//!    ([`CellMoves`]): one counting sort over the batch.
+//! 3. **Resolve** (`T` workers). Consecutive slot ranges of equal length
+//!    each go to one worker. Each query reads the moves of its own
+//!    influence cells — the prefix of its visit list — and resolves them
+//!    against the immutable grid; a query whose cells saw no move is
+//!    skipped.
 //! 4. **Query events**: terminates and the slot allocation of installs
 //!    run serially, in event order; the from-scratch searches of installs
 //!    and updates then run on the `T` workers. A batch names each query
@@ -34,14 +35,14 @@
 //! order, which is slot order for resolve, event order for query events
 //! and id order for a re-grid — the order `T = 1` produces. A worker
 //! writes no shared structure: a query's influence registrations are the
-//! prefix of its own visit list (`SpecQueryState::influence_len`), and
-//! the next route lists them, every list ascending by slot. Because each
-//! query's processing depends only on its own state, its own events in
-//! batch order and the post-ingest grid, results, changed lists, delta
-//! batches, [`Metrics`] and every influence list are **bit-identical** at
-//! every thread count: `T = 1` is the same split with one part. The
-//! threads suite (`tests/thread_determinism.rs`) and `cpm_sim`'s oracle
-//! cross-check assert it on random workloads.
+//! prefix of its own visit list (`SpecQueryState::influence_len`), which
+//! the next cycle's resolve reads from the query side. Because each
+//! query's processing depends only on its own state, its own moves and
+//! the post-ingest grid, results, changed lists, delta batches and
+//! [`Metrics`] are **bit-identical** at every thread count: `T = 1` is
+//! the same split with one part. The threads suite
+//! (`tests/thread_determinism.rs`) and `cpm_sim`'s oracle cross-check
+//! assert it on random workloads.
 //!
 //! The engine trusts its caller: every batch it sees has passed the
 //! server's validation (one event per object and per query, live objects
@@ -51,9 +52,7 @@
 use std::num::NonZeroUsize;
 
 use cpm_geom::{FastHashMap, QueryId};
-use cpm_grid::{
-    apply_events, CellCoord, Grid, GridGeom, InfluenceTable, Metrics, ObjectEvent, UpdateRecord,
-};
+use cpm_grid::{apply_events, CellCoord, Grid, GridGeom, Metrics, ObjectEvent, UpdateRecord};
 
 use crate::any::AnyQuerySpec;
 use crate::delta::{CycleDeltas, NeighborDelta};
@@ -68,16 +67,18 @@ use crate::server::install_k;
 /// Spawning and joining one `std::thread::scope` worker costs ~35 µs on
 /// the two-thread x86-64 host the benchmark was developed on (5,000
 /// rounds of one spawn each, five repetitions: 34–40 µs). Resolving one
-/// `(query, record)` pair costs ~60 ns there (`paper_default`: ~13.5 ms of
-/// resolve over ~218K pairs per cycle), so a split only pays once every
-/// worker gets a few thousand pairs: this grain is ~3.5× the spawn cost,
-/// and a step with less work than two grains runs inline, spawning
-/// nothing.
-const GRAIN_PAIRS: usize = 2048;
+/// installed query — reading the moves of its influence cells, then
+/// Figure 3.8 over them — costs ~2 µs of one thread there
+/// (`paper_default`: ~5.4 ms of resolve on two threads for 5,000
+/// queries a cycle; `hotspot_drift` ~3 µs, `delta_churn`'s k = 64 ~10
+/// µs), so a split only pays once every worker gets a few dozen
+/// queries: this grain is ~3.5× the spawn cost, and a step with less
+/// work than two grains runs inline, spawning nothing.
+const GRAIN_QUERIES: usize = 64;
 
 /// A from-scratch search — a query event or a re-grid re-registration —
-/// in pairs: ~5.5 µs per search on the same host, against ~60 ns per pair.
-const SEARCH_PAIRS: usize = 90;
+/// in resolved queries: ~5.5 µs per search on the same host.
+const SEARCH_QUERIES: usize = 3;
 
 /// Run `job(worker, first, part)` over consecutive parts of `items`, the
 /// part ending at `cuts[i]` with `workers[i]` (`first` is the part's
@@ -106,15 +107,78 @@ fn fan_out<T: Send>(
     });
 }
 
-/// Every installed query's influence registrations, `(cell, slot)`, in
-/// slot order.
-fn registrations(
-    queries: &[Option<Box<SpecQueryState>>],
-) -> impl Iterator<Item = (CellCoord, u32)> + '_ {
-    queries.iter().flatten().flat_map(|st| {
-        let prefix = &st.visit_list[..st.influence_len];
-        prefix.iter().map(|&(cell, _)| (cell, st.slot))
-    })
+/// The cycle's moves bucketed by cell, in [`cpm_grid::CellIndex`]'s
+/// compressed-sparse-row layout: a record's departure at its `old_cell`
+/// and its arrival at its `new_cell` (an appear has only the arrival, a
+/// disappear only the departure), packed `record index << 1 | arrival`,
+/// each cell's run in record order, a departure before its arrival.
+#[derive(Debug, Default)]
+struct CellMoves {
+    dim: u32,
+    /// `dim² + 1` offsets into `entries`: cell `c`'s run is
+    /// `entries[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    entries: Vec<u32>,
+}
+
+impl CellMoves {
+    /// Replace the runs with `records`' on a `dim × dim` grid by one
+    /// counting sort, O(records + cells): count, scan, then scatter back
+    /// to front, each entry taking the last free place of its cell.
+    fn sort(&mut self, dim: u32, records: &[UpdateRecord]) {
+        assert!(
+            records.len() <= (u32::MAX >> 1) as usize,
+            "record index must fit the packed entry"
+        );
+        if dim != self.dim {
+            self.dim = dim;
+            // A table of the new size, so a coarser grid does not keep a
+            // finer one's pages resident.
+            self.starts = Vec::new();
+        }
+        let cells = dim as usize * dim as usize;
+        // Packed ids up front: walking the `Option<CellCoord>`s
+        // themselves measured 2.5× slower (`paper_default`, 1.2 ms).
+        let cell = |c: Option<CellCoord>| c.map(|c| c.id(dim) as usize);
+        let starts = &mut self.starts;
+        starts.clear();
+        starts.resize(cells + 1, 0);
+        for rec in records {
+            for c in [cell(rec.old_cell), cell(rec.new_cell)]
+                .into_iter()
+                .flatten()
+            {
+                starts[c] += 1;
+            }
+        }
+        let mut end = 0u32;
+        for s in &mut starts[..cells] {
+            end += *s;
+            *s = end;
+        }
+        starts[cells] = end;
+        self.entries.clear();
+        self.entries.resize(end as usize, 0);
+        for (i, rec) in records.iter().enumerate().rev() {
+            let at = (i as u32) << 1;
+            for (c, entry) in [(cell(rec.new_cell), at | 1), (cell(rec.old_cell), at)] {
+                if let Some(c) = c {
+                    starts[c] -= 1;
+                    self.entries[starts[c] as usize] = entry;
+                }
+            }
+        }
+    }
+
+    /// Append the runs of `cells` (a query's influence prefix) to `out`.
+    fn gather(&self, cells: &[(CellCoord, f64)], out: &mut Vec<u32>) {
+        for &(cell, _) in cells {
+            let id = cell.id(self.dim) as usize;
+            out.extend_from_slice(
+                &self.entries[self.starts[id] as usize..self.starts[id + 1] as usize],
+            );
+        }
+    }
 }
 
 /// The conceptual-partitioning monitor: a grid plus the query
@@ -131,10 +195,6 @@ fn registrations(
 #[derive(Debug)]
 pub(crate) struct CpmEngine {
     grid: Grid,
-    /// Influence lists, holding query-table slots: update handling goes
-    /// from a cell to the affected states without hashing a query id.
-    /// Rebuilt from the states by each cycle's route, its only reader.
-    influence: InfluenceTable<u32>,
     /// The query table (Figure 3.3a): a slab of states, vacant slots
     /// listed in `free`. A state is boxed so that a search step moves a
     /// pointer, not the state, out of the table and back.
@@ -150,12 +210,8 @@ pub(crate) struct CpmEngine {
     /// waste of computations for obsolete queries", Section 3.3).
     pending: Vec<u64>,
     records: Vec<UpdateRecord>,
-    /// The cycle's `(query, record, departure | arrival)` pairs grouped
-    /// by query slot, each packed `record index << 1 | arrival`; slot
-    /// `s`'s group ends at `group_ends[s]` and starts where the previous
-    /// slot's ends. Both recycled across cycles.
-    pairs: Vec<u32>,
-    group_ends: Vec<usize>,
+    /// The cycle's records bucketed by cell, recycled across cycles.
+    moves: CellMoves,
     /// When set, every cycle's result changes are also captured as
     /// [`NeighborDelta`]s.
     collect_deltas: bool,
@@ -179,7 +235,6 @@ impl CpmEngine {
     /// maintenance runs on `threads` threads.
     pub(crate) fn with_grid(grid: Grid, threads: NonZeroUsize) -> Self {
         Self {
-            influence: InfluenceTable::new(),
             grid,
             queries: Vec::new(),
             free: Vec::new(),
@@ -188,8 +243,7 @@ impl CpmEngine {
             epoch: 0,
             pending: Vec::new(),
             records: Vec::new(),
-            pairs: Vec::new(),
-            group_ends: Vec::new(),
+            moves: CellMoves::default(),
             collect_deltas: false,
             workers: (0..threads.get()).map(|_| Worker::default()).collect(),
             cuts: Vec::new(),
@@ -517,8 +571,7 @@ impl CpmEngine {
         // buffers, so only the spawned workers' outputs are copied.
         std::mem::swap(changed, &mut self.workers[0].changed);
         std::mem::swap(deltas, &mut self.workers[0].deltas);
-        // Phases 2–4: route + group, resolve, query events.
-        self.route_and_group();
+        // Phases 2–4: bucket, resolve, query events.
         self.resolve_all();
         self.apply_query_events(query_events);
         std::mem::swap(changed, &mut self.workers[0].changed);
@@ -529,118 +582,49 @@ impl CpmEngine {
         changed.sort_unstable();
     }
 
-    /// Route + group, the serial head of Figure 3.8's batched update
-    /// handling ("for each query q affected by updates in U_P"):
-    ///
-    /// 1. **List**: rebuild the influence table from the installed
-    ///    states, walked in slot order, so every list ascends by slot.
-    /// 2. **Route**: walk the records, reading nothing but the influence
-    ///    lists, once to count the `(query, record, departure | arrival)`
-    ///    pairs per query slot and once to scatter them. A record that
-    ///    touches no influenced cell costs two offset reads per walk.
-    /// 3. **Group**: the scatter *is* the grouping — a counting sort over
-    ///    the dense slots, stable by construction: each query's events
-    ///    stay in batch order, a record's departure before its arrival,
-    ///    whatever order a list holds its slots in.
-    fn route_and_group(&mut self) {
-        self.rebuild_influence();
-        assert!(
-            self.records.len() <= (u32::MAX >> 1) as usize,
-            "record index must fit the packed pair"
-        );
-        let mut ends = std::mem::take(&mut self.group_ends);
-        ends.clear();
-        ends.resize(self.queries.len(), 0);
-        self.for_each_pair(|slot, _| ends[slot] += 1);
-        let mut total = 0;
-        for end in &mut ends {
-            let count = *end;
-            *end = total; // the group's start; the scatter advances it to its end
-            total += count;
-        }
-
-        let mut pairs = std::mem::take(&mut self.pairs);
-        pairs.clear();
-        pairs.resize(total, 0);
-        self.for_each_pair(|slot, pair| {
-            pairs[ends[slot]] = pair;
-            ends[slot] += 1;
-        });
-        self.pairs = pairs;
-        self.group_ends = ends;
-    }
-
-    /// Rebuild the influence lists from the installed states.
-    fn rebuild_influence(&mut self) {
-        let dim = self.grid.dim();
-        self.influence.rebuild(dim, registrations(&self.queries));
-    }
-
-    /// Visit every `(query slot, packed pair)` of the batch in batch
-    /// order, a record's departure before its arrival.
-    fn for_each_pair(&self, mut visit: impl FnMut(usize, u32)) {
-        for (i, rec) in self.records.iter().enumerate() {
-            let at = (i as u32) << 1;
-            if let Some(old_cell) = rec.old_cell {
-                for &slot in self.influence.queries_at(old_cell) {
-                    visit(slot as usize, at);
-                }
-            }
-            if let (Some(new_cell), Some(_)) = (rec.new_cell, rec.new_pos) {
-                for &slot in self.influence.queries_at(new_cell) {
-                    visit(slot as usize, at | 1);
-                }
-            }
-        }
-    }
-
-    /// The resolve step: every query with pairs resolves its departures
-    /// and arrivals, then merges or recomputes, while its state is the
-    /// only one in cache. The workers take consecutive slot ranges of
-    /// about equal pair count, read off the counting sort's prefix sums.
-    /// A query's outcome depends on its own pairs, on the post-ingest
-    /// grid and on its own state — none of which another query's
-    /// resolution writes — so results, `changed`, deltas and `Metrics`
-    /// are those of walking the batch record by record.
+    /// Bucket + resolve, Figure 3.8's batched update handling ("for each
+    /// query q affected by updates in U_P") run from the query side: the
+    /// records are sorted by cell once, then the workers take slot ranges
+    /// of equal length, and each installed query without a pending query
+    /// event resolves the moves of its own influence cells. A query's
+    /// outcome depends on its own moves and state and on the post-ingest
+    /// grid, none of which another query's resolution writes, so nothing
+    /// depends on the split.
     fn resolve_all(&mut self) {
-        let ends = &self.group_ends;
-        let total = ends.last().copied().unwrap_or(0);
-        let parts = (total / GRAIN_PAIRS).clamp(1, self.workers.len());
-        self.cuts.clear();
-        for w in 1..parts {
-            // The part ends after the slot whose group reaches the target.
-            let cut = ends.partition_point(|&end| end < total * w / parts) + 1;
-            if ends[cut - 1] == total {
-                break; // every later slot is empty: they join the last part
-            }
-            if cut > self.cuts.last().copied().unwrap_or(0) {
-                self.cuts.push(cut);
-            }
+        if self.records.is_empty() || self.slot_of.is_empty() {
+            return;
         }
-        self.cuts.push(ends.len());
+        self.moves.sort(self.grid.dim(), &self.records);
+        let parts = (self.slot_of.len() / GRAIN_QUERIES).clamp(1, self.workers.len());
+        let n = self.queries.len();
+        self.cuts.clear();
+        self.cuts.extend((1..=parts).map(|w| n * w / parts));
         let step = Resolve {
             grid: &self.grid,
             records: &self.records,
-            pairs: &self.pairs,
-            group_ends: ends,
-            pending: &self.pending,
             epoch: self.epoch,
             collect_deltas: self.collect_deltas,
         };
+        let (table, pending, epoch) = (&self.moves, &self.pending, self.epoch);
         fan_out(
             &mut self.workers,
             &mut self.queries,
             &self.cuts,
             &|worker, first, states| {
-                let mut start = first.checked_sub(1).map_or(0, |s| step.group_ends[s]);
+                let mut moves = std::mem::take(&mut worker.moves);
                 for (slot, st) in (first..).zip(states) {
-                    let end = step.group_ends[slot];
-                    if end > start && step.pending[slot] != step.epoch {
-                        let st = st.as_mut().expect("influence list in sync");
-                        worker.resolve(&step, st, &step.pairs[start..end]);
+                    let Some(st) = st.as_mut().filter(|_| pending[slot] != epoch) else {
+                        continue;
+                    };
+                    moves.clear();
+                    table.gather(&st.visit_list[..st.influence_len], &mut moves);
+                    if !moves.is_empty() {
+                        #[cfg(test)]
+                        worker.handed.push((st.id, moves.clone()));
+                        worker.resolve(&step, st, &moves);
                     }
-                    start = end;
                 }
+                worker.moves = moves;
             },
         );
         self.join();
@@ -673,7 +657,7 @@ impl CpmEngine {
     /// and join. Their outputs concatenate in `searches` order.
     fn search_all(&mut self, events: &[SpecEvent<AnyQuerySpec>]) {
         let n = self.searches.len();
-        let parts = (n * SEARCH_PAIRS / GRAIN_PAIRS).clamp(1, self.workers.len());
+        let parts = (n * SEARCH_QUERIES / GRAIN_QUERIES).clamp(1, self.workers.len());
         self.cuts.clear();
         self.cuts.extend((1..=parts).map(|w| n * w / parts));
         let (grid, epoch, collect_deltas) = (&self.grid, self.epoch, self.collect_deltas);
@@ -732,8 +716,8 @@ impl CpmEngine {
             }
             let expected = influence_prefix(&st.visit_list, st.best_dist());
             assert_eq!(st.influence_len, expected, "prefix mismatch for {qid}");
-            // A cell visited twice would be listed twice once the prefix
-            // reached it, and route every pair there twice.
+            // A cell visited twice would hand its moves to the query twice
+            // once the prefix reached it.
             let dim = self.grid.dim();
             let mut cells: Vec<u64> = st.visit_list.iter().map(|(c, _)| c.id(dim)).collect();
             cells.sort_unstable();
@@ -753,16 +737,6 @@ impl CpmEngine {
                 );
             }
             assert!(st.heap.boundary_boxes() <= 4);
-        }
-        let mut influence = InfluenceTable::new();
-        influence.rebuild(self.grid.dim(), registrations(&self.queries));
-        let installed = self.queries.iter().flatten();
-        let total: usize = installed.map(|st| st.influence_len).sum();
-        assert_eq!(influence.total_entries(), total);
-        let geom = self.grid.geom();
-        for cell in (0..geom.total_cells() as u64).map(|id| geom.cell_from_id(id)) {
-            let list = influence.queries_at(cell);
-            assert!(list.windows(2).all(|w| w[0] < w[1]), "{cell}: {list:?}");
         }
         assert!(self
             .free
@@ -846,8 +820,8 @@ mod tests {
         assert_eq!(m.query_count(), 11);
         m.check_invariants();
 
-        // The next route lists the reinstalled query at its recycled slot
-        // and no longer lists the terminated ones: one object cycle that
+        // The next cycle resolves the reinstalled query at its recycled
+        // slot and no longer the terminated ones: one object cycle that
         // pulls objects past every query leaves each result the brute
         // force one.
         let pulls: Vec<ObjectEvent> = (0..50u32)
@@ -879,65 +853,133 @@ mod tests {
         m.check_invariants();
     }
 
-    /// Resolve, the query events' searches and a re-grid split across
-    /// workers, and every influence list — order included — is the one
-    /// `T = 1` builds, alongside the changed lists and the counters.
+    /// The query-side join against the cell-side one it replaces: on a
+    /// random stream of moves, appears, disappears, query updates and a
+    /// re-grid, every query is handed exactly the moves a freshly built
+    /// [`cpm_grid::InfluenceTable`] routes to it — a departure iff its
+    /// record's old cell is influence-registered, an arrival iff the new
+    /// one is — as a multiset, and a query with a pending event or no
+    /// move is handed nothing. Resolve, the query events' searches and
+    /// the re-grid split across workers, and the changed lists and
+    /// counters are those of `T = 1`.
     #[test]
-    fn influence_lists_are_identical_across_thread_counts() {
-        let point = |i: u32, salt: u32| {
-            let t = f64::from(i.wrapping_mul(2_654_435_761) ^ salt);
-            Point::new((t * 0.000_37) % 1.0, (t * 0.000_61) % 1.0)
-        };
+    fn each_query_is_handed_the_moves_its_influence_lists_route() {
+        use cpm_grid::InfluenceTable;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        const OBJECTS: u32 = 3_000;
+        const QUERIES: u32 = 600;
+        let mut rng = StdRng::seed_from_u64(0x1F1E);
+        let mut point = || Point::new(rng.gen(), rng.gen());
         let knn = |p| AnyQuerySpec::Knn(PointQuery(p));
+        let appears: Vec<ObjectEvent> = (0..OBJECTS)
+            .map(|i| ObjectEvent::Appear {
+                id: ObjectId(i),
+                pos: point(),
+            })
+            .collect();
+        let installs: Vec<_> = (0..QUERIES)
+            .map(|i| SpecEvent::Install {
+                id: QueryId(i),
+                spec: knn(point()),
+                k: 1 + i as usize % 12,
+            })
+            .collect();
+        // Per cycle: every live object moves, disappears or stays, some
+        // off-line ones appear, and a quarter of the queries move.
+        let mut live = vec![true; OBJECTS as usize];
+        let mut stream = Vec::new();
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for cycle in 0..8u32 {
+            let mut objects = Vec::new();
+            for (i, alive) in live.iter_mut().enumerate() {
+                let id = ObjectId(i as u32);
+                let roll = rng.gen_range(0..10);
+                match (*alive, roll) {
+                    (true, 0) => {
+                        *alive = false;
+                        objects.push(ObjectEvent::Disappear { id });
+                    }
+                    (true, 1..=5) => objects.push(ObjectEvent::Move {
+                        id,
+                        to: Point::new(rng.gen(), rng.gen()),
+                    }),
+                    (false, 0..=4) => {
+                        *alive = true;
+                        objects.push(ObjectEvent::Appear {
+                            id,
+                            pos: Point::new(rng.gen(), rng.gen()),
+                        });
+                    }
+                    _ => {}
+                }
+            }
+            let queries: Vec<_> = (0..QUERIES)
+                .filter(|i| (i + cycle) % 4 == 0)
+                .map(|i| SpecEvent::Update {
+                    id: QueryId(i),
+                    spec: knn(Point::new(rng.gen(), rng.gen())),
+                })
+                .collect();
+            stream.push((objects, queries));
+        }
+
         let runs = [1, 2, 4].map(|threads| {
             let grid = cpm_grid::GridBuilder::new(32).build_uniform();
             let mut m = CpmEngine::with_grid(grid, NonZeroUsize::new(threads).unwrap());
-            let appears: Vec<ObjectEvent> = (0..3_000u32)
-                .map(|i| ObjectEvent::Appear {
-                    id: ObjectId(i),
-                    pos: point(i, 0),
-                })
-                .collect();
             m.populate(&appears);
-            let installs: Vec<_> = (0..600u32)
-                .map(|i| SpecEvent::Install {
-                    id: QueryId(i),
-                    spec: knn(point(i, 7)),
-                    k: 8,
-                })
-                .collect();
             let mut seen = vec![m.process_cycle(&[], &installs)];
-            for cycle in 1..6u32 {
+            for (cycle, (objects, queries)) in stream.iter().enumerate() {
                 if cycle == 3 {
                     m.regrid_to(48).unwrap();
                 }
-                let moves: Vec<_> = (0..3_000u32)
-                    .filter(|i| (i + cycle) % 3 != 0)
-                    .map(|i| ObjectEvent::Move {
-                        id: ObjectId(i),
-                        to: point(i, cycle),
-                    })
-                    .collect();
-                let updates: Vec<_> = (0..600u32)
-                    .filter(|i| (i + cycle) % 4 == 0)
-                    .map(|i| SpecEvent::Update {
-                        id: QueryId(i),
-                        spec: knn(point(i, 100 + cycle)),
-                    })
-                    .collect();
-                seen.push(m.process_cycle(&moves, &updates));
+                // The reference: every query without a pending event,
+                // listed at its influence cells.
+                let moving: Vec<QueryId> = queries.iter().map(SpecEvent::id).collect();
+                let registrations = m.queries.iter().flatten().flat_map(|st| {
+                    let prefix = &st.visit_list[..st.influence_len];
+                    let listed = !moving.contains(&st.id);
+                    prefix
+                        .iter()
+                        .filter(move |_| listed)
+                        .map(|&(c, _)| (c, st.id))
+                });
+                let mut lists = InfluenceTable::new();
+                lists.rebuild(m.grid().dim(), registrations);
+                for worker in &mut m.workers {
+                    worker.handed.clear();
+                }
+
+                seen.push(m.process_cycle(objects, queries));
                 m.check_invariants();
+
+                let mut routed: BTreeMap<QueryId, Vec<u32>> = BTreeMap::new();
+                for (i, rec) in (0..).zip(&m.records) {
+                    let ends = [(rec.old_cell, i << 1), (rec.new_cell, i << 1 | 1)];
+                    for (cell, entry) in ends {
+                        for &q in cell.map_or(&[][..], |c| lists.queries_at(c)) {
+                            routed.entry(q).or_default().push(entry);
+                        }
+                    }
+                }
+                let mut handed = BTreeMap::new();
+                for worker in &mut m.workers {
+                    for (q, moves) in worker.handed.drain(..) {
+                        assert!(handed.insert(q, moves).is_none(), "{q} resolved twice");
+                    }
+                }
+                for moves in routed.values_mut().chain(handed.values_mut()) {
+                    moves.sort_unstable();
+                }
+                assert!(
+                    routed.len() > QUERIES as usize / 2,
+                    "cycle {cycle}: too few routed"
+                );
+                assert_eq!(handed, routed, "cycle {cycle}, T = {threads}");
             }
-            m.rebuild_influence();
-            let dim = m.grid().dim();
-            let lists: Vec<Vec<u32>> = (0..dim)
-                .flat_map(|r| (0..dim).map(move |c| CellCoord::new(c, r)))
-                .map(|cell| m.influence.queries_at(cell).to_vec())
-                .collect();
-            for list in &lists {
-                assert!(list.windows(2).all(|w| w[0] < w[1]), "{list:?} by slot");
-            }
-            (seen, m.metrics(), lists)
+            (seen, m.metrics())
         });
         assert_eq!(runs[0], runs[1], "T = 2");
         assert_eq!(runs[0], runs[2], "T = 4");

@@ -107,10 +107,10 @@ impl QueryEvent {
 /// Records are produced by [`apply_events`] during the ingest phase of a
 /// processing cycle and then consumed read-only by the per-query
 /// maintenance path — possibly from several worker threads at once. Each
-/// consumer derives its own view of the batch by probing its
-/// [`crate::InfluenceTable`] at [`UpdateRecord::old_cell`] /
-/// [`UpdateRecord::new_cell`]; records that touch no influenced cell are
-/// skipped for free.
+/// consumer derives its own view of the batch through
+/// [`UpdateRecord::old_cell`] / [`UpdateRecord::new_cell`]: SEA-CNN
+/// probes its [`crate::InfluenceTable`] there, and the CPM engine sorts
+/// the records by those cells once so each query reads its own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateRecord {
     /// The updated object.

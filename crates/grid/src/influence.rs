@@ -7,9 +7,11 @@
 //! answer-region variant) ignore irrelevant updates entirely.
 //!
 //! The lists are a function of the query states: each query registers
-//! the cells of its own influence region (CPM: the prefix of its visit
-//! list within `best_dist`; SEA-CNN: its marked cells). So the table
-//! keeps no history of its own. Its owner rebuilds it from the states
+//! the cells of its own influence region (SEA-CNN: its marked cells). So
+//! the table keeps no history of its own. The CPM engine evaluates the
+//! same lists from the query side instead — each query reads the moves
+//! of its own influence cells — and its tests use this table as the
+//! reference join. Its owner rebuilds it from the states
 //! before each pass that reads it, by the counting sort the object
 //! index uses ([`crate::CellIndex`]): one start offset per cell plus one
 //! at the end, and the registered queries in one array ordered by cell.
@@ -26,30 +28,28 @@ use crate::CellCoord;
 /// A table mapping grid cells to the list of queries whose influence
 /// region covers them, in the compressed-sparse-row layout.
 ///
-/// Kept outside [`crate::Grid`] so that independent monitors (k-NN,
-/// aggregate-NN, constrained-NN, SEA-CNN) can each keep their own lists
-/// over one shared object index. `Q` is how the owner names a query
-/// in the lists: its [`QueryId`] by default, or any small `Copy` handle
-/// (the CPM engine registers its dense query-table slots).
+/// Kept outside [`crate::Grid`] so that a monitor keeps its own lists
+/// over the shared object index: SEA-CNN's answer regions, and the
+/// reference join the CPM engine's query-side reads are tested against.
 #[derive(Debug, Clone)]
-pub struct InfluenceTable<Q = QueryId> {
+pub struct InfluenceTable {
     dim: u32,
     /// `dim² + 1` offsets into `items`: cell `c`'s list is
     /// `items[starts[c]..starts[c + 1]]`.
     starts: Vec<u32>,
-    items: Vec<Q>,
+    items: Vec<QueryId>,
     /// Rebuild scratch: every registration's packed cell id and query,
     /// in the order they were given.
-    pairs: Vec<(u32, Q)>,
+    pairs: Vec<(u32, QueryId)>,
 }
 
-impl<Q: Copy> Default for InfluenceTable<Q> {
+impl Default for InfluenceTable {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<Q: Copy> InfluenceTable<Q> {
+impl InfluenceTable {
     /// An empty table over no cells; [`InfluenceTable::rebuild`] sizes
     /// it.
     pub fn new() -> Self {
@@ -84,7 +84,11 @@ impl<Q: Copy> InfluenceTable<Q> {
     ///
     /// # Panics
     /// Panics if a cell lies outside the grid.
-    pub fn rebuild(&mut self, dim: u32, registrations: impl IntoIterator<Item = (CellCoord, Q)>) {
+    pub fn rebuild(
+        &mut self,
+        dim: u32,
+        registrations: impl IntoIterator<Item = (CellCoord, QueryId)>,
+    ) {
         if dim != self.dim {
             self.dim = dim;
             // A table of the new size, so a coarser grid does not keep a
@@ -129,7 +133,7 @@ impl<Q: Copy> InfluenceTable<Q> {
     /// # Panics
     /// Panics if `cell` lies outside the grid of the last rebuild.
     #[inline]
-    pub fn queries_at(&self, cell: CellCoord) -> &[Q] {
+    pub fn queries_at(&self, cell: CellCoord) -> &[QueryId] {
         let id = cell.id(self.dim) as usize;
         &self.items[self.starts[id] as usize..self.starts[id + 1] as usize]
     }

@@ -39,12 +39,12 @@
 //! dimension ([`GridGeom::check_dim`]) at build time.
 //!
 //! Query-side book-keeping (the per-cell *influence lists*) lives in
-//! [`InfluenceTable`], kept separate from the grid so that several monitors
-//! (k-NN, aggregate-NN, constrained) can share one object index while each
-//! keeps its own influence information. It is the index's layout on the
-//! query side — one offset per cell over one array of query handles —
-//! and is rebuilt the same way, by one counting sort, from the
-//! registrations the monitor's query states name.
+//! [`InfluenceTable`], kept separate from the grid so that a monitor
+//! (SEA-CNN's answer regions) keeps its own influence information over
+//! the shared object index. It is the index's layout on the query side —
+//! one offset per cell over one array of query ids — and is rebuilt the
+//! same way, by one counting sort, from the registrations the monitor's
+//! query states name.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -643,6 +643,87 @@ fn server_refuses_non_finite_query_geometry_typed() {
     durable.server().check_invariants();
 }
 
+/// Every query input the direct calls refuse, on a server holding a
+/// k-NN query 0, a reverse-NN registration 1 and a range query 2: the
+/// direct call (`install_spec`, `update_spec`, `terminate`) and the same
+/// input as a one-event batch return the same [`CpmError`] — one answer
+/// per input — and neither changes anything.
+#[test]
+fn direct_calls_and_one_event_batches_refuse_alike_typed() {
+    let mut s = small_server();
+    let _ = s.install_rnn(QueryId(1), Point::new(0.3, 0.6)).unwrap();
+    let whole = cpm_suite::geom::Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
+    let _ = s
+        .install_spec(QueryId(2), RangeQuery::rect(whole), 1)
+        .unwrap();
+    let p = Point::new(0.3, 0.5);
+    let knn = AnyQuerySpec::Knn(PointQuery(p));
+    let sector = AnyQuerySpec::Rnn(RnnQuery::new(p, 0));
+    let nan = AnyQuerySpec::Knn(PointQuery(Point::new(f64::NAN, 0.5)));
+    let install = |id, spec: &AnyQuerySpec, k| SpecEvent::Install {
+        id: QueryId(id),
+        spec: spec.clone(),
+        k,
+    };
+    let update = |id, spec: &AnyQuerySpec| SpecEvent::Update {
+        id: QueryId(id),
+        spec: spec.clone(),
+    };
+    let inputs = [
+        ("install of a reserved id", install(1 << 31, &knn, 1)),
+        ("install of an installed id", install(0, &knn, 1)),
+        (
+            "install of a reverse-NN registration's id",
+            install(1, &knn, 1),
+        ),
+        ("install with k = 0", install(5, &knn, 0)),
+        ("install at a NaN point", install(5, &nan, 1)),
+        (
+            "install of a reverse-NN sector spec",
+            install(5, &sector, 1),
+        ),
+        ("update of an unknown query", update(9, &knn)),
+        (
+            "update of a k-NN query with a range spec",
+            update(0, &RangeQuery::rect(whole).into()),
+        ),
+        ("update of a range query with a k-NN spec", update(2, &knn)),
+        (
+            "update of a k-NN query with a sector spec",
+            update(0, &sector),
+        ),
+        ("update of a reverse-NN registration", update(1, &knn)),
+        (
+            "update of a reverse-NN registration with a sector",
+            update(1, &sector),
+        ),
+        ("update to a NaN point", update(0, &nan)),
+        (
+            "terminate of an unknown query",
+            SpecEvent::Terminate { id: QueryId(9) },
+        ),
+    ];
+    let before: Vec<_> = [0, 2]
+        .map(|id| s.result(QueryId(id)).unwrap().to_vec())
+        .into();
+    for (what, ev) in inputs {
+        let direct = match ev.clone() {
+            SpecEvent::Install { id, spec, k } => s.install_spec(id, spec, k).map(drop),
+            SpecEvent::Update { id, spec } => s.update_spec(id, spec).map(drop),
+            SpecEvent::Terminate { id } => s.terminate(id),
+        };
+        let direct = direct.expect_err(what);
+        let batched = s.process_cycle(&[], &[ev]).expect_err(what);
+        assert_eq!(direct, batched, "{what}");
+    }
+    let after: Vec<_> = [0, 2]
+        .map(|id| s.result(QueryId(id)).unwrap().to_vec())
+        .into();
+    assert_eq!((s.epoch(), s.query_count()), (0, 3));
+    assert_eq!(after, before);
+    s.check_invariants();
+}
+
 /// A cluster configuration that cannot be partitioned — fewer grid
 /// columns than workers, no worker, a grid past the dimension ceiling —
 /// is refused typed by every setup call, before a worker thread starts

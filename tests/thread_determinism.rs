@@ -7,9 +7,9 @@
 //! fall under the engine's inline grain: they pin the one code path at
 //! every `T` against brute force. The last test is sized so that resolve,
 //! the query events and the re-grids really split, and compares the
-//! servers' every output and every query's book-keeping directly. The
-//! order inside each cell's influence list is engine-internal; the
-//! engine's own unit test compares it across thread counts.
+//! servers' every output and every query's book-keeping directly. Which
+//! moves each query is handed is engine-internal; the engine's own unit
+//! test checks them against a brute-force join at every thread count.
 
 mod common;
 
@@ -128,15 +128,16 @@ fn random_streams_with_churn_are_thread_invariant() {
 type Batch = (Vec<ObjectEvent>, Vec<SpecEvent<AnyQuerySpec>>);
 
 /// A stream large enough that every parallel step splits — resolve holds
-/// thousands of pairs per cycle, installs and re-grids hundreds of
+/// hundreds of queries per cycle, installs and re-grids hundreds of
 /// searches — walking through what a split can get wrong:
 ///
 /// * installs, updates and terminates in one batch, a terminate's slot
 ///   reused by an install later in the same batch;
 /// * a population swing the auto re-grid policy acts on, in both
 ///   directions;
-/// * cycles whose pairs all fall on one slot (one whole-workspace range
-///   query is left), then on two (fewer affected queries than threads);
+/// * cycles whose moves all fall on one query (one whole-workspace range
+///   query is left), then on two — fewer queries than threads, and
+///   than the resolve grain;
 /// * a cycle below the inline grain.
 fn split_stream(seed: u64) -> Vec<Batch> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -238,7 +239,7 @@ fn split_stream(seed: u64) -> Vec<Batch> {
         stream.push((moves(&live, 0.2, &mut point, &mut coin), Vec::new()));
     }
 
-    // Only the whole-workspace range query is left: every pair is its.
+    // Only the whole-workspace range query is left: every move is its.
     let terminates = queries
         .drain(..)
         .map(|q| SpecEvent::Terminate { id: QueryId(q) });
