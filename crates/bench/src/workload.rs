@@ -216,11 +216,6 @@ impl DriftBench {
         }
     }
 
-    /// Peak object population.
-    pub fn n_peak(&self) -> usize {
-        (self.n_base as f64 * self.peak_factor) as usize
-    }
-
     /// The (power-of-two) resolution a capacity plan provisions for
     /// `n_objects`: [`CostModel::optimal_dim`] of Section 4.1.
     pub fn provisioned_dim(&self, n_objects: usize) -> u32 {

@@ -18,9 +18,7 @@
 
 use std::num::NonZeroUsize;
 
-use cpm_core::{
-    AnyQuerySpec, BatchRules, CpmError, CpmServer, CpmServerBuilder, CycleDeltas, SpecEvent,
-};
+use cpm_core::{AnyQuerySpec, CpmError, CpmServer, CpmServerBuilder, CycleDeltas, SpecEvent};
 use cpm_grid::{GridGeom, ObjectEvent};
 use cpm_wire::cluster::{deltas_frame_into, BatchRef, ClusterMsg, ClusterReject, TileRect};
 use cpm_wire::{Decode, WIRE_VERSION};
@@ -178,10 +176,11 @@ impl ClusterWorker {
         }
     }
 
-    /// Between-cycles query maintenance (no epoch advance): the whole
-    /// sub-batch is checked — the tile rule, then the single node's batch
-    /// rules — before its installs, updates and terminations are applied
-    /// through the typed server surface, so a refusal changes nothing.
+    /// Between-cycles query maintenance (no epoch advance): the tile rule,
+    /// then the server's own between-cycles batch
+    /// ([`CpmServer::install`]), which checks the whole sub-batch before
+    /// anything changes, so a refused batch changes nothing; the
+    /// influence certificate is checked once the batch is applied.
     fn handle_install(&mut self, payload: &[u8]) -> ClusterMsg {
         let events = match Vec::<SpecEvent<AnyQuerySpec>>::decode_all(payload) {
             Ok(v) => v,
@@ -194,25 +193,10 @@ impl ClusterWorker {
         if let Err(r) = self.check_query_events(&events) {
             return self.reject(r);
         }
-        let server = &self.server;
-        if let Err(e) = BatchRules::default().check_queries(&events, |id| server.kind_of(id)) {
+        if let Err(e) = self.server.install(&events) {
             return self.reject(ClusterReject::Engine {
                 detail: e.to_string(),
             });
-        }
-        for ev in events {
-            let applied = match ev {
-                SpecEvent::Install { id, spec, k } => {
-                    self.server.install_spec(id, spec, k).map(|_| ())
-                }
-                SpecEvent::Update { id, spec } => self.server.update_spec(id, spec).map(|_| ()),
-                SpecEvent::Terminate { id } => self.server.terminate(id),
-            };
-            if let Err(e) = applied {
-                return self.reject(ClusterReject::Engine {
-                    detail: e.to_string(),
-                });
-            }
         }
         if let Some(qid) = self.certificate_violation() {
             return self.reject(ClusterReject::CoverageExceeded {

@@ -341,7 +341,7 @@ impl Worker {
 
     /// Search `st` from scratch, a new query as far as its book-keeping
     /// goes (a moving query is a new one, Section 3.3).
-    pub(crate) fn compute_from_scratch(&mut self, grid: &Grid, st: &mut SpecQueryState) {
+    fn compute_from_scratch(&mut self, grid: &Grid, st: &mut SpecQueryState) {
         let metrics = &mut self.metrics;
         let counters_before = metrics.query_counters();
         st.best.clear();

@@ -142,10 +142,10 @@ impl BatchRules {
         Ok(())
     }
 
-    /// The install rule of the direct and the batched surface alike:
-    /// installing `spec` as `id` with `k`, where `installed` is what `id`
-    /// holds now. A range install's `k` is ignored ([`install_k`]).
-    pub(crate) fn check_install(
+    /// The install rule: installing `spec` as `id` with `k`, where
+    /// `installed` is what `id` holds now. A range install's `k` is
+    /// ignored ([`install_k`]).
+    fn check_install(
         installed: Option<QueryKind>,
         id: QueryId,
         spec: &AnyQuerySpec,
@@ -178,18 +178,13 @@ impl BatchRules {
     }
 
     /// The update rule: `spec` may replace the geometry of `id`, installed
-    /// as `installed`. A reverse-NN registration is tested first, as
-    /// [`BatchRules::check_queries`] does, so the direct call and the
-    /// batch give one answer.
-    pub(crate) fn check_update(
+    /// as `installed` — not a reverse-NN registration, which
+    /// [`BatchRules::check_queries`] refuses first.
+    fn check_update(
         installed: Option<QueryKind>,
         id: QueryId,
         spec: &AnyQuerySpec,
     ) -> Result<(), CpmError> {
-        if installed == Some(QueryKind::Rnn) {
-            // A composite registration moves through `update_rnn`.
-            return Err(CpmError::CompositeQuery(id));
-        }
         Self::check_kind(installed, id, spec.kind())?;
         if spec.kind() == QueryKind::Rnn {
             // A bare sector spec can never address a composite

@@ -22,13 +22,16 @@
 //! A query is addressed by its [`QueryId`] alone and described by any
 //! geometry that converts into an [`AnyQuerySpec`] — the same shape the
 //! batched [`SpecEvent`]s, the cluster worker and the subscription
-//! fan-out carry. Five calls manage queries:
-//! [`CpmServer::install_spec`], [`CpmServer::update_spec`],
-//! [`CpmServer::install_rnn`], [`CpmServer::update_rnn`] and
-//! [`CpmServer::terminate`]. An update whose spec is of another kind than
-//! the installed query is a [`CpmError::KindMismatch`], and a geometry
-//! with a NaN or infinite coordinate is a [`CpmError::NonFiniteQuery`],
-//! both before any state changes.
+//! fan-out carry. A query changes one way: by a batch of [`SpecEvent`]s,
+//! checked by the [`BatchRules`] and applied by the cycle's query-event
+//! step, either inside a cycle ([`CpmServer::process_cycle`]) or between
+//! cycles ([`CpmServer::install`], the same step with no ingest and no
+//! epoch advance). [`CpmServer::install_spec`],
+//! [`CpmServer::update_spec`] and [`CpmServer::terminate`] are its
+//! one-event forms. An update whose spec is of another kind than the
+//! installed query is a [`CpmError::KindMismatch`], and a geometry with
+//! a NaN or infinite coordinate is a [`CpmError::NonFiniteQuery`], both
+//! before any state changes.
 //!
 //! # Reverse-NN composition
 //!
@@ -39,8 +42,10 @@
 //! owns that composition; internal ids never appear in changed lists,
 //! deltas, or results. RNN registrations are managed through direct calls
 //! ([`CpmServer::install_rnn`], [`CpmServer::update_rnn`],
-//! [`CpmServer::terminate`]); the batched query-event path addresses the
-//! single-spec kinds.
+//! [`CpmServer::terminate`]), which check the registration themselves —
+//! the [`BatchRules`] refuse ids in the reserved band — and hand its six
+//! sector events to the same query-event step as one batch; the batched
+//! query events address the single-spec kinds.
 //!
 //! [`cpm_grid::apply_events`]: cpm_grid::apply_events
 
@@ -438,10 +443,29 @@ impl CpmServer {
 
     // ---- the query surface ----
 
+    /// Apply a batch of query events between cycles — the between-cycles
+    /// twin of a cycle's query events, and of the cluster coordinator's
+    /// `install`. The batch is checked with the [`BatchRules`], then the
+    /// cycle's query-event step runs alone: no object is ingested, no
+    /// query resolved and the epoch stays. Installed and updated queries
+    /// are searched from scratch on the server's threads; their results
+    /// ride no changed list or delta. On `Err` nothing changed.
+    ///
+    /// # Errors
+    /// As the query-event batch of [`CpmServer::process_cycle`].
+    pub fn install(&mut self, events: &[SpecEvent<AnyQuerySpec>]) -> Result<(), CpmError> {
+        let kinds = &self.kinds;
+        self.rules
+            .check_queries(events, |id| kinds.get(&id).copied())?;
+        self.engine.change_queries(events);
+        self.apply_registry(events);
+        Ok(())
+    }
+
     /// Install query `id` of any single-spec kind — a [`crate::PointQuery`]
     /// (k-NN), [`RangeQuery`], [`crate::AnnQuery`] or
     /// [`crate::ConstrainedQuery`], or an [`AnyQuerySpec`] holding one —
-    /// the direct twin of a batched [`SpecEvent::Install`]. A range
+    /// [`CpmServer::install`] of one [`SpecEvent::Install`]. A range
     /// install has `k` normalized to [`RangeQuery::UNBOUNDED_K`]. Returns
     /// the freshly computed result.
     ///
@@ -457,9 +481,8 @@ impl CpmServer {
         k: usize,
     ) -> Result<&[Neighbor], CpmError> {
         let spec = spec.into();
-        BatchRules::check_install(self.kind_of(id), id, &spec, k)?;
-        self.kinds.insert(id, spec.kind());
-        Ok(self.engine.install(id, spec, k))
+        self.install(&[SpecEvent::Install { id, spec, k }])?;
+        Ok(self.engine.result(id).unwrap_or_default())
     }
 
     /// Install a continuous reverse-NN query at `pos`: six sector
@@ -478,10 +501,11 @@ impl CpmServer {
         if !pos.is_finite() {
             return Err(CpmError::NonFiniteQuery(id));
         }
-        for sector in 0..SECTORS {
-            let spec = AnyQuerySpec::Rnn(RnnQuery::new(pos, sector));
-            self.engine.install(Self::sector_id(id, sector), spec, 1);
-        }
+        self.change_sectors(id, |id, sector| SpecEvent::Install {
+            id,
+            spec: AnyQuerySpec::Rnn(RnnQuery::new(pos, sector)),
+            k: 1,
+        });
         let result = Self::verify_rnn(&self.engine, &mut self.verify_metrics, id);
         self.kinds.insert(id, QueryKind::Rnn);
         Ok(&self
@@ -492,7 +516,8 @@ impl CpmServer {
     }
 
     /// Replace the geometry of (non-RNN) query `id` with a spec of the
-    /// *same kind*; returns the recomputed result.
+    /// *same kind* — [`CpmServer::install`] of one [`SpecEvent::Update`];
+    /// returns the recomputed result.
     ///
     /// # Errors
     /// [`CpmError::UnknownQuery`]; [`CpmError::CompositeQuery`] when `id`
@@ -506,8 +531,8 @@ impl CpmServer {
         spec: impl Into<AnyQuerySpec>,
     ) -> Result<&[Neighbor], CpmError> {
         let spec = spec.into();
-        BatchRules::check_update(self.kind_of(id), id, &spec)?;
-        Ok(self.engine.update_spec(id, spec))
+        self.install(&[SpecEvent::Update { id, spec }])?;
+        Ok(self.engine.result(id).unwrap_or_default())
     }
 
     /// Move reverse-NN query `id` to `pos`; returns the re-verified RNN
@@ -521,10 +546,10 @@ impl CpmServer {
         if !pos.is_finite() {
             return Err(CpmError::NonFiniteQuery(id));
         }
-        for sector in 0..SECTORS {
-            let spec = AnyQuerySpec::Rnn(RnnQuery::new(pos, sector));
-            self.engine.update_spec(Self::sector_id(id, sector), spec);
-        }
+        self.change_sectors(id, |id, sector| SpecEvent::Update {
+            id,
+            spec: AnyQuerySpec::Rnn(RnnQuery::new(pos, sector)),
+        });
         let result = Self::verify_rnn(&self.engine, &mut self.verify_metrics, id);
         let st = self.rnn.get_mut(&id).expect("kind-checked RNN state");
         st.q = pos;
@@ -532,27 +557,34 @@ impl CpmServer {
         Ok(&st.result)
     }
 
-    /// Terminate query `id`, of any kind.
+    /// Terminate query `id`, of any kind: a single-spec query by
+    /// [`CpmServer::install`] of one [`SpecEvent::Terminate`].
     ///
     /// # Errors
     /// [`CpmError::UnknownQuery`] if `id` is not installed.
     pub fn terminate(&mut self, id: QueryId) -> Result<(), CpmError> {
-        match self.kinds.get(&id) {
-            None => Err(CpmError::UnknownQuery(id)),
-            Some(QueryKind::Rnn) => {
-                for sector in 0..SECTORS {
-                    self.engine.terminate(Self::sector_id(id, sector));
-                }
-                self.rnn.remove(&id);
-                self.kinds.remove(&id);
-                Ok(())
-            }
-            Some(_) => {
-                self.engine.terminate(id);
-                self.kinds.remove(&id);
-                Ok(())
-            }
+        if self.kind_of(id) != Some(QueryKind::Rnn) {
+            return self.install(&[SpecEvent::Terminate { id }]);
         }
+        self.change_sectors(id, |id, _| SpecEvent::Terminate { id });
+        self.rnn.remove(&id);
+        self.kinds.remove(&id);
+        Ok(())
+    }
+
+    /// Hand the six sector queries of reverse-NN registration `id` to the
+    /// engine as one between-cycles batch, `event(sector id, sector)`
+    /// each. The caller has checked the registration: sector ids lie in
+    /// the reserved band, which the [`BatchRules`] refuse.
+    fn change_sectors(
+        &mut self,
+        id: QueryId,
+        event: impl Fn(QueryId, u32) -> SpecEvent<AnyQuerySpec>,
+    ) {
+        let events: Vec<_> = (0..SECTORS)
+            .map(|sector| event(Self::sector_id(id, sector), sector))
+            .collect();
+        self.engine.change_queries(&events);
     }
 
     // ---- cycles ----

@@ -27,7 +27,10 @@
 //!    and updates then run on the `T` workers. A batch names each query
 //!    at most once, so no search waits on another.
 //!
-//! A re-grid's re-registration of every query is parallel the same way.
+//! Step 4 also runs alone between cycles ([`CpmEngine::change_queries`]):
+//! it is how the server's direct calls and snapshot restore change
+//! queries. A re-grid's re-registration of every query is parallel the
+//! same way.
 //! Workers are the calling thread plus `T − 1` `std::thread::scope`
 //! threads, spawned only when a step holds enough work to pay for them.
 //! Each worker owns its part of the query table and its own counters,
@@ -430,18 +433,8 @@ impl CpmEngine {
             .unwrap_or_else(|| panic!("query {id} is not installed"))
     }
 
-    /// Install a new query (`id` not installed, `k ≥ 1`) and compute its
-    /// initial result.
-    pub(crate) fn install(&mut self, id: QueryId, spec: AnyQuerySpec, k: usize) -> &[Neighbor] {
-        let mut st = self.vacant_state(id, spec, k);
-        self.workers[0].compute_from_scratch(&self.grid, &mut st);
-        self.join();
-        let slot = st.slot as usize;
-        self.queries[slot].insert(st).result()
-    }
-
     /// Terminate installed query `id`.
-    pub(crate) fn terminate(&mut self, id: QueryId) {
+    fn terminate(&mut self, id: QueryId) {
         let slot = self
             .slot_of
             .remove(&id)
@@ -450,15 +443,16 @@ impl CpmEngine {
         self.free.push(slot);
     }
 
-    /// Replace the geometry of installed query `id` (terminate +
-    /// reinstall, as in Section 3.3), between cycles.
-    pub(crate) fn update_spec(&mut self, id: QueryId, spec: AnyQuerySpec) -> &[Neighbor] {
-        let slot = self.slot(id) as usize;
-        let st = self.queries[slot].as_mut().expect("mapped slot");
-        st.spec = spec;
-        self.workers[0].compute_from_scratch(&self.grid, st);
-        self.join();
-        self.queries[slot].as_ref().expect("mapped slot").result()
+    /// Apply a checked query-event batch between cycles: the cycle's
+    /// query-event step alone, with no ingest, no resolve and no epoch
+    /// advance. A change between cycles rides no changed list or delta,
+    /// so what the searches reported is dropped; the caller reads the
+    /// results.
+    pub(crate) fn change_queries(&mut self, events: &[SpecEvent<AnyQuerySpec>]) {
+        self.apply_query_events(events);
+        let caller = &mut self.workers[0];
+        caller.changed.clear();
+        caller.deltas.clear();
     }
 
     /// Snapshot of the work counters accumulated since the last
@@ -553,6 +547,10 @@ impl CpmEngine {
         changed: &mut Vec<QueryId>,
         deltas: &mut Vec<(QueryId, NeighborDelta)>,
     ) {
+        debug_assert!(
+            (self.workers.iter()).all(|w| w.changed.is_empty() && w.deltas.is_empty()),
+            "worker outputs left over from between cycles"
+        );
         // Phase 0: adaptive re-grid at the cycle boundary.
         self.maybe_auto_regrid(object_events.len(), query_events.len());
 

@@ -33,7 +33,7 @@
 
 use std::num::NonZeroUsize;
 
-use cpm_geom::{ObjectId, Point, QueryId};
+use cpm_geom::{FastHashSet, ObjectId, Point, QueryId};
 use cpm_grid::{GridGeom, Metrics, ObjectEvent, QueryKind};
 use cpm_wire::{
     decode_framed, encode_framed, put_index_tag, take_index_tag, Decode, Encode, Journal, Reader,
@@ -105,10 +105,10 @@ impl EngineSnapshot {
     }
 
     /// Rebuild an engine from this snapshot: rebuild the grid at the
-    /// recorded resolution, populate it, then re-register every query
-    /// from scratch in ascending id order (the re-grid discipline, so the
-    /// result is bit-identical to the captured engine), then restore
-    /// counters and the epoch.
+    /// recorded resolution, populate it, then install every query as one
+    /// between-cycles batch in table order — ascending id, the order a
+    /// re-grid re-registers them in, so the result is bit-identical to
+    /// the captured engine — then restore counters and the epoch.
     ///
     /// # Errors
     /// [`CpmError::CapturedResultMismatch`] if a recomputed result is not
@@ -132,14 +132,25 @@ impl EngineSnapshot {
             .map(|&(id, pos)| ObjectEvent::Appear { id, pos })
             .collect();
         engine.populate(&appears);
-        for (id, spec, k, captured) in &self.queries {
-            if *k == 0 {
-                return Err(CpmError::InvalidK(*id));
+        let mut seen = FastHashSet::default();
+        for &(id, _, k, _) in &self.queries {
+            if k == 0 {
+                return Err(CpmError::InvalidK(id));
             }
-            if engine.query_state(*id).is_some() {
-                return Err(CpmError::DuplicateQuery(*id));
+            if !seen.insert(id) {
+                return Err(CpmError::DuplicateQuery(id));
             }
-            if engine.install(*id, spec.clone(), *k) != &captured[..] {
+        }
+        let installs: Vec<_> = (self.queries.iter())
+            .map(|(id, spec, k, _)| SpecEvent::Install {
+                id: *id,
+                spec: spec.clone(),
+                k: *k,
+            })
+            .collect();
+        engine.change_queries(&installs);
+        for (id, _, _, captured) in &self.queries {
+            if engine.result(*id) != Some(&captured[..]) {
                 return Err(CpmError::CapturedResultMismatch(*id));
             }
         }
@@ -344,11 +355,6 @@ impl Snapshot {
         if self.watermark == u64::MAX {
             return Err(invalid("watermark leaves no next journal sequence number"));
         }
-        let mut engine_kinds: std::collections::BTreeMap<QueryId, QueryKind> =
-            std::collections::BTreeMap::new();
-        for (id, spec, _, _) in &self.engine.queries {
-            engine_kinds.insert(*id, spec.kind());
-        }
         for w in self.kinds.windows(2) {
             if w[0].0 >= w[1].0 {
                 return Err(invalid("kind registry not strictly ascending by id"));
@@ -359,31 +365,29 @@ impl Snapshot {
                 return Err(invalid("RNN registry not strictly ascending by id"));
             }
         }
+        // Decode has proven the query table strictly ascending by id too,
+        // so every lookup below is a binary search: one pass in all.
+        let queries = &self.engine.queries;
+        let spec_of = |id: QueryId| {
+            let at = queries.binary_search_by_key(&id, |(qid, ..)| *qid);
+            at.ok().map(|i| &queries[i].1)
+        };
         let mut expected_engine = 0usize;
         for &(id, kind) in &self.kinds {
             if id.0 >= RESERVED_ID_BASE {
                 return Err(invalid("user query id in the reserved band"));
             }
             if kind == QueryKind::Rnn {
-                let st = self
-                    .rnn
-                    .iter()
-                    .find(|&&(rid, _, _)| rid == id)
-                    .ok_or_else(|| invalid("RNN registration without composition state"))?;
+                let st = (self.rnn.binary_search_by_key(&id, |&(rid, _, _)| rid))
+                    .map(|i| &self.rnn[i])
+                    .map_err(|_| invalid("RNN registration without composition state"))?;
                 for sector in 0..SECTORS {
                     let sid = CpmServer::sector_id(id, sector);
-                    match engine_kinds.get(&sid) {
-                        Some(QueryKind::Rnn) => {}
-                        _ => return Err(invalid("RNN registration missing a sector candidate")),
-                    }
+                    let Some(spec) = spec_of(sid).filter(|s| s.kind() == QueryKind::Rnn) else {
+                        return Err(invalid("RNN registration missing a sector candidate"));
+                    };
                     // The sector spec must agree with the registration's
                     // query point and its own sector index.
-                    let (_, spec, _, _) = self
-                        .engine
-                        .queries
-                        .iter()
-                        .find(|(qid, _, _, _)| *qid == sid)
-                        .expect("sector id present in engine_kinds");
                     match spec.as_rnn() {
                         Some(rq)
                             if rq.sector() == sector
@@ -394,8 +398,8 @@ impl Snapshot {
                 }
                 expected_engine += SECTORS as usize;
             } else {
-                match engine_kinds.get(&id) {
-                    Some(&ek) if ek == kind => {}
+                match spec_of(id).map(QuerySpec::kind) {
+                    Some(ek) if ek == kind => {}
                     Some(_) => return Err(invalid("registry kind disagrees with the query spec")),
                     None => return Err(invalid("registered query missing from the engine")),
                 }
@@ -716,12 +720,6 @@ impl DurableCpmServer {
     #[must_use]
     pub fn server(&self) -> &CpmServer {
         &self.server
-    }
-
-    /// Unwrap, discarding the durability state.
-    #[must_use]
-    pub fn into_inner(self) -> CpmServer {
-        self.server
     }
 
     /// The latest checkpoint's snapshot frame — what would live on stable

@@ -7,16 +7,11 @@
 //! objects follow shortest paths, producing locally correlated, skewed
 //! update streams.
 //!
-//! Two builders are provided:
-//!
-//! * [`RoadNetwork::grid_city`] — a perturbed Manhattan grid with randomly
-//!   removed street segments and a sprinkling of diagonal avenues (dense
-//!   urban core statistics);
-//! * [`RoadNetwork::random_geometric`] — a random geometric graph
-//!   (irregular suburban/rural statistics).
-//!
-//! Both guarantee a single connected component (repaired via union-find),
-//! so every shortest-path query succeeds.
+//! [`RoadNetwork::grid_city`] builds a perturbed Manhattan grid with
+//! randomly removed street segments and a sprinkling of diagonal avenues
+//! (dense urban core statistics). It guarantees a single connected
+//! component (repaired via union-find), so every shortest-path query
+//! succeeds.
 
 use cpm_geom::{clamp_coord, Point};
 use rand::rngs::StdRng;
@@ -168,60 +163,6 @@ impl RoadNetwork {
         Self::from_parts(nodes, &kept)
     }
 
-    /// A random geometric graph: `n` uniform nodes, an edge between every
-    /// pair within `radius`. Components are stitched together afterwards by
-    /// connecting each stray component to its nearest main-component node.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Self {
-        assert!(n > 0, "empty network");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let nodes: Vec<Point> = (0..n).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-        let r_sq = radius * radius;
-        let mut edges = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if nodes[i].dist_sq(nodes[j]) <= r_sq {
-                    edges.push((i as NodeId, j as NodeId));
-                }
-            }
-        }
-        // Connectivity repair: link every secondary component to the
-        // closest node outside it.
-        let mut uf = UnionFind::new(n);
-        for &(a, b) in &edges {
-            uf.union(a, b);
-        }
-        loop {
-            let root0 = uf.find(0);
-            let Some(stray) = (0..n as u32).find(|&i| uf.find(i) != root0) else {
-                break;
-            };
-            let stray_root = uf.find(stray);
-            // Closest pair (u in stray component, v outside it).
-            let mut best: Option<(f64, u32, u32)> = None;
-            for u in 0..n as u32 {
-                if uf.find(u) != stray_root {
-                    continue;
-                }
-                for v in 0..n as u32 {
-                    if uf.find(v) == stray_root {
-                        continue;
-                    }
-                    let d = nodes[u as usize].dist_sq(nodes[v as usize]);
-                    if best.is_none_or(|(bd, _, _)| d < bd) {
-                        best = Some((d, u, v));
-                    }
-                }
-            }
-            let (_, u, v) = best.expect("two components imply a bridging pair");
-            edges.push((u, v));
-            uf.union(u, v);
-        }
-        Self::from_parts(nodes, &edges)
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -279,14 +220,6 @@ mod tests {
             assert_eq!(net.node_count(), 13 * 10);
             assert!(net.is_connected(), "seed {seed}");
             assert!(net.edge_count() >= net.node_count() - 1);
-        }
-    }
-
-    #[test]
-    fn random_geometric_is_connected() {
-        for seed in 0..5 {
-            let net = RoadNetwork::random_geometric(150, 0.08, seed);
-            assert!(net.is_connected(), "seed {seed}");
         }
     }
 

@@ -20,7 +20,7 @@
 //!   [`verify()`], which asserts bit-identical delta batches,
 //!   replicas and results, brute-force agreement and thread-invariant
 //!   counters after every cycle.
-//! * [`viz`] — ASCII rendering of grids and query book-keeping.
+//! * [`viz`] — ASCII rendering of a query's book-keeping.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

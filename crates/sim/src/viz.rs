@@ -1,46 +1,13 @@
-//! ASCII rendering of grids and query book-keeping state.
+//! ASCII rendering of a query's book-keeping state.
 //!
-//! Debugging a spatial monitor usually means *looking* at it: where the
-//! objects cluster, which cells a query registered, how far the visit list
-//! reaches past the influence circle. These renderers print exactly the
-//! diagrams the paper draws (Figures 3.2, 3.5, 4.1) from live state.
+//! Debugging a spatial monitor usually means *looking* at it: which cells
+//! a query registered, how far the visit list reaches past the influence
+//! circle. [`render_query`] prints the diagrams the paper draws (Figures
+//! 3.2 and 3.5) from live state.
 
 use cpm_core::CpmServer;
 use cpm_geom::QueryId;
-use cpm_grid::{CellCoord, Grid};
-
-/// Density glyphs from empty to crowded.
-const SHADES: &[u8] = b" .:-=+*#%@";
-
-/// Render an object-density map of the grid, downsampled to at most
-/// `max_side × max_side` character cells (top row = north).
-pub fn render_density(grid: &Grid, max_side: u32) -> String {
-    let dim = grid.dim();
-    let side = dim.min(max_side.max(1));
-    let block = dim.div_ceil(side);
-    let side = dim.div_ceil(block);
-    let mut counts = vec![0usize; (side * side) as usize];
-    for cell in grid.occupied_cells() {
-        let c = (cell.col / block).min(side - 1);
-        let r = (cell.row / block).min(side - 1);
-        counts[(r * side + c) as usize] += grid.cell_len(cell);
-    }
-    let max = counts.iter().copied().max().unwrap_or(0).max(1);
-    let mut out = String::with_capacity(((side + 3) * side) as usize);
-    for r in (0..side).rev() {
-        for c in 0..side {
-            let v = counts[(r * side + c) as usize];
-            let idx = if v == 0 {
-                0
-            } else {
-                1 + (v * (SHADES.len() - 2)) / max
-            };
-            out.push(SHADES[idx.min(SHADES.len() - 1)] as char);
-        }
-        out.push('\n');
-    }
-    out
-}
+use cpm_grid::CellCoord;
 
 /// Render one query's book-keeping over the grid (top row = north):
 ///
@@ -125,26 +92,5 @@ mod tests {
             st.influence_len
         );
         assert!(render_query(&m, QueryId(9)).is_none());
-    }
-
-    #[test]
-    fn density_rendering_shapes() {
-        let m = monitor();
-        let s = render_density(m.grid(), 8);
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 8);
-        // Crowded-most block must use the top shade; empty blocks blank.
-        assert!(s.contains('@'));
-        assert!(s.contains(' '));
-        // Downsampling to 4 halves the sides.
-        let small = render_density(m.grid(), 4);
-        assert_eq!(small.lines().count(), 4);
-    }
-
-    #[test]
-    fn density_handles_empty_grid() {
-        let g = cpm_grid::GridBuilder::new(16).build_uniform();
-        let s = render_density(&g, 8);
-        assert!(s.chars().all(|c| c == ' ' || c == '\n'));
     }
 }

@@ -188,21 +188,6 @@ fn uniform(dim: u32, config: WorkloadConfig) -> OpStream {
     stream(dim, objects, queries, || w.tick())
 }
 
-/// `paper_default`: 100K objects and 5K queries on 128² (~6 a cell),
-/// scaled to 1,600 and 80 on 16².
-fn paper_default(seed: u64) -> OpStream {
-    uniform(16, config(seed, 1_600, 80, 16))
-}
-
-/// A server that runs every stream of this file.
-fn server(dim: u32, regrid: RegridPolicy) -> CpmServer {
-    CpmServerBuilder::new(dim)
-        .threads(NonZeroUsize::new(2).unwrap())
-        .deltas(true)
-        .regrid(regrid)
-        .build()
-}
-
 /// Replay `ops` into a fresh server, `between(cycle, server)` running
 /// before each cycle's reverse-NN placements and events; the mixed
 /// stream's rows also break the work down by kind. Returns the re-grids
@@ -215,7 +200,11 @@ fn run_single(
     regrid: RegridPolicy,
     mut between: impl FnMut(usize, &mut CpmServer),
 ) -> u64 {
-    let mut s = server(ops.grid_dim, regrid);
+    let mut s = CpmServerBuilder::new(ops.grid_dim)
+        .threads(NonZeroUsize::new(2).unwrap())
+        .deltas(true)
+        .regrid(regrid)
+        .build();
     let mut batch = CycleDeltas::default();
     let mut regrids = 0;
     for (cycle, c) in ops.cycles.iter().enumerate() {
@@ -318,7 +307,9 @@ fn mixed(table: &mut Table, seed: u64) {
 fn generate() -> String {
     let mut table = Table::new();
     for seed in SEEDS {
-        let ops = paper_default(seed);
+        // 100K objects and 5K queries on 128² (~6 a cell), scaled to
+        // 1,600 and 80 on 16².
+        let ops = uniform(16, config(seed, 1_600, 80, 16));
         run_single(
             &mut table,
             "paper_default",
@@ -328,6 +319,7 @@ fn generate() -> String {
             |_, _| {},
         );
 
+        // 2K static k = 64 queries among 100K slow objects, scaled.
         let mut cfg = config(seed, 1_600, 32, 64);
         (cfg.object_speed, cfg.query_speed, cfg.f_qry) = (SpeedClass::Slow, SpeedClass::Slow, 0.0);
         let ops = uniform(16, cfg);
@@ -381,11 +373,12 @@ fn first_difference(expected: &str, actual: &str) -> Option<String> {
                 let column = (0..COLUMNS.len())
                     .find(|&i| w.get(i) != g.get(i))
                     .unwrap_or(0);
+                let (w, g) = (w.get(column), g.get(column));
                 return Some(format!(
-                    "{key}: column {} reads {:?}, the table holds {:?}",
+                    "{key}: column {} reads {}, the table holds {}",
                     COLUMNS[column],
-                    g.get(column),
-                    w.get(column)
+                    g.unwrap_or(&"nothing"),
+                    w.unwrap_or(&"nothing")
                 ));
             }
             (w, g) => return Some(format!("row count differs: table {w:?}, run {g:?}")),

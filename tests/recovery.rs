@@ -452,3 +452,63 @@ fn snapshot_bytes_are_canonical_across_restore() {
         .unwrap();
     assert_eq!(knn.len(), 4);
 }
+
+/// A snapshot of 10,000 reverse-NN registrations — 60,000 sector
+/// candidates — built by hand from the public fields, decodes and
+/// restores. Decode cross-checks every registration against its
+/// composition state and its six sectors; each lookup is a binary search
+/// over a table decode has proven ascending, so the check is one pass,
+/// not quadratic.
+#[test]
+fn a_snapshot_of_ten_thousand_reverse_nn_registrations_round_trips() {
+    use cpm_suite::core::server::RESERVED_ID_BASE;
+    use cpm_suite::core::snapshot::EngineSnapshot;
+    use cpm_suite::core::{RegridPolicy, RnnQuery};
+    use cpm_suite::grid::{Metrics, QueryKind};
+
+    const REGISTRATIONS: u32 = 10_000;
+    // The server's sector-id mapping: `RESERVED_ID_BASE + id·6 + s`.
+    const SECTORS: u32 = 6;
+    let at = |id: u32| Point::new(f64::from(id) / f64::from(REGISTRATIONS), 0.5);
+    let queries = (0..REGISTRATIONS)
+        .flat_map(|id| (0..SECTORS).map(move |s| (id, s)))
+        .map(|(id, s)| {
+            let spec = AnyQuerySpec::Rnn(RnnQuery::new(at(id), s));
+            (
+                QueryId(RESERVED_ID_BASE + id * SECTORS + s),
+                spec,
+                1,
+                Vec::new(),
+            )
+        })
+        .collect();
+    let snap = Snapshot {
+        engine: EngineSnapshot {
+            // Over an empty workspace every search visits every cell.
+            dim: 8,
+            shards: 2,
+            collects_deltas: false,
+            policy: RegridPolicy::Manual,
+            regrid_state: (0.0, 0.0, 1.0, false, 0, 0),
+            epoch: 3,
+            metrics: Metrics::default(),
+            objects: Vec::new(),
+            queries,
+        },
+        kinds: (0..REGISTRATIONS)
+            .map(|id| (QueryId(id), QueryKind::Rnn))
+            .collect(),
+        rnn: (0..REGISTRATIONS)
+            .map(|id| (QueryId(id), at(id), Vec::new()))
+            .collect(),
+        verify_metrics: Metrics::default(),
+        watermark: 9,
+    };
+    let frame = snap.to_frame();
+    let decoded = Snapshot::from_frame(&frame).unwrap();
+    assert_eq!(decoded.to_frame(), frame);
+    let server = cpm_suite::core::CpmServer::restore(&decoded).unwrap();
+    assert_eq!(server.query_count(), REGISTRATIONS as usize);
+    assert_eq!(server.epoch(), 3);
+    assert_eq!(server.rnn_result(QueryId(REGISTRATIONS - 1)), Some(&[][..]));
+}

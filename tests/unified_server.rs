@@ -15,11 +15,12 @@ use std::num::NonZeroUsize;
 use common::thread_lanes;
 use cpm_suite::core::{
     AggregateFn, AnnQuery, AnyQuerySpec, ConstrainedQuery, CpmError, CpmServer, CpmServerBuilder,
-    PointQuery, RangeQuery, SpecEvent,
+    CycleDeltas, Neighbor, PointQuery, RangeQuery, SpecEvent,
 };
 use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
-use cpm_suite::grid::{ObjectEvent, QueryKind};
+use cpm_suite::grid::{Metrics, ObjectEvent, QueryKind};
 use cpm_suite::sim::{verify, Anchors, OpStream};
+use cpm_suite::wire::Encode;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -352,5 +353,193 @@ fn unified_delta_cycles_fold_losslessly() {
             }
         }
         server.check_invariants();
+    }
+}
+
+/// A server with 400 random objects and three queries installed through
+/// a cycle, capturing deltas: the starting point of the between-cycles
+/// batch tests below.
+fn changes_server(threads: usize) -> CpmServer {
+    let mut s = CpmServerBuilder::new(16)
+        .threads(NonZeroUsize::new(threads).unwrap())
+        .deltas(true)
+        .build();
+    let mut rng = StdRng::seed_from_u64(0xBA7C);
+    s.populate((0..400u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))))
+        .unwrap();
+    let installs = [
+        (PointQuery(Point::new(0.5, 0.5)).into(), 4),
+        (RangeQuery::circle(Point::new(0.2, 0.7), 0.15).into(), 1),
+        (PointQuery(Point::new(0.8, 0.1)).into(), 2),
+    ];
+    let installs: Vec<_> = (0..)
+        .zip(installs)
+        .map(|(id, (spec, k))| SpecEvent::Install {
+            id: QueryId(id),
+            spec,
+            k,
+        })
+        .collect();
+    let mut out = CycleDeltas::default();
+    s.process_cycle_with_deltas_into(&[], &installs, &mut out)
+        .unwrap();
+    s
+}
+
+/// What a change can be seen through: every query's kind and result,
+/// and the work counters.
+type Observed = (Vec<(QueryId, Option<QueryKind>, Vec<Neighbor>)>, Metrics);
+
+fn observed(s: &CpmServer) -> Observed {
+    let queries = (s.query_ids().into_iter())
+        .map(|id| (id, s.kind_of(id), s.result(id).unwrap().to_vec()))
+        .collect();
+    (queries, s.metrics())
+}
+
+/// The encoded `CycleDeltas` of `n` cycles that each move a tenth of the
+/// objects.
+fn next_cycles(s: &mut CpmServer, n: u32) -> Vec<Vec<u8>> {
+    let mut out = CycleDeltas::default();
+    (0..n)
+        .map(|cycle| {
+            let moves: Vec<_> = (0..40u32)
+                .map(|i| ObjectEvent::Move {
+                    id: ObjectId((i * 10 + cycle * 3) % 400),
+                    to: Point::new(
+                        (f64::from(i) * 0.023 + f64::from(cycle) * 0.1) % 1.0,
+                        (f64::from(i) * 0.041 + 0.3) % 1.0,
+                    ),
+                })
+                .collect();
+            s.process_cycle_with_deltas_into(&moves, &[], &mut out)
+                .unwrap();
+            out.encode_to_vec()
+        })
+        .collect()
+}
+
+/// One between-cycles batch (`CpmServer::install`) and the direct calls
+/// one at a time are one change: installs of every single-spec kind, an
+/// update and a terminate leave the same results, kinds and counters,
+/// and the next three cycles' delta bytes are equal.
+#[test]
+fn one_install_batch_is_the_direct_calls_one_at_a_time() {
+    let events: Vec<SpecEvent<AnyQuerySpec>> = vec![
+        SpecEvent::Install {
+            id: QueryId(10),
+            spec: PointQuery(Point::new(0.3, 0.4)).into(),
+            k: 5,
+        },
+        SpecEvent::Terminate { id: QueryId(1) },
+        SpecEvent::Install {
+            id: QueryId(11),
+            spec: RangeQuery::rect(Rect::new(Point::new(0.6, 0.6), Point::new(0.8, 0.9))).into(),
+            k: 1,
+        },
+        SpecEvent::Update {
+            id: QueryId(0),
+            spec: PointQuery(Point::new(0.45, 0.55)).into(),
+        },
+        SpecEvent::Install {
+            id: QueryId(12),
+            spec: AnnQuery::new(
+                vec![Point::new(0.1, 0.1), Point::new(0.3, 0.2)],
+                AggregateFn::Max,
+            )
+            .into(),
+            k: 3,
+        },
+        SpecEvent::Install {
+            id: QueryId(13),
+            spec: ConstrainedQuery::northeast_of(Point::new(0.4, 0.3)).into(),
+            k: 2,
+        },
+    ];
+    for threads in [1, 2, 4] {
+        let mut batched = changes_server(threads);
+        batched.install(&events).unwrap();
+
+        let mut direct = changes_server(threads);
+        for ev in events.clone() {
+            let applied = match ev {
+                SpecEvent::Install { id, spec, k } => direct.install_spec(id, spec, k).map(drop),
+                SpecEvent::Update { id, spec } => direct.update_spec(id, spec).map(drop),
+                SpecEvent::Terminate { id } => direct.terminate(id),
+            };
+            applied.unwrap();
+        }
+        assert_eq!(batched.query_count(), 6, "T = {threads}");
+        assert_eq!(observed(&batched), observed(&direct), "T = {threads}");
+        assert_eq!(batched.epoch(), direct.epoch());
+        assert_eq!(
+            next_cycles(&mut batched, 3),
+            next_cycles(&mut direct, 3),
+            "T = {threads}"
+        );
+        batched.check_invariants();
+    }
+}
+
+/// A batch whose last event is refusable returns that event's error and
+/// changes nothing: results, kinds, counters and the next cycle's delta
+/// bytes are those of a server that never saw it.
+#[test]
+fn a_refused_install_batch_changes_nothing() {
+    let ok = [
+        SpecEvent::Install {
+            id: QueryId(10),
+            spec: PointQuery(Point::new(0.3, 0.4)).into(),
+            k: 5,
+        },
+        SpecEvent::Update {
+            id: QueryId(0),
+            spec: PointQuery(Point::new(0.45, 0.55)).into(),
+        },
+        SpecEvent::Terminate { id: QueryId(2) },
+    ];
+    let refusable = [
+        (
+            SpecEvent::Terminate { id: QueryId(99) },
+            CpmError::UnknownQuery(QueryId(99)),
+        ),
+        (
+            SpecEvent::Update {
+                id: QueryId(1),
+                spec: PointQuery(Point::new(0.5, 0.5)).into(),
+            },
+            CpmError::KindMismatch {
+                id: QueryId(1),
+                expected: QueryKind::Knn,
+                actual: QueryKind::Range,
+            },
+        ),
+        (
+            SpecEvent::Install {
+                id: QueryId(11),
+                spec: PointQuery(Point::new(0.5, 0.5)).into(),
+                k: 0,
+            },
+            CpmError::InvalidK(QueryId(11)),
+        ),
+        (
+            SpecEvent::Install {
+                id: QueryId(10),
+                spec: PointQuery(Point::new(0.5, f64::NAN)).into(),
+                k: 1,
+            },
+            CpmError::DuplicateQuery(QueryId(10)),
+        ),
+    ];
+    for threads in [1, 2] {
+        for (last, error) in &refusable {
+            let mut refused = changes_server(threads);
+            let mut batch = ok.to_vec();
+            batch.push(last.clone());
+            assert_eq!(refused.install(&batch), Err(*error));
+            let mut twin = changes_server(threads);
+            assert_eq!(observed(&refused), observed(&twin), "{error}");
+            assert_eq!(next_cycles(&mut refused, 1), next_cycles(&mut twin, 1));
+        }
     }
 }
