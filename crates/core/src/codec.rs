@@ -62,13 +62,23 @@ impl<T: Copy + Default + Encode> Encode for DeltaBuf<T> {
 
 impl<T: Copy + Default + Decode> Decode for DeltaBuf<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.take_len(1)?;
         let mut buf = DeltaBuf::new();
-        buf.reserve(r.reservable::<T>(len));
-        for _ in 0..len {
-            buf.push(T::decode(r)?);
-        }
+        buf.refill(r)?;
         Ok(buf)
+    }
+}
+
+impl<T: Copy + Default + Decode> DeltaBuf<T> {
+    /// Replace the entries with the next encoded component of `r`,
+    /// keeping any spill capacity.
+    fn refill(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        let len = r.take_len(1)?;
+        self.clear();
+        self.reserve(r.reservable::<T>(len));
+        for _ in 0..len {
+            self.push(T::decode(r)?);
+        }
+        Ok(())
     }
 }
 
@@ -83,12 +93,29 @@ impl Encode for NeighborDelta {
 
 impl Decode for NeighborDelta {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NeighborDelta {
-            epoch: r.take_u64()?,
-            added: DeltaBuf::decode(r)?,
-            removed: DeltaBuf::decode(r)?,
-            reordered: DeltaBuf::decode(r)?,
-        })
+        let mut delta = NeighborDelta::default();
+        delta.refill(r)?;
+        Ok(delta)
+    }
+}
+
+impl NeighborDelta {
+    /// Decode a delta that spans the whole of `bytes` into `self`, as
+    /// [`Decode::decode_all`] would, but in place: each component is
+    /// cleared and refilled and keeps its spill capacity, so a loop that
+    /// decodes into one reused delta allocates only when a component
+    /// outgrows every earlier one. On error `self` holds a partial decode.
+    pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        let mut r = Reader::new(bytes);
+        self.refill(&mut r)?;
+        r.expect_end()
+    }
+
+    fn refill(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        self.epoch = r.take_u64()?;
+        self.added.refill(r)?;
+        self.removed.refill(r)?;
+        self.reordered.refill(r)
     }
 }
 
@@ -600,6 +627,43 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(walk(&trailing).is_err());
+    }
+
+    /// Decoding into one reused delta yields what `decode_all` yields,
+    /// whatever the delta before held, and a spilled component that
+    /// still fits is refilled where it is.
+    #[test]
+    fn decode_into_refills_in_place() {
+        let wide = NeighborDelta {
+            epoch: 3,
+            added: (0..9).map(|i| n(i, 0.125 * f64::from(i))).collect(),
+            removed: vec![ObjectId(20), ObjectId(21)].into(),
+            reordered: vec![n(30, 0.5)].into(),
+        };
+        let narrow = NeighborDelta {
+            epoch: 4,
+            added: (0..6).map(|i| n(i + 40, 0.25 * f64::from(i))).collect(),
+            reordered: vec![n(30, 0.75)].into(),
+            ..Default::default()
+        };
+        let mut into = NeighborDelta::default();
+        into.decode_into(&wide.encode_to_vec()).unwrap();
+        assert_eq!(into, wide);
+        let spill = into.added.as_ptr();
+        into.decode_into(&narrow.encode_to_vec()).unwrap();
+        assert_eq!(into, narrow);
+        assert_eq!(into.added.as_ptr(), spill, "the spill is reused");
+        into.decode_into(&NeighborDelta::default().encode_to_vec())
+            .unwrap();
+        assert_eq!(into, NeighborDelta::default());
+
+        let bytes = wide.encode_to_vec();
+        for cut in 0..bytes.len() {
+            assert!(into.decode_into(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert!(into.decode_into(&trailing).is_err());
     }
 
     #[test]

@@ -16,10 +16,20 @@
 //! standard recovery path of log-shipping systems. The fan-out keeps one
 //! authoritative [`Replica`] per subscription for exactly that, so a
 //! resync never reaches back to the delta producer.
+//!
+//! [`publish`](DeltaFanout::publish) encodes the batch once and enqueues
+//! it; the fold of the authoritative replicas runs beside the caller, on
+//! a helper thread, until the next call that reads or changes them —
+//! the next `publish`, `subscribe` / `subscribe_from`, `unsubscribe`,
+//! `resync` or the fan-out's drop — joins it. Each of those therefore
+//! sees exactly the replicas a fold inside `publish` would have left,
+//! while [`drain`](DeltaFanout::drain), [`lagged`](DeltaFanout::lagged)
+//! and the counters never wait. At most one fold is in flight.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 
 use cpm_core::{CycleDeltas, Neighbor, NeighborDelta};
 use cpm_geom::{FastHashMap, QueryId};
@@ -79,12 +89,19 @@ impl Mailbox {
     }
 }
 
+/// The authoritative replica of every subscription.
+type Replicas = FastHashMap<QueryId, Replica>;
+
 /// Per-query mailbox delivery over an external epoch-numbered
 /// [`CycleDeltas`] stream; see the [module docs](self).
 #[derive(Debug)]
 pub struct DeltaFanout {
     epoch: u64,
-    subs: FastHashMap<QueryId, (Mailbox, Replica)>,
+    subs: FastHashMap<QueryId, Mailbox>,
+    /// Empty while `fold` holds them.
+    replicas: Replicas,
+    /// The helper folding the last published batch into the replicas.
+    fold: Option<JoinHandle<Replicas>>,
     mailbox_cap: usize,
     /// Cumulative full-batch encodes (see [`DeltaFanout::encodes`]).
     encodes: u64,
@@ -109,6 +126,8 @@ impl DeltaFanout {
         Self {
             epoch,
             subs: FastHashMap::default(),
+            replicas: Replicas::default(),
+            fold: None,
             mailbox_cap: usize::MAX,
             encodes: 0,
         }
@@ -126,7 +145,7 @@ impl DeltaFanout {
     pub fn set_mailbox_capacity(&mut self, cap: NonZeroUsize) {
         let cap = cap.get();
         self.mailbox_cap = cap;
-        for (mailbox, _) in self.subs.values_mut() {
+        for mailbox in self.subs.values_mut() {
             mailbox.enforce(cap);
         }
     }
@@ -151,17 +170,20 @@ impl DeltaFanout {
     /// [`resync`](Self::resync)). Returns `false` (and changes nothing)
     /// if `id` is already registered.
     pub fn subscribe_from(&mut self, id: QueryId, result: &[Neighbor]) -> bool {
-        if self.subs.contains_key(&id) {
+        let epoch = self.epoch;
+        let replicas = self.join_fold();
+        if replicas.contains_key(&id) {
             return false;
         }
-        let replica = Replica::from_snapshot(self.epoch, result.to_vec());
-        self.subs.insert(id, (Mailbox::default(), replica));
+        replicas.insert(id, Replica::from_snapshot(epoch, result.to_vec()));
+        self.subs.insert(id, Mailbox::default());
         true
     }
 
     /// Drop a subscription and its undelivered backlog. Returns `false`
     /// if `id` was not registered.
     pub fn unsubscribe(&mut self, id: QueryId) -> bool {
+        self.join_fold().remove(&id);
         self.subs.remove(&id).is_some()
     }
 
@@ -170,22 +192,30 @@ impl DeltaFanout {
         self.subs.len()
     }
 
-    /// Publish one cycle's merged batch: fold every delta into its
-    /// subscription's authoritative replica and enqueue it for delivery.
-    /// Deltas for queries nobody subscribed to are counted in the receipt
-    /// but not buffered.
+    /// Publish one cycle's merged batch: enqueue every subscribed delta
+    /// for delivery and start folding them into their subscriptions'
+    /// authoritative replicas. Deltas for queries nobody subscribed to
+    /// are counted in the receipt but not buffered.
     ///
     /// Delivery is encode-once: when at least one delta has a
     /// subscriber, the whole batch is serialized **once** to a shared
     /// `Arc<[u8]>` (recording each delta's byte range along the way) and
     /// every mailbox enqueues the same buffer plus its range — never a
-    /// per-subscriber re-serialization or deep delta clone.
+    /// per-subscriber re-serialization or deep delta clone. The fold
+    /// decodes the subscribed deltas from that buffer on a helper thread
+    /// and is joined by the next call that reads the replicas (see the
+    /// [module docs](self)).
     ///
     /// # Panics
     /// Panics if `batch.epoch` is not exactly one past the last published
     /// epoch — the producer skipped or replayed a cycle, and folding it
-    /// would corrupt every replica.
+    /// would corrupt every replica. Also re-raises, with its original
+    /// payload, a panic of the previous publish's fold (a delta that does
+    /// not fold onto its replica, as after a
+    /// [`subscribe_from`](Self::subscribe_from) seeded with a wrong
+    /// result); this batch's own fold panics at the next join instead.
     pub fn publish(&mut self, batch: &CycleDeltas) -> CycleReceipt {
+        self.join_fold();
         assert_eq!(
             batch.epoch,
             self.epoch + 1,
@@ -196,22 +226,27 @@ impl DeltaFanout {
         self.epoch = batch.epoch;
         let encoded = self.encode_once(batch);
         let mut entries = 0;
+        let mut folds = Vec::new();
         for (i, (qid, delta)) in batch.deltas.iter().enumerate() {
             entries += delta.added.len() + delta.removed.len() + delta.reordered.len();
-            let Some((mailbox, replica)) = self.subs.get_mut(qid) else {
+            let Some(mailbox) = self.subs.get_mut(qid) else {
                 continue;
             };
-            replica.apply(delta);
             let (frame, ranges) = encoded
                 .as_ref()
                 .expect("a subscribed delta means the batch was encoded");
             let (start, end) = ranges[i];
+            folds.push((*qid, start, end));
             mailbox.queue.push_back(QueuedDelta {
                 frame: Arc::clone(frame),
                 start,
                 end,
             });
             mailbox.enforce(self.mailbox_cap);
+        }
+        if let Some((frame, _)) = encoded {
+            let replicas = std::mem::take(&mut self.replicas);
+            self.fold = Some(thread::spawn(move || fold(replicas, &frame, &folds)));
         }
         CycleReceipt {
             epoch: batch.epoch,
@@ -240,6 +275,18 @@ impl DeltaFanout {
         Some((Arc::from(w.into_bytes()), ranges))
     }
 
+    /// The replicas, once the fold in flight (if any) has finished; a
+    /// panic of that fold resumes here.
+    fn join_fold(&mut self) -> &mut Replicas {
+        if let Some(fold) = self.fold.take() {
+            match fold.join() {
+                Ok(replicas) => self.replicas = replicas,
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        &mut self.replicas
+    }
+
     /// Cumulative number of full-batch serializations performed by
     /// [`publish`](Self::publish): exactly one per published cycle that
     /// carried at least one subscribed delta, **independent of how many
@@ -255,32 +302,72 @@ impl DeltaFanout {
     pub fn drain(&mut self, id: QueryId) -> Vec<NeighborDelta> {
         self.subs
             .get_mut(&id)
-            .map(|(m, _)| m.queue.drain(..).map(|q| q.decode()).collect())
+            .map(|m| m.queue.drain(..).map(|q| q.decode()).collect())
             .unwrap_or_default()
     }
 
     /// `true` if subscription `id` has lost deltas to mailbox overflow
     /// since its last [`resync`](Self::resync).
     pub fn lagged(&self, id: QueryId) -> bool {
-        self.subs.get(&id).is_some_and(|(m, _)| m.dropped > 0)
+        self.subs.get(&id).is_some_and(|m| m.dropped > 0)
     }
 
     /// A lagged subscriber's recovery path: the authoritative result as
     /// of the last published epoch. Clears the backlog and the lag flag —
     /// deltas published after this call replay losslessly on top.
     /// Returns `None` for unknown ids.
+    ///
+    /// # Panics
+    /// Re-raises, with its original payload, a panic of the last
+    /// publish's fold (see [`publish`](Self::publish)).
     pub fn resync(&mut self, id: QueryId) -> Option<(u64, Vec<Neighbor>)> {
-        let (mailbox, replica) = self.subs.get_mut(&id)?;
+        let replica = self.join_fold().get(&id)?;
+        let snapshot = (replica.epoch(), replica.result().to_vec());
+        let mailbox = self.subs.get_mut(&id)?;
         mailbox.queue.clear();
         mailbox.dropped = 0;
-        Some((replica.epoch(), replica.result().to_vec()))
+        Some(snapshot)
     }
+}
+
+impl Drop for DeltaFanout {
+    /// Joins the fold in flight; its panic resumes here unless the
+    /// fan-out is dropped by an unwind already under way.
+    fn drop(&mut self) {
+        if let Some(fold) = self.fold.take() {
+            if let Err(panic) = fold.join() {
+                if !thread::panicking() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+    }
+}
+
+/// Fold the subscribed deltas of one encoded batch — `(query, start,
+/// end)` ranges into `frame`, in batch order — into their replicas,
+/// decoding every one into the same [`NeighborDelta`].
+fn fold(mut replicas: Replicas, frame: &[u8], folds: &[(QueryId, usize, usize)]) -> Replicas {
+    let mut delta = NeighborDelta::default();
+    for &(qid, start, end) in folds {
+        delta
+            .decode_into(&frame[start..end])
+            .expect("the fan-out encoded this delta itself");
+        replicas
+            .get_mut(&qid)
+            .expect("every subscription has a replica")
+            .apply(&delta);
+    }
+    replicas
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpm_core::DeltaScratch;
     use cpm_geom::ObjectId;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn n(id: u32, dist: f64) -> Neighbor {
         Neighbor {
@@ -457,5 +544,287 @@ mod tests {
             deltas: vec![],
         });
         assert_eq!(f.encodes(), 1);
+    }
+
+    /// A `resync` right after `publish` joins the fold in flight and
+    /// returns what it folded.
+    #[test]
+    fn resync_right_after_publish_sees_the_fold() {
+        let mut f = DeltaFanout::new();
+        f.subscribe(QueryId(1));
+        let wide: Vec<Neighbor> = (0..200).map(|i| n(i, f64::from(i) / 256.0)).collect();
+        f.publish(&batch(1, 1, wide.clone()));
+        assert_eq!(f.resync(QueryId(1)).unwrap(), (1, wide));
+    }
+
+    /// Dropping a fan-out with a fold in flight waits for the fold: the
+    /// helper's reference to the cycle's frame is gone once `drop`
+    /// returns.
+    #[test]
+    fn dropping_with_a_fold_in_flight_joins_it() {
+        let mut f = DeltaFanout::new();
+        let qids: Vec<QueryId> = (0..64).map(QueryId).collect();
+        for &q in &qids {
+            f.subscribe(q);
+        }
+        let wide = CycleDeltas {
+            epoch: 1,
+            changed: qids.clone(),
+            deltas: qids
+                .iter()
+                .map(|&q| {
+                    let added = (0..256).map(|i| n(i, f64::from(i + q.0) / 512.0));
+                    let delta = NeighborDelta {
+                        epoch: 1,
+                        added: added.collect(),
+                        ..NeighborDelta::default()
+                    };
+                    (q, delta)
+                })
+                .collect(),
+        };
+        f.publish(&wide);
+        let frame = Arc::downgrade(&f.subs[&qids[0]].queue[0].frame);
+        for &q in &qids {
+            f.subs.get_mut(&q).unwrap().queue.clear();
+        }
+        drop(f);
+        assert!(frame.upgrade().is_none(), "the fold still holds the frame");
+    }
+
+    /// A delta that does not fold onto its replica panics on the helper;
+    /// the panic resurfaces, message intact, at the next join.
+    #[test]
+    #[should_panic(expected = "reordered entry must be in the replayed result")]
+    fn a_fold_panic_resurfaces_at_the_next_join() {
+        let mut f = DeltaFanout::from_epoch(4);
+        // Seeded with a result that lacks object 2 ...
+        f.subscribe_from(QueryId(7), &[n(1, 0.2)]);
+        // ... which the producer's delta reorders.
+        f.publish(&CycleDeltas {
+            epoch: 5,
+            changed: vec![QueryId(7)],
+            deltas: vec![(
+                QueryId(7),
+                NeighborDelta {
+                    epoch: 5,
+                    reordered: vec![n(2, 0.1)].into(),
+                    ..NeighborDelta::default()
+                },
+            )],
+        });
+        // Delivery does not wait for the fold.
+        assert_eq!(f.drain(QueryId(7)).len(), 1);
+        f.resync(QueryId(7));
+    }
+
+    /// One step of the equivalence property.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Subscribe(u32),
+        /// Seeded with the producer's current result.
+        SubscribeFrom(u32),
+        Unsubscribe(u32),
+        SetCapacity(usize),
+        /// The new results of some queries: `(query, ids, eighths)`.
+        Publish(Vec<(u32, Vec<u32>, Vec<u32>)>),
+        Drain(u32),
+        Lagged(u32),
+        Resync(u32),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let q = || 0u32..8;
+        let result = || {
+            (
+                q(),
+                proptest::collection::vec(0u32..24, 0..12),
+                proptest::collection::vec(0u32..8, 1..12),
+            )
+        };
+        prop_oneof![
+            2 => q().prop_map(Op::Subscribe),
+            2 => q().prop_map(Op::SubscribeFrom),
+            1 => q().prop_map(Op::Unsubscribe),
+            1 => (1usize..4).prop_map(Op::SetCapacity),
+            5 => proptest::collection::vec(result(), 0..6).prop_map(Op::Publish),
+            3 => q().prop_map(Op::Drain),
+            1 => q().prop_map(Op::Lagged),
+            2 => q().prop_map(Op::Resync),
+        ]
+    }
+
+    /// A duplicate-free result ascending by `(dist, id)`, over eight
+    /// distinct distances.
+    fn result_list(ids: &[u32], eighths: &[u32]) -> Vec<Neighbor> {
+        let dists = eighths.iter().cycle().map(|&e| f64::from(e) / 8.0);
+        let mut out: Vec<Neighbor> = ids.iter().zip(dists).map(|(&id, d)| n(id, d)).collect();
+        out.sort_unstable_by_key(|e| e.id);
+        out.dedup_by_key(|e| e.id);
+        out.sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        out
+    }
+
+    /// The fan-out with the fold inside `publish`: decoded deltas in
+    /// bounded mailboxes and one replica per subscription.
+    #[derive(Default)]
+    struct SyncFanout {
+        epoch: u64,
+        cap: usize,
+        mailboxes: HashMap<QueryId, (VecDeque<NeighborDelta>, u64)>,
+        replicas: HashMap<QueryId, Replica>,
+    }
+
+    impl SyncFanout {
+        fn subscribe_from(&mut self, id: QueryId, result: &[Neighbor]) -> bool {
+            if self.replicas.contains_key(&id) {
+                return false;
+            }
+            let replica = Replica::from_snapshot(self.epoch, result.to_vec());
+            self.replicas.insert(id, replica);
+            self.mailboxes.insert(id, (VecDeque::new(), 0));
+            true
+        }
+
+        fn unsubscribe(&mut self, id: QueryId) -> bool {
+            self.mailboxes.remove(&id);
+            self.replicas.remove(&id).is_some()
+        }
+
+        fn enforce(cap: usize, (queue, dropped): &mut (VecDeque<NeighborDelta>, u64)) {
+            while queue.len() > cap {
+                queue.pop_front();
+                *dropped += 1;
+            }
+        }
+
+        fn set_capacity(&mut self, cap: usize) {
+            self.cap = cap;
+            for mailbox in self.mailboxes.values_mut() {
+                Self::enforce(cap, mailbox);
+            }
+        }
+
+        fn publish(&mut self, batch: &CycleDeltas) -> CycleReceipt {
+            self.epoch = batch.epoch;
+            for (qid, delta) in &batch.deltas {
+                if let Some(replica) = self.replicas.get_mut(qid) {
+                    replica.apply(delta);
+                    let mailbox = self.mailboxes.get_mut(qid).unwrap();
+                    mailbox.0.push_back(delta.clone());
+                    Self::enforce(self.cap, mailbox);
+                }
+            }
+            CycleReceipt {
+                epoch: batch.epoch,
+                changed: batch.changed.len(),
+                deltas: batch.deltas.len(),
+                entries: batch.deltas.iter().map(|(_, d)| d.len()).sum(),
+            }
+        }
+
+        fn drain(&mut self, id: QueryId) -> Vec<NeighborDelta> {
+            self.mailboxes
+                .get_mut(&id)
+                .map(|(queue, _)| queue.drain(..).collect())
+                .unwrap_or_default()
+        }
+
+        fn lagged(&self, id: QueryId) -> bool {
+            self.mailboxes
+                .get(&id)
+                .is_some_and(|&(_, dropped)| dropped > 0)
+        }
+
+        fn resync(&mut self, id: QueryId) -> Option<(u64, Vec<Neighbor>)> {
+            let replica = self.replicas.get(&id)?;
+            let (queue, dropped) = self.mailboxes.get_mut(&id).unwrap();
+            queue.clear();
+            *dropped = 0;
+            Some((replica.epoch(), replica.result().to_vec()))
+        }
+    }
+
+    proptest! {
+        /// Whatever a caller does between publishes, the fan-out whose
+        /// fold runs beside it answers exactly as one that folds inside
+        /// `publish`: every receipt, drain, lag flag and resync.
+        #[test]
+        fn the_folding_helper_is_indistinguishable_from_a_synchronous_fold(
+            ops in proptest::collection::vec(op(), 1..41),
+        ) {
+            let mut fanout = DeltaFanout::new();
+            let mut reference = SyncFanout {
+                cap: usize::MAX,
+                ..SyncFanout::default()
+            };
+            // The producer's current result per query.
+            let mut current: HashMap<QueryId, Vec<Neighbor>> = HashMap::new();
+            let mut scratch = DeltaScratch::default();
+            for op in ops {
+                match op {
+                    Op::Subscribe(q) => {
+                        let id = QueryId(q);
+                        let fresh = fanout.subscribe(id);
+                        prop_assert_eq!(fresh, reference.subscribe_from(id, &[]));
+                        if fresh {
+                            // A query installed by a later cycle.
+                            current.insert(id, Vec::new());
+                        }
+                    }
+                    Op::SubscribeFrom(q) => {
+                        let id = QueryId(q);
+                        let result = current.get(&id).cloned().unwrap_or_default();
+                        prop_assert_eq!(
+                            fanout.subscribe_from(id, &result),
+                            reference.subscribe_from(id, &result)
+                        );
+                    }
+                    Op::Unsubscribe(q) => {
+                        let id = QueryId(q);
+                        prop_assert_eq!(fanout.unsubscribe(id), reference.unsubscribe(id));
+                    }
+                    Op::SetCapacity(cap) => {
+                        fanout.set_mailbox_capacity(NonZeroUsize::new(cap).unwrap());
+                        reference.set_capacity(cap);
+                    }
+                    Op::Publish(mut results) => {
+                        results.sort_by_key(|(q, ..)| *q);
+                        results.dedup_by_key(|(q, ..)| *q);
+                        let epoch = fanout.epoch() + 1;
+                        let mut batch = CycleDeltas {
+                            epoch,
+                            ..CycleDeltas::default()
+                        };
+                        for (q, ids, eighths) in results {
+                            let id = QueryId(q);
+                            let new = result_list(&ids, &eighths);
+                            let old = current.insert(id, new.clone()).unwrap_or_default();
+                            batch.changed.push(id);
+                            let delta = NeighborDelta::diff(epoch, &old, &new, &mut scratch);
+                            batch.deltas.push((id, delta));
+                        }
+                        prop_assert_eq!(fanout.publish(&batch), reference.publish(&batch));
+                    }
+                    Op::Drain(q) => {
+                        let id = QueryId(q);
+                        prop_assert_eq!(fanout.drain(id), reference.drain(id));
+                    }
+                    Op::Lagged(q) => {
+                        let id = QueryId(q);
+                        prop_assert_eq!(fanout.lagged(id), reference.lagged(id));
+                    }
+                    Op::Resync(q) => {
+                        let id = QueryId(q);
+                        prop_assert_eq!(fanout.resync(id), reference.resync(id));
+                    }
+                }
+                prop_assert_eq!(fanout.epoch(), reference.epoch);
+                prop_assert_eq!(fanout.subscriptions(), reference.replicas.len());
+            }
+            for q in 0..8 {
+                prop_assert_eq!(fanout.resync(QueryId(q)), reference.resync(QueryId(q)));
+            }
+        }
     }
 }

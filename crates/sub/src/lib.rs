@@ -11,8 +11,10 @@
 //! deltas** ([`cpm_core::NeighborDelta`]) instead of full lists.
 //!
 //! * [`fanout`] — the server side: [`DeltaFanout`] owns one bounded
-//!   mailbox per subscription and routes each published batch into them,
-//!   encoding the batch once however many subscribers it has.
+//!   mailbox per subscription; `publish` encodes each batch once,
+//!   however many subscribers it has, and enqueues it. The fold of the
+//!   authoritative replicas that `resync` hands out runs beside the
+//!   caller until the next call that reads them.
 //! * [`replica`] — the client side: [`Replica`] folds a delta stream onto
 //!   a snapshot, reconstructing every per-epoch result bit-identically
 //!   (the property `cpm_sim::verify` asserts for every lane, against the
