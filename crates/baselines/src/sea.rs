@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 use cpm_geom::{FastHashMap, FastHashSet, ObjectId, Point, QueryId};
 use cpm_grid::{
-    apply_events, CellCoord, Grid, InfluenceTable, Metrics, ObjectEvent, QueryEvent, UpdateRecord,
+    apply_events, CellCoord, CellRuns, Grid, Metrics, ObjectEvent, QueryEvent, UpdateRecord,
 };
 
 use cpm_core::neighbors::{Neighbor, NeighborList};
@@ -53,6 +53,40 @@ impl SeaQueryState {
     }
 }
 
+/// Every query's marked cells, listed by cell (Figure 3.3b's influence
+/// lists, for answer regions).
+#[derive(Debug, Default)]
+struct AnswerRegions {
+    runs: CellRuns,
+    /// The marking queries, in cell order.
+    queries: Vec<QueryId>,
+    /// Rebuild scratch: every mark's packed cell id and query, in the
+    /// order they were given.
+    marks: Vec<(u32, QueryId)>,
+}
+
+impl AnswerRegions {
+    /// Replace the lists with `marks` on a `dim × dim` grid: each list
+    /// holds its queries in the order `marks` yields them. The owner's
+    /// states are walked once: the sort reads a contiguous copy.
+    fn rebuild(&mut self, dim: u32, marks: impl Iterator<Item = (CellCoord, QueryId)>) {
+        self.marks.clear();
+        self.marks
+            .extend(marks.map(|(cell, q)| (cell.id(dim) as u32, q)));
+        let (queries, marks) = (&mut self.queries, &self.marks);
+        queries.clear();
+        queries.resize(marks.len(), QueryId(0));
+        let keys = marks.iter().map(|&(key, _)| key);
+        self.runs
+            .sort(dim, keys, |item, slot| queries[slot] = marks[item].1);
+    }
+
+    /// The queries whose answer region covers `cell`.
+    fn queries_at(&self, cell: CellCoord) -> &[QueryId] {
+        &self.queries[self.runs.run(cell)]
+    }
+}
+
 /// The SEA-CNN continuous k-NN monitor.
 #[derive(Debug)]
 pub struct SeaCnnMonitor {
@@ -61,7 +95,7 @@ pub struct SeaCnnMonitor {
     records: Vec<UpdateRecord>,
     /// Every query's marked cells, listed by cell in ascending query id:
     /// rebuilt from the states for each classification, its only reader.
-    answer_regions: InfluenceTable,
+    answer_regions: AnswerRegions,
     queries: FastHashMap<QueryId, SeaQueryState>,
     /// Scratch: the installed ids, ascending, that the answer regions are
     /// listed in.
@@ -82,7 +116,7 @@ impl SeaCnnMonitor {
         Self {
             grid: cpm_grid::GridBuilder::new(dim).build_uniform(),
             records: Vec::new(),
-            answer_regions: InfluenceTable::new(),
+            answer_regions: AnswerRegions::default(),
             queries: FastHashMap::default(),
             ids: Vec::new(),
             starved: BTreeSet::new(),
@@ -390,9 +424,12 @@ impl SeaCnnMonitor {
     /// Verify answer-region book-keeping invariants (test helper).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        let mut total = 0usize;
+        let dim = self.grid.dim();
         for (qid, st) in &self.queries {
-            total += st.marked.len();
+            assert!(
+                st.marked.iter().all(|c| c.col < dim && c.row < dim),
+                "{qid} marks a cell off the grid"
+            );
             // A cell marked twice would be listed twice and classify every
             // update there twice.
             let mut cells = st.marked.clone();
@@ -420,11 +457,6 @@ impl SeaCnnMonitor {
                 assert!((st.q.dist(p) - n.dist).abs() < 1e-9, "stale distance");
             }
         }
-        let mut regions = InfluenceTable::new();
-        let marks = (self.queries.iter())
-            .flat_map(|(&id, st)| st.marked.iter().map(move |&cell| (cell, id)));
-        regions.rebuild(self.grid.dim(), marks);
-        assert_eq!(regions.total_entries(), total);
         assert!(self.starved.iter().all(|id| self.queries.contains_key(id)));
     }
 }

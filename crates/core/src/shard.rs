@@ -55,7 +55,9 @@
 use std::num::NonZeroUsize;
 
 use cpm_geom::{FastHashMap, QueryId};
-use cpm_grid::{apply_events, CellCoord, Grid, GridGeom, Metrics, ObjectEvent, UpdateRecord};
+use cpm_grid::{
+    apply_events, CellCoord, CellRuns, Grid, GridGeom, Metrics, ObjectEvent, UpdateRecord,
+};
 
 use crate::any::AnyQuerySpec;
 use crate::delta::{CycleDeltas, NeighborDelta};
@@ -110,76 +112,40 @@ fn fan_out<T: Send>(
     });
 }
 
-/// The cycle's moves bucketed by cell, in [`cpm_grid::CellIndex`]'s
-/// compressed-sparse-row layout: a record's departure at its `old_cell`
-/// and its arrival at its `new_cell` (an appear has only the arrival, a
-/// disappear only the departure), packed `record index << 1 | arrival`,
-/// each cell's run in record order, a departure before its arrival.
+/// The cycle's moves bucketed by cell by one [`CellRuns::sort`]: record
+/// `r`'s departure at its `old_cell` is item `2r` and its arrival at its
+/// `new_cell` item `2r + 1` (an appear has only the arrival, a disappear
+/// only the departure). An entry is its item, so it reads packed
+/// `record index << 1 | arrival`, and each cell's run is in record
+/// order, a departure before its arrival.
 #[derive(Debug, Default)]
 struct CellMoves {
-    dim: u32,
-    /// `dim² + 1` offsets into `entries`: cell `c`'s run is
-    /// `entries[starts[c]..starts[c + 1]]`.
-    starts: Vec<u32>,
+    runs: CellRuns,
     entries: Vec<u32>,
 }
 
 impl CellMoves {
-    /// Replace the runs with `records`' on a `dim × dim` grid by one
-    /// counting sort, O(records + cells): count, scan, then scatter back
-    /// to front, each entry taking the last free place of its cell.
+    /// Replace the runs with `records`' on a `dim × dim` grid,
+    /// O(records + cells).
     fn sort(&mut self, dim: u32, records: &[UpdateRecord]) {
         assert!(
             records.len() <= (u32::MAX >> 1) as usize,
             "record index must fit the packed entry"
         );
-        if dim != self.dim {
-            self.dim = dim;
-            // A table of the new size, so a coarser grid does not keep a
-            // finer one's pages resident.
-            self.starts = Vec::new();
-        }
-        let cells = dim as usize * dim as usize;
-        // Packed ids up front: walking the `Option<CellCoord>`s
-        // themselves measured 2.5× slower (`paper_default`, 1.2 ms).
-        let cell = |c: Option<CellCoord>| c.map(|c| c.id(dim) as usize);
-        let starts = &mut self.starts;
-        starts.clear();
-        starts.resize(cells + 1, 0);
-        for rec in records {
-            for c in [cell(rec.old_cell), cell(rec.new_cell)]
-                .into_iter()
-                .flatten()
-            {
-                starts[c] += 1;
-            }
-        }
-        let mut end = 0u32;
-        for s in &mut starts[..cells] {
-            end += *s;
-            *s = end;
-        }
-        starts[cells] = end;
-        self.entries.clear();
-        self.entries.resize(end as usize, 0);
-        for (i, rec) in records.iter().enumerate().rev() {
-            let at = (i as u32) << 1;
-            for (c, entry) in [(cell(rec.new_cell), at | 1), (cell(rec.old_cell), at)] {
-                if let Some(c) = c {
-                    starts[c] -= 1;
-                    self.entries[starts[c] as usize] = entry;
-                }
-            }
-        }
+        let key = |c: Option<CellCoord>| c.map_or(CellRuns::NO_CELL, |c| c.id(dim) as u32);
+        let keys = (records.iter()).flat_map(|rec| [key(rec.old_cell), key(rec.new_cell)]);
+        let entries = &mut self.entries;
+        entries.clear();
+        entries.resize(2 * records.len(), 0);
+        self.runs
+            .sort(dim, keys, |item, slot| entries[slot] = item as u32);
+        entries.truncate(self.runs.len());
     }
 
     /// Append the runs of `cells` (a query's influence prefix) to `out`.
     fn gather(&self, cells: &[(CellCoord, f64)], out: &mut Vec<u32>) {
         for &(cell, _) in cells {
-            let id = cell.id(self.dim) as usize;
-            out.extend_from_slice(
-                &self.entries[self.starts[id] as usize..self.starts[id + 1] as usize],
-            );
+            out.extend_from_slice(&self.entries[self.runs.run(cell)]);
         }
     }
 }
@@ -851,18 +817,16 @@ mod tests {
         m.check_invariants();
     }
 
-    /// The query-side join against the cell-side one it replaces: on a
-    /// random stream of moves, appears, disappears, query updates and a
-    /// re-grid, every query is handed exactly the moves a freshly built
-    /// [`cpm_grid::InfluenceTable`] routes to it — a departure iff its
-    /// record's old cell is influence-registered, an arrival iff the new
-    /// one is — as a multiset, and a query with a pending event or no
-    /// move is handed nothing. Resolve, the query events' searches and
-    /// the re-grid split across workers, and the changed lists and
-    /// counters are those of `T = 1`.
+    /// The query-side join against a plain membership test: on a random
+    /// stream of moves, appears, disappears, query updates and a re-grid,
+    /// every query without a pending event is handed a record's departure
+    /// iff the record's old cell is in its influence prefix, and its
+    /// arrival iff the new cell is — each once — and a query with a
+    /// pending event or no move is handed nothing. Resolve, the query
+    /// events' searches and the re-grid split across workers, and the
+    /// changed lists and counters are those of `T = 1`.
     #[test]
     fn each_query_is_handed_the_moves_its_influence_lists_route() {
-        use cpm_grid::InfluenceTable;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         use std::collections::BTreeMap;
@@ -934,18 +898,19 @@ mod tests {
                     m.regrid_to(48).unwrap();
                 }
                 // The reference: every query without a pending event,
-                // listed at its influence cells.
+                // with its influence prefix as a set of cells.
                 let moving: Vec<QueryId> = queries.iter().map(SpecEvent::id).collect();
-                let registrations = m.queries.iter().flatten().flat_map(|st| {
-                    let prefix = &st.visit_list[..st.influence_len];
-                    let listed = !moving.contains(&st.id);
-                    prefix
-                        .iter()
-                        .filter(move |_| listed)
-                        .map(|&(c, _)| (c, st.id))
-                });
-                let mut lists = InfluenceTable::new();
-                lists.rebuild(m.grid().dim(), registrations);
+                let dim = m.grid().dim();
+                let prefixes: Vec<(QueryId, Vec<bool>)> = (m.queries.iter().flatten())
+                    .filter(|st| !moving.contains(&st.id))
+                    .map(|st| {
+                        let mut inside = vec![false; (dim * dim) as usize];
+                        for &(c, _) in &st.visit_list[..st.influence_len] {
+                            inside[c.id(dim) as usize] = true;
+                        }
+                        (st.id, inside)
+                    })
+                    .collect();
                 for worker in &mut m.workers {
                     worker.handed.clear();
                 }
@@ -954,12 +919,14 @@ mod tests {
                 m.check_invariants();
 
                 let mut routed: BTreeMap<QueryId, Vec<u32>> = BTreeMap::new();
-                for (i, rec) in (0..).zip(&m.records) {
-                    let ends = [(rec.old_cell, i << 1), (rec.new_cell, i << 1 | 1)];
-                    for (cell, entry) in ends {
-                        for &q in cell.map_or(&[][..], |c| lists.queries_at(c)) {
-                            routed.entry(q).or_default().push(entry);
-                        }
+                for (q, inside) in &prefixes {
+                    let hit = |c: Option<CellCoord>| c.is_some_and(|c| inside[c.id(dim) as usize]);
+                    let ends = (0..)
+                        .zip(&m.records)
+                        .flat_map(|(i, rec)| [(rec.old_cell, i << 1), (rec.new_cell, i << 1 | 1)]);
+                    let moves: Vec<u32> = ends.filter(|&(c, _)| hit(c)).map(|(_, e)| e).collect();
+                    if !moves.is_empty() {
+                        routed.insert(*q, moves);
                     }
                 }
                 let mut handed = BTreeMap::new();

@@ -109,8 +109,8 @@ impl QueryEvent {
 /// maintenance path — possibly from several worker threads at once. Each
 /// consumer derives its own view of the batch through
 /// [`UpdateRecord::old_cell`] / [`UpdateRecord::new_cell`]: SEA-CNN
-/// probes its [`crate::InfluenceTable`] there, and the CPM engine sorts
-/// the records by those cells once so each query reads its own.
+/// probes its answer regions there, and the CPM engine sorts the records
+/// by those cells once ([`crate::CellRuns`]) so each query reads its own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateRecord {
     /// The updated object.

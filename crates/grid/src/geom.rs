@@ -173,17 +173,6 @@ impl GridGeom {
         self.cells_in_rect(&bbox)
             .filter(move |&c| self.cell_rect(c).mindist_sq(center) <= r_sq)
     }
-
-    /// Collecting wrapper around [`GridGeom::cells_in_rect`] for callers
-    /// that need an owned list; the hot paths use the iterator directly.
-    pub fn cells_intersecting_rect(self, region: &Rect) -> Vec<CellCoord> {
-        let (lo_col, hi_col, lo_row, hi_row) = self.rect_cell_bounds(region);
-        // Multiply in usize: on a 4096² grid the product overflows u32.
-        let cap = (hi_col - lo_col + 1) as usize * (hi_row - lo_row + 1) as usize;
-        let mut out = Vec::with_capacity(cap);
-        out.extend(self.cells_in_rect(region));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +215,8 @@ mod tests {
         let r = Rect::new(Point::new(0.2, 0.2), Point::new(0.3, 0.3));
         // The iterator is `'static`: it can outlive any index borrow.
         let cover: Vec<CellCoord> = g.cells_in_rect(&r).collect();
-        assert_eq!(cover, g.cells_intersecting_rect(&r));
+        let at = CellCoord::new;
+        assert_eq!(cover, [at(1, 1), at(2, 1), at(1, 2), at(2, 2)], "row-major");
         let disk: Vec<CellCoord> = g.cells_in_circle(Point::new(0.5, 0.5), 0.13).collect();
         for &c in &disk {
             assert!(g.cell_rect(c).intersects_circle(Point::new(0.5, 0.5), 0.13));

@@ -272,19 +272,13 @@ impl Grid<CellIndex> {
         self.index.geom().cells_in_circle(center, radius)
     }
 
-    /// Collecting wrapper around [`Grid::cells_in_rect`] for callers that
-    /// need an owned list; the hot paths use the iterator directly.
-    pub fn cells_intersecting_rect(&self, region: &Rect) -> Vec<CellCoord> {
-        self.index.geom().cells_intersecting_rect(region)
-    }
-
     /// Occupancy statistics — O(1): the index's sort counts them.
     pub fn stats(&self) -> GridStats {
         GridStats {
             total_cells: self.index.geom().total_cells(),
-            occupied_cells: self.index.occupied_count(),
+            occupied_cells: self.index.runs().occupied_count(),
             live_objects: self.store.len(),
-            hot_cell_max: self.index.hot_cell_max(),
+            hot_cell_max: self.index.runs().longest_run(),
         }
     }
 
@@ -474,14 +468,11 @@ mod tests {
     fn rect_cover_includes_boundary_cells() {
         let g = grid8();
         let r = Rect::new(Point::new(0.20, 0.20), Point::new(0.30, 0.30));
-        let cells = g.cells_intersecting_rect(&r);
+        let cells: Vec<CellCoord> = g.cells_in_rect(&r).collect();
         // 0.20 is inside cell 1 ([0.125,0.25)), 0.30 inside cell 2.
         assert!(cells.contains(&CellCoord::new(1, 1)));
         assert!(cells.contains(&CellCoord::new(2, 2)));
         assert_eq!(cells.len(), 4);
-        // The iterator sees the identical cells without collecting.
-        let streamed: Vec<CellCoord> = g.cells_in_rect(&r).collect();
-        assert_eq!(streamed, cells);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   analysis), and the live ids in ascending order, which the index's
 //!   sort walks.
 //! * [`CellIndex`] — the **cell→objects** index at one δ: every live
-//!   object's `(id, x, y)` in columns ordered by cell, plus one start
-//!   offset per cell (the CSR layout), rebuilt by one counting sort per
-//!   batch. A cell scan is one contiguous [`CellRun`].
+//!   object's `(id, x, y)` in columns ordered by cell, over the per-cell
+//!   offsets of a [`CellRuns`] (the CSR layout), rebuilt by one counting
+//!   sort per batch. A cell scan is one contiguous [`CellRun`].
 //! * [`GridGeom`] — the `Copy` conceptual cell geometry (point→cell
 //!   mapping, cell extents, `mindist`, allocation-free region covers).
 //!   The search algorithms only consume geometry plus per-cell runs.
@@ -38,13 +38,12 @@
 //! Grids are constructed through [`GridBuilder`], which validates the
 //! dimension ([`GridGeom::check_dim`]) at build time.
 //!
-//! Query-side book-keeping (the per-cell *influence lists*) lives in
-//! [`InfluenceTable`], kept separate from the grid so that a monitor
-//! (SEA-CNN's answer regions) keeps its own influence information over
-//! the shared object index. It is the index's layout on the query side —
-//! one offset per cell over one array of query ids — and is rebuilt the
-//! same way, by one counting sort, from the registrations the monitor's
-//! query states name.
+//! [`CellRuns`] is the one by-cell layout and the one sort that builds
+//! it. The query side keeps its per-cell *influence lists* outside the
+//! grid, over the shared object index: the CPM engine reads each query's
+//! influence cells from the query's own visit list against the cycle's
+//! moves sorted by cell, and SEA-CNN sorts its answer regions' marks by
+//! cell. Both sorts are a [`CellRuns`], as the index's is.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,9 +53,9 @@ pub mod events;
 mod geom;
 mod grid;
 mod index;
-mod influence;
 pub mod kernels;
 mod metrics;
+mod runs;
 mod store;
 
 pub use coord::CellCoord;
@@ -64,7 +63,7 @@ pub use events::{apply_events, ObjectEvent, QueryEvent, UpdateRecord};
 pub use geom::{GridConfigError, GridGeom};
 pub use grid::{Grid, GridBuilder, GridStats};
 pub use index::CellIndex;
-pub use influence::InfluenceTable;
 pub use kernels::{CellRun, Coords};
 pub use metrics::{KindMetrics, Metrics, QueryKind};
+pub use runs::CellRuns;
 pub use store::ObjectStore;
