@@ -24,7 +24,7 @@ use crate::CellCoord;
 ///    [`CellRuns::NO_CELL`]) and counts its cell;
 /// 2. a **scan** that turns the counts into the ends of the runs, and
 ///    reads the occupied-cell count and the longest run on the way;
-/// 3. a **scatter**, back to front over the stored ids: each item takes
+/// 3. a **scatter**, back to front over the stored keys: each item takes
 ///    the last free slot of its cell, which leaves the cell's offset at
 ///    its start — so a run holds its items in item order.
 ///
